@@ -1,8 +1,9 @@
 //! Shared experiment harness used by the figure/table regeneration binaries
 //! and the Criterion benchmarks.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index) by running [`Reconciler`] implementations
+//! Every `fig*`/`table*`/`section*`/`ablation*` binary in `src/bin/`
+//! regenerates the table or figure of the paper its name says, by running
+//! [`Reconciler`] implementations
 //! on [`protocol::Workload`] instances and aggregating the paper's two
 //! metrics: communication overhead and encode/decode time, plus the success
 //! rate against ground truth.
@@ -19,7 +20,8 @@
 //! * `PBS_BENCH_D_VALUES` — comma-separated list of `d` values
 //! * `PBS_BENCH_FULL=1` — paper-scale defaults (10^6 elements, 100 trials)
 //!
-//! EXPERIMENTS.md records which scale produced the committed numbers.
+//! Their output is printed, not committed: no file in the repository
+//! records a run of them.
 
 #![warn(missing_docs)]
 

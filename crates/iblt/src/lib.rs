@@ -45,7 +45,7 @@
 //!   pure in two shards at once from being extracted twice — and the passes
 //!   repeat until no shard holds work. One final sequential sweep decides
 //!   completeness. With the `parallel` feature, shards peel as independent
-//!   units within a round ([`protocol::par_map`]), with the spill exchange
+//!   units within a round (`protocol::par_map`), with the spill exchange
 //!   and a duplicate-extraction fix-up at the round barrier.
 //!
 //! [`PeelStrategy::Auto`] (what [`Iblt::peel`]/[`Iblt::try_peel`] use)
@@ -65,7 +65,7 @@
 //! applied to the table layout. There are no cross-shard edges at all, so
 //! every probe of a shard's peel is cache-resident with zero spill
 //! traffic, and the shards decode as fully independent units
-//! ([`SubtableIblt::try_peel_parallel`] under the `parallel` feature). The
+//! (`SubtableIblt::try_peel_parallel` under the `parallel` feature). The
 //! trade: it is a different layout — not cell-compatible with a flat
 //! [`Iblt`] — and the binomial key split means a shard can run
 //! proportionally hotter than the table average, so size it with slight
@@ -865,7 +865,7 @@ impl Iblt {
     /// Shards own the same disjoint cell ranges as in
     /// [`Iblt::peel_subtable_serial`], but within a round every shard with
     /// pending work peels independently on a worker thread
-    /// ([`protocol::par_map`]): it drains the inbox snapshot it was handed,
+    /// (`protocol::par_map`): it drains the inbox snapshot it was handed,
     /// runs its local cascade, and returns its extractions plus outgoing
     /// spills. The spill exchange happens at the round barrier.
     ///
@@ -1203,7 +1203,7 @@ const SHARD_SALT: u64 = 0x5AB7AB1E;
 /// live in the key's home shard, so every probe of a peel is L2-resident
 /// no matter how large the whole table grows, and the shards are
 /// independently peelable — serially in any order, or in parallel with
-/// zero coordination ([`SubtableIblt::try_peel_parallel`], `parallel`
+/// zero coordination (`SubtableIblt::try_peel_parallel`, `parallel`
 /// feature).
 ///
 /// The layout is part of the code, not of the decoder: two parties must

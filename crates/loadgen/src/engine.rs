@@ -278,6 +278,7 @@ impl Engine {
             pushes: 0,
             bytes_in: 0,
             bytes_out: 0,
+            report: None,
         });
     }
 

@@ -8,9 +8,10 @@
 //! * [`plan`] — a seeded open-loop arrival schedule: fixed offered rate
 //!   with deterministic jitter, workload kinds drawn from a configurable
 //!   mix. A pure function of its seed, so runs replay exactly.
-//! * [`session`] — the client side of the wire protocol as a non-blocking
-//!   state machine over [`pbs_net::mux::MuxStream`], with per-phase
-//!   latency marks mirroring [`pbs_net::client::SyncPhases`].
+//! * [`session`] — the non-blocking driver of [`pbs_net::ClientMachine`]
+//!   (the same client protocol machine the blocking `pbs_net::sync` runs)
+//!   over [`pbs_net::mux::MuxStream`], with per-phase latency marks
+//!   stamped at the machine's phase boundaries.
 //! * [`engine`] — a small worker pool multiplexing thousands of those
 //!   sessions per thread (the client-side twin of PR 7's server event
 //!   loop), with exact `started == completed + failed + evicted`

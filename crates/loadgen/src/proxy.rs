@@ -478,8 +478,15 @@ mod tests {
         let mut buf = [0u8; 4];
         conn.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
+        // Each relay direction books a chunk as forwarded *after* writing
+        // it, so the echo can reach us a moment before the ledger shows it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while proxy.ledger().forwarded_up + proxy.ledger().forwarded_down < 8 {
+            assert!(std::time::Instant::now() < deadline, "ledger never settled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let ledger = proxy.ledger();
-        assert!(ledger.conserved());
+        assert!(ledger.conserved(), "{ledger:?}");
         assert_eq!(ledger.refused, 1);
     }
 

@@ -1,26 +1,23 @@
-//! One in-flight load-generator session: the client side of the wire
-//! protocol as a non-blocking state machine over
-//! [`pbs_net::mux::MuxStream`].
+//! One in-flight load-generator session: a non-blocking driver of
+//! [`pbs_net::ClientMachine`] over [`pbs_net::mux::MuxStream`].
 //!
-//! [`pbs_net::client::sync`] drives the same protocol with blocking I/O —
+//! [`pbs_net::client::sync`] drives the same machine with blocking I/O —
 //! one OS thread per session. A load generator cannot afford that: the
 //! acceptance bar is thousands of concurrent sessions (most of them
-//! parked subscribers) per worker thread, so this module re-expresses the
-//! client flow the way PR 7's server expresses the Bob side — as a state
-//! machine advanced by readiness events, never blocking, with explicit
-//! per-phase timing marks that mirror [`pbs_net::client::SyncPhases`]
-//! field for field. The protocol logic (handshake validation, delta
-//! fallback, estimator exchange, pipelined round loop, final transfer) is
-//! deliberately the same decision sequence as `client::sync`, so what the
-//! harness measures is what real clients run.
+//! parked subscribers) per worker thread, so this driver is advanced by
+//! readiness events and never blocks. Every protocol decision is the
+//! machine's, so what the harness measures is what real clients run; what
+//! lives here is the socket, the clock (the per-phase marks are stamped at
+//! the boundaries the machine reports) and the harness's own bookkeeping:
+//! outcome buckets, the deadline, parked-subscriber accounting.
 
 use crate::plan::{Arrival, Kind};
-use estimator::{Estimator, TowEstimator};
-use pbs_core::{AliceSession, Pbs, PbsConfig, ESTIMATOR_SEED_SALT};
-use pbs_net::frame::{EstimatorMsg, Frame, Hello};
+use pbs_core::PbsConfig;
 use pbs_net::mux::MuxStream;
-use pbs_net::NetError;
-use std::collections::HashSet;
+use pbs_net::{
+    ClientConfig, ClientMachine, Frame, Mode, NetError, Pipeline, SyncPhases, SyncReport,
+    TransportConfig,
+};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
@@ -90,6 +87,21 @@ pub struct PhaseNanos {
     pub total: u64,
 }
 
+impl From<SyncPhases> for PhaseNanos {
+    fn from(p: SyncPhases) -> Self {
+        let nanos = |d: Duration| d.as_nanos() as u64;
+        PhaseNanos {
+            connect: nanos(p.connect),
+            handshake: nanos(p.handshake),
+            estimate: nanos(p.estimate),
+            rounds: nanos(p.rounds),
+            transfer: nanos(p.transfer),
+            delta: nanos(p.delta),
+            total: nanos(p.total),
+        }
+    }
+}
+
 impl PhaseNanos {
     /// `(name, value)` pairs in presentation order — every consumer
     /// (table, JSON, assertions) iterates this one list.
@@ -128,24 +140,10 @@ pub struct SessionResult {
     pub bytes_in: u64,
     /// Wire bytes sent, framing included.
     pub bytes_out: u64,
-}
-
-#[derive(Debug)]
-enum State {
-    /// `Hello` queued, awaiting the negotiated reply.
-    AwaitHello,
-    /// Awaiting the delta catch-up stream.
-    AwaitDelta,
-    /// Estimator bank queued, awaiting the estimate reply.
-    AwaitEstimate,
-    /// Sketches queued, awaiting reports.
-    AwaitReports,
-    /// Final transfer queued, awaiting its ack.
-    AwaitAck,
-    /// Subscriber parked: folding pushes, answering pings.
-    Parked,
-    /// Finished — `result` is populated.
-    Done,
+    /// What the machine reported for a reconciliation or delta session
+    /// that ran to its ack, with this driver's transport ledger filled in
+    /// — the same report the blocking client returns.
+    pub report: Option<SyncReport>,
 }
 
 /// One live session. The engine owns a set of these, polls their fds, and
@@ -154,24 +152,14 @@ enum State {
 #[derive(Debug)]
 pub struct LoadSession {
     mux: MuxStream,
+    machine: ClientMachine<'static>,
     kind: Kind,
-    state: State,
-    seed: u64,
-    spec: SessionSpec,
-    /// The client set (full/pipelined kinds; empty for delta/subscribe).
-    set: Vec<u64>,
-    pipeline_auto: bool,
-    grant: u32,
-    alice: Option<AliceSession>,
-    sketch_m: u32,
-    delta_fallback: bool,
-    /// Last epoch a parked subscriber advanced to — pushes must arrive in
-    /// non-decreasing epoch order.
-    parked_epoch: u64,
+    deadline: Duration,
+    /// Push batches received while parked.
     pushes: u64,
     started: Instant,
     mark: Instant,
-    phases: PhaseNanos,
+    phases: SyncPhases,
     result: Option<SessionResult>,
 }
 
@@ -190,43 +178,44 @@ impl LoadSession {
         started: Instant,
         spec: SessionSpec,
     ) -> Result<Self, NetError> {
-        let (kind, seed) = (arrival.kind, arrival.seed);
-        let mut mux = MuxStream::from_tcp(stream, spec.max_frame, true).map_err(NetError::Io)?;
-        let pipeline_auto = kind == Kind::Pipelined;
-        let requested_depth = if pipeline_auto { u8::MAX as u32 } else { 1 };
-        let mut hello = Hello::from_config(&spec.pbs, seed, 0)
-            .with_store(spec.store.clone())
-            .with_pipeline(requested_depth);
-        hello.delta_epoch = match kind {
-            Kind::Delta | Kind::Subscribe => {
-                Some(delta_epoch.expect("delta/subscribe sessions need an epoch"))
-            }
-            Kind::Full | Kind::Pipelined => None,
+        let kind = arrival.kind;
+        let since = || delta_epoch.expect("delta/subscribe sessions need an epoch");
+        let mode = match kind {
+            Kind::Full | Kind::Pipelined => Mode::Full,
+            Kind::Delta => Mode::Delta { since: since() },
+            Kind::Subscribe => Mode::Subscribe { since: since() },
         };
-        mux.queue(&Frame::Hello(hello))?;
-        let phases = PhaseNanos {
-            connect: connect.as_nanos() as u64,
-            ..PhaseNanos::default()
-        };
-        Ok(LoadSession {
-            mux,
+        let config = ClientConfig::builder()
+            .pbs(spec.pbs)
+            .seed(arrival.seed)
+            .round_cap(spec.round_cap)
+            .max_d(spec.max_d)
+            .store(spec.store)
+            .pipeline(match kind {
+                Kind::Pipelined => Pipeline::Auto,
+                _ => Pipeline::Depth(1),
+            })
+            .transport(TransportConfig {
+                max_frame: spec.max_frame,
+                ..TransportConfig::default()
+            })
+            .build();
+        let mut session = LoadSession {
+            mux: MuxStream::from_tcp(stream, spec.max_frame, true).map_err(NetError::Io)?,
+            machine: ClientMachine::new(&config, set, mode)?,
             kind,
-            state: State::AwaitHello,
-            seed,
-            spec,
-            set,
-            pipeline_auto,
-            grant: 1,
-            alice: None,
-            sketch_m: 0,
-            delta_fallback: false,
-            parked_epoch: 0,
+            deadline: spec.deadline,
             pushes: 0,
             started,
             mark: Instant::now(),
-            phases,
+            phases: SyncPhases {
+                connect,
+                ..SyncPhases::default()
+            },
             result: None,
-        })
+        };
+        session.queue_owed()?;
+        Ok(session)
     }
 
     /// The raw fd the engine polls.
@@ -241,12 +230,12 @@ impl LoadSession {
 
     /// `true` once the session has a result to reap.
     pub fn is_finished(&self) -> bool {
-        matches!(self.state, State::Done)
+        self.result.is_some()
     }
 
     /// `true` while the session is a parked subscriber.
     pub fn is_parked(&self) -> bool {
-        matches!(self.state, State::Parked)
+        !self.is_finished() && self.machine.is_parked()
     }
 
     /// The instant the session began (deadline accounting).
@@ -257,7 +246,7 @@ impl LoadSession {
     /// Whether the session is past its deadline. Parked subscribers are
     /// exempt — parking indefinitely is their job.
     pub fn past_deadline(&self, now: Instant) -> bool {
-        !self.is_parked() && now.duration_since(self.started) > self.spec.deadline
+        !self.is_parked() && now.duration_since(self.started) > self.deadline
     }
 
     /// Consume the result after [`LoadSession::is_finished`].
@@ -275,8 +264,8 @@ impl LoadSession {
         }
     }
 
-    /// Socket readable: buffer input and advance the state machine over
-    /// every complete frame.
+    /// Socket readable: buffer input and advance the machine over every
+    /// complete frame.
     pub fn on_readable(&mut self) {
         if self.is_finished() {
             return;
@@ -285,36 +274,32 @@ impl LoadSession {
             self.fail(format!("read: {e}"));
             return;
         }
-        loop {
+        while !self.is_finished() {
             match self.mux.next_frame() {
                 Ok(Some(frame)) => {
-                    self.on_frame(frame);
-                    if self.is_finished() {
-                        return;
+                    if let Err(e) = self.advance(frame) {
+                        self.fail(e.to_string());
                     }
                 }
                 Ok(None) => break,
-                Err(e) => {
-                    self.fail(format!("frame: {e}"));
-                    return;
-                }
+                Err(e) => self.fail(format!("frame: {e}")),
             }
+        }
+        if self.is_finished() {
+            return;
         }
         if self.mux.peer_closed() {
             // EOF with no complete frame left. For a parked subscriber
             // that is a server-initiated termination (eviction); for any
             // other state the server hung up mid-protocol.
-            if self.is_parked() {
-                self.finish(
-                    Outcome::Evicted,
-                    Some("server closed a parked subscription".into()),
-                );
+            self.fail(if self.is_parked() {
+                "server closed a parked subscription".into()
             } else {
-                self.fail("connection closed mid-session".into());
-            }
+                "connection closed mid-session".into()
+            });
         }
-        // Frame handlers queue output; push it toward the socket now
-        // rather than waiting for the next writable event.
+        // The machine's answers are queued; push them toward the socket
+        // now rather than waiting for the next writable event.
         let _ = self.mux.flush();
     }
 
@@ -323,265 +308,94 @@ impl LoadSession {
     pub fn finish_parked(&mut self) {
         if self.is_parked() {
             let _ = self.mux.get_ref().shutdown(std::net::Shutdown::Both);
-            self.finish(Outcome::Completed, None);
+            self.finish(Outcome::Completed, None, None);
         }
     }
 
     /// Fail the session from outside (deadline).
     pub fn fail_timeout(&mut self) {
         self.fail(format!(
-            "deadline of {:?} exceeded in state {:?}",
-            self.spec.deadline, self.state
+            "deadline of {:?} exceeded while {}",
+            self.deadline,
+            self.machine.state_name()
         ));
+    }
+
+    /// One accepted frame: feed the machine, stamp the boundary it
+    /// reports, act on what it yields, queue what it owes next.
+    fn advance(&mut self, frame: Frame) -> Result<(), NetError> {
+        let step = self.machine.on_frame(frame)?;
+        if let Some(phase) = step.crossed {
+            let now = Instant::now();
+            self.phases.stamp(phase, now.duration_since(self.mark));
+            self.mark = now;
+        }
+        if let Some(mut report) = step.report {
+            self.phases.total = self.started.elapsed();
+            report.bytes_sent = self.mux.bytes_out();
+            report.bytes_received = self.mux.bytes_in();
+            report.frames_sent = self.mux.frames_out();
+            report.frames_received = self.mux.frames_in();
+            report.phases = self.phases;
+            // The real client hands an unverified recovery back to its
+            // caller; for the harness that is a failed session — after the
+            // server has seen the same `Done` and ack it sees from one.
+            let (outcome, error) = if report.verified {
+                (Outcome::Completed, None)
+            } else {
+                let error = "round cap exhausted before verification";
+                (Outcome::Failed, Some(error.into()))
+            };
+            self.finish(outcome, error, Some(report));
+        } else if step.push.is_some() {
+            if self.machine.is_parked() {
+                self.pushes += 1;
+            } else {
+                // The catch-up baseline; park from here. `total` covers up
+                // to the park, matching how a real subscriber perceives
+                // time-to-live-stream.
+                self.phases.total = self.started.elapsed();
+            }
+        }
+        self.queue_owed()
+    }
+
+    fn queue_owed(&mut self) -> Result<(), NetError> {
+        match self.machine.poll_send()? {
+            Some(frame) => self.mux.queue(&frame),
+            None => Ok(()),
+        }
     }
 
     fn fail(&mut self, error: String) {
         // A parked subscriber can only die by the server's hand — that is
         // the eviction bucket, not a harness failure.
-        if self.is_parked() {
-            self.finish(Outcome::Evicted, Some(error));
+        let outcome = if self.is_parked() {
+            Outcome::Evicted
         } else {
-            self.finish(Outcome::Failed, Some(error));
-        }
+            Outcome::Failed
+        };
+        self.finish(outcome, Some(error), None);
     }
 
-    fn finish(&mut self, outcome: Outcome, error: Option<String>) {
+    fn finish(&mut self, outcome: Outcome, error: Option<String>, report: Option<SyncReport>) {
         if self.is_finished() {
             return;
         }
-        if self.phases.total == 0 {
-            self.phases.total = self.started.elapsed().as_nanos() as u64;
+        if self.phases.total.is_zero() {
+            self.phases.total = self.started.elapsed();
         }
-        let verified = matches!(outcome, Outcome::Completed) && error.is_none();
         self.result = Some(SessionResult {
             kind: self.kind,
             outcome,
+            verified: outcome == Outcome::Completed,
+            delta_fallback: report.as_ref().is_some_and(|r| r.delta_fallback),
             error,
-            phases: self.phases,
-            verified,
-            delta_fallback: self.delta_fallback,
+            phases: self.phases.into(),
             pushes: self.pushes,
             bytes_in: self.mux.bytes_in(),
             bytes_out: self.mux.bytes_out(),
+            report,
         });
-        self.state = State::Done;
-    }
-
-    fn lap(&mut self) -> u64 {
-        let now = Instant::now();
-        let nanos = now.duration_since(self.mark).as_nanos() as u64;
-        self.mark = now;
-        nanos
-    }
-
-    fn complete(&mut self) {
-        self.phases.total = self.started.elapsed().as_nanos() as u64;
-        self.finish(Outcome::Completed, None);
-    }
-
-    fn protocol_error(&mut self, context: &str, frame: &Frame) {
-        self.fail(format!(
-            "{context}: unexpected frame type {}",
-            frame.type_byte()
-        ));
-    }
-
-    fn queue(&mut self, frame: &Frame) -> bool {
-        if let Err(e) = self.mux.queue(frame) {
-            self.fail(format!("queue: {e}"));
-            return false;
-        }
-        true
-    }
-
-    fn on_frame(&mut self, frame: Frame) {
-        match self.state {
-            State::AwaitHello => self.on_hello(frame),
-            State::AwaitDelta => self.on_delta(frame),
-            State::AwaitEstimate => self.on_estimate(frame),
-            State::AwaitReports => self.on_reports(frame),
-            State::AwaitAck => self.on_ack(frame),
-            State::Parked => self.on_push(frame),
-            State::Done => {}
-        }
-    }
-
-    fn on_hello(&mut self, frame: Frame) {
-        let negotiated = match frame {
-            Frame::Hello(h) => h,
-            other => return self.protocol_error("handshake", &other),
-        };
-        if negotiated.version == 0 || negotiated.version > pbs_net::PROTOCOL_VERSION {
-            return self.fail(format!(
-                "server negotiated unsupported version {}",
-                negotiated.version
-            ));
-        }
-        self.grant = if negotiated.version >= 2 {
-            let requested = if self.pipeline_auto {
-                u8::MAX as u32
-            } else {
-                1
-            };
-            requested.min(negotiated.pipeline.max(1) as u32)
-        } else {
-            1
-        };
-        self.phases.handshake = self.lap();
-        match self.kind {
-            Kind::Delta | Kind::Subscribe => {
-                if negotiated.version < 3 {
-                    return self.fail(format!(
-                        "server negotiated v{} — delta sessions need v3",
-                        negotiated.version
-                    ));
-                }
-                self.state = State::AwaitDelta;
-            }
-            Kind::Full | Kind::Pipelined => self.begin_estimate(),
-        }
-    }
-
-    fn begin_estimate(&mut self) {
-        let est_seed = xhash::derive_seed(self.seed, ESTIMATOR_SEED_SALT);
-        let mut bank = TowEstimator::new(self.spec.pbs.estimator_sketches, est_seed);
-        bank.insert_slice(&self.set);
-        if self.queue(&Frame::EstimatorExchange(EstimatorMsg::TowBank(
-            bank.to_bytes(),
-        ))) {
-            self.state = State::AwaitEstimate;
-        }
-    }
-
-    fn on_delta(&mut self, frame: Frame) {
-        match frame {
-            Frame::DeltaBatch { .. } => {}
-            Frame::DeltaDone { epoch } => {
-                self.phases.delta = self.lap();
-                match self.kind {
-                    Kind::Delta => self.complete(),
-                    Kind::Subscribe => {
-                        // The catch-up baseline; park from here. `total`
-                        // covers up to the park, matching how a real
-                        // subscriber perceives time-to-live-stream.
-                        self.parked_epoch = epoch;
-                        self.phases.total = self.started.elapsed().as_nanos() as u64;
-                        if self.queue(&Frame::Subscribe { epoch }) {
-                            self.state = State::Parked;
-                        }
-                    }
-                    _ => unreachable!("only delta kinds await delta streams"),
-                }
-            }
-            Frame::FullResyncRequired { .. } => {
-                // Changelog cannot cover our epoch: fall back to the
-                // classic reconciliation, exactly like `client::sync`.
-                self.phases.delta = self.lap();
-                self.delta_fallback = true;
-                self.begin_estimate();
-            }
-            other => self.protocol_error("delta stream", &other),
-        }
-    }
-
-    fn on_estimate(&mut self, frame: Frame) {
-        let d_param = match frame {
-            Frame::EstimatorExchange(EstimatorMsg::Estimate { d_param, .. }) => d_param.max(1),
-            other => return self.protocol_error("estimate", &other),
-        };
-        if d_param > self.spec.max_d {
-            return self.fail(format!(
-                "server demanded d = {d_param}, above the cap {}",
-                self.spec.max_d
-            ));
-        }
-        self.phases.estimate = self.lap();
-        let params = Pbs::new(self.spec.pbs).plan(d_param as usize);
-        self.sketch_m = params.m;
-        self.alice = Some(AliceSession::new(
-            self.spec.pbs,
-            params,
-            &self.set,
-            self.seed,
-        ));
-        self.queue_sketches();
-    }
-
-    fn queue_sketches(&mut self) {
-        let alice = self.alice.as_mut().expect("round loop has a session");
-        let depth = if self.pipeline_auto {
-            alice.next_pipeline_depth(self.grant)
-        } else {
-            self.grant
-        };
-        let layers = depth.min(self.spec.round_cap - alice.round());
-        let batch = alice.start_rounds(layers);
-        let m = self.sketch_m;
-        if self.queue(&Frame::Sketches { m, batch }) {
-            self.state = State::AwaitReports;
-        }
-    }
-
-    fn on_reports(&mut self, frame: Frame) {
-        let reports = match frame {
-            Frame::Reports(reports) => reports,
-            other => return self.protocol_error("rounds", &other),
-        };
-        let alice = self.alice.as_mut().expect("round loop has a session");
-        let status = alice.apply_reports(&reports);
-        if !status.all_verified && alice.round() < self.spec.round_cap {
-            return self.queue_sketches();
-        }
-        let verified = status.all_verified;
-        self.phases.rounds = self.lap();
-        let alice = self.alice.take().expect("round loop has a session");
-        let holdings: HashSet<u64> = self.set.iter().copied().collect();
-        let recovered = alice.into_recovered();
-        let pushed: Vec<u64> = recovered
-            .into_iter()
-            .filter(|e| holdings.contains(e))
-            .collect();
-        if !verified {
-            return self.fail("round cap exhausted before verification".into());
-        }
-        if self.queue(&Frame::Done(pushed)) {
-            self.state = State::AwaitAck;
-        }
-    }
-
-    fn on_ack(&mut self, frame: Frame) {
-        match frame {
-            Frame::Done(_) | Frame::DeltaDone { .. } => {
-                self.phases.transfer = self.lap();
-                self.complete();
-            }
-            other => self.protocol_error("final ack", &other),
-        }
-    }
-
-    fn on_push(&mut self, frame: Frame) {
-        match frame {
-            Frame::DeltaBatch { .. } => {}
-            Frame::DeltaDone { epoch } => {
-                if epoch < self.parked_epoch {
-                    return self.fail(format!(
-                        "push went backwards: epoch {epoch} after {}",
-                        self.parked_epoch
-                    ));
-                }
-                self.parked_epoch = epoch;
-                self.pushes += 1;
-            }
-            Frame::Ping { nonce } => {
-                self.queue(&Frame::Pong { nonce });
-            }
-            Frame::FullResyncRequired { .. } => {
-                self.finish(
-                    Outcome::Evicted,
-                    Some("subscription evicted under backpressure".into()),
-                );
-            }
-            other => self.protocol_error("subscription stream", &other),
-        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pbs-sync --connect ADDR (--set-file PATH | --range N [--drop K])
-//!          [--store NAME] [--pipeline L|auto] [--protocol V]
+//!          [--store NAME] [--pipeline L|auto]
 //!          [--since EPOCH | --epoch-cache FILE]
 //!          [--retry N [--retry-base-ms MS]]
 //!          [--d D] [--seed S] [--quiet]
@@ -15,10 +15,9 @@
 //! `--store NAME` addresses one of a multi-store server's named sets;
 //! `--pipeline L` packs `L` protocol rounds into each round trip, and
 //! `--pipeline auto` lets the session resize the depth per trip from the
-//! previous trip's verification rate (store routing needs v2, auto runs
-//! fine anywhere).
+//! previous trip's verification rate.
 //!
-//! `--since EPOCH` asks a v3 server for a **delta subscription**: if the
+//! `--since EPOCH` asks the server for a **delta subscription**: if the
 //! store's changelog still covers that epoch the server streams exactly
 //! the changes since it instead of reconciling. `--epoch-cache FILE`
 //! automates the epoch bookkeeping: the file (one per store) holds the
@@ -57,7 +56,6 @@ struct Args {
     store: String,
     pipeline: u32,
     pipeline_auto: bool,
-    protocol: Option<u16>,
     since: Option<u64>,
     epoch_cache: Option<PathBuf>,
     retry: u32,
@@ -71,7 +69,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: pbs-sync --connect ADDR (--set-file PATH | --range N [--drop K]) \
-         [--store NAME] [--pipeline L|auto] [--protocol V] \
+         [--store NAME] [--pipeline L|auto] \
          [--since EPOCH | --epoch-cache FILE] [--follow] \
          [--retry N [--retry-base-ms MS]] \
          [--d D] [--seed S] [--quiet]"
@@ -88,7 +86,6 @@ fn parse_args() -> Args {
         store: String::new(),
         pipeline: 1,
         pipeline_auto: false,
-        protocol: None,
         since: None,
         epoch_cache: None,
         retry: 1,
@@ -115,7 +112,6 @@ fn parse_args() -> Args {
                     args.pipeline = v.parse().unwrap_or(1);
                 }
             }
-            "--protocol" => args.protocol = value().parse().ok(),
             "--since" => args.since = value().parse().ok(),
             "--epoch-cache" => args.epoch_cache = Some(PathBuf::from(value())),
             "--retry" => args.retry = value().parse().unwrap_or(1),
@@ -254,9 +250,6 @@ fn main() {
     if let Some(epoch) = delta_epoch {
         builder = builder.delta_epoch(epoch);
     }
-    if let Some(v) = args.protocol {
-        builder = builder.protocol_version(v);
-    }
     let config = builder.build();
     let policy = RetryPolicy {
         attempts: args.retry.max(1),
@@ -305,12 +298,8 @@ fn main() {
             delta.removed.len(),
         );
         println!(
-            "pbs-sync: wire: {} B sent / {} B received over {}+{} frames (v{})",
-            report.bytes_sent,
-            report.bytes_received,
-            report.frames_sent,
-            report.frames_received,
-            report.negotiated_version,
+            "pbs-sync: wire: {} B sent / {} B received over {}+{} frames",
+            report.bytes_sent, report.bytes_received, report.frames_sent, report.frames_received,
         );
         if !args.quiet {
             for e in delta.added.iter().take(25) {
@@ -354,12 +343,8 @@ fn main() {
         println!("pbs-sync: epoch baseline {epoch} established");
     }
     println!(
-        "pbs-sync: wire: {} B sent / {} B received over {}+{} frames (v{})",
-        report.bytes_sent,
-        report.bytes_received,
-        report.frames_sent,
-        report.frames_received,
-        report.negotiated_version,
+        "pbs-sync: wire: {} B sent / {} B received over {}+{} frames",
+        report.bytes_sent, report.bytes_received, report.frames_sent, report.frames_received,
     );
     if !args.quiet {
         let mut diff = report.recovered.clone();

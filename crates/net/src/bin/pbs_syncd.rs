@@ -5,7 +5,7 @@
 //!           [--store NAME=SPEC]... [--watch-dir DIR [--watch-every SECS]]
 //!           [--changelog-cap N] [--data-dir DIR] [--snapshot-every N]
 //!           [--fsync] [--event-workers W] [--max-subscribers N]
-//!           [--round-cap R] [--max-pipeline L] [--protocol V]
+//!           [--round-cap R] [--max-pipeline L]
 //!           [--stats-every SECS] [--admin ADDR] [--log json|text]
 //!           [--trace-sample R]
 //!           [--anti-entropy PEER[,PEER...] [--anti-entropy-every SECS]
@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Serves the `docs/WIRE.md` protocol. One process serves any number of
-//! named stores; each v2 client selects one with the store name in its
-//! `Hello` (v1 clients land on the default store). Sources of stores:
+//! named stores; each client selects one with the store name in its
+//! `Hello`. Sources of stores:
 //!
 //! * `--set-file PATH` / `--range N` — the **default** store (the one the
 //!   empty name routes to).
@@ -26,7 +26,7 @@
 //!   applied to its store as an epoch-stamped change batch between
 //!   sessions, and new files become new stores without a restart.
 //!
-//! Watched stores serve the v3 **delta-subscription** path: a returning
+//! Watched stores serve the **delta-subscription** path: a returning
 //! client carrying the epoch of its previous sync receives exactly the
 //! changes since it. `--changelog-cap N` sets how many change batches each
 //! watched store retains (default 1024) — a client older than the retained
@@ -42,7 +42,7 @@
 //! `--epoch-cache` baselines stay warm. Without `--data-dir` everything is
 //! in-memory, as before.
 //!
-//! Watched and durable stores also serve **live subscriptions**: a v3
+//! Watched and durable stores also serve **live subscriptions**: a
 //! client that sends a `Subscribe` frame after its delta catch-up stays
 //! connected and has every further change batch pushed to it as the store
 //! mutates (`pbs-sync --follow`). `--event-workers W` (alias: `--workers`)
@@ -101,7 +101,6 @@ struct Args {
     max_subscribers: Option<usize>,
     round_cap: Option<u32>,
     max_pipeline: Option<u32>,
-    protocol: Option<u16>,
     stats_every: u64,
     admin: Option<String>,
     log: Option<String>,
@@ -117,7 +116,7 @@ fn usage() -> ! {
          [--store NAME=SPEC]... [--watch-dir DIR [--watch-every SECS]] \
          [--changelog-cap N] [--data-dir DIR] [--snapshot-every N] [--fsync] \
          [--event-workers W] [--max-subscribers N] [--round-cap R] \
-         [--max-pipeline L] [--protocol V] [--stats-every SECS] \
+         [--max-pipeline L] [--stats-every SECS] \
          [--admin ADDR] [--log json|text] [--trace-sample R] \
          [--anti-entropy PEER[,PEER...]] [--anti-entropy-every SECS] \
          [--anti-entropy-seed N]\n\
@@ -146,7 +145,6 @@ fn parse_args() -> Args {
         max_subscribers: None,
         round_cap: None,
         max_pipeline: None,
-        protocol: None,
         stats_every: 30,
         admin: None,
         log: None,
@@ -187,7 +185,6 @@ fn parse_args() -> Args {
             "--max-subscribers" => args.max_subscribers = value().parse().ok(),
             "--round-cap" => args.round_cap = value().parse().ok(),
             "--max-pipeline" => args.max_pipeline = value().parse().ok(),
-            "--protocol" => args.protocol = value().parse().ok(),
             "--stats-every" => args.stats_every = value().parse().unwrap_or(30),
             "--admin" => args.admin = Some(value()),
             "--log" => args.log = Some(value()),
@@ -353,9 +350,6 @@ fn main() {
     if let Some(l) = args.max_pipeline {
         config.max_pipeline_depth = l.max(1);
     }
-    if let Some(v) = args.protocol {
-        config.protocol_version = v;
-    }
 
     let server =
         Server::bind_registry(&args.listen, Arc::clone(&registry), config).unwrap_or_else(|e| {
@@ -365,7 +359,7 @@ fn main() {
     println!(
         "pbs-syncd: listening on {} (protocol v{}, {} stores)",
         server.local_addr(),
-        config.protocol_version,
+        pbs_net::PROTOCOL_VERSION,
         registry.len()
     );
 

@@ -1,15 +1,20 @@
-//! The sync client: [`SyncClient`] drives an [`AliceSession`] against a
-//! reconciliation server and returns the reconciled difference with full
-//! transport accounting. On v2 sessions the client can address a named
-//! server-side store ([`SyncClient::store`]) and pipeline several protocol
-//! rounds into each request-response round trip ([`SyncClient::pipeline`]
-//! with a fixed [`Pipeline::Depth`] or the per-trip adaptive
-//! [`Pipeline::Auto`]). On v3 sessions a client holding the epoch of its
-//! previous sync ([`SyncClient::delta_epoch`]) is served the changes since
-//! that epoch as a delta stream ([`SyncReport::delta`]) instead of running
-//! a reconciliation, falling back transparently when the server's
-//! changelog cannot cover the epoch — and can hold the connection open as
-//! a live push subscription ([`SyncClient::subscribe`], yielding a
+//! The sync client: [`SyncClient`] reconciles a set against a server and
+//! returns the reconciled difference with full transport accounting. The
+//! protocol itself — every decision about which frame comes next — is
+//! [`crate::machine::ClientMachine`]; this module is its blocking driver:
+//! it owns the socket and the clock, moves frames between the two, and
+//! stamps [`SyncPhases`] at the boundaries the machine reports.
+//!
+//! The client can address a named server-side store
+//! ([`SyncClient::store`]) and pipeline several protocol rounds into each
+//! request-response round trip ([`SyncClient::pipeline`] with a fixed
+//! [`Pipeline::Depth`] or the per-trip adaptive [`Pipeline::Auto`]). A
+//! client holding the epoch of its previous sync
+//! ([`SyncClient::delta_epoch`]) is served the changes since that epoch as
+//! a delta stream ([`SyncReport::delta`]) instead of running a
+//! reconciliation, falling back transparently when the server's changelog
+//! cannot cover the epoch — and can hold the connection open as a live
+//! push subscription ([`SyncClient::subscribe`], yielding a
 //! [`Subscription`] iterator of [`DeltaReport`]s as the store mutates).
 //!
 //! ```no_run
@@ -25,11 +30,10 @@
 //! # Ok::<(), pbs_net::NetError>(())
 //! ```
 
-use crate::frame::{EstimatorMsg, Frame, Hello, MAX_STORE_NAME, PROTOCOL_VERSION};
+use crate::machine::{ClientMachine, Mode, Phase, Step};
+pub use crate::machine::{DeltaFold, DeltaReport};
 use crate::{FramedStream, NetError, TransportConfig};
-use estimator::{Estimator, TowEstimator};
-use pbs_core::{AliceSession, Pbs, PbsConfig, ESTIMATOR_SEED_SALT};
-use std::collections::HashSet;
+use pbs_core::PbsConfig;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -82,9 +86,7 @@ pub struct ClientConfig {
     /// documentation for the relationship to the frame-size cap.
     pub max_d: u64,
     /// Name of the server-side store to reconcile against. The empty
-    /// string is the default store and works on any server; a non-empty
-    /// name requires a v2 session — the sync aborts if the server
-    /// negotiates the session down to v1.
+    /// string is the default store.
     pub store: String,
     /// Number of protocol rounds pipelined into each sketch/report round
     /// trip. 1 (the default) is the classic one-round-per-trip protocol;
@@ -92,8 +94,7 @@ pub struct ClientConfig {
     /// same frame, trading bytes for round trips (see
     /// [`pbs_core::AliceSession::start_rounds`]). Negotiated in the
     /// handshake: the session uses `min` of this request and the server's
-    /// grant (`ServerConfig::max_pipeline_depth`, default 4), and falls
-    /// back to 1 when the server negotiates v1. Ignored when
+    /// grant (`ServerConfig::max_pipeline_depth`, default 4). Ignored when
     /// [`ClientConfig::pipeline_auto`] is set.
     pub pipeline: u32,
     /// Adaptive pipeline depth: request the server's full grant in the
@@ -103,17 +104,14 @@ pub struct ClientConfig {
     /// grant while every layer decodes, back off toward 1 while most
     /// fail). `pbs-sync --pipeline auto`.
     pub pipeline_auto: bool,
-    /// Protocol version to propose, normally [`PROTOCOL_VERSION`]. Set to
-    /// 1 to emulate a legacy client (no store routing, no pipelining).
-    pub protocol_version: u16,
-    /// The store epoch this client last synced at. `Some(e)` asks a v3
+    /// The store epoch this client last synced at. `Some(e)` asks the
     /// server for a delta subscription: when the store's changelog still
     /// covers `e`, the server streams exactly the changes since `e`
     /// ([`SyncReport::delta`]) instead of reconciling — O(|changes|) bytes
     /// — and when it cannot, the sync transparently falls back to a full
-    /// reconciliation ([`SyncReport::delta_fallback`]). Requires
-    /// `protocol_version >= 3`; the epoch to pass is the
-    /// [`SyncReport::epoch`] of the previous sync against the same store.
+    /// reconciliation ([`SyncReport::delta_fallback`]). The epoch to pass
+    /// is the [`SyncReport::epoch`] of the previous sync against the same
+    /// store.
     pub delta_epoch: Option<u64>,
 }
 
@@ -129,7 +127,6 @@ impl Default for ClientConfig {
             store: String::new(),
             pipeline: 1,
             pipeline_auto: false,
-            protocol_version: PROTOCOL_VERSION,
             delta_epoch: None,
         }
     }
@@ -210,14 +207,7 @@ impl ConfigBuilder {
         self
     }
 
-    /// Protocol version to propose
-    /// ([`ClientConfig::protocol_version`]).
-    pub fn protocol_version(mut self, version: u16) -> Self {
-        self.config.protocol_version = version;
-        self
-    }
-
-    /// Epoch of the previous sync, requesting a v3 delta stream
+    /// Epoch of the previous sync, requesting a delta stream
     /// ([`ClientConfig::delta_epoch`]).
     pub fn delta_epoch(mut self, epoch: u64) -> Self {
         self.config.delta_epoch = Some(epoch);
@@ -227,95 +217,6 @@ impl ConfigBuilder {
     /// Finish into the configuration.
     pub fn build(self) -> ClientConfig {
         self.config
-    }
-}
-
-/// Outcome of a delta-subscription sync ([`SyncReport::delta`]): the net
-/// changes between the client's cached epoch and the server's current one,
-/// collapsed across batches (an element added then removed nets out).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeltaReport {
-    /// The epoch the client subscribed from.
-    pub from_epoch: u64,
-    /// The epoch the stream ended at — the next sync's `delta_epoch`.
-    pub to_epoch: u64,
-    /// Net elements to insert, sorted.
-    pub added: Vec<u64>,
-    /// Net elements to remove, sorted.
-    pub removed: Vec<u64>,
-    /// `DeltaBatch` frames received.
-    pub batches: u64,
-}
-
-impl DeltaReport {
-    /// Apply the net changes to a local element set (removes, then adds).
-    pub fn apply_to(&self, set: &mut HashSet<u64>) {
-        for e in &self.removed {
-            set.remove(e);
-        }
-        set.extend(self.added.iter().copied());
-    }
-}
-
-/// Accumulator folding a delta stream into net add/remove sets, in arrival
-/// order: a remove cancels an earlier add and vice versa (stream order is
-/// changelog order, so the fold is exact). This is *the* collapse rule of
-/// the v3 client — the `delta_sync` bench uses the same type, so the gated
-/// metric always measures the shipped algorithm.
-#[derive(Debug, Default)]
-pub struct DeltaFold {
-    added: HashSet<u64>,
-    removed: HashSet<u64>,
-    batches: u64,
-}
-
-impl DeltaFold {
-    /// An empty fold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one `DeltaBatch` frame's lists, in stream order.
-    pub fn fold(
-        &mut self,
-        added: impl IntoIterator<Item = u64>,
-        removed: impl IntoIterator<Item = u64>,
-    ) {
-        self.batches += 1;
-        for e in removed {
-            if !self.added.remove(&e) {
-                self.removed.insert(e);
-            }
-        }
-        for e in added {
-            self.removed.remove(&e);
-            self.added.insert(e);
-        }
-    }
-
-    /// Net changed elements so far (adds plus removes).
-    pub fn len(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
-    /// `true` when the folded stream nets out to no change.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Finish into a sorted [`DeltaReport`] spanning the given epochs.
-    pub fn into_report(self, from_epoch: u64, to_epoch: u64) -> DeltaReport {
-        let mut added: Vec<u64> = self.added.into_iter().collect();
-        let mut removed: Vec<u64> = self.removed.into_iter().collect();
-        added.sort_unstable();
-        removed.sort_unstable();
-        DeltaReport {
-            from_epoch,
-            to_epoch,
-            added,
-            removed,
-            batches: self.batches,
-        }
     }
 }
 
@@ -342,8 +243,22 @@ pub struct SyncPhases {
     pub total: Duration,
 }
 
+impl SyncPhases {
+    /// Record `took` as the duration of the phase a
+    /// [`Step`] reported as just ended.
+    pub fn stamp(&mut self, phase: Phase, took: Duration) {
+        *match phase {
+            Phase::Handshake => &mut self.handshake,
+            Phase::Delta => &mut self.delta,
+            Phase::Estimate => &mut self.estimate,
+            Phase::Rounds => &mut self.rounds,
+            Phase::Transfer => &mut self.transfer,
+        } = took;
+    }
+}
+
 /// What a completed (or round-capped) sync observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SyncReport {
     /// The symmetric difference `A△B` as the client recovered it.
     pub recovered: Vec<u64>,
@@ -362,10 +277,8 @@ pub struct SyncReport {
     pub d_param: u64,
     /// The raw ToW estimate, when the estimator exchange ran.
     pub estimated_d: Option<f64>,
-    /// The protocol version the server negotiated.
-    pub negotiated_version: u16,
     /// The epoch baseline this sync established, when the server's store
-    /// keeps epochs (v3): after a delta sync, the epoch the stream ended
+    /// keeps epochs: after a delta sync, the epoch the stream ended
     /// at; after a full reconciliation, the epoch of the snapshot it ran
     /// against. Feed it back as [`ClientConfig::delta_epoch`] next time.
     pub epoch: Option<u64>,
@@ -374,8 +287,8 @@ pub struct SyncReport {
     /// reconciliations.
     pub delta: Option<DeltaReport>,
     /// `true` when a requested delta subscription could not be served
-    /// (changelog trimmed, pre-v3 server, epoch-less store) and the sync
-    /// fell back to a full reconciliation.
+    /// (changelog trimmed, epoch-less store) and the sync fell back to a
+    /// full reconciliation.
     pub delta_fallback: bool,
     /// Wire bytes sent, framing included.
     pub bytes_sent: u64,
@@ -492,20 +405,13 @@ impl SyncClient {
         self
     }
 
-    /// Protocol version to propose
-    /// ([`ClientConfig::protocol_version`]).
-    pub fn protocol_version(mut self, version: u16) -> Self {
-        self.config.protocol_version = version;
-        self
-    }
-
     /// Socket/framing knobs ([`ClientConfig::transport`]).
     pub fn transport(mut self, transport: TransportConfig) -> Self {
         self.config.transport = transport;
         self
     }
 
-    /// Epoch of the previous sync, requesting a v3 delta stream
+    /// Epoch of the previous sync, requesting a delta stream
     /// ([`ClientConfig::delta_epoch`]).
     pub fn delta_epoch(mut self, epoch: u64) -> Self {
         self.config.delta_epoch = Some(epoch);
@@ -539,92 +445,53 @@ impl SyncClient {
 
     /// Open a live push subscription from `epoch`.
     ///
-    /// The v3 handshake runs with `delta_epoch = Some(epoch)`; the
-    /// server's catch-up delta stream (everything between `epoch` and its
-    /// current state) becomes the first item the returned [`Subscription`]
-    /// yields, and a `Subscribe` frame then parks the session in the
-    /// server's streaming state: every subsequent store mutation is pushed
-    /// as another [`DeltaReport`]. Pass the [`SyncReport::epoch`] of a
-    /// previous sync against the same store (a fresh client therefore
-    /// syncs first, then subscribes from the epoch that sync returned).
+    /// The handshake carries `epoch`; the server's catch-up delta stream
+    /// (everything between `epoch` and its current state) becomes the
+    /// first item the returned [`Subscription`] yields, and a `Subscribe`
+    /// frame then parks the session in the server's streaming state: every
+    /// subsequent store mutation is pushed as another [`DeltaReport`]. Pass
+    /// the [`SyncReport::epoch`] of a previous sync against the same store
+    /// (a fresh client therefore syncs first, then subscribes from the
+    /// epoch that sync returned).
     ///
     /// Fails with [`NetError::Remote`]/[`NetError::Protocol`] when the
-    /// server cannot serve the epoch (changelog trimmed, epoch-less store,
-    /// pre-v3 peer) — run a full [`SyncClient::sync`] and subscribe from
-    /// its epoch instead. Retry policies do not apply: a dropped
-    /// subscription must not silently skip epochs.
+    /// server cannot serve the epoch (changelog trimmed, epoch-less store)
+    /// — run a full [`SyncClient::sync`] and subscribe from its epoch
+    /// instead. Retry policies do not apply: a dropped subscription must
+    /// not silently skip epochs.
     pub fn subscribe(&self, epoch: u64) -> Result<Subscription, NetError> {
-        let config = &self.config;
-        if config.protocol_version < 3 {
-            return Err(NetError::Protocol(
-                "subscriptions require protocol v3".into(),
-            ));
-        }
-        if config.store.len() > MAX_STORE_NAME {
-            return Err(NetError::Protocol(format!(
-                "store name of {} bytes exceeds the {MAX_STORE_NAME}-byte wire limit",
-                config.store.len()
-            )));
-        }
-
+        let mode = Mode::Subscribe { since: epoch };
+        let mut machine = ClientMachine::new(&self.config, Vec::new(), mode)?;
         let stream = TcpStream::connect(&self.addrs[..])?;
-        let mut framed = FramedStream::from_tcp(stream, &config.transport)?;
-
-        let mut hello = Hello::from_config(&config.pbs, config.seed, 0)
-            .with_store(config.store.clone())
-            .with_pipeline(1);
-        hello.delta_epoch = Some(epoch);
-        hello.version = config.protocol_version;
-        framed.send(&Frame::Hello(hello))?;
-        let negotiated = match framed.recv()? {
-            Frame::Hello(h) => h,
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected Hello reply, got frame type {}",
-                    other.type_byte()
-                )))
+        let mut framed = FramedStream::from_tcp(stream, &self.config.transport)?;
+        let initial = loop {
+            if let Some(catch_up) = turn(&mut framed, &mut machine)?.push {
+                break catch_up;
             }
         };
-        if negotiated.version < 3 {
-            return Err(NetError::Protocol(format!(
-                "server negotiated v{} — subscriptions require v3",
-                negotiated.version
-            )));
+        // Park before returning: from here the server pushes.
+        if let Some(subscribe) = machine.poll_send()? {
+            framed.send(&subscribe)?;
         }
-
-        // Catch-up stream: the deltas between our epoch and the server's
-        // current one. A `FullResyncRequired` here means the changelog no
-        // longer covers `epoch` — subscribing would skip changes, so the
-        // caller must reconcile first.
-        let mut fold = DeltaFold::new();
-        let current = loop {
-            match framed.recv()? {
-                Frame::DeltaBatch { added, removed, .. } => fold.fold(added, removed),
-                Frame::DeltaDone { epoch } => break epoch,
-                Frame::FullResyncRequired { epoch } => {
-                    return Err(NetError::Protocol(format!(
-                        "server cannot serve deltas since epoch {epoch}; \
-                         run a full sync and subscribe from its epoch"
-                    )));
-                }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected delta stream, got frame type {}",
-                        other.type_byte()
-                    )));
-                }
-            }
-        };
-
-        // Hold the session open: from here the server pushes.
-        framed.send(&Frame::Subscribe { epoch: current })?;
         Ok(Subscription {
             framed,
-            epoch: current,
-            initial: Some(fold.into_report(epoch, current)),
+            machine,
+            initial: Some(initial),
             done: false,
         })
     }
+}
+
+/// One turn of the blocking driver: put the frame the machine owes on the
+/// wire, then feed it the peer's next frame.
+fn turn(
+    framed: &mut FramedStream<TcpStream>,
+    machine: &mut ClientMachine<'_>,
+) -> Result<Step, NetError> {
+    if let Some(frame) = machine.poll_send()? {
+        framed.send(&frame)?;
+    }
+    machine.on_frame(framed.recv()?)
 }
 
 /// A live push subscription (see [`SyncClient::subscribe`]): a blocking
@@ -648,7 +515,7 @@ impl SyncClient {
 #[derive(Debug)]
 pub struct Subscription {
     framed: FramedStream<TcpStream>,
-    epoch: u64,
+    machine: ClientMachine<'static>,
     initial: Option<DeltaReport>,
     done: bool,
 }
@@ -657,7 +524,7 @@ impl Subscription {
     /// The epoch the stream has advanced to — the `delta_epoch` to resume
     /// from after a disconnect.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.machine.epoch()
     }
 
     /// Total wire bytes received on this subscription so far (framing
@@ -671,11 +538,6 @@ impl Subscription {
     pub fn frames_received(&self) -> u64 {
         self.framed.frames_in()
     }
-
-    fn fail(&mut self, err: NetError) -> Option<Result<DeltaReport, NetError>> {
-        self.done = true;
-        Some(Err(err))
-    }
 }
 
 impl Iterator for Subscription {
@@ -688,42 +550,26 @@ impl Iterator for Subscription {
         if let Some(initial) = self.initial.take() {
             return Some(Ok(initial));
         }
-        let mut fold = DeltaFold::new();
         loop {
-            match self.framed.recv() {
-                Ok(Frame::DeltaBatch { added, removed, .. }) => fold.fold(added, removed),
-                Ok(Frame::DeltaDone { epoch }) => {
-                    let report = fold.into_report(self.epoch, epoch);
-                    self.epoch = epoch;
-                    return Some(Ok(report));
-                }
-                Ok(Frame::Ping { nonce }) => {
-                    // Liveness probe from an idle server; answering is what
-                    // keeps the subscription alive.
-                    if let Err(e) = self.framed.send(&Frame::Pong { nonce }) {
-                        return self.fail(e);
+            match turn(&mut self.framed, &mut self.machine) {
+                Ok(step) => {
+                    if let Some(report) = step.push {
+                        return Some(Ok(report));
                     }
                 }
-                Ok(Frame::FullResyncRequired { epoch }) => {
-                    return self.fail(NetError::Protocol(format!(
-                        "subscription evicted; full resync required (server epoch {epoch})"
-                    )));
-                }
-                Ok(other) => {
-                    return self.fail(NetError::Protocol(format!(
-                        "unexpected frame type {} on the subscription stream",
-                        other.type_byte()
-                    )));
-                }
-                // A clean close mid-silence is the server shutting the
-                // stream down, not a failure.
+                // A clean close between push bursts is the server shutting
+                // the stream down, not a failure.
                 Err(NetError::Io(e))
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof && fold.is_empty() =>
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof
+                        && !self.machine.mid_stream() =>
                 {
                     self.done = true;
                     return None;
                 }
-                Err(e) => return self.fail(e),
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
             }
         }
     }
@@ -746,59 +592,11 @@ pub fn sync(
     set: &[u64],
     config: &ClientConfig,
 ) -> Result<SyncReport, NetError> {
-    // Out-of-universe elements can never verify (Alice's sub-universe check
-    // rejects them as fakes), so a session would burn its whole round cap
-    // discovering a configuration mistake. Fail fast instead.
-    let universe_mask = if config.pbs.universe_bits == 64 {
-        u64::MAX
-    } else {
-        (1u64 << config.pbs.universe_bits) - 1
+    let mode = match config.delta_epoch {
+        Some(since) => Mode::Delta { since },
+        None => Mode::Full,
     };
-    if let Some(&bad) = set.iter().find(|&&e| e == 0 || e > universe_mask) {
-        return Err(NetError::Protocol(format!(
-            "element {bad:#x} outside the {}-bit universe",
-            config.pbs.universe_bits
-        )));
-    }
-
-    // `known_d == 0` means "estimate" on the wire, so a caller's
-    // `Some(0)` must not desynchronize the two state machines: normalize
-    // it to the same `max(1)` every other `d` path applies.
-    let known_d = config.known_d.map(|d| d.max(1));
-    if let Some(d) = known_d {
-        if d > config.max_d {
-            return Err(NetError::Protocol(format!(
-                "known_d = {d} exceeds the client cap {}",
-                config.max_d
-            )));
-        }
-    }
-
-    if config.protocol_version == 0 || config.protocol_version > PROTOCOL_VERSION {
-        return Err(NetError::Protocol(format!(
-            "protocol_version must be in 1..={PROTOCOL_VERSION}"
-        )));
-    }
-    if !config.store.is_empty() && config.protocol_version < 2 {
-        return Err(NetError::Protocol(
-            "named stores require protocol v2".into(),
-        ));
-    }
-    if config.delta_epoch.is_some() && config.protocol_version < 3 {
-        return Err(NetError::Protocol(
-            "delta subscriptions require protocol v3".into(),
-        ));
-    }
-    // The encoder would byte-truncate an over-long name (possibly
-    // mid-codepoint), silently addressing a *different* store than the
-    // caller asked for — refuse up front instead, mirroring the registry's
-    // registration-side check.
-    if config.store.len() > MAX_STORE_NAME {
-        return Err(NetError::Protocol(format!(
-            "store name of {} bytes exceeds the {MAX_STORE_NAME}-byte wire limit",
-            config.store.len()
-        )));
-    }
+    let mut machine = ClientMachine::new(config, set, mode)?;
 
     let clock = Instant::now();
     let mut phases = SyncPhases::default();
@@ -807,243 +605,22 @@ pub fn sync(
     phases.connect = clock.elapsed();
     let mut mark = Instant::now();
 
-    // ---- Handshake ----
-    // An adaptive-pipeline client asks for the largest representable depth;
-    // the grant that comes back is the server's own cap, the ceiling the
-    // per-trip controller then works under.
-    let requested_depth = if config.pipeline_auto {
-        u8::MAX as u32
-    } else {
-        config.pipeline.max(1)
-    };
-    let mut hello = Hello::from_config(&config.pbs, config.seed, known_d.unwrap_or(0))
-        .with_store(config.store.clone())
-        .with_pipeline(requested_depth);
-    hello.delta_epoch = config.delta_epoch;
-    hello.version = config.protocol_version;
-    framed.send(&Frame::Hello(hello))?;
-    let negotiated = match framed.recv()? {
-        Frame::Hello(h) => h,
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected Hello reply, got frame type {}",
-                other.type_byte()
-            )))
+    loop {
+        let step = turn(&mut framed, &mut machine)?;
+        if let Some(phase) = step.crossed {
+            phases.stamp(phase, mark.elapsed());
+            mark = Instant::now();
         }
-    };
-    if negotiated.version == 0 || negotiated.version > config.protocol_version {
-        return Err(NetError::Protocol(format!(
-            "server negotiated unsupported version {}",
-            negotiated.version
-        )));
-    }
-    // A downgraded session cannot address a named store — the server would
-    // silently serve its default set instead of the one we asked for.
-    if negotiated.version < 2 && !config.store.is_empty() {
-        return Err(NetError::Protocol(format!(
-            "server only speaks v{} and cannot route store {:?}",
-            negotiated.version, config.store
-        )));
-    }
-    // Pipelining is a v2 semantic negotiated like the version: the server
-    // grants at most its own per-frame cap, and the session uses the
-    // granted depth — a deeper request degrades instead of having a
-    // mid-session frame refused. v1 sessions are always unpipelined.
-    let grant = if negotiated.version >= 2 {
-        requested_depth.min(negotiated.pipeline.max(1) as u32)
-    } else {
-        1
-    };
-    phases.handshake = mark.elapsed();
-    mark = Instant::now();
-
-    // ---- Delta subscription (v3) ----
-    // When the handshake carried our cached epoch and the session stayed
-    // v3, the server's very next frames settle the question: a granted
-    // subscription streams DeltaBatch frames ending in DeltaDone (and the
-    // sync is over — no reconciliation ran), a FullResyncRequired drops us
-    // into the classic protocol below.
-    let mut delta_fallback = false;
-    if let Some(since) = config.delta_epoch {
-        if negotiated.version >= 3 {
-            let mut fold = DeltaFold::new();
-            loop {
-                match framed.recv()? {
-                    Frame::DeltaBatch {
-                        added: batch_added,
-                        removed: batch_removed,
-                        ..
-                    } => fold.fold(batch_added, batch_removed),
-                    Frame::DeltaDone { epoch } => {
-                        phases.delta = mark.elapsed();
-                        phases.total = clock.elapsed();
-                        return Ok(SyncReport {
-                            recovered: Vec::new(),
-                            pushed: Vec::new(),
-                            verified: true,
-                            rounds: 0,
-                            round_trips: 0,
-                            d_param: 0,
-                            estimated_d: None,
-                            negotiated_version: negotiated.version,
-                            epoch: Some(epoch),
-                            delta: Some(fold.into_report(since, epoch)),
-                            delta_fallback: false,
-                            bytes_sent: framed.bytes_out(),
-                            bytes_received: framed.bytes_in(),
-                            frames_sent: framed.frames_out(),
-                            frames_received: framed.frames_in(),
-                            phases,
-                        });
-                    }
-                    Frame::FullResyncRequired { .. } => {
-                        delta_fallback = true;
-                        break;
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected delta stream, got frame type {}",
-                            other.type_byte()
-                        )))
-                    }
-                }
-            }
-        } else {
-            // A pre-v3 responder cannot serve deltas at all; the classic
-            // session below is the fallback.
-            delta_fallback = true;
-        }
-        phases.delta = mark.elapsed();
-        mark = Instant::now();
-    }
-
-    // ---- Difference parameterization ----
-    let mut estimated_d = None;
-    let d_param = match known_d {
-        Some(d) => d,
-        None => {
-            let est_seed = xhash::derive_seed(config.seed, ESTIMATOR_SEED_SALT);
-            let mut bank = TowEstimator::new(config.pbs.estimator_sketches, est_seed);
-            bank.insert_slice(set);
-            framed.send(&Frame::EstimatorExchange(EstimatorMsg::TowBank(
-                bank.to_bytes(),
-            )))?;
-            match framed.recv()? {
-                Frame::EstimatorExchange(EstimatorMsg::Estimate { d_param, d_hat }) => {
-                    estimated_d = Some(d_hat);
-                    d_param.max(1)
-                }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected estimate reply, got frame type {}",
-                        other.type_byte()
-                    )))
-                }
-            }
-        }
-    };
-    if d_param > config.max_d {
-        return Err(NetError::Protocol(format!(
-            "server demanded d = {d_param}, above the client cap {}",
-            config.max_d
-        )));
-    }
-    phases.estimate = mark.elapsed();
-    mark = Instant::now();
-
-    // ---- Round loop ----
-    let params = Pbs::new(config.pbs).plan(d_param as usize);
-    let mut alice = AliceSession::new(config.pbs, params, set, config.seed);
-    let mut verified = false;
-    while alice.round() < config.round_cap {
-        // Pipelined: one frame speculatively carries the next `layers`
-        // rounds' sketches; the server answers every layer in one reply.
-        // In auto mode the depth is re-picked every trip from the previous
-        // trip's layer-verification rate, never above the grant.
-        let depth = if config.pipeline_auto {
-            alice.next_pipeline_depth(grant)
-        } else {
-            grant
-        };
-        let layers = depth.min(config.round_cap - alice.round());
-        let batch = alice.start_rounds(layers);
-        framed.send(&Frame::Sketches { m: params.m, batch })?;
-        let reports = match framed.recv()? {
-            Frame::Reports(reports) => reports,
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected Reports, got frame type {}",
-                    other.type_byte()
-                )))
-            }
-        };
-        let status = alice.apply_reports(&reports);
-        if status.all_verified {
-            verified = true;
-            break;
+        if let Some(mut report) = step.report {
+            phases.total = clock.elapsed();
+            report.bytes_sent = framed.bytes_out();
+            report.bytes_received = framed.bytes_in();
+            report.frames_sent = framed.frames_out();
+            report.frames_received = framed.frames_in();
+            report.phases = phases;
+            return Ok(report);
         }
     }
-
-    phases.rounds = mark.elapsed();
-    mark = Instant::now();
-
-    // ---- Final transfer: ship A \ B so the server can converge ----
-    let rounds = alice.round();
-    let round_trips = alice.round_trips();
-    let holdings: HashSet<u64> = set.iter().copied().collect();
-    let recovered: Vec<u64> = alice.into_recovered();
-    let pushed: Vec<u64> = recovered
-        .iter()
-        .copied()
-        .filter(|e| holdings.contains(e))
-        .collect();
-    // The transfer is a single frame (body: type + count + 8 bytes per
-    // element); give an actionable error rather than a bare size failure.
-    let done_capacity = (config.transport.max_frame as u64).saturating_sub(5) / 8;
-    if pushed.len() as u64 > done_capacity {
-        return Err(NetError::Protocol(format!(
-            "final transfer of {} elements exceeds the {}-byte frame cap \
-             (max {done_capacity} elements); raise transport.max_frame",
-            pushed.len(),
-            config.transport.max_frame
-        )));
-    }
-    framed.send(&Frame::Done(pushed.clone()))?;
-    // On a v3 session against an epoch-capable store the ack is a
-    // DeltaDone carrying the epoch baseline this reconciliation
-    // established — what the next sync passes as `delta_epoch`.
-    let epoch = match framed.recv()? {
-        Frame::Done(_) => None,
-        Frame::DeltaDone { epoch } => Some(epoch),
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected Done ack, got frame type {}",
-                other.type_byte()
-            )))
-        }
-    };
-
-    phases.transfer = mark.elapsed();
-    phases.total = clock.elapsed();
-
-    Ok(SyncReport {
-        recovered,
-        pushed,
-        verified,
-        rounds,
-        round_trips,
-        d_param,
-        estimated_d,
-        negotiated_version: negotiated.version,
-        epoch,
-        delta: None,
-        delta_fallback,
-        bytes_sent: framed.bytes_out(),
-        bytes_received: framed.bytes_in(),
-        frames_sent: framed.frames_out(),
-        frames_received: framed.frames_in(),
-        phases,
-    })
 }
 
 /// Bounded retry with exponential backoff and deterministic jitter, for
@@ -1217,7 +794,6 @@ mod tests {
             .known_d(20)
             .max_d(1 << 10)
             .round_cap(9)
-            .protocol_version(2)
             .build();
         assert_eq!(built.store, "inventory");
         assert_eq!(built.pipeline, 3);
@@ -1226,7 +802,6 @@ mod tests {
         assert_eq!(built.known_d, Some(20));
         assert_eq!(built.max_d, 1 << 10);
         assert_eq!(built.round_cap, 9);
-        assert_eq!(built.protocol_version, 2);
         assert_eq!(built.delta_epoch, None);
 
         // Auto overrides any fixed depth; Depth(0) clamps to 1.
@@ -1250,18 +825,18 @@ mod tests {
         assert_eq!(client.config_ref().delta_epoch, Some(42));
 
         // subscribe() fail-fast checks run before any connect.
-        let v1 = SyncClient::connect("127.0.0.1:9")
+        let long = SyncClient::connect("127.0.0.1:9")
             .unwrap()
-            .protocol_version(1);
-        assert!(matches!(v1.subscribe(0), Err(NetError::Protocol(_))));
+            .store("s".repeat(crate::frame::MAX_STORE_NAME + 1));
+        assert!(matches!(long.subscribe(0), Err(NetError::Protocol(_))));
     }
 
     #[test]
     fn non_transient_errors_do_not_retry() {
-        // A protocol-invalid config fails immediately even with a generous
-        // policy (no sleeping, no attempts burned).
+        // A request the machine refuses fails immediately even with a
+        // generous policy (no sleeping, no attempts burned).
         let config = ClientConfig {
-            protocol_version: 99,
+            known_d: Some(u64::MAX),
             ..ClientConfig::default()
         };
         let policy = RetryPolicy {

@@ -6,7 +6,7 @@
 //! driven by readable/writable events over a buffered non-blocking framed
 //! stream, with per-session deadlines enforced by the loop's timer pass.
 //!
-//! This is what turns v3 subscriptions *live*: a session that finished its
+//! This is what turns subscriptions *live*: a session that finished its
 //! delta catch-up (or its classic reconciliation, on an epoch-capable
 //! store) parks in `AwaitSubscribe`; a [`Frame::Subscribe`] moves it to
 //! `Streaming`, where a [`crate::store::SetStore::register_notifier`] hook
@@ -21,11 +21,14 @@
 //! [`Notice`] on the worker's channel and write one byte to the wake
 //! socket, which the poll loop drains.
 
-use crate::frame::{delta_batch_frames, delta_chunk_capacity, ErrorCode, EstimatorMsg, Frame};
+use crate::frame::{
+    delta_batch_frames, delta_chunk_capacity, ErrorCode, EstimatorMsg, Frame, PROTOCOL_VERSION,
+};
 use crate::mux::MuxStream;
 use crate::poll::{Interest, Poller};
 use crate::server::{ServerConfig, ServerStats};
 use crate::store::{DeltaAnswer, RegisteredStore, SetStore, StoreRegistry};
+use crate::{FrameError, NetError};
 use analysis::OptimalParams;
 use estimator::{Estimator, TowEstimator};
 use obs::trace::{self, Level, Value};
@@ -67,7 +70,7 @@ pub(crate) struct SessionMetrics {
     pub estimate: Arc<Histogram>,
     /// Sketch/report rounds through the final ack queued.
     pub rounds: Arc<Histogram>,
-    /// v3 changelog catch-up (handshake `delta_epoch` → `DeltaDone`
+    /// changelog catch-up (handshake `delta_epoch` → `DeltaDone`
     /// queued).
     pub delta_catchup: Arc<Histogram>,
     /// Store-mutation commit → push burst's `DeltaDone` drained to the OS.
@@ -217,7 +220,6 @@ enum Phase {
 /// Protocol context accumulated by the handshake, carried through the
 /// classic reconciliation phases.
 struct ProtoCtx {
-    version: u16,
     cfg: PbsConfig,
     seed: u64,
     round_cap: u32,
@@ -228,7 +230,7 @@ struct ProtoCtx {
     snapshot: Vec<u64>,
     snapshot_epoch: Option<u64>,
     /// Whether this session may park in `AwaitSubscribe` after its ack:
-    /// v3 negotiated *and* the routed store keeps epochs.
+    /// the routed store keeps epochs.
     subscribable: bool,
     params: Option<OptimalParams>,
     bob: Option<Box<BobSession>>,
@@ -693,6 +695,19 @@ impl Worker {
                     }
                 }
                 Ok(None) => break,
+                // The one undecodable frame that gets an answer: a peer
+                // from another protocol version is told so. (The frame
+                // stays at the head of the read buffer; met again while
+                // the refusal drains, it just ends the session below.)
+                Err(NetError::Frame(FrameError::Version(version)))
+                    if !matches!(self.sessions[i].phase, Phase::Closing(_)) =>
+                {
+                    return self.refuse(
+                        i,
+                        ErrorCode::Version,
+                        format!("protocol version {version} is not v{PROTOCOL_VERSION}"),
+                    );
+                }
                 Err(_) => {
                     // Undecodable bytes end the session exactly like the
                     // blocking server's failed `read_frame` did: drop the
@@ -751,7 +766,7 @@ impl Worker {
         self.on_writable(i);
     }
 
-    /// Ack sent; either park the session for a `Subscribe` (v3 on an
+    /// Ack sent; either park the session for a `Subscribe` (on an
     /// epoch-capable store) or drain and close as completed.
     fn after_ack(&mut self, i: usize) {
         let subscribable = self.sessions[i]
@@ -795,27 +810,17 @@ impl Worker {
                 )
             }
         };
-        if hello.version == 0 {
-            return self.refuse(i, ErrorCode::Version, "version 0 is invalid");
-        }
         let cfg = match hello.config() {
             Ok(cfg) => cfg,
             Err(why) => return self.refuse(i, ErrorCode::BadConfig, why),
         };
         let config = *self.config();
-        let negotiated_version = hello.version.min(config.protocol_version);
 
-        // Store routing: only a v2+ session can address a named store.
-        let store_name = if negotiated_version >= 2 {
-            hello.store.as_str()
-        } else {
-            ""
-        };
-        let Some(entry) = self.shared.registry.get(store_name) else {
+        let Some(entry) = self.shared.registry.get(&hello.store) else {
             return self.refuse(
                 i,
                 ErrorCode::UnknownStore,
-                format!("no store named {store_name:?}"),
+                format!("no store named {:?}", hello.store),
             );
         };
         entry
@@ -831,7 +836,6 @@ impl Worker {
             .unwrap_or(config.max_done_elements);
 
         let mut negotiated = hello.clone();
-        negotiated.version = negotiated_version;
         negotiated.store = entry.name().to_string();
         negotiated.pipeline = hello
             .pipeline
@@ -864,7 +868,6 @@ impl Worker {
             i,
             "hello",
             &[
-                ("version", Value::U64(negotiated_version as u64)),
                 ("store", Value::Str(entry.name())),
                 ("known_d", Value::U64(hello.known_d)),
                 ("delta_epoch", Value::Bool(hello.delta_epoch.is_some())),
@@ -873,7 +876,6 @@ impl Worker {
         let entry_opt = Some(entry);
 
         let mut ctx = ProtoCtx {
-            version: negotiated_version,
             cfg,
             seed: hello.seed,
             round_cap,
@@ -887,79 +889,74 @@ impl Worker {
             rounds: 0,
         };
 
-        // ---- Delta subscription path (v3) ----
-        if negotiated_version >= 3 {
-            if let Some(since) = hello.delta_epoch {
-                match store.delta_since(since) {
-                    DeltaAnswer::Changes { batches, current } => {
-                        self.bump(&entry_opt, |s| &s.delta_sessions, 1);
-                        let capacity = delta_chunk_capacity(config.transport.max_frame);
-                        for batch in &batches {
-                            self.bump(
-                                &entry_opt,
-                                |s| &s.delta_elements,
-                                (batch.added.len() + batch.removed.len()) as u64,
-                            );
-                            for frame in delta_batch_frames(
-                                batch.epoch,
-                                &batch.added,
-                                &batch.removed,
-                                capacity,
-                            ) {
-                                self.bump(&entry_opt, |s| &s.delta_batches, 1);
-                                if self.sessions[i].nb.queue(&frame).is_err() {
-                                    self.sessions[i].finish(false);
-                                    return;
-                                }
+        // ---- Delta subscription path ----
+        if let Some(since) = hello.delta_epoch {
+            match store.delta_since(since) {
+                DeltaAnswer::Changes { batches, current } => {
+                    self.bump(&entry_opt, |s| &s.delta_sessions, 1);
+                    let capacity = delta_chunk_capacity(config.transport.max_frame);
+                    for batch in &batches {
+                        self.bump(
+                            &entry_opt,
+                            |s| &s.delta_elements,
+                            (batch.added.len() + batch.removed.len()) as u64,
+                        );
+                        for frame in
+                            delta_batch_frames(batch.epoch, &batch.added, &batch.removed, capacity)
+                        {
+                            self.bump(&entry_opt, |s| &s.delta_batches, 1);
+                            if self.sessions[i].nb.queue(&frame).is_err() {
+                                self.sessions[i].finish(false);
+                                return;
                             }
                         }
-                        if self.sessions[i]
-                            .nb
-                            .queue(&Frame::DeltaDone { epoch: current })
-                            .is_err()
-                        {
-                            self.sessions[i].finish(false);
-                            return;
-                        }
-                        // Served entirely from the changelog: the session
-                        // is complete and may turn into a live
-                        // subscription.
-                        ctx.subscribable = true;
-                        self.sessions[i].ctx = Some(ctx);
-                        self.sessions[i].phase = Phase::AwaitSubscribe;
-                        self.record_phase(i, |m| &m.delta_catchup);
-                        self.trace_session(
-                            i,
-                            "delta_catchup",
-                            &[
-                                ("batches", Value::U64(batches.len() as u64)),
-                                ("epoch", Value::U64(current)),
-                            ],
-                        );
-                        self.on_writable(i);
+                    }
+                    if self.sessions[i]
+                        .nb
+                        .queue(&Frame::DeltaDone { epoch: current })
+                        .is_err()
+                    {
+                        self.sessions[i].finish(false);
                         return;
                     }
-                    DeltaAnswer::Trimmed { current } => {
-                        self.bump(&entry_opt, |s| &s.delta_fallbacks, 1);
-                        if self.sessions[i]
-                            .nb
-                            .queue(&Frame::FullResyncRequired { epoch: current })
-                            .is_err()
-                        {
-                            self.sessions[i].finish(false);
-                            return;
-                        }
+                    // Served entirely from the changelog: the session
+                    // is complete and may turn into a live
+                    // subscription.
+                    ctx.subscribable = true;
+                    self.sessions[i].ctx = Some(ctx);
+                    self.sessions[i].phase = Phase::AwaitSubscribe;
+                    self.record_phase(i, |m| &m.delta_catchup);
+                    self.trace_session(
+                        i,
+                        "delta_catchup",
+                        &[
+                            ("batches", Value::U64(batches.len() as u64)),
+                            ("epoch", Value::U64(current)),
+                        ],
+                    );
+                    self.on_writable(i);
+                    return;
+                }
+                DeltaAnswer::Trimmed { current } => {
+                    self.bump(&entry_opt, |s| &s.delta_fallbacks, 1);
+                    if self.sessions[i]
+                        .nb
+                        .queue(&Frame::FullResyncRequired { epoch: current })
+                        .is_err()
+                    {
+                        self.sessions[i].finish(false);
+                        return;
                     }
-                    DeltaAnswer::Unsupported => {
-                        self.bump(&entry_opt, |s| &s.delta_fallbacks, 1);
-                        if self.sessions[i]
-                            .nb
-                            .queue(&Frame::FullResyncRequired { epoch: 0 })
-                            .is_err()
-                        {
-                            self.sessions[i].finish(false);
-                            return;
-                        }
+                }
+                DeltaAnswer::Unsupported => {
+                    self.bump(&entry_opt, |s| &s.delta_fallbacks, 1);
+                    if self.sessions[i]
+                        .nb
+                        .queue(&Frame::FullResyncRequired { epoch: 0 })
+                        .is_err()
+                    {
+                        self.sessions[i].finish(false);
+                        return;
                     }
                 }
             }
@@ -971,7 +968,7 @@ impl Worker {
         let (snapshot, snapshot_epoch) = store.epoch_snapshot();
         ctx.snapshot = snapshot;
         ctx.snapshot_epoch = snapshot_epoch;
-        ctx.subscribable = negotiated_version >= 3 && snapshot_epoch.is_some();
+        ctx.subscribable = snapshot_epoch.is_some();
 
         if hello.known_d > 0 {
             if hello.known_d > max_d {
@@ -1092,17 +1089,10 @@ impl Worker {
                 layer_rounds.sort_unstable();
                 layer_rounds.dedup();
                 let layers = (layer_rounds.len() as u32).max(1);
-                let (version, round_cap, params) = {
+                let (round_cap, params) = {
                     let ctx = self.sessions[i].ctx.as_ref().expect("rounds have ctx");
-                    (ctx.version, ctx.round_cap, ctx.params.expect("params set"))
+                    (ctx.round_cap, ctx.params.expect("params set"))
                 };
-                if layers > 1 && version < 2 {
-                    return self.refuse(
-                        i,
-                        ErrorCode::Protocol,
-                        "pipelined rounds require protocol v2",
-                    );
-                }
                 if layers > config.max_pipeline_depth {
                     return self.refuse(
                         i,
@@ -1155,14 +1145,9 @@ impl Worker {
                 self.on_writable(i);
             }
             Frame::Done(elements) => {
-                let (cfg, version, max_done_elements, snapshot_epoch) = {
+                let (cfg, max_done_elements, snapshot_epoch) = {
                     let ctx = self.sessions[i].ctx.as_ref().expect("ctx");
-                    (
-                        ctx.cfg,
-                        ctx.version,
-                        ctx.max_done_elements,
-                        ctx.snapshot_epoch,
-                    )
+                    (ctx.cfg, ctx.max_done_elements, ctx.snapshot_epoch)
                 };
                 if elements.len() as u64 > max_done_elements as u64 {
                     return self.refuse(
@@ -1194,14 +1179,13 @@ impl Worker {
                 let store = self.sessions[i].store.clone().expect("routed store");
                 store.apply_missing(&elements);
                 self.bump(&entry, |s| &s.elements_received, elements.len() as u64);
-                // On a v3 session against an epoch-capable store the ack
-                // carries the *snapshot* epoch — the client's new delta
+                // Against an epoch-capable store the ack carries the *snapshot* epoch — the client's new delta
                 // baseline (changes landing after the snapshot were
                 // invisible to this session; the next delta sync replays
                 // them idempotently).
                 let ack = match snapshot_epoch {
-                    Some(epoch) if version >= 3 => Frame::DeltaDone { epoch },
-                    _ => Frame::Done(Vec::new()),
+                    Some(epoch) => Frame::DeltaDone { epoch },
+                    None => Frame::Done(Vec::new()),
                 };
                 if self.sessions[i].nb.queue(&ack).is_err() {
                     self.sessions[i].finish(false);

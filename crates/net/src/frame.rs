@@ -1,5 +1,5 @@
-//! The framed wire protocol: length-prefixed, CRC-checked, versioned frames
-//! layered over the payload encoders of [`pbs_core::wire`].
+//! The framed wire protocol: length-prefixed, CRC-checked frames layered
+//! over the payload encoders of [`pbs_core::wire`].
 //!
 //! On the wire every frame is
 //!
@@ -20,28 +20,10 @@ use pbs_core::wire::{self, WireError};
 use pbs_core::PbsConfig;
 use std::io::{Read, Write};
 
-/// Protocol version this build speaks. The handshake negotiates down to
-/// `min(client, server)`; version 0 is invalid.
-///
-/// * **v1** — the PR-3 protocol: one anonymous store, one round per
-///   `Sketches` frame.
-/// * **v2** — adds a store name to `Hello` (multi-set routing) and
-///   pipelined rounds (one `Sketches` frame may carry several consecutive
-///   rounds' layers). The `Hello` payload is self-describing: its
-///   `version` field governs whether the store-name field follows, so
-///   both encodings coexist on one port.
-/// * **v3** — adds the delta-subscription path: a `Hello` may carry the
-///   client's last-known store epoch ([`Hello::delta_epoch`]); when the
-///   server's changelog still covers it, the session short-circuits
-///   reconciliation entirely and streams [`Frame::DeltaBatch`] frames
-///   ending in [`Frame::DeltaDone`], or answers
-///   [`Frame::FullResyncRequired`] and falls back to the classic session.
-///   On epoch-capable stores the final `Done` ack is replaced by a
-///   `DeltaDone` carrying the new epoch baseline. v3 also carries the
-///   *live* subscription frames: after a `DeltaDone` the client may send
-///   [`Frame::Subscribe`] to hold the connection open and have the server
-///   push delta bursts on every store mutation, with [`Frame::Ping`] /
-///   [`Frame::Pong`] keepalives while the stream is idle.
+/// The one protocol version: the value of every `Hello`'s `version` field.
+/// There is no negotiation — a `Hello` carrying any other value is refused
+/// ([`FrameError::Version`], answered with [`ErrorCode::Version`]) before
+/// any later field is read.
 pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Largest store name (in bytes) a `Hello` may carry or a server accepts.
@@ -121,7 +103,7 @@ pub fn delta_batch_frames(
 pub enum ErrorCode {
     /// The `Hello` magic was wrong — not this protocol.
     BadMagic,
-    /// No mutually supported protocol version.
+    /// The `Hello` did not carry [`PROTOCOL_VERSION`].
     Version,
     /// A handshake or estimator parameter was rejected.
     BadConfig,
@@ -133,7 +115,7 @@ pub enum ErrorCode {
     Decode,
     /// The sender hit an internal failure (deadline, resource limits, …).
     Internal,
-    /// The `Hello` named a store this server does not serve (v2).
+    /// The `Hello` named a store this server does not serve.
     UnknownStore,
 }
 
@@ -182,17 +164,16 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// The handshake frame both parties open with. The client proposes its
-/// protocol version and the full reconciliation configuration; the server
-/// echoes the configuration with the negotiated version (or answers with
+/// The handshake frame both parties open with. The client proposes the
+/// full reconciliation configuration; the server echoes it with the store
+/// it routed to and the pipeline depth it grants (or answers with
 /// [`Frame::Error`]). Carrying the whole [`PbsConfig`] plus the seed means
 /// the two state machines derive every hash function identically without
 /// any further agreement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
-    /// Proposed (client) or negotiated (server) protocol version. Also
-    /// governs the payload shape: the store-name field exists only when
-    /// `version >= 2`.
+    /// Always [`PROTOCOL_VERSION`] in a `Hello` that decoded; the encoder
+    /// writes whatever is set here (tests forge stale versions with it).
     pub version: u16,
     /// `log|U|`, the element signature width.
     pub universe_bits: u8,
@@ -211,23 +192,21 @@ pub struct Hello {
     /// Difference cardinality known a priori; `0` means unknown, and an
     /// estimator exchange follows the handshake.
     pub known_d: u64,
-    /// Name of the server-side store to reconcile against (v2; the empty
-    /// string is the default store, and the only thing a v1 `Hello` can
-    /// address). At most [`MAX_STORE_NAME`] bytes of UTF-8.
+    /// Name of the server-side store to reconcile against (the empty
+    /// string is the default store). At most [`MAX_STORE_NAME`] bytes of
+    /// UTF-8.
     pub store: String,
     /// Pipelined layers per sketch frame: the depth the client *requests*,
     /// the depth the server's reply *grants* (`min(requested,
-    /// max_pipeline_depth)`) — negotiated exactly like `version`, so a
-    /// client never discovers the server's cap by having a mid-session
-    /// frame refused. v2 only; 0 is normalized to 1.
+    /// max_pipeline_depth)`), so a client never discovers the server's cap
+    /// by having a mid-session frame refused. 0 is normalized to 1.
     pub pipeline: u8,
-    /// The store epoch this client last synced at (v3). `Some(e)` asks the
+    /// The store epoch this client last synced at. `Some(e)` asks the
     /// server for a delta subscription: if the named store's changelog
     /// still reaches back to `e`, the server streams the changes since `e`
     /// instead of running a reconciliation; otherwise it answers
     /// [`Frame::FullResyncRequired`] and the session proceeds classically.
-    /// `None` (the only thing a pre-v3 `Hello` can say) requests a normal
-    /// reconciliation session.
+    /// `None` requests a normal reconciliation session.
     pub delta_epoch: Option<u64>,
 }
 
@@ -251,21 +230,20 @@ impl Hello {
         }
     }
 
-    /// Address a named store (requires a v2 session).
+    /// Address a named store.
     pub fn with_store(mut self, store: impl Into<String>) -> Self {
         self.store = store.into();
         self
     }
 
-    /// Request a pipelined-layer depth (requires a v2 session; the server
-    /// grants at most its own cap).
+    /// Request a pipelined-layer depth (the server grants at most its own
+    /// cap).
     pub fn with_pipeline(mut self, layers: u32) -> Self {
         self.pipeline = layers.clamp(1, u8::MAX as u32) as u8;
         self
     }
 
-    /// Request a delta subscription from the given last-known store epoch
-    /// (requires a v3 session).
+    /// Request a delta subscription from the given last-known store epoch.
     pub fn with_delta_epoch(mut self, epoch: u64) -> Self {
         self.delta_epoch = Some(epoch);
         self
@@ -358,7 +336,7 @@ pub enum Frame {
         /// Human-readable detail (may be empty; capped at 64 KiB on decode).
         message: String,
     },
-    /// Server → client (v3): one chunk of the delta stream — the effective
+    /// Server → client: one chunk of the delta stream — the effective
     /// add/remove lists of one changelog batch. A batch larger than the
     /// frame cap is split across several `DeltaBatch` frames carrying the
     /// same `epoch`; the epoch is *reached* only once the last chunk of the
@@ -372,14 +350,14 @@ pub enum Frame {
         /// Elements the batch removed.
         removed: Vec<u64>,
     },
-    /// Server → client (v3): end of a delta stream, or — on an
+    /// Server → client: end of a delta stream, or — on an
     /// epoch-capable store — the final transfer ack, in either case
     /// carrying the epoch baseline the client now stands at.
     DeltaDone {
         /// The client's new epoch baseline.
         epoch: u64,
     },
-    /// Server → client (v3): the requested [`Hello::delta_epoch`] cannot be
+    /// Server → client: the requested [`Hello::delta_epoch`] cannot be
     /// served incrementally (changelog trimmed past it, epoch from this
     /// store's future, or a store without a changelog). Not an error: the
     /// session continues with the classic reconciliation, which
@@ -391,7 +369,7 @@ pub enum Frame {
         /// The store's current epoch (0 when the store keeps no epochs).
         epoch: u64,
     },
-    /// Client → server (v3): after a `DeltaDone`, hold the connection open
+    /// Client → server: after a `DeltaDone`, hold the connection open
     /// as a live subscription — the server pushes a
     /// `DeltaBatch*`/`DeltaDone` burst on every mutation of the store past
     /// `epoch`.
@@ -400,13 +378,13 @@ pub enum Frame {
         /// the `DeltaDone` it just received).
         epoch: u64,
     },
-    /// Server → client (v3): keepalive probe on an idle subscription. The
+    /// Server → client: keepalive probe on an idle subscription. The
     /// client answers with a [`Frame::Pong`] echoing the nonce.
     Ping {
         /// Opaque value the matching `Pong` must echo.
         nonce: u64,
     },
-    /// Client → server (v3): keepalive answer to a [`Frame::Ping`].
+    /// Client → server: keepalive answer to a [`Frame::Ping`].
     Pong {
         /// The nonce of the `Ping` being answered.
         nonce: u64,
@@ -489,23 +467,16 @@ impl Frame {
                 out.extend_from_slice(&h.estimator_sketches.to_le_bytes());
                 out.extend_from_slice(&h.seed.to_le_bytes());
                 out.extend_from_slice(&h.known_d.to_le_bytes());
-                // v1 peers expect the payload to end here; the store-name
-                // and pipeline fields exist only in the v2 shape, and the
-                // delta-epoch field only in the v3 shape.
-                if h.version >= 2 {
-                    let name = &h.store.as_bytes()[..h.store.len().min(MAX_STORE_NAME)];
-                    out.push(name.len() as u8);
-                    out.extend_from_slice(name);
-                    out.push(h.pipeline);
-                }
-                if h.version >= 3 {
-                    match h.delta_epoch {
-                        Some(epoch) => {
-                            out.push(1);
-                            out.extend_from_slice(&epoch.to_le_bytes());
-                        }
-                        None => out.push(0),
+                let name = &h.store.as_bytes()[..h.store.len().min(MAX_STORE_NAME)];
+                out.push(name.len() as u8);
+                out.extend_from_slice(name);
+                out.push(h.pipeline);
+                match h.delta_epoch {
+                    Some(epoch) => {
+                        out.push(1);
+                        out.extend_from_slice(&epoch.to_le_bytes());
                     }
+                    None => out.push(0),
                 }
             }
             Frame::EstimatorExchange(EstimatorMsg::TowBank(bank)) => {
@@ -575,8 +546,14 @@ impl Frame {
                 if magic != HELLO_MAGIC {
                     return Err(FrameError::BadMagic(magic));
                 }
+                // A stale or future peer is told so — not handed whatever
+                // error its differently-shaped payload would trip below.
+                let version = take_u16(&mut buf)?;
+                if version != PROTOCOL_VERSION {
+                    return Err(FrameError::Version(version));
+                }
                 let mut hello = Hello {
-                    version: take_u16(&mut buf)?,
+                    version,
                     universe_bits: take_u8(&mut buf)?,
                     delta: take_u32(&mut buf)?,
                     target_rounds: take_u32(&mut buf)?,
@@ -589,21 +566,17 @@ impl Frame {
                     pipeline: 1,
                     delta_epoch: None,
                 };
-                if hello.version >= 2 {
-                    let len = take_u8(&mut buf)? as usize;
-                    if len > MAX_STORE_NAME {
-                        return Err(FrameError::Payload(WireError::Truncated));
-                    }
-                    let raw = take(&mut buf, len)?;
-                    hello.store = String::from_utf8_lossy(raw).into_owned();
-                    hello.pipeline = take_u8(&mut buf)?.max(1);
+                let len = take_u8(&mut buf)? as usize;
+                if len > MAX_STORE_NAME {
+                    return Err(FrameError::Payload(WireError::Truncated));
                 }
-                if hello.version >= 3 {
-                    match take_u8(&mut buf)? {
-                        0 => {}
-                        1 => hello.delta_epoch = Some(take_u64(&mut buf)?),
-                        other => return Err(FrameError::Payload(WireError::BadTag(other))),
-                    }
+                let raw = take(&mut buf, len)?;
+                hello.store = String::from_utf8_lossy(raw).into_owned();
+                hello.pipeline = take_u8(&mut buf)?.max(1);
+                match take_u8(&mut buf)? {
+                    0 => {}
+                    1 => hello.delta_epoch = Some(take_u64(&mut buf)?),
+                    other => return Err(FrameError::Payload(WireError::BadTag(other))),
                 }
                 if !buf.is_empty() {
                     return Err(FrameError::Payload(WireError::Truncated));
@@ -787,25 +760,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_has_no_store_field_and_round_trips() {
-        let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0);
-        hello.version = 1;
-        let v1_len = Frame::Hello(hello.clone()).encode_body().len();
-        let v3_len = Frame::Hello(Hello::from_config(&PbsConfig::default(), 7, 0))
-            .encode_body()
-            .len();
-        // The v3 shape adds exactly the one-byte length prefix of an empty
-        // store name, the pipeline byte and the absent-epoch flag byte.
-        assert_eq!(v3_len, v1_len + 3);
-        let back = round_trip(&Frame::Hello(hello.clone()), DEFAULT_MAX_FRAME);
-        assert_eq!(back, Frame::Hello(hello.clone()));
-        // A v1 Hello carrying a (stripped) store name decodes with the
-        // store field empty: v1 peers cannot address named stores.
-        let named = hello.with_store("ignored");
-        let Frame::Hello(h) = round_trip(&Frame::Hello(named), DEFAULT_MAX_FRAME) else {
-            unreachable!()
-        };
-        assert_eq!(h.store, "");
+    fn wrong_version_hellos_are_refused_before_any_later_field() {
+        for version in [0, 1, 2, 4, u16::MAX] {
+            let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0);
+            hello.version = version;
+            let body = Frame::Hello(hello).encode_body();
+            assert_eq!(Frame::decode_body(&body), Err(FrameError::Version(version)));
+            // Type byte + magic + version is all the decoder looks at: the
+            // shorter payload an old peer would really send, or garbage
+            // after the version, gets the same typed answer.
+            assert_eq!(
+                Frame::decode_body(&body[..7]),
+                Err(FrameError::Version(version))
+            );
+        }
     }
 
     #[test]
@@ -819,7 +787,7 @@ mod tests {
         assert_eq!(h.store.len(), MAX_STORE_NAME);
         // …and the decoder refuses a hand-crafted longer length byte.
         // (The length byte sits before the name, the pipeline byte and the
-        // v3 delta-epoch flag byte.)
+        // delta-epoch flag byte.)
         let mut forged = body.clone();
         let len_at = body.len() - 3 - MAX_STORE_NAME;
         forged[len_at] = MAX_STORE_NAME as u8 + 1;
@@ -882,18 +850,6 @@ mod tests {
         let mut h3 = Hello::from_config(&PbsConfig::default(), 1, 0);
         h3.target_success = f64::NAN;
         assert!(h3.config().is_err());
-    }
-
-    #[test]
-    fn v2_hello_drops_the_delta_epoch() {
-        // A v2-shaped Hello cannot carry an epoch: the field round-trips to
-        // None, exactly as the store name does on a v1 shape.
-        let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0).with_delta_epoch(42);
-        hello.version = 2;
-        let Frame::Hello(h) = round_trip(&Frame::Hello(hello), DEFAULT_MAX_FRAME) else {
-            unreachable!()
-        };
-        assert_eq!(h.delta_epoch, None);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! socket. It is deliberately `std`-only (`std::net` + `std::thread` — the
 //! build environment has no crates.io access, so no async runtime):
 //!
-//! * [`frame`] — a length-prefixed, CRC-checked, versioned frame codec
+//! * [`frame`] — a length-prefixed, CRC-checked frame codec
 //!   ([`frame::Frame`]) layered over the payload encoders of
 //!   [`pbs_core::wire`]; the format is specified in `docs/WIRE.md`.
 //! * [`FramedStream`] — a byte-counting framed transport over any
 //!   `Read + Write` stream.
 //! * [`store`] — the element stores: [`InMemoryStore`], the mutable
 //!   epoch-stamped [`store::MutableStore`] delta feed, and the
-//!   [`StoreRegistry`] a multi-tenant server routes the v2 handshake's
+//!   [`StoreRegistry`] a multi-tenant server routes the handshake's
 //!   store name through.
 //! * [`server`] — [`server::Server`]: an event-driven TCP server — one
 //!   acceptor plus a few [`poll`]-based event-loop workers, each
@@ -26,14 +26,20 @@
 //!   observability endpoint (`/metrics`, `/healthz`, `/stats.json`)
 //!   serving the [`obs::Registry`] a server's instrumentation records
 //!   into; see `docs/OBSERVABILITY.md` for the metric catalog.
-//! * [`client`] — [`client::SyncClient`]: drives an
-//!   [`pbs_core::AliceSession`] against a server (optionally pipelining
-//!   several protocol rounds per round trip, with a fixed or per-trip
-//!   adaptive depth) and returns the reconciled difference plus transport
-//!   accounting; [`client::SyncClient::subscribe`] holds the connection
-//!   open as a live push subscription.
+//! * [`machine`] — [`machine::ClientMachine`]: the client half of the
+//!   protocol as one sans-IO state machine around a
+//!   [`pbs_core::AliceSession`] (handshake, delta catch-up, estimator
+//!   exchange, possibly-pipelined rounds with a fixed or per-trip adaptive
+//!   depth, final transfer, live subscription). Every client in the
+//!   workspace is a driver over it.
+//! * [`client`] — [`client::SyncClient`]: the blocking driver — returns
+//!   the reconciled difference plus transport accounting;
+//!   [`client::SyncClient::subscribe`] holds the connection open as a
+//!   live push subscription.
+//! * [`mux`] — [`MuxStream`]: the non-blocking framed stream the server's
+//!   sessions and the load harness's driver of the same machine run over.
 //!
-//! Protocol v3 adds the **delta-subscription** path: a client carrying the
+//! The **delta-subscription** path: a client carrying the
 //! epoch of its previous sync ([`ClientConfig::delta_epoch`]) is served
 //! exactly the changes since that epoch from the store's changelog —
 //! O(|changes|) bytes, no reconciliation — and falls back to the classic
@@ -76,6 +82,7 @@ pub mod client;
 pub mod crc;
 pub(crate) mod event_loop;
 pub mod frame;
+pub mod machine;
 pub mod mesh;
 pub mod mux;
 pub mod poll;
@@ -91,6 +98,7 @@ pub use client::{
     Pipeline, RetryPolicy, Subscription, SyncClient, SyncPhases, SyncReport,
 };
 pub use frame::{Frame, Hello, PROTOCOL_VERSION};
+pub use machine::{ClientMachine, Mode, Phase, Step};
 pub use mesh::{MeshConfig, MeshDriver, MeshStats, PeerSnapshot, PeerStats};
 pub use mux::MuxStream;
 pub use server::{Server, ServerConfig};
@@ -119,6 +127,9 @@ pub enum FrameError {
     BadType(u8),
     /// A `Hello` opened with the wrong magic number.
     BadMagic(u32),
+    /// A `Hello` carried a protocol version other than
+    /// [`frame::PROTOCOL_VERSION`].
+    Version(u16),
     /// The frame payload failed to decode.
     Payload(WireError),
 }
@@ -132,6 +143,7 @@ impl std::fmt::Display for FrameError {
             FrameError::BadCrc => write!(f, "frame CRC mismatch"),
             FrameError::BadType(t) => write!(f, "unknown frame type {t:#x}"),
             FrameError::BadMagic(m) => write!(f, "bad hello magic {m:#010x}"),
+            FrameError::Version(v) => write!(f, "unsupported protocol version {v}"),
             FrameError::Payload(e) => write!(f, "frame payload: {e}"),
         }
     }

@@ -1,0 +1,1155 @@
+//! The client half of the wire protocol, once, with no I/O inside.
+//!
+//! [`ClientMachine`] is the paper's §3.2 decision sequence from Alice's
+//! side — handshake, optional delta catch-up, estimator exchange,
+//! possibly-pipelined sketch/report rounds, final transfer, optional live
+//! subscription — as a state machine that never touches a socket or a
+//! clock. It alternates between two kinds of states:
+//!
+//! * it **owes** the peer a frame — [`ClientMachine::poll_send`] builds it
+//!   (the ToW bank, the next sketch batch, the final transfer) and moves
+//!   on to awaiting the answer;
+//! * it **awaits** a frame — [`ClientMachine::on_frame`] validates the
+//!   peer's frame against the current state, advances, and returns a
+//!   [`Step`]: the phase boundary just crossed, and the finished
+//!   [`SyncReport`] or pushed [`DeltaReport`] when there is one.
+//!
+//! Building a frame is a call of its own because it is where the client's
+//! compute lives (hashing the whole set into the estimator bank, the group
+//! partition, the sketches): a driver stamps the boundary a [`Step`]
+//! reports with its own clock *before* asking for the next frame, so that
+//! compute is charged to the phase it opens, not the one that just closed.
+//!
+//! Every driver is the same few lines — send what [`poll_send`] yields,
+//! feed [`on_frame`] what arrives, stamp [`Step::crossed`] — over its own
+//! transport: the blocking [`crate::client::sync`] and
+//! [`crate::client::Subscription`] over [`crate::FramedStream`], the load
+//! harness's sessions over [`crate::mux::MuxStream`].
+//!
+//! [`poll_send`]: ClientMachine::poll_send
+//! [`on_frame`]: ClientMachine::on_frame
+
+use crate::client::{ClientConfig, SyncReport};
+use crate::frame::{EstimatorMsg, Frame, Hello, MAX_STORE_NAME};
+use crate::NetError;
+use estimator::{Estimator, TowEstimator};
+use pbs_core::{AliceSession, Pbs, ESTIMATOR_SEED_SALT};
+use std::borrow::Cow;
+use std::collections::HashSet;
+
+/// What one connection is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Reconcile the client set against the store.
+    Full,
+    /// Catch up from the store's changelog since this epoch; when the
+    /// server cannot cover it (`FullResyncRequired`), fall through to a
+    /// full reconciliation on the same connection.
+    Delta {
+        /// The epoch of the client's previous sync.
+        since: u64,
+    },
+    /// Catch up since this epoch, then park as a live subscription. Never
+    /// falls back: a subscriber that skipped changes would be wrong, so an
+    /// uncoverable epoch is an error.
+    Subscribe {
+        /// The epoch the client stands at.
+        since: u64,
+    },
+}
+
+/// A protocol phase of [`crate::client::SyncPhases`] that a [`Step`] can
+/// report as just ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// `Hello` sent → negotiated reply validated.
+    Handshake,
+    /// Delta catch-up stream (or its refusal).
+    Delta,
+    /// Estimator exchange.
+    Estimate,
+    /// The sketch/report round loop.
+    Rounds,
+    /// Final transfer and its ack.
+    Transfer,
+}
+
+/// What one accepted frame did to the session.
+#[derive(Debug, Default)]
+pub struct Step {
+    /// The phase this frame ended; the driver stamps it with its own clock.
+    pub crossed: Option<Phase>,
+    /// Terminal ([`Mode::Full`] / [`Mode::Delta`]): the sync is over. The
+    /// transport half of the report (bytes, frames, phases) is the
+    /// driver's to fill in.
+    pub report: Option<SyncReport>,
+    /// [`Mode::Subscribe`]: one complete delta stream — the catch-up
+    /// first, then one per push burst.
+    pub push: Option<DeltaReport>,
+}
+
+impl Step {
+    fn end_of(phase: Phase) -> Self {
+        Step {
+            crossed: Some(phase),
+            ..Step::default()
+        }
+    }
+}
+
+/// Outcome of a delta stream ([`SyncReport::delta`], or one item of a
+/// subscription): the net changes between two epochs, collapsed across
+/// batches (an element added then removed nets out).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DeltaReport {
+    /// The epoch the stream started from.
+    pub from_epoch: u64,
+    /// The epoch the stream ended at — the next sync's `delta_epoch`.
+    pub to_epoch: u64,
+    /// Net elements to insert, sorted.
+    pub added: Vec<u64>,
+    /// Net elements to remove, sorted.
+    pub removed: Vec<u64>,
+    /// `DeltaBatch` frames received.
+    pub batches: u64,
+}
+
+impl DeltaReport {
+    /// Apply the net changes to a local element set (removes, then adds).
+    pub fn apply_to(&self, set: &mut HashSet<u64>) {
+        for e in &self.removed {
+            set.remove(e);
+        }
+        set.extend(self.added.iter().copied());
+    }
+}
+
+/// Accumulator folding a delta stream into net add/remove sets, in arrival
+/// order: a remove cancels an earlier add and vice versa (stream order is
+/// changelog order, so the fold is exact). This is *the* collapse rule of
+/// the client — the `delta_sync` bench uses the same type, so the gated
+/// metric always measures the shipped algorithm.
+#[derive(Debug, Default)]
+pub struct DeltaFold {
+    added: HashSet<u64>,
+    removed: HashSet<u64>,
+    batches: u64,
+}
+
+impl DeltaFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fold one `DeltaBatch` frame's lists, in stream order.
+    pub fn fold(
+        &mut self,
+        added: impl IntoIterator<Item = u64>,
+        removed: impl IntoIterator<Item = u64>,
+    ) {
+        self.batches += 1;
+        for e in removed {
+            if !self.added.remove(&e) {
+                self.removed.insert(e);
+            }
+        }
+        for e in added {
+            self.removed.remove(&e);
+            self.added.insert(e);
+        }
+    }
+
+    /// Net changed elements so far (adds plus removes).
+    pub fn len(&self) -> usize {
+        self.added.len() + self.removed.len()
+    }
+
+    /// `true` when the folded stream nets out to no change.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Finish into a sorted [`DeltaReport`] spanning the given epochs.
+    pub fn into_report(self, from_epoch: u64, to_epoch: u64) -> DeltaReport {
+        let mut added: Vec<u64> = self.added.into_iter().collect();
+        let mut removed: Vec<u64> = self.removed.into_iter().collect();
+        added.sort_unstable();
+        removed.sort_unstable();
+        DeltaReport {
+            from_epoch,
+            to_epoch,
+            added,
+            removed,
+            batches: self.batches,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    OweHello,
+    AwaitHello,
+    AwaitDelta,
+    OweBank,
+    AwaitEstimate,
+    OweSketches,
+    AwaitReports,
+    OweDone,
+    AwaitAck,
+    OweSubscribe,
+    Parked,
+    Finished,
+}
+
+impl State {
+    fn name(self) -> &'static str {
+        match self {
+            State::OweHello => "about to send the Hello",
+            State::AwaitHello => "awaiting the Hello reply",
+            State::AwaitDelta => "awaiting the delta stream",
+            State::OweBank => "about to send the estimator bank",
+            State::AwaitEstimate => "awaiting the estimate reply",
+            State::OweSketches => "about to send sketches",
+            State::AwaitReports => "awaiting Reports",
+            State::OweDone => "about to send the final transfer",
+            State::AwaitAck => "awaiting the Done ack",
+            State::OweSubscribe => "about to send Subscribe",
+            State::Parked => "parked on the subscription stream",
+            State::Finished => "finished",
+        }
+    }
+}
+
+/// The client side of one connection (see the [module docs](self)).
+///
+/// The client set is lent, not copied: the blocking driver passes the
+/// caller's `&[u64]`, a driver that must own its session passes a `Vec`.
+#[derive(Debug)]
+pub struct ClientMachine<'a> {
+    config: ClientConfig,
+    set: Cow<'a, [u64]>,
+    mode: Mode,
+    state: State,
+    /// Pipeline depth: the request until the handshake, the grant after.
+    depth: u32,
+    /// Field degree the sketches are packed with, once planned.
+    m: u32,
+    alice: Option<AliceSession>,
+    /// The delta stream being folded (catch-up, or the current push burst).
+    fold: DeltaFold,
+    /// The epoch the delta stream has advanced to.
+    epoch: u64,
+    /// Nonce of a keepalive `Ping` not yet answered.
+    ping: Option<u64>,
+    report: SyncReport,
+}
+
+impl<'a> ClientMachine<'a> {
+    /// Validate the request and set up the session; nothing is sent yet —
+    /// the first [`ClientMachine::poll_send`] yields the opening `Hello`.
+    ///
+    /// [`ClientConfig::delta_epoch`] is the blocking entry point's way of
+    /// choosing `mode`; the machine itself reads only `mode`.
+    pub fn new(
+        config: &ClientConfig,
+        set: impl Into<Cow<'a, [u64]>>,
+        mode: Mode,
+    ) -> Result<Self, NetError> {
+        let set = set.into();
+        // Out-of-universe elements can never verify (Alice's sub-universe
+        // check rejects them as fakes), so a session would burn its whole
+        // round cap discovering a configuration mistake. Fail fast instead.
+        let universe_mask = if config.pbs.universe_bits == 64 {
+            u64::MAX
+        } else {
+            (1u64 << config.pbs.universe_bits) - 1
+        };
+        if let Some(&bad) = set.iter().find(|&&e| e == 0 || e > universe_mask) {
+            return Err(NetError::Protocol(format!(
+                "element {bad:#x} outside the {}-bit universe",
+                config.pbs.universe_bits
+            )));
+        }
+
+        let mut config = config.clone();
+        // `known_d == 0` means "estimate" on the wire, so a caller's
+        // `Some(0)` must not desynchronize the two state machines:
+        // normalize it to the same `max(1)` every other `d` path applies.
+        config.known_d = config.known_d.map(|d| d.max(1));
+        if let Some(d) = config.known_d.filter(|&d| d > config.max_d) {
+            return Err(NetError::Protocol(format!(
+                "known_d = {d} exceeds the client cap {}",
+                config.max_d
+            )));
+        }
+        // The encoder would byte-truncate an over-long name (possibly
+        // mid-codepoint), silently addressing a *different* store than the
+        // caller asked for — refuse up front instead, mirroring the
+        // registry's registration-side check.
+        if config.store.len() > MAX_STORE_NAME {
+            return Err(NetError::Protocol(format!(
+                "store name of {} bytes exceeds the {MAX_STORE_NAME}-byte wire limit",
+                config.store.len()
+            )));
+        }
+
+        // An adaptive-pipeline client asks for the largest representable
+        // depth; the grant that comes back is the server's own cap, the
+        // ceiling the per-trip controller then works under. A subscriber
+        // runs no rounds and asks for none.
+        let depth = match mode {
+            Mode::Subscribe { .. } => 1,
+            _ if config.pipeline_auto => u8::MAX as u32,
+            _ => config.pipeline.max(1),
+        };
+        let epoch = match mode {
+            Mode::Full => 0,
+            Mode::Delta { since } | Mode::Subscribe { since } => since,
+        };
+        Ok(ClientMachine {
+            config,
+            set,
+            mode,
+            state: State::OweHello,
+            depth,
+            m: 0,
+            alice: None,
+            fold: DeltaFold::new(),
+            epoch,
+            ping: None,
+            report: SyncReport::default(),
+        })
+    }
+
+    /// The frame the machine owes the peer in its current state, if any.
+    /// Call it after construction and after every accepted frame; this is
+    /// where the client-side compute of the phase just opened runs.
+    pub fn poll_send(&mut self) -> Result<Option<Frame>, NetError> {
+        let (frame, next) = match self.state {
+            State::OweHello => (self.hello(), State::AwaitHello),
+            State::OweBank => (self.bank(), State::AwaitEstimate),
+            State::OweSketches => (self.sketches(), State::AwaitReports),
+            State::OweDone => (self.transfer()?, State::AwaitAck),
+            State::OweSubscribe => (Frame::Subscribe { epoch: self.epoch }, State::Parked),
+            // Answering the server's liveness probe is what keeps an idle
+            // subscription alive.
+            State::Parked => return Ok(self.ping.take().map(|nonce| Frame::Pong { nonce })),
+            _ => return Ok(None),
+        };
+        self.state = next;
+        Ok(Some(frame))
+    }
+
+    /// Accept the peer's next frame. A frame the current state cannot
+    /// accept is a [`NetError::Protocol`] naming the state; a peer
+    /// `Error` frame is [`NetError::Remote`]. After an error the machine
+    /// is dead.
+    pub fn on_frame(&mut self, frame: Frame) -> Result<Step, NetError> {
+        match (self.state, frame) {
+            (_, Frame::Error { code, message }) => Err(NetError::Remote { code, message }),
+            (State::AwaitHello, Frame::Hello(reply)) => {
+                // The server grants at most its own per-frame cap and the
+                // session uses the granted depth — a deeper request
+                // degrades instead of having a mid-session frame refused.
+                self.depth = self.depth.min(reply.pipeline.max(1) as u32);
+                self.state = match self.mode {
+                    Mode::Full => self.parameterize(),
+                    Mode::Delta { .. } | Mode::Subscribe { .. } => State::AwaitDelta,
+                };
+                Ok(Step::end_of(Phase::Handshake))
+            }
+            (State::AwaitDelta | State::Parked, Frame::DeltaBatch { added, removed, .. }) => {
+                self.fold.fold(added, removed);
+                Ok(Step::default())
+            }
+            (State::AwaitDelta, Frame::DeltaDone { epoch }) => {
+                let delta = self.end_of_stream(epoch);
+                let mut step = Step::end_of(Phase::Delta);
+                if matches!(self.mode, Mode::Subscribe { .. }) {
+                    // Hold the session open: from here the server pushes.
+                    self.state = State::OweSubscribe;
+                    step.push = Some(delta);
+                } else {
+                    // Served entirely from the changelog: the sync is over,
+                    // no reconciliation ran.
+                    self.report.verified = true;
+                    self.report.delta = Some(delta);
+                    step.report = Some(self.finish(Some(epoch)));
+                }
+                Ok(step)
+            }
+            (State::AwaitDelta, Frame::FullResyncRequired { epoch }) => match self.mode {
+                // The changelog no longer covers our epoch — subscribing
+                // would skip changes, so the caller must reconcile first.
+                Mode::Subscribe { since } => Err(NetError::Protocol(format!(
+                    "server (at epoch {epoch}) cannot serve deltas since epoch {since}; \
+                     run a full sync and subscribe from its epoch"
+                ))),
+                _ => {
+                    self.report.delta_fallback = true;
+                    self.state = self.parameterize();
+                    Ok(Step::end_of(Phase::Delta))
+                }
+            },
+            (
+                State::AwaitEstimate,
+                Frame::EstimatorExchange(EstimatorMsg::Estimate { d_param, d_hat }),
+            ) => {
+                let d_param = d_param.max(1);
+                // A hostile server must not be able to demand per-group
+                // state for a gigantic `d`.
+                if d_param > self.config.max_d {
+                    return Err(NetError::Protocol(format!(
+                        "server demanded d = {d_param}, above the client cap {}",
+                        self.config.max_d
+                    )));
+                }
+                self.report.estimated_d = Some(d_hat);
+                self.state = self.enter_rounds(d_param);
+                Ok(Step::end_of(Phase::Estimate))
+            }
+            (State::AwaitReports, Frame::Reports(reports)) => {
+                let alice = self.alice.as_mut().expect("the round loop has a session");
+                let status = alice.apply_reports(&reports);
+                if !status.all_verified && alice.round() < self.config.round_cap {
+                    self.state = State::OweSketches;
+                    return Ok(Step::default());
+                }
+                // `false` here means the round cap fired first: the
+                // transfer below is best-effort and the report says so.
+                self.report.verified = status.all_verified;
+                self.state = State::OweDone;
+                Ok(Step::end_of(Phase::Rounds))
+            }
+            // Against an epoch-capable store the ack is a `DeltaDone`
+            // carrying the epoch of the snapshot this reconciliation ran
+            // against — what the next sync passes as `delta_epoch`.
+            (State::AwaitAck, Frame::Done(_)) => Ok(self.acked(None)),
+            (State::AwaitAck, Frame::DeltaDone { epoch }) => Ok(self.acked(Some(epoch))),
+            (State::Parked, Frame::DeltaDone { epoch }) => {
+                if epoch < self.epoch {
+                    return Err(NetError::Protocol(format!(
+                        "push went backwards: epoch {epoch} after {}",
+                        self.epoch
+                    )));
+                }
+                Ok(Step {
+                    push: Some(self.end_of_stream(epoch)),
+                    ..Step::default()
+                })
+            }
+            (State::Parked, Frame::Ping { nonce }) => {
+                self.ping = Some(nonce);
+                Ok(Step::default())
+            }
+            (State::Parked, Frame::FullResyncRequired { epoch }) => Err(NetError::Protocol(
+                format!("subscription evicted; full resync required (server epoch {epoch})"),
+            )),
+            (state, other) => Err(NetError::Protocol(format!(
+                "unexpected frame type {} while {}",
+                other.type_byte(),
+                state.name()
+            ))),
+        }
+    }
+
+    /// `true` while the subscription is live (the `Subscribe` is out).
+    pub fn is_parked(&self) -> bool {
+        self.state == State::Parked
+    }
+
+    /// `true` when a delta stream is part-way through — a close now would
+    /// cut a push burst short rather than end the stream between bursts.
+    pub fn mid_stream(&self) -> bool {
+        !self.fold.is_empty()
+    }
+
+    /// The epoch the delta stream has advanced to: the `delta_epoch` to
+    /// resume from after a disconnect.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The current state, in words (for a driver's timeout message).
+    pub fn state_name(&self) -> &'static str {
+        self.state.name()
+    }
+
+    fn hello(&mut self) -> Frame {
+        let known_d = match self.mode {
+            Mode::Subscribe { .. } => 0,
+            _ => self.config.known_d.unwrap_or(0),
+        };
+        let mut hello = Hello::from_config(&self.config.pbs, self.config.seed, known_d)
+            .with_store(std::mem::take(&mut self.config.store))
+            .with_pipeline(self.depth);
+        hello.delta_epoch = match self.mode {
+            Mode::Full => None,
+            Mode::Delta { since } | Mode::Subscribe { since } => Some(since),
+        };
+        Frame::Hello(hello)
+    }
+
+    /// The classic session begins: with `d` known a priori straight into
+    /// the rounds, otherwise through the estimator exchange.
+    fn parameterize(&mut self) -> State {
+        match self.config.known_d {
+            Some(d) => self.enter_rounds(d),
+            None => State::OweBank,
+        }
+    }
+
+    fn enter_rounds(&mut self, d_param: u64) -> State {
+        self.report.d_param = d_param;
+        if self.config.round_cap == 0 {
+            State::OweDone
+        } else {
+            State::OweSketches
+        }
+    }
+
+    fn bank(&self) -> Frame {
+        let est_seed = xhash::derive_seed(self.config.seed, ESTIMATOR_SEED_SALT);
+        let mut bank = TowEstimator::new(self.config.pbs.estimator_sketches, est_seed);
+        bank.insert_slice(&self.set);
+        Frame::EstimatorExchange(EstimatorMsg::TowBank(bank.to_bytes()))
+    }
+
+    fn sketches(&mut self) -> Frame {
+        let config = &self.config;
+        let alice = match &mut self.alice {
+            Some(alice) => alice,
+            None => {
+                let params = Pbs::new(config.pbs).plan(self.report.d_param as usize);
+                self.m = params.m;
+                self.alice.insert(AliceSession::new(
+                    config.pbs,
+                    params,
+                    &self.set,
+                    config.seed,
+                ))
+            }
+        };
+        // Pipelined: one frame speculatively carries the next `layers`
+        // rounds' sketches; the server answers every layer in one reply.
+        // In auto mode the depth is re-picked every trip from the previous
+        // trip's layer-verification rate, never above the grant.
+        let depth = if config.pipeline_auto {
+            alice.next_pipeline_depth(self.depth)
+        } else {
+            self.depth
+        };
+        let layers = depth.min(config.round_cap - alice.round());
+        Frame::Sketches {
+            m: self.m,
+            batch: alice.start_rounds(layers),
+        }
+    }
+
+    /// The final transfer: ship `A \ B` so the server can converge.
+    fn transfer(&mut self) -> Result<Frame, NetError> {
+        if let Some(alice) = self.alice.take() {
+            self.report.rounds = alice.round();
+            self.report.round_trips = alice.round_trips();
+            self.report.recovered = alice.into_recovered();
+        }
+        let holdings: HashSet<u64> = self.set.iter().copied().collect();
+        let pushed: Vec<u64> = self
+            .report
+            .recovered
+            .iter()
+            .copied()
+            .filter(|e| holdings.contains(e))
+            .collect();
+        // The transfer is a single frame (body: type + count + 8 bytes per
+        // element); give an actionable error rather than a bare size
+        // failure.
+        let max_frame = self.config.transport.max_frame;
+        let capacity = (max_frame as u64).saturating_sub(5) / 8;
+        if pushed.len() as u64 > capacity {
+            return Err(NetError::Protocol(format!(
+                "final transfer of {} elements exceeds the {max_frame}-byte frame cap \
+                 (max {capacity} elements); raise transport.max_frame",
+                pushed.len()
+            )));
+        }
+        self.report.pushed = pushed.clone();
+        Ok(Frame::Done(pushed))
+    }
+
+    fn acked(&mut self, epoch: Option<u64>) -> Step {
+        Step {
+            report: Some(self.finish(epoch)),
+            ..Step::end_of(Phase::Transfer)
+        }
+    }
+
+    fn finish(&mut self, epoch: Option<u64>) -> SyncReport {
+        self.state = State::Finished;
+        self.report.epoch = epoch;
+        std::mem::take(&mut self.report)
+    }
+
+    /// A `DeltaDone` closed the stream being folded: report it and advance.
+    fn end_of_stream(&mut self, epoch: u64) -> DeltaReport {
+        let report = std::mem::take(&mut self.fold).into_report(self.epoch, epoch);
+        self.epoch = epoch;
+        report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{write_frame, ErrorCode, DEFAULT_MAX_FRAME};
+    use crate::{Pipeline, TransportConfig};
+    use pbs_core::{BobSession, PbsConfig};
+    use std::collections::VecDeque;
+
+    const SEED: u64 = 0x0123_4567_89AB_CDEF;
+
+    fn config() -> crate::client::ConfigBuilder {
+        ClientConfig::builder().seed(SEED)
+    }
+
+    /// A scrambled 32-bit universe: `count` distinct nonzero elements.
+    fn keys(count: u64, salt: u64) -> Vec<u64> {
+        (1..=count)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) ^ salt) & 0xFFFF_FFFF | 1 << 20)
+            .collect::<HashSet<u64>>()
+            .into_iter()
+            .collect()
+    }
+
+    fn sorted(mut v: Vec<u64>) -> Vec<u64> {
+        v.sort_unstable();
+        v
+    }
+
+    /// The server's half of a classic session, in memory: answers each
+    /// client frame the way the event loop does for a store holding `set`.
+    struct Peer {
+        set: Vec<u64>,
+        grant: u8,
+        epoch: Option<u64>,
+        cfg: PbsConfig,
+        seed: u64,
+        bob: Option<BobSession>,
+        seen: Vec<u8>,
+    }
+
+    impl Peer {
+        fn new(set: Vec<u64>) -> Self {
+            Peer {
+                set,
+                grant: 4,
+                epoch: Some(7),
+                cfg: PbsConfig::default(),
+                seed: 0,
+                bob: None,
+                seen: Vec::new(),
+            }
+        }
+
+        fn build_bob(&mut self, d: u64) {
+            let params = Pbs::new(self.cfg).plan(d as usize);
+            self.bob = Some(BobSession::new(self.cfg, params, &self.set, self.seed));
+        }
+
+        fn answer(&mut self, frame: Frame) -> Frame {
+            self.seen.push(frame.type_byte());
+            match frame {
+                Frame::Hello(hello) => {
+                    self.cfg = hello.config().expect("valid config");
+                    self.seed = hello.seed;
+                    if hello.known_d > 0 {
+                        self.build_bob(hello.known_d);
+                    }
+                    let pipeline = hello.pipeline.min(self.grant);
+                    Frame::Hello(Hello { pipeline, ..hello })
+                }
+                Frame::EstimatorExchange(EstimatorMsg::TowBank(bytes)) => {
+                    let theirs = TowEstimator::from_bytes(&bytes).expect("bank decodes");
+                    let mut own = TowEstimator::new(theirs.sketch_count(), theirs.seed());
+                    own.insert_slice(&self.set);
+                    let d_hat = theirs.estimate(&own);
+                    let d_param = estimator::inflate_estimate(d_hat) as u64;
+                    self.build_bob(d_param);
+                    Frame::EstimatorExchange(EstimatorMsg::Estimate { d_param, d_hat })
+                }
+                Frame::Sketches { batch, .. } => {
+                    Frame::Reports(self.bob.as_mut().expect("bob").handle_sketches(&batch))
+                }
+                Frame::Done(_) => match self.epoch {
+                    Some(epoch) => Frame::DeltaDone { epoch },
+                    None => Frame::Done(Vec::new()),
+                },
+                other => panic!("the client sent frame type {}", other.type_byte()),
+            }
+        }
+    }
+
+    /// Drive `machine` against `peer` (after `preface`, frames the server
+    /// volunteers right behind its Hello reply) to its report, collecting
+    /// the boundaries crossed on the way.
+    fn run(
+        machine: &mut ClientMachine<'_>,
+        peer: &mut Peer,
+        preface: Vec<Frame>,
+    ) -> Result<(SyncReport, Vec<Phase>), NetError> {
+        let mut crossed = Vec::new();
+        let mut inbox = VecDeque::new();
+        let mut preface = Some(preface);
+        loop {
+            if let Some(frame) = machine.poll_send()? {
+                inbox.push_back(peer.answer(frame));
+                inbox.extend(preface.take().into_iter().flatten());
+            }
+            let step = machine.on_frame(inbox.pop_front().expect("the peer owes a frame"))?;
+            crossed.extend(step.crossed);
+            if let Some(report) = step.report {
+                assert_eq!(
+                    machine.poll_send()?,
+                    None,
+                    "a finished machine owes nothing"
+                );
+                return Ok((report, crossed));
+            }
+        }
+    }
+
+    fn two_sided(d: usize) -> (Vec<u64>, Vec<u64>) {
+        let pool = keys(3_000, 0xA5A5);
+        let alice = pool[d / 2..].to_vec();
+        let bob = pool[..pool.len() - d.div_ceil(2)].to_vec();
+        (alice, bob)
+    }
+
+    #[test]
+    fn a_full_sync_runs_to_its_report_without_a_socket() {
+        let (alice, bob) = two_sided(40);
+        let theirs: HashSet<u64> = bob.iter().copied().collect();
+        let ours: HashSet<u64> = alice.iter().copied().collect();
+        let truth = sorted(ours.symmetric_difference(&theirs).copied().collect());
+        let only_ours = sorted(ours.difference(&theirs).copied().collect());
+
+        for (known_d, pipeline) in [
+            (None, Pipeline::Depth(1)),
+            (Some(40), Pipeline::Depth(3)),
+            (None, Pipeline::Auto),
+        ] {
+            let mut cfg = config().pipeline(pipeline).build();
+            cfg.known_d = known_d;
+            let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
+            let mut peer = Peer::new(bob.clone());
+            let (report, crossed) = run(&mut machine, &mut peer, vec![]).unwrap();
+            assert!(report.verified);
+            assert_eq!(sorted(report.recovered), truth);
+            assert_eq!(sorted(report.pushed), only_ours);
+            assert_eq!(report.epoch, Some(7));
+            assert_eq!(report.estimated_d.is_some(), known_d.is_none());
+            assert!(!report.delta_fallback && report.delta.is_none());
+            assert!(report.round_trips <= report.rounds);
+            let mut want = vec![Phase::Handshake, Phase::Rounds, Phase::Transfer];
+            if known_d.is_none() {
+                want.insert(1, Phase::Estimate);
+            }
+            assert_eq!(crossed, want);
+        }
+    }
+
+    #[test]
+    fn a_trimmed_changelog_falls_through_to_the_estimator_exchange() {
+        let (alice, bob) = two_sided(20);
+        let cfg = config().build();
+        let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Delta { since: 3 }).unwrap();
+        let mut peer = Peer::new(bob);
+        let refusal = vec![Frame::FullResyncRequired { epoch: 9 }];
+        let (report, crossed) = run(&mut machine, &mut peer, refusal).unwrap();
+        assert!(report.delta_fallback && report.verified);
+        assert_eq!(report.delta, None);
+        assert_eq!(report.recovered.len(), 20);
+        // Hello, estimator bank, sketches…, Done: the classic session.
+        assert_eq!(&peer.seen[..3], &[1, 2, 3]);
+        assert_eq!(
+            crossed,
+            [
+                Phase::Handshake,
+                Phase::Delta,
+                Phase::Estimate,
+                Phase::Rounds,
+                Phase::Transfer
+            ]
+        );
+    }
+
+    #[test]
+    fn a_served_delta_is_the_whole_sync() {
+        let cfg = config().build();
+        let mut machine = ClientMachine::new(&cfg, Vec::new(), Mode::Delta { since: 3 }).unwrap();
+        let mut peer = Peer::new(Vec::new());
+        let stream = vec![
+            Frame::DeltaBatch {
+                epoch: 4,
+                added: vec![10, 11],
+                removed: vec![5],
+            },
+            Frame::DeltaBatch {
+                epoch: 5,
+                added: vec![5],
+                removed: vec![11],
+            },
+            Frame::DeltaDone { epoch: 5 },
+        ];
+        let (report, crossed) = run(&mut machine, &mut peer, stream).unwrap();
+        assert_eq!(crossed, [Phase::Handshake, Phase::Delta]);
+        assert!(report.verified && !report.delta_fallback);
+        assert_eq!(report.epoch, Some(5));
+        assert_eq!(
+            report.delta,
+            Some(DeltaReport {
+                from_epoch: 3,
+                to_epoch: 5,
+                // Removed then re-added nets to "present": the add stands.
+                added: vec![5, 10],
+                removed: vec![],
+                batches: 2,
+            })
+        );
+        assert_eq!(peer.seen, [1], "only the Hello was ever sent");
+    }
+
+    #[test]
+    fn an_unverified_session_still_sends_done_and_reports_it() {
+        // Tell the server d = 1 when the sets differ by 200 and cap the
+        // client at one round: the cap fires long before verification.
+        let (alice, bob) = two_sided(200);
+        let cfg = config().known_d(1).round_cap(1).build();
+        let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
+        let mut peer = Peer::new(bob);
+        let (report, crossed) = run(&mut machine, &mut peer, vec![]).unwrap();
+        assert!(!report.verified);
+        assert_eq!(report.rounds, 1);
+        assert_eq!(peer.seen, [1, 3, 5], "Hello, one Sketches, Done");
+        assert_eq!(report.epoch, Some(7), "the ack was read");
+        assert_eq!(crossed.last(), Some(&Phase::Transfer));
+    }
+
+    /// One frame of every type except `Error`.
+    fn one_of_each() -> Vec<Frame> {
+        vec![
+            Frame::Hello(Hello::from_config(&PbsConfig::default(), 1, 0)),
+            Frame::EstimatorExchange(EstimatorMsg::TowBank(vec![1, 2, 3])),
+            Frame::EstimatorExchange(EstimatorMsg::Estimate {
+                d_param: 5,
+                d_hat: 4.0,
+            }),
+            Frame::Sketches {
+                m: 8,
+                batch: Vec::new(),
+            },
+            Frame::Reports(Vec::new()),
+            Frame::Done(Vec::new()),
+            Frame::DeltaBatch {
+                epoch: 1,
+                added: vec![1],
+                removed: vec![],
+            },
+            Frame::DeltaDone { epoch: 1 },
+            Frame::FullResyncRequired { epoch: 1 },
+            Frame::Subscribe { epoch: 1 },
+            Frame::Ping { nonce: 1 },
+            Frame::Pong { nonce: 1 },
+        ]
+    }
+
+    /// A machine scripted into each awaiting state, with the state's name
+    /// and the frames it accepts there (as indices into `one_of_each`).
+    fn every_awaiting_state() -> Vec<(&'static str, ClientMachine<'static>, Vec<usize>)> {
+        let set = || keys(50, 0x77);
+        let echo = |m: &mut ClientMachine<'_>| {
+            let hello = m.poll_send().unwrap().expect("opens with a Hello");
+            m.on_frame(hello).unwrap();
+        };
+        let full = |cfg: ClientConfig| ClientMachine::new(&cfg, set(), Mode::Full).unwrap();
+
+        let mut await_hello = full(config().build());
+        await_hello.poll_send().unwrap();
+
+        let delta = Mode::Delta { since: 0 };
+        let mut await_delta = ClientMachine::new(&config().build(), set(), delta).unwrap();
+        echo(&mut await_delta);
+
+        let mut await_estimate = full(config().build());
+        echo(&mut await_estimate);
+        await_estimate.poll_send().unwrap();
+
+        let mut await_reports = full(config().known_d(5).round_cap(1).build());
+        echo(&mut await_reports);
+        await_reports.poll_send().unwrap();
+
+        let mut await_ack = full(config().known_d(5).round_cap(1).build());
+        echo(&mut await_ack);
+        await_ack.poll_send().unwrap();
+        await_ack.on_frame(Frame::Reports(Vec::new())).unwrap();
+        await_ack.poll_send().unwrap();
+
+        let subscribe = Mode::Subscribe { since: 0 };
+        let mut parked = ClientMachine::new(&config().build(), Vec::new(), subscribe).unwrap();
+        echo(&mut parked);
+        parked.on_frame(Frame::DeltaDone { epoch: 1 }).unwrap();
+        parked.poll_send().unwrap();
+        assert!(parked.is_parked());
+
+        vec![
+            ("awaiting the Hello reply", await_hello, vec![0]),
+            ("awaiting the delta stream", await_delta, vec![6, 7, 8]),
+            ("awaiting the estimate reply", await_estimate, vec![2]),
+            ("awaiting Reports", await_reports, vec![4]),
+            ("awaiting the Done ack", await_ack, vec![5, 7]),
+            (
+                "parked on the subscription stream",
+                parked,
+                vec![6, 7, 8, 10],
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_state_refuses_every_wrong_frame_type_by_name() {
+        for (name, mut machine, accepted) in every_awaiting_state() {
+            assert_eq!(machine.state_name(), name);
+            for (i, frame) in one_of_each().into_iter().enumerate() {
+                if accepted.contains(&i) {
+                    continue;
+                }
+                let ty = frame.type_byte();
+                match machine.on_frame(frame) {
+                    Err(NetError::Protocol(msg)) => {
+                        assert!(msg.contains(name), "{name}: {msg}");
+                        assert!(msg.contains(&format!("type {ty} ")), "{name}: {msg}");
+                    }
+                    other => panic!("{name} accepted frame type {ty}: {other:?}"),
+                }
+                // A refusal changes nothing: the state still stands.
+                assert_eq!(machine.state_name(), name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_error_frame_is_a_remote_error_in_every_state() {
+        for (name, mut machine, _) in every_awaiting_state() {
+            let frame = Frame::Error {
+                code: ErrorCode::UnknownStore,
+                message: "no such store".into(),
+            };
+            match machine.on_frame(frame) {
+                Err(NetError::Remote { code, message }) => {
+                    assert_eq!(code, ErrorCode::UnknownStore, "{name}");
+                    assert_eq!(message, "no such store");
+                }
+                other => panic!("{name}: expected Remote, got {other:?}"),
+            }
+        }
+    }
+
+    fn parked_at(epoch: u64) -> ClientMachine<'static> {
+        let mode = Mode::Subscribe { since: 2 };
+        let mut machine = ClientMachine::new(&config().build(), Vec::new(), mode).unwrap();
+        let hello = machine.poll_send().unwrap().unwrap();
+        machine.on_frame(hello).unwrap();
+        let step = machine.on_frame(Frame::DeltaDone { epoch }).unwrap();
+        assert_eq!(step.crossed, Some(Phase::Delta));
+        let catch_up = step.push.expect("the catch-up is the first item");
+        assert_eq!((catch_up.from_epoch, catch_up.to_epoch), (2, epoch));
+        assert_eq!(
+            machine.poll_send().unwrap(),
+            Some(Frame::Subscribe { epoch })
+        );
+        assert!(machine.is_parked());
+        machine
+    }
+
+    #[test]
+    fn a_parked_subscriber_folds_pushes_and_answers_each_ping_once() {
+        let mut machine = parked_at(6);
+        assert_eq!(
+            machine.poll_send().unwrap(),
+            None,
+            "nothing owed while idle"
+        );
+
+        machine.on_frame(Frame::Ping { nonce: 0xBEEF }).unwrap();
+        assert_eq!(
+            machine.poll_send().unwrap(),
+            Some(Frame::Pong { nonce: 0xBEEF })
+        );
+        assert_eq!(machine.poll_send().unwrap(), None, "exactly one Pong");
+
+        let batch = Frame::DeltaBatch {
+            epoch: 7,
+            added: vec![3],
+            removed: vec![4],
+        };
+        assert!(machine.on_frame(batch).unwrap().push.is_none());
+        assert!(machine.mid_stream());
+        let push = machine
+            .on_frame(Frame::DeltaDone { epoch: 7 })
+            .unwrap()
+            .push;
+        let push = push.expect("DeltaDone closes the burst");
+        assert_eq!((push.from_epoch, push.to_epoch), (6, 7));
+        assert_eq!((push.added, push.removed), (vec![3], vec![4]));
+        assert_eq!(machine.epoch(), 7);
+        assert!(!machine.mid_stream());
+    }
+
+    #[test]
+    fn a_push_whose_epoch_goes_backwards_is_refused() {
+        let mut machine = parked_at(6);
+        // Standing still is legal (a coalesced no-op burst)…
+        assert!(machine.on_frame(Frame::DeltaDone { epoch: 6 }).is_ok());
+        // …going back is not.
+        match machine.on_frame(Frame::DeltaDone { epoch: 5 }) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("backwards"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_subscriber_never_falls_back() {
+        // Before the park: the epoch cannot be served.
+        let mode = Mode::Subscribe { since: 2 };
+        let mut machine = ClientMachine::new(&config().build(), Vec::new(), mode).unwrap();
+        let hello = machine.poll_send().unwrap().unwrap();
+        machine.on_frame(hello).unwrap();
+        match machine.on_frame(Frame::FullResyncRequired { epoch: 9 }) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("full sync"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // After it: eviction under backpressure.
+        match parked_at(6).on_frame(Frame::FullResyncRequired { epoch: 9 }) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("evicted"), "{msg}"),
+            other => panic!("expected an eviction, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bad_requests_are_refused_before_anything_is_sent() {
+        let refused =
+            |cfg: ClientConfig, set: Vec<u64>, mode, needle: &str| match ClientMachine::new(
+                &cfg, set, mode,
+            ) {
+                Err(NetError::Protocol(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected a refusal naming {needle:?}, got {other:?}"),
+            };
+        refused(config().build(), vec![1, 0], Mode::Full, "universe");
+        refused(config().build(), vec![1 << 33], Mode::Full, "universe");
+        refused(
+            config().known_d(1 << 19).build(),
+            vec![1],
+            Mode::Full,
+            "client cap",
+        );
+        let long = "s".repeat(MAX_STORE_NAME + 1);
+        for mode in [Mode::Full, Mode::Subscribe { since: 0 }] {
+            refused(
+                config().store(long.clone()).build(),
+                Vec::new(),
+                mode,
+                "wire limit",
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_replies_are_refused() {
+        // An estimate above the client's cap.
+        let cfg = config().max_d(100).build();
+        let mut machine = ClientMachine::new(&cfg, keys(50, 1), Mode::Full).unwrap();
+        let hello = machine.poll_send().unwrap().unwrap();
+        machine.on_frame(hello).unwrap();
+        machine.poll_send().unwrap();
+        let estimate = Frame::EstimatorExchange(EstimatorMsg::Estimate {
+            d_param: 101,
+            d_hat: 90.0,
+        });
+        match machine.on_frame(estimate) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("client cap"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+
+        // A final transfer that cannot fit one frame: an actionable error,
+        // not a bare size failure from the transport.
+        let alice = keys(500, 0xCA9);
+        let transport = TransportConfig {
+            max_frame: 64,
+            ..TransportConfig::default()
+        };
+        let cfg = config().known_d(20).transport(transport).build();
+        let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
+        let mut peer = Peer::new(alice[20..].to_vec());
+        match run(&mut machine, &mut peer, vec![]) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("max_frame"), "{msg}"),
+            other => panic!("expected the capacity error, got {:?}", other.map(|r| r.0)),
+        }
+    }
+
+    fn wire_hex(frame: &Frame) -> String {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, frame, DEFAULT_MAX_FRAME).unwrap();
+        wire.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The opening `Hello` of each mode, pinned to the bytes the parent
+    /// commit's three clients put on the wire (length prefix and CRC
+    /// included): the version field and every later field stay where they
+    /// were.
+    #[test]
+    fn the_hello_is_bit_for_bit_the_v3_hello() {
+        let hello = |cfg: ClientConfig, mode| {
+            let mut machine = ClientMachine::new(&cfg, Vec::new(), mode).unwrap();
+            wire_hex(&machine.poll_send().unwrap().expect("opens with a Hello"))
+        };
+        // No store name, no epoch, estimator exchange to follow.
+        assert_eq!(
+            hello(config().build(), Mode::Full),
+            "3300000022039fd601504253310300200500000003000000ffffffffae47e17a14aeef3f\
+             80000000efcdab89674523010000000000000000000100"
+        );
+        // Named store, fixed depth, d known, epoch cache.
+        let cfg = config()
+            .store("inventory")
+            .pipeline(Pipeline::Depth(3))
+            .known_d(42);
+        assert_eq!(
+            hello(
+                cfg.build(),
+                Mode::Delta {
+                    since: 0x1122_3344_5566_7788
+                }
+            ),
+            "440000006790b27801504253310300200500000003000000ffffffffae47e17a14aeef3f\
+             80000000efcdab89674523012a0000000000000009696e76656e746f727903018877665544332211"
+        );
+        // Adaptive depth asks for the largest representable grant.
+        let cfg = config().seed(7).store("live").pipeline(Pipeline::Auto);
+        assert_eq!(
+            hello(cfg.build(), Mode::Full),
+            "3700000099701e4801504253310300200500000003000000ffffffffae47e17a14aeef3f\
+             8000000007000000000000000000000000000000046c697665ff00"
+        );
+        // A subscriber asks for no rounds whatever its config says.
+        let cfg = ClientConfig::builder()
+            .store("live")
+            .pipeline(Pipeline::Auto)
+            .known_d(42);
+        assert_eq!(
+            hello(cfg.build(), Mode::Subscribe { since: 9 }),
+            "3f00000061d9d9ae01504253310300200500000003000000ffffffffae47e17a14aeef3f\
+             80000000b979379e000000000000000000000000046c69766501010900000000000000"
+        );
+    }
+}

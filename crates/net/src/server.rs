@@ -3,13 +3,13 @@
 //! connection (see the `event_loop` module).
 //!
 //! Each accepted connection runs the `docs/WIRE.md` session: handshake
-//! (with store routing through the [`StoreRegistry`] on v2 sessions) →
+//! (with store routing through the [`StoreRegistry`]) →
 //! optional estimator exchange → sketch/report rounds (possibly pipelined:
 //! one `Sketches` frame may carry several consecutive rounds' layers) →
-//! final element transfer. A v3 `Hello` carrying the client's last-known
+//! final element transfer. A `Hello` carrying the client's last-known
 //! store epoch short-circuits all of that when the store's changelog still
 //! covers the epoch: the server streams the changes since it (`DeltaBatch*`
-//! → `DeltaDone`). A v3 session that holds an epoch baseline (from either
+//! → `DeltaDone`). A session that holds an epoch baseline (from either
 //! path) may then send `Subscribe` to go *live*: the server pushes every
 //! subsequent store mutation to it as `DeltaBatch*` → `DeltaDone` bursts
 //! until the subscriber disconnects, stalls past its buffer cap
@@ -27,7 +27,6 @@
 //! `Sketch::combine` capacity assertion.
 
 use crate::event_loop::{spawn_acceptor, spawn_worker, Notice, SessionMetrics, Shared, WorkerLink};
-use crate::frame::PROTOCOL_VERSION;
 use crate::store::StoreRegistry;
 use crate::TransportConfig;
 use obs::Counter;
@@ -69,12 +68,8 @@ pub struct ServerConfig {
     /// The transfer is a single frame, so `(max_frame − 5) / 8` is an
     /// additional hard ceiling.
     pub max_done_elements: u32,
-    /// Highest protocol version this server negotiates. Defaults to
-    /// [`PROTOCOL_VERSION`]; set to 1 to serve as a legacy v1 responder
-    /// (no store routing, no pipelining) — the downgrade tests use this.
-    pub protocol_version: u16,
-    /// Most pipelined round layers accepted in one `Sketches` frame (v2
-    /// sessions; v1 sessions are always single-layer). Each layer costs
+    /// Most pipelined round layers accepted in one `Sketches` frame. Each
+    /// layer costs
     /// one full per-group decode pass, so this bounds per-frame CPU the
     /// same way `round_cap` bounds it per session.
     pub max_pipeline_depth: u32,
@@ -106,7 +101,6 @@ impl Default for ServerConfig {
             session_deadline: Duration::from_secs(120),
             max_d: 1 << 18,
             max_done_elements: 1 << 20,
-            protocol_version: PROTOCOL_VERSION,
             max_pipeline_depth: 4,
             max_subscribers: 1024,
             keepalive: Duration::from_secs(10),
@@ -148,7 +142,7 @@ pub struct ServerStats {
     pub estimator_exchanges: Counter,
     /// Elements ingested from clients' final transfers.
     pub elements_received: Counter,
-    /// Sessions served entirely from the changelog — the v3 delta
+    /// Sessions served entirely from the changelog — the delta
     /// short-circuit (no reconciliation ran).
     pub delta_sessions: Counter,
     /// Delta requests answered with `FullResyncRequired` (changelog
@@ -198,7 +192,7 @@ pub struct StatsSnapshot {
     pub estimator_exchanges: u64,
     /// Elements ingested from clients.
     pub elements_received: u64,
-    /// Sessions served entirely from the changelog (v3 delta path).
+    /// Sessions served entirely from the changelog (delta path).
     pub delta_sessions: u64,
     /// Delta requests that fell back to a full reconciliation.
     pub delta_fallbacks: u64,
@@ -260,7 +254,7 @@ impl ServerStats {
             ),
             delta_sessions: c(
                 "delta_sessions",
-                "Sessions served entirely from the changelog (v3 delta path).",
+                "Sessions served entirely from the changelog (delta path).",
             ),
             delta_fallbacks: c(
                 "delta_fallbacks",
@@ -344,18 +338,14 @@ impl Server {
     }
 
     /// Bind `addr` and route each session to the [`StoreRegistry`] entry
-    /// its `Hello` names (v1 sessions land on the default, empty-named
-    /// store). The registry may keep growing while the server runs.
+    /// its `Hello` names. The registry may keep growing while the server
+    /// runs.
     pub fn bind_registry(
         addr: impl ToSocketAddrs,
         registry: Arc<StoreRegistry>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         assert!(config.workers > 0, "server needs at least one worker");
-        assert!(
-            config.protocol_version >= 1 && config.protocol_version <= PROTOCOL_VERSION,
-            "protocol_version must be in 1..={PROTOCOL_VERSION}"
-        );
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = registry.metrics();

@@ -7,7 +7,7 @@
 //!   server side* between sessions ([`MutableStore::apply`]), with an
 //!   epoch-stamped changelog ([`MutableStore::changes_since`]) so readers
 //!   can follow the store as a delta feed instead of re-snapshotting.
-//! * [`StoreRegistry`] — the name → store map the v2 handshake routes on,
+//! * [`StoreRegistry`] — the name → store map the handshake routes on,
 //!   carrying per-store statistics and per-store limit overrides.
 //!
 //! Mutation safety is snapshot-based: a session takes one
@@ -71,7 +71,7 @@ pub enum DeltaAnswer {
 /// The two epoch methods ([`SetStore::epoch_snapshot`],
 /// [`SetStore::delta_since`]) have defaults describing a store without a
 /// changelog; [`MutableStore`] overrides them to serve the wire protocol's
-/// v3 delta-subscription path.
+/// delta-subscription path.
 pub trait SetStore: Send + Sync + 'static {
     /// The current element set.
     fn snapshot(&self) -> Vec<u64>;
@@ -693,7 +693,7 @@ impl std::fmt::Debug for RegisteredStore {
 }
 
 /// The name → store map a server serves. The empty name is the default
-/// store — the one v1 clients (whose `Hello` has no store field) land on.
+/// store.
 ///
 /// Stores can be registered while the server is running (`pbs-syncd
 /// --watch-dir` does); sessions resolve the name exactly once, at their

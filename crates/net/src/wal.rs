@@ -15,7 +15,7 @@
 //! [`Frame::DeltaBatch`] — the epoch stamp, the effective add/remove lists,
 //! elements packed at the chunk's byte width. A batch larger than
 //! [`crate::frame::delta_chunk_capacity`] spans several consecutive records
-//! carrying the same epoch, exactly like the v3 delta stream; recovery
+//! carrying the same epoch, exactly like the delta stream; recovery
 //! merges them back into one [`ChangeBatch`]. Reusing the frame codec means
 //! the WAL inherits the codec's fuzz coverage, and a WAL tail can be
 //! inspected with the same tooling as a wire capture.
@@ -475,7 +475,7 @@ impl Wal {
     }
 
     /// Append one effective change batch, chunked under the frame cap like
-    /// the v3 delta stream. On success the batch is on disk (flushed to the
+    /// the delta stream. On success the batch is on disk (flushed to the
     /// OS; fsynced when [`DurableOptions::sync_writes`]) *before* the
     /// caller mutates memory — the write-ahead contract.
     ///

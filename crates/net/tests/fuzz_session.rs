@@ -1,4 +1,4 @@
-//! Protocol fuzz harness: a seeded generator builds *valid* v1/v2/v3 frame
+//! Protocol fuzz harness: a seeded generator builds *valid* frame
 //! streams, mutates them (truncation, bit flips, frame reordering,
 //! duplicated frames, oversized length prefixes, raw garbage) and replays
 //! them against a live server.
@@ -80,9 +80,8 @@ fn encode(frames: &[Frame]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The valid frame streams the mutator starts from: one client-side byte
-/// stream per protocol generation, each of which completes cleanly when
-/// replayed unmutated.
+/// The frame streams the mutator starts from: the first four complete
+/// cleanly when replayed unmutated, the rest must be refused.
 fn valid_streams(client_set: &[u64], d: u64) -> Vec<Vec<Vec<u8>>> {
     let cfg = PbsConfig::default();
     let seed = 0xF0CCu64;
@@ -94,43 +93,37 @@ fn valid_streams(client_set: &[u64], d: u64) -> Vec<Vec<Vec<u8>>> {
             batch: alice.start_rounds(layers),
         }
     };
-    let hello = |version: u16| {
-        let mut h = Hello::from_config(&cfg, seed, d);
-        h.version = version;
-        h
-    };
+    let hello = || Hello::from_config(&cfg, seed, d);
     vec![
-        // v1 classic: hello, one round, final transfer.
+        // Classic: hello, one round, final transfer.
         encode(&[
-            Frame::Hello(hello(1)),
+            Frame::Hello(hello()),
             sketch_round(1),
             Frame::Done(client_set[..4].to_vec()),
         ]),
-        // v2: named store, two pipelined layers.
+        // Named store, two pipelined layers.
         encode(&[
-            Frame::Hello(hello(2).with_store("live").with_pipeline(2)),
+            Frame::Hello(hello().with_store("live").with_pipeline(2)),
             sketch_round(2),
             Frame::Done(vec![client_set[0]]),
         ]),
-        // v3 delta subscription against the live store's changelog.
-        encode(&[Frame::Hello(
-            hello(3).with_store("live").with_delta_epoch(0),
-        )]),
-        // v3 live subscription: delta catch-up, park with Subscribe, probe
+        // Delta subscription against the live store's changelog.
+        encode(&[Frame::Hello(hello().with_store("live").with_delta_epoch(0))]),
+        // Live subscription: delta catch-up, park with Subscribe, probe
         // with Ping, answer an (unsolicited but legal) keepalive with Pong.
         // The server pushes the changelog batch since epoch 0 and closes
         // cleanly when the write side shuts down.
         encode(&[
-            Frame::Hello(hello(3).with_store("live").with_delta_epoch(0)),
+            Frame::Hello(hello().with_store("live").with_delta_epoch(0)),
             Frame::Subscribe { epoch: 0 },
             Frame::Ping { nonce: 0xF0CC },
             Frame::Pong { nonce: 0xF0CC },
         ]),
-        // v3 full session plus frames that are well-formed but make no
+        // Full session plus frames that are well-formed but make no
         // sense from a client (delta frames, estimator estimate) — the
         // state machine must refuse, not crash.
         encode(&[
-            Frame::Hello(hello(3)),
+            Frame::Hello(hello()),
             Frame::EstimatorExchange(EstimatorMsg::Estimate {
                 d_param: 9,
                 d_hat: 9.0,
@@ -146,7 +139,7 @@ fn valid_streams(client_set: &[u64], d: u64) -> Vec<Vec<Vec<u8>>> {
         // or divide by zero somewhere downstream; config validation must
         // refuse them at the handshake, before any worker sees them.
         encode(&[Frame::Hello({
-            let mut h = hello(1);
+            let mut h = hello();
             h.universe_bits = 0;
             h.delta = 0;
             h.estimator_sketches = 0;
@@ -156,11 +149,29 @@ fn valid_streams(client_set: &[u64], d: u64) -> Vec<Vec<Vec<u8>>> {
         // batch (m matches, zero sketches). The shape check must refuse it
         // before the decode path is handed a zero-cell workload.
         encode(&[
-            Frame::Hello(hello(1)),
+            Frame::Hello(hello()),
             Frame::Sketches {
                 m: Pbs::new(cfg).plan(d as usize).m,
                 batch: vec![],
             },
+        ]),
+        // Hellos from other protocol versions, stale and future, each
+        // followed by a round the peer will never get to run: the first
+        // one is refused with the typed version error.
+        encode(&[
+            Frame::Hello(Hello {
+                version: 1,
+                ..hello()
+            }),
+            Frame::Hello(Hello {
+                version: 2,
+                ..hello()
+            }),
+            Frame::Hello(Hello {
+                version: 4,
+                ..hello()
+            }),
+            sketch_round(1),
         ]),
     ]
 }
@@ -268,9 +279,10 @@ fn fuzzed_streams_never_break_the_server() {
     let streams = valid_streams(&client_set, 20);
 
     // Sanity: the first four seed streams complete cleanly unmutated; the
-    // rest — the protocol-violating stream and the degenerate-shape
-    // streams (zero-cell Hello parameters, empty sketch batch) — must be
-    // refused with an Error frame (not a crash, not a hang).
+    // rest — the protocol-violating stream, the degenerate-shape streams
+    // (zero-cell Hello parameters, empty sketch batch) and the
+    // wrong-version Hellos — must be refused with an Error frame (not a
+    // crash, not a hang).
     for (i, stream) in streams.iter().enumerate() {
         let outcome = replay(addr, &stream.concat());
         if i < 4 {

@@ -14,7 +14,7 @@
 use estimator::{inflate_estimate, Estimator, TowEstimator};
 use pbs_core::{AliceSession, BobSession, Pbs, PbsConfig, ESTIMATOR_SEED_SALT};
 use pbs_net::client::{sync, ClientConfig, Pipeline};
-use pbs_net::frame::{EstimatorMsg, Frame, Hello, FRAME_OVERHEAD, PROTOCOL_VERSION};
+use pbs_net::frame::{EstimatorMsg, Frame, Hello, FRAME_OVERHEAD};
 use pbs_net::server::{InMemoryStore, Server, ServerConfig};
 use pbs_net::store::{MutableStore, StoreRegistry};
 use pbs_net::NetError;
@@ -79,8 +79,8 @@ fn reference_run(
         frames += 1;
     };
 
-    // Handshake: the server echoes the client's Hello (the version already
-    // matches), so both frames serialize identically.
+    // Handshake: the server echoes the client's Hello, so both frames
+    // serialize identically.
     let hello = Hello::from_config(&cfg, seed, 0);
     let hello_frame = Frame::Hello(hello);
     let hello_bits = hello_frame.encode_body().len() as u64 * 8;
@@ -256,7 +256,6 @@ fn loopback_reconciles_100k_sets_within_the_transcript_byte_envelope() {
             predicted.pushed,
             "d={d} final transfer"
         );
-        assert_eq!(report.negotiated_version, PROTOCOL_VERSION);
 
         // (b) The server's store converged on A ∪ B.
         assert_eq!(store.len(), 100_000 + d / 2, "d={d} server union size");
@@ -392,18 +391,31 @@ fn server_rejects_protocol_violations() {
     let addr = server.local_addr();
     let transport = pbs_net::TransportConfig::default();
 
-    // Version 0 is refused at the handshake.
-    {
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        let mut framed = pbs_net::FramedStream::from_tcp(stream, &transport).unwrap();
-        let mut hello = Hello::from_config(&PbsConfig::default(), 1, 1);
-        hello.version = 0;
-        framed.send(&Frame::Hello(hello)).unwrap();
-        match framed.recv() {
-            Err(NetError::Remote { code, .. }) => {
-                assert_eq!(code, pbs_net::frame::ErrorCode::Version)
+    // A Hello from any other protocol version — stale or from the future,
+    // in this version's shape or (as a real v1 peer would send it) cut
+    // short after the fields v1 had — is refused with the typed error,
+    // never a decode failure or a silent close.
+    for version in [0u16, 1, 2, 4, 0xFFFF] {
+        for v1_shaped in [false, true] {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            let mut hello = Hello::from_config(&PbsConfig::default(), 1, 1);
+            hello.version = version;
+            let mut body = Frame::Hello(hello).encode_body();
+            if v1_shaped {
+                body.truncate(body.len() - 3); // store length, pipeline, epoch flag
             }
-            other => panic!("expected version refusal, got {other:?}"),
+            let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&pbs_net::crc::crc32(&body).to_le_bytes());
+            wire.extend_from_slice(&body);
+            std::io::Write::write_all(&mut stream, &wire).unwrap();
+            let mut framed = pbs_net::FramedStream::from_tcp(stream, &transport).unwrap();
+            match framed.recv() {
+                Err(NetError::Remote { code, message }) => {
+                    assert_eq!(code, pbs_net::frame::ErrorCode::Version, "{message}");
+                    assert_eq!(code.to_string(), "version-unsupported");
+                }
+                other => panic!("v{version}: expected version refusal, got {other:?}"),
+            }
         }
     }
 
@@ -465,14 +477,14 @@ fn server_rejects_protocol_violations() {
 
     let stats = server.shutdown();
     assert_eq!(stats.sessions_completed, 0);
-    assert_eq!(stats.sessions_failed, 4);
+    assert_eq!(stats.sessions_failed, 10 + 3);
     assert_eq!(stats.elements_received, 0);
 }
 
 #[test]
 fn pipelined_rounds_cut_round_trips_at_d_1000_within_the_byte_envelope() {
     // Same sets, same seed, two identical servers: one sync in the classic
-    // one-round-per-trip v1 shape, one with three pipelined layers per
+    // one-round-per-trip shape, one with three pipelined layers per
     // trip. The pipelined run must recover the identical difference in
     // strictly fewer request-response round trips, and its wire bytes must
     // still match its own transcript prediction exactly (and therefore
@@ -606,7 +618,6 @@ fn two_named_stores_sync_concurrently_through_one_server() {
     for handle in handles {
         let report = handle.join().expect("client thread");
         assert!(report.verified);
-        assert_eq!(report.negotiated_version, PROTOCOL_VERSION);
     }
 
     // Each store converged on its own union; the default store is untouched.
@@ -641,99 +652,24 @@ fn two_named_stores_sync_concurrently_through_one_server() {
 }
 
 #[test]
-fn v1_v2_downgrade_handshake() {
+fn unknown_store_is_refused_by_name() {
     let pool = distinct_keys(2_000, 0xD0D0);
     let (alice_set, bob_set) = two_sided_pair(&pool, 20);
-
-    // A legacy v1 client against a v2 server: negotiates down to 1 and
-    // reconciles on the default store.
-    {
-        let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&store) as Arc<_>,
-            ServerConfig::default(),
-        )
-        .expect("bind");
-        let config = ClientConfig::builder()
-            .protocol_version(1)
-            .known_d(20)
-            .seed(5)
-            .build();
-        let report = sync(server.local_addr(), &alice_set, &config).expect("v1 client sync");
-        assert!(report.verified);
-        assert_eq!(report.negotiated_version, 1);
-        server.shutdown();
-    }
-
-    // A v2 client (with pipelining requested) against a v1-only server:
-    // negotiates down to 1, silently drops pipelining, still reconciles.
-    {
-        let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&store) as Arc<_>,
-            ServerConfig {
-                protocol_version: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
-        let config = ClientConfig::builder()
-            .known_d(20)
-            .seed(5)
-            .pipeline(Pipeline::Depth(3))
-            .build();
-        let report = sync(server.local_addr(), &alice_set, &config).expect("downgraded sync");
-        assert!(report.verified);
-        assert_eq!(report.negotiated_version, 1);
-        assert_eq!(
-            report.round_trips, report.rounds,
-            "pipelining must be disabled on a v1 session"
-        );
-        server.shutdown();
-    }
-
-    // A v2 client that *requires* a named store aborts on the downgrade
-    // instead of silently syncing against the default store.
-    {
-        let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&store) as Arc<_>,
-            ServerConfig {
-                protocol_version: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
-        let config = ClientConfig::builder().store("alpha").known_d(20).build();
-        match sync(server.local_addr(), &alice_set, &config) {
-            Err(NetError::Protocol(msg)) => assert!(msg.contains("route store"), "{msg}"),
-            other => panic!("expected downgrade refusal, got {other:?}"),
+    let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&store) as Arc<_>,
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let config = ClientConfig::builder().store("nope").known_d(20).build();
+    match sync(server.local_addr(), &alice_set, &config) {
+        Err(NetError::Remote { code, .. }) => {
+            assert_eq!(code, pbs_net::frame::ErrorCode::UnknownStore)
         }
-        server.shutdown();
+        other => panic!("expected unknown-store refusal, got {other:?}"),
     }
-
-    // A v2 server refuses an unknown store by name with the dedicated
-    // error code.
-    {
-        let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&store) as Arc<_>,
-            ServerConfig::default(),
-        )
-        .expect("bind");
-        let config = ClientConfig::builder().store("nope").known_d(20).build();
-        match sync(server.local_addr(), &alice_set, &config) {
-            Err(NetError::Remote { code, .. }) => {
-                assert_eq!(code, pbs_net::frame::ErrorCode::UnknownStore)
-            }
-            other => panic!("expected unknown-store refusal, got {other:?}"),
-        }
-        server.shutdown();
-    }
+    server.shutdown();
 }
 
 #[test]
@@ -796,70 +732,24 @@ fn adaptive_pipeline_matches_the_best_fixed_depth_at_d_1000() {
 }
 
 #[test]
-fn delta_requests_downgrade_cleanly() {
+fn classic_sync_on_an_epoch_capable_store_is_acked_with_the_snapshot_epoch() {
+    // Against an epoch-capable store, even a classic (no-epoch-cache) sync
+    // receives the epoch baseline in its ack.
     let pool = distinct_keys(2_000, 0xD317A);
     let (alice_set, bob_set) = two_sided_pair(&pool, 20);
-
-    // A client pinned below v3 refuses a delta request locally.
-    {
-        let config = ClientConfig::builder()
-            .protocol_version(2)
-            .delta_epoch(4)
-            .build();
-        match sync("127.0.0.1:1", &alice_set, &config) {
-            Err(NetError::Protocol(msg)) => assert!(msg.contains("v3"), "{msg}"),
-            other => panic!("expected local refusal, got {other:?}"),
-        }
-    }
-
-    // A v3 client with an epoch cache against a v2-pinned server: the
-    // negotiated session has no delta semantics, so the sync silently
-    // falls back to a full reconciliation with no epoch baseline.
-    {
-        let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&store) as Arc<_>,
-            ServerConfig {
-                protocol_version: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
-        let config = ClientConfig::builder()
-            .delta_epoch(0)
-            .known_d(20)
-            .seed(5)
-            .build();
-        let report = sync(server.local_addr(), &alice_set, &config).expect("downgraded sync");
-        assert!(report.verified);
-        assert_eq!(report.negotiated_version, 2);
-        assert!(report.delta_fallback);
-        assert!(report.delta.is_none());
-        assert_eq!(report.epoch, None, "v2 sessions carry no epoch ack");
-        let stats = server.shutdown();
-        // The downgrade never reached the delta machinery.
-        assert_eq!(stats.delta_sessions + stats.delta_fallbacks, 0);
-    }
-
-    // On a full v3 session against an epoch-capable store, even a classic
-    // (no-epoch-cache) sync receives the epoch baseline in its ack.
-    {
-        let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            Arc::clone(&store) as Arc<_>,
-            ServerConfig::default(),
-        )
-        .expect("bind");
-        let config = ClientConfig::builder().known_d(20).seed(6).build();
-        let report = sync(server.local_addr(), &alice_set, &config).expect("v3 sync");
-        assert!(report.verified);
-        assert_eq!(report.negotiated_version, PROTOCOL_VERSION);
-        assert_eq!(report.epoch, Some(0), "baseline = the snapshot epoch");
-        assert!(report.delta.is_none() && !report.delta_fallback);
-        server.shutdown();
-    }
+    let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&store) as Arc<_>,
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let config = ClientConfig::builder().known_d(20).seed(6).build();
+    let report = sync(server.local_addr(), &alice_set, &config).expect("sync");
+    assert!(report.verified);
+    assert_eq!(report.epoch, Some(0), "baseline = the snapshot epoch");
+    assert!(report.delta.is_none() && !report.delta_fallback);
+    server.shutdown();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Delta-subscription soak and byte-accounting tests.
 //!
-//! The v3 delta path exists to make a returning client's re-sync cost
+//! The delta path exists to make a returning client's re-sync cost
 //! O(|changes|) instead of O(d) reconciliation rounds over the full set.
 //! These tests pin that claim against the transcript ledger (measured
 //! frame encodings, never wall time): a delta sync's wire bytes must equal

@@ -49,12 +49,11 @@ fn main() {
         .sync(&client_blocks)
         .expect("blocks sync");
     println!(
-        "blocks: |A△B| = {}, verified = {}, {} protocol rounds in {} round trips (v{})",
+        "blocks: |A△B| = {}, verified = {}, {} protocol rounds in {} round trips",
         report.recovered.len(),
         report.verified,
         report.rounds,
         report.round_trips,
-        report.negotiated_version,
     );
     assert!(report.verified && report.round_trips <= report.rounds);
 
