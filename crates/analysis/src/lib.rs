@@ -23,6 +23,7 @@
 mod markov;
 mod optimize;
 mod probability;
+mod table;
 
 pub use markov::TransitionMatrix;
 pub use optimize::{
@@ -87,79 +88,7 @@ pub fn group_success_probability(
     r: u32,
     model: SuccessModel,
 ) -> f64 {
-    let matrix = TransitionMatrix::build(n, t);
-    group_success_probability_with(&matrix, t, d, g, r, model)
-}
-
-/// Same as [`group_success_probability`] but reusing a prebuilt transition
-/// matrix (the optimizer calls this in a loop over `t` values).
-pub fn group_success_probability_with(
-    matrix: &TransitionMatrix,
-    t: usize,
-    d: usize,
-    g: usize,
-    r: u32,
-    model: SuccessModel,
-) -> f64 {
-    let success = matrix.success_probabilities(r);
-    let p = 1.0 / g as f64;
-    let mut alpha = 0.0;
-    for (x, &s) in success.iter().enumerate().take(t.min(d) + 1) {
-        let weight = binomial_pmf(d, x, p);
-        let s = if x == 0 { 1.0 } else { s };
-        alpha += weight * s;
-    }
-    if let SuccessModel::SplitAware = model {
-        if r >= 2 {
-            // Enumerate x = t+1 .. until the binomial tail becomes negligible.
-            let success_rem = matrix.success_probabilities(r - 1);
-            let mut x = t + 1;
-            loop {
-                let weight = binomial_pmf(d, x, p);
-                if weight < 1e-15 && x > t + 5 {
-                    break;
-                }
-                alpha += weight * split_success_probability(x, t, &success_rem);
-                x += 1;
-                if x > d || x > t + 60 {
-                    break;
-                }
-            }
-        }
-    }
-    alpha.min(1.0)
-}
-
-/// Probability that a group of `x > t` distinct elements, split uniformly
-/// into three sub-groups, has every sub-group (a) within the capacity `t`
-/// and (b) reconciled within the remaining rounds (whose single-group success
-/// probabilities are given by `success_rem`).
-fn split_success_probability(x: usize, t: usize, success_rem: &[f64]) -> f64 {
-    // Sub-group sizes (x1, x2, x3) follow a Multinomial(x; 1/3, 1/3, 1/3).
-    let third: f64 = 1.0 / 3.0;
-    let mut total = 0.0;
-    for x1 in 0..=x {
-        let p1 = binomial_pmf(x, x1, third);
-        if p1 < 1e-18 {
-            continue;
-        }
-        let s1 = if x1 > t { 0.0 } else { success_rem[x1] };
-        if s1 == 0.0 {
-            continue;
-        }
-        let rest = x - x1;
-        for x2 in 0..=rest {
-            let p2 = binomial_pmf(rest, x2, 0.5);
-            if p2 < 1e-18 {
-                continue;
-            }
-            let x3 = rest - x2;
-            let s2 = if x2 > t { 0.0 } else { success_rem[x2] };
-            let s3 = if x3 > t { 0.0 } else { success_rem[x3] };
-            total += p1 * p2 * s1 * s2 * s3;
-        }
-    }
-    total
+    table::GroupLoad::new(d, g, t).alpha(t, &table::success_vector(n, t, r, model))
 }
 
 /// The rigorous lower bound `1 − 2(1 − α^g)` on the overall success

@@ -34,21 +34,26 @@ pub struct TransitionMatrix {
 impl TransitionMatrix {
     /// Build the transition matrix for `n` bins and maximum state `t`.
     ///
-    /// Cost is `O(t³)` floating-point operations (Appendix E), independent of
-    /// `n`, so the parameter optimizer can afford to evaluate the whole
-    /// `(n, t)` grid.
+    /// Cost is `O(t³)` floating-point operations (Appendix E) and `O(t²)`
+    /// memory, independent of `n`. Row `i` depends only on `n` and `i`, so
+    /// the matrix for a smaller `t` is the top-left block of this one.
     pub fn build(n: usize, t: usize) -> Self {
         assert!(n >= 1, "need at least one bin");
         assert!(t >= 1, "need at least one state");
         let nf = n as f64;
         let dim = t + 1;
 
-        // sub[i][j][k]: probability of j bad balls in k bad bins after i throws.
-        // Indices j, k <= i <= t.
-        let mut sub = vec![vec![vec![0.0f64; dim + 1]; dim + 1]; dim + 1];
-        sub[0][0][0] = 1.0;
+        // prev[j·dim + k] / cur[..]: probability of j bad balls in k bad
+        // bins after i − 1 / i throws (j, k <= i <= t). Layer i reads layer
+        // i − 1 only, so two layers are all that is ever live.
+        let mut prev = vec![0.0f64; dim * dim];
+        let mut cur = vec![0.0f64; dim * dim];
+        prev[0] = 1.0;
+        let mut data = vec![0.0f64; dim * dim];
+        data[0] = 1.0;
         for i in 1..=t {
             for j in 0..=i {
+                let mut total = 0.0;
                 for k in 0..=j {
                     let mut p = 0.0;
                     // Case 1: the i-th ball falls into a previously good bin.
@@ -56,32 +61,27 @@ impl TransitionMatrix {
                     if j >= 2 && k >= 1 {
                         let good = (i as f64) - (j as f64) + 1.0;
                         if good > 0.0 {
-                            p += good / nf * sub[i - 1][j - 2][k - 1];
+                            p += good / nf * prev[(j - 2) * dim + k - 1];
                         }
                     }
                     // Case 2: the i-th ball falls into one of the k existing bad bins.
                     if j >= 1 {
-                        p += (k as f64) / nf * sub[i - 1][j - 1][k];
+                        p += (k as f64) / nf * prev[(j - 1) * dim + k];
                     }
                     // Case 3: the i-th ball falls into an empty bin.
                     {
                         let occupied = (i as f64 - 1.0) - (j as f64) + (k as f64);
                         let frac = 1.0 - occupied / nf;
                         if frac > 0.0 {
-                            p += frac * sub[i - 1][j][k];
+                            p += frac * prev[j * dim + k];
                         }
                     }
-                    sub[i][j][k] = p;
+                    cur[j * dim + k] = p;
+                    total += p;
                 }
-            }
-        }
-
-        let mut data = vec![0.0f64; dim * dim];
-        for i in 0..=t {
-            for j in 0..=i.min(t) {
-                let total: f64 = (0..=j).map(|k| sub[i][j][k]).sum();
                 data[i * dim + j] = total;
             }
+            std::mem::swap(&mut prev, &mut cur);
         }
         TransitionMatrix { n, t, data }
     }
@@ -133,10 +133,19 @@ impl TransitionMatrix {
     /// The single-group success probabilities `Pr[x →r 0]` for every starting
     /// state `x = 0..=t` (Formula (2)): entry `x` of the returned vector is
     /// the probability that `x` bad balls are fully reconciled within `r`
-    /// rounds.
+    /// rounds — column 0 of `M^r`, taken as `r` matrix–vector products
+    /// (`O(r · t²)`). `M` is lower triangular, so entry `x` does not depend
+    /// on the `t` the matrix was built for.
     pub fn success_probabilities(&self, r: u32) -> Vec<f64> {
-        let p = self.power(r);
-        (0..self.dim()).map(|x| p[(x, 0)]).collect()
+        let dim = self.dim();
+        let mut reach = vec![0.0f64; dim];
+        reach[0] = 1.0;
+        for _ in 0..r {
+            reach = (0..dim)
+                .map(|x| (0..=x).map(|j| self.get(x, j) * reach[j]).sum())
+                .collect();
+        }
+        reach
     }
 }
 

@@ -2,14 +2,25 @@
 //! 10^5 is fine) and the §2.2.1 / §2.3 balls-into-bins event probabilities
 //! computed by exact enumeration of integer partitions.
 
+use std::sync::OnceLock;
+
+/// Below this `n`, `ln n!` is the exact running sum of logarithms.
+const EXACT_LN_FACTORIALS: usize = 256;
+
 /// Natural log of `n!`, exact summation for small `n` and a Stirling series
 /// for large `n` (absolute error far below what any probability here needs).
 fn ln_factorial(n: usize) -> f64 {
-    if n < 2 {
-        return 0.0;
-    }
-    if n < 256 {
-        return (2..=n).map(|k| (k as f64).ln()).sum();
+    // The planner takes a few thousand small-`n` pmfs per table; summing
+    // up to 255 logarithms for each was most of its cost.
+    static EXACT: OnceLock<[f64; EXACT_LN_FACTORIALS]> = OnceLock::new();
+    if n < EXACT_LN_FACTORIALS {
+        return EXACT.get_or_init(|| {
+            let mut table = [0.0; EXACT_LN_FACTORIALS];
+            for k in 2..EXACT_LN_FACTORIALS {
+                table[k] = table[k - 1] + (k as f64).ln();
+            }
+            table
+        })[n];
     }
     let x = n as f64;
     // Stirling series with the 1/(12n) and 1/(360n^3) correction terms.

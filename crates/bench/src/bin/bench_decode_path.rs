@@ -6,7 +6,8 @@
 //! dominate the non-sketching half of a reconciliation round trip:
 //!
 //! * IBLT insert and peel of an n = 10^5 difference (the D.Digest decode),
-//! * the three estimator insert paths over 10^5 elements,
+//! * the two batched estimator insert paths (ToW, Strata) over 10^5
+//!   elements, against their per-element inserts,
 //! * `Poly::mul` at BCH-locator-like degrees (Karatsuba vs schoolbook),
 //! * Bob's per-group PBS decode for a d = 100 difference over |A| = 10^5
 //!   (batched syndrome build + dense bin accumulation + `par_map` groups vs
@@ -46,7 +47,7 @@
 //! The CI bench gate (`check_bench`) compares every `fast_*` metric of the
 //! freshly emitted report against the committed baseline.
 
-use estimator::{Estimator, MinWiseEstimator, StrataEstimator, TowEstimator};
+use estimator::{Estimator, StrataEstimator, TowEstimator};
 use gf::{Field, Poly};
 use iblt::{Iblt, PeelStrategy, SubtableIblt, DEFAULT_SHARD_CELLS};
 use pbs_core::{AliceSession, BobSession, Pbs, PbsConfig};
@@ -243,25 +244,6 @@ fn bench_estimators(n: usize) -> Vec<Row> {
         detail: format!("n={n} strata=32"),
         fast_ms: strata_fast / 1e6,
         reference_ms: strata_ref / 1e6,
-    });
-
-    let mw_fast = best_ns(3, || {
-        let mut e = MinWiseEstimator::new(128, 3);
-        e.insert_slice(&elems);
-        black_box(e.hash_count());
-    });
-    let mw_ref = best_ns(3, || {
-        let mut e = MinWiseEstimator::new(128, 3);
-        for &x in &elems {
-            e.insert(x);
-        }
-        black_box(e.hash_count());
-    });
-    rows.push(Row {
-        name: "minwise_insert".into(),
-        detail: format!("n={n} hashes=128"),
-        fast_ms: mw_fast / 1e6,
-        reference_ms: mw_ref / 1e6,
     });
 
     rows

@@ -10,12 +10,8 @@ use protocol::Workload;
 fn build_pair<E: Estimator + Clone>(proto: &E, a: &[u64], b: &[u64]) -> (E, E) {
     let mut ea = proto.clone();
     let mut eb = proto.clone();
-    for &x in a {
-        ea.insert(x);
-    }
-    for &x in b {
-        eb.insert(x);
-    }
+    ea.insert_slice(a);
+    eb.insert_slice(b);
     (ea, eb)
 }
 

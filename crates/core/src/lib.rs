@@ -221,12 +221,8 @@ impl Pbs {
         let est_seed = xhash::derive_seed(seed, ESTIMATOR_SEED_SALT);
         let mut ea = TowEstimator::new(cfg.estimator_sketches, est_seed);
         let mut eb = TowEstimator::new(cfg.estimator_sketches, est_seed);
-        for &x in alice {
-            ea.insert(x);
-        }
-        for &x in bob {
-            eb.insert(x);
-        }
+        ea.insert_slice(alice);
+        eb.insert_slice(bob);
         let d_hat = ea.estimate(&eb);
         let d_param = estimator::inflate_estimate(d_hat);
         // Alice sends her sketches; Bob returns the estimate (one word).

@@ -53,11 +53,9 @@ pub trait Estimator {
 
     /// Insert a whole slice of elements.
     ///
-    /// The default loops over [`Estimator::insert`]; every estimator in this
-    /// crate overrides it with a batched kernel (four elements hashed per
-    /// step, hash passes hoisted out of the per-element loop) that produces
-    /// exactly the same summary — checked by batched-vs-scalar property
-    /// tests.
+    /// The default loops over [`Estimator::insert`]; the ToW and Strata
+    /// estimators override it with a batched kernel that produces exactly
+    /// the same summary — checked by batched-vs-scalar property tests.
     fn insert_slice(&mut self, elements: &[u64]) {
         for &e in elements {
             self.insert(e);

@@ -73,29 +73,6 @@ impl Estimator for MinWiseEstimator {
         self.items += 1;
     }
 
-    /// Batched insert: four elements advance through the minima bank
-    /// together (one pass over the bank per quad instead of one per
-    /// element), with the four hashes per bank slot computed as independent
-    /// chains and min-reduced branch-free. The bank stays L1-resident while
-    /// the element stream is read once. Summary identical to per-element
-    /// [`Estimator::insert`].
-    fn insert_slice(&mut self, elements: &[u64]) {
-        let mut chunks = elements.chunks_exact(4);
-        for quad in &mut chunks {
-            let quad = [quad[0], quad[1], quad[2], quad[3]];
-            for (slot, &seed) in self.minima.iter_mut().zip(&self.hash_seeds) {
-                let h = quad.map(|e| xxhash64_u64(e, seed));
-                *slot = (*slot).min(h[0].min(h[1])).min(h[2].min(h[3]));
-            }
-        }
-        for &e in chunks.remainder() {
-            for (slot, &seed) in self.minima.iter_mut().zip(&self.hash_seeds) {
-                *slot = (*slot).min(xxhash64_u64(e, seed));
-            }
-        }
-        self.items += elements.len() as u64;
-    }
-
     fn wire_bits(&self) -> u64 {
         // Each minimum is a full 64-bit hash value, plus the set size.
         64 * self.minima.len() as u64 + 64

@@ -3,9 +3,14 @@
 //! One ToW sketch of a set `S` under a ±1 hash `f` is `Y_f(S) = Σ_{s∈S} f(s)`.
 //! For two sets, `(Y_f(A) − Y_f(B))²` is an unbiased estimator of
 //! `d = |A△B|` with variance `2d² − 2d` (Appendix A); averaging ℓ
-//! independent sketches divides the variance by ℓ. The paper uses ℓ = 128
+//! uncorrelated sketches divides the variance by ℓ. The paper uses ℓ = 128
 //! sketches (336 bytes) and the inflation factor γ = 1.38, the smallest γ
 //! for which `Pr[d ≤ γ·d̂] ≥ 99%` at that ℓ.
+//!
+//! The ℓ sign functions come 32 to a polynomial: sketch `i` uses lane
+//! `i mod 32` of polynomial `⌊i / 32⌋` ([`SignHasher`]), polynomial `j`
+//! drawn from `derive_seed(bank seed, j)`. Inserting an element therefore
+//! costs `⌈ℓ / 32⌉` polynomial evaluations, not ℓ.
 
 use crate::Estimator;
 use xhash::{derive_seed, SignHasher};
@@ -26,6 +31,10 @@ pub fn inflate_estimate(d_hat: f64) -> usize {
     (d_hat * RECOMMENDED_INFLATION).ceil().max(1.0) as usize
 }
 
+/// Elements per [`Estimator::insert_slice`] block: the most an 8-bit
+/// per-lane counter of −1 signs can hold.
+const BLOCK: usize = 255;
+
 /// A bank of ℓ ToW sketches of one set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TowEstimator {
@@ -39,8 +48,8 @@ impl TowEstimator {
     /// Create an estimator with `sketch_count` sketches derived from `seed`.
     pub fn new(sketch_count: usize, seed: u64) -> Self {
         assert!(sketch_count > 0, "need at least one sketch");
-        let hashers = (0..sketch_count)
-            .map(|i| SignHasher::from_seed(derive_seed(seed, i as u64)))
+        let hashers = (0..sketch_count.div_ceil(SignHasher::LANES))
+            .map(|j| SignHasher::from_seed(derive_seed(seed, j as u64)))
             .collect();
         TowEstimator {
             sketches: vec![0i64; sketch_count],
@@ -126,29 +135,50 @@ impl Estimator for TowEstimator {
     }
 
     fn insert(&mut self, element: u64) {
-        for (sk, h) in self.sketches.iter_mut().zip(&self.hashers) {
-            *sk += h.sign(element);
+        let powers = SignHasher::powers(element);
+        for (lanes, h) in self
+            .sketches
+            .chunks_mut(SignHasher::LANES)
+            .zip(&self.hashers)
+        {
+            let bits = h.sign_bits_at(&powers);
+            for (i, sk) in lanes.iter_mut().enumerate() {
+                *sk += 1 - 2 * i64::from(bits >> i & 1);
+            }
         }
         self.items += 1;
     }
 
-    /// Batched insert: four elements advance through the sketch bank
-    /// together. Each hasher's coefficients are loaded once per quad (one
-    /// pass over the bank per four elements instead of one per element) and
-    /// the four ±1 evaluations run as interleaved Horner chains
-    /// ([`SignHasher::sign_sum4`]). Summary identical to per-element
-    /// [`Estimator::insert`].
+    /// Batched insert, in blocks of at most 255 elements: the powers
+    /// `x, x², x³` of a block are computed once, then each polynomial's
+    /// 32-bit sign words are added into eight *bit planes* — plane `k`
+    /// holds bit `k` of 32 per-lane counters of −1 signs, so one word is
+    /// absorbed by a ripple of ANDs and XORs instead of 32 additions — and
+    /// the planes are folded into the `i64` sketches once per block.
+    /// Summary identical to per-element [`Estimator::insert`].
     fn insert_slice(&mut self, elements: &[u64]) {
-        let mut chunks = elements.chunks_exact(4);
-        for quad in &mut chunks {
-            let quad = [quad[0], quad[1], quad[2], quad[3]];
-            for (sk, h) in self.sketches.iter_mut().zip(&self.hashers) {
-                *sk += h.sign_sum4(&quad);
+        let mut powers = [[0u64; 3]; BLOCK];
+        for block in elements.chunks(BLOCK) {
+            let powers = &mut powers[..block.len()];
+            for (p, &e) in powers.iter_mut().zip(block) {
+                *p = SignHasher::powers(e);
             }
-        }
-        for &e in chunks.remainder() {
-            for (sk, h) in self.sketches.iter_mut().zip(&self.hashers) {
-                *sk += h.sign(e);
+            for (lanes, h) in self
+                .sketches
+                .chunks_mut(SignHasher::LANES)
+                .zip(&self.hashers)
+            {
+                let mut planes = [0u32; 8];
+                for p in powers.iter() {
+                    let mut carry = h.sign_bits_at(p);
+                    for plane in &mut planes {
+                        (*plane, carry) = (*plane ^ carry, *plane & carry);
+                    }
+                }
+                for (i, sk) in lanes.iter_mut().enumerate() {
+                    let minus: i64 = (0..8).map(|k| i64::from(planes[k] >> i & 1) << k).sum();
+                    *sk += block.len() as i64 - 2 * minus;
+                }
             }
         }
         self.items += elements.len() as u64;

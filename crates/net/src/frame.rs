@@ -24,7 +24,17 @@ use std::io::{Read, Write};
 /// There is no negotiation — a `Hello` carrying any other value is refused
 /// ([`FrameError::Version`], answered with [`ErrorCode::Version`]) before
 /// any later field is read.
-pub const PROTOCOL_VERSION: u16 = 3;
+///
+/// Version 4 has version 3's byte layout throughout; what changed is the
+/// ±1 hash family behind the estimator exchange's sketch values, which
+/// both ends must evaluate identically (`docs/WIRE.md`, "The ±1 family").
+pub const PROTOCOL_VERSION: u16 = 4;
+
+/// Largest δ a `Hello` may ask for ([`Hello::config`]).
+const MAX_HELLO_DELTA: u32 = 24;
+
+/// Largest target round count a `Hello` may ask for.
+const MAX_HELLO_TARGET_ROUNDS: u32 = 16;
 
 /// Largest store name (in bytes) a `Hello` may carry or a server accepts.
 pub const MAX_STORE_NAME: usize = 64;
@@ -259,8 +269,22 @@ impl Hello {
                 self.universe_bits
             ));
         }
-        if self.delta == 0 {
-            return Err("delta must be at least 1".into());
+        // δ and the target round count size the parameter search both
+        // ends run inline (`Pbs::plan`): its table has 15·(3δ + 1) cells of
+        // O(δ²) work each, over matrices of O(δ³), iterated r times. At
+        // these limits a first plan costs ~20 ms (docs/WIRE.md); the paper
+        // fixes δ = 5 and finds nothing to gain beyond r = 4.
+        if !(1..=MAX_HELLO_DELTA).contains(&self.delta) {
+            return Err(format!(
+                "delta {} outside 1..={MAX_HELLO_DELTA}",
+                self.delta
+            ));
+        }
+        if !(1..=MAX_HELLO_TARGET_ROUNDS).contains(&self.target_rounds) {
+            return Err(format!(
+                "target_rounds {} outside 1..={MAX_HELLO_TARGET_ROUNDS}",
+                self.target_rounds
+            ));
         }
         // The estimator exchange costs O(|B| · sketches) hashing on the
         // server, inside one request — an unbounded count would let a
@@ -278,8 +302,8 @@ impl Hello {
                 self.target_success
             ));
         }
-        if self.target_rounds == 0 || self.max_rounds == 0 {
-            return Err("round counts must be at least 1".into());
+        if self.max_rounds == 0 {
+            return Err("max_rounds must be at least 1".into());
         }
         Ok(PbsConfig {
             universe_bits: self.universe_bits as u32,
@@ -761,7 +785,7 @@ mod tests {
 
     #[test]
     fn wrong_version_hellos_are_refused_before_any_later_field() {
-        for version in [0, 1, 2, 4, u16::MAX] {
+        for version in [0, 1, 2, 3, 5, u16::MAX] {
             let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0);
             hello.version = version;
             let body = Frame::Hello(hello).encode_body();
@@ -850,6 +874,23 @@ mod tests {
         let mut h3 = Hello::from_config(&PbsConfig::default(), 1, 0);
         h3.target_success = f64::NAN;
         assert!(h3.config().is_err());
+        // The planner's inputs are bounded on both sides, and the refusal
+        // names the field.
+        for (delta, target_rounds, field) in [
+            (MAX_HELLO_DELTA + 1, 3, "delta"),
+            (u32::MAX, 3, "delta"),
+            (5, 0, "target_rounds"),
+            (5, MAX_HELLO_TARGET_ROUNDS + 1, "target_rounds"),
+            (5, u32::MAX, "target_rounds"),
+        ] {
+            let mut h = Hello::from_config(&PbsConfig::default(), 1, 0);
+            (h.delta, h.target_rounds) = (delta, target_rounds);
+            let refusal = h.config().unwrap_err();
+            assert!(refusal.starts_with(field), "{refusal}");
+        }
+        let mut limit = Hello::from_config(&PbsConfig::default(), 1, 0);
+        (limit.delta, limit.target_rounds) = (MAX_HELLO_DELTA, MAX_HELLO_TARGET_ROUNDS);
+        assert!(limit.config().is_ok());
     }
 
     #[test]

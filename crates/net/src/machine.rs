@@ -1103,12 +1103,12 @@ mod tests {
         wire.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The opening `Hello` of each mode, pinned to the bytes the parent
-    /// commit's three clients put on the wire (length prefix and CRC
-    /// included): the version field and every later field stay where they
-    /// were.
+    /// The opening `Hello` of each mode, pinned byte for byte (length prefix
+    /// and CRC included). These are the v3 captures with the version field
+    /// — the only byte of any frame v4 changed — and the CRC over it
+    /// re-taken: every later field stays where it was.
     #[test]
-    fn the_hello_is_bit_for_bit_the_v3_hello() {
+    fn the_hello_is_pinned_bit_for_bit() {
         let hello = |cfg: ClientConfig, mode| {
             let mut machine = ClientMachine::new(&cfg, Vec::new(), mode).unwrap();
             wire_hex(&machine.poll_send().unwrap().expect("opens with a Hello"))
@@ -1116,7 +1116,7 @@ mod tests {
         // No store name, no epoch, estimator exchange to follow.
         assert_eq!(
             hello(config().build(), Mode::Full),
-            "3300000022039fd601504253310300200500000003000000ffffffffae47e17a14aeef3f\
+            "330000009ac7927201504253310400200500000003000000ffffffffae47e17a14aeef3f\
              80000000efcdab89674523010000000000000000000100"
         );
         // Named store, fixed depth, d known, epoch cache.
@@ -1131,14 +1131,14 @@ mod tests {
                     since: 0x1122_3344_5566_7788
                 }
             ),
-            "440000006790b27801504253310300200500000003000000ffffffffae47e17a14aeef3f\
+            "440000003282db1001504253310400200500000003000000ffffffffae47e17a14aeef3f\
              80000000efcdab89674523012a0000000000000009696e76656e746f727903018877665544332211"
         );
         // Adaptive depth asks for the largest representable grant.
         let cfg = config().seed(7).store("live").pipeline(Pipeline::Auto);
         assert_eq!(
             hello(cfg.build(), Mode::Full),
-            "3700000099701e4801504253310300200500000003000000ffffffffae47e17a14aeef3f\
+            "37000000cc316b6201504253310400200500000003000000ffffffffae47e17a14aeef3f\
              8000000007000000000000000000000000000000046c697665ff00"
         );
         // A subscriber asks for no rounds whatever its config says.
@@ -1148,7 +1148,7 @@ mod tests {
             .known_d(42);
         assert_eq!(
             hello(cfg.build(), Mode::Subscribe { since: 9 }),
-            "3f00000061d9d9ae01504253310300200500000003000000ffffffffae47e17a14aeef3f\
+            "3f000000d9f1fd8101504253310400200500000003000000ffffffffae47e17a14aeef3f\
              80000000b979379e000000000000000000000000046c69766501010900000000000000"
         );
     }

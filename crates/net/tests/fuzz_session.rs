@@ -168,7 +168,11 @@ fn valid_streams(client_set: &[u64], d: u64) -> Vec<Vec<Vec<u8>>> {
                 ..hello()
             }),
             Frame::Hello(Hello {
-                version: 4,
+                version: 3,
+                ..hello()
+            }),
+            Frame::Hello(Hello {
+                version: 5,
                 ..hello()
             }),
             sketch_round(1),

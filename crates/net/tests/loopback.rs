@@ -395,7 +395,7 @@ fn server_rejects_protocol_violations() {
     // in this version's shape or (as a real v1 peer would send it) cut
     // short after the fields v1 had — is refused with the typed error,
     // never a decode failure or a silent close.
-    for version in [0u16, 1, 2, 4, 0xFFFF] {
+    for version in [0u16, 1, 2, 3, 5, 0xFFFF] {
         for v1_shaped in [false, true] {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
             let mut hello = Hello::from_config(&PbsConfig::default(), 1, 1);
@@ -447,6 +447,43 @@ fn server_rejects_protocol_violations() {
         }
     }
 
+    // δ and the target round count size the parameter search the server
+    // runs inline on its event loop (`Hello{delta: 40, known_d: 1}` once
+    // bought 31 s of it, `delta: 200` a 4 GB allocation per grid cell):
+    // out-of-range values are refused by name before any planning runs,
+    // and the worker goes on serving.
+    for (delta, target_rounds, field) in [
+        (40u32, 3u32, "delta"),
+        (200, 3, "delta"),
+        (u32::MAX, 3, "delta"),
+        (5, 17, "target_rounds"),
+        (5, u32::MAX, "target_rounds"),
+    ] {
+        let started = std::time::Instant::now();
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut framed = pbs_net::FramedStream::from_tcp(stream, &transport).unwrap();
+        let mut hello = Hello::from_config(&PbsConfig::default(), 1, 1);
+        (hello.delta, hello.target_rounds) = (delta, target_rounds);
+        framed.send(&Frame::Hello(hello)).unwrap();
+        match framed.recv() {
+            Err(NetError::Remote { code, message }) => {
+                assert_eq!(code, pbs_net::frame::ErrorCode::BadConfig);
+                assert!(message.starts_with(field), "{message}");
+            }
+            other => panic!("expected config refusal, got {other:?}"),
+        }
+        let hello = Frame::Hello(Hello::from_config(&PbsConfig::default(), 1, 1));
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut framed = pbs_net::FramedStream::from_tcp(stream, &transport).unwrap();
+        framed.send(&hello).unwrap();
+        assert!(matches!(framed.recv(), Ok(Frame::Hello(_))));
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(100),
+            "{field} = {delta}/{target_rounds}: refusal and the next handshake took {:?}",
+            started.elapsed()
+        );
+    }
+
     // A final transfer with out-of-universe elements must not poison the
     // store (they could never verify in any later session).
     {
@@ -477,7 +514,7 @@ fn server_rejects_protocol_violations() {
 
     let stats = server.shutdown();
     assert_eq!(stats.sessions_completed, 0);
-    assert_eq!(stats.sessions_failed, 10 + 3);
+    assert_eq!(stats.sessions_failed, 12 + 3 + 2 * 5);
     assert_eq!(stats.elements_received, 0);
 }
 

@@ -90,10 +90,10 @@ fn predict_delta_sync(
 /// on the same seed, with the wire bytes matching the transcript ledger's
 /// frame-by-frame prediction exactly.
 ///
-/// On the ratio: the measured comparator on this seed is 2798 B (the
+/// On the ratio: the measured comparator on this seed is 2835 B (the
 /// handshake plus ToW estimator bank plus sketch/report rounds plus final
 /// transfer); the delta session is 377 B total, of which 243 B is the
-/// actual delta stream: 13.5% and 8.7%. That is floor territory, not an
+/// actual delta stream: 13.3% and 8.6%. That is floor territory, not an
 /// implementation gap: the 50 changed elements carry 50 × 4 B of raw
 /// identity in a 32-bit universe and both protocols pay the same ~150 B
 /// handshake, so no encoding of this scenario can reach the issue's

@@ -12,7 +12,8 @@
 //!   round/group seed. PBS uses a fresh, mutually-independent hash function
 //!   per round (§2.4); this is achieved by deriving a new seed per round.
 //! * [`SignHasher`] — a 4-wise independent ±1 hash family over the Mersenne
-//!   prime `2^61 - 1`, as required by the Tug-of-War estimator (§6, Fact 1).
+//!   prime `2^61 - 1`, as required by the Tug-of-War estimator (§6, Fact 1);
+//!   one polynomial evaluation yields 32 sign functions.
 //! * [`element_checksum`] — the plain-summation set checksum of §2.2.3.
 
 //!

@@ -4,35 +4,44 @@
 //! *four-wise independent* hash functions mapping universe elements to
 //! `{+1, -1}` uniformly. We realize it the classical way: a random degree-3
 //! polynomial over the prime field GF(p) with p = 2^61 - 1 (a Mersenne
-//! prime, so reduction is two shifts and an add), evaluated at the element
-//! and mapped to ±1 by one output bit. Degree-3 polynomial hashing over a
-//! prime field is 4-wise independent by the standard Vandermonde argument,
-//! which is exactly the property the variance proof of Appendix A uses.
+//! prime, so reduction is two shifts and an add), evaluated at the element.
+//! Degree-3 polynomial hashing over a prime field is 4-wise independent by
+//! the standard Vandermonde argument: the values at any four distinct
+//! points are jointly uniform over GF(p)⁴.
+//!
+//! One polynomial yields [`SignHasher::LANES`] = 32 sign functions, not one:
+//! lane `i` is bit `i` of the canonical value in `[0, p)`. The value is
+//! uniform over `[0, p)`, so each of its low 32 bits is balanced and the 32
+//! bits are mutually independent, to within `2^-61` (of the `2^61` 61-bit
+//! patterns only the all-ones one is missing).
+//! Every lane is therefore itself a 4-wise independent ±1 function, and —
+//! what the variance proof of Appendix A needs when the per-sketch
+//! estimates are averaged — any two lanes of one polynomial are independent
+//! of each other over any four distinct elements, exactly as two
+//! independently drawn polynomials would be.
 
 /// The Mersenne prime 2^61 - 1 used as the modulus of the hash family.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 
-/// One member of the 4-wise independent ±1 hash family.
+/// One degree-3 polynomial of the family: 32 ±1 hash functions ("lanes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignHasher {
     /// Polynomial coefficients a0 + a1 x + a2 x^2 + a3 x^3 over GF(p).
     coeffs: [u64; 4],
 }
 
+/// Canonical residue in `[0, p)` of any `x < 2^124`.
 #[inline]
 fn mod_p(x: u128) -> u64 {
-    // Reduce a < p^2 value modulo 2^61 - 1.
-    let lo = (x & MERSENNE_P as u128) as u64;
-    let hi = (x >> 61) as u64;
-    let mut r = lo + hi;
+    debug_assert!(x >> 124 == 0);
+    // 2^61 ≡ 1 (mod p): fold the high part onto the low 61 bits, twice.
+    let r = (x as u64 & MERSENNE_P) + (x >> 61) as u64; // < 2^61 + 2^63
+    let r = (r & MERSENNE_P) + (r >> 61); // < 2^61 + 5
     if r >= MERSENNE_P {
-        r -= MERSENNE_P;
+        r - MERSENNE_P
+    } else {
+        r
     }
-    // One more fold covers the carry from the addition above.
-    if r >= MERSENNE_P {
-        r -= MERSENNE_P;
-    }
-    r
 }
 
 #[inline]
@@ -40,23 +49,16 @@ fn mul_mod(a: u64, b: u64) -> u64 {
     mod_p((a as u128) * (b as u128))
 }
 
-#[inline]
-fn add_mod(a: u64, b: u64) -> u64 {
-    let s = a + b;
-    if s >= MERSENNE_P {
-        s - MERSENNE_P
-    } else {
-        s
-    }
-}
-
 impl SignHasher {
-    /// Draw a member of the family from a 64-bit seed.
+    /// Sign functions drawn from one polynomial.
+    pub const LANES: usize = 32;
+
+    /// Draw a polynomial of the family from a 64-bit seed.
     ///
     /// The four coefficients are derived from the seed with the crate's
     /// xxHash64; drawing fresh seeds yields (for all practical purposes)
-    /// independent members of the family, which is how the ToW estimator
-    /// builds its ℓ independent sketches.
+    /// independent polynomials, which is how the ToW estimator extends its
+    /// bank beyond 32 sketches.
     pub fn from_seed(seed: u64) -> Self {
         let mut coeffs = [0u64; 4];
         for (i, c) in coeffs.iter_mut().enumerate() {
@@ -71,60 +73,47 @@ impl SignHasher {
     /// Construct from explicit polynomial coefficients (reduced mod p).
     pub fn from_coeffs(coeffs: [u64; 4]) -> Self {
         SignHasher {
-            coeffs: [
-                coeffs[0] % MERSENNE_P,
-                coeffs[1] % MERSENNE_P,
-                coeffs[2] % MERSENNE_P,
-                coeffs[3] % MERSENNE_P,
-            ],
+            coeffs: coeffs.map(|c| c % MERSENNE_P),
         }
     }
 
-    /// Evaluate the degree-3 polynomial at `x` over GF(p).
+    /// `[x, x², x³] mod p` for an element — the part of the evaluation every
+    /// polynomial of a bank shares.
     #[inline]
-    fn poly_eval(&self, x: u64) -> u64 {
-        let x = x % MERSENNE_P;
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = add_mod(mul_mod(acc, x), c);
-        }
-        acc
+    pub fn powers(element: u64) -> [u64; 3] {
+        let x = mod_p(element as u128);
+        let x2 = mul_mod(x, x);
+        [x, x2, mul_mod(x2, x)]
     }
 
-    /// The ±1 hash value of `element`.
-    #[inline]
-    pub fn sign(&self, element: u64) -> i64 {
-        // Use the parity of the low bit of the polynomial value. The value is
-        // (essentially) uniform over GF(p), so the bit is balanced.
-        if self.poly_eval(element) & 1 == 0 {
-            1
-        } else {
-            -1
-        }
-    }
-
-    /// Sum of the ±1 hash values of four elements.
+    /// The 32 sign bits of the element whose [`SignHasher::powers`] are
+    /// given: bit `i` set means lane `i` hashes it to −1, clear to +1.
     ///
-    /// Runs the four degree-3 Horner chains interleaved so their modular
-    /// multiplications are independent and can overlap in the pipeline; the
-    /// batched ToW insert uses this to amortize one pass over the sketch
-    /// bank across four inserted elements. Exactly equivalent to summing
-    /// four [`SignHasher::sign`] calls.
+    /// The three products are summed unreduced (each is below `2^122`, so
+    /// the sum stays below `2^124`) and reduced once; the sign bits are the
+    /// low 32 bits of the *canonical* residue, so they do not depend on how
+    /// the evaluation is scheduled.
     #[inline]
-    pub fn sign_sum4(&self, elements: &[u64; 4]) -> i64 {
-        let xs = [
-            elements[0] % MERSENNE_P,
-            elements[1] % MERSENNE_P,
-            elements[2] % MERSENNE_P,
-            elements[3] % MERSENNE_P,
-        ];
-        let mut acc = [0u64; 4];
-        for &c in self.coeffs.iter().rev() {
-            for k in 0..4 {
-                acc[k] = add_mod(mul_mod(acc[k], xs[k]), c);
-            }
-        }
-        acc.iter().map(|&a| 1 - 2 * (a & 1) as i64).sum()
+    pub fn sign_bits_at(&self, powers: &[u64; 3]) -> u32 {
+        let [a0, a1, a2, a3] = self.coeffs;
+        let sum = a0 as u128
+            + a1 as u128 * powers[0] as u128
+            + a2 as u128 * powers[1] as u128
+            + a3 as u128 * powers[2] as u128;
+        mod_p(sum) as u32
+    }
+
+    /// The 32 sign bits of `element` (see [`SignHasher::sign_bits_at`]).
+    #[inline]
+    pub fn sign_bits(&self, element: u64) -> u32 {
+        self.sign_bits_at(&Self::powers(element))
+    }
+
+    /// The ±1 hash value of `element` under lane `lane < 32`.
+    #[inline]
+    pub fn sign(&self, lane: usize, element: u64) -> i64 {
+        debug_assert!(lane < Self::LANES);
+        1 - 2 * i64::from(self.sign_bits(element) >> lane & 1)
     }
 }
 
@@ -132,26 +121,55 @@ impl SignHasher {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sign_is_plus_or_minus_one() {
-        let h = SignHasher::from_seed(123);
-        for e in 0..1000u64 {
-            let s = h.sign(e);
-            assert!(s == 1 || s == -1);
+    /// The family as `docs/WIRE.md` states it, in plain `u128` arithmetic.
+    fn reference_sign(h: &SignHasher, lane: usize, element: u64) -> i64 {
+        let p = MERSENNE_P as u128;
+        let x = element as u128 % p;
+        let mut v = 0u128;
+        for &c in h.coeffs.iter().rev() {
+            v = (v * x + c as u128) % p;
+        }
+        if v >> lane & 1 == 0 {
+            1
+        } else {
+            -1
         }
     }
 
+    fn seeded(trial: u64) -> SignHasher {
+        SignHasher::from_seed(trial.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// |Σ over 20 000 seeds of a ±1 product| stays under 7 standard
+    /// deviations (√20000 ≈ 141) when the product is balanced.
+    fn assert_balanced(what: &str, product: impl Fn(&SignHasher) -> i64) {
+        let sum: i64 = (0..20_000).map(|s| product(&seeded(s))).sum();
+        assert!(sum.abs() < 1_000, "{what}: sum {sum} suggests correlation");
+    }
+
     #[test]
-    fn sign_sum4_matches_scalar_signs() {
-        let h = SignHasher::from_seed(77);
+    fn matches_the_reference_evaluation() {
+        let edge = [
+            0,
+            1,
+            MERSENNE_P - 1,
+            MERSENNE_P,
+            MERSENNE_P + 1,
+            2 * MERSENNE_P,
+            u64::MAX,
+        ];
         let mut x = 1u64;
-        for _ in 0..500 {
-            let quad = [0u64; 4].map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                x
-            });
-            let scalar: i64 = quad.iter().map(|&e| h.sign(e)).sum();
-            assert_eq!(h.sign_sum4(&quad), scalar, "mismatch on {quad:?}");
+        let random = std::iter::repeat_with(|| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            x
+        });
+        for (k, e) in edge.into_iter().chain(random.take(300)).enumerate() {
+            let extreme = SignHasher::from_coeffs([MERSENNE_P - 1; 4]);
+            for h in [seeded(k as u64), extreme] {
+                for lane in 0..SignHasher::LANES {
+                    assert_eq!(h.sign(lane, e), reference_sign(&h, lane, e), "{h:?} {e}");
+                }
+            }
         }
     }
 
@@ -160,51 +178,51 @@ mod tests {
         let h1 = SignHasher::from_seed(5);
         let h2 = SignHasher::from_seed(5);
         for e in [0u64, 7, 1 << 40, u64::MAX] {
-            assert_eq!(h1.sign(e), h2.sign(e));
+            assert_eq!(h1.sign_bits(e), h2.sign_bits(e));
         }
     }
 
     #[test]
-    fn signs_are_balanced() {
+    fn every_lane_is_balanced_over_elements() {
         let h = SignHasher::from_seed(42);
         let n = 100_000u64;
-        let sum: i64 = (0..n).map(|e| h.sign(e)).sum();
+        let mut sums = [0i64; SignHasher::LANES];
+        for e in 0..n {
+            let bits = h.sign_bits(e);
+            for (lane, sum) in sums.iter_mut().enumerate() {
+                *sum += 1 - 2 * i64::from(bits >> lane & 1);
+            }
+        }
         // Expected |sum| is on the order of sqrt(n) ~ 316; allow a wide margin.
-        assert!(sum.abs() < 2_000, "sign sum {sum} too far from zero");
+        for (lane, sum) in sums.iter().enumerate() {
+            assert!(sum.abs() < 2_000, "lane {lane}: sign sum {sum}");
+        }
     }
 
     #[test]
-    fn pairwise_products_are_balanced() {
-        // A weak empirical check of independence: over many hashers, the
-        // product of signs of two fixed distinct elements averages near 0.
-        let (a, b) = (17u64, 3_000_000_007u64);
-        let trials = 20_000;
-        let sum: i64 = (0..trials)
-            .map(|s| {
-                let h = SignHasher::from_seed(s);
-                h.sign(a) * h.sign(b)
-            })
-            .sum();
-        assert!(
-            sum.abs() < 1_000,
-            "pairwise product sum {sum} suggests correlation"
-        );
-    }
-
-    #[test]
-    fn fourwise_products_are_balanced() {
+    fn lanes_are_balanced_over_seeds() {
         let elems = [2u64, 99, 123_456, 987_654_321];
-        let trials = 20_000;
-        let sum: i64 = (0..trials)
-            .map(|s: u64| {
-                let h = SignHasher::from_seed(s.wrapping_mul(0x9E3779B97F4A7C15));
-                elems.iter().map(|&e| h.sign(e)).product::<i64>()
-            })
-            .sum();
-        assert!(
-            sum.abs() < 1_000,
-            "4-wise product sum {sum} suggests correlation"
-        );
+        for lane in [0, 1, 13, 31] {
+            assert_balanced("single lane", |h| h.sign(lane, elems[0]));
+            assert_balanced("pairwise", |h| {
+                h.sign(lane, elems[1]) * h.sign(lane, elems[3])
+            });
+            assert_balanced("4-wise", |h| {
+                elems.iter().map(|&e| h.sign(lane, e)).product()
+            });
+        }
+    }
+
+    #[test]
+    fn two_lanes_of_one_polynomial_are_uncorrelated() {
+        let (a, b) = (17u64, 3_000_000_007u64);
+        for (i, j) in [(0, 1), (0, 31), (7, 8), (30, 31)] {
+            assert_balanced("two lanes, one element", |h| h.sign(i, a) * h.sign(j, a));
+            assert_balanced("two lanes, two elements", |h| h.sign(i, a) * h.sign(j, b));
+            assert_balanced("two lanes, both on two elements", |h| {
+                h.sign(i, a) * h.sign(i, b) * h.sign(j, a) * h.sign(j, b)
+            });
+        }
     }
 
     #[test]
@@ -217,5 +235,9 @@ mod tests {
             let expect = ((a as u128 * b as u128) % MERSENNE_P as u128) as u64;
             assert_eq!(mul_mod(a, b), expect);
         }
+        assert_eq!(mod_p(MERSENNE_P as u128), 0);
+        assert_eq!(mod_p(u64::MAX as u128), (u64::MAX % MERSENNE_P));
+        let top = (1u128 << 124) - 1;
+        assert_eq!(mod_p(top), (top % MERSENNE_P as u128) as u64);
     }
 }
