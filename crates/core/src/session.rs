@@ -735,9 +735,8 @@ impl BobSession {
     /// [`bch::Sketch::add`] per element, hash-map XOR accumulation over
     /// every occupied bin, groups processed strictly in order on the calling
     /// thread. Produces exactly the same reports and session-state changes
-    /// as [`BobSession::handle_sketches`]; kept as the baseline the
-    /// `BENCH_decode_path.json` Bob-decode speedup is measured against and
-    /// as ground truth for the parallel-vs-serial transcript tests.
+    /// as [`BobSession::handle_sketches`]; kept as ground truth for the
+    /// parallel-vs-serial transcript tests.
     pub fn handle_sketches_reference(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
         let mut out = Vec::with_capacity(sketches.len());
         for msg in sketches {

@@ -20,8 +20,7 @@
 //!   reduction loop (up to `2m - 2` iterations) with straight-line code.
 //! * **Reference** ([`BackendChoice::Reference`]): the original
 //!   per-call-feature-detect + shift-loop-reduce path, kept as the ground
-//!   truth for property tests and as the baseline the `BENCH_gf_bch.json`
-//!   speedups are measured against.
+//!   truth for property tests.
 //!
 //! Batched entry points ([`Field::mul_slice`], [`Field::square_slice`],
 //! [`Field::scalar_mul_slice`]) hoist the backend dispatch out of the loop so
@@ -29,10 +28,11 @@
 //! slice.
 //!
 //! The `PBS_FORCE_BACKEND` environment variable (`tables` / `barrett` /
-//! `reference`) overrides the automatic choice for every [`Field::new`]
-//! construction in the process — the CI matrix uses it to run the full test
-//! suite against the reference path. Explicit [`Field::with_backend`]
-//! requests are never overridden.
+//! `reference`; `auto` or unset for none) overrides the automatic choice
+//! for every [`Field::new`] construction in the process — the CI matrix uses
+//! it to run the full test suite against the reference path — and any other
+//! value panics at the first construction rather than being ignored.
+//! Explicit [`Field::with_backend`] requests are never overridden.
 
 /// Maximum supported extension degree.
 pub const MAX_M: u32 = 32;
@@ -333,22 +333,38 @@ enum Backend {
     Reference,
 }
 
+/// Parse a `PBS_FORCE_BACKEND` value: `tables`, `barrett` or `reference`
+/// name an override, `auto` names none (case-insensitive). Anything else —
+/// a typo, the empty string — is an error carrying the message
+/// [`forced_backend`] panics with, so a misspelt CI leg cannot silently run
+/// the automatic backend and stay green.
+fn parse_forced_backend(value: &str) -> Result<Option<BackendChoice>, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "auto" => Ok(None),
+        "tables" => Ok(Some(BackendChoice::Tables)),
+        "barrett" => Ok(Some(BackendChoice::Barrett)),
+        "reference" => Ok(Some(BackendChoice::Reference)),
+        _ => Err(format!(
+            "PBS_FORCE_BACKEND={value:?} is not a backend; \
+             accepted values: auto, tables, barrett, reference"
+        )),
+    }
+}
+
 /// Backend override requested through the `PBS_FORCE_BACKEND` environment
-/// variable (`tables`, `barrett`, `reference`, or `auto`/unset for none),
-/// read once per process. Only [`BackendChoice::Auto`] constructions honour
-/// it — explicit `with_backend` requests (property tests, benchmarks) are
-/// never overridden — so the CI backend matrix can run the whole test suite
-/// on the reference path without touching any call site.
+/// variable (see [`parse_forced_backend`]; unset means none), read once per
+/// process. Only [`BackendChoice::Auto`] constructions honour it — explicit
+/// `with_backend` requests (property tests, benchmarks) are never
+/// overridden — so the CI backend matrix can run the whole test suite on
+/// the reference path without touching any call site.
+///
+/// # Panics
+/// At first use, if the variable is set to a value that is not accepted.
 fn forced_backend() -> Option<BackendChoice> {
     static FORCED: std::sync::OnceLock<Option<BackendChoice>> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var("PBS_FORCE_BACKEND") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "tables" => Some(BackendChoice::Tables),
-            "barrett" => Some(BackendChoice::Barrett),
-            "reference" => Some(BackendChoice::Reference),
-            _ => None,
-        },
-        Err(_) => None,
+    *FORCED.get_or_init(|| match std::env::var_os("PBS_FORCE_BACKEND") {
+        Some(v) => parse_forced_backend(&v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")),
+        None => None,
     })
 }
 
@@ -1155,6 +1171,31 @@ mod tests {
         );
         assert!(tables.generator().is_some());
         assert!(barrett.generator().is_none());
+    }
+
+    #[test]
+    fn forced_backend_values_are_parsed_strictly() {
+        assert_eq!(parse_forced_backend("auto"), Ok(None));
+        assert_eq!(
+            parse_forced_backend("tables"),
+            Ok(Some(BackendChoice::Tables))
+        );
+        assert_eq!(
+            parse_forced_backend("barrett"),
+            Ok(Some(BackendChoice::Barrett))
+        );
+        assert_eq!(
+            parse_forced_backend("Reference"),
+            Ok(Some(BackendChoice::Reference))
+        );
+        // A typo must not read as "no override": CI's reference leg would
+        // run the automatic backend and stay green.
+        for bad in ["refrence", "", " reference", "reference,tables"] {
+            let err = parse_forced_backend(bad).expect_err(bad);
+            assert!(err.contains("PBS_FORCE_BACKEND"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("auto, tables, barrett, reference"), "{err}");
+        }
     }
 
     #[test]

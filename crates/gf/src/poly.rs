@@ -220,9 +220,7 @@ impl Poly {
     /// Schoolbook polynomial multiplication, O(deg_a · deg_b).
     ///
     /// Kept public as the ground truth for the Karatsuba-vs-schoolbook
-    /// property tests and as the baseline the `BENCH_decode_path.json`
-    /// `poly_mul` speedup is measured against (this is the seed's exact
-    /// per-coefficient-pair loop).
+    /// property tests (this is the seed's exact per-coefficient-pair loop).
     pub fn mul_schoolbook(&self, other: &Poly, f: &Field) -> Poly {
         if self.is_zero() || other.is_zero() {
             return Poly::zero();

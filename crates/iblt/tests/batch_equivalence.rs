@@ -4,7 +4,7 @@
 //! wave peeling) must produce exactly the state or sets the seed's scalar
 //! reference path produces, for arbitrary table shapes and key sets.
 
-use iblt::{Iblt, PeelError};
+use iblt::{Cell, Iblt, PeelError};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -100,5 +100,69 @@ proptest! {
                 prop_assert_eq!(partial.len(), fast.len());
             }
         }
+    }
+}
+
+/// One deterministic full-size case beside the proptests, whose tables stay
+/// under 300 cells: a 2¹⁶-cell difference table, far past any cache level
+/// the small cases fit in, once decodable and once overloaded. The wave
+/// peeler must agree with the seed's decoder on both sides' sets, on
+/// `complete`, and — when stuck — on the cells left behind.
+#[test]
+fn large_table_peel_matches_reference() {
+    let cells = 1usize << 16;
+    let mix = |x: u64| x.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let sorted = |v: &[u64]| {
+        let mut v = v.to_vec();
+        v.sort_unstable();
+        v
+    };
+    // (only in A, only in B): 0.46 keys per cell decodes, 0.92 cannot.
+    for (d_a, d_b, decodable) in [(20_000, 10_000, true), (45_000, 15_000, false)] {
+        let shared = 10_000;
+        let a: Vec<u64> = (1..=(d_a + shared) as u64).map(mix).collect();
+        let b: Vec<u64> = ((d_a + 1) as u64..=(d_a + shared + d_b) as u64)
+            .map(mix)
+            .collect();
+        let mut diff = Iblt::new(cells, 4, 0xA07C);
+        diff.insert_batch(&a);
+        let mut tb = Iblt::new(cells, 4, 0xA07C);
+        tb.insert_batch(&b);
+        diff.subtract(&tb);
+
+        let reference = diff.peel_reference();
+        assert_eq!(reference.complete, decodable);
+        // The reference decoder peels a private copy: replay its
+        // extractions to get the table it ended on.
+        let mut reference_end = diff.clone();
+        for &k in &reference.only_in_self {
+            reference_end.remove_reference(k);
+        }
+        for &k in &reference.only_in_other {
+            reference_end.insert_reference(k);
+        }
+
+        let (fast, stuck_cells) = match diff.try_peel_mut() {
+            Ok(r) => (r, 0),
+            Err(PeelError::Stuck {
+                partial,
+                stuck_cells,
+            }) => (partial, stuck_cells),
+        };
+        assert_eq!(fast.complete, reference.complete);
+        assert_eq!(sorted(&fast.only_in_self), sorted(&reference.only_in_self));
+        assert_eq!(
+            sorted(&fast.only_in_other),
+            sorted(&reference.only_in_other)
+        );
+        if decodable {
+            assert_eq!(fast.only_in_self.len(), d_a);
+            assert_eq!(fast.only_in_other.len(), d_b);
+        }
+        // Confluence: the same 2-core survives, cell for cell.
+        let survivors = |t: &Iblt| t.cells().iter().filter(|c| **c != Cell::default()).count();
+        assert_eq!(stuck_cells, survivors(&reference_end));
+        assert_eq!(stuck_cells == 0, decodable);
+        assert_eq!(diff, reference_end);
     }
 }

@@ -54,9 +54,8 @@ pub(crate) struct Shared {
     /// Live `Streaming` sessions across all workers, against
     /// `ServerConfig::max_subscribers`.
     pub live_subscribers: AtomicUsize,
-    /// Per-phase latency histograms; `None` when
-    /// `ServerConfig::telemetry` is off (counters stay on either way).
-    pub session_metrics: Option<SessionMetrics>,
+    /// Per-phase latency histograms.
+    pub session_metrics: SessionMetrics,
     /// Session-id allocator — ids label trace events and drive the
     /// deterministic trace sampling.
     pub next_session_id: AtomicU64,
@@ -491,13 +490,10 @@ impl Worker {
 
     /// Record the elapsed time of the phase ending now for session `i`
     /// into the histogram `pick` selects, and restart the phase clock.
-    /// No-op (and no `Instant` read) when telemetry is off.
     fn record_phase(&mut self, i: usize, pick: fn(&SessionMetrics) -> &Arc<Histogram>) {
-        if let Some(m) = &self.shared.session_metrics {
-            let now = Instant::now();
-            pick(m).record_duration(now - self.sessions[i].phase_start);
-            self.sessions[i].phase_start = now;
-        }
+        let now = Instant::now();
+        pick(&self.shared.session_metrics).record_duration(now - self.sessions[i].phase_start);
+        self.sessions[i].phase_start = now;
     }
 
     /// Emit an Info-level trace event for session `i`, if it is traced.
@@ -655,9 +651,10 @@ impl Worker {
                     // Push burst fully handed to the OS: the dispatch
                     // latency clock (mutation commit → drained) stops.
                     if let Some(started) = self.sessions[i].push_started.take() {
-                        if let Some(m) = &self.shared.session_metrics {
-                            m.push_dispatch.record_duration(started.elapsed());
-                        }
+                        self.shared
+                            .session_metrics
+                            .push_dispatch
+                            .record_duration(started.elapsed());
                     }
                     if let Phase::Closing(completed) = self.sessions[i].phase {
                         self.sessions[i].finish(completed);
@@ -1352,11 +1349,8 @@ impl Worker {
                 }
                 self.sessions[i].sub_epoch = current;
                 if let Some(origin) = origin {
-                    if self.shared.session_metrics.is_some() {
-                        let started = self.sessions[i].push_started;
-                        self.sessions[i].push_started =
-                            Some(started.map_or(origin, |s| s.min(origin)));
-                    }
+                    let started = self.sessions[i].push_started;
+                    self.sessions[i].push_started = Some(started.map_or(origin, |s| s.min(origin)));
                 }
                 self.on_writable(i);
             }
@@ -1431,9 +1425,10 @@ impl Worker {
                 |s| &s.sessions_failed
             };
             self.bump(&entry, field, 1);
-            if let Some(m) = &self.shared.session_metrics {
-                m.session.record_duration(sess.accepted.elapsed());
-            }
+            self.shared
+                .session_metrics
+                .session
+                .record_duration(sess.accepted.elapsed());
             if sess.traced {
                 trace::event(
                     Level::Info,

@@ -127,8 +127,7 @@ impl DeltaReport {
 /// Accumulator folding a delta stream into net add/remove sets, in arrival
 /// order: a remove cancels an earlier add and vice versa (stream order is
 /// changelog order, so the fold is exact). This is *the* collapse rule of
-/// the client — the `delta_sync` bench uses the same type, so the gated
-/// metric always measures the shipped algorithm.
+/// the client.
 #[derive(Debug, Default)]
 pub struct DeltaFold {
     added: HashSet<u64>,

@@ -47,10 +47,6 @@ pub struct ServerConfig {
     /// sessions over a readiness loop, so this sizes CPU parallelism —
     /// not the concurrent-session cap (there is none beyond the OS).
     pub workers: usize,
-    /// Retained for configuration compatibility: the listener's accept
-    /// queue hint. Sessions no longer queue behind a worker pool — every
-    /// accepted connection is multiplexed immediately.
-    pub backlog: usize,
     /// Hard cap on sketch/report rounds per connection.
     pub round_cap: u32,
     /// Wall-clock budget per connection, measured from accept to the
@@ -84,11 +80,6 @@ pub struct ServerConfig {
     /// burst that would overrun it evicts the subscriber with
     /// `FullResyncRequired` instead of buffering without bound.
     pub subscriber_buffer: usize,
-    /// Record latency histograms and emit trace events. Counters are always
-    /// maintained (they are too cheap to gate); turning this off removes the
-    /// per-phase `Instant` reads and histogram records — the `metrics_overhead`
-    /// benchmark measures the difference.
-    pub telemetry: bool,
 }
 
 impl Default for ServerConfig {
@@ -96,7 +87,6 @@ impl Default for ServerConfig {
         ServerConfig {
             transport: TransportConfig::default(),
             workers: 4,
-            backlog: 32,
             round_cap: 64,
             session_deadline: Duration::from_secs(120),
             max_d: 1 << 18,
@@ -105,7 +95,6 @@ impl Default for ServerConfig {
             max_subscribers: 1024,
             keepalive: Duration::from_secs(10),
             subscriber_buffer: 1 << 20,
-            telemetry: true,
         }
     }
 }
@@ -357,9 +346,7 @@ impl Server {
             config,
             stats: Arc::clone(&stats),
             live_subscribers: AtomicUsize::new(0),
-            session_metrics: config
-                .telemetry
-                .then(|| SessionMetrics::registered(&metrics)),
+            session_metrics: SessionMetrics::registered(&metrics),
             next_session_id: AtomicU64::new(1),
         });
 
