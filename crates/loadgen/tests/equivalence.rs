@@ -25,7 +25,9 @@ impl SetStore for Frozen {
     fn snapshot(&self) -> Vec<u64> {
         self.0.clone()
     }
-    fn apply_missing(&self, _elements: &[u64]) {}
+    fn apply_missing(&self, _elements: &[u64]) -> bool {
+        true
+    }
     fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
         (self.snapshot(), Some(5))
     }

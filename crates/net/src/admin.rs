@@ -22,6 +22,7 @@
 //! The metric catalog is documented in `docs/OBSERVABILITY.md`.
 
 use crate::poll::{Interest, Poller};
+pub use crate::server::snapshot_fields;
 use crate::server::{Server, ServerStats, StatsSnapshot};
 use crate::store::StoreRegistry;
 use std::io::{self, Read, Write};
@@ -306,34 +307,6 @@ fn response(status: u16, content_type: &str, body: &str) -> Vec<u8> {
     .into_bytes();
     out.extend_from_slice(body.as_bytes());
     out
-}
-
-/// The 21 [`StatsSnapshot`] fields as `(name, value)` pairs, in
-/// declaration order. Single source of truth for the JSON rendering.
-pub fn snapshot_fields(s: &StatsSnapshot) -> [(&'static str, u64); 21] {
-    [
-        ("sessions_started", s.sessions_started),
-        ("sessions_completed", s.sessions_completed),
-        ("sessions_failed", s.sessions_failed),
-        ("rounds", s.rounds),
-        ("round_trips", s.round_trips),
-        ("bytes_in", s.bytes_in),
-        ("bytes_out", s.bytes_out),
-        ("frames_in", s.frames_in),
-        ("frames_out", s.frames_out),
-        ("decode_failures", s.decode_failures),
-        ("estimator_exchanges", s.estimator_exchanges),
-        ("elements_received", s.elements_received),
-        ("delta_sessions", s.delta_sessions),
-        ("delta_fallbacks", s.delta_fallbacks),
-        ("delta_batches", s.delta_batches),
-        ("delta_elements", s.delta_elements),
-        ("subscriptions", s.subscriptions),
-        ("push_batches", s.push_batches),
-        ("push_elements", s.push_elements),
-        ("subscribers_evicted", s.subscribers_evicted),
-        ("keepalive_pings", s.keepalive_pings),
-    ]
 }
 
 fn snapshot_object(s: &StatsSnapshot) -> String {

@@ -54,8 +54,7 @@ struct Args {
     range: Option<usize>,
     drop: usize,
     store: String,
-    pipeline: u32,
-    pipeline_auto: bool,
+    pipeline: Pipeline,
     since: Option<u64>,
     epoch_cache: Option<PathBuf>,
     retry: u32,
@@ -84,8 +83,7 @@ fn parse_args() -> Args {
         range: None,
         drop: 0,
         store: String::new(),
-        pipeline: 1,
-        pipeline_auto: false,
+        pipeline: Pipeline::Depth(1),
         since: None,
         epoch_cache: None,
         retry: 1,
@@ -106,11 +104,11 @@ fn parse_args() -> Args {
             "--store" => args.store = value(),
             "--pipeline" => {
                 let v = value();
-                if v == "auto" {
-                    args.pipeline_auto = true;
+                args.pipeline = if v == "auto" {
+                    Pipeline::Auto
                 } else {
-                    args.pipeline = v.parse().unwrap_or(1);
-                }
+                    Pipeline::Depth(v.parse().unwrap_or(1))
+                };
             }
             "--since" => args.since = value().parse().ok(),
             "--epoch-cache" => args.epoch_cache = Some(PathBuf::from(value())),
@@ -239,11 +237,7 @@ fn main() {
     let mut builder = ClientConfig::builder()
         .seed(args.seed)
         .store(args.store.clone())
-        .pipeline(if args.pipeline_auto {
-            Pipeline::Auto
-        } else {
-            Pipeline::Depth(args.pipeline)
-        });
+        .pipeline(args.pipeline);
     if let Some(d) = args.d {
         builder = builder.known_d(d);
     }

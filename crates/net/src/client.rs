@@ -37,20 +37,24 @@ use pbs_core::PbsConfig;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// How many protocol rounds ride in each sketch/report round trip.
-///
-/// The builder-level view of the [`ClientConfig::pipeline`] /
-/// [`ClientConfig::pipeline_auto`] pair: a fixed depth ships that many
-/// rounds' sketches per frame, [`Pipeline::Auto`] requests the server's
-/// full grant and resizes every trip from the previous trip's
-/// layer-verification rate.
+/// How many protocol rounds ride in each sketch/report round trip
+/// ([`ClientConfig::pipeline`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pipeline {
-    /// Fixed depth per round trip; `Depth(1)` is the classic
-    /// one-round-per-trip protocol. Clamped to ≥ 1.
+    /// Fixed depth per round trip; `Depth(1)` (the default) is the classic
+    /// one-round-per-trip protocol, higher depths speculatively ship the
+    /// next rounds' sketches in the same frame, trading bytes for round
+    /// trips (see [`pbs_core::AliceSession::start_rounds`]). Clamped to
+    /// ≥ 1. Negotiated in the handshake: the session uses `min` of this
+    /// request and the server's grant (`ServerConfig::max_pipeline_depth`,
+    /// default 4).
     Depth(u32),
-    /// Adaptive per-trip depth under the server's grant
-    /// ([`pbs_core::AliceSession::next_pipeline_depth`]).
+    /// Adaptive depth: request the server's full grant in the handshake,
+    /// start the session at the granted depth, then resize every trip from
+    /// the previous trip's layer-verification rate
+    /// ([`pbs_core::AliceSession::next_pipeline_depth`] — deepen toward the
+    /// grant while every layer decodes, back off toward 1 while most
+    /// fail). `pbs-sync --pipeline auto`.
     Auto,
 }
 
@@ -88,22 +92,9 @@ pub struct ClientConfig {
     /// Name of the server-side store to reconcile against. The empty
     /// string is the default store.
     pub store: String,
-    /// Number of protocol rounds pipelined into each sketch/report round
-    /// trip. 1 (the default) is the classic one-round-per-trip protocol;
-    /// higher depths speculatively ship the next rounds' sketches in the
-    /// same frame, trading bytes for round trips (see
-    /// [`pbs_core::AliceSession::start_rounds`]). Negotiated in the
-    /// handshake: the session uses `min` of this request and the server's
-    /// grant (`ServerConfig::max_pipeline_depth`, default 4). Ignored when
-    /// [`ClientConfig::pipeline_auto`] is set.
-    pub pipeline: u32,
-    /// Adaptive pipeline depth: request the server's full grant in the
-    /// handshake, start the session at the granted depth, then resize every
-    /// trip from the previous trip's layer-verification rate
-    /// ([`pbs_core::AliceSession::next_pipeline_depth`] — deepen toward the
-    /// grant while every layer decodes, back off toward 1 while most
-    /// fail). `pbs-sync --pipeline auto`.
-    pub pipeline_auto: bool,
+    /// Protocol rounds pipelined into each sketch/report round trip: a
+    /// fixed depth, or the per-trip adaptive one.
+    pub pipeline: Pipeline,
     /// The store epoch this client last synced at. `Some(e)` asks the
     /// server for a delta subscription: when the store's changelog still
     /// covers `e`, the server streams exactly the changes since `e`
@@ -125,8 +116,7 @@ impl Default for ClientConfig {
             round_cap: 32,
             max_d: 1 << 18,
             store: String::new(),
-            pipeline: 1,
-            pipeline_auto: false,
+            pipeline: Pipeline::Depth(1),
             delta_epoch: None,
         }
     }
@@ -194,16 +184,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Pipeline depth policy ([`ClientConfig::pipeline`] /
-    /// [`ClientConfig::pipeline_auto`]).
+    /// Pipeline depth policy ([`ClientConfig::pipeline`]).
     pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
-        match pipeline {
-            Pipeline::Depth(depth) => {
-                self.config.pipeline = depth.max(1);
-                self.config.pipeline_auto = false;
-            }
-            Pipeline::Auto => self.config.pipeline_auto = true,
-        }
+        self.config.pipeline = pipeline;
         self
     }
 
@@ -361,13 +344,7 @@ impl SyncClient {
 
     /// Pipeline depth policy ([`Pipeline`]).
     pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
-        match pipeline {
-            Pipeline::Depth(depth) => {
-                self.config.pipeline = depth.max(1);
-                self.config.pipeline_auto = false;
-            }
-            Pipeline::Auto => self.config.pipeline_auto = true,
-        }
+        self.config.pipeline = pipeline;
         self
     }
 
@@ -796,19 +773,22 @@ mod tests {
             .round_cap(9)
             .build();
         assert_eq!(built.store, "inventory");
-        assert_eq!(built.pipeline, 3);
-        assert!(!built.pipeline_auto);
+        assert_eq!(built.pipeline, Pipeline::Depth(3));
         assert_eq!(built.seed, 7);
         assert_eq!(built.known_d, Some(20));
         assert_eq!(built.max_d, 1 << 10);
         assert_eq!(built.round_cap, 9);
         assert_eq!(built.delta_epoch, None);
 
-        // Auto overrides any fixed depth; Depth(0) clamps to 1.
+        // Auto overrides any fixed depth; Depth(0) asks for one round a trip.
         let auto = ClientConfig::builder().pipeline(Pipeline::Auto).build();
-        assert!(auto.pipeline_auto);
+        assert_eq!(auto.pipeline, Pipeline::Auto);
         let clamped = ClientConfig::builder().pipeline(Pipeline::Depth(0)).build();
-        assert_eq!(clamped.pipeline, 1);
+        let mut machine = ClientMachine::new(&clamped, Vec::new(), Mode::Full).unwrap();
+        match machine.poll_send().unwrap() {
+            Some(crate::Frame::Hello(hello)) => assert_eq!(hello.pipeline, 1),
+            other => panic!("expected the Hello, got {other:?}"),
+        }
     }
 
     #[test]
@@ -820,7 +800,7 @@ mod tests {
             .seed(0xF00D)
             .delta_epoch(42);
         assert_eq!(client.config_ref().store, "live");
-        assert!(client.config_ref().pipeline_auto);
+        assert_eq!(client.config_ref().pipeline, Pipeline::Auto);
         assert_eq!(client.config_ref().seed, 0xF00D);
         assert_eq!(client.config_ref().delta_epoch, Some(42));
 

@@ -1,44 +1,42 @@
 //! The non-blocking server core: one acceptor thread hands connections to
 //! N event-loop workers, each running a [`crate::poll::Poller`] readiness
 //! loop over its sessions. No worker thread ever blocks on a session
-//! socket — a session is a resumable state machine
-//! (`Handshake → Estimate → Rounds → AwaitSubscribe → Streaming → Closing`)
-//! driven by readable/writable events over a buffered non-blocking framed
-//! stream, with per-session deadlines enforced by the loop's timer pass.
+//! socket. The protocol of a session — every decision about which frame
+//! answers which — is [`crate::server_machine::ServerMachine`]; this module
+//! is its driver. It keeps what needs a file descriptor or an `Instant`:
+//! accept, the buffered non-blocking framed stream, per-session deadlines
+//! enforced by the loop's timer pass, keepalive, write-stall eviction,
+//! store-notifier wake-ups and the latency histograms.
 //!
 //! This is what turns subscriptions *live*: a session that finished its
 //! delta catch-up (or its classic reconciliation, on an epoch-capable
-//! store) parks in `AwaitSubscribe`; a [`Frame::Subscribe`] moves it to
-//! `Streaming`, where a [`crate::store::SetStore::register_notifier`] hook
-//! wakes the worker on every store mutation and the worker pushes the
-//! changes (`DeltaBatch*` → `DeltaDone` bursts) to every subscriber of
-//! that store. Slow consumers are evicted with `FullResyncRequired`
-//! instead of buffering without bound, and idle subscriptions are kept
-//! alive (and garbage-collected) with `Ping`/`Pong`.
+//! store) parks; a [`Frame::Subscribe`] makes it a subscriber, for which a
+//! [`crate::store::SetStore::register_notifier`] hook wakes the worker on
+//! every store mutation and the worker has the machine push the changes
+//! (`DeltaBatch*` → `DeltaDone` bursts) to every subscriber of that
+//! store. Slow consumers are evicted with `FullResyncRequired` instead of
+//! buffering without bound, and idle subscriptions are kept alive (and
+//! garbage-collected) with `Ping`/`Pong`.
 //!
 //! Wakeups use a loopback socket pair per worker (the portable std-only
 //! stand-in for a pipe): notifier closures and the acceptor enqueue a
 //! [`Notice`] on the worker's channel and write one byte to the wake
 //! socket, which the poll loop drains.
 
-use crate::frame::{
-    delta_batch_frames, delta_chunk_capacity, ErrorCode, EstimatorMsg, Frame, PROTOCOL_VERSION,
-};
+use crate::frame::{ErrorCode, Frame, PROTOCOL_VERSION};
 use crate::mux::MuxStream;
 use crate::poll::{Interest, Poller};
 use crate::server::{ServerConfig, ServerStats};
-use crate::store::{DeltaAnswer, RegisteredStore, SetStore, StoreRegistry};
+use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, Step, Waiting};
+use crate::store::SetStore;
 use crate::{FrameError, NetError};
-use analysis::OptimalParams;
-use estimator::{Estimator, TowEstimator};
 use obs::trace::{self, Level, Value};
-use obs::Histogram;
-use pbs_core::{BobSession, Pbs, PbsConfig, ESTIMATOR_SEED_SALT};
+use obs::{Counter, Histogram};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -46,14 +44,10 @@ use std::time::{Duration, Instant};
 /// frames before the socket is dropped anyway.
 const CLOSING_GRACE_CAP: Duration = Duration::from_secs(5);
 
-/// State shared by the acceptor and every worker.
+/// State shared by every worker.
 pub(crate) struct Shared {
-    pub registry: Arc<StoreRegistry>,
-    pub config: ServerConfig,
-    pub stats: Arc<ServerStats>,
-    /// Live `Streaming` sessions across all workers, against
-    /// `ServerConfig::max_subscribers`.
-    pub live_subscribers: AtomicUsize,
+    /// What the workers lend their sessions' machines.
+    pub res: Resources,
     /// Per-phase latency histograms.
     pub session_metrics: SessionMetrics,
     /// Session-id allocator — ids label trace events and drive the
@@ -63,7 +57,7 @@ pub(crate) struct Shared {
 
 /// The server-side latency histograms, one registration per server.
 pub(crate) struct SessionMetrics {
-    /// Accept → negotiated `Hello` flushed.
+    /// Accept → negotiated `Hello` queued.
     pub handshake: Arc<Histogram>,
     /// Estimator bank awaited + served.
     pub estimate: Arc<Histogram>,
@@ -132,18 +126,10 @@ impl WakeSender {
 }
 
 /// The handle the acceptor/server keeps per worker.
+#[derive(Clone)]
 pub(crate) struct WorkerLink {
     pub tx: mpsc::Sender<Notice>,
     pub wake: WakeSender,
-}
-
-impl Clone for WorkerLink {
-    fn clone(&self) -> Self {
-        WorkerLink {
-            tx: self.tx.clone(),
-            wake: self.wake.clone(),
-        }
-    }
 }
 
 /// A connected non-blocking loopback socket pair: the std-only portable
@@ -193,53 +179,19 @@ pub(crate) fn spawn_worker(
 }
 
 // ---------------------------------------------------------------------------
-// Session state machine
+// Session: one machine, its stream, its clocks
 // ---------------------------------------------------------------------------
-
-/// Where a session stands. The protocol phases mirror `docs/WIRE.md`; the
-/// two tail states are this PR's additions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Awaiting the client's `Hello`.
-    Handshake,
-    /// Awaiting the client's ToW estimator bank.
-    Estimate,
-    /// Sketch/report rounds until the final `Done` transfer.
-    Rounds,
-    /// The session is logically complete (the client holds a `DeltaDone`
-    /// epoch baseline); a `Subscribe` turns it live, anything else ends it.
-    AwaitSubscribe,
-    /// A live subscription: the server pushes delta bursts on mutation.
-    Streaming,
-    /// Draining the final queued frames, then closing with the recorded
-    /// outcome (`true` = completed).
-    Closing(bool),
-}
-
-/// Protocol context accumulated by the handshake, carried through the
-/// classic reconciliation phases.
-struct ProtoCtx {
-    cfg: PbsConfig,
-    seed: u64,
-    round_cap: u32,
-    max_d: u64,
-    max_done_elements: u32,
-    /// The one per-session snapshot (estimator and Bob must see the same
-    /// set). Dropped once the `BobSession` is built from it.
-    snapshot: Vec<u64>,
-    snapshot_epoch: Option<u64>,
-    /// Whether this session may park in `AwaitSubscribe` after its ack:
-    /// the routed store keeps epochs.
-    subscribable: bool,
-    params: Option<OptimalParams>,
-    bob: Option<Box<BobSession>>,
-    rounds: u32,
-}
 
 struct Session {
     nb: MuxStream,
     fd: RawFd,
-    phase: Phase,
+    /// The protocol. Which of the timer pass's clocks run is its
+    /// [`Waiting`] class — until `closing` takes over.
+    machine: ServerMachine,
+    /// The loop's own tail state, `Some((completed, grace))`: no further
+    /// frame is taken; the queued ones drain until `grace`, then the
+    /// session closes with the recorded outcome.
+    closing: Option<(bool, Instant)>,
     /// Server-unique session id: labels trace events, drives trace
     /// sampling.
     id: u64,
@@ -263,21 +215,11 @@ struct Session {
     deadline: Instant,
     last_recv: Instant,
     /// When this session last became *ready for* the peer's next frame —
-    /// reset after each processing pass, so the inactivity window matches
-    /// the blocking server's per-`recv` read timeout (the server's own
-    /// processing time never counts against the peer).
+    /// reset after each processing pass, so the server's own processing
+    /// time never counts against the peer's inactivity window.
     wait_since: Instant,
     last_send_progress: Instant,
     last_ping: Instant,
-    closing_grace: Option<Instant>,
-    /// The epoch baseline a `Streaming` session's pushes start from.
-    sub_epoch: u64,
-    /// Routed store entry (per-store stats) and the store itself.
-    entry: Option<Arc<RegisteredStore>>,
-    store: Option<Arc<dyn SetStore>>,
-    store_name: String,
-    counted_subscriber: bool,
-    ctx: Option<ProtoCtx>,
 }
 
 impl Session {
@@ -288,7 +230,8 @@ impl Session {
         Ok(Session {
             nb: MuxStream::new(stream, config.transport.max_frame),
             fd,
-            phase: Phase::Handshake,
+            machine: ServerMachine::new(),
+            closing: None,
             id,
             traced: trace::enabled(Level::Info) && trace::sampled(id),
             accepted: now,
@@ -300,14 +243,12 @@ impl Session {
             wait_since: now,
             last_send_progress: now,
             last_ping: now,
-            closing_grace: None,
-            sub_epoch: 0,
-            entry: None,
-            store: None,
-            store_name: String::new(),
-            counted_subscriber: false,
-            ctx: None,
         })
+    }
+
+    /// A live subscription the loop still serves.
+    fn streaming(&self) -> bool {
+        self.closing.is_none() && self.machine.is_streaming()
     }
 
     fn finish(&mut self, completed: bool) {
@@ -320,10 +261,9 @@ impl Session {
     /// maps to in this phase: a session past its final ack closed
     /// cleanly; one cut mid-protocol failed.
     fn close_outcome(&self) -> bool {
-        match self.phase {
-            Phase::Handshake | Phase::Estimate | Phase::Rounds => false,
-            Phase::AwaitSubscribe | Phase::Streaming => true,
-            Phase::Closing(completed) => completed,
+        match self.closing {
+            Some((completed, _)) => completed,
+            None => self.machine.waiting() != Waiting::Reconciling,
         }
     }
 }
@@ -351,19 +291,13 @@ struct Worker {
 
 impl Worker {
     fn config(&self) -> &ServerConfig {
-        &self.shared.config
+        &self.shared.res.config
     }
 
-    fn bump(
-        &self,
-        entry: &Option<Arc<RegisteredStore>>,
-        f: fn(&ServerStats) -> &AtomicU64,
-        n: u64,
-    ) {
-        f(&self.shared.stats).fetch_add(n, Ordering::Relaxed);
-        if let Some(e) = entry {
-            f(e.stats()).fetch_add(n, Ordering::Relaxed);
-        }
+    /// Count `n` server-wide and on the store session `i` is routed to.
+    fn bump(&self, i: usize, counter: fn(&ServerStats) -> &Counter, n: u64) {
+        let entry = self.sessions[i].machine.entry().map(|e| &**e);
+        self.shared.res.bump(entry, counter, n);
     }
 
     fn run(mut self) {
@@ -376,11 +310,13 @@ impl Worker {
             if !self.dirty_stores.is_empty() {
                 let dirty = std::mem::take(&mut self.dirty_stores);
                 for i in 0..self.sessions.len() {
-                    if self.sessions[i].done.is_none() && self.sessions[i].phase == Phase::Streaming
-                    {
-                        if let Some(&at) = dirty.get(&self.sessions[i].store_name) {
-                            self.push_deltas(i, Some(at));
-                        }
+                    let sess = &self.sessions[i];
+                    if sess.done.is_some() || !sess.streaming() {
+                        continue;
+                    }
+                    let at = sess.machine.entry().and_then(|e| dirty.get(e.name()));
+                    if let Some(&at) = at {
+                        self.push_deltas(i, Some(at));
                     }
                 }
             }
@@ -459,10 +395,8 @@ impl Worker {
     }
 
     fn add_session(&mut self, stream: TcpStream) {
-        self.shared
-            .stats
-            .sessions_started
-            .fetch_add(1, Ordering::Relaxed);
+        let stats = &self.shared.res.stats;
+        stats.sessions_started.inc(1);
         let id = self.shared.next_session_id.fetch_add(1, Ordering::Relaxed);
         let peer = stream.peer_addr().ok();
         match Session::new(stream, self.config(), Instant::now(), id) {
@@ -479,12 +413,7 @@ impl Worker {
                 }
                 self.sessions.push(sess);
             }
-            Err(_) => {
-                self.shared
-                    .stats
-                    .sessions_failed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => stats.sessions_failed.inc(1),
         }
     }
 
@@ -496,16 +425,10 @@ impl Worker {
         self.sessions[i].phase_start = now;
     }
 
-    /// Emit an Info-level trace event for session `i`, if it is traced.
-    fn trace_session(&self, i: usize, event: &str, fields: &[(&str, Value<'_>)]) {
+    /// Emit a trace event for session `i`, if it is traced.
+    fn trace_session(&self, i: usize, level: Level, event: &str, fields: &[(&str, Value<'_>)]) {
         if self.sessions[i].traced {
-            trace::event(
-                Level::Info,
-                "session",
-                Some(self.sessions[i].id),
-                event,
-                fields,
-            );
+            trace::event(level, "session", Some(self.sessions[i].id), event, fields);
         }
     }
 
@@ -523,19 +446,9 @@ impl Worker {
             if sess.done.is_some() {
                 continue;
             }
-            match sess.phase {
-                Phase::Handshake | Phase::Estimate | Phase::Rounds => {
-                    track(sess.deadline);
-                    if let Some(t) = cfg.transport.read_timeout {
-                        track(sess.wait_since + t);
-                    }
-                }
-                Phase::AwaitSubscribe => {
-                    if let Some(t) = cfg.transport.read_timeout {
-                        track(sess.wait_since + t);
-                    }
-                }
-                Phase::Streaming => {
+            match (sess.closing, sess.machine.waiting()) {
+                (Some((_, grace)), _) => track(grace),
+                (None, Waiting::Streaming) => {
                     let idle_base = sess
                         .last_recv
                         .max(sess.last_send_progress)
@@ -543,9 +456,12 @@ impl Worker {
                     track(idle_base + cfg.keepalive);
                     track(sess.last_recv + cfg.keepalive * 3);
                 }
-                Phase::Closing(_) => {
-                    if let Some(grace) = sess.closing_grace {
-                        track(grace);
+                (None, waiting) => {
+                    if waiting == Waiting::Reconciling {
+                        track(sess.deadline);
+                    }
+                    if let Some(t) = cfg.transport.read_timeout {
+                        track(sess.wait_since + t);
                     }
                 }
             }
@@ -565,23 +481,16 @@ impl Worker {
             if self.sessions[i].done.is_some() {
                 continue;
             }
+            let (closing, waiting) = (self.sessions[i].closing, self.sessions[i].machine.waiting());
             // Write stall: queued bytes making no progress for the write
             // timeout. A stalled subscriber is a slow consumer.
             if self.sessions[i].nb.pending_out() > 0 {
                 if let Some(t) = cfg.transport.write_timeout {
                     if now >= self.sessions[i].last_send_progress + t {
-                        if self.sessions[i].phase == Phase::Streaming {
-                            let entry = self.sessions[i].entry.clone();
-                            self.bump(&entry, |s| &s.subscribers_evicted, 1);
-                            if self.sessions[i].traced {
-                                trace::event(
-                                    Level::Warn,
-                                    "session",
-                                    Some(self.sessions[i].id),
-                                    "evicted",
-                                    &[("reason", Value::Str("write_stall"))],
-                                );
-                            }
+                        if self.sessions[i].streaming() {
+                            self.bump(i, |s| &s.subscribers_evicted, 1);
+                            let reason = [("reason", Value::Str("write_stall"))];
+                            self.trace_session(i, Level::Warn, "evicted", &reason);
                         }
                         let outcome = self.sessions[i].close_outcome();
                         self.sessions[i].finish(outcome);
@@ -589,8 +498,13 @@ impl Worker {
                     }
                 }
             }
-            match self.sessions[i].phase {
-                Phase::Handshake | Phase::Estimate | Phase::Rounds => {
+            match (closing, waiting) {
+                (Some((completed, grace)), _) => {
+                    if now >= grace || self.sessions[i].nb.pending_out() == 0 {
+                        self.sessions[i].finish(completed);
+                    }
+                }
+                (None, Waiting::Reconciling) => {
                     if now >= self.sessions[i].deadline {
                         self.refuse(i, ErrorCode::Internal, "session deadline exceeded");
                         continue;
@@ -601,7 +515,7 @@ impl Worker {
                         }
                     }
                 }
-                Phase::AwaitSubscribe => {
+                (None, Waiting::Parked) => {
                     // The session is logically complete: an inactivity
                     // window with no Subscribe is a clean end.
                     if let Some(t) = cfg.transport.read_timeout {
@@ -610,7 +524,7 @@ impl Worker {
                         }
                     }
                 }
-                Phase::Streaming => {
+                (None, Waiting::Streaming) => {
                     if now >= self.sessions[i].last_recv + cfg.keepalive * 3 {
                         // The subscriber stopped answering keepalives.
                         self.sessions[i].finish(true);
@@ -625,16 +539,9 @@ impl Worker {
                         let nonce = self.ping_nonce;
                         if self.sessions[i].nb.queue(&Frame::Ping { nonce }).is_ok() {
                             self.sessions[i].last_ping = now;
-                            let entry = self.sessions[i].entry.clone();
-                            self.bump(&entry, |s| &s.keepalive_pings, 1);
+                            self.bump(i, |s| &s.keepalive_pings, 1);
                             self.on_writable(i);
                         }
-                    }
-                }
-                Phase::Closing(completed) => {
-                    let expired = self.sessions[i].closing_grace.is_some_and(|g| now >= g);
-                    if expired || self.sessions[i].nb.pending_out() == 0 {
-                        self.sessions[i].finish(completed);
                     }
                 }
             }
@@ -656,7 +563,7 @@ impl Worker {
                             .push_dispatch
                             .record_duration(started.elapsed());
                     }
-                    if let Phase::Closing(completed) = self.sessions[i].phase {
+                    if let Some((completed, _)) = self.sessions[i].closing {
                         self.sessions[i].finish(completed);
                     }
                 }
@@ -681,7 +588,7 @@ impl Worker {
             match self.sessions[i].nb.next_frame() {
                 Ok(Some(frame)) => {
                     self.sessions[i].last_recv = Instant::now();
-                    if !matches!(self.sessions[i].phase, Phase::Closing(_)) {
+                    if self.sessions[i].closing.is_none() {
                         self.handle_frame(i, frame);
                     }
                     // The frame's handling (which can be expensive —
@@ -697,7 +604,7 @@ impl Worker {
                 // stays at the head of the read buffer; met again while
                 // the refusal drains, it just ends the session below.)
                 Err(NetError::Frame(FrameError::Version(version)))
-                    if !matches!(self.sessions[i].phase, Phase::Closing(_)) =>
+                    if self.sessions[i].closing.is_none() =>
                 {
                     return self.refuse(
                         i,
@@ -706,8 +613,7 @@ impl Worker {
                     );
                 }
                 Err(_) => {
-                    // Undecodable bytes end the session exactly like the
-                    // blocking server's failed `read_frame` did: drop the
+                    // Undecodable bytes end the session: drop the
                     // connection, no Error frame for garbage framing.
                     self.sessions[i].finish(false);
                     return;
@@ -719,8 +625,7 @@ impl Worker {
             if self.sessions[i].nb.pending_out() > 0 {
                 // The peer may have only shut its write half; drain our
                 // queued replies before closing.
-                self.sessions[i].phase = Phase::Closing(outcome);
-                self.arm_closing_grace(i);
+                self.close_after_drain(i, outcome);
             } else {
                 self.sessions[i].finish(outcome);
             }
@@ -731,641 +636,147 @@ impl Worker {
         }
     }
 
-    fn arm_closing_grace(&mut self, i: usize) {
+    /// Take no further frame; close as `completed` once the queued frames
+    /// drain, or after the grace period (capped at [`CLOSING_GRACE_CAP`]).
+    fn close_after_drain(&mut self, i: usize, completed: bool) {
         let grace = self
             .config()
             .transport
             .write_timeout
             .unwrap_or(CLOSING_GRACE_CAP)
             .min(CLOSING_GRACE_CAP);
-        self.sessions[i].closing_grace = Some(Instant::now() + grace);
+        self.sessions[i].closing = Some((completed, Instant::now() + grace));
     }
 
-    /// Queue an `Error` frame and move to `Closing` as failed — the
-    /// non-blocking counterpart of the blocking server's `refuse`.
+    /// Answer with an `Error` frame and drain-close the session as failed.
     fn refuse(&mut self, i: usize, code: ErrorCode, message: impl Into<String>) {
         let message = message.into();
-        if self.sessions[i].traced {
-            trace::event(
-                Level::Warn,
-                "session",
-                Some(self.sessions[i].id),
-                "refused",
-                &[
-                    ("code", Value::U64(code as u64)),
-                    ("message", Value::Str(&message)),
-                ],
-            );
-        }
+        let fields = [
+            ("code", Value::U64(code as u64)),
+            ("message", Value::Str(&message)),
+        ];
+        self.trace_session(i, Level::Warn, "refused", &fields);
         let _ = self.sessions[i].nb.queue(&Frame::Error { code, message });
-        self.sessions[i].phase = Phase::Closing(false);
-        self.arm_closing_grace(i);
+        self.close_after_drain(i, false);
         self.on_writable(i);
     }
 
-    /// Ack sent; either park the session for a `Subscribe` (on an
-    /// epoch-capable store) or drain and close as completed.
-    fn after_ack(&mut self, i: usize) {
-        let subscribable = self.sessions[i]
-            .ctx
-            .as_ref()
-            .is_some_and(|c| c.subscribable);
-        if subscribable {
-            self.sessions[i].phase = Phase::AwaitSubscribe;
-        } else {
-            self.sessions[i].phase = Phase::Closing(true);
-            self.arm_closing_grace(i);
-        }
-        self.on_writable(i);
-    }
-
+    /// Every received frame goes to the machine. Its replies are flushed
+    /// *before* the set-up work they precede runs, so the client's own
+    /// compute overlaps it.
     fn handle_frame(&mut self, i: usize, frame: Frame) {
-        // A peer Error frame ends the session in any phase, reply-less —
-        // the blocking server surfaced it as `NetError::Remote`.
-        if matches!(frame, Frame::Error { .. }) {
-            self.sessions[i].finish(false);
-            return;
-        }
-        match self.sessions[i].phase {
-            Phase::Handshake => self.handle_hello(i, frame),
-            Phase::Estimate => self.handle_estimator(i, frame),
-            Phase::Rounds => self.handle_round(i, frame),
-            Phase::AwaitSubscribe => self.handle_subscribe(i, frame),
-            Phase::Streaming => self.handle_streaming(i, frame),
-            Phase::Closing(_) => {}
+        let step = self.sessions[i].machine.on_frame(&self.shared.res, frame);
+        self.advance(i, step);
+        while self.sessions[i].done.is_none()
+            && self.sessions[i].closing.is_none()
+            && self.sessions[i].machine.owes_set_up()
+        {
+            let step = self.sessions[i].machine.set_up(&self.shared.res);
+            self.advance(i, step);
         }
     }
 
-    fn handle_hello(&mut self, i: usize, frame: Frame) {
-        let hello = match frame {
-            Frame::Hello(h) => h,
-            other => {
-                return self.refuse(
-                    i,
-                    ErrorCode::Protocol,
-                    format!("expected Hello, got frame type {}", other.type_byte()),
-                )
-            }
+    /// Carry out what the machine decided: queue its replies, stamp the
+    /// boundary it crossed, start the drain-close it asked for (or the
+    /// refusal), flush.
+    fn advance(&mut self, i: usize, step: Result<Step, Refusal>) {
+        let step = match step {
+            Ok(step) => step,
+            Err(Refusal::Answer { code, message }) => return self.refuse(i, code, message),
+            Err(Refusal::Silent) => return self.sessions[i].finish(false),
         };
-        let cfg = match hello.config() {
-            Ok(cfg) => cfg,
-            Err(why) => return self.refuse(i, ErrorCode::BadConfig, why),
-        };
-        let config = *self.config();
-
-        let Some(entry) = self.shared.registry.get(&hello.store) else {
-            return self.refuse(
-                i,
-                ErrorCode::UnknownStore,
-                format!("no store named {:?}", hello.store),
-            );
-        };
-        entry
-            .stats()
-            .sessions_started
-            .fetch_add(1, Ordering::Relaxed);
-        let store = Arc::clone(entry.store());
-        let options = entry.options();
-        let round_cap = options.round_cap.unwrap_or(config.round_cap);
-        let max_d = options.max_d.unwrap_or(config.max_d);
-        let max_done_elements = options
-            .max_done_elements
-            .unwrap_or(config.max_done_elements);
-
-        let mut negotiated = hello.clone();
-        negotiated.store = entry.name().to_string();
-        negotiated.pipeline = hello
-            .pipeline
-            .max(1)
-            .min(config.max_pipeline_depth.clamp(1, u8::MAX as u32) as u8);
-        self.sessions[i].store_name = entry.name().to_string();
-        self.sessions[i].entry = Some(Arc::clone(&entry));
-        self.sessions[i].store = Some(Arc::clone(&store));
-        if self.sessions[i]
-            .nb
-            .queue(&Frame::Hello(negotiated))
-            .is_err()
-        {
-            self.sessions[i].finish(false);
-            return;
-        }
-        // Flush the negotiated Hello *before* the potentially expensive
-        // session setup below (snapshot + Bob build): the client starts
-        // its own sketch computation on receipt, so the two overlap — the
-        // blocking server had the same send-then-build order.
-        self.on_writable(i);
-        if self.sessions[i].done.is_some() {
-            return;
-        }
-        // The handshake phase ends with the negotiated Hello on the wire;
-        // what follows (delta catch-up / snapshot + Bob build) belongs to
-        // the next phase's clock.
-        self.record_phase(i, |m| &m.handshake);
-        self.trace_session(
-            i,
-            "hello",
-            &[
-                ("store", Value::Str(entry.name())),
-                ("known_d", Value::U64(hello.known_d)),
-                ("delta_epoch", Value::Bool(hello.delta_epoch.is_some())),
-            ],
-        );
-        let entry_opt = Some(entry);
-
-        let mut ctx = ProtoCtx {
-            cfg,
-            seed: hello.seed,
-            round_cap,
-            max_d,
-            max_done_elements,
-            snapshot: Vec::new(),
-            snapshot_epoch: None,
-            subscribable: false,
-            params: None,
-            bob: None,
-            rounds: 0,
-        };
-
-        // ---- Delta subscription path ----
-        if let Some(since) = hello.delta_epoch {
-            match store.delta_since(since) {
-                DeltaAnswer::Changes { batches, current } => {
-                    self.bump(&entry_opt, |s| &s.delta_sessions, 1);
-                    let capacity = delta_chunk_capacity(config.transport.max_frame);
-                    for batch in &batches {
-                        self.bump(
-                            &entry_opt,
-                            |s| &s.delta_elements,
-                            (batch.added.len() + batch.removed.len()) as u64,
-                        );
-                        for frame in
-                            delta_batch_frames(batch.epoch, &batch.added, &batch.removed, capacity)
-                        {
-                            self.bump(&entry_opt, |s| &s.delta_batches, 1);
-                            if self.sessions[i].nb.queue(&frame).is_err() {
-                                self.sessions[i].finish(false);
-                                return;
-                            }
-                        }
-                    }
-                    if self.sessions[i]
-                        .nb
-                        .queue(&Frame::DeltaDone { epoch: current })
-                        .is_err()
-                    {
-                        self.sessions[i].finish(false);
-                        return;
-                    }
-                    // Served entirely from the changelog: the session
-                    // is complete and may turn into a live
-                    // subscription.
-                    ctx.subscribable = true;
-                    self.sessions[i].ctx = Some(ctx);
-                    self.sessions[i].phase = Phase::AwaitSubscribe;
-                    self.record_phase(i, |m| &m.delta_catchup);
-                    self.trace_session(
-                        i,
-                        "delta_catchup",
-                        &[
-                            ("batches", Value::U64(batches.len() as u64)),
-                            ("epoch", Value::U64(current)),
-                        ],
-                    );
-                    self.on_writable(i);
-                    return;
-                }
-                DeltaAnswer::Trimmed { current } => {
-                    self.bump(&entry_opt, |s| &s.delta_fallbacks, 1);
-                    if self.sessions[i]
-                        .nb
-                        .queue(&Frame::FullResyncRequired { epoch: current })
-                        .is_err()
-                    {
-                        self.sessions[i].finish(false);
-                        return;
-                    }
-                }
-                DeltaAnswer::Unsupported => {
-                    self.bump(&entry_opt, |s| &s.delta_fallbacks, 1);
-                    if self.sessions[i]
-                        .nb
-                        .queue(&Frame::FullResyncRequired { epoch: 0 })
-                        .is_err()
-                    {
-                        self.sessions[i].finish(false);
-                        return;
-                    }
-                }
+        for frame in &step.frames {
+            if self.sessions[i].nb.queue(frame).is_err() {
+                return self.sessions[i].finish(false);
             }
         }
-
-        // ---- Classic reconciliation ----
-        // One snapshot for the whole session: estimator and Bob must
-        // describe the same set; its epoch is the ack's baseline.
-        let (snapshot, snapshot_epoch) = store.epoch_snapshot();
-        ctx.snapshot = snapshot;
-        ctx.snapshot_epoch = snapshot_epoch;
-        ctx.subscribable = snapshot_epoch.is_some();
-
-        if hello.known_d > 0 {
-            if hello.known_d > max_d {
-                self.sessions[i].ctx = Some(ctx);
-                return self.refuse(
-                    i,
-                    ErrorCode::BadConfig,
-                    format!("d = {} exceeds the server cap {max_d}", hello.known_d),
-                );
-            }
-            let params = Pbs::new(cfg).plan(hello.known_d as usize);
-            ctx.bob = Some(Box::new(BobSession::new(
-                cfg,
-                params,
-                &ctx.snapshot,
-                hello.seed,
-            )));
-            ctx.params = Some(params);
-            ctx.snapshot = Vec::new();
-            self.sessions[i].ctx = Some(ctx);
-            self.sessions[i].phase = Phase::Rounds;
-        } else {
-            self.sessions[i].ctx = Some(ctx);
-            self.sessions[i].phase = Phase::Estimate;
+        if let Some(crossed) = step.crossed {
+            self.stamp(i, crossed);
+        }
+        if let Some(completed) = step.close {
+            self.close_after_drain(i, completed);
         }
         self.on_writable(i);
     }
 
-    fn handle_estimator(&mut self, i: usize, frame: Frame) {
-        let bank_bytes = match frame {
-            Frame::EstimatorExchange(EstimatorMsg::TowBank(bytes)) => bytes,
-            other => {
-                return self.refuse(
-                    i,
-                    ErrorCode::Protocol,
-                    format!(
-                        "expected estimator bank, got frame type {}",
-                        other.type_byte()
-                    ),
-                )
+    /// Put this loop's clock (phase histogram, trace event) on a boundary
+    /// the machine reported.
+    fn stamp(&mut self, i: usize, crossed: Crossed) {
+        match crossed {
+            Crossed::Handshake { known_d, delta } => {
+                self.record_phase(i, |m| &m.handshake);
+                let store = self.sessions[i].machine.entry().map_or("", |e| e.name());
+                let fields = [
+                    ("store", Value::Str(store)),
+                    ("known_d", Value::U64(known_d)),
+                    ("delta_epoch", Value::Bool(delta)),
+                ];
+                self.trace_session(i, Level::Info, "hello", &fields);
             }
-        };
-        let Some(client_bank) = TowEstimator::from_bytes(&bank_bytes) else {
-            return self.refuse(i, ErrorCode::Decode, "malformed estimator bank");
-        };
-        let (cfg, seed) = {
-            let ctx = self.sessions[i].ctx.as_ref().expect("estimate has ctx");
-            (ctx.cfg, ctx.seed)
-        };
-        let est_seed = xhash::derive_seed(seed, ESTIMATOR_SEED_SALT);
-        if client_bank.seed() != est_seed || client_bank.sketch_count() != cfg.estimator_sketches {
-            return self.refuse(
-                i,
-                ErrorCode::BadConfig,
-                "estimator bank does not match the handshake parameters",
-            );
-        }
-        let entry = self.sessions[i].entry.clone();
-        let (d_param, d_hat) = {
-            let ctx = self.sessions[i].ctx.as_ref().expect("estimate has ctx");
-            let mut own = TowEstimator::new(cfg.estimator_sketches, est_seed);
-            own.insert_slice(&ctx.snapshot);
-            let d_hat = client_bank.estimate(&own);
-            (estimator::inflate_estimate(d_hat) as u64, d_hat)
-        };
-        self.bump(&entry, |s| &s.estimator_exchanges, 1);
-        if self.sessions[i]
-            .nb
-            .queue(&Frame::EstimatorExchange(EstimatorMsg::Estimate {
-                d_param,
-                d_hat,
-            }))
-            .is_err()
-        {
-            self.sessions[i].finish(false);
-            return;
-        }
-        // Flush the estimate before the Bob build below so the client's
-        // sketch computation overlaps it (see `handle_hello`).
-        self.on_writable(i);
-        if self.sessions[i].done.is_some() {
-            return;
-        }
-        let max_d = self.sessions[i].ctx.as_ref().expect("ctx").max_d;
-        if d_param > max_d {
-            return self.refuse(
-                i,
-                ErrorCode::BadConfig,
-                format!("d = {d_param} exceeds the server cap {max_d}"),
-            );
-        }
-        {
-            let ctx = self.sessions[i].ctx.as_mut().expect("ctx");
-            let params = Pbs::new(cfg).plan(d_param as usize);
-            ctx.bob = Some(Box::new(BobSession::new(
-                cfg,
-                params,
-                &ctx.snapshot,
-                ctx.seed,
-            )));
-            ctx.params = Some(params);
-            ctx.snapshot = Vec::new();
-        }
-        self.sessions[i].phase = Phase::Rounds;
-        self.record_phase(i, |m| &m.estimate);
-        self.trace_session(i, "estimated", &[("d_param", Value::U64(d_param))]);
-        self.on_writable(i);
-    }
-
-    fn handle_round(&mut self, i: usize, frame: Frame) {
-        let config = *self.config();
-        let entry = self.sessions[i].entry.clone();
-        match frame {
-            Frame::Sketches { m, batch } => {
-                // Pipelining: layers — not frames — are what the round cap
-                // meters; each costs a full per-group decode pass.
-                let mut layer_rounds: Vec<u32> = batch.iter().map(|s| s.round).collect();
-                layer_rounds.sort_unstable();
-                layer_rounds.dedup();
-                let layers = (layer_rounds.len() as u32).max(1);
-                let (round_cap, params) = {
-                    let ctx = self.sessions[i].ctx.as_ref().expect("rounds have ctx");
-                    (ctx.round_cap, ctx.params.expect("params set"))
-                };
-                if layers > config.max_pipeline_depth {
-                    return self.refuse(
-                        i,
-                        ErrorCode::BadConfig,
-                        format!(
-                            "{layers} pipelined layers exceed the server cap {}",
-                            config.max_pipeline_depth
-                        ),
-                    );
-                }
-                let rounds = {
-                    let ctx = self.sessions[i].ctx.as_mut().expect("ctx");
-                    ctx.rounds += layers;
-                    ctx.rounds
-                };
-                if rounds > round_cap {
-                    return self.refuse(
-                        i,
-                        ErrorCode::RoundLimit,
-                        format!("round cap {round_cap} exceeded"),
-                    );
-                }
-                // Shape-check before the codec's capacity assertion could
-                // fire: the batch must be nonempty (a zero-sketch round is a
-                // degenerate shape no worker should ever be handed) and every
-                // sketch must match the negotiated (m, t).
-                if batch.is_empty() {
-                    return self.refuse(i, ErrorCode::BadConfig, "empty sketch batch");
-                }
-                if m != params.m || batch.iter().any(|s| s.sketch.capacity() != params.t) {
-                    return self.refuse(
-                        i,
-                        ErrorCode::BadConfig,
-                        format!(
-                            "sketch shape mismatch: negotiated m={} t={}",
-                            params.m, params.t
-                        ),
-                    );
-                }
-                let reports = {
-                    let ctx = self.sessions[i].ctx.as_mut().expect("ctx");
-                    ctx.bob.as_mut().expect("bob built").handle_sketches(&batch)
-                };
-                self.bump(&entry, |s| &s.rounds, layers as u64);
-                self.bump(&entry, |s| &s.round_trips, 1);
-                if self.sessions[i].nb.queue(&Frame::Reports(reports)).is_err() {
-                    self.sessions[i].finish(false);
-                    return;
-                }
-                self.on_writable(i);
+            Crossed::DeltaCatchup { batches, epoch } => {
+                self.record_phase(i, |m| &m.delta_catchup);
+                let fields = [
+                    ("batches", Value::U64(batches)),
+                    ("epoch", Value::U64(epoch)),
+                ];
+                self.trace_session(i, Level::Info, "delta_catchup", &fields);
             }
-            Frame::Done(elements) => {
-                let (cfg, max_done_elements, snapshot_epoch) = {
-                    let ctx = self.sessions[i].ctx.as_ref().expect("ctx");
-                    (ctx.cfg, ctx.max_done_elements, ctx.snapshot_epoch)
-                };
-                if elements.len() as u64 > max_done_elements as u64 {
-                    return self.refuse(
-                        i,
-                        ErrorCode::BadConfig,
-                        format!(
-                            "final transfer of {} elements exceeds the cap {}",
-                            elements.len(),
-                            max_done_elements
-                        ),
-                    );
-                }
-                // Zero or out-of-universe elements would poison the store.
-                let universe_mask = if cfg.universe_bits == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << cfg.universe_bits) - 1
-                };
-                if elements.iter().any(|&e| e == 0 || e > universe_mask) {
-                    return self.refuse(
-                        i,
-                        ErrorCode::BadConfig,
-                        format!(
-                            "final transfer contains elements outside the {}-bit universe",
-                            cfg.universe_bits
-                        ),
-                    );
-                }
-                let store = self.sessions[i].store.clone().expect("routed store");
-                store.apply_missing(&elements);
-                self.bump(&entry, |s| &s.elements_received, elements.len() as u64);
-                // Against an epoch-capable store the ack carries the *snapshot* epoch — the client's new delta
-                // baseline (changes landing after the snapshot were
-                // invisible to this session; the next delta sync replays
-                // them idempotently).
-                let ack = match snapshot_epoch {
-                    Some(epoch) => Frame::DeltaDone { epoch },
-                    None => Frame::Done(Vec::new()),
-                };
-                if self.sessions[i].nb.queue(&ack).is_err() {
-                    self.sessions[i].finish(false);
-                    return;
-                }
+            Crossed::Estimated { d_param } => {
+                self.record_phase(i, |m| &m.estimate);
+                let fields = [("d_param", Value::U64(d_param))];
+                self.trace_session(i, Level::Info, "estimated", &fields);
+            }
+            Crossed::Reconciled { rounds, received } => {
                 self.record_phase(i, |m| &m.rounds);
-                let rounds = self.sessions[i].ctx.as_ref().map_or(0, |c| c.rounds);
-                self.trace_session(
-                    i,
-                    "reconciled",
-                    &[
-                        ("rounds", Value::U64(rounds as u64)),
-                        ("received", Value::U64(elements.len() as u64)),
-                    ],
-                );
-                self.after_ack(i);
+                let fields = [
+                    ("rounds", Value::U64(rounds as u64)),
+                    ("received", Value::U64(received)),
+                ];
+                self.trace_session(i, Level::Info, "reconciled", &fields);
             }
-            other => self.refuse(
-                i,
-                ErrorCode::Protocol,
-                format!(
-                    "unexpected frame type {} during the round loop",
-                    other.type_byte()
-                ),
-            ),
-        }
-    }
-
-    fn handle_subscribe(&mut self, i: usize, frame: Frame) {
-        let epoch = match frame {
-            Frame::Subscribe { epoch } => epoch,
-            other => {
-                return self.refuse(
-                    i,
-                    ErrorCode::Protocol,
-                    format!(
-                        "unexpected frame type {} while awaiting Subscribe",
-                        other.type_byte()
-                    ),
-                )
-            }
-        };
-        let max = self.config().max_subscribers;
-        if self.shared.live_subscribers.load(Ordering::Relaxed) >= max {
-            return self.refuse(
-                i,
-                ErrorCode::Internal,
-                format!("subscriber limit {max} reached"),
-            );
-        }
-        self.shared.live_subscribers.fetch_add(1, Ordering::Relaxed);
-        self.sessions[i].counted_subscriber = true;
-        let entry = self.sessions[i].entry.clone();
-        self.bump(&entry, |s| &s.subscriptions, 1);
-        // Install this worker's mutation notifier on the store *before*
-        // the initial catch-up below: a mutation landing in between then
-        // raises a (harmless, idempotent) extra wakeup instead of being
-        // missed.
-        let store = self.sessions[i].store.clone().expect("routed store");
-        let name = self.sessions[i].store_name.clone();
-        self.ensure_notifier(&name, &store);
-        let now = Instant::now();
-        self.sessions[i].sub_epoch = epoch;
-        self.sessions[i].phase = Phase::Streaming;
-        self.sessions[i].last_ping = now;
-        self.sessions[i].last_send_progress = now;
-        self.trace_session(i, "subscribed", &[("epoch", Value::U64(epoch))]);
-        // Catch up on anything that mutated between the client's baseline
-        // and this Subscribe. Not a push dispatch: the latency clock only
-        // runs for bursts triggered by a store mutation.
-        self.push_deltas(i, None);
-    }
-
-    fn handle_streaming(&mut self, i: usize, frame: Frame) {
-        match frame {
-            Frame::Pong { .. } => {} // liveness credit via last_recv
-            Frame::Ping { nonce } => {
-                if self.sessions[i].nb.queue(&Frame::Pong { nonce }).is_ok() {
-                    self.on_writable(i);
-                } else {
-                    self.sessions[i].finish(false);
+            Crossed::Subscribed { epoch } => {
+                // Install this worker's mutation notifier on the store
+                // *before* the initial catch-up: a mutation landing in
+                // between then raises a (harmless, idempotent) extra wakeup
+                // instead of being missed.
+                if let Some(entry) = self.sessions[i].machine.entry().cloned() {
+                    self.ensure_notifier(entry.name(), entry.store());
                 }
+                let now = Instant::now();
+                self.sessions[i].last_ping = now;
+                self.sessions[i].last_send_progress = now;
+                let fields = [("epoch", Value::U64(epoch))];
+                self.trace_session(i, Level::Info, "subscribed", &fields);
+                // Catch up on anything that mutated between the client's
+                // baseline and this Subscribe. Not a push dispatch: the
+                // latency clock only runs for bursts a mutation triggered.
+                self.push_deltas(i, None);
             }
-            other => self.refuse(
-                i,
-                ErrorCode::Protocol,
-                format!(
-                    "unexpected frame type {} on a live subscription",
-                    other.type_byte()
-                ),
-            ),
+            Crossed::Evicted { burst_bytes } => {
+                let fields = [
+                    ("reason", Value::Str("buffer_overrun")),
+                    ("burst_bytes", Value::U64(burst_bytes)),
+                ];
+                self.trace_session(i, Level::Warn, "evicted", &fields);
+            }
         }
     }
 
-    /// Push everything the store changed past this subscriber's epoch as
-    /// one `DeltaBatch*`/`DeltaDone` burst, evicting the subscriber if
-    /// the burst would overrun its buffer cap. `origin` is the commit
+    /// Have the machine push what the store changed past subscriber `i`'s
+    /// epoch, within the room its buffer cap leaves. `origin` is the commit
     /// instant of the mutation that triggered the push (`None` for the
     /// initial Subscribe catch-up) — it seeds the dispatch-latency clock
     /// stopped in `on_writable` when the burst drains.
     fn push_deltas(&mut self, i: usize, origin: Option<Instant>) {
-        let store = self.sessions[i].store.clone().expect("streaming has store");
-        let entry = self.sessions[i].entry.clone();
-        let config = *self.config();
-        match store.delta_since(self.sessions[i].sub_epoch) {
-            DeltaAnswer::Changes { batches, current } => {
-                if batches.is_empty() {
-                    self.sessions[i].sub_epoch = current;
-                    return;
-                }
-                let capacity = delta_chunk_capacity(config.transport.max_frame);
-                let mut frames = Vec::new();
-                let mut elements = 0u64;
-                for batch in &batches {
-                    elements += (batch.added.len() + batch.removed.len()) as u64;
-                    frames.extend(delta_batch_frames(
-                        batch.epoch,
-                        &batch.added,
-                        &batch.removed,
-                        capacity,
-                    ));
-                }
-                let done = Frame::DeltaDone { epoch: current };
-                let burst_bytes: u64 =
-                    frames.iter().map(Frame::wire_len).sum::<u64>() + done.wire_len();
-                if self.sessions[i].nb.pending_out() as u64 + burst_bytes
-                    > config.subscriber_buffer as u64
-                {
-                    // Slow consumer: cut it loose rather than buffer
-                    // without bound. FullResyncRequired tells it to come
-                    // back with a fresh reconciliation.
-                    self.bump(&entry, |s| &s.subscribers_evicted, 1);
-                    if self.sessions[i].traced {
-                        trace::event(
-                            Level::Warn,
-                            "session",
-                            Some(self.sessions[i].id),
-                            "evicted",
-                            &[
-                                ("reason", Value::Str("buffer_overrun")),
-                                ("burst_bytes", Value::U64(burst_bytes)),
-                            ],
-                        );
-                    }
-                    let _ = self.sessions[i]
-                        .nb
-                        .queue(&Frame::FullResyncRequired { epoch: current });
-                    self.sessions[i].phase = Phase::Closing(true);
-                    self.arm_closing_grace(i);
-                    self.on_writable(i);
-                    return;
-                }
-                for frame in &frames {
-                    self.bump(&entry, |s| &s.push_batches, 1);
-                    if self.sessions[i].nb.queue(frame).is_err() {
-                        self.sessions[i].finish(false);
-                        return;
-                    }
-                }
-                self.bump(&entry, |s| &s.push_elements, elements);
-                if self.sessions[i].nb.queue(&done).is_err() {
-                    self.sessions[i].finish(false);
-                    return;
-                }
-                self.sessions[i].sub_epoch = current;
-                if let Some(origin) = origin {
-                    let started = self.sessions[i].push_started;
-                    self.sessions[i].push_started = Some(started.map_or(origin, |s| s.min(origin)));
-                }
-                self.on_writable(i);
-            }
-            DeltaAnswer::Trimmed { current } => {
-                // The changelog no longer covers this subscriber (trimmed
-                // under it while it idled, or the epoch space exhausted).
-                let _ = self.sessions[i]
-                    .nb
-                    .queue(&Frame::FullResyncRequired { epoch: current });
-                self.sessions[i].phase = Phase::Closing(true);
-                self.arm_closing_grace(i);
-                self.on_writable(i);
-            }
-            DeltaAnswer::Unsupported => self.sessions[i].finish(false),
+        let pending = self.sessions[i].nb.pending_out();
+        let room = self.config().subscriber_buffer.saturating_sub(pending) as u64;
+        let step = self.sessions[i].machine.push(&self.shared.res, room);
+        let burst = matches!(&step, Ok(step) if step.close.is_none() && !step.frames.is_empty());
+        if let (true, Some(origin)) = (burst, origin) {
+            let started = self.sessions[i].push_started;
+            self.sessions[i].push_started = Some(started.map_or(origin, |s| s.min(origin)));
         }
+        self.advance(i, step);
     }
 
     /// Install this worker's wakeup notifier on `store` (once per store
@@ -1405,26 +816,22 @@ impl Worker {
                 continue;
             };
             let sess = self.sessions.remove(i);
-            let entry = sess.entry.clone();
-            self.bump(&entry, |s| &s.bytes_in, sess.nb.bytes_in());
-            self.bump(&entry, |s| &s.bytes_out, sess.nb.bytes_out());
-            self.bump(&entry, |s| &s.frames_in, sess.nb.frames_in());
-            self.bump(&entry, |s| &s.frames_out, sess.nb.frames_out());
-            if let Some(bob) = sess.ctx.as_ref().and_then(|c| c.bob.as_ref()) {
-                self.bump(&entry, |s| &s.decode_failures, bob.decode_failures() as u64);
-            }
-            if sess.counted_subscriber {
-                self.shared.live_subscribers.fetch_sub(1, Ordering::Relaxed);
-            }
+            let (res, entry) = (&self.shared.res, sess.machine.entry().map(|e| &**e));
+            res.bump(entry, |s| &s.bytes_in, sess.nb.bytes_in());
+            res.bump(entry, |s| &s.bytes_out, sess.nb.bytes_out());
+            res.bump(entry, |s| &s.frames_in, sess.nb.frames_in());
+            res.bump(entry, |s| &s.frames_out, sess.nb.frames_out());
             // `sessions_started` was bumped globally at accept and
             // per-store at routing; mirror that split on the outcome so
             // started == completed + failed holds at both levels.
-            let field: fn(&ServerStats) -> &AtomicU64 = if completed {
-                |s| &s.sessions_completed
+            if completed {
+                res.bump(entry, |s| &s.sessions_completed, 1);
             } else {
-                |s| &s.sessions_failed
-            };
-            self.bump(&entry, field, 1);
+                res.bump(entry, |s| &s.sessions_failed, 1);
+            }
+            if sess.machine.is_streaming() {
+                res.live_subscribers.fetch_sub(1, Ordering::Relaxed);
+            }
             self.shared
                 .session_metrics
                 .session

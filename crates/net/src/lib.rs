@@ -15,13 +15,15 @@
 //!   store name through.
 //! * [`server`] — [`server::Server`]: an event-driven TCP server — one
 //!   acceptor plus a few [`poll`]-based event-loop workers, each
-//!   multiplexing many non-blocking connections; every session is a
-//!   resumable state machine around a [`pbs_core::BobSession`] (handshake
-//!   with store routing → estimator exchange → possibly-pipelined
-//!   sketch/report rounds → final element transfer → optional live
-//!   subscription), enforcing per-session deadlines, read/write-inactivity
-//!   timeouts, round caps and pipeline-depth caps, and exporting atomic
-//!   [`server::ServerStats`] both server-wide and per store.
+//!   multiplexing many non-blocking connections. The server half of the
+//!   protocol is one sans-IO state machine per session around a
+//!   [`pbs_core::BobSession`] (handshake with store routing → estimator
+//!   exchange → possibly-pipelined sketch/report rounds → final element
+//!   transfer → optional live subscription; round and pipeline-depth
+//!   caps); the event loop drives it and keeps the sockets and timers:
+//!   per-session deadlines, read/write-inactivity timeouts, keepalive.
+//!   Atomic [`server::ServerStats`] are exported server-wide and per
+//!   store.
 //! * [`admin`] — [`admin::AdminServer`]: a hand-rolled HTTP/1.0
 //!   observability endpoint (`/metrics`, `/healthz`, `/stats.json`)
 //!   serving the [`obs::Registry`] a server's instrumentation records
@@ -87,6 +89,7 @@ pub mod mesh;
 pub mod mux;
 pub mod poll;
 pub mod server;
+pub(crate) mod server_machine;
 pub mod setio;
 pub mod store;
 pub mod wal;

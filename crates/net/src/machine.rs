@@ -29,7 +29,7 @@
 //! [`poll_send`]: ClientMachine::poll_send
 //! [`on_frame`]: ClientMachine::on_frame
 
-use crate::client::{ClientConfig, SyncReport};
+use crate::client::{ClientConfig, Pipeline, SyncReport};
 use crate::frame::{EstimatorMsg, Frame, Hello, MAX_STORE_NAME};
 use crate::NetError;
 use estimator::{Estimator, TowEstimator};
@@ -297,10 +297,10 @@ impl<'a> ClientMachine<'a> {
         // depth; the grant that comes back is the server's own cap, the
         // ceiling the per-trip controller then works under. A subscriber
         // runs no rounds and asks for none.
-        let depth = match mode {
-            Mode::Subscribe { .. } => 1,
-            _ if config.pipeline_auto => u8::MAX as u32,
-            _ => config.pipeline.max(1),
+        let depth = match (mode, config.pipeline) {
+            (Mode::Subscribe { .. }, _) => 1,
+            (_, Pipeline::Auto) => u8::MAX as u32,
+            (_, Pipeline::Depth(depth)) => depth.max(1),
         };
         let epoch = match mode {
             Mode::Full => 0,
@@ -534,10 +534,9 @@ impl<'a> ClientMachine<'a> {
         // rounds' sketches; the server answers every layer in one reply.
         // In auto mode the depth is re-picked every trip from the previous
         // trip's layer-verification rate, never above the grant.
-        let depth = if config.pipeline_auto {
-            alice.next_pipeline_depth(self.depth)
-        } else {
-            self.depth
+        let depth = match config.pipeline {
+            Pipeline::Auto => alice.next_pipeline_depth(self.depth),
+            Pipeline::Depth(_) => self.depth,
         };
         let layers = depth.min(config.round_cap - alice.round());
         Frame::Sketches {
@@ -602,9 +601,10 @@ impl<'a> ClientMachine<'a> {
 mod tests {
     use super::*;
     use crate::frame::{write_frame, ErrorCode, DEFAULT_MAX_FRAME};
-    use crate::{Pipeline, TransportConfig};
-    use pbs_core::{BobSession, PbsConfig};
-    use std::collections::VecDeque;
+    use crate::server_machine::duet::{one_of_each, Duet};
+    use crate::store::MutableStore;
+    use crate::TransportConfig;
+    use std::sync::Arc;
 
     const SEED: u64 = 0x0123_4567_89AB_CDEF;
 
@@ -626,96 +626,10 @@ mod tests {
         v
     }
 
-    /// The server's half of a classic session, in memory: answers each
-    /// client frame the way the event loop does for a store holding `set`.
-    struct Peer {
-        set: Vec<u64>,
-        grant: u8,
-        epoch: Option<u64>,
-        cfg: PbsConfig,
-        seed: u64,
-        bob: Option<BobSession>,
-        seen: Vec<u8>,
-    }
-
-    impl Peer {
-        fn new(set: Vec<u64>) -> Self {
-            Peer {
-                set,
-                grant: 4,
-                epoch: Some(7),
-                cfg: PbsConfig::default(),
-                seed: 0,
-                bob: None,
-                seen: Vec::new(),
-            }
-        }
-
-        fn build_bob(&mut self, d: u64) {
-            let params = Pbs::new(self.cfg).plan(d as usize);
-            self.bob = Some(BobSession::new(self.cfg, params, &self.set, self.seed));
-        }
-
-        fn answer(&mut self, frame: Frame) -> Frame {
-            self.seen.push(frame.type_byte());
-            match frame {
-                Frame::Hello(hello) => {
-                    self.cfg = hello.config().expect("valid config");
-                    self.seed = hello.seed;
-                    if hello.known_d > 0 {
-                        self.build_bob(hello.known_d);
-                    }
-                    let pipeline = hello.pipeline.min(self.grant);
-                    Frame::Hello(Hello { pipeline, ..hello })
-                }
-                Frame::EstimatorExchange(EstimatorMsg::TowBank(bytes)) => {
-                    let theirs = TowEstimator::from_bytes(&bytes).expect("bank decodes");
-                    let mut own = TowEstimator::new(theirs.sketch_count(), theirs.seed());
-                    own.insert_slice(&self.set);
-                    let d_hat = theirs.estimate(&own);
-                    let d_param = estimator::inflate_estimate(d_hat) as u64;
-                    self.build_bob(d_param);
-                    Frame::EstimatorExchange(EstimatorMsg::Estimate { d_param, d_hat })
-                }
-                Frame::Sketches { batch, .. } => {
-                    Frame::Reports(self.bob.as_mut().expect("bob").handle_sketches(&batch))
-                }
-                Frame::Done(_) => match self.epoch {
-                    Some(epoch) => Frame::DeltaDone { epoch },
-                    None => Frame::Done(Vec::new()),
-                },
-                other => panic!("the client sent frame type {}", other.type_byte()),
-            }
-        }
-    }
-
-    /// Drive `machine` against `peer` (after `preface`, frames the server
-    /// volunteers right behind its Hello reply) to its report, collecting
-    /// the boundaries crossed on the way.
-    fn run(
-        machine: &mut ClientMachine<'_>,
-        peer: &mut Peer,
-        preface: Vec<Frame>,
-    ) -> Result<(SyncReport, Vec<Phase>), NetError> {
-        let mut crossed = Vec::new();
-        let mut inbox = VecDeque::new();
-        let mut preface = Some(preface);
-        loop {
-            if let Some(frame) = machine.poll_send()? {
-                inbox.push_back(peer.answer(frame));
-                inbox.extend(preface.take().into_iter().flatten());
-            }
-            let step = machine.on_frame(inbox.pop_front().expect("the peer owes a frame"))?;
-            crossed.extend(step.crossed);
-            if let Some(report) = step.report {
-                assert_eq!(
-                    machine.poll_send()?,
-                    None,
-                    "a finished machine owes nothing"
-                );
-                return Ok((report, crossed));
-            }
-        }
+    /// The server's half, in memory: a [`crate::server_machine::ServerMachine`]
+    /// over an epoch-keeping store that holds `set` at epoch `epoch`.
+    fn server(set: Vec<u64>, epoch: u64) -> Duet {
+        Duet::over(Arc::new(MutableStore::with_epoch_origin(set, epoch, 1024)))
     }
 
     fn two_sided(d: usize) -> (Vec<u64>, Vec<u64>) {
@@ -741,8 +655,8 @@ mod tests {
             let mut cfg = config().pipeline(pipeline).build();
             cfg.known_d = known_d;
             let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
-            let mut peer = Peer::new(bob.clone());
-            let (report, crossed) = run(&mut machine, &mut peer, vec![]).unwrap();
+            let mut peer = server(bob.clone(), 7);
+            let (report, crossed) = peer.run(&mut machine).unwrap();
             assert!(report.verified);
             assert_eq!(sorted(report.recovered), truth);
             assert_eq!(sorted(report.pushed), only_ours);
@@ -763,14 +677,14 @@ mod tests {
         let (alice, bob) = two_sided(20);
         let cfg = config().build();
         let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Delta { since: 3 }).unwrap();
-        let mut peer = Peer::new(bob);
-        let refusal = vec![Frame::FullResyncRequired { epoch: 9 }];
-        let (report, crossed) = run(&mut machine, &mut peer, refusal).unwrap();
+        // The store's changelog starts at epoch 9: epoch 3 is trimmed away.
+        let mut peer = server(bob, 9);
+        let (report, crossed) = peer.run(&mut machine).unwrap();
         assert!(report.delta_fallback && report.verified);
         assert_eq!(report.delta, None);
         assert_eq!(report.recovered.len(), 20);
         // Hello, estimator bank, sketches…, Done: the classic session.
-        assert_eq!(&peer.seen[..3], &[1, 2, 3]);
+        assert_eq!(&peer.sent[..3], &[1, 2, 3]);
         assert_eq!(
             crossed,
             [
@@ -787,21 +701,11 @@ mod tests {
     fn a_served_delta_is_the_whole_sync() {
         let cfg = config().build();
         let mut machine = ClientMachine::new(&cfg, Vec::new(), Mode::Delta { since: 3 }).unwrap();
-        let mut peer = Peer::new(Vec::new());
-        let stream = vec![
-            Frame::DeltaBatch {
-                epoch: 4,
-                added: vec![10, 11],
-                removed: vec![5],
-            },
-            Frame::DeltaBatch {
-                epoch: 5,
-                added: vec![5],
-                removed: vec![11],
-            },
-            Frame::DeltaDone { epoch: 5 },
-        ];
-        let (report, crossed) = run(&mut machine, &mut peer, stream).unwrap();
+        let store = Arc::new(MutableStore::with_epoch_origin([5], 3, 1024));
+        assert_eq!(store.apply(&[10, 11], &[5]), 4);
+        assert_eq!(store.apply(&[5], &[11]), 5);
+        let mut peer = Duet::over(store);
+        let (report, crossed) = peer.run(&mut machine).unwrap();
         assert_eq!(crossed, [Phase::Handshake, Phase::Delta]);
         assert!(report.verified && !report.delta_fallback);
         assert_eq!(report.epoch, Some(5));
@@ -816,7 +720,7 @@ mod tests {
                 batches: 2,
             })
         );
-        assert_eq!(peer.seen, [1], "only the Hello was ever sent");
+        assert_eq!(peer.sent, [1], "only the Hello was ever sent");
     }
 
     #[test]
@@ -826,41 +730,13 @@ mod tests {
         let (alice, bob) = two_sided(200);
         let cfg = config().known_d(1).round_cap(1).build();
         let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
-        let mut peer = Peer::new(bob);
-        let (report, crossed) = run(&mut machine, &mut peer, vec![]).unwrap();
+        let mut peer = server(bob, 7);
+        let (report, crossed) = peer.run(&mut machine).unwrap();
         assert!(!report.verified);
         assert_eq!(report.rounds, 1);
-        assert_eq!(peer.seen, [1, 3, 5], "Hello, one Sketches, Done");
+        assert_eq!(peer.sent, [1, 3, 5], "Hello, one Sketches, Done");
         assert_eq!(report.epoch, Some(7), "the ack was read");
         assert_eq!(crossed.last(), Some(&Phase::Transfer));
-    }
-
-    /// One frame of every type except `Error`.
-    fn one_of_each() -> Vec<Frame> {
-        vec![
-            Frame::Hello(Hello::from_config(&PbsConfig::default(), 1, 0)),
-            Frame::EstimatorExchange(EstimatorMsg::TowBank(vec![1, 2, 3])),
-            Frame::EstimatorExchange(EstimatorMsg::Estimate {
-                d_param: 5,
-                d_hat: 4.0,
-            }),
-            Frame::Sketches {
-                m: 8,
-                batch: Vec::new(),
-            },
-            Frame::Reports(Vec::new()),
-            Frame::Done(Vec::new()),
-            Frame::DeltaBatch {
-                epoch: 1,
-                added: vec![1],
-                removed: vec![],
-            },
-            Frame::DeltaDone { epoch: 1 },
-            Frame::FullResyncRequired { epoch: 1 },
-            Frame::Subscribe { epoch: 1 },
-            Frame::Ping { nonce: 1 },
-            Frame::Pong { nonce: 1 },
-        ]
     }
 
     /// A machine scripted into each awaiting state, with the state's name
@@ -1089,8 +965,8 @@ mod tests {
         };
         let cfg = config().known_d(20).transport(transport).build();
         let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
-        let mut peer = Peer::new(alice[20..].to_vec());
-        match run(&mut machine, &mut peer, vec![]) {
+        let mut peer = server(alice[20..].to_vec(), 7);
+        match peer.run(&mut machine) {
             Err(NetError::Protocol(msg)) => assert!(msg.contains("max_frame"), "{msg}"),
             other => panic!("expected the capacity error, got {:?}", other.map(|r| r.0)),
         }

@@ -193,10 +193,9 @@ pub fn anti_entropy_round(
                     .copied()
                     .filter(|e| !pushed.contains(e))
                     .collect();
-                if !pulled.is_empty() {
-                    store.apply_missing(&pulled);
-                }
-                stats.syncs_completed.fetch_add(1, Ordering::Relaxed);
+                // The exchange itself happened either way: its bytes and
+                // what the peer ingested count. What we pulled counts only
+                // if our own store took it.
                 stats
                     .bytes_sent
                     .fetch_add(report.bytes_sent, Ordering::Relaxed);
@@ -204,14 +203,26 @@ pub fn anti_entropy_round(
                     .bytes_received
                     .fetch_add(report.bytes_received, Ordering::Relaxed);
                 stats
-                    .elements_pulled
-                    .fetch_add(pulled.len() as u64, Ordering::Relaxed);
-                stats
                     .elements_pushed
                     .fetch_add(report.pushed.len() as u64, Ordering::Relaxed);
-                outcome.synced += 1;
-                outcome.pulled += pulled.len() as u64;
                 outcome.pushed += report.pushed.len() as u64;
+                if pulled.is_empty() || store.apply_missing(&pulled) {
+                    stats.syncs_completed.fetch_add(1, Ordering::Relaxed);
+                    stats
+                        .elements_pulled
+                        .fetch_add(pulled.len() as u64, Ordering::Relaxed);
+                    outcome.synced += 1;
+                    outcome.pulled += pulled.len() as u64;
+                } else {
+                    stats.syncs_failed.fetch_add(1, Ordering::Relaxed);
+                    outcome.failed += 1;
+                    first_error.get_or_insert_with(|| {
+                        NetError::Io(std::io::Error::other(format!(
+                            "store {name:?} refused the {} pulled elements",
+                            pulled.len()
+                        )))
+                    });
+                }
             }
             Ok(_) => {
                 // Unverified: the round cap fired before every group
@@ -362,6 +373,39 @@ mod tests {
         assert_eq!(a, vec![1, 2, 3, 4, 10, 20]);
         assert_eq!(stats.syncs_completed.load(Ordering::Relaxed), 1);
         assert_eq!(stats.elements_pulled.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn elements_the_local_store_refused_are_not_counted_as_pulled() {
+        let dir = std::env::temp_dir().join(format!("pbs_mesh_refused_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let local = Arc::new(MutableStore::open_durable(&dir, Default::default()).unwrap());
+        local.apply(&[1, 2, 3, 10], &[]);
+        let remote = Arc::new(MutableStore::new([2u64, 3, 4, 20]));
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::clone(&remote) as Arc<_>,
+            ServerConfig::default(),
+        )
+        .expect("bind peer");
+        let peer = server.local_addr().to_string();
+
+        local.inject_crash(Some(crate::CrashPoint::MidWalAppend));
+        let registry = StoreRegistry::single(Arc::clone(&local) as Arc<_>);
+        let stats = PeerStats::default();
+        let (outcome, err) = anti_entropy_round(&registry, &peer, &ClientConfig::default(), &stats);
+        server.shutdown();
+        assert!(matches!(err, Some(NetError::Io(_))), "{err:?}");
+        assert_eq!((outcome.synced, outcome.failed), (0, 1));
+        assert_eq!(
+            (outcome.pulled, outcome.pushed),
+            (0, 2),
+            "the peer still took 1 and 10"
+        );
+        assert_eq!(stats.elements_pulled.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.syncs_failed.load(Ordering::Relaxed), 1);
+        assert!(!local.contains(4) && remote.contains(10));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The reconciliation session server: a TCP acceptor feeding N
-//! event-loop workers, and one resumable session state machine per
-//! connection (see the `event_loop` module).
+//! event-loop workers (the `event_loop` module), each driving one
+//! sans-IO protocol machine per connection (the `server_machine` module).
 //!
 //! Each accepted connection runs the `docs/WIRE.md` session: handshake
 //! (with store routing through the [`StoreRegistry`]) →
@@ -27,6 +27,7 @@
 //! `Sketch::combine` capacity assertion.
 
 use crate::event_loop::{spawn_acceptor, spawn_worker, Notice, SessionMetrics, Shared, WorkerLink};
+use crate::server_machine::Resources;
 use crate::store::StoreRegistry;
 use crate::TransportConfig;
 use obs::Counter;
@@ -99,205 +100,118 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters exported by a running server. All loads/stores are
-/// relaxed — they are statistics, not synchronization.
-#[derive(Debug, Default)]
-pub struct ServerStats {
+/// Declares the server's counters once. From the one table below it
+/// stamps [`ServerStats`] (the live atomics), [`StatsSnapshot`] (their
+/// point-in-time copy), the registration under
+/// `{prefix}{field}_total` with the help string given here,
+/// [`ServerStats::snapshot`] and [`snapshot_fields`] — so a counter cannot
+/// exist in one of the five and be missing from another.
+macro_rules! server_counters {
+    ($($(#[$doc:meta])* $name:ident: $help:literal,)*) => {
+        /// Monotonic counters exported by a running server. All
+        /// loads/stores are relaxed — they are statistics, not
+        /// synchronization.
+        #[derive(Debug, Default)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: Counter,)*
+        }
+
+        /// A point-in-time copy of [`ServerStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerStats {
+            /// Build a stats block whose counters live in `metrics` under
+            /// `{prefix}{field}_total` with the given label set, so the
+            /// Prometheus rendering and the [`StatsSnapshot`] compatibility
+            /// view read the same atomics. Registration is idempotent:
+            /// re-registering the same `(prefix, labels)` pair (a store
+            /// replaced at runtime) resumes the existing counters instead
+            /// of resetting them.
+            pub fn registered(
+                metrics: &obs::Registry,
+                prefix: &str,
+                labels: &[(&str, &str)],
+            ) -> ServerStats {
+                ServerStats {
+                    $($name: metrics.counter(
+                        &format!("{prefix}{}_total", stringify!($name)),
+                        $help,
+                        labels,
+                    ),)*
+                }
+            }
+
+            /// Copy every counter.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.get(),)*
+                }
+            }
+        }
+
+        /// The [`StatsSnapshot`] fields as `(name, value)` pairs, in
+        /// declaration order — what `/stats.json` renders.
+        pub fn snapshot_fields(
+            s: &StatsSnapshot,
+        ) -> [(&'static str, u64); [$(stringify!($name)),*].len()] {
+            [$((stringify!($name), s.$name),)*]
+        }
+    };
+}
+
+server_counters! {
     /// Connections handed to a worker.
-    pub sessions_started: Counter,
+    sessions_started: "Connections handed to a worker.",
     /// Sessions that ran to a clean end (final ack delivered, or a live
     /// subscription that ended after it).
-    pub sessions_completed: Counter,
+    sessions_completed: "Sessions that ran to a clean end.",
     /// Sessions that ended in any error (including peer disconnects
     /// mid-protocol).
-    pub sessions_failed: Counter,
+    sessions_failed: "Sessions that ended in any error.",
     /// Protocol rounds served across all sessions (a pipelined frame
     /// counts once per layer it carries).
-    pub rounds: Counter,
+    rounds: "Protocol rounds served (pipelined layers counted individually).",
     /// Sketch/report exchanges served — request-response round trips. At
     /// most `rounds`; lower exactly when clients pipelined.
-    pub round_trips: Counter,
+    round_trips: "Sketch/report request-response round trips served.",
     /// Wire bytes received, framing included.
-    pub bytes_in: Counter,
+    bytes_in: "Wire bytes received, framing included.",
     /// Wire bytes sent, framing included.
-    pub bytes_out: Counter,
+    bytes_out: "Wire bytes sent, framing included.",
     /// Frames received.
-    pub frames_in: Counter,
+    frames_in: "Frames received.",
     /// Frames sent.
-    pub frames_out: Counter,
+    frames_out: "Frames sent.",
     /// BCH decode failures across all sessions (each one split a group).
-    pub decode_failures: Counter,
+    decode_failures: "BCH decode failures (each one split a group).",
     /// Estimator exchanges served.
-    pub estimator_exchanges: Counter,
+    estimator_exchanges: "Estimator exchanges served.",
     /// Elements ingested from clients' final transfers.
-    pub elements_received: Counter,
+    elements_received: "Elements ingested from clients' final transfers.",
     /// Sessions served entirely from the changelog — the delta
     /// short-circuit (no reconciliation ran).
-    pub delta_sessions: Counter,
+    delta_sessions: "Sessions served entirely from the changelog (delta path).",
     /// Delta requests answered with `FullResyncRequired` (changelog
     /// trimmed, epoch from the future, or an epoch-less store).
-    pub delta_fallbacks: Counter,
+    delta_fallbacks: "Delta requests answered with FullResyncRequired.",
     /// `DeltaBatch` frames streamed in delta catch-ups.
-    pub delta_batches: Counter,
+    delta_batches: "DeltaBatch frames streamed in delta catch-ups.",
     /// Elements (adds plus removes) streamed in delta catch-ups.
-    pub delta_elements: Counter,
+    delta_elements: "Elements streamed in delta catch-ups.",
     /// Live subscriptions accepted (`Subscribe` frames honored).
-    pub subscriptions: Counter,
+    subscriptions: "Live subscriptions accepted.",
     /// `DeltaBatch` frames pushed to live subscribers.
-    pub push_batches: Counter,
+    push_batches: "DeltaBatch frames pushed to live subscribers.",
     /// Elements (adds plus removes) pushed to live subscribers.
-    pub push_elements: Counter,
+    push_elements: "Elements pushed to live subscribers.",
     /// Subscribers evicted for falling behind (buffer cap or write
     /// stall).
-    pub subscribers_evicted: Counter,
+    subscribers_evicted: "Subscribers evicted for falling behind.",
     /// Keepalive `Ping` frames sent to idle subscribers.
-    pub keepalive_pings: Counter,
-}
-
-/// A point-in-time copy of [`ServerStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections handed to a worker.
-    pub sessions_started: u64,
-    /// Sessions that ran to a clean end.
-    pub sessions_completed: u64,
-    /// Sessions that ended in any error.
-    pub sessions_failed: u64,
-    /// Protocol rounds served (pipelined layers counted individually).
-    pub rounds: u64,
-    /// Sketch/report round trips served.
-    pub round_trips: u64,
-    /// Wire bytes received.
-    pub bytes_in: u64,
-    /// Wire bytes sent.
-    pub bytes_out: u64,
-    /// Frames received.
-    pub frames_in: u64,
-    /// Frames sent.
-    pub frames_out: u64,
-    /// BCH decode failures.
-    pub decode_failures: u64,
-    /// Estimator exchanges served.
-    pub estimator_exchanges: u64,
-    /// Elements ingested from clients.
-    pub elements_received: u64,
-    /// Sessions served entirely from the changelog (delta path).
-    pub delta_sessions: u64,
-    /// Delta requests that fell back to a full reconciliation.
-    pub delta_fallbacks: u64,
-    /// `DeltaBatch` frames streamed in delta catch-ups.
-    pub delta_batches: u64,
-    /// Elements streamed in delta catch-ups.
-    pub delta_elements: u64,
-    /// Live subscriptions accepted.
-    pub subscriptions: u64,
-    /// `DeltaBatch` frames pushed to live subscribers.
-    pub push_batches: u64,
-    /// Elements pushed to live subscribers.
-    pub push_elements: u64,
-    /// Subscribers evicted for falling behind.
-    pub subscribers_evicted: u64,
-    /// Keepalive pings sent.
-    pub keepalive_pings: u64,
-}
-
-impl ServerStats {
-    /// Build a stats block whose counters live in `metrics` under
-    /// `{prefix}{field}_total` with the given label set, so the Prometheus
-    /// rendering and the [`StatsSnapshot`] compatibility view read the same
-    /// atomics. Registration is idempotent: re-registering the same
-    /// `(prefix, labels)` pair (a store replaced at runtime) resumes the
-    /// existing counters instead of resetting them.
-    pub fn registered(
-        metrics: &obs::Registry,
-        prefix: &str,
-        labels: &[(&str, &str)],
-    ) -> ServerStats {
-        let c = |name: &str, help: &str| {
-            metrics.counter(&format!("{prefix}{name}_total"), help, labels)
-        };
-        ServerStats {
-            sessions_started: c("sessions_started", "Connections handed to a worker."),
-            sessions_completed: c("sessions_completed", "Sessions that ran to a clean end."),
-            sessions_failed: c("sessions_failed", "Sessions that ended in any error."),
-            rounds: c(
-                "rounds",
-                "Protocol rounds served (pipelined layers counted individually).",
-            ),
-            round_trips: c(
-                "round_trips",
-                "Sketch/report request-response round trips served.",
-            ),
-            bytes_in: c("bytes_in", "Wire bytes received, framing included."),
-            bytes_out: c("bytes_out", "Wire bytes sent, framing included."),
-            frames_in: c("frames_in", "Frames received."),
-            frames_out: c("frames_out", "Frames sent."),
-            decode_failures: c(
-                "decode_failures",
-                "BCH decode failures (each one split a group).",
-            ),
-            estimator_exchanges: c("estimator_exchanges", "Estimator exchanges served."),
-            elements_received: c(
-                "elements_received",
-                "Elements ingested from clients' final transfers.",
-            ),
-            delta_sessions: c(
-                "delta_sessions",
-                "Sessions served entirely from the changelog (delta path).",
-            ),
-            delta_fallbacks: c(
-                "delta_fallbacks",
-                "Delta requests answered with FullResyncRequired.",
-            ),
-            delta_batches: c(
-                "delta_batches",
-                "DeltaBatch frames streamed in delta catch-ups.",
-            ),
-            delta_elements: c("delta_elements", "Elements streamed in delta catch-ups."),
-            subscriptions: c("subscriptions", "Live subscriptions accepted."),
-            push_batches: c(
-                "push_batches",
-                "DeltaBatch frames pushed to live subscribers.",
-            ),
-            push_elements: c("push_elements", "Elements pushed to live subscribers."),
-            subscribers_evicted: c(
-                "subscribers_evicted",
-                "Subscribers evicted for falling behind.",
-            ),
-            keepalive_pings: c(
-                "keepalive_pings",
-                "Keepalive Ping frames sent to idle subscribers.",
-            ),
-        }
-    }
-
-    /// Copy every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        StatsSnapshot {
-            sessions_started: get(&self.sessions_started),
-            sessions_completed: get(&self.sessions_completed),
-            sessions_failed: get(&self.sessions_failed),
-            rounds: get(&self.rounds),
-            round_trips: get(&self.round_trips),
-            bytes_in: get(&self.bytes_in),
-            bytes_out: get(&self.bytes_out),
-            frames_in: get(&self.frames_in),
-            frames_out: get(&self.frames_out),
-            decode_failures: get(&self.decode_failures),
-            estimator_exchanges: get(&self.estimator_exchanges),
-            elements_received: get(&self.elements_received),
-            delta_sessions: get(&self.delta_sessions),
-            delta_fallbacks: get(&self.delta_fallbacks),
-            delta_batches: get(&self.delta_batches),
-            delta_elements: get(&self.delta_elements),
-            subscriptions: get(&self.subscriptions),
-            push_batches: get(&self.push_batches),
-            push_elements: get(&self.push_elements),
-            subscribers_evicted: get(&self.subscribers_evicted),
-            keepalive_pings: get(&self.keepalive_pings),
-        }
-    }
+    keepalive_pings: "Keepalive Ping frames sent to idle subscribers.",
 }
 
 /// A running reconciliation server. Dropping it without calling
@@ -342,10 +256,12 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let shared = Arc::new(Shared {
-            registry: Arc::clone(&registry),
-            config,
-            stats: Arc::clone(&stats),
-            live_subscribers: AtomicUsize::new(0),
+            res: Resources {
+                registry: Arc::clone(&registry),
+                config,
+                stats: Arc::clone(&stats),
+                live_subscribers: AtomicUsize::new(0),
+            },
             session_metrics: SessionMetrics::registered(&metrics),
             next_session_id: AtomicU64::new(1),
         });

@@ -1,0 +1,1050 @@
+//! The server half of the wire protocol, once, with no I/O inside.
+//!
+//! [`ServerMachine`] is Bob's side of the paper's §2–§3 exchange — route
+//! the `Hello`, serve the changelog or snapshot the store, answer the
+//! estimator bank, decode sketches into reports, ingest the final
+//! transfer, then push to a live subscriber — as a state machine that
+//! holds no socket and no clock. The sibling of
+//! [`crate::machine::ClientMachine`]: frame in, reply frames out, plus the
+//! boundary just crossed ([`Step`]). A frame it cannot accept is an
+//! `Err(`[`Refusal`]`)` the driver turns into the `Error` frame.
+//!
+//! One ordering rule shapes the interface. The negotiated `Hello` and the
+//! `Estimate` reply must reach the socket *before* the O(|B|) work they
+//! announce (changelog read, store snapshot, group partition), because
+//! the client starts its own half on receipt and the two overlap. So
+//! [`ServerMachine::on_frame`] hands back the reply first and leaves the
+//! machine *owing* that work; the driver flushes, then calls
+//! [`ServerMachine::set_up`] while [`ServerMachine::owes_set_up`] says so.
+//!
+//! The registry, the limits and the counters are the server's, lent to
+//! every call as [`Resources`]. The event loop (`event_loop.rs`) keeps
+//! what needs a file descriptor or an `Instant`: buffers, deadlines,
+//! keepalive, write-stall eviction, notifier wake-ups, histograms.
+
+use crate::frame::{delta_batch_frames, delta_chunk_capacity, ErrorCode, EstimatorMsg, Frame};
+use crate::server::{ServerConfig, ServerStats};
+use crate::store::{ChangeBatch, DeltaAnswer, RegisteredStore, StoreRegistry};
+use estimator::{Estimator, TowEstimator};
+use obs::Counter;
+use pbs_core::{BobSession, Pbs, PbsConfig, ESTIMATOR_SEED_SALT};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// What the sessions of one server share; lent to every machine call.
+pub(crate) struct Resources {
+    pub registry: Arc<StoreRegistry>,
+    pub config: ServerConfig,
+    pub stats: Arc<ServerStats>,
+    /// Live `Streaming` sessions across all workers, against
+    /// `ServerConfig::max_subscribers`. A machine takes its slot on
+    /// `Subscribe`; whoever drops a machine that
+    /// [`ServerMachine::is_streaming`] gives it back.
+    pub live_subscribers: AtomicUsize,
+}
+
+impl Resources {
+    /// Count `n` server-wide and, for a routed session, on its store.
+    pub(crate) fn bump(
+        &self,
+        entry: Option<&RegisteredStore>,
+        counter: fn(&ServerStats) -> &Counter,
+        n: u64,
+    ) {
+        counter(&self.stats).inc(n);
+        if let Some(entry) = entry {
+            counter(entry.stats()).inc(n);
+        }
+    }
+}
+
+/// What one call did to the session.
+#[derive(Debug, Default)]
+pub(crate) struct Step {
+    /// The replies, in wire order.
+    pub frames: Vec<Frame>,
+    /// The boundary this call crossed; the driver stamps it with its clock.
+    pub crossed: Option<Crossed>,
+    /// `Some(completed)`: the session is over — drain `frames`, then close.
+    pub close: Option<bool>,
+}
+
+impl Step {
+    fn reply(frame: Frame) -> Self {
+        Step {
+            frames: vec![frame],
+            ..Step::default()
+        }
+    }
+}
+
+/// A boundary of the session, with what its trace event reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Crossed {
+    /// The `Hello` was routed and answered.
+    Handshake { known_d: u64, delta: bool },
+    /// The session was served entirely from the changelog.
+    DeltaCatchup { batches: u64, epoch: u64 },
+    /// The estimate is out and Bob is built.
+    Estimated { d_param: u64 },
+    /// The final transfer landed and is acked.
+    Reconciled { rounds: u32, received: u64 },
+    /// The session turned into a live subscription from `epoch`.
+    Subscribed { epoch: u64 },
+    /// A push burst of `burst_bytes` would overrun the subscriber's room.
+    Evicted { burst_bytes: u64 },
+}
+
+/// Why the machine ended the session as failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// Tell the peer why (an `Error` frame), then close.
+    Answer { code: ErrorCode, message: String },
+    /// Close without a word: the peer itself reported an error.
+    Silent,
+}
+
+fn refuse(code: ErrorCode, message: impl Into<String>) -> Refusal {
+    Refusal::Answer {
+        code,
+        message: message.into(),
+    }
+}
+
+/// Which of the driver's clocks governs the session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Waiting {
+    /// Before the final ack: the session deadline runs, silence fails it.
+    Reconciling,
+    /// Complete; a `Subscribe` may still turn it live, silence ends it
+    /// cleanly.
+    Parked,
+    /// A live subscription: keepalive instead of a deadline.
+    Streaming,
+}
+
+/// What the handshake fixed for the rest of the session.
+struct Routed {
+    entry: Arc<RegisteredStore>,
+    cfg: PbsConfig,
+    seed: u64,
+    round_cap: u32,
+    max_d: u64,
+    max_done_elements: u32,
+}
+
+/// The one per-session snapshot: estimator and Bob must see the same set,
+/// and its epoch is the ack's baseline.
+#[derive(Default)]
+struct Snapshot {
+    elements: Vec<u64>,
+    epoch: Option<u64>,
+}
+
+enum Stage {
+    /// The negotiated `Hello` is out. Owed: the delta catch-up (`since`),
+    /// else the snapshot — and Bob too, when `d` came with the `Hello`.
+    OweSetup {
+        since: Option<u64>,
+        known_d: u64,
+    },
+    AwaitBank(Snapshot),
+    /// The `Estimate` is out; Bob is owed.
+    OweBob {
+        snapshot: Snapshot,
+        d_param: u64,
+    },
+    Rounds {
+        bob: Box<BobSession>,
+        /// The negotiated sketch shape.
+        m: u32,
+        t: usize,
+        /// The snapshot's epoch: what the ack carries.
+        epoch: Option<u64>,
+        /// Layers served so far, against the round cap.
+        rounds: u32,
+    },
+    Parked,
+    /// Terminal: a subscription's close is signalled through
+    /// [`Step::close`], so the slot in `live_subscribers` stays attributable.
+    Streaming {
+        epoch: u64,
+    },
+    Finished,
+}
+
+enum State {
+    AwaitHello,
+    Open(Routed, Stage),
+}
+
+/// The server side of one connection (see the [module docs](self)).
+pub(crate) struct ServerMachine {
+    state: State,
+}
+
+impl ServerMachine {
+    pub(crate) fn new() -> Self {
+        ServerMachine {
+            state: State::AwaitHello,
+        }
+    }
+
+    /// The store the `Hello` routed to, once it has.
+    pub(crate) fn entry(&self) -> Option<&Arc<RegisteredStore>> {
+        match &self.state {
+            State::AwaitHello => None,
+            State::Open(routed, _) => Some(&routed.entry),
+        }
+    }
+
+    pub(crate) fn waiting(&self) -> Waiting {
+        match &self.state {
+            State::Open(_, Stage::Parked | Stage::Finished) => Waiting::Parked,
+            State::Open(_, Stage::Streaming { .. }) => Waiting::Streaming,
+            _ => Waiting::Reconciling,
+        }
+    }
+
+    pub(crate) fn is_streaming(&self) -> bool {
+        self.waiting() == Waiting::Streaming
+    }
+
+    /// `true` while the replies just handed back precede set-up work: flush
+    /// them, then call [`ServerMachine::set_up`].
+    pub(crate) fn owes_set_up(&self) -> bool {
+        matches!(
+            self.state,
+            State::Open(_, Stage::OweSetup { .. } | Stage::OweBob { .. })
+        )
+    }
+
+    /// Accept the peer's next frame. After an `Err`, or a [`Step::close`],
+    /// the session is over and the machine takes no further frame.
+    pub(crate) fn on_frame(&mut self, res: &Resources, frame: Frame) -> Result<Step, Refusal> {
+        if matches!(frame, Frame::Error { .. }) {
+            return Err(Refusal::Silent);
+        }
+        let State::Open(routed, stage) = &mut self.state else {
+            return self.hello(res, frame);
+        };
+        let entry = Some(&*routed.entry);
+        match (&mut *stage, frame) {
+            (Stage::AwaitBank(snapshot), Frame::EstimatorExchange(EstimatorMsg::TowBank(bank))) => {
+                let theirs = TowEstimator::from_bytes(&bank)
+                    .ok_or_else(|| refuse(ErrorCode::Decode, "malformed estimator bank"))?;
+                let est_seed = xhash::derive_seed(routed.seed, ESTIMATOR_SEED_SALT);
+                let sketches = routed.cfg.estimator_sketches;
+                if theirs.seed() != est_seed || theirs.sketch_count() != sketches {
+                    return Err(refuse(
+                        ErrorCode::BadConfig,
+                        "estimator bank does not match the handshake parameters",
+                    ));
+                }
+                let mut own = TowEstimator::new(sketches, est_seed);
+                own.insert_slice(&snapshot.elements);
+                let d_hat = theirs.estimate(&own);
+                let d_param = estimator::inflate_estimate(d_hat) as u64;
+                res.bump(entry, |s| &s.estimator_exchanges, 1);
+                *stage = Stage::OweBob {
+                    snapshot: std::mem::take(snapshot),
+                    d_param,
+                };
+                let estimate = EstimatorMsg::Estimate { d_param, d_hat };
+                Ok(Step::reply(Frame::EstimatorExchange(estimate)))
+            }
+            (
+                Stage::Rounds {
+                    bob, m, t, rounds, ..
+                },
+                Frame::Sketches { m: their_m, batch },
+            ) => {
+                // Pipelining: layers — not frames — are what the round cap
+                // meters; each costs a full per-group decode pass.
+                let mut layer_rounds: Vec<u32> = batch.iter().map(|s| s.round).collect();
+                layer_rounds.sort_unstable();
+                layer_rounds.dedup();
+                let layers = (layer_rounds.len() as u32).max(1);
+                let depth_cap = res.config.max_pipeline_depth;
+                if layers > depth_cap {
+                    return Err(refuse(
+                        ErrorCode::BadConfig,
+                        format!("{layers} pipelined layers exceed the server cap {depth_cap}"),
+                    ));
+                }
+                *rounds += layers;
+                if *rounds > routed.round_cap {
+                    return Err(refuse(
+                        ErrorCode::RoundLimit,
+                        format!("round cap {} exceeded", routed.round_cap),
+                    ));
+                }
+                // Shape-check before the codec's capacity assertion could
+                // fire: the batch must be nonempty (a zero-sketch round is a
+                // degenerate shape no worker should ever be handed) and every
+                // sketch must match the negotiated (m, t).
+                if batch.is_empty() {
+                    return Err(refuse(ErrorCode::BadConfig, "empty sketch batch"));
+                }
+                if their_m != *m || batch.iter().any(|s| s.sketch.capacity() != *t) {
+                    return Err(refuse(
+                        ErrorCode::BadConfig,
+                        format!("sketch shape mismatch: negotiated m={m} t={t}"),
+                    ));
+                }
+                let failures = bob.decode_failures();
+                let reports = bob.handle_sketches(&batch);
+                let failures = (bob.decode_failures() - failures) as u64;
+                res.bump(entry, |s| &s.decode_failures, failures);
+                res.bump(entry, |s| &s.rounds, layers as u64);
+                res.bump(entry, |s| &s.round_trips, 1);
+                Ok(Step::reply(Frame::Reports(reports)))
+            }
+            (Stage::Rounds { epoch, rounds, .. }, Frame::Done(elements)) => {
+                if elements.len() as u64 > routed.max_done_elements as u64 {
+                    return Err(refuse(
+                        ErrorCode::BadConfig,
+                        format!(
+                            "final transfer of {} elements exceeds the cap {}",
+                            elements.len(),
+                            routed.max_done_elements
+                        ),
+                    ));
+                }
+                // Zero or out-of-universe elements would poison the store.
+                // (The handshake admitted `universe_bits` in 8..=64.)
+                let bits = routed.cfg.universe_bits;
+                if elements
+                    .iter()
+                    .any(|&e| e == 0 || e > u64::MAX >> (64 - bits))
+                {
+                    return Err(refuse(
+                        ErrorCode::BadConfig,
+                        format!("final transfer contains elements outside the {bits}-bit universe"),
+                    ));
+                }
+                // No ack for a transfer the store refused: the client must
+                // not believe its `A ∖ B` is held here.
+                if !routed.entry.store().apply_missing(&elements) {
+                    return Err(refuse(
+                        ErrorCode::Internal,
+                        "the store refused the final transfer",
+                    ));
+                }
+                let received = elements.len() as u64;
+                res.bump(entry, |s| &s.elements_received, received);
+                let crossed = Crossed::Reconciled {
+                    rounds: *rounds,
+                    received,
+                };
+                // Against an epoch-capable store the ack carries the
+                // *snapshot* epoch — the client's new delta baseline
+                // (changes landing after the snapshot were invisible to
+                // this session; the next delta sync replays them
+                // idempotently) — and the session may yet subscribe.
+                let (ack, next, close) = match *epoch {
+                    Some(epoch) => (Frame::DeltaDone { epoch }, Stage::Parked, None),
+                    None => (Frame::Done(Vec::new()), Stage::Finished, Some(true)),
+                };
+                *stage = next;
+                Ok(Step {
+                    frames: vec![ack],
+                    crossed: Some(crossed),
+                    close,
+                })
+            }
+            (Stage::Parked, Frame::Subscribe { epoch }) => {
+                let max = res.config.max_subscribers;
+                if res.live_subscribers.load(Ordering::Relaxed) >= max {
+                    return Err(refuse(
+                        ErrorCode::Internal,
+                        format!("subscriber limit {max} reached"),
+                    ));
+                }
+                res.live_subscribers.fetch_add(1, Ordering::Relaxed);
+                res.bump(entry, |s| &s.subscriptions, 1);
+                *stage = Stage::Streaming { epoch };
+                Ok(Step {
+                    crossed: Some(Crossed::Subscribed { epoch }),
+                    ..Step::default()
+                })
+            }
+            // Liveness credit is the driver's: it saw a frame arrive.
+            (Stage::Streaming { .. }, Frame::Pong { .. }) => Ok(Step::default()),
+            (Stage::Streaming { .. }, Frame::Ping { nonce }) => {
+                Ok(Step::reply(Frame::Pong { nonce }))
+            }
+            (stage, other) => {
+                let ty = other.type_byte();
+                let message = match stage {
+                    Stage::AwaitBank(_) => format!("expected estimator bank, got frame type {ty}"),
+                    Stage::Rounds { .. } => {
+                        format!("unexpected frame type {ty} during the round loop")
+                    }
+                    Stage::Parked => format!("unexpected frame type {ty} while awaiting Subscribe"),
+                    Stage::Streaming { .. } => {
+                        format!("unexpected frame type {ty} on a live subscription")
+                    }
+                    _ => format!("unexpected frame type {ty}: the session takes none now"),
+                };
+                Err(refuse(ErrorCode::Protocol, message))
+            }
+        }
+    }
+
+    fn hello(&mut self, res: &Resources, frame: Frame) -> Result<Step, Refusal> {
+        let hello = match frame {
+            Frame::Hello(hello) => hello,
+            other => {
+                return Err(refuse(
+                    ErrorCode::Protocol,
+                    format!("expected Hello, got frame type {}", other.type_byte()),
+                ))
+            }
+        };
+        let cfg = hello
+            .config()
+            .map_err(|why| refuse(ErrorCode::BadConfig, why))?;
+        let entry = res.registry.get(&hello.store).ok_or_else(|| {
+            refuse(
+                ErrorCode::UnknownStore,
+                format!("no store named {:?}", hello.store),
+            )
+        })?;
+        entry.stats().sessions_started.inc(1);
+        let (options, config) = (entry.options(), &res.config);
+        let crossed = Crossed::Handshake {
+            known_d: hello.known_d,
+            delta: hello.delta_epoch.is_some(),
+        };
+        let stage = Stage::OweSetup {
+            since: hello.delta_epoch,
+            known_d: hello.known_d,
+        };
+        let mut negotiated = hello;
+        negotiated.store = entry.name().to_string();
+        negotiated.pipeline = negotiated
+            .pipeline
+            .max(1)
+            .min(config.max_pipeline_depth.clamp(1, u8::MAX as u32) as u8);
+        let routed = Routed {
+            entry,
+            cfg,
+            seed: negotiated.seed,
+            round_cap: options.round_cap.unwrap_or(config.round_cap),
+            max_d: options.max_d.unwrap_or(config.max_d),
+            max_done_elements: options
+                .max_done_elements
+                .unwrap_or(config.max_done_elements),
+        };
+        self.state = State::Open(routed, stage);
+        Ok(Step {
+            crossed: Some(crossed),
+            ..Step::reply(Frame::Hello(negotiated))
+        })
+    }
+
+    /// The deferred O(|B|) work, one unit a call: the delta catch-up (or
+    /// its refusal), the snapshot, the Bob build. The driver calls it, after
+    /// flushing, for as long as [`ServerMachine::owes_set_up`].
+    pub(crate) fn set_up(&mut self, res: &Resources) -> Result<Step, Refusal> {
+        let State::Open(routed, stage) = &mut self.state else {
+            return Ok(Step::default());
+        };
+        let (entry, store) = (Some(&*routed.entry), routed.entry.store());
+        let mut step = Step::default();
+        let since = match stage {
+            Stage::OweSetup { since, .. } => since.take(),
+            _ => None,
+        };
+        if let Some(since) = since {
+            let current = match store.delta_since(since) {
+                DeltaAnswer::Changes { batches, current } => {
+                    // Served entirely from the changelog: the session is
+                    // complete and may turn into a live subscription.
+                    let (frames, elements) =
+                        delta_stream(&batches, current, res.config.transport.max_frame);
+                    res.bump(entry, |s| &s.delta_sessions, 1);
+                    res.bump(entry, |s| &s.delta_elements, elements);
+                    res.bump(entry, |s| &s.delta_batches, frames.len() as u64 - 1);
+                    *stage = Stage::Parked;
+                    step.frames = frames;
+                    step.crossed = Some(Crossed::DeltaCatchup {
+                        batches: batches.len() as u64,
+                        epoch: current,
+                    });
+                    return Ok(step);
+                }
+                DeltaAnswer::Trimmed { current } => current,
+                DeltaAnswer::Unsupported => 0,
+            };
+            // The classic session follows; its snapshot is still owed.
+            res.bump(entry, |s| &s.delta_fallbacks, 1);
+            step.frames
+                .push(Frame::FullResyncRequired { epoch: current });
+            return Ok(step);
+        }
+        match stage {
+            Stage::OweSetup { known_d, .. } => {
+                let d = *known_d;
+                let (elements, epoch) = store.epoch_snapshot();
+                let snapshot = Snapshot { elements, epoch };
+                *stage = match d {
+                    0 => Stage::AwaitBank(snapshot),
+                    _ => routed.rounds(snapshot, d)?,
+                };
+            }
+            Stage::OweBob { snapshot, d_param } => {
+                let d_param = *d_param;
+                *stage = routed.rounds(std::mem::take(snapshot), d_param)?;
+                step.crossed = Some(Crossed::Estimated { d_param });
+            }
+            _ => {}
+        }
+        Ok(step)
+    }
+
+    /// Everything the store changed past this subscriber's epoch, as one
+    /// `DeltaBatch*`/`DeltaDone` burst — or, when the burst exceeds `room`
+    /// (what the driver will still buffer toward this peer), the eviction:
+    /// a slow consumer is cut loose with `FullResyncRequired`, never
+    /// buffered without bound.
+    pub(crate) fn push(&mut self, res: &Resources, room: u64) -> Result<Step, Refusal> {
+        let State::Open(routed, Stage::Streaming { epoch }) = &mut self.state else {
+            return Ok(Step::default());
+        };
+        let entry = Some(&*routed.entry);
+        let evict = |current, crossed| Step {
+            frames: vec![Frame::FullResyncRequired { epoch: current }],
+            crossed,
+            close: Some(true),
+        };
+        match routed.entry.store().delta_since(*epoch) {
+            DeltaAnswer::Changes { batches, current } => {
+                *epoch = current;
+                if batches.is_empty() {
+                    return Ok(Step::default());
+                }
+                let (frames, elements) =
+                    delta_stream(&batches, current, res.config.transport.max_frame);
+                let burst_bytes: u64 = frames.iter().map(Frame::wire_len).sum();
+                if burst_bytes > room {
+                    res.bump(entry, |s| &s.subscribers_evicted, 1);
+                    return Ok(evict(current, Some(Crossed::Evicted { burst_bytes })));
+                }
+                res.bump(entry, |s| &s.push_batches, frames.len() as u64 - 1);
+                res.bump(entry, |s| &s.push_elements, elements);
+                Ok(Step {
+                    frames,
+                    ..Step::default()
+                })
+            }
+            // The changelog no longer covers this subscriber (trimmed
+            // under it while it idled, or the epoch space exhausted).
+            DeltaAnswer::Trimmed { current } => Ok(evict(current, None)),
+            DeltaAnswer::Unsupported => Err(Refusal::Silent),
+        }
+    }
+}
+
+impl Routed {
+    /// Enter the round loop for difference `d` over `snapshot`, which is
+    /// dropped once Bob is built from it.
+    fn rounds(&self, snapshot: Snapshot, d: u64) -> Result<Stage, Refusal> {
+        if d > self.max_d {
+            return Err(refuse(
+                ErrorCode::BadConfig,
+                format!("d = {d} exceeds the server cap {}", self.max_d),
+            ));
+        }
+        let params = Pbs::new(self.cfg).plan(d as usize);
+        let bob = BobSession::new(self.cfg, params, &snapshot.elements, self.seed);
+        Ok(Stage::Rounds {
+            bob: Box::new(bob),
+            m: params.m,
+            t: params.t,
+            epoch: snapshot.epoch,
+            rounds: 0,
+        })
+    }
+}
+
+/// One delta stream — every batch chunked under the frame cap, then the
+/// `DeltaDone` — and the elements (adds plus removes) it carries.
+fn delta_stream(batches: &[ChangeBatch], current: u64, max_frame: u32) -> (Vec<Frame>, u64) {
+    let capacity = delta_chunk_capacity(max_frame);
+    let mut frames = Vec::new();
+    let mut elements = 0u64;
+    for batch in batches {
+        elements += (batch.added.len() + batch.removed.len()) as u64;
+        frames.extend(delta_batch_frames(
+            batch.epoch,
+            &batch.added,
+            &batch.removed,
+            capacity,
+        ));
+    }
+    frames.push(Frame::DeltaDone { epoch: current });
+    (frames, elements)
+}
+
+#[cfg(test)]
+/// Both machines in one thread, no listener: what the client sends goes
+/// straight into a [`ServerMachine`], what that answers — a refusal as the
+/// `Error` frame a driver would make of it — comes straight back.
+pub(crate) mod duet {
+    use super::*;
+    use crate::client::SyncReport;
+    use crate::frame::Hello;
+    use crate::machine::{ClientMachine, Phase};
+    use crate::store::SetStore;
+    use crate::NetError;
+    use std::collections::VecDeque;
+
+    pub(crate) struct Duet {
+        pub res: Resources,
+        pub server: ServerMachine,
+        /// Type byte of every frame delivered to the server.
+        pub sent: Vec<u8>,
+        /// What the server has answered and the client has not read yet.
+        pub inbox: VecDeque<Frame>,
+        /// Every boundary the server crossed.
+        pub crossed: Vec<Crossed>,
+        /// `Some(completed)` once the server ended the session.
+        pub closed: Option<bool>,
+    }
+
+    impl Duet {
+        /// A server with `config` whose default store is `store`.
+        pub fn new(store: Arc<dyn SetStore>, config: ServerConfig) -> Self {
+            Duet {
+                res: Resources {
+                    registry: Arc::new(StoreRegistry::single(store)),
+                    config,
+                    stats: Arc::new(ServerStats::default()),
+                    live_subscribers: AtomicUsize::new(0),
+                },
+                server: ServerMachine::new(),
+                sent: Vec::new(),
+                inbox: VecDeque::new(),
+                crossed: Vec::new(),
+                closed: None,
+            }
+        }
+
+        pub fn over(store: Arc<dyn SetStore>) -> Self {
+            Self::new(store, ServerConfig::default())
+        }
+
+        fn absorb(&mut self, step: Result<Step, Refusal>) {
+            match step {
+                Ok(step) => {
+                    self.inbox.extend(step.frames);
+                    self.crossed.extend(step.crossed);
+                    self.closed = self.closed.or(step.close);
+                }
+                Err(refusal) => {
+                    if let Refusal::Answer { code, message } = refusal {
+                        self.inbox.push_back(Frame::Error { code, message });
+                    }
+                    self.closed = Some(false);
+                }
+            }
+        }
+
+        /// What an event loop does with a received frame: the machine's
+        /// replies first, then the set-up work they precede — and nothing
+        /// once the session is over (a refusal may cross the peer's next
+        /// frame on the wire).
+        pub fn deliver(&mut self, frame: Frame) {
+            self.sent.push(frame.type_byte());
+            if self.closed.is_some() {
+                return;
+            }
+            let step = self.server.on_frame(&self.res, frame);
+            self.absorb(step);
+            while self.closed.is_none() && self.server.owes_set_up() {
+                let step = self.server.set_up(&self.res);
+                self.absorb(step);
+            }
+        }
+
+        /// What an event loop does when the store changed.
+        pub fn push(&mut self, room: u64) {
+            let step = self.server.push(&self.res, room);
+            self.absorb(step);
+        }
+
+        /// Drive `client` against the server to its report, collecting the
+        /// client-side boundaries crossed on the way.
+        pub fn run(
+            &mut self,
+            client: &mut ClientMachine<'_>,
+        ) -> Result<(SyncReport, Vec<Phase>), NetError> {
+            let mut crossed = Vec::new();
+            loop {
+                if let Some(frame) = client.poll_send()? {
+                    self.deliver(frame);
+                }
+                let reply = self.inbox.pop_front().expect("the server owes a frame");
+                let step = client.on_frame(reply)?;
+                crossed.extend(step.crossed);
+                if let Some(report) = step.report {
+                    assert_eq!(client.poll_send()?, None, "a finished machine owes nothing");
+                    return Ok((report, crossed));
+                }
+            }
+        }
+    }
+
+    /// One frame of every type except `Error`.
+    pub(crate) fn one_of_each() -> Vec<Frame> {
+        vec![
+            Frame::Hello(Hello::from_config(&PbsConfig::default(), 1, 0)),
+            Frame::EstimatorExchange(EstimatorMsg::TowBank(vec![1, 2, 3])),
+            Frame::EstimatorExchange(EstimatorMsg::Estimate {
+                d_param: 5,
+                d_hat: 4.0,
+            }),
+            Frame::Sketches {
+                m: 8,
+                batch: Vec::new(),
+            },
+            Frame::Reports(Vec::new()),
+            Frame::Done(Vec::new()),
+            Frame::DeltaBatch {
+                epoch: 1,
+                added: vec![1],
+                removed: vec![],
+            },
+            Frame::DeltaDone { epoch: 1 },
+            Frame::FullResyncRequired { epoch: 1 },
+            Frame::Subscribe { epoch: 1 },
+            Frame::Ping { nonce: 1 },
+            Frame::Pong { nonce: 1 },
+        ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::duet::{one_of_each, Duet};
+    use super::*;
+    use crate::client::ClientConfig;
+    use crate::frame::Hello;
+    use crate::machine::{ClientMachine, Mode};
+    use crate::store::{InMemoryStore, MutableStore, SetStore};
+    use crate::NetError;
+    use pbs_core::AliceSession;
+
+    const SEED: u64 = 0x5EED;
+
+    fn hello(known_d: u64) -> Hello {
+        Hello::from_config(&PbsConfig::default(), SEED, known_d)
+    }
+
+    fn elements(range: std::ops::Range<u64>) -> Vec<u64> {
+        range.map(|i| i * 0x9E37 + 1).collect()
+    }
+
+    fn mutable(range: std::ops::Range<u64>) -> Arc<MutableStore> {
+        Arc::new(MutableStore::new(elements(range)))
+    }
+
+    /// A `Sketches` frame of `layers` pipelined rounds, shaped for `d`.
+    fn sketches(set: &[u64], d: u64, layers: u32) -> Frame {
+        let cfg = PbsConfig::default();
+        let params = Pbs::new(cfg).plan(d as usize);
+        let mut alice = AliceSession::new(cfg, params, set, SEED);
+        Frame::Sketches {
+            m: params.m,
+            batch: alice.start_rounds(layers),
+        }
+    }
+
+    /// The code of the `Error` frame the session ended with, after
+    /// `preface` ordinary replies.
+    fn refused_with(duet: &mut Duet, preface: usize) -> ErrorCode {
+        assert_eq!(duet.closed, Some(false), "the session must have failed");
+        assert_eq!(duet.inbox.len(), preface + 1, "{:?}", duet.inbox);
+        match duet.inbox.pop_back() {
+            Some(Frame::Error { code, .. }) => code,
+            other => panic!("expected an Error frame, got {other:?}"),
+        }
+    }
+
+    /// A server scripted into each stage that awaits a frame, with the
+    /// frames accepted there (as indices into `one_of_each`).
+    fn every_awaiting_stage() -> Vec<(&'static str, Duet, Vec<usize>)> {
+        let await_hello = Duet::over(mutable(0..50));
+
+        let mut await_bank = Duet::over(mutable(0..50));
+        await_bank.deliver(Frame::Hello(hello(0)));
+
+        let mut rounds = Duet::over(mutable(0..50));
+        rounds.deliver(Frame::Hello(hello(5)));
+
+        let mut parked = Duet::over(mutable(0..50));
+        parked.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
+        assert_eq!(parked.server.waiting(), Waiting::Parked);
+
+        let mut streaming = Duet::over(mutable(0..50));
+        streaming.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
+        streaming.deliver(Frame::Subscribe { epoch: 0 });
+        assert!(streaming.server.is_streaming());
+
+        vec![
+            ("expected Hello", await_hello, vec![0]),
+            ("expected estimator bank", await_bank, vec![1]),
+            ("during the round loop", rounds, vec![3, 5]),
+            ("while awaiting Subscribe", parked, vec![9]),
+            ("on a live subscription", streaming, vec![10, 11]),
+        ]
+    }
+
+    #[test]
+    fn every_stage_refuses_every_wrong_frame_type_by_name() {
+        for (name, mut duet, accepted) in every_awaiting_stage() {
+            let waiting = duet.server.waiting();
+            for (i, frame) in one_of_each().into_iter().enumerate() {
+                if accepted.contains(&i) {
+                    continue;
+                }
+                let ty = frame.type_byte();
+                match duet.server.on_frame(&duet.res, frame) {
+                    Err(Refusal::Answer { code, message }) => {
+                        assert_eq!(code, ErrorCode::Protocol, "{name}: {message}");
+                        assert!(message.contains(name), "{name}: {message}");
+                        assert!(message.contains(&format!("type {ty}")), "{name}: {message}");
+                    }
+                    other => panic!("{name} accepted frame type {ty}: {other:?}"),
+                }
+                // A refusal changes nothing: a subscriber's slot, for one,
+                // is still the machine's to hand back.
+                assert_eq!(duet.server.waiting(), waiting);
+            }
+            // A peer Error frame ends the session in any stage, reply-less.
+            let error = Frame::Error {
+                code: ErrorCode::Internal,
+                message: "boom".into(),
+            };
+            assert_eq!(
+                duet.server.on_frame(&duet.res, error).unwrap_err(),
+                Refusal::Silent
+            );
+        }
+    }
+
+    /// Every hostile input the socket tests (`loopback::
+    /// server_rejects_protocol_violations`, `fuzz_session`) throw at a live
+    /// server, met with the same `ErrorCode` — after the same replies.
+    #[test]
+    fn hostile_input_is_refused_with_the_code_the_socket_tests_see() {
+        let set = elements(0..200);
+        let store = || Arc::new(InMemoryStore::new(elements(5..205))) as Arc<dyn SetStore>;
+        let limits = |config: ServerConfig| Duet::new(store(), config);
+        let in_rounds = |config: ServerConfig| {
+            let mut duet = limits(config);
+            duet.deliver(Frame::Hello(hello(10)));
+            assert!(matches!(duet.inbox.pop_front(), Some(Frame::Hello(_))));
+            duet
+        };
+        let defaults = ServerConfig::default;
+
+        // Round cap, metered in layers.
+        let mut duet = in_rounds(ServerConfig {
+            round_cap: 1,
+            ..defaults()
+        });
+        duet.deliver(sketches(&set, 10, 2));
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::RoundLimit);
+
+        // More layers in one frame than the server grants.
+        let mut duet = in_rounds(defaults());
+        duet.deliver(sketches(&set, 10, defaults().max_pipeline_depth + 1));
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+
+        // An empty batch; a batch shaped for another (m, t).
+        let Frame::Sketches { m, batch } = sketches(&set, 10, 1) else {
+            unreachable!()
+        };
+        let mut duet = in_rounds(defaults());
+        duet.deliver(Frame::Sketches { m, batch: vec![] });
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+        let mut duet = in_rounds(defaults());
+        duet.deliver(Frame::Sketches { m: m + 1, batch });
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+        let mut duet = in_rounds(defaults());
+        duet.deliver(sketches(&set, 4_000, 1));
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+
+        // A final transfer over the cap; one that would poison the store.
+        let mut duet = in_rounds(ServerConfig {
+            max_done_elements: 2,
+            ..defaults()
+        });
+        duet.deliver(Frame::Done(vec![1, 2, 3]));
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+        let mut duet = in_rounds(defaults());
+        duet.deliver(Frame::Done(vec![0x7777, 0, 1u64 << 40]));
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+        let held = duet.res.registry.get("").unwrap().store().snapshot();
+        assert!(!held.contains(&0x7777), "the whole batch is refused");
+        assert_eq!(duet.res.stats.snapshot().elements_received, 0);
+
+        // An estimator bank that does not decode, or is not the one the
+        // handshake parameterized.
+        for (bank, code) in [
+            (vec![1, 2, 3], ErrorCode::Decode),
+            (
+                TowEstimator::new(128, 0xBAD).to_bytes(),
+                ErrorCode::BadConfig,
+            ),
+            (
+                TowEstimator::new(64, xhash::derive_seed(SEED, ESTIMATOR_SEED_SALT)).to_bytes(),
+                ErrorCode::BadConfig,
+            ),
+        ] {
+            let mut duet = limits(defaults());
+            duet.deliver(Frame::Hello(hello(0)));
+            duet.deliver(Frame::EstimatorExchange(EstimatorMsg::TowBank(bank)));
+            assert_eq!(refused_with(&mut duet, 1), code);
+        }
+
+        // d above the server's cap: named in the Hello, or estimated. The
+        // reply each refusal follows is on the wire first.
+        let capped = ServerConfig {
+            max_d: 8,
+            ..defaults()
+        };
+        let mut duet = limits(capped);
+        duet.deliver(Frame::Hello(hello(9)));
+        assert_eq!(refused_with(&mut duet, 1), ErrorCode::BadConfig);
+        assert!(matches!(duet.inbox[0], Frame::Hello(_)));
+        let mut duet = limits(capped);
+        let mut client = ClientMachine::new(
+            &ClientConfig::builder().seed(SEED).build(),
+            &set[..100],
+            Mode::Full,
+        )
+        .unwrap();
+        match duet.run(&mut client) {
+            Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadConfig),
+            other => panic!("expected the estimate to be refused, got {other:?}"),
+        }
+        assert_eq!(
+            duet.sent,
+            [1, 2, 3],
+            "the Estimate came first: sketches crossed the refusal"
+        );
+
+        // Handshake values out of range; a store nobody registered.
+        let mut duet = limits(defaults());
+        let mut bad = hello(1);
+        bad.delta = 0;
+        duet.deliver(Frame::Hello(bad));
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+        let mut duet = limits(defaults());
+        duet.deliver(Frame::Hello(hello(1).with_store("nope")));
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::UnknownStore);
+        let stats = duet.res.stats.snapshot();
+        assert_eq!(stats.sessions_started, 0, "accept is the driver's to count");
+
+        // One subscriber too many.
+        let mut duet = Duet::new(
+            mutable(0..50),
+            ServerConfig {
+                max_subscribers: 0,
+                ..defaults()
+            },
+        );
+        duet.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
+        duet.deliver(Frame::Subscribe { epoch: 0 });
+        assert_eq!(refused_with(&mut duet, 2), ErrorCode::Internal);
+        assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_subscriber_is_pushed_every_change_until_it_falls_behind() {
+        let store = mutable(0..50);
+        store.apply(&[7_000_001], &[]);
+        let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+        let config = ClientConfig::builder().seed(SEED).build();
+        let mode = Mode::Subscribe { since: 0 };
+        let mut client = ClientMachine::new(&config, Vec::new(), mode).unwrap();
+
+        // Handshake, catch-up (the changelog since epoch 0), Subscribe.
+        let mut pushes = Vec::new();
+        while !client.is_parked() {
+            if let Some(frame) = client.poll_send().unwrap() {
+                duet.deliver(frame);
+            }
+            while let Some(reply) = duet.inbox.pop_front() {
+                pushes.extend(client.on_frame(reply).unwrap().push);
+            }
+        }
+        assert_eq!(duet.sent, [1, 10], "Hello, Subscribe");
+        assert_eq!(pushes.len(), 1);
+        assert_eq!(
+            (pushes[0].to_epoch, &pushes[0].added[..]),
+            (1, &[7_000_001][..])
+        );
+        assert_eq!(
+            duet.crossed,
+            [
+                Crossed::Handshake {
+                    known_d: 0,
+                    delta: true
+                },
+                Crossed::DeltaCatchup {
+                    batches: 1,
+                    epoch: 1
+                },
+                Crossed::Subscribed { epoch: 1 },
+            ]
+        );
+        assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 1);
+
+        // Nothing changed: nothing to say.
+        duet.push(u64::MAX);
+        assert!(duet.inbox.is_empty());
+
+        // Two mutations coalesce into one burst the client folds.
+        store.apply(&[7_000_002], &[7_000_001]);
+        store.apply(&[7_000_003], &[]);
+        duet.push(u64::MAX);
+        assert_eq!(
+            duet.inbox.len(),
+            3,
+            "two DeltaBatch frames and the DeltaDone"
+        );
+        let mut burst = None;
+        while let Some(reply) = duet.inbox.pop_front() {
+            burst = burst.or(client.on_frame(reply).unwrap().push);
+        }
+        let burst = burst.expect("the DeltaDone closes the burst");
+        assert_eq!((burst.from_epoch, burst.to_epoch), (1, 3));
+        assert_eq!(burst.added, [7_000_002, 7_000_003]);
+        assert_eq!(burst.removed, [7_000_001]);
+        let stats = duet.res.stats.snapshot();
+        assert_eq!((stats.push_batches, stats.push_elements), (2, 3));
+        assert_eq!((stats.delta_batches, stats.delta_elements), (1, 1));
+
+        // A keepalive probe from the peer is answered in kind.
+        duet.deliver(Frame::Ping { nonce: 9 });
+        assert_eq!(duet.inbox.pop_front(), Some(Frame::Pong { nonce: 9 }));
+
+        // A burst the subscriber has no room for evicts it — cleanly: it
+        // reached Streaming, and is told to come back with a full sync.
+        store.apply(&[7_000_004], &[]);
+        duet.push(8);
+        assert_eq!(
+            duet.inbox.pop_front(),
+            Some(Frame::FullResyncRequired { epoch: 4 })
+        );
+        assert_eq!(duet.closed, Some(true));
+        assert!(matches!(duet.crossed.last(), Some(Crossed::Evicted { .. })));
+        assert_eq!(duet.res.stats.snapshot().subscribers_evicted, 1);
+        assert!(duet.server.is_streaming(), "the slot is still attributable");
+    }
+}

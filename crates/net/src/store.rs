@@ -75,8 +75,10 @@ pub enum DeltaAnswer {
 pub trait SetStore: Send + Sync + 'static {
     /// The current element set.
     fn snapshot(&self) -> Vec<u64>;
-    /// Ingest elements learned from a client.
-    fn apply_missing(&self, elements: &[u64]);
+    /// Ingest elements learned from a client. `false` when the store
+    /// refused the batch (a durable store whose write-ahead append failed)
+    /// and holds none of it — the caller must not report it as stored.
+    fn apply_missing(&self, elements: &[u64]) -> bool;
     /// Number of elements currently held. The default materializes a
     /// snapshot; implementors with a cheap count should override it.
     fn element_count(&self) -> usize {
@@ -141,9 +143,10 @@ impl SetStore for InMemoryStore {
         self.elements.read().unwrap().iter().copied().collect()
     }
 
-    fn apply_missing(&self, elements: &[u64]) {
+    fn apply_missing(&self, elements: &[u64]) -> bool {
         let mut guard = self.elements.write().unwrap();
         guard.extend(elements.iter().copied());
+        true
     }
 
     fn element_count(&self) -> usize {
@@ -389,12 +392,19 @@ impl MutableStore {
     /// [`SetStore::delta_since`] call reports truncation, forcing readers
     /// back to full reconciliation — degraded, never wrong.
     pub fn apply(&self, added: &[u64], removed: &[u64]) -> u64 {
-        match self.try_apply(added, removed) {
-            Ok(epoch) => epoch,
+        self.apply_logged(added, removed).0
+    }
+
+    /// [`MutableStore::apply`], also telling whether the batch landed. An
+    /// error is logged either way; only a failed write-ahead append drops
+    /// the batch (memory unchanged — degraded, the feed misses it, never
+    /// silently divergent from disk). A batch whose follow-up compaction
+    /// failed is in memory and in the WAL: it landed.
+    fn apply_logged(&self, added: &[u64], removed: &[u64]) -> (u64, bool) {
+        let (result, effective) = self.apply_notifying(added, removed);
+        match result {
+            Ok(epoch) => (epoch, true),
             Err(e) => {
-                // The write-ahead append failed, so the batch was rejected
-                // and memory is unchanged — degraded (the feed misses the
-                // batch), never silently divergent from disk.
                 if obs::trace::enabled(obs::trace::Level::Error) {
                     obs::trace::event(
                         obs::trace::Level::Error,
@@ -404,9 +414,9 @@ impl MutableStore {
                         &[("error", obs::trace::Value::Str(&e.to_string()))],
                     );
                 } else {
-                    eprintln!("pbs store: durable apply failed, batch dropped: {e}");
+                    eprintln!("pbs store: durable apply failed: {e}");
                 }
-                self.epoch()
+                (self.epoch(), effective.is_some())
             }
         }
     }
@@ -420,6 +430,13 @@ impl MutableStore {
     /// in the WAL; only the snapshot is missing, and the next compaction
     /// retries it. Non-durable stores never return `Err`.
     pub fn try_apply(&self, added: &[u64], removed: &[u64]) -> io::Result<u64> {
+        self.apply_notifying(added, removed).0
+    }
+
+    /// The one apply path: the outcome, plus the epoch the batch produced
+    /// when it took effect (`Some` even when the outcome is a compaction
+    /// error — the batch itself landed).
+    fn apply_notifying(&self, added: &[u64], removed: &[u64]) -> (io::Result<u64>, Option<u64>) {
         let metrics = self.metrics.get();
         let start = metrics.map(|_| Instant::now());
         let mut effective = None;
@@ -441,7 +458,7 @@ impl MutableStore {
         if let Some(epoch) = effective {
             self.notifiers.0.lock().unwrap().retain(|n| n(epoch));
         }
-        result
+        (result, effective)
     }
 
     fn apply_locked(
@@ -547,8 +564,8 @@ impl SetStore for MutableStore {
         self.snapshot_with_epoch().0
     }
 
-    fn apply_missing(&self, elements: &[u64]) {
-        self.apply(elements, &[]);
+    fn apply_missing(&self, elements: &[u64]) -> bool {
+        self.apply_logged(elements, &[]).1
     }
 
     fn element_count(&self) -> usize {
@@ -1191,6 +1208,36 @@ mod tests {
         assert_eq!(changes[0].epoch, 2);
         // And the store keeps appending where it left off.
         assert_eq!(store.apply(&[7], &[]), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn apply_missing_tells_a_dropped_batch_from_a_failed_compaction() {
+        let dir = std::env::temp_dir().join(format!("pbs_store_landed_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DurableOptions {
+            snapshot_every: 1, // every append is followed by a compaction
+            ..DurableOptions::default()
+        };
+        let store = MutableStore::open_durable(&dir, options).unwrap();
+        assert!(SetStore::apply_missing(&store, &[1]));
+        // The compaction after the append dies: the batch is in memory and
+        // in the WAL all the same.
+        store.inject_crash(Some(wal::CrashPoint::MidSnapshotWrite));
+        assert!(SetStore::apply_missing(&store, &[2]), "the batch landed");
+        assert!(store.contains(2) && store.epoch() == 2);
+        // The append itself dies: nothing landed, and the store says so.
+        store.inject_crash(Some(wal::CrashPoint::MidWalAppend));
+        assert!(
+            !SetStore::apply_missing(&store, &[3]),
+            "the batch was dropped"
+        );
+        assert!(!store.contains(3) && store.epoch() == 2);
+        // Nothing effective to write is not a refusal.
+        assert!(SetStore::apply_missing(&store, &[1, 2]));
+        drop(store);
+        let reopened = MutableStore::open_durable(&dir, options).unwrap();
+        assert!(reopened.contains(2) && !reopened.contains(3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,9 +13,10 @@
 //! workload (the CI fuzz-soak leg pins it).
 
 use pbs_net::client::{sync, sync_with_retry, ClientConfig, RetryPolicy};
+use pbs_net::frame::ErrorCode;
 use pbs_net::store::{ChangeBatch, StoreOptions, StoreRegistry};
 use pbs_net::wal::{self, CrashPoint, DurableOptions};
-use pbs_net::{InMemoryStore, Server, ServerConfig};
+use pbs_net::{InMemoryStore, NetError, Server, ServerConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -254,6 +255,57 @@ fn retry_rides_out_a_server_restart() {
     diff.sort_unstable();
     assert_eq!(diff, vec![1, 100]);
     server_thread.join().unwrap().shutdown();
+}
+
+/// A final transfer the durable store refused (its write-ahead append
+/// failed) is not acked as landed: the client sees the sync fail, no
+/// counter claims the elements, and the same sync lands once the store is
+/// reopened.
+#[test]
+fn a_transfer_the_store_refused_is_not_acked() {
+    let root = tempdir("refused");
+    let registry = Arc::new(StoreRegistry::new());
+    registry.set_persistence_root(&root);
+    let open = || {
+        let (durable, options) = (DurableOptions::default(), StoreOptions::default());
+        registry.register_durable("", durable, options).unwrap().0
+    };
+    let store = open();
+    store.apply(&(2..=100).collect::<Vec<u64>>(), &[]);
+    let server = Server::bind_registry(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let alice: Vec<u64> = (1..=99).collect();
+    let config = ClientConfig::builder().known_d(4).build();
+
+    store.inject_crash(Some(CrashPoint::MidWalAppend));
+    match sync(addr, &alice, &config) {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+        other => panic!("expected the transfer to be refused, got {other:?}"),
+    }
+    assert!(!store.contains(1), "the batch was dropped");
+    assert_eq!(server.stats().snapshot().elements_received, 0);
+
+    // The crashed process is gone; its successor recovers the torn tail.
+    drop(store);
+    let store = open();
+    let report = sync(addr, &alice, &config).expect("the retry lands");
+    assert!(report.verified && report.pushed == [1]);
+    assert!(store.contains(1) && store.contains(100));
+
+    let stats = server.shutdown();
+    assert_eq!(stats.elements_received, 1);
+    assert_eq!((stats.sessions_failed, stats.sessions_completed), (1, 1));
+    let per_store = registry.get("").unwrap().stats().snapshot();
+    assert_eq!(
+        (per_store.sessions_failed, per_store.sessions_completed),
+        (1, 1)
+    );
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// Deterministic replay of a batch sequence: the expected (set, epoch)
