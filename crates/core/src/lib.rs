@@ -366,9 +366,19 @@ mod tests {
         let mut b_dup = b.clone();
         b_dup.extend_from_slice(&b[..17]); // Bob sees 17 duplicates
         let cfg = PbsConfig::paper_default().unlimited_rounds();
-        let report = Pbs::new(cfg).reconcile_with_known_d(&a_dup, &b_dup, 40, 7);
-        assert!(report.outcome.claimed_success);
-        assert!(report.outcome.matches(&symmetric_difference(&a, &b)));
+        // Planned for the true d, then for a tenth of it: the overloaded
+        // groups fail to decode and split, and the sub-groups (which go
+        // through the same duplicate drop) must still verify.
+        for (planned_d, splits) in [(40, false), (4, true)] {
+            let report = Pbs::new(cfg).reconcile_with_known_d(&a_dup, &b_dup, planned_d, 7);
+            assert_eq!(
+                report.decode_failures > 0,
+                splits,
+                "planned d = {planned_d}"
+            );
+            assert!(report.outcome.claimed_success);
+            assert!(report.outcome.matches(&symmetric_difference(&a, &b)));
+        }
     }
 
     #[test]

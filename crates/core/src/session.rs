@@ -18,6 +18,22 @@
 //!   applies the recovered elements, and verifies the group checksum
 //!   (§2.2.3).
 //!
+//! # Working sets
+//!
+//! Neither party keeps a hash set over its elements. Both call
+//! [`PartitionHasher::partition`] once — one hash per element, a scatter
+//! into per-group `Vec`s, duplicates dropped — and again on the three-way
+//! split of a failed group; both build a group's sketch with the one
+//! `parity_sketch` routine, over the odd bins of its parity bitmap only.
+//! Alice edits her working sets in place: a recovered candidate must hash
+//! to the bin it was reported in (Procedure 3), so whether she holds it is
+//! decided among that bin's few residents, found by the same pass that
+//! sums the bin. The only lookup structure is her O(d) ledger of toggled
+//! elements, which also remembers which of them were hers — `A \ B`, what
+//! a transport ships back so Bob converges
+//! ([`AliceSession::into_recovered_and_mine`]). Everything a session emits
+//! is a pure function of the two sets and the seed.
+//!
 //! # Pipelined rounds
 //!
 //! [`AliceSession::start_rounds`] generalizes `start_round`: it emits the
@@ -43,8 +59,8 @@ use crate::messages::{
 };
 use crate::PbsConfig;
 use analysis::OptimalParams;
-use bch::BchCodec;
-use std::collections::{HashMap, HashSet};
+use bch::{BchCodec, Sketch};
+use std::collections::HashMap;
 use xhash::{derive_seed, PartitionHasher, SetChecksum};
 
 /// Salt labels for seed derivation, so the group partition, each round's bin
@@ -57,9 +73,9 @@ const SPLIT_SALT: u64 = 0x3_5711;
 /// explains why a three-way split is preferred over a two-way split).
 const SPLIT_WAYS: u64 = 3;
 
-/// Largest parity-bitmap length handled with dense per-bin accumulators on
-/// the decode paths of *both* parties (`n/8 + 8n` bytes of scratch); larger
-/// `n` falls back to hash-map accumulation.
+/// Largest parity-bitmap length handled with dense per-bin state (a parity
+/// bitset, and `8n` bytes of XOR accumulators where a party needs them);
+/// larger `n` falls back to position vectors and small hash maps.
 const DENSE_LIMIT: u64 = 1 << 22;
 
 fn bin_seed(base: u64, session: SessionId, round: u32) -> u64 {
@@ -72,6 +88,66 @@ fn split_seed(base: u64, session: SessionId) -> u64 {
 
 fn group_seed(base: u64) -> u64 {
     derive_seed(base, GROUP_SALT)
+}
+
+/// The BCH sketch of `elements`' parity bitmap under `hasher` — the one
+/// encoder of both parties — calling `each(position, element)` on the way.
+///
+/// Adding a bin position twice XOR-cancels, so `sketch(positions multiset)
+/// = sketch(odd-parity bins)`: for the small bitmaps PBS uses (`n` bins,
+/// typically 127–2047, versus thousands of group elements) one pass
+/// toggles a dense parity bitset and the batched syndrome kernel then runs
+/// over at most `min(n, |elements|)` odd bins — exactly the parity bitmap
+/// the scheme is named for (§2.2.1), instead of one syndrome ladder per
+/// element. Above [`DENSE_LIMIT`] the positions go to the kernel as they
+/// are.
+fn parity_sketch(
+    codec: &BchCodec,
+    hasher: &PartitionHasher,
+    elements: &[u64],
+    mut each: impl FnMut(usize, u64),
+) -> Sketch {
+    let n = hasher.bins();
+    let mut sketch = codec.empty_sketch();
+    if n <= DENSE_LIMIT {
+        let mut parity = vec![0u64; (n as usize + 1).div_ceil(64)];
+        for &e in elements {
+            let p = hasher.position(e) as usize;
+            each(p, e);
+            parity[p / 64] ^= 1u64 << (p % 64);
+        }
+        let mut odd_bins = Vec::new();
+        for (w, &bits) in parity.iter().enumerate() {
+            let mut b = bits;
+            while b != 0 {
+                odd_bins.push((w * 64) as u64 + b.trailing_zeros() as u64);
+                b &= b - 1;
+            }
+        }
+        sketch.add_batch(&odd_bins, codec.field());
+    } else {
+        let positions: Vec<u64> = elements
+            .iter()
+            .map(|&e| {
+                let p = hasher.position(e);
+                each(p as usize, e);
+                p
+            })
+            .collect();
+        sketch.add_batch(&positions, codec.field());
+    }
+    sketch
+}
+
+/// The seed's encoder, and [`parity_sketch`]'s oracle: one scalar
+/// [`Sketch::add`] syndrome ladder per element.
+#[cfg(test)]
+fn parity_sketch_reference(codec: &BchCodec, hasher: &PartitionHasher, elements: &[u64]) -> Sketch {
+    let mut sketch = codec.empty_sketch();
+    for &e in elements {
+        sketch.add(hasher.position(e), codec.field());
+    }
+    sketch
 }
 
 /// A membership constraint a recovered element must satisfy: under `hasher`
@@ -91,9 +167,10 @@ struct Membership {
 #[derive(Debug)]
 struct AliceGroup {
     id: SessionId,
-    /// Alice's current working set for this group: initially `A_i`, with the
-    /// estimated differences of previous rounds applied (§2.4).
-    elements: HashSet<u64>,
+    /// Alice's current working set for this group, duplicate-free:
+    /// initially `A_i`, with the estimated differences of previous rounds
+    /// applied (§2.4).
+    elements: Vec<u64>,
     /// Incrementally maintained checksum of `elements`.
     checksum: SetChecksum,
     /// `c(B_i)`, once Bob has sent it.
@@ -113,7 +190,7 @@ struct AliceGroup {
 impl AliceGroup {
     fn new(
         id: SessionId,
-        elements: HashSet<u64>,
+        elements: Vec<u64>,
         membership: Vec<Membership>,
         universe_bits: u32,
     ) -> Self {
@@ -134,6 +211,23 @@ impl AliceGroup {
     }
 }
 
+/// What Alice knows of an element she has toggled.
+#[derive(Debug, Clone, Copy)]
+struct Toggled {
+    /// Its first toggle took it *out* of her working set: it is hers, and
+    /// belongs to `A \ B` for as long as it stays toggled.
+    mine: bool,
+    /// Toggled an odd number of times: currently counted in `A△B`.
+    odd: bool,
+}
+
+impl Toggled {
+    /// Whether the element is in Alice's working set right now.
+    fn held(self) -> bool {
+        self.mine != self.odd
+    }
+}
+
 /// Alice's side of the protocol: she wants to learn `A△B`.
 #[derive(Debug)]
 pub struct AliceSession {
@@ -149,9 +243,10 @@ pub struct AliceSession {
     /// [`Self::apply_reports`] batch; `None` before the first batch.
     last_layer_stats: Option<(u32, u32)>,
     groups: Vec<AliceGroup>,
-    /// Elements whose membership Alice has toggled so far — once every group
-    /// verifies, this is exactly `A△B`.
-    recovered: HashSet<u64>,
+    /// Every element whose membership Alice has toggled so far — once every
+    /// group verifies, the `odd` ones are exactly `A△B`. O(d), and the only
+    /// lookup structure of the session.
+    toggled: HashMap<u64, Toggled>,
     fakes_rejected: u64,
 }
 
@@ -160,11 +255,8 @@ impl AliceSession {
     pub fn new(cfg: PbsConfig, params: OptimalParams, elements: &[u64], seed: u64) -> Self {
         let codec = BchCodec::new(params.m, params.t);
         let group_hasher = PartitionHasher::new(params.groups as u64, group_seed(seed));
-        let mut buckets: Vec<HashSet<u64>> = vec![HashSet::new(); params.groups];
-        for &e in elements {
-            buckets[group_hasher.bin(e) as usize].insert(e);
-        }
-        let groups = buckets
+        let groups = group_hasher
+            .partition(elements)
             .into_iter()
             .enumerate()
             .map(|(i, elems)| {
@@ -189,7 +281,7 @@ impl AliceSession {
             last_depth: 1,
             last_layer_stats: None,
             groups,
-            recovered: HashSet::new(),
+            toggled: HashMap::new(),
             fakes_rejected: 0,
         }
     }
@@ -223,14 +315,36 @@ impl AliceSession {
         self.fakes_rejected
     }
 
-    /// The set of elements Alice currently believes to be in `A△B`.
-    pub fn recovered_so_far(&self) -> &HashSet<u64> {
-        &self.recovered
+    /// The elements Alice currently believes to be in `A△B`, ascending.
+    pub fn recovered_so_far(&self) -> Vec<u64> {
+        let mut recovered: Vec<u64> = self
+            .toggled
+            .iter()
+            .filter(|(_, t)| t.odd)
+            .map(|(&e, _)| e)
+            .collect();
+        recovered.sort_unstable();
+        recovered
     }
 
-    /// Consume the session and return the recovered difference.
+    /// Consume the session and return the recovered difference, ascending.
     pub fn into_recovered(self) -> Vec<u64> {
-        self.recovered.into_iter().collect()
+        self.recovered_so_far()
+    }
+
+    /// Consume the session and return the recovered difference together
+    /// with the part of it that is Alice's own — `(A△B, A \ B)`, both
+    /// ascending. The second list is what a transport ships to Bob so he
+    /// converges too; the session knows it because every recovered element
+    /// either came out of her working set or went into it.
+    pub fn into_recovered_and_mine(self) -> (Vec<u64>, Vec<u64>) {
+        let recovered = self.recovered_so_far();
+        let mine = recovered
+            .iter()
+            .copied()
+            .filter(|e| self.toggled[e].mine)
+            .collect();
+        (recovered, mine)
     }
 
     /// Begin a new round: re-partition every unverified group with a fresh
@@ -273,10 +387,7 @@ impl AliceSession {
         let n = self.params.n as u64;
         let sketches = protocol::par_map(&jobs, |&(group, layer)| {
             let hasher = PartitionHasher::new(n, group.pending_bin_seeds[layer]);
-            let mut sketch = codec.empty_sketch();
-            let positions: Vec<u64> = group.elements.iter().map(|&e| hasher.position(e)).collect();
-            sketch.add_batch(&positions, codec.field());
-            sketch
+            parity_sketch(codec, &hasher, &group.elements, |_, _| {})
         });
         jobs.iter()
             .zip(sketches)
@@ -411,17 +522,17 @@ impl AliceSession {
             return 0;
         }
 
-        // One pass over the group's current elements: XOR sum per reported
-        // bin. This mirrors the parity-bitset trick of Bob's sketch build
-        // (`BobSession::compute_report`): for the bitmap lengths PBS uses, a
-        // dense per-bin XOR accumulator plus a reported-bin membership bitset
-        // replaces the hash map, so the per-element re-hash pass costs one
-        // partition hash and two array probes, and reading the sums back is
+        // One pass over the group's working set: the XOR sum of every
+        // reported bin, and each element of a reported bin with its index
+        // (`residents`). For the bitmap lengths PBS uses, a dense per-bin XOR
+        // accumulator plus a reported-bin bitset costs one partition hash
+        // and two array probes per element, and reading the sums back is
         // O(bins). Bins outside `1..=n` (impossible from an honest decode,
-        // reachable through the wire format) accumulate nothing, exactly as
-        // the map did. Very large `n` keeps the map.
+        // reachable through the wire format) accumulate nothing. Very large
+        // `n` keeps a map of the reported bins.
         let n = self.params.n as u64;
         let hasher = PartitionHasher::new(n, layer_seed);
+        let mut residents: Vec<(u64, usize)> = Vec::new();
         let alice_xor: Vec<u64> = if n <= DENSE_LIMIT {
             let mut xor_by_bin = vec![0u64; n as usize + 1];
             let mut wanted = vec![0u64; (n as usize + 1).div_ceil(64)];
@@ -430,10 +541,11 @@ impl AliceSession {
                     wanted[b.position as usize / 64] |= 1u64 << (b.position % 64);
                 }
             }
-            for &e in &group.elements {
+            for (index, &e) in group.elements.iter().enumerate() {
                 let p = hasher.position(e) as usize;
                 if wanted[p / 64] >> (p % 64) & 1 == 1 {
                     xor_by_bin[p] ^= e;
+                    residents.push((e, index));
                 }
             }
             bins.iter()
@@ -444,17 +556,31 @@ impl AliceSession {
             for b in bins {
                 by_bin.insert(b.position, 0);
             }
-            for &e in &group.elements {
+            for (index, &e) in group.elements.iter().enumerate() {
                 let p = hasher.position(e);
                 if let Some(slot) = by_bin.get_mut(&p) {
                     *slot ^= e;
+                    residents.push((e, index));
                 }
             }
             bins.iter()
                 .map(|b| by_bin.get(&b.position).copied().unwrap_or(0))
                 .collect()
         };
+        // Procedure 3 forces a candidate to hash to the bin it was reported
+        // in, so if Alice holds it, it is one of these residents: sorted,
+        // they decide membership without a lookup structure over the
+        // working set (which is duplicate-free, so the keys are distinct).
+        residents.sort_unstable();
 
+        // The working set is edited after the loop, so the indices in
+        // `residents` stay valid while candidates are judged. `evicted` are
+        // indices to vacate, `admitted` the values toggled in; either list
+        // may repeat an entry (a report can name an element many times),
+        // and an admitted element may have been toggled back out since —
+        // the ledger in `self.toggled` has the final word.
+        let mut evicted: Vec<usize> = Vec::new();
+        let mut admitted: Vec<u64> = Vec::new();
         let mut applied = 0usize;
         for (b, &xor_a) in bins.iter().zip(&alice_xor) {
             let s = xor_a ^ b.xor_sum;
@@ -482,20 +608,42 @@ impl AliceSession {
                 self.fakes_rejected += 1;
                 continue;
             }
-            // Apply: toggle membership in the group's working set and in the
-            // global recovered set.
-            if group.elements.contains(&s) {
-                group.elements.remove(&s);
+            // Apply: toggle membership in the group's working set and in
+            // the session's ledger. An element never toggled before is in
+            // the working set exactly if it is a resident; one toggled
+            // before is where the ledger says.
+            let resident = residents.binary_search_by_key(&s, |&(e, _)| e);
+            let entry = self.toggled.entry(s).or_insert(Toggled {
+                mine: resident.is_ok(),
+                odd: false,
+            });
+            if entry.held() {
+                // In the working set: out it goes (an element admitted
+                // earlier in this very report has no resident to evict).
+                if let Ok(at) = resident {
+                    evicted.push(residents[at].1);
+                }
                 group.checksum.remove(s);
             } else {
-                group.elements.insert(s);
+                admitted.push(s);
                 group.checksum.add(s);
             }
-            if !self.recovered.insert(s) {
-                self.recovered.remove(&s);
-            }
+            entry.odd = !entry.odd;
             applied += 1;
         }
+        // Vacate from the back, so a `swap_remove` never moves an element
+        // that is itself still to be vacated.
+        evicted.sort_unstable();
+        evicted.dedup();
+        for &index in evicted.iter().rev() {
+            group.elements.swap_remove(index);
+        }
+        admitted.sort_unstable();
+        admitted.dedup();
+        let toggled = &self.toggled;
+        group
+            .elements
+            .extend(admitted.into_iter().filter(|s| toggled[s].held()));
 
         // Checksum verification (Line 5 of Procedure 2).
         if let Some(expect) = group.bob_checksum {
@@ -511,10 +659,7 @@ impl AliceSession {
         let parent = self.groups.swap_remove(gi);
         let children = child_sessions(session);
         let hasher = PartitionHasher::new(SPLIT_WAYS, split_seed(self.base_seed, session));
-        let mut parts: [HashSet<u64>; 3] = [HashSet::new(), HashSet::new(), HashSet::new()];
-        for &e in &parent.elements {
-            parts[hasher.bin(e) as usize].insert(e);
-        }
+        let parts = hasher.partition(&parent.elements);
         for (k, part) in parts.into_iter().enumerate() {
             let mut membership = parent.membership.clone();
             membership.push(Membership {
@@ -555,22 +700,16 @@ pub struct BobSession {
 impl BobSession {
     /// Create Bob's session state from his set.
     ///
-    /// Duplicate input elements are dropped (first occurrence wins), exactly
-    /// as [`AliceSession::new`] does via its hash sets. This matters: a
-    /// duplicated element would cancel out of the XOR parity bitmap but
-    /// count twice in the *additive* group checksum, leaving a group that
-    /// can never verify no matter how often it splits.
+    /// Duplicate input elements are dropped (first occurrence wins) by the
+    /// same [`PartitionHasher::partition`] call [`AliceSession::new`]
+    /// makes. This matters: a duplicated element would cancel out of the
+    /// XOR parity bitmap but count twice in the *additive* group checksum,
+    /// leaving a group that can never verify no matter how often it splits.
     pub fn new(cfg: PbsConfig, params: OptimalParams, elements: &[u64], seed: u64) -> Self {
         let codec = BchCodec::new(params.m, params.t);
         let group_hasher = PartitionHasher::new(params.groups as u64, group_seed(seed));
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); params.groups];
-        let mut seen = HashSet::with_capacity(elements.len());
-        for &e in elements {
-            if seen.insert(e) {
-                buckets[group_hasher.bin(e) as usize].push(e);
-            }
-        }
-        let groups = buckets
+        let groups = group_hasher
+            .partition(elements)
             .into_iter()
             .enumerate()
             .map(|(i, elems)| {
@@ -645,17 +784,11 @@ impl BobSession {
         reports
     }
 
-    /// Pure per-group response computation (no session mutation).
-    ///
-    /// For the small parity bitmaps PBS uses (`n` bins, typically 2047,
-    /// versus thousands of group elements), Bob's sketch is *not* built by
-    /// running one syndrome ladder per element: adding a bin position twice
-    /// XOR-cancels, so `sketch(positions multiset) = sketch(odd-parity
-    /// bins)`. One pass over the elements maintains a dense parity bitset
-    /// and per-bin XOR accumulator; the batched syndrome kernel then runs
-    /// over at most `min(n, |group|)` odd bins — exactly the parity bitmap
-    /// the scheme is named for. Very large `n` falls back to the
-    /// positions-vector path.
+    /// Pure per-group response computation (no session mutation): Bob's
+    /// own [`parity_sketch`] of the group, combined with Alice's and
+    /// BCH-decoded. The same pass keeps a dense XOR accumulator per bin, so
+    /// the XOR sums of the differing bins are read back in O(bins); above
+    /// [`DENSE_LIMIT`] a second pass sums the decoded bins only.
     fn compute_report(&self, msg: &GroupSketch) -> GroupReport {
         // Unknown session: treat as empty (can only happen if Alice has a
         // group Bob's partition left empty — the decode still works).
@@ -666,67 +799,46 @@ impl BobSession {
         let n = self.params.n as u64;
         let hasher = PartitionHasher::new(n, bin_seed(self.base_seed, msg.session, msg.round));
 
-        let mut sketch = self.codec.empty_sketch();
-        let decoded = if n <= DENSE_LIMIT {
-            let mut xor_by_bin = vec![0u64; n as usize + 1];
-            let mut parity = vec![0u64; (n as usize + 1).div_ceil(64)];
-            for &e in elements {
-                let p = hasher.position(e) as usize;
-                xor_by_bin[p] ^= e;
-                parity[p / 64] ^= 1u64 << (p % 64);
+        // Empty above `DENSE_LIMIT`, where the pass accumulates nothing.
+        let mut xor_by_bin = vec![0u64; if n <= DENSE_LIMIT { n as usize + 1 } else { 0 }];
+        let mut sketch = parity_sketch(&self.codec, &hasher, elements, |p, e| {
+            if let Some(xor) = xor_by_bin.get_mut(p) {
+                *xor ^= e;
             }
-            let mut odd_bins = Vec::new();
-            for (w, &bits) in parity.iter().enumerate() {
-                let mut b = bits;
-                while b != 0 {
-                    odd_bins.push((w * 64) as u64 + b.trailing_zeros() as u64);
-                    b &= b - 1;
-                }
-            }
-            sketch.add_batch(&odd_bins, self.codec.field());
-            // Combine with Alice's sketch: the result is the sketch of the
-            // positions where the two parity bitmaps differ.
-            sketch.combine(&msg.sketch);
-            self.codec.decode(&sketch).map(|positions| {
-                positions
-                    .into_iter()
-                    .map(|p| BinInfo {
-                        position: p,
-                        xor_sum: xor_by_bin.get(p as usize).copied().unwrap_or(0),
-                    })
-                    .collect::<Vec<BinInfo>>()
-            })
-        } else {
-            let positions: Vec<u64> = elements.iter().map(|&e| hasher.position(e)).collect();
-            sketch.add_batch(&positions, self.codec.field());
-            sketch.combine(&msg.sketch);
-            self.codec.decode(&sketch).map(|decoded| {
-                let mut wanted: HashMap<u64, u64> = decoded.iter().map(|&p| (p, 0)).collect();
-                for (&e, &p) in elements.iter().zip(&positions) {
-                    if let Some(slot) = wanted.get_mut(&p) {
-                        *slot ^= e;
-                    }
-                }
-                decoded
-                    .into_iter()
-                    .map(|p| BinInfo {
-                        position: p,
-                        xor_sum: wanted.get(&p).copied().unwrap_or(0),
-                    })
-                    .collect::<Vec<BinInfo>>()
-            })
-        };
-        match decoded {
-            Ok(bins) => GroupReport {
-                session: msg.session,
-                body: GroupReportBody::Decoded {
-                    bins,
-                    checksum: msg.needs_checksum.then_some(checksum),
-                },
-            },
-            Err(_) => GroupReport {
+        });
+        // Combine with Alice's sketch: the result is the sketch of the
+        // positions where the two parity bitmaps differ.
+        sketch.combine(&msg.sketch);
+        let Ok(positions) = self.codec.decode(&sketch) else {
+            return GroupReport {
                 session: msg.session,
                 body: GroupReportBody::DecodeFailed,
+            };
+        };
+        let xor_sums: Vec<u64> = if n <= DENSE_LIMIT {
+            positions
+                .iter()
+                .map(|&p| xor_by_bin.get(p as usize).copied().unwrap_or(0))
+                .collect()
+        } else {
+            let mut wanted: HashMap<u64, u64> = positions.iter().map(|&p| (p, 0)).collect();
+            for &e in elements {
+                if let Some(xor) = wanted.get_mut(&hasher.position(e)) {
+                    *xor ^= e;
+                }
+            }
+            positions.iter().map(|p| wanted[p]).collect()
+        };
+        let bins = positions
+            .into_iter()
+            .zip(xor_sums)
+            .map(|(position, xor_sum)| BinInfo { position, xor_sum })
+            .collect();
+        GroupReport {
+            session: msg.session,
+            body: GroupReportBody::Decoded {
+                bins,
+                checksum: msg.needs_checksum.then_some(checksum),
             },
         }
     }
@@ -735,9 +847,10 @@ impl BobSession {
     /// [`bch::Sketch::add`] per element, hash-map XOR accumulation over
     /// every occupied bin, groups processed strictly in order on the calling
     /// thread. Produces exactly the same reports and session-state changes
-    /// as [`BobSession::handle_sketches`]; kept as ground truth for the
-    /// parallel-vs-serial transcript tests.
-    pub fn handle_sketches_reference(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
+    /// as [`BobSession::handle_sketches`]; the oracle of the
+    /// parallel-vs-serial transcript test.
+    #[cfg(test)]
+    fn handle_sketches_reference(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
         let mut out = Vec::with_capacity(sketches.len());
         for msg in sketches {
             let (elements, checksum) = match self.groups.get(&msg.session) {
@@ -789,10 +902,7 @@ impl BobSession {
         };
         let children = child_sessions(session);
         let hasher = PartitionHasher::new(SPLIT_WAYS, split_seed(self.base_seed, session));
-        let mut parts: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for &e in &parent.elements {
-            parts[hasher.bin(e) as usize].push(e);
-        }
+        let parts = hasher.partition(&parent.elements);
         for (k, part) in parts.into_iter().enumerate() {
             let checksum = xhash::element_checksum(self.cfg.universe_bits, part.iter().copied());
             self.groups.insert(
@@ -817,22 +927,45 @@ mod tests {
         (cfg, params)
     }
 
+    /// [`AliceSession::start_rounds`], with every sketch of the batch held
+    /// to the per-element oracle.
+    fn start_checked(a: &mut AliceSession, layers: u32) -> Vec<GroupSketch> {
+        let batch = a.start_rounds(layers);
+        let n = a.params.n as u64;
+        let active: Vec<&AliceGroup> = a.groups.iter().filter(|g| !g.verified).collect();
+        assert_eq!(batch.len(), active.len() * layers as usize);
+        for (i, msg) in batch.iter().enumerate() {
+            let (layer, group) = (i / active.len(), active[i % active.len()]);
+            assert_eq!(msg.session, group.id);
+            let hasher = PartitionHasher::new(n, group.pending_bin_seeds[layer]);
+            assert_eq!(
+                msg.sketch,
+                parity_sketch_reference(&a.codec, &hasher, &group.elements),
+                "session {} layer {layer} (n = {n})",
+                group.id
+            );
+        }
+        batch
+    }
+
     #[test]
     fn single_round_happy_path() {
-        let (cfg, params) = params_for(4);
+        let (cfg, params) = params_for(7);
         let alice: Vec<u64> = (1..=500).collect();
-        let bob: Vec<u64> = (5..=500).collect();
+        let bob: Vec<u64> = (5..=503).collect();
         let mut a = AliceSession::new(cfg, params, &alice, 99);
         let mut b = BobSession::new(cfg, params, &bob, 99);
-        let sketches = a.start_round();
+        let sketches = start_checked(&mut a, 1);
         assert_eq!(sketches.len(), params.groups);
         let reports = b.handle_sketches(&sketches);
         let status = a.apply_reports(&reports);
         assert!(status.all_verified);
-        assert_eq!(status.recovered_this_round, 4);
-        let mut rec: Vec<u64> = a.into_recovered();
-        rec.sort_unstable();
-        assert_eq!(rec, vec![1, 2, 3, 4]);
+        assert_eq!(status.recovered_this_round, 7);
+        // Ascending, and Alice's own share told apart without her set.
+        assert_eq!(a.recovered_so_far(), [1, 2, 3, 4, 501, 502, 503]);
+        let (recovered, mine) = a.into_recovered_and_mine();
+        assert_eq!(recovered, [1, 2, 3, 4, 501, 502, 503]);
+        assert_eq!(mine, [1, 2, 3, 4]);
     }
 
     #[test]
@@ -889,37 +1022,65 @@ mod tests {
     #[test]
     fn batched_decode_matches_reference_transcripts() {
         // Drive two Bobs — the batched/parallel path and the seed's serial
-        // reference — through a multi-round run with forced decode failures
-        // and splits; every report batch and the final state must agree.
-        let (cfg, params) = params_for(5);
-        let alice: Vec<u64> = (1..=1000).collect();
-        let bob: Vec<u64> = (301..=1000).collect();
-        let mut a_fast = AliceSession::new(cfg, params, &alice, 21);
-        let mut a_ref = AliceSession::new(cfg, params, &alice, 21);
-        let mut b_fast = BobSession::new(cfg, params, &bob, 21);
-        let mut b_ref = BobSession::new(cfg, params, &bob, 21);
-        for round in 0..20 {
-            let sketches_fast = a_fast.start_round();
-            let sketches_ref = a_ref.start_round();
-            assert_eq!(sketches_fast, sketches_ref, "sketch divergence r{round}");
-            let reports_fast = b_fast.handle_sketches(&sketches_fast);
-            let reports_ref = b_ref.handle_sketches_reference(&sketches_ref);
-            assert_eq!(reports_fast, reports_ref, "report divergence r{round}");
-            assert_eq!(b_fast.decode_failures(), b_ref.decode_failures());
-            assert_eq!(b_fast.session_count(), b_ref.session_count());
-            let status = a_fast.apply_reports(&reports_fast);
-            a_ref.apply_reports(&reports_ref);
-            if status.all_verified {
-                break;
+        // reference — through multi-round runs; every sketch batch (against
+        // the per-element encoder), every report batch and the final state
+        // must agree. Planning for `d_planned` while the true difference is
+        // `d_actual` covers clean decodes (`d_actual` small) and forced
+        // decode failures with §3.2 splits (`d_actual` ≫ `d_planned`); a
+        // field degree of 23 puts n above `DENSE_LIMIT`, the fallback path
+        // of every kernel.
+        // (|A|, d_planned, d_actual, seed, field degree override)
+        let cases: [(usize, usize, usize, u64, Option<u32>); 14] = [
+            (1000, 5, 300, 21, None),
+            (50, 1, 0, 0x01, None),
+            (64, 11, 1, 0xD1CE, None),
+            (97, 3, 40, 0xFEED_FACE, None),
+            (130, 7, 7, 0x1234_5678_9ABC_DEF0, None),
+            (180, 1, 79, u64::MAX, None),
+            (222, 12, 60, 0x0BAD_5EED, None),
+            (260, 2, 25, 42, None),
+            (301, 9, 3, 0x7777, None),
+            (350, 4, 70, 0xA5A5_A5A5, None),
+            (399, 6, 12, 7, None),
+            (399, 1, 50, 8, None),
+            (300, 5, 4, 0x23, Some(23)),
+            (300, 2, 30, 0x2323, Some(23)),
+        ];
+        for (size, d_planned, d_actual, seed, m) in cases {
+            let case = format!("case ({size}, {d_planned}, {d_actual}, {seed:#x}, {m:?})");
+            let (cfg, mut params) = params_for(d_planned);
+            if let Some(m) = m {
+                (params.m, params.n) = (m, (1 << m) - 1);
+                assert!(params.n as u64 > DENSE_LIMIT);
             }
+            let alice: Vec<u64> = (1..=size as u64)
+                .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 | 1)
+                .collect();
+            let bob = &alice[d_actual..];
+            let mut a_fast = AliceSession::new(cfg, params, &alice, seed);
+            let mut a_ref = AliceSession::new(cfg, params, &alice, seed);
+            let mut b_fast = BobSession::new(cfg, params, bob, seed);
+            let mut b_ref = BobSession::new(cfg, params, bob, seed);
+            for round in 0..24 {
+                let sketches_fast = start_checked(&mut a_fast, 1);
+                let sketches_ref = a_ref.start_round();
+                assert_eq!(sketches_fast, sketches_ref, "{case}: sketches r{round}");
+                let reports_fast = b_fast.handle_sketches(&sketches_fast);
+                let reports_ref = b_ref.handle_sketches_reference(&sketches_ref);
+                assert_eq!(reports_fast, reports_ref, "{case}: reports r{round}");
+                assert_eq!(b_fast.decode_failures(), b_ref.decode_failures());
+                assert_eq!(b_fast.session_count(), b_ref.session_count());
+                let status = a_fast.apply_reports(&reports_fast);
+                a_ref.apply_reports(&reports_ref);
+                if status.all_verified {
+                    break;
+                }
+            }
+            assert!(a_fast.all_verified(), "{case}: did not converge");
+            let fast = a_fast.into_recovered();
+            assert_eq!(fast, sorted(alice[..d_actual].to_vec()), "{case}");
+            assert_eq!(fast, a_ref.into_recovered(), "{case}");
         }
-        assert!(a_fast.all_verified(), "run did not converge");
-        let mut fast = a_fast.into_recovered();
-        let mut reference = a_ref.into_recovered();
-        fast.sort_unstable();
-        reference.sort_unstable();
-        assert_eq!(fast, (1..=300).collect::<Vec<u64>>());
-        assert_eq!(fast, reference);
     }
 
     fn sorted(mut v: Vec<u64>) -> Vec<u64> {
@@ -941,7 +1102,7 @@ mod tests {
         let mut b = BobSession::new(cfg, params, bob, seed);
         let mut trips = 0;
         while !a.all_verified() && trips < 40 {
-            let sketches = a.start_rounds(layers);
+            let sketches = start_checked(&mut a, layers);
             let reports = b.handle_sketches(&sketches);
             a.apply_reports(&reports);
             trips += 1;
@@ -1067,6 +1228,85 @@ mod tests {
             seen.push(depth);
         }
         assert_eq!(seen, vec![4, 2, 1], "mostly-failed trips back off to 1");
+    }
+
+    #[test]
+    fn hostile_reports_are_counted_and_applied_entry_by_entry() {
+        // What a decode can never produce but the wire can carry, against a
+        // sub-group two membership constraints deep with two layers pending.
+        let (cfg, params) = params_for(5);
+        let n = params.n as u64;
+        let alice: Vec<u64> = (1..=600).collect();
+        let mut a = AliceSession::new(cfg, params, &alice, 11);
+        let parent = a.groups[0].id;
+        a.split_group(0, parent);
+        a.start_rounds(2);
+        let child = child_sessions(parent)[0];
+        let group = a.groups.iter().find(|g| g.id == child).unwrap();
+        let before = sorted(group.elements.to_vec());
+        let layer = PartitionHasher::new(n, group.pending_bin_seeds[0]);
+        let xor_in = |p: u64| {
+            let in_bin = before.iter().filter(|&&e| layer.position(e) == p);
+            in_bin.fold(0, |x, e| x ^ e)
+        };
+        let in_path = |s: u64, depth: usize| {
+            let path = &group.membership[..depth];
+            path.iter().all(|m| m.hasher.bin(s) == m.expected)
+        };
+        // Alice holds `mine`; the other three are elements she lacks: two
+        // that belong in this sub-group (`shared` in mine's bin), and one
+        // of a sibling sub-group.
+        let mine = before[0];
+        let (p, q) = (layer.position(mine), layer.position(mine) % n + 1);
+        let theirs = (1000..).find(|&s| in_path(s, 2) && layer.position(s) == q);
+        let shared = (1000..).find(|&s| in_path(s, 2) && layer.position(s) == p);
+        let sibling = (1000..).find(|&s| in_path(s, 1) && !in_path(s, 2));
+        let (theirs, shared, sibling) = (theirs.unwrap(), shared.unwrap(), sibling.unwrap());
+        let r = layer.position(sibling);
+        let bin = |position: u64, xor_sum: u64| BinInfo { position, xor_sum };
+        let decoded = |bins: Vec<BinInfo>| GroupReport {
+            session: child,
+            body: GroupReportBody::Decoded {
+                bins,
+                checksum: None,
+            },
+        };
+
+        let status = a.apply_reports(&[
+            decoded(vec![
+                bin(0, 0xABCD),                      // no such bin: fake
+                bin(n + 1, 0x1234),                  // beyond the bitmap: fake
+                bin(n + 7, 0),                       // beyond it, empty: skipped
+                bin(q, xor_in(q) ^ theirs),          // toggled in…
+                bin(q, xor_in(q) ^ theirs),          // …and, repeated, back out
+                bin(r, xor_in(r) ^ sibling),         // right bin, wrong sub-group: fake
+                bin(p, xor_in(p) ^ mine),            // hers: toggled out
+                bin(p, xor_in(p) ^ shared),          // same bin, another candidate: in
+                bin(p, xor_in(p) ^ mine),            // hers again: back in…
+                bin(p, xor_in(p) ^ mine),            // …and out for good
+                bin(p, xor_in(p) ^ (1 << 40)),       // outside the universe: fake
+                bin(q, xor_in(q) ^ (theirs ^ 0x10)), // hashes to another bin: fake
+            ]),
+            decoded(Vec::new()),
+            // A third report where two layers were sent is not applied.
+            decoded(vec![bin(q, xor_in(q) ^ theirs)]),
+        ]);
+        assert_eq!(status.recovered_this_round, 6);
+        assert_eq!((status.layers_decoded, status.layers_failed), (3, 0));
+        assert_eq!(a.fakes_rejected(), 5);
+        assert_eq!(a.active_sessions(), params.groups + 2);
+        let group = a.groups.iter().find(|g| g.id == child).unwrap();
+        let mut after = before.clone();
+        after.retain(|&e| e != mine);
+        after.push(shared);
+        assert_eq!(sorted(group.elements.to_vec()), sorted(after.clone()));
+        assert_eq!(
+            group.checksum.value(),
+            xhash::element_checksum(cfg.universe_bits, after)
+        );
+        let (recovered, hers) = a.into_recovered_and_mine();
+        assert_eq!(recovered, sorted(vec![mine, shared]));
+        assert_eq!(hers, [mine]);
     }
 
     #[test]

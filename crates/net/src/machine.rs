@@ -545,21 +545,16 @@ impl<'a> ClientMachine<'a> {
         }
     }
 
-    /// The final transfer: ship `A \ B` so the server can converge.
+    /// The final transfer: ship `A \ B` so the server can converge. The
+    /// session says which recovered elements are ours — it took them out
+    /// of its working set — so the client set is not consulted again.
     fn transfer(&mut self) -> Result<Frame, NetError> {
+        let mut pushed = Vec::new();
         if let Some(alice) = self.alice.take() {
             self.report.rounds = alice.round();
             self.report.round_trips = alice.round_trips();
-            self.report.recovered = alice.into_recovered();
+            (self.report.recovered, pushed) = alice.into_recovered_and_mine();
         }
-        let holdings: HashSet<u64> = self.set.iter().copied().collect();
-        let pushed: Vec<u64> = self
-            .report
-            .recovered
-            .iter()
-            .copied()
-            .filter(|e| holdings.contains(e))
-            .collect();
         // The transfer is a single frame (body: type + count + 8 bytes per
         // element); give an actionable error rather than a bare size
         // failure.
@@ -670,6 +665,37 @@ mod tests {
             }
             assert_eq!(crossed, want);
         }
+    }
+
+    #[test]
+    fn a_sync_is_a_pure_function_of_its_sets_and_seed() {
+        // Same sets, same seed, two runs: every byte either side puts on
+        // the wire repeats, the `Done` transfer's element order included
+        // (it used to follow a `RandomState` hash set's iteration order).
+        let (alice, bob) = two_sided(60);
+        let cfg = config().pipeline(Pipeline::Auto).build();
+        let run = || {
+            let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
+            let mut peer = server(bob.clone(), 7);
+            let (mut up, mut down) = (Vec::new(), Vec::new());
+            loop {
+                if let Some(frame) = machine.poll_send().unwrap() {
+                    write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
+                    peer.deliver(frame);
+                }
+                let reply = peer.inbox.pop_front().expect("the server owes a frame");
+                write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
+                if let Some(report) = machine.on_frame(reply).unwrap().report {
+                    assert!(report.verified);
+                    assert_eq!(report.pushed.len(), 30);
+                    assert!(report.recovered.is_sorted() && report.pushed.is_sorted());
+                    return (up, down);
+                }
+            }
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.0, second.0, "client → server bytes");
+        assert_eq!(first.1, second.1, "server → client bytes");
     }
 
     #[test]

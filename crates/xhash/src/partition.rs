@@ -10,9 +10,13 @@
 //! All three are instances of the same primitive: map a `u64` element to a
 //! bin index in `0..n` given a seed, such that (a) Alice and Bob agree, and
 //! (b) different seeds give (practically) independent mappings. The
-//! [`PartitionHasher`] wraps that primitive.
+//! [`PartitionHasher`] wraps that primitive, and
+//! [`PartitionHasher::partition`] materializes partitions 1 and 3 — the ones
+//! whose parts a session keeps — as duplicate-free `Vec`s.
 
 use crate::xx::xxhash64_u64;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Maps elements of the universe to bins `0..n` under a fixed seed.
 ///
@@ -60,11 +64,164 @@ impl PartitionHasher {
     pub fn position(&self, element: u64) -> u64 {
         self.bin(element) + 1
     }
+
+    /// Split `elements` into [`Self::bins`] duplicate-free parts: part `i`
+    /// holds, in input order, the first occurrence of every distinct element
+    /// with `bin(e) == i`.
+    ///
+    /// This is the set-up step of all three PBS partitions that materialize
+    /// their parts (groups, and the sub-groups of a split): one hash per
+    /// element, a counting-sort scatter into exactly-sized `Vec`s, then an
+    /// in-place de-duplication of each part. Dropping duplicates matters to
+    /// the scheme: a repeated element cancels out of an XOR parity bitmap
+    /// but counts twice in the additive group checksum.
+    ///
+    /// # Panics
+    /// Panics if the hasher has more than `u32::MAX` bins.
+    pub fn partition(&self, elements: &[u64]) -> Vec<Vec<u64>> {
+        assert!(
+            self.bins <= u32::MAX as u64,
+            "cannot materialize {} parts",
+            self.bins
+        );
+        let bin_of: Vec<u32> = elements.iter().map(|&e| self.bin(e) as u32).collect();
+        let mut sizes = vec![0usize; self.bins as usize];
+        for &b in &bin_of {
+            sizes[b as usize] += 1;
+        }
+        let mut parts: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (&e, &b) in elements.iter().zip(&bin_of) {
+            parts[b as usize].push(e);
+        }
+        drop(bin_of);
+        let mut seen = Seen::new();
+        for part in &mut parts {
+            seen.dedup(part);
+        }
+        parts
+    }
+}
+
+/// Open-addressing scratch table behind [`PartitionHasher::partition`]'s
+/// duplicate drop, reused from part to part.
+///
+/// A slot holds `1 +` the index of a kept element (0 = empty) rather than
+/// the element, so no `u64` has to be reserved as the empty marker. Slots
+/// are picked by a hash keyed per table from the process's `RandomState`:
+/// elements arrive from peers, and a fixed slot hash would let a crafted
+/// set chain every probe. The key cannot show in the result, which is the
+/// input order with repeats removed whatever the slots were.
+struct Seen {
+    key: u64,
+    slots: Vec<u32>,
+}
+
+impl Seen {
+    fn new() -> Self {
+        Seen {
+            key: RandomState::new().hash_one(0u64),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Drop every repeat from `part`, keeping first occurrences in order.
+    fn dedup(&mut self, part: &mut Vec<u64>) {
+        if part.len() < 2 {
+            return;
+        }
+        assert!(part.len() < u32::MAX as usize, "part too large to index");
+        // At most half full, so probe chains stay short.
+        let size = (2 * part.len()).next_power_of_two();
+        if self.slots.len() < size {
+            self.slots.resize(size, 0);
+        }
+        let slots = &mut self.slots[..size];
+        slots.fill(0);
+        let mut kept = 0usize;
+        for i in 0..part.len() {
+            let e = part[i];
+            let mut slot = xxhash64_u64(e, self.key) as usize & (size - 1);
+            let repeat = loop {
+                match slots[slot] {
+                    0 => break false,
+                    j if part[j as usize - 1] == e => break true,
+                    _ => slot = (slot + 1) & (size - 1),
+                }
+            };
+            if !repeat {
+                part[kept] = e;
+                kept += 1;
+                slots[slot] = kept as u32;
+            }
+        }
+        part.truncate(kept);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The `HashSet` model [`PartitionHasher::partition`] replaced: walk
+    /// the input once, keep an element the first time it is seen.
+    fn partition_model(hasher: &PartitionHasher, elements: &[u64]) -> Vec<Vec<u64>> {
+        let mut parts = vec![Vec::new(); hasher.bins() as usize];
+        let mut seen = HashSet::new();
+        for &e in elements {
+            if seen.insert(e) {
+                parts[hasher.bin(e) as usize].push(e);
+            }
+        }
+        parts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Small values repeat within and across parts; 0 and `u64::MAX`
+        /// are ordinary elements; `bins` runs from 1 to well past the
+        /// input length; the input may be empty. Each part is then split
+        /// three ways, as a failed group is.
+        #[test]
+        fn partition_matches_the_hash_set_model(
+            elements in prop::collection::vec(
+                prop_oneof![0u64..48, Just(0u64), Just(u64::MAX), any::<u64>()],
+                0usize..300,
+            ),
+            bins in 1u64..400,
+            seed in any::<u64>(),
+        ) {
+            let hasher = PartitionHasher::new(bins, seed);
+            let parts = hasher.partition(&elements);
+            prop_assert_eq!(&parts, &partition_model(&hasher, &elements));
+            let distinct: HashSet<u64> = elements.iter().copied().collect();
+            prop_assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), distinct.len());
+
+            let split = PartitionHasher::new(3, seed ^ 0x5711);
+            for part in &parts {
+                let thirds = split.partition(part);
+                prop_assert_eq!(thirds.len(), 3);
+                prop_assert_eq!(&thirds, &partition_model(&split, part));
+                prop_assert_eq!(thirds.iter().map(Vec::len).sum::<usize>(), part.len());
+            }
+        }
+    }
+
+    #[test]
+    fn partition_edge_cases() {
+        let empty: Vec<Vec<u64>> = vec![Vec::new(); 7];
+        assert_eq!(PartitionHasher::new(7, 1).partition(&[]), empty);
+        // One part: the input with its repeats dropped, order kept.
+        assert_eq!(
+            PartitionHasher::new(1, 1).partition(&[u64::MAX, 0, 5, 0, u64::MAX, 5, 9]),
+            vec![vec![u64::MAX, 0, 5, 9]]
+        );
+        // Nothing but repeats of one element.
+        let parts = PartitionHasher::new(4, 2).partition(&[0; 1000]);
+        assert_eq!(parts.concat(), vec![0]);
+    }
 
     #[test]
     fn bins_are_in_range() {
