@@ -184,42 +184,20 @@ impl Sketch {
         }
     }
 
-    /// Serialize to bytes: each syndrome packed as ⌈m/8⌉ little-endian bytes.
-    pub fn to_bytes(&self, m: u32) -> Vec<u8> {
-        let width = m.div_ceil(8) as usize;
-        let mut out = Vec::with_capacity(width * self.syndromes.len());
-        for &s in &self.syndromes {
-            out.extend_from_slice(&s.to_le_bytes()[..width]);
-        }
-        out
-    }
-
-    /// Deserialize from the byte format produced by [`Sketch::to_bytes`].
-    ///
-    /// Rejects inputs whose length is not a multiple of the syndrome width
-    /// (trailing garbage) and any syndrome value with bits at or above `m`
-    /// set (an out-of-field element a peer could otherwise smuggle into the
-    /// decoder): the padding bits of each ⌈m/8⌉-byte word must be zero.
-    pub fn from_bytes(bytes: &[u8], m: u32) -> Option<Self> {
+    /// A sketch of the given raw syndromes over GF(2^m) — what a transport
+    /// hands back after unpacking them ([`Sketch::syndromes`] is the other
+    /// direction). `None` if `m` is outside `1..=64` or any value has bits
+    /// at or above `m` set (an out-of-field element a peer could otherwise
+    /// smuggle into the decoder).
+    pub fn from_syndromes(syndromes: Vec<u64>, m: u32) -> Option<Self> {
         if m == 0 || m > 64 {
             return None;
         }
-        let width = m.div_ceil(8) as usize;
-        if !bytes.len().is_multiple_of(width) {
-            return None;
-        }
-        let limit = 1u64.checked_shl(m).unwrap_or(0); // 0 means "no bound" (m == 64)
-        let mut syndromes = Vec::with_capacity(bytes.len() / width);
-        for chunk in bytes.chunks(width) {
-            let mut buf = [0u8; 8];
-            buf[..width].copy_from_slice(chunk);
-            let value = u64::from_le_bytes(buf);
-            if limit != 0 && value >= limit {
-                return None;
-            }
-            syndromes.push(value);
-        }
-        Some(Sketch { syndromes })
+        let in_field = |&s: &u64| m == 64 || s >> m == 0;
+        syndromes
+            .iter()
+            .all(in_field)
+            .then_some(Sketch { syndromes })
     }
 
     /// Exact wire size of the sketch in bits: `t · m`.
@@ -439,36 +417,25 @@ mod tests {
     }
 
     #[test]
-    fn serialization_round_trip() {
+    fn from_syndromes_round_trips_and_rejects_out_of_field_values() {
         let codec = BchCodec::new(11, 13);
         let s = codec.sketch_set([100u64, 2000, 5]);
-        let bytes = s.to_bytes(11);
-        assert_eq!(bytes.len(), 13 * 2);
-        let back = Sketch::from_bytes(&bytes, 11).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(s.wire_bits(11), 13 * 11);
-    }
-
-    #[test]
-    fn from_bytes_rejects_bad_length() {
-        assert!(Sketch::from_bytes(&[1, 2, 3], 11).is_none());
-    }
-
-    #[test]
-    fn from_bytes_rejects_out_of_field_syndromes() {
-        // m = 11: syndromes are 2 bytes wide but only values < 2048 are
-        // field elements. 0x0FFF = 4095 is out of field.
-        assert!(Sketch::from_bytes(&[0xFF, 0x0F], 11).is_none());
-        // The largest in-field value round-trips.
         assert_eq!(
-            Sketch::from_bytes(&[0xFF, 0x07], 11).unwrap().syndromes(),
+            Sketch::from_syndromes(s.syndromes().to_vec(), 11),
+            Some(s.clone())
+        );
+        assert_eq!(s.wire_bits(11), 13 * 11);
+        // m = 11: only values < 2048 are field elements.
+        assert!(Sketch::from_syndromes(vec![0x0FFF], 11).is_none());
+        assert_eq!(
+            Sketch::from_syndromes(vec![2047], 11).unwrap().syndromes(),
             &[2047]
         );
-        // m = 16 uses the full 2-byte range: everything is in field.
-        assert!(Sketch::from_bytes(&[0xFF, 0xFF], 16).is_some());
+        // m = 64 uses the full word: everything is in field.
+        assert!(Sketch::from_syndromes(vec![u64::MAX], 64).is_some());
         // Degenerate widths are rejected outright.
-        assert!(Sketch::from_bytes(&[1], 0).is_none());
-        assert!(Sketch::from_bytes(&[1; 9], 65).is_none());
+        assert!(Sketch::from_syndromes(vec![1], 0).is_none());
+        assert!(Sketch::from_syndromes(vec![1], 65).is_none());
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!   group checksum (Line 3 of Procedure 2), or a BCH-decoding-failure flag
 //!   (§3.2).
 //!
-//! Each message knows its own wire size in bits, following the accounting of
-//! Formula (1): `t·log n` for the sketch and `log n + log|U|` per reported
-//! bin plus `log|U|` for a checksum. The driver feeds these sizes into the
-//! [`protocol::Transcript`] so communication overhead is measured, not
-//! estimated.
+//! Each message declares its own size in bits, once ([`GroupSketch::wire_bits`],
+//! [`GroupReport::wire_bits`]), following Formula (1): `t·log n` for the
+//! sketch and `log n + log|U|` per reported bin plus `log|U|` for a
+//! checksum. Both consumers call that one declaration: the driver feeds it
+//! — at `(m, universe_bits)` — into the [`protocol::Transcript`], so
+//! communication overhead is measured, not estimated, and the encoder of
+//! [`crate::wire`] emits exactly that many bits per message at the widths
+//! its batch header states.
 
 use bch::Sketch;
 
@@ -53,7 +56,9 @@ pub struct GroupSketch {
 }
 
 impl GroupSketch {
-    /// Wire size in bits: `t · log₂(n+1)` (Formula (1), first term).
+    /// Size in bits: `t · log₂(n+1)` (Formula (1), first term) — what the
+    /// transcript charges and what [`crate::wire::encode_sketches`] spends
+    /// on the syndromes.
     pub fn wire_bits(&self, m: u32) -> u64 {
         self.sketch.wire_bits(m)
     }
@@ -94,21 +99,25 @@ pub struct GroupReport {
 }
 
 impl GroupReport {
-    /// Wire size in bits, following Formula (1): each bin costs
-    /// `log₂(n+1) + log|U|` (position + XOR sum), a checksum costs `log|U|`,
-    /// and a decode-failure flag costs one byte.
-    pub fn wire_bits(&self, m: u32, universe_bits: u32) -> u64 {
+    /// Size in bits, following Formula (1): each bin costs a position plus
+    /// an XOR sum, a checksum costs one more sum. The transcript charges it
+    /// at `(log₂(n+1), log|U|)`; [`crate::wire::encode_reports`] spends it
+    /// at the widths its batch header states — those of the largest
+    /// position and sum present. Formula (1) has no term for the §3.2
+    /// decoding-failure flag, and neither has this: on the wire it is one
+    /// value of the tag every report carries.
+    pub fn wire_bits(&self, position_bits: u32, value_bits: u32) -> u64 {
         match &self.body {
             GroupReportBody::Decoded { bins, checksum } => {
-                let per_bin = (m + universe_bits) as u64;
+                let per_bin = (position_bits + value_bits) as u64;
                 let checksum_bits = if checksum.is_some() {
-                    universe_bits as u64
+                    value_bits as u64
                 } else {
                     0
                 };
                 bins.len() as u64 * per_bin + checksum_bits
             }
-            GroupReportBody::DecodeFailed => 8,
+            GroupReportBody::DecodeFailed => 0,
         }
     }
 }
@@ -202,6 +211,6 @@ mod tests {
             session: 3,
             body: GroupReportBody::DecodeFailed,
         };
-        assert_eq!(failed.wire_bits(7, 32), 8);
+        assert_eq!(failed.wire_bits(7, 32), 0);
     }
 }

@@ -397,7 +397,7 @@ impl AliceSession {
                 sketch,
                 // Repeated on every layer while c(B_i) is unknown: the
                 // first layer's report may be a decode failure, and the
-                // checksum must not be lost with it.
+                // checksum must not be lost with it. (Bob answers once.)
                 needs_checksum: group.bob_checksum.is_none(),
             })
             .collect()
@@ -763,21 +763,35 @@ impl BobSession {
     /// failed to decode — the same rule [`AliceSession::apply_reports`]
     /// applies, so the two state machines agree on the split set. With one
     /// layer per batch this is the classic split-on-failure of §3.2.
+    ///
+    /// `c(B_i)` goes out once per session per batch, on the session's first
+    /// layer that decodes, however many layers asked for it.
     pub fn handle_sketches(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
         let this = &*self;
-        let reports = protocol::par_map(sketches, |msg| this.compute_report(msg));
-        let mut all_failed: HashMap<SessionId, bool> = HashMap::new();
-        for report in &reports {
-            let failed = matches!(report.body, GroupReportBody::DecodeFailed);
-            if failed {
-                self.decode_failures += 1;
+        let mut reports = protocol::par_map(sketches, |msg| this.compute_report(msg));
+        // Per session of the batch: has every layer so far failed, and has
+        // `c(B_i)` gone out.
+        let mut seen: HashMap<SessionId, (bool, bool)> = HashMap::new();
+        for report in &mut reports {
+            let (all_failed, checksum_sent) = seen.entry(report.session).or_insert((true, false));
+            match &mut report.body {
+                GroupReportBody::DecodeFailed => self.decode_failures += 1,
+                GroupReportBody::Decoded { checksum, .. } => {
+                    *all_failed = false;
+                    // Alice asks on every layer, so that a failed first
+                    // layer cannot lose the checksum, and keeps the first
+                    // answer: the session's first decoded layer carries it,
+                    // the rest would only repeat it.
+                    if checksum.is_some() && std::mem::replace(checksum_sent, true) {
+                        *checksum = None;
+                    }
+                }
             }
-            *all_failed.entry(report.session).or_insert(true) &= failed;
         }
         // Sessions are independent (fresh child ids per parent), so the
         // split order does not matter.
-        for (&session, &failed) in &all_failed {
-            if failed {
+        for (&session, &(all_failed, _)) in &seen {
+            if all_failed {
                 self.split_group(session);
             }
         }
@@ -846,12 +860,14 @@ impl BobSession {
     /// The seed's serial per-element decode path: one scalar
     /// [`bch::Sketch::add`] per element, hash-map XOR accumulation over
     /// every occupied bin, groups processed strictly in order on the calling
-    /// thread. Produces exactly the same reports and session-state changes
-    /// as [`BobSession::handle_sketches`]; the oracle of the
+    /// thread, the batch rules (`c(B_i)` once per session, a split only
+    /// when every layer failed) applied by a scan of the reports so far.
+    /// Produces exactly the same reports and session-state changes as
+    /// [`BobSession::handle_sketches`]; the oracle of the
     /// parallel-vs-serial transcript test.
     #[cfg(test)]
     fn handle_sketches_reference(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
-        let mut out = Vec::with_capacity(sketches.len());
+        let mut out: Vec<GroupReport> = Vec::with_capacity(sketches.len());
         for msg in sketches {
             let (elements, checksum) = match self.groups.get(&msg.session) {
                 Some(group) => (group.elements.clone(), group.checksum),
@@ -867,6 +883,16 @@ impl BobSession {
                 *xor_by_bin.entry(p).or_insert(0) ^= e;
             }
             sketch.combine(&msg.sketch);
+            let already_sent = out.iter().any(|r| {
+                let sent = matches!(
+                    r.body,
+                    GroupReportBody::Decoded {
+                        checksum: Some(_),
+                        ..
+                    }
+                );
+                r.session == msg.session && sent
+            });
             let report = match self.codec.decode(&sketch) {
                 Ok(positions) => GroupReport {
                     session: msg.session,
@@ -878,12 +904,11 @@ impl BobSession {
                                 xor_sum: xor_by_bin.get(&p).copied().unwrap_or(0),
                             })
                             .collect(),
-                        checksum: msg.needs_checksum.then_some(checksum),
+                        checksum: (msg.needs_checksum && !already_sent).then_some(checksum),
                     },
                 },
                 Err(_) => {
                     self.decode_failures += 1;
-                    self.split_group(msg.session);
                     GroupReport {
                         session: msg.session,
                         body: GroupReportBody::DecodeFailed,
@@ -891,6 +916,15 @@ impl BobSession {
                 }
             };
             out.push(report);
+        }
+        let mut sessions: Vec<SessionId> = out.iter().map(|r| r.session).collect();
+        sessions.sort_unstable();
+        sessions.dedup();
+        for session in sessions {
+            let mut layers = out.iter().filter(|r| r.session == session);
+            if layers.all(|r| r.body == GroupReportBody::DecodeFailed) {
+                self.split_group(session);
+            }
         }
         out
     }
@@ -1028,26 +1062,33 @@ mod tests {
         // `d_actual` covers clean decodes (`d_actual` small) and forced
         // decode failures with §3.2 splits (`d_actual` ≫ `d_planned`); a
         // field degree of 23 puts n above `DENSE_LIMIT`, the fallback path
-        // of every kernel.
-        // (|A|, d_planned, d_actual, seed, field degree override)
-        let cases: [(usize, usize, usize, u64, Option<u32>); 14] = [
-            (1000, 5, 300, 21, None),
-            (50, 1, 0, 0x01, None),
-            (64, 11, 1, 0xD1CE, None),
-            (97, 3, 40, 0xFEED_FACE, None),
-            (130, 7, 7, 0x1234_5678_9ABC_DEF0, None),
-            (180, 1, 79, u64::MAX, None),
-            (222, 12, 60, 0x0BAD_5EED, None),
-            (260, 2, 25, 42, None),
-            (301, 9, 3, 0x7777, None),
-            (350, 4, 70, 0xA5A5_A5A5, None),
-            (399, 6, 12, 7, None),
-            (399, 1, 50, 8, None),
-            (300, 5, 4, 0x23, Some(23)),
-            (300, 2, 30, 0x2323, Some(23)),
+        // of every kernel; more than one layer a trip brings in the batch
+        // rules — `c(B_i)` once per session, on its first decoded layer.
+        // (|A|, d_planned, d_actual, seed, field degree override, layers)
+        let cases: [(usize, usize, usize, u64, Option<u32>, u32); 18] = [
+            (1000, 5, 300, 21, None, 1),
+            (50, 1, 0, 0x01, None, 1),
+            (64, 11, 1, 0xD1CE, None, 1),
+            (97, 3, 40, 0xFEED_FACE, None, 1),
+            (130, 7, 7, 0x1234_5678_9ABC_DEF0, None, 1),
+            (180, 1, 79, u64::MAX, None, 1),
+            (222, 12, 60, 0x0BAD_5EED, None, 1),
+            (260, 2, 25, 42, None, 1),
+            (301, 9, 3, 0x7777, None, 1),
+            (350, 4, 70, 0xA5A5_A5A5, None, 1),
+            (399, 6, 12, 7, None, 1),
+            (399, 1, 50, 8, None, 1),
+            (300, 5, 4, 0x23, Some(23), 1),
+            (300, 2, 30, 0x2323, Some(23), 1),
+            (1000, 5, 300, 21, None, 3),
+            (2000, 60, 60, 0x51, None, 2),
+            (350, 4, 70, 0xA5A5_A5A5, None, 4),
+            (300, 2, 30, 0x2323, Some(23), 2),
         ];
-        for (size, d_planned, d_actual, seed, m) in cases {
-            let case = format!("case ({size}, {d_planned}, {d_actual}, {seed:#x}, {m:?})");
+        let mut repeats_stripped = 0;
+        for (size, d_planned, d_actual, seed, m, layers) in cases {
+            let case =
+                format!("case ({size}, {d_planned}, {d_actual}, {seed:#x}, {m:?}, {layers})");
             let (cfg, mut params) = params_for(d_planned);
             if let Some(m) = m {
                 (params.m, params.n) = (m, (1 << m) - 1);
@@ -1062,14 +1103,40 @@ mod tests {
             let mut b_fast = BobSession::new(cfg, params, bob, seed);
             let mut b_ref = BobSession::new(cfg, params, bob, seed);
             for round in 0..24 {
-                let sketches_fast = start_checked(&mut a_fast, 1);
-                let sketches_ref = a_ref.start_round();
+                let sketches_fast = start_checked(&mut a_fast, layers);
+                let sketches_ref = a_ref.start_rounds(layers);
                 assert_eq!(sketches_fast, sketches_ref, "{case}: sketches r{round}");
                 let reports_fast = b_fast.handle_sketches(&sketches_fast);
                 let reports_ref = b_ref.handle_sketches_reference(&sketches_ref);
                 assert_eq!(reports_fast, reports_ref, "{case}: reports r{round}");
                 assert_eq!(b_fast.decode_failures(), b_ref.decode_failures());
                 assert_eq!(b_fast.session_count(), b_ref.session_count());
+                // One layer a trip answers every request as it always has;
+                // deeper batches answer a session's repeated requests once.
+                let answered = |r: &GroupReport| {
+                    matches!(
+                        r.body,
+                        GroupReportBody::Decoded {
+                            checksum: Some(_),
+                            ..
+                        }
+                    )
+                };
+                for (asked, report) in sketches_fast.iter().zip(&reports_fast) {
+                    let decoded = report.body != GroupReportBody::DecodeFailed;
+                    if layers == 1 {
+                        assert_eq!(answered(report), asked.needs_checksum && decoded, "{case}");
+                    } else if asked.needs_checksum && decoded && !answered(report) {
+                        repeats_stripped += 1;
+                    }
+                }
+                let mut answers: Vec<SessionId> = reports_fast
+                    .iter()
+                    .filter(|r| answered(r))
+                    .map(|r| r.session)
+                    .collect();
+                answers.sort_unstable();
+                assert!(answers.windows(2).all(|w| w[0] != w[1]), "{case}: r{round}");
                 let status = a_fast.apply_reports(&reports_fast);
                 a_ref.apply_reports(&reports_ref);
                 if status.all_verified {
@@ -1081,6 +1148,7 @@ mod tests {
             assert_eq!(fast, sorted(alice[..d_actual].to_vec()), "{case}");
             assert_eq!(fast, a_ref.into_recovered(), "{case}");
         }
+        assert!(repeats_stripped > 100, "only {repeats_stripped} repeats");
     }
 
     fn sorted(mut v: Vec<u64>) -> Vec<u64> {

@@ -31,6 +31,10 @@ pub fn inflate_estimate(d_hat: f64) -> usize {
     (d_hat * RECOMMENDED_INFLATION).ceil().max(1.0) as usize
 }
 
+/// Bytes of a serialized bank before its counters: sketch count, item
+/// count, seed, counter width.
+const BANK_HEADER: usize = 4 + 8 + 8 + 1;
+
 /// Elements per [`Estimator::insert_slice`] block: the most an 8-bit
 /// per-lane counter of −1 signs can hold.
 const BLOCK: usize = 255;
@@ -93,37 +97,52 @@ impl TowEstimator {
     }
 
     /// Serialize the bank for a transport-level estimator exchange (the
-    /// `EstimatorExchange` frame of the networked protocol): sketch count,
-    /// item count, seed, then the raw sketch values, all little-endian
-    /// fixed-width. The deserialized bank re-derives its hashers from the
-    /// seed, so the ±1 hash functions are never on the wire.
+    /// `EstimatorExchange` frame of the networked protocol): sketch count
+    /// (`u32`), item count (`u64`), seed (`u64`), a counter width in bytes
+    /// (`u8`, 1..=8), then the sketch values as little-endian
+    /// two's-complement integers of that width — the narrowest that holds
+    /// the largest magnitude present, so a bank of a 10⁶-element set ships
+    /// 2–3 bytes a counter where [`Estimator::wire_bits`] charges 21 bits.
+    /// The deserialized bank re-derives its hashers from the seed, so the
+    /// ±1 hash functions are never on the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 + 8 + 8 * self.sketches.len());
+        // An i64 `v` needs one sign bit above its magnitude bits.
+        let bits = |v: i64| 65 - (v ^ (v >> 63)).leading_zeros();
+        let widest = self.sketches.iter().map(|&v| bits(v)).max().unwrap_or(1);
+        let width = widest.div_ceil(8) as usize;
+        let mut out = Vec::with_capacity(BANK_HEADER + width * self.sketches.len());
         out.extend_from_slice(&(self.sketches.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.items.to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
+        out.push(width as u8);
         for &v in &self.sketches {
-            out.extend_from_slice(&v.to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes()[..width]);
         }
         out
     }
 
     /// Deserialize a bank produced by [`TowEstimator::to_bytes`]. Returns
     /// `None` for truncated, oversized or count-inconsistent input (the
-    /// declared sketch count must match the bytes actually present, so a
-    /// hostile length field cannot trigger a huge allocation).
+    /// declared sketch count and counter width must match the bytes
+    /// actually present, so a hostile length field cannot trigger a huge
+    /// allocation).
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        let count = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
-        if count == 0 || buf.len() != 4 + 8 + 8 + 8 * count {
+        let (header, counters) = buf.split_at_checked(BANK_HEADER)?;
+        let count = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
+        let items = u64::from_le_bytes(header[4..12].try_into().ok()?);
+        let seed = u64::from_le_bytes(header[12..20].try_into().ok()?);
+        let width = header[20] as usize;
+        if count == 0 || !(1..=8).contains(&width) || counters.len() != count.checked_mul(width)? {
             return None;
         }
-        let items = u64::from_le_bytes(buf[4..12].try_into().ok()?);
-        let seed = u64::from_le_bytes(buf[12..20].try_into().ok()?);
         let mut bank = TowEstimator::new(count, seed);
         bank.items = items;
-        for (i, sk) in bank.sketches.iter_mut().enumerate() {
-            let at = 20 + 8 * i;
-            *sk = i64::from_le_bytes(buf[at..at + 8].try_into().ok()?);
+        let unused = 64 - 8 * width as u32;
+        for (sk, raw) in bank.sketches.iter_mut().zip(counters.chunks_exact(width)) {
+            let mut word = [0u8; 8];
+            word[..width].copy_from_slice(raw);
+            // Shift the counter's sign bit up to the word's and back.
+            *sk = i64::from_le_bytes(word) << unused >> unused;
         }
         Some(bank)
     }
@@ -327,19 +346,80 @@ mod tests {
     }
 
     #[test]
+    fn counters_ship_at_the_width_of_the_largest_magnitude() {
+        // A counter of a set S lies in [−|S|, |S|]; the extremes of every
+        // byte width round-trip, negative ones sign-extended.
+        for (extreme, width) in [
+            (0i64, 1),
+            (127, 1),
+            (-128, 1),
+            (128, 2),
+            (-129, 2),
+            (20_000, 2),
+            (-32_768, 2),
+            (1_000_000, 3),
+            (-1_000_000, 3),
+            (-8_388_609, 4),
+            (1 << 31, 5),
+            (i64::MAX, 8),
+            (i64::MIN, 8),
+        ] {
+            let mut bank = TowEstimator::new(5, 3);
+            bank.items = extreme.unsigned_abs();
+            bank.sketches = vec![0, extreme, -1, 1, extreme / 2];
+            let bytes = bank.to_bytes();
+            assert_eq!(bytes.len(), 21 + 5 * width, "extreme {extreme}");
+            assert_eq!(bytes[20] as usize, width);
+            assert_eq!(TowEstimator::from_bytes(&bytes), Some(bank));
+        }
+        // A 128-sketch bank of 10⁶ elements: counters are sums of 10⁶ fair
+        // signs, a few thousand at most — two bytes each.
+        let set: Vec<u64> = (1..=1_000_000u64).map(|x| x * 0x9E37_79B9 + 7).collect();
+        let mut bank = TowEstimator::paper_default(9);
+        bank.insert_slice(&set);
+        assert_eq!(bank.to_bytes().len(), 21 + 128 * 2);
+        assert!(bank.to_bytes().len() as u64 <= 21 + bank.wire_bits() / 8);
+    }
+
+    /// The serialization, byte for byte: count, items, seed, width, then
+    /// two's-complement little-endian counters.
+    #[test]
+    fn the_bank_layout_is_pinned() {
+        let mut bank = TowEstimator::new(3, 0x0102_0304_0506_0708);
+        bank.items = 300;
+        bank.sketches = vec![-300, 2, 255];
+        let hex: String = bank.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "03000000\
+             2c01000000000000\
+             0807060504030201\
+             02\
+             d4fe0200ff00"
+        );
+    }
+
+    #[test]
     fn malformed_estimator_bytes_rejected() {
         let e = build(&[1, 2, 3], 8, 5);
         let bytes = e.to_bytes();
         assert!(TowEstimator::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(TowEstimator::from_bytes(&[]).is_none());
+        assert!(TowEstimator::from_bytes(&bytes[..20]).is_none());
         // A huge declared count with no backing bytes must not allocate.
         let mut hostile = bytes.clone();
         hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(TowEstimator::from_bytes(&hostile).is_none());
         // Zero sketches is not a valid bank.
-        let mut zero = bytes;
+        let mut zero = bytes.clone();
         zero[..4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(TowEstimator::from_bytes(&zero[..20]).is_none());
+        assert!(TowEstimator::from_bytes(&zero[..21]).is_none());
+        // A counter width outside 1..=8, or one the bytes do not match.
+        for width in [0u8, 9, 2, 255] {
+            let mut bad = bytes.clone();
+            bad[20] = width;
+            assert!(TowEstimator::from_bytes(&bad).is_none(), "width {width}");
+        }
     }
 
     #[test]

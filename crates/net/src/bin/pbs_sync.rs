@@ -336,9 +336,20 @@ fn main() {
     if let Some(epoch) = report.epoch {
         println!("pbs-sync: epoch baseline {epoch} established");
     }
+    let universe_bits = config.pbs.universe_bits;
     println!(
-        "pbs-sync: wire: {} B sent / {} B received over {}+{} frames",
-        report.bytes_sent, report.bytes_received, report.frames_sent, report.frames_received,
+        "pbs-sync: wire: {} B sent / {} B received over {}+{} frames{}",
+        report.bytes_sent,
+        report.bytes_received,
+        report.frames_sent,
+        report.frames_received,
+        report
+            .overhead_x_min(universe_bits)
+            .map(|x| format!(
+                " = {x:.2} × the d·log|U| minimum (d = {}, {universe_bits}-bit universe)",
+                report.recovered.len()
+            ))
+            .unwrap_or_default(),
     );
     if !args.quiet {
         let mut diff = report.recovered.clone();

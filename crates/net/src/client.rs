@@ -285,6 +285,21 @@ pub struct SyncReport {
     pub phases: SyncPhases,
 }
 
+impl SyncReport {
+    /// The session's wire bytes — both directions, framing, handshake and
+    /// estimator exchange included — as a multiple of `d·log|U|`, the
+    /// information-theoretic minimum for the `d` elements it recovered
+    /// over a `universe_bits`-bit universe: the paper's communication
+    /// overhead (§8.1.2 reports 2.13–2.87 for PBS, the estimator left
+    /// out). `None` when nothing was recovered — identical sets, a delta
+    /// sync — and the minimum is zero.
+    pub fn overhead_x_min(&self, universe_bits: u32) -> Option<f64> {
+        let minimum = protocol::theoretical_minimum_bytes(self.recovered.len(), universe_bits);
+        let wire = self.bytes_sent + self.bytes_received;
+        (minimum > 0.0).then(|| wire as f64 / minimum)
+    }
+}
+
 /// A configured connection target: the primary client entry point.
 ///
 /// Built fluently from an address, then driven with [`SyncClient::sync`]
@@ -760,6 +775,19 @@ mod tests {
                 policy.backoff(attempt, &mut b)
             );
         }
+    }
+
+    #[test]
+    fn overhead_is_wire_bytes_over_d_log_u() {
+        let report = SyncReport {
+            recovered: (1..=1000).collect(),
+            bytes_sent: 4_000,
+            bytes_received: 7_000,
+            ..SyncReport::default()
+        };
+        assert_eq!(report.overhead_x_min(32), Some(2.75));
+        assert_eq!(report.overhead_x_min(64), Some(1.375));
+        assert_eq!(SyncReport::default().overhead_x_min(32), None);
     }
 
     #[test]

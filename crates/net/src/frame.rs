@@ -25,10 +25,12 @@ use std::io::{Read, Write};
 /// ([`FrameError::Version`], answered with [`ErrorCode::Version`]) before
 /// any later field is read.
 ///
-/// Version 4 has version 3's byte layout throughout; what changed is the
-/// ±1 hash family behind the estimator exchange's sketch values, which
-/// both ends must evaluate identically (`docs/WIRE.md`, "The ±1 family").
-pub const PROTOCOL_VERSION: u16 = 4;
+/// Version 5 keeps the `Hello`, the delta stream and every one-word frame
+/// byte for byte; what changed is the payload codec of the reconciliation
+/// itself: sketch and report batches are bit-packed at stated widths
+/// ([`pbs_core::wire`]), `Done` packs its elements like a `DeltaBatch`, and
+/// the estimator bank ships its counters at the width they need.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Largest δ a `Hello` may ask for ([`Hello::config`]).
 const MAX_HELLO_DELTA: u32 = 24;
@@ -43,8 +45,8 @@ pub const MAX_STORE_NAME: usize = 64;
 pub const HELLO_MAGIC: u32 = 0x3153_4250;
 
 /// Default cap on `len` (type byte + payload): 16 MiB. Generous — the
-/// largest routine frame is one round's sketch batch, tens of kilobytes at
-/// `d = 1000` — while still bounding what a hostile peer can make the
+/// largest routine frame is one round trip's report batch, a few kilobytes
+/// at `d = 1000` — while still bounding what a hostile peer can make the
 /// receiver buffer.
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 24;
 
@@ -55,14 +57,47 @@ pub const FRAME_OVERHEAD: u64 = 8;
 /// type byte + epoch + element width + the two element counts.
 pub const DELTA_BATCH_HEADER: u32 = 1 + 8 + 1 + 4 + 4;
 
-/// Byte width the elements of a delta chunk are packed at: the smallest
-/// width that fits the largest element present (1..=8). Elements in a
-/// 32-bit universe cost 4 bytes on the wire, not 8 — the delta stream's
-/// dominant term, so it is packed where the fixed-width reconciliation
-/// frames are not.
+/// Fixed bytes of a [`Frame::Done`] body before the element words: type
+/// byte + element width + element count.
+pub const DONE_HEADER: u32 = 1 + 1 + 4;
+
+/// Byte width the elements of a delta chunk or a final transfer are packed
+/// at: the smallest width that fits the largest element present (1..=8).
+/// Elements in a 32-bit universe cost 4 bytes on the wire, not 8.
 pub fn delta_element_width(added: &[u64], removed: &[u64]) -> u8 {
     let max = added.iter().chain(removed).copied().max().unwrap_or(0);
     ((64 - max.leading_zeros() as usize).div_ceil(8)).max(1) as u8
+}
+
+/// The element list of a frame, packed: each element's low `width` bytes,
+/// little-endian.
+fn put_packed<'a>(out: &mut Vec<u8>, elements: impl Iterator<Item = &'a u64>, width: u8) {
+    for e in elements {
+        out.extend_from_slice(&e.to_le_bytes()[..width as usize]);
+    }
+}
+
+/// The `count` elements of `width` bytes each that are the whole of `buf`,
+/// widened back to `u64`. The width and the exact length are checked
+/// before anything is allocated: the count must describe precisely the
+/// bytes present.
+fn take_packed(
+    buf: &[u8],
+    width: u8,
+    count: usize,
+) -> Result<impl Iterator<Item = u64> + '_, FrameError> {
+    if !(1..=8).contains(&width) {
+        return Err(FrameError::Payload(WireError::BadTag(width)));
+    }
+    let width = width as usize;
+    if count.checked_mul(width) != Some(buf.len()) {
+        return Err(FrameError::Payload(WireError::Truncated));
+    }
+    Ok(buf.chunks_exact(width).map(move |c| {
+        let mut bytes = [0u8; 8];
+        bytes[..width].copy_from_slice(c);
+        u64::from_le_bytes(bytes)
+    }))
 }
 
 /// Most elements (added plus removed) packed into one [`Frame::DeltaBatch`]
@@ -340,10 +375,10 @@ pub enum Frame {
     Hello(Hello),
     /// Cardinality-estimator exchange (either half).
     EstimatorExchange(EstimatorMsg),
-    /// Alice → Bob: one round's sketch batch. `m` is the field degree the
-    /// syndrome words are packed with.
+    /// Alice → Bob: one round trip's sketch batch. `m` is the field degree
+    /// the syndromes are packed at.
     Sketches {
-        /// Field degree `log₂(n+1)` used to pack the syndromes.
+        /// Field degree `log₂(n+1)`: the bits each syndrome takes.
         m: u32,
         /// The per-group sketches of this round.
         batch: Vec<GroupSketch>,
@@ -440,20 +475,28 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], FrameError> {
     Ok(head)
 }
 
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FrameError> {
+    let (head, tail) = buf
+        .split_first_chunk::<N>()
+        .ok_or(FrameError::Payload(WireError::Truncated))?;
+    *buf = tail;
+    Ok(*head)
+}
+
 fn take_u8(buf: &mut &[u8]) -> Result<u8, FrameError> {
-    Ok(take(buf, 1)?[0])
+    Ok(take_array::<1>(buf)?[0])
 }
 
 fn take_u16(buf: &mut &[u8]) -> Result<u16, FrameError> {
-    Ok(u16::from_le_bytes(take(buf, 2)?.try_into().unwrap()))
+    Ok(u16::from_le_bytes(take_array(buf)?))
 }
 
 fn take_u32(buf: &mut &[u8]) -> Result<u32, FrameError> {
-    Ok(u32::from_le_bytes(take(buf, 4)?.try_into().unwrap()))
+    Ok(u32::from_le_bytes(take_array(buf)?))
 }
 
 fn take_u64(buf: &mut &[u8]) -> Result<u64, FrameError> {
-    Ok(u64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
+    Ok(u64::from_le_bytes(take_array(buf)?))
 }
 
 impl Frame {
@@ -519,10 +562,10 @@ impl Frame {
                 out.extend_from_slice(&wire::encode_reports(reports));
             }
             Frame::Done(elements) => {
+                let width = delta_element_width(elements, &[]);
+                out.push(width);
                 out.extend_from_slice(&(elements.len() as u32).to_le_bytes());
-                for &e in elements {
-                    out.extend_from_slice(&e.to_le_bytes());
-                }
+                put_packed(&mut out, elements.iter(), width);
             }
             Frame::Error { code, message } => {
                 out.push(code.to_u8());
@@ -538,14 +581,12 @@ impl Frame {
                 // Elements are packed at the width of the largest one, a
                 // self-describing per-chunk choice (the decoder widens back
                 // to u64 from the width byte).
-                let width = delta_element_width(added, removed) as usize;
+                let width = delta_element_width(added, removed);
                 out.extend_from_slice(&epoch.to_le_bytes());
-                out.push(width as u8);
+                out.push(width);
                 out.extend_from_slice(&(added.len() as u32).to_le_bytes());
                 out.extend_from_slice(&(removed.len() as u32).to_le_bytes());
-                for &e in added.iter().chain(removed) {
-                    out.extend_from_slice(&e.to_le_bytes()[..width]);
-                }
+                put_packed(&mut out, added.iter().chain(removed), width);
             }
             Frame::DeltaDone { epoch }
             | Frame::FullResyncRequired { epoch }
@@ -632,19 +673,14 @@ impl Frame {
                 wire::decode_reports(buf).map_err(FrameError::Payload)?,
             )),
             TYPE_DONE => {
+                let width = take_u8(&mut buf)?;
                 let count = take_u32(&mut buf)? as usize;
-                if buf.len() != count * 8 {
-                    return Err(FrameError::Payload(WireError::Truncated));
-                }
-                let elements = buf
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                Ok(Frame::Done(elements))
+                Ok(Frame::Done(take_packed(buf, width, count)?.collect()))
             }
             TYPE_ERROR => {
-                let code = ErrorCode::from_u8(take_u8(&mut buf)?)
-                    .ok_or(FrameError::Payload(WireError::BadTag(0)))?;
+                let byte = take_u8(&mut buf)?;
+                let code =
+                    ErrorCode::from_u8(byte).ok_or(FrameError::Payload(WireError::BadTag(byte)))?;
                 let len = take_u16(&mut buf)? as usize;
                 let msg = take(&mut buf, len)?;
                 if !buf.is_empty() {
@@ -657,22 +693,11 @@ impl Frame {
             }
             TYPE_DELTA_BATCH => {
                 let epoch = take_u64(&mut buf)?;
-                let width = take_u8(&mut buf)? as usize;
-                if !(1..=8).contains(&width) {
-                    return Err(FrameError::Payload(WireError::BadTag(width as u8)));
-                }
+                let width = take_u8(&mut buf)?;
                 let added_count = take_u32(&mut buf)? as usize;
                 let removed_count = take_u32(&mut buf)? as usize;
-                // Exact-length check before any allocation: the counts must
-                // describe precisely the bytes present.
-                if buf.len() != (added_count + removed_count) * width {
-                    return Err(FrameError::Payload(WireError::Truncated));
-                }
-                let mut words = buf.chunks_exact(width).map(|c| {
-                    let mut bytes = [0u8; 8];
-                    bytes[..width].copy_from_slice(c);
-                    u64::from_le_bytes(bytes)
-                });
+                let count = added_count.saturating_add(removed_count);
+                let mut words = take_packed(buf, width, count)?;
                 let added: Vec<u64> = words.by_ref().take(added_count).collect();
                 let removed: Vec<u64> = words.collect();
                 Ok(Frame::DeltaBatch {
@@ -732,8 +757,9 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, max_frame: u32) -> Result
 pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<(Frame, u64), NetError> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let crc = u32::from_le_bytes([c0, c1, c2, c3]);
     if len == 0 {
         return Err(NetError::Frame(FrameError::BadType(0)));
     }
@@ -785,7 +811,7 @@ mod tests {
 
     #[test]
     fn wrong_version_hellos_are_refused_before_any_later_field() {
-        for version in [0, 1, 2, 3, 5, u16::MAX] {
+        for version in [0, 1, 2, 3, 4, 6, u16::MAX] {
             let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0);
             hello.version = version;
             let body = Frame::Hello(hello).encode_body();
@@ -828,6 +854,15 @@ mod tests {
         assert_eq!(round_trip(&e, 1024), e);
         let d = Frame::Done(vec![1, u64::MAX, 7]);
         assert_eq!(round_trip(&d, 1024), d);
+    }
+
+    #[test]
+    fn one_frame_of_every_type_round_trips() {
+        // The machines' state × wrong-frame tables are built from these:
+        // the empty `Sketches { m: 8 }` and the empty `Reports` among them.
+        for frame in crate::server_machine::duet::one_of_each() {
+            assert_eq!(round_trip(&frame, DEFAULT_MAX_FRAME), frame);
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! [`on_frame`]: ClientMachine::on_frame
 
 use crate::client::{ClientConfig, Pipeline, SyncReport};
-use crate::frame::{EstimatorMsg, Frame, Hello, MAX_STORE_NAME};
+use crate::frame::{delta_element_width, EstimatorMsg, Frame, Hello, DONE_HEADER, MAX_STORE_NAME};
 use crate::NetError;
 use estimator::{Estimator, TowEstimator};
 use pbs_core::{AliceSession, Pbs, ESTIMATOR_SEED_SALT};
@@ -555,12 +555,12 @@ impl<'a> ClientMachine<'a> {
             self.report.round_trips = alice.round_trips();
             (self.report.recovered, pushed) = alice.into_recovered_and_mine();
         }
-        // The transfer is a single frame (body: type + count + 8 bytes per
-        // element); give an actionable error rather than a bare size
-        // failure.
+        // The transfer is a single frame of packed elements; give an
+        // actionable error rather than a bare size failure.
         let max_frame = self.config.transport.max_frame;
-        let capacity = (max_frame as u64).saturating_sub(5) / 8;
-        if pushed.len() as u64 > capacity {
+        let width = delta_element_width(&pushed, &[]) as u32;
+        let capacity = max_frame.saturating_sub(DONE_HEADER) / width;
+        if pushed.len() as u64 > capacity as u64 {
             return Err(NetError::Protocol(format!(
                 "final transfer of {} elements exceeds the {max_frame}-byte frame cap \
                  (max {capacity} elements); raise transport.max_frame",
@@ -1006,8 +1006,8 @@ mod tests {
 
     /// The opening `Hello` of each mode, pinned byte for byte (length prefix
     /// and CRC included). These are the v3 captures with the version field
-    /// — the only byte of any frame v4 changed — and the CRC over it
-    /// re-taken: every later field stays where it was.
+    /// — the only byte of a `Hello` that v4 or v5 changed — and the CRC
+    /// over it re-taken: every later field stays where it was.
     #[test]
     fn the_hello_is_pinned_bit_for_bit() {
         let hello = |cfg: ClientConfig, mode| {
@@ -1017,7 +1017,7 @@ mod tests {
         // No store name, no epoch, estimator exchange to follow.
         assert_eq!(
             hello(config().build(), Mode::Full),
-            "330000009ac7927201504253310400200500000003000000ffffffffae47e17a14aeef3f\
+            "33000000095c5b0d01504253310500200500000003000000ffffffffae47e17a14aeef3f\
              80000000efcdab89674523010000000000000000000100"
         );
         // Named store, fixed depth, d known, epoch cache.
@@ -1032,14 +1032,14 @@ mod tests {
                     since: 0x1122_3344_5566_7788
                 }
             ),
-            "440000003282db1001504253310400200500000003000000ffffffffae47e17a14aeef3f\
+            "44000000eee8684001504253310500200500000003000000ffffffffae47e17a14aeef3f\
              80000000efcdab89674523012a0000000000000009696e76656e746f727903018877665544332211"
         );
         // Adaptive depth asks for the largest representable grant.
         let cfg = config().seed(7).store("live").pipeline(Pipeline::Auto);
         assert_eq!(
             hello(cfg.build(), Mode::Full),
-            "37000000cc316b6201504253310400200500000003000000ffffffffae47e17a14aeef3f\
+            "370000003d285ae601504253310500200500000003000000ffffffffae47e17a14aeef3f\
              8000000007000000000000000000000000000000046c697665ff00"
         );
         // A subscriber asks for no rounds whatever its config says.
@@ -1049,7 +1049,7 @@ mod tests {
             .known_d(42);
         assert_eq!(
             hello(cfg.build(), Mode::Subscribe { since: 9 }),
-            "3f000000d9f1fd8101504253310400200500000003000000ffffffffae47e17a14aeef3f\
+            "3f0000004afe3acb01504253310500200500000003000000ffffffffae47e17a14aeef3f\
              80000000b979379e000000000000000000000000046c69766501010900000000000000"
         );
     }

@@ -6,7 +6,8 @@
 //! errors, not crashes.
 
 use bch::Sketch;
-use pbs_core::messages::{BinInfo, GroupReport, GroupReportBody, GroupSketch};
+use estimator::{Estimator, TowEstimator};
+use pbs_core::messages::{child_sessions, BinInfo, GroupReport, GroupReportBody, GroupSketch};
 use pbs_core::wire;
 use pbs_net::frame::{
     read_frame, write_frame, ErrorCode, EstimatorMsg, Frame, Hello, DEFAULT_MAX_FRAME,
@@ -15,61 +16,70 @@ use pbs_net::frame::{
 use pbs_net::{FrameError, NetError};
 use proptest::prelude::*;
 
-/// Build a sketch with `t` in-field syndromes for degree `m` from raw words.
-fn sketch(m: u32, words: &[u64]) -> Sketch {
-    let width = m.div_ceil(8) as usize;
-    let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-    let mut bytes = Vec::with_capacity(words.len() * width);
-    for &w in words {
-        bytes.extend_from_slice(&(w & mask).to_le_bytes()[..width]);
-    }
-    Sketch::from_bytes(&bytes, m).expect("masked syndromes are in-field")
+/// Session ids of every shape the id code distinguishes, from `(kind,
+/// raw)` draws: the previous id plus one, a sparse later-round id, a §3.2
+/// child id (top bit set), and anything at all.
+fn session_ids(draws: &[(u8, u64)]) -> Vec<u64> {
+    let mut previous = 0u64;
+    draws
+        .iter()
+        .map(|&(kind, raw)| {
+            previous = match kind {
+                0 => previous.wrapping_add(1),
+                1 => raw % 5_000 + 1,
+                2 => child_sessions(raw % 5_000 + 1)[(raw % 3) as usize],
+                _ => raw,
+            };
+            previous
+        })
+        .collect()
 }
 
-fn sketches_frame(m: u32, sessions: &[u64], words: &[u64]) -> Frame {
-    let batch = sessions
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| GroupSketch {
-            session: s,
-            round: (i as u32) % 7 + 1,
-            sketch: sketch(m, words),
-            needs_checksum: i % 2 == 0,
-        })
-        .collect();
+/// A layer-major `Sketches` frame: the same sessions once per layer, each
+/// layer its own round, `t` syndromes of `m` bits drawn from `fill`.
+fn sketches_frame(m: u32, t: usize, layers: u32, sessions: &[u64], fill: u64) -> Frame {
+    let mut x = fill;
+    let mut batch = Vec::new();
+    for layer in 0..layers {
+        for (i, &session) in sessions.iter().enumerate() {
+            let syndromes = (0..t).map(|_| {
+                x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+                x >> (64 - m)
+            });
+            batch.push(GroupSketch {
+                session,
+                round: layer + 1,
+                sketch: Sketch::from_syndromes(syndromes.collect(), m).expect("m-bit values"),
+                needs_checksum: i % 2 == 0,
+            });
+        }
+    }
     Frame::Sketches { m, batch }
 }
 
-fn reports_frame(bins: &[(u64, u64)], with_failure: bool) -> Frame {
-    let mut reports = vec![
-        GroupReport {
-            session: 3,
-            body: GroupReportBody::Decoded {
-                bins: bins
-                    .iter()
-                    .map(|&(p, x)| BinInfo {
-                        position: p & 0xFFFF_FFFF,
-                        xor_sum: x,
-                    })
-                    .collect(),
-                checksum: Some(0xC0FFEE),
-            },
-        },
-        GroupReport {
-            session: u64::MAX,
-            body: GroupReportBody::Decoded {
-                bins: Vec::new(),
-                checksum: None,
-            },
-        },
-    ];
-    if with_failure {
-        reports.push(GroupReport {
-            session: 9,
-            body: GroupReportBody::DecodeFailed,
-        });
+fn decoded(bins: &[(u64, u64)], checksum: Option<u64>) -> GroupReportBody {
+    let bins = bins
+        .iter()
+        .map(|&(position, xor_sum)| BinInfo { position, xor_sum });
+    GroupReportBody::Decoded {
+        bins: bins.collect(),
+        checksum,
     }
-    Frame::Reports(reports)
+}
+
+/// A `Reports` frame over `sessions`: decoded reports with and without a
+/// checksum, empty ones, and (`with_failure`) decoding failures.
+fn reports_frame(sessions: &[u64], bins: &[(u64, u64)], with_failure: bool) -> Frame {
+    let reports = sessions.iter().enumerate().map(|(i, &session)| {
+        let share = &bins[..bins.len() * (i % 4) / 3];
+        let body = match i % 4 {
+            0 => decoded(share, Some(0xC0FFEE)),
+            3 if with_failure => GroupReportBody::DecodeFailed,
+            _ => decoded(share, None),
+        };
+        GroupReport { session, body }
+    });
+    Frame::Reports(reports.collect())
 }
 
 fn round_trip(frame: &Frame) -> Frame {
@@ -176,28 +186,46 @@ proptest! {
 
     #[test]
     fn sketches_frames_round_trip(
-        m in 3u32..=32,
-        sessions in prop::collection::vec(any::<u64>(), 0..40),
-        words in prop::collection::vec(any::<u64>(), 0..25),
+        m in 3u32..=16,
+        t in 1usize..=40,
+        layers in 1u32..=4,
+        draws in prop::collection::vec((0u8..4, any::<u64>()), 0..40),
+        fill in any::<u64>(),
     ) {
-        let frame = sketches_frame(m, &sessions, &words);
+        let frame = sketches_frame(m, t, layers, &session_ids(&draws), fill);
         prop_assert_eq!(round_trip(&frame), frame);
     }
 
     #[test]
     fn reports_and_done_frames_round_trip(
+        draws in prop::collection::vec((0u8..4, any::<u64>()), 0..40),
+        // Positions 0 and far beyond any n, sums up to u64::MAX.
+        position_bits in 0u32..=64,
+        value_bits in 0u32..=64,
         bins in prop::collection::vec((any::<u64>(), any::<u64>()), 0..60),
         with_failure in any::<bool>(),
         elements in prop::collection::vec(any::<u64>(), 0..200),
     ) {
-        let reports = reports_frame(&bins, with_failure);
+        let mask = |bits: u32| u64::MAX.checked_shr(64 - bits).unwrap_or(0);
+        let bins: Vec<(u64, u64)> = bins
+            .iter()
+            .map(|&(p, x)| (p & mask(position_bits), x & mask(value_bits)))
+            .collect();
+        let reports = reports_frame(&session_ids(&draws), &bins, with_failure);
         prop_assert_eq!(round_trip(&reports), reports);
-        let done = Frame::Done(elements);
+        // `Done` packs at the width of its largest element, whatever that is.
+        let elements: Vec<u64> = elements.iter().map(|e| e & mask(value_bits)).collect();
+        let width = elements.iter().map(|e| (64 - e.leading_zeros()).div_ceil(8)).max();
+        let done = Frame::Done(elements.clone());
+        prop_assert_eq!(
+            done.encode_body().len(),
+            6 + elements.len() * width.unwrap_or(1).max(1) as usize
+        );
         prop_assert_eq!(round_trip(&done), done);
     }
 
     #[test]
-    fn error_frames_round_trip(code in 1u8..=7, msg in prop::collection::vec(32u8..127, 0..120)) {
+    fn error_frames_round_trip(code in 1u8..=8, msg in prop::collection::vec(32u8..127, 0..120)) {
         let frame = Frame::Error {
             code: match code {
                 1 => ErrorCode::BadMagic,
@@ -206,7 +234,8 @@ proptest! {
                 4 => ErrorCode::Protocol,
                 5 => ErrorCode::RoundLimit,
                 6 => ErrorCode::Decode,
-                _ => ErrorCode::Internal,
+                7 => ErrorCode::Internal,
+                _ => ErrorCode::UnknownStore,
             },
             message: String::from_utf8(msg).unwrap(),
         };
@@ -229,14 +258,15 @@ proptest! {
     #[test]
     fn corrupted_frames_are_rejected(
         sessions in prop::collection::vec(any::<u64>(), 1..20),
-        words in prop::collection::vec(any::<u64>(), 1..10),
+        t in 1usize..10,
+        fill in any::<u64>(),
         at_fraction in 0u32..100,
         flip in 1u8..=255,
     ) {
         let mut wire = Vec::new();
         write_frame(
             &mut wire,
-            &sketches_frame(11, &sessions, &words),
+            &sketches_frame(11, t, 2, &sessions, fill),
             DEFAULT_MAX_FRAME,
         )
         .unwrap();
@@ -271,7 +301,140 @@ proptest! {
         let _ = wire::decode_sketches(&bytes);
         let _ = wire::decode_reports(&bytes);
         let _ = read_frame(&mut bytes.as_slice(), 256);
-        let _ = estimator::TowEstimator::from_bytes(&bytes);
-        let _ = Sketch::from_bytes(&bytes, 11);
+        let _ = TowEstimator::from_bytes(&bytes);
     }
+}
+
+/// One frame of each v5 payload layout, small enough to check by hand
+/// against docs/WIRE.md: the sketch and report batches are the worked
+/// examples of `pbs_core::wire`'s own bit-order test.
+fn golden_frames() -> [(Frame, &'static str); 4] {
+    let sketch = |session, needs_checksum, syndrome| GroupSketch {
+        session,
+        round: 7,
+        sketch: Sketch::from_syndromes(vec![syndrome], 3).expect("3-bit values"),
+        needs_checksum,
+    };
+    let report = |session, body| GroupReport { session, body };
+    let mut bank = TowEstimator::new(3, 7);
+    bank.insert_slice(&[11, 22, 33, 44, 55]);
+    [
+        (
+            Frame::Sketches {
+                m: 3,
+                batch: vec![
+                    sketch(1, true, 5),
+                    sketch(5, false, 3),
+                    sketch(0x8000_0000_0000_0001, true, 7),
+                ],
+            },
+            // len, crc | type 3 | m 3, id_bits 3, t 1, sections 1
+            // | round 7, count 3 | 84 bits of sketches, 4 of padding
+            "1c000000f9d6c3c4\
+             03\
+             0303010001000000\
+             0700000003000000\
+             175d03000000000000000f",
+        ),
+        (
+            Frame::Reports(vec![
+                report(1, decoded(&[(5, 0x3C)], Some(0xAB))),
+                report(2, GroupReportBody::DecodeFailed),
+                report(9, decoded(&[], None)),
+            ]),
+            // len, crc | type 4 | count 3 | id 4, bin count 1, position 3,
+            // value 8 bits | 35 bits of reports, 5 of padding
+            "0e000000b7077efb\
+             04\
+             0300000004010308\
+             5b5d9e9200",
+        ),
+        (
+            Frame::Done(vec![0x0102, 0xA0_B0C0, 7]),
+            // len, crc | type 5 | width 3 | count 3 | 3 × 3 bytes
+            "0f00000041c5a88e\
+             05\
+             0303000000\
+             020100c0b0a0070000",
+        ),
+        (
+            Frame::EstimatorExchange(EstimatorMsg::TowBank(bank.to_bytes())),
+            // len, crc | type 2, kind 1 | count 3 | items 5 | seed 7
+            // | width 1 | the counters −1, 1, −1
+            "1a000000af781c2a\
+             0201\
+             03000000\
+             0500000000000000\
+             0700000000000000\
+             01\
+             ff01ff",
+        ),
+    ]
+}
+
+fn wire_of(frame: &Frame) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, frame, DEFAULT_MAX_FRAME).expect("write");
+    wire
+}
+
+#[test]
+fn the_v5_payload_layouts_are_pinned_bit_for_bit() {
+    for (frame, hex) in golden_frames() {
+        let wire: String = wire_of(&frame).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(wire, hex, "{frame:?}");
+        assert_eq!(round_trip(&frame), frame);
+    }
+}
+
+#[test]
+fn cut_or_flipped_payloads_error_or_decode_but_never_panic() {
+    // Past the CRC (which `corrupted_frames_are_rejected` covers): every
+    // prefix and every single-bit flip of each body goes to the payload
+    // decoders themselves.
+    let sessions = session_ids(&[(0, 0), (0, 0), (1, 77), (2, 5), (3, u64::MAX), (0, 0)]);
+    let bins = [(0, 1), (127, u64::MAX), (u64::MAX, 0x1234_5678)];
+    let mut frames: Vec<Frame> = golden_frames().into_iter().map(|(f, _)| f).collect();
+    frames.push(sketches_frame(7, 11, 3, &sessions, 0x5EED));
+    frames.push(reports_frame(&sessions, &bins, true));
+    for frame in frames {
+        let body = frame.encode_body();
+        for cut in 0..body.len() {
+            let _ = Frame::decode_body(&body[..cut]);
+        }
+        for bit in 0..body.len() * 8 {
+            let mut bad = body.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let _ = Frame::decode_body(&bad);
+        }
+        // A strict prefix of a packed batch is always short of a stated bit.
+        if matches!(
+            frame,
+            Frame::Sketches { .. } | Frame::Reports(_) | Frame::Done(_)
+        ) {
+            for cut in 0..body.len() {
+                assert!(
+                    Frame::decode_body(&body[..cut]).is_err(),
+                    "{frame:?} cut at {cut}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn an_unknown_error_code_is_named_and_a_v4_hello_is_refused() {
+    for byte in [0u8, 9, 0xEE] {
+        assert_eq!(
+            Frame::decode_body(&[6, byte, 0, 0]),
+            Err(FrameError::Payload(wire::WireError::BadTag(byte)))
+        );
+    }
+    let mut hello = Hello::from_config(&pbs_core::PbsConfig::default(), 1, 0);
+    hello.version = 4;
+    assert_eq!(
+        Frame::decode_body(&Frame::Hello(hello).encode_body()),
+        Err(FrameError::Version(4))
+    );
+    assert_eq!(ErrorCode::Version.to_string(), "version-unsupported");
 }

@@ -164,15 +164,15 @@ fn valid_streams(client_set: &[u64], d: u64) -> Vec<Vec<Vec<u8>>> {
                 ..hello()
             }),
             Frame::Hello(Hello {
-                version: 2,
-                ..hello()
-            }),
-            Frame::Hello(Hello {
                 version: 3,
                 ..hello()
             }),
             Frame::Hello(Hello {
-                version: 5,
+                version: 4,
+                ..hello()
+            }),
+            Frame::Hello(Hello {
+                version: 6,
                 ..hello()
             }),
             sketch_round(1),

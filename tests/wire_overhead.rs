@@ -1,0 +1,90 @@
+//! The overhead fence: what one estimator-on session puts on the wire,
+//! against the paper's `d·log|U|` minimum and against the Formula (1)
+//! accounting of its own messages.
+//!
+//! Socket-free and milliseconds long: the real [`ClientMachine`] produces
+//! every client frame; the server's replies are built from the same calls
+//! `pbs_net`'s server makes, in its order. Bytes are a pure function of the
+//! sets and the seed, so the fence cannot flake — a codec change that
+//! fattens the wire fails here before any benchmark runs.
+
+use estimator::{inflate_estimate, Estimator, TowEstimator};
+use pbs_core::{BobSession, Pbs};
+use pbs_net::frame::{EstimatorMsg, Frame};
+use pbs_net::{ClientConfig, ClientMachine, Mode};
+use protocol::{theoretical_minimum_bytes, Workload};
+
+#[test]
+fn a_session_pays_at_most_3_3x_the_minimum_and_15_percent_over_formula_one() {
+    let (d, universe_bits) = (1_000usize, 32u32);
+    let pair = Workload {
+        set_size: 20_000,
+        d,
+        universe_bits,
+        subset_mode: false,
+    }
+    .generate(17);
+    let config = ClientConfig::builder().seed(0x0FE7_CE00).build();
+    let mut client = ClientMachine::new(&config, &pair.a[..], Mode::Full).expect("a valid request");
+
+    let mut bob: Option<BobSession> = None;
+    // Every frame; the Sketches and Reports frames; the Formula (1) bits of
+    // the messages those carried.
+    let (mut total, mut rounds, mut formula_one) = (0u64, 0u64, 0u64);
+    let report = loop {
+        let sent = client
+            .poll_send()
+            .expect("the machine is alive")
+            .expect("a frame is owed between replies");
+        let sent_len = sent.wire_len();
+        let reply = match sent {
+            Frame::Hello(hello) => Frame::Hello(hello),
+            Frame::EstimatorExchange(EstimatorMsg::TowBank(bank)) => {
+                let theirs = TowEstimator::from_bytes(&bank).expect("the bank decodes");
+                let mut own = TowEstimator::new(theirs.sketch_count(), theirs.seed());
+                own.insert_slice(&pair.b);
+                let d_hat = theirs.estimate(&own);
+                let d_param = inflate_estimate(d_hat) as u64;
+                let params = Pbs::new(config.pbs).plan(d_param as usize);
+                bob = Some(BobSession::new(config.pbs, params, &pair.b, config.seed));
+                Frame::EstimatorExchange(EstimatorMsg::Estimate { d_param, d_hat })
+            }
+            Frame::Sketches { m, batch } => {
+                let bob = bob.as_mut().expect("the estimate came first");
+                let reports = bob.handle_sketches(&batch);
+                formula_one += batch.iter().map(|s| s.wire_bits(m)).sum::<u64>();
+                formula_one += reports
+                    .iter()
+                    .map(|r| r.wire_bits(m, universe_bits))
+                    .sum::<u64>();
+                let reply = Frame::Reports(reports);
+                rounds += sent_len + reply.wire_len();
+                reply
+            }
+            Frame::Done(_) => Frame::DeltaDone { epoch: 1 },
+            other => panic!("a full sync never sends {other:?}"),
+        };
+        total += sent_len + reply.wire_len();
+        if let Some(report) = client.on_frame(reply).expect("a legal reply").report {
+            break report;
+        }
+    };
+
+    assert!(report.verified);
+    let mut truth: Vec<u64> = pair.diff.iter().copied().collect();
+    truth.sort_unstable();
+    assert_eq!(report.recovered, truth);
+    assert_eq!(report.pushed.len(), d - d / 2);
+
+    let minimum = theoretical_minimum_bytes(d, universe_bits);
+    assert!(
+        total as f64 <= 3.3 * minimum,
+        "the session put {total} B on the wire, {:.2} × the {minimum} B minimum",
+        total as f64 / minimum
+    );
+    assert!(
+        rounds * 8 * 100 <= formula_one * 115,
+        "Sketches + Reports cost {rounds} B where Formula (1) charges {} B",
+        formula_one / 8
+    );
+}
