@@ -89,6 +89,11 @@ pub enum GroupReportBody {
     DecodeFailed,
 }
 
+/// Declared cost in bits of the §3.2 decoding-failure flag: the report tag
+/// of [`crate::wire`], which is all a failed report spends beyond naming its
+/// session.
+pub const FAILURE_FLAG_BITS: u32 = 2;
+
 /// Bob → Alice: the decoded report for one session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupReport {
@@ -103,9 +108,8 @@ impl GroupReport {
     /// an XOR sum, a checksum costs one more sum. The transcript charges it
     /// at `(log₂(n+1), log|U|)`; [`crate::wire::encode_reports`] spends it
     /// at the widths its batch header states — those of the largest
-    /// position and sum present. Formula (1) has no term for the §3.2
-    /// decoding-failure flag, and neither has this: on the wire it is one
-    /// value of the tag every report carries.
+    /// position and sum present. A §3.2 decoding failure costs its flag,
+    /// [`FAILURE_FLAG_BITS`], at any widths.
     pub fn wire_bits(&self, position_bits: u32, value_bits: u32) -> u64 {
         match &self.body {
             GroupReportBody::Decoded { bins, checksum } => {
@@ -117,7 +121,7 @@ impl GroupReport {
                 };
                 bins.len() as u64 * per_bin + checksum_bits
             }
-            GroupReportBody::DecodeFailed => 0,
+            GroupReportBody::DecodeFailed => FAILURE_FLAG_BITS as u64,
         }
     }
 }
@@ -211,6 +215,6 @@ mod tests {
             session: 3,
             body: GroupReportBody::DecodeFailed,
         };
-        assert_eq!(failed.wire_bits(7, 32), 0);
+        assert_eq!(failed.wire_bits(7, 32), 2);
     }
 }

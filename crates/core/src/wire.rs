@@ -6,9 +6,8 @@
 //! / [`GroupReport::wire_bits`], the Formula (1) terms the transcript
 //! accounting charges — plus the few framing bits named below (a session
 //! id code, a flag or tag, a bin count), so a batch's length is Formula (1)
-//! plus stated headers: [`sketch_batch_bits`] / [`report_batch_bits`]
-//! rounded up to a byte, which is what the encoders reserve and what
-//! they are held to.
+//! plus stated headers, rounded up to a byte — which is what the encoders
+//! reserve and what they are held to.
 //!
 //! # Bit order
 //!
@@ -29,7 +28,7 @@
 //!
 //! A section is a run of sketches of one protocol round (a pipelined batch
 //! is layer-major, so one section per layer); the sketches follow the
-//! section table in order. Every sketch of a batch has capacity `t`.
+//! section table in order. Every sketch of a batch has capacity `t ≥ 1`.
 //!
 //! # Report batch
 //!
@@ -39,10 +38,21 @@
 //! ```
 //!
 //! Tag 0 is a decoded report, 1 a decoded report with `c(B_i)`, 2 a BCH
-//! decoding failure (nothing follows), 3 is refused. The widths are those
-//! of the largest bin count, position and XOR sum / checksum in the batch —
-//! for an honest Bob at most `⌈log₂(t+1)⌉`, `log₂(n+1)` and `log|U|` — so
-//! the decoder needs no session context and no `u64` is ever truncated.
+//! decoding failure (nothing follows: the tag is the §3.2 flag, the
+//! report's declared [`FAILURE_FLAG_BITS`]), 3 is refused. The widths are
+//! those of the largest bin count, position and XOR sum / checksum in the
+//! batch — for an honest Bob at most `⌈log₂(t+1)⌉`, `log₂(n+1)` and
+//! `log|U|` — so the decoder needs no session context and no `u64` is ever
+//! truncated. A position is stated at one bit or more.
+//!
+//! # What a decoder allocates
+//!
+//! No record is empty — a sketch is at least 3 bits, a report at least 3, a
+//! bin at least 1; a header that says otherwise (`t = 0` with sketches to
+//! follow, `position_bits = 0`) is refused — and every stated count is
+//! checked against the bits left, at the record's smallest size, before it
+//! is allocated. A decoded batch therefore never holds more records than
+//! its buffer has bits.
 //!
 //! # Session id code
 //!
@@ -52,7 +62,9 @@
 //! (a later round's surviving groups). `01` + 64 bits — an id with the top
 //! bit set (a §3.2 child session).
 
-use crate::messages::{BinInfo, GroupReport, GroupReportBody, GroupSketch, SessionId};
+use crate::messages::{
+    BinInfo, GroupReport, GroupReportBody, GroupSketch, SessionId, FAILURE_FLAG_BITS,
+};
 use bch::Sketch;
 
 /// Errors produced when decoding a wire buffer.
@@ -64,7 +76,9 @@ pub enum WireError {
     BadTag(u8),
     /// A sketch batch stated a field degree outside `1..=32`.
     BadFieldDegree(u8),
-    /// A batch header stated a field width above 64 bits.
+    /// A batch header stated a field width above 64 bits, or no bits at
+    /// all for a field every record carries: a bin's position, a sketch's
+    /// syndromes (`t = 0` in a batch that has sketches).
     BadWidth(u8),
     /// A batch header (or a report's bin count) stated more records than
     /// the bits after it can hold.
@@ -79,7 +93,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "wire buffer truncated"),
             WireError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
             WireError::BadFieldDegree(m) => write!(f, "field degree {m} outside 1..=32"),
-            WireError::BadWidth(w) => write!(f, "stated field width {w} above 64 bits"),
+            WireError::BadWidth(w) => write!(f, "stated field width {w} outside its range"),
             WireError::BadCount(n) => {
                 write!(f, "stated count {n} exceeds what the buffer can hold")
             }
@@ -98,9 +112,10 @@ const MAX_FIELD_DEGREE: u32 = 32;
 const HEADER_BITS: u64 = 64;
 const SECTION_BITS: u64 = 64;
 
-/// The `needs_checksum` flag of a sketch; the tag of a report.
+/// The `needs_checksum` flag of a sketch; the tag of a report, which on a
+/// failed report is the §3.2 flag the report itself declares.
 const FLAG_BITS: u32 = 1;
-const TAG_BITS: u32 = 2;
+const TAG_BITS: u32 = FAILURE_FLAG_BITS;
 
 const TAG_DECODED: u64 = 0;
 const TAG_DECODED_WITH_CHECKSUM: u64 = 1;
@@ -306,11 +321,7 @@ fn sections(batch: &[GroupSketch]) -> impl Iterator<Item = &[GroupSketch]> {
 /// Exact size in bits of [`encode_sketches`]' output before the final
 /// byte's padding: the header, one table entry per section, and per sketch
 /// its flag, its id code and its declared [`GroupSketch::wire_bits`].
-pub fn sketch_batch_bits(batch: &[GroupSketch], m: u32) -> u64 {
-    sketch_bits_at(batch, m, short_id_bits(batch.iter().map(|s| s.session)))
-}
-
-fn sketch_bits_at(batch: &[GroupSketch], m: u32, id_bits: u32) -> u64 {
+fn sketch_batch_bits(batch: &[GroupSketch], m: u32, id_bits: u32) -> u64 {
     let mut bits = HEADER_BITS;
     for section in sections(batch) {
         bits += SECTION_BITS;
@@ -328,17 +339,17 @@ fn sketch_bits_at(batch: &[GroupSketch], m: u32, id_bits: u32) -> u64 {
 ///
 /// `m` is the field degree (`log₂(n+1)`), the width every syndrome is
 /// packed at. All sketches of a batch must share one capacity `t` (they
-/// come from one codec).
+/// come from one codec) and carry at least one syndrome.
 pub fn encode_sketches(batch: &[GroupSketch], m: u32) -> Vec<u8> {
     let t = batch.first().map_or(0, |s| s.sketch.capacity());
     assert!(
         (1..=MAX_FIELD_DEGREE).contains(&m)
-            && t <= u16::MAX as usize
+            && (batch.is_empty() || (1..=u16::MAX as usize).contains(&t))
             && batch.iter().all(|s| s.sketch.capacity() == t),
-        "a sketch batch has one field degree m in 1..=32 and one capacity t ≤ 65535"
+        "a sketch batch has one field degree m in 1..=32 and one capacity t in 1..=65535"
     );
     let id_bits = short_id_bits(batch.iter().map(|s| s.session));
-    let bits = sketch_bits_at(batch, m, id_bits);
+    let bits = sketch_batch_bits(batch, m, id_bits);
     let mut w = BitWriter::with_capacity(bits);
     w.put(m as u64, 8);
     w.put(id_bits as u64, 8);
@@ -387,6 +398,9 @@ pub fn decode_sketches_with_m(buf: &[u8]) -> Result<(u32, Vec<GroupSketch>), Wir
         let (round, count) = (r.take(32)? as u32, r.take(32)?);
         total += count;
         table.push((round, count));
+    }
+    if t == 0 && total > 0 {
+        return Err(WireError::BadWidth(0));
     }
     // Smallest sketch: the flag, a one-bit id code, the syndromes.
     let syndrome_bits = t as u64 * m as u64;
@@ -452,20 +466,22 @@ impl ReportWidths {
         }
     }
 
-    /// Bits of one report after a report for `previous`: its id code and
-    /// tag, a bin count unless decoding failed, and its declared
-    /// [`GroupReport::wire_bits`] at these widths.
+    /// Bits of one report after a report for `previous`: its id code, its
+    /// declared [`GroupReport::wire_bits`] at these widths and, around
+    /// decoded bins, the tag and the bin count. (A failed report is its tag,
+    /// which it declares itself.)
     fn report_bits(&self, previous: SessionId, msg: &GroupReport) -> u64 {
-        let bin_count_bits = match msg.body {
-            GroupReportBody::Decoded { .. } => self.count_bits as u64,
+        let framing = match msg.body {
+            GroupReportBody::Decoded { .. } => (TAG_BITS + self.count_bits) as u64,
             GroupReportBody::DecodeFailed => 0,
         };
         IdCode::of(previous, msg.session).bits(self.id_bits)
-            + TAG_BITS as u64
-            + bin_count_bits
+            + framing
             + msg.wire_bits(self.position_bits, self.value_bits)
     }
 
+    /// Exact size in bits of [`encode_reports`]' output before the final
+    /// byte's padding: the header and every report.
     fn batch_bits(&self, batch: &[GroupReport]) -> u64 {
         let mut bits = HEADER_BITS;
         let mut previous = 0;
@@ -475,13 +491,6 @@ impl ReportWidths {
         }
         bits
     }
-}
-
-/// Exact size in bits of [`encode_reports`]' output before the final byte's
-/// padding: the header, and per report its id code, its tag, a bin count
-/// and its declared [`GroupReport::wire_bits`] at the batch's widths.
-pub fn report_batch_bits(batch: &[GroupReport]) -> u64 {
-    ReportWidths::of(batch).batch_bits(batch)
 }
 
 /// Encode a batch of reports (one Bob → Alice round trip) into bytes.
@@ -530,6 +539,9 @@ pub fn decode_reports(buf: &[u8]) -> Result<Vec<GroupReport>, WireError> {
         position_bits: r.take_width()?,
         value_bits: r.take_width()?,
     };
+    if widths.position_bits == 0 {
+        return Err(WireError::BadWidth(0));
+    }
     // Smallest report: a one-bit id code and the tag.
     let mut out = Vec::with_capacity(r.check_count(count, 1 + TAG_BITS as u64)?);
     let bin_bits = (widths.position_bits + widths.value_bits) as u64;
@@ -547,7 +559,7 @@ pub fn decode_reports(buf: &[u8]) -> Result<Vec<GroupReport>, WireError> {
                     None
                 };
                 let bin_count = r.take(widths.count_bits)?;
-                let mut bins = Vec::with_capacity(r.check_count(bin_count, bin_bits.max(1))?);
+                let mut bins = Vec::with_capacity(r.check_count(bin_count, bin_bits)?);
                 for _ in 0..bin_count {
                     let position = r.take(widths.position_bits)?;
                     let xor_sum = r.take(widths.value_bits)?;
@@ -575,10 +587,16 @@ mod tests {
     }
 
     fn sketch_of(syndromes: Vec<u64>, m: u32) -> Sketch {
-        let Some(sketch) = Sketch::from_syndromes(syndromes, m) else {
-            panic!("syndromes outside GF(2^{m})");
-        };
-        sketch
+        Sketch::from_syndromes(syndromes, m).expect("syndromes in GF(2^m)")
+    }
+
+    /// What the encoders declare for a whole batch, before padding.
+    fn declared_sketch_bits(batch: &[GroupSketch], m: u32) -> u64 {
+        sketch_batch_bits(batch, m, short_id_bits(batch.iter().map(|s| s.session)))
+    }
+
+    fn declared_report_bits(batch: &[GroupReport]) -> u64 {
+        ReportWidths::of(batch).batch_bits(batch)
     }
 
     /// Session ids of every shape the code distinguishes, from `(kind,
@@ -640,7 +658,7 @@ mod tests {
                 }
             }
             let bytes = encode_sketches(&batch, m);
-            prop_assert_eq!(bytes.len() as u64, sketch_batch_bits(&batch, m).div_ceil(8));
+            prop_assert_eq!(bytes.len() as u64, declared_sketch_bits(&batch, m).div_ceil(8));
             prop_assert_eq!(decode_sketches_with_m(&bytes), Ok((m, batch)));
         }
 
@@ -673,7 +691,7 @@ mod tests {
                 })
                 .collect();
             let bytes = encode_reports(&batch);
-            prop_assert_eq!(bytes.len() as u64, report_batch_bits(&batch).div_ceil(8));
+            prop_assert_eq!(bytes.len() as u64, declared_report_bits(&batch).div_ceil(8));
             prop_assert_eq!(decode_reports(&bytes), Ok(batch));
         }
     }
@@ -787,21 +805,21 @@ mod tests {
         let (mut formula_one, mut wire, mut failures) = (0u64, 0u64, 0);
         let recovered = run_over_the_wire(8, &alice, &bob, 2, |sketches, sb, reports, rb| {
             // The wire is the declared bits, rounded up once per batch…
-            assert_eq!(
-                sb.len() as u64,
-                sketch_batch_bits(sketches, params.m).div_ceil(8)
-            );
-            assert_eq!(rb.len() as u64, report_batch_bits(reports).div_ceil(8));
+            let sketch_bits = declared_sketch_bits(sketches, params.m);
+            let report_bits = declared_report_bits(reports);
+            assert_eq!(sb.len() as u64, sketch_bits.div_ceil(8));
+            assert_eq!(rb.len() as u64, report_bits.div_ceil(8));
             // …and the declaration is the transcript's own, plus the named
             // per-message framing: a flag and an id code per sketch; an id
-            // code, a tag and a ⌈log₂(t+1)⌉-bit bin count per report.
+            // code, a tag and a ⌈log₂(t+1)⌉-bit bin count per report (a
+            // failed report's tag is inside its own declaration).
             let id_code_max = 2 + 64;
             let accounted: u64 = sketches.iter().map(|s| s.wire_bits(params.m)).sum();
             let sections = sections(sketches).count() as u64;
             let framing = HEADER_BITS + sections * SECTION_BITS;
-            assert!(sketch_batch_bits(sketches, params.m) >= framing + accounted);
+            assert!(sketch_bits >= framing + accounted);
             assert!(
-                sketch_batch_bits(sketches, params.m)
+                sketch_bits
                     <= framing
                         + accounted
                         + sketches.len() as u64 * (FLAG_BITS as u64 + id_code_max)
@@ -810,8 +828,7 @@ mod tests {
             let accounted_reports: u64 = reports.iter().map(charged).sum();
             let per_report = id_code_max + (TAG_BITS + bit_len(params.t as u64)) as u64;
             assert!(
-                report_batch_bits(reports)
-                    <= HEADER_BITS + accounted_reports + reports.len() as u64 * per_report
+                report_bits <= HEADER_BITS + accounted_reports + reports.len() as u64 * per_report
             );
             formula_one += accounted + accounted_reports;
             wire += (sb.len() + rb.len()) as u64 * 8;
@@ -892,7 +909,7 @@ mod tests {
             refused(sketches(8, 0, 1, u32::MAX)),
             Some(WireError::BadCount(u32::MAX as u64))
         );
-        for t in [0, 11, u16::MAX] {
+        for t in [1, 11, u16::MAX] {
             let mut bytes = sketches(8, 0, t, 2);
             bytes.extend(section(1, u32::MAX));
             bytes.extend(section(2, u32::MAX));
@@ -921,8 +938,9 @@ mod tests {
         bytes.extend_from_slice(&[0xFF; 64]);
         assert_eq!(refused(bytes), Some(WireError::BadCount(u32::MAX as u64)));
         // One report, "previous + 1", tag 0, then a 64-bit bin count of all
-        // ones with three bytes behind it — at any bin width, zero included.
-        for widths in [[0, 64, 7, 32], [0, 64, 0, 0]] {
+        // ones with three bytes behind it — at any bin width, down to the
+        // one-bit position a bin cannot go below.
+        for widths in [[0, 64, 7, 32], [0, 64, 1, 0]] {
             let mut bytes = reports(1, widths);
             bytes.extend_from_slice(&[0b1111_1001, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
             bytes.extend_from_slice(&[0b0000_0111, 0xFF, 0xFF, 0xFF]);
@@ -939,5 +957,58 @@ mod tests {
         let mut bytes = reports(1, [0, 0, 1, 0]);
         bytes.push(0b0000_1101); // "previous + 1", tag 2 (failed), a stray bit
         assert_eq!(refused(bytes), Some(WireError::Trailing));
+    }
+
+    /// Records of no bits would let a count be stated again and again
+    /// against the same unspent buffer: a header that makes a bin or a
+    /// sketch empty is refused before the first of them is read.
+    #[test]
+    fn empty_records_are_refused_at_the_header() {
+        // A thousand reports, each claiming 65 535 bins of 0 + 0 bits.
+        let mut w = BitWriter::with_capacity(0);
+        w.put(1_000, 32);
+        for width in [0, 16, 0, 0] {
+            w.put(width, 8);
+        }
+        for _ in 0..1_000 {
+            w.put(1, 1);
+            w.put(TAG_DECODED, TAG_BITS);
+            w.put(0xFFFF, 16);
+        }
+        assert_eq!(decode_reports(&w.finish()), Err(WireError::BadWidth(0)));
+
+        // Over the narrowest bin there is, one bit, a claim the bits left
+        // can hold spends them: a thousand reports of a thousand bins each
+        // do not fit 19 000 bits, and a later claim finds too few left.
+        let mut w = BitWriter::with_capacity(0);
+        w.put(1_000, 32);
+        for width in [0, 16, 1, 0] {
+            w.put(width, 8);
+        }
+        for _ in 0..1_000 {
+            w.put(1, 1);
+            w.put(TAG_DECODED, TAG_BITS);
+            w.put(1_000, 16);
+        }
+        assert!(matches!(
+            decode_reports(&w.finish()),
+            Err(WireError::BadCount(_))
+        ));
+
+        // A thousand sketches of t = 0 syndromes, two bits each.
+        let mut w = BitWriter::with_capacity(0);
+        for (field, width) in [(8, 8), (0, 8), (0, 16), (1, 32), (1, 32), (1_000, 32)] {
+            w.put(field, width);
+        }
+        for _ in 0..1_000 {
+            w.put(0b10, 2);
+        }
+        assert_eq!(decode_sketches(&w.finish()), Err(WireError::BadWidth(0)));
+        // Stating t = 0 over no sketches at all is the empty batch.
+        let mut w = BitWriter::with_capacity(0);
+        for (field, width) in [(8, 8), (0, 8), (0, 16), (1, 32), (1, 32), (0, 32)] {
+            w.put(field, width);
+        }
+        assert_eq!(decode_sketches(&w.finish()), Ok(Vec::new()));
     }
 }

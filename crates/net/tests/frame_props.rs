@@ -3,11 +3,13 @@
 //! Every frame type must round-trip bit-exactly through
 //! `write_frame`/`read_frame`, and *no* input — truncated, bit-flipped,
 //! oversized, or plain garbage — may panic a decoder: hostile bytes map to
-//! errors, not crashes.
+//! errors, not crashes. The packed `Sketches`/`Reports` payloads have their
+//! own properties beside the codec (`pbs_core::wire`); here they are
+//! carried, not re-derived.
 
 use bch::Sketch;
 use estimator::{Estimator, TowEstimator};
-use pbs_core::messages::{child_sessions, BinInfo, GroupReport, GroupReportBody, GroupSketch};
+use pbs_core::messages::{BinInfo, GroupReport, GroupReportBody, GroupSketch};
 use pbs_core::wire;
 use pbs_net::frame::{
     read_frame, write_frame, ErrorCode, EstimatorMsg, Frame, Hello, DEFAULT_MAX_FRAME,
@@ -16,70 +18,45 @@ use pbs_net::frame::{
 use pbs_net::{FrameError, NetError};
 use proptest::prelude::*;
 
-/// Session ids of every shape the id code distinguishes, from `(kind,
-/// raw)` draws: the previous id plus one, a sparse later-round id, a §3.2
-/// child id (top bit set), and anything at all.
-fn session_ids(draws: &[(u8, u64)]) -> Vec<u64> {
-    let mut previous = 0u64;
-    draws
+/// A `Sketches` frame of `words.len()` syndromes a sketch, a new round (so
+/// a new section of the batch) at every sketch.
+fn sketches_frame(m: u32, sessions: &[u64], words: &[u64]) -> Frame {
+    let syndromes: Vec<u64> = words.iter().map(|w| w >> (64 - m)).collect();
+    let batch = sessions
         .iter()
-        .map(|&(kind, raw)| {
-            previous = match kind {
-                0 => previous.wrapping_add(1),
-                1 => raw % 5_000 + 1,
-                2 => child_sessions(raw % 5_000 + 1)[(raw % 3) as usize],
-                _ => raw,
-            };
-            previous
+        .enumerate()
+        .map(|(i, &session)| GroupSketch {
+            session,
+            round: (i as u32) % 7 + 1,
+            sketch: Sketch::from_syndromes(syndromes.clone(), m).expect("m-bit values"),
+            needs_checksum: i % 2 == 0,
         })
-        .collect()
-}
-
-/// A layer-major `Sketches` frame: the same sessions once per layer, each
-/// layer its own round, `t` syndromes of `m` bits drawn from `fill`.
-fn sketches_frame(m: u32, t: usize, layers: u32, sessions: &[u64], fill: u64) -> Frame {
-    let mut x = fill;
-    let mut batch = Vec::new();
-    for layer in 0..layers {
-        for (i, &session) in sessions.iter().enumerate() {
-            let syndromes = (0..t).map(|_| {
-                x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                x >> (64 - m)
-            });
-            batch.push(GroupSketch {
-                session,
-                round: layer + 1,
-                sketch: Sketch::from_syndromes(syndromes.collect(), m).expect("m-bit values"),
-                needs_checksum: i % 2 == 0,
-            });
-        }
-    }
+        .collect();
     Frame::Sketches { m, batch }
 }
 
-fn decoded(bins: &[(u64, u64)], checksum: Option<u64>) -> GroupReportBody {
+fn report(session: u64, bins: &[(u64, u64)], checksum: Option<u64>) -> GroupReport {
     let bins = bins
         .iter()
         .map(|&(position, xor_sum)| BinInfo { position, xor_sum });
-    GroupReportBody::Decoded {
-        bins: bins.collect(),
-        checksum,
+    GroupReport {
+        session,
+        body: GroupReportBody::Decoded {
+            bins: bins.collect(),
+            checksum,
+        },
     }
 }
 
-/// A `Reports` frame over `sessions`: decoded reports with and without a
-/// checksum, empty ones, and (`with_failure`) decoding failures.
-fn reports_frame(sessions: &[u64], bins: &[(u64, u64)], with_failure: bool) -> Frame {
-    let reports = sessions.iter().enumerate().map(|(i, &session)| {
-        let share = &bins[..bins.len() * (i % 4) / 3];
-        let body = match i % 4 {
-            0 => decoded(share, Some(0xC0FFEE)),
-            3 if with_failure => GroupReportBody::DecodeFailed,
-            _ => decoded(share, None),
-        };
-        GroupReport { session, body }
-    });
-    Frame::Reports(reports.collect())
+fn reports_frame(bins: &[(u64, u64)], with_failure: bool) -> Frame {
+    let mut reports = vec![report(3, bins, Some(0xC0FFEE)), report(u64::MAX, &[], None)];
+    if with_failure {
+        reports.push(GroupReport {
+            session: 9,
+            body: GroupReportBody::DecodeFailed,
+        });
+    }
+    Frame::Reports(reports)
 }
 
 fn round_trip(frame: &Frame) -> Frame {
@@ -186,35 +163,26 @@ proptest! {
 
     #[test]
     fn sketches_frames_round_trip(
-        m in 3u32..=16,
-        t in 1usize..=40,
-        layers in 1u32..=4,
-        draws in prop::collection::vec((0u8..4, any::<u64>()), 0..40),
-        fill in any::<u64>(),
+        m in 3u32..=32,
+        sessions in prop::collection::vec(any::<u64>(), 0..40),
+        words in prop::collection::vec(any::<u64>(), 1..25),
     ) {
-        let frame = sketches_frame(m, t, layers, &session_ids(&draws), fill);
+        let frame = sketches_frame(m, &sessions, &words);
         prop_assert_eq!(round_trip(&frame), frame);
     }
 
     #[test]
     fn reports_and_done_frames_round_trip(
-        draws in prop::collection::vec((0u8..4, any::<u64>()), 0..40),
-        // Positions 0 and far beyond any n, sums up to u64::MAX.
-        position_bits in 0u32..=64,
-        value_bits in 0u32..=64,
         bins in prop::collection::vec((any::<u64>(), any::<u64>()), 0..60),
         with_failure in any::<bool>(),
+        element_bits in 0u32..=64,
         elements in prop::collection::vec(any::<u64>(), 0..200),
     ) {
-        let mask = |bits: u32| u64::MAX.checked_shr(64 - bits).unwrap_or(0);
-        let bins: Vec<(u64, u64)> = bins
-            .iter()
-            .map(|&(p, x)| (p & mask(position_bits), x & mask(value_bits)))
-            .collect();
-        let reports = reports_frame(&session_ids(&draws), &bins, with_failure);
+        let reports = reports_frame(&bins, with_failure);
         prop_assert_eq!(round_trip(&reports), reports);
         // `Done` packs at the width of its largest element, whatever that is.
-        let elements: Vec<u64> = elements.iter().map(|e| e & mask(value_bits)).collect();
+        let mask = u64::MAX.checked_shr(64 - element_bits).unwrap_or(0);
+        let elements: Vec<u64> = elements.iter().map(|e| e & mask).collect();
         let width = elements.iter().map(|e| (64 - e.leading_zeros()).div_ceil(8)).max();
         let done = Frame::Done(elements.clone());
         prop_assert_eq!(
@@ -258,15 +226,14 @@ proptest! {
     #[test]
     fn corrupted_frames_are_rejected(
         sessions in prop::collection::vec(any::<u64>(), 1..20),
-        t in 1usize..10,
-        fill in any::<u64>(),
+        words in prop::collection::vec(any::<u64>(), 1..10),
         at_fraction in 0u32..100,
         flip in 1u8..=255,
     ) {
         let mut wire = Vec::new();
         write_frame(
             &mut wire,
-            &sketches_frame(11, t, 2, &sessions, fill),
+            &sketches_frame(11, &sessions, &words),
             DEFAULT_MAX_FRAME,
         )
         .unwrap();
@@ -306,48 +273,57 @@ proptest! {
 }
 
 /// One frame of each v5 payload layout, small enough to check by hand
-/// against docs/WIRE.md: the sketch and report batches are the worked
-/// examples of `pbs_core::wire`'s own bit-order test.
+/// against docs/WIRE.md. (`pbs_core::wire` pins the id code and the tags in
+/// a single-section batch of its own; these add the section table, a
+/// 64-bit value and the two byte-packed layouts.)
 fn golden_frames() -> [(Frame, &'static str); 4] {
-    let sketch = |session, needs_checksum, syndrome| GroupSketch {
+    let sketch = |session, round, syndromes: [u64; 2]| GroupSketch {
         session,
-        round: 7,
-        sketch: Sketch::from_syndromes(vec![syndrome], 3).expect("3-bit values"),
-        needs_checksum,
+        round,
+        sketch: Sketch::from_syndromes(syndromes.to_vec(), 8).expect("8-bit values"),
+        needs_checksum: round == 3,
     };
-    let report = |session, body| GroupReport { session, body };
     let mut bank = TowEstimator::new(3, 7);
     bank.insert_slice(&[11, 22, 33, 44, 55]);
     [
         (
+            // Two pipelined layers over sessions 1 and 2: per sketch the
+            // flag, the one-bit "previous + 1" (restarting from 0 in each
+            // section) and 2 × 8 syndrome bits — 18 bits.
             Frame::Sketches {
-                m: 3,
+                m: 8,
                 batch: vec![
-                    sketch(1, true, 5),
-                    sketch(5, false, 3),
-                    sketch(0x8000_0000_0000_0001, true, 7),
+                    sketch(1, 3, [0xA1, 0xB2]),
+                    sketch(2, 3, [0xC3, 0xD4]),
+                    sketch(1, 4, [0xE5, 0xF6]),
+                    sketch(2, 4, [0x07, 0x18]),
                 ],
             },
-            // len, crc | type 3 | m 3, id_bits 3, t 1, sections 1
-            // | round 7, count 3 | 84 bits of sketches, 4 of padding
-            "1c000000f9d6c3c4\
+            // len, crc | type 3 | m 8, id_bits 2, t 2, sections 2
+            // | round 3, count 2 | round 4, count 2 | 72 bits of sketches
+            "22000000a3a68d98\
              03\
-             0303010001000000\
-             0700000003000000\
-             175d03000000000000000f",
+             0802020002000000\
+             0300000002000000\
+             0400000002000000\
+             87ca3e4c6db9bd0718",
         ),
         (
             Frame::Reports(vec![
-                report(1, decoded(&[(5, 0x3C)], Some(0xAB))),
-                report(2, GroupReportBody::DecodeFailed),
-                report(9, decoded(&[], None)),
+                // 1 | 00 | 1 | 1 + 64 ones    "previous + 1", decoded, one bin
+                report(1, &[(1, u64::MAX)], None),
+                // 01 + 64 bits | 01            a §3.2 child id, failed (tag 2)
+                GroupReport {
+                    session: 0x8000_0000_0000_0002,
+                    body: GroupReportBody::DecodeFailed,
+                },
             ]),
-            // len, crc | type 4 | count 3 | id 4, bin count 1, position 3,
-            // value 8 bits | 35 bits of reports, 5 of padding
-            "0e000000b7077efb\
+            // len, crc | type 4 | count 2 | id 1, bin count 1, position 1,
+            // value 64 bits | 137 bits of reports, 7 of padding
+            "1b000000b3fe2aae\
              04\
-             0300000004010308\
-             5b5d9e9200",
+             0200000001010140\
+             f9ffffffffffffff5f010000000000004001",
         ),
         (
             Frame::Done(vec![0x0102, 0xA0_B0C0, 7]),
@@ -392,11 +368,14 @@ fn cut_or_flipped_payloads_error_or_decode_but_never_panic() {
     // Past the CRC (which `corrupted_frames_are_rejected` covers): every
     // prefix and every single-bit flip of each body goes to the payload
     // decoders themselves.
-    let sessions = session_ids(&[(0, 0), (0, 0), (1, 77), (2, 5), (3, u64::MAX), (0, 0)]);
     let bins = [(0, 1), (127, u64::MAX), (u64::MAX, 0x1234_5678)];
     let mut frames: Vec<Frame> = golden_frames().into_iter().map(|(f, _)| f).collect();
-    frames.push(sketches_frame(7, 11, 3, &sessions, 0x5EED));
-    frames.push(reports_frame(&sessions, &bins, true));
+    frames.push(sketches_frame(
+        7,
+        &[1, 2, 77, u64::MAX],
+        &[0x5EED << 50; 11],
+    ));
+    frames.push(reports_frame(&bins, true));
     for frame in frames {
         let body = frame.encode_body();
         for cut in 0..body.len() {

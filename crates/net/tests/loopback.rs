@@ -294,11 +294,17 @@ fn loopback_reconciles_100k_sets_within_the_transcript_byte_envelope() {
             payload_total + FRAME_OVERHEAD * frames_total,
             "d={d}: wire bytes diverged from the predicted frames"
         );
-        // (d) The wire pays what Formula (1) charges: the rounds within
-        // 15% of the paper's accounting for the same messages, and at
+        // (d) The wire pays what Formula (1) charges — no less over the
+        // whole session than the paper's accounting of it, the rounds
+        // within 15% of that accounting for the same messages, and at
         // d = 1000 — where the handshake and the estimator no longer
         // dominate — the whole session within 3.3 × the d·log|U| minimum
         // (§8.1.2 reports 2.13–2.87 ×, the estimator left out).
+        let paper_bytes = predicted.transcript.stats().total_bytes();
+        assert!(
+            wire_total >= paper_bytes,
+            "d={d}: {wire_total} wire bytes below the {paper_bytes} B the transcript charges"
+        );
         predicted.assert_rounds_within_formula_one(&format!("d={d}"), 1);
         if d == 1000 {
             let minimum = protocol::theoretical_minimum_bytes(d, 32);

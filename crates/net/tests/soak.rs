@@ -101,7 +101,9 @@ fn predict_delta_sync(
 /// comparator (the target is met with room to spare as soon as the
 /// comparator's d grows: at d = 1000 the same stream is ~2%). The
 /// assertions pin the deterministic achievable form: session under 2/5ths,
-/// stream under 1/3rd of the comparator.
+/// stream under 1/3rd of the comparator — and, because the comparator
+/// shrinking is what loosened those from 1/6 and 1/10, the delta session's
+/// own bytes absolutely.
 #[test]
 fn delta_sync_of_100k_store_beats_full_reconciliation_bytes() {
     let changes = 50usize;
@@ -183,6 +185,12 @@ fn delta_sync_of_100k_store_beats_full_reconciliation_bytes() {
         "stream of {stream_bytes} B not O(|changes|)"
     );
 
+    // The delta session on its own: two Hellos, one batch, the DeltaDone.
+    assert!(wire_total <= 377, "delta session grew to {wire_total} B");
+    assert!(
+        stream_bytes + 2 * FRAME_OVERHEAD <= 243,
+        "delta stream grew to {stream_bytes} B plus framing"
+    );
     // The ratios (see the doc comment for why 2/5 and 1/3 are the honest
     // achievable pins of the issue's "small fraction" target here).
     assert!(
