@@ -17,17 +17,29 @@
 //!
 //! Decoding uses the classical BCH pipeline:
 //!
-//! 1. expand the odd syndromes to all `2t` syndromes via the characteristic-2
-//!    identity `S_{2k} = S_k²`,
-//! 2. Berlekamp–Massey to find the error-locator polynomial (O(t²) field
-//!    operations — this is the O(d²)/O(δ²) decoding cost the paper analyses;
-//!    the Toeplitz/Levinson solver it cites has the same quadratic cost),
-//! 3. find the locator's roots: a Chien search (exhaustive evaluation) for
-//!    the small fields PBS uses (n ≤ 2047), or the Berlekamp trace algorithm
-//!    for the large fields PinSketch needs (m = 32 and beyond),
-//! 4. validate the result by re-computing the syndromes of the recovered
+//! 1. Berlekamp–Massey on the `t` odd syndromes to find the error-locator
+//!    polynomial (O(t²) field operations — this is the O(d²)/O(δ²) decoding
+//!    cost the paper analyses; the Toeplitz/Levinson solver it cites has the
+//!    same quadratic cost). The even syndromes follow from the
+//!    characteristic-2 identity `S_{2k} = S_k²`, which also makes every
+//!    second step of the algorithm a no-op,
+//! 2. find the locator's roots: in closed form for degree 1 and 2 over the
+//!    small fields PBS uses, a Chien search (exhaustive evaluation) for the
+//!    rest of them (n ≤ 2047), or the Berlekamp trace algorithm for the
+//!    large fields PinSketch needs (m = 32 and beyond),
+//! 3. validate the result by re-computing the syndromes of the recovered
 //!    difference; any mismatch is reported as a [`DecodeError`], which is the
 //!    "BCH decoding failure" exception of §3.2.
+//!
+//! # Syndrome columns
+//!
+//! Over a table-backed field whose `n·t` fits [`COLUMN_TABLE_ENTRIES`] — every
+//! parity-bitmap size PBS plans, `n = 63 … 2047` — a [`BchCodec`] builds
+//! once, at construction, the column `H[p] = (p, p³, …, p^(2t−1))` of every
+//! position `p`, and sketching a set is the XOR of its columns
+//! ([`BchCodec::sketch_slice`]). Larger fields (PinSketch's GF(2³²)) step
+//! the odd-power ladder per element instead ([`Sketch::add_batch`]), which
+//! is also the column table's oracle.
 //!
 //! # Example
 //!
@@ -55,10 +67,10 @@
 mod berlekamp;
 mod roots;
 
-pub use berlekamp::berlekamp_massey;
 pub use roots::{find_roots, RootFindError};
 
-use gf::Field;
+use berlekamp::{berlekamp_massey, BmScratch};
+use gf::{Field, Poly};
 use std::sync::Arc;
 
 /// Reasons a syndrome sketch can fail to decode.
@@ -132,43 +144,20 @@ impl Sketch {
     /// `element` must be a nonzero field element (the all-zero element is
     /// excluded from the universe, §2.1).
     pub fn add(&mut self, element: u64, field: &Field) {
-        debug_assert!(element != 0, "cannot sketch the zero element");
-        debug_assert!(field.contains(element));
-        let sq = field.square(element);
-        let mut power = element; // element^(2i+1), starting at i = 0
-        for s in &mut self.syndromes {
-            *s ^= power;
-            power = field.mul(power, sq);
-        }
+        ladder(&mut self.syndromes, element, field);
     }
 
     /// Toggle a whole slice of elements in the sketched set.
     ///
-    /// This is the batched syndrome kernel: four elements advance through
+    /// This is the batched syndrome ladder: four elements advance through
     /// their odd-power ladders together (`x, x^3, x^5, …` each stepping by
     /// `x^2`), so the four field multiplications per syndrome row are
     /// independent and the backend dispatch in [`Field::mul_slice`] is paid
     /// once per row instead of once per multiplication. Equivalent to
-    /// calling [`Sketch::add`] per element, measurably faster for the bulk
-    /// sketching PinSketch and PBS do.
+    /// calling [`Sketch::add`] per element. What [`BchCodec::sketch_slice`]
+    /// runs on a field too large for a column table.
     pub fn add_batch(&mut self, elements: &[u64], field: &Field) {
-        let t = self.syndromes.len();
-        let mut chunks = elements.chunks_exact(4);
-        for chunk in &mut chunks {
-            debug_assert!(chunk.iter().all(|&e| e != 0 && field.contains(e)));
-            let mut powers = [chunk[0], chunk[1], chunk[2], chunk[3]];
-            let mut squares = powers;
-            field.square_slice(&mut squares);
-            for (i, s) in self.syndromes.iter_mut().enumerate() {
-                *s ^= powers[0] ^ powers[1] ^ powers[2] ^ powers[3];
-                if i + 1 < t {
-                    field.mul_slice(&mut powers, &squares);
-                }
-            }
-        }
-        for &e in chunks.remainder() {
-            self.add(e, field);
-        }
+        ladder_batch(&mut self.syndromes, elements, field);
     }
 
     /// XOR-combine with another sketch of the same capacity: the result is
@@ -206,11 +195,99 @@ impl Sketch {
     }
 }
 
+/// One element's odd-power ladder, XORed into `syndromes`.
+fn ladder(syndromes: &mut [u64], element: u64, field: &Field) {
+    debug_assert!(element != 0, "cannot sketch the zero element");
+    debug_assert!(field.contains(element));
+    let sq = field.square(element);
+    let mut power = element; // element^(2i+1), starting at i = 0
+    for s in syndromes {
+        *s ^= power;
+        power = field.mul(power, sq);
+    }
+}
+
+/// Four ladders at a time (see [`Sketch::add_batch`]).
+fn ladder_batch(syndromes: &mut [u64], elements: &[u64], field: &Field) {
+    let t = syndromes.len();
+    let mut chunks = elements.chunks_exact(4);
+    for chunk in &mut chunks {
+        debug_assert!(chunk.iter().all(|&e| e != 0 && field.contains(e)));
+        let mut powers = [chunk[0], chunk[1], chunk[2], chunk[3]];
+        let mut squares = powers;
+        field.square_slice(&mut squares);
+        for (i, s) in syndromes.iter_mut().enumerate() {
+            *s ^= powers[0] ^ powers[1] ^ powers[2] ^ powers[3];
+            if i + 1 < t {
+                field.mul_slice(&mut powers, &squares);
+            }
+        }
+    }
+    for &e in chunks.remainder() {
+        ladder(syndromes, e, field);
+    }
+}
+
+/// Most entries (`n·t`, two bytes each) a codec's syndrome-column table may
+/// hold: 256 KiB. Every parity-bitmap size PBS plans fits (`n = 2047` up to
+/// `t = 64`); a field that does not — or has no log tables — sketches by
+/// ladder.
+pub const COLUMN_TABLE_ENTRIES: usize = 1 << 17;
+
+/// What a codec over a small table-backed field precomputes.
+#[derive(Debug)]
+struct PositionTables {
+    /// Row `p` (`t` entries from `p·t`) is `H[p] = (p, p³, …, p^(2t−1))`,
+    /// at the field's own width (`m ≤ 16`); row 0 is zero.
+    columns: Vec<u16>,
+    /// `quadratic[c]` is a `y` with `y² + y = c`, or 0 when `c ≠ 0` has
+    /// none (the other solution is `y + 1`, and neither is 0 or 1 unless
+    /// `c = 0`). Solves a degree-2 locator without a scan.
+    quadratic: Vec<u16>,
+}
+
+impl PositionTables {
+    fn build(field: &Field, t: usize) -> Option<Self> {
+        let order = field.order() as usize;
+        if field.generator().is_none() || (order - 1) * t > COLUMN_TABLE_ENTRIES {
+            return None;
+        }
+        let mut columns = vec![0u16; order * t];
+        for (p, column) in columns.chunks_exact_mut(t).enumerate().skip(1) {
+            let sq = field.square(p as u64);
+            let mut power = p as u64;
+            for entry in column {
+                *entry = power as u16;
+                power = field.mul(power, sq);
+            }
+        }
+        let mut quadratic = vec![0u16; order];
+        for y in 2..order as u64 {
+            quadratic[(field.square(y) ^ y) as usize] = y as u16;
+        }
+        Some(PositionTables { columns, quadratic })
+    }
+}
+
+/// Working storage of [`BchCodec::decode_with`]: the syndrome expansion and
+/// Berlekamp–Massey's polynomials, the Chien search's running terms and
+/// roots, the recovered elements and the verifying sketch. One per worker;
+/// it grows to the largest decode it has served and is reused as is.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    bm: BmScratch,
+    terms: Vec<(u32, u32)>,
+    roots: Vec<u64>,
+    elements: Vec<u64>,
+    check: Vec<u64>,
+}
+
 /// Encoder/decoder for syndrome sketches over GF(2^m) with capacity `t`.
 #[derive(Debug, Clone)]
 pub struct BchCodec {
     field: Arc<Field>,
     t: usize,
+    tables: Option<Arc<PositionTables>>,
 }
 
 impl BchCodec {
@@ -219,17 +296,14 @@ impl BchCodec {
     /// For PBS, `m = log2(n+1)` where `n = 2^m − 1` is the parity-bitmap
     /// length; for PinSketch, `m = log|U|`.
     pub fn new(m: u32, t: usize) -> Self {
-        assert!(t > 0, "sketch capacity t must be positive");
-        BchCodec {
-            field: Arc::new(Field::new(m)),
-            t,
-        }
+        Self::with_field(Arc::new(Field::new(m)), t)
     }
 
     /// Create a codec sharing an existing field (avoids rebuilding log tables).
     pub fn with_field(field: Arc<Field>, t: usize) -> Self {
         assert!(t > 0, "sketch capacity t must be positive");
-        BchCodec { field, t }
+        let tables = PositionTables::build(&field, t).map(Arc::new);
+        BchCodec { field, t, tables }
     }
 
     /// The underlying field.
@@ -262,8 +336,26 @@ impl BchCodec {
         Sketch::zero(self.t)
     }
 
-    /// Sketch a whole set of nonzero field elements through the batched
-    /// kernel ([`Sketch::add_batch`]).
+    /// Toggle every element of `elements` (nonzero field elements) in
+    /// `syndromes`: the XOR of their syndrome columns where the codec holds
+    /// a column table (see the [crate docs](crate#syndrome-columns)), the
+    /// batched ladder where the field is too large for one. Same sketch
+    /// either way.
+    fn toggle(&self, syndromes: &mut [u64], elements: &[u64]) {
+        let Some(tables) = &self.tables else {
+            return ladder_batch(syndromes, elements, &self.field);
+        };
+        let t = self.t;
+        for &e in elements {
+            debug_assert!(e != 0, "cannot sketch the zero element");
+            let column = &tables.columns[e as usize * t..][..t];
+            for (s, &power) in syndromes.iter_mut().zip(column) {
+                *s ^= power as u64;
+            }
+        }
+    }
+
+    /// Sketch a whole set of nonzero field elements.
     pub fn sketch_set(&self, elements: impl IntoIterator<Item = u64>) -> Sketch {
         let mut s = self.empty_sketch();
         let mut buf = [0u64; 64];
@@ -272,18 +364,18 @@ impl BchCodec {
             buf[n] = e;
             n += 1;
             if n == buf.len() {
-                s.add_batch(&buf, &self.field);
+                self.toggle(&mut s.syndromes, &buf);
                 n = 0;
             }
         }
-        s.add_batch(&buf[..n], &self.field);
+        self.toggle(&mut s.syndromes, &buf[..n]);
         s
     }
 
     /// Sketch a slice of nonzero field elements (no iterator buffering).
     pub fn sketch_slice(&self, elements: &[u64]) -> Sketch {
         let mut s = self.empty_sketch();
-        s.add_batch(elements, &self.field);
+        self.toggle(&mut s.syndromes, elements);
         s
     }
 
@@ -293,46 +385,104 @@ impl BchCodec {
     /// difference does not fit in the capacity (or the sketch is otherwise
     /// undecodable). A successful return is *verified*: the syndromes of the
     /// returned set are recomputed and compared against the input sketch.
+    ///
+    /// Allocates its working storage; a caller decoding many sketches keeps
+    /// a [`DecodeScratch`] and calls [`BchCodec::decode_with`].
     pub fn decode(&self, sketch: &Sketch) -> Result<Vec<u64>, DecodeError> {
+        let mut scratch = DecodeScratch::default();
+        self.decode_with(sketch, &mut scratch).map(<[u64]>::to_vec)
+    }
+
+    /// [`BchCodec::decode`] out of a caller-owned scratch: the same result,
+    /// element for element, borrowed from `scratch` until its next use.
+    pub fn decode_with<'s>(
+        &self,
+        sketch: &Sketch,
+        scratch: &'s mut DecodeScratch,
+    ) -> Result<&'s [u64], DecodeError> {
         assert_eq!(sketch.capacity(), self.t, "sketch capacity mismatch");
         let f = &*self.field;
+        let DecodeScratch {
+            bm,
+            terms,
+            roots,
+            elements,
+            check,
+        } = scratch;
+        elements.clear();
         if sketch.is_zero() {
-            return Ok(Vec::new());
+            return Ok(elements);
         }
 
-        // Expand to the full syndrome sequence S_1 .. S_{2t}.
-        let t = self.t;
-        let mut s = vec![0u64; 2 * t + 1]; // 1-based
-        for (i, &odd) in sketch.syndromes.iter().enumerate() {
-            s[2 * i + 1] = odd;
-        }
-        for k in 1..=t {
-            s[2 * k] = f.square(s[k]);
-        }
-
-        // Berlekamp–Massey on S_1..S_2t.
-        let locator = berlekamp_massey(&s[1..], f);
-        let degree = match locator.degree() {
-            Some(d) if d > 0 => d,
-            _ => return Err(DecodeError::TooManyDifferences),
-        };
-        if degree > t {
+        // Berlekamp–Massey on S_1..S_2t; the locator's degree is that of
+        // its highest nonzero coefficient (Λ_0 = 1).
+        let length = berlekamp_massey(&sketch.syndromes, f, bm);
+        let degree = bm.c[..=length].iter().rposition(|&c| c != 0).unwrap_or(0);
+        if degree == 0 || degree > self.t {
             return Err(DecodeError::TooManyDifferences);
         }
+        self.locate(&bm.c[..=degree], terms, roots, elements)?;
 
-        // Roots of the locator are the inverses of the difference elements.
-        let roots = find_roots(&locator, f).map_err(|_| DecodeError::LocatorNotSplitting)?;
-        if roots.len() != degree || roots.contains(&0) {
-            return Err(DecodeError::LocatorNotSplitting);
-        }
-        let elements: Vec<u64> = roots.iter().map(|&r| f.inv(r)).collect();
-
-        // Verify: the recovered set must reproduce the sketch exactly.
-        let check = self.sketch_set(elements.iter().copied());
-        if check != *sketch {
+        // Verify: the recovered set must reproduce the sketch exactly —
+        // whatever path found it, and whoever made the syndromes up.
+        check.clear();
+        check.resize(self.t, 0);
+        self.toggle(check, elements);
+        if *check != sketch.syndromes {
             return Err(DecodeError::TooManyDifferences);
         }
         Ok(elements)
+    }
+
+    /// The elements whose inverses are the roots of `locator` (ascending
+    /// coefficients, `Λ_0 = 1`, leading coefficient nonzero), pushed onto
+    /// `elements` in the order a Chien scan meets the roots; an error
+    /// unless it splits into distinct nonzero roots.
+    fn locate(
+        &self,
+        locator: &[u64],
+        terms: &mut Vec<(u32, u32)>,
+        roots: &mut Vec<u64>,
+        elements: &mut Vec<u64>,
+    ) -> Result<(), DecodeError> {
+        let f = &*self.field;
+        let degree = locator.len() - 1;
+        match (&self.tables, degree) {
+            // Λ(x) = 1 + Xx: the element is the coefficient itself.
+            (Some(_), 1) => elements.push(locator[1]),
+            // Λ(x) = (1 + X₁x)(1 + X₂x): the elements are the roots of
+            // z² + Λ₁z + Λ₂, and z = Λ₁y turns that into y² + y = Λ₂/Λ₁².
+            // Λ₁ = 0 is a repeated root, no y an irreducible quadratic.
+            (Some(tables), 2) => {
+                let (sum, product) = (locator[1], locator[2]);
+                if sum == 0 {
+                    return Err(DecodeError::LocatorNotSplitting);
+                }
+                let c = f.div(product, f.square(sum));
+                let y = tables.quadratic[c as usize] as u64;
+                if y == 0 {
+                    return Err(DecodeError::LocatorNotSplitting);
+                }
+                // The scan meets the root g^i = X⁻¹ at step
+                // i = −log X mod (2^m − 1).
+                let group = f.nonzero_count() as u32;
+                let step = |x: u64| (group - f.log(x).unwrap_or(0)) % group;
+                let (a, b) = (f.mul(sum, y), f.mul(sum, y ^ 1));
+                elements.extend(if step(a) < step(b) { [a, b] } else { [b, a] });
+            }
+            _ => {
+                if !f.chien_search_into(locator, degree, terms, roots) {
+                    // No log tables: the large-field algorithms of `roots`.
+                    *roots = find_roots(&Poly::from_coeffs(locator.to_vec()), f)
+                        .map_err(|_| DecodeError::LocatorNotSplitting)?;
+                }
+                if roots.len() != degree || roots.contains(&0) {
+                    return Err(DecodeError::LocatorNotSplitting);
+                }
+                elements.extend(roots.iter().map(|&r| f.inv(r)));
+            }
+        }
+        Ok(())
     }
 
     /// Decode the difference between two sketches directly.
@@ -457,6 +607,186 @@ mod tests {
                 assert_eq!(codec.sketch_slice(&elements), sequential);
                 assert_eq!(codec.sketch_set(elements.iter().copied()), sequential);
             }
+        }
+    }
+
+    /// The ladder, one scalar [`Sketch::add`] at a time: the oracle.
+    fn ladder_sketch(codec: &BchCodec, elements: &[u64]) -> Sketch {
+        let mut sketch = codec.empty_sketch();
+        for &e in elements {
+            sketch.add(e, codec.field());
+        }
+        sketch
+    }
+
+    #[test]
+    fn column_sketch_matches_the_ladder_at_every_position() {
+        // Every position of every table-backed field at every capacity the
+        // planner can pick; past m = 12 only the capacities either side of
+        // the table bound. Explicit `Tables`, so PBS_FORCE_BACKEND cannot
+        // take the column table out of the test.
+        for m in 3..=16 {
+            let field = Arc::new(Field::with_backend(m, gf::BackendChoice::Tables));
+            let n = field.nonzero_count();
+            let fit = COLUMN_TABLE_ENTRIES / n as usize;
+            let capacities: Vec<usize> = if m <= 12 {
+                (1..=40).collect()
+            } else {
+                vec![1, fit, fit + 1, 40]
+            };
+            for t in capacities.into_iter().filter(|&t| t > 0) {
+                let codec = BchCodec::with_field(Arc::clone(&field), t);
+                assert_eq!(codec.tables.is_some(), t <= fit, "m={m} t={t}");
+                // Past the bound every position runs the same ladder;
+                // sample it rather than walk 65 535 × 40.
+                let stride = if codec.tables.is_some() { 1 } else { 251 };
+                for p in (1..=n).step_by(stride) {
+                    assert_eq!(
+                        codec.sketch_slice(&[p]),
+                        ladder_sketch(&codec, &[p]),
+                        "m={m} t={t} p={p}"
+                    );
+                }
+            }
+        }
+        // All six paper sizes hold a table at any planned capacity.
+        for m in 6..=11 {
+            assert!(BchCodec::new(m, 40).tables.is_some() || Field::new(m).generator().is_none());
+        }
+    }
+
+    #[test]
+    fn fields_without_log_tables_sketch_and_decode_by_ladder() {
+        // What PBS_FORCE_BACKEND=reference makes of every PBS field, and
+        // what PinSketch's GF(2³²) always is.
+        let elements = [3u64, 77, 200, 13, 255, 1, 2];
+        for choice in [gf::BackendChoice::Barrett, gf::BackendChoice::Reference] {
+            let codec = BchCodec::with_field(Arc::new(Field::with_backend(8, choice)), 9);
+            assert!(codec.tables.is_none());
+            let sketch = codec.sketch_slice(&elements);
+            assert_eq!(sketch, ladder_sketch(&codec, &elements));
+            assert_eq!(codec.sketch_set(elements), sketch);
+            // Degrees 1 and 2 go through the scan too, in its order.
+            let tables = BchCodec::with_field(
+                Arc::new(Field::with_backend(8, gf::BackendChoice::Tables)),
+                9,
+            );
+            for size in [1, 2, 7] {
+                let sketch = codec.sketch_slice(&elements[..size]);
+                let mut decoded = codec.decode(&sketch).unwrap();
+                let mut with_tables = tables.decode(&sketch).unwrap();
+                decoded.sort_unstable();
+                with_tables.sort_unstable();
+                assert_eq!(decoded, with_tables, "{choice:?} size {size}");
+            }
+        }
+        assert!(BchCodec::new(32, 10).tables.is_none());
+    }
+
+    #[test]
+    fn closed_form_roots_match_the_chien_scan_exhaustively() {
+        // Every locator of degree 1 and 2 over GF(2^7) and GF(2^8): the
+        // closed forms return what the scan returns, in its order, and
+        // refuse what it refuses — irreducible quadratics (the scan finds
+        // no root) and repeated roots (it finds one where two are needed).
+        for m in [7u32, 8] {
+            let field = Arc::new(Field::with_backend(m, gf::BackendChoice::Tables));
+            let codec = BchCodec::with_field(Arc::clone(&field), 4);
+            let f = &*field;
+            let (mut terms, mut roots, mut elements) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut split, mut irreducible, mut repeated) = (0, 0, 0);
+            for c1 in 0..f.order() {
+                for c2 in 0..f.order() {
+                    let locator = [1, c1, c2];
+                    let degree = locator.iter().rposition(|&c| c != 0).unwrap();
+                    if degree == 0 {
+                        continue;
+                    }
+                    let locator = &locator[..=degree];
+                    let scan = f.chien_search(locator, degree).unwrap();
+                    elements.clear();
+                    let closed = codec.locate(locator, &mut terms, &mut roots, &mut elements);
+                    assert!(terms.is_empty() && roots.is_empty(), "no scan ran");
+                    if scan.len() == degree {
+                        let expect: Vec<u64> = scan.iter().map(|&r| f.inv(r)).collect();
+                        assert_eq!(closed, Ok(()), "m={m} {locator:?}");
+                        assert_eq!(elements, expect, "m={m} {locator:?}");
+                        split += 1;
+                    } else {
+                        assert_eq!(closed, Err(DecodeError::LocatorNotSplitting));
+                        match scan.len() {
+                            0 => irreducible += 1,
+                            _ => repeated += 1,
+                        }
+                    }
+                }
+            }
+            // n linear locators and C(n, 2) split quadratics; n squares
+            // (x + r)²; the rest of the n(n + 1) quadratics are irreducible.
+            let n = f.nonzero_count() as usize;
+            assert_eq!(split, n + n * (n - 1) / 2, "m={m}");
+            assert_eq!(repeated, n, "m={m}");
+            assert_eq!(irreducible, n * (n + 1) - n * (n - 1) / 2 - n, "m={m}");
+        }
+    }
+
+    #[test]
+    fn scratch_decode_matches_allocating_decode_after_a_larger_and_a_failed_one() {
+        let mut scratch = DecodeScratch::default();
+        let big = BchCodec::new(11, 24);
+        let full: Vec<u64> = (1..=24).map(|i| i * 83).collect();
+        let sketch = big.sketch_slice(&full);
+        assert_eq!(
+            big.decode_with(&sketch, &mut scratch).unwrap(),
+            big.decode(&sketch).unwrap()
+        );
+        let over: Vec<u64> = (1..=30).map(|i| i * 61).collect();
+        let sketch = big.sketch_slice(&over);
+        assert_eq!(
+            big.decode_with(&sketch, &mut scratch).map(<[u64]>::to_vec),
+            big.decode(&sketch)
+        );
+        assert!(big.decode(&sketch).is_err());
+        // A smaller codec over another field, out of the same scratch:
+        // every size from empty to one over capacity, then hostile
+        // syndromes no set produces.
+        let small = BchCodec::new(8, 5);
+        for size in 0..=6u64 {
+            let elements: Vec<u64> = (1..=size).map(|i| i * 37 % 255 + 1).collect();
+            let sketch = small.sketch_slice(&elements);
+            let fresh = small.decode(&sketch);
+            assert_eq!(fresh.is_ok(), size <= 5);
+            assert_eq!(
+                small
+                    .decode_with(&sketch, &mut scratch)
+                    .map(<[u64]>::to_vec),
+                fresh,
+                "size {size}"
+            );
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2_000 {
+            let syndromes: Vec<u64> = (0..5)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (x >> 33) % 256
+                })
+                .collect();
+            let sketch = Sketch::from_syndromes(syndromes, 8).unwrap();
+            let fresh = small.decode(&sketch);
+            if let Ok(elements) = &fresh {
+                assert_eq!(
+                    small.sketch_slice(elements),
+                    sketch,
+                    "verified on every path"
+                );
+            }
+            assert_eq!(
+                small
+                    .decode_with(&sketch, &mut scratch)
+                    .map(<[u64]>::to_vec),
+                fresh
+            );
         }
     }
 

@@ -137,13 +137,21 @@ pub struct RoundStatus {
     /// complete.
     pub all_verified: bool,
     /// Per-group layer reports in the batch that decoded successfully.
-    /// Together with [`RoundStatus::layers_failed`] this is the batch's
-    /// layer-verification rate — what
-    /// [`crate::AliceSession::next_pipeline_depth`] resizes an adaptive
-    /// pipeline depth from.
+    /// With [`RoundStatus::layers_failed`], what
+    /// [`crate::AliceSession::next_pipeline_depth`] reads of the last trip:
+    /// after mostly-failed decodes the next trip does not speculate.
     pub layers_decoded: u32,
     /// Per-group layer reports in the batch whose BCH decode failed.
     pub layers_failed: u32,
+    /// Group-layers this trip sent beyond its first — what pipelining
+    /// speculated: `(layers − 1) ×` the sessions unverified when the batch
+    /// went out. Zero on a one-layer trip.
+    pub speculative_layers: u32,
+    /// Those of [`RoundStatus::speculative_layers`] whose report reached a
+    /// group an earlier layer of the trip had already verified — sent,
+    /// decoded and reported for nothing. The rest found their group still
+    /// unverified, i.e. saved it a round trip or at least tried to.
+    pub speculative_unused: u32,
 }
 
 #[cfg(test)]

@@ -25,6 +25,10 @@
 //! into per-group `Vec`s, duplicates dropped — and again on the three-way
 //! split of a failed group; both build a group's sketch with the one
 //! `parity_sketch` routine, over the odd bins of its parity bitmap only.
+//! What the per-group pass needs besides the group itself — the parity
+//! bitset, the per-bin XOR accumulators, the decoder's polynomials — is one
+//! `GroupScratch` per worker, zeroed bin by bin as it is used, not
+//! allocated per group.
 //! Alice edits her working sets in place: a recovered candidate must hash
 //! to the bin it was reported in (Procedure 3), so whether she holds it is
 //! decided among that bin's few residents, found by the same pass that
@@ -59,7 +63,7 @@ use crate::messages::{
 };
 use crate::PbsConfig;
 use analysis::OptimalParams;
-use bch::{BchCodec, Sketch};
+use bch::{BchCodec, DecodeScratch, Sketch};
 use std::collections::HashMap;
 use xhash::{derive_seed, PartitionHasher, SetChecksum};
 
@@ -90,64 +94,81 @@ fn group_seed(base: u64) -> u64 {
     derive_seed(base, GROUP_SALT)
 }
 
+/// Per-worker working storage of the per-group pass — Alice's encode and
+/// apply, Bob's re-sketch and decode — so a batch allocates it once, not
+/// once per group per layer. Every routine leaves the dense arrays
+/// all-zero behind it, at a cost bounded by the bins it touched.
+#[derive(Debug, Default)]
+struct GroupScratch {
+    /// The parity bitmap, one bit per bin `0..=n`.
+    parity: Vec<u64>,
+    /// One bit per bin Alice was reported, whose XOR sum she needs.
+    wanted: Vec<u64>,
+    /// XOR of the elements hashed to each bin (Bob: every bin; Alice: the
+    /// wanted ones).
+    xor_by_bin: Vec<u64>,
+    /// The positions handed to the syndrome kernel.
+    positions: Vec<u64>,
+    decode: DecodeScratch,
+}
+
+impl GroupScratch {
+    /// Scratch for `n`-bin parity bitmaps; above [`DENSE_LIMIT`] the dense
+    /// arrays stay empty and nothing indexes them.
+    fn new(n: u64) -> Self {
+        let bins = if n <= DENSE_LIMIT { n as usize + 1 } else { 0 };
+        GroupScratch {
+            parity: vec![0; bins.div_ceil(64)],
+            wanted: vec![0; bins.div_ceil(64)],
+            xor_by_bin: vec![0; bins],
+            ..GroupScratch::default()
+        }
+    }
+}
+
 /// The BCH sketch of `elements`' parity bitmap under `hasher` — the one
 /// encoder of both parties — calling `each(position, element)` on the way.
 ///
 /// Adding a bin position twice XOR-cancels, so `sketch(positions multiset)
 /// = sketch(odd-parity bins)`: for the small bitmaps PBS uses (`n` bins,
 /// typically 127–2047, versus thousands of group elements) one pass
-/// toggles a dense parity bitset and the batched syndrome kernel then runs
-/// over at most `min(n, |elements|)` odd bins — exactly the parity bitmap
-/// the scheme is named for (§2.2.1), instead of one syndrome ladder per
-/// element. Above [`DENSE_LIMIT`] the positions go to the kernel as they
-/// are.
+/// toggles a dense parity bitset (`parity`, all-zero on entry and on
+/// return) and the syndrome kernel then runs over at most
+/// `min(n, |elements|)` odd bins — exactly the parity bitmap the scheme is
+/// named for (§2.2.1). Above [`DENSE_LIMIT`] the positions go to the kernel
+/// as they are. The kernel is [`BchCodec::sketch_slice`]: the XOR of the
+/// bins' precomputed syndrome columns at every `n` PBS plans, a ladder of
+/// `t` multiplications per bin on a field too large for a table.
 fn parity_sketch(
     codec: &BchCodec,
     hasher: &PartitionHasher,
     elements: &[u64],
+    parity: &mut [u64],
+    positions: &mut Vec<u64>,
     mut each: impl FnMut(usize, u64),
 ) -> Sketch {
-    let n = hasher.bins();
-    let mut sketch = codec.empty_sketch();
-    if n <= DENSE_LIMIT {
-        let mut parity = vec![0u64; (n as usize + 1).div_ceil(64)];
+    positions.clear();
+    if hasher.bins() <= DENSE_LIMIT {
         for &e in elements {
             let p = hasher.position(e) as usize;
             each(p, e);
             parity[p / 64] ^= 1u64 << (p % 64);
         }
-        let mut odd_bins = Vec::new();
-        for (w, &bits) in parity.iter().enumerate() {
-            let mut b = bits;
-            while b != 0 {
-                odd_bins.push((w * 64) as u64 + b.trailing_zeros() as u64);
-                b &= b - 1;
+        for (w, word) in parity.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                positions.push((w * 64) as u64 + bits.trailing_zeros() as u64);
+                bits &= bits - 1;
             }
         }
-        sketch.add_batch(&odd_bins, codec.field());
     } else {
-        let positions: Vec<u64> = elements
-            .iter()
-            .map(|&e| {
-                let p = hasher.position(e);
-                each(p as usize, e);
-                p
-            })
-            .collect();
-        sketch.add_batch(&positions, codec.field());
+        positions.extend(elements.iter().map(|&e| {
+            let p = hasher.position(e);
+            each(p as usize, e);
+            p
+        }));
     }
-    sketch
-}
-
-/// The seed's encoder, and [`parity_sketch`]'s oracle: one scalar
-/// [`Sketch::add`] syndrome ladder per element.
-#[cfg(test)]
-fn parity_sketch_reference(codec: &BchCodec, hasher: &PartitionHasher, elements: &[u64]) -> Sketch {
-    let mut sketch = codec.empty_sketch();
-    for &e in elements {
-        sketch.add(hasher.position(e), codec.field());
-    }
-    sketch
+    codec.sketch_slice(positions)
 }
 
 /// A membership constraint a recovered element must satisfy: under `hasher`
@@ -228,6 +249,45 @@ impl Toggled {
     }
 }
 
+/// A speculative tail this cheap rides along whatever the session has sent
+/// so far: 1 448 B, the payload of one TCP segment on an Ethernet path
+/// (1 500 B MTU − 40 B of IP and TCP headers − 12 B of timestamps). Sketches
+/// that still fit one segment add at most one packet to a trip that costs
+/// a round-trip time regardless, so a small session (d ≲ 200 at the default
+/// parameters) keeps its whole grant and ends in one trip.
+const SPECULATION_FLOOR_BITS: u64 = 8 * 1448;
+
+/// Beyond the floor, one trip's speculative layers may cost at most
+/// 1 / this of the sketch bits the session has already sent. An eighth:
+/// after a well-parameterized first trip ≈ 3 % of the groups are left
+/// (§5.3), so the sparse tail still gets the full default grant of four
+/// (3 layers × 3 % = 9 %), while the dense first trip — where a layer
+/// costs as much as everything sent so far — gets none.
+const SPECULATION_SHARE: u64 = 8;
+
+/// The layer depth of the next trip — [`AliceSession::next_pipeline_depth`]
+/// on bare numbers: `active` unverified sessions at `sketch_bits` a sketch,
+/// `sent_bits` of sketches sent so far, the last trip's `(decoded, failed)`
+/// layer reports, the transport's `grant`.
+fn speculation_depth(
+    active: u64,
+    sketch_bits: u64,
+    sent_bits: u64,
+    last_trip: Option<(u32, u32)>,
+    grant: u32,
+) -> u32 {
+    let grant = grant.max(1) as u64;
+    // A trip of mostly failed decodes was under-parameterized: §3.2 has
+    // just tripled those sessions, and every layer of a group that is
+    // still overloaded fails alike — speculation there buys nothing.
+    if matches!(last_trip, Some((decoded, failed)) if failed > 0 && failed >= decoded) {
+        return 1;
+    }
+    let layer_bits = (active * sketch_bits).max(1);
+    let budget = SPECULATION_FLOOR_BITS.max(sent_bits / SPECULATION_SHARE);
+    (1 + budget / layer_bits).min(grant) as u32
+}
+
 /// Alice's side of the protocol: she wants to learn `A△B`.
 #[derive(Debug)]
 pub struct AliceSession {
@@ -237,17 +297,26 @@ pub struct AliceSession {
     base_seed: u64,
     round: u32,
     round_trips: u32,
-    /// Layer depth of the last [`Self::start_rounds`] batch.
-    last_depth: u32,
+    /// Declared wire cost of the sketches sent so far, in bits
+    /// ([`GroupSketch::wire_bits`] at the session's `m`).
+    sketch_bits_sent: u64,
     /// `(decoded, failed)` per-group layer reports of the last
     /// [`Self::apply_reports`] batch; `None` before the first batch.
     last_layer_stats: Option<(u32, u32)>,
+    /// Group-layers sent beyond each trip's first: over the session, and
+    /// in the last [`Self::start_rounds`] batch.
+    speculative_layers: u64,
+    last_speculative_layers: u32,
+    /// Those of them that reached a group an earlier layer of their trip
+    /// had already verified.
+    speculative_unused: u64,
     groups: Vec<AliceGroup>,
     /// Every element whose membership Alice has toggled so far — once every
     /// group verifies, the `odd` ones are exactly `A△B`. O(d), and the only
     /// lookup structure of the session.
     toggled: HashMap<u64, Toggled>,
     fakes_rejected: u64,
+    scratch: GroupScratch,
 }
 
 impl AliceSession {
@@ -278,11 +347,15 @@ impl AliceSession {
             base_seed: seed,
             round: 0,
             round_trips: 0,
-            last_depth: 1,
+            sketch_bits_sent: 0,
             last_layer_stats: None,
+            speculative_layers: 0,
+            last_speculative_layers: 0,
+            speculative_unused: 0,
             groups,
             toggled: HashMap::new(),
             fakes_rejected: 0,
+            scratch: GroupScratch::new(params.n as u64),
         }
     }
 
@@ -313,6 +386,19 @@ impl AliceSession {
     /// Number of recovered elements rejected by the Procedure 3 check so far.
     pub fn fakes_rejected(&self) -> u64 {
         self.fakes_rejected
+    }
+
+    /// Group-layers sent beyond each trip's first so far — what pipelining
+    /// has speculated ([`RoundStatus::speculative_layers`], summed).
+    pub fn speculative_layers(&self) -> u64 {
+        self.speculative_layers
+    }
+
+    /// How many of [`Self::speculative_layers`] came back to a group an
+    /// earlier layer of the same trip had already verified: speculation
+    /// that bought nothing ([`RoundStatus::speculative_unused`], summed).
+    pub fn speculative_unused(&self) -> u64 {
+        self.speculative_unused
     }
 
     /// The elements Alice currently believes to be in `A△B`, ascending.
@@ -363,14 +449,14 @@ impl AliceSession {
     /// `r+1`'s, and so on — the order Bob's reports must be applied in.
     ///
     /// Group × layer sketches are independent, so they are computed with
-    /// [`protocol::par_map`]: worker threads when the `parallel` feature is
-    /// on, a plain serial loop otherwise — identical output either way.
+    /// [`protocol::par_map_init`], one scratch a worker: worker threads when
+    /// the `parallel` feature is on, a plain serial loop otherwise —
+    /// identical output either way.
     pub fn start_rounds(&mut self, layers: u32) -> Vec<GroupSketch> {
         assert!(layers >= 1, "a sketch batch needs at least one layer");
         let base = self.round;
         self.round += layers;
         self.round_trips += 1;
-        self.last_depth = layers;
         // Assign the batch's bin seeds first (mutates the groups), then
         // sketch over shared references so the map body is pure.
         for group in self.groups.iter_mut().filter(|g| !g.verified) {
@@ -380,16 +466,33 @@ impl AliceSession {
             group.reports_consumed = 0;
         }
         let active: Vec<&AliceGroup> = self.groups.iter().filter(|g| !g.verified).collect();
+        self.last_speculative_layers = (layers - 1) * active.len() as u32;
+        self.speculative_layers += self.last_speculative_layers as u64;
         let jobs: Vec<(&AliceGroup, usize)> = (0..layers as usize)
             .flat_map(|layer| active.iter().map(move |g| (*g, layer)))
             .collect();
         let codec = &self.codec;
         let n = self.params.n as u64;
-        let sketches = protocol::par_map(&jobs, |&(group, layer)| {
-            let hasher = PartitionHasher::new(n, group.pending_bin_seeds[layer]);
-            parity_sketch(codec, &hasher, &group.elements, |_, _| {})
-        });
-        jobs.iter()
+        let sketches = protocol::par_map_init(
+            &jobs,
+            || GroupScratch::new(n),
+            |scratch, &(group, layer)| {
+                let hasher = PartitionHasher::new(n, group.pending_bin_seeds[layer]);
+                let GroupScratch {
+                    parity, positions, ..
+                } = scratch;
+                parity_sketch(
+                    codec,
+                    &hasher,
+                    &group.elements,
+                    parity,
+                    positions,
+                    |_, _| {},
+                )
+            },
+        );
+        let batch: Vec<GroupSketch> = jobs
+            .iter()
             .zip(sketches)
             .map(|(&(group, layer), sketch)| GroupSketch {
                 session: group.id,
@@ -400,7 +503,10 @@ impl AliceSession {
                 // checksum must not be lost with it. (Bob answers once.)
                 needs_checksum: group.bob_checksum.is_none(),
             })
-            .collect()
+            .collect();
+        let m = self.params.m;
+        self.sketch_bits_sent += batch.iter().map(|s| s.wire_bits(m)).sum::<u64>();
+        batch
     }
 
     /// Apply Bob's reports for the current batch: recover elements, reject
@@ -414,6 +520,7 @@ impl AliceSession {
     pub fn apply_reports(&mut self, reports: &[GroupReport]) -> RoundStatus {
         let mut recovered_this_round = 0usize;
         let (mut layers_decoded, mut layers_failed) = (0u32, 0u32);
+        let unused_before = self.speculative_unused;
         // `false` until a session shows at least one successfully decoded
         // layer; sessions still `false` at the end of the batch are split.
         let mut any_decoded: HashMap<SessionId, bool> = HashMap::new();
@@ -466,35 +573,49 @@ impl AliceSession {
             all_verified: self.all_verified(),
             layers_decoded,
             layers_failed,
+            speculative_layers: self.last_speculative_layers,
+            speculative_unused: (self.speculative_unused - unused_before) as u32,
         }
     }
 
     /// Pick the layer depth for the *next* pipelined batch, bounded by
     /// `grant` (the depth the transport's handshake granted).
     ///
-    /// Adaptive pipelining per §3.2's economics: a speculative layer is a
-    /// cheap win while decodes succeed (it resolves the next round's
-    /// retries inside the same trip) and pure waste while they fail (every
-    /// layer of an overloaded group fails identically until the group
-    /// splits). The controller therefore starts at the granted depth and
-    /// resizes per trip from the previous trip's layer-verification rate:
+    /// Speculation is priced before it is sent. A layer beyond the first
+    /// re-ships one sketch for every session still unverified, and only
+    /// pays off for the few of them the first layer leaves unverified
+    /// (≈ 3 % at the paper's parameters, §5.3). The depth is therefore the
+    /// deepest `k ≤ grant` whose `k − 1` speculative layers, at the declared
+    /// cost of a sketch ([`GroupSketch::wire_bits`]), fit the larger of
+    /// `SPECULATION_FLOOR_BITS` — one TCP segment — and one
+    /// `SPECULATION_SHARE`-th of the sketch bits already sent:
     ///
-    /// * every layer decoded → deepen toward the grant (double),
-    /// * at least half the layers failed → back off toward 1 (halve),
-    /// * mixed outcomes → hold the current depth.
+    /// * the dense first trip of a large session (d ≳ 700 at the default
+    ///   parameters; two or three layers between there and d ≈ 200) goes
+    ///   out once — the paper's protocol;
+    /// * the sparse trips after it, where a layer is cheap, get layers, so
+    ///   the session ends a trip or two earlier than one layer a trip;
+    /// * a small session (d ≲ 200), whose three speculative layers are
+    ///   under the floor, speculates at the full grant and ends in one trip;
+    /// * a trip after mostly-failed decodes, where §3.2 splits have tripled
+    ///   the active sessions, gets one layer.
+    ///
+    /// A pure function of what the session holds — no clock, no history
+    /// beyond the last trip's counts.
     pub fn next_pipeline_depth(&self, grant: u32) -> u32 {
-        let grant = grant.max(1);
-        let Some((decoded, failed)) = self.last_layer_stats else {
-            return grant;
+        let probe = GroupSketch {
+            session: 0,
+            round: 0,
+            sketch: self.codec.empty_sketch(),
+            needs_checksum: false,
         };
-        let previous = self.last_depth.max(1);
-        if failed == 0 {
-            previous.saturating_mul(2).min(grant)
-        } else if failed >= decoded {
-            (previous / 2).max(1)
-        } else {
-            previous.min(grant)
-        }
+        speculation_depth(
+            self.active_sessions() as u64,
+            probe.wire_bits(self.params.m),
+            self.sketch_bits_sent,
+            self.last_layer_stats,
+            grant,
+        )
     }
 
     /// Handle a successfully decoded report for group index `gi`. Returns the
@@ -519,23 +640,26 @@ impl AliceSession {
             // A speculative layer answering a group that an earlier layer
             // already verified: the working set equals B_i, so every bin
             // XOR cancels to zero — nothing to apply.
+            self.speculative_unused += 1;
             return 0;
         }
 
         // One pass over the group's working set: the XOR sum of every
         // reported bin, and each element of a reported bin with its index
-        // (`residents`). For the bitmap lengths PBS uses, a dense per-bin XOR
-        // accumulator plus a reported-bin bitset costs one partition hash
-        // and two array probes per element, and reading the sums back is
-        // O(bins). Bins outside `1..=n` (impossible from an honest decode,
-        // reachable through the wire format) accumulate nothing. Very large
-        // `n` keeps a map of the reported bins.
+        // (`residents`). For the bitmap lengths PBS uses, the scratch's
+        // dense per-bin XOR accumulator plus its reported-bin bitset cost
+        // one partition hash and two array probes per element, and reading
+        // the sums back is O(bins). Bins outside `1..=n` (impossible from
+        // an honest decode, reachable through the wire format) accumulate
+        // nothing. Very large `n` keeps a map of the reported bins.
         let n = self.params.n as u64;
         let hasher = PartitionHasher::new(n, layer_seed);
         let mut residents: Vec<(u64, usize)> = Vec::new();
-        let alice_xor: Vec<u64> = if n <= DENSE_LIMIT {
-            let mut xor_by_bin = vec![0u64; n as usize + 1];
-            let mut wanted = vec![0u64; (n as usize + 1).div_ceil(64)];
+        let GroupScratch {
+            wanted, xor_by_bin, ..
+        } = &mut self.scratch;
+        let mut by_bin: HashMap<u64, u64> = HashMap::new();
+        if n <= DENSE_LIMIT {
             for b in bins {
                 if b.position <= n {
                     wanted[b.position as usize / 64] |= 1u64 << (b.position % 64);
@@ -548,14 +672,8 @@ impl AliceSession {
                     residents.push((e, index));
                 }
             }
-            bins.iter()
-                .map(|b| xor_by_bin.get(b.position as usize).copied().unwrap_or(0))
-                .collect()
         } else {
-            let mut by_bin: HashMap<u64, u64> = HashMap::with_capacity(bins.len());
-            for b in bins {
-                by_bin.insert(b.position, 0);
-            }
+            by_bin.extend(bins.iter().map(|b| (b.position, 0)));
             for (index, &e) in group.elements.iter().enumerate() {
                 let p = hasher.position(e);
                 if let Some(slot) = by_bin.get_mut(&p) {
@@ -563,9 +681,11 @@ impl AliceSession {
                     residents.push((e, index));
                 }
             }
-            bins.iter()
-                .map(|b| by_bin.get(&b.position).copied().unwrap_or(0))
-                .collect()
+        }
+        // Alice's XOR sum of a reported bin, as it stood before this report.
+        let alice_xor = |position: u64| match by_bin.get(&position) {
+            Some(&xor) => xor,
+            None => xor_by_bin.get(position as usize).copied().unwrap_or(0),
         };
         // Procedure 3 forces a candidate to hash to the bin it was reported
         // in, so if Alice holds it, it is one of these residents: sorted,
@@ -582,8 +702,8 @@ impl AliceSession {
         let mut evicted: Vec<usize> = Vec::new();
         let mut admitted: Vec<u64> = Vec::new();
         let mut applied = 0usize;
-        for (b, &xor_a) in bins.iter().zip(&alice_xor) {
-            let s = xor_a ^ b.xor_sum;
+        for b in bins {
+            let s = alice_xor(b.position) ^ b.xor_sum;
             if s == 0 {
                 // Procedure 1, case (I): the bin pair holds no recoverable
                 // difference (an exception masked the parity mismatch).
@@ -637,6 +757,13 @@ impl AliceSession {
         evicted.dedup();
         for &index in evicted.iter().rev() {
             group.elements.swap_remove(index);
+        }
+        // Hand the scratch back all-zero: only reported bins were touched.
+        for b in bins {
+            if let Some(xor) = xor_by_bin.get_mut(b.position as usize) {
+                *xor = 0;
+                wanted[b.position as usize / 64] = 0;
+            }
         }
         admitted.sort_unstable();
         admitted.dedup();
@@ -746,12 +873,12 @@ impl BobSession {
 
     /// Process one batch of sketches from Alice and produce the reports.
     ///
-    /// The per-group work — rebuilding Bob's parity-bitmap sketch (through
-    /// the batched [`bch::Sketch::add_batch`] kernel), combining with
-    /// Alice's, and BCH-decoding the difference — depends only on that
-    /// group's elements, so it runs through [`protocol::par_map`]: worker
-    /// threads when the `parallel` feature is on, a serial loop otherwise,
-    /// with identical reports either way. The mutations a decoding failure
+    /// The per-group work — rebuilding Bob's parity-bitmap sketch,
+    /// combining with Alice's, and BCH-decoding the difference — depends
+    /// only on that group's elements, so it runs through
+    /// [`protocol::par_map_init`], one scratch a worker: worker threads when
+    /// the `parallel` feature is on, a serial loop otherwise, with
+    /// identical reports either way. The mutations a decoding failure
     /// triggers (failure counter, §3.2 three-way split) are applied in a
     /// serial pass afterwards; a split only touches the failed session and
     /// its fresh children, never another session in the batch, so deferring
@@ -768,7 +895,11 @@ impl BobSession {
     /// layer that decodes, however many layers asked for it.
     pub fn handle_sketches(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
         let this = &*self;
-        let mut reports = protocol::par_map(sketches, |msg| this.compute_report(msg));
+        let mut reports = protocol::par_map_init(
+            sketches,
+            || GroupScratch::new(this.params.n as u64),
+            |scratch, msg| this.compute_report(msg, scratch),
+        );
         // Per session of the batch: has every layer so far failed, and has
         // `c(B_i)` gone out.
         let mut seen: HashMap<SessionId, (bool, bool)> = HashMap::new();
@@ -800,10 +931,12 @@ impl BobSession {
 
     /// Pure per-group response computation (no session mutation): Bob's
     /// own [`parity_sketch`] of the group, combined with Alice's and
-    /// BCH-decoded. The same pass keeps a dense XOR accumulator per bin, so
-    /// the XOR sums of the differing bins are read back in O(bins); above
-    /// [`DENSE_LIMIT`] a second pass sums the decoded bins only.
-    fn compute_report(&self, msg: &GroupSketch) -> GroupReport {
+    /// BCH-decoded, all out of the worker's `scratch`. The same pass keeps
+    /// the scratch's dense XOR accumulator per bin, so the XOR sums of the
+    /// differing bins are read back in O(bins), and zeroes it again
+    /// afterwards; above [`DENSE_LIMIT`] a second pass sums the decoded
+    /// bins only.
+    fn compute_report(&self, msg: &GroupSketch, scratch: &mut GroupScratch) -> GroupReport {
         // Unknown session: treat as empty (can only happen if Alice has a
         // group Bob's partition left empty — the decode still works).
         let (elements, checksum) = match self.groups.get(&msg.session) {
@@ -812,48 +945,72 @@ impl BobSession {
         };
         let n = self.params.n as u64;
         let hasher = PartitionHasher::new(n, bin_seed(self.base_seed, msg.session, msg.round));
+        let GroupScratch {
+            parity,
+            xor_by_bin,
+            positions,
+            decode,
+            ..
+        } = scratch;
 
-        // Empty above `DENSE_LIMIT`, where the pass accumulates nothing.
-        let mut xor_by_bin = vec![0u64; if n <= DENSE_LIMIT { n as usize + 1 } else { 0 }];
-        let mut sketch = parity_sketch(&self.codec, &hasher, elements, |p, e| {
-            if let Some(xor) = xor_by_bin.get_mut(p) {
-                *xor ^= e;
-            }
-        });
+        // The dense arrays are empty above `DENSE_LIMIT`, where the pass
+        // accumulates nothing.
+        let mut sketch =
+            parity_sketch(&self.codec, &hasher, elements, parity, positions, |p, e| {
+                if let Some(xor) = xor_by_bin.get_mut(p) {
+                    *xor ^= e;
+                }
+            });
         // Combine with Alice's sketch: the result is the sketch of the
         // positions where the two parity bitmaps differ.
         sketch.combine(&msg.sketch);
-        let Ok(positions) = self.codec.decode(&sketch) else {
-            return GroupReport {
-                session: msg.session,
-                body: GroupReportBody::DecodeFailed,
-            };
-        };
-        let xor_sums: Vec<u64> = if n <= DENSE_LIMIT {
-            positions
-                .iter()
-                .map(|&p| xor_by_bin.get(p as usize).copied().unwrap_or(0))
-                .collect()
-        } else {
-            let mut wanted: HashMap<u64, u64> = positions.iter().map(|&p| (p, 0)).collect();
-            for &e in elements {
-                if let Some(xor) = wanted.get_mut(&hasher.position(e)) {
-                    *xor ^= e;
+        let body = match self.codec.decode_with(&sketch, decode) {
+            Err(_) => GroupReportBody::DecodeFailed,
+            Ok(differing) => {
+                let bins = if n <= DENSE_LIMIT {
+                    let xor_sum = |p: u64| xor_by_bin.get(p as usize).copied().unwrap_or(0);
+                    differing
+                        .iter()
+                        .map(|&position| BinInfo {
+                            position,
+                            xor_sum: xor_sum(position),
+                        })
+                        .collect()
+                } else {
+                    let mut wanted: HashMap<u64, u64> = differing.iter().map(|&p| (p, 0)).collect();
+                    for &e in elements {
+                        if let Some(xor) = wanted.get_mut(&hasher.position(e)) {
+                            *xor ^= e;
+                        }
+                    }
+                    differing
+                        .iter()
+                        .map(|&position| BinInfo {
+                            position,
+                            xor_sum: wanted[&position],
+                        })
+                        .collect()
+                };
+                GroupReportBody::Decoded {
+                    bins,
+                    checksum: msg.needs_checksum.then_some(checksum),
                 }
             }
-            positions.iter().map(|p| wanted[p]).collect()
         };
-        let bins = positions
-            .into_iter()
-            .zip(xor_sums)
-            .map(|(position, xor_sum)| BinInfo { position, xor_sum })
-            .collect();
+        // Leave the accumulators all-zero in O(min(n, |group|)): a sweep for
+        // a group that fills its bitmap, bin by bin for one that is lost in
+        // it (the planner's n reaches 2²⁰ − 1; a sweep per group would not
+        // do there).
+        if elements.len() >= xor_by_bin.len() / 8 {
+            xor_by_bin.fill(0);
+        } else {
+            for &e in elements {
+                xor_by_bin[hasher.position(e) as usize] = 0;
+            }
+        }
         GroupReport {
             session: msg.session,
-            body: GroupReportBody::Decoded {
-                bins,
-                checksum: msg.needs_checksum.then_some(checksum),
-            },
+            body,
         }
     }
 
@@ -954,6 +1111,20 @@ impl BobSession {
 mod tests {
     use super::*;
     use crate::Pbs;
+
+    /// The seed's encoder, and [`parity_sketch`]'s oracle: one scalar
+    /// [`Sketch::add`] syndrome ladder per element.
+    fn parity_sketch_reference(
+        codec: &BchCodec,
+        hasher: &PartitionHasher,
+        elements: &[u64],
+    ) -> Sketch {
+        let mut sketch = codec.empty_sketch();
+        for &e in elements {
+            sketch.add(hasher.position(e), codec.field());
+        }
+        sketch
+    }
 
     fn params_for(d: usize) -> (PbsConfig, OptimalParams) {
         let cfg = PbsConfig::default();
@@ -1258,8 +1429,71 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_depth_follows_the_layer_verification_rate() {
-        // Before any trip the controller starts at the negotiated grant.
+    fn adaptive_depth_prices_speculation_before_sending_it() {
+        // The controller on bare numbers. A sketch of the d = 10⁴ session:
+        // t = 12 syndromes of m = 8 bits.
+        let bits = 96u64;
+        let floor = SPECULATION_FLOOR_BITS;
+        // (active sessions, sketch bits sent, last trip (decoded, failed),
+        //  grant) → depth
+        let table = [
+            // The dense first trip of a d = 10⁴ session goes out once…
+            (2_730, 0, None, 4, 1),
+            // …as does a d = 10³ one (200 groups of 13 × 11 bits below).
+            (2_730, 0, None, 255, 1),
+            // A first trip under the floor speculates at the grant: 10
+            // groups cost 960 bits a layer, a segment holds 12 of them.
+            (10, 0, None, 4, 4),
+            (10, 0, None, 2, 2),
+            (10, 0, None, 255, 13),
+            // The sparse tail — 3 % of the groups left — gets the grant…
+            (82, 2_730 * bits, Some((2_730, 0)), 4, 4),
+            // …a thicker one what an eighth of the bits sent buys…
+            (150, 2_730 * bits, Some((2_730, 0)), 4, 3),
+            (300, 2_730 * bits, Some((2_730, 0)), 4, 2),
+            // …and one as dense as the first trip nothing.
+            (2_000, 2_730 * bits, Some((2_730, 0)), 4, 1),
+            // Failures ≥ decodes: §3.2 has tripled the sessions, no
+            // speculation even under the floor.
+            (9, 3 * bits, Some((1, 2)), 4, 1),
+            (3, bits, Some((0, 1)), 4, 1),
+            // A few failures among many decodes do not stop a cheap tail.
+            (90, 2_730 * bits, Some((2_700, 30)), 4, 4),
+        ];
+        for (active, sent, last, grant, want) in table {
+            let depth = speculation_depth(active, bits, sent, last, grant);
+            assert_eq!(
+                depth, want,
+                "{active} active, {sent} sent, {last:?}, {grant}"
+            );
+            // What it speculates fits the budget it was given.
+            let speculative = (depth as u64 - 1) * active * bits;
+            assert!(speculative <= floor.max(sent / SPECULATION_SHARE));
+        }
+        // Over a sweep: never above the grant, never below 1 (a grant of 0
+        // is a grant of 1), never shallower under a larger grant, and the
+        // next-deeper batch would have broken the budget or the grant.
+        for active in [0u64, 1, 7, 40, 121, 500, 3_000] {
+            for sent in [0u64, 5_000, 40_000, 262_080, 10_000_000] {
+                for last in [None, Some((50, 0)), Some((50, 49)), Some((5, 5))] {
+                    let mut previous = 0;
+                    for grant in 0..=9u32 {
+                        let depth = speculation_depth(active, bits, sent, last, grant);
+                        assert!(depth >= 1 && depth <= grant.max(1));
+                        assert!(depth >= previous, "shrank as the grant grew");
+                        previous = depth;
+                        let failed_trip = matches!(last, Some((d, f)) if f > 0 && f >= d);
+                        if depth < grant && !failed_trip {
+                            let deeper = depth as u64 * active * bits;
+                            assert!(deeper > floor.max(sent / SPECULATION_SHARE));
+                        }
+                    }
+                }
+            }
+        }
+
+        // The same rule read off live sessions. d = 4: the whole first
+        // trip is a few hundred bits, so it takes any grant whole.
         let (cfg, params) = params_for(4);
         let alice: Vec<u64> = (1..=500).collect();
         let bob: Vec<u64> = (5..=500).collect();
@@ -1267,35 +1501,61 @@ mod tests {
         let mut b = BobSession::new(cfg, params, &bob, 99);
         assert_eq!(a.next_pipeline_depth(4), 4);
         assert_eq!(a.next_pipeline_depth(0), 1, "grant is clamped to >= 1");
+        let sketches = a.start_rounds(4);
+        let status = a.apply_reports(&b.handle_sketches(&sketches));
+        assert!(status.all_verified);
+        let groups = params.groups as u32;
+        assert_eq!(status.speculative_layers, 3 * groups);
+        assert_eq!(
+            status.speculative_unused,
+            3 * groups,
+            "layer 1 verified them all"
+        );
+        assert_eq!(a.speculative_layers(), 3 * groups as u64);
+        assert_eq!(a.speculative_unused(), 3 * groups as u64);
 
-        // Well-parameterized: every layer decodes, so depth holds at the
-        // grant (and would deepen toward a larger one).
-        let sketches = a.start_rounds(2);
-        let reports = b.handle_sketches(&sketches);
-        let status = a.apply_reports(&reports);
-        assert!(status.layers_failed == 0 && status.layers_decoded > 0);
-        assert_eq!(a.next_pipeline_depth(4), 4);
-        assert_eq!(a.next_pipeline_depth(2), 2);
-
-        // Under-parameterized: every layer of every group fails, so the
-        // depth halves toward 1 trip after trip.
-        let (cfg, params) = params_for(1);
-        let alice: Vec<u64> = (1..=2_000).collect();
-        let bob: Vec<u64> = (201..=2_000).collect();
+        // d = 2 000, planned for the 1.38 × the estimator inflates it to:
+        // the dense first trip goes out once, the sparse tail is
+        // speculated on at the full grant and ends the session.
+        let (cfg, params) = params_for(2_760);
+        let alice: Vec<u64> = (1..=60_000).collect();
+        let bob: Vec<u64> = (2_001..=60_000).collect();
         let mut a = AliceSession::new(cfg, params, &alice, 5);
         let mut b = BobSession::new(cfg, params, &bob, 5);
-        let mut depth = a.next_pipeline_depth(4);
-        assert_eq!(depth, 4);
-        let mut seen = vec![depth];
+        assert_eq!(a.next_pipeline_depth(4), 1);
+        let sketches = a.start_rounds(1);
+        let first = a.apply_reports(&b.handle_sketches(&sketches));
+        assert_eq!((first.speculative_layers, first.speculative_unused), (0, 0));
+        assert!(!first.all_verified && first.active_sessions * 20 < params.groups);
+        assert_eq!(a.next_pipeline_depth(4), 4);
+        let sketches = a.start_rounds(4);
+        assert_eq!(sketches.len(), 4 * first.active_sessions);
+        let second = a.apply_reports(&b.handle_sketches(&sketches));
+        assert!(second.all_verified, "{second:?}");
+        assert_eq!(
+            second.speculative_layers as usize,
+            3 * first.active_sessions
+        );
+        assert!(second.speculative_unused <= second.speculative_layers);
+        assert_eq!(a.speculative_layers(), second.speculative_layers as u64);
+
+        // Under-parameterized (planned for d = 5, 400 apart): every decode
+        // fails, the splits triple the sessions, and the controller stays
+        // at one layer although three sketches are far under the floor.
+        let (cfg, params) = params_for(5);
+        let alice: Vec<u64> = (1..=1_000).collect();
+        let bob: Vec<u64> = (601..=1_000).collect();
+        let mut a = AliceSession::new(cfg, params, &alice, 7);
+        let mut b = BobSession::new(cfg, params, &bob, 7);
+        assert_eq!(a.next_pipeline_depth(4), 4);
+        let mut seen = Vec::new();
         for _ in 0..2 {
-            let sketches = a.start_rounds(depth);
-            let reports = b.handle_sketches(&sketches);
-            let status = a.apply_reports(&reports);
+            let sketches = a.start_rounds(1);
+            let status = a.apply_reports(&b.handle_sketches(&sketches));
             assert!(status.layers_failed >= status.layers_decoded);
-            depth = a.next_pipeline_depth(4);
-            seen.push(depth);
+            seen.push(a.next_pipeline_depth(4));
         }
-        assert_eq!(seen, vec![4, 2, 1], "mostly-failed trips back off to 1");
+        assert_eq!(seen, [1, 1], "mostly-failed trips do not speculate");
     }
 
     #[test]
@@ -1375,6 +1635,42 @@ mod tests {
         let (recovered, hers) = a.into_recovered_and_mine();
         assert_eq!(recovered, sorted(vec![mine, shared]));
         assert_eq!(hers, [mine]);
+    }
+
+    #[test]
+    fn every_pass_hands_its_scratch_back_all_zero() {
+        // Groups lost in their bitmap (cleared bin by bin) and groups that
+        // fill it (cleared by a sweep), decodes that succeed and that fail.
+        // (|A|, d planned, d actual)
+        for (size, d_planned, d_actual) in [(6u64, 1, 2), (40, 2, 3), (900, 5, 4), (900, 2, 80)] {
+            let (cfg, params) = params_for(d_planned);
+            let alice: Vec<u64> = (1..=size).map(|x| x * 7919).collect();
+            let bob = &alice[d_actual..];
+            let mut a = AliceSession::new(cfg, params, &alice, 3);
+            let b = BobSession::new(cfg, params, bob, 3);
+            let mut scratch = GroupScratch::new(params.n as u64);
+            let clean = |s: &GroupScratch| {
+                let dense = [&s.parity, &s.wanted, &s.xor_by_bin];
+                dense.iter().all(|v| v.iter().all(|&w| w == 0))
+            };
+            let sketches = a.start_rounds(2);
+            let reports: Vec<GroupReport> = sketches
+                .iter()
+                .map(|msg| {
+                    let report = b.compute_report(msg, &mut scratch);
+                    assert!(
+                        clean(&scratch),
+                        "Bob, |A| = {size}, session {}",
+                        msg.session
+                    );
+                    report
+                })
+                .collect();
+            let failed = |r: &GroupReport| r.body == GroupReportBody::DecodeFailed;
+            assert_eq!(reports.iter().any(failed), d_actual == 80);
+            a.apply_reports(&reports);
+            assert!(clean(&a.scratch), "Alice, |A| = {size}");
+        }
     }
 
     #[test]

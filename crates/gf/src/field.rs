@@ -929,6 +929,19 @@ impl Field {
         cur
     }
 
+    /// Discrete logarithm of `a` to the base [`Field::generator`]: `Some(i)`
+    /// with `g^i = a` and `i < 2^m − 1` when the field is table-backed and
+    /// `a` is nonzero, `None` otherwise. A root the stepping Chien search
+    /// reports at step `i` has logarithm `i`, so a caller that finds roots
+    /// another way can still return them in Chien order.
+    pub fn log(&self, a: u64) -> Option<u32> {
+        self.check(a);
+        if self.backend != Backend::Tables || a == 0 {
+            return None;
+        }
+        Some(self.log[a as usize])
+    }
+
     /// Stepping Chien search over a table-backed field: find up to
     /// `max_roots` roots of the polynomial with ascending coefficients
     /// `coeffs`, scanning candidates in generator-power order `g^0, g^1, …`.
@@ -940,24 +953,42 @@ impl Field {
     /// multiply. Returns `None` when the field has no tables (large fields
     /// use the Berlekamp trace algorithm instead).
     pub fn chien_search(&self, coeffs: &[u64], max_roots: usize) -> Option<Vec<u64>> {
+        let (mut terms, mut roots) = (Vec::new(), Vec::new());
+        self.chien_search_into(coeffs, max_roots, &mut terms, &mut roots)
+            .then_some(roots)
+    }
+
+    /// [`Field::chien_search`] out of caller-owned buffers: `terms` is the
+    /// running-term workspace, `roots` receives the roots (both are cleared
+    /// first). Returns `false`, leaving `roots` empty, when the field has no
+    /// tables.
+    pub fn chien_search_into(
+        &self,
+        coeffs: &[u64],
+        max_roots: usize,
+        terms: &mut Vec<(u32, u32)>,
+        roots: &mut Vec<u64>,
+    ) -> bool {
+        terms.clear();
+        roots.clear();
         if self.backend != Backend::Tables {
-            return None;
+            return false;
         }
         let group = (self.order - 1) as u32;
         // One (step, log) pair per nonzero coefficient: the term for x^j
         // starts at log(c_j) and advances by j per candidate.
-        let mut terms: Vec<(u32, u32)> = coeffs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(j, &c)| {
-                self.check(c);
-                ((j as u64 % group as u64) as u32, self.log[c as usize])
-            })
-            .collect();
-        let mut roots = Vec::new();
+        terms.extend(
+            coeffs
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c != 0)
+                .map(|(j, &c)| {
+                    self.check(c);
+                    ((j as u64 % group as u64) as u32, self.log[c as usize])
+                }),
+        );
         if terms.is_empty() || max_roots == 0 {
-            return Some(roots);
+            return true;
         }
         for i in 0..group {
             let mut acc = 0u64;
@@ -975,7 +1006,7 @@ impl Field {
                 t.1 = if next >= group { next - group } else { next };
             }
         }
-        Some(roots)
+        true
     }
 
     /// Iterator over all nonzero field elements (1 ..= 2^m - 1).

@@ -14,8 +14,12 @@
 //! minus its first `K` elements — an instant end-to-end smoke test.
 //! `--store NAME` addresses one of a multi-store server's named sets;
 //! `--pipeline L` packs `L` protocol rounds into each round trip, and
-//! `--pipeline auto` lets the session resize the depth per trip from the
-//! previous trip's verification rate.
+//! `--pipeline auto` lets the session price each trip's speculative layers
+//! against the sketch bytes it has already sent: a dense first trip goes
+//! out once, the sparse trips after it (and any trip that fits one TCP
+//! segment) are pipelined up to the server's grant. It saves round trips
+//! per byte, not round trips at any price; the `rounds:` line prints what
+//! was speculated and how much of it was used.
 //!
 //! `--since EPOCH` asks the server for a **delta subscription**: if the
 //! store's changelog still covers that epoch the server streams exactly
@@ -71,7 +75,11 @@ fn usage() -> ! {
          [--store NAME] [--pipeline L|auto] \
          [--since EPOCH | --epoch-cache FILE] [--follow] \
          [--retry N [--retry-base-ms MS]] \
-         [--d D] [--seed S] [--quiet]"
+         [--d D] [--seed S] [--quiet]\n\
+         \x20 --pipeline L     L rounds a round trip: fewer trips for L x the bytes\n\
+         \x20 --pipeline auto  speculate only where it is cheap (a trip's extra layers cost\n\
+         \x20                  <= one TCP segment or 1/8 of the sketch bytes already sent):\n\
+         \x20                  fewest round trips per byte, not fewest at any price"
     );
     std::process::exit(2);
 }
@@ -332,6 +340,10 @@ fn main() {
             .map(|d| format!(" (d̂ = {d:.1})"))
             .unwrap_or_default(),
         report.verified,
+    );
+    println!(
+        "pbs-sync: rounds: {} layers in {} trips; {} group-layers speculated, {} of them unused",
+        report.rounds, report.round_trips, report.speculative_layers, report.speculative_unused,
     );
     if let Some(epoch) = report.epoch {
         println!("pbs-sync: epoch baseline {epoch} established");

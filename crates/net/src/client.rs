@@ -50,11 +50,16 @@ pub enum Pipeline {
     /// default 4).
     Depth(u32),
     /// Adaptive depth: request the server's full grant in the handshake,
-    /// start the session at the granted depth, then resize every trip from
-    /// the previous trip's layer-verification rate
-    /// ([`pbs_core::AliceSession::next_pipeline_depth`] — deepen toward the
-    /// grant while every layer decodes, back off toward 1 while most
-    /// fail). `pbs-sync --pipeline auto`.
+    /// then price every trip's speculation before sending it
+    /// ([`pbs_core::AliceSession::next_pipeline_depth`]): as many layers,
+    /// up to the grant, as cost no more than one TCP segment or an eighth
+    /// of the sketch bytes the session has already sent. It optimises
+    /// round trips *per byte*: a small difference (d ≲ 200) still ends in
+    /// one trip at the full grant; a large one sends its dense first trip
+    /// once, as the paper does, and pipelines only the sparse trips after
+    /// it — one or two trips fewer than `Depth(1)` for a few percent more
+    /// bytes, where a fixed depth k pays k × the bytes and Bob's decode
+    /// time to save the same trips. `pbs-sync --pipeline auto`.
     Auto,
 }
 
@@ -256,6 +261,15 @@ pub struct SyncReport {
     /// Sketch/report round trips spent — equals `rounds` unless rounds
     /// were pipelined.
     pub round_trips: u32,
+    /// Group-layers sent beyond each trip's first: what pipelining
+    /// speculated, in sketches (zero at [`Pipeline::Depth`]`(1)`).
+    pub speculative_layers: u64,
+    /// Those of [`SyncReport::speculative_layers`] that came back to a
+    /// group an earlier layer of the same trip had already verified — the
+    /// speculation that bought nothing. `unused / layers` near 1 with
+    /// `round_trips` no lower than an unpipelined run's says the depth is
+    /// too high for this workload.
+    pub speculative_unused: u64,
     /// The difference cardinality the session was parameterized with.
     pub d_param: u64,
     /// The raw ToW estimate, when the estimator exchange ran.

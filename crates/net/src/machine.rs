@@ -409,7 +409,13 @@ impl<'a> ClientMachine<'a> {
                 Ok(Step::end_of(Phase::Estimate))
             }
             (State::AwaitReports, Frame::Reports(reports)) => {
-                let alice = self.alice.as_mut().expect("the round loop has a session");
+                // `AwaitReports` is only ever entered by sending sketches,
+                // which builds the session.
+                let Some(alice) = self.alice.as_mut() else {
+                    return Err(NetError::Protocol(
+                        "Reports arrived before any sketches were sent".into(),
+                    ));
+                };
                 let status = alice.apply_reports(&reports);
                 if !status.all_verified && alice.round() < self.config.round_cap {
                     self.state = State::OweSketches;
@@ -532,8 +538,8 @@ impl<'a> ClientMachine<'a> {
         };
         // Pipelined: one frame speculatively carries the next `layers`
         // rounds' sketches; the server answers every layer in one reply.
-        // In auto mode the depth is re-picked every trip from the previous
-        // trip's layer-verification rate, never above the grant.
+        // In auto mode the session prices the speculative layers of every
+        // trip against what it has already sent, never above the grant.
         let depth = match config.pipeline {
             Pipeline::Auto => alice.next_pipeline_depth(self.depth),
             Pipeline::Depth(_) => self.depth,
@@ -553,6 +559,8 @@ impl<'a> ClientMachine<'a> {
         if let Some(alice) = self.alice.take() {
             self.report.rounds = alice.round();
             self.report.round_trips = alice.round_trips();
+            self.report.speculative_layers = alice.speculative_layers();
+            self.report.speculative_unused = alice.speculative_unused();
             (self.report.recovered, pushed) = alice.into_recovered_and_mine();
         }
         // The transfer is a single frame of packed elements; give an

@@ -292,6 +292,31 @@ impl ServerMachine {
                         format!("sketch shape mismatch: negotiated m={m} t={t}"),
                     ));
                 }
+                // The layer count above is what the caps charge, but the
+                // work is per sketch — a group re-sketch and a decode each.
+                // An honest layer holds one sketch per session at most, so
+                // hold the frame to that before decoding anything: no more
+                // sketches than layers × sessions, no (session, round) twice.
+                let sessions = bob.session_count();
+                if batch.len() as u64 > layers as u64 * sessions as u64 {
+                    return Err(refuse(
+                        ErrorCode::BadConfig,
+                        format!(
+                            "{} sketches exceed {layers} layers of {sessions} sessions",
+                            batch.len()
+                        ),
+                    ));
+                }
+                let mut pairs: Vec<(u64, u32)> =
+                    batch.iter().map(|s| (s.session, s.round)).collect();
+                pairs.sort_unstable();
+                if let Some(twice) = pairs.windows(2).find(|w| w[0] == w[1]) {
+                    let (session, round) = twice[0];
+                    return Err(refuse(
+                        ErrorCode::BadConfig,
+                        format!("session {session:#x} sketched twice in round {round}"),
+                    ));
+                }
                 let failures = bob.decode_failures();
                 let reports = bob.handle_sketches(&batch);
                 let failures = (bob.decode_failures() - failures) as u64;
@@ -877,6 +902,38 @@ mod tests {
         let mut duet = in_rounds(defaults());
         duet.deliver(sketches(&set, 4_000, 1));
         assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+
+        // One (session, round) sketched twice — a "one-layer" frame that
+        // would buy a second decode of the group; more sketches than the
+        // layers it names have sessions, by cycling rounds over one id.
+        // Both refused before anything is decoded.
+        let Frame::Sketches { m, batch } = sketches(&set, 10, 2) else {
+            unreachable!()
+        };
+        let per_layer = batch.len() / 2;
+        let mut duet = in_rounds(defaults());
+        let mut twice = batch[..per_layer].to_vec();
+        twice.push(batch[0].clone());
+        duet.deliver(Frame::Sketches { m, batch: twice });
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+        let mut duet = in_rounds(defaults());
+        let sessions = per_layer as u64;
+        let padded = (0..2 * sessions + 1).map(|i| pbs_core::messages::GroupSketch {
+            session: 1 + i / 2,
+            round: 1 + (i % 2) as u32,
+            ..batch[0].clone()
+        });
+        let mut padded: Vec<_> = padded.collect();
+        padded[2 * per_layer].session = u64::MAX; // an id Bob does not hold
+        duet.deliver(Frame::Sketches { m, batch: padded });
+        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
+        let stats = duet.res.stats.snapshot();
+        assert_eq!((stats.rounds, stats.round_trips), (0, 0), "nothing ran");
+        // The honest two-layer frame they were cut from is served.
+        let mut duet = in_rounds(defaults());
+        duet.deliver(Frame::Sketches { m, batch });
+        assert!(matches!(duet.inbox.pop_front(), Some(Frame::Reports(_))));
+        assert_eq!(duet.closed, None);
 
         // A final transfer over the cap; one that would poison the store.
         let mut duet = in_rounds(ServerConfig {

@@ -155,6 +155,29 @@ fn valid_streams(client_set: &[u64], d: u64) -> Vec<Vec<Vec<u8>>> {
                 batch: vec![],
             },
         ]),
+        // A round that sketches one (session, round) twice, and one that
+        // pads its single layer past the sessions the server holds: each
+        // would buy decodes the layer count does not charge for, and must
+        // be refused before any of them runs.
+        encode(&[Frame::Hello(hello()), {
+            let Frame::Sketches { m, mut batch } = sketch_round(1) else {
+                unreachable!()
+            };
+            batch.push(batch[0].clone());
+            Frame::Sketches { m, batch }
+        }]),
+        encode(&[Frame::Hello(hello()), {
+            let Frame::Sketches { m, mut batch } = sketch_round(1) else {
+                unreachable!()
+            };
+            for i in 0..3 {
+                batch.push(pbs_core::messages::GroupSketch {
+                    session: 0xBAD0_0000 + i,
+                    ..batch[0].clone()
+                });
+            }
+            Frame::Sketches { m, batch }
+        }]),
         // Hellos from other protocol versions, stale and future, each
         // followed by a round the peer will never get to run: the first
         // one is refused with the typed version error.
@@ -284,9 +307,9 @@ fn fuzzed_streams_never_break_the_server() {
 
     // Sanity: the first four seed streams complete cleanly unmutated; the
     // rest — the protocol-violating stream, the degenerate-shape streams
-    // (zero-cell Hello parameters, empty sketch batch) and the
-    // wrong-version Hellos — must be refused with an Error frame (not a
-    // crash, not a hang).
+    // (zero-cell Hello parameters, empty sketch batch), the over-full
+    // sketch batches and the wrong-version Hellos — must be refused with
+    // an Error frame (not a crash, not a hang).
     for (i, stream) in streams.iter().enumerate() {
         let outcome = replay(addr, &stream.concat());
         if i < 4 {
