@@ -77,10 +77,21 @@ const SPLIT_SALT: u64 = 0x3_5711;
 /// explains why a three-way split is preferred over a two-way split).
 const SPLIT_WAYS: u64 = 3;
 
-/// Largest parity-bitmap length handled with dense per-bin state (a parity
-/// bitset, and `8n` bytes of XOR accumulators where a party needs them);
-/// larger `n` falls back to position vectors and small hash maps.
-const DENSE_LIMIT: u64 = 1 << 22;
+/// Largest parity-bitmap length a session runs. Per-bin state is dense (a
+/// parity bitset, and `8n` bytes of XOR accumulators where a party needs
+/// them); the planner's largest `n` is 2²⁰ − 1.
+const MAX_BINS: u64 = 1 << 22;
+
+/// The session's BCH codec; both constructors state the [`MAX_BINS`] bound
+/// here.
+fn session_codec(params: &OptimalParams) -> BchCodec {
+    assert!(
+        params.n as u64 <= MAX_BINS,
+        "a parity bitmap of {} bins exceeds the {MAX_BINS} a session runs",
+        params.n
+    );
+    BchCodec::new(params.m, params.t)
+}
 
 fn bin_seed(base: u64, session: SessionId, round: u32) -> u64 {
     derive_seed(derive_seed(base, session), ROUND_SALT + round as u64)
@@ -113,10 +124,9 @@ struct GroupScratch {
 }
 
 impl GroupScratch {
-    /// Scratch for `n`-bin parity bitmaps; above [`DENSE_LIMIT`] the dense
-    /// arrays stay empty and nothing indexes them.
+    /// Scratch for `n`-bin parity bitmaps.
     fn new(n: u64) -> Self {
-        let bins = if n <= DENSE_LIMIT { n as usize + 1 } else { 0 };
+        let bins = n as usize + 1;
         GroupScratch {
             parity: vec![0; bins.div_ceil(64)],
             wanted: vec![0; bins.div_ceil(64)],
@@ -135,8 +145,7 @@ impl GroupScratch {
 /// toggles a dense parity bitset (`parity`, all-zero on entry and on
 /// return) and the syndrome kernel then runs over at most
 /// `min(n, |elements|)` odd bins — exactly the parity bitmap the scheme is
-/// named for (§2.2.1). Above [`DENSE_LIMIT`] the positions go to the kernel
-/// as they are. The kernel is [`BchCodec::sketch_slice`]: the XOR of the
+/// named for (§2.2.1). The kernel is [`BchCodec::sketch_slice`]: the XOR of the
 /// bins' precomputed syndrome columns at every `n` PBS plans, a ladder of
 /// `t` multiplications per bin on a field too large for a table.
 fn parity_sketch(
@@ -148,25 +157,17 @@ fn parity_sketch(
     mut each: impl FnMut(usize, u64),
 ) -> Sketch {
     positions.clear();
-    if hasher.bins() <= DENSE_LIMIT {
-        for &e in elements {
-            let p = hasher.position(e) as usize;
-            each(p, e);
-            parity[p / 64] ^= 1u64 << (p % 64);
+    for &e in elements {
+        let p = hasher.position(e) as usize;
+        each(p, e);
+        parity[p / 64] ^= 1u64 << (p % 64);
+    }
+    for (w, word) in parity.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            positions.push((w * 64) as u64 + bits.trailing_zeros() as u64);
+            bits &= bits - 1;
         }
-        for (w, word) in parity.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                positions.push((w * 64) as u64 + bits.trailing_zeros() as u64);
-                bits &= bits - 1;
-            }
-        }
-    } else {
-        positions.extend(elements.iter().map(|&e| {
-            let p = hasher.position(e);
-            each(p as usize, e);
-            p
-        }));
     }
     codec.sketch_slice(positions)
 }
@@ -322,7 +323,7 @@ pub struct AliceSession {
 impl AliceSession {
     /// Create Alice's session state from her set.
     pub fn new(cfg: PbsConfig, params: OptimalParams, elements: &[u64], seed: u64) -> Self {
-        let codec = BchCodec::new(params.m, params.t);
+        let codec = session_codec(&params);
         let group_hasher = PartitionHasher::new(params.groups as u64, group_seed(seed));
         let groups = group_hasher
             .partition(elements)
@@ -651,42 +652,27 @@ impl AliceSession {
         // one partition hash and two array probes per element, and reading
         // the sums back is O(bins). Bins outside `1..=n` (impossible from
         // an honest decode, reachable through the wire format) accumulate
-        // nothing. Very large `n` keeps a map of the reported bins.
+        // nothing.
         let n = self.params.n as u64;
         let hasher = PartitionHasher::new(n, layer_seed);
         let mut residents: Vec<(u64, usize)> = Vec::new();
         let GroupScratch {
             wanted, xor_by_bin, ..
         } = &mut self.scratch;
-        let mut by_bin: HashMap<u64, u64> = HashMap::new();
-        if n <= DENSE_LIMIT {
-            for b in bins {
-                if b.position <= n {
-                    wanted[b.position as usize / 64] |= 1u64 << (b.position % 64);
-                }
+        for b in bins {
+            if b.position <= n {
+                wanted[b.position as usize / 64] |= 1u64 << (b.position % 64);
             }
-            for (index, &e) in group.elements.iter().enumerate() {
-                let p = hasher.position(e) as usize;
-                if wanted[p / 64] >> (p % 64) & 1 == 1 {
-                    xor_by_bin[p] ^= e;
-                    residents.push((e, index));
-                }
-            }
-        } else {
-            by_bin.extend(bins.iter().map(|b| (b.position, 0)));
-            for (index, &e) in group.elements.iter().enumerate() {
-                let p = hasher.position(e);
-                if let Some(slot) = by_bin.get_mut(&p) {
-                    *slot ^= e;
-                    residents.push((e, index));
-                }
+        }
+        for (index, &e) in group.elements.iter().enumerate() {
+            let p = hasher.position(e) as usize;
+            if wanted[p / 64] >> (p % 64) & 1 == 1 {
+                xor_by_bin[p] ^= e;
+                residents.push((e, index));
             }
         }
         // Alice's XOR sum of a reported bin, as it stood before this report.
-        let alice_xor = |position: u64| match by_bin.get(&position) {
-            Some(&xor) => xor,
-            None => xor_by_bin.get(position as usize).copied().unwrap_or(0),
-        };
+        let alice_xor = |position: u64| xor_by_bin.get(position as usize).copied().unwrap_or(0);
         // Procedure 3 forces a candidate to hash to the bin it was reported
         // in, so if Alice holds it, it is one of these residents: sorted,
         // they decide membership without a lookup structure over the
@@ -833,7 +819,7 @@ impl BobSession {
     /// XOR parity bitmap but count twice in the *additive* group checksum,
     /// leaving a group that can never verify no matter how often it splits.
     pub fn new(cfg: PbsConfig, params: OptimalParams, elements: &[u64], seed: u64) -> Self {
-        let codec = BchCodec::new(params.m, params.t);
+        let codec = session_codec(&params);
         let group_hasher = PartitionHasher::new(params.groups as u64, group_seed(seed));
         let groups = group_hasher
             .partition(elements)
@@ -934,8 +920,7 @@ impl BobSession {
     /// BCH-decoded, all out of the worker's `scratch`. The same pass keeps
     /// the scratch's dense XOR accumulator per bin, so the XOR sums of the
     /// differing bins are read back in O(bins), and zeroes it again
-    /// afterwards; above [`DENSE_LIMIT`] a second pass sums the decoded
-    /// bins only.
+    /// afterwards.
     fn compute_report(&self, msg: &GroupSketch, scratch: &mut GroupScratch) -> GroupReport {
         // Unknown session: treat as empty (can only happen if Alice has a
         // group Bob's partition left empty — the decode still works).
@@ -953,49 +938,25 @@ impl BobSession {
             ..
         } = scratch;
 
-        // The dense arrays are empty above `DENSE_LIMIT`, where the pass
-        // accumulates nothing.
         let mut sketch =
             parity_sketch(&self.codec, &hasher, elements, parity, positions, |p, e| {
-                if let Some(xor) = xor_by_bin.get_mut(p) {
-                    *xor ^= e;
-                }
+                xor_by_bin[p] ^= e;
             });
         // Combine with Alice's sketch: the result is the sketch of the
         // positions where the two parity bitmaps differ.
         sketch.combine(&msg.sketch);
         let body = match self.codec.decode_with(&sketch, decode) {
             Err(_) => GroupReportBody::DecodeFailed,
-            Ok(differing) => {
-                let bins = if n <= DENSE_LIMIT {
-                    let xor_sum = |p: u64| xor_by_bin.get(p as usize).copied().unwrap_or(0);
-                    differing
-                        .iter()
-                        .map(|&position| BinInfo {
-                            position,
-                            xor_sum: xor_sum(position),
-                        })
-                        .collect()
-                } else {
-                    let mut wanted: HashMap<u64, u64> = differing.iter().map(|&p| (p, 0)).collect();
-                    for &e in elements {
-                        if let Some(xor) = wanted.get_mut(&hasher.position(e)) {
-                            *xor ^= e;
-                        }
-                    }
-                    differing
-                        .iter()
-                        .map(|&position| BinInfo {
-                            position,
-                            xor_sum: wanted[&position],
-                        })
-                        .collect()
-                };
-                GroupReportBody::Decoded {
-                    bins,
-                    checksum: msg.needs_checksum.then_some(checksum),
-                }
-            }
+            Ok(differing) => GroupReportBody::Decoded {
+                bins: differing
+                    .iter()
+                    .map(|&position| BinInfo {
+                        position,
+                        xor_sum: xor_by_bin.get(position as usize).copied().unwrap_or(0),
+                    })
+                    .collect(),
+                checksum: msg.needs_checksum.then_some(checksum),
+            },
         };
         // Leave the accumulators all-zero in O(min(n, |group|)): a sweep for
         // a group that fills its bitmap, bin by bin for one that is lost in
@@ -1231,40 +1192,31 @@ mod tests {
         // the per-element encoder), every report batch and the final state
         // must agree. Planning for `d_planned` while the true difference is
         // `d_actual` covers clean decodes (`d_actual` small) and forced
-        // decode failures with §3.2 splits (`d_actual` ≫ `d_planned`); a
-        // field degree of 23 puts n above `DENSE_LIMIT`, the fallback path
-        // of every kernel; more than one layer a trip brings in the batch
-        // rules — `c(B_i)` once per session, on its first decoded layer.
-        // (|A|, d_planned, d_actual, seed, field degree override, layers)
-        let cases: [(usize, usize, usize, u64, Option<u32>, u32); 18] = [
-            (1000, 5, 300, 21, None, 1),
-            (50, 1, 0, 0x01, None, 1),
-            (64, 11, 1, 0xD1CE, None, 1),
-            (97, 3, 40, 0xFEED_FACE, None, 1),
-            (130, 7, 7, 0x1234_5678_9ABC_DEF0, None, 1),
-            (180, 1, 79, u64::MAX, None, 1),
-            (222, 12, 60, 0x0BAD_5EED, None, 1),
-            (260, 2, 25, 42, None, 1),
-            (301, 9, 3, 0x7777, None, 1),
-            (350, 4, 70, 0xA5A5_A5A5, None, 1),
-            (399, 6, 12, 7, None, 1),
-            (399, 1, 50, 8, None, 1),
-            (300, 5, 4, 0x23, Some(23), 1),
-            (300, 2, 30, 0x2323, Some(23), 1),
-            (1000, 5, 300, 21, None, 3),
-            (2000, 60, 60, 0x51, None, 2),
-            (350, 4, 70, 0xA5A5_A5A5, None, 4),
-            (300, 2, 30, 0x2323, Some(23), 2),
+        // decode failures with §3.2 splits (`d_actual` ≫ `d_planned`); more
+        // than one layer a trip brings in the batch rules — `c(B_i)` once
+        // per session, on its first decoded layer.
+        // (|A|, d_planned, d_actual, seed, layers)
+        let cases: [(usize, usize, usize, u64, u32); 15] = [
+            (1000, 5, 300, 21, 1),
+            (50, 1, 0, 0x01, 1),
+            (64, 11, 1, 0xD1CE, 1),
+            (97, 3, 40, 0xFEED_FACE, 1),
+            (130, 7, 7, 0x1234_5678_9ABC_DEF0, 1),
+            (180, 1, 79, u64::MAX, 1),
+            (222, 12, 60, 0x0BAD_5EED, 1),
+            (260, 2, 25, 42, 1),
+            (301, 9, 3, 0x7777, 1),
+            (350, 4, 70, 0xA5A5_A5A5, 1),
+            (399, 6, 12, 7, 1),
+            (399, 1, 50, 8, 1),
+            (1000, 5, 300, 21, 3),
+            (2000, 60, 60, 0x51, 2),
+            (350, 4, 70, 0xA5A5_A5A5, 4),
         ];
         let mut repeats_stripped = 0;
-        for (size, d_planned, d_actual, seed, m, layers) in cases {
-            let case =
-                format!("case ({size}, {d_planned}, {d_actual}, {seed:#x}, {m:?}, {layers})");
-            let (cfg, mut params) = params_for(d_planned);
-            if let Some(m) = m {
-                (params.m, params.n) = (m, (1 << m) - 1);
-                assert!(params.n as u64 > DENSE_LIMIT);
-            }
+        for (size, d_planned, d_actual, seed, layers) in cases {
+            let case = format!("case ({size}, {d_planned}, {d_actual}, {seed:#x}, {layers})");
+            let (cfg, params) = params_for(d_planned);
             let alice: Vec<u64> = (1..=size as u64)
                 .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 | 1)
                 .collect();
@@ -1671,6 +1623,16 @@ mod tests {
             a.apply_reports(&reports);
             assert!(clean(&a.scratch), "Alice, |A| = {size}");
         }
+    }
+
+    #[test]
+    fn a_bitmap_longer_than_the_bound_is_refused_at_construction() {
+        // Per-bin state is dense; the planner stops at n = 2²⁰ − 1.
+        let (cfg, mut params) = params_for(5);
+        (params.m, params.n) = (23, (1 << 23) - 1);
+        let alice = std::panic::catch_unwind(|| AliceSession::new(cfg, params, &[1, 2], 1));
+        let bob = std::panic::catch_unwind(|| BobSession::new(cfg, params, &[1, 2], 1));
+        assert!(alice.is_err() && bob.is_err());
     }
 
     #[test]

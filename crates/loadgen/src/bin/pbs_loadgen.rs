@@ -87,8 +87,8 @@ fn parse_args() -> Args {
         let mut value = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--target" => args.target = Some(value()),
-            "--range" => args.range = value().parse().ok(),
-            "--self-host" => args.self_host = value().parse().ok(),
+            "--range" => args.range = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--self-host" => args.self_host = Some(value().parse().unwrap_or_else(|_| usage())),
             "--sessions" => args.sessions = value().parse().unwrap_or_else(|_| usage()),
             "--rate" => args.rate = value().parse().unwrap_or_else(|_| usage()),
             "--mix" => args.mix = Mix::parse(&value()).unwrap_or_else(|| usage()),

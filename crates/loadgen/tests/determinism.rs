@@ -109,3 +109,15 @@ fn binary_prints_the_seed_and_replays_the_offered_side() {
     assert_eq!(plan.len(), 60);
     assert!(plan.iter().any(|a| a.kind == Kind::Subscribe));
 }
+
+/// A numeric flag value that does not parse is a usage error, not "unset".
+#[test]
+fn a_malformed_numeric_flag_is_a_usage_error() {
+    let output = Command::new(env!("CARGO_BIN_EXE_pbs-loadgen"))
+        .args(["--self-host", "64x", "--sessions", "5"])
+        .output()
+        .expect("run pbs-loadgen");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}

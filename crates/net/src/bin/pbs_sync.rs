@@ -46,6 +46,8 @@
 //! final delta — resumes exactly where it stopped.
 //! The process exits 0 when the server closes the stream (shutdown) and
 //! non-zero when the subscription fails or is evicted.
+//!
+//! A numeric flag whose value does not parse is a usage error (exit 2).
 
 use pbs_net::client::{sync_with_retry, ClientConfig, Pipeline, RetryPolicy, SyncClient};
 use pbs_net::setio;
@@ -107,23 +109,23 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--connect" => args.connect = value(),
             "--set-file" => args.set_file = Some(PathBuf::from(value())),
-            "--range" => args.range = value().parse().ok(),
-            "--drop" => args.drop = value().parse().unwrap_or(0),
+            "--range" => args.range = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--drop" => args.drop = value().parse().unwrap_or_else(|_| usage()),
             "--store" => args.store = value(),
             "--pipeline" => {
                 let v = value();
                 args.pipeline = if v == "auto" {
                     Pipeline::Auto
                 } else {
-                    Pipeline::Depth(v.parse().unwrap_or(1))
+                    Pipeline::Depth(v.parse().unwrap_or_else(|_| usage()))
                 };
             }
-            "--since" => args.since = value().parse().ok(),
+            "--since" => args.since = Some(value().parse().unwrap_or_else(|_| usage())),
             "--epoch-cache" => args.epoch_cache = Some(PathBuf::from(value())),
-            "--retry" => args.retry = value().parse().unwrap_or(1),
-            "--retry-base-ms" => args.retry_base_ms = value().parse().unwrap_or(100),
-            "--d" => args.d = value().parse().ok(),
-            "--seed" => args.seed = value().parse().unwrap_or(0xA11CE),
+            "--retry" => args.retry = value().parse().unwrap_or_else(|_| usage()),
+            "--retry-base-ms" => args.retry_base_ms = value().parse().unwrap_or_else(|_| usage()),
+            "--d" => args.d = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--quiet" => args.quiet = true,
             "--follow" => args.follow = true,
             _ => usage(),
@@ -275,12 +277,9 @@ fn main() {
         );
     }
 
-    // Persist the new epoch baseline for the next run's delta subscription
-    // — atomically, so a crash mid-write can never leave a torn baseline.
-    if let (Some(path), Some(epoch)) = (&args.epoch_cache, report.epoch) {
-        if let Err(e) = setio::write_file_atomic(path, format!("{epoch}\n").as_bytes()) {
-            eprintln!("pbs-sync: cannot write {}: {e}", path.display());
-        }
+    // Persist the new epoch baseline for the next run's delta subscription.
+    if let Some(epoch) = report.epoch {
+        write_epoch_cache(&args, epoch);
     }
 
     if let Some(delta) = &report.delta {

@@ -26,29 +26,30 @@
 //!   applied to its store as an epoch-stamped change batch between
 //!   sessions, and new files become new stores without a restart.
 //!
-//! Watched stores serve the **delta-subscription** path: a returning
-//! client carrying the epoch of its previous sync receives exactly the
-//! changes since it. `--changelog-cap N` sets how many change batches each
-//! watched store retains (default 1024) — a client older than the retained
-//! window is told to run a full reconciliation instead; 0 disables the
-//! delta feed entirely.
+//! Every store — default, named, watched — is a
+//! [`pbs_net::store::MutableStore`] and serves the **delta-subscription**
+//! path: a returning client carrying the epoch of its previous sync
+//! receives exactly the changes since it. `--changelog-cap N` sets how many
+//! change batches each store retains (default 1024) — a client older than
+//! the retained window is told to run a full reconciliation instead; 0
+//! disables the delta feed entirely.
 //!
-//! **Durability** (`--data-dir DIR`): every store — default, named, and
-//! watched — becomes a persistent [`pbs_net::store::MutableStore`]: effective change
-//! batches are written ahead to a per-store WAL under `DIR` before memory
-//! is mutated, compacted into snapshots every `--snapshot-every` batches,
-//! and recovered (tolerating torn WAL tails) on restart, so store epochs
-//! continue exactly where they left off and surviving client
-//! `--epoch-cache` baselines stay warm. Without `--data-dir` everything is
-//! in-memory, as before.
+//! **Durability** (`--data-dir DIR`): every store becomes persistent:
+//! effective change batches are written ahead to a per-store WAL under
+//! `DIR` before memory is mutated, compacted into snapshots every
+//! `--snapshot-every` batches, and recovered (tolerating torn WAL tails) on
+//! restart, so store epochs continue exactly where they left off and
+//! surviving client `--epoch-cache` baselines stay warm. Without
+//! `--data-dir` everything is in-memory and starts over at epoch 0.
 //!
-//! Watched and durable stores also serve **live subscriptions**: a
-//! client that sends a `Subscribe` frame after its delta catch-up stays
-//! connected and has every further change batch pushed to it as the store
-//! mutates (`pbs-sync --follow`). `--event-workers W` (alias: `--workers`)
-//! sizes the event-loop worker pool each connection is multiplexed onto;
-//! `--max-subscribers N` caps concurrently parked subscribers
-//! server-wide.
+//! Every store also serves **live subscriptions**: a client that sends a
+//! `Subscribe` frame after its delta catch-up stays connected and has
+//! every further change batch pushed to it as the store mutates
+//! (`pbs-sync --follow`). `--event-workers W` sizes the event-loop worker
+//! pool each connection is multiplexed onto; `--max-subscribers N` caps
+//! concurrently parked subscribers server-wide.
+//!
+//! A numeric flag whose value does not parse is a usage error (exit 2).
 //!
 //! **Anti-entropy mesh** (`--anti-entropy PEER[,PEER…]`): the node also
 //! takes the *client role*, periodically reconciling every local store
@@ -78,10 +79,9 @@ use pbs_net::client::ClientConfig;
 use pbs_net::mesh::{MeshConfig, MeshDriver};
 use pbs_net::server::{Server, ServerConfig};
 use pbs_net::setio;
-use pbs_net::store::{InMemoryStore, SetStore, StoreOptions, StoreRegistry};
+use pbs_net::store::StoreRegistry;
 use pbs_net::wal::{DurableOptions, DEFAULT_SNAPSHOT_EVERY};
 use pbs_net::watch::DirWatcher;
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -159,7 +159,7 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--listen" => args.listen = value(),
             "--set-file" => args.set_file = Some(PathBuf::from(value())),
-            "--range" => args.range = value().parse().ok(),
+            "--range" => args.range = Some(value().parse().unwrap_or_else(|_| usage())),
             "--store" => {
                 let spec = value();
                 let Some((name, source)) = spec.split_once('=') else {
@@ -168,24 +168,20 @@ fn parse_args() -> Args {
                 args.stores.push((name.to_string(), source.to_string()));
             }
             "--watch-dir" => args.watch_dir = Some(PathBuf::from(value())),
-            "--watch-every" => args.watch_every = value().parse().unwrap_or(5),
-            "--changelog-cap" => {
-                args.changelog_cap = value()
-                    .parse()
-                    .unwrap_or(pbs_net::store::DEFAULT_CHANGELOG_CAPACITY)
-            }
+            "--watch-every" => args.watch_every = value().parse().unwrap_or_else(|_| usage()),
+            "--changelog-cap" => args.changelog_cap = value().parse().unwrap_or_else(|_| usage()),
             "--data-dir" => args.data_dir = Some(PathBuf::from(value())),
-            "--snapshot-every" => {
-                args.snapshot_every = value().parse().unwrap_or(DEFAULT_SNAPSHOT_EVERY)
-            }
+            "--snapshot-every" => args.snapshot_every = value().parse().unwrap_or_else(|_| usage()),
             "--fsync" => args.fsync = true,
-            // --workers predates the event loop; both spellings size the
-            // same event-loop worker pool.
-            "--event-workers" | "--workers" => args.workers = value().parse().ok(),
-            "--max-subscribers" => args.max_subscribers = value().parse().ok(),
-            "--round-cap" => args.round_cap = value().parse().ok(),
-            "--max-pipeline" => args.max_pipeline = value().parse().ok(),
-            "--stats-every" => args.stats_every = value().parse().unwrap_or(30),
+            "--event-workers" => args.workers = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--max-subscribers" => {
+                args.max_subscribers = Some(value().parse().unwrap_or_else(|_| usage()))
+            }
+            "--round-cap" => args.round_cap = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--max-pipeline" => {
+                args.max_pipeline = Some(value().parse().unwrap_or_else(|_| usage()))
+            }
+            "--stats-every" => args.stats_every = value().parse().unwrap_or_else(|_| usage()),
             "--admin" => args.admin = Some(value()),
             "--log" => args.log = Some(value()),
             "--trace-sample" => args.trace_sample = value().parse().unwrap_or_else(|_| usage()),
@@ -224,39 +220,21 @@ fn load_spec(name: &str, spec: &str) -> Vec<u64> {
     })
 }
 
-/// Register one fixed (non-watched) store: durable under `--data-dir`
-/// (recovered state converged to `elements` with one diff batch, so a
-/// restart with unchanged contents is a no-op and epochs continue), plain
-/// in-memory otherwise.
+/// Register one fixed (non-watched) store holding `elements`: what the
+/// store opened with (under `--data-dir`, its recovered state) is converged
+/// on them with one diff batch, so a restart with unchanged contents is a
+/// no-op and epochs continue.
 fn register_fixed_store(
-    registry: &Arc<StoreRegistry>,
+    registry: &StoreRegistry,
     name: &str,
     elements: Vec<u64>,
-    durable: Option<DurableOptions>,
+    options: DurableOptions,
 ) {
-    let Some(options) = durable else {
-        registry.register(name, Arc::new(InMemoryStore::new(elements)));
-        return;
-    };
-    let (store, recovery) = registry
-        .register_durable(name, options, StoreOptions::default())
-        .unwrap_or_else(|e| {
-            eprintln!("pbs-syncd: cannot open durable store {name:?}: {e}");
-            std::process::exit(1);
-        });
-    if recovery.epoch > 0 || recovery.truncated_bytes > 0 {
-        println!(
-            "pbs-syncd: store {name:?} recovered at epoch {} ({} elements, \
-             {} WAL records replayed, {} torn bytes dropped)",
-            recovery.epoch, recovery.elements, recovery.wal_records, recovery.truncated_bytes
-        );
-    }
-    let target: HashSet<u64> = elements.into_iter().collect();
-    let current: HashSet<u64> = store.snapshot().into_iter().collect();
-    let added: Vec<u64> = target.difference(&current).copied().collect();
-    let removed: Vec<u64> = current.difference(&target).copied().collect();
-    if !added.is_empty() || !removed.is_empty() {
-        store.apply(&added, &removed);
+    let (store, _) = registry.open_store(name, options).unwrap_or_else(|e| {
+        eprintln!("pbs-syncd: cannot open store {name:?}: {e}");
+        std::process::exit(1);
+    });
+    if store.converge_to(elements).is_some() {
         // Fold the (possibly large) seed batch into a snapshot so the next
         // restart recovers from one file instead of replaying it.
         if let Err(e) = store.compact_now() {
@@ -280,14 +258,14 @@ fn main() {
         });
     }
     let registry = Arc::new(StoreRegistry::new());
-    let durable = args.data_dir.as_ref().map(|dir| {
+    if let Some(dir) = &args.data_dir {
         registry.set_persistence_root(dir);
-        DurableOptions {
-            log_capacity: args.changelog_cap,
-            snapshot_every: args.snapshot_every,
-            sync_writes: args.fsync,
-        }
-    });
+    }
+    let options = DurableOptions {
+        log_capacity: args.changelog_cap,
+        snapshot_every: args.snapshot_every,
+        sync_writes: args.fsync,
+    };
 
     // Default store from --set-file / --range.
     match (&args.set_file, args.range) {
@@ -296,25 +274,22 @@ fn main() {
                 eprintln!("pbs-syncd: cannot load {}: {e}", path.display());
                 std::process::exit(1);
             });
-            register_fixed_store(&registry, "", elements, durable);
+            register_fixed_store(&registry, "", elements, options);
         }
         (None, Some(n)) => {
-            register_fixed_store(&registry, "", setio::demo_set(n, 0xB0B), durable);
+            register_fixed_store(&registry, "", setio::demo_set(n, 0xB0B), options);
         }
         (None, None) => {}
         _ => usage(),
     }
     // Named stores.
     for (name, spec) in &args.stores {
-        register_fixed_store(&registry, name, load_spec(name, spec), durable);
+        register_fixed_store(&registry, name, load_spec(name, spec), options);
     }
     // Watched stores: one synchronous scan so they exist before we listen,
     // then a poller thread keeps them live.
     if let Some(dir) = &args.watch_dir {
-        let mut watcher = DirWatcher::new(dir, Arc::clone(&registry), args.changelog_cap);
-        if let Some(options) = durable {
-            watcher = watcher.durable(options);
-        }
+        let mut watcher = DirWatcher::new(dir, Arc::clone(&registry), options);
         watcher.scan();
         let every = Duration::from_secs(args.watch_every.max(1));
         std::thread::Builder::new()

@@ -182,6 +182,21 @@ pub(crate) fn spawn_worker(
 // Session: one machine, its stream, its clocks
 // ---------------------------------------------------------------------------
 
+/// What the timer pass does to a session when one of its timers is due.
+#[derive(Clone, Copy)]
+enum Due {
+    /// Evict a stalled subscriber, cut anyone else, with the outcome of the
+    /// phase.
+    WriteStall,
+    /// Refuse the session: its deadline passed before the final ack.
+    Deadline,
+    /// End the session with this outcome: out of closing grace, read-idle,
+    /// or a subscriber presumed gone.
+    Close(bool),
+    /// Send a keepalive `Ping`.
+    Ping,
+}
+
 struct Session {
     nb: MuxStream,
     fd: RawFd,
@@ -255,6 +270,48 @@ impl Session {
         if self.done.is_none() {
             self.done = Some(completed);
         }
+    }
+
+    /// Every timer running on this session — when it comes due and what the
+    /// timer pass then does — in the order the pass gives them precedence.
+    /// The loop sleeps to the earliest `when`; the pass fires the first one
+    /// due. Stated once, so the loop cannot sleep past a timer the pass
+    /// would fire.
+    fn timers(&self, cfg: &ServerConfig) -> [Option<(Instant, Due)>; 3] {
+        let pending = self.nb.pending_out() > 0;
+        // Queued bytes making no progress for the write timeout.
+        let stall = cfg.transport.write_timeout.filter(|_| pending);
+        let stall = stall.map(|t| (self.last_send_progress + t, Due::WriteStall));
+        // Silence while the peer's next frame is awaited.
+        let read_idle = |completed| {
+            let t = cfg.transport.read_timeout?;
+            Some((self.wait_since + t, Due::Close(completed)))
+        };
+        let (first, second) = match (self.closing, self.machine.waiting()) {
+            // Drained already (`accepted` is always past), or out of grace.
+            (Some((completed, grace)), _) => {
+                let when = if pending { grace } else { self.accepted };
+                (Some((when, Due::Close(completed))), None)
+            }
+            (None, Waiting::Reconciling) => {
+                (Some((self.deadline, Due::Deadline)), read_idle(false))
+            }
+            // Logically complete: a window with no `Subscribe` is a clean end.
+            (None, Waiting::Parked) => (read_idle(true), None),
+            (None, Waiting::Streaming) => {
+                // A subscriber silent for three intervals stopped answering
+                // keepalives; one idle for an interval, with nothing queued
+                // toward it, is pinged.
+                let dead = self.last_recv + cfg.keepalive * 3;
+                let idle_base = self
+                    .last_recv
+                    .max(self.last_send_progress)
+                    .max(self.last_ping);
+                let ping = (!pending).then_some((idle_base + cfg.keepalive, Due::Ping));
+                (Some((dead, Due::Close(true))), ping)
+            }
+        };
+        [stall, first, second]
     }
 
     /// The outcome an externally forced close (EOF, I/O error, shutdown)
@@ -435,45 +492,15 @@ impl Worker {
     /// Earliest instant any session needs the loop to act without I/O.
     fn next_deadline(&self) -> Option<Instant> {
         let cfg = self.config();
-        let mut due: Option<Instant> = None;
-        let mut track = |t: Instant| {
-            due = Some(match due {
-                Some(d) => d.min(t),
-                None => t,
-            });
-        };
-        for sess in &self.sessions {
-            if sess.done.is_some() {
-                continue;
-            }
-            match (sess.closing, sess.machine.waiting()) {
-                (Some((_, grace)), _) => track(grace),
-                (None, Waiting::Streaming) => {
-                    let idle_base = sess
-                        .last_recv
-                        .max(sess.last_send_progress)
-                        .max(sess.last_ping);
-                    track(idle_base + cfg.keepalive);
-                    track(sess.last_recv + cfg.keepalive * 3);
-                }
-                (None, waiting) => {
-                    if waiting == Waiting::Reconciling {
-                        track(sess.deadline);
-                    }
-                    if let Some(t) = cfg.transport.read_timeout {
-                        track(sess.wait_since + t);
-                    }
-                }
-            }
-            if sess.nb.pending_out() > 0 {
-                if let Some(t) = cfg.transport.write_timeout {
-                    track(sess.last_send_progress + t);
-                }
-            }
-        }
-        due
+        let live = self.sessions.iter().filter(|s| s.done.is_none());
+        live.flat_map(|s| s.timers(cfg))
+            .flatten()
+            .map(|(when, _)| when)
+            .min()
     }
 
+    /// Fire, for every session, the first of its [`Session::timers`] that
+    /// has come due.
     fn timer_pass(&mut self) {
         let cfg = *self.config();
         let now = Instant::now();
@@ -481,67 +508,30 @@ impl Worker {
             if self.sessions[i].done.is_some() {
                 continue;
             }
-            let (closing, waiting) = (self.sessions[i].closing, self.sessions[i].machine.waiting());
-            // Write stall: queued bytes making no progress for the write
-            // timeout. A stalled subscriber is a slow consumer.
-            if self.sessions[i].nb.pending_out() > 0 {
-                if let Some(t) = cfg.transport.write_timeout {
-                    if now >= self.sessions[i].last_send_progress + t {
-                        if self.sessions[i].streaming() {
-                            self.bump(i, |s| &s.subscribers_evicted, 1);
-                            let reason = [("reason", Value::Str("write_stall"))];
-                            self.trace_session(i, Level::Warn, "evicted", &reason);
-                        }
-                        let outcome = self.sessions[i].close_outcome();
-                        self.sessions[i].finish(outcome);
-                        continue;
+            let timers = self.sessions[i].timers(&cfg);
+            let Some((_, due)) = timers.into_iter().flatten().find(|(when, _)| now >= *when) else {
+                continue;
+            };
+            match due {
+                Due::WriteStall => {
+                    // A stalled subscriber is a slow consumer.
+                    if self.sessions[i].streaming() {
+                        self.bump(i, |s| &s.subscribers_evicted, 1);
+                        let reason = [("reason", Value::Str("write_stall"))];
+                        self.trace_session(i, Level::Warn, "evicted", &reason);
                     }
+                    let outcome = self.sessions[i].close_outcome();
+                    self.sessions[i].finish(outcome);
                 }
-            }
-            match (closing, waiting) {
-                (Some((completed, grace)), _) => {
-                    if now >= grace || self.sessions[i].nb.pending_out() == 0 {
-                        self.sessions[i].finish(completed);
-                    }
-                }
-                (None, Waiting::Reconciling) => {
-                    if now >= self.sessions[i].deadline {
-                        self.refuse(i, ErrorCode::Internal, "session deadline exceeded");
-                        continue;
-                    }
-                    if let Some(t) = cfg.transport.read_timeout {
-                        if now >= self.sessions[i].wait_since + t {
-                            self.sessions[i].finish(false);
-                        }
-                    }
-                }
-                (None, Waiting::Parked) => {
-                    // The session is logically complete: an inactivity
-                    // window with no Subscribe is a clean end.
-                    if let Some(t) = cfg.transport.read_timeout {
-                        if now >= self.sessions[i].wait_since + t {
-                            self.sessions[i].finish(true);
-                        }
-                    }
-                }
-                (None, Waiting::Streaming) => {
-                    if now >= self.sessions[i].last_recv + cfg.keepalive * 3 {
-                        // The subscriber stopped answering keepalives.
-                        self.sessions[i].finish(true);
-                        continue;
-                    }
-                    let idle_base = self.sessions[i]
-                        .last_recv
-                        .max(self.sessions[i].last_send_progress)
-                        .max(self.sessions[i].last_ping);
-                    if now >= idle_base + cfg.keepalive && self.sessions[i].nb.pending_out() == 0 {
-                        self.ping_nonce = self.ping_nonce.wrapping_add(1);
-                        let nonce = self.ping_nonce;
-                        if self.sessions[i].nb.queue(&Frame::Ping { nonce }).is_ok() {
-                            self.sessions[i].last_ping = now;
-                            self.bump(i, |s| &s.keepalive_pings, 1);
-                            self.on_writable(i);
-                        }
+                Due::Deadline => self.refuse(i, ErrorCode::Internal, "session deadline exceeded"),
+                Due::Close(completed) => self.sessions[i].finish(completed),
+                Due::Ping => {
+                    self.ping_nonce = self.ping_nonce.wrapping_add(1);
+                    let nonce = self.ping_nonce;
+                    if self.sessions[i].nb.queue(&Frame::Ping { nonce }).is_ok() {
+                        self.sessions[i].last_ping = now;
+                        self.bump(i, |s| &s.keepalive_pings, 1);
+                        self.on_writable(i);
                     }
                 }
             }

@@ -521,7 +521,14 @@ impl Frame {
     /// Serialize the frame *body* — type byte followed by the payload — the
     /// exact bytes the frame CRC covers.
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = vec![self.type_byte()];
+        let mut out = Vec::new();
+        self.encode_body_into(&mut out);
+        out
+    }
+
+    /// Append the frame body to `out`.
+    fn encode_body_into(&self, out: &mut Vec<u8>) {
+        out.push(self.type_byte());
         match self {
             Frame::Hello(h) => {
                 out.extend_from_slice(&HELLO_MAGIC.to_le_bytes());
@@ -565,7 +572,7 @@ impl Frame {
                 let width = delta_element_width(elements, &[]);
                 out.push(width);
                 out.extend_from_slice(&(elements.len() as u32).to_le_bytes());
-                put_packed(&mut out, elements.iter(), width);
+                put_packed(out, elements.iter(), width);
             }
             Frame::Error { code, message } => {
                 out.push(code.to_u8());
@@ -586,7 +593,7 @@ impl Frame {
                 out.push(width);
                 out.extend_from_slice(&(added.len() as u32).to_le_bytes());
                 out.extend_from_slice(&(removed.len() as u32).to_le_bytes());
-                put_packed(&mut out, added.iter().chain(removed), width);
+                put_packed(out, added.iter().chain(removed), width);
             }
             Frame::DeltaDone { epoch }
             | Frame::FullResyncRequired { epoch }
@@ -597,7 +604,6 @@ impl Frame {
                 out.extend_from_slice(&nonce.to_le_bytes());
             }
         }
-        out
     }
 
     /// Decode a frame body (type byte + payload). Never panics on hostile
@@ -730,24 +736,80 @@ impl Frame {
     }
 }
 
+/// What [`decode_frame`] found at the front of a buffer.
+pub(crate) enum Decoded {
+    /// One whole frame, and the wire bytes it occupied.
+    Whole(Frame, usize),
+    /// No whole frame yet: the buffer must hold at least this many bytes
+    /// (the envelope header, or — once that passed its checks — the whole
+    /// frame) before another look is worth it.
+    Short(usize),
+}
+
+/// The one frame envelope, encoding half: append `len ‖ crc ‖ body` to
+/// `out` and return the wire bytes added. A body over `max_frame` is
+/// [`FrameError::TooLarge`] and leaves `out` as it was.
+pub(crate) fn encode_frame(
+    out: &mut Vec<u8>,
+    frame: &Frame,
+    max_frame: u32,
+) -> Result<u64, FrameError> {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_OVERHEAD as usize]);
+    frame.encode_body_into(out);
+    let body = start + FRAME_OVERHEAD as usize;
+    let len = out.len() - body;
+    if len as u64 > max_frame as u64 {
+        out.truncate(start);
+        return Err(FrameError::TooLarge {
+            len: len.min(u32::MAX as usize) as u32,
+            max: max_frame,
+        });
+    }
+    let crc = crc32(&out[body..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+    Ok(FRAME_OVERHEAD + len as u64)
+}
+
+/// The one frame envelope, decoding half: the frame at the front of `buf`.
+/// The length prefix is held to `1..=max_frame` as soon as the header is
+/// there — before a caller buffers (or allocates for) the body — and the
+/// CRC is verified before the payload decoder runs.
+pub(crate) fn decode_frame(buf: &[u8], max_frame: u32) -> Result<Decoded, FrameError> {
+    let Some(([l0, l1, l2, l3, c0, c1, c2, c3], rest)) = buf.split_first_chunk() else {
+        return Ok(Decoded::Short(FRAME_OVERHEAD as usize));
+    };
+    let len = u32::from_le_bytes([*l0, *l1, *l2, *l3]);
+    let crc = u32::from_le_bytes([*c0, *c1, *c2, *c3]);
+    if len == 0 {
+        return Err(FrameError::BadType(0));
+    }
+    if len > max_frame {
+        return Err(FrameError::TooLarge {
+            len,
+            max: max_frame,
+        });
+    }
+    let total = FRAME_OVERHEAD as usize + len as usize;
+    let Some(body) = rest.get(..len as usize) else {
+        return Ok(Decoded::Short(total));
+    };
+    if crc32(body) != crc {
+        return Err(FrameError::BadCrc);
+    }
+    Ok(Decoded::Whole(Frame::decode_body(body)?, total))
+}
+
 /// Write one frame. Returns the number of bytes put on the wire. Fails with
 /// [`FrameError::TooLarge`] (before writing anything) if the body exceeds
 /// `max_frame`.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, max_frame: u32) -> Result<u64, NetError> {
-    let body = frame.encode_body();
-    if body.len() as u64 > max_frame as u64 {
-        return Err(NetError::Frame(FrameError::TooLarge {
-            len: body.len().min(u32::MAX as usize) as u32,
-            max: max_frame,
-        }));
-    }
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(&body).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&body)?;
+    let mut wire = Vec::new();
+    let written = encode_frame(&mut wire, frame, max_frame)?;
+    w.write_all(&wire)?;
     w.flush()?;
-    Ok(FRAME_OVERHEAD + body.len() as u64)
+    Ok(written)
 }
 
 /// Read one frame. Returns the frame and the number of wire bytes it
@@ -755,27 +817,17 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, max_frame: u32) -> Result
 /// the body buffer is allocated, and the CRC is verified before the payload
 /// decoder runs.
 pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<(Frame, u64), NetError> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
-    let crc = u32::from_le_bytes([c0, c1, c2, c3]);
-    if len == 0 {
-        return Err(NetError::Frame(FrameError::BadType(0)));
+    let mut wire = Vec::new();
+    let mut need = FRAME_OVERHEAD as usize;
+    loop {
+        let have = wire.len();
+        wire.resize(need, 0);
+        r.read_exact(&mut wire[have..])?;
+        match decode_frame(&wire, max_frame)? {
+            Decoded::Whole(frame, consumed) => return Ok((frame, consumed as u64)),
+            Decoded::Short(total) => need = total,
+        }
     }
-    if len > max_frame {
-        return Err(NetError::Frame(FrameError::TooLarge {
-            len,
-            max: max_frame,
-        }));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    if crc32(&body) != crc {
-        return Err(NetError::Frame(FrameError::BadCrc));
-    }
-    let frame = Frame::decode_body(&body).map_err(NetError::Frame)?;
-    Ok((frame, FRAME_OVERHEAD + len as u64))
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 //!   [`pbs_core::wire`]; the format is specified in `docs/WIRE.md`.
 //! * [`FramedStream`] — a byte-counting framed transport over any
 //!   `Read + Write` stream.
-//! * [`store`] — the element stores: [`InMemoryStore`], the mutable
-//!   epoch-stamped [`store::MutableStore`] delta feed, and the
-//!   [`StoreRegistry`] a multi-tenant server routes the handshake's
-//!   store name through.
+//! * [`store`] — the element store, [`MutableStore`]: a set with an
+//!   epoch-stamped changelog (the delta feed), optionally a WAL under it,
+//!   one commit function; and the [`StoreRegistry`] a multi-tenant server
+//!   routes the handshake's store name through.
 //! * [`server`] — [`server::Server`]: an event-driven TCP server — one
 //!   acceptor plus a few [`poll`]-based event-loop workers, each
 //!   multiplexing many non-blocking connections. The server half of the
@@ -60,10 +60,10 @@
 //! Reconcile two in-process sets over a real socket pair:
 //!
 //! ```
-//! use pbs_net::{InMemoryStore, Server, ServerConfig, SyncClient};
+//! use pbs_net::{MutableStore, Server, ServerConfig, SyncClient};
 //! use std::sync::Arc;
 //!
-//! let store = Arc::new(InMemoryStore::new(2..=100u64));
+//! let store = Arc::new(MutableStore::new(2..=100u64));
 //! let server = Server::bind("127.0.0.1:0", store.clone(), ServerConfig::default())?;
 //!
 //! let alice: Vec<u64> = (1..=99).collect();
@@ -72,7 +72,8 @@
 //! let mut diff = report.recovered.clone();
 //! diff.sort_unstable();
 //! assert_eq!(diff, vec![1, 100]);          // A△B
-//! assert!(store.contains(1));              // server ingested A \ B
+//! assert!(store.contains(1));              // server ingested A \ B…
+//! assert_eq!(report.epoch, Some(0));       // …after the snapshot it acked
 //! server.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -105,7 +106,7 @@ pub use machine::{ClientMachine, Mode, Phase, Step};
 pub use mesh::{MeshConfig, MeshDriver, MeshStats, PeerSnapshot, PeerStats};
 pub use mux::MuxStream;
 pub use server::{Server, ServerConfig};
-pub use store::{ChangeBatch, DeltaAnswer, InMemoryStore, MutableStore, SetStore, StoreRegistry};
+pub use store::{ChangeBatch, DeltaAnswer, MutableStore, SetStore, StoreRegistry};
 pub use wal::{CrashPoint, DurableOptions, RecoveryReport};
 
 use pbs_core::wire::WireError;

@@ -25,9 +25,8 @@
 //! read interest always, write interest while [`MuxStream::pending_out`]
 //! is non-zero.
 
-use crate::crc::crc32;
-use crate::frame::{Frame, FRAME_OVERHEAD};
-use crate::{FrameError, NetError};
+use crate::frame::{decode_frame, encode_frame, Decoded, Frame};
+use crate::NetError;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
@@ -102,18 +101,7 @@ impl MuxStream {
 
     /// Encode `frame` into the write buffer (framing + CRC included).
     pub fn queue(&mut self, frame: &Frame) -> Result<(), NetError> {
-        let body = frame.encode_body();
-        if body.len() as u64 > self.max_frame as u64 {
-            return Err(NetError::Frame(FrameError::TooLarge {
-                len: body.len().min(u32::MAX as usize) as u32,
-                max: self.max_frame,
-            }));
-        }
-        self.write_buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.write_buf
-            .extend_from_slice(&crc32(&body).to_le_bytes());
-        self.write_buf.extend_from_slice(&body);
+        encode_frame(&mut self.write_buf, frame, self.max_frame)?;
         self.frames_out += 1;
         Ok(())
     }
@@ -172,29 +160,9 @@ impl MuxStream {
     /// fully buffered. `Ok(None)` means "not yet" — call again after the
     /// next [`MuxStream::fill`].
     pub fn next_frame(&mut self) -> Result<Option<Frame>, NetError> {
-        if self.read_buf.len() < FRAME_OVERHEAD as usize {
+        let Decoded::Whole(frame, total) = decode_frame(&self.read_buf, self.max_frame)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.read_buf[..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(self.read_buf[4..8].try_into().unwrap());
-        if len == 0 {
-            return Err(NetError::Frame(FrameError::BadType(0)));
-        }
-        if len > self.max_frame {
-            return Err(NetError::Frame(FrameError::TooLarge {
-                len,
-                max: self.max_frame,
-            }));
-        }
-        let total = FRAME_OVERHEAD as usize + len as usize;
-        if self.read_buf.len() < total {
-            return Ok(None);
-        }
-        let body = &self.read_buf[FRAME_OVERHEAD as usize..total];
-        if crc32(body) != crc {
-            return Err(NetError::Frame(FrameError::BadCrc));
-        }
-        let frame = Frame::decode_body(body).map_err(NetError::Frame)?;
+        };
         self.read_buf.drain(..total);
         self.bytes_in += total as u64;
         self.frames_in += 1;

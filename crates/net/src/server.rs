@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-pub use crate::store::{InMemoryStore, SetStore};
+pub use crate::store::SetStore;
 
 /// Server-side limits and event-loop sizing.
 #[derive(Debug, Clone, Copy)]

@@ -128,9 +128,6 @@ struct Routed {
     entry: Arc<RegisteredStore>,
     cfg: PbsConfig,
     seed: u64,
-    round_cap: u32,
-    max_d: u64,
-    max_done_elements: u32,
 }
 
 /// The one per-session snapshot: estimator and Bob must see the same set,
@@ -273,10 +270,10 @@ impl ServerMachine {
                     ));
                 }
                 *rounds += layers;
-                if *rounds > routed.round_cap {
+                if *rounds > res.config.round_cap {
                     return Err(refuse(
                         ErrorCode::RoundLimit,
-                        format!("round cap {} exceeded", routed.round_cap),
+                        format!("round cap {} exceeded", res.config.round_cap),
                     ));
                 }
                 // Shape-check before the codec's capacity assertion could
@@ -326,13 +323,13 @@ impl ServerMachine {
                 Ok(Step::reply(Frame::Reports(reports)))
             }
             (Stage::Rounds { epoch, rounds, .. }, Frame::Done(elements)) => {
-                if elements.len() as u64 > routed.max_done_elements as u64 {
+                let cap = res.config.max_done_elements;
+                if elements.len() as u64 > cap as u64 {
                     return Err(refuse(
                         ErrorCode::BadConfig,
                         format!(
-                            "final transfer of {} elements exceeds the cap {}",
-                            elements.len(),
-                            routed.max_done_elements
+                            "final transfer of {} elements exceeds the cap {cap}",
+                            elements.len()
                         ),
                     ));
                 }
@@ -437,7 +434,6 @@ impl ServerMachine {
             )
         })?;
         entry.stats().sessions_started.inc(1);
-        let (options, config) = (entry.options(), &res.config);
         let crossed = Crossed::Handshake {
             known_d: hello.known_d,
             delta: hello.delta_epoch.is_some(),
@@ -451,16 +447,11 @@ impl ServerMachine {
         negotiated.pipeline = negotiated
             .pipeline
             .max(1)
-            .min(config.max_pipeline_depth.clamp(1, u8::MAX as u32) as u8);
+            .min(res.config.max_pipeline_depth.clamp(1, u8::MAX as u32) as u8);
         let routed = Routed {
             entry,
             cfg,
             seed: negotiated.seed,
-            round_cap: options.round_cap.unwrap_or(config.round_cap),
-            max_d: options.max_d.unwrap_or(config.max_d),
-            max_done_elements: options
-                .max_done_elements
-                .unwrap_or(config.max_done_elements),
         };
         self.state = State::Open(routed, stage);
         Ok(Step {
@@ -516,12 +507,12 @@ impl ServerMachine {
                 let snapshot = Snapshot { elements, epoch };
                 *stage = match d {
                     0 => Stage::AwaitBank(snapshot),
-                    _ => routed.rounds(snapshot, d)?,
+                    _ => routed.rounds(res.config.max_d, snapshot, d)?,
                 };
             }
             Stage::OweBob { snapshot, d_param } => {
                 let d_param = *d_param;
-                *stage = routed.rounds(std::mem::take(snapshot), d_param)?;
+                *stage = routed.rounds(res.config.max_d, std::mem::take(snapshot), d_param)?;
                 step.crossed = Some(Crossed::Estimated { d_param });
             }
             _ => {}
@@ -573,13 +564,13 @@ impl ServerMachine {
 }
 
 impl Routed {
-    /// Enter the round loop for difference `d` over `snapshot`, which is
-    /// dropped once Bob is built from it.
-    fn rounds(&self, snapshot: Snapshot, d: u64) -> Result<Stage, Refusal> {
-        if d > self.max_d {
+    /// Enter the round loop for difference `d ≤ max_d` over `snapshot`,
+    /// which is dropped once Bob is built from it.
+    fn rounds(&self, max_d: u64, snapshot: Snapshot, d: u64) -> Result<Stage, Refusal> {
+        if d > max_d {
             return Err(refuse(
                 ErrorCode::BadConfig,
-                format!("d = {d} exceeds the server cap {}", self.max_d),
+                format!("d = {d} exceeds the server cap {max_d}"),
             ));
         }
         let params = Pbs::new(self.cfg).plan(d as usize);
@@ -625,6 +616,23 @@ pub(crate) mod duet {
     use crate::store::SetStore;
     use crate::NetError;
     use std::collections::VecDeque;
+    use std::sync::Mutex;
+
+    /// A store that keeps no epochs: [`SetStore`] with its defaults, what
+    /// an out-of-tree store is. The tree's own store overrides them all, so
+    /// this is what keeps the epoch-less branch of both machines run.
+    pub(crate) struct Epochless(pub Mutex<Vec<u64>>);
+
+    impl SetStore for Epochless {
+        fn snapshot(&self) -> Vec<u64> {
+            self.0.lock().unwrap().clone()
+        }
+
+        fn apply_missing(&self, elements: &[u64]) -> bool {
+            self.0.lock().unwrap().extend_from_slice(elements);
+            true
+        }
+    }
 
     pub(crate) struct Duet {
         pub res: Resources,
@@ -753,14 +761,15 @@ pub(crate) mod duet {
 
 #[cfg(test)]
 mod tests {
-    use super::duet::{one_of_each, Duet};
+    use super::duet::{one_of_each, Duet, Epochless};
     use super::*;
     use crate::client::ClientConfig;
     use crate::frame::Hello;
     use crate::machine::{ClientMachine, Mode};
-    use crate::store::{InMemoryStore, MutableStore, SetStore};
+    use crate::store::{MutableStore, SetStore};
     use crate::NetError;
     use pbs_core::AliceSession;
+    use std::sync::Mutex;
 
     const SEED: u64 = 0x5EED;
 
@@ -866,8 +875,7 @@ mod tests {
     #[test]
     fn hostile_input_is_refused_with_the_code_the_socket_tests_see() {
         let set = elements(0..200);
-        let store = || Arc::new(InMemoryStore::new(elements(5..205))) as Arc<dyn SetStore>;
-        let limits = |config: ServerConfig| Duet::new(store(), config);
+        let limits = |config: ServerConfig| Duet::new(mutable(5..205), config);
         let in_rounds = |config: ServerConfig| {
             let mut duet = limits(config);
             duet.deliver(Frame::Hello(hello(10)));
@@ -1019,6 +1027,52 @@ mod tests {
         duet.deliver(Frame::Subscribe { epoch: 0 });
         assert_eq!(refused_with(&mut duet, 2), ErrorCode::Internal);
         assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
+    }
+
+    /// Both machines against a store without epochs: the classic session
+    /// is acked with an empty `Done` and closed at once, a cached epoch is
+    /// answered `FullResyncRequired{0}` and falls back, and nobody ever
+    /// parks — so nobody subscribes.
+    #[test]
+    fn a_store_without_epochs_is_served_the_classic_session_only() {
+        let set = elements(0..200);
+        let config = ClientConfig::builder().seed(SEED).build();
+        for (mode, opening) in [
+            (Mode::Full, vec![]),
+            (
+                Mode::Delta { since: 3 },
+                vec![Frame::FullResyncRequired { epoch: 0 }],
+            ),
+        ] {
+            let store = Arc::new(Epochless(Mutex::new(elements(5..205))));
+            assert!(!store.register_notifier(Box::new(|_| true)));
+            let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+            let mut client = ClientMachine::new(&config, &set[..], mode).unwrap();
+            // Handshake by hand, to see what the server opens with.
+            duet.deliver(client.poll_send().unwrap().expect("the Hello"));
+            client.on_frame(duet.inbox.pop_front().unwrap()).unwrap();
+            assert_eq!(Vec::from(duet.inbox.clone()), opening);
+            let (report, _) = duet.run(&mut client).unwrap();
+            assert!(report.verified && report.recovered.len() == 10);
+            assert_eq!(report.epoch, None, "an ack without an epoch");
+            assert_eq!(report.delta_fallback, !opening.is_empty());
+            assert_eq!(*duet.sent.last().unwrap(), 5, "the final transfer");
+            assert_eq!(duet.closed, Some(true), "acked and closed, not parked");
+            assert_eq!(duet.server.waiting(), Waiting::Parked);
+            assert_eq!(store.snapshot().len(), 205, "A ∖ B was ingested");
+            let stats = duet.res.stats.snapshot();
+            assert_eq!(stats.delta_fallbacks, opening.len() as u64);
+            // The session takes nothing more, a `Subscribe` least of all.
+            let subscribe = Frame::Subscribe { epoch: 0 };
+            match duet.server.on_frame(&duet.res, subscribe) {
+                Err(Refusal::Answer { code, message }) => {
+                    assert_eq!(code, ErrorCode::Protocol, "{message}");
+                    assert!(message.contains("takes none now"), "{message}");
+                }
+                other => panic!("a finished session subscribed: {other:?}"),
+            }
+            assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
+        }
     }
 
     #[test]

@@ -3,6 +3,28 @@
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
+/// One line of a set file: `Ok(None)` for a blank or `#`-comment line,
+/// `Ok(Some(element))` for a decimal or `0x`-prefixed hex element, `Err`
+/// with the reason for anything else (the zero element included).
+fn parse_line(line: &str) -> Result<Option<u64>, String> {
+    let token = line.split('#').next().unwrap_or("").trim();
+    if token.is_empty() {
+        return Ok(None);
+    }
+    let value = match token
+        .strip_prefix("0x")
+        .or_else(|| token.strip_prefix("0X"))
+    {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => token.parse::<u64>(),
+    };
+    match value {
+        Ok(0) => Err("the zero element is not allowed".to_string()),
+        Ok(element) => Ok(Some(element)),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
 /// Read a set file: one element per line, decimal or `0x`-prefixed hex,
 /// blank lines and `#` comments ignored. Elements must be nonzero (the
 /// all-zero signature is excluded from the universe, §2.1 of the paper).
@@ -10,35 +32,12 @@ pub fn load_set(path: &Path) -> std::io::Result<Vec<u64>> {
     let file = std::fs::File::open(path)?;
     let mut out = Vec::new();
     for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line?;
-        let token = line.split('#').next().unwrap_or("").trim();
-        if token.is_empty() {
-            continue;
-        }
-        let value = match token
-            .strip_prefix("0x")
-            .or_else(|| token.strip_prefix("0X"))
-        {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => token.parse::<u64>(),
-        }
-        .map_err(|e| {
+        out.extend(parse_line(&line?).map_err(|why| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("{}:{}: {e}", path.display(), lineno + 1),
+                format!("{}:{}: {why}", path.display(), lineno + 1),
             )
-        })?;
-        if value == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "{}:{}: the zero element is not allowed",
-                    path.display(),
-                    lineno + 1
-                ),
-            ));
-        }
-        out.push(value);
+        })?);
     }
     Ok(out)
 }
@@ -53,23 +52,9 @@ pub fn load_set_prefix(path: &Path) -> std::io::Result<(Vec<u64>, bool)> {
     let file = std::fs::File::open(path)?;
     let mut out = Vec::new();
     for line in BufReader::new(file).lines() {
-        let Ok(line) = line else {
-            return Ok((out, true));
-        };
-        let token = line.split('#').next().unwrap_or("").trim();
-        if token.is_empty() {
-            continue;
-        }
-        let value = match token
-            .strip_prefix("0x")
-            .or_else(|| token.strip_prefix("0X"))
-        {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => token.parse::<u64>(),
-        };
-        match value {
-            Ok(v) if v != 0 => out.push(v),
-            _ => return Ok((out, true)),
+        match line.map_err(|e| e.to_string()).and_then(|l| parse_line(&l)) {
+            Ok(element) => out.extend(element),
+            Err(_) => return Ok((out, true)),
         }
     }
     Ok((out, false))

@@ -2,13 +2,14 @@
 //!
 //! A server reconciles clients against one or more named [`SetStore`]s:
 //!
-//! * [`InMemoryStore`] — the plain `RwLock<HashSet>` store of PR 3.
-//! * [`MutableStore`] — a store that can additionally be *mutated from the
-//!   server side* between sessions ([`MutableStore::apply`]), with an
-//!   epoch-stamped changelog ([`MutableStore::changes_since`]) so readers
-//!   can follow the store as a delta feed instead of re-snapshotting.
+//! * [`MutableStore`] — the store: a set that clients' final transfers and
+//!   server-side feeds mutate between sessions ([`MutableStore::apply`]),
+//!   with an epoch-stamped changelog ([`MutableStore::changes_since`]) so
+//!   readers can follow it as a delta feed instead of re-snapshotting, and
+//!   optionally a WAL under it ([`MutableStore::open_durable`]). Every
+//!   mutation goes through one commit function.
 //! * [`StoreRegistry`] — the name → store map the handshake routes on,
-//!   carrying per-store statistics and per-store limit overrides.
+//!   carrying per-store statistics.
 //!
 //! Mutation safety is snapshot-based: a session takes one
 //! [`SetStore::snapshot`] before its estimator exchange and never looks at
@@ -16,6 +17,9 @@
 //! [`MutableStore`] *between* (but not observably *during*) the sessions'
 //! snapshot points — concurrent sessions simply reconcile against the epoch
 //! they snapshotted.
+//!
+//! **Lock poisoning** has one policy here (the private `recover`): take
+//! the guard anyway — see there for why that is sound.
 
 use crate::server::ServerStats;
 use crate::wal::{self, DurableOptions, RecoveryReport, Wal};
@@ -23,8 +27,20 @@ use obs::{Gauge, Histogram};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+
+/// The one lock-poison policy of this module: recover the guard. A lock is
+/// poisoned when a thread panicked while holding it, and every update made
+/// under this module's locks leaves the data valid at every step — the
+/// commit function cannot panic between its write-ahead append and the end
+/// of its in-memory mutation, `Vec::retain` keeps the notifier list whole
+/// when a notifier panics inside it, the registry's maps change by single
+/// inserts — so what a poisoned lock guards is still good, and serving it
+/// beats panicking every later session on the store.
+fn recover<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A mutation callback registered with [`SetStore::register_notifier`]:
 /// called with the store's new epoch after every effective change batch.
@@ -108,52 +124,6 @@ pub trait SetStore: Send + Sync + 'static {
     fn attach_metrics(&self, _metrics: &obs::Registry, _label: &str) {}
 }
 
-/// A `RwLock<HashSet>`-backed [`SetStore`].
-#[derive(Debug, Default)]
-pub struct InMemoryStore {
-    elements: RwLock<HashSet<u64>>,
-}
-
-impl InMemoryStore {
-    /// Create a store holding the given elements.
-    pub fn new(elements: impl IntoIterator<Item = u64>) -> Self {
-        InMemoryStore {
-            elements: RwLock::new(elements.into_iter().collect()),
-        }
-    }
-
-    /// Number of elements currently held.
-    pub fn len(&self) -> usize {
-        self.elements.read().unwrap().len()
-    }
-
-    /// `true` when the store holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Membership test.
-    pub fn contains(&self, element: u64) -> bool {
-        self.elements.read().unwrap().contains(&element)
-    }
-}
-
-impl SetStore for InMemoryStore {
-    fn snapshot(&self) -> Vec<u64> {
-        self.elements.read().unwrap().iter().copied().collect()
-    }
-
-    fn apply_missing(&self, elements: &[u64]) -> bool {
-        let mut guard = self.elements.write().unwrap();
-        guard.extend(elements.iter().copied());
-        true
-    }
-
-    fn element_count(&self) -> usize {
-        self.len()
-    }
-}
-
 /// One epoch's worth of effective changes to a [`MutableStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChangeBatch {
@@ -183,21 +153,71 @@ struct MutableInner {
     wal: Option<Wal>,
 }
 
+impl MutableInner {
+    /// Snapshot the full state and truncate the WAL (a no-op without one).
+    fn compact(&mut self) -> io::Result<()> {
+        let Some(wal) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        let elements: Vec<u64> = self.elements.iter().copied().collect();
+        wal.compact(&elements, self.epoch, self.log.make_contiguous())
+    }
+}
+
+/// What one [`MutableStore::commit`] did.
+struct Commit {
+    /// The store's epoch when the call returned.
+    epoch: u64,
+    /// The batch is in the set (trivially, when it changed nothing).
+    /// `false` only when the write-ahead append refused it: memory, epoch
+    /// and changelog are exactly as before the call, and the feed misses
+    /// the batch — degraded, never silently divergent from disk.
+    landed: bool,
+    /// The I/O error met on the way: the refused append, or the compaction
+    /// that should have followed a batch that landed and is in the WAL.
+    error: Option<io::Error>,
+}
+
+impl Commit {
+    fn landed(epoch: u64, error: Option<io::Error>) -> Self {
+        Commit {
+            epoch,
+            landed: true,
+            error,
+        }
+    }
+
+    /// Log the error, for the callers that do not hand it on.
+    fn logged(self) -> Self {
+        if let Some(e) = &self.error {
+            if obs::trace::enabled(obs::trace::Level::Error) {
+                obs::trace::event(
+                    obs::trace::Level::Error,
+                    "store",
+                    None,
+                    "durable_apply_failed",
+                    &[("error", obs::trace::Value::Str(&e.to_string()))],
+                );
+            } else {
+                eprintln!("pbs store: durable apply failed: {e}");
+            }
+        }
+        self
+    }
+}
+
 #[derive(Default)]
 struct Notifiers(Mutex<Vec<StoreNotifier>>);
 
 impl std::fmt::Debug for Notifiers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Notifiers({})",
-            self.0.lock().map(|v| v.len()).unwrap_or(0)
-        )
+        write!(f, "Notifiers({})", recover(self.0.lock()).len())
     }
 }
 
-/// A [`SetStore`] that supports server-side mutation between sessions,
-/// with an epoch-stamped changelog.
+/// The store: a set mutated between sessions — from the server side and by
+/// clients' final transfers — with an epoch-stamped changelog, in memory
+/// or over a WAL ([`MutableStore::open_durable`]).
 ///
 /// Every effective mutation batch — [`MutableStore::apply`] from a local
 /// feed (e.g. `pbs-syncd --watch-dir`) or [`SetStore::apply_missing`] from
@@ -301,7 +321,7 @@ impl MutableStore {
         let base_epoch = recovered
             .log
             .first()
-            .map(|b| b.epoch - 1)
+            .map(|b| b.epoch.saturating_sub(1))
             .unwrap_or(recovered.epoch);
         let store = MutableStore {
             inner: RwLock::new(MutableInner {
@@ -321,15 +341,14 @@ impl MutableStore {
 
     /// `true` when this store writes through to a WAL.
     pub fn is_durable(&self) -> bool {
-        self.inner.read().unwrap().wal.is_some()
+        recover(self.inner.read()).wal.is_some()
     }
 
     /// Force a snapshot + log compaction now (durable stores only; a no-op
     /// otherwise). Useful after seeding a store's initial contents so a
     /// restart recovers them from one snapshot instead of a WAL replay.
     pub fn compact_now(&self) -> io::Result<()> {
-        let mut inner = self.inner.write().unwrap();
-        Self::compact_inner(&mut inner)
+        recover(self.inner.write()).compact()
     }
 
     /// Fault-injection hook for the crash-recovery tests: arm a
@@ -337,34 +356,20 @@ impl MutableStore {
     /// its partial work and fails like a killed process. No-op on
     /// non-durable stores.
     pub fn inject_crash(&self, point: Option<wal::CrashPoint>) {
-        if let Some(wal) = self.inner.write().unwrap().wal.as_mut() {
+        if let Some(wal) = recover(self.inner.write()).wal.as_mut() {
             wal.inject_crash(point);
         }
-    }
-
-    fn compact_inner(inner: &mut MutableInner) -> io::Result<()> {
-        if inner.wal.is_none() {
-            return Ok(());
-        }
-        let elements: Vec<u64> = inner.elements.iter().copied().collect();
-        let log: Vec<ChangeBatch> = inner.log.iter().cloned().collect();
-        let epoch = inner.epoch;
-        inner
-            .wal
-            .as_mut()
-            .expect("checked above")
-            .compact(&elements, epoch, &log)
     }
 
     /// The store's current epoch. Epoch 0 is the construction state; every
     /// effective mutation batch increments it by one.
     pub fn epoch(&self) -> u64 {
-        self.inner.read().unwrap().epoch
+        recover(self.inner.read()).epoch
     }
 
     /// Number of elements currently held.
     pub fn len(&self) -> usize {
-        self.inner.read().unwrap().elements.len()
+        recover(self.inner.read()).elements.len()
     }
 
     /// `true` when the store holds nothing.
@@ -374,14 +379,15 @@ impl MutableStore {
 
     /// Membership test.
     pub fn contains(&self, element: u64) -> bool {
-        self.inner.read().unwrap().elements.contains(&element)
+        recover(self.inner.read()).elements.contains(&element)
     }
 
     /// Atomically insert `added` and remove `removed`, returning the
     /// resulting epoch. Only *effective* changes are recorded: inserting a
     /// present element or removing an absent one is ignored, and a batch
     /// with no effective change does not bump the epoch. An element in both
-    /// lists is treated as an insert (adds win).
+    /// lists is treated as an insert (adds win). A durability error is
+    /// logged; [`MutableStore::try_apply`] surfaces it instead.
     ///
     /// **Epoch exhaustion.** Epochs increase strictly monotonically, so at
     /// `u64::MAX` (unreachable in practice — one batch per nanosecond for
@@ -392,33 +398,7 @@ impl MutableStore {
     /// [`SetStore::delta_since`] call reports truncation, forcing readers
     /// back to full reconciliation — degraded, never wrong.
     pub fn apply(&self, added: &[u64], removed: &[u64]) -> u64 {
-        self.apply_logged(added, removed).0
-    }
-
-    /// [`MutableStore::apply`], also telling whether the batch landed. An
-    /// error is logged either way; only a failed write-ahead append drops
-    /// the batch (memory unchanged — degraded, the feed misses it, never
-    /// silently divergent from disk). A batch whose follow-up compaction
-    /// failed is in memory and in the WAL: it landed.
-    fn apply_logged(&self, added: &[u64], removed: &[u64]) -> (u64, bool) {
-        let (result, effective) = self.apply_notifying(added, removed);
-        match result {
-            Ok(epoch) => (epoch, true),
-            Err(e) => {
-                if obs::trace::enabled(obs::trace::Level::Error) {
-                    obs::trace::event(
-                        obs::trace::Level::Error,
-                        "store",
-                        None,
-                        "durable_apply_failed",
-                        &[("error", obs::trace::Value::Str(&e.to_string()))],
-                    );
-                } else {
-                    eprintln!("pbs store: durable apply failed: {e}");
-                }
-                (self.epoch(), effective.is_some())
-            }
-        }
+        self.commit(added, removed).logged().epoch
     }
 
     /// [`MutableStore::apply`] with the durability error surfaced. On a
@@ -430,43 +410,46 @@ impl MutableStore {
     /// in the WAL; only the snapshot is missing, and the next compaction
     /// retries it. Non-durable stores never return `Err`.
     pub fn try_apply(&self, added: &[u64], removed: &[u64]) -> io::Result<u64> {
-        self.apply_notifying(added, removed).0
+        let commit = self.commit(added, removed);
+        commit.error.map_or(Ok(commit.epoch), Err)
     }
 
-    /// The one apply path: the outcome, plus the epoch the batch produced
-    /// when it took effect (`Some` even when the outcome is a compaction
-    /// error — the batch itself landed).
-    fn apply_notifying(&self, added: &[u64], removed: &[u64]) -> (io::Result<u64>, Option<u64>) {
+    /// Converge the store on `target` with one change batch — what `target`
+    /// holds and the store lacks goes in, what the store holds and `target`
+    /// lacks goes out — and return that batch, stamped with the epoch it
+    /// produced. `None` when the store already held exactly `target`. (A
+    /// writer racing the call can only make part of the batch ineffective.)
+    pub fn converge_to(&self, target: impl IntoIterator<Item = u64>) -> Option<ChangeBatch> {
+        let target: HashSet<u64> = target.into_iter().collect();
+        let (added, removed): (Vec<u64>, Vec<u64>) = {
+            let inner = recover(self.inner.read());
+            let added = target.difference(&inner.elements).copied().collect();
+            (added, inner.elements.difference(&target).copied().collect())
+        };
+        if added.is_empty() && removed.is_empty() {
+            return None;
+        }
+        let epoch = self.apply(&added, &removed);
+        Some(ChangeBatch {
+            epoch,
+            added,
+            removed,
+        })
+    }
+
+    /// The one commit point: every mutation of the set — a local feed's
+    /// batch, a client's final transfer, a converged file — is this
+    /// function. Under the write lock it computes the effective changes,
+    /// writes them ahead to the WAL, and only then edits memory: the set,
+    /// the epoch, the changelog. Between the append returning and the end
+    /// of that edit nothing can panic (no `expect`, no index, no callback),
+    /// which is what makes [`recover`] sound. Metrics and notifiers run
+    /// after the lock is released.
+    fn commit(&self, added: &[u64], removed: &[u64]) -> Commit {
         let metrics = self.metrics.get();
         let start = metrics.map(|_| Instant::now());
-        let mut effective = None;
-        let (result, len) = {
-            let mut inner = self.inner.write().unwrap();
-            let result = Self::apply_locked(&mut inner, added, removed, &mut effective);
-            (result, inner.elements.len())
-        };
-        if let (Some(m), Some(start)) = (metrics, start) {
-            if let Some(epoch) = effective {
-                m.apply.record_duration(start.elapsed());
-                m.elements.set(len as f64);
-                m.epoch.set(epoch as f64);
-            }
-        }
-        // Fire the notifiers only after the element lock is released, so a
-        // notifier (the event loop's wakeup hook) may call straight back
-        // into `delta_since` without deadlocking.
-        if let Some(epoch) = effective {
-            self.notifiers.0.lock().unwrap().retain(|n| n(epoch));
-        }
-        (result, effective)
-    }
-
-    fn apply_locked(
-        inner: &mut MutableInner,
-        added: &[u64],
-        removed: &[u64],
-        effective: &mut Option<u64>,
-    ) -> io::Result<u64> {
+        let mut guard = recover(self.inner.write());
+        let inner = &mut *guard;
         // Hash the add list first: a linear `added.contains` per removed
         // element would make a full-file replacement O(|added|·|removed|)
         // inside the write lock, stalling every session on the store.
@@ -486,47 +469,44 @@ impl MutableStore {
             .filter(|&e| !inner.elements.contains(&e) && seen.insert(e))
             .collect();
         if added.is_empty() && removed.is_empty() {
-            return Ok(inner.epoch);
+            return Commit::landed(inner.epoch, None);
         }
-        let Some(next) = inner.epoch.checked_add(1) else {
-            // Epoch space exhausted: stay at u64::MAX with the feed off.
-            // The changes still land in the set.
-            for e in &removed {
-                inner.elements.remove(e);
+        // Write-ahead: the batch must be on disk before memory changes. With
+        // the epoch space exhausted (`next` is `None`) the WAL's strict epoch
+        // sequencing cannot express the pinned counter; the post-batch state
+        // is persisted as a snapshot instead.
+        let next = inner.epoch.checked_add(1);
+        let mut compaction_due = next.is_none();
+        if let (Some(next), Some(wal)) = (next, inner.wal.as_mut()) {
+            match wal.append(next, &added, &removed) {
+                Ok(due) => compaction_due = due,
+                Err(e) => {
+                    return Commit {
+                        epoch: inner.epoch,
+                        landed: false,
+                        error: Some(e),
+                    }
+                }
             }
-            inner.elements.extend(added.iter().copied());
-            inner.log.clear();
-            inner.base_epoch = u64::MAX;
-            *effective = Some(u64::MAX);
-            // The WAL's strict epoch sequencing cannot express a pinned
-            // counter; persist the post-batch state as a snapshot instead.
-            Self::compact_inner(inner)?;
-            return Ok(inner.epoch);
-        };
-        // Write-ahead: the batch must be on disk before memory changes.
-        let compaction_due = match inner.wal.as_mut() {
-            Some(wal) => wal.append(next, &added, &removed)?,
-            None => false,
-        };
-        inner.epoch = next;
+        }
         for e in &removed {
             inner.elements.remove(e);
         }
         inner.elements.extend(added.iter().copied());
-        let batch = ChangeBatch {
-            epoch: next,
-            added,
-            removed,
-        };
-        inner.log.push_back(batch);
-        *effective = Some(next);
-        while inner.log.len() > inner.log_capacity {
-            let dropped = inner.log.pop_front().expect("log not empty");
-            inner.base_epoch = dropped.epoch;
-        }
-        if inner.log_capacity == 0 {
-            inner.base_epoch = inner.epoch;
-            inner.log.clear();
+        if let Some(next) = next {
+            inner.epoch = next;
+            inner.log.push_back(ChangeBatch {
+                epoch: next,
+                added,
+                removed,
+            });
+            // (Capacity 0 drops the batch just pushed: the feed is off.)
+            while inner.log.len() > inner.log_capacity {
+                let Some(dropped) = inner.log.pop_front() else {
+                    break;
+                };
+                inner.base_epoch = dropped.epoch;
+            }
         }
         if inner.epoch == u64::MAX {
             // The counter can never advance again; disable the feed now so
@@ -534,10 +514,21 @@ impl MutableStore {
             inner.log.clear();
             inner.base_epoch = u64::MAX;
         }
-        if compaction_due {
-            Self::compact_inner(inner)?;
+        let error = compaction_due
+            .then(|| inner.compact())
+            .and_then(Result::err);
+        let (epoch, len) = (inner.epoch, inner.elements.len());
+        drop(guard);
+        if let (Some(m), Some(start)) = (metrics, start) {
+            m.apply.record_duration(start.elapsed());
+            m.elements.set(len as f64);
+            m.epoch.set(epoch as f64);
         }
-        Ok(inner.epoch)
+        // Fire the notifiers only after the element lock is released, so a
+        // notifier (the event loop's wakeup hook) may call straight back
+        // into `delta_since` without deadlocking.
+        recover(self.notifiers.0.lock()).retain(|n| n(epoch));
+        Commit::landed(epoch, error)
     }
 
     /// Every change batch after `epoch`, oldest first — empty when the
@@ -554,7 +545,7 @@ impl MutableStore {
     /// The current elements together with the epoch they correspond to —
     /// the starting point of a delta-feed reader.
     pub fn snapshot_with_epoch(&self) -> (Vec<u64>, u64) {
-        let inner = self.inner.read().unwrap();
+        let inner = recover(self.inner.read());
         (inner.elements.iter().copied().collect(), inner.epoch)
     }
 }
@@ -565,7 +556,7 @@ impl SetStore for MutableStore {
     }
 
     fn apply_missing(&self, elements: &[u64]) -> bool {
-        self.apply_logged(elements, &[]).1
+        self.commit(elements, &[]).logged().landed
     }
 
     fn element_count(&self) -> usize {
@@ -578,7 +569,7 @@ impl SetStore for MutableStore {
     }
 
     fn register_notifier(&self, notifier: StoreNotifier) -> bool {
-        self.notifiers.0.lock().unwrap().push(notifier);
+        recover(self.notifiers.0.lock()).push(notifier);
         true
     }
 
@@ -595,7 +586,7 @@ impl SetStore for MutableStore {
             epoch: metrics.gauge("pbs_store_epoch", "Current store epoch.", &labels),
         };
         {
-            let mut inner = self.inner.write().unwrap();
+            let mut inner = recover(self.inner.write());
             m.elements.set(inner.elements.len() as f64);
             m.epoch.set(inner.epoch as f64);
             if let Some(wal) = inner.wal.as_mut() {
@@ -634,7 +625,7 @@ impl SetStore for MutableStore {
     }
 
     fn delta_since(&self, epoch: u64) -> DeltaAnswer {
-        let inner = self.inner.read().unwrap();
+        let inner = recover(self.inner.read());
         // A reader from this store's future (a cached epoch surviving a
         // server restart with a fresh store), a reader older than the
         // retained log, or an exhausted epoch counter: all must rebuild
@@ -656,25 +647,12 @@ impl SetStore for MutableStore {
     }
 }
 
-/// Per-store overrides of the server-wide session limits. `None` falls
-/// back to the matching [`crate::ServerConfig`] field.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreOptions {
-    /// Override of `ServerConfig::round_cap`.
-    pub round_cap: Option<u32>,
-    /// Override of `ServerConfig::max_d`.
-    pub max_d: Option<u64>,
-    /// Override of `ServerConfig::max_done_elements`.
-    pub max_done_elements: Option<u32>,
-}
-
-/// A named store registered with a server: the store itself, its limit
-/// overrides, and its own statistics counters (sessions are additionally
-/// folded into the server-wide stats).
+/// A named store registered with a server: the store itself and its own
+/// statistics counters (sessions are additionally folded into the
+/// server-wide stats).
 pub struct RegisteredStore {
     name: String,
     store: Arc<dyn SetStore>,
-    options: StoreOptions,
     stats: Arc<ServerStats>,
 }
 
@@ -689,11 +667,6 @@ impl RegisteredStore {
         &self.store
     }
 
-    /// The per-store limit overrides.
-    pub fn options(&self) -> StoreOptions {
-        self.options
-    }
-
     /// This store's own counters.
     pub fn stats(&self) -> &Arc<ServerStats> {
         &self.stats
@@ -704,7 +677,6 @@ impl std::fmt::Debug for RegisteredStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegisteredStore")
             .field("name", &self.name)
-            .field("options", &self.options)
             .finish_non_exhaustive()
     }
 }
@@ -718,8 +690,8 @@ impl std::fmt::Debug for RegisteredStore {
 #[derive(Debug, Default)]
 pub struct StoreRegistry {
     stores: RwLock<HashMap<String, Arc<RegisteredStore>>>,
-    /// When set, [`StoreRegistry::register_durable`] roots each store's
-    /// persistence directory here.
+    /// When set, [`StoreRegistry::open_store`] opens its stores durably,
+    /// each rooted in a directory of its own under here.
     persistence_root: RwLock<Option<PathBuf>>,
     /// The metric registry every per-store counter, gauge and histogram
     /// registers into — shared with the server(s) built over this registry,
@@ -773,26 +745,14 @@ impl StoreRegistry {
         registry
     }
 
-    /// Register (or replace) a store under `name` with default options.
-    /// Returns the registered entry. Names longer than
-    /// [`crate::frame::MAX_STORE_NAME`] bytes cannot be addressed by any
-    /// handshake and are rejected with a panic — a configuration error, not
-    /// a runtime condition.
+    /// Register (or replace) a store under `name`. Returns the registered
+    /// entry. Names longer than [`crate::frame::MAX_STORE_NAME`] bytes
+    /// cannot be addressed by any handshake and are rejected with a panic —
+    /// a configuration error, not a runtime condition.
     pub fn register(
         &self,
         name: impl Into<String>,
         store: Arc<dyn SetStore>,
-    ) -> Arc<RegisteredStore> {
-        self.register_with(name, store, StoreOptions::default())
-    }
-
-    /// Register (or replace) a store under `name` with explicit limit
-    /// overrides.
-    pub fn register_with(
-        &self,
-        name: impl Into<String>,
-        store: Arc<dyn SetStore>,
-        options: StoreOptions,
     ) -> Arc<RegisteredStore> {
         let name = name.into();
         assert!(
@@ -811,13 +771,9 @@ impl StoreRegistry {
         let entry = Arc::new(RegisteredStore {
             name: name.clone(),
             store,
-            options,
             stats,
         });
-        self.stores
-            .write()
-            .unwrap()
-            .insert(name, Arc::clone(&entry));
+        recover(self.stores.write()).insert(name, Arc::clone(&entry));
         entry
     }
 
@@ -827,64 +783,67 @@ impl StoreRegistry {
         Arc::clone(&self.metrics)
     }
 
-    /// Root every [`StoreRegistry::register_durable`] store's persistence
-    /// directory under `root` (created on first use).
+    /// Make every store [`StoreRegistry::open_store`] opens from now on
+    /// durable, its persistence directory under `root` (created on first
+    /// use).
     pub fn set_persistence_root(&self, root: impl Into<PathBuf>) {
-        *self.persistence_root.write().unwrap() = Some(root.into());
-    }
-
-    /// The configured persistence root, if any.
-    pub fn persistence_root(&self) -> Option<PathBuf> {
-        self.persistence_root.read().unwrap().clone()
+        *recover(self.persistence_root.write()) = Some(root.into());
     }
 
     /// The persistence directory a store named `name` maps to (`None`
     /// without a persistence root). See [`store_dir_name`].
     pub fn store_dir(&self, name: &str) -> Option<PathBuf> {
-        self.persistence_root()
-            .map(|r| r.join(store_dir_name(name)))
+        let root = recover(self.persistence_root.read());
+        root.as_ref().map(|r| r.join(store_dir_name(name)))
     }
 
-    /// Open (recovering any persisted state) and register a durable
-    /// [`MutableStore`] under `name`, rooted at
-    /// [`StoreRegistry::store_dir`]. Returns the concrete store handle (for
-    /// feeding mutations) plus the recovery summary. Errors when no
-    /// persistence root is configured or the directory cannot be opened.
-    pub fn register_durable(
+    /// Open a [`MutableStore`] and register it under `name`: durable, at
+    /// [`StoreRegistry::store_dir`] and recovering whatever that directory
+    /// holds, when the registry has a persistence root; in memory and empty
+    /// otherwise (`options.log_capacity` sizes the changelog either way).
+    /// A recovery that found state says so on stderr. Returns the concrete
+    /// store handle, for feeding mutations, with the recovery summary
+    /// (all-zero for a store that started empty).
+    pub fn open_store(
         &self,
-        name: impl Into<String>,
-        durable: DurableOptions,
-        options: StoreOptions,
+        name: &str,
+        options: DurableOptions,
     ) -> io::Result<(Arc<MutableStore>, RecoveryReport)> {
-        let name = name.into();
-        let dir = self.store_dir(&name).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "registry has no persistence root",
-            )
-        })?;
-        let (store, report) = MutableStore::open_durable_report(&dir, durable)?;
+        let (store, report) = match self.store_dir(name) {
+            Some(dir) => MutableStore::open_durable_report(&dir, options)?,
+            None => {
+                let store = MutableStore::with_log_capacity([], options.log_capacity);
+                (store, RecoveryReport::default())
+            }
+        };
+        if report.epoch > 0 || report.truncated_bytes > 0 {
+            eprintln!(
+                "pbs store: {name:?} recovered at epoch {} ({} elements, {} WAL records \
+                 replayed, {} torn bytes dropped)",
+                report.epoch, report.elements, report.wal_records, report.truncated_bytes
+            );
+        }
         let store = Arc::new(store);
-        self.register_with(name, Arc::clone(&store) as Arc<dyn SetStore>, options);
+        self.register(name, Arc::clone(&store) as Arc<dyn SetStore>);
         Ok((store, report))
     }
 
     /// Look a store up by name.
     pub fn get(&self, name: &str) -> Option<Arc<RegisteredStore>> {
-        self.stores.read().unwrap().get(name).cloned()
+        recover(self.stores.read()).get(name).cloned()
     }
 
     /// All registered names, sorted (the default store sorts first as the
     /// empty string).
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.stores.read().unwrap().keys().cloned().collect();
+        let mut names: Vec<String> = recover(self.stores.read()).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Number of registered stores.
     pub fn len(&self) -> usize {
-        self.stores.read().unwrap().len()
+        recover(self.stores.read()).len()
     }
 
     /// `true` when no store is registered.
@@ -1139,29 +1098,62 @@ mod tests {
         store.apply(&[5], &[]); // epoch 3, notifier returns false
         store.apply(&[6], &[]); // epoch 4: notifier gone
         assert_eq!(*seen.lock().unwrap(), vec![1, 2, 3]);
-        // InMemoryStore cannot notify at all.
-        let plain = InMemoryStore::new([1u64]);
-        assert!(!SetStore::register_notifier(&plain, Box::new(|_| true)));
+    }
+
+    #[test]
+    fn a_notifier_that_panics_once_does_not_fail_the_next_apply() {
+        // The panic unwinds out of `apply` with the notifier mutex held and
+        // poisons it. The batch had landed before any notifier ran, and the
+        // list is whole (`Vec::retain` keeps what it had not judged yet), so
+        // the next commit recovers the guard — it used to panic, and on an
+        // event-loop worker that took every session of the worker with it.
+        let store = Arc::new(MutableStore::new([1u64]));
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&calls);
+        store.register_notifier(Box::new(move |epoch| {
+            sink.lock().unwrap().push(epoch);
+            assert!(epoch != 1, "boom");
+            true
+        }));
+        let writer = Arc::clone(&store);
+        let first = std::thread::spawn(move || writer.apply(&[2], &[])).join();
+        assert!(first.is_err(), "the notifier's panic reaches the mutator");
+        assert!(store.contains(2) && store.epoch() == 1, "the batch landed");
+        assert_eq!(store.apply(&[3], &[]), 2);
+        assert!(SetStore::apply_missing(&*store, &[4]));
+        assert_eq!(*calls.lock().unwrap(), [1, 2, 3], "and it is still fed");
+        assert!(store.register_notifier(Box::new(|_| true)));
+        assert!(format!("{store:?}").contains("Notifiers(2)"));
+    }
+
+    #[test]
+    fn converge_to_is_one_diff_batch() {
+        let store = MutableStore::new([1u64, 2, 3]);
+        assert_eq!(store.converge_to([3, 2, 1, 1]), None, "already there");
+        let batch = store.converge_to([2, 3, 4, 5]).expect("a diff");
+        assert_eq!(batch.epoch, 1);
+        assert_eq!((sorted(batch.added), batch.removed), (vec![4, 5], vec![1]));
+        assert_eq!(store.changes_since(0).unwrap().len(), 1);
+        let emptied = store.converge_to([]).expect("remove-all");
+        assert_eq!((emptied.epoch, emptied.removed.len()), (2, 4));
+        assert!(store.is_empty());
+    }
+
+    fn sorted(mut v: Vec<u64>) -> Vec<u64> {
+        v.sort_unstable();
+        v
     }
 
     #[test]
     fn registry_routes_by_name() {
         let registry = StoreRegistry::new();
-        registry.register("", Arc::new(InMemoryStore::new([1u64])));
-        registry.register_with(
-            "blocks",
-            Arc::new(InMemoryStore::new([2u64])),
-            StoreOptions {
-                round_cap: Some(7),
-                ..StoreOptions::default()
-            },
-        );
+        registry.register("", Arc::new(MutableStore::new([1u64])));
+        registry.register("blocks", Arc::new(MutableStore::new([2u64])));
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.names(), vec!["".to_string(), "blocks".to_string()]);
         assert!(registry.get("missing").is_none());
         let blocks = registry.get("blocks").unwrap();
         assert_eq!(blocks.name(), "blocks");
-        assert_eq!(blocks.options().round_cap, Some(7));
         assert_eq!(blocks.store().snapshot(), vec![2]);
         // Each entry carries its own counters.
         assert_eq!(blocks.stats().snapshot().sessions_started, 0);
@@ -1170,7 +1162,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wire limit")]
     fn registry_rejects_unaddressable_names() {
-        StoreRegistry::new().register("x".repeat(65), Arc::new(InMemoryStore::default()));
+        StoreRegistry::new().register("x".repeat(65), Arc::new(MutableStore::new([])));
     }
 
     #[test]
@@ -1212,53 +1204,104 @@ mod tests {
     }
 
     #[test]
-    fn apply_missing_tells_a_dropped_batch_from_a_failed_compaction() {
-        let dir = std::env::temp_dir().join(format!("pbs_store_landed_{}", std::process::id()));
+    fn every_commit_outcome_reads_the_same_through_all_three_wrappers() {
+        let dir = std::env::temp_dir().join(format!("pbs_store_commit_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let options = DurableOptions {
             snapshot_every: 1, // every append is followed by a compaction
             ..DurableOptions::default()
         };
         let store = MutableStore::open_durable(&dir, options).unwrap();
-        assert!(SetStore::apply_missing(&store, &[1]));
-        // The compaction after the append dies: the batch is in memory and
-        // in the WAL all the same.
-        store.inject_crash(Some(wal::CrashPoint::MidSnapshotWrite));
-        assert!(SetStore::apply_missing(&store, &[2]), "the batch landed");
-        assert!(store.contains(2) && store.epoch() == 2);
-        // The append itself dies: nothing landed, and the store says so.
-        store.inject_crash(Some(wal::CrashPoint::MidWalAppend));
-        assert!(
-            !SetStore::apply_missing(&store, &[3]),
-            "the batch was dropped"
-        );
-        assert!(!store.contains(3) && store.epoch() == 2);
-        // Nothing effective to write is not a refusal.
-        assert!(SetStore::apply_missing(&store, &[1, 2]));
+        let notified = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&notified);
+        store.register_notifier(Box::new(move |epoch| {
+            sink.lock().unwrap().push(epoch);
+            true
+        }));
+        assert_eq!(store.apply(&[1, 2], &[]), 1);
+        use wal::CrashPoint::{MidSnapshotWrite, MidWalAppend};
+        // (the fault armed, the batch's one element — new to the store,
+        //  per wrapper, from 10 up; what must follow: the batch is in the
+        //  set, `try_apply` is `Ok`, the epoch moved)
+        let rows = [
+            (None, 10, true, true, true),
+            // The compaction after the append dies: the batch is in memory
+            // and in the WAL all the same — it landed, and the error shows.
+            (Some(MidSnapshotWrite), 30, true, false, true),
+            // The write-ahead append is refused: nothing anywhere changes.
+            // (It leaves a torn record behind, as a killed process would;
+            // the next compaction, or the reopen below, cuts it.)
+            (Some(MidWalAppend), 20, false, false, false),
+            // Nothing effective to write: no refusal, no epoch, no notifier.
+            (None, 1, true, true, false),
+        ];
+        // Each wrapper reads the same commit: `apply` its epoch,
+        // `apply_missing` whether it landed, `try_apply` its error.
+        for wrapper in 0..3 {
+            for (fault, element, landed, ok, moved) in rows {
+                let element = if element < 10 {
+                    element
+                } else {
+                    element + wrapper
+                };
+                let case = format!("wrapper {wrapper}, {fault:?}, element {element}");
+                let (epoch, log) = (store.epoch(), store.changes_since(0).unwrap());
+                let calls = notified.lock().unwrap().len();
+                let after = epoch + moved as u64;
+                store.inject_crash(fault);
+                match wrapper {
+                    0 => assert_eq!(store.apply(&[element], &[]), after, "{case}"),
+                    1 => assert_eq!(store.apply_missing(&[element]), landed, "{case}"),
+                    _ => match store.try_apply(&[element], &[]) {
+                        Ok(got) => assert!(ok && got == after, "{case}: Ok({got})"),
+                        Err(e) => assert!(!ok, "{case}: {e}"),
+                    },
+                }
+                store.inject_crash(None);
+                assert_eq!(store.contains(element), landed, "{case}");
+                assert_eq!(store.epoch(), after, "{case}");
+                let grown = store.changes_since(0).unwrap();
+                assert_eq!(grown.len(), log.len() + moved as usize, "{case}");
+                assert_eq!(grown[..log.len()], log[..], "{case}");
+                let calls_now = notified.lock().unwrap().len();
+                assert_eq!(calls_now, calls + moved as usize, "{case}");
+            }
+        }
+        let (held, epoch) = (sorted(store.snapshot()), store.epoch());
         drop(store);
+        // What landed is what a restart recovers; what was refused is not.
         let reopened = MutableStore::open_durable(&dir, options).unwrap();
-        assert!(reopened.contains(2) && !reopened.contains(3));
+        assert_eq!(
+            (sorted(reopened.snapshot()), reopened.epoch()),
+            (held, epoch)
+        );
+        assert!(!reopened.contains(20) && reopened.contains(30));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn registry_register_durable_roots_and_recovers() {
+    fn open_store_is_durable_under_a_persistence_root_and_recovers() {
         let dir = std::env::temp_dir().join(format!("pbs_registry_durable_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(store_dir_name(""), "default");
         assert_eq!(store_dir_name("blocks"), "store-blocks");
         assert_eq!(store_dir_name("a/b c"), "store-a_b_c");
         let registry = StoreRegistry::new();
-        assert!(
-            registry
-                .register_durable("x", DurableOptions::default(), StoreOptions::default())
-                .is_err(),
-            "no persistence root configured"
-        );
+        let options = DurableOptions {
+            log_capacity: 2,
+            ..DurableOptions::default()
+        };
+        // No persistence root: an in-memory store, the changelog sized the
+        // same way.
+        let (memory, report) = registry.open_store("x", options).unwrap();
+        assert!(!memory.is_durable() && report == RecoveryReport::default());
+        for e in 1..=3 {
+            memory.apply(&[e], &[]);
+        }
+        assert!(memory.changes_since(0).is_none() && memory.changes_since(1).is_some());
         registry.set_persistence_root(&dir);
-        let (store, _) = registry
-            .register_durable("blocks", DurableOptions::default(), StoreOptions::default())
-            .unwrap();
+        let (store, _) = registry.open_store("blocks", options).unwrap();
+        assert!(store.is_durable());
         store.apply(&[10, 11], &[]);
         assert!(registry.get("blocks").is_some());
         assert_eq!(
@@ -1268,9 +1311,7 @@ mod tests {
         // A second registry over the same root recovers the store.
         let registry2 = StoreRegistry::new();
         registry2.set_persistence_root(&dir);
-        let (store2, report) = registry2
-            .register_durable("blocks", DurableOptions::default(), StoreOptions::default())
-            .unwrap();
+        let (store2, report) = registry2.open_store("blocks", options).unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(store2.epoch(), 1);
         assert!(store2.contains(10) && store2.contains(11));

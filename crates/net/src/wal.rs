@@ -220,26 +220,23 @@ fn push_packed(out: &mut Vec<u8>, elements: &[u64]) {
     }
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if buf.len() < n {
-        return None;
-    }
-    let (head, tail) = buf.split_at(n);
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, tail) = buf.split_first_chunk::<N>()?;
     *buf = tail;
-    Some(head)
+    Some(*head)
 }
 
 fn take_packed(buf: &mut &[u8]) -> Option<Vec<u64>> {
-    let width = take(buf, 1)?[0] as usize;
+    let [width] = take_array(buf)?;
+    let width = width as usize;
     if !(1..=8).contains(&width) {
         return None;
     }
-    let count = u64::from_le_bytes(take(buf, 8)?.try_into().unwrap());
+    let count = u64::from_le_bytes(take_array(buf)?);
     // Clamp against the bytes actually present before any allocation.
-    if (buf.len() as u64) < count.checked_mul(width as u64)? {
-        return None;
-    }
-    let raw = take(buf, count as usize * width)?;
+    let bytes = usize::try_from(count.checked_mul(width as u64)?).ok()?;
+    let (raw, rest) = buf.split_at_checked(bytes)?;
+    *buf = rest;
     Some(
         raw.chunks_exact(width)
             .map(|c| {
@@ -272,27 +269,23 @@ fn encode_snapshot(elements: &[u64], epoch: u64, log: &[ChangeBatch]) -> Vec<u8>
 /// Decode and validate a snapshot blob. `None` on any torn or corrupt
 /// shape — a snapshot is trusted in full or not at all.
 fn decode_snapshot(bytes: &[u8]) -> Option<(HashSet<u64>, u64, Vec<ChangeBatch>)> {
-    if bytes.len() < 4 + 2 + 8 + 4 {
-        return None;
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crate::crc::crc32(body) != crc {
+    let (body, crc) = bytes.split_last_chunk::<4>()?;
+    if crate::crc::crc32(body) != u32::from_le_bytes(*crc) {
         return None;
     }
     let mut buf = body;
-    if u32::from_le_bytes(take(&mut buf, 4)?.try_into().unwrap()) != SNAPSHOT_MAGIC {
+    if u32::from_le_bytes(take_array(&mut buf)?) != SNAPSHOT_MAGIC {
         return None;
     }
-    if u16::from_le_bytes(take(&mut buf, 2)?.try_into().unwrap()) != SNAPSHOT_VERSION {
+    if u16::from_le_bytes(take_array(&mut buf)?) != SNAPSHOT_VERSION {
         return None;
     }
-    let epoch = u64::from_le_bytes(take(&mut buf, 8)?.try_into().unwrap());
+    let epoch = u64::from_le_bytes(take_array(&mut buf)?);
     let elements: HashSet<u64> = take_packed(&mut buf)?.into_iter().collect();
-    let batch_count = u32::from_le_bytes(take(&mut buf, 4)?.try_into().unwrap());
+    let batch_count = u32::from_le_bytes(take_array(&mut buf)?);
     let mut log = Vec::with_capacity((batch_count as usize).min(1 << 16));
     for _ in 0..batch_count {
-        let batch_epoch = u64::from_le_bytes(take(&mut buf, 8)?.try_into().unwrap());
+        let batch_epoch = u64::from_le_bytes(take_array(&mut buf)?);
         let added = take_packed(&mut buf)?;
         let removed = take_packed(&mut buf)?;
         log.push(ChangeBatch {
@@ -383,28 +376,28 @@ pub fn recover(dir: &Path, log_capacity: usize) -> io::Result<Recovered> {
             valid_end += consumed;
             continue;
         }
-        if epoch == out.epoch && out.epoch > out.snapshot_epoch {
-            // Continuation chunk of the batch we are building.
-            let last = out.log.last_mut().expect("current batch is logged");
-            last.added.extend_from_slice(&added);
-            last.removed.extend_from_slice(&removed);
-        } else if epoch == out.epoch.wrapping_add(1) && epoch != 0 {
+        if epoch == out.epoch.wrapping_add(1) && epoch != 0 {
             out.log.push(ChangeBatch {
                 epoch,
-                added,
-                removed,
+                added: Vec::new(),
+                removed: Vec::new(),
             });
             out.epoch = epoch;
-        } else {
+        } else if epoch != out.epoch || out.epoch <= out.snapshot_epoch {
             break;
         }
-        // Replay applies the whole (possibly re-extended) batch each chunk;
-        // effective changes are disjoint, so the repetition is idempotent.
-        let last = out.log.last().expect("just ensured");
-        for e in &last.removed {
+        // The record is the first or a further chunk of the newest logged
+        // batch. A batch's effective changes are disjoint, so each chunk
+        // applies on its own.
+        let Some(batch) = out.log.last_mut() else {
+            break;
+        };
+        for e in &removed {
             out.elements.remove(e);
         }
-        out.elements.extend(last.added.iter().copied());
+        out.elements.extend(added.iter().copied());
+        batch.added.extend(added);
+        batch.removed.extend(removed);
         out.wal_records += 1;
         valid_end += consumed;
     }
@@ -458,16 +451,6 @@ impl Wal {
         });
     }
 
-    /// The directory this WAL lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The persistence options this WAL runs under.
-    pub fn options(&self) -> DurableOptions {
-        self.options
-    }
-
     /// Arm (or disarm) a crash point: the next matching operation performs
     /// its partial work and fails. Fault injection for the recovery tests.
     pub fn inject_crash(&mut self, point: Option<CrashPoint>) {
@@ -485,7 +468,7 @@ impl Wal {
         let capacity = delta_chunk_capacity(DEFAULT_MAX_FRAME);
         let mut record = Vec::new();
         for chunk in delta_batch_frames(epoch, added, removed, capacity) {
-            frame::write_frame(&mut record, &chunk, DEFAULT_MAX_FRAME)
+            frame::encode_frame(&mut record, &chunk, DEFAULT_MAX_FRAME)
                 .map_err(|e| io::Error::other(format!("wal encode: {e}")))?;
         }
         if self.crash == Some(CrashPoint::MidWalAppend) {
@@ -497,16 +480,16 @@ impl Wal {
         let start = self.timers.as_ref().map(|_| Instant::now());
         self.file.write_all(&record)?;
         self.file.flush()?;
-        let written = start.map(|s| s.elapsed());
+        let written = start.map(|s| (s, s.elapsed()));
         if self.options.sync_writes {
             self.file.sync_data()?;
         }
-        if let (Some(t), Some(written)) = (self.timers.as_ref(), written) {
+        if let (Some(t), Some((start, written))) = (self.timers.as_ref(), written) {
             t.append.record_duration(written);
             if self.options.sync_writes {
                 // The fsync cost alone: total minus the buffered write.
-                let total = start.expect("timed above").elapsed();
-                t.fsync.record_duration(total.saturating_sub(written));
+                t.fsync
+                    .record_duration(start.elapsed().saturating_sub(written));
             }
         }
         self.len += record.len() as u64;

@@ -18,15 +18,14 @@
 //!   re-reads harmless — while a plain `mtime >` comparison would silently
 //!   drop edits landing inside one mtime granule.
 //!
-//! When the owning [`StoreRegistry`] has a persistence root and the
-//! watcher is built with [`DirWatcher::durable`], each watched store is
-//! opened through [`StoreRegistry::register_durable`]: its epoch sequence
-//! and changelog survive a daemon restart, and the first scan diffs the
-//! file against the *recovered* state — so a restart with an unchanged
-//! file is a no-op batch and every client epoch cache stays warm.
+//! Every watched store is opened through [`StoreRegistry::open_store`]:
+//! when the registry has a persistence root it is durable, its epoch
+//! sequence and changelog survive a daemon restart, and the first scan
+//! diffs the file against the *recovered* state — so a restart with an
+//! unchanged file is a no-op batch and every client epoch cache stays warm.
 
 use crate::setio;
-use crate::store::{MutableStore, SetStore, StoreOptions, StoreRegistry};
+use crate::store::{MutableStore, StoreRegistry};
 use crate::wal::DurableOptions;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -70,26 +69,24 @@ pub struct ScanReport {
 pub struct DirWatcher {
     dir: PathBuf,
     registry: Arc<StoreRegistry>,
-    changelog_cap: usize,
-    durable: Option<DurableOptions>,
+    options: DurableOptions,
     watched: HashMap<String, WatchedFile>,
     change_hook: Option<WatchHook>,
 }
 
 impl DirWatcher {
-    /// Watch `dir`, registering stores (changelog capacity
-    /// `changelog_cap`) into `registry`. In-memory stores; see
-    /// [`DirWatcher::durable`].
+    /// Watch `dir`, opening a store per file in `registry` with `options`
+    /// ([`StoreRegistry::open_store`]: durable under the registry's
+    /// persistence root when it has one, in memory otherwise).
     pub fn new(
         dir: impl Into<PathBuf>,
         registry: Arc<StoreRegistry>,
-        changelog_cap: usize,
+        options: DurableOptions,
     ) -> Self {
         DirWatcher {
             dir: dir.into(),
             registry,
-            changelog_cap,
-            durable: None,
+            options,
             watched: HashMap::new(),
             change_hook: None,
         }
@@ -99,15 +96,6 @@ impl DirWatcher {
     /// applies (edits, vanish-emptying, reappearance refills).
     pub fn with_change_hook(mut self, hook: WatchHook) -> Self {
         self.change_hook = Some(hook);
-        self
-    }
-
-    /// Open every watched store durably (WAL + snapshots under the
-    /// registry's persistence root). The registry must have a persistence
-    /// root by the first scan, or durable opens fail and the file is
-    /// skipped (retried next scan).
-    pub fn durable(mut self, options: DurableOptions) -> Self {
-        self.durable = Some(options);
         self
     }
 
@@ -154,21 +142,11 @@ impl DirWatcher {
                 .unwrap_or((SystemTime::UNIX_EPOCH, 0));
             seen.insert(name.clone());
             match self.watched.get_mut(&name) {
-                None => {
-                    if self.register_file(&name, &path, stamp, &mut report) {
-                        report.registered += 1;
-                    }
-                }
+                None => self.register_file(&name, &path, stamp, &mut report),
                 Some(file) if file.stamp != Some(stamp) => {
-                    let store = Arc::clone(&file.store);
                     file.stamp = Some(stamp);
-                    Self::sync_file_to_store(
-                        &name,
-                        &path,
-                        &store,
-                        &mut report,
-                        self.change_hook.as_ref(),
-                    );
+                    let hook = self.change_hook.as_ref();
+                    Self::sync_file_to_store(&name, &path, &file.store, &mut report, hook);
                 }
                 Some(_) => {}
             }
@@ -180,16 +158,15 @@ impl DirWatcher {
                 continue;
             }
             file.stamp = None;
-            let current = file.store.snapshot();
-            if !current.is_empty() {
-                let epoch = file.store.apply(&[], &current);
+            if let Some(batch) = file.store.converge_to([]) {
                 eprintln!(
-                    "pbs-watch: {} vanished; store {name:?} emptied ({} removed) at epoch {epoch}",
+                    "pbs-watch: {} vanished; store {name:?} emptied ({} removed) at epoch {}",
                     file.path.display(),
-                    current.len()
+                    batch.removed.len(),
+                    batch.epoch
                 );
                 if let Some(hook) = self.change_hook.as_ref() {
-                    hook(name, epoch);
+                    hook(name, batch.epoch);
                 }
             } else {
                 eprintln!(
@@ -202,52 +179,21 @@ impl DirWatcher {
         report
     }
 
-    /// First sighting of a file: open (durably when configured) and
-    /// register its store, then diff the file in. Returns `false` when the
-    /// open failed (retried next scan).
+    /// First sighting of a file: open and register its store, then diff
+    /// the file in. A failed open leaves the file unwatched: the next scan
+    /// tries again.
     fn register_file(
         &mut self,
         name: &str,
         path: &Path,
         stamp: FileStamp,
         report: &mut ScanReport,
-    ) -> bool {
-        let store = match self.durable {
-            Some(options) => {
-                let options = DurableOptions {
-                    log_capacity: self.changelog_cap,
-                    ..options
-                };
-                match self
-                    .registry
-                    .register_durable(name, options, StoreOptions::default())
-                {
-                    Ok((store, recovery)) => {
-                        if recovery.epoch > 0 || recovery.truncated_bytes > 0 {
-                            eprintln!(
-                                "pbs-watch: store {name:?} recovered at epoch {} \
-                                 ({} elements, {} WAL records, {} torn bytes dropped)",
-                                recovery.epoch,
-                                recovery.elements,
-                                recovery.wal_records,
-                                recovery.truncated_bytes
-                            );
-                        }
-                        store
-                    }
-                    Err(e) => {
-                        eprintln!("pbs-watch: cannot open durable store {name:?}: {e}");
-                        return false;
-                    }
-                }
-            }
-            None => {
-                let store = Arc::new(MutableStore::with_log_capacity([], self.changelog_cap));
-                self.registry
-                    .register(name, Arc::clone(&store) as Arc<dyn SetStore>);
-                store
-            }
+    ) {
+        let store = match self.registry.open_store(name, self.options) {
+            Ok((store, _)) => store,
+            Err(e) => return eprintln!("pbs-watch: cannot open store {name:?}: {e}"),
         };
+        report.registered += 1;
         Self::sync_file_to_store(name, path, &store, report, self.change_hook.as_ref());
         println!(
             "pbs-watch: watching {} as store {name:?} ({} elements, epoch {})",
@@ -263,7 +209,6 @@ impl DirWatcher {
                 stamp: Some(stamp),
             },
         );
-        true
     }
 
     /// Converge `store` to the file's current (valid-prefix) contents with
@@ -271,7 +216,7 @@ impl DirWatcher {
     fn sync_file_to_store(
         name: &str,
         path: &Path,
-        store: &Arc<MutableStore>,
+        store: &MutableStore,
         report: &mut ScanReport,
         hook: Option<&WatchHook>,
     ) {
@@ -292,22 +237,18 @@ impl DirWatcher {
                 target.len()
             );
         }
-        let target: HashSet<u64> = target.into_iter().collect();
-        let current: HashSet<u64> = store.snapshot().into_iter().collect();
-        let added: Vec<u64> = target.difference(&current).copied().collect();
-        let removed: Vec<u64> = current.difference(&target).copied().collect();
-        if added.is_empty() && removed.is_empty() {
+        let Some(batch) = store.converge_to(target) else {
             return;
-        }
-        let epoch = store.apply(&added, &removed);
+        };
         report.updated += 1;
         if let Some(hook) = hook {
-            hook(name, epoch);
+            hook(name, batch.epoch);
         }
         println!(
-            "pbs-watch: store {name:?} now epoch {epoch} (+{} −{})",
-            added.len(),
-            removed.len()
+            "pbs-watch: store {name:?} now epoch {} (+{} −{})",
+            batch.epoch,
+            batch.added.len(),
+            batch.removed.len()
         );
     }
 }
@@ -328,7 +269,7 @@ mod tests {
         let dir = tempdir("delete");
         std::fs::write(dir.join("a.set"), "1\n2\n3\n").unwrap();
         let registry = Arc::new(StoreRegistry::new());
-        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), 64);
+        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), DurableOptions::default());
         watcher.scan();
         let store = registry.get("a").unwrap().store().clone();
         assert_eq!(store.element_count(), 3);
@@ -358,11 +299,10 @@ mod tests {
         let registry = Arc::new(StoreRegistry::new());
         let events: Arc<std::sync::Mutex<Vec<(String, u64)>>> = Arc::default();
         let sink = Arc::clone(&events);
-        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), 64).with_change_hook(
-            Box::new(move |name, epoch| {
+        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), DurableOptions::default())
+            .with_change_hook(Box::new(move |name, epoch| {
                 sink.lock().unwrap().push((name.to_string(), epoch));
-            }),
-        );
+            }));
         watcher.scan(); // initial fill → epoch 1
         watcher.scan(); // unchanged → no event
         std::fs::write(dir.join("a.set"), "1\n2\n3\n").unwrap();
@@ -379,7 +319,7 @@ mod tests {
         let dir = tempdir("torn");
         std::fs::write(dir.join("a.set"), "1\n2\n3\n").unwrap();
         let registry = Arc::new(StoreRegistry::new());
-        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), 64);
+        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), DurableOptions::default());
         watcher.scan();
         let store = registry.get("a").unwrap().store().clone();
 
@@ -409,7 +349,7 @@ mod tests {
             let registry = Arc::new(StoreRegistry::new());
             registry.set_persistence_root(&data);
             let mut watcher =
-                DirWatcher::new(&dir, Arc::clone(&registry), 64).durable(DurableOptions::default());
+                DirWatcher::new(&dir, Arc::clone(&registry), DurableOptions::default());
             watcher.scan();
             std::fs::write(dir.join("a.set"), "1\n2\n3\n").unwrap();
             watcher.scan();
@@ -421,8 +361,7 @@ mod tests {
         // the epoch sequence; the unchanged file is a no-op batch.
         let registry = Arc::new(StoreRegistry::new());
         registry.set_persistence_root(&data);
-        let mut watcher =
-            DirWatcher::new(&dir, Arc::clone(&registry), 64).durable(DurableOptions::default());
+        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), DurableOptions::default());
         watcher.scan();
         let store = registry.get("a").unwrap().store().clone();
         let (mut elements, epoch) = store.epoch_snapshot();

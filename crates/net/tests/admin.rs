@@ -21,7 +21,6 @@
 
 use pbs_net::admin::{snapshot_fields, AdminServer, AdminState};
 use pbs_net::server::{Server, ServerConfig, StatsSnapshot};
-use pbs_net::store::StoreOptions;
 use pbs_net::wal::DurableOptions;
 use pbs_net::{StoreRegistry, SyncClient};
 use std::collections::HashMap;
@@ -112,7 +111,7 @@ fn metrics_reconcile_with_stats_snapshot_and_wire_ledger() {
     let registry = Arc::new(StoreRegistry::new());
     registry.set_persistence_root(&root);
     let (store, _recovery) = registry
-        .register_durable("", DurableOptions::default(), StoreOptions::default())
+        .open_store("", DurableOptions::default())
         .expect("open durable store");
     store.apply(&(2..=100u64).collect::<Vec<_>>(), &[]);
 
@@ -376,7 +375,7 @@ fn every_registered_metric_family_is_documented() {
     let registry = Arc::new(StoreRegistry::new());
     registry.set_persistence_root(&root);
     let (store, _recovery) = registry
-        .register_durable("", DurableOptions::default(), StoreOptions::default())
+        .open_store("", DurableOptions::default())
         .expect("open durable store");
     store.apply(&(1..=50u64).collect::<Vec<_>>(), &[]);
     let server = Server::bind_registry(

@@ -10,6 +10,10 @@
 //! hold that delta's `to_epoch` — at which point the process is SIGKILLed
 //! and the cache must still carry the final epoch, and a fresh sync from
 //! it must ride the delta path without falling back.
+//!
+//! Also here, because they drive the same binaries: a `pbs-syncd` store
+//! without `--data-dir` serves `--since` like every other store, and a
+//! numeric flag value that does not parse is a usage error.
 
 use pbs_net::client::ClientConfig;
 use pbs_net::server::{Server, ServerConfig};
@@ -137,4 +141,64 @@ fn follow_flushes_epoch_cache_before_printing_each_delta() {
         "the killed follow session must still be accounted for"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `pbs-syncd --range N` without `--data-dir` used to serve an epoch-less
+/// store: `--since` fell back to a full reconciliation and `--follow` was
+/// refused. Every store keeps a changelog now; the seed is its first batch.
+#[test]
+fn a_syncd_store_without_a_data_dir_serves_since() {
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_pbs-syncd"))
+        .args(["--listen", "127.0.0.1:0", "--range", "64"])
+        .args(["--changelog-cap", "8", "--stats-every", "0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn pbs-syncd");
+    let mut lines = BufReader::new(daemon.stdout.take().expect("piped stdout")).lines();
+    let addr = loop {
+        let line = lines.next().expect("stdout open").expect("read line");
+        if let Some(rest) = line.strip_prefix("pbs-syncd: listening on ") {
+            break rest.split(' ').next().expect("an address").to_string();
+        }
+    };
+    let sync = Command::new(env!("CARGO_BIN_EXE_pbs-sync"))
+        .args(["--connect", &addr, "--range", "64", "--since", "0"])
+        .arg("--quiet")
+        .output()
+        .expect("run pbs-sync");
+    daemon.kill().expect("kill pbs-syncd");
+    let _ = daemon.wait();
+    let stdout = String::from_utf8_lossy(&sync.stdout);
+    assert!(sync.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("delta subscription: epoch 0 → 1 in 1 batches (+64 −0 net)"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("fell back"), "{stdout}");
+}
+
+#[test]
+fn a_malformed_numeric_flag_is_a_usage_error() {
+    // Each of these used to run with the flag silently dropped: a full sync
+    // in place of the delta asked for, the default changelog.
+    let cases: [(&str, &[&str]); 2] = [
+        (
+            env!("CARGO_BIN_EXE_pbs-sync"),
+            &["--connect", "127.0.0.1:1", "--range", "8", "--since", "12x"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_pbs-syncd"),
+            &["--range", "8", "--changelog-cap", "many"],
+        ),
+    ];
+    for (binary, args) in cases {
+        let output = Command::new(binary).args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{binary} {args:?}: {stderr}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(flag) && stderr.contains("usage:"),
+            "{stderr}"
+        );
+    }
 }

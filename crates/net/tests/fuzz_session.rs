@@ -19,7 +19,7 @@
 use pbs_core::{AliceSession, Pbs, PbsConfig};
 use pbs_net::client::{sync_with_retry, ClientConfig, RetryPolicy};
 use pbs_net::frame::{write_frame, EstimatorMsg, Frame, Hello, DEFAULT_MAX_FRAME};
-use pbs_net::server::{InMemoryStore, Server, ServerConfig};
+use pbs_net::server::{Server, ServerConfig};
 use pbs_net::store::{MutableStore, StoreRegistry};
 use pbs_net::{FramedStream, NetError, TransportConfig};
 use std::collections::HashSet;
@@ -277,7 +277,7 @@ fn fuzzed_streams_never_break_the_server() {
     let client_set: Vec<u64> = pool[10..].to_vec();
 
     let registry = Arc::new(StoreRegistry::new());
-    registry.register("", Arc::new(InMemoryStore::new(server_set.iter().copied())));
+    registry.register("", Arc::new(MutableStore::new(server_set.iter().copied())));
     let live = Arc::new(MutableStore::new(server_set.iter().copied()));
     live.apply(&pool[590..], &[]);
     registry.register("live", Arc::clone(&live) as Arc<_>);

@@ -15,7 +15,7 @@ use estimator::{inflate_estimate, Estimator, TowEstimator};
 use pbs_core::{AliceSession, BobSession, Pbs, PbsConfig, ESTIMATOR_SEED_SALT};
 use pbs_net::client::{sync, ClientConfig, Pipeline, SyncReport};
 use pbs_net::frame::{EstimatorMsg, Frame, Hello, FRAME_OVERHEAD};
-use pbs_net::server::{InMemoryStore, Server, ServerConfig};
+use pbs_net::server::{Server, ServerConfig};
 use pbs_net::store::{MutableStore, StoreRegistry};
 use pbs_net::NetError;
 use protocol::{Direction, Transcript};
@@ -178,12 +178,13 @@ fn reference_run(
         pushed.len() as u64 * cfg.universe_bits as u64,
         &Frame::Done(pushed.clone()),
     );
+    // The ack carries the epoch of the session's snapshot: a fresh store's 0.
     record(
         &mut transcript,
         Direction::BobToAlice,
         "final-ack",
         0,
-        &Frame::Done(Vec::new()),
+        &Frame::DeltaDone { epoch: 0 },
     );
 
     ReferencePrediction {
@@ -256,7 +257,7 @@ fn loopback_reconciles_100k_sets_within_the_transcript_byte_envelope() {
         );
 
         // The networked run, over a real socket pair.
-        let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+        let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
         let server = Server::bind(
             "127.0.0.1:0",
             Arc::clone(&store) as Arc<_>,
@@ -344,7 +345,7 @@ fn out_of_universe_elements_fail_fast_client_side() {
 fn known_d_skips_the_estimator_exchange() {
     let pool = distinct_keys(5_000, 0xD00D);
     let (alice_set, bob_set) = two_sided_pair(&pool, 40);
-    let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+    let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,
@@ -357,6 +358,10 @@ fn known_d_skips_the_estimator_exchange() {
     assert_eq!(report.d_param, 40);
     assert_eq!(report.estimated_d, None);
     assert_eq!(report.recovered.len(), 40);
+    // A classic (no-epoch-cache) sync still receives its baseline: the ack
+    // carries the epoch of the snapshot the session reconciled against.
+    assert_eq!(report.epoch, Some(0));
+    assert!(report.delta.is_none() && !report.delta_fallback);
     let stats = server.shutdown();
     assert_eq!(stats.estimator_exchanges, 0);
     assert_eq!(stats.sessions_completed, 1);
@@ -366,7 +371,7 @@ fn known_d_skips_the_estimator_exchange() {
 fn concurrent_clients_share_the_worker_pool() {
     let pool = distinct_keys(3_000, 0xCAFE);
     let (alice_set, bob_set) = two_sided_pair(&pool, 20);
-    let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+    let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,
@@ -407,7 +412,7 @@ fn concurrent_clients_share_the_worker_pool() {
 
 #[test]
 fn server_rejects_protocol_violations() {
-    let store = Arc::new(InMemoryStore::new(1..=100u64));
+    let store = Arc::new(MutableStore::new(1..=100u64));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,
@@ -570,7 +575,7 @@ fn pipelined_rounds_cut_round_trips_at_d_1000_within_the_byte_envelope() {
 
     let mut reports = Vec::new();
     for pipeline in [1u32, 3] {
-        let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+        let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
         let server = Server::bind(
             "127.0.0.1:0",
             Arc::clone(&store) as Arc<_>,
@@ -644,9 +649,9 @@ fn two_named_stores_sync_concurrently_through_one_server() {
     let (alice_b, bob_b) = two_sided_pair(&pool_b, 50);
 
     let registry = Arc::new(StoreRegistry::new());
-    registry.register("", Arc::new(InMemoryStore::new(1..=10u64)));
-    let store_a = Arc::new(InMemoryStore::new(bob_a.iter().copied()));
-    let store_b = Arc::new(InMemoryStore::new(bob_b.iter().copied()));
+    registry.register("", Arc::new(MutableStore::new(1..=10u64)));
+    let store_a = Arc::new(MutableStore::new(bob_a.iter().copied()));
+    let store_b = Arc::new(MutableStore::new(bob_b.iter().copied()));
     registry.register("alpha", Arc::clone(&store_a) as Arc<_>);
     registry.register("beta", Arc::clone(&store_b) as Arc<_>);
 
@@ -719,7 +724,7 @@ fn two_named_stores_sync_concurrently_through_one_server() {
 fn unknown_store_is_refused_by_name() {
     let pool = distinct_keys(2_000, 0xD0D0);
     let (alice_set, bob_set) = two_sided_pair(&pool, 20);
-    let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+    let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,
@@ -759,7 +764,7 @@ fn adaptive_pipeline_is_within_a_trip_of_the_best_fixed_depth_for_unpipelined_by
     let seed = 0xAD_A901u64;
 
     let run = |pipeline: Pipeline| {
-        let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+        let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
         let server = Server::bind(
             "127.0.0.1:0",
             Arc::clone(&store) as Arc<_>,
@@ -802,34 +807,13 @@ fn adaptive_pipeline_is_within_a_trip_of_the_best_fixed_depth_for_unpipelined_by
 }
 
 #[test]
-fn classic_sync_on_an_epoch_capable_store_is_acked_with_the_snapshot_epoch() {
-    // Against an epoch-capable store, even a classic (no-epoch-cache) sync
-    // receives the epoch baseline in its ack.
-    let pool = distinct_keys(2_000, 0xD317A);
-    let (alice_set, bob_set) = two_sided_pair(&pool, 20);
-    let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&store) as Arc<_>,
-        ServerConfig::default(),
-    )
-    .expect("bind");
-    let config = ClientConfig::builder().known_d(20).seed(6).build();
-    let report = sync(server.local_addr(), &alice_set, &config).expect("sync");
-    assert!(report.verified);
-    assert_eq!(report.epoch, Some(0), "baseline = the snapshot epoch");
-    assert!(report.delta.is_none() && !report.delta_fallback);
-    server.shutdown();
-}
-
-#[test]
 fn pipeline_depth_is_negotiated_down_to_the_server_cap() {
     // A client asking for depth 8 against a server capped at 2 must not be
     // refused mid-session: the handshake grants 2 and the sync proceeds at
     // that depth.
     let pool = distinct_keys(3_000, 0xCA9);
     let (alice_set, bob_set) = two_sided_pair(&pool, 30);
-    let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+    let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,
@@ -901,7 +885,7 @@ fn server_round_cap_refuses_marathon_sessions() {
     // rounds refuses it with the round-limit error code.
     let pool = distinct_keys(2_000, 0xFEED);
     let (alice_set, bob_set) = two_sided_pair(&pool, 60);
-    let store = Arc::new(InMemoryStore::new(bob_set.iter().copied()));
+    let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,

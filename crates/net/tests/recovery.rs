@@ -14,9 +14,9 @@
 
 use pbs_net::client::{sync, sync_with_retry, ClientConfig, RetryPolicy};
 use pbs_net::frame::ErrorCode;
-use pbs_net::store::{ChangeBatch, StoreOptions, StoreRegistry};
+use pbs_net::store::{ChangeBatch, StoreRegistry};
 use pbs_net::wal::{self, CrashPoint, DurableOptions};
-use pbs_net::{InMemoryStore, NetError, Server, ServerConfig};
+use pbs_net::{MutableStore, NetError, Server, ServerConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -83,7 +83,7 @@ fn kill_and_recover_soak_preserves_delta_continuity() {
         let registry = Arc::new(StoreRegistry::new());
         registry.set_persistence_root(&root);
         let (store, recovery) = registry
-            .register_durable("", durable, StoreOptions::default())
+            .open_store("", durable)
             .expect("open durable store");
         if !crash_expected {
             assert_eq!(recovery.truncated_bytes, 0);
@@ -234,7 +234,7 @@ fn retry_rides_out_a_server_restart() {
     drop(listener); // the port is now dead — connects are refused
     let server_thread = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(400));
-        let store = Arc::new(InMemoryStore::new(2..=100u64));
+        let store = Arc::new(MutableStore::new(2..=100u64));
         Server::bind(addr, store, ServerConfig::default()).expect("bind")
     });
     let alice: Vec<u64> = (1..=99).collect();
@@ -267,8 +267,10 @@ fn a_transfer_the_store_refused_is_not_acked() {
     let registry = Arc::new(StoreRegistry::new());
     registry.set_persistence_root(&root);
     let open = || {
-        let (durable, options) = (DurableOptions::default(), StoreOptions::default());
-        registry.register_durable("", durable, options).unwrap().0
+        registry
+            .open_store("", DurableOptions::default())
+            .unwrap()
+            .0
     };
     let store = open();
     store.apply(&(2..=100).collect::<Vec<u64>>(), &[]);

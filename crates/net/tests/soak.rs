@@ -14,11 +14,26 @@ use pbs_net::client::{sync, ClientConfig};
 use pbs_net::frame::{
     delta_batch_frames, delta_chunk_capacity, Frame, Hello, DEFAULT_MAX_FRAME, FRAME_OVERHEAD,
 };
-use pbs_net::server::{InMemoryStore, Server, ServerConfig};
+use pbs_net::server::{Server, ServerConfig};
 use pbs_net::store::{MutableStore, SetStore};
 use protocol::{Direction, Transcript};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// A store that keeps no epochs: [`SetStore`] with its defaults, what an
+/// out-of-tree store is. The tree's own store overrides them all.
+struct Epochless(Mutex<Vec<u64>>);
+
+impl SetStore for Epochless {
+    fn snapshot(&self) -> Vec<u64> {
+        self.0.lock().unwrap().clone()
+    }
+
+    fn apply_missing(&self, elements: &[u64]) -> bool {
+        self.0.lock().unwrap().extend_from_slice(elements);
+        true
+    }
+}
 
 /// `count` distinct nonzero 32-bit-universe elements.
 fn distinct_keys(count: usize, salt: u64) -> Vec<u64> {
@@ -121,7 +136,7 @@ fn delta_sync_of_100k_store_beats_full_reconciliation_bytes() {
         .filter(|e| !removed.contains(e))
         .chain(added.iter().copied())
         .collect();
-    let full_store = Arc::new(InMemoryStore::new(mutated.iter().copied()));
+    let full_store = Arc::new(MutableStore::new(mutated.iter().copied()));
     let full_server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&full_store) as Arc<_>,
@@ -265,13 +280,14 @@ fn trimmed_changelog_falls_back_to_full_reconciliation() {
     assert_eq!(stats.sessions_completed, 2);
 }
 
-/// A delta request against a store with no changelog at all (plain
-/// `InMemoryStore`) is answered with `FullResyncRequired` and completes as
-/// a classic session with no epoch baseline.
+/// A delta request against a store with no changelog at all (an
+/// out-of-tree [`SetStore`] on the trait's defaults) is answered with
+/// `FullResyncRequired` and completes as a classic session, acked with an
+/// empty `Done`: no epoch baseline.
 #[test]
 fn epochless_stores_demand_full_resync() {
     let pool = distinct_keys(2_000, 0xE9_0C4);
-    let store = Arc::new(InMemoryStore::new(pool[..1_990].iter().copied()));
+    let store = Arc::new(Epochless(Mutex::new(pool[..1_990].to_vec())));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,
@@ -291,6 +307,7 @@ fn epochless_stores_demand_full_resync() {
     assert!(report.verified);
     assert!(report.delta_fallback);
     assert_eq!(report.epoch, None, "epoch-less stores grant no baseline");
+    assert_eq!(store.snapshot().len(), 2_000, "the transfer was ingested");
     let stats = server.shutdown();
     assert_eq!(stats.delta_fallbacks, 1);
     assert_eq!(stats.delta_sessions, 0);

@@ -19,11 +19,26 @@
 use pbs_net::client::{DeltaReport, SyncClient};
 use pbs_net::frame::{delta_batch_frames, delta_chunk_capacity, Frame, DEFAULT_MAX_FRAME};
 use pbs_net::server::{Server, ServerConfig};
-use pbs_net::store::{InMemoryStore, MutableStore, StoreRegistry};
+use pbs_net::store::{MutableStore, SetStore, StoreRegistry};
 use pbs_net::NetError;
 use std::collections::HashSet;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
+
+/// A store that keeps no epochs: [`SetStore`] with its defaults, what an
+/// out-of-tree store is. The tree's own store overrides them all.
+struct Epochless(Mutex<Vec<u64>>);
+
+impl SetStore for Epochless {
+    fn snapshot(&self) -> Vec<u64> {
+        self.0.lock().unwrap().clone()
+    }
+
+    fn apply_missing(&self, elements: &[u64]) -> bool {
+        self.0.lock().unwrap().extend_from_slice(elements);
+        true
+    }
+}
 
 /// The wire bytes the server must push for the changelog batches since
 /// `epoch`: one `DeltaBatch` frame per chunk, computed with the same
@@ -333,7 +348,7 @@ fn shutdown_wakes_and_drains_streaming_sessions() {
 
 #[test]
 fn epoch_less_stores_refuse_subscriptions_cleanly() {
-    let store = Arc::new(InMemoryStore::new(1..=10u64));
+    let store = Arc::new(Epochless(Mutex::new((1..=10).collect())));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,

@@ -1,6 +1,6 @@
 //! The PR-4 service features in one process: a multi-tenant server routing
-//! two named stores plus a live `MutableStore`, clients addressing stores
-//! by name, and pipelined rounds cutting wall-clock round trips.
+//! three named stores (one fed live from the server side), clients addressing
+//! stores by name, and pipelined rounds cutting wall-clock round trips.
 //!
 //! ```sh
 //! cargo run --release --example multi_store_sync
@@ -8,7 +8,7 @@
 
 use pbs::pbs_net::client::{Pipeline, SyncClient};
 use pbs::pbs_net::server::{Server, ServerConfig};
-use pbs::pbs_net::store::{InMemoryStore, MutableStore, SetStore, StoreRegistry};
+use pbs::pbs_net::store::{MutableStore, SetStore, StoreRegistry};
 use std::sync::Arc;
 
 fn keyed(range: std::ops::Range<u64>, mul: u64) -> Vec<u64> {
@@ -17,8 +17,8 @@ fn keyed(range: std::ops::Range<u64>, mul: u64) -> Vec<u64> {
 
 fn main() {
     // Two independent tenants plus a live, mutable feed.
-    let blocks = Arc::new(InMemoryStore::new(keyed(1..50_000, 31)));
-    let peers = Arc::new(InMemoryStore::new(keyed(1..10_000, 59)));
+    let blocks = Arc::new(MutableStore::new(keyed(1..50_000, 31)));
+    let peers = Arc::new(MutableStore::new(keyed(1..10_000, 59)));
     let feed = Arc::new(MutableStore::new(keyed(1..5_000, 83)));
 
     let registry = Arc::new(StoreRegistry::new());

@@ -7,7 +7,7 @@
 //! ```
 
 use pbs::pbs_net::client::SyncClient;
-use pbs::pbs_net::server::{InMemoryStore, Server, ServerConfig};
+use pbs::pbs_net::{MutableStore, Server, ServerConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     let server_set: Vec<u64> = pool[..100_000].to_vec();
     let client_set: Vec<u64> = pool[40..].to_vec();
 
-    let store = Arc::new(InMemoryStore::new(server_set));
+    let store = Arc::new(MutableStore::new(server_set));
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&store) as Arc<_>,

@@ -31,7 +31,7 @@ use loadgen::FaultProxy;
 use pbs_net::client::{sync, ClientConfig};
 use pbs_net::mesh::{anti_entropy_round, MeshStats};
 use pbs_net::server::{Server, ServerConfig};
-use pbs_net::store::{MutableStore, StoreOptions, StoreRegistry};
+use pbs_net::store::{MutableStore, StoreRegistry};
 use pbs_net::wal::DurableOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,7 +119,7 @@ fn mesh_converges_under_partition_churn_and_restart() {
     let registry = Arc::new(StoreRegistry::new());
     registry.set_persistence_root(&durable_dir);
     let (durable_store, _recovery) = registry
-        .register_durable("", DurableOptions::default(), StoreOptions::default())
+        .open_store("", DurableOptions::default())
         .expect("open durable store");
     durable_store.apply(&base, &[]);
     durable_store.apply(&durable_wedge, &[]);
@@ -206,7 +206,7 @@ fn mesh_converges_under_partition_churn_and_restart() {
     let registry = Arc::new(StoreRegistry::new());
     registry.set_persistence_root(&durable_dir);
     let (_recovered_store, _recovery) = registry
-        .register_durable("", DurableOptions::default(), StoreOptions::default())
+        .open_store("", DurableOptions::default())
         .expect("recover durable store");
     registries.push(Arc::clone(&registry));
     assert_eq!(
