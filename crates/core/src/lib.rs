@@ -29,7 +29,10 @@
 //! * [`AliceSession`] / [`BobSession`] plus the message types in
 //!   [`messages`] — an explicit two-party state machine for callers that
 //!   want to ship the messages over a real transport (see the
-//!   `blockchain_relay` example).
+//!   `blockchain_relay` example). A party that serves many sessions from
+//!   one changing set keeps a [`SetView`] of it — hash-ordered, with its
+//!   ToW bank, patched in O(change) — and builds each Bob from that
+//!   ([`BobSession::from_view`]) instead of from the raw elements.
 //!
 //! # Example
 //!
@@ -50,10 +53,12 @@
 
 pub mod messages;
 mod session;
+mod view;
 pub mod wire;
 
 pub use messages::RoundStatus;
 pub use session::{AliceSession, BobSession};
+pub use view::SetView;
 
 use analysis::{optimize_parameters, OptimalParams, DEFAULT_DELTA, DEFAULT_TARGET_ROUNDS};
 use estimator::{Estimator, TowEstimator};

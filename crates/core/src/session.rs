@@ -23,7 +23,9 @@
 //! Neither party keeps a hash set over its elements. Both call
 //! [`PartitionHasher::partition`] once — one hash per element, a scatter
 //! into per-group `Vec`s, duplicates dropped — and again on the three-way
-//! split of a failed group; both build a group's sketch with the one
+//! split of a failed group (a Bob built [`BobSession::from_view`] skips the
+//! first call: his groups are runs of a shared, hash-ordered
+//! [`crate::SetView`], read in place); both build a group's sketch with the one
 //! `parity_sketch` routine, over the odd bins of its parity bitmap only.
 //! What the per-group pass needs besides the group itself — the parity
 //! bitset, the per-bin XOR accumulators, the decoder's polynomials — is one
@@ -61,10 +63,12 @@
 use crate::messages::{
     child_sessions, BinInfo, GroupReport, GroupReportBody, GroupSketch, RoundStatus, SessionId,
 };
-use crate::PbsConfig;
+use crate::{PbsConfig, SetView};
 use analysis::OptimalParams;
 use bch::{BchCodec, DecodeScratch, Sketch};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 use xhash::{derive_seed, PartitionHasher, SetChecksum};
 
 /// Salt labels for seed derivation, so the group partition, each round's bin
@@ -101,7 +105,9 @@ fn split_seed(base: u64, session: SessionId) -> u64 {
     derive_seed(derive_seed(base, session), SPLIT_SALT)
 }
 
-fn group_seed(base: u64) -> u64 {
+/// Seed of the group partition's hash — also the hash a
+/// [`crate::SetView`] is ordered by, which is what makes its groups ranges.
+pub(crate) fn group_seed(base: u64) -> u64 {
     derive_seed(base, GROUP_SALT)
 }
 
@@ -793,10 +799,36 @@ impl AliceSession {
 // Bob
 // ---------------------------------------------------------------------------
 
+/// Where a group's elements live.
+#[derive(Debug)]
+enum Members {
+    /// The session's own copy: a part of [`BobSession::new`]'s partition,
+    /// or a child of a §3.2 split.
+    Owned(Vec<u64>),
+    /// A run of a shared view's hash order ([`BobSession::from_view`]).
+    Shared(Arc<SetView>, Range<usize>),
+}
+
+impl Members {
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Members::Owned(elements) => elements,
+            Members::Shared(view, range) => view.elements().get(range.clone()).unwrap_or(&[]),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct BobGroup {
-    elements: Vec<u64>,
+    elements: Members,
     checksum: u64,
+}
+
+impl BobGroup {
+    fn new(universe_bits: u32, elements: Members) -> Self {
+        let checksum = xhash::element_checksum(universe_bits, elements.as_slice().iter().copied());
+        BobGroup { elements, checksum }
+    }
 }
 
 /// Bob's side of the protocol: he answers Alice's sketches.
@@ -819,29 +851,44 @@ impl BobSession {
     /// XOR parity bitmap but count twice in the *additive* group checksum,
     /// leaving a group that can never verify no matter how often it splits.
     pub fn new(cfg: PbsConfig, params: OptimalParams, elements: &[u64], seed: u64) -> Self {
-        let codec = session_codec(&params);
         let group_hasher = PartitionHasher::new(params.groups as u64, group_seed(seed));
-        let groups = group_hasher
-            .partition(elements)
+        let parts = group_hasher.partition(elements);
+        Self::over(cfg, params, seed, parts.into_iter().map(Members::Owned))
+    }
+
+    /// Create Bob's session state over a shared [`SetView`] of his set,
+    /// under the view's seed. Equivalent to [`BobSession::new`] over the
+    /// same set and seed — every report is the same — but nothing is
+    /// hashed, scattered or copied: group `i` is the `i`-th of
+    /// [`SetView::group_ranges`], read in place for as long as it is not
+    /// split (the children of a §3.2 split are the session's own copies).
+    pub fn from_view(cfg: PbsConfig, params: OptimalParams, view: Arc<SetView>) -> Self {
+        let ranges = view.group_ranges(params.groups);
+        let members = ranges
             .into_iter()
-            .enumerate()
-            .map(|(i, elems)| {
-                let checksum = xhash::element_checksum(cfg.universe_bits, elems.iter().copied());
-                (
-                    (i + 1) as SessionId,
-                    BobGroup {
-                        elements: elems,
-                        checksum,
-                    },
-                )
-            })
-            .collect();
+            .map(|range| Members::Shared(Arc::clone(&view), range));
+        Self::over(cfg, params, view.seed(), members)
+    }
+
+    /// The session over its initial groups, in group order.
+    fn over(
+        cfg: PbsConfig,
+        params: OptimalParams,
+        seed: u64,
+        groups: impl Iterator<Item = Members>,
+    ) -> Self {
         BobSession {
             cfg,
             params,
-            codec,
+            codec: session_codec(&params),
             base_seed: seed,
-            groups,
+            groups: groups
+                .enumerate()
+                .map(|(i, members)| {
+                    let group = BobGroup::new(cfg.universe_bits, members);
+                    ((i + 1) as SessionId, group)
+                })
+                .collect(),
             decode_failures: 0,
         }
     }
@@ -988,7 +1035,7 @@ impl BobSession {
         let mut out: Vec<GroupReport> = Vec::with_capacity(sketches.len());
         for msg in sketches {
             let (elements, checksum) = match self.groups.get(&msg.session) {
-                Some(group) => (group.elements.clone(), group.checksum),
+                Some(group) => (group.elements.as_slice().to_vec(), group.checksum),
                 None => (Vec::new(), 0),
             };
             let n = self.params.n as u64;
@@ -1054,16 +1101,10 @@ impl BobSession {
         };
         let children = child_sessions(session);
         let hasher = PartitionHasher::new(SPLIT_WAYS, split_seed(self.base_seed, session));
-        let parts = hasher.partition(&parent.elements);
+        let parts = hasher.partition(parent.elements.as_slice());
         for (k, part) in parts.into_iter().enumerate() {
-            let checksum = xhash::element_checksum(self.cfg.universe_bits, part.iter().copied());
-            self.groups.insert(
-                children[k],
-                BobGroup {
-                    elements: part,
-                    checksum,
-                },
-            );
+            let child = BobGroup::new(self.cfg.universe_bits, Members::Owned(part));
+            self.groups.insert(children[k], child);
         }
     }
 }
@@ -1187,14 +1228,15 @@ mod tests {
 
     #[test]
     fn batched_decode_matches_reference_transcripts() {
-        // Drive two Bobs — the batched/parallel path and the seed's serial
-        // reference — through multi-round runs; every sketch batch (against
-        // the per-element encoder), every report batch and the final state
-        // must agree. Planning for `d_planned` while the true difference is
-        // `d_actual` covers clean decodes (`d_actual` small) and forced
-        // decode failures with §3.2 splits (`d_actual` ≫ `d_planned`); more
-        // than one layer a trip brings in the batch rules — `c(B_i)` once
-        // per session, on its first decoded layer.
+        // Drive three Bobs — the batched/parallel path over his own
+        // partition, the same over a shared view's ranges, and the seed's
+        // serial reference — through multi-round runs; every sketch batch
+        // (against the per-element encoder), every report batch and the
+        // final state must agree. Planning for `d_planned` while the true
+        // difference is `d_actual` covers clean decodes (`d_actual` small)
+        // and forced decode failures with §3.2 splits (`d_actual` ≫
+        // `d_planned`); more than one layer a trip brings in the batch
+        // rules — `c(B_i)` once per session, on its first decoded layer.
         // (|A|, d_planned, d_actual, seed, layers)
         let cases: [(usize, usize, usize, u64, u32); 15] = [
             (1000, 5, 300, 21, 1),
@@ -1225,6 +1267,8 @@ mod tests {
             let mut a_ref = AliceSession::new(cfg, params, &alice, seed);
             let mut b_fast = BobSession::new(cfg, params, bob, seed);
             let mut b_ref = BobSession::new(cfg, params, bob, seed);
+            let view = Arc::new(SetView::build(bob.to_vec(), seed, 8, 0));
+            let mut b_view = BobSession::from_view(cfg, params, view);
             for round in 0..24 {
                 let sketches_fast = start_checked(&mut a_fast, layers);
                 let sketches_ref = a_ref.start_rounds(layers);
@@ -1232,8 +1276,12 @@ mod tests {
                 let reports_fast = b_fast.handle_sketches(&sketches_fast);
                 let reports_ref = b_ref.handle_sketches_reference(&sketches_ref);
                 assert_eq!(reports_fast, reports_ref, "{case}: reports r{round}");
-                assert_eq!(b_fast.decode_failures(), b_ref.decode_failures());
-                assert_eq!(b_fast.session_count(), b_ref.session_count());
+                let reports_view = b_view.handle_sketches(&sketches_fast);
+                assert_eq!(reports_view, reports_ref, "{case}: view reports r{round}");
+                for b in [&b_fast, &b_view] {
+                    assert_eq!(b.decode_failures(), b_ref.decode_failures());
+                    assert_eq!(b.session_count(), b_ref.session_count());
+                }
                 // One layer a trip answers every request as it always has;
                 // deeper batches answer a session's repeated requests once.
                 let answered = |r: &GroupReport| {

@@ -96,6 +96,19 @@ impl TowEstimator {
         self.seed
     }
 
+    /// Take `elements` — each inserted before, once — back out: a sketch
+    /// is a sum over the set, so the bank of `S ∖ R` is the bank of `S`
+    /// minus the bank of `R`. What lets a holder of a changing set keep
+    /// its bank in step in O(ℓ · |change|) instead of rebuilding it.
+    pub fn remove_slice(&mut self, elements: &[u64]) {
+        let mut gone = TowEstimator::new(self.sketches.len(), self.seed);
+        gone.insert_slice(elements);
+        for (sketch, gone) in self.sketches.iter_mut().zip(&gone.sketches) {
+            *sketch -= gone;
+        }
+        self.items = self.items.saturating_sub(gone.items);
+    }
+
     /// Serialize the bank for a transport-level estimator exchange (the
     /// `EstimatorExchange` frame of the networked protocol): sketch count
     /// (`u32`), item count (`u64`), seed (`u64`), a counter width in bytes
@@ -419,6 +432,20 @@ mod tests {
             let mut bad = bytes.clone();
             bad[20] = width;
             assert!(TowEstimator::from_bytes(&bad).is_none(), "width {width}");
+        }
+    }
+
+    #[test]
+    fn removing_a_slice_leaves_the_bank_of_the_rest() {
+        // Across block boundaries (255), lane remainders (40 = 32 + 8) and
+        // down to the empty bank.
+        let (set, _) = random_pair(700, 0, 8);
+        for cut in [0, 1, 255, 256, 699, 700] {
+            let (gone, kept) = set.split_at(cut);
+            let mut bank = TowEstimator::new(40, 13);
+            bank.insert_slice(&set);
+            bank.remove_slice(gone);
+            assert_eq!(bank, build(kept, 40, 13), "cut at {cut}");
         }
     }
 

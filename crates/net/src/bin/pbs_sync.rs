@@ -12,6 +12,9 @@
 //! pushes `A \ B` to the server, and prints what the wire carried. With
 //! `--range N --drop K` the local set is the server's `--range N` demo set
 //! minus its first `K` elements — an instant end-to-end smoke test.
+//! `--seed S` is the session seed the client *proposes*; a server whose
+//! store keeps a view of its set laid out under a seed answers with that
+//! one, the session runs under it, and the summary line prints it.
 //! `--store NAME` addresses one of a multi-store server's named sets;
 //! `--pipeline L` packs `L` protocol rounds into each round trip, and
 //! `--pipeline auto` lets the session price each trip's speculative layers
@@ -321,7 +324,7 @@ fn main() {
     }
     println!(
         "pbs-sync: {}{} of set {} → |A△B| = {} ({} pushed to the server), \
-         {} rounds in {} trips, d_param {}{}, verified: {}",
+         {} rounds in {} trips, d_param {}{}, seed {:#x}, verified: {}",
         args.connect,
         if args.store.is_empty() {
             String::new()
@@ -338,6 +341,7 @@ fn main() {
             .estimated_d
             .map(|d| format!(" (d̂ = {d:.1})"))
             .unwrap_or_default(),
+        report.seed,
         report.verified,
     );
     println!(

@@ -80,8 +80,12 @@ pub struct ClientConfig {
     /// Difference cardinality known a priori; `None` runs the ToW
     /// estimator exchange.
     pub known_d: Option<u64>,
-    /// Base seed for every hash function of the session. Two syncs with
-    /// the same seed and sets are byte-identical on the wire.
+    /// The seed proposed in the `Hello`. Every hash function of the
+    /// session derives from the seed the server's reply names
+    /// ([`SyncReport::seed`]): this one, unless the store keeps a view of
+    /// its set laid out under a seed of its own making. Two syncs of the
+    /// same sets under the same [`SyncReport::seed`] are byte-identical on
+    /// the wire.
     pub seed: u64,
     /// Client-side cap on sketch/report *protocol rounds* before giving up
     /// (the server enforces its own cap too; pipelined layers count
@@ -270,6 +274,11 @@ pub struct SyncReport {
     /// `round_trips` no lower than an unpipelined run's says the depth is
     /// too high for this workload.
     pub speculative_unused: u64,
+    /// The seed the session ran under: the `Hello` reply's — the client's
+    /// own proposal ([`ClientConfig::seed`]) unless the store keeps a view
+    /// of its set, laid out under a seed it derived itself. Re-deriving the
+    /// session in-process takes this seed.
+    pub seed: u64,
     /// The difference cardinality the session was parameterized with.
     pub d_param: u64,
     /// The raw ToW estimate, when the estimator exchange ran.
@@ -591,8 +600,12 @@ impl Iterator for Subscription {
 /// `A \ B` were pushed to the server, so afterwards both parties can hold
 /// `A ∪ B` (the client by inserting `recovered ∖ pushed`, the server by
 /// ingesting the transfer). `verified == false` means the round cap fired
-/// before every group checksum passed — the recovery is best-effort and the
-/// caller should retry with a fresh seed.
+/// before every group checksum passed — the recovery is best-effort and
+/// the caller should retry: under a fresh seed. Where the session ran under
+/// its own proposal, that is a fresh [`ClientConfig::seed`]; where the
+/// reply named the seed of the store's view ([`SyncReport::seed`] differs
+/// from the proposal), the server that saw the session give up has made
+/// the store let go of that seed, and answers the retry with another.
 pub fn sync(
     addr: impl ToSocketAddrs,
     set: &[u64],

@@ -711,9 +711,9 @@ impl Worker {
                 ];
                 self.trace_session(i, Level::Info, "delta_catchup", &fields);
             }
-            Crossed::Estimated { d_param } => {
+            Crossed::Estimated { d_param, view } => {
                 self.record_phase(i, |m| &m.estimate);
-                let fields = [("d_param", Value::U64(d_param))];
+                let fields = [("d_param", Value::U64(d_param)), ("view", Value::Str(view))];
                 self.trace_session(i, Level::Info, "estimated", &fields);
             }
             Crossed::Reconciled { rounds, received } => {

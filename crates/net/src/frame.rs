@@ -25,12 +25,13 @@ use std::io::{Read, Write};
 /// ([`FrameError::Version`], answered with [`ErrorCode::Version`]) before
 /// any later field is read.
 ///
-/// Version 5 keeps the `Hello`, the delta stream and every one-word frame
-/// byte for byte; what changed is the payload codec of the reconciliation
-/// itself: sketch and report batches are bit-packed at stated widths
-/// ([`pbs_core::wire`]), `Done` packs its elements like a `DeltaBatch`, and
-/// the estimator bank ships its counters at the width they need.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// Version 6 keeps every byte of version 5 where it was; what changed is
+/// who decides the seed. The `seed` field of the `Hello` *reply* is
+/// authoritative — a server whose store keeps a view of its set laid out
+/// under a seed answers with that one — and a v5 client, which ran under
+/// its own proposal whatever the reply said, must be turned away here
+/// rather than at its estimator bank.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Largest δ a `Hello` may ask for ([`Hello::config`]).
 const MAX_HELLO_DELTA: u32 = 24;
@@ -211,10 +212,10 @@ impl std::fmt::Display for ErrorCode {
 
 /// The handshake frame both parties open with. The client proposes the
 /// full reconciliation configuration; the server echoes it with the store
-/// it routed to and the pipeline depth it grants (or answers with
-/// [`Frame::Error`]). Carrying the whole [`PbsConfig`] plus the seed means
-/// the two state machines derive every hash function identically without
-/// any further agreement.
+/// it routed to, the pipeline depth it grants and the seed the session
+/// runs under (or answers with [`Frame::Error`]). Carrying the whole
+/// [`PbsConfig`] plus the seed means the two state machines derive every
+/// hash function identically without any further agreement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
     /// Always [`PROTOCOL_VERSION`] in a `Hello` that decoded; the encoder
@@ -232,7 +233,10 @@ pub struct Hello {
     pub target_success: f64,
     /// Number of ToW sketches used when `d` must be estimated.
     pub estimator_sketches: u32,
-    /// Base seed every hash function on both sides derives from.
+    /// Base seed every hash function on both sides derives from. The
+    /// client proposes one; the reply's is authoritative — the seed of the
+    /// store's view where it keeps one ([`crate::SetStore::session_seed`]),
+    /// the proposal otherwise.
     pub seed: u64,
     /// Difference cardinality known a priori; `0` means unknown, and an
     /// estimator exchange follows the handshake.
@@ -292,6 +296,16 @@ impl Hello {
     pub fn with_delta_epoch(mut self, epoch: u64) -> Self {
         self.delta_epoch = Some(epoch);
         self
+    }
+
+    /// `true` when `other` carries the same six [`PbsConfig`] fields — what
+    /// a reply must leave as the client sent them.
+    pub fn same_parameters(&self, other: &Hello) -> bool {
+        let parameters = |h: &Hello| {
+            let rounds = (h.target_rounds, h.max_rounds, h.target_success.to_bits());
+            (h.universe_bits, h.delta, rounds, h.estimator_sketches)
+        };
+        parameters(self) == parameters(other)
     }
 
     /// Reconstruct the [`PbsConfig`] both parties must instantiate.
@@ -863,7 +877,7 @@ mod tests {
 
     #[test]
     fn wrong_version_hellos_are_refused_before_any_later_field() {
-        for version in [0, 1, 2, 3, 4, 6, u16::MAX] {
+        for version in [0, 1, 2, 3, 4, 5, 7, u16::MAX] {
             let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0);
             hello.version = version;
             let body = Frame::Hello(hello).encode_body();

@@ -11,8 +11,11 @@
 //!   `Read + Write` stream.
 //! * [`store`] — the element store, [`MutableStore`]: a set with an
 //!   epoch-stamped changelog (the delta feed), optionally a WAL under it,
-//!   one commit function; and the [`StoreRegistry`] a multi-tenant server
-//!   routes the handshake's store name through.
+//!   one commit function, and one cached hash-ordered view per epoch
+//!   ([`SetStore::view`]) that full sessions share and patch from the
+//!   changelog instead of re-partitioning the set each; and the
+//!   [`StoreRegistry`] a multi-tenant server routes the handshake's store
+//!   name through.
 //! * [`server`] — [`server::Server`]: an event-driven TCP server — one
 //!   acceptor plus a few [`poll`]-based event-loop workers, each
 //!   multiplexing many non-blocking connections. The server half of the
@@ -106,7 +109,7 @@ pub use machine::{ClientMachine, Mode, Phase, Step};
 pub use mesh::{MeshConfig, MeshDriver, MeshStats, PeerSnapshot, PeerStats};
 pub use mux::MuxStream;
 pub use server::{Server, ServerConfig};
-pub use store::{ChangeBatch, DeltaAnswer, MutableStore, SetStore, StoreRegistry};
+pub use store::{ChangeBatch, DeltaAnswer, MutableStore, SetStore, StoreRegistry, ViewAnswer};
 pub use wal::{CrashPoint, DurableOptions, RecoveryReport};
 
 use pbs_core::wire::WireError;

@@ -98,17 +98,20 @@ impl Step {
 }
 
 /// Outcome of a delta stream ([`SyncReport::delta`], or one item of a
-/// subscription): the net changes between two epochs, collapsed across
-/// batches (an element added then removed nets out).
+/// subscription): the changes between two epochs, collapsed across batches
+/// to each touched element's last one (an element added then removed is
+/// listed as removed: a no-op for a reader that never held it).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaReport {
     /// The epoch the stream started from.
     pub from_epoch: u64,
     /// The epoch the stream ended at — the next sync's `delta_epoch`.
     pub to_epoch: u64,
-    /// Net elements to insert, sorted.
+    /// Elements the store holds at `to_epoch` that the stream touched,
+    /// sorted: to insert.
     pub added: Vec<u64>,
-    /// Net elements to remove, sorted.
+    /// Elements the stream touched that the store does not hold at
+    /// `to_epoch`, sorted: to remove.
     pub removed: Vec<u64>,
     /// `DeltaBatch` frames received.
     pub batches: u64,
@@ -125,9 +128,17 @@ impl DeltaReport {
 }
 
 /// Accumulator folding a delta stream into net add/remove sets, in arrival
-/// order: a remove cancels an earlier add and vice versa (stream order is
-/// changelog order, so the fold is exact). This is *the* collapse rule of
-/// the client.
+/// order: each element ends up on the list of its *last* change, whatever
+/// came before. Applying the result (removes, then adds) therefore leaves
+/// every touched element as the store has it at the end of the stream,
+/// whatever the reader held at the start — exact for a reader that stood
+/// precisely at the stream's first epoch, and still exact for one that
+/// was ahead of it (a client acked at its snapshot's epoch already holds
+/// the transfer the next batch adds). Cancelling an add against a later
+/// remove instead would lose a removal: out, in and out again of a held
+/// element is *out*. This is *the* collapse rule: the client's, and the
+/// store's own when it brings its cached view forward
+/// ([`crate::SetStore::view`]).
 #[derive(Debug, Default)]
 pub struct DeltaFold {
     added: HashSet<u64>,
@@ -149,9 +160,8 @@ impl DeltaFold {
     ) {
         self.batches += 1;
         for e in removed {
-            if !self.added.remove(&e) {
-                self.removed.insert(e);
-            }
+            self.added.remove(&e);
+            self.removed.insert(e);
         }
         for e in added {
             self.removed.remove(&e);
@@ -159,12 +169,12 @@ impl DeltaFold {
         }
     }
 
-    /// Net changed elements so far (adds plus removes).
+    /// Distinct elements the stream has touched so far.
     pub fn len(&self) -> usize {
         self.added.len() + self.removed.len()
     }
 
-    /// `true` when the folded stream nets out to no change.
+    /// `true` when the folded stream has touched no element.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -348,6 +358,19 @@ impl<'a> ClientMachine<'a> {
         match (self.state, frame) {
             (_, Frame::Error { code, message }) => Err(NetError::Remote { code, message }),
             (State::AwaitHello, Frame::Hello(reply)) => {
+                // The reply is obeyed from here on, so it is held to what
+                // was asked: the server may route, grant a depth and name
+                // the seed — the reconciliation parameters are the ones
+                // this side proposed, or the two would plan apart.
+                if !reply.same_parameters(&Hello::from_config(&self.config.pbs, 0, 0)) {
+                    return Err(NetError::Protocol(
+                        "the Hello reply changed the reconciliation parameters it was sent".into(),
+                    ));
+                }
+                // The seed is the store's to decide: a server that keeps a
+                // view of its set laid out under one names it here. Every
+                // hash of the session derives from this one.
+                self.report.seed = reply.seed;
                 // The server grants at most its own per-frame cap and the
                 // session uses the granted depth — a deeper request
                 // degrades instead of having a mid-session frame refused.
@@ -515,7 +538,7 @@ impl<'a> ClientMachine<'a> {
     }
 
     fn bank(&self) -> Frame {
-        let est_seed = xhash::derive_seed(self.config.seed, ESTIMATOR_SEED_SALT);
+        let est_seed = xhash::derive_seed(self.report.seed, ESTIMATOR_SEED_SALT);
         let mut bank = TowEstimator::new(self.config.pbs.estimator_sketches, est_seed);
         bank.insert_slice(&self.set);
         Frame::EstimatorExchange(EstimatorMsg::TowBank(bank.to_bytes()))
@@ -528,12 +551,9 @@ impl<'a> ClientMachine<'a> {
             None => {
                 let params = Pbs::new(config.pbs).plan(self.report.d_param as usize);
                 self.m = params.m;
-                self.alice.insert(AliceSession::new(
-                    config.pbs,
-                    params,
-                    &self.set,
-                    config.seed,
-                ))
+                let seed = self.report.seed;
+                self.alice
+                    .insert(AliceSession::new(config.pbs, params, &self.set, seed))
             }
         };
         // Pipelined: one frame speculatively carries the next `layers`
@@ -642,6 +662,39 @@ mod tests {
         (alice, bob)
     }
 
+    /// Every way one element can go out of and into a store in up to five
+    /// effective batches, from held or not: applying the fold to a reader's
+    /// set gives what the store holds at the end — for the reader that
+    /// stood at the first epoch, and for the one that did not (it was
+    /// acked at a snapshot's epoch and already holds what the next batch
+    /// adds, or no longer holds what it removes).
+    #[test]
+    fn the_fold_of_a_stream_leaves_what_the_store_holds() {
+        for held in [false, true] {
+            for batches in 1..=5 {
+                let mut fold = DeltaFold::new();
+                let mut holds = held;
+                for _ in 0..batches {
+                    // Effective changes only: out when held, in when not.
+                    let (added, removed) = match holds {
+                        true => (vec![], vec![5]),
+                        false => (vec![5], vec![]),
+                    };
+                    fold.fold(added, removed);
+                    holds = !holds;
+                }
+                assert_eq!(fold.len(), 1);
+                let report = fold.into_report(0, batches);
+                for reader_held in [false, true] {
+                    let mut set: HashSet<u64> = reader_held.then_some(5).into_iter().collect();
+                    report.apply_to(&mut set);
+                    let case = format!("held {held}/{reader_held}, {batches} batches");
+                    assert_eq!(set.contains(&5), holds, "{case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_full_sync_runs_to_its_report_without_a_socket() {
         let (alice, bob) = two_sided(40);
@@ -748,9 +801,10 @@ mod tests {
             Some(DeltaReport {
                 from_epoch: 3,
                 to_epoch: 5,
-                // Removed then re-added nets to "present": the add stands.
+                // Each element's last change stands: 5 went out and came
+                // back, 11 came in and went out again.
                 added: vec![5, 10],
-                removed: vec![],
+                removed: vec![11],
                 batches: 2,
             })
         );
@@ -975,6 +1029,49 @@ mod tests {
 
     #[test]
     fn hostile_replies_are_refused() {
+        // A Hello reply that rewrites what it was sent. The reply's seed is
+        // obeyed, so the rest of it is checked: each reconciliation
+        // parameter changed is a typed refusal, before anything is hashed.
+        type Rewrite = fn(&mut Hello);
+        let rewrites: [Rewrite; 6] = [
+            |h| h.universe_bits = 64,
+            |h| h.delta += 1,
+            |h| h.target_rounds += 1,
+            |h| h.max_rounds -= 1,
+            |h| h.target_success = 0.5,
+            |h| h.estimator_sketches = 4096,
+        ];
+        for rewrite in rewrites {
+            let mut machine =
+                ClientMachine::new(&config().build(), keys(50, 1), Mode::Full).unwrap();
+            let Some(Frame::Hello(mut reply)) = machine.poll_send().unwrap() else {
+                panic!("opens with a Hello")
+            };
+            rewrite(&mut reply);
+            match machine.on_frame(Frame::Hello(reply)) {
+                Err(NetError::Protocol(msg)) => assert!(msg.contains("parameters"), "{msg}"),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        // What the server may decide — store, depth, seed — it may; the
+        // session then runs under the seed it named.
+        let mut machine = ClientMachine::new(&config().build(), keys(50, 1), Mode::Full).unwrap();
+        let Some(Frame::Hello(mut reply)) = machine.poll_send().unwrap() else {
+            panic!("opens with a Hello")
+        };
+        (reply.seed, reply.pipeline) = (SEED + 1, 1);
+        machine.on_frame(Frame::Hello(reply)).unwrap();
+        let Some(Frame::EstimatorExchange(EstimatorMsg::TowBank(bank))) =
+            machine.poll_send().unwrap()
+        else {
+            panic!("the bank follows")
+        };
+        let bank = TowEstimator::from_bytes(&bank).unwrap();
+        assert_eq!(
+            bank.seed(),
+            xhash::derive_seed(SEED + 1, ESTIMATOR_SEED_SALT)
+        );
+
         // An estimate above the client's cap.
         let cfg = config().max_d(100).build();
         let mut machine = ClientMachine::new(&cfg, keys(50, 1), Mode::Full).unwrap();
@@ -1014,7 +1111,7 @@ mod tests {
 
     /// The opening `Hello` of each mode, pinned byte for byte (length prefix
     /// and CRC included). These are the v3 captures with the version field
-    /// — the only byte of a `Hello` that v4 or v5 changed — and the CRC
+    /// — the only byte of a `Hello` that v4, v5 or v6 changed — and the CRC
     /// over it re-taken: every later field stays where it was.
     #[test]
     fn the_hello_is_pinned_bit_for_bit() {
@@ -1025,7 +1122,7 @@ mod tests {
         // No store name, no epoch, estimator exchange to follow.
         assert_eq!(
             hello(config().build(), Mode::Full),
-            "33000000095c5b0d01504253310500200500000003000000ffffffffae47e17a14aeef3f\
+            "33000000bcf0018d01504253310600200500000003000000ffffffffae47e17a14aeef3f\
              80000000efcdab89674523010000000000000000000100"
         );
         // Named store, fixed depth, d known, epoch cache.
@@ -1040,14 +1137,14 @@ mod tests {
                     since: 0x1122_3344_5566_7788
                 }
             ),
-            "44000000eee8684001504253310500200500000003000000ffffffffae47e17a14aeef3f\
+            "440000008a57bdb101504253310600200500000003000000ffffffffae47e17a14aeef3f\
              80000000efcdab89674523012a0000000000000009696e76656e746f727903018877665544332211"
         );
         // Adaptive depth asks for the largest representable grant.
         let cfg = config().seed(7).store("live").pipeline(Pipeline::Auto);
         assert_eq!(
             hello(cfg.build(), Mode::Full),
-            "370000003d285ae601504253310500200500000003000000ffffffffae47e17a14aeef3f\
+            "370000006f0478b101504253310600200500000003000000ffffffffae47e17a14aeef3f\
              8000000007000000000000000000000000000000046c697665ff00"
         );
         // A subscriber asks for no rounds whatever its config says.
@@ -1057,7 +1154,7 @@ mod tests {
             .known_d(42);
         assert_eq!(
             hello(cfg.build(), Mode::Subscribe { since: 9 }),
-            "3f0000004afe3acb01504253310500200500000003000000ffffffffae47e17a14aeef3f\
+            "3f000000ffee731401504253310600200500000003000000ffffffffae47e17a14aeef3f\
              80000000b979379e000000000000000000000000046c69766501010900000000000000"
         );
     }

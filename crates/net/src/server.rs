@@ -212,6 +212,14 @@ server_counters! {
     subscribers_evicted: "Subscribers evicted for falling behind.",
     /// Keepalive `Ping` frames sent to idle subscribers.
     keepalive_pings: "Keepalive Ping frames sent to idle subscribers.",
+    /// Full sessions served from the store's cached view, brought forward
+    /// from the changelog (or found current).
+    views_patched: "Full sessions served from the store's cached view, patched from the changelog.",
+    /// Full sessions that built the store's view from a snapshot.
+    views_built: "Full sessions that built the store's view from a snapshot.",
+    /// Full sessions the store declined a view: each took and partitioned
+    /// a snapshot of its own.
+    views_declined: "Full sessions served from a private snapshot (no view).",
 }
 
 /// A running reconciliation server. Dropping it without calling

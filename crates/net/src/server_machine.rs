@@ -1,9 +1,10 @@
 //! The server half of the wire protocol, once, with no I/O inside.
 //!
 //! [`ServerMachine`] is Bob's side of the paper's §2–§3 exchange — route
-//! the `Hello`, serve the changelog or snapshot the store, answer the
-//! estimator bank, decode sketches into reports, ingest the final
-//! transfer, then push to a live subscriber — as a state machine that
+//! the `Hello` (answering with the seed of the store's view, when it keeps
+//! one), serve the changelog or take the store's view of the set,
+//! answer the estimator bank, decode sketches into reports, ingest the
+//! final transfer, then push to a live subscriber — as a state machine that
 //! holds no socket and no clock. The sibling of
 //! [`crate::machine::ClientMachine`]: frame in, reply frames out, plus the
 //! boundary just crossed ([`Step`]). A frame it cannot accept is an
@@ -24,10 +25,11 @@
 
 use crate::frame::{delta_batch_frames, delta_chunk_capacity, ErrorCode, EstimatorMsg, Frame};
 use crate::server::{ServerConfig, ServerStats};
-use crate::store::{ChangeBatch, DeltaAnswer, RegisteredStore, StoreRegistry};
+use crate::store::{ChangeBatch, DeltaAnswer, RegisteredStore, StoreRegistry, ViewAnswer};
 use estimator::{Estimator, TowEstimator};
 use obs::Counter;
-use pbs_core::{BobSession, Pbs, PbsConfig, ESTIMATOR_SEED_SALT};
+use pbs_core::{BobSession, Pbs, PbsConfig, SetView, ESTIMATOR_SEED_SALT};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -85,8 +87,9 @@ pub(crate) enum Crossed {
     Handshake { known_d: u64, delta: bool },
     /// The session was served entirely from the changelog.
     DeltaCatchup { batches: u64, epoch: u64 },
-    /// The estimate is out and Bob is built.
-    Estimated { d_param: u64 },
+    /// The estimate is out and Bob is built, over a view of the store
+    /// that was `patched` or `built`, or over his own copy (`none`).
+    Estimated { d_param: u64, view: &'static str },
     /// The final transfer landed and is acked.
     Reconciled { rounds: u32, received: u64 },
     /// The session turned into a live subscription from `epoch`.
@@ -130,12 +133,70 @@ struct Routed {
     seed: u64,
 }
 
-/// The one per-session snapshot: estimator and Bob must see the same set,
-/// and its epoch is the ack's baseline.
-#[derive(Default)]
-struct Snapshot {
-    elements: Vec<u64>,
-    epoch: Option<u64>,
+/// The one set of a session: estimator and Bob must see the same one, and
+/// its epoch is the ack's baseline.
+enum Snapshot {
+    /// The store's per-epoch view, shared with every session at that epoch
+    /// (`built` for this one, or patched).
+    Shared { view: Arc<SetView>, built: bool },
+    /// A copy of the session's own: the store declined a view.
+    Copied {
+        elements: Vec<u64>,
+        epoch: Option<u64>,
+    },
+}
+
+impl Default for Snapshot {
+    fn default() -> Self {
+        Snapshot::Copied {
+            elements: Vec::new(),
+            epoch: None,
+        }
+    }
+}
+
+impl Snapshot {
+    /// Take the store's view under the session's seed, or a copy.
+    fn of(res: &Resources, routed: &Routed) -> Self {
+        let (entry, store) = (Some(&*routed.entry), routed.entry.store());
+        match store.view(routed.seed) {
+            ViewAnswer::Patched(view) => {
+                res.bump(entry, |s| &s.views_patched, 1);
+                Snapshot::Shared { view, built: false }
+            }
+            ViewAnswer::Built(view) => {
+                res.bump(entry, |s| &s.views_built, 1);
+                Snapshot::Shared { view, built: true }
+            }
+            ViewAnswer::Declined => {
+                res.bump(entry, |s| &s.views_declined, 1);
+                let (elements, epoch) = store.epoch_snapshot();
+                Snapshot::Copied { elements, epoch }
+            }
+        }
+    }
+
+    /// Which path the session took, as the `estimated` trace event says it.
+    fn path(&self) -> &'static str {
+        match self {
+            Snapshot::Shared { built: false, .. } => "patched",
+            Snapshot::Shared { built: true, .. } => "built",
+            Snapshot::Copied { .. } => "none",
+        }
+    }
+
+    /// The set's ToW bank: read off the view in O(ℓ), or hashed from the
+    /// copy.
+    fn bank(&self, sketches: usize, est_seed: u64) -> Cow<'_, TowEstimator> {
+        match self {
+            Snapshot::Shared { view, .. } => view.bank(sketches),
+            Snapshot::Copied { elements, .. } => {
+                let mut own = TowEstimator::new(sketches, est_seed);
+                own.insert_slice(elements);
+                Cow::Owned(own)
+            }
+        }
+    }
 }
 
 enum Stage {
@@ -160,6 +221,10 @@ enum Stage {
         epoch: Option<u64>,
         /// Layers served so far, against the round cap.
         rounds: u32,
+        /// The last trip ended in a §3.2 split — a group is still open on
+        /// both sides: a `Done` now is a client giving up at its round
+        /// cap, not one that verified.
+        split: bool,
     },
     Parked,
     /// Terminal: a subscription's close is signalled through
@@ -238,9 +303,7 @@ impl ServerMachine {
                         "estimator bank does not match the handshake parameters",
                     ));
                 }
-                let mut own = TowEstimator::new(sketches, est_seed);
-                own.insert_slice(&snapshot.elements);
-                let d_hat = theirs.estimate(&own);
+                let d_hat = theirs.estimate(&snapshot.bank(sketches, est_seed));
                 let d_param = estimator::inflate_estimate(d_hat) as u64;
                 res.bump(entry, |s| &s.estimator_exchanges, 1);
                 *stage = Stage::OweBob {
@@ -252,7 +315,12 @@ impl ServerMachine {
             }
             (
                 Stage::Rounds {
-                    bob, m, t, rounds, ..
+                    bob,
+                    m,
+                    t,
+                    rounds,
+                    split,
+                    ..
                 },
                 Frame::Sketches { m: their_m, batch },
             ) => {
@@ -271,6 +339,7 @@ impl ServerMachine {
                 }
                 *rounds += layers;
                 if *rounds > res.config.round_cap {
+                    routed.entry.store().retire_view(routed.seed);
                     return Err(refuse(
                         ErrorCode::RoundLimit,
                         format!("round cap {} exceeded", res.config.round_cap),
@@ -317,12 +386,30 @@ impl ServerMachine {
                 let failures = bob.decode_failures();
                 let reports = bob.handle_sketches(&batch);
                 let failures = (bob.decode_failures() - failures) as u64;
+                *split = bob.session_count() > sessions;
                 res.bump(entry, |s| &s.decode_failures, failures);
                 res.bump(entry, |s| &s.rounds, layers as u64);
                 res.bump(entry, |s| &s.round_trips, 1);
                 Ok(Step::reply(Frame::Reports(reports)))
             }
-            (Stage::Rounds { epoch, rounds, .. }, Frame::Done(elements)) => {
+            (
+                Stage::Rounds {
+                    epoch,
+                    rounds,
+                    split,
+                    ..
+                },
+                Frame::Done(elements),
+            ) => {
+                // A session that ends short of a verified recovery — here,
+                // or refused at the round cap above — may owe that to the
+                // seed (a group the hash keeps overfull). Where the seed is
+                // the store's, every retry would be answered with it again:
+                // have the store let go of it. (A give-up on checksum
+                // mismatches alone does not show on this side.)
+                if *split {
+                    routed.entry.store().retire_view(routed.seed);
+                }
                 let cap = res.config.max_done_elements;
                 if elements.len() as u64 > cap as u64 {
                     return Err(refuse(
@@ -444,6 +531,10 @@ impl ServerMachine {
         };
         let mut negotiated = hello;
         negotiated.store = entry.name().to_string();
+        // The store's view is laid out under a seed: the session that is
+        // to read it — or to build it — runs under that one. Where the
+        // store keeps none the client's proposal stands.
+        negotiated.seed = entry.store().session_seed(negotiated.seed);
         negotiated.pipeline = negotiated
             .pipeline
             .max(1)
@@ -460,9 +551,10 @@ impl ServerMachine {
         })
     }
 
-    /// The deferred O(|B|) work, one unit a call: the delta catch-up (or
-    /// its refusal), the snapshot, the Bob build. The driver calls it, after
-    /// flushing, for as long as [`ServerMachine::owes_set_up`].
+    /// The deferred work, one unit a call: the delta catch-up (or its
+    /// refusal), the store's view or a snapshot, the Bob build. The driver
+    /// calls it, after flushing, for as long as
+    /// [`ServerMachine::owes_set_up`].
     pub(crate) fn set_up(&mut self, res: &Resources) -> Result<Step, Refusal> {
         let State::Open(routed, stage) = &mut self.state else {
             return Ok(Step::default());
@@ -503,17 +595,16 @@ impl ServerMachine {
         match stage {
             Stage::OweSetup { known_d, .. } => {
                 let d = *known_d;
-                let (elements, epoch) = store.epoch_snapshot();
-                let snapshot = Snapshot { elements, epoch };
+                let snapshot = Snapshot::of(res, routed);
                 *stage = match d {
                     0 => Stage::AwaitBank(snapshot),
                     _ => routed.rounds(res.config.max_d, snapshot, d)?,
                 };
             }
             Stage::OweBob { snapshot, d_param } => {
-                let d_param = *d_param;
+                let (d_param, view) = (*d_param, snapshot.path());
                 *stage = routed.rounds(res.config.max_d, std::mem::take(snapshot), d_param)?;
-                step.crossed = Some(Crossed::Estimated { d_param });
+                step.crossed = Some(Crossed::Estimated { d_param, view });
             }
             _ => {}
         }
@@ -574,13 +665,23 @@ impl Routed {
             ));
         }
         let params = Pbs::new(self.cfg).plan(d as usize);
-        let bob = BobSession::new(self.cfg, params, &snapshot.elements, self.seed);
+        let (bob, epoch) = match snapshot {
+            Snapshot::Shared { view, .. } => {
+                let epoch = Some(view.epoch());
+                (BobSession::from_view(self.cfg, params, view), epoch)
+            }
+            Snapshot::Copied { elements, epoch } => {
+                let bob = BobSession::new(self.cfg, params, &elements, self.seed);
+                (bob, epoch)
+            }
+        };
         Ok(Stage::Rounds {
             bob: Box::new(bob),
             m: params.m,
             t: params.t,
-            epoch: snapshot.epoch,
+            epoch,
             rounds: 0,
+            split: false,
         })
     }
 }
@@ -763,8 +864,8 @@ pub(crate) mod duet {
 mod tests {
     use super::duet::{one_of_each, Duet, Epochless};
     use super::*;
-    use crate::client::ClientConfig;
-    use crate::frame::Hello;
+    use crate::client::{ClientConfig, Pipeline, SyncReport};
+    use crate::frame::{write_frame, Hello, DEFAULT_MAX_FRAME};
     use crate::machine::{ClientMachine, Mode};
     use crate::store::{MutableStore, SetStore};
     use crate::NetError;
@@ -1027,6 +1128,238 @@ mod tests {
         duet.deliver(Frame::Subscribe { epoch: 0 });
         assert_eq!(refused_with(&mut duet, 2), ErrorCode::Internal);
         assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
+    }
+
+    /// One full sync of `set` against `duet`'s store: every byte the client
+    /// put on the wire, every byte the server did, and the report.
+    fn transcript(
+        duet: &mut Duet,
+        config: &ClientConfig,
+        set: &[u64],
+    ) -> (Vec<u8>, Vec<u8>, SyncReport) {
+        let mut client = ClientMachine::new(config, set, Mode::Full).unwrap();
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        loop {
+            if let Some(frame) = client.poll_send().unwrap() {
+                write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
+                duet.deliver(frame);
+            }
+            let reply = duet.inbox.pop_front().expect("the server owes a frame");
+            write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
+            if let Some(report) = client.on_frame(reply).unwrap().report {
+                return (up, down, report);
+            }
+        }
+    }
+
+    /// The views a server's sessions were served from: (patched, built,
+    /// declined).
+    fn view_paths(duet: &Duet) -> (u64, u64, u64) {
+        let stats = duet.res.stats.snapshot();
+        (stats.views_patched, stats.views_built, stats.views_declined)
+    }
+
+    /// Serve `store` one full session of a client that holds exactly its
+    /// set (so nothing is transferred and the set stays as it is).
+    fn serve_its_own_set(store: &Arc<MutableStore>, config: &ClientConfig) -> (u64, u64, u64) {
+        let mut duet = Duet::over(Arc::clone(store) as Arc<dyn SetStore>);
+        let (_, _, report) = transcript(&mut duet, config, &store.snapshot());
+        assert!(report.verified && report.recovered.is_empty());
+        view_paths(&duet)
+    }
+
+    /// The view a session parked before its estimator bank holds.
+    fn parked_view(duet: &Duet) -> Option<Arc<SetView>> {
+        match &duet.server.state {
+            State::Open(_, Stage::AwaitBank(Snapshot::Shared { view, .. })) => {
+                Some(Arc::clone(view))
+            }
+            _ => None,
+        }
+    }
+
+    /// The same (sets, seed), served three ways — from a private snapshot,
+    /// from a view built for the session, from a cached view patched with
+    /// the changelog — is the same session, byte for byte in both
+    /// directions: through the estimator or with `d` named, one layer a
+    /// trip or an adaptive few.
+    #[test]
+    fn a_view_and_a_private_snapshot_serve_byte_identical_sessions() {
+        let client_set = elements(0..3000);
+        for (pipeline, known_d) in [
+            (Pipeline::Depth(1), None),
+            (Pipeline::Auto, None),
+            (Pipeline::Depth(2), Some(120)),
+        ] {
+            let case = format!("{pipeline:?}, known_d {known_d:?}");
+            let mut config = ClientConfig::builder()
+                .seed(SEED)
+                .pipeline(pipeline)
+                .build();
+            config.known_d = known_d;
+
+            // Patched: the store's second full session leaves a view
+            // cached, the set moves on — among the changes an element of
+            // the view out, back in and out again, one out and back, a new
+            // one in, out and in again — and the third brings the view
+            // forward.
+            let kept = mutable(40..3040);
+            assert_eq!(serve_its_own_set(&kept, &config), (0, 0, 1), "{case}");
+            assert_eq!(serve_its_own_set(&kept, &config), (0, 1, 0), "{case}");
+            kept.apply(&elements(5000..5040), &elements(100..130));
+            kept.apply(&elements(100..110), &elements(5000..5005));
+            kept.apply(&elements(5000..5001), &elements(100..101));
+            kept.apply(&elements(5001..5002), &elements(5000..5001));
+            kept.apply(&elements(5000..5001), &[]);
+            let (held, epoch) = kept.snapshot_with_epoch();
+            let mut duet = Duet::over(Arc::clone(&kept) as Arc<dyn SetStore>);
+            let patched = transcript(&mut duet, &config, &client_set);
+            assert_eq!(view_paths(&duet), (1, 0, 0), "{case}");
+
+            // Built: a store holding that set at that epoch, asked once
+            // before.
+            let fresh = || Arc::new(MutableStore::with_epoch_origin(held.clone(), epoch, 1024));
+            let store = fresh();
+            assert_eq!(serve_its_own_set(&store, &config), (0, 0, 1), "{case}");
+            let mut duet = Duet::over(store);
+            let built = transcript(&mut duet, &config, &client_set);
+            assert_eq!(view_paths(&duet), (0, 1, 0), "{case}");
+
+            for (path, (up, down, report)) in [("patched", &patched), ("built", &built)] {
+                assert!(report.verified && report.epoch == Some(epoch), "{case}");
+                assert_ne!(report.seed, SEED, "{case}: the view's seed is the store's");
+                assert_eq!(report.recovered.len(), 80 + 21 + 37, "{case}");
+                // Declined: such a store never asked before, by a client
+                // that proposes the seed the view's session ran under.
+                let mut proposing = config.clone();
+                proposing.seed = report.seed;
+                let mut duet = Duet::over(fresh());
+                let (their_up, their_down, _) = transcript(&mut duet, &proposing, &client_set);
+                assert_eq!(view_paths(&duet), (0, 0, 1), "{case}");
+                // (The client's `Hello` names its proposal: the one frame
+                // that differs, by those eight bytes.)
+                let hello = Frame::Hello(Hello::from_config(&config.pbs, 0, 0)).wire_len() as usize;
+                assert_ne!(up[..hello], their_up[..hello], "{case}");
+                assert_eq!(
+                    up[hello..],
+                    their_up[hello..],
+                    "{case}: client → server, {path}"
+                );
+                assert_eq!(down, &their_down, "{case}: server → client, {path}");
+            }
+        }
+    }
+
+    /// What a cached view does to the sessions that did not make it: a
+    /// second client proposing another seed is answered with the view's
+    /// and runs under it; one asking for another sketch count gets its
+    /// estimate from a bank recomputed over the view's elements — and
+    /// both read the one shared view, which stays as it was, its own bank
+    /// at the default count even when the session it was built for asked
+    /// for another.
+    #[test]
+    fn a_cached_view_names_the_seed_and_serves_any_sketch_count() {
+        let store = mutable(40..3040);
+        let mut other = ClientConfig::builder().seed(SEED ^ 0xFFFF).build();
+        other.pbs.estimator_sketches = 64;
+        assert_eq!(serve_its_own_set(&store, &other), (0, 0, 1));
+        assert_eq!(serve_its_own_set(&store, &other), (0, 1, 0));
+        let seed = store.session_seed(SEED);
+        assert!(seed != SEED && seed != other.seed, "the store's own");
+
+        let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+        let mut client = ClientMachine::new(&other, elements(0..3000), Mode::Full).unwrap();
+        duet.deliver(client.poll_send().unwrap().expect("the Hello"));
+        let Some(Frame::Hello(reply)) = duet.inbox.pop_front() else {
+            panic!("the Hello is answered")
+        };
+        assert_eq!((reply.seed, reply.estimator_sketches), (seed, 64));
+        client.on_frame(Frame::Hello(reply)).unwrap();
+        let held = parked_view(&duet).expect("parked on the shared view");
+        let default = estimator::DEFAULT_SKETCH_COUNT;
+        assert!(matches!(held.bank(default), Cow::Borrowed(_)));
+        assert!(matches!(held.bank(64), Cow::Owned(_)));
+        let (report, _) = duet.run(&mut client).unwrap();
+        assert!(report.verified && report.seed == seed);
+        assert_eq!(report.recovered.len(), 80);
+        assert!(report.estimated_d.is_some_and(|d| d > 20.0 && d < 320.0));
+        assert_eq!(view_paths(&duet), (1, 0, 0));
+        // (The transfer moved the store on; the view the session read is
+        // still the one the next session patches from.)
+        assert_eq!(store.session_seed(SEED), seed);
+    }
+
+    /// The way off a seed that fails: a session on the store's view that
+    /// gives up at its round cap with a group still splitting, or that the
+    /// server refuses at its own, makes the store let go of the view — the
+    /// retry, proposing what it proposed before, is answered with another
+    /// seed and builds under it. A session that verified leaves it be.
+    #[test]
+    fn a_session_that_gives_up_retires_the_views_seed() {
+        let config = ClientConfig::builder().seed(SEED).build();
+        // d = 1 named for a difference of 80, one round allowed: the one
+        // group fails to decode and the cap fires, on either side.
+        let gives_up = ClientConfig::builder().seed(SEED).known_d(1).round_cap(1);
+        let refused = ClientConfig::builder().seed(SEED).known_d(1);
+        let strict = ServerConfig {
+            round_cap: 1,
+            ..ServerConfig::default()
+        };
+        for (case, client, server) in [
+            (
+                "the client's cap",
+                gives_up.build(),
+                ServerConfig::default(),
+            ),
+            ("the server's cap", refused.build(), strict),
+        ] {
+            let store = mutable(40..3040);
+            serve_its_own_set(&store, &config);
+            serve_its_own_set(&store, &config);
+            let seed = store.session_seed(SEED);
+            assert_eq!(serve_its_own_set(&store, &config), (1, 0, 0), "{case}");
+            assert_eq!(store.session_seed(SEED), seed, "{case}: verified, kept");
+
+            let mut duet = Duet::new(Arc::clone(&store) as Arc<dyn SetStore>, server);
+            let mut machine = ClientMachine::new(&client, elements(0..3000), Mode::Full).unwrap();
+            match duet.run(&mut machine) {
+                Ok((report, _)) => assert!(!report.verified && report.seed == seed, "{case}"),
+                Err(e) => assert!(matches!(e, NetError::Remote { .. }), "{case}: {e}"),
+            }
+            assert_eq!(view_paths(&duet), (1, 0, 0), "{case}");
+            let fresh = store.session_seed(SEED);
+            assert!(fresh != seed && fresh != SEED, "{case}");
+            assert_eq!(serve_its_own_set(&store, &config), (0, 1, 0), "{case}");
+        }
+    }
+
+    #[test]
+    fn sessions_parked_at_one_epoch_hold_one_view() {
+        let store = mutable(0..500);
+        let config = ClientConfig::builder().seed(SEED).build();
+        serve_its_own_set(&store, &config);
+        serve_its_own_set(&store, &config);
+        store.apply(&elements(900..910), &elements(0..10));
+        let parked: Vec<Duet> = (0..64)
+            .map(|i| {
+                let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+                duet.deliver(Frame::Hello(Hello::from_config(
+                    &PbsConfig::default(),
+                    SEED + i,
+                    0,
+                )));
+                duet
+            })
+            .collect();
+        let first = parked_view(&parked[0]).expect("parked on a view");
+        assert_eq!((first.epoch(), first.len()), (store.epoch(), 500));
+        for duet in &parked {
+            let view = parked_view(duet).expect("parked on a view");
+            assert!(Arc::ptr_eq(&view, &first), "one allocation for all 64");
+            assert_eq!(view_paths(duet), (1, 0, 0));
+        }
+        // 64 sessions, the store's cache, this test.
+        assert_eq!(Arc::strong_count(&first), 64 + 1 + 1);
     }
 
     /// Both machines against a store without epochs: the classic session

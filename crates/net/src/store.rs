@@ -11,24 +11,28 @@
 //! * [`StoreRegistry`] — the name → store map the handshake routes on,
 //!   carrying per-store statistics.
 //!
-//! Mutation safety is snapshot-based: a session takes one
-//! [`SetStore::snapshot`] before its estimator exchange and never looks at
-//! the store again until the final transfer, so writers may mutate a
-//! [`MutableStore`] *between* (but not observably *during*) the sessions'
-//! snapshot points — concurrent sessions simply reconcile against the epoch
-//! they snapshotted.
+//! Mutation safety is snapshot-based: a session takes one look at the set
+//! before its estimator exchange — the store's shared per-epoch view
+//! ([`SetStore::view`]) or, where the store declines one, a private
+//! [`SetStore::epoch_snapshot`] — and never looks at the store again until
+//! the final transfer, so writers may mutate a [`MutableStore`] *between*
+//! (but not observably *during*) the sessions' snapshot points —
+//! concurrent sessions simply reconcile against the epoch they read.
 //!
 //! **Lock poisoning** has one policy here (the private `recover`): take
 //! the guard anyway — see there for why that is sound.
 
+use crate::machine::DeltaFold;
 use crate::server::ServerStats;
 use crate::wal::{self, DurableOptions, RecoveryReport, Wal};
 use obs::{Gauge, Histogram};
+use pbs_core::SetView;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+use xhash::derive_seed;
 
 /// The one lock-poison policy of this module: recover the guard. A lock is
 /// poisoned when a thread panicked while holding it, and every update made
@@ -77,17 +81,34 @@ pub enum DeltaAnswer {
     },
 }
 
+/// How a full session came by the store's set ([`SetStore::view`]).
+#[derive(Debug, Clone)]
+pub enum ViewAnswer {
+    /// The store's cached view, brought up to the current epoch with the
+    /// changelog's net changes since its own (none, when it was current:
+    /// every session at one epoch holds the same `Arc`).
+    Patched(Arc<SetView>),
+    /// A view built from a snapshot for this session, and cached for the
+    /// next one to patch.
+    Built(Arc<SetView>),
+    /// No view: the session takes its own [`SetStore::epoch_snapshot`] and
+    /// partitions it itself.
+    Declined,
+}
+
 /// The element store a server reconciles against.
 ///
-/// `snapshot` is taken once per session (estimator and `BobSession` must
-/// see the same set); `apply_missing` receives the client's final `Done`
-/// transfer — the elements the client holds and this store lacks — so the
-/// two sides converge on the union.
+/// A session reads the set once — estimator and `BobSession` must see the
+/// same one — through `view` or, when that declines, `epoch_snapshot`;
+/// `apply_missing` receives the client's final `Done` transfer — the
+/// elements the client holds and this store lacks — so the two sides
+/// converge on the union.
 ///
-/// The two epoch methods ([`SetStore::epoch_snapshot`],
-/// [`SetStore::delta_since`]) have defaults describing a store without a
-/// changelog; [`MutableStore`] overrides them to serve the wire protocol's
-/// delta-subscription path.
+/// The epoch and view methods ([`SetStore::epoch_snapshot`],
+/// [`SetStore::delta_since`], [`SetStore::session_seed`], [`SetStore::view`])
+/// have defaults describing a store without a changelog; [`MutableStore`]
+/// overrides them to serve the wire protocol's delta-subscription path and
+/// O(change) full sessions.
 pub trait SetStore: Send + Sync + 'static {
     /// The current element set.
     fn snapshot(&self) -> Vec<u64>;
@@ -111,6 +132,25 @@ pub trait SetStore: Send + Sync + 'static {
     fn delta_since(&self, _epoch: u64) -> DeltaAnswer {
         DeltaAnswer::Unsupported
     }
+    /// The seed the session a `Hello` opens is to run under — what the
+    /// reply names — given the client's `proposal`: the proposal itself
+    /// (the default) unless the store has a view cached, or is about to
+    /// build one, under a seed of its own. Must not wait behind a
+    /// [`SetStore::view`] call in progress.
+    fn session_seed(&self, proposal: u64) -> u64 {
+        proposal
+    }
+    /// One shared, hash-ordered view of the current set under `seed` — or
+    /// [`ViewAnswer::Declined`], the default. A view handed out has exactly
+    /// this seed.
+    fn view(&self, _seed: u64) -> ViewAnswer {
+        ViewAnswer::Declined
+    }
+    /// A session under `seed` was seen to give up short of a verified
+    /// recovery: a store that holds later sessions to that seed lets go of
+    /// it, so that a retry is answered with another. The default does
+    /// nothing.
+    fn retire_view(&self, _seed: u64) {}
     /// Register a mutation notifier (the live-subscription wakeup hook).
     /// Returns `false` when the store cannot notify (no epochs/changelog —
     /// the default), in which case the notifier is dropped unused.
@@ -154,6 +194,14 @@ struct MutableInner {
 }
 
 impl MutableInner {
+    /// Whether the changelog holds every batch after `epoch`. Not for a
+    /// reader from this store's future (a cached epoch surviving a server
+    /// restart with a fresh store), one older than the retained log, or
+    /// once the epoch counter is exhausted.
+    fn reaches(&self, epoch: u64) -> bool {
+        epoch <= self.epoch && epoch >= self.base_epoch && self.epoch != u64::MAX
+    }
+
     /// Snapshot the full state and truncate the WAL (a no-op without one).
     fn compact(&mut self) -> io::Result<()> {
         let Some(wal) = self.wal.as_mut() else {
@@ -215,6 +263,50 @@ impl std::fmt::Debug for Notifiers {
     }
 }
 
+/// Label under which a store derives the seed of a view it is about to
+/// build from its `Hello` history ([`SetStore::session_seed`]).
+const VIEW_SEED_SALT: u64 = 0x71E3;
+
+/// The per-epoch view cache behind [`SetStore::view`]. Two locks, so that
+/// reading the cached seed for a `Hello` reply never waits behind a patch.
+#[derive(Debug, Default)]
+struct Views {
+    /// Held across a patch or a build: of the sessions that arrive
+    /// together one does the work, the rest find its result.
+    work: Mutex<()>,
+    /// Held only to clone or swap a pointer.
+    published: Mutex<Published>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Published {
+    view: Option<Arc<SetView>>,
+    /// The epoch the last full session was served at, by any path.
+    last_full: Option<u64>,
+    /// Every `Hello`'s proposed seed so far, hashed into one value that
+    /// never goes on the wire. A view's seed is derived from it: a pure
+    /// function of the sessions served (no clock, no RNG — a replayed
+    /// workload replays its bytes), not any one client's to pick by its
+    /// proposal, and another one each time it is asked for. (`xxhash64`
+    /// is no cryptographic hash: this keeps a seed from being chosen
+    /// casually, not from being computed by a peer who inverts it.)
+    history: u64,
+}
+
+/// What [`SetStore::view`] and [`SetStore::session_seed`] both go by.
+enum Standing {
+    /// A view is cached and the changelog still reaches its epoch: the
+    /// next full session patches it, and runs under its seed.
+    Cached(Arc<SetView>),
+    /// No such view, but the previous full session's epoch is still inside
+    /// the changelog — full sessions come often enough, against this
+    /// store's churn, for a view to pay: the next one builds it.
+    Due,
+    /// Neither (nothing can bring a view forward once the changelog is
+    /// trimmed past it): the next full session is on its own.
+    Cold,
+}
+
 /// The store: a set mutated between sessions — from the server side and by
 /// clients' final transfers — with an epoch-stamped changelog, in memory
 /// or over a WAL ([`MutableStore::open_durable`]).
@@ -240,6 +332,10 @@ pub struct MutableStore {
     /// How long [`wal::recover`] took, for stores opened durably — published
     /// as a gauge when metrics attach.
     recovery_time: Option<Duration>,
+    /// The cached per-epoch view. [`MutableStore::commit`] does not know it
+    /// exists: the first full session to need the set at a later epoch
+    /// brings it forward from the changelog.
+    views: Views,
 }
 
 /// The [`MutableStore`]-level instruments (WAL append/fsync/compaction
@@ -293,6 +389,7 @@ impl MutableStore {
             notifiers: Notifiers::default(),
             metrics: OnceLock::new(),
             recovery_time: None,
+            views: Views::default(),
         }
     }
 
@@ -335,6 +432,7 @@ impl MutableStore {
             notifiers: Notifiers::default(),
             metrics: OnceLock::new(),
             recovery_time: Some(recovery_time),
+            views: Views::default(),
         };
         Ok((store, report))
     }
@@ -548,6 +646,57 @@ impl MutableStore {
         let inner = recover(self.inner.read());
         (inner.elements.iter().copied().collect(), inner.epoch)
     }
+
+    /// Whether the changelog still holds every batch after `epoch`.
+    fn log_reaches(&self, epoch: u64) -> bool {
+        recover(self.inner.read()).reaches(epoch)
+    }
+
+    /// Where the view cache stands against the changelog. `Views::published`
+    /// is let go before the element lock is taken.
+    fn standing(&self) -> Standing {
+        let Published {
+            view, last_full, ..
+        } = recover(self.views.published.lock()).clone();
+        match view.filter(|view| self.log_reaches(view.epoch())) {
+            Some(view) => Standing::Cached(view),
+            None if last_full.is_some_and(|epoch| self.log_reaches(epoch)) => Standing::Due,
+            None => Standing::Cold,
+        }
+    }
+
+    /// A view of the set as it is now, from a snapshot. The element lock is
+    /// held for the copy only; hashing and sorting run outside it.
+    fn build_view(&self, seed: u64) -> ViewAnswer {
+        let (elements, epoch) = self.snapshot_with_epoch();
+        // The bank is kept at the default sketch count whatever this
+        // session negotiated: the view outlives it, and serves a session
+        // with another count from its elements.
+        let sketches = estimator::DEFAULT_SKETCH_COUNT;
+        ViewAnswer::Built(Arc::new(SetView::build(elements, seed, sketches, epoch)))
+    }
+
+    /// `view` brought up to the current epoch with what the changelog holds
+    /// past its own, folded to each element's last change (an add of what
+    /// the view holds, a remove of what it lacks: [`SetView::patched`]
+    /// ignores them), however much that is. The element lock is held for the
+    /// changelog read only; folding, sorting and merging run outside it.
+    fn bring_forward(&self, view: &Arc<SetView>) -> ViewAnswer {
+        let DeltaAnswer::Changes { batches, current } = self.delta_since(view.epoch()) else {
+            // Trimmed since the caller looked.
+            return ViewAnswer::Declined;
+        };
+        if batches.is_empty() {
+            return ViewAnswer::Patched(Arc::clone(view));
+        }
+        let mut fold = DeltaFold::new();
+        for batch in batches {
+            fold.fold(batch.added, batch.removed);
+        }
+        let net = fold.into_report(view.epoch(), current);
+        let patched = view.patched(&net.added, &net.removed, current);
+        ViewAnswer::Patched(Arc::new(patched))
+    }
 }
 
 impl SetStore for MutableStore {
@@ -566,6 +715,69 @@ impl SetStore for MutableStore {
     fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
         let (elements, epoch) = self.snapshot_with_epoch();
         (elements, Some(epoch))
+    }
+
+    /// The cached view's seed while the changelog can still bring that
+    /// view forward; a seed of the store's own making where the session
+    /// this `Hello` opens is the one [`SetStore::view`] would build a view
+    /// for, which every later session is then held to; the proposal
+    /// otherwise. `Views::work` is never taken.
+    fn session_seed(&self, proposal: u64) -> u64 {
+        let derived = {
+            let mut published = recover(self.views.published.lock());
+            published.history = derive_seed(published.history, proposal);
+            derive_seed(published.history, VIEW_SEED_SALT)
+        };
+        match self.standing() {
+            Standing::Cached(view) => view.seed(),
+            Standing::Due => derived,
+            Standing::Cold => proposal,
+        }
+    }
+
+    /// Patch, build or decline, chosen from what the store can see — is a
+    /// view cached, and under the asked seed; does the changelog reach its
+    /// epoch, or the previous full session's — under no lock but
+    /// `Views::work`.
+    fn view(&self, seed: u64) -> ViewAnswer {
+        let _work = recover(self.views.work.lock());
+        let standing = self.standing();
+        let answer = match &standing {
+            // The `Hello` was answered before this view was cached: the
+            // session runs on its own and leaves the view alone.
+            Standing::Cached(view) if view.seed() != seed => ViewAnswer::Declined,
+            Standing::Cached(view) => self.bring_forward(view),
+            Standing::Due => self.build_view(seed),
+            Standing::Cold => ViewAnswer::Declined,
+        };
+        let (view, epoch) = match (&answer, standing) {
+            (ViewAnswer::Patched(view) | ViewAnswer::Built(view), _) => {
+                (Some(Arc::clone(view)), view.epoch())
+            }
+            (ViewAnswer::Declined, Standing::Cached(view)) => (Some(view), self.epoch()),
+            (ViewAnswer::Declined, _) => (None, self.epoch()),
+        };
+        let mut published = recover(self.views.published.lock());
+        published.view = view;
+        published.last_full = Some(epoch);
+        answer
+    }
+
+    /// Forget the view cached under `seed`. The previous full session's
+    /// epoch stays, so the next one builds anew — under the seed its
+    /// `Hello` is answered with, which is another one: the history it is
+    /// derived from has moved on. (Behind `Views::work`, so that a patch in
+    /// progress does not publish the view back.)
+    fn retire_view(&self, seed: u64) {
+        let _work = recover(self.views.work.lock());
+        let mut published = recover(self.views.published.lock());
+        if published
+            .view
+            .as_ref()
+            .is_some_and(|view| view.seed() == seed)
+        {
+            published.view = None;
+        }
     }
 
     fn register_notifier(&self, notifier: StoreNotifier) -> bool {
@@ -626,11 +838,9 @@ impl SetStore for MutableStore {
 
     fn delta_since(&self, epoch: u64) -> DeltaAnswer {
         let inner = recover(self.inner.read());
-        // A reader from this store's future (a cached epoch surviving a
-        // server restart with a fresh store), a reader older than the
-        // retained log, or an exhausted epoch counter: all must rebuild
-        // their baseline with a full reconciliation.
-        if epoch > inner.epoch || epoch < inner.base_epoch || inner.epoch == u64::MAX {
+        // Such a reader must rebuild its baseline with a full
+        // reconciliation.
+        if !inner.reaches(epoch) {
             return DeltaAnswer::Trimmed {
                 current: inner.epoch,
             };
@@ -1027,19 +1237,54 @@ mod tests {
                 })
             })
             .collect();
-        for _ in 0..200 {
-            let (snapshot, epoch) = store.snapshot_with_epoch();
-            let set: HashSet<u64> = snapshot.iter().copied().collect();
-            for &e in &snapshot {
+        // The same holds of the view — its elements, bank and epoch are one
+        // state of the store, whether built from a snapshot or brought
+        // forward from the changelog while the writers run.
+        let whole = |elements: &[u64], epoch: u64, what: &str| {
+            let set: HashSet<u64> = elements.iter().copied().collect();
+            for &e in elements {
                 let partner = e ^ 1;
                 assert!(
                     set.contains(&partner),
-                    "snapshot at epoch {epoch} tore a pair: {e} without {partner}"
+                    "{what} at epoch {epoch} tore a pair: {e} without {partner}"
                 );
+            }
+        };
+        let mut views: Vec<Arc<SetView>> = Vec::new();
+        for i in 0..200 {
+            let (snapshot, epoch) = store.snapshot_with_epoch();
+            whole(&snapshot, epoch, "snapshot");
+            if i % 8 == 0 {
+                if let ViewAnswer::Patched(view) | ViewAnswer::Built(view) = store.view(5) {
+                    whole(view.elements(), view.epoch(), "view");
+                    let cold = cold_view(view.elements().to_vec(), 5, view.epoch());
+                    assert_eq!(*view, cold, "the bank is the elements' bank");
+                    views.push(view);
+                }
             }
         }
         for w in writers {
             w.join().unwrap();
+        }
+        assert!(views.len() >= 24, "all but the first session got a view");
+        assert!(views.windows(2).all(|w| w[0].epoch() <= w[1].epoch()));
+        // Each view's epoch is the epoch of its elements: replaying what
+        // the changelog still holds past it leads to the store as it is.
+        for view in views.iter().rev().take(3) {
+            let Some(changes) = store.changes_since(view.epoch()) else {
+                continue;
+            };
+            let mut replay: HashSet<u64> = view.elements().iter().copied().collect();
+            for batch in changes {
+                for e in &batch.removed {
+                    replay.remove(e);
+                }
+                replay.extend(batch.added.iter().copied());
+            }
+            assert_eq!(
+                sorted(replay.into_iter().collect()),
+                sorted(store.snapshot())
+            );
         }
         // Replay consistency once writers are quiet: old snapshot + the
         // changes since its epoch == current snapshot.
@@ -1058,6 +1303,191 @@ mod tests {
         let mut replayed: Vec<u64> = replay.into_iter().collect();
         replayed.sort_unstable();
         assert_eq!(now, replayed);
+    }
+
+    /// Which of the three a [`SetStore::view`] call did.
+    fn path(answer: &ViewAnswer) -> &'static str {
+        match answer {
+            ViewAnswer::Patched(_) => "patched",
+            ViewAnswer::Built(_) => "built",
+            ViewAnswer::Declined => "declined",
+        }
+    }
+
+    fn view_of(answer: ViewAnswer) -> Arc<SetView> {
+        match answer {
+            ViewAnswer::Patched(view) | ViewAnswer::Built(view) => view,
+            ViewAnswer::Declined => panic!("the store declined a view"),
+        }
+    }
+
+    /// What [`SetView::build`] makes of `elements`, the way the store
+    /// calls it.
+    fn cold_view(elements: Vec<u64>, seed: u64, epoch: u64) -> SetView {
+        SetView::build(elements, seed, estimator::DEFAULT_SKETCH_COUNT, epoch)
+    }
+
+    /// Patch, build or decline, from what the store can see: whether a
+    /// view is cached and under which seed, whether the changelog reaches
+    /// its epoch or the previous full session's.
+    #[test]
+    fn the_view_is_patched_built_or_declined_by_what_the_store_observes() {
+        let store = MutableStore::new(1..=400u64);
+        // A first full session: nothing says another will follow, the
+        // client's proposal stands.
+        assert_eq!(store.session_seed(7), 7);
+        assert_eq!(path(&store.view(7)), "declined");
+        // A second, with the first's epoch still in the changelog: its
+        // `Hello` is answered with a seed of the store's own making — not
+        // the proposal, and another one each time — the view is built under
+        // the seed the session runs under, and advertised from here on.
+        let seed = store.session_seed(7);
+        assert!(seed != 7 && store.session_seed(7) != seed);
+        store.apply(&[1000], &[]);
+        let built = store.view(seed);
+        assert_eq!(path(&built), "built");
+        let built = view_of(built);
+        assert_eq!((built.seed(), built.epoch(), built.len()), (seed, 1, 401));
+        assert_eq!((store.session_seed(7), store.session_seed(8)), (seed, seed));
+        // At the same epoch: the same allocation.
+        let again = store.view(seed);
+        assert_eq!(path(&again), "patched");
+        assert!(Arc::ptr_eq(&view_of(again), &built));
+        // Past it: brought forward — adds, removes, an element out and
+        // back in — to exactly the view a cold build of the set gives.
+        store.apply(&[1001, 1002], &[1, 2, 1000]);
+        store.apply(&[1], &[1001]);
+        let patched = store.view(seed);
+        assert_eq!(path(&patched), "patched");
+        let patched = view_of(patched);
+        assert!(!Arc::ptr_eq(&patched, &built));
+        assert_eq!(*patched, cold_view(store.snapshot(), seed, 3));
+        // A session whose `Hello` was answered with another seed runs on
+        // its own, and leaves the view where it is.
+        assert_eq!(path(&store.view(8)), "declined");
+        assert_eq!(store.session_seed(8), seed);
+        // However large the change, a reachable view is patched.
+        let flood: Vec<u64> = (2000..3000).collect();
+        store.apply(&flood, &(1..=400).collect::<Vec<u64>>());
+        let flooded = store.view(seed);
+        assert_eq!(path(&flooded), "patched");
+        assert_eq!(*view_of(flooded), cold_view(store.snapshot(), seed, 4));
+
+        // An element the view holds or lacks, through every run of batches
+        // that takes it out and in again (the changelog records effective
+        // changes only, so a run alternates): the view brought forward
+        // over the whole run is the cold view of what the store holds.
+        for held in [false, true] {
+            for batches in 1..=4 {
+                let store = MutableStore::new((1..=50u64).chain(held.then_some(99)));
+                store.view(7);
+                store.view(7);
+                let mut holds = held;
+                for _ in 0..batches {
+                    let (added, removed) = if holds {
+                        ([].as_slice(), [99].as_slice())
+                    } else {
+                        ([99].as_slice(), [].as_slice())
+                    };
+                    store.apply(added, removed);
+                    holds = !holds;
+                }
+                let forward = store.view(7);
+                assert_eq!(path(&forward), "patched", "held {held}, {batches} batches");
+                assert_eq!(
+                    *view_of(forward),
+                    cold_view(store.snapshot(), 7, batches),
+                    "held {held}, {batches} batches"
+                );
+                assert_eq!(store.contains(99), holds);
+            }
+        }
+
+        // A view retired (a session under its seed gave up unverified): the
+        // next `Hello` is answered with a fresh seed and builds under it.
+        let store = MutableStore::new(1..=400u64);
+        store.view(7);
+        let seed = store.session_seed(7);
+        assert_eq!(path(&store.view(seed)), "built");
+        store.retire_view(seed ^ 1);
+        assert_eq!(store.session_seed(7), seed, "another seed's failure");
+        store.retire_view(seed);
+        let fresh = store.session_seed(7);
+        assert!(fresh != seed && fresh != 7);
+        assert_eq!(path(&store.view(fresh)), "built");
+        assert_eq!(store.session_seed(7), fresh);
+
+        // A changelog trimmed past the view — and past the previous full
+        // session with it: the view binds nobody any more, the next session
+        // is declined under its own seed; the one after finds that one's
+        // epoch in the log and builds.
+        let store = MutableStore::with_log_capacity(1..=400u64, 2);
+        store.view(7);
+        assert_eq!(path(&store.view(7)), "built");
+        for e in 1000..1003 {
+            store.apply(&[e], &[]);
+        }
+        assert_eq!(store.session_seed(8), 8);
+        assert_eq!(path(&store.view(8)), "declined");
+        let next = store.view(9);
+        assert_eq!((path(&next), view_of(next).seed()), ("built", 9));
+
+        // No changelog: a view lives exactly until the next write.
+        let store = MutableStore::with_log_capacity(1..=400u64, 0);
+        assert_eq!(path(&store.view(7)), "declined");
+        assert_eq!(path(&store.view(7)), "built");
+        assert_eq!(path(&store.view(7)), "patched");
+        store.apply(&[1000], &[]);
+        assert_eq!(store.session_seed(8), 8);
+        assert_eq!(path(&store.view(7)), "declined");
+
+        // Epochs exhausted: no epoch stamps one state, no view is kept.
+        let store = MutableStore::with_epoch_origin(1..=400u64, u64::MAX, 64);
+        for _ in 0..3 {
+            assert_eq!(path(&store.view(7)), "declined");
+            store.apply(&[1000], &[1000]);
+        }
+        assert_eq!(store.session_seed(8), 8);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The store-level oracle of the view: through a random sequence of
+        /// `apply` batches over a few elements — so that one goes out, in
+        /// and out again between two looks, repeats inside a batch, is in
+        /// both lists at once — with full sessions looking at random points
+        /// and a changelog short enough to be outrun, every view the store
+        /// hands out is the cold-built view of what it holds.
+        #[test]
+        fn a_view_the_store_hands_out_is_the_cold_view_of_its_set(
+            initial in proptest::collection::vec(0u64..16, 0usize..16),
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u64..16, 0usize..4),
+                    proptest::collection::vec(0u64..16, 0usize..4),
+                    proptest::prelude::any::<bool>(),
+                ),
+                0usize..40,
+            ),
+            log_capacity in 0usize..12,
+        ) {
+            let store = MutableStore::with_log_capacity(initial, log_capacity);
+            let mut looks = 0;
+            for (added, removed, look) in steps.iter().chain([&(vec![], vec![], true)]) {
+                store.apply(added, removed);
+                if !look {
+                    continue;
+                }
+                if let ViewAnswer::Patched(view) | ViewAnswer::Built(view) = store.view(7) {
+                    looks += 1;
+                    proptest::prop_assert_eq!(&*view, &cold_view(store.snapshot(), 7, store.epoch()));
+                }
+            }
+            // (The closing look finds the one before it, unless a trimmed
+            // log came between.)
+            proptest::prop_assert!(looks > 0 || log_capacity < 12);
+        }
     }
 
     #[test]
@@ -1219,12 +1649,19 @@ mod tests {
             true
         }));
         assert_eq!(store.apply(&[1, 2], &[]), 1);
-        use wal::CrashPoint::{MidSnapshotWrite, MidWalAppend};
+        use wal::CrashPoint::{FailedWalAppend, MidSnapshotWrite, MidWalAppend};
         // (the fault armed, the batch's one element — new to the store,
         //  per wrapper, from 10 up; what must follow: the batch is in the
         //  set, `try_apply` is `Ok`, the epoch moved)
         let rows = [
             (None, 10, true, true, true),
+            // The append fails half-way and the process lives on: refused
+            // like any other — and cut out of the file, or the batch of the
+            // next row, acknowledged, would sit behind a torn record where
+            // no recovery finds it (that row's compaction dies before it
+            // can tidy the log, so the reopen below reads the WAL as these
+            // two left it).
+            (Some(FailedWalAppend), 40, false, false, false),
             // The compaction after the append dies: the batch is in memory
             // and in the WAL all the same — it landed, and the error shows.
             (Some(MidSnapshotWrite), 30, true, false, true),
@@ -1276,6 +1713,7 @@ mod tests {
             (held, epoch)
         );
         assert!(!reopened.contains(20) && reopened.contains(30));
+        assert!(!reopened.contains(42) && reopened.contains(32));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -67,12 +67,18 @@ pub const SNAPSHOT_VERSION: u16 = 1;
 /// [`Wal::inject_crash`] makes the next matching operation do its partial,
 /// torn work and then fail with an [`io::ErrorKind::Other`] error — the
 /// on-disk state is exactly what a process killed at that instant would
-/// leave behind.
+/// leave behind ([`CrashPoint::FailedWalAppend`] excepted: there the
+/// process survives the error, and what it then does to the file is under
+/// test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Die halfway through a WAL append: only a prefix of the record's
     /// bytes reaches the file.
     MidWalAppend,
+    /// Not a crash: a WAL append that fails part-way *with the process
+    /// living on* — a full disk. Half the record's bytes reach the file,
+    /// the write then errors, and [`Wal::append`]'s own error path runs.
+    FailedWalAppend,
     /// Die mid-snapshot: a partial temp file exists, the rename never
     /// happened, the previous snapshot and the WAL are untouched.
     MidSnapshotWrite,
@@ -183,6 +189,9 @@ pub struct Wal {
     /// Byte length of the valid prefix (everything we have appended or
     /// recovered; a crash point may leave garbage beyond it).
     len: u64,
+    /// A failed append left bytes beyond `len` that could not be cut off
+    /// yet; nothing is appended until they are.
+    torn: bool,
     records_since_snapshot: usize,
     options: DurableOptions,
     crash: Option<CrashPoint>,
@@ -429,6 +438,7 @@ impl Wal {
             dir: dir.to_path_buf(),
             file,
             len,
+            torn: false,
             records_since_snapshot: 0,
             options,
             crash: None,
@@ -462,6 +472,13 @@ impl Wal {
     /// OS; fsynced when [`DurableOptions::sync_writes`]) *before* the
     /// caller mutates memory — the write-ahead contract.
     ///
+    /// On an error from the write, the flush or the sync the file is cut
+    /// back to its last good length: the caller holds none of the batch, so
+    /// the log must not either — a torn record would hide every later,
+    /// acknowledged append from recovery (which stops at the first tear),
+    /// and a whole one would leave the refused batch's epoch on disk for
+    /// the next batch to reuse.
+    ///
     /// Returns `true` when a compaction is now due
     /// ([`DurableOptions::snapshot_every`] appends since the last one).
     pub fn append(&mut self, epoch: u64, added: &[u64], removed: &[u64]) -> io::Result<bool> {
@@ -472,18 +489,25 @@ impl Wal {
                 .map_err(|e| io::Error::other(format!("wal encode: {e}")))?;
         }
         if self.crash == Some(CrashPoint::MidWalAppend) {
-            // A torn append: exactly half the record's bytes land.
+            // A torn append: exactly half the record's bytes land, and no
+            // line of this process runs after it.
             self.file.write_all(&record[..record.len() / 2])?;
             self.file.flush()?;
             return Err(injected());
         }
-        let start = self.timers.as_ref().map(|_| Instant::now());
-        self.file.write_all(&record)?;
-        self.file.flush()?;
-        let written = start.map(|s| (s, s.elapsed()));
-        if self.options.sync_writes {
-            self.file.sync_data()?;
+        if self.torn {
+            self.cut_back()?;
         }
+        let start = self.timers.as_ref().map(|_| Instant::now());
+        let written = match self.write_record(&record, start) {
+            Ok(written) => written,
+            Err(e) => {
+                self.torn = true;
+                // A cut that fails too is retried before the next append.
+                let _ = self.cut_back();
+                return Err(e);
+            }
+        };
         if let (Some(t), Some((start, written))) = (self.timers.as_ref(), written) {
             t.append.record_duration(written);
             if self.options.sync_writes {
@@ -496,6 +520,34 @@ impl Wal {
         self.records_since_snapshot += 1;
         Ok(self.options.snapshot_every > 0
             && self.records_since_snapshot >= self.options.snapshot_every)
+    }
+
+    /// The record's bytes handed to the OS — how long that took, on a
+    /// timed store's clock — and synced where the store asks for it.
+    fn write_record(
+        &mut self,
+        record: &[u8],
+        start: Option<Instant>,
+    ) -> io::Result<Option<(Instant, std::time::Duration)>> {
+        if self.crash == Some(CrashPoint::FailedWalAppend) {
+            self.file.write_all(&record[..record.len() / 2])?;
+            return Err(injected());
+        }
+        self.file.write_all(record)?;
+        self.file.flush()?;
+        let written = start.map(|s| (s, s.elapsed()));
+        if self.options.sync_writes {
+            self.file.sync_data()?;
+        }
+        Ok(written)
+    }
+
+    /// Drop whatever a failed append left beyond the last good record.
+    fn cut_back(&mut self) -> io::Result<()> {
+        self.file.set_len(self.len)?;
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.torn = false;
+        Ok(())
     }
 
     /// Write a snapshot of the full state and compact: temp file → fsync →
@@ -560,6 +612,7 @@ impl Wal {
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_all()?;
         self.len = 0;
+        self.torn = false;
         self.records_since_snapshot = 0;
         Ok(())
     }
@@ -671,6 +724,39 @@ mod tests {
         assert_eq!(rec.epoch, 2);
         assert!(rec.elements.contains(&7) && !rec.elements.contains(&2));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_back_before_the_next_one_lands() {
+        // A write that fails half-way leaves a torn record. It is gone
+        // before the next append: recovery finds the acknowledged batches,
+        // all of them, and nothing else.
+        let fault = CrashPoint::FailedWalAppend;
+        for sync_writes in [false, true] {
+            let dir = tempdir("failed_append");
+            let opts = DurableOptions {
+                snapshot_every: 0,
+                sync_writes,
+                ..DurableOptions::default()
+            };
+            let mut wal = Wal::open(&dir, opts).unwrap();
+            wal.append(1, &[1], &[]).unwrap();
+            let good = read_wal_bytes(&dir).unwrap();
+            wal.inject_crash(Some(fault));
+            assert!(wal.append(2, &[66, 67, 68], &[]).is_err());
+            wal.inject_crash(None);
+            assert_eq!(read_wal_bytes(&dir).unwrap(), good, "cut back");
+            // The refused batch's epoch is free again, and what takes it
+            // sits right behind the last good record.
+            wal.append(2, &[2], &[]).unwrap();
+            wal.append(3, &[3], &[1]).unwrap();
+            let rec = recover(&dir, 16).unwrap();
+            assert_eq!((rec.epoch, rec.wal_records, rec.truncated_bytes), (3, 3, 0));
+            let mut got: Vec<u64> = rec.elements.iter().copied().collect();
+            got.sort_unstable();
+            assert_eq!(got, vec![2, 3]);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

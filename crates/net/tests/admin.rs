@@ -6,7 +6,7 @@
 //!
 //! Covered here:
 //! * `/metrics` after a batch of full reconciliations: every one of the
-//!   21 `pbs_server_*_total` counters equals its snapshot field, the
+//!   24 `pbs_server_*_total` counters equals its snapshot field, the
 //!   per-store `pbs_store_*{store="default"}` mirror agrees, and
 //!   `bytes_in`/`bytes_out` equal the sums of the clients' own
 //!   `SyncReport` byte ledgers;

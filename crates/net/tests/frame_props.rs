@@ -402,18 +402,22 @@ fn cut_or_flipped_payloads_error_or_decode_but_never_panic() {
 }
 
 #[test]
-fn an_unknown_error_code_is_named_and_a_v4_hello_is_refused() {
+fn an_unknown_error_code_is_named_and_a_v5_hello_is_refused() {
     for byte in [0u8, 9, 0xEE] {
         assert_eq!(
             Frame::decode_body(&[6, byte, 0, 0]),
             Err(FrameError::Payload(wire::WireError::BadTag(byte)))
         );
     }
-    let mut hello = Hello::from_config(&pbs_core::PbsConfig::default(), 1, 0);
-    hello.version = 4;
-    assert_eq!(
-        Frame::decode_body(&Frame::Hello(hello).encode_body()),
-        Err(FrameError::Version(4))
-    );
+    // A v5 client would run under its own seed whatever the reply named:
+    // it is turned away at the door, like every older one.
+    for version in [4, 5] {
+        let mut hello = Hello::from_config(&pbs_core::PbsConfig::default(), 1, 0);
+        hello.version = version;
+        assert_eq!(
+            Frame::decode_body(&Frame::Hello(hello).encode_body()),
+            Err(FrameError::Version(version))
+        );
+    }
     assert_eq!(ErrorCode::Version.to_string(), "version-unsupported");
 }

@@ -79,8 +79,9 @@ fn reference_run(
         frames += 1;
     };
 
-    // Handshake: the server echoes the client's Hello, so both frames
-    // serialize identically.
+    // Handshake: the server echoes the client's Hello — naming the
+    // session's seed in a field of the same width — so both frames
+    // serialize to the same length.
     let hello = Hello::from_config(&cfg, seed, 0);
     let hello_frame = Frame::Hello(hello);
     let hello_bits = hello_frame.encode_body().len() as u64 * 8;
@@ -242,20 +243,6 @@ fn loopback_reconciles_100k_sets_within_the_transcript_byte_envelope() {
 
         let seed = 0xAB5_0000 + d as u64;
         let client_cfg = ClientConfig::builder().seed(seed).build();
-        let predicted = reference_run(
-            &alice_set,
-            &bob_set,
-            client_cfg.pbs,
-            seed,
-            client_cfg.round_cap,
-            1,
-        );
-        assert_eq!(
-            sorted(predicted.recovered.clone()),
-            truth,
-            "d={d} reference"
-        );
-
         // The networked run, over a real socket pair.
         let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
         let server = Server::bind(
@@ -268,6 +255,23 @@ fn loopback_reconciles_100k_sets_within_the_transcript_byte_envelope() {
         )
         .expect("bind loopback");
         let report = sync(server.local_addr(), &alice_set, &client_cfg).expect("sync");
+
+        // The same session in-process, under the seed the server's reply
+        // named (a fresh store keeps no view, so: the one proposed).
+        assert_eq!(report.seed, seed, "d={d}: no view, no other seed");
+        let predicted = reference_run(
+            &alice_set,
+            &bob_set,
+            client_cfg.pbs,
+            report.seed,
+            client_cfg.round_cap,
+            1,
+        );
+        assert_eq!(
+            sorted(predicted.recovered.clone()),
+            truth,
+            "d={d} reference"
+        );
 
         // (a) Exact recovery.
         assert!(report.verified, "d={d}: checksums did not verify");
@@ -429,7 +433,7 @@ fn server_rejects_protocol_violations() {
     // in this version's shape or (as a real v1 peer would send it) cut
     // short after the fields v1 had — is refused with the typed error,
     // never a decode failure or a silent close.
-    for version in [0u16, 1, 3, 4, 6, 0xFFFF] {
+    for version in [0u16, 1, 3, 4, 5, 7, 0xFFFF] {
         for v1_shaped in [false, true] {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
             let mut hello = Hello::from_config(&PbsConfig::default(), 1, 1);
@@ -548,7 +552,7 @@ fn server_rejects_protocol_violations() {
 
     let stats = server.shutdown();
     assert_eq!(stats.sessions_completed, 0);
-    assert_eq!(stats.sessions_failed, 12 + 3 + 2 * 5);
+    assert_eq!(stats.sessions_failed, 14 + 3 + 2 * 5);
     assert_eq!(stats.elements_received, 0);
 }
 
@@ -586,11 +590,12 @@ fn pipelined_rounds_cut_round_trips_at_d_1000_within_the_byte_envelope() {
             .seed(seed)
             .pipeline(Pipeline::Depth(pipeline))
             .build();
+        let report = sync(server.local_addr(), &alice_set, &config).expect("sync");
         let predicted = reference_run(
             &alice_set,
             &bob_set,
             config.pbs,
-            seed,
+            report.seed,
             config.round_cap,
             pipeline,
         );
@@ -599,7 +604,6 @@ fn pipelined_rounds_cut_round_trips_at_d_1000_within_the_byte_envelope() {
             truth,
             "pipeline={pipeline} reference recovery"
         );
-        let report = sync(server.local_addr(), &alice_set, &config).expect("sync");
         assert!(report.verified, "pipeline={pipeline}: did not verify");
         assert_eq!(sorted(report.recovered.clone()), truth);
         assert_eq!(report.round_trips, predicted.round_trips);

@@ -4,9 +4,10 @@
 //!
 //! Socket-free and milliseconds long: the real [`ClientMachine`] produces
 //! every client frame; the server's replies are built from the same calls
-//! `pbs_net`'s server makes, in its order. Bytes are a pure function of the
-//! sets and the seed, so the fence cannot flake — a codec change that
-//! fattens the wire fails here before any benchmark runs.
+//! `pbs_net`'s server makes, in its order — the `Hello` reply naming the
+//! session's seed, as a store with a cached view does. Bytes are a pure
+//! function of the sets and that seed, so the fence cannot flake — a codec
+//! change that fattens the wire fails here before any benchmark runs.
 
 use estimator::{inflate_estimate, Estimator, TowEstimator};
 use pbs_core::{BobSession, Pbs};
@@ -17,6 +18,10 @@ use protocol::{theoretical_minimum_bytes, Workload};
 /// The server's default `max_pipeline_depth`: what an adaptive client is
 /// granted.
 const GRANT: u8 = 4;
+
+/// The seed the in-test server answers every `Hello` with — not the one
+/// the client proposes.
+const VIEW_SEED: u64 = 0x0FE7_CE00;
 
 #[test]
 fn a_session_pays_at_most_3_3x_the_minimum_and_15_percent_over_formula_one() {
@@ -39,7 +44,7 @@ fn a_session_pays_at_most_3_3x_the_minimum_and_15_percent_over_formula_one() {
         }
         .generate(17);
         let config = ClientConfig::builder()
-            .seed(0x0FE7_CE00)
+            .seed(0x00C1_1E27)
             .pipeline(pipeline)
             .build();
         let mut client =
@@ -58,6 +63,7 @@ fn a_session_pays_at_most_3_3x_the_minimum_and_15_percent_over_formula_one() {
             let reply = match sent {
                 Frame::Hello(mut hello) => {
                     hello.pipeline = hello.pipeline.min(GRANT);
+                    hello.seed = VIEW_SEED;
                     Frame::Hello(hello)
                 }
                 Frame::EstimatorExchange(EstimatorMsg::TowBank(bank)) => {
@@ -67,7 +73,7 @@ fn a_session_pays_at_most_3_3x_the_minimum_and_15_percent_over_formula_one() {
                     let d_hat = theirs.estimate(&own);
                     let d_param = inflate_estimate(d_hat) as u64;
                     let params = Pbs::new(config.pbs).plan(d_param as usize);
-                    bob = Some(BobSession::new(config.pbs, params, &pair.b, config.seed));
+                    bob = Some(BobSession::new(config.pbs, params, &pair.b, VIEW_SEED));
                     Frame::EstimatorExchange(EstimatorMsg::Estimate { d_param, d_hat })
                 }
                 Frame::Sketches { m, batch } => {
@@ -92,6 +98,10 @@ fn a_session_pays_at_most_3_3x_the_minimum_and_15_percent_over_formula_one() {
         };
 
         assert!(report.verified);
+        assert_eq!(
+            report.seed, VIEW_SEED,
+            "the session ran under the reply's seed"
+        );
         let mut truth: Vec<u64> = pair.diff.iter().copied().collect();
         truth.sort_unstable();
         assert_eq!(report.recovered, truth);
