@@ -91,11 +91,6 @@ impl TransitionMatrix {
         self.n
     }
 
-    /// The maximum state `t`.
-    pub fn max_state(&self) -> usize {
-        self.t
-    }
-
     /// Matrix dimension (`t + 1`).
     pub fn dim(&self) -> usize {
         self.t + 1

@@ -311,11 +311,6 @@ impl BchCodec {
         &self.field
     }
 
-    /// A clone of the shared field handle.
-    pub fn field_arc(&self) -> Arc<Field> {
-        Arc::clone(&self.field)
-    }
-
     /// Extension degree `m`.
     pub fn m(&self) -> u32 {
         self.field.m()

@@ -65,11 +65,6 @@ impl StrataEstimator {
         let h = xxhash64_u64(element, self.stratum_seed);
         (h.trailing_zeros() as usize).min(self.strata.len() - 1)
     }
-
-    /// Number of strata.
-    pub fn strata_count(&self) -> usize {
-        self.strata.len()
-    }
 }
 
 impl Estimator for StrataEstimator {

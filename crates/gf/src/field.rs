@@ -573,12 +573,6 @@ impl Field {
         }
     }
 
-    /// `true` when hardware carry-less multiplication (PCLMULQDQ) was
-    /// detected at construction.
-    pub fn has_hw_clmul(&self) -> bool {
-        self.hw_clmul
-    }
-
     /// The generator whose powers the log/antilog tables enumerate, if this
     /// field is table-backed. The stepping Chien search walks these powers.
     pub fn generator(&self) -> Option<u64> {

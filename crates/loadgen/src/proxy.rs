@@ -1,6 +1,6 @@
 //! Fault-injection TCP proxy: a std-only relay the harness places on a
-//! link to inject partitions, delays, connection drops, and mid-stream
-//! cuts — with an exact per-direction byte ledger.
+//! link to inject partitions, delays, and mid-stream cuts — with an
+//! exact per-direction byte ledger.
 //!
 //! Every byte the proxy reads is accounted into exactly one of
 //! `forwarded` or `discarded` per direction, so
@@ -57,7 +57,7 @@ pub struct LedgerSnapshot {
     pub discarded_down: u64,
     /// Connections relayed.
     pub accepted: u64,
-    /// Connections refused (partition, seeded drop, dead upstream).
+    /// Connections refused (partition, dead upstream).
     pub refused: u64,
     /// Connections severed mid-stream by a cut rule.
     pub cut: u64,
@@ -77,10 +77,6 @@ struct Controls {
     upstream: Mutex<SocketAddr>,
     partitioned: AtomicBool,
     delay_micros: AtomicU64,
-    /// Probability (in 1/1000) of refusing a new connection.
-    drop_milli: AtomicU64,
-    /// xorshift state of the seeded drop coin.
-    drop_state: AtomicU64,
     /// Connections still to be cut mid-stream.
     cuts_remaining: AtomicU64,
     /// Upstream-direction byte budget a cut connection gets.
@@ -107,8 +103,6 @@ impl FaultProxy {
             upstream: Mutex::new(upstream),
             partitioned: AtomicBool::new(false),
             delay_micros: AtomicU64::new(0),
-            drop_milli: AtomicU64::new(0),
-            drop_state: AtomicU64::new(0x5EED_F00D),
             cuts_remaining: AtomicU64::new(0),
             cut_after_bytes: AtomicU64::new(u64::MAX),
             shutdown: AtomicBool::new(false),
@@ -147,27 +141,12 @@ impl FaultProxy {
         self.controls.partitioned.store(false, Ordering::SeqCst);
     }
 
-    /// `true` while partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.controls.partitioned.load(Ordering::SeqCst)
-    }
-
     /// Delay every forwarded chunk by `delay` (per chunk, per direction).
     pub fn set_delay(&self, delay: Duration) {
         self.controls.delay_micros.store(
             delay.as_micros().min(u64::MAX as u128) as u64,
             Ordering::SeqCst,
         );
-    }
-
-    /// Refuse each new connection with probability `p`, decided by a
-    /// seeded coin — the same seed replays the same refusal pattern for a
-    /// fixed connection order.
-    pub fn set_drop_probability(&self, p: f64, seed: u64) {
-        self.controls
-            .drop_milli
-            .store((p.clamp(0.0, 1.0) * 1000.0) as u64, Ordering::SeqCst);
-        self.controls.drop_state.store(seed | 1, Ordering::SeqCst);
     }
 
     /// Cut the next `n` relayed connections once `after_bytes` have
@@ -228,23 +207,8 @@ fn accept_loop(listener: TcpListener, controls: Arc<Controls>) {
     }
 }
 
-/// Seeded Bernoulli coin over an atomic xorshift state: deterministic for
-/// a fixed connection arrival order.
-fn drop_coin(controls: &Controls) -> bool {
-    let p = controls.drop_milli.load(Ordering::SeqCst);
-    if p == 0 {
-        return false;
-    }
-    let mut s = controls.drop_state.load(Ordering::SeqCst);
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    controls.drop_state.store(s, Ordering::SeqCst);
-    s % 1000 < p
-}
-
 fn handle_connection(client: TcpStream, controls: &Arc<Controls>) {
-    if controls.partitioned.load(Ordering::SeqCst) || drop_coin(controls) {
+    if controls.partitioned.load(Ordering::SeqCst) {
         controls.counters.refused.fetch_add(1, Ordering::SeqCst);
         let _ = client.shutdown(Shutdown::Both);
         return;

@@ -321,6 +321,21 @@ impl SyncReport {
         let wire = self.bytes_sent + self.bytes_received;
         (minimum > 0.0).then(|| wire as f64 / minimum)
     }
+
+    /// `recovered \ pushed`: what the server held and the client lacked
+    /// (`B \ A`) — the client's to apply. One linear merge; both lists are
+    /// ascending.
+    pub fn pulled(&self) -> Vec<u64> {
+        let mut pushed = self.pushed.iter().copied().peekable();
+        let mut pulled = Vec::with_capacity(self.recovered.len().saturating_sub(self.pushed.len()));
+        for &e in &self.recovered {
+            while pushed.next_if(|&p| p < e).is_some() {}
+            if pushed.peek() != Some(&e) {
+                pulled.push(e);
+            }
+        }
+        pulled
+    }
 }
 
 /// A configured connection target: the primary client entry point.
@@ -815,6 +830,23 @@ mod tests {
         assert_eq!(report.overhead_x_min(32), Some(2.75));
         assert_eq!(report.overhead_x_min(64), Some(1.375));
         assert_eq!(SyncReport::default().overhead_x_min(32), None);
+    }
+
+    #[test]
+    fn pulled_is_recovered_minus_pushed() {
+        let pulled = |recovered: &[u64], pushed: &[u64]| {
+            SyncReport {
+                recovered: recovered.to_vec(),
+                pushed: pushed.to_vec(),
+                ..SyncReport::default()
+            }
+            .pulled()
+        };
+        assert_eq!(pulled(&[], &[]), Vec::<u64>::new());
+        assert_eq!(pulled(&[1, 5, 9], &[]), vec![1, 5, 9], "disjoint");
+        assert_eq!(pulled(&[1, 5, 9], &[1, 5, 9]), Vec::<u64>::new());
+        assert_eq!(pulled(&[1, 2, 5, 8, 9, 12], &[2, 8, 9]), vec![1, 5, 12]);
+        assert_eq!(pulled(&[3, 4, u64::MAX], &[4]), vec![3, u64::MAX]);
     }
 
     #[test]

@@ -185,14 +185,7 @@ pub fn anti_entropy_round(
                 // `B \ A` — ours to apply. `apply_missing` on a
                 // MutableStore is an ordinary apply: epoch bump,
                 // changelog batch, subscriber push.
-                let pushed: std::collections::HashSet<u64> =
-                    report.pushed.iter().copied().collect();
-                let pulled: Vec<u64> = report
-                    .recovered
-                    .iter()
-                    .copied()
-                    .filter(|e| !pushed.contains(e))
-                    .collect();
+                let pulled = report.pulled();
                 // The exchange itself happened either way: its bytes and
                 // what the peer ingested count. What we pulled counts only
                 // if our own store took it.

@@ -99,13 +99,6 @@ impl DirWatcher {
         self
     }
 
-    /// Names of the stores currently watched (sorted, for tests/logs).
-    pub fn watched_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.watched.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// One pass: register stores for new `*.set` files, apply edits of
     /// known files as change batches, empty stores whose file vanished.
     /// Never panics on concurrent file mutations; transient I/O errors
