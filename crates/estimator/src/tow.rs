@@ -35,9 +35,23 @@ pub fn inflate_estimate(d_hat: f64) -> usize {
 /// count, seed, counter width.
 const BANK_HEADER: usize = 4 + 8 + 8 + 1;
 
-/// Elements per [`Estimator::insert_slice`] block: the most an 8-bit
-/// per-lane counter of −1 signs can hold.
-const BLOCK: usize = 255;
+/// Bit planes of an [`Estimator::insert_slice`] block's per-lane counters of
+/// −1 signs: ones, twos, fours, then the planes the weight-8 carry ripples
+/// into.
+const PLANES: usize = 11;
+
+/// Elements per [`Estimator::insert_slice`] block: the most (in whole groups
+/// of eight) a [`PLANES`]-bit counter can hold, and few enough that the
+/// block's powers (24 bytes an element, 48 KB) stay in L2.
+const BLOCK: usize = ((1 << PLANES) - 1) / 8 * 8;
+
+/// Carry-save adder: the bitwise sum of three words as `(carry, sum)`, the
+/// carry one weight up.
+#[inline]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (a & b | u & c, u ^ c)
+}
 
 /// A bank of ℓ ToW sketches of one set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,34 +195,55 @@ impl Estimator for TowEstimator {
         self.items += 1;
     }
 
-    /// Batched insert, in blocks of at most 255 elements: the powers
-    /// `x, x², x³` of a block are computed once, then each polynomial's
-    /// 32-bit sign words are added into eight *bit planes* — plane `k`
-    /// holds bit `k` of 32 per-lane counters of −1 signs, so one word is
-    /// absorbed by a ripple of ANDs and XORs instead of 32 additions — and
-    /// the planes are folded into the `i64` sketches once per block.
-    /// Summary identical to per-element [`Estimator::insert`].
+    /// Batched insert, in blocks of at most 2 040 elements: the powers
+    /// `x, x², x³` of a block are computed once, then the 32-bit sign words
+    /// of polynomials `2j` and `2j + 1` are packed into one `u64` and added
+    /// into eleven *bit planes* — plane `k` holds bit `k` of 64 per-lane
+    /// counters of −1 signs. Eight elements' words go through a carry-save
+    /// adder tree at a time (a Harley–Seal counter over sign words): the
+    /// ones, twos and fours planes carry over from group to group, and only
+    /// the tree's one weight-8 carry ripples into the planes above. The
+    /// planes are folded into the `i64` sketches once per block. Summary
+    /// identical to per-element [`Estimator::insert`].
     fn insert_slice(&mut self, elements: &[u64]) {
-        let mut powers = [[0u64; 3]; BLOCK];
+        let mut powers = vec![[0u64; 3]; BLOCK.min(elements.len())];
         for block in elements.chunks(BLOCK) {
             let powers = &mut powers[..block.len()];
             for (p, &e) in powers.iter_mut().zip(block) {
                 *p = SignHasher::powers(e);
             }
-            for (lanes, h) in self
+            for (lanes, pair) in self
                 .sketches
-                .chunks_mut(SignHasher::LANES)
-                .zip(&self.hashers)
+                .chunks_mut(2 * SignHasher::LANES)
+                .zip(self.hashers.chunks(2))
             {
-                let mut planes = [0u32; 8];
-                for p in powers.iter() {
-                    let mut carry = h.sign_bits_at(p);
-                    for plane in &mut planes {
+                let word = |p: &[u64; 3]| match pair {
+                    [lo, hi] => u64::from(lo.sign_bits_at(p)) | u64::from(hi.sign_bits_at(p)) << 32,
+                    _ => u64::from(pair[0].sign_bits_at(p)),
+                };
+                let mut planes = [0u64; PLANES];
+                for group in powers.chunks(8) {
+                    // A short last group adds zero words: no −1 signs.
+                    let mut w = [0u64; 8];
+                    for (w, p) in w.iter_mut().zip(group) {
+                        *w = word(p);
+                    }
+                    let (twos_a, ones) = csa(planes[0], w[0], w[1]);
+                    let (twos_b, ones) = csa(ones, w[2], w[3]);
+                    let (fours_a, twos) = csa(planes[1], twos_a, twos_b);
+                    let (twos_a, ones) = csa(ones, w[4], w[5]);
+                    let (twos_b, ones) = csa(ones, w[6], w[7]);
+                    let (fours_b, twos) = csa(twos, twos_a, twos_b);
+                    let (mut carry, fours) = csa(planes[2], fours_a, fours_b);
+                    planes[..3].copy_from_slice(&[ones, twos, fours]);
+                    for plane in &mut planes[3..] {
                         (*plane, carry) = (*plane ^ carry, *plane & carry);
                     }
                 }
                 for (i, sk) in lanes.iter_mut().enumerate() {
-                    let minus: i64 = (0..8).map(|k| i64::from(planes[k] >> i & 1) << k).sum();
+                    let minus: i64 = (0..PLANES)
+                        .map(|k| ((planes[k] >> i & 1) << k) as i64)
+                        .sum();
                     *sk += block.len() as i64 - 2 * minus;
                 }
             }
@@ -437,10 +472,10 @@ mod tests {
 
     #[test]
     fn removing_a_slice_leaves_the_bank_of_the_rest() {
-        // Across block boundaries (255), lane remainders (40 = 32 + 8) and
-        // down to the empty bank.
-        let (set, _) = random_pair(700, 0, 8);
-        for cut in [0, 1, 255, 256, 699, 700] {
+        // Across a block boundary (2040), a group of eight, lane remainders
+        // (40 = 32 + 8) and down to the empty bank.
+        let (set, _) = random_pair(2100, 0, 8);
+        for cut in [0, 1, 8, BLOCK, BLOCK + 1, 2099, 2100] {
             let (gone, kept) = set.split_at(cut);
             let mut bank = TowEstimator::new(40, 13);
             bank.insert_slice(&set);

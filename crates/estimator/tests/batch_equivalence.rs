@@ -22,11 +22,13 @@ fn batched<E: Estimator>(mut e: E, elements: &[u64]) -> E {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Up to five polynomials (two pairs and a lone one) over up to two of
+    /// the batched kernel's 2040-element blocks plus a remainder.
     #[test]
     fn tow_insert_slice_matches_insert(
-        sketches in 1usize..40,
+        sketches in 1usize..=130,
         seed in any::<u64>(),
-        elements in prop::collection::vec(any::<u64>(), 0..150),
+        elements in prop::collection::vec(any::<u64>(), 0..4400),
     ) {
         let a = batched(TowEstimator::new(sketches, seed), &elements);
         let b = scalar(TowEstimator::new(sketches, seed), &elements);

@@ -63,19 +63,34 @@ fn assert_all_paths_agree(sketches: usize, seed: u64, elems: &[u64]) {
     );
 }
 
+/// Elements per block of the batched kernel (`BLOCK` in `tow.rs`): eight
+/// times the 255 groups whose weight-8 carries an 8-bit counter holds.
+const BLOCK: usize = 2040;
+
 #[test]
 fn insert_paths_match_the_reference_for_every_bank_width() {
     let mut rng = StdRng::seed_from_u64(0x70E);
-    // Every block boundary of the batched kernel (255 per block) and the
-    // ends of the 0..=1000 range, then lengths spread over it.
-    let fixed = [0usize, 1, 254, 255, 256, 509, 510, 511, 765, 766, 1000];
+    // The kernel's seams: a group of eight and its neighbours, then one
+    // block and two (the third with a whole group and a remainder) ± 1.
+    #[rustfmt::skip]
+    let seams = [
+        0, 1, 7, 8, 9,
+        BLOCK - 1, BLOCK, BLOCK + 1,
+        2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 9,
+    ];
+    // The widths that see every seam: polynomials are taken two at a time,
+    // so a lone first (1, 32), a pair whose second has one lane (33) or all
+    // (64), a lone third (65, 80, 96), a second pair (97, 128), a lone fifth.
+    let crossing = [1, 32, 33, 64, 65, 80, 96, 97, 128, 129, 1024];
     for sketches in (1..=200usize).chain([1024, 4096]) {
-        let len = match fixed.get(sketches - 1) {
-            Some(&len) => len,
-            None => rng.random_range(0..=1000usize),
-        };
-        let elems = elements(len, &mut rng);
-        assert_all_paths_agree(sketches, rng.random(), &elems);
+        let mut lens = vec![rng.random_range(0..=1000usize)];
+        if crossing.contains(&sketches) {
+            lens.extend(seams);
+        }
+        for len in lens {
+            let elems = elements(len, &mut rng);
+            assert_all_paths_agree(sketches, rng.random(), &elems);
+        }
     }
 }
 
@@ -83,8 +98,10 @@ fn insert_paths_match_the_reference_for_every_bank_width() {
 fn a_long_slice_crosses_every_flush_boundary() {
     let mut rng = StdRng::seed_from_u64(0x10_000);
     let elems = elements(65_536 + 300, &mut rng);
-    // 33 sketches: one full polynomial and one with a single live lane.
+    // 33 sketches: one full polynomial paired with one of a single live
+    // lane; 80: a pair and a lone half-live third.
     assert_all_paths_agree(33, 9, &elems);
+    assert_all_paths_agree(80, 9, &elems);
     assert_all_paths_agree(128, 9, &elems);
     // Appending in two calls is the same as one.
     let mut split = TowEstimator::new(128, 9);

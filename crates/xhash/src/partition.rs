@@ -70,25 +70,32 @@ impl PartitionHasher {
     /// with `bin(e) == i`.
     ///
     /// This is the set-up step of all three PBS partitions that materialize
-    /// their parts (groups, and the sub-groups of a split): one hash per
-    /// element, a counting-sort scatter into exactly-sized `Vec`s, then an
-    /// in-place de-duplication of each part. Dropping duplicates matters to
-    /// the scheme: a repeated element cancels out of an XOR parity bitmap
-    /// but counts twice in the additive group checksum.
+    /// their parts (groups, and the sub-groups of a split): one pass that
+    /// hashes each element and counts its bin, a counting-sort scatter into
+    /// exactly-sized `Vec`s, then an in-place de-duplication of each part
+    /// through one scratch table (at most a quarter full: 16–32 bytes per
+    /// element of the largest part, freed on return). Dropping duplicates
+    /// matters to the scheme: a repeated element cancels out of an XOR parity
+    /// bitmap but counts twice in the additive group checksum.
     ///
     /// # Panics
-    /// Panics if the hasher has more than `u32::MAX` bins.
+    /// Panics if the hasher has more than `u32::MAX` bins, or one part holds
+    /// more than `2^30` elements.
     pub fn partition(&self, elements: &[u64]) -> Vec<Vec<u64>> {
         assert!(
             self.bins <= u32::MAX as u64,
             "cannot materialize {} parts",
             self.bins
         );
-        let bin_of: Vec<u32> = elements.iter().map(|&e| self.bin(e) as u32).collect();
         let mut sizes = vec![0usize; self.bins as usize];
-        for &b in &bin_of {
-            sizes[b as usize] += 1;
-        }
+        let bin_of: Vec<u32> = elements
+            .iter()
+            .map(|&e| {
+                let bin = self.bin(e) as u32;
+                sizes[bin as usize] += 1;
+                bin
+            })
+            .collect();
         let mut parts: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for (&e, &b) in elements.iter().zip(&bin_of) {
             parts[b as usize].push(e);
@@ -102,6 +109,13 @@ impl PartitionHasher {
     }
 }
 
+/// Elements whose home slots [`Seen::dedup`] hashes ahead of probing them.
+const HOMES: usize = 1024;
+
+/// The longest part [`Seen::dedup`] takes: with it the table has `2^32`
+/// slots, so a slot index and `1 +` a kept index both fit a `u32`.
+const MAX_PART: usize = 1 << 30;
+
 /// Open-addressing scratch table behind [`PartitionHasher::partition`]'s
 /// duplicate drop, reused from part to part.
 ///
@@ -111,9 +125,17 @@ impl PartitionHasher {
 /// elements arrive from peers, and a fixed slot hash would let a crafted
 /// set chain every probe. The key cannot show in the result, which is the
 /// input order with repeats removed whatever the slots were.
+///
+/// Two things keep the probe loop's branches predictable. The table is at
+/// most a quarter full — `4 · len` slots rounded up to a power of two, 16 MB
+/// for one part of 10⁶ elements — so nearly every probe ends on the first
+/// slot it reads. And home slots are hashed [`HOMES`] elements at a time,
+/// ahead of the loop that probes them, so a mispredicted probe does not
+/// hold up the next element's hash.
 struct Seen {
     key: u64,
     slots: Vec<u32>,
+    homes: [u32; HOMES],
 }
 
 impl Seen {
@@ -121,6 +143,7 @@ impl Seen {
         Seen {
             key: RandomState::new().hash_one(0u64),
             slots: Vec::new(),
+            homes: [0; HOMES],
         }
     }
 
@@ -129,29 +152,34 @@ impl Seen {
         if part.len() < 2 {
             return;
         }
-        assert!(part.len() < u32::MAX as usize, "part too large to index");
-        // At most half full, so probe chains stay short.
-        let size = (2 * part.len()).next_power_of_two();
+        assert!(part.len() <= MAX_PART, "part too large to index");
+        let size = (4 * part.len()).next_power_of_two();
         if self.slots.len() < size {
             self.slots.resize(size, 0);
         }
         let slots = &mut self.slots[..size];
         slots.fill(0);
         let mut kept = 0usize;
-        for i in 0..part.len() {
-            let e = part[i];
-            let mut slot = xxhash64_u64(e, self.key) as usize & (size - 1);
-            let repeat = loop {
-                match slots[slot] {
-                    0 => break false,
-                    j if part[j as usize - 1] == e => break true,
-                    _ => slot = (slot + 1) & (size - 1),
+        for start in (0..part.len()).step_by(HOMES) {
+            let end = part.len().min(start + HOMES);
+            for (home, &e) in self.homes.iter_mut().zip(&part[start..end]) {
+                *home = (xxhash64_u64(e, self.key) as usize & (size - 1)) as u32;
+            }
+            for (i, &home) in (start..end).zip(&self.homes) {
+                let e = part[i];
+                let mut slot = home as usize;
+                let repeat = loop {
+                    match slots[slot] {
+                        0 => break false,
+                        j if part[j as usize - 1] == e => break true,
+                        _ => slot = (slot + 1) & (size - 1),
+                    }
+                };
+                if !repeat {
+                    part[kept] = e;
+                    kept += 1;
+                    slots[slot] = kept as u32;
                 }
-            };
-            if !repeat {
-                part[kept] = e;
-                kept += 1;
-                slots[slot] = kept as u32;
             }
         }
         part.truncate(kept);
@@ -221,6 +249,63 @@ mod tests {
         // Nothing but repeats of one element.
         let parts = PartitionHasher::new(4, 2).partition(&[0; 1000]);
         assert_eq!(parts.concat(), vec![0]);
+    }
+
+    /// A value stream with no repeats (an odd multiplier permutes `u64`).
+    fn distinct(count: usize, salt: u64) -> impl Iterator<Item = u64> {
+        (0..count as u64).map(move |i| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// One part (`bins = 1`) of every length around the points where the
+    /// table doubles (`4 · len` crossing a power of two) — which takes in
+    /// the [`HOMES`] chunk edge — without repeats, with every third element
+    /// a repeat, and as nothing but pairs.
+    #[test]
+    fn one_part_at_every_table_size_boundary() {
+        let whole = PartitionHasher::new(1, 7);
+        for k in 1..=13 {
+            for len in [(1 << k) - 1, 1 << k, (1 << k) + 1] {
+                let plain: Vec<u64> = distinct(len, k).collect();
+                let thirds: Vec<u64> = (0..len).map(|i| plain[i - i % 3]).collect();
+                let pairs: Vec<u64> = (0..len).map(|i| plain[i / 2]).collect();
+                for input in [plain, thirds, pairs] {
+                    let parts = whole.partition(&input);
+                    assert_eq!(parts, partition_model(&whole, &input), "len {len}");
+                }
+            }
+        }
+    }
+
+    /// A part longer than a `u16` can index, every element of it twice.
+    #[test]
+    fn one_part_of_70_000_in_which_every_element_repeats() {
+        let hasher = PartitionHasher::new(4, 11);
+        let members: Vec<u64> = distinct(200_000, 3)
+            .filter(|&e| hasher.bin(e) == 2)
+            .take(35_000)
+            .collect();
+        let input: Vec<u64> = members
+            .iter()
+            .chain(members.iter().rev())
+            .copied()
+            .collect();
+        assert_eq!(input.len(), 70_000);
+        let parts = hasher.partition(&input);
+        assert_eq!(parts, partition_model(&hasher, &input));
+        assert_eq!(parts[2], members);
+    }
+
+    #[test]
+    fn one_bin_over_100_000_elements() {
+        let whole = PartitionHasher::new(1, 5);
+        // Every seventh place repeats an earlier one.
+        let mut input: Vec<u64> = distinct(100_000, 9).collect();
+        for i in (6..input.len()).step_by(7) {
+            input[i] = input[i / 7];
+        }
+        let parts = whole.partition(&input);
+        assert_eq!(parts, partition_model(&whole, &input));
+        assert_eq!(parts[0].len(), 100_000 - 100_000 / 7);
     }
 
     #[test]
