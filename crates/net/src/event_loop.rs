@@ -8,6 +8,19 @@
 //! enforced by the loop's timer pass, keepalive, write-stall eviction,
 //! store-notifier wake-ups and the latency histograms.
 //!
+//! One kind of work leaves the loop. The O(|B|) units of a full session's
+//! set-up (the store's view or a private snapshot, the Bob build — what
+//! the machine calls [`SetUp::Heavy`]) run on the worker's **set-up
+//! thread**: the loop flushes the replies that precede the unit, sends the
+//! machine down the thread's FIFO and parks the session — no frame is taken
+//! from its socket, `poll` is asked for no read-readiness on it, its
+//! deadline keeps running — until the machine and the step it took come
+//! back as a [`Notice::SetUp`]. Pushes, handshakes and delta catch-ups of
+//! the worker's other sessions are dispatched meanwhile. What the loop reads
+//! of a session that is out (its routed store, its timer class) it keeps on
+//! its own side, so a session that ends while out is reaped at once and the
+//! returning machine is dropped.
+//!
 //! This is what turns subscriptions *live*: a session that finished its
 //! delta catch-up (or its classic reconciliation, on an epoch-capable
 //! store) parks; a [`Frame::Subscribe`] makes it a subscriber, for which a
@@ -27,15 +40,16 @@ use crate::frame::{ErrorCode, Frame, PROTOCOL_VERSION};
 use crate::mux::MuxStream;
 use crate::poll::{Interest, Poller};
 use crate::server::{ServerConfig, ServerStats};
-use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, Step, Waiting};
-use crate::store::SetStore;
+use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, SetUp, Step, Waiting};
+use crate::store::{RegisteredStore, SetStore};
 use crate::{FrameError, NetError};
 use obs::trace::{self, Level, Value};
-use obs::{Counter, Histogram};
+use obs::{Counter, Gauge, Histogram};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -55,7 +69,8 @@ pub(crate) struct Shared {
     pub next_session_id: AtomicU64,
 }
 
-/// The server-side latency histograms, one registration per server.
+/// The server-side latency histograms and the loops' own health, one
+/// registration per server.
 pub(crate) struct SessionMetrics {
     /// Accept → negotiated `Hello` queued.
     pub handshake: Arc<Histogram>,
@@ -70,6 +85,12 @@ pub(crate) struct SessionMetrics {
     pub push_dispatch: Arc<Histogram>,
     /// Whole session, accept → reap.
     pub session: Arc<Histogram>,
+    /// One sample per loop iteration of any worker: `poll` returning → the
+    /// next `poll`. Nothing on that worker is dispatched in between.
+    pub loop_busy: Arc<Histogram>,
+    /// Heavy set-up units handed to a set-up thread and not yet finished:
+    /// queued plus running.
+    pub setups_in_flight: Gauge,
 }
 
 impl SessionMetrics {
@@ -94,6 +115,17 @@ impl SessionMetrics {
                 &[],
                 1e-9,
             ),
+            loop_busy: metrics.histogram(
+                "pbs_server_loop_busy_seconds",
+                "One event-loop iteration, poll return to the next poll.",
+                &[],
+                1e-9,
+            ),
+            setups_in_flight: metrics.gauge(
+                "pbs_server_setups_in_flight",
+                "Heavy set-up units queued for or running on a set-up thread.",
+                &[],
+            ),
         }
     }
 }
@@ -106,8 +138,22 @@ pub(crate) enum Notice {
     /// instant (captured in the notifier, right after the store's element
     /// lock released) — the push-dispatch latency clock starts here.
     StoreChanged { store: String, at: Instant },
+    /// The set-up thread ran the unit session `session` handed it: the
+    /// machine is back, with the step it took.
+    SetUp {
+        session: u64,
+        machine: ServerMachine,
+        step: Result<Step, Refusal>,
+    },
     /// Close every session and exit.
     Shutdown,
+}
+
+/// A heavy set-up unit on its way to the set-up thread: the machine that
+/// owes it, and the id of the session to bring it back to.
+struct Job {
+    session: u64,
+    machine: ServerMachine,
 }
 
 /// The write end of a worker's wake pipe (a loopback socket pair).
@@ -144,19 +190,21 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
     Ok((reader, writer))
 }
 
-/// Spawn one event-loop worker. Returns its link plus the join handle.
+/// Spawn one event-loop worker and its set-up thread. Returns the worker's
+/// link plus both join handles.
 pub(crate) fn spawn_worker(
     index: usize,
     shared: Arc<Shared>,
-) -> io::Result<(WorkerLink, std::thread::JoinHandle<()>)> {
+) -> io::Result<(WorkerLink, [std::thread::JoinHandle<()>; 2])> {
     let (wake_reader, wake_writer) = wake_pair()?;
     let (tx, rx) = mpsc::channel::<Notice>();
     let link = WorkerLink {
-        tx: tx.clone(),
+        tx,
         wake: WakeSender {
             writer: Arc::new(wake_writer),
         },
     };
+    let (set_up, set_up_join) = spawn_set_up(index, Arc::clone(&shared), link.clone())?;
     let worker_link = link.clone();
     let join = std::thread::Builder::new()
         .name(format!("pbs-net-worker-{index}"))
@@ -165,6 +213,7 @@ pub(crate) fn spawn_worker(
                 shared,
                 rx,
                 link: worker_link,
+                set_up,
                 wake_reader,
                 poller: Poller::new(),
                 sessions: Vec::new(),
@@ -175,7 +224,49 @@ pub(crate) fn spawn_worker(
             }
             .run()
         })?;
-    Ok((link, join))
+    Ok((link, [join, set_up_join]))
+}
+
+/// Spawn a worker's set-up thread: one FIFO of [`Job`]s, each run to its
+/// [`Notice::SetUp`] on `link`. A unit that panics (a store's `view`, a
+/// bound asserted under the Bob build) costs its own session — the loop is
+/// told to refuse it `Internal` — and the thread serves the next. It exits
+/// once its worker has: the FIFO closes, or a notice finds nobody.
+fn spawn_set_up(
+    index: usize,
+    shared: Arc<Shared>,
+    link: WorkerLink,
+) -> io::Result<(mpsc::Sender<Job>, std::thread::JoinHandle<()>)> {
+    let (jobs, queue) = mpsc::channel::<Job>();
+    let join = std::thread::Builder::new()
+        .name(format!("pbs-net-setup-{index}"))
+        .spawn(move || {
+            for Job {
+                session,
+                mut machine,
+            } in queue
+            {
+                // The machine is only dropped after a panic, never resumed.
+                let unit = catch_unwind(AssertUnwindSafe(|| machine.set_up(&shared.res)));
+                let step = unit.unwrap_or_else(|_| {
+                    Err(Refusal::Answer {
+                        code: ErrorCode::Internal,
+                        message: "the session's set-up failed".into(),
+                    })
+                });
+                shared.session_metrics.setups_in_flight.add(-1.0);
+                let back = Notice::SetUp {
+                    session,
+                    machine,
+                    step,
+                };
+                if link.tx.send(back).is_err() {
+                    return;
+                }
+                link.wake.wake();
+            }
+        })?;
+    Ok((jobs, join))
 }
 
 // ---------------------------------------------------------------------------
@@ -201,8 +292,12 @@ struct Session {
     nb: MuxStream,
     fd: RawFd,
     /// The protocol. Which of the timer pass's clocks run is its
-    /// [`Waiting`] class — until `closing` takes over.
-    machine: ServerMachine,
+    /// [`Waiting`] class — until `closing` takes over. `None` while the
+    /// set-up thread has it: the session is parked, mid-reconciliation.
+    machine: Option<ServerMachine>,
+    /// The store the `Hello` routed to, kept on the loop's side so a
+    /// session's counters find their store while the machine is out.
+    entry: Option<Arc<RegisteredStore>>,
     /// The loop's own tail state, `Some((completed, grace))`: no further
     /// frame is taken; the queued ones drain until `grace`, then the
     /// session closes with the recorded outcome.
@@ -245,7 +340,8 @@ impl Session {
         Ok(Session {
             nb: MuxStream::new(stream, config.transport.max_frame),
             fd,
-            machine: ServerMachine::new(),
+            machine: Some(ServerMachine::new()),
+            entry: None,
             closing: None,
             id,
             traced: trace::enabled(Level::Info) && trace::sampled(id),
@@ -261,9 +357,15 @@ impl Session {
         })
     }
 
+    /// The machine's timer class; set-up is only ever owed mid-reconciliation.
+    fn waiting(&self) -> Waiting {
+        let here = self.machine.as_ref();
+        here.map_or(Waiting::Reconciling, ServerMachine::waiting)
+    }
+
     /// A live subscription the loop still serves.
     fn streaming(&self) -> bool {
-        self.closing.is_none() && self.machine.is_streaming()
+        self.closing.is_none() && self.waiting() == Waiting::Streaming
     }
 
     fn finish(&mut self, completed: bool) {
@@ -282,12 +384,14 @@ impl Session {
         // Queued bytes making no progress for the write timeout.
         let stall = cfg.transport.write_timeout.filter(|_| pending);
         let stall = stall.map(|t| (self.last_send_progress + t, Due::WriteStall));
-        // Silence while the peer's next frame is awaited.
+        // Silence while the peer's next frame is awaited — not while the
+        // machine is out: that silence is the server's own.
+        let here = self.machine.is_some();
         let read_idle = |completed| {
-            let t = cfg.transport.read_timeout?;
+            let t = cfg.transport.read_timeout.filter(|_| here)?;
             Some((self.wait_since + t, Due::Close(completed)))
         };
-        let (first, second) = match (self.closing, self.machine.waiting()) {
+        let (first, second) = match (self.closing, self.waiting()) {
             // Drained already (`accepted` is always past), or out of grace.
             (Some((completed, grace)), _) => {
                 let when = if pending { grace } else { self.accepted };
@@ -300,14 +404,14 @@ impl Session {
             (None, Waiting::Parked) => (read_idle(true), None),
             (None, Waiting::Streaming) => {
                 // A subscriber silent for three intervals stopped answering
-                // keepalives; one idle for an interval, with nothing queued
-                // toward it, is pinged.
+                // keepalives; one silent for an interval, with nothing queued
+                // toward it, is pinged — however much was pushed to it
+                // meanwhile: a push proves nothing about the peer, and a
+                // subscriber pushed to more often than the interval would
+                // otherwise never be asked, never answer, and be cut.
                 let dead = self.last_recv + cfg.keepalive * 3;
-                let idle_base = self
-                    .last_recv
-                    .max(self.last_send_progress)
-                    .max(self.last_ping);
-                let ping = (!pending).then_some((idle_base + cfg.keepalive, Due::Ping));
+                let silent_since = self.last_recv.max(self.last_ping);
+                let ping = (!pending).then_some((silent_since + cfg.keepalive, Due::Ping));
                 (Some((dead, Due::Close(true))), ping)
             }
         };
@@ -320,7 +424,7 @@ impl Session {
     fn close_outcome(&self) -> bool {
         match self.closing {
             Some((completed, _)) => completed,
-            None => self.machine.waiting() != Waiting::Reconciling,
+            None => self.waiting() != Waiting::Reconciling,
         }
     }
 }
@@ -334,6 +438,8 @@ struct Worker {
     rx: mpsc::Receiver<Notice>,
     /// This worker's own link — cloned into store notifier closures.
     link: WorkerLink,
+    /// The FIFO of this worker's set-up thread.
+    set_up: mpsc::Sender<Job>,
     wake_reader: TcpStream,
     poller: Poller,
     sessions: Vec<Session>,
@@ -353,11 +459,13 @@ impl Worker {
 
     /// Count `n` server-wide and on the store session `i` is routed to.
     fn bump(&self, i: usize, counter: fn(&ServerStats) -> &Counter, n: u64) {
-        let entry = self.sessions[i].machine.entry().map(|e| &**e);
+        let entry = self.sessions[i].entry.as_deref();
         self.shared.res.bump(entry, counter, n);
     }
 
     fn run(mut self) {
+        // When `poll` last returned: the start of the iteration in progress.
+        let mut woke: Option<Instant> = None;
         loop {
             self.drain_notices();
             if self.shutting_down {
@@ -371,7 +479,7 @@ impl Worker {
                     if sess.done.is_some() || !sess.streaming() {
                         continue;
                     }
-                    let at = sess.machine.entry().and_then(|e| dirty.get(e.name()));
+                    let at = sess.entry.as_ref().and_then(|e| dirty.get(e.name()));
                     if let Some(&at) = at {
                         self.push_deltas(i, Some(at));
                     }
@@ -379,20 +487,26 @@ impl Worker {
             }
             self.reap();
 
-            // Build the interest set: the wake pipe plus every session,
-            // write interest only while that session has queued bytes.
+            // Build the interest set: the wake pipe plus every session —
+            // read interest while its machine is here to take a frame,
+            // write interest while it has queued bytes. (A session with
+            // neither is left out: `poll` reports a hang-up unasked.)
             let mut interests: Vec<(RawFd, Interest)> =
                 vec![(self.wake_reader.as_raw_fd(), Interest::READABLE)];
             for sess in &self.sessions {
-                interests.push((
-                    sess.fd,
-                    Interest {
-                        readable: true,
-                        writable: sess.nb.pending_out() > 0,
-                    },
-                ));
+                let interest = Interest {
+                    readable: sess.machine.is_some(),
+                    writable: sess.nb.pending_out() > 0,
+                };
+                if interest.readable || interest.writable {
+                    interests.push((sess.fd, interest));
+                }
             }
             let now = Instant::now();
+            if let Some(woke) = woke {
+                let busy = &self.shared.session_metrics.loop_busy;
+                busy.record_duration(now - woke);
+            }
             let timeout = self
                 .next_deadline()
                 .map(|due| due.saturating_duration_since(now) + Duration::from_millis(1));
@@ -403,6 +517,7 @@ impl Worker {
                     Vec::new()
                 }
             };
+            woke = Some(Instant::now());
             for event in events {
                 if event.fd == self.wake_reader.as_raw_fd() {
                     let mut buf = [0u8; 256];
@@ -415,7 +530,9 @@ impl Worker {
                 if self.sessions[i].done.is_some() {
                     continue;
                 }
-                if event.writable {
+                // An error on a parked session surfaces in its flush.
+                let out = self.sessions[i].machine.is_none();
+                if event.writable || (out && event.error) {
                     self.on_writable(i);
                 }
                 if (event.readable || event.error) && self.sessions[i].done.is_none() {
@@ -439,6 +556,11 @@ impl Worker {
                         .and_modify(|t| *t = (*t).min(at))
                         .or_insert(at);
                 }
+                Ok(Notice::SetUp {
+                    session,
+                    machine,
+                    step,
+                }) => self.machine_back(session, machine, step),
                 Ok(Notice::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => {
                     // Connections are never enqueued after Shutdown (the
                     // acceptor is joined first), so anything still queued
@@ -565,14 +687,22 @@ impl Worker {
         }
     }
 
+    /// Read what the socket has and take every whole frame, in order —
+    /// nothing at all while the machine is out: what arrives then waits in
+    /// the socket for [`Worker::machine_back`].
     fn on_readable(&mut self, i: usize) {
+        if self.sessions[i].machine.is_none() {
+            return;
+        }
         if self.sessions[i].nb.fill().is_err() {
             let outcome = self.sessions[i].close_outcome();
             self.sessions[i].finish(outcome);
             return;
         }
         loop {
-            if self.sessions[i].done.is_some() {
+            // Over, or parked by the frame just handled: the frames behind
+            // it stay buffered.
+            if self.sessions[i].done.is_some() || self.sessions[i].machine.is_none() {
                 return;
             }
             match self.sessions[i].nb.next_frame() {
@@ -581,9 +711,9 @@ impl Worker {
                     if self.sessions[i].closing.is_none() {
                         self.handle_frame(i, frame);
                     }
-                    // The frame's handling (which can be expensive —
-                    // building a Bob session hashes the whole snapshot)
-                    // must not count against the peer's next-frame window.
+                    // The frame's handling (which can be expensive — a
+                    // decode pass per pipelined layer) must not count
+                    // against the peer's next-frame window.
                     if self.sessions[i].done.is_none() {
                         self.sessions[i].wait_since = Instant::now();
                     }
@@ -655,14 +785,79 @@ impl Worker {
     /// *before* the set-up work they precede runs, so the client's own
     /// compute overlaps it.
     fn handle_frame(&mut self, i: usize, frame: Frame) {
-        let step = self.sessions[i].machine.on_frame(&self.shared.res, frame);
+        let sess = &mut self.sessions[i];
+        let Some(machine) = sess.machine.as_mut() else {
+            return;
+        };
+        let step = machine.on_frame(&self.shared.res, frame);
+        if sess.entry.is_none() {
+            sess.entry = machine.entry().cloned();
+        }
         self.advance(i, step);
-        while self.sessions[i].done.is_none()
-            && self.sessions[i].closing.is_none()
-            && self.sessions[i].machine.owes_set_up()
-        {
-            let step = self.sessions[i].machine.set_up(&self.shared.res);
-            self.advance(i, step);
+        self.settle(i);
+    }
+
+    /// Run the set-up the machine owes, its replies flushed: a light unit
+    /// here, a heavy one on the set-up thread — the session then parks
+    /// (`machine` is `None`) until [`Notice::SetUp`] brings it back.
+    fn settle(&mut self, i: usize) {
+        loop {
+            let sess = &mut self.sessions[i];
+            if sess.done.is_some() || sess.closing.is_some() {
+                return;
+            }
+            let Some(machine) = sess.machine.as_mut() else {
+                return;
+            };
+            match machine.owes() {
+                None => return,
+                Some(SetUp::Light) => {
+                    let step = machine.set_up(&self.shared.res);
+                    self.advance(i, step);
+                }
+                Some(SetUp::Heavy) => {
+                    let Some(machine) = sess.machine.take() else {
+                        return;
+                    };
+                    let in_flight = &self.shared.session_metrics.setups_in_flight;
+                    in_flight.add(1.0);
+                    let job = Job {
+                        session: sess.id,
+                        machine,
+                    };
+                    // A set-up thread that is gone parks nobody behind it.
+                    if let Err(mpsc::SendError(job)) = self.set_up.send(job) {
+                        in_flight.add(-1.0);
+                        sess.machine = Some(job.machine);
+                        self.refuse(i, ErrorCode::Internal, "set-up is unavailable");
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The set-up thread ran the unit session `id` handed it. The session
+    /// may have ended meanwhile — refused at its deadline, stalled, cut:
+    /// then the step is dropped, never queued behind the `Error` frame, and
+    /// the machine goes with it or with the session. Otherwise the step is
+    /// carried out on this loop's clock, the next unit dispatched, and the
+    /// frames that arrived while the session was parked are taken in order.
+    fn machine_back(&mut self, id: u64, machine: ServerMachine, step: Result<Step, Refusal>) {
+        let Some(i) = self.sessions.iter().position(|s| s.id == id) else {
+            return;
+        };
+        let sess = &mut self.sessions[i];
+        sess.machine = Some(machine);
+        if sess.done.is_some() || sess.closing.is_some() {
+            return;
+        }
+        // The time out was the server's, not the peer's.
+        sess.wait_since = Instant::now();
+        self.advance(i, step);
+        self.settle(i);
+        if self.sessions[i].done.is_none() {
+            self.on_readable(i);
         }
     }
 
@@ -695,7 +890,7 @@ impl Worker {
         match crossed {
             Crossed::Handshake { known_d, delta } => {
                 self.record_phase(i, |m| &m.handshake);
-                let store = self.sessions[i].machine.entry().map_or("", |e| e.name());
+                let store = self.sessions[i].entry.as_ref().map_or("", |e| e.name());
                 let fields = [
                     ("store", Value::Str(store)),
                     ("known_d", Value::U64(known_d)),
@@ -729,7 +924,7 @@ impl Worker {
                 // *before* the initial catch-up: a mutation landing in
                 // between then raises a (harmless, idempotent) extra wakeup
                 // instead of being missed.
-                if let Some(entry) = self.sessions[i].machine.entry().cloned() {
+                if let Some(entry) = self.sessions[i].entry.clone() {
                     self.ensure_notifier(entry.name(), entry.store());
                 }
                 let now = Instant::now();
@@ -760,7 +955,10 @@ impl Worker {
     fn push_deltas(&mut self, i: usize, origin: Option<Instant>) {
         let pending = self.sessions[i].nb.pending_out();
         let room = self.config().subscriber_buffer.saturating_sub(pending) as u64;
-        let step = self.sessions[i].machine.push(&self.shared.res, room);
+        let Some(machine) = self.sessions[i].machine.as_mut() else {
+            return;
+        };
+        let step = machine.push(&self.shared.res, room);
         let burst = matches!(&step, Ok(step) if step.close.is_none() && !step.frames.is_empty());
         if let (true, Some(origin)) = (burst, origin) {
             let started = self.sessions[i].push_started;
@@ -806,7 +1004,7 @@ impl Worker {
                 continue;
             };
             let sess = self.sessions.remove(i);
-            let (res, entry) = (&self.shared.res, sess.machine.entry().map(|e| &**e));
+            let (res, entry) = (&self.shared.res, sess.entry.as_deref());
             res.bump(entry, |s| &s.bytes_in, sess.nb.bytes_in());
             res.bump(entry, |s| &s.bytes_out, sess.nb.bytes_out());
             res.bump(entry, |s| &s.frames_in, sess.nb.frames_in());
@@ -819,7 +1017,7 @@ impl Worker {
             } else {
                 res.bump(entry, |s| &s.sessions_failed, 1);
             }
-            if sess.machine.is_streaming() {
+            if sess.waiting() == Waiting::Streaming {
                 res.live_subscribers.fetch_sub(1, Ordering::Relaxed);
             }
             self.shared
@@ -846,7 +1044,8 @@ impl Worker {
 
     /// Shutdown: give every session one last flush, then close it with
     /// its state-appropriate outcome. Streaming and parked subscribers
-    /// end cleanly; mid-protocol sessions are cut as failed.
+    /// end cleanly; mid-protocol sessions — one whose machine is out among
+    /// them — are cut as failed.
     fn close_all(&mut self) {
         for i in 0..self.sessions.len() {
             if self.sessions[i].done.is_some() {
@@ -890,6 +1089,93 @@ pub(crate) fn spawn_acceptor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ClientConfig;
+    use crate::frame::{write_frame, DEFAULT_MAX_FRAME};
+    use crate::machine::{ClientMachine, Mode};
+    use crate::server::Server;
+    use crate::server_machine::duet::Duet;
+    use crate::store::{MutableStore, ViewAnswer};
+    use crate::{FramedStream, TransportConfig};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    /// A store whose first `view` call meets the test at `gate` twice: once
+    /// to say it is held, once to be let go.
+    struct HeldOnce {
+        inner: MutableStore,
+        armed: AtomicBool,
+        gate: Barrier,
+    }
+
+    impl SetStore for HeldOnce {
+        fn snapshot(&self) -> Vec<u64> {
+            self.inner.snapshot()
+        }
+        fn apply_missing(&self, elements: &[u64]) -> bool {
+            self.inner.apply_missing(elements)
+        }
+        fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
+            self.inner.epoch_snapshot()
+        }
+        fn view(&self, seed: u64) -> ViewAnswer {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.gate.wait();
+                self.gate.wait();
+            }
+            self.inner.view(seed)
+        }
+    }
+
+    /// The same (sets, seed) served by the loop — the snapshot unit held on
+    /// the set-up thread until the client's bank is already on the wire,
+    /// the Bob build handed off after it — and driven inline by `Duet`:
+    /// one session, byte for byte in both directions.
+    #[test]
+    fn a_session_served_through_the_hand_off_is_the_inline_session_byte_for_byte() {
+        let held: Vec<u64> = (1..=3_000u64).map(|i| i * 0x9E37 + 1).collect();
+        let ours = &held[40..];
+        let config = ClientConfig::builder().seed(0x5EED).build();
+        let inline_store = Arc::new(MutableStore::new(held.iter().copied()));
+        let inline = Duet::over(inline_store).transcript(&config, ours);
+
+        let store = Arc::new(HeldOnce {
+            inner: MutableStore::new(held.iter().copied()),
+            armed: AtomicBool::new(true),
+            gate: Barrier::new(2),
+        });
+        let one_worker = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&store) as Arc<_>, one_worker).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut framed = FramedStream::from_tcp(stream, &TransportConfig::default()).unwrap();
+        let mut client = ClientMachine::new(&config, ours, Mode::Full).unwrap();
+        let (mut up, mut down, mut sent) = (Vec::new(), Vec::new(), 0);
+        let report = loop {
+            if let Some(frame) = client.poll_send().unwrap() {
+                write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
+                framed.send(&frame).unwrap();
+                sent += 1;
+                // After the `Hello`: its set-up is held. After the bank,
+                // which therefore arrives while the machine is out: let go.
+                if sent <= 2 {
+                    store.gate.wait();
+                }
+            }
+            let reply = framed.recv().unwrap();
+            write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
+            if let Some(report) = client.on_frame(reply).unwrap().report {
+                break report;
+            }
+        };
+        assert!(report.verified && report.recovered.len() == 40);
+        assert_eq!(report.recovered, inline.2.recovered);
+        assert!(up == inline.0, "client → server");
+        assert!(down == inline.1, "server → client");
+        let stats = server.shutdown();
+        assert_eq!((stats.views_declined, stats.sessions_completed), (1, 1));
+    }
 
     #[test]
     fn wake_pair_round_trips_a_byte_and_tolerates_flooding() {

@@ -1,6 +1,8 @@
 //! The reconciliation session server: a TCP acceptor feeding N
 //! event-loop workers (the `event_loop` module), each driving one
-//! sans-IO protocol machine per connection (the `server_machine` module).
+//! sans-IO protocol machine per connection (the `server_machine` module)
+//! and lending it to a set-up thread of its own for a full session's
+//! O(|B|) set-up.
 //!
 //! Each accepted connection runs the `docs/WIRE.md` session: handshake
 //! (with store routing through the [`StoreRegistry`]) →
@@ -44,9 +46,15 @@ pub use crate::store::SetStore;
 pub struct ServerConfig {
     /// Socket/framing knobs applied to every accepted connection.
     pub transport: TransportConfig,
-    /// Event-loop worker threads. Each worker multiplexes any number of
-    /// sessions over a readiness loop, so this sizes CPU parallelism —
-    /// not the concurrent-session cap (there is none beyond the OS).
+    /// Event-loop worker threads, each with a set-up thread beside it (a
+    /// server runs `2 × workers` threads and an acceptor). A worker
+    /// multiplexes any number of sessions over a readiness loop and hands
+    /// the O(|B|) set-up of its full sessions to its set-up thread, which
+    /// runs them one at a time in arrival order. So this sizes CPU
+    /// parallelism — not the concurrent-session cap: there is none beyond
+    /// the OS, on the sessions a loop holds or on the set-up units queued
+    /// behind its thread. That cap, and the typed `Busy` refusal past it,
+    /// is the half of ROADMAP direction 5 still to come.
     pub workers: usize,
     /// Hard cap on sketch/report rounds per connection.
     pub round_cap: u32,
@@ -73,9 +81,10 @@ pub struct ServerConfig {
     /// Most concurrently live subscriptions (`Streaming` sessions) across
     /// the whole server; a `Subscribe` past the cap is refused.
     pub max_subscribers: usize,
-    /// Idle keepalive interval on live subscriptions: after this much
-    /// quiet the server sends `Ping`, and a subscriber silent for three
-    /// intervals is presumed gone and closed.
+    /// Keepalive interval on live subscriptions: a subscriber the server
+    /// has heard nothing from for this long is sent a `Ping` (whatever was
+    /// pushed to it meanwhile), and one silent for three intervals is
+    /// presumed gone and closed.
     pub keepalive: Duration,
     /// Cap on bytes queued (user-space) toward one subscriber. A push
     /// burst that would overrun it evicts the subscriber with
@@ -232,6 +241,7 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
     worker_links: Vec<WorkerLink>,
+    /// Each worker, then its set-up thread — which exits once its worker has.
     worker_handles: Vec<JoinHandle<()>>,
 }
 
@@ -275,11 +285,11 @@ impl Server {
         });
 
         let mut worker_links = Vec::with_capacity(config.workers);
-        let mut worker_handles = Vec::with_capacity(config.workers);
+        let mut worker_handles = Vec::with_capacity(2 * config.workers);
         for i in 0..config.workers {
-            let (link, handle) = spawn_worker(i, Arc::clone(&shared))?;
+            let (link, handles) = spawn_worker(i, Arc::clone(&shared))?;
             worker_links.push(link);
-            worker_handles.push(handle);
+            worker_handles.extend(handles);
         }
 
         let accept_handle = spawn_acceptor(listener, worker_links.clone(), Arc::clone(&shutdown))?;
@@ -325,13 +335,15 @@ impl Server {
         Arc::clone(&self.shutdown)
     }
 
-    /// Stop accepting, wake every worker, and join every thread. Sessions
-    /// still mid-protocol are cut (counted failed); sessions past their
-    /// final ack — parked or live-streaming subscribers included — are
-    /// flushed once and closed cleanly (counted completed), so a server
-    /// with open subscriptions shuts down promptly and the
-    /// `started == completed + failed` invariant holds in the returned
-    /// snapshot.
+    /// Stop accepting, wake every worker, and join every thread (a set-up
+    /// thread exits with the first unit it finishes once its worker is
+    /// gone, whatever is still queued). Sessions still mid-protocol — one
+    /// whose set-up is out on that thread included — are cut (counted
+    /// failed); sessions past their final ack — parked or live-streaming
+    /// subscribers included — are flushed once and closed cleanly (counted
+    /// completed), so a server with open subscriptions shuts down promptly
+    /// and the `started == completed + failed` invariant holds in the
+    /// returned snapshot.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking `accept` with a throwaway connection. A

@@ -16,7 +16,12 @@
 //! the client starts its own half on receipt and the two overlap. So
 //! [`ServerMachine::on_frame`] hands back the reply first and leaves the
 //! machine *owing* that work; the driver flushes, then calls
-//! [`ServerMachine::set_up`] while [`ServerMachine::owes_set_up`] says so.
+//! [`ServerMachine::set_up`] while [`ServerMachine::owes`] names a unit.
+//! The machine also says where each unit belongs ([`SetUp`]): the changelog
+//! read is O(change) and runs where the driver stands, the store's view and
+//! the Bob build are O(|B|) and a driver with other sessions to serve runs
+//! them elsewhere — the machine is `Send` and reads nothing but the
+//! [`Resources`] lent to the call.
 //!
 //! The registry, the limits and the counters are the server's, lent to
 //! every call as [`Resources`]. The event loop (`event_loop.rs`) keeps
@@ -29,7 +34,6 @@ use crate::store::{ChangeBatch, DeltaAnswer, RegisteredStore, StoreRegistry, Vie
 use estimator::{Estimator, TowEstimator};
 use obs::Counter;
 use pbs_core::{BobSession, Pbs, PbsConfig, SetView, ESTIMATOR_SEED_SALT};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -40,8 +44,8 @@ pub(crate) struct Resources {
     pub stats: Arc<ServerStats>,
     /// Live `Streaming` sessions across all workers, against
     /// `ServerConfig::max_subscribers`. A machine takes its slot on
-    /// `Subscribe`; whoever drops a machine that
-    /// [`ServerMachine::is_streaming`] gives it back.
+    /// `Subscribe`; whoever drops a machine that is
+    /// [`Waiting::Streaming`] gives it back.
     pub live_subscribers: AtomicUsize,
 }
 
@@ -126,6 +130,16 @@ pub(crate) enum Waiting {
     Streaming,
 }
 
+/// A unit of deferred work, by what it costs the thread that runs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SetUp {
+    /// The changelog read of a `delta_epoch` session: O(change).
+    Light,
+    /// The store's view or a private snapshot, the Bob build: O(|B|) unless
+    /// the view was current.
+    Heavy,
+}
+
 /// What the handshake fixed for the rest of the session.
 struct Routed {
     entry: Arc<RegisteredStore>,
@@ -185,15 +199,15 @@ impl Snapshot {
         }
     }
 
-    /// The set's ToW bank: read off the view in O(ℓ), or hashed from the
-    /// copy.
-    fn bank(&self, sketches: usize, est_seed: u64) -> Cow<'_, TowEstimator> {
+    /// The set's ToW bank: copied off the view in O(ℓ), or hashed from the
+    /// private copy in O(|B|).
+    fn bank(&self, sketches: usize, est_seed: u64) -> TowEstimator {
         match self {
-            Snapshot::Shared { view, .. } => view.bank(sketches),
+            Snapshot::Shared { view, .. } => view.bank(sketches).into_owned(),
             Snapshot::Copied { elements, .. } => {
                 let mut own = TowEstimator::new(sketches, est_seed);
                 own.insert_slice(elements);
-                Cow::Owned(own)
+                own
             }
         }
     }
@@ -206,7 +220,13 @@ enum Stage {
         since: Option<u64>,
         known_d: u64,
     },
-    AwaitBank(Snapshot),
+    /// The snapshot is taken and its ToW bank read off (or, for a private
+    /// copy, hashed — O(|B|), so inside the set-up unit, not when the
+    /// peer's bank arrives).
+    AwaitBank {
+        snapshot: Snapshot,
+        bank: TowEstimator,
+    },
     /// The `Estimate` is out; Bob is owed.
     OweBob {
         snapshot: Snapshot,
@@ -268,17 +288,14 @@ impl ServerMachine {
         }
     }
 
-    pub(crate) fn is_streaming(&self) -> bool {
-        self.waiting() == Waiting::Streaming
-    }
-
-    /// `true` while the replies just handed back precede set-up work: flush
-    /// them, then call [`ServerMachine::set_up`].
-    pub(crate) fn owes_set_up(&self) -> bool {
-        matches!(
-            self.state,
-            State::Open(_, Stage::OweSetup { .. } | Stage::OweBob { .. })
-        )
+    /// The unit of set-up work the replies just handed back precede, if
+    /// any: flush them, then call [`ServerMachine::set_up`].
+    pub(crate) fn owes(&self) -> Option<SetUp> {
+        match &self.state {
+            State::Open(_, Stage::OweSetup { since: Some(_), .. }) => Some(SetUp::Light),
+            State::Open(_, Stage::OweSetup { .. } | Stage::OweBob { .. }) => Some(SetUp::Heavy),
+            _ => None,
+        }
     }
 
     /// Accept the peer's next frame. After an `Err`, or a [`Step::close`],
@@ -292,18 +309,20 @@ impl ServerMachine {
         };
         let entry = Some(&*routed.entry);
         match (&mut *stage, frame) {
-            (Stage::AwaitBank(snapshot), Frame::EstimatorExchange(EstimatorMsg::TowBank(bank))) => {
-                let theirs = TowEstimator::from_bytes(&bank)
+            (
+                Stage::AwaitBank { snapshot, bank },
+                Frame::EstimatorExchange(EstimatorMsg::TowBank(theirs)),
+            ) => {
+                let theirs = TowEstimator::from_bytes(&theirs)
                     .ok_or_else(|| refuse(ErrorCode::Decode, "malformed estimator bank"))?;
-                let est_seed = xhash::derive_seed(routed.seed, ESTIMATOR_SEED_SALT);
                 let sketches = routed.cfg.estimator_sketches;
-                if theirs.seed() != est_seed || theirs.sketch_count() != sketches {
+                if theirs.seed() != routed.estimator_seed() || theirs.sketch_count() != sketches {
                     return Err(refuse(
                         ErrorCode::BadConfig,
                         "estimator bank does not match the handshake parameters",
                     ));
                 }
-                let d_hat = theirs.estimate(&snapshot.bank(sketches, est_seed));
+                let d_hat = theirs.estimate(bank);
                 let d_param = estimator::inflate_estimate(d_hat) as u64;
                 res.bump(entry, |s| &s.estimator_exchanges, 1);
                 *stage = Stage::OweBob {
@@ -486,7 +505,9 @@ impl ServerMachine {
             (stage, other) => {
                 let ty = other.type_byte();
                 let message = match stage {
-                    Stage::AwaitBank(_) => format!("expected estimator bank, got frame type {ty}"),
+                    Stage::AwaitBank { .. } => {
+                        format!("expected estimator bank, got frame type {ty}")
+                    }
                     Stage::Rounds { .. } => {
                         format!("unexpected frame type {ty} during the round loop")
                     }
@@ -553,8 +574,8 @@ impl ServerMachine {
 
     /// The deferred work, one unit a call: the delta catch-up (or its
     /// refusal), the store's view or a snapshot, the Bob build. The driver
-    /// calls it, after flushing, for as long as
-    /// [`ServerMachine::owes_set_up`].
+    /// calls it, after flushing, for as long as [`ServerMachine::owes`]
+    /// names one.
     pub(crate) fn set_up(&mut self, res: &Resources) -> Result<Step, Refusal> {
         let State::Open(routed, stage) = &mut self.state else {
             return Ok(Step::default());
@@ -597,7 +618,11 @@ impl ServerMachine {
                 let d = *known_d;
                 let snapshot = Snapshot::of(res, routed);
                 *stage = match d {
-                    0 => Stage::AwaitBank(snapshot),
+                    0 => {
+                        let sketches = routed.cfg.estimator_sketches;
+                        let bank = snapshot.bank(sketches, routed.estimator_seed());
+                        Stage::AwaitBank { snapshot, bank }
+                    }
                     _ => routed.rounds(res.config.max_d, snapshot, d)?,
                 };
             }
@@ -655,6 +680,11 @@ impl ServerMachine {
 }
 
 impl Routed {
+    /// The seed both sides' ToW banks are hashed under.
+    fn estimator_seed(&self) -> u64 {
+        xhash::derive_seed(self.seed, ESTIMATOR_SEED_SALT)
+    }
+
     /// Enter the round loop for difference `d ≤ max_d` over `snapshot`,
     /// which is dropped once Bob is built from it.
     fn rounds(&self, max_d: u64, snapshot: Snapshot, d: u64) -> Result<Stage, Refusal> {
@@ -711,9 +741,9 @@ fn delta_stream(batches: &[ChangeBatch], current: u64, max_frame: u32) -> (Vec<F
 /// `Error` frame a driver would make of it — comes straight back.
 pub(crate) mod duet {
     use super::*;
-    use crate::client::SyncReport;
-    use crate::frame::Hello;
-    use crate::machine::{ClientMachine, Phase};
+    use crate::client::{ClientConfig, SyncReport};
+    use crate::frame::{write_frame, Hello, DEFAULT_MAX_FRAME};
+    use crate::machine::{ClientMachine, Mode, Phase};
     use crate::store::SetStore;
     use crate::NetError;
     use std::collections::VecDeque;
@@ -797,7 +827,7 @@ pub(crate) mod duet {
             }
             let step = self.server.on_frame(&self.res, frame);
             self.absorb(step);
-            while self.closed.is_none() && self.server.owes_set_up() {
+            while self.closed.is_none() && self.server.owes().is_some() {
                 let step = self.server.set_up(&self.res);
                 self.absorb(step);
             }
@@ -811,6 +841,29 @@ pub(crate) mod duet {
 
         /// Drive `client` against the server to its report, collecting the
         /// client-side boundaries crossed on the way.
+        /// One full sync of `set` against the server's store: every byte
+        /// the client put on the wire, every byte the server did, and the
+        /// report.
+        pub fn transcript(
+            &mut self,
+            config: &ClientConfig,
+            set: &[u64],
+        ) -> (Vec<u8>, Vec<u8>, SyncReport) {
+            let mut client = ClientMachine::new(config, set, Mode::Full).unwrap();
+            let (mut up, mut down) = (Vec::new(), Vec::new());
+            loop {
+                if let Some(frame) = client.poll_send().unwrap() {
+                    write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
+                    self.deliver(frame);
+                }
+                let reply = self.inbox.pop_front().expect("the server owes a frame");
+                write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
+                if let Some(report) = client.on_frame(reply).unwrap().report {
+                    return (up, down, report);
+                }
+            }
+        }
+
         pub fn run(
             &mut self,
             client: &mut ClientMachine<'_>,
@@ -864,12 +917,13 @@ pub(crate) mod duet {
 mod tests {
     use super::duet::{one_of_each, Duet, Epochless};
     use super::*;
-    use crate::client::{ClientConfig, Pipeline, SyncReport};
-    use crate::frame::{write_frame, Hello, DEFAULT_MAX_FRAME};
+    use crate::client::{ClientConfig, Pipeline};
+    use crate::frame::Hello;
     use crate::machine::{ClientMachine, Mode};
     use crate::store::{MutableStore, SetStore};
     use crate::NetError;
     use pbs_core::AliceSession;
+    use std::borrow::Cow;
     use std::sync::Mutex;
 
     const SEED: u64 = 0x5EED;
@@ -926,7 +980,7 @@ mod tests {
         let mut streaming = Duet::over(mutable(0..50));
         streaming.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
         streaming.deliver(Frame::Subscribe { epoch: 0 });
-        assert!(streaming.server.is_streaming());
+        assert_eq!(streaming.server.waiting(), Waiting::Streaming);
 
         vec![
             ("expected Hello", await_hello, vec![0]),
@@ -1130,28 +1184,6 @@ mod tests {
         assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
     }
 
-    /// One full sync of `set` against `duet`'s store: every byte the client
-    /// put on the wire, every byte the server did, and the report.
-    fn transcript(
-        duet: &mut Duet,
-        config: &ClientConfig,
-        set: &[u64],
-    ) -> (Vec<u8>, Vec<u8>, SyncReport) {
-        let mut client = ClientMachine::new(config, set, Mode::Full).unwrap();
-        let (mut up, mut down) = (Vec::new(), Vec::new());
-        loop {
-            if let Some(frame) = client.poll_send().unwrap() {
-                write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
-                duet.deliver(frame);
-            }
-            let reply = duet.inbox.pop_front().expect("the server owes a frame");
-            write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
-            if let Some(report) = client.on_frame(reply).unwrap().report {
-                return (up, down, report);
-            }
-        }
-    }
-
     /// The views a server's sessions were served from: (patched, built,
     /// declined).
     fn view_paths(duet: &Duet) -> (u64, u64, u64) {
@@ -1163,7 +1195,7 @@ mod tests {
     /// set (so nothing is transferred and the set stays as it is).
     fn serve_its_own_set(store: &Arc<MutableStore>, config: &ClientConfig) -> (u64, u64, u64) {
         let mut duet = Duet::over(Arc::clone(store) as Arc<dyn SetStore>);
-        let (_, _, report) = transcript(&mut duet, config, &store.snapshot());
+        let (_, _, report) = duet.transcript(config, &store.snapshot());
         assert!(report.verified && report.recovered.is_empty());
         view_paths(&duet)
     }
@@ -1171,9 +1203,13 @@ mod tests {
     /// The view a session parked before its estimator bank holds.
     fn parked_view(duet: &Duet) -> Option<Arc<SetView>> {
         match &duet.server.state {
-            State::Open(_, Stage::AwaitBank(Snapshot::Shared { view, .. })) => {
-                Some(Arc::clone(view))
-            }
+            State::Open(
+                _,
+                Stage::AwaitBank {
+                    snapshot: Snapshot::Shared { view, .. },
+                    ..
+                },
+            ) => Some(Arc::clone(view)),
             _ => None,
         }
     }
@@ -1213,7 +1249,7 @@ mod tests {
             kept.apply(&elements(5000..5001), &[]);
             let (held, epoch) = kept.snapshot_with_epoch();
             let mut duet = Duet::over(Arc::clone(&kept) as Arc<dyn SetStore>);
-            let patched = transcript(&mut duet, &config, &client_set);
+            let patched = duet.transcript(&config, &client_set);
             assert_eq!(view_paths(&duet), (1, 0, 0), "{case}");
 
             // Built: a store holding that set at that epoch, asked once
@@ -1222,7 +1258,7 @@ mod tests {
             let store = fresh();
             assert_eq!(serve_its_own_set(&store, &config), (0, 0, 1), "{case}");
             let mut duet = Duet::over(store);
-            let built = transcript(&mut duet, &config, &client_set);
+            let built = duet.transcript(&config, &client_set);
             assert_eq!(view_paths(&duet), (0, 1, 0), "{case}");
 
             for (path, (up, down, report)) in [("patched", &patched), ("built", &built)] {
@@ -1234,7 +1270,7 @@ mod tests {
                 let mut proposing = config.clone();
                 proposing.seed = report.seed;
                 let mut duet = Duet::over(fresh());
-                let (their_up, their_down, _) = transcript(&mut duet, &proposing, &client_set);
+                let (their_up, their_down, _) = duet.transcript(&proposing, &client_set);
                 assert_eq!(view_paths(&duet), (0, 0, 1), "{case}");
                 // (The client's `Hello` names its proposal: the one frame
                 // that differs, by those eight bytes.)
@@ -1489,6 +1525,10 @@ mod tests {
         assert_eq!(duet.closed, Some(true));
         assert!(matches!(duet.crossed.last(), Some(Crossed::Evicted { .. })));
         assert_eq!(duet.res.stats.snapshot().subscribers_evicted, 1);
-        assert!(duet.server.is_streaming(), "the slot is still attributable");
+        assert_eq!(
+            duet.server.waiting(),
+            Waiting::Streaming,
+            "the slot is still attributable"
+        );
     }
 }

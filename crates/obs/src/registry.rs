@@ -70,6 +70,13 @@ impl Gauge {
         self.0.store(v.to_bits(), Relaxed);
     }
 
+    /// Add `delta` (negative to subtract): a level several threads move.
+    #[inline]
+    pub fn add(&self, delta: f64) {
+        let sum = |bits| Some((f64::from_bits(bits) + delta).to_bits());
+        let _ = self.0.fetch_update(Relaxed, Relaxed, sum);
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> f64 {
@@ -341,8 +348,10 @@ mod tests {
     fn renders_prometheus_text() {
         let r = Registry::new();
         r.counter("pbs_x_total", "Things.", &[]).inc(5);
-        r.gauge("pbs_g", "A gauge.", &[("store", "default")])
-            .set(2.5);
+        let g = r.gauge("pbs_g", "A gauge.", &[("store", "default")]);
+        g.set(3.5);
+        g.add(-2.0);
+        g.add(1.0);
         let h = r.histogram("pbs_lat_seconds", "Latency.", &[], 1e-9);
         h.record(1_000_000); // 1ms in ns
         let text = r.render_prometheus();
