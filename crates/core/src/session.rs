@@ -29,8 +29,9 @@
 //! `parity_sketch` routine, over the odd bins of its parity bitmap only.
 //! What the per-group pass needs besides the group itself — the parity
 //! bitset, the per-bin XOR accumulators, the decoder's polynomials — is one
-//! `GroupScratch` per worker, zeroed bin by bin as it is used, not
-//! allocated per group.
+//! `GroupScratch` a session, zeroed bin by bin as it is used, not
+//! allocated per group or per trip. A session computes on the thread that
+//! calls it; parallelism is across sessions.
 //! Alice edits her working sets in place: a recovered candidate must hash
 //! to the bin it was reported in (Procedure 3), so whether she holds it is
 //! decided among that bin's few residents, found by the same pass that
@@ -111,10 +112,10 @@ pub(crate) fn group_seed(base: u64) -> u64 {
     derive_seed(base, GROUP_SALT)
 }
 
-/// Per-worker working storage of the per-group pass — Alice's encode and
-/// apply, Bob's re-sketch and decode — so a batch allocates it once, not
-/// once per group per layer. Every routine leaves the dense arrays
-/// all-zero behind it, at a cost bounded by the bins it touched.
+/// A session's working storage of the per-group pass — Alice's encode and
+/// apply, Bob's re-sketch and decode — allocated once, at construction.
+/// Every routine leaves the dense arrays all-zero behind it, at a cost
+/// bounded by the bins it touched.
 #[derive(Debug, Default)]
 struct GroupScratch {
     /// The parity bitmap, one bit per bin `0..=n`.
@@ -455,62 +456,48 @@ impl AliceSession {
     /// batch is layer-major: all of round `r`'s sketches, then all of round
     /// `r+1`'s, and so on — the order Bob's reports must be applied in.
     ///
-    /// Group × layer sketches are independent, so they are computed with
-    /// [`protocol::par_map_init`], one scratch a worker: worker threads when
-    /// the `parallel` feature is on, a plain serial loop otherwise —
-    /// identical output either way.
+    /// Every sketch comes out of the session's one scratch, on the calling
+    /// thread.
     pub fn start_rounds(&mut self, layers: u32) -> Vec<GroupSketch> {
         assert!(layers >= 1, "a sketch batch needs at least one layer");
         let base = self.round;
         self.round += layers;
         self.round_trips += 1;
-        // Assign the batch's bin seeds first (mutates the groups), then
-        // sketch over shared references so the map body is pure.
         for group in self.groups.iter_mut().filter(|g| !g.verified) {
             group.pending_bin_seeds = (1..=layers)
                 .map(|layer| bin_seed(self.base_seed, group.id, base + layer))
                 .collect();
             group.reports_consumed = 0;
         }
-        let active: Vec<&AliceGroup> = self.groups.iter().filter(|g| !g.verified).collect();
-        self.last_speculative_layers = (layers - 1) * active.len() as u32;
+        let active = self.active_sessions();
+        self.last_speculative_layers = (layers - 1) * active as u32;
         self.speculative_layers += self.last_speculative_layers as u64;
-        let jobs: Vec<(&AliceGroup, usize)> = (0..layers as usize)
-            .flat_map(|layer| active.iter().map(move |g| (*g, layer)))
-            .collect();
-        let codec = &self.codec;
         let n = self.params.n as u64;
-        let sketches = protocol::par_map_init(
-            &jobs,
-            || GroupScratch::new(n),
-            |scratch, &(group, layer)| {
+        let GroupScratch {
+            parity, positions, ..
+        } = &mut self.scratch;
+        let mut batch = Vec::with_capacity(layers as usize * active);
+        for layer in 0..layers as usize {
+            for group in self.groups.iter().filter(|g| !g.verified) {
                 let hasher = PartitionHasher::new(n, group.pending_bin_seeds[layer]);
-                let GroupScratch {
-                    parity, positions, ..
-                } = scratch;
-                parity_sketch(
-                    codec,
-                    &hasher,
-                    &group.elements,
-                    parity,
-                    positions,
-                    |_, _| {},
-                )
-            },
-        );
-        let batch: Vec<GroupSketch> = jobs
-            .iter()
-            .zip(sketches)
-            .map(|(&(group, layer), sketch)| GroupSketch {
-                session: group.id,
-                round: base + 1 + layer as u32,
-                sketch,
-                // Repeated on every layer while c(B_i) is unknown: the
-                // first layer's report may be a decode failure, and the
-                // checksum must not be lost with it. (Bob answers once.)
-                needs_checksum: group.bob_checksum.is_none(),
-            })
-            .collect();
+                batch.push(GroupSketch {
+                    session: group.id,
+                    round: base + 1 + layer as u32,
+                    sketch: parity_sketch(
+                        &self.codec,
+                        &hasher,
+                        &group.elements,
+                        parity,
+                        positions,
+                        |_, _| {},
+                    ),
+                    // Repeated on every layer while c(B_i) is unknown: the
+                    // first layer's report may be a decode failure, and the
+                    // checksum must not be lost with it. (Bob answers once.)
+                    needs_checksum: group.bob_checksum.is_none(),
+                });
+            }
+        }
         let m = self.params.m;
         self.sketch_bits_sent += batch.iter().map(|s| s.wire_bits(m)).sum::<u64>();
         batch
@@ -840,6 +827,7 @@ pub struct BobSession {
     base_seed: u64,
     groups: HashMap<SessionId, BobGroup>,
     decode_failures: u32,
+    scratch: GroupScratch,
 }
 
 impl BobSession {
@@ -890,6 +878,7 @@ impl BobSession {
                 })
                 .collect(),
             decode_failures: 0,
+            scratch: GroupScratch::new(params.n as u64),
         }
     }
 
@@ -906,16 +895,13 @@ impl BobSession {
 
     /// Process one batch of sketches from Alice and produce the reports.
     ///
-    /// The per-group work — rebuilding Bob's parity-bitmap sketch,
-    /// combining with Alice's, and BCH-decoding the difference — depends
-    /// only on that group's elements, so it runs through
-    /// [`protocol::par_map_init`], one scratch a worker: worker threads when
-    /// the `parallel` feature is on, a serial loop otherwise, with
-    /// identical reports either way. The mutations a decoding failure
+    /// Each group's report — Bob's parity-bitmap sketch rebuilt, combined
+    /// with Alice's and BCH-decoded — comes out of the session's one
+    /// scratch, on the calling thread. The mutations a decoding failure
     /// triggers (failure counter, §3.2 three-way split) are applied in a
-    /// serial pass afterwards; a split only touches the failed session and
-    /// its fresh children, never another session in the batch, so deferring
-    /// it cannot change any other report. The deferral is also what makes
+    /// pass afterwards; a split only touches the failed session and its
+    /// fresh children, never another session in the batch, so deferring it
+    /// cannot change any other report. The deferral is also what makes
     /// pipelined batches sound: every layer of a session is decoded against
     /// the *unsplit* group, exactly as Alice built it.
     ///
@@ -927,12 +913,12 @@ impl BobSession {
     /// `c(B_i)` goes out once per session per batch, on the session's first
     /// layer that decodes, however many layers asked for it.
     pub fn handle_sketches(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
-        let this = &*self;
-        let mut reports = protocol::par_map_init(
-            sketches,
-            || GroupScratch::new(this.params.n as u64),
-            |scratch, msg| this.compute_report(msg, scratch),
-        );
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut reports: Vec<GroupReport> = sketches
+            .iter()
+            .map(|msg| self.compute_report(msg, &mut scratch))
+            .collect();
+        self.scratch = scratch;
         // Per session of the batch: has every layer so far failed, and has
         // `c(B_i)` gone out.
         let mut seen: HashMap<SessionId, (bool, bool)> = HashMap::new();
@@ -964,7 +950,7 @@ impl BobSession {
 
     /// Pure per-group response computation (no session mutation): Bob's
     /// own [`parity_sketch`] of the group, combined with Alice's and
-    /// BCH-decoded, all out of the worker's `scratch`. The same pass keeps
+    /// BCH-decoded, all out of `scratch`. The same pass keeps
     /// the scratch's dense XOR accumulator per bin, so the XOR sums of the
     /// differing bins are read back in O(bins), and zeroes it again
     /// afterwards.
@@ -1028,8 +1014,8 @@ impl BobSession {
     /// thread, the batch rules (`c(B_i)` once per session, a split only
     /// when every layer failed) applied by a scan of the reports so far.
     /// Produces exactly the same reports and session-state changes as
-    /// [`BobSession::handle_sketches`]; the oracle of the
-    /// parallel-vs-serial transcript test.
+    /// [`BobSession::handle_sketches`], from state built fresh per group;
+    /// the oracle of the transcript tests.
     #[cfg(test)]
     fn handle_sketches_reference(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
         let mut out: Vec<GroupReport> = Vec::with_capacity(sketches.len());
@@ -1228,7 +1214,7 @@ mod tests {
 
     #[test]
     fn batched_decode_matches_reference_transcripts() {
-        // Drive three Bobs — the batched/parallel path over his own
+        // Drive three Bobs — the batched path over his own
         // partition, the same over a shared view's ranges, and the seed's
         // serial reference — through multi-round runs; every sketch batch
         // (against the per-element encoder), every report batch and the
@@ -1639,37 +1625,57 @@ mod tests {
 
     #[test]
     fn every_pass_hands_its_scratch_back_all_zero() {
-        // Groups lost in their bitmap (cleared bin by bin) and groups that
-        // fill it (cleared by a sweep), decodes that succeed and that fail.
+        // One scratch a session, alive across trips: a pipelined first
+        // trip, then one layer a trip to the end. Groups lost in their
+        // bitmap (cleared bin by bin) and groups that fill it (cleared by a
+        // sweep), decodes that succeed and — the last case — groups that
+        // fail and split on the first two trips, so a later trip runs on
+        // what a failed decode left behind. The oracle builds its state
+        // fresh per group.
         // (|A|, d planned, d actual)
         for (size, d_planned, d_actual) in [(6u64, 1, 2), (40, 2, 3), (900, 5, 4), (900, 2, 80)] {
             let (cfg, params) = params_for(d_planned);
             let alice: Vec<u64> = (1..=size).map(|x| x * 7919).collect();
             let bob = &alice[d_actual..];
             let mut a = AliceSession::new(cfg, params, &alice, 3);
-            let b = BobSession::new(cfg, params, bob, 3);
-            let mut scratch = GroupScratch::new(params.n as u64);
+            let mut b = BobSession::new(cfg, params, bob, 3);
+            let mut b_ref = BobSession::new(cfg, params, bob, 3);
             let clean = |s: &GroupScratch| {
                 let dense = [&s.parity, &s.wanted, &s.xor_by_bin];
                 dense.iter().all(|v| v.iter().all(|&w| w == 0))
             };
-            let sketches = a.start_rounds(2);
-            let reports: Vec<GroupReport> = sketches
-                .iter()
-                .map(|msg| {
-                    let report = b.compute_report(msg, &mut scratch);
-                    assert!(
-                        clean(&scratch),
-                        "Bob, |A| = {size}, session {}",
-                        msg.session
-                    );
-                    report
-                })
-                .collect();
-            let failed = |r: &GroupReport| r.body == GroupReportBody::DecodeFailed;
-            assert_eq!(reports.iter().any(failed), d_actual == 80);
-            a.apply_reports(&reports);
-            assert!(clean(&a.scratch), "Alice, |A| = {size}");
+            let mut splits_by_trip = Vec::new();
+            while !a.all_verified() {
+                let trip = splits_by_trip.len();
+                let case = format!("|A| = {size}, d = {d_actual}, trip {trip}");
+                assert!(trip < 12, "{case}: did not converge");
+                let sketches = start_checked(&mut a, if trip == 0 { 3 } else { 1 });
+                assert!(clean(&a.scratch), "Alice's encode, {case}");
+                let sessions = b.session_count();
+                let reports = b.handle_sketches(&sketches);
+                assert!(clean(&b.scratch), "Bob, {case}");
+                assert_eq!(
+                    reports,
+                    b_ref.handle_sketches_reference(&sketches),
+                    "{case}"
+                );
+                splits_by_trip.push((b.session_count() - sessions) / 2);
+                a.apply_reports(&reports);
+                assert!(clean(&a.scratch), "Alice's apply, {case}");
+            }
+            assert_eq!(
+                sorted(a.into_recovered()),
+                &alice[..d_actual],
+                "|A| = {size}"
+            );
+            // Only the overloaded case splits: on its pipelined trip, again
+            // on the next, and it runs at least one trip on the children.
+            if d_actual == 80 {
+                let shape = matches!(splits_by_trip[..], [a, b, _, ..] if a > 0 && b > 0);
+                assert!(shape, "splits a trip: {splits_by_trip:?}");
+            } else {
+                assert!(splits_by_trip.iter().all(|&splits| splits == 0));
+            }
         }
     }
 

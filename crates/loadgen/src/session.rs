@@ -185,21 +185,22 @@ impl LoadSession {
             Kind::Delta => Mode::Delta { since: since() },
             Kind::Subscribe => Mode::Subscribe { since: since() },
         };
-        let config = ClientConfig::builder()
-            .pbs(spec.pbs)
-            .seed(arrival.seed)
-            .round_cap(spec.round_cap)
-            .max_d(spec.max_d)
-            .store(spec.store)
-            .pipeline(match kind {
+        let config = ClientConfig {
+            pbs: spec.pbs,
+            seed: arrival.seed,
+            round_cap: spec.round_cap,
+            max_d: spec.max_d,
+            store: spec.store,
+            pipeline: match kind {
                 Kind::Pipelined => Pipeline::Auto,
                 _ => Pipeline::Depth(1),
-            })
-            .transport(TransportConfig {
+            },
+            transport: TransportConfig {
                 max_frame: spec.max_frame,
                 ..TransportConfig::default()
-            })
-            .build();
+            },
+            ..ClientConfig::default()
+        };
         let mut session = LoadSession {
             mux: MuxStream::from_tcp(stream, spec.max_frame, true).map_err(NetError::Io)?,
             machine: ClientMachine::new(&config, set, mode)?,

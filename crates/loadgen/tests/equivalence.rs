@@ -131,11 +131,12 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
         (Kind::Full, Pipeline::Depth(1)),
         (Kind::Pipelined, Pipeline::Auto),
     ] {
-        let config = ClientConfig::builder()
-            .store("frozen")
-            .seed(seed)
-            .pipeline(pipeline)
-            .build();
+        let config = ClientConfig {
+            store: "frozen".into(),
+            seed,
+            pipeline,
+            ..ClientConfig::default()
+        };
         let blocking = sync(addr, &client_set, &config).expect("blocking sync");
         assert!(blocking.verified && blocking.pushed.len() == 30);
         assert_eq!(blocking.recovered.len(), 70);
@@ -156,11 +157,12 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
     }
 
     // A delta catch-up: no set, two changelog batches since epoch 0.
-    let config = ClientConfig::builder()
-        .store("live")
-        .seed(seed)
-        .delta_epoch(0)
-        .build();
+    let config = ClientConfig {
+        store: "live".into(),
+        seed,
+        delta_epoch: Some(0),
+        ..ClientConfig::default()
+    };
     let blocking = sync(addr, &[], &config).expect("blocking delta sync");
     let delta = blocking.delta.as_ref().expect("served from the changelog");
     assert_eq!((delta.to_epoch, delta.batches), (2, 2));

@@ -247,17 +247,14 @@ fn main() {
     let delta_epoch = args
         .since
         .or_else(|| args.epoch_cache.as_deref().and_then(read_epoch_cache));
-    let mut builder = ClientConfig::builder()
-        .seed(args.seed)
-        .store(args.store.clone())
-        .pipeline(args.pipeline);
-    if let Some(d) = args.d {
-        builder = builder.known_d(d);
-    }
-    if let Some(epoch) = delta_epoch {
-        builder = builder.delta_epoch(epoch);
-    }
-    let config = builder.build();
+    let config = ClientConfig {
+        seed: args.seed,
+        store: args.store.clone(),
+        pipeline: args.pipeline,
+        known_d: args.d,
+        delta_epoch,
+        ..ClientConfig::default()
+    };
     let policy = RetryPolicy {
         attempts: args.retry.max(1),
         base_delay: Duration::from_millis(args.retry_base_ms.max(1)),

@@ -65,13 +65,10 @@ pub enum Pipeline {
 
 /// Client-side configuration of one sync.
 ///
-/// Construct via [`ClientConfig::builder`] (or start from
-/// [`ClientConfig::default`] and assign fields); the struct is
-/// `#[non_exhaustive]` so new knobs can ship without breaking callers.
-/// Most code never touches it directly — [`SyncClient`] carries one
-/// internally and exposes the same knobs as builder methods.
+/// Construct with a struct literal over [`ClientConfig::default`]. Most
+/// code never touches it directly — [`SyncClient`] carries one internally
+/// and exposes the same knobs as fluent methods.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct ClientConfig {
     /// Socket/framing knobs.
     pub transport: TransportConfig,
@@ -128,87 +125,6 @@ impl Default for ClientConfig {
             pipeline: Pipeline::Depth(1),
             delta_epoch: None,
         }
-    }
-}
-
-impl ClientConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> ConfigBuilder {
-        ConfigBuilder::default()
-    }
-}
-
-/// Builder for [`ClientConfig`] — the only way to construct one outside
-/// this crate now that the struct is `#[non_exhaustive]` (field-by-field
-/// assignment onto a `default()` still works too).
-#[derive(Debug, Clone, Default)]
-pub struct ConfigBuilder {
-    config: ClientConfig,
-}
-
-impl ConfigBuilder {
-    /// Socket/framing knobs ([`ClientConfig::transport`]).
-    pub fn transport(mut self, transport: TransportConfig) -> Self {
-        self.config.transport = transport;
-        self
-    }
-
-    /// The PBS configuration proposed in the handshake
-    /// ([`ClientConfig::pbs`]).
-    pub fn pbs(mut self, pbs: PbsConfig) -> Self {
-        self.config.pbs = pbs;
-        self
-    }
-
-    /// A-priori difference cardinality ([`ClientConfig::known_d`];
-    /// the default `None` runs the estimator exchange).
-    pub fn known_d(mut self, d: u64) -> Self {
-        self.config.known_d = Some(d);
-        self
-    }
-
-    /// Session hash seed ([`ClientConfig::seed`]).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Client-side protocol-round cap ([`ClientConfig::round_cap`]).
-    pub fn round_cap(mut self, cap: u32) -> Self {
-        self.config.round_cap = cap;
-        self
-    }
-
-    /// Largest accepted difference parameterization
-    /// ([`ClientConfig::max_d`]).
-    pub fn max_d(mut self, max_d: u64) -> Self {
-        self.config.max_d = max_d;
-        self
-    }
-
-    /// Name of the server-side store to address
-    /// ([`ClientConfig::store`]).
-    pub fn store(mut self, name: impl Into<String>) -> Self {
-        self.config.store = name.into();
-        self
-    }
-
-    /// Pipeline depth policy ([`ClientConfig::pipeline`]).
-    pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.config.pipeline = pipeline;
-        self
-    }
-
-    /// Epoch of the previous sync, requesting a delta stream
-    /// ([`ClientConfig::delta_epoch`]).
-    pub fn delta_epoch(mut self, epoch: u64) -> Self {
-        self.config.delta_epoch = Some(epoch);
-        self
-    }
-
-    /// Finish into the configuration.
-    pub fn build(self) -> ClientConfig {
-        self.config
     }
 }
 
@@ -850,27 +766,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_mirrors_field_assignment() {
-        let built = ClientConfig::builder()
-            .store("inventory")
-            .pipeline(Pipeline::Depth(3))
-            .seed(7)
-            .known_d(20)
-            .max_d(1 << 10)
-            .round_cap(9)
-            .build();
-        assert_eq!(built.store, "inventory");
-        assert_eq!(built.pipeline, Pipeline::Depth(3));
-        assert_eq!(built.seed, 7);
-        assert_eq!(built.known_d, Some(20));
-        assert_eq!(built.max_d, 1 << 10);
-        assert_eq!(built.round_cap, 9);
-        assert_eq!(built.delta_epoch, None);
-
-        // Auto overrides any fixed depth; Depth(0) asks for one round a trip.
-        let auto = ClientConfig::builder().pipeline(Pipeline::Auto).build();
-        assert_eq!(auto.pipeline, Pipeline::Auto);
-        let clamped = ClientConfig::builder().pipeline(Pipeline::Depth(0)).build();
+    fn a_zero_pipeline_depth_asks_for_one_round_a_trip() {
+        let clamped = ClientConfig {
+            pipeline: Pipeline::Depth(0),
+            ..ClientConfig::default()
+        };
         let mut machine = ClientMachine::new(&clamped, Vec::new(), Mode::Full).unwrap();
         match machine.poll_send().unwrap() {
             Some(crate::Frame::Hello(hello)) => assert_eq!(hello.pipeline, 1),

@@ -1134,7 +1134,10 @@ mod tests {
     fn a_session_served_through_the_hand_off_is_the_inline_session_byte_for_byte() {
         let held: Vec<u64> = (1..=3_000u64).map(|i| i * 0x9E37 + 1).collect();
         let ours = &held[40..];
-        let config = ClientConfig::builder().seed(0x5EED).build();
+        let config = ClientConfig {
+            seed: 0x5EED,
+            ..ClientConfig::default()
+        };
         let inline_store = Arc::new(MutableStore::new(held.iter().copied()));
         let inline = Duet::over(inline_store).transcript(&config, ours);
 

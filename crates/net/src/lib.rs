@@ -101,8 +101,8 @@ pub mod watch;
 
 pub use admin::{AdminServer, AdminState};
 pub use client::{
-    is_transient, sync, sync_with_retry, ClientConfig, ConfigBuilder, DeltaFold, DeltaReport,
-    Pipeline, RetryPolicy, Subscription, SyncClient, SyncPhases, SyncReport,
+    is_transient, sync, sync_with_retry, ClientConfig, DeltaFold, DeltaReport, Pipeline,
+    RetryPolicy, Subscription, SyncClient, SyncPhases, SyncReport,
 };
 pub use frame::{Frame, Hello, PROTOCOL_VERSION};
 pub use machine::{ClientMachine, Mode, Phase, Step};

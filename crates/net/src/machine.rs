@@ -631,8 +631,11 @@ mod tests {
 
     const SEED: u64 = 0x0123_4567_89AB_CDEF;
 
-    fn config() -> crate::client::ConfigBuilder {
-        ClientConfig::builder().seed(SEED)
+    fn config() -> ClientConfig {
+        ClientConfig {
+            seed: SEED,
+            ..ClientConfig::default()
+        }
     }
 
     /// A scrambled 32-bit universe: `count` distinct nonzero elements.
@@ -708,7 +711,10 @@ mod tests {
             (Some(40), Pipeline::Depth(3)),
             (None, Pipeline::Auto),
         ] {
-            let mut cfg = config().pipeline(pipeline).build();
+            let mut cfg = ClientConfig {
+                pipeline,
+                ..config()
+            };
             cfg.known_d = known_d;
             let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
             let mut peer = server(bob.clone(), 7);
@@ -734,7 +740,10 @@ mod tests {
         // the wire repeats, the `Done` transfer's element order included
         // (it used to follow a `RandomState` hash set's iteration order).
         let (alice, bob) = two_sided(60);
-        let cfg = config().pipeline(Pipeline::Auto).build();
+        let cfg = ClientConfig {
+            pipeline: Pipeline::Auto,
+            ..config()
+        };
         let run = || {
             let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
             let mut peer = server(bob.clone(), 7);
@@ -762,7 +771,7 @@ mod tests {
     #[test]
     fn a_trimmed_changelog_falls_through_to_the_estimator_exchange() {
         let (alice, bob) = two_sided(20);
-        let cfg = config().build();
+        let cfg = config();
         let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Delta { since: 3 }).unwrap();
         // The store's changelog starts at epoch 9: epoch 3 is trimmed away.
         let mut peer = server(bob, 9);
@@ -786,7 +795,7 @@ mod tests {
 
     #[test]
     fn a_served_delta_is_the_whole_sync() {
-        let cfg = config().build();
+        let cfg = config();
         let mut machine = ClientMachine::new(&cfg, Vec::new(), Mode::Delta { since: 3 }).unwrap();
         let store = Arc::new(MutableStore::with_epoch_origin([5], 3, 1024));
         assert_eq!(store.apply(&[10, 11], &[5]), 4);
@@ -816,7 +825,11 @@ mod tests {
         // Tell the server d = 1 when the sets differ by 200 and cap the
         // client at one round: the cap fires long before verification.
         let (alice, bob) = two_sided(200);
-        let cfg = config().known_d(1).round_cap(1).build();
+        let cfg = ClientConfig {
+            known_d: Some(1),
+            round_cap: 1,
+            ..config()
+        };
         let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
         let mut peer = server(bob, 7);
         let (report, crossed) = peer.run(&mut machine).unwrap();
@@ -837,29 +850,37 @@ mod tests {
         };
         let full = |cfg: ClientConfig| ClientMachine::new(&cfg, set(), Mode::Full).unwrap();
 
-        let mut await_hello = full(config().build());
+        let mut await_hello = full(config());
         await_hello.poll_send().unwrap();
 
         let delta = Mode::Delta { since: 0 };
-        let mut await_delta = ClientMachine::new(&config().build(), set(), delta).unwrap();
+        let mut await_delta = ClientMachine::new(&config(), set(), delta).unwrap();
         echo(&mut await_delta);
 
-        let mut await_estimate = full(config().build());
+        let mut await_estimate = full(config());
         echo(&mut await_estimate);
         await_estimate.poll_send().unwrap();
 
-        let mut await_reports = full(config().known_d(5).round_cap(1).build());
+        let mut await_reports = full(ClientConfig {
+            known_d: Some(5),
+            round_cap: 1,
+            ..config()
+        });
         echo(&mut await_reports);
         await_reports.poll_send().unwrap();
 
-        let mut await_ack = full(config().known_d(5).round_cap(1).build());
+        let mut await_ack = full(ClientConfig {
+            known_d: Some(5),
+            round_cap: 1,
+            ..config()
+        });
         echo(&mut await_ack);
         await_ack.poll_send().unwrap();
         await_ack.on_frame(Frame::Reports(Vec::new())).unwrap();
         await_ack.poll_send().unwrap();
 
         let subscribe = Mode::Subscribe { since: 0 };
-        let mut parked = ClientMachine::new(&config().build(), Vec::new(), subscribe).unwrap();
+        let mut parked = ClientMachine::new(&config(), Vec::new(), subscribe).unwrap();
         echo(&mut parked);
         parked.on_frame(Frame::DeltaDone { epoch: 1 }).unwrap();
         parked.poll_send().unwrap();
@@ -920,7 +941,7 @@ mod tests {
 
     fn parked_at(epoch: u64) -> ClientMachine<'static> {
         let mode = Mode::Subscribe { since: 2 };
-        let mut machine = ClientMachine::new(&config().build(), Vec::new(), mode).unwrap();
+        let mut machine = ClientMachine::new(&config(), Vec::new(), mode).unwrap();
         let hello = machine.poll_send().unwrap().unwrap();
         machine.on_frame(hello).unwrap();
         let step = machine.on_frame(Frame::DeltaDone { epoch }).unwrap();
@@ -985,7 +1006,7 @@ mod tests {
     fn a_subscriber_never_falls_back() {
         // Before the park: the epoch cannot be served.
         let mode = Mode::Subscribe { since: 2 };
-        let mut machine = ClientMachine::new(&config().build(), Vec::new(), mode).unwrap();
+        let mut machine = ClientMachine::new(&config(), Vec::new(), mode).unwrap();
         let hello = machine.poll_send().unwrap().unwrap();
         machine.on_frame(hello).unwrap();
         match machine.on_frame(Frame::FullResyncRequired { epoch: 9 }) {
@@ -1008,10 +1029,13 @@ mod tests {
                 Err(NetError::Protocol(msg)) => assert!(msg.contains(needle), "{msg}"),
                 other => panic!("expected a refusal naming {needle:?}, got {other:?}"),
             };
-        refused(config().build(), vec![1, 0], Mode::Full, "universe");
-        refused(config().build(), vec![1 << 33], Mode::Full, "universe");
+        refused(config(), vec![1, 0], Mode::Full, "universe");
+        refused(config(), vec![1 << 33], Mode::Full, "universe");
         refused(
-            config().known_d(1 << 19).build(),
+            ClientConfig {
+                known_d: Some(1 << 19),
+                ..config()
+            },
             vec![1],
             Mode::Full,
             "client cap",
@@ -1019,7 +1043,10 @@ mod tests {
         let long = "s".repeat(MAX_STORE_NAME + 1);
         for mode in [Mode::Full, Mode::Subscribe { since: 0 }] {
             refused(
-                config().store(long.clone()).build(),
+                ClientConfig {
+                    store: long.clone(),
+                    ..config()
+                },
                 Vec::new(),
                 mode,
                 "wire limit",
@@ -1042,8 +1069,7 @@ mod tests {
             |h| h.estimator_sketches = 4096,
         ];
         for rewrite in rewrites {
-            let mut machine =
-                ClientMachine::new(&config().build(), keys(50, 1), Mode::Full).unwrap();
+            let mut machine = ClientMachine::new(&config(), keys(50, 1), Mode::Full).unwrap();
             let Some(Frame::Hello(mut reply)) = machine.poll_send().unwrap() else {
                 panic!("opens with a Hello")
             };
@@ -1055,7 +1081,7 @@ mod tests {
         }
         // What the server may decide — store, depth, seed — it may; the
         // session then runs under the seed it named.
-        let mut machine = ClientMachine::new(&config().build(), keys(50, 1), Mode::Full).unwrap();
+        let mut machine = ClientMachine::new(&config(), keys(50, 1), Mode::Full).unwrap();
         let Some(Frame::Hello(mut reply)) = machine.poll_send().unwrap() else {
             panic!("opens with a Hello")
         };
@@ -1073,7 +1099,10 @@ mod tests {
         );
 
         // An estimate above the client's cap.
-        let cfg = config().max_d(100).build();
+        let cfg = ClientConfig {
+            max_d: 100,
+            ..config()
+        };
         let mut machine = ClientMachine::new(&cfg, keys(50, 1), Mode::Full).unwrap();
         let hello = machine.poll_send().unwrap().unwrap();
         machine.on_frame(hello).unwrap();
@@ -1094,7 +1123,11 @@ mod tests {
             max_frame: 64,
             ..TransportConfig::default()
         };
-        let cfg = config().known_d(20).transport(transport).build();
+        let cfg = ClientConfig {
+            known_d: Some(20),
+            transport,
+            ..config()
+        };
         let mut machine = ClientMachine::new(&cfg, &alice[..], Mode::Full).unwrap();
         let mut peer = server(alice[20..].to_vec(), 7);
         match peer.run(&mut machine) {
@@ -1121,18 +1154,20 @@ mod tests {
         };
         // No store name, no epoch, estimator exchange to follow.
         assert_eq!(
-            hello(config().build(), Mode::Full),
+            hello(config(), Mode::Full),
             "33000000bcf0018d01504253310600200500000003000000ffffffffae47e17a14aeef3f\
              80000000efcdab89674523010000000000000000000100"
         );
         // Named store, fixed depth, d known, epoch cache.
-        let cfg = config()
-            .store("inventory")
-            .pipeline(Pipeline::Depth(3))
-            .known_d(42);
+        let cfg = ClientConfig {
+            store: "inventory".into(),
+            pipeline: Pipeline::Depth(3),
+            known_d: Some(42),
+            ..config()
+        };
         assert_eq!(
             hello(
-                cfg.build(),
+                cfg,
                 Mode::Delta {
                     since: 0x1122_3344_5566_7788
                 }
@@ -1141,19 +1176,26 @@ mod tests {
              80000000efcdab89674523012a0000000000000009696e76656e746f727903018877665544332211"
         );
         // Adaptive depth asks for the largest representable grant.
-        let cfg = config().seed(7).store("live").pipeline(Pipeline::Auto);
+        let cfg = ClientConfig {
+            seed: 7,
+            store: "live".into(),
+            pipeline: Pipeline::Auto,
+            ..ClientConfig::default()
+        };
         assert_eq!(
-            hello(cfg.build(), Mode::Full),
+            hello(cfg, Mode::Full),
             "370000006f0478b101504253310600200500000003000000ffffffffae47e17a14aeef3f\
              8000000007000000000000000000000000000000046c697665ff00"
         );
         // A subscriber asks for no rounds whatever its config says.
-        let cfg = ClientConfig::builder()
-            .store("live")
-            .pipeline(Pipeline::Auto)
-            .known_d(42);
+        let cfg = ClientConfig {
+            store: "live".into(),
+            pipeline: Pipeline::Auto,
+            known_d: Some(42),
+            ..ClientConfig::default()
+        };
         assert_eq!(
-            hello(cfg.build(), Mode::Subscribe { since: 9 }),
+            hello(cfg, Mode::Subscribe { since: 9 }),
             "3f000000ffee731401504253310600200500000003000000ffffffffae47e17a14aeef3f\
              80000000b979379e000000000000000000000000046c69766501010900000000000000"
         );

@@ -1143,7 +1143,10 @@ mod tests {
         assert!(matches!(duet.inbox[0], Frame::Hello(_)));
         let mut duet = limits(capped);
         let mut client = ClientMachine::new(
-            &ClientConfig::builder().seed(SEED).build(),
+            &ClientConfig {
+                seed: SEED,
+                ..ClientConfig::default()
+            },
             &set[..100],
             Mode::Full,
         )
@@ -1228,10 +1231,11 @@ mod tests {
             (Pipeline::Depth(2), Some(120)),
         ] {
             let case = format!("{pipeline:?}, known_d {known_d:?}");
-            let mut config = ClientConfig::builder()
-                .seed(SEED)
-                .pipeline(pipeline)
-                .build();
+            let mut config = ClientConfig {
+                seed: SEED,
+                pipeline,
+                ..ClientConfig::default()
+            };
             config.known_d = known_d;
 
             // Patched: the store's second full session leaves a view
@@ -1296,7 +1300,10 @@ mod tests {
     #[test]
     fn a_cached_view_names_the_seed_and_serves_any_sketch_count() {
         let store = mutable(40..3040);
-        let mut other = ClientConfig::builder().seed(SEED ^ 0xFFFF).build();
+        let mut other = ClientConfig {
+            seed: SEED ^ 0xFFFF,
+            ..ClientConfig::default()
+        };
         other.pbs.estimator_sketches = 64;
         assert_eq!(serve_its_own_set(&store, &other), (0, 0, 1));
         assert_eq!(serve_its_own_set(&store, &other), (0, 1, 0));
@@ -1332,22 +1339,27 @@ mod tests {
     /// seed and builds under it. A session that verified leaves it be.
     #[test]
     fn a_session_that_gives_up_retires_the_views_seed() {
-        let config = ClientConfig::builder().seed(SEED).build();
+        let config = ClientConfig {
+            seed: SEED,
+            ..ClientConfig::default()
+        };
         // d = 1 named for a difference of 80, one round allowed: the one
         // group fails to decode and the cap fires, on either side.
-        let gives_up = ClientConfig::builder().seed(SEED).known_d(1).round_cap(1);
-        let refused = ClientConfig::builder().seed(SEED).known_d(1);
+        let refused = ClientConfig {
+            known_d: Some(1),
+            ..config.clone()
+        };
+        let gives_up = ClientConfig {
+            round_cap: 1,
+            ..refused.clone()
+        };
         let strict = ServerConfig {
             round_cap: 1,
             ..ServerConfig::default()
         };
         for (case, client, server) in [
-            (
-                "the client's cap",
-                gives_up.build(),
-                ServerConfig::default(),
-            ),
-            ("the server's cap", refused.build(), strict),
+            ("the client's cap", gives_up, ServerConfig::default()),
+            ("the server's cap", refused, strict),
         ] {
             let store = mutable(40..3040);
             serve_its_own_set(&store, &config);
@@ -1372,7 +1384,10 @@ mod tests {
     #[test]
     fn sessions_parked_at_one_epoch_hold_one_view() {
         let store = mutable(0..500);
-        let config = ClientConfig::builder().seed(SEED).build();
+        let config = ClientConfig {
+            seed: SEED,
+            ..ClientConfig::default()
+        };
         serve_its_own_set(&store, &config);
         serve_its_own_set(&store, &config);
         store.apply(&elements(900..910), &elements(0..10));
@@ -1405,7 +1420,10 @@ mod tests {
     #[test]
     fn a_store_without_epochs_is_served_the_classic_session_only() {
         let set = elements(0..200);
-        let config = ClientConfig::builder().seed(SEED).build();
+        let config = ClientConfig {
+            seed: SEED,
+            ..ClientConfig::default()
+        };
         for (mode, opening) in [
             (Mode::Full, vec![]),
             (
@@ -1449,7 +1467,10 @@ mod tests {
         let store = mutable(0..50);
         store.apply(&[7_000_001], &[]);
         let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
-        let config = ClientConfig::builder().seed(SEED).build();
+        let config = ClientConfig {
+            seed: SEED,
+            ..ClientConfig::default()
+        };
         let mode = Mode::Subscribe { since: 0 };
         let mut client = ClientMachine::new(&config, Vec::new(), mode).unwrap();
 

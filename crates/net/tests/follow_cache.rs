@@ -127,7 +127,10 @@ fn follow_flushes_epoch_cache_before_printing_each_delta() {
     // no fallback, nothing re-fetched.
     let resume_epoch = cached_epoch(&cache).expect("cache readable");
     let local: Vec<u64> = store.snapshot();
-    let config = ClientConfig::builder().delta_epoch(resume_epoch).build();
+    let config = ClientConfig {
+        delta_epoch: Some(resume_epoch),
+        ..ClientConfig::default()
+    };
     let report = pbs_net::client::sync(addr, &local, &config).expect("resume sync");
     let delta = report.delta.expect("resume took the delta path");
     assert_eq!(delta.from_epoch, resume_epoch);

@@ -352,10 +352,11 @@ fn fuzzed_streams_never_break_the_server() {
         ..RetryPolicy::default()
     };
     for i in 0..4u64 {
-        let config = ClientConfig::builder()
-            .seed(0xAF7E_0000 + i)
-            .known_d(20)
-            .build();
+        let config = ClientConfig {
+            seed: 0xAF7E_0000 + i,
+            known_d: Some(20),
+            ..ClientConfig::default()
+        };
         let (report, _) =
             sync_with_retry(addr, &client_set, &config, &policy).expect("post-fuzz sync");
         assert!(report.verified, "post-fuzz sync {i} failed to verify");

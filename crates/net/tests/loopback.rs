@@ -242,7 +242,10 @@ fn loopback_reconciles_100k_sets_within_the_transcript_byte_envelope() {
         assert_eq!(truth.len(), d);
 
         let seed = 0xAB5_0000 + d as u64;
-        let client_cfg = ClientConfig::builder().seed(seed).build();
+        let client_cfg = ClientConfig {
+            seed,
+            ..ClientConfig::default()
+        };
         // The networked run, over a real socket pair.
         let store = Arc::new(MutableStore::new(bob_set.iter().copied()));
         let server = Server::bind(
@@ -356,7 +359,11 @@ fn known_d_skips_the_estimator_exchange() {
         ServerConfig::default(),
     )
     .expect("bind");
-    let config = ClientConfig::builder().known_d(40).seed(7).build();
+    let config = ClientConfig {
+        known_d: Some(40),
+        seed: 7,
+        ..ClientConfig::default()
+    };
     let report = sync(server.local_addr(), &alice_set, &config).expect("sync");
     assert!(report.verified);
     assert_eq!(report.d_param, 40);
@@ -390,7 +397,11 @@ fn concurrent_clients_share_the_worker_pool() {
         .map(|i| {
             let set = alice_set.clone();
             std::thread::spawn(move || {
-                let config = ClientConfig::builder().seed(100 + i).known_d(20).build();
+                let config = ClientConfig {
+                    seed: 100 + i,
+                    known_d: Some(20),
+                    ..ClientConfig::default()
+                };
                 sync(addr, &set, &config).expect("concurrent sync")
             })
         })
@@ -586,10 +597,11 @@ fn pipelined_rounds_cut_round_trips_at_d_1000_within_the_byte_envelope() {
             ServerConfig::default(),
         )
         .expect("bind");
-        let config = ClientConfig::builder()
-            .seed(seed)
-            .pipeline(Pipeline::Depth(pipeline))
-            .build();
+        let config = ClientConfig {
+            seed,
+            pipeline: Pipeline::Depth(pipeline),
+            ..ClientConfig::default()
+        };
         let report = sync(server.local_addr(), &alice_set, &config).expect("sync");
         let predicted = reference_run(
             &alice_set,
@@ -673,12 +685,13 @@ fn two_named_stores_sync_concurrently_through_one_server() {
     let spawn = |store: &str, set: Vec<u64>, d: u64, seed: u64| {
         let store = store.to_string();
         std::thread::spawn(move || {
-            let config = ClientConfig::builder()
-                .store(store)
-                .known_d(d)
-                .seed(seed)
-                .pipeline(Pipeline::Depth(2))
-                .build();
+            let config = ClientConfig {
+                store,
+                known_d: Some(d),
+                seed,
+                pipeline: Pipeline::Depth(2),
+                ..ClientConfig::default()
+            };
             sync(addr, &set, &config).expect("store sync")
         })
     };
@@ -735,7 +748,11 @@ fn unknown_store_is_refused_by_name() {
         ServerConfig::default(),
     )
     .expect("bind");
-    let config = ClientConfig::builder().store("nope").known_d(20).build();
+    let config = ClientConfig {
+        store: "nope".into(),
+        known_d: Some(20),
+        ..ClientConfig::default()
+    };
     match sync(server.local_addr(), &alice_set, &config) {
         Err(NetError::Remote { code, .. }) => {
             assert_eq!(code, pbs_net::frame::ErrorCode::UnknownStore)
@@ -775,10 +792,11 @@ fn adaptive_pipeline_is_within_a_trip_of_the_best_fixed_depth_for_unpipelined_by
             ServerConfig::default(),
         )
         .expect("bind");
-        let config = ClientConfig::builder()
-            .seed(seed)
-            .pipeline(pipeline)
-            .build();
+        let config = ClientConfig {
+            seed,
+            pipeline,
+            ..ClientConfig::default()
+        };
         let report = sync(server.local_addr(), &alice_set, &config).expect("sync");
         assert!(report.verified, "{pipeline:?}");
         assert_eq!(sorted(report.recovered.clone()), truth);
@@ -827,11 +845,12 @@ fn pipeline_depth_is_negotiated_down_to_the_server_cap() {
         },
     )
     .expect("bind");
-    let config = ClientConfig::builder()
-        .known_d(30)
-        .seed(9)
-        .pipeline(Pipeline::Depth(8))
-        .build();
+    let config = ClientConfig {
+        known_d: Some(30),
+        seed: 9,
+        pipeline: Pipeline::Depth(8),
+        ..ClientConfig::default()
+    };
     let report = sync(server.local_addr(), &alice_set, &config).expect("negotiated sync");
     assert!(report.verified);
     // Depth 2 granted: every full trip carries exactly two rounds.
@@ -855,7 +874,11 @@ fn mutable_store_feeds_sessions_between_mutations() {
         ServerConfig::default(),
     )
     .expect("bind");
-    let config = ClientConfig::builder().known_d(20).seed(11).build();
+    let config = ClientConfig {
+        known_d: Some(20),
+        seed: 11,
+        ..ClientConfig::default()
+    };
     let report = sync(server.local_addr(), &alice_set, &config).expect("first sync");
     assert!(report.verified);
     let epoch_after_first = store.epoch();
@@ -874,7 +897,11 @@ fn mutable_store_feeds_sessions_between_mutations() {
     let report2 = sync(
         server.local_addr(),
         &pool,
-        &ClientConfig::builder().known_d(10).seed(12).build(),
+        &ClientConfig {
+            known_d: Some(10),
+            seed: 12,
+            ..ClientConfig::default()
+        },
     )
     .expect("second sync");
     assert!(report2.verified);
@@ -899,7 +926,11 @@ fn server_round_cap_refuses_marathon_sessions() {
         },
     )
     .expect("bind");
-    let config = ClientConfig::builder().known_d(1).seed(3).build();
+    let config = ClientConfig {
+        known_d: Some(1),
+        seed: 3,
+        ..ClientConfig::default()
+    };
     match sync(server.local_addr(), &alice_set, &config) {
         Err(NetError::Remote { code, .. }) => {
             assert_eq!(code, pbs_net::frame::ErrorCode::RoundLimit)

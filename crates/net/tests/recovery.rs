@@ -195,7 +195,10 @@ fn kill_and_recover_soak_preserves_delta_continuity() {
         total_truncations += recovery.truncated_bytes;
         total_rejected_snapshots += recovery.snapshots_rejected;
         let client_vec: Vec<u64> = client.iter().copied().collect();
-        let config = ClientConfig::builder().delta_epoch(cached_epoch).build();
+        let config = ClientConfig {
+            delta_epoch: Some(cached_epoch),
+            ..ClientConfig::default()
+        };
         let report = sync(server.local_addr(), &client_vec, &config).expect("delta sync");
         assert!(
             !report.delta_fallback,
@@ -282,7 +285,10 @@ fn a_transfer_the_store_refused_is_not_acked() {
     .expect("bind");
     let addr = server.local_addr();
     let alice: Vec<u64> = (1..=99).collect();
-    let config = ClientConfig::builder().known_d(4).build();
+    let config = ClientConfig {
+        known_d: Some(4),
+        ..ClientConfig::default()
+    };
 
     store.inject_crash(Some(CrashPoint::MidWalAppend));
     match sync(addr, &alice, &config) {

@@ -177,7 +177,10 @@ struct ByHand {
 
 impl ByHand {
     fn connect(server: &Server, set: Vec<u64>) -> ByHand {
-        let config = ClientConfig::builder().seed(0xA11CE).build();
+        let config = ClientConfig {
+            seed: 0xA11CE,
+            ..ClientConfig::default()
+        };
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
         ByHand {
             framed: FramedStream::from_tcp(stream, &TransportConfig::default()).expect("socket"),

@@ -146,7 +146,10 @@ fn delta_sync_of_100k_store_beats_full_reconciliation_bytes() {
     let full = sync(
         full_server.local_addr(),
         &baseline,
-        &ClientConfig::builder().seed(seed).build(),
+        &ClientConfig {
+            seed,
+            ..ClientConfig::default()
+        },
     )
     .expect("full reconciliation");
     full_server.shutdown();
@@ -165,7 +168,11 @@ fn delta_sync_of_100k_store_beats_full_reconciliation_bytes() {
     .expect("bind");
     assert_eq!(store.apply(&added, &removed), 1);
 
-    let config = ClientConfig::builder().seed(seed).delta_epoch(0).build();
+    let config = ClientConfig {
+        seed,
+        delta_epoch: Some(0),
+        ..ClientConfig::default()
+    };
     let report = sync(server.local_addr(), &baseline, &config).expect("delta sync");
     assert!(report.verified);
     assert!(!report.delta_fallback);
@@ -247,7 +254,11 @@ fn trimmed_changelog_falls_back_to_full_reconciliation() {
         ServerConfig::default(),
     )
     .expect("bind");
-    let config = ClientConfig::builder().seed(42).delta_epoch(0).build();
+    let config = ClientConfig {
+        seed: 42,
+        delta_epoch: Some(0),
+        ..ClientConfig::default()
+    };
     let report = sync(server.local_addr(), &baseline, &config).expect("fallback sync");
     assert!(report.verified);
     assert!(report.delta_fallback, "must have fallen back");
@@ -264,10 +275,11 @@ fn trimmed_changelog_falls_back_to_full_reconciliation() {
     let report2 = sync(
         server.local_addr(),
         &pool,
-        &ClientConfig::builder()
-            .seed(43)
-            .delta_epoch(report.epoch.expect("baseline epoch"))
-            .build(),
+        &ClientConfig {
+            seed: 43,
+            delta_epoch: Some(report.epoch.expect("baseline epoch")),
+            ..ClientConfig::default()
+        },
     )
     .expect("resumed delta sync");
     let delta = report2.delta.expect("delta served after re-baseline");
@@ -297,11 +309,12 @@ fn epochless_stores_demand_full_resync() {
     let report = sync(
         server.local_addr(),
         &pool,
-        &ClientConfig::builder()
-            .seed(7)
-            .known_d(10)
-            .delta_epoch(123)
-            .build(),
+        &ClientConfig {
+            seed: 7,
+            known_d: Some(10),
+            delta_epoch: Some(123),
+            ..ClientConfig::default()
+        },
     )
     .expect("fallback sync");
     assert!(report.verified);
@@ -358,10 +371,11 @@ fn repeated_delta_syncs_track_a_concurrently_mutating_store() {
             // One final sync after the last mutation is in the store.
             done_mutating = true;
         }
-        let config = ClientConfig::builder()
-            .seed(0x50AC + syncs)
-            .delta_epoch(epoch)
-            .build();
+        let config = ClientConfig {
+            seed: 0x50AC + syncs,
+            delta_epoch: Some(epoch),
+            ..ClientConfig::default()
+        };
         let report = sync(addr, &[1], &config).expect("delta sync");
         let delta = report.delta.expect("changelog capacity is never exceeded");
         assert_eq!(delta.from_epoch, epoch);

@@ -230,13 +230,9 @@ impl PinSketchWp {
         let encode_start = Instant::now();
         let alice_groups = bucket(alice);
         let bob_groups = bucket(bob);
-        // Groups are independent: sketch them with `protocol::par_map`
-        // (worker threads behind the `parallel` feature, serial otherwise —
-        // identical sketches either way).
-        let alice_sketches: Vec<Sketch> =
-            protocol::par_map(&alice_groups, |grp| codec.sketch_slice(grp));
-        let bob_sketches: Vec<Sketch> =
-            protocol::par_map(&bob_groups, |grp| codec.sketch_slice(grp));
+        let sketch = |grp: &Vec<u64>| codec.sketch_slice(grp);
+        let alice_sketches: Vec<Sketch> = alice_groups.iter().map(sketch).collect();
+        let bob_sketches: Vec<Sketch> = bob_groups.iter().map(sketch).collect();
         let encode = encode_start.elapsed();
 
         let decode_start = Instant::now();
@@ -273,20 +269,13 @@ impl PinSketchWp {
             );
         }
 
-        // Decode wave by wave: every pending group pair's combine + BCH
-        // decode is independent, so each wave fans out through
-        // `protocol::par_map` (worker threads behind the `parallel` feature,
-        // serial otherwise — identical decodes either way); splits are then
-        // applied serially and feed the next wave.
+        // Decode wave by wave: a failed group's three-way split feeds the
+        // next wave.
         while !work.is_empty() {
-            let decoded = protocol::par_map(&work, |item| {
+            for item in std::mem::take(&mut work) {
                 let mut diff = item.sb.clone();
                 diff.combine(&item.sa);
-                codec.decode(&diff)
-            });
-            let wave = std::mem::take(&mut work);
-            for (item, outcome) in wave.into_iter().zip(decoded) {
-                match outcome {
+                match codec.decode(&diff) {
                     Ok(elements) => {
                         transcript.send_bits(
                             Direction::BobToAlice,

@@ -42,78 +42,6 @@ pub use workload::{SetPair, Workload};
 use std::collections::HashSet;
 use std::time::Duration;
 
-/// Order-preserving map over a slice, run on worker threads when the
-/// `parallel` feature is enabled and serially otherwise.
-///
-/// The group sketching loops of PBS and PinSketch/WP are embarrassingly
-/// parallel — each group's BCH sketch depends only on that group's elements
-/// — so this is safe to parallelize without changing any result: the output
-/// is `items.iter().map(f)` in order either way, keeping transcripts and
-/// decode outcomes deterministic.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_init(items, || (), |(), item| f(item))
-}
-
-/// [`par_map`] with a piece of per-worker state: every worker calls `init`
-/// once and hands the result to each of its `f` calls (the shape of rayon's
-/// `map_init`), so a loop whose body needs scratch buffers allocates them
-/// once per worker instead of once per item. `f` must leave the state such
-/// that the next item's result does not depend on it — the output is
-/// `items.iter().map(|item| f(&mut fresh, item))` in order either way.
-/// Implemented with `std::thread::scope` (the registry mirror that would
-/// serve rayon is unreachable in this build environment, and chunked scoped
-/// threads are all these loops need).
-#[cfg(feature = "parallel")]
-pub fn par_map_init<T, S, U, I, F>(items: &[T], init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len().max(1));
-    if workers <= 1 || items.len() < 2 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
-    }
-    let chunk_len = items.len().div_ceil(workers);
-    let mut out: Vec<Option<U>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for (chunk, slot) in items.chunks(chunk_len).zip(out.chunks_mut(chunk_len)) {
-            scope.spawn(|| {
-                let mut state = init();
-                for (item, s) in chunk.iter().zip(slot.iter_mut()) {
-                    *s = Some(f(&mut state, item));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("worker filled every slot"))
-        .collect()
-}
-
-/// Serial fallback of [`par_map_init`] when the `parallel` feature is off:
-/// one state, one loop.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map_init<T, S, U, I, F>(items: &[T], init: I, f: F) -> Vec<U>
-where
-    I: Fn() -> S,
-    F: Fn(&mut S, &T) -> U,
-{
-    let mut state = init();
-    items.iter().map(|item| f(&mut state, item)).collect()
-}
-
 /// Wall-clock timing of the two sides of a reconciliation run.
 ///
 /// Following the paper's convention (§8), *encoding time* is the time spent
@@ -224,34 +152,6 @@ mod tests {
             ..out
         };
         assert!(!short.matches(&truth));
-    }
-
-    #[test]
-    fn par_map_keeps_order_and_hands_each_worker_one_state() {
-        let items: Vec<u64> = (0..1_000).collect();
-        assert_eq!(
-            par_map(&items, |x| x * x),
-            items.iter().map(|x| x * x).collect::<Vec<_>>()
-        );
-        // The state is reused, not rebuilt per item: far fewer `init` calls
-        // than items, and every call sees the buffer its worker left.
-        let inits = std::sync::atomic::AtomicUsize::new(0);
-        let out = par_map_init(
-            &items,
-            || {
-                inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Vec::<u64>::new()
-            },
-            |seen, &x| {
-                seen.push(x);
-                (x, seen.len())
-            },
-        );
-        assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
-        let inits = inits.into_inner();
-        assert!((1..=64).contains(&inits), "{inits} states for 1000 items");
-        assert_eq!(out.iter().filter(|&&(_, nth)| nth == 1).count(), inits);
-        assert!(par_map_init(&[] as &[u64], || (), |(), x| *x).is_empty());
     }
 
     #[test]

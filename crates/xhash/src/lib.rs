@@ -6,8 +6,8 @@
 //! those hash functions, built from scratch (the paper uses the xxHash
 //! library; we re-implement xxHash64 so no external dependency is needed):
 //!
-//! * [`xxhash64`] / [`XxHash64`] — an xxHash64-compatible 64-bit hash,
-//!   one-shot and streaming.
+//! * [`xxhash64`] / [`xxhash64_u64`] — an xxHash64-compatible 64-bit hash,
+//!   over a byte slice and specialized to one `u64` key.
 //! * [`PartitionHasher`] — maps a `u64` element to a bin in `0..n` under a
 //!   round/group seed. PBS uses a fresh, mutually-independent hash function
 //!   per round (§2.4); this is achieved by deriving a new seed per round.
@@ -46,7 +46,7 @@ mod xx;
 
 pub use partition::PartitionHasher;
 pub use sign::SignHasher;
-pub use xx::{xxhash64, xxhash64_u64, XxHash64};
+pub use xx::{xxhash64, xxhash64_u64};
 
 /// The set checksum `c(S)` of §2.2.3: the sum of all elements viewed as
 /// integers, modulo `2^universe_bits` (i.e. modulo `|U|`).

@@ -122,146 +122,9 @@ pub fn xxhash64_u64(key: u64, seed: u64) -> u64 {
     avalanche(h)
 }
 
-/// Streaming xxHash64 hasher.
-///
-/// Produces exactly the same digest as [`xxhash64`] over the concatenation of
-/// all `update` calls. Also implements [`std::hash::Hasher`] so it can be
-/// plugged into standard collections when a seeded hasher is wanted.
-#[derive(Debug, Clone)]
-pub struct XxHash64 {
-    seed: u64,
-    total_len: u64,
-    v1: u64,
-    v2: u64,
-    v3: u64,
-    v4: u64,
-    buf: [u8; 32],
-    buf_len: usize,
-}
-
-impl XxHash64 {
-    /// Create a streaming hasher with the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        XxHash64 {
-            seed,
-            total_len: 0,
-            v1: seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2),
-            v2: seed.wrapping_add(PRIME64_2),
-            v3: seed,
-            v4: seed.wrapping_sub(PRIME64_1),
-            buf: [0u8; 32],
-            buf_len: 0,
-        }
-    }
-
-    /// Feed more bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len += data.len() as u64;
-
-        // Fill the pending buffer first.
-        if self.buf_len > 0 {
-            let need = 32 - self.buf_len;
-            let take = need.min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 32 {
-                let buf = self.buf;
-                self.consume_stripe(&buf);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 32 {
-            let (stripe, tail) = data.split_at(32);
-            let mut block = [0u8; 32];
-            block.copy_from_slice(stripe);
-            self.consume_stripe(&block);
-            data = tail;
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn consume_stripe(&mut self, stripe: &[u8; 32]) {
-        self.v1 = round(self.v1, read_u64(&stripe[0..]));
-        self.v2 = round(self.v2, read_u64(&stripe[8..]));
-        self.v3 = round(self.v3, read_u64(&stripe[16..]));
-        self.v4 = round(self.v4, read_u64(&stripe[24..]));
-    }
-
-    /// Finalize and return the 64-bit digest (the hasher can keep being used;
-    /// `digest` does not consume the state).
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = if self.total_len >= 32 {
-            let mut acc = self
-                .v1
-                .rotate_left(1)
-                .wrapping_add(self.v2.rotate_left(7))
-                .wrapping_add(self.v3.rotate_left(12))
-                .wrapping_add(self.v4.rotate_left(18));
-            acc = merge_round(acc, self.v1);
-            acc = merge_round(acc, self.v2);
-            acc = merge_round(acc, self.v3);
-            acc = merge_round(acc, self.v4);
-            acc
-        } else {
-            self.seed.wrapping_add(PRIME64_5)
-        };
-        h = h.wrapping_add(self.total_len);
-
-        let mut rest = &self.buf[..self.buf_len];
-        while rest.len() >= 8 {
-            h ^= round(0, read_u64(rest));
-            h = h
-                .rotate_left(27)
-                .wrapping_mul(PRIME64_1)
-                .wrapping_add(PRIME64_4);
-            rest = &rest[8..];
-        }
-        if rest.len() >= 4 {
-            h ^= read_u32(rest).wrapping_mul(PRIME64_1);
-            h = h
-                .rotate_left(23)
-                .wrapping_mul(PRIME64_2)
-                .wrapping_add(PRIME64_3);
-            rest = &rest[4..];
-        }
-        for &byte in rest {
-            h ^= (byte as u64).wrapping_mul(PRIME64_5);
-            h = h.rotate_left(11).wrapping_mul(PRIME64_1);
-        }
-        avalanche(h)
-    }
-}
-
-impl std::hash::Hasher for XxHash64 {
-    fn finish(&self) -> u64 {
-        self.digest()
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.update(bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Pseudo-random test buffer (prime-squaring byte generator, the same
-    /// construction the xxHash reference sanity check uses).
-    fn sanity_buffer(len: usize) -> Vec<u8> {
-        const PRIME32: u64 = 2654435761;
-        let mut byte_gen: u64 = PRIME32;
-        let mut buf = Vec::with_capacity(len);
-        for _ in 0..len {
-            buf.push((byte_gen >> 56) as u8);
-            byte_gen = byte_gen.wrapping_mul(byte_gen);
-        }
-        buf
-    }
 
     #[test]
     fn empty_input_reference_vector() {
@@ -301,27 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_one_shot() {
-        let buf = sanity_buffer(1024);
-        for &split in &[0usize, 1, 7, 31, 32, 33, 100, 512, 1024] {
-            let mut h = XxHash64::with_seed(77);
-            h.update(&buf[..split]);
-            h.update(&buf[split..]);
-            assert_eq!(h.digest(), xxhash64(&buf, 77), "split at {split}");
-        }
-    }
-
-    #[test]
-    fn streaming_many_small_updates() {
-        let buf = sanity_buffer(333);
-        let mut h = XxHash64::with_seed(0);
-        for chunk in buf.chunks(3) {
-            h.update(chunk);
-        }
-        assert_eq!(h.digest(), xxhash64(&buf, 0));
-    }
-
-    #[test]
     fn different_seeds_differ() {
         let data = b"parity bitmap sketch";
         assert_ne!(xxhash64(data, 1), xxhash64(data, 2));
@@ -355,16 +197,5 @@ mod tests {
                 "mismatch at key={key:#x} seed={seed:#x}"
             );
         }
-    }
-
-    #[test]
-    fn hasher_trait_impl() {
-        use std::hash::Hasher;
-        let mut h = XxHash64::with_seed(5);
-        h.write(b"hello world, this is a longer message for the hasher");
-        assert_eq!(
-            h.finish(),
-            xxhash64(b"hello world, this is a longer message for the hasher", 5)
-        );
     }
 }

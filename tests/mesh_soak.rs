@@ -240,7 +240,10 @@ fn mesh_converges_under_partition_churn_and_restart() {
     assert!(converged, "mesh failed to converge within 12 sweeps");
 
     // ---- Delta continuity on a survivor ----
-    let delta_config = ClientConfig::builder().delta_epoch(cached_epoch).build();
+    let delta_config = ClientConfig {
+        delta_epoch: Some(cached_epoch),
+        ..ClientConfig::default()
+    };
     let resumed = sync(servers[0].local_addr(), &cached_view, &delta_config)
         .expect("post-soak delta sync from the mid-soak epoch");
     assert!(

@@ -43,10 +43,11 @@ fn a_session_pays_at_most_3_3x_the_minimum_and_15_percent_over_formula_one() {
             subset_mode: false,
         }
         .generate(17);
-        let config = ClientConfig::builder()
-            .seed(0x00C1_1E27)
-            .pipeline(pipeline)
-            .build();
+        let config = ClientConfig {
+            seed: 0x00C1_1E27,
+            pipeline,
+            ..ClientConfig::default()
+        };
         let mut client =
             ClientMachine::new(&config, &pair.a[..], Mode::Full).expect("a valid request");
 
