@@ -23,10 +23,11 @@
 //!    same quadratic cost). The even syndromes follow from the
 //!    characteristic-2 identity `S_{2k} = S_k²`, which also makes every
 //!    second step of the algorithm a no-op,
-//! 2. find the locator's roots: in closed form for degree 1 and 2 over the
-//!    small fields PBS uses, a Chien search (exhaustive evaluation) for the
-//!    rest of them (n ≤ 2047), or the Berlekamp trace algorithm for the
-//!    large fields PinSketch needs (m = 32 and beyond),
+//! 2. find the locator's roots: in closed form for degree 1 and 2 where the
+//!    codec holds syndrome columns (every plan at n ≤ 2047), a stepping
+//!    Chien search over any other field with log tables (m ≤ 16), or the
+//!    Berlekamp trace algorithm over a field without them (m ≥ 17:
+//!    PinSketch's m = 32, a one-round PBS plan at d ≳ 300),
 //! 3. validate the result by re-computing the syndromes of the recovered
 //!    difference; any mismatch is reported as a [`DecodeError`], which is the
 //!    "BCH decoding failure" exception of §3.2.
@@ -37,9 +38,10 @@
 //! parity-bitmap size PBS plans, `n = 63 … 2047` — a [`BchCodec`] builds
 //! once, at construction, the column `H[p] = (p, p³, …, p^(2t−1))` of every
 //! position `p`, and sketching a set is the XOR of its columns
-//! ([`BchCodec::sketch_slice`]). Larger fields (PinSketch's GF(2³²)) step
-//! the odd-power ladder per element instead ([`Sketch::add_batch`]), which
-//! is also the column table's oracle.
+//! ([`BchCodec::sketch_slice`]). Any other codec (PinSketch's GF(2³²), a
+//! one-round PBS plan whose `n·t` outgrows the bound) steps the odd-power
+//! ladder per element instead ([`Sketch::add_batch`]), which is also the
+//! column table's oracle.
 //!
 //! # Example
 //!
@@ -618,10 +620,9 @@ mod tests {
     fn column_sketch_matches_the_ladder_at_every_position() {
         // Every position of every table-backed field at every capacity the
         // planner can pick; past m = 12 only the capacities either side of
-        // the table bound. Explicit `Tables`, so PBS_FORCE_BACKEND cannot
-        // take the column table out of the test.
+        // the table bound.
         for m in 3..=16 {
-            let field = Arc::new(Field::with_backend(m, gf::BackendChoice::Tables));
+            let field = Arc::new(Field::new(m));
             let n = field.nonzero_count();
             let fit = COLUMN_TABLE_ENTRIES / n as usize;
             let capacities: Vec<usize> = if m <= 12 {
@@ -646,36 +647,33 @@ mod tests {
         }
         // All six paper sizes hold a table at any planned capacity.
         for m in 6..=11 {
-            assert!(BchCodec::new(m, 40).tables.is_some() || Field::new(m).generator().is_none());
+            assert!(BchCodec::new(m, 40).tables.is_some());
         }
     }
 
     #[test]
     fn fields_without_log_tables_sketch_and_decode_by_ladder() {
-        // What PBS_FORCE_BACKEND=reference makes of every PBS field, and
-        // what PinSketch's GF(2³²) always is.
-        let elements = [3u64, 77, 200, 13, 255, 1, 2];
-        for choice in [gf::BackendChoice::Barrett, gf::BackendChoice::Reference] {
-            let codec = BchCodec::with_field(Arc::new(Field::with_backend(8, choice)), 9);
-            assert!(codec.tables.is_none());
+        // What a one-round PBS plan reaches: m = 16 past the column bound
+        // (ladder + Chien; t = 3 is the first capacity without a table) and
+        // m ≥ 17 (no log tables: ladder + trace) — and PinSketch's m = 32.
+        for (m, t) in [(16, 3), (16, 9), (17, 9), (20, 9), (32, 9)] {
+            let codec = BchCodec::new(m, t);
+            assert!(codec.tables.is_none(), "m={m} t={t}");
+            assert_eq!(codec.field().generator().is_some(), m <= 16);
+            let top = codec.field().nonzero_count();
+            let elements = [3u64, 77, top, 200, 13, 1 << (m - 1), 1];
             let sketch = codec.sketch_slice(&elements);
             assert_eq!(sketch, ladder_sketch(&codec, &elements));
             assert_eq!(codec.sketch_set(elements), sketch);
-            // Degrees 1 and 2 go through the scan too, in its order.
-            let tables = BchCodec::with_field(
-                Arc::new(Field::with_backend(8, gf::BackendChoice::Tables)),
-                9,
-            );
-            for size in [1, 2, 7] {
-                let sketch = codec.sketch_slice(&elements[..size]);
-                let mut decoded = codec.decode(&sketch).unwrap();
-                let mut with_tables = tables.decode(&sketch).unwrap();
+            // Degrees 1 and 2 go through the scan or the trace too.
+            for size in [1, 2, 7].into_iter().filter(|&size| size <= t) {
+                let mut sketched = elements[..size].to_vec();
+                let mut decoded = codec.decode(&codec.sketch_slice(&sketched)).unwrap();
+                sketched.sort_unstable();
                 decoded.sort_unstable();
-                with_tables.sort_unstable();
-                assert_eq!(decoded, with_tables, "{choice:?} size {size}");
+                assert_eq!(decoded, sketched, "m={m} t={t} size {size}");
             }
         }
-        assert!(BchCodec::new(32, 10).tables.is_none());
     }
 
     #[test]
@@ -685,7 +683,7 @@ mod tests {
         // refuse what it refuses — irreducible quadratics (the scan finds
         // no root) and repeated roots (it finds one where two are needed).
         for m in [7u32, 8] {
-            let field = Arc::new(Field::with_backend(m, gf::BackendChoice::Tables));
+            let field = Arc::new(Field::new(m));
             let codec = BchCodec::with_field(Arc::clone(&field), 4);
             let f = &*field;
             let (mut terms, mut roots, mut elements) = (Vec::new(), Vec::new(), Vec::new());

@@ -1,27 +1,25 @@
 //! Root finding for error-locator polynomials over GF(2^m).
 //!
-//! Two strategies, chosen by field size:
+//! Two strategies; the field decides which:
 //!
-//! * **Stepping Chien search** for small fields. PBS works over GF(2^m) with
-//!   `n = 2^m − 1 ≤ 2047` (§5.1), so every candidate is scanned — but not by
-//!   re-running a full Horner evaluation per candidate. The classical
-//!   stepping formulation keeps one running term per locator coefficient and
-//!   advances each by a fixed per-coefficient multiplier when moving to the
-//!   next candidate; over the table-backed fields this collapses to one
-//!   exponent add and one antilog lookup per coefficient
-//!   ([`gf::Field::chien_search`]).
-//! * **Berlekamp trace algorithm** for large fields (PinSketch works over
-//!   GF(2^32)). The polynomial is recursively split with
-//!   `gcd(f, Tr(βx) mod f)` for successively chosen β. The Frobenius ladder
-//!   `x^(2^i) mod f` is computed **once per factor** and reused for the
-//!   full-splitting check and for every β trial (each trial is then only a
-//!   scalar Frobenius ladder on β plus scaled polynomial adds), instead of
-//!   re-running `m` modular squarings per trial.
+//! * **Stepping Chien search** when the field has log tables (`m ≤ 16`).
+//!   PBS works over GF(2^m) with `n = 2^m − 1 ≤ 2047` (§5.1), so every
+//!   candidate is scanned — but not by re-running a full Horner evaluation
+//!   per candidate. The classical stepping formulation keeps one running
+//!   term per locator coefficient and advances each by a fixed
+//!   per-coefficient multiplier when moving to the next candidate; over the
+//!   table-backed fields this collapses to one exponent add and one antilog
+//!   lookup per coefficient ([`gf::Field::chien_search`]).
+//! * **Berlekamp trace algorithm** otherwise (`m ≥ 17`: PinSketch's
+//!   GF(2^32), and a one-round PBS plan at d ≳ 300). The polynomial is
+//!   recursively split with `gcd(f, Tr(βx) mod f)` for successively chosen
+//!   β. The Frobenius ladder `x^(2^i) mod f` is computed **once per factor**
+//!   and reused for the full-splitting check and for every β trial (each
+//!   trial is then only a scalar Frobenius ladder on β plus scaled
+//!   polynomial adds), instead of re-running `m` modular squarings per
+//!   trial.
 
 use gf::{Field, Poly};
-
-/// Fields with at most this many elements use the exhaustive Chien search.
-const CHIEN_LIMIT: u64 = 1 << 16;
 
 /// Error returned when a polynomial does not split into distinct roots over
 /// the field — for a locator polynomial this signals an undecodable sketch.
@@ -55,45 +53,11 @@ pub fn find_roots(poly: &Poly, field: &Field) -> Result<Vec<u64>, RootFindError>
         return Err(RootFindError);
     }
 
-    if field.order() <= CHIEN_LIMIT || degree as u64 * 4 >= field.order() {
-        let roots = chien_search(poly, field);
-        if roots.len() == degree {
-            Ok(roots)
-        } else {
-            Err(RootFindError)
-        }
-    } else {
-        trace_split(poly, field)
+    match field.chien_search(poly.coeffs(), degree) {
+        Some(roots) if roots.len() == degree => Ok(roots),
+        Some(_) => Err(RootFindError),
+        None => trace_split(poly, field),
     }
-}
-
-/// Full scan over the nonzero field elements: the stepping kernel when the
-/// field is table-backed, a batched-Horner sweep otherwise (only reachable
-/// for degenerate degree ≈ order inputs on large fields).
-fn chien_search(poly: &Poly, field: &Field) -> Vec<u64> {
-    let want = poly.degree_or_zero();
-    if let Some(roots) = field.chien_search(poly.coeffs(), want) {
-        return roots;
-    }
-    let mut roots = Vec::new();
-    let mut batch = Vec::with_capacity(1024);
-    let mut xs = field.nonzero_elements();
-    loop {
-        batch.clear();
-        batch.extend(xs.by_ref().take(1024));
-        if batch.is_empty() {
-            break;
-        }
-        for (i, v) in poly.eval_batch(&batch, field).into_iter().enumerate() {
-            if v == 0 {
-                roots.push(batch[i]);
-                if roots.len() == want {
-                    return roots;
-                }
-            }
-        }
-    }
-    roots
 }
 
 /// The Frobenius ladder `x^(2^i) mod modulus` for `i = 0 .. m-1`.

@@ -424,6 +424,38 @@ mod tests {
         assert!(report.outcome.matches(&symmetric_difference(&a, &b)));
     }
 
+    /// A one-round plan — `Hello::config` accepts `target_rounds = 1` from
+    /// any peer — is where `bch`'s paths without a column table run: at
+    /// d = 100 a field with log tables whose `n·t` outgrows the column
+    /// table (ladder + stepping Chien), at d = 300 a field without log
+    /// tables (Barrett + ladder + trace algorithm). Both plans hold: the
+    /// exact difference in one round, no decode failure.
+    #[test]
+    fn one_round_plans_reconcile_over_fields_without_column_tables() {
+        let cfg = PbsConfig {
+            target_rounds: 1,
+            ..PbsConfig::paper_default()
+        }
+        .unlimited_rounds();
+        let pbs = Pbs::new(cfg);
+        for (d, m, log_tables) in [(100, 16, true), (300, 18, false)] {
+            let params = pbs.plan(d);
+            assert_eq!(params.m, m, "d = {d}");
+            assert!(params.n * params.t > bch::COLUMN_TABLE_ENTRIES, "d = {d}");
+            let codec = bch::BchCodec::new(params.m, params.t);
+            assert_eq!(codec.field().generator().is_some(), log_tables, "d = {d}");
+            let (a, b) = random_pair(10_000, d, 16);
+            let report = pbs.reconcile_with_known_d(&a, &b, d, 17);
+            assert!(report.outcome.claimed_success, "d = {d}");
+            assert!(report.outcome.matches(&symmetric_difference(&a, &b)));
+            assert_eq!(
+                (report.outcome.rounds, report.decode_failures),
+                (1, 0),
+                "d = {d}"
+            );
+        }
+    }
+
     #[test]
     fn two_sided_differences_are_recovered() {
         // Elements exclusive to Bob must also be discovered by Alice.

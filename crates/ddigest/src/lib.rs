@@ -123,8 +123,6 @@ impl DifferenceDigest {
         let decode_start = Instant::now();
         let mut diff = table_a;
         diff.subtract(&table_b);
-        // Peel in place: `diff` is already a scratch table, so the clone the
-        // borrowing `peel()` pays would be thrown away.
         let peel = diff.peel_mut();
         let recovered: Vec<u64> = peel.all().collect();
         let decode = decode_start.elapsed();

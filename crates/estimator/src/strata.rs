@@ -104,15 +104,9 @@ impl Estimator for StrataEstimator {
 
     /// Estimate `|A△B|` from the two strata ladders.
     ///
-    /// All strata are subtracted and peeled in one call to the fused
-    /// [`Iblt::diff_and_peel_batch`] kernel (one table copy per stratum,
-    /// with the subtraction folded into that copy and the peel running in
-    /// place) instead of 32 serial `clone`+`subtract`+`peel` passes. Peeling
-    /// a stratum is `O(cells)` regardless of how many elements were inserted
-    /// into it, so decoding the shallow strata that the early-exit walk may
-    /// never consult costs a bounded ~80-cell scan each — the walk below
-    /// still stops at the first undecodable stratum, producing exactly the
-    /// estimate the serial loop did.
+    /// Walks from the deepest (sparsest) stratum down to stratum 0,
+    /// subtracting and peeling each pair; stops at the first stratum that
+    /// fails to decode and scales up.
     fn estimate(&self, other: &Self) -> f64 {
         assert_eq!(
             self.strata.len(),
@@ -120,12 +114,10 @@ impl Estimator for StrataEstimator {
             "strata count mismatch"
         );
         assert_eq!(self.seed, other.seed, "estimators must share their seed");
-        let pairs: Vec<(&Iblt, &Iblt)> = self.strata.iter().zip(&other.strata).collect();
-        let peels = Iblt::diff_and_peel_batch(&pairs);
         let mut recovered = 0usize;
-        // Walk from the deepest (sparsest) stratum down to stratum 0; stop
-        // at the first stratum that fails to decode and scale up.
-        for (i, peel) in peels.iter().enumerate().rev() {
+        let pairs = self.strata.iter().zip(&other.strata);
+        for (i, (a, b)) in pairs.enumerate().rev() {
+            let peel = Iblt::diff_and_peel(a, b);
             if peel.complete {
                 recovered += peel.len();
             } else {

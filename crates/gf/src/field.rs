@@ -2,9 +2,9 @@
 //!
 //! # Backend selection
 //!
-//! Every [`Field`] resolves its multiplication strategy **once, at
-//! construction** — the hot path never re-detects CPU features or re-derives
-//! constants:
+//! A [`Field`]'s multiplication strategy is a function of `m` alone,
+//! resolved **once, at construction** — the hot path never re-detects CPU
+//! features or re-derives constants:
 //!
 //! * **Log/antilog tables** (`m <= 16`): multiplication is two table reads
 //!   and one add; inversion is one subtraction in the exponent domain. The
@@ -18,21 +18,15 @@
 //!   `mu = floor(x^(2m) / p)` turns reduction into two further carry-less
 //!   multiplications and two shifts, replacing the seed's bit-at-a-time
 //!   reduction loop (up to `2m - 2` iterations) with straight-line code.
-//! * **Reference** ([`BackendChoice::Reference`]): the original
-//!   per-call-feature-detect + shift-loop-reduce path, kept as the ground
-//!   truth for property tests.
+//!
+//! [`Field::mul_reference`] — a portable carry-less product reduced one
+//! degree at a time — builds the tables and is the one oracle the tests
+//! hold both backends to.
 //!
 //! Batched entry points ([`Field::mul_slice`], [`Field::square_slice`],
 //! [`Field::scalar_mul_slice`]) hoist the backend dispatch out of the loop so
 //! callers such as the BCH syndrome accumulator amortize it across a whole
 //! slice.
-//!
-//! The `PBS_FORCE_BACKEND` environment variable (`tables` / `barrett` /
-//! `reference`; `auto` or unset for none) overrides the automatic choice
-//! for every [`Field::new`] construction in the process — the CI matrix uses
-//! it to run the full test suite against the reference path — and any other
-//! value panics at the first construction rather than being ignored.
-//! Explicit [`Field::with_backend`] requests are never overridden.
 
 /// Maximum supported extension degree.
 pub const MAX_M: u32 = 32;
@@ -134,20 +128,6 @@ fn clmul_portable(a: u64, b: u64) -> u128 {
         b >>= 1;
     }
     acc
-}
-
-/// Carry-less multiplication with **per-call** feature detection: the seed's
-/// original code path, kept as the reference implementation the fast paths
-/// are benchmarked and property-tested against.
-fn clmul_detect_per_call(a: u64, b: u64) -> u128 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("pclmulqdq") {
-            // SAFETY: feature presence checked at runtime just above.
-            return unsafe { clmul_pclmul(a, b) };
-        }
-    }
-    clmul_portable(a, b)
 }
 
 /// Reduce a GF(2)-polynomial `v` modulo `poly` (degree `m`, with its leading
@@ -310,62 +290,11 @@ pub fn irreducible_poly(m: u32) -> u64 {
     unreachable!("an irreducible polynomial of degree {m} always exists")
 }
 
-/// Requested multiplication backend for [`Field::with_backend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Tables for `m <= 16`, carry-less + Barrett otherwise (the default).
-    Auto,
-    /// Force log/antilog tables (panics for `m > 16`).
-    Tables,
-    /// Force carry-less multiplication + Barrett reduction, even for small
-    /// fields where tables would normally win.
-    Barrett,
-    /// The original per-call-detect + shift-loop-reduce path. Slow; exists
-    /// so benchmarks and property tests can compare against it end to end.
-    Reference,
-}
-
-/// Resolved backend a [`Field`] runs on.
+/// The backend a [`Field`] runs on: tables iff `m <= 16`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
     Tables,
     Barrett,
-    Reference,
-}
-
-/// Parse a `PBS_FORCE_BACKEND` value: `tables`, `barrett` or `reference`
-/// name an override, `auto` names none (case-insensitive). Anything else —
-/// a typo, the empty string — is an error carrying the message
-/// [`forced_backend`] panics with, so a misspelt CI leg cannot silently run
-/// the automatic backend and stay green.
-fn parse_forced_backend(value: &str) -> Result<Option<BackendChoice>, String> {
-    match value.to_ascii_lowercase().as_str() {
-        "auto" => Ok(None),
-        "tables" => Ok(Some(BackendChoice::Tables)),
-        "barrett" => Ok(Some(BackendChoice::Barrett)),
-        "reference" => Ok(Some(BackendChoice::Reference)),
-        _ => Err(format!(
-            "PBS_FORCE_BACKEND={value:?} is not a backend; \
-             accepted values: auto, tables, barrett, reference"
-        )),
-    }
-}
-
-/// Backend override requested through the `PBS_FORCE_BACKEND` environment
-/// variable (see [`parse_forced_backend`]; unset means none), read once per
-/// process. Only [`BackendChoice::Auto`] constructions honour it — explicit
-/// `with_backend` requests (property tests, benchmarks) are never
-/// overridden — so the CI backend matrix can run the whole test suite on
-/// the reference path without touching any call site.
-///
-/// # Panics
-/// At first use, if the variable is set to a value that is not accepted.
-fn forced_backend() -> Option<BackendChoice> {
-    static FORCED: std::sync::OnceLock<Option<BackendChoice>> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var_os("PBS_FORCE_BACKEND") {
-        Some(v) => parse_forced_backend(&v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")),
-        None => None,
-    })
 }
 
 /// A binary extension field GF(2^m), `3 <= m <= 32`.
@@ -406,66 +335,18 @@ impl std::fmt::Debug for Field {
 }
 
 impl Field {
-    /// Construct GF(2^m) using the crate's default irreducible polynomial.
+    /// Construct GF(2^m) over the crate's irreducible polynomial of degree
+    /// `m`: log/antilog tables when `m <= 16`, carry-less multiplication
+    /// with Barrett reduction otherwise (see the module docs).
+    ///
+    /// # Panics
+    /// Panics if `m` is outside `3..=32`.
     pub fn new(m: u32) -> Self {
-        Self::with_poly(m, irreducible_poly(m))
-    }
-
-    /// Construct GF(2^m) with an explicit irreducible polynomial
-    /// (including its leading `x^m` term).
-    ///
-    /// # Panics
-    /// Panics if `m` is out of range or `poly` is not irreducible of degree `m`.
-    pub fn with_poly(m: u32, poly: u64) -> Self {
-        Self::build(m, poly, BackendChoice::Auto)
-    }
-
-    /// Construct GF(2^m) with an explicitly chosen backend, mainly for
-    /// benchmarks and backend-equivalence property tests.
-    ///
-    /// # Panics
-    /// Panics if `m` is out of range, or `BackendChoice::Tables` is requested
-    /// for a field too large to table (`m > 16`).
-    pub fn with_backend(m: u32, choice: BackendChoice) -> Self {
-        Self::build(m, irreducible_poly(m), choice)
-    }
-
-    fn build(m: u32, poly: u64, choice: BackendChoice) -> Self {
-        assert!(
-            (MIN_M..=MAX_M).contains(&m),
-            "field degree m must be in {MIN_M}..={MAX_M}, got {m}"
-        );
-        assert!(
-            is_irreducible(poly, m),
-            "modulus {poly:#x} is not an irreducible polynomial of degree {m}"
-        );
-        let choice = match choice {
-            // `tables` forced onto a large field falls back to the auto rule
-            // instead of panicking, so one env setting fits every m.
-            BackendChoice::Auto => match forced_backend() {
-                Some(BackendChoice::Tables) if m > TABLE_M_LIMIT => BackendChoice::Auto,
-                Some(forced) => forced,
-                None => BackendChoice::Auto,
-            },
-            explicit => explicit,
-        };
-        let backend = match choice {
-            BackendChoice::Auto => {
-                if m <= TABLE_M_LIMIT {
-                    Backend::Tables
-                } else {
-                    Backend::Barrett
-                }
-            }
-            BackendChoice::Tables => {
-                assert!(
-                    m <= TABLE_M_LIMIT,
-                    "log/antilog tables are limited to m <= {TABLE_M_LIMIT}, got {m}"
-                );
-                Backend::Tables
-            }
-            BackendChoice::Barrett => Backend::Barrett,
-            BackendChoice::Reference => Backend::Reference,
+        let poly = irreducible_poly(m);
+        let backend = if m <= TABLE_M_LIMIT {
+            Backend::Tables
+        } else {
+            Backend::Barrett
         };
         let (clmul, hw_clmul) = detect_clmul();
         let mut field = Field {
@@ -557,8 +438,8 @@ impl Field {
     }
 
     /// Name of the resolved multiplication backend, for diagnostics and the
-    /// benchmark reports: `"tables"`, `"clmul-barrett"`, `"portable-barrett"`
-    /// or `"reference"`.
+    /// benchmark reports: `"tables"`, `"clmul-barrett"` or
+    /// `"portable-barrett"`.
     pub fn backend_name(&self) -> &'static str {
         match self.backend {
             Backend::Tables => "tables",
@@ -569,7 +450,6 @@ impl Field {
                     "portable-barrett"
                 }
             }
-            Backend::Reference => "reference",
         }
     }
 
@@ -631,14 +511,14 @@ impl Field {
         r
     }
 
-    /// The reference multiplication: per-call feature detection and
-    /// shift-loop reduction, regardless of the field's resolved backend.
-    /// This is the seed implementation, kept as ground truth for the
-    /// property tests and as the benchmark baseline.
+    /// The reference multiplication: a portable shift-and-add carry-less
+    /// product reduced one degree at a time, regardless of the field's
+    /// backend. It builds the log/antilog tables and is the oracle the
+    /// tests hold both backends to.
     pub fn mul_reference(&self, a: u64, b: u64) -> u64 {
         self.check(a);
         self.check(b);
-        reduce_naive(clmul_detect_per_call(a, b), self.poly, self.m)
+        reduce_naive(clmul_portable(a, b), self.poly, self.m)
     }
 
     /// Fused multiply + Barrett reduce on the hardware path: all three
@@ -723,7 +603,6 @@ impl Field {
                 }
                 self.barrett_reduce((self.clmul)(a, b))
             }
-            Backend::Reference => self.mul_reference(a, b),
         }
     }
 
@@ -748,7 +627,6 @@ impl Field {
                 }
                 self.barrett_reduce((self.clmul)(a, a))
             }
-            Backend::Reference => reduce_naive(square_bits(a), self.poly, self.m),
         }
     }
 
@@ -779,11 +657,6 @@ impl Field {
                     self.check(*d);
                     self.check(s);
                     *d = self.barrett_reduce(clmul(*d, s));
-                }
-            }
-            Backend::Reference => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = self.mul_reference(*d, s);
                 }
             }
         }
@@ -818,11 +691,6 @@ impl Field {
                     *d = self.barrett_reduce(clmul(*d, c));
                 }
             }
-            Backend::Reference => {
-                for d in dst.iter_mut() {
-                    *d = self.mul_reference(*d, c);
-                }
-            }
         }
     }
 
@@ -842,7 +710,7 @@ impl Field {
                     *v = self.barrett_reduce(clmul(*v, *v));
                 }
             }
-            _ => {
+            Backend::Tables => {
                 for v in vals.iter_mut() {
                     *v = self.square(*v);
                 }
@@ -1047,16 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn barrett_backend_matches_reference_exhaustively_small() {
-        let f = Field::with_backend(6, BackendChoice::Barrett);
-        for a in 0..64u64 {
-            for b in 0..64u64 {
-                assert_eq!(f.mul(a, b), f.mul_reference(a, b), "mismatch at {a} * {b}");
-            }
-        }
-    }
-
-    #[test]
     fn barrett_mu_has_degree_m() {
         for m in MIN_M..=MAX_M {
             let poly = irreducible_poly(m);
@@ -1119,31 +977,20 @@ mod tests {
 
     #[test]
     fn slice_ops_match_scalar_ops() {
-        for choice in [
-            BackendChoice::Tables,
-            BackendChoice::Barrett,
-            BackendChoice::Reference,
-        ] {
-            let f = Field::with_backend(11, choice);
+        // One table-backed field, two Barrett ones.
+        for m in [11u32, 17, 32] {
+            let f = Field::new(m);
             let xs: Vec<u64> = (0..257u64).map(|i| (i * 48271 + 11) % f.order()).collect();
             let ys: Vec<u64> = (0..257u64).map(|i| (i * 69621 + 3) % f.order()).collect();
             let mut prod = xs.clone();
             f.mul_slice(&mut prod, &ys);
             for i in 0..xs.len() {
-                assert_eq!(
-                    prod[i],
-                    f.mul(xs[i], ys[i]),
-                    "mul_slice[{i}] backend {choice:?}"
-                );
+                assert_eq!(prod[i], f.mul(xs[i], ys[i]), "mul_slice[{i}] m={m}");
             }
             let mut sq = xs.clone();
             f.square_slice(&mut sq);
             for i in 0..xs.len() {
-                assert_eq!(
-                    sq[i],
-                    f.square(xs[i]),
-                    "square_slice[{i}] backend {choice:?}"
-                );
+                assert_eq!(sq[i], f.square(xs[i]), "square_slice[{i}] m={m}");
             }
             let mut scaled = xs.clone();
             f.scalar_mul_slice(&mut scaled, 0x2A7);
@@ -1151,7 +998,7 @@ mod tests {
                 assert_eq!(
                     scaled[i],
                     f.mul(xs[i], 0x2A7),
-                    "scalar_mul_slice[{i}] backend {choice:?}"
+                    "scalar_mul_slice[{i}] m={m}"
                 );
             }
         }
@@ -1159,9 +1006,7 @@ mod tests {
 
     #[test]
     fn chien_search_finds_generator_power_roots() {
-        // Pin the tables backend: the Chien walk needs the log/antilog
-        // tables, and `Field::new` may be redirected by PBS_FORCE_BACKEND.
-        let f = Field::with_backend(11, BackendChoice::Tables);
+        let f = Field::new(11);
         // Polynomial with roots {3, 500, 1999}: (x+3)(x+500)(x+1999) built by
         // convolution through the field itself.
         let roots = [3u64, 500, 1999];
@@ -1183,43 +1028,17 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_are_stable() {
-        // Explicit choices are never overridden by PBS_FORCE_BACKEND, so
-        // these hold in every CI matrix cell.
-        let tables = Field::with_backend(8, BackendChoice::Tables);
-        assert_eq!(tables.backend_name(), "tables");
-        let barrett = Field::with_backend(8, BackendChoice::Barrett);
-        assert!(barrett.backend_name().ends_with("barrett"));
-        assert_eq!(
-            Field::with_backend(8, BackendChoice::Reference).backend_name(),
-            "reference"
-        );
-        assert!(tables.generator().is_some());
-        assert!(barrett.generator().is_none());
-    }
-
-    #[test]
-    fn forced_backend_values_are_parsed_strictly() {
-        assert_eq!(parse_forced_backend("auto"), Ok(None));
-        assert_eq!(
-            parse_forced_backend("tables"),
-            Ok(Some(BackendChoice::Tables))
-        );
-        assert_eq!(
-            parse_forced_backend("barrett"),
-            Ok(Some(BackendChoice::Barrett))
-        );
-        assert_eq!(
-            parse_forced_backend("Reference"),
-            Ok(Some(BackendChoice::Reference))
-        );
-        // A typo must not read as "no override": CI's reference leg would
-        // run the automatic backend and stay green.
-        for bad in ["refrence", "", " reference", "reference,tables"] {
-            let err = parse_forced_backend(bad).expect_err(bad);
-            assert!(err.contains("PBS_FORCE_BACKEND"), "{err}");
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-            assert!(err.contains("auto, tables, barrett, reference"), "{err}");
+    fn a_field_has_log_tables_iff_m_is_at_most_16() {
+        for m in MIN_M..=MAX_M {
+            let f = Field::new(m);
+            let tabled = m <= 16;
+            assert_eq!(f.generator().is_some(), tabled, "m={m}");
+            assert_eq!(f.log(1).is_some(), tabled, "m={m}");
+            if tabled {
+                assert_eq!(f.backend_name(), "tables");
+            } else {
+                assert!(f.backend_name().ends_with("-barrett"), "m={m}");
+            }
         }
     }
 
@@ -1277,11 +1096,5 @@ mod tests {
     #[should_panic(expected = "field degree m must be in")]
     fn out_of_range_degree_panics() {
         Field::new(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "log/antilog tables are limited")]
-    fn forced_tables_reject_large_fields() {
-        Field::with_backend(20, BackendChoice::Tables);
     }
 }

@@ -5,16 +5,16 @@
 //! and the PinSketch baseline) is decoded with arithmetic from this crate:
 //!
 //! * [`Field`] — a binary extension field GF(2^m) for `3 <= m <= 32`,
-//!   with log/antilog tables for small `m` and carry-less multiplication
-//!   with Barrett reduction for large `m`. The backend (tables, hardware
-//!   PCLMUL + Barrett, or portable + Barrett) is resolved once at
-//!   construction and cached; see the `field` module docs. Batched entry
-//!   points (`mul_slice`, `square_slice`, `eval_batch`) amortize dispatch
-//!   for the syndrome kernels in `bch`.
+//!   with log/antilog tables iff `m <= 16` and carry-less multiplication
+//!   with Barrett reduction above. The backend is a function of `m` alone
+//!   (Barrett's carry-less multiply is hardware PCLMUL when the CPU has it,
+//!   portable otherwise), resolved once at construction and cached; see
+//!   the `field` module docs. Batched entry points (`mul_slice`,
+//!   `square_slice`, `scalar_mul_slice`) amortize dispatch for the syndrome
+//!   kernels in `bch`.
 //! * [`Poly`] — dense polynomials over a [`Field`], with the operations a
 //!   Berlekamp–Massey decoder and a Berlekamp-trace root finder need:
-//!   multiplication, remainder, gcd, evaluation, formal derivative and
-//!   modular squaring.
+//!   multiplication, remainder, gcd, evaluation and modular squaring.
 //!
 //! Field elements are represented as `u64` values whose low `m` bits are the
 //! coefficients of the polynomial-basis representation. The zero element is
@@ -37,5 +37,5 @@
 mod field;
 mod poly;
 
-pub use field::{irreducible_poly, is_irreducible, BackendChoice, Field};
+pub use field::{irreducible_poly, is_irreducible, Field};
 pub use poly::{Poly, KARATSUBA_CUTOFF};

@@ -217,29 +217,6 @@ impl Poly {
         Poly::from_coeffs(mul_coeffs(&self.coeffs, &other.coeffs, f))
     }
 
-    /// Schoolbook polynomial multiplication, O(deg_a · deg_b).
-    ///
-    /// Kept public as the ground truth for the Karatsuba-vs-schoolbook
-    /// property tests (this is the seed's exact per-coefficient-pair loop).
-    pub fn mul_schoolbook(&self, other: &Poly, f: &Field) -> Poly {
-        if self.is_zero() || other.is_zero() {
-            return Poly::zero();
-        }
-        let mut out = vec![0u64; self.coeffs.len() + other.coeffs.len() - 1];
-        for (i, &a) in self.coeffs.iter().enumerate() {
-            if a == 0 {
-                continue;
-            }
-            for (j, &b) in other.coeffs.iter().enumerate() {
-                if b == 0 {
-                    continue;
-                }
-                out[i + j] ^= f.mul(a, b);
-            }
-        }
-        Poly::from_coeffs(out)
-    }
-
     /// Multiply by the monomial `x^k`.
     pub fn shift(&self, k: usize) -> Poly {
         if self.is_zero() {
@@ -318,48 +295,6 @@ impl Poly {
             acc = f.add(f.mul(acc, x), c);
         }
         acc
-    }
-
-    /// Evaluate the polynomial at every point of `xs`.
-    ///
-    /// Runs four interleaved Horner chains so the field multiplications of
-    /// independent points overlap, and amortizes the backend dispatch via
-    /// [`Field::mul_slice`]. Falls back to plain Horner for the remainder.
-    pub fn eval_batch(&self, xs: &[u64], f: &Field) -> Vec<u64> {
-        let mut out = Vec::with_capacity(xs.len());
-        let mut chunks = xs.chunks_exact(4);
-        for chunk in &mut chunks {
-            let pts = [chunk[0], chunk[1], chunk[2], chunk[3]];
-            let mut acc = [0u64; 4];
-            for &c in self.coeffs.iter().rev() {
-                f.mul_slice(&mut acc, &pts);
-                for a in acc.iter_mut() {
-                    *a ^= c;
-                }
-            }
-            out.extend_from_slice(&acc);
-        }
-        for &x in chunks.remainder() {
-            out.push(self.eval(x, f));
-        }
-        out
-    }
-
-    /// Formal derivative. In characteristic 2 the even-degree terms vanish
-    /// and the odd-degree coefficients move down one degree.
-    pub fn derivative(&self) -> Poly {
-        if self.coeffs.len() <= 1 {
-            return Poly::zero();
-        }
-        let mut out = vec![0u64; self.coeffs.len() - 1];
-        for (i, v) in out.iter_mut().enumerate() {
-            // coefficient of x^i in the derivative is (i+1) * coeffs[i+1];
-            // (i+1) mod 2 is 1 only when i is even.
-            if i % 2 == 0 {
-                *v = self.coeffs[i + 1];
-            }
-        }
-        Poly::from_coeffs(out)
     }
 
     /// `self * other mod modulus`, without materializing the full product
@@ -479,14 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn derivative_drops_even_terms() {
-        // p = 1 + x + x^2 + x^3 -> p' = 1 + x^2 (char 2)
-        let p = Poly::from_coeffs(vec![1, 1, 1, 1]);
-        assert_eq!(p.derivative(), Poly::from_coeffs(vec![1, 0, 1]));
-        assert_eq!(Poly::constant(7).derivative(), Poly::zero());
-    }
-
-    #[test]
     fn square_mod_matches_mulmod() {
         let f = Field::new(11);
         let modulus = Poly::from_coeffs(vec![3, 0, 1, 0, 0, 1]); // degree 5
@@ -503,28 +430,6 @@ mod tests {
         let p = Poly::from_coeffs(vec![1, 2]);
         assert_eq!(p.shift(2), Poly::from_coeffs(vec![0, 0, 1, 2]));
         assert_eq!(p.shift(2), p.mul(&Poly::monomial(1, 2), &f));
-    }
-
-    #[test]
-    fn eval_batch_matches_pointwise_eval() {
-        for m in [8u32, 11, 32] {
-            let f = Field::new(m);
-            let p = Poly::from_coeffs((1..=9u64).map(|c| c % f.order()).collect());
-            let xs: Vec<u64> = (0..23u64).map(|i| (i * 0x9E37 + 5) % f.order()).collect();
-            let batch = p.eval_batch(&xs, &f);
-            for (i, &x) in xs.iter().enumerate() {
-                assert_eq!(
-                    batch[i],
-                    p.eval(x, &f),
-                    "eval_batch mismatch at x={x}, m={m}"
-                );
-            }
-        }
-        let f = Field::new(8);
-        assert!(Poly::zero()
-            .eval_batch(&[1, 2, 3], &f)
-            .iter()
-            .all(|&v| v == 0));
     }
 
     #[test]

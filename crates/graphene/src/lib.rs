@@ -179,12 +179,11 @@ impl Graphene {
         }
         // Build the candidate table through the batched insert kernel (the
         // candidate set is already materialized as a slice, so the 64-key
-        // staging buffer of `insert_all` is pure overhead), subtract through
-        // the fused kernel, and peel in place — the borrowing `peel()` would
-        // clone the full table only to throw the scratch copy away.
+        // staging buffer of `insert_all` is pure overhead), subtract, and
+        // peel in place.
         let mut iblt_c = Iblt::new(cells, hashes, table_seed);
         iblt_c.insert_batch(&candidates);
-        iblt_c.subtract_batch(&[&iblt_b]);
+        iblt_c.subtract(&iblt_b);
         let peel = iblt_c.peel_mut();
         recovered.extend(peel.all());
         let decode = decode_start.elapsed();

@@ -1381,6 +1381,37 @@ mod tests {
         }
     }
 
+    /// A peer may ask for a one-round plan: at d = 300 it runs over
+    /// GF(2¹⁸), a field without log tables (Barrett + ladder + trace
+    /// algorithm), on both machines — and still recovers the exact
+    /// difference and lands it in the store.
+    #[test]
+    fn a_one_round_plan_reconciles_over_a_field_without_log_tables() {
+        let mut config = ClientConfig {
+            seed: SEED,
+            known_d: Some(300),
+            ..ClientConfig::default()
+        };
+        config.pbs.target_rounds = 1;
+        config.pbs = config.pbs.unlimited_rounds();
+        assert_eq!(Pbs::new(config.pbs).plan(300).m, 18);
+        let store = mutable(0..10_000);
+        let client_set = elements(150..10_150);
+        let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+        let (_, _, report) = duet.transcript(&config, &client_set);
+        assert!(report.verified && report.rounds == 1);
+        let mut recovered = report.recovered;
+        recovered.sort_unstable();
+        let mut expected = [elements(0..150), elements(10_000..10_150)].concat();
+        expected.sort_unstable();
+        assert_eq!(recovered, expected);
+        let mut held = store.snapshot();
+        held.sort_unstable();
+        let mut union = elements(0..10_150);
+        union.sort_unstable();
+        assert_eq!(held, union, "the final transfer landed");
+    }
+
     #[test]
     fn sessions_parked_at_one_epoch_hold_one_view() {
         let store = mutable(0..500);
