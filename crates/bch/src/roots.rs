@@ -86,7 +86,9 @@ fn trace_poly_from_ladder(ladder: &[Poly], beta: u64, field: &Field) -> Poly {
 /// Berlekamp trace algorithm for large fields.
 fn trace_split(poly: &Poly, field: &Field) -> Result<Vec<u64>, RootFindError> {
     let monic = poly.clone().into_monic(field);
-    let degree = monic.degree().unwrap();
+    let Some(degree) = monic.degree() else {
+        return Err(RootFindError);
+    };
 
     // Check that the polynomial splits completely with distinct roots:
     // poly | x^(2^m) − x  ⇔  x^(2^m) ≡ x (mod poly). The ladder gives

@@ -19,22 +19,15 @@
 //! * [`report`] — p50/p99/p999 per-phase tables and machine-readable
 //!   JSON.
 //!
-//! [`proxy`] adds the fault layer: a std TCP relay with seeded
-//! drop/delay/partition/heal controls and an exact per-direction byte
-//! ledger, which is what `tests/mesh_soak.rs` runs the anti-entropy mesh
-//! through.
-//!
 //! The `pbs-loadgen` binary ties the layers together; see the README's
 //! "Load testing & mesh operations" section.
 
 pub mod engine;
 pub mod plan;
-pub mod proxy;
 pub mod report;
 pub mod session;
 
 pub use engine::{Engine, EngineConfig, Metrics};
 pub use plan::{build_plan, Arrival, Kind, Mix, PlanConfig};
-pub use proxy::{FaultProxy, LedgerSnapshot};
 pub use report::Report;
 pub use session::{LoadSession, Outcome, PhaseNanos, SessionResult, SessionSpec};

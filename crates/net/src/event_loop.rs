@@ -1093,7 +1093,7 @@ mod tests {
     use crate::frame::{write_frame, DEFAULT_MAX_FRAME};
     use crate::machine::{ClientMachine, Mode};
     use crate::server::Server;
-    use crate::server_machine::duet::Duet;
+    use crate::sim::Duet;
     use crate::store::{MutableStore, ViewAnswer};
     use crate::{FramedStream, TransportConfig};
     use std::sync::atomic::AtomicBool;

@@ -926,7 +926,7 @@ mod tests {
     fn one_frame_of_every_type_round_trips() {
         // The machines' state × wrong-frame tables are built from these:
         // the empty `Sketches { m: 8 }` and the empty `Reports` among them.
-        for frame in crate::server_machine::duet::one_of_each() {
+        for frame in crate::sim::one_of_each() {
             assert_eq!(round_trip(&frame, DEFAULT_MAX_FRAME), frame);
         }
     }

@@ -95,6 +95,8 @@ pub mod poll;
 pub mod server;
 pub(crate) mod server_machine;
 pub mod setio;
+#[cfg(test)]
+pub(crate) mod sim;
 pub mod store;
 pub mod wal;
 pub mod watch;

@@ -624,7 +624,7 @@ impl<'a> ClientMachine<'a> {
 mod tests {
     use super::*;
     use crate::frame::{write_frame, ErrorCode, DEFAULT_MAX_FRAME};
-    use crate::server_machine::duet::{one_of_each, Duet};
+    use crate::sim::{one_of_each, Duet};
     use crate::store::MutableStore;
     use crate::TransportConfig;
     use std::sync::Arc;

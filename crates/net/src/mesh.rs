@@ -16,15 +16,16 @@
 //! converges after enough pairwise rounds regardless of topology, and
 //! partitioned halves converge among themselves and re-converge globally
 //! once the partition heals. The peer rotation and tick jitter are seeded
-//! ([`MeshConfig::seed`]), so a mesh soak replays the same schedule.
+//! ([`MeshConfig::seed`]), so a run replays the same schedule.
 //!
 //! [`anti_entropy_round`] is the synchronous single-(peer × stores) pass —
-//! the unit tests and the mesh soak drive it directly for determinism;
-//! [`MeshDriver::spawn`] wraps it in the background thread `pbs-syncd`
-//! runs.
+//! the unit tests and the socket mesh test (`tests/mesh_soak.rs`) drive it
+//! directly; [`MeshDriver::spawn`] wraps it in the background thread
+//! `pbs-syncd` runs; the simulator's mesh rounds (`sim.rs`) share its
+//! handling of one store's result, `settle`.
 
-use crate::client::{sync, ClientConfig};
-use crate::store::StoreRegistry;
+use crate::client::{sync, ClientConfig, SyncReport};
+use crate::store::{RegisteredStore, StoreRegistry};
 use crate::NetError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,7 +62,7 @@ impl Default for MeshConfig {
 /// Per-peer (per-link) counters, updated by every pairwise sync. All
 /// counters are cumulative; byte counters come straight from the
 /// [`crate::client::SyncReport`] wire ledgers, so on a fault-free link
-/// they reconcile exactly with what a relay in the middle forwarded.
+/// they equal what the peer's server counted in and out.
 #[derive(Debug, Default)]
 pub struct PeerStats {
     /// Pairwise syncs attempted (one per store per rotation).
@@ -172,73 +173,66 @@ pub fn anti_entropy_round(
         let Some(entry) = registry.get(&name) else {
             continue;
         };
-        let store = Arc::clone(entry.store());
-        let (snapshot, _epoch) = store.epoch_snapshot();
+        let (snapshot, _epoch) = entry.store().epoch_snapshot();
         let mut cfg = config.clone();
         cfg.store = name.clone();
         cfg.delta_epoch = None;
         stats.syncs_attempted.fetch_add(1, Ordering::Relaxed);
-        match sync(peer, &snapshot, &cfg) {
-            Ok(report) if report.verified => {
-                // The peer ingested `A \ B` (report.pushed) from the final
-                // transfer; what remains of the recovered difference is
-                // `B \ A` — ours to apply. `apply_missing` on a
-                // MutableStore is an ordinary apply: epoch bump,
-                // changelog batch, subscriber push.
-                let pulled = report.pulled();
-                // The exchange itself happened either way: its bytes and
-                // what the peer ingested count. What we pulled counts only
-                // if our own store took it.
-                stats
-                    .bytes_sent
-                    .fetch_add(report.bytes_sent, Ordering::Relaxed);
-                stats
-                    .bytes_received
-                    .fetch_add(report.bytes_received, Ordering::Relaxed);
-                stats
-                    .elements_pushed
-                    .fetch_add(report.pushed.len() as u64, Ordering::Relaxed);
-                outcome.pushed += report.pushed.len() as u64;
-                if pulled.is_empty() || store.apply_missing(&pulled) {
-                    stats.syncs_completed.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .elements_pulled
-                        .fetch_add(pulled.len() as u64, Ordering::Relaxed);
-                    outcome.synced += 1;
-                    outcome.pulled += pulled.len() as u64;
-                } else {
-                    stats.syncs_failed.fetch_add(1, Ordering::Relaxed);
-                    outcome.failed += 1;
-                    first_error.get_or_insert_with(|| {
-                        NetError::Io(std::io::Error::other(format!(
-                            "store {name:?} refused the {} pulled elements",
-                            pulled.len()
-                        )))
-                    });
-                }
-            }
-            Ok(_) => {
-                // Unverified: the round cap fired before every group
-                // checksum passed. Apply nothing — a best-effort recovery
-                // may contain fakes.
-                stats.syncs_failed.fetch_add(1, Ordering::Relaxed);
-                outcome.failed += 1;
-                if first_error.is_none() {
-                    first_error = Some(NetError::Protocol(
-                        "anti-entropy sync finished unverified".into(),
-                    ));
-                }
-            }
-            Err(e) => {
-                stats.syncs_failed.fetch_add(1, Ordering::Relaxed);
-                outcome.failed += 1;
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
+        let synced = sync(peer, &snapshot, &cfg);
+        if let Err(e) = settle(&entry, synced, stats, &mut outcome) {
+            first_error.get_or_insert(e);
         }
     }
     (outcome, first_error)
+}
+
+/// One store's pairwise sync, over whatever transport ran it, counted and
+/// applied: the peer's half of a verified difference goes into the store.
+pub(crate) fn settle(
+    entry: &RegisteredStore,
+    synced: Result<SyncReport, NetError>,
+    stats: &PeerStats,
+    outcome: &mut RoundOutcome,
+) -> Result<(), NetError> {
+    let pulled = synced.and_then(|report| {
+        if !report.verified {
+            // Capped short of every checksum: a best-effort recovery may hold fakes.
+            return Err(NetError::Protocol(
+                "anti-entropy sync finished unverified".into(),
+            ));
+        }
+        // The exchange happened either way: its bytes and what the peer
+        // ingested (`A \ B`) count. The rest, `B \ A`, is ours to apply — an
+        // ordinary epoch-bumping batch on a MutableStore — if it lands.
+        let pushed = report.pushed.len() as u64;
+        stats
+            .bytes_sent
+            .fetch_add(report.bytes_sent, Ordering::Relaxed);
+        stats
+            .bytes_received
+            .fetch_add(report.bytes_received, Ordering::Relaxed);
+        stats.elements_pushed.fetch_add(pushed, Ordering::Relaxed);
+        outcome.pushed += pushed;
+        let pulled = report.pulled();
+        match pulled.is_empty() || entry.store().apply_missing(&pulled) {
+            true => Ok(pulled.len() as u64),
+            false => Err(NetError::Io(std::io::Error::other(format!(
+                "store {:?} refused the {} pulled elements",
+                entry.name(),
+                pulled.len()
+            )))),
+        }
+    });
+    let Ok(pulled) = pulled else {
+        stats.syncs_failed.fetch_add(1, Ordering::Relaxed);
+        outcome.failed += 1;
+        return pulled.map(drop);
+    };
+    stats.syncs_completed.fetch_add(1, Ordering::Relaxed);
+    stats.elements_pulled.fetch_add(pulled, Ordering::Relaxed);
+    outcome.synced += 1;
+    outcome.pulled += pulled;
+    Ok(())
 }
 
 /// The background anti-entropy loop of one node: seeded peer rotation,

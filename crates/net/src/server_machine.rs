@@ -736,190 +736,12 @@ fn delta_stream(batches: &[ChangeBatch], current: u64, max_frame: u32) -> (Vec<F
 }
 
 #[cfg(test)]
-/// Both machines in one thread, no listener: what the client sends goes
-/// straight into a [`ServerMachine`], what that answers — a refusal as the
-/// `Error` frame a driver would make of it — comes straight back.
-pub(crate) mod duet {
-    use super::*;
-    use crate::client::{ClientConfig, SyncReport};
-    use crate::frame::{write_frame, Hello, DEFAULT_MAX_FRAME};
-    use crate::machine::{ClientMachine, Mode, Phase};
-    use crate::store::SetStore;
-    use crate::NetError;
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    /// A store that keeps no epochs: [`SetStore`] with its defaults, what
-    /// an out-of-tree store is. The tree's own store overrides them all, so
-    /// this is what keeps the epoch-less branch of both machines run.
-    pub(crate) struct Epochless(pub Mutex<Vec<u64>>);
-
-    impl SetStore for Epochless {
-        fn snapshot(&self) -> Vec<u64> {
-            self.0.lock().unwrap().clone()
-        }
-
-        fn apply_missing(&self, elements: &[u64]) -> bool {
-            self.0.lock().unwrap().extend_from_slice(elements);
-            true
-        }
-    }
-
-    pub(crate) struct Duet {
-        pub res: Resources,
-        pub server: ServerMachine,
-        /// Type byte of every frame delivered to the server.
-        pub sent: Vec<u8>,
-        /// What the server has answered and the client has not read yet.
-        pub inbox: VecDeque<Frame>,
-        /// Every boundary the server crossed.
-        pub crossed: Vec<Crossed>,
-        /// `Some(completed)` once the server ended the session.
-        pub closed: Option<bool>,
-    }
-
-    impl Duet {
-        /// A server with `config` whose default store is `store`.
-        pub fn new(store: Arc<dyn SetStore>, config: ServerConfig) -> Self {
-            Duet {
-                res: Resources {
-                    registry: Arc::new(StoreRegistry::single(store)),
-                    config,
-                    stats: Arc::new(ServerStats::default()),
-                    live_subscribers: AtomicUsize::new(0),
-                },
-                server: ServerMachine::new(),
-                sent: Vec::new(),
-                inbox: VecDeque::new(),
-                crossed: Vec::new(),
-                closed: None,
-            }
-        }
-
-        pub fn over(store: Arc<dyn SetStore>) -> Self {
-            Self::new(store, ServerConfig::default())
-        }
-
-        fn absorb(&mut self, step: Result<Step, Refusal>) {
-            match step {
-                Ok(step) => {
-                    self.inbox.extend(step.frames);
-                    self.crossed.extend(step.crossed);
-                    self.closed = self.closed.or(step.close);
-                }
-                Err(refusal) => {
-                    if let Refusal::Answer { code, message } = refusal {
-                        self.inbox.push_back(Frame::Error { code, message });
-                    }
-                    self.closed = Some(false);
-                }
-            }
-        }
-
-        /// What an event loop does with a received frame: the machine's
-        /// replies first, then the set-up work they precede — and nothing
-        /// once the session is over (a refusal may cross the peer's next
-        /// frame on the wire).
-        pub fn deliver(&mut self, frame: Frame) {
-            self.sent.push(frame.type_byte());
-            if self.closed.is_some() {
-                return;
-            }
-            let step = self.server.on_frame(&self.res, frame);
-            self.absorb(step);
-            while self.closed.is_none() && self.server.owes().is_some() {
-                let step = self.server.set_up(&self.res);
-                self.absorb(step);
-            }
-        }
-
-        /// What an event loop does when the store changed.
-        pub fn push(&mut self, room: u64) {
-            let step = self.server.push(&self.res, room);
-            self.absorb(step);
-        }
-
-        /// Drive `client` against the server to its report, collecting the
-        /// client-side boundaries crossed on the way.
-        /// One full sync of `set` against the server's store: every byte
-        /// the client put on the wire, every byte the server did, and the
-        /// report.
-        pub fn transcript(
-            &mut self,
-            config: &ClientConfig,
-            set: &[u64],
-        ) -> (Vec<u8>, Vec<u8>, SyncReport) {
-            let mut client = ClientMachine::new(config, set, Mode::Full).unwrap();
-            let (mut up, mut down) = (Vec::new(), Vec::new());
-            loop {
-                if let Some(frame) = client.poll_send().unwrap() {
-                    write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
-                    self.deliver(frame);
-                }
-                let reply = self.inbox.pop_front().expect("the server owes a frame");
-                write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
-                if let Some(report) = client.on_frame(reply).unwrap().report {
-                    return (up, down, report);
-                }
-            }
-        }
-
-        pub fn run(
-            &mut self,
-            client: &mut ClientMachine<'_>,
-        ) -> Result<(SyncReport, Vec<Phase>), NetError> {
-            let mut crossed = Vec::new();
-            loop {
-                if let Some(frame) = client.poll_send()? {
-                    self.deliver(frame);
-                }
-                let reply = self.inbox.pop_front().expect("the server owes a frame");
-                let step = client.on_frame(reply)?;
-                crossed.extend(step.crossed);
-                if let Some(report) = step.report {
-                    assert_eq!(client.poll_send()?, None, "a finished machine owes nothing");
-                    return Ok((report, crossed));
-                }
-            }
-        }
-    }
-
-    /// One frame of every type except `Error`.
-    pub(crate) fn one_of_each() -> Vec<Frame> {
-        vec![
-            Frame::Hello(Hello::from_config(&PbsConfig::default(), 1, 0)),
-            Frame::EstimatorExchange(EstimatorMsg::TowBank(vec![1, 2, 3])),
-            Frame::EstimatorExchange(EstimatorMsg::Estimate {
-                d_param: 5,
-                d_hat: 4.0,
-            }),
-            Frame::Sketches {
-                m: 8,
-                batch: Vec::new(),
-            },
-            Frame::Reports(Vec::new()),
-            Frame::Done(Vec::new()),
-            Frame::DeltaBatch {
-                epoch: 1,
-                added: vec![1],
-                removed: vec![],
-            },
-            Frame::DeltaDone { epoch: 1 },
-            Frame::FullResyncRequired { epoch: 1 },
-            Frame::Subscribe { epoch: 1 },
-            Frame::Ping { nonce: 1 },
-            Frame::Pong { nonce: 1 },
-        ]
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::duet::{one_of_each, Duet, Epochless};
     use super::*;
     use crate::client::{ClientConfig, Pipeline};
     use crate::frame::Hello;
     use crate::machine::{ClientMachine, Mode};
+    use crate::sim::{one_of_each, Duet, Epochless};
     use crate::store::{MutableStore, SetStore};
     use crate::NetError;
     use pbs_core::AliceSession;

@@ -1,0 +1,1433 @@
+//! A deterministic simulation of the whole service, with no socket, thread
+//! or clock: N stores behind [`ServerMachine`]s and M [`ClientMachine`]s —
+//! one-shot, `--since` and `--follow` clients, and the nodes' own mesh
+//! rounds — over in-memory byte links, every choice drawn from one `u64`
+//! seed.
+//!
+//! * **Links** carry `frame::encode_frame` bytes, delivered in seeded chunk
+//!   sizes and read back with `decode_frame`, so a cut can land mid-body.
+//!   Each direction counts what was sent, delivered and discarded.
+//! * **A server connection** is a [`Duet`]'s server half, driven the way
+//!   `event_loop.rs` drives a session: `on_frame`, its replies, then
+//!   `set_up` while `owes()` names a unit. A heavy unit becomes an event of
+//!   its own that runs later, in seeded order; until then the connection
+//!   takes no frame. `Duet` on its own is the one-connection, fault-free
+//!   case: both machines in one thread, every unit inline.
+//! * **Faults:** a partitioned and healed mesh link, a connection cut
+//!   mid-frame, a durable node crashed at each `CrashPoint` and reopened,
+//!   one WAL append refused while the process lives on, a changelog short
+//!   enough to be trimmed under a reader, a notifier that panics once, an
+//!   epoch-less store.
+//! * **Invariants, after every step:** see [`World::check`]. At the end of
+//!   a schedule the faults stop and mesh sweeps run until every node holds
+//!   the union of the initial sets and every write.
+//!
+//! A failing seed panics with the seed, the step, and the line to add to
+//! [`REGRESSIONS`]; `replays_the_regressions` runs that list.
+
+use crate::client::{ClientConfig, DeltaReport, Pipeline, SyncReport};
+use crate::frame::{
+    decode_frame, encode_frame, write_frame, Decoded, ErrorCode, EstimatorMsg, Frame, Hello,
+    DEFAULT_MAX_FRAME,
+};
+use crate::machine::{ClientMachine, Mode, Phase};
+use crate::mesh::{settle, PeerStats, RoundOutcome};
+use crate::server::{ServerConfig, ServerStats};
+use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, SetUp, Step, Waiting};
+use crate::store::{
+    store_dir_name, DeltaAnswer, MutableStore, RegisteredStore, SetStore, StoreRegistry,
+};
+use crate::wal::{CrashPoint, DurableOptions};
+use crate::NetError;
+use obs::Counter;
+use pbs_core::PbsConfig;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// A store that keeps no epochs: [`SetStore`] with its defaults, what an
+/// out-of-tree store is. The tree's own store overrides them all, so this
+/// is what keeps the epoch-less branch of both machines run.
+pub(crate) struct Epochless(pub Mutex<Vec<u64>>);
+
+impl SetStore for Epochless {
+    fn snapshot(&self) -> Vec<u64> {
+        self.0.lock().unwrap().clone()
+    }
+
+    fn apply_missing(&self, elements: &[u64]) -> bool {
+        self.0.lock().unwrap().extend_from_slice(elements);
+        true
+    }
+}
+
+/// The server half of one connection: what the client sends goes straight
+/// into a [`ServerMachine`], what that answers — a refusal as the `Error`
+/// frame a driver would make of it — waits in `inbox`.
+pub(crate) struct Duet {
+    pub res: Arc<Resources>,
+    pub server: ServerMachine,
+    /// Type byte of every frame delivered to the server.
+    pub sent: Vec<u8>,
+    /// What the server has answered and the client has not read yet.
+    pub inbox: VecDeque<Frame>,
+    /// Every boundary the server crossed.
+    pub crossed: Vec<Crossed>,
+    /// `Some(completed)` once the server ended the session.
+    pub closed: Option<bool>,
+    /// Leave a heavy set-up unit owed for [`Duet::set_up`], as the event
+    /// loop hands it to its set-up thread, instead of running it inline.
+    hand_off: bool,
+}
+
+impl Duet {
+    /// A server with `config` whose default store is `store`.
+    pub fn new(store: Arc<dyn SetStore>, config: ServerConfig) -> Self {
+        let res = Resources {
+            registry: Arc::new(StoreRegistry::single(store)),
+            config,
+            stats: Arc::new(ServerStats::default()),
+            live_subscribers: AtomicUsize::new(0),
+        };
+        Self::accept(&Arc::new(res), false)
+    }
+
+    pub fn over(store: Arc<dyn SetStore>) -> Self {
+        Self::new(store, ServerConfig::default())
+    }
+
+    /// A fresh connection to the server `res` belongs to.
+    fn accept(res: &Arc<Resources>, hand_off: bool) -> Self {
+        Duet {
+            res: Arc::clone(res),
+            server: ServerMachine::new(),
+            sent: Vec::new(),
+            inbox: VecDeque::new(),
+            crossed: Vec::new(),
+            closed: None,
+            hand_off,
+        }
+    }
+
+    fn absorb(&mut self, step: Result<Step, Refusal>) {
+        match step {
+            Ok(step) => {
+                self.inbox.extend(step.frames);
+                self.crossed.extend(step.crossed);
+                self.closed = self.closed.or(step.close);
+            }
+            Err(refusal) => {
+                if let Refusal::Answer { code, message } = refusal {
+                    self.inbox.push_back(Frame::Error { code, message });
+                }
+                self.closed = Some(false);
+            }
+        }
+    }
+
+    /// `true` while a heavy unit is owed and handed off: the connection
+    /// takes no frame until [`Duet::set_up`] has run it.
+    fn out(&self) -> bool {
+        self.hand_off && self.closed.is_none() && self.server.owes() == Some(SetUp::Heavy)
+    }
+
+    /// Run what set-up is owed and not handed off.
+    fn settle(&mut self) {
+        while self.closed.is_none() && self.server.owes().is_some() && !self.out() {
+            let step = self.server.set_up(&self.res);
+            self.absorb(step);
+        }
+    }
+
+    /// What an event loop does with a received frame: the machine's
+    /// replies first, then the set-up work they precede — and nothing
+    /// once the session is over (a refusal may cross the peer's next
+    /// frame on the wire).
+    pub fn deliver(&mut self, frame: Frame) {
+        self.sent.push(frame.type_byte());
+        if self.closed.is_some() {
+            return;
+        }
+        let step = self.server.on_frame(&self.res, frame);
+        self.absorb(step);
+        self.settle();
+    }
+
+    /// The heavy unit handed off, run now.
+    fn set_up(&mut self) {
+        let step = self.server.set_up(&self.res);
+        self.absorb(step);
+        self.settle();
+    }
+
+    /// What an event loop does when the store changed.
+    pub fn push(&mut self, room: u64) {
+        let step = self.server.push(&self.res, room);
+        self.absorb(step);
+    }
+
+    /// One full sync of `set` against the server's store: every byte
+    /// the client put on the wire, every byte the server did, and the
+    /// report.
+    pub fn transcript(
+        &mut self,
+        config: &ClientConfig,
+        set: &[u64],
+    ) -> (Vec<u8>, Vec<u8>, SyncReport) {
+        let mut client = ClientMachine::new(config, set, Mode::Full).unwrap();
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        loop {
+            if let Some(frame) = client.poll_send().unwrap() {
+                write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
+                self.deliver(frame);
+            }
+            let reply = self.inbox.pop_front().expect("the server owes a frame");
+            write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
+            if let Some(report) = client.on_frame(reply).unwrap().report {
+                return (up, down, report);
+            }
+        }
+    }
+
+    /// Drive `client` against the server to its report, collecting the
+    /// client-side boundaries crossed on the way.
+    pub fn run(
+        &mut self,
+        client: &mut ClientMachine<'_>,
+    ) -> Result<(SyncReport, Vec<Phase>), NetError> {
+        let mut crossed = Vec::new();
+        loop {
+            if let Some(frame) = client.poll_send()? {
+                self.deliver(frame);
+            }
+            let reply = self.inbox.pop_front().expect("the server owes a frame");
+            let step = client.on_frame(reply)?;
+            crossed.extend(step.crossed);
+            if let Some(report) = step.report {
+                assert_eq!(client.poll_send()?, None, "a finished machine owes nothing");
+                return Ok((report, crossed));
+            }
+        }
+    }
+}
+
+/// One frame of every type except `Error`.
+pub(crate) fn one_of_each() -> Vec<Frame> {
+    vec![
+        Frame::Hello(Hello::from_config(&PbsConfig::default(), 1, 0)),
+        Frame::EstimatorExchange(EstimatorMsg::TowBank(vec![1, 2, 3])),
+        Frame::EstimatorExchange(EstimatorMsg::Estimate {
+            d_param: 5,
+            d_hat: 4.0,
+        }),
+        Frame::Sketches {
+            m: 8,
+            batch: Vec::new(),
+        },
+        Frame::Reports(Vec::new()),
+        Frame::Done(Vec::new()),
+        Frame::DeltaBatch {
+            epoch: 1,
+            added: vec![1],
+            removed: vec![],
+        },
+        Frame::DeltaDone { epoch: 1 },
+        Frame::FullResyncRequired { epoch: 1 },
+        Frame::Subscribe { epoch: 1 },
+        Frame::Ping { nonce: 1 },
+        Frame::Pong { nonce: 1 },
+    ]
+}
+
+/// Seeds that once failed, replayed by `replays_the_regressions`; a failing
+/// seed's panic names the line to add here.
+const REGRESSIONS: &[u64] = &[];
+
+/// The default run: seeds `0..SEEDS`.
+const SEEDS: u64 = 1000;
+
+/// Steps of a schedule while faults are on.
+const STEPS: usize = 160;
+
+/// Every node holds stores of these names; a mesh round syncs each with its
+/// namesake on the peer.
+const NAMES: [&str; 2] = ["", "b"];
+
+/// The odds that a commit to a durable store is refused, while faults are on.
+const REFUSE: f64 = 0.05;
+
+/// The payload of the notifier that panics on purpose (the panic hook keeps
+/// quiet about it).
+struct NotifierPanic;
+
+/// One direction of a connection.
+#[derive(Default)]
+struct Pipe {
+    /// Sent, not yet delivered.
+    wire: VecDeque<u8>,
+    /// Delivered, not yet read as a frame.
+    rx: Vec<u8>,
+    sent: u64,
+    delivered: u64,
+    discarded: u64,
+    /// Wire bytes of the frames read off `rx`.
+    read: u64,
+    /// The sender is done: what is on the wire is all there will be.
+    closed: bool,
+}
+
+impl Pipe {
+    fn send(&mut self, frame: &Frame) {
+        let mut bytes = Vec::new();
+        self.sent += encode_frame(&mut bytes, frame, DEFAULT_MAX_FRAME).expect("under the cap");
+        match self.closed {
+            true => self.discarded += bytes.len() as u64,
+            false => self.wire.extend(bytes),
+        }
+    }
+
+    fn deliver(&mut self, n: usize) {
+        self.rx.extend(self.wire.drain(..n));
+        self.delivered += n as u64;
+    }
+
+    fn next_frame(&mut self) -> Option<Frame> {
+        match decode_frame(&self.rx, DEFAULT_MAX_FRAME).expect("links do not corrupt") {
+            Decoded::Whole(frame, used) => {
+                self.rx.drain(..used);
+                self.read += used as u64;
+                Some(frame)
+            }
+            Decoded::Short(_) => None,
+        }
+    }
+
+    /// The reader has come to the end of the stream.
+    fn at_eof(&self) -> bool {
+        self.closed && self.wire.is_empty()
+    }
+
+    /// A prefix of what is in flight arrives, the rest is lost, the stream
+    /// ends.
+    fn cut(&mut self, keep: usize) {
+        self.deliver(keep);
+        self.discarded += self.wire.len() as u64;
+        self.wire.clear();
+        self.closed = true;
+    }
+
+    fn conserved(&self) -> bool {
+        self.sent == self.delivered + self.discarded + self.wire.len() as u64
+            && self.delivered == self.read + self.rx.len() as u64
+    }
+}
+
+/// Element `k` of a schedule, scrambled over the 32-bit universe (one
+/// element per `k`): sets of small consecutive integers would hand the
+/// additive checksum of §2.2.3 collisions no real set has, such as a bin
+/// of {1, 16, 44} decoded as the one element 61.
+fn element(k: u64) -> u64 {
+    (k.wrapping_mul(0x9E37_79B1) & 0x7FFF_FFFF) + 1
+}
+
+fn sorted(store: &dyn SetStore) -> Vec<u64> {
+    let mut set = store.snapshot();
+    set.sort_unstable();
+    set
+}
+
+/// One store of a node, and what the simulation knows of it.
+struct Slot {
+    store: Arc<dyn SetStore>,
+    /// The same store, when it keeps epochs.
+    mutable: Option<Arc<MutableStore>>,
+    /// The set at every epoch the store has stood at, as its changelog
+    /// replays it.
+    history: BTreeMap<u64, HashSet<u64>>,
+    /// The last epoch seen.
+    epoch: u64,
+    /// Elements of every `Done` the server acked, less those a writer has
+    /// taken out since.
+    acked: HashSet<u64>,
+    acked_grew: bool,
+    /// Every seed a `Hello` to this store proposed.
+    proposed: HashSet<u64>,
+    /// Elements a writer took out and owes back.
+    flapped: BTreeSet<u64>,
+    options: DurableOptions,
+}
+
+impl Slot {
+    fn new(
+        store: Arc<dyn SetStore>,
+        mutable: Option<Arc<MutableStore>>,
+        options: DurableOptions,
+    ) -> Slot {
+        let (set, epoch) = mutable
+            .as_ref()
+            .map_or((vec![], 0), |m| m.snapshot_with_epoch());
+        Slot {
+            store,
+            mutable,
+            history: BTreeMap::from([(epoch, set.into_iter().collect())]),
+            epoch,
+            acked: HashSet::new(),
+            acked_grew: false,
+            proposed: HashSet::new(),
+            flapped: BTreeSet::new(),
+            options,
+        }
+    }
+}
+
+struct Node {
+    res: Arc<Resources>,
+    slots: Vec<Slot>,
+    /// Set by every store's notifier: the node owes its subscribers a push.
+    dirty: Arc<AtomicBool>,
+    /// Persistence root of a durable node.
+    dir: Option<PathBuf>,
+    mesh: PeerStats,
+    /// Wire bytes of the node's verified mesh syncs, as its links carried
+    /// them: (sent, received).
+    mesh_bytes: (u64, u64),
+    /// The mesh round under way: the peer, and the stores still to sync.
+    round: Option<(usize, Vec<usize>)>,
+    /// One store of the round is on a connection.
+    leg: bool,
+}
+
+impl Node {
+    /// A node's server over `slots`' stores, each with the notifier that
+    /// marks the node dirty.
+    fn serve(config: ServerConfig, slots: Vec<Slot>, dir: Option<PathBuf>) -> Node {
+        let registry = StoreRegistry::new();
+        let dirty = Arc::new(AtomicBool::new(false));
+        for (slot, name) in slots.iter().zip(NAMES) {
+            let flag = Arc::clone(&dirty);
+            slot.store.register_notifier(Box::new(move |_| {
+                flag.store(true, Ordering::Relaxed);
+                true
+            }));
+            registry.register(name, Arc::clone(&slot.store));
+        }
+        let res = Resources {
+            registry: Arc::new(registry),
+            config,
+            stats: Arc::new(ServerStats::default()),
+            live_subscribers: AtomicUsize::new(0),
+        };
+        let (mesh, mesh_bytes, round, leg) = (PeerStats::default(), (0, 0), None, false);
+        let res = Arc::new(res);
+        Node {
+            res,
+            slots,
+            dirty,
+            dir,
+            mesh,
+            mesh_bytes,
+            round,
+            leg,
+        }
+    }
+
+    /// Store `s`, as the node's server routes to it.
+    fn entry(&self, s: usize) -> Arc<RegisteredStore> {
+        self.res.registry.get(NAMES[s]).expect("registered")
+    }
+}
+
+/// What the client end of a connection is for.
+enum Role {
+    /// A one-shot sync of `held` — a delta from `since`, or a full session —
+    /// or, with `mesh` naming the node, a store of that node's mesh round.
+    Sync {
+        held: HashSet<u64>,
+        since: Option<u64>,
+        mesh: Option<usize>,
+    },
+    /// A live subscriber: what it holds, at the epoch it stands at.
+    Follow { held: HashSet<u64>, epoch: u64 },
+}
+
+struct Conn {
+    /// The server's node, and the store the client names.
+    node: usize,
+    slot: usize,
+    /// `None` once the server end is over: closed and counted, or gone
+    /// with its process.
+    server: Option<Duet>,
+    /// `None` once the client end has hung up.
+    client: Option<ClientMachine<'static>>,
+    role: Role,
+    /// Client → server, server → client.
+    up: Pipe,
+    down: Pipe,
+    /// The server's boundaries already looked at.
+    seen: usize,
+    /// The seed the `Hello` reply named.
+    seed: u64,
+}
+
+impl Conn {
+    fn mesh_of(&self) -> Option<usize> {
+        match self.role {
+            Role::Sync { mesh, .. } => mesh,
+            Role::Follow { .. } => None,
+        }
+    }
+}
+
+/// One schedule: the nodes, the connections between them, and the union
+/// every node must hold once the faults stop.
+struct World {
+    rng: StdRng,
+    step: usize,
+    nodes: Vec<Node>,
+    conns: Vec<Conn>,
+    /// Per store name: the initial sets and every write that landed.
+    expected: Vec<BTreeSet<u64>>,
+    /// Mesh links cut off, as (lower, higher) node index.
+    partitioned: BTreeSet<(usize, usize)>,
+    /// Where durable nodes keep their WALs; removed with the world.
+    root: PathBuf,
+    /// The id of the last element a writer introduced ([`element`]); the
+    /// initial sets' ids sit below.
+    fresh: u64,
+    faults: bool,
+    /// A notifier has panicked on purpose.
+    panicked: bool,
+}
+
+impl Drop for World {
+    fn drop(&mut self) {
+        // Every WAL is closed before its directory goes.
+        self.conns.clear();
+        self.nodes.clear();
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
+impl World {
+    fn new(seed: u64) -> World {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (nodes, stores) = (rng.random_range(2..=4usize), rng.random_range(1..=2usize));
+        let durable = rng.random_bool(0.5).then(|| rng.random_range(0..nodes));
+        let buffer = if rng.random_bool(0.3) { 256 } else { 1 << 20 };
+        let config = ServerConfig {
+            subscriber_buffer: buffer,
+            ..ServerConfig::default()
+        };
+        // One directory a run: two tests may run the same seed at once.
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let run = RUNS.fetch_add(1, Ordering::Relaxed);
+        let root = scratch().join(format!("pbs_sim_{}_{run}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let base = (1..=rng.random_range(20..60u64)).map(element);
+        let mut expected = vec![base.clone().collect::<BTreeSet<u64>>(); stores];
+        let mut built = Vec::new();
+        for i in 0..nodes {
+            let dir = (durable == Some(i)).then(|| root.join(i.to_string()));
+            let mut slots = Vec::new();
+            for (s, expected) in expected.iter_mut().enumerate() {
+                let wedge = 10_000 * (i as u64 + 1) + 1000 * s as u64;
+                let set: Vec<u64> = base
+                    .clone()
+                    .chain((wedge..wedge + rng.random_range(0..12)).map(element))
+                    .collect();
+                expected.extend(&set);
+                let options = DurableOptions {
+                    log_capacity: [2, 4, 1024][rng.random_range(0..3usize)],
+                    snapshot_every: 8,
+                    sync_writes: false,
+                };
+                let store = match &dir {
+                    None if rng.random_bool(0.1) => {
+                        let store = Arc::new(Epochless(Mutex::new(set)));
+                        slots.push(Slot::new(store, None, options));
+                        continue;
+                    }
+                    Some(dir) => {
+                        let dir = dir.join(store_dir_name(NAMES[s]));
+                        let store = MutableStore::open_durable(&dir, options).expect("opens");
+                        store.apply(&set, &[]);
+                        store
+                    }
+                    None => MutableStore::with_log_capacity(set, options.log_capacity),
+                };
+                let store = Arc::new(store);
+                slots.push(Slot::new(store.clone(), Some(store), options));
+            }
+            built.push(Node::serve(config, slots, dir));
+        }
+        World {
+            rng,
+            step: 0,
+            nodes: built,
+            conns: Vec::new(),
+            expected,
+            partitioned: BTreeSet::new(),
+            root,
+            fresh: 1 << 20,
+            faults: true,
+            panicked: false,
+        }
+    }
+
+    fn fresh(&mut self) -> u64 {
+        self.fresh += 1;
+        element(self.fresh)
+    }
+
+    fn pick_slot(&mut self) -> (usize, usize) {
+        let i = self.rng.random_range(0..self.nodes.len());
+        (i, self.rng.random_range(0..self.nodes[i].slots.len()))
+    }
+
+    /// Before a commit to a durable store: at [`REFUSE`] odds, have its WAL
+    /// append fail while the process lives on. The caller disarms what this
+    /// returns once the commit is made.
+    fn refusal(&mut self, i: usize, s: usize) -> Option<Arc<MutableStore>> {
+        let armed = self.faults && self.nodes[i].dir.is_some() && self.rng.random_bool(REFUSE);
+        let store = self.nodes[i].slots[s].mutable.clone().filter(|_| armed)?;
+        store.inject_crash(Some(CrashPoint::FailedWalAppend));
+        Some(store)
+    }
+
+    /// A client connects to store `s` of node `i` and puts its `Hello` on
+    /// the wire.
+    fn connect(&mut self, i: usize, s: usize, mut client: ClientMachine<'static>, role: Role) {
+        let res = &self.nodes[i].res;
+        res.stats.sessions_started.inc(1);
+        let (mut up, hello) = (Pipe::default(), client.poll_send().ok().flatten());
+        up.send(&hello.expect("a client opens with a Hello"));
+        self.conns.push(Conn {
+            node: i,
+            slot: s,
+            server: Some(Duet::accept(res, true)),
+            client: Some(client),
+            role,
+            up,
+            down: Pipe::default(),
+            seen: 0,
+            seed: 0,
+        });
+    }
+
+    /// After anything happened to connection `c`: each end takes what has
+    /// arrived, and reads end-of-stream once the other is done.
+    fn touch(&mut self, c: usize) {
+        self.serve(c);
+        self.read(c);
+        self.serve(c);
+    }
+
+    /// The server end takes every whole frame that arrived — none while a
+    /// handed-off unit is owed — and ends when its machine closes the
+    /// session or the client's stream ends.
+    fn serve(&mut self, c: usize) {
+        loop {
+            let conn = &mut self.conns[c];
+            let (i, s) = (conn.node, conn.slot);
+            let open = conn
+                .server
+                .as_ref()
+                .is_some_and(|d| d.closed.is_none() && !d.out());
+            if !open {
+                break;
+            }
+            let Some(frame) = conn.up.next_frame() else {
+                break;
+            };
+            if let Frame::Hello(hello) = &frame {
+                self.nodes[i].slots[s].proposed.insert(hello.seed);
+            }
+            let transfer = match &frame {
+                Frame::Done(elements) if !elements.is_empty() => Some(elements.clone()),
+                _ => None,
+            };
+            let refusal = transfer.as_ref().and_then(|_| self.refusal(i, s));
+            let duet = self.conns[c].server.as_mut().expect("checked above");
+            let before = duet.crossed.len();
+            duet.deliver(frame);
+            let reconciled = |c: &Crossed| matches!(c, Crossed::Reconciled { .. });
+            let acked = duet.crossed[before..].iter().any(reconciled);
+            if let Some(store) = refusal {
+                store.inject_crash(None);
+            }
+            if let (Some(elements), true) = (transfer, acked) {
+                let slot = &mut self.nodes[i].slots[s];
+                slot.acked.extend(elements);
+                slot.acked_grew = true;
+            }
+            self.flush(c);
+        }
+        let conn = &self.conns[c];
+        if let Some(duet) = &conn.server {
+            if duet.closed.is_some() || (conn.up.at_eof() && !duet.out()) {
+                self.end_server(c);
+            }
+        }
+    }
+
+    /// Put what the server answered on the wire, and look at the
+    /// boundaries it crossed.
+    fn flush(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        let Some(duet) = conn.server.as_mut() else {
+            return;
+        };
+        for frame in duet.inbox.drain(..) {
+            if let Frame::Hello(reply) = &frame {
+                conn.seed = reply.seed;
+            }
+            conn.down.send(&frame);
+        }
+        let node = &self.nodes[conn.node];
+        for crossed in &duet.crossed[conn.seen..] {
+            match crossed {
+                // The event loop pushes the catch-up right after a Subscribe.
+                Crossed::Subscribed { .. } => node.dirty.store(true, Ordering::Relaxed),
+                Crossed::Estimated { view, .. } if *view != "none" => {
+                    let peers = node.slots[conn.slot].proposed.contains(&conn.seed);
+                    assert!(!peers, "a view under a peer's proposed seed");
+                }
+                _ => {}
+            }
+        }
+        conn.seen = duet.crossed.len();
+    }
+
+    /// The server end is over, counted as the event loop's reap counts it.
+    fn end_server(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        let Some(duet) = conn.server.take() else {
+            return;
+        };
+        conn.down.closed = true;
+        let waiting = duet.server.waiting();
+        let counter: fn(&ServerStats) -> &Counter =
+            match duet.closed.unwrap_or(waiting != Waiting::Reconciling) {
+                true => |s| &s.sessions_completed,
+                false => |s| &s.sessions_failed,
+            };
+        duet.res.bump(duet.server.entry().map(|e| &**e), counter, 1);
+        if waiting == Waiting::Streaming {
+            duet.res.live_subscribers.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The client end takes every whole frame that arrived and answers,
+    /// and reads end-of-stream once the server end is done.
+    fn read(&mut self, c: usize) {
+        loop {
+            let conn = &mut self.conns[c];
+            let Some(client) = conn.client.as_mut() else {
+                return;
+            };
+            let Some(frame) = conn.down.next_frame() else {
+                break;
+            };
+            let step = client.on_frame(frame).and_then(|step| {
+                client.poll_send()?.inspect(|frame| conn.up.send(frame));
+                Ok(step)
+            });
+            match step {
+                Err(e) => return self.end_client(c, Err(e)),
+                Ok(step) => {
+                    if let Some(push) = step.push {
+                        self.on_push(c, push);
+                    }
+                    if let Some(report) = step.report {
+                        return self.end_client(c, Ok(report));
+                    }
+                }
+            }
+        }
+        let conn = &self.conns[c];
+        match &conn.client {
+            Some(_) if !conn.down.at_eof() => {}
+            // Between pushes, the end of the stream is a clean one.
+            Some(client) if client.is_parked() && !client.mid_stream() => self.hang_up(c),
+            Some(_) => {
+                let eof = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+                self.end_client(c, Err(NetError::Io(eof)));
+            }
+            None => {}
+        }
+    }
+
+    fn hang_up(&mut self, c: usize) {
+        self.conns[c].client = None;
+        self.conns[c].up.closed = true;
+    }
+
+    /// A one-shot or mesh client has its report, or failed: for a reason
+    /// the schedule gave it, and with the bytes its link delivered.
+    fn end_client(&mut self, c: usize, result: Result<SyncReport, NetError>) {
+        self.hang_up(c);
+        let conn = &mut self.conns[c];
+        let result = result.map(|mut report| {
+            (report.bytes_sent, report.bytes_received) = (conn.up.sent, conn.down.read);
+            let link = (conn.up.delivered, conn.down.delivered);
+            assert_eq!((conn.up.sent, conn.down.read), link, "session bytes");
+            report
+        });
+        if let Err(e) = &result {
+            let given = match e {
+                NetError::Io(_) => true,
+                NetError::Remote { code, .. } => {
+                    matches!(code, ErrorCode::Internal | ErrorCode::RoundLimit)
+                }
+                NetError::Protocol(why) => why.contains("full sync") || why.contains("evicted"),
+                NetError::Frame(_) => false,
+            };
+            assert!(given, "a session failed for no fault of the schedule: {e}");
+        }
+        let (i, s) = (conn.node, conn.slot);
+        let Role::Sync { held, since, mesh } = &mut conn.role else {
+            return;
+        };
+        let (held, since, mesh) = (std::mem::take(held), *since, *mesh);
+        let verified = result.as_ref().ok().filter(|report| report.verified);
+        let bytes = verified.map(|report| (report.bytes_sent, report.bytes_received));
+        if let Some(report) = verified {
+            let from = report.delta.as_ref().map(|delta| delta.from_epoch);
+            assert!(
+                from.is_none() || from == since,
+                "a delta from another epoch"
+            );
+            self.check_sync((i, s), &held, report);
+        }
+        let Some(from) = mesh else {
+            return;
+        };
+        let node = &mut self.nodes[from];
+        node.leg = false;
+        if let Some((sent, received)) = bytes {
+            node.mesh_bytes = (node.mesh_bytes.0 + sent, node.mesh_bytes.1 + received);
+        }
+        let refusal = self.refusal(from, s);
+        let (node, outcome) = (&self.nodes[from], &mut RoundOutcome::default());
+        let _ = settle(&node.entry(s), result, &node.mesh, outcome);
+        if let Some(store) = refusal {
+            store.inject_crash(None);
+        }
+        self.advance_round(from);
+    }
+
+    /// A verified session recovered exactly `held △ B`, with `B` the
+    /// store's set at the epoch it was acked at; a delta leads from the set
+    /// at its first epoch to the set at its last.
+    fn check_sync(&mut self, (i, s): (usize, usize), held: &HashSet<u64>, report: &SyncReport) {
+        if let Some(delta) = &report.delta {
+            let mut set = self.set_at(i, s, delta.from_epoch);
+            delta.apply_to(&mut set);
+            assert!(set == self.set_at(i, s, delta.to_epoch), "a delta astray");
+        } else if let Some(epoch) = report.epoch {
+            let theirs = self.set_at(i, s, epoch);
+            let mut truth: Vec<u64> = held.symmetric_difference(&theirs).copied().collect();
+            truth.sort_unstable();
+            assert_eq!(report.recovered, truth, "a verified session's difference");
+        }
+    }
+
+    /// A push starts where the last one ended, and leaves the subscriber
+    /// holding what the store held at its epoch.
+    fn on_push(&mut self, c: usize, push: DeltaReport) {
+        let (i, s) = (self.conns[c].node, self.conns[c].slot);
+        let want = self.set_at(i, s, push.to_epoch);
+        let Role::Follow { held, epoch } = &mut self.conns[c].role else {
+            panic!("a push reached a one-shot client");
+        };
+        assert_eq!(push.from_epoch, *epoch, "a push skipped or repeated epochs");
+        push.apply_to(held);
+        *epoch = push.to_epoch;
+        assert!(*held == want, "a subscriber holds another set");
+    }
+
+    /// The next store of node `i`'s mesh round goes on a connection.
+    fn advance_round(&mut self, i: usize) {
+        while !self.nodes[i].leg {
+            let Some((peer, rest)) = &mut self.nodes[i].round else {
+                return;
+            };
+            let (peer, next) = (*peer, rest.pop());
+            let node = &mut self.nodes[i];
+            let Some(s) = next else {
+                node.round = None;
+                return;
+            };
+            node.mesh.syncs_attempted.fetch_add(1, Ordering::Relaxed);
+            if self.partitioned.contains(&(i.min(peer), i.max(peer))) {
+                let refused = NetError::Io(std::io::ErrorKind::ConnectionRefused.into());
+                let outcome = &mut RoundOutcome::default();
+                let _ = settle(&node.entry(s), Err(refused), &node.mesh, outcome);
+                continue;
+            }
+            let held = sorted(&*node.slots[s].store);
+            let config = ClientConfig {
+                store: NAMES[s].into(),
+                ..ClientConfig::default()
+            };
+            let client = ClientMachine::new(&config, held.clone(), Mode::Full).expect("valid");
+            node.leg = true;
+            let (held, since, mesh) = (held.into_iter().collect(), None, Some(i));
+            self.connect(peer, s, client, Role::Sync { held, since, mesh });
+        }
+    }
+
+    /// Node `i`'s stores changed: each live subscriber is pushed what it
+    /// lacks, within the room its link leaves under the buffer cap.
+    fn push(&mut self, i: usize) {
+        self.nodes[i].dirty.store(false, Ordering::Relaxed);
+        let cap = self.nodes[i].res.config.subscriber_buffer;
+        for c in 0..self.conns.len() {
+            let conn = &mut self.conns[c];
+            let Some(duet) = conn.server.as_mut().filter(|_| conn.node == i) else {
+                continue;
+            };
+            if duet.closed.is_none() && duet.server.waiting() == Waiting::Streaming {
+                duet.push(cap.saturating_sub(conn.down.wire.len()) as u64);
+                self.flush(c);
+                self.touch(c);
+            }
+        }
+    }
+
+    /// One event of the network or the servers, if one is due: a chunk of
+    /// bytes arrives, a handed-off set-up unit runs, a dirty node pushes.
+    fn progress(&mut self) -> bool {
+        let mut due = Vec::new();
+        for (c, conn) in self.conns.iter().enumerate() {
+            let out = conn.server.as_ref().is_some_and(Duet::out);
+            let kinds = [!conn.up.wire.is_empty(), !conn.down.wire.is_empty(), out];
+            due.extend((0..3).filter(|&k| kinds[k]).map(|k| (c, k)));
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            due.extend(node.dirty.load(Ordering::Relaxed).then_some((i, 3)));
+        }
+        if due.is_empty() {
+            return false;
+        }
+        match due[self.rng.random_range(0..due.len())] {
+            (i, 3) => self.push(i),
+            (c, 2) => {
+                self.conns[c].server.as_mut().expect("owes a unit").set_up();
+                self.flush(c);
+                self.touch(c);
+            }
+            (c, k) => {
+                let conn = &mut self.conns[c];
+                let pipe = if k == 0 { &mut conn.up } else { &mut conn.down };
+                let len = pipe.wire.len();
+                let part = self.rng.random_range(1..=len);
+                pipe.deliver(if self.rng.random_bool(0.5) { len } else { part });
+                self.touch(c);
+            }
+        }
+        true
+    }
+
+    /// A local write: fresh elements in; or, on a store with epochs, one
+    /// element out (owed back) or one owed element back in.
+    fn write(&mut self) {
+        let (i, s) = self.pick_slot();
+        let refusal = self.refusal(i, s);
+        let kind = self.rng.random_range(0..4u32);
+        let many = self.rng.random_range(1..=3);
+        let fresh: Vec<u64> = (0..many).map(|_| self.fresh()).collect();
+        let slot = &mut self.nodes[i].slots[s];
+        match slot.mutable.clone() {
+            Some(store) if kind == 0 => {
+                let set = sorted(&*store);
+                let x = set[self.rng.random_range(0..set.len())];
+                let _ = store.try_apply(&[], &[x]);
+                if !store.contains(x) {
+                    slot.flapped.insert(x);
+                    slot.acked.remove(&x);
+                }
+            }
+            Some(store) if kind == 1 && !slot.flapped.is_empty() => {
+                let nth = self.rng.random_range(0..slot.flapped.len());
+                let y = *slot.flapped.iter().nth(nth).expect("in range");
+                let _ = store.try_apply(&[y], &[]);
+                if store.contains(y) {
+                    slot.flapped.remove(&y);
+                }
+            }
+            Some(store) => drop(store.try_apply(&fresh, &[])),
+            None => drop(slot.store.apply_missing(&fresh)),
+        }
+        let held = slot.store.snapshot();
+        self.expected[s].extend(held.into_iter().filter(|e| fresh.contains(e)));
+        if let Some(store) = refusal {
+            store.inject_crash(None);
+        }
+    }
+
+    fn client_config(&mut self, s: usize) -> ClientConfig {
+        let pipeline = match self.rng.random_bool(0.5) {
+            true => Pipeline::Auto,
+            false => Pipeline::Depth(self.rng.random_range(1..=3)),
+        };
+        let (seed, store) = (self.rng.random(), NAMES[s].into());
+        let default = ClientConfig::default();
+        ClientConfig {
+            seed,
+            store,
+            pipeline,
+            ..default
+        }
+    }
+
+    /// An epoch a reader of store `s` of node `i` might stand at — now and
+    /// then one this store never reaches — and the set it then holds.
+    fn pick_epoch(&mut self, i: usize, s: usize) -> (u64, HashSet<u64>) {
+        self.record(i, s);
+        let history = &self.nodes[i].slots[s].history;
+        let (&last, _) = history.last_key_value().expect("an epoch or zero");
+        if self.rng.random_bool(0.1) {
+            return (last + 1000, HashSet::new());
+        }
+        let nth = self.rng.random_range(0..history.len());
+        let (&epoch, set) = history.iter().nth(nth).expect("in range");
+        (epoch, set.clone())
+    }
+
+    /// A one-shot client: a full sync of part of what the mesh knows, or a
+    /// delta from an epoch of the store's; or a subscriber from one.
+    fn open_client(&mut self, follow: bool) {
+        let (i, s) = self.pick_slot();
+        let config = self.client_config(s);
+        let (mode, since, held) = match self.rng.random_bool(0.4) || follow {
+            true => {
+                let (since, held) = self.pick_epoch(i, s);
+                (Mode::Delta { since }, Some(since), held)
+            }
+            false => {
+                let pick = |_: &u64| self.rng.random_bool(0.9);
+                let held = self.expected[s].iter().copied().filter(pick).collect();
+                (Mode::Full, None, held)
+            }
+        };
+        let (client, role) = match (follow, since) {
+            (true, Some(since)) => {
+                let subscribe = Mode::Subscribe { since };
+                let client = ClientMachine::new(&config, Vec::new(), subscribe);
+                (client, Role::Follow { held, epoch: since })
+            }
+            _ => {
+                let mut set: Vec<u64> = held.iter().copied().collect();
+                set.sort_unstable();
+                let mesh = None;
+                (
+                    ClientMachine::new(&config, set, mode),
+                    Role::Sync { held, since, mesh },
+                )
+            }
+        };
+        self.connect(i, s, client.expect("a valid request"), role);
+    }
+
+    fn mesh_round(&mut self, i: usize, peer: usize) {
+        if self.nodes[i].round.is_none() {
+            self.nodes[i].round = Some((peer, (0..self.nodes[i].slots.len()).rev().collect()));
+            self.advance_round(i);
+        }
+    }
+
+    fn fault(&mut self) {
+        let nodes = self.nodes.len();
+        let a = self.rng.random_range(0..nodes);
+        let link = (a, (a + self.rng.random_range(1..nodes)) % nodes);
+        let link = (link.0.min(link.1), link.0.max(link.1));
+        match self.rng.random_range(0..8u32) {
+            // A partition cuts the mesh syncs across it and refuses new ones.
+            0 if self.partitioned.insert(link) => {
+                for c in 0..self.conns.len() {
+                    let (node, from) = (self.conns[c].node, self.conns[c].mesh_of());
+                    if from.is_some_and(|from| (from.min(node), from.max(node)) == link) {
+                        self.cut(c);
+                    }
+                }
+            }
+            1 => drop(self.partitioned.remove(&link)),
+            2..=4 if !self.conns.is_empty() => {
+                let c = self.rng.random_range(0..self.conns.len());
+                self.cut(c);
+            }
+            5 => {
+                if let Some(i) = self.nodes.iter().position(|node| node.dir.is_some()) {
+                    self.crash(i);
+                }
+            }
+            _ => self.panic_a_notifier(),
+        }
+    }
+
+    /// Cut connection `c`: a seeded prefix of what is on the wire arrives,
+    /// the rest is lost, and both ends read end-of-stream.
+    fn cut(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        let (up, down) = (conn.up.wire.len(), conn.down.wire.len());
+        conn.up.cut(self.rng.random_range(0..=up));
+        conn.down.cut(self.rng.random_range(0..=down));
+        self.touch(c);
+    }
+
+    /// Kill durable node `i` at a crash point, then reopen it from its
+    /// directory: its connections drop, uncounted, and every reopened store
+    /// must stand at the epoch it died at, holding what it held.
+    fn crash(&mut self, i: usize) {
+        use CrashPoint::*;
+        let points = [
+            MidWalAppend,
+            FailedWalAppend,
+            MidSnapshotWrite,
+            MidCompaction,
+            TornSnapshot,
+        ];
+        let point = points[self.rng.random_range(0..points.len())];
+        let s = self.rng.random_range(0..self.nodes[i].slots.len());
+        let doomed = self.fresh();
+        let store = self.nodes[i].slots[s].mutable.clone();
+        let store = store.expect("a durable store keeps epochs");
+        store.inject_crash(Some(point));
+        if let MidWalAppend | FailedWalAppend = point {
+            let refused = store.try_apply(&[doomed], &[]).is_err() && !store.contains(doomed);
+            assert!(refused, "an armed {point:?} refuses");
+        } else {
+            // (A compaction with nothing new to write has nothing to tear.)
+            let _ = store.compact_now();
+        }
+        let mut dropped = Vec::new();
+        for (c, conn) in self.conns.iter_mut().enumerate() {
+            let (served, dialed) = (conn.node == i, conn.mesh_of() == Some(i));
+            if served || dialed {
+                conn.server = conn.server.take().filter(|_| !served);
+                conn.client = conn.client.take().filter(|_| !dialed);
+                conn.up.cut(0);
+                conn.down.cut(0);
+                dropped.push(c);
+            }
+        }
+        let node = &mut self.nodes[i];
+        let dir = node.dir.clone().expect("durable");
+        let mut slots = std::mem::take(&mut node.slots);
+        for (slot, name) in slots.iter_mut().zip(NAMES) {
+            let dir = dir.join(store_dir_name(name));
+            let reopened =
+                Arc::new(MutableStore::open_durable(&dir, slot.options).expect("reopens"));
+            let (set, epoch) = reopened.snapshot_with_epoch();
+            assert_eq!(epoch, slot.epoch, "reopened at another epoch");
+            let set: HashSet<u64> = set.into_iter().collect();
+            assert!(set == slot.history[&epoch], "reopened with another set");
+            (slot.store, slot.mutable) = (reopened.clone(), Some(reopened));
+        }
+        *node = Node::serve(node.res.config, slots, Some(dir));
+        // Their peers read end-of-stream from a node that is up again.
+        for c in dropped {
+            self.touch(c);
+        }
+    }
+
+    /// A notifier that panics the first time it is called: the write that
+    /// calls it lands all the same, and every later commit goes on.
+    fn panic_a_notifier(&mut self) {
+        let (i, s) = self.pick_slot();
+        let store = self.nodes[i].slots[s].mutable.clone();
+        let Some(store) = store.filter(|_| !self.panicked) else {
+            return;
+        };
+        self.panicked = true;
+        let armed = AtomicBool::new(true);
+        store.register_notifier(Box::new(move |_| {
+            if armed.swap(false, Ordering::Relaxed) {
+                std::panic::panic_any(NotifierPanic);
+            }
+            true
+        }));
+        let e = self.fresh();
+        let write = catch_unwind(AssertUnwindSafe(|| store.apply(&[e], &[])));
+        assert!(write.is_err() && store.contains(e), "lands, then panics");
+        self.expected[s].insert(e);
+    }
+
+    /// Bring store `s` of node `i`'s history up to its epoch by replaying
+    /// the changelog — which must lead to the set the store holds — and
+    /// hold the epoch to never going back.
+    fn record(&mut self, i: usize, s: usize) {
+        let slot = &mut self.nodes[i].slots[s];
+        let Some(store) = &slot.mutable else {
+            return;
+        };
+        let epoch = store.epoch();
+        assert!(epoch >= slot.epoch, "an epoch went back");
+        if epoch == slot.epoch {
+            return;
+        }
+        let mut set = slot.history[&slot.epoch].clone();
+        if let DeltaAnswer::Changes { batches, .. } = store.delta_since(slot.epoch) {
+            for batch in batches {
+                batch.removed.iter().for_each(|e| _ = set.remove(e));
+                set.extend(&batch.added);
+                slot.history.insert(batch.epoch, set.clone());
+            }
+        }
+        let (now, at) = store.snapshot_with_epoch();
+        let now: HashSet<u64> = now.into_iter().collect();
+        let replayed = slot.history.insert(at, now);
+        let astray = replayed.is_some_and(|set| set != slot.history[&at]);
+        assert!(!astray, "the changelog replays to another set");
+        (slot.epoch, slot.acked_grew) = (at, true);
+    }
+
+    fn set_at(&mut self, i: usize, s: usize, epoch: u64) -> HashSet<u64> {
+        self.record(i, s);
+        let history = &self.nodes[i].slots[s].history;
+        history
+            .get(&epoch)
+            .cloned()
+            .unwrap_or_else(|| panic!("epoch {epoch} was never seen"))
+    }
+
+    /// The invariants, after every step:
+    /// * no store's epoch goes back, and its changelog replays to its set;
+    /// * every element of a `Done` the server acked is in the store, and
+    ///   still is after a crash and reopen (unless a writer took it out);
+    /// * `sessions_started == completed + failed + open`, per node and per
+    ///   store, and every live subscriber holds its slot;
+    /// * every link conserves its bytes, and a node's mesh byte counters
+    ///   are what its links delivered.
+    ///
+    /// Checked where they happen: a verified session recovers exactly
+    /// `A △ B`; a delta and every push lead to the store's set at their
+    /// epoch, with no gap; no view is under a seed a peer proposed; a
+    /// finished session's bytes are what its link delivered; and a session
+    /// fails only for a fault the schedule made.
+    fn check(&mut self) {
+        for i in 0..self.nodes.len() {
+            for s in 0..self.nodes[i].slots.len() {
+                self.record(i, s);
+                let slot = &mut self.nodes[i].slots[s];
+                if std::mem::take(&mut slot.acked_grew) {
+                    let held: HashSet<u64> = slot.store.snapshot().into_iter().collect();
+                    let lost = slot.acked.difference(&held).next();
+                    assert!(
+                        lost.is_none(),
+                        "the server acked {lost:?}, which it does not hold"
+                    );
+                }
+            }
+        }
+        let balanced = |stats: &ServerStats, open: usize| {
+            let stats = stats.snapshot();
+            stats.sessions_started == stats.sessions_completed + stats.sessions_failed + open as u64
+        };
+        for (i, node) in self.nodes.iter().enumerate() {
+            let open: Vec<&Duet> = self
+                .conns
+                .iter()
+                .filter(|conn| conn.node == i)
+                .filter_map(|conn| conn.server.as_ref())
+                .collect();
+            assert!(
+                balanced(&node.res.stats, open.len()),
+                "node {i}: sessions leaked"
+            );
+            for s in 0..node.slots.len() {
+                let entry = node.entry(s);
+                let routed = open
+                    .iter()
+                    .filter(|d| d.server.entry().is_some_and(|e| Arc::ptr_eq(e, &entry)));
+                assert!(
+                    balanced(entry.stats(), routed.count()),
+                    "store {i}/{s}: sessions leaked"
+                );
+            }
+            let streaming = open
+                .iter()
+                .filter(|d| d.server.waiting() == Waiting::Streaming);
+            let slots = node.res.live_subscribers.load(Ordering::Relaxed);
+            assert_eq!(slots, streaming.count(), "node {i}: subscriber slots");
+            let (sent, received) = (&node.mesh.bytes_sent, &node.mesh.bytes_received);
+            let mesh = (
+                sent.load(Ordering::Relaxed),
+                received.load(Ordering::Relaxed),
+            );
+            assert_eq!(mesh, node.mesh_bytes, "node {i}: mesh byte counters");
+        }
+        let conserved = self
+            .conns
+            .iter()
+            .all(|conn| conn.up.conserved() && conn.down.conserved());
+        assert!(conserved, "a link lost count of its bytes");
+    }
+
+    /// One step over: connections both ends are done with go, then every
+    /// invariant is checked.
+    fn end_step(&mut self) {
+        self.step += 1;
+        self.conns.retain(|conn| {
+            let flying = !conn.up.wire.is_empty() || !conn.down.wire.is_empty();
+            conn.server.is_some() || conn.client.is_some() || flying
+        });
+        self.check();
+    }
+
+    fn drain(&mut self) {
+        while self.progress() {
+            self.end_step();
+        }
+    }
+
+    /// Every node holds the union of its store's initial sets and every
+    /// write; else how far off the first that does not is.
+    fn converged(&self) -> Result<(), String> {
+        for (i, node) in self.nodes.iter().enumerate() {
+            for (s, slot) in node.slots.iter().enumerate() {
+                let held: BTreeSet<u64> = sorted(&*slot.store).into_iter().collect();
+                let lacks = self.expected[s].difference(&held).count();
+                let extra = held.difference(&self.expected[s]).count();
+                if lacks + extra > 0 {
+                    return Err(format!(
+                        "store {i}/{s} lacks {lacks} elements, has {extra} more"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The schedule: seeded steps with faults on; then the faults stop,
+    /// subscribers hang up, every owed element goes back, and mesh sweeps
+    /// around the ring run until every node holds the union — within a
+    /// bound.
+    fn run(&mut self) {
+        for _ in 0..STEPS {
+            let nodes = self.nodes.len();
+            let (i, hop) = (
+                self.rng.random_range(0..nodes),
+                self.rng.random_range(1..nodes),
+            );
+            match self.rng.random_range(0..100u32) {
+                0..=64 => drop(self.progress()),
+                65..=72 => self.write(),
+                73..=79 => self.mesh_round(i, (i + hop) % nodes),
+                80..=86 => self.open_client(false),
+                87..=91 => self.open_client(true),
+                _ => self.fault(),
+            }
+            self.end_step();
+        }
+        self.faults = false;
+        self.partitioned.clear();
+        for c in 0..self.conns.len() {
+            if let Role::Follow { .. } = self.conns[c].role {
+                self.hang_up(c);
+                self.touch(c);
+            }
+        }
+        for i in 0..self.nodes.len() {
+            for s in 0..self.nodes[i].slots.len() {
+                let slot = &mut self.nodes[i].slots[s];
+                let (owed, store) = (std::mem::take(&mut slot.flapped), slot.mutable.clone());
+                for y in owed {
+                    store
+                        .as_ref()
+                        .expect("only a store with epochs owes")
+                        .apply(&[y], &[]);
+                    self.record(i, s);
+                }
+            }
+        }
+        self.end_step();
+        self.drain();
+        let nodes = self.nodes.len();
+        for _ in 0..2 * nodes + 2 {
+            if self.converged().is_ok() {
+                return;
+            }
+            for i in 0..nodes {
+                self.mesh_round(i, (i + 1) % nodes);
+                self.drain();
+            }
+        }
+        if let Err(off) = self.converged() {
+            panic!("the mesh did not converge once the faults stopped: {off}");
+        }
+    }
+}
+
+/// Where durable nodes keep their WALs: a RAM-backed directory where the
+/// system has one. A schedule syncs and deletes its files within
+/// milliseconds, and a disk that discards blocks on delete charges tens of
+/// milliseconds for each file that reached it.
+fn scratch() -> PathBuf {
+    let shm = std::path::Path::new("/dev/shm");
+    match shm.is_dir() {
+        true => shm.to_path_buf(),
+        false => std::env::temp_dir(),
+    }
+}
+
+/// Run the schedule of `seed` to its end, or say where it failed. (The
+/// notifier's deliberate panic is kept out of the test output.)
+fn run_seed(seed: u64) -> Result<(), String> {
+    static QUIET: std::sync::Once = std::sync::Once::new();
+    QUIET.call_once(|| {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<NotifierPanic>() {
+                hook(info);
+            }
+        }));
+    });
+    let mut world = None;
+    let run = catch_unwind(AssertUnwindSafe(|| world.insert(World::new(seed)).run()));
+    run.map_err(|panic| {
+        let why = (panic.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("a panic");
+        let step = world.map_or(0, |world| world.step);
+        format!("sim seed {seed} failed at step {step}: {why}\n  replay it: add `{seed},` to sim::REGRESSIONS")
+    })
+}
+
+#[test]
+fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
+    let start = std::time::Instant::now();
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let halves: Vec<_> = (0..2)
+            .map(|half| {
+                let seeds = (half..SEEDS).step_by(2);
+                scope.spawn(move || {
+                    seeds
+                        .filter_map(|seed| run_seed(seed).err())
+                        .take(1)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        halves
+            .into_iter()
+            .flat_map(|half| half.join().expect("a runner thread"))
+            .collect()
+    });
+    eprintln!("sim: {SEEDS} seeds in {:?}", start.elapsed());
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn replays_the_regressions() {
+    for &seed in REGRESSIONS {
+        if let Err(why) = run_seed(seed) {
+            panic!("{why}");
+        }
+    }
+}

@@ -291,6 +291,9 @@ struct Published {
     /// is no cryptographic hash: this keeps a seed from being chosen
     /// casually, not from being computed by a peer who inverts it.)
     history: u64,
+    /// The seed the last `Hello` answered while a view was due was handed:
+    /// the one a view is built under, never a proposal answered before.
+    handed: Option<u64>,
 }
 
 /// What [`SetStore::view`] and [`SetStore::session_seed`] both go by.
@@ -723,14 +726,13 @@ impl SetStore for MutableStore {
     /// for, which every later session is then held to; the proposal
     /// otherwise. `Views::work` is never taken.
     fn session_seed(&self, proposal: u64) -> u64 {
-        let derived = {
-            let mut published = recover(self.views.published.lock());
-            published.history = derive_seed(published.history, proposal);
-            derive_seed(published.history, VIEW_SEED_SALT)
-        };
-        match self.standing() {
+        let standing = self.standing();
+        let mut published = recover(self.views.published.lock());
+        published.history = derive_seed(published.history, proposal);
+        let derived = derive_seed(published.history, VIEW_SEED_SALT);
+        match standing {
             Standing::Cached(view) => view.seed(),
-            Standing::Due => derived,
+            Standing::Due => *published.handed.insert(derived),
             Standing::Cold => proposal,
         }
     }
@@ -742,13 +744,14 @@ impl SetStore for MutableStore {
     fn view(&self, seed: u64) -> ViewAnswer {
         let _work = recover(self.views.work.lock());
         let standing = self.standing();
+        let handed = recover(self.views.published.lock()).handed;
         let answer = match &standing {
             // The `Hello` was answered before this view was cached: the
             // session runs on its own and leaves the view alone.
             Standing::Cached(view) if view.seed() != seed => ViewAnswer::Declined,
             Standing::Cached(view) => self.bring_forward(view),
-            Standing::Due => self.build_view(seed),
-            Standing::Cold => ViewAnswer::Declined,
+            Standing::Due if handed == Some(seed) => self.build_view(seed),
+            Standing::Due | Standing::Cold => ViewAnswer::Declined,
         };
         let (view, epoch) = match (&answer, standing) {
             (ViewAnswer::Patched(view) | ViewAnswer::Built(view), _) => {
@@ -1255,9 +1258,9 @@ mod tests {
             let (snapshot, epoch) = store.snapshot_with_epoch();
             whole(&snapshot, epoch, "snapshot");
             if i % 8 == 0 {
-                if let ViewAnswer::Patched(view) | ViewAnswer::Built(view) = store.view(5) {
+                if let ViewAnswer::Patched(view) | ViewAnswer::Built(view) = look(&store, 5) {
                     whole(view.elements(), view.epoch(), "view");
-                    let cold = cold_view(view.elements().to_vec(), 5, view.epoch());
+                    let cold = cold_view(view.elements().to_vec(), view.seed(), view.epoch());
                     assert_eq!(*view, cold, "the bank is the elements' bank");
                     views.push(view);
                 }
@@ -1321,6 +1324,12 @@ mod tests {
         }
     }
 
+    /// What a full session does: its `Hello` is answered, then its set-up
+    /// asks for the view under the seed the answer named.
+    fn look(store: &MutableStore, proposal: u64) -> ViewAnswer {
+        store.view(store.session_seed(proposal))
+    }
+
     /// What [`SetView::build`] makes of `elements`, the way the store
     /// calls it.
     fn cold_view(elements: Vec<u64>, seed: u64, epoch: u64) -> SetView {
@@ -1340,10 +1349,14 @@ mod tests {
         // A second, with the first's epoch still in the changelog: its
         // `Hello` is answered with a seed of the store's own making — not
         // the proposal, and another one each time — the view is built under
-        // the seed the session runs under, and advertised from here on.
+        // the seed the session runs under, and advertised from here on. Of
+        // two `Hello`s answered so, the later one's seed is the one: the
+        // earlier session runs on its own.
+        let earlier = store.session_seed(7);
         let seed = store.session_seed(7);
-        assert!(seed != 7 && store.session_seed(7) != seed);
+        assert!(earlier != 7 && seed != earlier);
         store.apply(&[1000], &[]);
+        assert_eq!(path(&store.view(earlier)), "declined");
         let built = store.view(seed);
         assert_eq!(path(&built), "built");
         let built = view_of(built);
@@ -1380,8 +1393,8 @@ mod tests {
         for held in [false, true] {
             for batches in 1..=4 {
                 let store = MutableStore::new((1..=50u64).chain(held.then_some(99)));
-                store.view(7);
-                store.view(7);
+                look(&store, 7);
+                let seed = view_of(look(&store, 7)).seed();
                 let mut holds = held;
                 for _ in 0..batches {
                     let (added, removed) = if holds {
@@ -1392,11 +1405,11 @@ mod tests {
                     store.apply(added, removed);
                     holds = !holds;
                 }
-                let forward = store.view(7);
+                let forward = look(&store, 7);
                 assert_eq!(path(&forward), "patched", "held {held}, {batches} batches");
                 assert_eq!(
                     *view_of(forward),
-                    cold_view(store.snapshot(), 7, batches),
+                    cold_view(store.snapshot(), seed, batches),
                     "held {held}, {batches} batches"
                 );
                 assert_eq!(store.contains(99), holds);
@@ -1406,7 +1419,7 @@ mod tests {
         // A view retired (a session under its seed gave up unverified): the
         // next `Hello` is answered with a fresh seed and builds under it.
         let store = MutableStore::new(1..=400u64);
-        store.view(7);
+        look(&store, 7);
         let seed = store.session_seed(7);
         assert_eq!(path(&store.view(seed)), "built");
         store.retire_view(seed ^ 1);
@@ -1420,23 +1433,33 @@ mod tests {
         // A changelog trimmed past the view — and past the previous full
         // session with it: the view binds nobody any more, the next session
         // is declined under its own seed; the one after finds that one's
-        // epoch in the log and builds.
+        // epoch in the log and builds, under a seed of the store's.
         let store = MutableStore::with_log_capacity(1..=400u64, 2);
-        store.view(7);
-        assert_eq!(path(&store.view(7)), "built");
+        look(&store, 7);
+        assert_eq!(path(&look(&store, 7)), "built");
         for e in 1000..1003 {
             store.apply(&[e], &[]);
         }
         assert_eq!(store.session_seed(8), 8);
         assert_eq!(path(&store.view(8)), "declined");
-        let next = store.view(9);
-        assert_eq!((path(&next), view_of(next).seed()), ("built", 9));
+        let seed = store.session_seed(9);
+        let next = store.view(seed);
+        assert!(seed != 9 && path(&next) == "built" && view_of(next).seed() == seed);
+
+        // Two `Hello`s answered before either session's set-up ran: both
+        // proposals stand. The first set-up leaves the view due; the second
+        // declines it rather than build it under the seed its peer chose.
+        let store = MutableStore::new(1..=400u64);
+        assert_eq!((store.session_seed(7), store.session_seed(8)), (7, 8));
+        assert_eq!(path(&store.view(7)), "declined");
+        assert_eq!(path(&store.view(8)), "declined");
+        assert_eq!(path(&look(&store, 9)), "built");
 
         // No changelog: a view lives exactly until the next write.
         let store = MutableStore::with_log_capacity(1..=400u64, 0);
-        assert_eq!(path(&store.view(7)), "declined");
-        assert_eq!(path(&store.view(7)), "built");
-        assert_eq!(path(&store.view(7)), "patched");
+        assert_eq!(path(&look(&store, 7)), "declined");
+        assert_eq!(path(&look(&store, 7)), "built");
+        assert_eq!(path(&look(&store, 7)), "patched");
         store.apply(&[1000], &[]);
         assert_eq!(store.session_seed(8), 8);
         assert_eq!(path(&store.view(7)), "declined");
@@ -1444,7 +1467,7 @@ mod tests {
         // Epochs exhausted: no epoch stamps one state, no view is kept.
         let store = MutableStore::with_epoch_origin(1..=400u64, u64::MAX, 64);
         for _ in 0..3 {
-            assert_eq!(path(&store.view(7)), "declined");
+            assert_eq!(path(&look(&store, 7)), "declined");
             store.apply(&[1000], &[1000]);
         }
         assert_eq!(store.session_seed(8), 8);
@@ -1474,14 +1497,14 @@ mod tests {
         ) {
             let store = MutableStore::with_log_capacity(initial, log_capacity);
             let mut looks = 0;
-            for (added, removed, look) in steps.iter().chain([&(vec![], vec![], true)]) {
+            for (added, removed, looks_now) in steps.iter().chain([&(vec![], vec![], true)]) {
                 store.apply(added, removed);
-                if !look {
+                if !looks_now {
                     continue;
                 }
-                if let ViewAnswer::Patched(view) | ViewAnswer::Built(view) = store.view(7) {
+                if let ViewAnswer::Patched(view) | ViewAnswer::Built(view) = look(&store, 7) {
                     looks += 1;
-                    proptest::prop_assert_eq!(&*view, &cold_view(store.snapshot(), 7, store.epoch()));
+                    proptest::prop_assert_eq!(&*view, &cold_view(store.snapshot(), view.seed(), store.epoch()));
                 }
             }
             // (The closing look finds the one before it, unless a trimmed

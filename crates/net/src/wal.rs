@@ -569,8 +569,13 @@ impl Wal {
         epoch: u64,
         log: &[ChangeBatch],
     ) -> io::Result<()> {
-        let blob = encode_snapshot(elements, epoch, log);
         let final_path = self.dir.join(snapshot_name(epoch));
+        // Nothing appended since this epoch's snapshot, the only copy of
+        // the state: rewriting it could tear it with nothing to fall back on.
+        if self.len == 0 && final_path.exists() {
+            return Ok(());
+        }
+        let blob = encode_snapshot(elements, epoch, log);
         if self.crash == Some(CrashPoint::TornSnapshot) {
             // A non-atomic rename / torn disk: half a snapshot under the
             // live name. The trailing CRC is what catches this.
@@ -797,6 +802,33 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".snap"))
             .collect();
         assert_eq!(snaps.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_compaction_with_nothing_new_leaves_the_one_snapshot_alone() {
+        // A second compaction at the snapshot's epoch, nothing appended in
+        // between: were it to rewrite the file and tear it, neither an older
+        // snapshot nor the (truncated) WAL would be left to recover from.
+        let dir = tempdir("same_epoch");
+        let opts = DurableOptions {
+            snapshot_every: 0,
+            ..DurableOptions::default()
+        };
+        let mut wal = Wal::open(&dir, opts).unwrap();
+        wal.append(1, &[1], &[]).unwrap();
+        let log = vec![ChangeBatch {
+            epoch: 1,
+            added: vec![1],
+            removed: vec![],
+        }];
+        wal.compact(&[1], 1, &log).unwrap();
+        let mut wal = Wal::open(&dir, opts).unwrap();
+        wal.inject_crash(Some(CrashPoint::TornSnapshot));
+        wal.compact(&[1], 1, &log).unwrap();
+        let rec = recover(&dir, 8).unwrap();
+        assert_eq!((rec.epoch, rec.snapshots_rejected), (1, 0));
+        assert!(rec.elements.contains(&1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

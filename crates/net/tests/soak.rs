@@ -1,13 +1,14 @@
-//! Delta-subscription soak and byte-accounting tests.
+//! The delta path's socket smoke test and byte accounting.
 //!
 //! The delta path exists to make a returning client's re-sync cost
 //! O(|changes|) instead of O(d) reconciliation rounds over the full set.
-//! These tests pin that claim against the transcript ledger (measured
-//! frame encodings, never wall time): a delta sync's wire bytes must equal
-//! its own frame-by-frame prediction exactly, stay a small fraction of the
-//! full reconciliation it replaces, and keep converging under concurrent
-//! server-side mutation — with the trimmed-changelog path falling back to
-//! a classic session that re-establishes the epoch baseline.
+//! This test pins that claim against the transcript ledger (measured frame
+//! encodings, never wall time): a delta sync's wire bytes must equal its
+//! own frame-by-frame prediction exactly and stay a small fraction of the
+//! full reconciliation it replaces. What the delta path does under
+//! concurrent writes, a trimmed changelog or an epoch-less store is the
+//! deterministic simulator's (`src/sim.rs`): every delta it serves must lead
+//! from the set at its first epoch to the set at its last.
 
 use pbs_core::PbsConfig;
 use pbs_net::client::{sync, ClientConfig};
@@ -15,25 +16,10 @@ use pbs_net::frame::{
     delta_batch_frames, delta_chunk_capacity, Frame, Hello, DEFAULT_MAX_FRAME, FRAME_OVERHEAD,
 };
 use pbs_net::server::{Server, ServerConfig};
-use pbs_net::store::{MutableStore, SetStore};
+use pbs_net::store::MutableStore;
 use protocol::{Direction, Transcript};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
-
-/// A store that keeps no epochs: [`SetStore`] with its defaults, what an
-/// out-of-tree store is. The tree's own store overrides them all.
-struct Epochless(Mutex<Vec<u64>>);
-
-impl SetStore for Epochless {
-    fn snapshot(&self) -> Vec<u64> {
-        self.0.lock().unwrap().clone()
-    }
-
-    fn apply_missing(&self, elements: &[u64]) -> bool {
-        self.0.lock().unwrap().extend_from_slice(elements);
-        true
-    }
-}
+use std::sync::Arc;
 
 /// `count` distinct nonzero 32-bit-universe elements.
 fn distinct_keys(count: usize, salt: u64) -> Vec<u64> {
@@ -232,189 +218,4 @@ fn delta_sync_of_100k_store_beats_full_reconciliation_bytes() {
     assert_eq!(stats.delta_elements, changes as u64);
     assert_eq!(stats.rounds, 0);
     assert_eq!(stats.estimator_exchanges, 0);
-}
-
-/// Acceptance: a session whose epoch the changelog no longer covers falls
-/// back to the classic reconciliation, succeeds, and re-establishes a
-/// servable epoch baseline.
-#[test]
-fn trimmed_changelog_falls_back_to_full_reconciliation() {
-    let pool = distinct_keys(5_000, 0x721133D);
-    let baseline: Vec<u64> = pool[..4_960].to_vec();
-    // Capacity 1: only the newest batch survives, so an epoch-0 client is
-    // always behind the log.
-    let store = Arc::new(MutableStore::with_log_capacity(baseline.iter().copied(), 1));
-    store.apply(&pool[4_960..4_980], &[]);
-    store.apply(&pool[4_980..], &[]);
-    assert!(store.changes_since(0).is_none(), "log must be trimmed");
-
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&store) as Arc<_>,
-        ServerConfig::default(),
-    )
-    .expect("bind");
-    let config = ClientConfig {
-        seed: 42,
-        delta_epoch: Some(0),
-        ..ClientConfig::default()
-    };
-    let report = sync(server.local_addr(), &baseline, &config).expect("fallback sync");
-    assert!(report.verified);
-    assert!(report.delta_fallback, "must have fallen back");
-    assert!(report.delta.is_none());
-    assert_eq!(
-        sorted(report.recovered.clone()),
-        sorted(pool[4_960..].to_vec())
-    );
-    // The classic session's ack re-established the baseline: the epoch of
-    // the snapshot it reconciled against.
-    assert_eq!(report.epoch, Some(2));
-
-    // From that baseline, the next sync is an (empty) delta again.
-    let report2 = sync(
-        server.local_addr(),
-        &pool,
-        &ClientConfig {
-            seed: 43,
-            delta_epoch: Some(report.epoch.expect("baseline epoch")),
-            ..ClientConfig::default()
-        },
-    )
-    .expect("resumed delta sync");
-    let delta = report2.delta.expect("delta served after re-baseline");
-    assert_eq!(delta.batches, 0);
-    assert!(delta.added.is_empty() && delta.removed.is_empty());
-
-    let stats = server.shutdown();
-    assert_eq!(stats.delta_fallbacks, 1);
-    assert_eq!(stats.delta_sessions, 1);
-    assert_eq!(stats.sessions_completed, 2);
-}
-
-/// A delta request against a store with no changelog at all (an
-/// out-of-tree [`SetStore`] on the trait's defaults) is answered with
-/// `FullResyncRequired` and completes as a classic session, acked with an
-/// empty `Done`: no epoch baseline.
-#[test]
-fn epochless_stores_demand_full_resync() {
-    let pool = distinct_keys(2_000, 0xE9_0C4);
-    let store = Arc::new(Epochless(Mutex::new(pool[..1_990].to_vec())));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&store) as Arc<_>,
-        ServerConfig::default(),
-    )
-    .expect("bind");
-    let report = sync(
-        server.local_addr(),
-        &pool,
-        &ClientConfig {
-            seed: 7,
-            known_d: Some(10),
-            delta_epoch: Some(123),
-            ..ClientConfig::default()
-        },
-    )
-    .expect("fallback sync");
-    assert!(report.verified);
-    assert!(report.delta_fallback);
-    assert_eq!(report.epoch, None, "epoch-less stores grant no baseline");
-    assert_eq!(store.snapshot().len(), 2_000, "the transfer was ingested");
-    let stats = server.shutdown();
-    assert_eq!(stats.delta_fallbacks, 1);
-    assert_eq!(stats.delta_sessions, 0);
-}
-
-/// Soak: repeated delta syncs under concurrent `--watch-dir`-style
-/// mutation converge to the live store, every sync's wire bytes matching
-/// the ledger prediction for exactly the change batches it was served —
-/// transferred delta bytes stay O(|changes|) by construction, asserted
-/// against measured encodings rather than wall time.
-#[test]
-fn repeated_delta_syncs_track_a_concurrently_mutating_store() {
-    let pool = distinct_keys(30_000, 0x50AC_50AC);
-    let initial: Vec<u64> = pool[..20_000].to_vec();
-    let store = Arc::new(MutableStore::new(initial.iter().copied()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&store) as Arc<_>,
-        ServerConfig::default(),
-    )
-    .expect("bind");
-    let addr = server.local_addr();
-
-    // The mutator: 40 epoch batches, each inserting 16 fresh elements and
-    // removing 8 current ones — the shape `pbs-syncd --watch-dir` produces
-    // when a watched file keeps changing.
-    let mutator = {
-        let store = Arc::clone(&store);
-        let fresh: Vec<u64> = pool[20_000..].to_vec();
-        std::thread::spawn(move || {
-            for i in 0..40usize {
-                let adds = &fresh[i * 16..(i + 1) * 16];
-                let snapshot = store.snapshot();
-                let removes: Vec<u64> = snapshot.iter().copied().take(8).collect();
-                store.apply(adds, &removes);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        })
-    };
-
-    // The subscriber: bootstrap from a snapshot, then follow by delta.
-    let (boot, mut epoch) = store.snapshot_with_epoch();
-    let mut local: HashSet<u64> = boot.into_iter().collect();
-    let mut syncs = 0u64;
-    let mut done_mutating = false;
-    loop {
-        if mutator.is_finished() {
-            // One final sync after the last mutation is in the store.
-            done_mutating = true;
-        }
-        let config = ClientConfig {
-            seed: 0x50AC + syncs,
-            delta_epoch: Some(epoch),
-            ..ClientConfig::default()
-        };
-        let report = sync(addr, &[1], &config).expect("delta sync");
-        let delta = report.delta.expect("changelog capacity is never exceeded");
-        assert_eq!(delta.from_epoch, epoch);
-
-        // Byte accounting: this sync must have been served exactly the
-        // changelog batches in (from_epoch, to_epoch].
-        let served: Vec<pbs_net::store::ChangeBatch> = store
-            .changes_since(epoch)
-            .expect("log intact")
-            .into_iter()
-            .filter(|b| b.epoch <= delta.to_epoch)
-            .collect();
-        let (predicted, frames) =
-            predict_delta_sync(&config.pbs, config.seed, epoch, &served, delta.to_epoch);
-        assert_eq!(report.frames_sent + report.frames_received, frames);
-        assert_eq!(
-            report.bytes_sent + report.bytes_received,
-            predicted.wire_bytes_total() + FRAME_OVERHEAD * frames,
-            "sync {syncs}: wire bytes diverged from the served batches"
-        );
-
-        delta.apply_to(&mut local);
-        epoch = delta.to_epoch;
-        syncs += 1;
-        if done_mutating {
-            break;
-        }
-    }
-    mutator.join().expect("mutator");
-
-    // The subscriber converged on the live store.
-    let (now, now_epoch) = store.snapshot_with_epoch();
-    assert_eq!(now_epoch, epoch, "final sync reached the head epoch");
-    assert_eq!(sorted(now), sorted(local.into_iter().collect()));
-    assert_eq!(store.len(), 20_000 + 40 * 16 - 40 * 8);
-
-    let stats = server.shutdown();
-    assert_eq!(stats.delta_sessions, syncs);
-    assert_eq!(stats.sessions_completed, syncs);
-    assert_eq!(stats.sessions_failed, 0);
-    assert_eq!(stats.rounds, 0, "no reconciliation ever ran");
 }
