@@ -27,8 +27,7 @@ mod table;
 
 pub use markov::TransitionMatrix;
 pub use optimize::{
-    group_count, optimize_parameters, optimize_parameters_with_model, sweep_parameter_grid,
-    GridCell, OptimalParams, OptimizeError,
+    group_count, optimize_parameters, optimize_parameters_with_model, OptimalParams, OptimizeError,
 };
 pub use probability::{
     binomial_pmf, exception_probabilities, ideal_case_probability, ExceptionProbabilities,
@@ -55,7 +54,7 @@ pub const PAPER_CANDIDATE_N: [usize; 6] = [63, 127, 255, 511, 1023, 2047];
 /// keeps the ideal-case probability high enough) still have feasible
 /// parameters; for the paper's default `r = 3` the optimum always falls
 /// inside [`PAPER_CANDIDATE_N`].
-pub const CANDIDATE_N: [usize; 15] = [
+pub(crate) const CANDIDATE_N: [usize; 15] = [
     63, 127, 255, 511, 1023, 2047, 4095, 8191, 16383, 32767, 65535, 131071, 262143, 524287, 1048575,
 ];
 

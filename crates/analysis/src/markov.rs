@@ -25,7 +25,6 @@
 /// decoding failure and are excluded from the model, per Appendix D).
 #[derive(Debug, Clone)]
 pub struct TransitionMatrix {
-    n: usize,
     t: usize,
     /// Row-major `(t+1) × (t+1)` matrix.
     data: Vec<f64>,
@@ -83,16 +82,11 @@ impl TransitionMatrix {
             }
             std::mem::swap(&mut prev, &mut cur);
         }
-        TransitionMatrix { n, t, data }
-    }
-
-    /// The bitmap length `n` this matrix was built for.
-    pub fn bins(&self) -> usize {
-        self.n
+        TransitionMatrix { t, data }
     }
 
     /// Matrix dimension (`t + 1`).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.t + 1
     }
 
@@ -102,7 +96,7 @@ impl TransitionMatrix {
     }
 
     /// Compute the matrix power `M^r` (dense, `O(r · t³)`).
-    pub fn power(&self, r: u32) -> MatrixPower {
+    pub(crate) fn power(&self, r: u32) -> MatrixPower {
         let dim = self.dim();
         // Start from the identity.
         let mut result = vec![0.0f64; dim * dim];
@@ -146,7 +140,7 @@ impl TransitionMatrix {
 
 /// A dense power `M^r` of a [`TransitionMatrix`], indexable by `(row, col)`.
 #[derive(Debug, Clone)]
-pub struct MatrixPower {
+pub(crate) struct MatrixPower {
     dim: usize,
     data: Vec<f64>,
 }
@@ -156,13 +150,6 @@ impl std::ops::Index<(usize, usize)> for MatrixPower {
 
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         &self.data[i * self.dim + j]
-    }
-}
-
-impl MatrixPower {
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 

@@ -7,7 +7,7 @@ use crate::{overall_success_lower_bound, SuccessModel};
 /// One cell of the Appendix H grid (Table 1): an `(n, t)` combination, the
 /// success-probability lower bound it achieves and the objective value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridCell {
+pub(crate) struct GridCell {
     /// Parity-bitmap length `n`.
     pub n: usize,
     /// BCH error-correction capacity `t`.
@@ -74,21 +74,16 @@ pub fn group_count(d: usize, delta: usize) -> usize {
     d.div_ceil(delta).max(1)
 }
 
-/// Evaluate the full `(n, t)` grid (Appendix H / Table 1).
+/// Evaluate the full `(n, t)` grid (Appendix H / Table 1) under an
+/// over-capacity success model.
 ///
 /// `d` is the (estimated) difference cardinality, `delta` the per-group
 /// average δ, `r` the target number of rounds and `p0` the target overall
 /// success probability. The `t` range scanned is `δ ..= 4δ` (the paper notes
-/// the optimum always lies within `1.5δ..3.5δ`).
-pub fn sweep_parameter_grid(d: usize, delta: usize, r: u32, p0: f64) -> Vec<GridCell> {
-    sweep_parameter_grid_with_model(d, delta, r, p0, SuccessModel::default())
-}
-
-/// [`sweep_parameter_grid`] with an explicit over-capacity success model.
-///
-/// Only the group-size distribution depends on `d`; everything else comes
-/// from the cached table of `(δ, r, model)`.
-pub fn sweep_parameter_grid_with_model(
+/// the optimum always lies within `1.5δ..3.5δ`). Only the group-size
+/// distribution depends on `d`; everything else comes from the cached table
+/// of `(δ, r, model)`.
+pub(crate) fn sweep_parameter_grid_with_model(
     d: usize,
     delta: usize,
     r: u32,
@@ -344,8 +339,11 @@ mod tests {
     #[test]
     fn cold_and_warm_plans_are_equal() {
         // δ = 6 is used nowhere else, so the first call builds the table.
-        let cold = sweep_parameter_grid(777, 6, 3, 0.99);
-        assert_eq!(cold, sweep_parameter_grid(777, 6, 3, 0.99));
+        let cold = sweep_parameter_grid_with_model(777, 6, 3, 0.99, SuccessModel::default());
+        assert_eq!(
+            cold,
+            sweep_parameter_grid_with_model(777, 6, 3, 0.99, SuccessModel::default())
+        );
         let warm = optimize_parameters(777, 6, 3, 0.99).unwrap();
         let chosen = cheapest_feasible(&cold).unwrap();
         assert_eq!((warm.n, warm.t), (chosen.n, chosen.t));
@@ -372,7 +370,7 @@ mod tests {
         // Objective (t + 5) * 7 bits.
         assert!((opt.objective_bits - ((opt.t + 5) as f64 * 7.0)).abs() < 1e-9);
         // The paper's own choice must itself be feasible under the model.
-        let grid = sweep_parameter_grid(1000, 5, 3, 0.99);
+        let grid = sweep_parameter_grid_with_model(1000, 5, 3, 0.99, SuccessModel::default());
         let paper_cell = grid.iter().find(|c| c.n == 127 && c.t == 13).unwrap();
         assert!(paper_cell.feasible);
     }
@@ -412,7 +410,7 @@ mod tests {
 
     #[test]
     fn grid_contains_infeasible_and_feasible_cells() {
-        let cells = sweep_parameter_grid(1000, 5, 3, 0.99);
+        let cells = sweep_parameter_grid_with_model(1000, 5, 3, 0.99, SuccessModel::default());
         assert!(cells.iter().any(|c| c.feasible));
         assert!(cells.iter().any(|c| !c.feasible));
         // Feasibility must be monotone-ish: the largest (n, t) cell is feasible.

@@ -40,8 +40,8 @@
 //! position `p`, and sketching a set is the XOR of its columns
 //! ([`BchCodec::sketch_slice`]). Any other codec (PinSketch's GF(2³²), a
 //! one-round PBS plan whose `n·t` outgrows the bound) steps the odd-power
-//! ladder per element instead ([`Sketch::add_batch`]), which is also the
-//! column table's oracle.
+//! ladder per element instead, four elements at a time; the ladder, one
+//! element at a time ([`Sketch::add`]), is also the column table's oracle.
 //!
 //! # Example
 //!
@@ -69,10 +69,9 @@
 mod berlekamp;
 mod roots;
 
-pub use roots::{find_roots, RootFindError};
-
 use berlekamp::{berlekamp_massey, BmScratch};
 use gf::{Field, Poly};
+use roots::find_roots;
 use std::sync::Arc;
 
 /// Reasons a syndrome sketch can fail to decode.
@@ -136,7 +135,7 @@ impl Sketch {
     /// `true` if every syndrome is zero (an empty difference — note a
     /// *nonempty* difference can also produce an all-zero sketch only if it
     /// exceeds the capacity, which the checksum layer above PBS catches).
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.syndromes.iter().all(|&s| s == 0)
     }
 
@@ -147,19 +146,6 @@ impl Sketch {
     /// excluded from the universe, §2.1).
     pub fn add(&mut self, element: u64, field: &Field) {
         ladder(&mut self.syndromes, element, field);
-    }
-
-    /// Toggle a whole slice of elements in the sketched set.
-    ///
-    /// This is the batched syndrome ladder: four elements advance through
-    /// their odd-power ladders together (`x, x^3, x^5, …` each stepping by
-    /// `x^2`), so the four field multiplications per syndrome row are
-    /// independent and the backend dispatch in [`Field::mul_slice`] is paid
-    /// once per row instead of once per multiplication. Equivalent to
-    /// calling [`Sketch::add`] per element. What [`BchCodec::sketch_slice`]
-    /// runs on a field too large for a column table.
-    pub fn add_batch(&mut self, elements: &[u64], field: &Field) {
-        ladder_batch(&mut self.syndromes, elements, field);
     }
 
     /// XOR-combine with another sketch of the same capacity: the result is
@@ -209,7 +195,12 @@ fn ladder(syndromes: &mut [u64], element: u64, field: &Field) {
     }
 }
 
-/// Four ladders at a time (see [`Sketch::add_batch`]).
+/// The batched syndrome ladder: four elements advance through their
+/// odd-power ladders together (`x, x^3, x^5, …` each stepping by `x^2`), so
+/// the four field multiplications per syndrome row are independent and the
+/// backend dispatch in [`Field::mul_slice`] is paid once per row instead of
+/// once per multiplication. Equivalent to one [`ladder`] per element; what
+/// [`BchCodec::sketch_slice`] runs on a field too large for a column table.
 fn ladder_batch(syndromes: &mut [u64], elements: &[u64], field: &Field) {
     let t = syndromes.len();
     let mut chunks = elements.chunks_exact(4);
@@ -302,7 +293,7 @@ impl BchCodec {
     }
 
     /// Create a codec sharing an existing field (avoids rebuilding log tables).
-    pub fn with_field(field: Arc<Field>, t: usize) -> Self {
+    pub(crate) fn with_field(field: Arc<Field>, t: usize) -> Self {
         assert!(t > 0, "sketch capacity t must be positive");
         let tables = PositionTables::build(&field, t).map(Arc::new);
         BchCodec { field, t, tables }
@@ -311,21 +302,6 @@ impl BchCodec {
     /// The underlying field.
     pub fn field(&self) -> &Field {
         &self.field
-    }
-
-    /// Extension degree `m`.
-    pub fn m(&self) -> u32 {
-        self.field.m()
-    }
-
-    /// Capacity `t`.
-    pub fn t(&self) -> usize {
-        self.t
-    }
-
-    /// Wire size of one sketch in bits (`t · m`).
-    pub fn sketch_bits(&self) -> u64 {
-        self.t as u64 * self.field.m() as u64
     }
 
     /// An all-zero sketch.
@@ -481,25 +457,33 @@ impl BchCodec {
         }
         Ok(())
     }
-
-    /// Decode the difference between two sketches directly.
-    pub fn decode_difference(&self, a: &Sketch, b: &Sketch) -> Result<Vec<u64>, DecodeError> {
-        let mut d = a.clone();
-        d.combine(b);
-        self.decode(&d)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// What a peer does with its own sketch and the other side's: combine,
+    /// then decode.
+    fn decode_difference(
+        codec: &BchCodec,
+        a: &Sketch,
+        b: &Sketch,
+    ) -> Result<Vec<u64>, DecodeError> {
+        let mut d = a.clone();
+        d.combine(b);
+        codec.decode(&d)
+    }
+
     #[test]
     fn empty_difference_decodes_to_empty() {
         let codec = BchCodec::new(8, 4);
         let a = codec.sketch_set([5u64, 9, 200]);
         let b = codec.sketch_set([200u64, 9, 5]);
-        assert_eq!(codec.decode_difference(&a, &b).unwrap(), Vec::<u64>::new());
+        assert_eq!(
+            decode_difference(&codec, &a, &b).unwrap(),
+            Vec::<u64>::new()
+        );
     }
 
     #[test]
@@ -507,7 +491,7 @@ mod tests {
         let codec = BchCodec::new(8, 3);
         let a = codec.sketch_set([1u64, 2, 3]);
         let b = codec.sketch_set([1u64, 2]);
-        assert_eq!(codec.decode_difference(&a, &b).unwrap(), vec![3]);
+        assert_eq!(decode_difference(&codec, &a, &b).unwrap(), vec![3]);
     }
 
     #[test]
@@ -517,7 +501,7 @@ mod tests {
         let bob: Vec<u64> = (9..=300).collect(); // 8 differences: 1..=8
         let sa = codec.sketch_set(alice.iter().copied());
         let sb = codec.sketch_set(bob.iter().copied());
-        let mut d = codec.decode_difference(&sa, &sb).unwrap();
+        let mut d = decode_difference(&codec, &sa, &sb).unwrap();
         d.sort_unstable();
         assert_eq!(d, (1..=8).collect::<Vec<u64>>());
     }
@@ -528,7 +512,7 @@ mod tests {
         // 6 differences but capacity 4.
         let sa = codec.sketch_set([1u64, 2, 3, 4, 5, 6]);
         let sb = codec.empty_sketch();
-        assert!(codec.decode_difference(&sa, &sb).is_err());
+        assert!(decode_difference(&codec, &sa, &sb).is_err());
     }
 
     #[test]
@@ -586,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn add_batch_matches_sequential_adds() {
+    fn sketch_slice_matches_sequential_adds() {
         for m in [8u32, 11, 32] {
             let codec = BchCodec::new(m, 9);
             let order = codec.field().order();
@@ -594,14 +578,13 @@ mod tests {
                 let elements: Vec<u64> = (0..n as u64)
                     .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) % (order - 1)) + 1)
                     .collect();
-                let mut batched = codec.empty_sketch();
-                batched.add_batch(&elements, codec.field());
+                // m = 32 has no column table: the batched ladder, whose
+                // four-wide steps and remainder these sizes straddle.
                 let mut sequential = codec.empty_sketch();
                 for &e in &elements {
                     sequential.add(e, codec.field());
                 }
-                assert_eq!(batched, sequential, "batch mismatch m={m} n={n}");
-                assert_eq!(codec.sketch_slice(&elements), sequential);
+                assert_eq!(codec.sketch_slice(&elements), sequential, "m={m} n={n}");
                 assert_eq!(codec.sketch_set(elements.iter().copied()), sequential);
             }
         }

@@ -8,10 +8,8 @@ use analysis::{
     optimize_parameters, optimize_parameters_with_model, overall_success_lower_bound, SuccessModel,
     PAPER_CANDIDATE_N,
 };
-use ddigest::DifferenceDigest;
-use estimator::{
-    Estimator, MinWiseEstimator, StrataEstimator, TowEstimator, RECOMMENDED_INFLATION,
-};
+use ddigest::{DifferenceDigest, MinWiseEstimator, StrataEstimator};
+use estimator::{Estimator, TowEstimator, RECOMMENDED_INFLATION};
 use graphene::Graphene;
 use pbs_core::{Pbs, PbsConfig, PbsReport};
 use pinsketch::{PinSketch, PinSketchWp};

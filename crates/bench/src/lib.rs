@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// The workload an experiment's sweep runs on; an analytical experiment
-/// takes [`ANALYTICAL`] and reads none of it.
+/// takes `ANALYTICAL` and reads none of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Cardinality of Alice's set.
@@ -42,7 +42,7 @@ const fn scale(set_size: usize, trials: u64, d_values: &'static [usize]) -> Scal
 }
 
 /// The scale of an experiment that only tabulates `analysis`.
-pub const ANALYTICAL: Scale = scale(0, 0, &[]);
+pub(crate) const ANALYTICAL: Scale = scale(0, 0, &[]);
 
 /// The reduced, same-shape scale every sweep defaults to.
 const fn quick(trials: u64) -> Scale {
@@ -54,13 +54,9 @@ const PAPER: Scale = scale(1_000_000, 100, &[10, 100, 1_000, 10_000, 100_000]);
 
 /// Aggregated measurements for one scheme at one `d` value.
 #[derive(Debug, Clone)]
-pub struct ExperimentPoint {
+pub(crate) struct ExperimentPoint {
     /// Scheme name.
     pub scheme: &'static str,
-    /// Set-difference cardinality of the workload.
-    pub d: usize,
-    /// Number of trials aggregated.
-    pub trials: u64,
     /// Fraction of trials in which the recovered difference matched ground
     /// truth exactly (the paper's "success rate").
     pub success_rate: f64,
@@ -79,7 +75,7 @@ pub struct ExperimentPoint {
 
 /// Run `scheme` on `trials` independent instances of the workload and
 /// aggregate the paper's metrics.
-pub fn run_point(
+pub(crate) fn run_point(
     scheme: &dyn Reconciler,
     workload: &Workload,
     trials: u64,
@@ -110,8 +106,6 @@ pub fn run_point(
     let minimum = protocol::theoretical_minimum_bytes(workload.d.max(1), workload.universe_bits);
     ExperimentPoint {
         scheme: scheme.name(),
-        d: workload.d,
-        trials,
         success_rate: successes as f64 / t,
         mean_comm_kb: mean_comm / 1000.0,
         mean_encode_s: encode.as_secs_f64() / t,
@@ -162,7 +156,7 @@ pub struct Table {
 impl Table {
     /// A table whose columns are `header` split at `" | "`, each numeric one
     /// written `name:format` (see [`Column::format`]).
-    pub fn new(caption: &str, header: &str, rows: Vec<(String, Vec<f64>)>) -> Table {
+    pub(crate) fn new(caption: &str, header: &str, rows: Vec<(String, Vec<f64>)>) -> Table {
         let column = |spec: &str| {
             let (name, format) = spec.rsplit_once(':').unwrap_or((spec, "0"));
             Column {
@@ -235,7 +229,7 @@ impl Claim {
     }
 
     /// The paper's side of the claim, as text.
-    pub fn paper(&self) -> String {
+    pub(crate) fn paper(&self) -> String {
         match self.kind {
             Band(_, lo, hi) if lo == hi => number(lo),
             Band(_, lo, hi) => format!("{}–{}", number(lo), number(hi)),
@@ -264,7 +258,7 @@ fn select<'t>(tables: &'t [Table], column: &str, series: &str) -> Option<(&'t Co
 
 /// How a [`Claim`] reads against measured tables.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
+pub(crate) struct Verdict {
     /// Every cell the claim names exists and is what the paper says.
     pub holds: bool,
     /// The claim read a timing column: it is shown, never asserted.
@@ -275,7 +269,7 @@ pub struct Verdict {
 
 /// Read `claim` against an experiment's tables. A claim that names no
 /// existing cell, or two series that share no point, does not hold.
-pub fn evaluate(claim: &Claim, tables: &[Table]) -> Verdict {
+pub(crate) fn evaluate(claim: &Claim, tables: &[Table]) -> Verdict {
     let (series, under) = match claim.kind {
         Band(series, ..) | Point(series, _) => (series, None),
         Below(den, num) | Ratio(num, den, ..) => (num, Some(den)),
@@ -675,8 +669,6 @@ mod tests {
         };
         let p = run_point(&Pbs::paper_default(), &workload, 3, 1);
         assert_eq!(p.scheme, "PBS");
-        assert_eq!(p.d, 20);
-        assert_eq!(p.trials, 3);
         assert!(p.success_rate > 0.0);
         assert!(p.mean_comm_kb > 0.0);
         assert!(p.comm_over_minimum > 1.0);

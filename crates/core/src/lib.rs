@@ -185,11 +185,6 @@ impl Pbs {
         Pbs::new(PbsConfig::paper_default())
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PbsConfig {
-        &self.config
-    }
-
     /// Derive the optimal `(n, t)` parameters for a difference of `d`
     /// elements under this configuration (§5.1). Falls back to the largest
     /// grid cell if no candidate meets the target (which only happens for
@@ -283,7 +278,6 @@ impl Pbs {
             if rounds_executed >= cfg.max_rounds {
                 break;
             }
-            transcript.next_round();
             sketches = alice_session.start_round();
         }
         let decode = decode_start.elapsed();

@@ -35,7 +35,7 @@ pub type SessionId = u64;
 /// ids can never collide with the small integers used for top-level groups,
 /// and a 63-bit hash keeps collisions between children of different parents
 /// out of practical reach.
-pub fn child_sessions(parent: SessionId) -> [SessionId; 3] {
+pub(crate) fn child_sessions(parent: SessionId) -> [SessionId; 3] {
     let child = |k: u64| xhash::derive_seed(parent, 0xC41D_0000 + k) | (1u64 << 63);
     [child(1), child(2), child(3)]
 }
@@ -92,7 +92,7 @@ pub enum GroupReportBody {
 /// Declared cost in bits of the §3.2 decoding-failure flag: the report tag
 /// of [`crate::wire`], which is all a failed report spends beyond naming its
 /// session.
-pub const FAILURE_FLAG_BITS: u32 = 2;
+pub(crate) const FAILURE_FLAG_BITS: u32 = 2;
 
 /// Bob → Alice: the decoded report for one session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +109,7 @@ impl GroupReport {
     /// at `(log₂(n+1), log|U|)`; [`crate::wire::encode_reports`] spends it
     /// at the widths its batch header states — those of the largest
     /// position and sum present. A §3.2 decoding failure costs its flag,
-    /// [`FAILURE_FLAG_BITS`], at any widths.
+    /// `FAILURE_FLAG_BITS`, at any widths.
     pub fn wire_bits(&self, position_bits: u32, value_bits: u32) -> u64 {
         match &self.body {
             GroupReportBody::Decoded { bins, checksum } => {

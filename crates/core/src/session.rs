@@ -382,12 +382,12 @@ impl AliceSession {
     }
 
     /// Number of sessions (groups and sub-groups) that have not verified yet.
-    pub fn active_sessions(&self) -> usize {
+    pub(crate) fn active_sessions(&self) -> usize {
         self.groups.iter().filter(|g| !g.verified).count()
     }
 
     /// `true` once every group pair's checksum has verified.
-    pub fn all_verified(&self) -> bool {
+    pub(crate) fn all_verified(&self) -> bool {
         self.groups.iter().all(|g| g.verified)
     }
 
@@ -848,7 +848,7 @@ impl BobSession {
     /// under the view's seed. Equivalent to [`BobSession::new`] over the
     /// same set and seed — every report is the same — but nothing is
     /// hashed, scattered or copied: group `i` is the `i`-th of
-    /// [`SetView::group_ranges`], read in place for as long as it is not
+    /// `SetView::group_ranges`, read in place for as long as it is not
     /// split (the children of a §3.2 split are the session's own copies).
     pub fn from_view(cfg: PbsConfig, params: OptimalParams, view: Arc<SetView>) -> Self {
         let ranges = view.group_ranges(params.groups);

@@ -170,7 +170,7 @@ impl SetView {
     /// [`SetView::elements`]: range `i` holds exactly the elements part `i`
     /// of [`PartitionHasher::partition`] holds under the session's group
     /// hash. Empty groups are empty ranges.
-    pub fn group_ranges(&self, groups: usize) -> Vec<Range<usize>> {
+    pub(crate) fn group_ranges(&self, groups: usize) -> Vec<Range<usize>> {
         let hasher = PartitionHasher::new(groups.max(1) as u64, group_seed(self.seed));
         let mut start = 0usize;
         (1..=groups.max(1) as u64)

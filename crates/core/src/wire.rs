@@ -39,7 +39,7 @@
 //!
 //! Tag 0 is a decoded report, 1 a decoded report with `c(B_i)`, 2 a BCH
 //! decoding failure (nothing follows: the tag is the §3.2 flag, the
-//! report's declared [`FAILURE_FLAG_BITS`]), 3 is refused. The widths are
+//! report's declared `FAILURE_FLAG_BITS`), 3 is refused. The widths are
 //! those of the largest bin count, position and XOR sum / checksum in the
 //! batch — for an honest Bob at most `⌈log₂(t+1)⌉`, `log₂(n+1)` and
 //! `log|U|` — so the decoder needs no session context and no `u64` is ever

@@ -8,22 +8,26 @@
 //! * the IBF has `2·d̂` cells (the "roughly 2d cells" of §7 that account for
 //!   both the estimator noise and the peeling threshold),
 //! * 4 hash functions when `d̂ ≤ 200` and 3 otherwise,
-//! * `d̂` comes from the same ToW estimator PBS uses (the original Strata
-//!   estimator is available in the `estimator` crate and can be swapped in).
+//! * `d̂` comes from the same ToW estimator PBS uses.
 //!
 //! Each cell carries three `log|U|`-bit words, so the wire cost is about
 //! `6·d·log|U|` bits — the ~6× the theoretical minimum reported in §8.1.2.
+//!
+//! The D.Digest of \[15\] sizes its IBF with the **Strata** estimator: a
+//! ladder of small IBFs. It lives here, beside the IBF it is built from,
+//! with the **min-wise** estimator; Appendix B compares both against ToW
+//! ([`StrataEstimator`], [`MinWiseEstimator`]).
 
 //!
 //! # Example
 //!
 //! ```
-//! use ddigest::{DdigestConfig, DifferenceDigest};
+//! use ddigest::DifferenceDigest;
+//! use protocol::Reconciler;
 //!
 //! let alice: Vec<u64> = (1..=500).collect();
 //! let bob: Vec<u64> = (11..=500).collect();
-//! let dd = DifferenceDigest::new(DdigestConfig::default());
-//! let outcome = dd.reconcile_with_estimate(&alice, &bob, 30, 7);
+//! let outcome = DifferenceDigest::default().reconcile(&alice, &bob, 7);
 //! assert!(outcome.claimed_success);
 //! let mut diff = outcome.recovered.clone();
 //! diff.sort_unstable();
@@ -31,6 +35,12 @@
 //! ```
 
 #![warn(missing_docs)]
+
+mod minwise;
+mod strata;
+
+pub use minwise::MinWiseEstimator;
+pub use strata::StrataEstimator;
 
 use estimator::{Estimator, TowEstimator};
 use iblt::Iblt;
@@ -40,16 +50,16 @@ use xhash::derive_seed;
 
 /// Configuration of the Difference Digest baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DdigestConfig {
+struct DdigestConfig {
     /// Element signature width `log|U|` (only used for wire accounting; keys
     /// are stored as `u64` internally).
-    pub universe_bits: u32,
+    universe_bits: u32,
     /// Cells per estimated difference element (2.0 per \[15\]).
-    pub cells_per_diff: f64,
+    cells_per_diff: f64,
     /// Number of ToW sketches for the estimator round.
-    pub estimator_sketches: usize,
+    estimator_sketches: usize,
     /// Safety factor applied to the estimate.
-    pub inflation: f64,
+    inflation: f64,
 }
 
 impl Default for DdigestConfig {
@@ -75,14 +85,9 @@ pub struct DifferenceDigest {
 }
 
 impl DifferenceDigest {
-    /// Create a reconciler with the given configuration.
-    pub fn new(config: DdigestConfig) -> Self {
-        DifferenceDigest { config }
-    }
-
     /// The §8.1.1 hash-count rule: 4 hash functions for small differences,
     /// 3 for large ones.
-    pub fn hash_count_for(d_estimate: usize) -> u32 {
+    fn hash_count_for(d_estimate: usize) -> u32 {
         if d_estimate > 200 {
             3
         } else {
@@ -92,7 +97,7 @@ impl DifferenceDigest {
 
     /// Reconcile with an externally supplied difference estimate (no
     /// estimator round).
-    pub fn reconcile_with_estimate(
+    fn reconcile_with_estimate(
         &self,
         alice: &[u64],
         bob: &[u64],

@@ -5,7 +5,7 @@
 //! agrees between the two sets; with both set sizes known,
 //! `|A△B| = (1 − J)/(1 + J) · (|A| + |B|)`.
 
-use crate::Estimator;
+use estimator::Estimator;
 use xhash::{derive_seed, xxhash64_u64};
 
 /// Min-wise estimator state: one running minimum per hash function.
@@ -34,18 +34,8 @@ impl MinWiseEstimator {
         }
     }
 
-    /// Number of min-hashes.
-    pub fn hash_count(&self) -> usize {
-        self.minima.len()
-    }
-
-    /// Number of inserted elements.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
     /// Estimated Jaccard similarity against another summary.
-    pub fn jaccard(&self, other: &Self) -> f64 {
+    fn jaccard(&self, other: &Self) -> f64 {
         assert_eq!(self.minima.len(), other.minima.len(), "hash count mismatch");
         assert_eq!(self.seed, other.seed, "estimators must share their seed");
         let agree = self
@@ -59,10 +49,6 @@ impl MinWiseEstimator {
 }
 
 impl Estimator for MinWiseEstimator {
-    fn name(&self) -> &'static str {
-        "MinWise"
-    }
-
     fn insert(&mut self, element: u64) {
         for (slot, &seed) in self.minima.iter_mut().zip(&self.hash_seeds) {
             let h = xxhash64_u64(element, seed);

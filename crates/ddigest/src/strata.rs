@@ -9,7 +9,7 @@
 //! above it). Appendix B notes this estimator is considerably less
 //! space-efficient than ToW — reproduced by its `wire_bits` here.
 
-use crate::Estimator;
+use estimator::Estimator;
 use iblt::Iblt;
 use xhash::{derive_seed, xxhash64_u64};
 
@@ -39,7 +39,7 @@ impl StrataEstimator {
     }
 
     /// Create an estimator with an explicit number of strata and cells.
-    pub fn with_shape(strata: usize, cells: usize, universe_bits: u32, seed: u64) -> Self {
+    fn with_shape(strata: usize, cells: usize, universe_bits: u32, seed: u64) -> Self {
         assert!(strata > 0 && strata <= 64, "strata count must be in 1..=64");
         let tables = (0..strata)
             .map(|i| {
@@ -68,10 +68,6 @@ impl StrataEstimator {
 }
 
 impl Estimator for StrataEstimator {
-    fn name(&self) -> &'static str {
-        "Strata"
-    }
-
     fn insert(&mut self, element: u64) {
         let s = self.stratum_of(element);
         self.strata[s].insert(element);

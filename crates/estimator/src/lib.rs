@@ -1,14 +1,13 @@
-//! Set-difference cardinality estimators.
+//! The Tug-of-War set-difference cardinality estimator.
 //!
 //! PBS (and PinSketch, and Difference Digest) must be parameterized with the
 //! difference cardinality `d = |A△B|`, which is not known a priori. §6 of
 //! the paper proposes estimating it with a **Tug-of-War (ToW) sketch** and
 //! inflating the estimate by γ = 1.38 so that `Pr[d ≤ γ·d̂] ≥ 99%` when
-//! ℓ = 128 sketches are used. Appendix B compares ToW against the two
-//! estimators used by earlier work — the **Strata** estimator of Difference
-//! Digest and the **min-wise** estimator — and finds ToW the most
-//! space-efficient; all three are implemented here so that comparison can be
-//! reproduced.
+//! ℓ = 128 sketches are used. The [`Estimator`] trait is the shape all
+//! difference estimators share; Appendix B's other two, Strata and min-wise,
+//! live in the `ddigest` crate beside the IBLT the Strata estimator is built
+//! from.
 
 //!
 //! # Example
@@ -30,12 +29,8 @@
 
 #![warn(missing_docs)]
 
-mod minwise;
-mod strata;
 mod tow;
 
-pub use minwise::MinWiseEstimator;
-pub use strata::StrataEstimator;
 pub use tow::{inflate_estimate, TowEstimator, DEFAULT_SKETCH_COUNT, RECOMMENDED_INFLATION};
 
 /// A set-difference cardinality estimator.
@@ -45,9 +40,6 @@ pub use tow::{inflate_estimate, TowEstimator, DEFAULT_SKETCH_COUNT, RECOMMENDED_
 /// kind of summary of `B` and combines the two into an estimate `d̂` of
 /// `|A△B|`.
 pub trait Estimator {
-    /// Human-readable name for experiment output.
-    fn name(&self) -> &'static str;
-
     /// Insert one element into the summary.
     fn insert(&mut self, element: u64);
 
@@ -70,26 +62,4 @@ pub trait Estimator {
     /// # Panics
     /// Panics if the two summaries were built with different parameters.
     fn estimate(&self, other: &Self) -> f64;
-}
-
-/// Build an estimator summary over a whole set (through the batched
-/// [`Estimator::insert_slice`] path).
-pub fn summarize<E: Estimator>(mut estimator: E, set: &[u64]) -> E {
-    estimator.insert_slice(set);
-    estimator
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn summarize_inserts_everything() {
-        let est = summarize(TowEstimator::new(16, 1), &[1, 2, 3]);
-        let empty = TowEstimator::new(16, 1);
-        // Against an empty summary the estimate is |A| in expectation; just
-        // check it is positive and finite.
-        let d = est.estimate(&empty);
-        assert!(d.is_finite() && d > 0.0);
-    }
 }

@@ -87,17 +87,6 @@ impl TowEstimator {
         self.sketches.len()
     }
 
-    /// Raw sketch values.
-    pub fn sketches(&self) -> &[i64] {
-        &self.sketches
-    }
-
-    /// Number of inserted elements (used for wire-size accounting: each
-    /// sketch is an integer in `[-|S|, |S|]`, i.e. `log2(2|S|+1)` bits).
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
     /// Estimate `d` and apply the γ inflation, returning the value PBS
     /// should be parameterized with (rounded up, at least 1).
     pub fn conservative_estimate(&self, other: &Self) -> usize {
@@ -176,10 +165,6 @@ impl TowEstimator {
 }
 
 impl Estimator for TowEstimator {
-    fn name(&self) -> &'static str {
-        "ToW"
-    }
-
     fn insert(&mut self, element: u64) {
         let powers = SignHasher::powers(element);
         for (lanes, h) in self
@@ -389,7 +374,7 @@ mod tests {
         let back = TowEstimator::from_bytes(&bytes).expect("round trip");
         assert_eq!(back, ea);
         assert_eq!(back.seed(), ea.seed());
-        assert_eq!(back.items(), ea.items());
+        assert_eq!(back.items, ea.items);
         assert_eq!(back.estimate(&eb), ea.estimate(&eb));
     }
 

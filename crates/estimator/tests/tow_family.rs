@@ -34,6 +34,20 @@ fn reference_sketches(sketches: usize, seed: u64, elems: &[u64]) -> Vec<i64> {
     bank
 }
 
+/// The reference bank, handed over in the bank layout the document also
+/// defines: count, items, seed, an 8-byte counter width, the counters.
+fn reference_bank(sketches: usize, seed: u64, elems: &[u64]) -> TowEstimator {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&(sketches as u32).to_le_bytes());
+    bytes.extend_from_slice(&(elems.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&seed.to_le_bytes());
+    bytes.push(8);
+    for counter in reference_sketches(sketches, seed, elems) {
+        bytes.extend_from_slice(&counter.to_le_bytes());
+    }
+    TowEstimator::from_bytes(&bytes).expect("a well-formed bank")
+}
+
 /// Arbitrary `u64`s, a share of them at or above the field modulus.
 fn elements(len: usize, rng: &mut StdRng) -> Vec<u64> {
     const P: u64 = (1 << 61) - 1;
@@ -54,10 +68,9 @@ fn assert_all_paths_agree(sketches: usize, seed: u64, elems: &[u64]) {
         scalar.insert(x);
     }
     assert_eq!(batched, scalar, "ℓ={sketches} len={}", elems.len());
-    assert_eq!(batched.items(), elems.len() as u64);
     assert_eq!(
-        batched.sketches(),
-        reference_sketches(sketches, seed, elems),
+        batched,
+        reference_bank(sketches, seed, elems),
         "ℓ={sketches} len={}",
         elems.len()
     );

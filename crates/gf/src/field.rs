@@ -24,7 +24,7 @@
 //! hold both backends to.
 //!
 //! Batched entry points ([`Field::mul_slice`], [`Field::square_slice`],
-//! [`Field::scalar_mul_slice`]) hoist the backend dispatch out of the loop so
+//! `Field::scalar_mul_slice`) hoist the backend dispatch out of the loop so
 //! callers such as the BCH syndrome accumulator amortize it across a whole
 //! slice.
 
@@ -226,7 +226,7 @@ fn square_bits(a: u64) -> u128 {
 ///
 /// `poly` must include the leading `x^m` term. Returns `true` iff `poly` is
 /// irreducible over GF(2).
-pub fn is_irreducible(poly: u64, m: u32) -> bool {
+fn is_irreducible(poly: u64, m: u32) -> bool {
     if m == 0 || poly >> m != 1 {
         return false;
     }
@@ -270,7 +270,7 @@ pub fn is_irreducible(poly: u64, m: u32) -> bool {
 /// Uses the built-in table, falling back to an exhaustive search (smallest
 /// irreducible polynomial) if the table entry fails verification. The search
 /// fallback exists purely as a safety net; the table is unit-tested.
-pub fn irreducible_poly(m: u32) -> u64 {
+fn irreducible_poly(m: u32) -> u64 {
     assert!(
         (MIN_M..=MAX_M).contains(&m),
         "field degree m must be in {MIN_M}..={MAX_M}, got {m}"
@@ -419,12 +419,6 @@ impl Field {
         self.m
     }
 
-    /// The field modulus, including the leading `x^m` term.
-    #[inline]
-    pub fn modulus(&self) -> u64 {
-        self.poly
-    }
-
     /// Number of field elements, `2^m`.
     #[inline]
     pub fn order(&self) -> u64 {
@@ -440,7 +434,7 @@ impl Field {
     /// Name of the resolved multiplication backend, for diagnostics and the
     /// benchmark reports: `"tables"`, `"clmul-barrett"` or
     /// `"portable-barrett"`.
-    pub fn backend_name(&self) -> &'static str {
+    fn backend_name(&self) -> &'static str {
         match self.backend {
             Backend::Tables => "tables",
             Backend::Barrett => {
@@ -484,12 +478,6 @@ impl Field {
         self.check(a);
         self.check(b);
         a ^ b
-    }
-
-    /// Field subtraction; identical to addition in characteristic 2.
-    #[inline]
-    pub fn sub(&self, a: u64, b: u64) -> u64 {
-        self.add(a, b)
     }
 
     /// Barrett reduction of a carry-less product (degree <= 2m - 2) modulo
@@ -663,7 +651,7 @@ impl Field {
     }
 
     /// Multiply every element of `dst` by the scalar `c` in place.
-    pub fn scalar_mul_slice(&self, dst: &mut [u64], c: u64) {
+    pub(crate) fn scalar_mul_slice(&self, dst: &mut [u64], c: u64) {
         self.check(c);
         match self.backend {
             Backend::Tables => {
@@ -719,7 +707,7 @@ impl Field {
     }
 
     /// Exponentiation `a^e` (with `0^0 == 1`).
-    pub fn pow(&self, a: u64, mut e: u64) -> u64 {
+    fn pow(&self, a: u64, mut e: u64) -> u64 {
         self.check(a);
         if e == 0 {
             return 1;
@@ -778,17 +766,6 @@ impl Field {
         }
         debug_assert!(acc == 0 || acc == 1, "trace must land in GF(2)");
         acc
-    }
-
-    /// Square root of `a`: in GF(2^m) the Frobenius map is a bijection, so
-    /// every element has a unique square root `a^(2^(m-1))`.
-    pub fn sqrt(&self, a: u64) -> u64 {
-        self.check(a);
-        let mut cur = a;
-        for _ in 0..(self.m - 1) {
-            cur = self.square(cur);
-        }
-        cur
     }
 
     /// Discrete logarithm of `a` to the base [`Field::generator`]: `Some(i)`
@@ -869,11 +846,6 @@ impl Field {
             }
         }
         true
-    }
-
-    /// Iterator over all nonzero field elements (1 ..= 2^m - 1).
-    pub fn nonzero_elements(&self) -> impl Iterator<Item = u64> {
-        1..self.order
     }
 }
 
@@ -1062,17 +1034,6 @@ mod tests {
             assert_eq!(f.square(f.add(a, b)), f.add(f.square(a), f.square(b)));
             let t = f.trace(a);
             assert!(t == 0 || t == 1);
-        }
-    }
-
-    #[test]
-    fn sqrt_inverts_square() {
-        for m in [5u32, 11, 20, 32] {
-            let f = Field::new(m);
-            for i in 0..100u64 {
-                let a = i.wrapping_mul(6364136223846793005).wrapping_add(1) % f.order();
-                assert_eq!(f.sqrt(f.square(a)), a, "sqrt(square(a)) != a for m={m}");
-            }
         }
     }
 

@@ -37,5 +37,5 @@
 mod field;
 mod poly;
 
-pub use field::{irreducible_poly, is_irreducible, Field};
-pub use poly::{Poly, KARATSUBA_CUTOFF};
+pub use field::Field;
+pub use poly::Poly;

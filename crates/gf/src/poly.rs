@@ -8,10 +8,10 @@ use crate::Field;
 
 /// Operand length below which [`Poly::mul`] stays on the row-batched
 /// schoolbook kernel; Karatsuba's extra passes only pay off above it.
-pub const KARATSUBA_CUTOFF: usize = 32;
+const KARATSUBA_CUTOFF: usize = 32;
 
 /// Row-batched schoolbook product of two non-empty coefficient slices:
-/// `scratch = b · a_i` via one [`Field::scalar_mul_slice`] per nonzero row,
+/// `scratch = b · a_i` via one `Field::scalar_mul_slice` per nonzero row,
 /// XORed into the output at offset `i`.
 fn schoolbook_coeffs(a: &[u64], b: &[u64], f: &Field) -> Vec<u64> {
     debug_assert!(!a.is_empty() && !b.is_empty());
@@ -131,16 +131,6 @@ impl Poly {
         }
     }
 
-    /// The monomial `c * x^d`.
-    pub fn monomial(c: u64, d: usize) -> Self {
-        if c == 0 {
-            return Self::zero();
-        }
-        let mut coeffs = vec![0u64; d + 1];
-        coeffs[d] = c;
-        Poly { coeffs }
-    }
-
     fn normalize(&mut self) {
         while self.coeffs.last() == Some(&0) {
             self.coeffs.pop();
@@ -172,7 +162,7 @@ impl Poly {
     }
 
     /// Leading coefficient (0 for the zero polynomial).
-    pub fn leading(&self) -> u64 {
+    fn leading(&self) -> u64 {
         self.coeffs.last().copied().unwrap_or(0)
     }
 
@@ -192,7 +182,7 @@ impl Poly {
     }
 
     /// Scale every coefficient by `c`, through the batched
-    /// [`Field::scalar_mul_slice`] kernel (one backend dispatch per call).
+    /// `Field::scalar_mul_slice` kernel (one backend dispatch per call).
     pub fn scale(&self, c: u64, f: &Field) -> Poly {
         if c == 0 {
             return Poly::zero();
@@ -204,9 +194,9 @@ impl Poly {
 
     /// Polynomial multiplication.
     ///
-    /// Dispatches on size: operands below [`KARATSUBA_CUTOFF`] use the
+    /// Dispatches on size: operands below `KARATSUBA_CUTOFF` (32) use the
     /// row-batched schoolbook kernel (each row is one
-    /// [`Field::scalar_mul_slice`] call, so the backend dispatch is paid per
+    /// `Field::scalar_mul_slice` call, so the backend dispatch is paid per
     /// row, not per coefficient pair); larger operands recurse through
     /// Karatsuba, which in characteristic 2 needs only XORs besides its
     /// three half-size products — O(n^1.585) instead of O(n²).
@@ -215,16 +205,6 @@ impl Poly {
             return Poly::zero();
         }
         Poly::from_coeffs(mul_coeffs(&self.coeffs, &other.coeffs, f))
-    }
-
-    /// Multiply by the monomial `x^k`.
-    pub fn shift(&self, k: usize) -> Poly {
-        if self.is_zero() {
-            return Poly::zero();
-        }
-        let mut out = vec![0u64; k];
-        out.extend_from_slice(&self.coeffs);
-        Poly { coeffs: out }
     }
 
     /// Quotient and remainder of `self / divisor`.
@@ -297,12 +277,6 @@ impl Poly {
         acc
     }
 
-    /// `self * other mod modulus`, without materializing the full product
-    /// degree when the modulus is much smaller.
-    pub fn mulmod(&self, other: &Poly, modulus: &Poly, f: &Field) -> Poly {
-        self.mul(other, f).rem(modulus, f)
-    }
-
     /// `self^2 mod modulus`. Squaring in characteristic 2 is the Frobenius
     /// map applied to each coefficient with degrees doubled, which is much
     /// cheaper than a general multiplication.
@@ -317,23 +291,6 @@ impl Poly {
             }
         }
         Poly::from_coeffs(out).rem(modulus, f)
-    }
-
-    /// Compute the roots of the polynomial by exhaustively evaluating at
-    /// every nonzero field element. Suitable only for small fields
-    /// (`2^m` up to a few million); the `bch` crate uses a trace-based
-    /// splitting algorithm for large fields.
-    pub fn roots_exhaustive(&self, f: &Field) -> Vec<u64> {
-        let mut roots = Vec::new();
-        if self.is_zero() {
-            return roots;
-        }
-        for x in f.nonzero_elements() {
-            if self.eval(x, f) == 0 {
-                roots.push(x);
-            }
-        }
-        roots
     }
 }
 
@@ -408,28 +365,16 @@ mod tests {
             assert_eq!(p.eval(r, &f), 0);
         }
         assert_ne!(p.eval(5, &f), 0);
-        let mut found = p.roots_exhaustive(&f);
-        found.sort_unstable();
+        let found: Vec<u64> = (1..f.order()).filter(|&x| p.eval(x, &f) == 0).collect();
         assert_eq!(found, vec![3, 17, 200]);
     }
 
     #[test]
-    fn square_mod_matches_mulmod() {
+    fn square_mod_matches_mul_then_rem() {
         let f = Field::new(11);
         let modulus = Poly::from_coeffs(vec![3, 0, 1, 0, 0, 1]); // degree 5
         let p = Poly::from_coeffs(vec![100, 2000, 5, 1]);
-        assert_eq!(p.square_mod(&modulus, &f), p.mulmod(&p, &modulus, &f));
-    }
-
-    #[test]
-    fn monomial_and_shift() {
-        let f = f8();
-        let m = Poly::monomial(5, 3);
-        assert_eq!(m.degree(), Some(3));
-        assert_eq!(m.coeff(3), 5);
-        let p = Poly::from_coeffs(vec![1, 2]);
-        assert_eq!(p.shift(2), Poly::from_coeffs(vec![0, 0, 1, 2]));
-        assert_eq!(p.shift(2), p.mul(&Poly::monomial(1, 2), &f));
+        assert_eq!(p.square_mod(&modulus, &f), p.mul(&p, &f).rem(&modulus, &f));
     }
 
     #[test]

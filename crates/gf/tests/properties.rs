@@ -68,7 +68,6 @@ proptest! {
         let b = b_raw % f.order();
         prop_assert_eq!(f.square(f.mul(a, b)), f.mul(f.square(a), f.square(b)));
         prop_assert_eq!(f.square(f.add(a, b)), f.add(f.square(a), f.square(b)));
-        prop_assert_eq!(f.sqrt(f.square(a)), a);
     }
 
     #[test]
@@ -167,7 +166,7 @@ mod backend_equivalence {
             b_raw in any::<u64>(),
         ) {
             let f = Field::new(m);
-            prop_assert!(f.backend_name().ends_with("-barrett"));
+            prop_assert!(f.generator().is_none(), "no log tables above m = 16");
             let a = a_raw % f.order();
             let b = b_raw % f.order();
             prop_assert_eq!(f.mul(a, b), f.mul_reference(a, b));
@@ -181,7 +180,7 @@ mod backend_equivalence {
             b_raw in any::<u64>(),
         ) {
             let f = Field::new(m);
-            prop_assert_eq!(f.backend_name(), "tables");
+            prop_assert!(f.generator().is_some(), "log tables up to m = 16");
             let a = a_raw % f.order();
             let b = b_raw % f.order();
             prop_assert_eq!(f.mul(a, b), f.mul_reference(a, b));
@@ -212,10 +211,11 @@ mod backend_equivalence {
                 prop_assert_eq!(sq[i], f.mul_reference(xs[i], xs[i]));
             }
 
-            let mut scaled = xs.clone();
-            f.scalar_mul_slice(&mut scaled, c);
-            for i in 0..n {
-                prop_assert_eq!(scaled[i], f.mul_reference(xs[i], c));
+            // `Poly::scale` is the slice kernel's caller: one
+            // `scalar_mul_slice` over the coefficients.
+            let scaled = Poly::from_coeffs(xs.clone()).scale(c, &f);
+            for (i, &x) in xs.iter().enumerate() {
+                prop_assert_eq!(scaled.coeff(i), f.mul_reference(x, c));
             }
         }
 
@@ -235,8 +235,7 @@ mod backend_equivalence {
                 .chien_search(p.coeffs(), p.degree_or_zero())
                 .expect("small fields are table-backed");
             stepping.sort_unstable();
-            let mut naive = p.roots_exhaustive(&f);
-            naive.sort_unstable();
+            let naive: Vec<u64> = (1..f.order()).filter(|&x| p.eval(x, &f) == 0).collect();
             prop_assert_eq!(stepping, naive);
         }
     }

@@ -20,12 +20,11 @@
 //! # Example
 //!
 //! ```
-//! use graphene::{Graphene, GrapheneConfig};
+//! use graphene::Graphene;
 //!
 //! let alice: Vec<u64> = (1..=2000).collect();
 //! let bob: Vec<u64> = (21..=2000).collect(); // Bob misses 1..=20
-//! let scheme = Graphene::new(GrapheneConfig::default());
-//! let outcome = scheme.reconcile_with_hint(&alice, &bob, 20, 3);
+//! let outcome = Graphene::default().reconcile_with_hint(&alice, &bob, 20, 3);
 //! assert!(outcome.claimed_success);
 //! let mut diff = outcome.recovered.clone();
 //! diff.sort_unstable();
@@ -33,6 +32,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+mod bloom;
 
 use bloom::BloomFilter;
 use iblt::Iblt;
@@ -42,14 +43,14 @@ use xhash::derive_seed;
 
 /// Configuration of the Graphene baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GrapheneConfig {
+struct GrapheneConfig {
     /// Element signature width `log|U|` used for wire accounting of IBLT cells.
-    pub universe_bits: u32,
+    universe_bits: u32,
     /// Multiplier of IBLT cells per expected difference element (the decoder
     /// needs some slack to peel with the 239/240 target of \[32\]).
-    pub cells_per_diff: f64,
+    cells_per_diff: f64,
     /// Additive IBLT cell slack (keeps tiny differences decodable).
-    pub extra_cells: usize,
+    extra_cells: usize,
 }
 
 impl Default for GrapheneConfig {
@@ -73,11 +74,6 @@ pub struct Graphene {
 }
 
 impl Graphene {
-    /// Create a Graphene reconciler.
-    pub fn new(config: GrapheneConfig) -> Self {
-        Graphene { config }
-    }
-
     fn iblt_cells(&self, expected_diff: f64) -> usize {
         ((expected_diff * self.config.cells_per_diff).ceil() as usize + self.config.extra_cells)
             .max(16)
@@ -108,7 +104,7 @@ impl Graphene {
     /// Pick the false-positive rate minimizing the total transmission for
     /// `|B| = set_size` and difference `d` (the \[32\] optimization; 1.0 means
     /// the Bloom filter is dropped).
-    pub fn optimal_fpr(&self, set_size: usize, d: usize) -> f64 {
+    fn optimal_fpr(&self, set_size: usize, d: usize) -> f64 {
         let mut best = (f64::INFINITY, 1.0);
         for &fpr in &FPR_GRID {
             let cost = self.candidate_cost(fpr, set_size, d);
@@ -138,7 +134,9 @@ impl Graphene {
         let encode_start = Instant::now();
         let bf = if fpr < 1.0 {
             let mut f = BloomFilter::with_rate(bob.len().max(1), fpr, derive_seed(seed, 0xBF));
-            f.insert_all(bob.iter().copied());
+            for &e in bob {
+                f.insert(e);
+            }
             Some(f)
         } else {
             None

@@ -10,10 +10,9 @@
 //!
 //! Supported operations:
 //!
-//! * [`Iblt::insert`] / [`Iblt::remove`] an element, or a whole slice at a
-//!   time through the batched kernels [`Iblt::insert_batch`] /
-//!   [`Iblt::remove_batch`] (four keys hashed per step, no per-key
-//!   allocations, per-table-precomputed hash seeds),
+//! * [`Iblt::insert`] an element, or a whole slice at a time through the
+//!   batched kernel [`Iblt::insert_batch`] (four keys hashed per step, no
+//!   per-key allocations, per-table-precomputed hash seeds),
 //! * [`Iblt::subtract`] another IBLT cell-wise (the "difference" IBF),
 //! * [`Iblt::peel_mut`] the difference, in place, into the two one-sided
 //!   difference sets using a worklist peeling decoder (find a pure cell,
@@ -172,23 +171,16 @@ fn prefetch_cell(cells: &[Cell], i: usize) {
     }
 }
 
-/// Apply `(key, delta)` to every cell the key maps to. Free function over
-/// the split-out fields so the batched and scalar paths share it without
-/// re-borrowing the whole table.
+/// Add `key` to every cell it maps to. Free function over the split-out
+/// fields so the batched and scalar paths share it without re-borrowing the
+/// whole table.
 #[inline]
-fn apply_one(
-    cells: &mut [Cell],
-    index_seeds: &[u64],
-    check_seed: u64,
-    p: u64,
-    key: u64,
-    delta: i64,
-) {
+fn insert_one(cells: &mut [Cell], index_seeds: &[u64], check_seed: u64, p: u64, key: u64) {
     let check = xxhash64_u64(key, check_seed);
     for (i, &s) in index_seeds.iter().enumerate() {
         let j = (i as u64 * p + xxhash64_u64(key, s) % p) as usize;
         let cell = &mut cells[j];
-        cell.count += delta;
+        cell.count += 1;
         cell.key_sum ^= key;
         cell.hash_sum ^= check;
     }
@@ -220,16 +212,6 @@ impl Iblt {
         }
     }
 
-    /// Number of cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Number of hash functions.
-    pub fn hash_count(&self) -> u32 {
-        self.hash_count
-    }
-
     /// Read-only view of the cells.
     pub fn cells(&self) -> &[Cell] {
         &self.cells
@@ -243,38 +225,25 @@ impl Iblt {
 
     /// Insert an element.
     pub fn insert(&mut self, key: u64) {
-        apply_one(
+        insert_one(
             &mut self.cells,
             &self.index_seeds,
             self.check_seed,
             self.partition_cells,
             key,
-            1,
         );
     }
 
-    /// Remove an element (the table tolerates removals of absent elements;
-    /// the cell counts simply go negative, as required for difference IBLTs).
-    pub fn remove(&mut self, key: u64) {
-        apply_one(
-            &mut self.cells,
-            &self.index_seeds,
-            self.check_seed,
-            self.partition_cells,
-            key,
-            -1,
-        );
-    }
-
-    /// Toggle a whole slice of keys by `delta`: the 4-wide batched kernel.
+    /// Insert a slice of keys: the 4-wide batched kernel, equivalent to
+    /// calling [`Iblt::insert`] per key.
     ///
     /// Four keys advance together — their four check-hashes are computed
     /// up front, then each hash function's four cell indices are resolved
     /// and applied in one step — so the four index hashes per function are
     /// independent and overlap in the pipeline. Cell updates commute
-    /// (`+=`/`^=`), so the final table state is identical to applying the
+    /// (`+=`/`^=`), so the final table state is identical to inserting the
     /// keys one at a time.
-    fn apply_batch(&mut self, keys: &[u64], delta: i64) {
+    pub fn insert_batch(&mut self, keys: &[u64]) {
         let p = self.partition_cells;
         let cells = &mut self.cells;
         let index_seeds = &self.index_seeds;
@@ -288,27 +257,15 @@ impl Iblt {
                 let idx = keys4.map(|k| (base + xxhash64_u64(k, s) % p) as usize);
                 for k in 0..4 {
                     let cell = &mut cells[idx[k]];
-                    cell.count += delta;
+                    cell.count += 1;
                     cell.key_sum ^= keys4[k];
                     cell.hash_sum ^= checks[k];
                 }
             }
         }
         for &key in chunks.remainder() {
-            apply_one(cells, index_seeds, check_seed, p, key, delta);
+            insert_one(cells, index_seeds, check_seed, p, key);
         }
-    }
-
-    /// Insert a slice of keys through the batched kernel. Equivalent to
-    /// calling [`Iblt::insert`] per key.
-    pub fn insert_batch(&mut self, keys: &[u64]) {
-        self.apply_batch(keys, 1);
-    }
-
-    /// Remove a slice of keys through the batched kernel. Equivalent to
-    /// calling [`Iblt::remove`] per key.
-    pub fn remove_batch(&mut self, keys: &[u64]) {
-        self.apply_batch(keys, -1);
     }
 
     /// Insert a whole set (buffered into the batched kernel).
@@ -484,14 +441,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_round_trip_is_empty() {
+    fn subtracting_the_same_keys_leaves_the_table_empty() {
         let mut t = Iblt::new(64, 3, 1);
+        let mut same = Iblt::new(64, 3, 1);
         for k in 0..100u64 {
             t.insert(k + 1);
+            same.insert(k + 1);
         }
-        for k in 0..100u64 {
-            t.remove(k + 1);
-        }
+        t.subtract(&same);
         assert!(t.cells.iter().all(Cell::is_empty));
     }
 
@@ -609,8 +566,8 @@ mod tests {
         // degenerate wire parameters must not divide-by-zero in the hash
         // mapping; `new` clamps both to 1 and the table stays usable.
         let mut t = Iblt::new(0, 0, 7);
-        assert_eq!(t.cell_count(), 1);
-        assert_eq!(t.hash_count(), 1);
+        assert_eq!(t.cells().len(), 1);
+        assert_eq!(t.hash_count, 1);
         t.insert(9);
         let r = t.peel_mut();
         assert!(r.complete, "one key in one cell decodes");

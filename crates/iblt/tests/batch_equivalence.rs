@@ -1,10 +1,10 @@
 //! Batched-vs-scalar equivalence properties for the IBLT kernels.
 //!
-//! Every batched path (4-wide insert/remove, wave peeling) must produce
-//! exactly the state or sets the seed's scalar path produces, for arbitrary
-//! table shapes and key sets. That scalar path is the oracle below, written
-//! against the table's public shape (`cells()`, `cell_count()`,
-//! `hash_count()`) and the seed the table was built with.
+//! Every batched path (4-wide insert, wave peeling) must produce exactly the
+//! state or sets the seed's scalar path produces, for arbitrary table shapes
+//! and key sets. That scalar path is the oracle below, written against the
+//! table's cells (`cells()`) and the hash count and seed the table was built
+//! with.
 
 use iblt::{Cell, Iblt, PeelResult};
 use proptest::prelude::*;
@@ -26,12 +26,12 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn of(table: &Iblt, seed: u64) -> Self {
-        let hash_count = table.hash_count() as u64;
+    fn of(table: &Iblt, hash_count: u32, seed: u64) -> Self {
+        let hash_count = u64::from(hash_count);
         Oracle {
             seed,
             hash_count,
-            partition: table.cell_count() as u64 / hash_count,
+            partition: table.cells().len() as u64 / hash_count,
         }
     }
 
@@ -116,8 +116,8 @@ proptest! {
         let keys = dedup(keys);
         let mut batched = Iblt::new(cells, hashes, seed);
         batched.insert_batch(&keys);
-        let oracle = Oracle::of(&batched, seed);
-        let mut reference = vec![Cell::default(); batched.cell_count()];
+        let oracle = Oracle::of(&batched, hashes, seed);
+        let mut reference = vec![Cell::default(); batched.cells().len()];
         for &k in &keys {
             oracle.apply(&mut reference, k, 1);
         }
@@ -128,15 +128,20 @@ proptest! {
             scalar.insert(k);
         }
         prop_assert_eq!(&batched, &scalar);
-        // A third removed through the batched kernel matches the oracle's
-        // scalar removal; the rest round-trips to empty.
+        // Subtracting a table of a third matches the oracle's scalar
+        // removal; subtracting the rest round-trips to empty.
         let (gone, kept) = keys.split_at(keys.len() / 3);
-        batched.remove_batch(gone);
+        let table_of = |keys: &[u64]| {
+            let mut t = Iblt::new(cells, hashes, seed);
+            t.insert_batch(keys);
+            t
+        };
+        batched.subtract(&table_of(gone));
         for &k in gone {
             oracle.apply(&mut reference, k, -1);
         }
         prop_assert_eq!(batched.cells(), &reference[..]);
-        batched.remove_batch(kept);
+        batched.subtract(&table_of(kept));
         prop_assert_eq!(&batched, &Iblt::new(cells, hashes, seed));
     }
 
@@ -156,7 +161,7 @@ proptest! {
         let mut tb = Iblt::new(cells, 4, seed);
         tb.insert_batch(b);
         ta.subtract(&tb);
-        let (reference, reference_end) = Oracle::of(&ta, seed).peel(ta.cells());
+        let (reference, reference_end) = Oracle::of(&ta, 4, seed).peel(ta.cells());
         let fast = ta.peel_mut();
         prop_assert_eq!(fast.complete, reference.complete);
         prop_assert_eq!(set(&fast.only_in_self), set(&reference.only_in_self));
@@ -193,7 +198,7 @@ fn large_table_peel_matches_reference() {
         tb.insert_batch(&b);
         diff.subtract(&tb);
 
-        let (reference, reference_end) = Oracle::of(&diff, 0xA07C).peel(diff.cells());
+        let (reference, reference_end) = Oracle::of(&diff, 4, 0xA07C).peel(diff.cells());
         assert_eq!(reference.complete, decodable);
 
         let fast = diff.peel_mut();

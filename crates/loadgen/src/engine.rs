@@ -91,7 +91,7 @@ pub struct Metrics {
     /// High-water mark of `parked`.
     pub peak_parked: AtomicU64,
     /// Per-phase latency histograms, indexed like
-    /// [`PhaseNanos::named`].
+    /// `PhaseNanos::named`.
     pub phases: PhaseHists,
     /// First few error strings, for diagnosis.
     pub errors: Mutex<Vec<String>>,
@@ -106,7 +106,7 @@ pub struct PhaseHists {
 impl PhaseHists {
     /// Record every phase that ran (zero marks — phases the workload kind
     /// skipped — are not samples).
-    pub fn record(&self, phases: &PhaseNanos) {
+    pub(crate) fn record(&self, phases: &PhaseNanos) {
         for (i, (_, v)) in phases.named().iter().enumerate() {
             if *v > 0 {
                 self.hists[i].record(*v);
@@ -115,7 +115,7 @@ impl PhaseHists {
     }
 
     /// `(name, histogram)` pairs in [`PhaseNanos::named`] order.
-    pub fn named(&self) -> [(&'static str, &Histogram); 7] {
+    pub(crate) fn named(&self) -> [(&'static str, &Histogram); 7] {
         let names = PhaseNanos::default().named();
         [
             (names[0].0, &self.hists[0]),
@@ -153,15 +153,6 @@ impl Metrics {
                 errors.push(format!("{:?}/{:?}: {error}", result.kind, result.outcome));
             }
         }
-    }
-
-    /// `started == completed + failed + evicted` — exact only after a
-    /// drain, monotone `>=` while sessions are in flight.
-    pub fn settled(&self) -> bool {
-        self.started.load(Ordering::SeqCst)
-            == self.completed.load(Ordering::SeqCst)
-                + self.failed.load(Ordering::SeqCst)
-                + self.evicted.load(Ordering::SeqCst)
     }
 }
 
@@ -218,15 +209,10 @@ impl Engine {
         &self.metrics
     }
 
-    /// When the engine started (achieved-rate accounting).
-    pub fn run_started(&self) -> Instant {
-        self.run_started
-    }
-
     /// Submit one arrival *now*: connect, start the session state
     /// machine, hand it to a worker. Failures count as started+failed so
     /// the accounting identity holds.
-    pub fn submit(&mut self, arrival: &Arrival) {
+    pub(crate) fn submit(&mut self, arrival: &Arrival) {
         self.metrics.started.fetch_add(1, Ordering::SeqCst);
         let inflight = self.metrics.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         self.metrics

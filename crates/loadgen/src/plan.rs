@@ -35,18 +35,6 @@ pub enum Kind {
     Subscribe,
 }
 
-impl Kind {
-    /// Stable lowercase name (report keys, CLI mix specs).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kind::Full => "full",
-            Kind::Delta => "delta",
-            Kind::Pipelined => "pipelined",
-            Kind::Subscribe => "subscribe",
-        }
-    }
-}
-
 /// Relative workload weights; only ratios matter. A weight of zero
 /// removes the kind from the mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

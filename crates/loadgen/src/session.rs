@@ -105,7 +105,7 @@ impl From<SyncPhases> for PhaseNanos {
 impl PhaseNanos {
     /// `(name, value)` pairs in presentation order — every consumer
     /// (table, JSON, assertions) iterates this one list.
-    pub fn named(&self) -> [(&'static str, u64); 7] {
+    pub(crate) fn named(&self) -> [(&'static str, u64); 7] {
         [
             ("connect", self.connect),
             ("handshake", self.handshake),
@@ -220,12 +220,12 @@ impl LoadSession {
     }
 
     /// The raw fd the engine polls.
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.mux.get_ref().as_raw_fd()
     }
 
     /// Write interest: only while output is queued.
-    pub fn wants_write(&self) -> bool {
+    pub(crate) fn wants_write(&self) -> bool {
         self.mux.pending_out() > 0
     }
 
@@ -235,18 +235,13 @@ impl LoadSession {
     }
 
     /// `true` while the session is a parked subscriber.
-    pub fn is_parked(&self) -> bool {
+    pub(crate) fn is_parked(&self) -> bool {
         !self.is_finished() && self.machine.is_parked()
-    }
-
-    /// The instant the session began (deadline accounting).
-    pub fn started(&self) -> Instant {
-        self.started
     }
 
     /// Whether the session is past its deadline. Parked subscribers are
     /// exempt — parking indefinitely is their job.
-    pub fn past_deadline(&self, now: Instant) -> bool {
+    pub(crate) fn past_deadline(&self, now: Instant) -> bool {
         !self.is_parked() && now.duration_since(self.started) > self.deadline
     }
 
@@ -306,7 +301,7 @@ impl LoadSession {
 
     /// Drain a parked subscriber: the harness is done, the park was the
     /// workload, the session completes.
-    pub fn finish_parked(&mut self) {
+    pub(crate) fn finish_parked(&mut self) {
         if self.is_parked() {
             let _ = self.mux.get_ref().shutdown(std::net::Shutdown::Both);
             self.finish(Outcome::Completed, None, None);
@@ -314,7 +309,7 @@ impl LoadSession {
     }
 
     /// Fail the session from outside (deadline).
-    pub fn fail_timeout(&mut self) {
+    pub(crate) fn fail_timeout(&mut self) {
         self.fail(format!(
             "deadline of {:?} exceeded while {}",
             self.deadline,

@@ -149,7 +149,7 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
         let result = drive(addr, &arrival, client_set.clone(), None, spec);
         assert_eq!(result.outcome, Outcome::Completed, "{:?}", result.error);
         let mux = result.report.expect("a completed sync carries its report");
-        same_report(&blocking, &mux, kind.name());
+        same_report(&blocking, &mux, &format!("{kind:?}"));
         assert_eq!(
             (result.bytes_out, result.bytes_in),
             (mux.bytes_sent, mux.bytes_received)

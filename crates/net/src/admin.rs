@@ -114,23 +114,14 @@ impl AdminServer {
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
-
-    /// Stop the listener thread and wait for it to exit.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 impl Drop for AdminServer {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 

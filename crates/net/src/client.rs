@@ -18,13 +18,12 @@
 //! [`Subscription`] iterator of [`DeltaReport`]s as the store mutates).
 //!
 //! ```no_run
-//! use pbs_net::{Pipeline, RetryPolicy, SyncClient};
+//! use pbs_net::{Pipeline, SyncClient};
 //!
 //! let set: Vec<u64> = (1..=100).collect();
 //! let report = SyncClient::connect("127.0.0.1:7777")?
 //!     .store("inventory")
 //!     .pipeline(Pipeline::Auto)
-//!     .retry(RetryPolicy::default())
 //!     .sync(&set)?;
 //! assert!(report.verified);
 //! # Ok::<(), pbs_net::NetError>(())
@@ -241,7 +240,7 @@ impl SyncReport {
     /// `recovered \ pushed`: what the server held and the client lacked
     /// (`B \ A`) — the client's to apply. One linear merge; both lists are
     /// ascending.
-    pub fn pulled(&self) -> Vec<u64> {
+    pub(crate) fn pulled(&self) -> Vec<u64> {
         let mut pushed = self.pushed.iter().copied().peekable();
         let mut pulled = Vec::with_capacity(self.recovered.len().saturating_sub(self.pushed.len()));
         for &e in &self.recovered {
@@ -257,17 +256,16 @@ impl SyncReport {
 /// A configured connection target: the primary client entry point.
 ///
 /// Built fluently from an address, then driven with [`SyncClient::sync`]
-/// (one reconciliation or delta sync per call, with optional bounded
-/// retry) or [`SyncClient::subscribe`] (a live push subscription):
+/// (one reconciliation or delta sync per call) or
+/// [`SyncClient::subscribe`] (a live push subscription):
 ///
 /// ```no_run
-/// use pbs_net::{Pipeline, RetryPolicy, SyncClient};
+/// use pbs_net::{Pipeline, SyncClient};
 ///
 /// let set: Vec<u64> = (1..=100).collect();
 /// let client = SyncClient::connect("127.0.0.1:7777")?
 ///     .store("inventory")
-///     .pipeline(Pipeline::Auto)
-///     .retry(RetryPolicy::default());
+///     .pipeline(Pipeline::Auto);
 /// let report = client.sync(&set)?;
 /// for delta in client.subscribe(report.epoch.unwrap())? {
 ///     let delta = delta?;
@@ -282,7 +280,6 @@ impl SyncReport {
 pub struct SyncClient {
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
-    retry: Option<RetryPolicy>,
 }
 
 impl SyncClient {
@@ -301,7 +298,6 @@ impl SyncClient {
         Ok(SyncClient {
             addrs,
             config: ClientConfig::default(),
-            retry: None,
         })
     }
 
@@ -317,43 +313,9 @@ impl SyncClient {
         self
     }
 
-    /// Retry transient failures under `policy`
-    /// (see [`sync_with_retry`]; without this, failures surface on the
-    /// first attempt).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
     /// Session hash seed ([`ClientConfig::seed`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// A-priori difference cardinality, skipping the estimator exchange
-    /// ([`ClientConfig::known_d`]).
-    pub fn known_d(mut self, d: u64) -> Self {
-        self.config.known_d = Some(d);
-        self
-    }
-
-    /// Largest accepted difference parameterization
-    /// ([`ClientConfig::max_d`]).
-    pub fn max_d(mut self, max_d: u64) -> Self {
-        self.config.max_d = max_d;
-        self
-    }
-
-    /// Client-side protocol-round cap ([`ClientConfig::round_cap`]).
-    pub fn round_cap(mut self, cap: u32) -> Self {
-        self.config.round_cap = cap;
-        self
-    }
-
-    /// Socket/framing knobs ([`ClientConfig::transport`]).
-    pub fn transport(mut self, transport: TransportConfig) -> Self {
-        self.config.transport = transport;
         self
     }
 
@@ -372,21 +334,9 @@ impl SyncClient {
         self
     }
 
-    /// The configuration a [`SyncClient::sync`] call would run with.
-    pub fn config_ref(&self) -> &ClientConfig {
-        &self.config
-    }
-
-    /// Run one sync (see the free [`sync`] for the report's semantics),
-    /// retrying transient failures when a policy was installed with
-    /// [`SyncClient::retry`].
+    /// Run one sync (see the free [`sync`] for the report's semantics).
     pub fn sync(&self, set: &[u64]) -> Result<SyncReport, NetError> {
-        match &self.retry {
-            Some(policy) => {
-                sync_with_retry(&self.addrs[..], set, &self.config, policy).map(|(r, _)| r)
-            }
-            None => sync(&self.addrs[..], set, &self.config),
-        }
+        sync(&self.addrs[..], set, &self.config)
     }
 
     /// Open a live push subscription from `epoch`.
@@ -456,8 +406,8 @@ fn turn(
 /// shutdown, for instance. A backpressure eviction
 /// (`FullResyncRequired`) or any transport/protocol failure yields one
 /// final `Err` and then ends; after an error the client's cached state is
-/// only valid up to [`Subscription::epoch`], so reconcile before
-/// resubscribing.
+/// only valid up to the last [`DeltaReport::to_epoch`] it yielded, so
+/// reconcile before resubscribing.
 #[derive(Debug)]
 pub struct Subscription {
     framed: FramedStream<TcpStream>,
@@ -467,12 +417,6 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// The epoch the stream has advanced to — the `delta_epoch` to resume
-    /// from after a disconnect.
-    pub fn epoch(&self) -> u64 {
-        self.machine.epoch()
-    }
-
     /// Total wire bytes received on this subscription so far (framing
     /// included; handshake and catch-up included).
     pub fn bytes_received(&self) -> u64 {
@@ -525,7 +469,7 @@ impl Iterator for Subscription {
 ///
 /// The free-function form predating [`SyncClient`]; prefer
 /// `SyncClient::connect(addr)?.sync(&set)`, which adds fluent
-/// configuration, retry policies, and subscriptions on the same type.
+/// configuration and subscriptions on the same type.
 ///
 /// On success the returned [`SyncReport`] carries `A△B`; the elements of
 /// `A \ B` were pushed to the server, so afterwards both parties can hold
@@ -606,7 +550,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The jittered delay before attempt `attempt + 1` (`attempt` is
     /// 1-based: pass 1 after the first failure). Advances `rng` (xorshift).
-    pub fn backoff(&self, attempt: u32, rng: &mut u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, rng: &mut u64) -> Duration {
         let exp = attempt.saturating_sub(1).min(20);
         let full = self
             .base_delay
@@ -628,7 +572,7 @@ impl RetryPolicy {
 /// shapes a restarting or briefly overloaded server produces. Protocol
 /// violations, peer-reported errors, and framing corruption are never
 /// transient: retrying them would re-run a sync that is wrong, not unlucky.
-pub fn is_transient(err: &NetError) -> bool {
+fn is_transient(err: &NetError) -> bool {
     use std::io::ErrorKind;
     match err {
         NetError::Io(e) => matches!(
@@ -647,10 +591,9 @@ pub fn is_transient(err: &NetError) -> bool {
     }
 }
 
-/// [`sync`] with bounded retry — the free-function form of
-/// [`SyncClient::retry`], kept for callers not yet on the builder.
+/// [`sync`] with bounded retry (`pbs-sync --retry`).
 ///
-/// Transient failures ([`is_transient`])
+/// Transient failures (connection-level I/O errors, `is_transient`)
 /// back off exponentially (with jitter) and try again, up to
 /// [`RetryPolicy::attempts`]; anything else — and the last transient
 /// failure once attempts are exhausted — is returned as-is. On success the
@@ -786,10 +729,10 @@ mod tests {
             .pipeline(Pipeline::Auto)
             .seed(0xF00D)
             .delta_epoch(42);
-        assert_eq!(client.config_ref().store, "live");
-        assert_eq!(client.config_ref().pipeline, Pipeline::Auto);
-        assert_eq!(client.config_ref().seed, 0xF00D);
-        assert_eq!(client.config_ref().delta_epoch, Some(42));
+        assert_eq!(client.config.store, "live");
+        assert_eq!(client.config.pipeline, Pipeline::Auto);
+        assert_eq!(client.config.seed, 0xF00D);
+        assert_eq!(client.config.delta_epoch, Some(42));
 
         // subscribe() fail-fast checks run before any connect.
         let long = SyncClient::connect("127.0.0.1:9")

@@ -40,10 +40,10 @@ const MAX_HELLO_DELTA: u32 = 24;
 const MAX_HELLO_TARGET_ROUNDS: u32 = 16;
 
 /// Largest store name (in bytes) a `Hello` may carry or a server accepts.
-pub const MAX_STORE_NAME: usize = 64;
+pub(crate) const MAX_STORE_NAME: usize = 64;
 
 /// Magic number opening every `Hello` payload (`"PBS1"` little-endian).
-pub const HELLO_MAGIC: u32 = 0x3153_4250;
+pub(crate) const HELLO_MAGIC: u32 = 0x3153_4250;
 
 /// Default cap on `len` (type byte + payload): 16 MiB. Generous — the
 /// largest routine frame is one round trip's report batch, a few kilobytes
@@ -56,16 +56,16 @@ pub const FRAME_OVERHEAD: u64 = 8;
 
 /// Fixed bytes of a [`Frame::DeltaBatch`] body before the element words:
 /// type byte + epoch + element width + the two element counts.
-pub const DELTA_BATCH_HEADER: u32 = 1 + 8 + 1 + 4 + 4;
+pub(crate) const DELTA_BATCH_HEADER: u32 = 1 + 8 + 1 + 4 + 4;
 
 /// Fixed bytes of a [`Frame::Done`] body before the element words: type
 /// byte + element width + element count.
-pub const DONE_HEADER: u32 = 1 + 1 + 4;
+pub(crate) const DONE_HEADER: u32 = 1 + 1 + 4;
 
 /// Byte width the elements of a delta chunk or a final transfer are packed
 /// at: the smallest width that fits the largest element present (1..=8).
 /// Elements in a 32-bit universe cost 4 bytes on the wire, not 8.
-pub fn delta_element_width(added: &[u64], removed: &[u64]) -> u8 {
+pub(crate) fn delta_element_width(added: &[u64], removed: &[u64]) -> u8 {
     let max = added.iter().chain(removed).copied().max().unwrap_or(0);
     ((64 - max.leading_zeros() as usize).div_ceil(8)).max(1) as u8
 }
@@ -242,7 +242,7 @@ pub struct Hello {
     /// estimator exchange follows the handshake.
     pub known_d: u64,
     /// Name of the server-side store to reconcile against (the empty
-    /// string is the default store). At most [`MAX_STORE_NAME`] bytes of
+    /// string is the default store). At most `MAX_STORE_NAME` (64) bytes of
     /// UTF-8.
     pub store: String,
     /// Pipelined layers per sketch frame: the depth the client *requests*,
@@ -300,7 +300,7 @@ impl Hello {
 
     /// `true` when `other` carries the same six [`PbsConfig`] fields — what
     /// a reply must leave as the client sent them.
-    pub fn same_parameters(&self, other: &Hello) -> bool {
+    pub(crate) fn same_parameters(&self, other: &Hello) -> bool {
         let parameters = |h: &Hello| {
             let rounds = (h.target_rounds, h.max_rounds, h.target_success.to_bits());
             (h.universe_bits, h.delta, rounds, h.estimator_sketches)
@@ -515,7 +515,7 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, FrameError> {
 
 impl Frame {
     /// The frame's type byte.
-    pub fn type_byte(&self) -> u8 {
+    pub(crate) fn type_byte(&self) -> u8 {
         match self {
             Frame::Hello(_) => TYPE_HELLO,
             Frame::EstimatorExchange(_) => TYPE_ESTIMATOR,

@@ -103,8 +103,8 @@ pub mod watch;
 
 pub use admin::{AdminServer, AdminState};
 pub use client::{
-    is_transient, sync, sync_with_retry, ClientConfig, DeltaFold, DeltaReport, Pipeline,
-    RetryPolicy, Subscription, SyncClient, SyncPhases, SyncReport,
+    sync, sync_with_retry, ClientConfig, DeltaFold, DeltaReport, Pipeline, RetryPolicy,
+    Subscription, SyncClient, SyncPhases, SyncReport,
 };
 pub use frame::{Frame, Hello, PROTOCOL_VERSION};
 pub use machine::{ClientMachine, Mode, Phase, Step};
@@ -112,7 +112,7 @@ pub use mesh::{MeshConfig, MeshDriver, MeshStats, PeerSnapshot, PeerStats};
 pub use mux::MuxStream;
 pub use server::{Server, ServerConfig};
 pub use store::{ChangeBatch, DeltaAnswer, MutableStore, SetStore, StoreRegistry, ViewAnswer};
-pub use wal::{CrashPoint, DurableOptions, RecoveryReport};
+pub use wal::{DurableOptions, RecoveryReport};
 
 use pbs_core::wire::WireError;
 use std::io::{Read, Write};
@@ -306,17 +306,12 @@ impl<S: Read + Write> FramedStream<S> {
     }
 
     /// Frames received so far.
-    pub fn frames_in(&self) -> u64 {
+    pub(crate) fn frames_in(&self) -> u64 {
         self.frames_in
     }
 
     /// Frames sent so far.
-    pub fn frames_out(&self) -> u64 {
+    pub(crate) fn frames_out(&self) -> u64 {
         self.frames_out
-    }
-
-    /// The underlying stream (e.g. to shut a TCP connection down).
-    pub fn get_ref(&self) -> &S {
-        &self.inner
     }
 }

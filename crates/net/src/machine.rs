@@ -489,14 +489,8 @@ impl<'a> ClientMachine<'a> {
 
     /// `true` when a delta stream is part-way through — a close now would
     /// cut a push burst short rather than end the stream between bursts.
-    pub fn mid_stream(&self) -> bool {
+    pub(crate) fn mid_stream(&self) -> bool {
         !self.fold.is_empty()
-    }
-
-    /// The epoch the delta stream has advanced to: the `delta_epoch` to
-    /// resume from after a disconnect.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The current state, in words (for a driver's timeout message).
@@ -986,7 +980,7 @@ mod tests {
         let push = push.expect("DeltaDone closes the burst");
         assert_eq!((push.from_epoch, push.to_epoch), (6, 7));
         assert_eq!((push.added, push.removed), (vec![3], vec![4]));
-        assert_eq!(machine.epoch(), 7);
+        assert_eq!(machine.epoch, 7);
         assert!(!machine.mid_stream());
     }
 

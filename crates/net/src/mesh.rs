@@ -122,7 +122,7 @@ impl MeshStats {
     }
 
     /// The counters for `peer`, if it is part of this mesh.
-    pub fn peer(&self, peer: &str) -> Option<&Arc<PeerStats>> {
+    pub(crate) fn peer(&self, peer: &str) -> Option<&Arc<PeerStats>> {
         self.peers.iter().find(|(p, _)| p == peer).map(|(_, s)| s)
     }
 
@@ -303,16 +303,6 @@ impl MeshDriver {
     pub fn stats(&self) -> &MeshStats {
         &self.stats
     }
-
-    /// Stop the loop (finishing at most the in-flight pairwise sync) and
-    /// return the final per-peer counters.
-    pub fn shutdown(mut self) -> Vec<PeerSnapshot> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        self.stats.snapshot()
-    }
 }
 
 impl Drop for MeshDriver {
@@ -377,7 +367,7 @@ mod tests {
         .expect("bind peer");
         let peer = server.local_addr().to_string();
 
-        local.inject_crash(Some(crate::CrashPoint::MidWalAppend));
+        local.inject_crash(Some(crate::wal::CrashPoint::MidWalAppend));
         let registry = StoreRegistry::single(Arc::clone(&local) as Arc<_>);
         let stats = PeerStats::default();
         let (outcome, err) = anti_entropy_round(&registry, &peer, &ClientConfig::default(), &stats);

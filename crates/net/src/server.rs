@@ -139,7 +139,7 @@ macro_rules! server_counters {
             /// re-registering the same `(prefix, labels)` pair (a store
             /// replaced at runtime) resumes the existing counters instead
             /// of resetting them.
-            pub fn registered(
+            pub(crate) fn registered(
                 metrics: &obs::Registry,
                 prefix: &str,
                 labels: &[(&str, &str)],
@@ -331,7 +331,7 @@ impl Server {
 
     /// The flag [`Server::shutdown`] raises before draining. The admin
     /// endpoint's `/healthz` watches it to flip from `ok` to `draining`.
-    pub fn shutdown_signal(&self) -> Arc<AtomicBool> {
+    pub(crate) fn shutdown_signal(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
 

@@ -48,7 +48,7 @@ pub fn load_set(path: &Path) -> std::io::Result<Vec<u64>> {
 /// This is the read the `--watch-dir` poller uses — a file caught torn
 /// mid-write (or truncated by a crashed producer) yields the elements that
 /// were fully written, rather than wedging the store on stale contents.
-pub fn load_set_prefix(path: &Path) -> std::io::Result<(Vec<u64>, bool)> {
+pub(crate) fn load_set_prefix(path: &Path) -> std::io::Result<(Vec<u64>, bool)> {
     let file = std::fs::File::open(path)?;
     let mut out = Vec::new();
     for line in BufReader::new(file).lines() {

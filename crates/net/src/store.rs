@@ -366,7 +366,10 @@ impl MutableStore {
     /// Create a store with an explicit changelog capacity (0 disables the
     /// delta feed: every [`MutableStore::changes_since`] call from an older
     /// epoch reports truncation).
-    pub fn with_log_capacity(elements: impl IntoIterator<Item = u64>, log_capacity: usize) -> Self {
+    pub(crate) fn with_log_capacity(
+        elements: impl IntoIterator<Item = u64>,
+        log_capacity: usize,
+    ) -> Self {
         Self::with_epoch_origin(elements, 0, log_capacity)
     }
 
@@ -375,7 +378,7 @@ impl MutableStore {
     /// subscribers holding cached epochs keep working across a restart.
     /// `origin == u64::MAX` constructs the store with its epoch space
     /// already exhausted (see [`MutableStore::apply`]).
-    pub fn with_epoch_origin(
+    pub(crate) fn with_epoch_origin(
         elements: impl IntoIterator<Item = u64>,
         origin: u64,
         log_capacity: usize,
@@ -409,7 +412,7 @@ impl MutableStore {
 
     /// [`MutableStore::open_durable`], additionally returning the recovery
     /// summary (replayed records, truncated bytes, rejected snapshots).
-    pub fn open_durable_report(
+    pub(crate) fn open_durable_report(
         dir: &Path,
         options: DurableOptions,
     ) -> io::Result<(MutableStore, RecoveryReport)> {
@@ -440,11 +443,6 @@ impl MutableStore {
         Ok((store, report))
     }
 
-    /// `true` when this store writes through to a WAL.
-    pub fn is_durable(&self) -> bool {
-        recover(self.inner.read()).wal.is_some()
-    }
-
     /// Force a snapshot + log compaction now (durable stores only; a no-op
     /// otherwise). Useful after seeding a store's initial contents so a
     /// restart recovers them from one snapshot instead of a WAL replay.
@@ -456,7 +454,8 @@ impl MutableStore {
     /// [`wal::CrashPoint`] so the next matching persistence operation does
     /// its partial work and fails like a killed process. No-op on
     /// non-durable stores.
-    pub fn inject_crash(&self, point: Option<wal::CrashPoint>) {
+    #[cfg(test)]
+    pub(crate) fn inject_crash(&self, point: Option<wal::CrashPoint>) {
         if let Some(wal) = recover(self.inner.write()).wal.as_mut() {
             wal.inject_crash(point);
         }
@@ -914,7 +913,7 @@ pub struct StoreRegistry {
 
 /// The `store` label value a name renders under: the default store (empty
 /// name) is labeled `default` so the label is never the empty string.
-pub fn store_label(name: &str) -> &str {
+pub(crate) fn store_label(name: &str) -> &str {
     if name.is_empty() {
         "default"
     } else {
@@ -927,7 +926,7 @@ pub fn store_label(name: &str) -> &str {
 /// `default`; named stores map to `store-<name>` with every byte outside
 /// `[A-Za-z0-9._-]` replaced by `_` so any wire-addressable name yields a
 /// portable path component.
-pub fn store_dir_name(name: &str) -> String {
+pub(crate) fn store_dir_name(name: &str) -> String {
     if name.is_empty() {
         return "default".to_string();
     }
@@ -959,7 +958,7 @@ impl StoreRegistry {
     }
 
     /// Register (or replace) a store under `name`. Returns the registered
-    /// entry. Names longer than [`crate::frame::MAX_STORE_NAME`] bytes
+    /// entry. Names longer than `MAX_STORE_NAME` (64) bytes
     /// cannot be addressed by any handshake and are rejected with a panic —
     /// a configuration error, not a runtime condition.
     pub fn register(
@@ -1005,13 +1004,13 @@ impl StoreRegistry {
 
     /// The persistence directory a store named `name` maps to (`None`
     /// without a persistence root). See [`store_dir_name`].
-    pub fn store_dir(&self, name: &str) -> Option<PathBuf> {
+    pub(crate) fn store_dir(&self, name: &str) -> Option<PathBuf> {
         let root = recover(self.persistence_root.read());
         root.as_ref().map(|r| r.join(store_dir_name(name)))
     }
 
     /// Open a [`MutableStore`] and register it under `name`: durable, at
-    /// [`StoreRegistry::store_dir`] and recovering whatever that directory
+    /// `StoreRegistry::store_dir` and recovering whatever that directory
     /// holds, when the registry has a persistence root; in memory and empty
     /// otherwise (`options.log_capacity` sizes the changelog either way).
     /// A recovery that found state says so on stderr. Returns the concrete
@@ -1068,6 +1067,11 @@ impl StoreRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `store` writes through to a WAL.
+    fn is_durable(store: &MutableStore) -> bool {
+        recover(store.inner.read()).wal.is_some()
+    }
 
     #[test]
     fn mutable_store_epochs_and_delta_feed() {
@@ -1629,7 +1633,7 @@ mod tests {
         };
         let (want_set, want_epoch) = {
             let store = MutableStore::open_durable(&dir, options).unwrap();
-            assert!(store.is_durable() && store.epoch() == 0 && store.is_empty());
+            assert!(is_durable(&store) && store.epoch() == 0 && store.is_empty());
             store.apply(&[1, 2, 3], &[]);
             store.apply(&[4], &[1]);
             SetStore::apply_missing(&store, &[5, 6]);
@@ -1755,14 +1759,14 @@ mod tests {
         // No persistence root: an in-memory store, the changelog sized the
         // same way.
         let (memory, report) = registry.open_store("x", options).unwrap();
-        assert!(!memory.is_durable() && report == RecoveryReport::default());
+        assert!(!is_durable(&memory) && report == RecoveryReport::default());
         for e in 1..=3 {
             memory.apply(&[e], &[]);
         }
         assert!(memory.changes_since(0).is_none() && memory.changes_since(1).is_some());
         registry.set_persistence_root(&dir);
         let (store, _) = registry.open_store("blocks", options).unwrap();
-        assert!(store.is_durable());
+        assert!(is_durable(&store));
         store.apply(&[10, 11], &[]);
         assert!(registry.get("blocks").is_some());
         assert_eq!(

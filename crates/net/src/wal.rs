@@ -40,7 +40,7 @@
 //! unacknowledged batch.
 //!
 //! Fault injection for the crash-safety tests is built in:
-//! [`Wal::inject_crash`] arms a [`CrashPoint`] that makes the next matching
+//! `Wal::inject_crash` arms a `CrashPoint` that makes the next matching
 //! operation perform its *partial* work (a torn record, an unrenamed temp
 //! snapshot, an untruncated log) and then fail as a crash would.
 
@@ -55,23 +55,23 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// File name of the write-ahead log inside a store directory.
-pub const WAL_FILE: &str = "changes.wal";
+pub(crate) const WAL_FILE: &str = "changes.wal";
 
 /// Magic number opening every snapshot file (`"PBSS"` little-endian).
-pub const SNAPSHOT_MAGIC: u32 = 0x5353_4250;
+pub(crate) const SNAPSHOT_MAGIC: u32 = 0x5353_4250;
 
 /// Snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub(crate) const SNAPSHOT_VERSION: u16 = 1;
 
 /// Injectable crash points for the kill-and-recover tests. Arming one via
-/// [`Wal::inject_crash`] makes the next matching operation do its partial,
+/// `Wal::inject_crash` makes the next matching operation do its partial,
 /// torn work and then fail with an [`io::ErrorKind::Other`] error — the
 /// on-disk state is exactly what a process killed at that instant would
 /// leave behind ([`CrashPoint::FailedWalAppend`] excepted: there the
 /// process survives the error, and what it then does to the file is under
 /// test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
+pub(crate) enum CrashPoint {
     /// Die halfway through a WAL append: only a prefix of the record's
     /// bytes reaches the file.
     MidWalAppend,
@@ -158,7 +158,7 @@ pub struct DurableOptions {
     /// WAL records between automatic snapshots (compaction period). A
     /// snapshot rewrites the full state and truncates the log, so this
     /// bounds both recovery time and WAL growth. 0 disables automatic
-    /// snapshots (the WAL grows until [`Wal::compact`] is called).
+    /// snapshots (the WAL grows until `Wal::compact` is called).
     pub snapshot_every: usize,
     /// `fsync` every WAL append. The WAL is always flushed to the OS per
     /// append (surviving a process crash); syncing additionally survives
@@ -448,7 +448,7 @@ impl Wal {
 
     /// Install append / fsync / compaction latency histograms. Called once
     /// by the owning store when it attaches to a metric registry.
-    pub fn set_timers(
+    pub(crate) fn set_timers(
         &mut self,
         append: Arc<Histogram>,
         fsync: Arc<Histogram>,
@@ -463,7 +463,8 @@ impl Wal {
 
     /// Arm (or disarm) a crash point: the next matching operation performs
     /// its partial work and fails. Fault injection for the recovery tests.
-    pub fn inject_crash(&mut self, point: Option<CrashPoint>) {
+    #[cfg(test)]
+    pub(crate) fn inject_crash(&mut self, point: Option<CrashPoint>) {
         self.crash = point;
     }
 
@@ -554,7 +555,12 @@ impl Wal {
     /// atomic rename → truncate the WAL → remove older snapshots. Crashing
     /// between any two steps leaves a recoverable directory (the ordering
     /// is the whole point; see the module docs).
-    pub fn compact(&mut self, elements: &[u64], epoch: u64, log: &[ChangeBatch]) -> io::Result<()> {
+    pub(crate) fn compact(
+        &mut self,
+        elements: &[u64],
+        epoch: u64,
+        log: &[ChangeBatch],
+    ) -> io::Result<()> {
         let start = self.timers.as_ref().map(|_| Instant::now());
         let result = self.compact_untimed(elements, epoch, log);
         if let (Some(t), Some(start), Ok(())) = (self.timers.as_ref(), start, &result) {

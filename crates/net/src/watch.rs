@@ -10,7 +10,7 @@
 //!   reappears its contents arrive as a normal diff batch. Delta
 //!   subscribers ride through both transitions without a full resync.
 //! * **Torn / truncated file** (caught mid-write, producer crashed) → the
-//!   longest valid prefix is applied ([`setio::load_set_prefix`]); the
+//!   longest valid prefix is applied (`setio::load_set_prefix`); the
 //!   store never serves stale contents and never panics on garbage. The
 //!   next poll after the writer finishes re-diffs to the full contents.
 //! * **Change detection** keys on the `(mtime, len)` pair; either field
@@ -34,14 +34,6 @@ use std::time::SystemTime;
 
 /// The `(mtime, length)` fingerprint change detection keys on.
 type FileStamp = (SystemTime, u64);
-
-/// A change hook for [`DirWatcher::with_change_hook`]: called with the
-/// store name and the epoch an effective scan application produced. The
-/// per-store live-subscription wakeups ride the stores' own notifiers
-/// ([`crate::store::SetStore::register_notifier`]); this hook is the
-/// watcher-level aggregate — one callback per store per scan, whatever the
-/// mutation (edit, vanish, reappearance).
-pub type WatchHook = Box<dyn Fn(&str, u64) + Send>;
 
 struct WatchedFile {
     path: PathBuf,
@@ -71,7 +63,6 @@ pub struct DirWatcher {
     registry: Arc<StoreRegistry>,
     options: DurableOptions,
     watched: HashMap<String, WatchedFile>,
-    change_hook: Option<WatchHook>,
 }
 
 impl DirWatcher {
@@ -88,15 +79,7 @@ impl DirWatcher {
             registry,
             options,
             watched: HashMap::new(),
-            change_hook: None,
         }
-    }
-
-    /// Install a [`WatchHook`] called after every effective change a scan
-    /// applies (edits, vanish-emptying, reappearance refills).
-    pub fn with_change_hook(mut self, hook: WatchHook) -> Self {
-        self.change_hook = Some(hook);
-        self
     }
 
     /// One pass: register stores for new `*.set` files, apply edits of
@@ -138,8 +121,7 @@ impl DirWatcher {
                 None => self.register_file(&name, &path, stamp, &mut report),
                 Some(file) if file.stamp != Some(stamp) => {
                     file.stamp = Some(stamp);
-                    let hook = self.change_hook.as_ref();
-                    Self::sync_file_to_store(&name, &path, &file.store, &mut report, hook);
+                    Self::sync_file_to_store(&name, &path, &file.store, &mut report);
                 }
                 Some(_) => {}
             }
@@ -158,9 +140,6 @@ impl DirWatcher {
                     batch.removed.len(),
                     batch.epoch
                 );
-                if let Some(hook) = self.change_hook.as_ref() {
-                    hook(name, batch.epoch);
-                }
             } else {
                 eprintln!(
                     "pbs-watch: {} vanished; store {name:?} already empty",
@@ -187,7 +166,7 @@ impl DirWatcher {
             Err(e) => return eprintln!("pbs-watch: cannot open store {name:?}: {e}"),
         };
         report.registered += 1;
-        Self::sync_file_to_store(name, path, &store, report, self.change_hook.as_ref());
+        Self::sync_file_to_store(name, path, &store, report);
         println!(
             "pbs-watch: watching {} as store {name:?} ({} elements, epoch {})",
             path.display(),
@@ -206,13 +185,7 @@ impl DirWatcher {
 
     /// Converge `store` to the file's current (valid-prefix) contents with
     /// one diff batch.
-    fn sync_file_to_store(
-        name: &str,
-        path: &Path,
-        store: &MutableStore,
-        report: &mut ScanReport,
-        hook: Option<&WatchHook>,
-    ) {
+    fn sync_file_to_store(name: &str, path: &Path, store: &MutableStore, report: &mut ScanReport) {
         let (target, torn) = match setio::load_set_prefix(path) {
             Ok(loaded) => loaded,
             Err(e) => {
@@ -234,9 +207,6 @@ impl DirWatcher {
             return;
         };
         report.updated += 1;
-        if let Some(hook) = hook {
-            hook(name, batch.epoch);
-        }
         println!(
             "pbs-watch: store {name:?} now epoch {} (+{} −{})",
             batch.epoch,
@@ -286,24 +256,24 @@ mod tests {
     }
 
     #[test]
-    fn change_hook_fires_on_edit_and_vanish() {
+    fn edits_and_vanishes_bump_the_epoch_and_unchanged_scans_do_not() {
         let dir = tempdir("hook");
         std::fs::write(dir.join("a.set"), "1\n2\n").unwrap();
         let registry = Arc::new(StoreRegistry::new());
-        let events: Arc<std::sync::Mutex<Vec<(String, u64)>>> = Arc::default();
-        let sink = Arc::clone(&events);
-        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), DurableOptions::default())
-            .with_change_hook(Box::new(move |name, epoch| {
-                sink.lock().unwrap().push((name.to_string(), epoch));
-            }));
-        watcher.scan(); // initial fill → epoch 1
-        watcher.scan(); // unchanged → no event
+        let mut watcher = DirWatcher::new(&dir, Arc::clone(&registry), DurableOptions::default());
+        let mut epochs = Vec::new();
+        let mut scan = |watcher: &mut DirWatcher| {
+            watcher.scan();
+            let (_, epoch) = registry.get("a").unwrap().store().epoch_snapshot();
+            epochs.push(epoch);
+        };
+        scan(&mut watcher); // initial fill → epoch 1
+        scan(&mut watcher); // unchanged → still 1
         std::fs::write(dir.join("a.set"), "1\n2\n3\n").unwrap();
-        watcher.scan(); // edit → epoch 2
+        scan(&mut watcher); // edit → epoch 2
         std::fs::remove_file(dir.join("a.set")).unwrap();
-        watcher.scan(); // vanish-emptying → epoch 3
-        let got = events.lock().unwrap().clone();
-        assert_eq!(got, vec![("a".into(), 1), ("a".into(), 2), ("a".into(), 3)]);
+        scan(&mut watcher); // vanish-emptying → epoch 3
+        assert_eq!(epochs, [1, 1, 2, 3].map(Some));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

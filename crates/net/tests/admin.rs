@@ -253,7 +253,7 @@ fn metrics_reconcile_with_stats_snapshot_and_wire_ledger() {
     let (status, body) = http_get(admin.local_addr(), "/healthz");
     assert_eq!(status, 503);
     assert_eq!(body, "draining\n");
-    admin.shutdown();
+    drop(admin);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -362,7 +362,7 @@ fn concurrent_scrapes_reconcile_under_load() {
     );
 
     server.shutdown();
-    admin.shutdown();
+    drop(admin);
 }
 
 /// Documentation lint (the CI leg that keeps `docs/OBSERVABILITY.md`

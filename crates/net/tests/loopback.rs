@@ -156,7 +156,6 @@ fn reference_run(
         );
         transcript.record_round_trip();
         let status = alice.apply_reports(&reports);
-        transcript.next_round();
         if status.all_verified {
             break;
         }

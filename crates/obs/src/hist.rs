@@ -15,7 +15,7 @@ pub const SUB_BITS: u32 = 5;
 pub const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 /// Total bucket count: octaves 5..=63 contribute 32 buckets each on top of
 /// the 64 exact buckets covering `0..64`.
-pub const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
+const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
 
 /// Map a value to its bucket index.
 #[inline]
@@ -48,7 +48,7 @@ fn bucket_upper_bound(index: usize) -> u64 {
 /// A fixed-size, lock-free latency histogram.
 ///
 /// `record` is wait-free (one relaxed `fetch_add` per atomic touched) and safe
-/// to call from any number of threads; readers (`quantile`, `snapshot`) walk
+/// to call from any number of threads; readers (`quantile`) walk
 /// the buckets without stopping writers, so a concurrent read sees *some*
 /// recent state, never a torn count.
 #[derive(Debug)]
@@ -107,23 +107,6 @@ impl Histogram {
         self.max.load(Relaxed)
     }
 
-    /// Fold every sample of `other` into `self`.
-    ///
-    /// The operation is associative and commutative up to the bucket
-    /// resolution: merging histograms yields exactly the histogram of the
-    /// concatenated sample streams.
-    pub fn merge(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Relaxed), Relaxed);
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-        self.max.fetch_max(other.max.load(Relaxed), Relaxed);
-    }
-
     /// The value at quantile `q` (clamped to `0.0..=1.0`).
     ///
     /// Returns the upper bound of the bucket containing the `ceil(q·count)`-th
@@ -146,49 +129,6 @@ impl Histogram {
         }
         bucket_upper_bound(NUM_BUCKETS - 1)
     }
-
-    /// A consistent point-in-time copy of the aggregate statistics.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            max: self.max(),
-            p50: self.quantile(0.5),
-            p90: self.quantile(0.9),
-            p99: self.quantile(0.99),
-            p999: self.quantile(0.999),
-        }
-    }
-
-    /// Reset every bucket and aggregate to zero (test helper; not atomic with
-    /// respect to concurrent writers).
-    pub fn clear(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Relaxed);
-        }
-        self.count.store(0, Relaxed);
-        self.sum.store(0, Relaxed);
-        self.max.store(0, Relaxed);
-    }
-}
-
-/// Point-in-time aggregate view of a [`Histogram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Median.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile.
-    pub p999: u64,
 }
 
 #[cfg(test)]

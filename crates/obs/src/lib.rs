@@ -37,5 +37,5 @@ mod hist;
 mod registry;
 pub mod trace;
 
-pub use hist::{HistSnapshot, Histogram, NUM_BUCKETS, SUB_BITS, SUB_BUCKETS};
-pub use registry::{Counter, Gauge, Registry, RENDERED_QUANTILES};
+pub use hist::{Histogram, SUB_BITS, SUB_BUCKETS};
+pub use registry::{Counter, Gauge, Registry};

@@ -19,15 +19,12 @@ use crate::hist::Histogram;
 /// Dereferences to the underlying [`AtomicU64`], so existing code holding
 /// `&AtomicU64` accessors keeps working unchanged after a field migrates to
 /// `Counter`.
-#[derive(Debug, Clone)]
+///
+/// `Counter::default()` is one not attached to any registry, at zero.
+#[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not attached to any registry (starts at zero).
-    pub fn detached() -> Self {
-        Counter(Arc::new(AtomicU64::new(0)))
-    }
-
     /// Add `n` to the counter.
     #[inline]
     pub fn inc(&self, n: u64) {
@@ -41,12 +38,6 @@ impl Counter {
     }
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::detached()
-    }
-}
-
 impl Deref for Counter {
     type Target = AtomicU64;
     fn deref(&self) -> &AtomicU64 {
@@ -54,16 +45,13 @@ impl Deref for Counter {
     }
 }
 
-/// A gauge holding an `f64` (stored as bits in an atomic).
-#[derive(Debug, Clone)]
+/// A gauge holding an `f64` (stored as bits in an atomic; the all-zero
+/// bits are 0.0, so `Gauge::default()` is one not attached to any registry,
+/// at 0.0).
+#[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    /// A gauge not attached to any registry (starts at 0.0).
-    pub fn detached() -> Self {
-        Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
-    }
-
     /// Set the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
@@ -79,14 +67,8 @@ impl Gauge {
 
     /// Current value.
     #[inline]
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Relaxed))
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::detached()
     }
 }
 
@@ -107,7 +89,7 @@ struct Entry {
 }
 
 /// Quantiles rendered for every histogram family.
-pub const RENDERED_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
+const RENDERED_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
 
 /// A registry of named metrics, rendered on demand.
 #[derive(Default)]
@@ -159,7 +141,7 @@ impl Registry {
         }) {
             return c;
         }
-        let c = Counter::detached();
+        let c = Counter::default();
         self.push(name, help, labels, 1.0, Metric::Counter(c.clone()));
         c
     }
@@ -172,7 +154,7 @@ impl Registry {
         }) {
             return g;
         }
-        let g = Gauge::detached();
+        let g = Gauge::default();
         self.push(name, help, labels, 1.0, Metric::Gauge(g.clone()));
         g
     }

@@ -158,8 +158,8 @@ pub fn event(
     let _ = writeln!(lock, "{line}");
 }
 
-/// Pure formatter behind [`event`], exposed for tests.
-pub fn format_event(
+/// Pure formatter behind [`event`].
+fn format_event(
     format: TraceFormat,
     ts: f64,
     level: Level,
@@ -230,7 +230,7 @@ pub fn format_event(
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -23,12 +23,12 @@
 //! # Example
 //!
 //! ```
-//! use pinsketch::{PinSketch, PinSketchConfig};
+//! use pinsketch::PinSketch;
+//! use protocol::Reconciler;
 //!
 //! let alice: Vec<u64> = (1..=500).collect();
 //! let bob: Vec<u64> = (16..=500).collect(); // d = 15
-//! let scheme = PinSketch::new(PinSketchConfig::default());
-//! let outcome = scheme.reconcile_with_capacity(&alice, &bob, 15, 5);
+//! let outcome = PinSketch::default().reconcile(&alice, &bob, 5);
 //! assert!(outcome.claimed_success);
 //! let mut diff = outcome.recovered.clone();
 //! diff.sort_unstable();
@@ -47,13 +47,13 @@ use xhash::{derive_seed, PartitionHasher};
 
 /// Configuration shared by both PinSketch variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PinSketchConfig {
+struct PinSketchConfig {
     /// Element signature width `log|U|`; the sketch field is GF(2^`log|U|`).
-    pub universe_bits: u32,
+    universe_bits: u32,
     /// Number of ToW sketches used to estimate `d` when it is not given.
-    pub estimator_sketches: usize,
+    estimator_sketches: usize,
     /// Safety factor applied to the estimate (γ = 1.38 in the paper).
-    pub inflation: f64,
+    inflation: f64,
 }
 
 impl Default for PinSketchConfig {
@@ -73,14 +73,9 @@ pub struct PinSketch {
 }
 
 impl PinSketch {
-    /// Create a PinSketch reconciler.
-    pub fn new(config: PinSketchConfig) -> Self {
-        PinSketch { config }
-    }
-
     /// Reconcile with a known difference cardinality: the sketch capacity is
     /// set to exactly `t` (no estimator round).
-    pub fn reconcile_with_capacity(
+    fn reconcile_with_capacity(
         &self,
         alice: &[u64],
         bob: &[u64],
@@ -156,14 +151,14 @@ impl Reconciler for PinSketch {
 pub struct PinSketchWp {
     config: PinSketchConfig,
     /// Average number of distinct elements per group (δ = 5 like PBS).
-    pub delta: usize,
+    delta: usize,
     /// Target rounds used when deriving `t` via the PBS optimizer (so that
     /// PinSketch/WP and PBS use exactly the same `t` and `g`, per §8.3).
-    pub target_rounds: u32,
+    target_rounds: u32,
     /// Target success probability (0.99 in Figure 3).
-    pub target_success: f64,
+    target_success: f64,
     /// Cap on the number of rounds executed.
-    pub max_rounds: u32,
+    max_rounds: u32,
 }
 
 impl Default for PinSketchWp {
@@ -179,14 +174,6 @@ impl Default for PinSketchWp {
 }
 
 impl PinSketchWp {
-    /// Create a PinSketch/WP reconciler with the given universe width.
-    pub fn new(config: PinSketchConfig) -> Self {
-        PinSketchWp {
-            config,
-            ..Default::default()
-        }
-    }
-
     /// Reconcile with a known (or externally estimated) `d`.
     pub fn reconcile_with_known_d(
         &self,

@@ -27,7 +27,6 @@
 //! t.send_bits(Direction::AliceToBob, "bch-sketch", 13 * 11);
 //! t.send_bits(Direction::BobToAlice, "bin-report", 43);
 //! assert_eq!(t.stats().total_bytes(), 18 + 6); // per-direction ceil to bytes
-//! assert_eq!(t.rounds_used(), 1);
 //! assert_eq!(t.round_trips(), 1);
 //! ```
 
@@ -36,7 +35,7 @@
 mod transcript;
 mod workload;
 
-pub use transcript::{CommStats, Direction, MessageRecord, Transcript};
+pub use transcript::{CommStats, Direction, Transcript};
 pub use workload::{SetPair, Workload};
 
 use std::collections::HashSet;
@@ -54,13 +53,6 @@ pub struct TimingStats {
     pub encode: Duration,
     /// Time spent decoding sketches into the set difference.
     pub decode: Duration,
-}
-
-impl TimingStats {
-    /// Total computational time (encode + decode).
-    pub fn total(&self) -> Duration {
-        self.encode + self.decode
-    }
 }
 
 /// The outcome of one reconciliation run.

@@ -26,40 +26,26 @@ impl CommStats {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_alice_to_bob + self.bytes_bob_to_alice
     }
-
-    /// Total kilobytes exchanged (the unit the paper plots).
-    pub fn total_kb(&self) -> f64 {
-        self.total_bytes() as f64 / 1000.0
-    }
-
-    /// Merge another run's statistics into this one.
-    pub fn merge(&mut self, other: &CommStats) {
-        self.bytes_alice_to_bob += other.bytes_alice_to_bob;
-        self.bytes_bob_to_alice += other.bytes_bob_to_alice;
-        self.messages += other.messages;
-    }
 }
 
 /// A record of one logical message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MessageRecord {
-    /// Protocol round this message belongs to (1-based).
-    pub round: u32,
+#[derive(Debug, Clone)]
+struct MessageRecord {
     /// Direction of the message.
-    pub direction: Direction,
+    direction: Direction,
     /// A short label describing the payload (e.g. `"bch-sketch"`).
-    pub label: &'static str,
+    label: &'static str,
     /// Payload size in **bits** — the paper accounts several sub-byte
     /// quantities (bit-error positions of `log n` bits each), so the ledger
     /// keeps bit precision and rounds up only at the aggregate level.
-    pub bits: u64,
+    bits: u64,
     /// Size of the message as actually *serialized* for a transport, in
     /// bytes. The paper's accounting (`bits`) charges the
     /// information-theoretic payload; a real wire format pays fixed-width
-    /// fields and per-message headers on top. [`Transcript::send_bits`] /
-    /// [`Transcript::send_bytes`] default this to `ceil(bits / 8)`;
-    /// [`Transcript::send_encoded`] records the measured encoding.
-    pub wire_bytes: u64,
+    /// fields and per-message headers on top. [`Transcript::send_bits`]
+    /// defaults this to `ceil(bits / 8)`; [`Transcript::send_encoded`]
+    /// records the measured encoding.
+    wire_bytes: u64,
 }
 
 /// A ledger of all messages exchanged during a reconciliation run.
@@ -70,28 +56,13 @@ pub struct MessageRecord {
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
     records: Vec<MessageRecord>,
-    current_round: u32,
     round_trips: u32,
 }
 
 impl Transcript {
-    /// Create an empty transcript (round counter starts at 1).
+    /// Create an empty transcript.
     pub fn new() -> Self {
-        Transcript {
-            records: Vec::new(),
-            current_round: 1,
-            round_trips: 0,
-        }
-    }
-
-    /// The current round number (1-based).
-    pub fn round(&self) -> u32 {
-        self.current_round
-    }
-
-    /// Advance to the next protocol round.
-    pub fn next_round(&mut self) {
-        self.current_round += 1;
+        Transcript::default()
     }
 
     /// Record one request-response exchange on the transport. Protocol
@@ -110,16 +81,11 @@ impl Transcript {
         self.round_trips
     }
 
-    /// Record a message of `bits` bits in the current round. The serialized
-    /// size defaults to the byte-rounded payload; use
-    /// [`Transcript::send_encoded`] when the actual encoding was measured.
+    /// Record a message of `bits` bits. The serialized size defaults to the
+    /// byte-rounded payload; use [`Transcript::send_encoded`] when the actual
+    /// encoding was measured.
     pub fn send_bits(&mut self, direction: Direction, label: &'static str, bits: u64) {
         self.send_encoded(direction, label, bits, bits.div_ceil(8));
-    }
-
-    /// Record a message of `bytes` bytes in the current round.
-    pub fn send_bytes(&mut self, direction: Direction, label: &'static str, bytes: u64) {
-        self.send_bits(direction, label, bytes * 8);
     }
 
     /// Record a message with both its information-theoretic payload (`bits`,
@@ -135,7 +101,6 @@ impl Transcript {
         wire_bytes: u64,
     ) {
         self.records.push(MessageRecord {
-            round: self.current_round,
             direction,
             label,
             bits,
@@ -143,25 +108,11 @@ impl Transcript {
         });
     }
 
-    /// All recorded messages.
-    pub fn records(&self) -> &[MessageRecord] {
-        &self.records
-    }
-
     /// Total bits sent in the given direction.
-    pub fn bits_in_direction(&self, direction: Direction) -> u64 {
+    fn bits_in_direction(&self, direction: Direction) -> u64 {
         self.records
             .iter()
             .filter(|r| r.direction == direction)
-            .map(|r| r.bits)
-            .sum()
-    }
-
-    /// Total bits recorded during the given round.
-    pub fn bits_in_round(&self, round: u32) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.round == round)
             .map(|r| r.bits)
             .sum()
     }
@@ -187,25 +138,10 @@ impl Transcript {
             .sum()
     }
 
-    /// Total serialized bytes in the given direction (see
-    /// [`MessageRecord::wire_bytes`]).
-    pub fn wire_bytes_in_direction(&self, direction: Direction) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.direction == direction)
-            .map(|r| r.wire_bytes)
-            .sum()
-    }
-
     /// Total serialized bytes in both directions — the number a byte counter
     /// on the connection would report for the payloads recorded here.
     pub fn wire_bytes_total(&self) -> u64 {
         self.records.iter().map(|r| r.wire_bytes).sum()
-    }
-
-    /// The number of rounds in which at least one message was sent.
-    pub fn rounds_used(&self) -> u32 {
-        self.records.iter().map(|r| r.round).max().unwrap_or(0)
     }
 
     /// Collapse the ledger into aggregate [`CommStats`]. Bits are converted
@@ -226,16 +162,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transcript_accumulates_bits_and_rounds() {
+    fn transcript_accumulates_bits() {
         let mut t = Transcript::new();
         t.send_bits(Direction::AliceToBob, "bch-sketch", 13 * 7);
-        t.send_bytes(Direction::BobToAlice, "xor-sums", 20);
-        t.next_round();
+        t.send_bits(Direction::BobToAlice, "xor-sums", 20 * 8);
         t.send_bits(Direction::AliceToBob, "bch-sketch", 50);
-        assert_eq!(t.rounds_used(), 2);
         assert_eq!(t.bits_in_direction(Direction::AliceToBob), 141);
         assert_eq!(t.bits_in_direction(Direction::BobToAlice), 160);
-        assert_eq!(t.bits_in_round(1), 91 + 160);
         assert_eq!(t.bits_for_label("bch-sketch"), 141);
         let s = t.stats();
         assert_eq!(s.bytes_alice_to_bob, 18); // ceil(141 / 8)
@@ -254,9 +187,7 @@ mod tests {
         t.send_encoded(Direction::BobToAlice, "framed-report", 64, 33);
         t.send_bits(Direction::AliceToBob, "bch-sketch", 9);
         assert_eq!(t.bits_in_direction(Direction::AliceToBob), 91 + 9);
-        assert_eq!(t.wire_bytes_in_direction(Direction::AliceToBob), 120 + 2);
-        assert_eq!(t.wire_bytes_in_direction(Direction::BobToAlice), 33);
-        assert_eq!(t.wire_bytes_total(), 155);
+        assert_eq!(t.wire_bytes_total(), 120 + 33 + 2);
         assert_eq!(t.wire_bytes_for_label("framed-sketch"), 120);
         assert_eq!(t.wire_bytes_for_label("absent"), 0);
         // The paper-accounting aggregate is untouched by wire sizes
@@ -265,42 +196,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge() {
-        let mut a = CommStats {
-            bytes_alice_to_bob: 10,
-            bytes_bob_to_alice: 5,
-            messages: 2,
-        };
-        let b = CommStats {
-            bytes_alice_to_bob: 1,
-            bytes_bob_to_alice: 2,
-            messages: 1,
-        };
-        a.merge(&b);
-        assert_eq!(a.total_bytes(), 18);
-        assert_eq!(a.messages, 3);
-        assert!((a.total_kb() - 0.018).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_transcript() {
         let t = Transcript::new();
-        assert_eq!(t.rounds_used(), 0);
         assert_eq!(t.stats().total_bytes(), 0);
         assert_eq!(t.round_trips(), 0);
     }
 
     #[test]
-    fn round_trips_ledger_independently_of_rounds() {
-        // A pipelined exchange: one trip carries two protocol rounds.
+    fn round_trips_ledger_independently_of_messages() {
+        // A pipelined exchange: one trip carries two rounds' sketches.
         let mut t = Transcript::new();
         t.record_round_trip();
         t.send_bits(Direction::AliceToBob, "bch-sketch", 100);
-        t.next_round();
         t.send_bits(Direction::AliceToBob, "bch-sketch", 100);
-        t.next_round();
         t.send_bits(Direction::BobToAlice, "bin-report", 50);
         assert_eq!(t.round_trips(), 1);
-        assert_eq!(t.rounds_used(), 3);
+        assert_eq!(t.stats().messages, 3);
     }
 }

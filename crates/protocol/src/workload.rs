@@ -23,13 +23,6 @@ pub struct SetPair {
     pub diff: HashSet<u64>,
 }
 
-impl SetPair {
-    /// Cardinality of the ground-truth difference.
-    pub fn d(&self) -> usize {
-        self.diff.len()
-    }
-}
-
 /// Parameters of the workload generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
@@ -57,15 +50,6 @@ impl Default for Workload {
 }
 
 impl Workload {
-    /// Create a workload with the paper's defaults (`|A|`=10^6, 32-bit universe,
-    /// `B ⊂ A`) and the given difference cardinality.
-    pub fn paper_default(d: usize) -> Self {
-        Workload {
-            d,
-            ..Default::default()
-        }
-    }
-
     /// Generate one `(A, B)` instance. All randomness is derived from `seed`,
     /// so the same `(workload, seed)` pair always produces the same instance.
     ///
@@ -142,7 +126,7 @@ mod tests {
         let pair = w.generate(1);
         assert_eq!(pair.a.len(), 5_000);
         assert_eq!(pair.b.len(), 5_000 - 37);
-        assert_eq!(pair.d(), 37);
+        assert_eq!(pair.diff.len(), 37);
         assert_eq!(symmetric_difference(&pair.a, &pair.b), pair.diff);
         // B must be a subset of A.
         let sa: HashSet<u64> = pair.a.iter().copied().collect();
@@ -159,7 +143,7 @@ mod tests {
         };
         let pair = w.generate(9);
         assert_eq!(pair.a.len(), 2_000);
-        assert_eq!(pair.d(), 100);
+        assert_eq!(pair.diff.len(), 100);
         assert_eq!(symmetric_difference(&pair.a, &pair.b), pair.diff);
         // Both sides should own some exclusive elements.
         let sa: HashSet<u64> = pair.a.iter().copied().collect();
@@ -170,10 +154,10 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_in_seed() {
-        let w = Workload::paper_default(50);
         let w_small = Workload {
             set_size: 1_000,
-            ..w
+            d: 50,
+            ..Workload::default()
         };
         let p1 = w_small.generate(77);
         let p2 = w_small.generate(77);
@@ -204,7 +188,7 @@ mod tests {
             subset_mode: true,
         };
         let pair = w.generate(11);
-        assert_eq!(pair.d(), 0);
+        assert!(pair.diff.is_empty());
         assert_eq!(pair.a.len(), pair.b.len());
     }
 

@@ -38,18 +38,6 @@ impl PartitionHasher {
         PartitionHasher { seed, bins }
     }
 
-    /// Number of bins.
-    #[inline]
-    pub fn bins(&self) -> u64 {
-        self.bins
-    }
-
-    /// The seed this hasher was created with.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Bin index in `0..bins` for `element`.
     #[inline]
     pub fn bin(&self, element: u64) -> u64 {
@@ -65,7 +53,7 @@ impl PartitionHasher {
         self.bin(element) + 1
     }
 
-    /// Split `elements` into [`Self::bins`] duplicate-free parts: part `i`
+    /// Split `elements` into `bins` duplicate-free parts: part `i`
     /// holds, in input order, the first occurrence of every distinct element
     /// with `bin(e) == i`.
     ///
@@ -195,7 +183,7 @@ mod tests {
     /// The `HashSet` model [`PartitionHasher::partition`] replaced: walk
     /// the input once, keep an element the first time it is seen.
     fn partition_model(hasher: &PartitionHasher, elements: &[u64]) -> Vec<Vec<u64>> {
-        let mut parts = vec![Vec::new(); hasher.bins() as usize];
+        let mut parts = vec![Vec::new(); hasher.bins as usize];
         let mut seen = HashSet::new();
         for &e in elements {
             if seen.insert(e) {

@@ -70,13 +70,6 @@ impl SignHasher {
         SignHasher { coeffs }
     }
 
-    /// Construct from explicit polynomial coefficients (reduced mod p).
-    pub fn from_coeffs(coeffs: [u64; 4]) -> Self {
-        SignHasher {
-            coeffs: coeffs.map(|c| c % MERSENNE_P),
-        }
-    }
-
     /// `[x, x², x³] mod p` for an element — the part of the evaluation every
     /// polynomial of a bank shares.
     #[inline]
@@ -102,24 +95,21 @@ impl SignHasher {
             + a3 as u128 * powers[2] as u128;
         mod_p(sum) as u32
     }
-
-    /// The 32 sign bits of `element` (see [`SignHasher::sign_bits_at`]).
-    #[inline]
-    pub fn sign_bits(&self, element: u64) -> u32 {
-        self.sign_bits_at(&Self::powers(element))
-    }
-
-    /// The ±1 hash value of `element` under lane `lane < 32`.
-    #[inline]
-    pub fn sign(&self, lane: usize, element: u64) -> i64 {
-        debug_assert!(lane < Self::LANES);
-        1 - 2 * i64::from(self.sign_bits(element) >> lane & 1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The 32 sign bits of `element`, the way a bank evaluates them.
+    fn sign_bits(h: &SignHasher, element: u64) -> u32 {
+        h.sign_bits_at(&SignHasher::powers(element))
+    }
+
+    /// The ±1 hash value of `element` under lane `lane < 32`.
+    fn sign(h: &SignHasher, lane: usize, element: u64) -> i64 {
+        1 - 2 * i64::from(sign_bits(h, element) >> lane & 1)
+    }
 
     /// The family as `docs/WIRE.md` states it, in plain `u128` arithmetic.
     fn reference_sign(h: &SignHasher, lane: usize, element: u64) -> i64 {
@@ -164,10 +154,12 @@ mod tests {
             x
         });
         for (k, e) in edge.into_iter().chain(random.take(300)).enumerate() {
-            let extreme = SignHasher::from_coeffs([MERSENNE_P - 1; 4]);
+            let extreme = SignHasher {
+                coeffs: [MERSENNE_P - 1; 4],
+            };
             for h in [seeded(k as u64), extreme] {
                 for lane in 0..SignHasher::LANES {
-                    assert_eq!(h.sign(lane, e), reference_sign(&h, lane, e), "{h:?} {e}");
+                    assert_eq!(sign(&h, lane, e), reference_sign(&h, lane, e), "{h:?} {e}");
                 }
             }
         }
@@ -178,7 +170,7 @@ mod tests {
         let h1 = SignHasher::from_seed(5);
         let h2 = SignHasher::from_seed(5);
         for e in [0u64, 7, 1 << 40, u64::MAX] {
-            assert_eq!(h1.sign_bits(e), h2.sign_bits(e));
+            assert_eq!(sign_bits(&h1, e), sign_bits(&h2, e));
         }
     }
 
@@ -188,7 +180,7 @@ mod tests {
         let n = 100_000u64;
         let mut sums = [0i64; SignHasher::LANES];
         for e in 0..n {
-            let bits = h.sign_bits(e);
+            let bits = sign_bits(&h, e);
             for (lane, sum) in sums.iter_mut().enumerate() {
                 *sum += 1 - 2 * i64::from(bits >> lane & 1);
             }
@@ -203,12 +195,12 @@ mod tests {
     fn lanes_are_balanced_over_seeds() {
         let elems = [2u64, 99, 123_456, 987_654_321];
         for lane in [0, 1, 13, 31] {
-            assert_balanced("single lane", |h| h.sign(lane, elems[0]));
+            assert_balanced("single lane", |h| sign(h, lane, elems[0]));
             assert_balanced("pairwise", |h| {
-                h.sign(lane, elems[1]) * h.sign(lane, elems[3])
+                sign(h, lane, elems[1]) * sign(h, lane, elems[3])
             });
             assert_balanced("4-wise", |h| {
-                elems.iter().map(|&e| h.sign(lane, e)).product()
+                elems.iter().map(|&e| sign(h, lane, e)).product()
             });
         }
     }
@@ -217,10 +209,10 @@ mod tests {
     fn two_lanes_of_one_polynomial_are_uncorrelated() {
         let (a, b) = (17u64, 3_000_000_007u64);
         for (i, j) in [(0, 1), (0, 31), (7, 8), (30, 31)] {
-            assert_balanced("two lanes, one element", |h| h.sign(i, a) * h.sign(j, a));
-            assert_balanced("two lanes, two elements", |h| h.sign(i, a) * h.sign(j, b));
+            assert_balanced("two lanes, one element", |h| sign(h, i, a) * sign(h, j, a));
+            assert_balanced("two lanes, two elements", |h| sign(h, i, a) * sign(h, j, b));
             assert_balanced("two lanes, both on two elements", |h| {
-                h.sign(i, a) * h.sign(i, b) * h.sign(j, a) * h.sign(j, b)
+                sign(h, i, a) * sign(h, i, b) * sign(h, j, a) * sign(h, j, b)
             });
         }
     }

@@ -11,16 +11,16 @@
 //!   metric registry, and structured tracing (see `docs/OBSERVABILITY.md`)
 //! * [`protocol`] — the `Reconciler` trait, transcripts and workloads
 //! * [`analysis`] — the Markov-chain framework and parameter optimizer
-//! * [`estimator`] — ToW / Strata / min-wise difference-cardinality estimators
+//! * [`estimator`] — the Tug-of-War difference-cardinality estimator
 //! * [`bch`], [`gf`], [`xhash`] — coding and hashing substrates
-//! * [`pinsketch`], [`ddigest`], [`graphene`], [`iblt`], [`bloom`] — baselines
-//!   and their substrates
+//! * [`pinsketch`], [`ddigest`], [`graphene`], [`iblt`] — baselines and their
+//!   substrates (Appendix B's Strata and min-wise estimators are in
+//!   [`ddigest`], the Bloom filter is inside [`graphene`])
 
 #![warn(missing_docs)]
 
 pub use analysis;
 pub use bch;
-pub use bloom;
 pub use ddigest;
 pub use estimator;
 pub use gf;
