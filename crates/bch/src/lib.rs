@@ -23,11 +23,15 @@
 //!    same quadratic cost). The even syndromes follow from the
 //!    characteristic-2 identity `S_{2k} = S_k²`, which also makes every
 //!    second step of the algorithm a no-op,
-//! 2. find the locator's roots: in closed form for degree 1 and 2 where the
-//!    codec holds syndrome columns (every plan at n ≤ 2047), a stepping
-//!    Chien search over any other field with log tables (m ≤ 16), or the
-//!    Berlekamp trace algorithm over a field without them (m ≥ 17:
-//!    PinSketch's m = 32, a one-round PBS plan at d ≳ 300),
+//! 2. find the locator's roots. Over a field with log tables (m ≤ 16, every
+//!    PBS plan but a one-round one at d ≳ 300) degrees 1–3 are solved in
+//!    closed form, and a higher degree is brought down to a cubic by the
+//!    deflating Chien scan: it steps through the candidates `g^0, g^1, …`,
+//!    divides out each root it meets, and hands the last three roots to the
+//!    cubic's closed form. Over a field without log tables (m ≥ 17:
+//!    PinSketch's m = 32, a one-round PBS plan at d ≳ 300) the Berlekamp
+//!    trace algorithm finds them. Either way a locator that does not split
+//!    into distinct roots is refused,
 //! 3. validate the result by re-computing the syndromes of the recovered
 //!    difference; any mismatch is reported as a [`DecodeError`], which is the
 //!    "BCH decoding failure" exception of §3.2.
@@ -35,9 +39,9 @@
 //! # Syndrome columns
 //!
 //! Over a table-backed field whose `n·t` fits [`COLUMN_TABLE_ENTRIES`] — every
-//! parity-bitmap size PBS plans, `n = 63 … 2047` — a [`BchCodec`] builds
-//! once, at construction, the column `H[p] = (p, p³, …, p^(2t−1))` of every
-//! position `p`, and sketching a set is the XOR of its columns
+//! parity-bitmap size PBS plans at r ≥ 2, `n = 63 … 2047` — a [`BchCodec`]
+//! builds once, at construction, the column `H[p] = (p, p³, …, p^(2t−1))` of
+//! every position `p`, and sketching a set is the XOR of its columns
 //! ([`BchCodec::sketch_slice`]). Any other codec (PinSketch's GF(2³²), a
 //! one-round PBS plan whose `n·t` outgrows the bound) steps the odd-power
 //! ladder per element instead, four elements at a time; the ladder, one
@@ -227,45 +231,66 @@ fn ladder_batch(syndromes: &mut [u64], elements: &[u64], field: &Field) {
 /// ladder.
 pub const COLUMN_TABLE_ENTRIES: usize = 1 << 17;
 
-/// What a codec over a small table-backed field precomputes.
-#[derive(Debug)]
-struct PositionTables {
-    /// Row `p` (`t` entries from `p·t`) is `H[p] = (p, p³, …, p^(2t−1))`,
-    /// at the field's own width (`m ≤ 16`); row 0 is zero.
-    columns: Vec<u16>,
-    /// `quadratic[c]` is a `y` with `y² + y = c`, or 0 when `c ≠ 0` has
-    /// none (the other solution is `y + 1`, and neither is 0 or 1 unless
-    /// `c = 0`). Solves a degree-2 locator without a scan.
-    quadratic: Vec<u16>,
+/// The syndrome columns of a codec over a table-backed field whose `n·t`
+/// fits [`COLUMN_TABLE_ENTRIES`]: row `p` (`t` entries from `p·t`) is
+/// `H[p] = (p, p³, …, p^(2t−1))`, at the field's own width (`m ≤ 16`); row 0
+/// is zero.
+fn column_table(field: &Field, t: usize) -> Option<Arc<Vec<u16>>> {
+    let order = field.order() as usize;
+    if field.generator().is_none() || (order - 1) * t > COLUMN_TABLE_ENTRIES {
+        return None;
+    }
+    let mut columns = vec![0u16; order * t];
+    for (p, column) in columns.chunks_exact_mut(t).enumerate().skip(1) {
+        let sq = field.square(p as u64);
+        let mut power = p as u64;
+        for entry in column {
+            *entry = power as u16;
+            power = field.mul(power, sq);
+        }
+    }
+    Some(Arc::new(columns))
 }
 
-impl PositionTables {
-    fn build(field: &Field, t: usize) -> Option<Self> {
+/// The closed-form root tables of a codec whose field has log tables, each
+/// `2^m` entries at the field's width.
+#[derive(Debug)]
+struct RootTables {
+    /// `quadratic[c]` is a `y` with `y² + y = c`, or 0 when `c ≠ 0` has
+    /// none (the other solution is `y + 1`, and neither is 0 or 1 unless
+    /// `c = 0`).
+    quadratic: Vec<u16>,
+    /// `cubic[k]` is a `u` with `u³ + u = k`, or 0 when `k` has none; `k = 0`
+    /// has the roots 0 and a double 1 and reads 0 too.
+    cubic: Vec<u16>,
+}
+
+impl RootTables {
+    fn build(field: &Field) -> Option<Self> {
+        field.generator()?;
         let order = field.order() as usize;
-        if field.generator().is_none() || (order - 1) * t > COLUMN_TABLE_ENTRIES {
-            return None;
-        }
-        let mut columns = vec![0u16; order * t];
-        for (p, column) in columns.chunks_exact_mut(t).enumerate().skip(1) {
-            let sq = field.square(p as u64);
-            let mut power = p as u64;
-            for entry in column {
-                *entry = power as u16;
-                power = field.mul(power, sq);
-            }
-        }
-        let mut quadratic = vec![0u16; order];
+        let (mut quadratic, mut cubic) = (vec![0u16; order], vec![0u16; order]);
         for y in 2..order as u64 {
-            quadratic[(field.square(y) ^ y) as usize] = y as u16;
+            let square = field.square(y);
+            quadratic[(square ^ y) as usize] = y as u16;
+            cubic[(field.mul(square, y) ^ y) as usize] = y as u16;
         }
-        Some(PositionTables { columns, quadratic })
+        Some(RootTables { quadratic, cubic })
     }
 }
 
+/// The step at which the Chien scan meets the root `g^i = x⁻¹` of an
+/// element `x` of a table-backed field: `i = −log x mod (2^m − 1)`.
+fn chien_step(f: &Field, x: u64) -> u32 {
+    let group = f.nonzero_count() as u32;
+    (group - f.log(x).unwrap_or(0)) % group
+}
+
 /// Working storage of [`BchCodec::decode_with`]: the syndrome expansion and
-/// Berlekamp–Massey's polynomials, the Chien search's running terms and
-/// roots, the recovered elements and the verifying sketch. One per worker;
-/// it grows to the largest decode it has served and is reused as is.
+/// Berlekamp–Massey's polynomials (the locator among them, which the Chien
+/// scan deflates in place), the scan's running terms and roots, the
+/// recovered elements and the verifying sketch. One per worker; it grows to
+/// the largest decode it has served and is reused as is.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     bm: BmScratch,
@@ -280,7 +305,10 @@ pub struct DecodeScratch {
 pub struct BchCodec {
     field: Arc<Field>,
     t: usize,
-    tables: Option<Arc<PositionTables>>,
+    /// See [`column_table`]; `None` sketches by ladder.
+    columns: Option<Arc<Vec<u16>>>,
+    /// Present iff the field has log tables; `None` finds roots by trace.
+    root_tables: Option<Arc<RootTables>>,
 }
 
 impl BchCodec {
@@ -295,8 +323,12 @@ impl BchCodec {
     /// Create a codec sharing an existing field (avoids rebuilding log tables).
     pub(crate) fn with_field(field: Arc<Field>, t: usize) -> Self {
         assert!(t > 0, "sketch capacity t must be positive");
-        let tables = PositionTables::build(&field, t).map(Arc::new);
-        BchCodec { field, t, tables }
+        BchCodec {
+            columns: column_table(&field, t),
+            root_tables: RootTables::build(&field).map(Arc::new),
+            field,
+            t,
+        }
     }
 
     /// The underlying field.
@@ -315,13 +347,13 @@ impl BchCodec {
     /// batched ladder where the field is too large for one. Same sketch
     /// either way.
     fn toggle(&self, syndromes: &mut [u64], elements: &[u64]) {
-        let Some(tables) = &self.tables else {
+        let Some(columns) = &self.columns else {
             return ladder_batch(syndromes, elements, &self.field);
         };
         let t = self.t;
         for &e in elements {
             debug_assert!(e != 0, "cannot sketch the zero element");
-            let column = &tables.columns[e as usize * t..][..t];
+            let column = &columns[e as usize * t..][..t];
             for (s, &power) in syndromes.iter_mut().zip(column) {
                 *s ^= power as u64;
             }
@@ -394,7 +426,8 @@ impl BchCodec {
         if degree == 0 || degree > self.t {
             return Err(DecodeError::TooManyDifferences);
         }
-        self.locate(&bm.c[..=degree], terms, roots, elements)?;
+        bm.c.truncate(degree + 1);
+        self.locate(&mut bm.c, terms, roots, elements)?;
 
         // Verify: the recovered set must reproduce the sketch exactly —
         // whatever path found it, and whoever made the syndromes up.
@@ -410,23 +443,34 @@ impl BchCodec {
     /// The elements whose inverses are the roots of `locator` (ascending
     /// coefficients, `Λ_0 = 1`, leading coefficient nonzero), pushed onto
     /// `elements` in the order a Chien scan meets the roots; an error
-    /// unless it splits into distinct nonzero roots.
+    /// unless it splits into distinct nonzero roots. The scan divides the
+    /// roots it meets out of `locator`.
     fn locate(
         &self,
-        locator: &[u64],
+        locator: &mut Vec<u64>,
         terms: &mut Vec<(u32, u32)>,
         roots: &mut Vec<u64>,
         elements: &mut Vec<u64>,
     ) -> Result<(), DecodeError> {
         let f = &*self.field;
         let degree = locator.len() - 1;
-        match (&self.tables, degree) {
+        let Some(tables) = &self.root_tables else {
+            // No log tables: the trace algorithm of `roots`.
+            *roots = find_roots(&Poly::from_coeffs(locator.to_vec()), f)
+                .map_err(|_| DecodeError::LocatorNotSplitting)?;
+            if roots.len() != degree || roots.contains(&0) {
+                return Err(DecodeError::LocatorNotSplitting);
+            }
+            elements.extend(roots.iter().map(|&r| f.inv(r)));
+            return Ok(());
+        };
+        match degree {
             // Λ(x) = 1 + Xx: the element is the coefficient itself.
-            (Some(_), 1) => elements.push(locator[1]),
+            1 => elements.push(locator[1]),
             // Λ(x) = (1 + X₁x)(1 + X₂x): the elements are the roots of
             // z² + Λ₁z + Λ₂, and z = Λ₁y turns that into y² + y = Λ₂/Λ₁².
             // Λ₁ = 0 is a repeated root, no y an irreducible quadratic.
-            (Some(tables), 2) => {
+            2 => {
                 let (sum, product) = (locator[1], locator[2]);
                 if sum == 0 {
                     return Err(DecodeError::LocatorNotSplitting);
@@ -436,25 +480,77 @@ impl BchCodec {
                 if y == 0 {
                     return Err(DecodeError::LocatorNotSplitting);
                 }
-                // The scan meets the root g^i = X⁻¹ at step
-                // i = −log X mod (2^m − 1).
-                let group = f.nonzero_count() as u32;
-                let step = |x: u64| (group - f.log(x).unwrap_or(0)) % group;
                 let (a, b) = (f.mul(sum, y), f.mul(sum, y ^ 1));
-                elements.extend(if step(a) < step(b) { [a, b] } else { [b, a] });
+                let in_order = chien_step(f, a) < chien_step(f, b);
+                elements.extend(if in_order { [a, b] } else { [b, a] });
             }
+            // Scan down to a cubic, then solve it.
             _ => {
-                if !f.chien_search_into(locator, degree, terms, roots) {
-                    // No log tables: the large-field algorithms of `roots`.
-                    *roots = find_roots(&Poly::from_coeffs(locator.to_vec()), f)
-                        .map_err(|_| DecodeError::LocatorNotSplitting)?;
-                }
-                if roots.len() != degree || roots.contains(&0) {
-                    return Err(DecodeError::LocatorNotSplitting);
-                }
+                let scanned = f
+                    .chien_deflate(locator, 3, terms, roots)
+                    .ok_or(DecodeError::LocatorNotSplitting)?;
                 elements.extend(roots.iter().map(|&r| f.inv(r)));
+                self.cubic(tables, locator, scanned, elements)?;
             }
         }
+        Ok(())
+    }
+
+    /// The three roots of the cubic `locator` (ascending coefficients, the
+    /// constant and leading ones nonzero) in closed form, as the elements
+    /// that are their inverses, pushed onto `elements` in Chien step order;
+    /// an error unless they are distinct and every one lies at a step the
+    /// scan has not reached (`scanned` steps ran): a root at an earlier step
+    /// is one the scan already divided out, so it is repeated.
+    fn cubic(
+        &self,
+        tables: &RootTables,
+        locator: &[u64],
+        scanned: u32,
+        elements: &mut Vec<u64>,
+    ) -> Result<(), DecodeError> {
+        let f = &*self.field;
+        let group = f.nonzero_count() as u32;
+        let refuse = Err(DecodeError::LocatorNotSplitting);
+        // The elements are the roots of the reversed locator made monic,
+        // z³ + az² + bz + c; z = w + a turns it into w³ + pw + q.
+        let to_monic = f.inv(locator[0]);
+        let [a, b, c] = [1, 2, 3].map(|j| f.mul(locator[j], to_monic));
+        let (p, q) = (f.square(a) ^ b, f.mul(a, b) ^ c);
+        let log = |x: u64| f.log(x).unwrap_or(0);
+        let exp = |i: u32| f.exp(i).unwrap_or(0);
+        let w = if p != 0 {
+            // w = √p·u: u³ + u = q/p^(3/2), one root u₁ from the table; the
+            // other two solve u² + u₁u + u₁² + 1 = 0, where u = u₁y gives
+            // y² + y = 1 + u₁⁻² (u₁ ≠ 0, 1 as k ≠ 0).
+            let lp = log(p);
+            let sqrt_p = exp((lp + lp % 2 * group) / 2);
+            let k = f.div(q, f.mul(p, sqrt_p));
+            let u1 = tables.cubic[k as usize] as u64;
+            if u1 == 0 {
+                return refuse;
+            }
+            let y = tables.quadratic[(1 ^ f.inv(f.square(u1))) as usize] as u64;
+            if y == 0 {
+                return refuse;
+            }
+            let u2 = f.mul(u1, y);
+            [u1, u2, u2 ^ u1].map(|u| f.mul(sqrt_p, u))
+        } else {
+            // w³ = q has three distinct roots only when the cube roots of
+            // unity are in the field, 3 | 2^m − 1 (m even), and q is a cube.
+            let lq = log(q);
+            if q == 0 || !group.is_multiple_of(3) || !lq.is_multiple_of(3) {
+                return refuse;
+            }
+            [0, 1, 2].map(|k| exp(lq / 3 + k * (group / 3)))
+        };
+        let mut found = w.map(|w| (chien_step(f, w ^ a), w ^ a));
+        found.sort_unstable();
+        if found[0].0 < scanned {
+            return refuse;
+        }
+        elements.extend(found.map(|(_, z)| z));
         Ok(())
     }
 }
@@ -462,6 +558,7 @@ impl BchCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// What a peer does with its own sketch and the other side's: combine,
     /// then decode.
@@ -615,10 +712,10 @@ mod tests {
             };
             for t in capacities.into_iter().filter(|&t| t > 0) {
                 let codec = BchCodec::with_field(Arc::clone(&field), t);
-                assert_eq!(codec.tables.is_some(), t <= fit, "m={m} t={t}");
+                assert_eq!(codec.columns.is_some(), t <= fit, "m={m} t={t}");
                 // Past the bound every position runs the same ladder;
                 // sample it rather than walk 65 535 × 40.
-                let stride = if codec.tables.is_some() { 1 } else { 251 };
+                let stride = if codec.columns.is_some() { 1 } else { 251 };
                 for p in (1..=n).step_by(stride) {
                     assert_eq!(
                         codec.sketch_slice(&[p]),
@@ -630,26 +727,28 @@ mod tests {
         }
         // All six paper sizes hold a table at any planned capacity.
         for m in 6..=11 {
-            assert!(BchCodec::new(m, 40).tables.is_some());
+            assert!(BchCodec::new(m, 40).columns.is_some());
         }
     }
 
     #[test]
     fn fields_without_log_tables_sketch_and_decode_by_ladder() {
         // What a one-round PBS plan reaches: m = 16 past the column bound
-        // (ladder + Chien; t = 3 is the first capacity without a table) and
-        // m ≥ 17 (no log tables: ladder + trace) — and PinSketch's m = 32.
+        // (ladder + closed forms and the deflating scan; t = 3 is the first
+        // capacity without a column table) and m ≥ 17 (no log tables:
+        // ladder + trace) — and PinSketch's m = 32.
         for (m, t) in [(16, 3), (16, 9), (17, 9), (20, 9), (32, 9)] {
             let codec = BchCodec::new(m, t);
-            assert!(codec.tables.is_none(), "m={m} t={t}");
+            assert!(codec.columns.is_none(), "m={m} t={t}");
             assert_eq!(codec.field().generator().is_some(), m <= 16);
+            assert_eq!(codec.root_tables.is_some(), m <= 16);
             let top = codec.field().nonzero_count();
             let elements = [3u64, 77, top, 200, 13, 1 << (m - 1), 1];
             let sketch = codec.sketch_slice(&elements);
             assert_eq!(sketch, ladder_sketch(&codec, &elements));
             assert_eq!(codec.sketch_set(elements), sketch);
-            // Degrees 1 and 2 go through the scan or the trace too.
-            for size in [1, 2, 7].into_iter().filter(|&size| size <= t) {
+            // Every degree the closed forms, the scan and the trace take.
+            for size in [1, 2, 3, 4, 7].into_iter().filter(|&size| size <= t) {
                 let mut sketched = elements[..size].to_vec();
                 let mut decoded = codec.decode(&codec.sketch_slice(&sketched)).unwrap();
                 sketched.sort_unstable();
@@ -659,50 +758,218 @@ mod tests {
         }
     }
 
+    /// The candidates `g^0, g^1, …` in the order the Chien scan visits them.
+    fn scan_order(f: &Field) -> Vec<u64> {
+        let g = f.generator().expect("a table-backed field");
+        std::iter::successors(Some(1), |&x| Some(f.mul(x, g)))
+            .take(f.nonzero_count() as usize)
+            .collect()
+    }
+
+    /// `locate` against the oracle — `Poly::eval` of the locator at every
+    /// candidate in scan order, whose elements are the inverses of the
+    /// roots in that order and which refuses a locator with fewer distinct
+    /// roots than its degree: same elements, same order, same refusals.
+    /// Returns the roots the oracle found.
+    fn check_locate(codec: &BchCodec, candidates: &[u64], locator: &[u64]) -> Vec<u64> {
+        let f = codec.field();
+        let p = Poly::from_coeffs(locator.to_vec());
+        let roots: Vec<u64> = candidates
+            .iter()
+            .copied()
+            .filter(|&x| p.eval(x, f) == 0)
+            .collect();
+        let degree = locator.len() - 1;
+        let expect = if roots.len() == degree {
+            Ok(roots.iter().map(|&r| f.inv(r)).collect())
+        } else {
+            Err(DecodeError::LocatorNotSplitting)
+        };
+        let (mut terms, mut scanned, mut elements) = (Vec::new(), Vec::new(), Vec::new());
+        let found = codec
+            .locate(
+                &mut locator.to_vec(),
+                &mut terms,
+                &mut scanned,
+                &mut elements,
+            )
+            .map(|()| elements);
+        assert_eq!(found, expect, "m={} {locator:?}", f.m());
+        assert_eq!(terms.is_empty(), degree <= 3, "the scan runs from degree 4");
+        roots
+    }
+
+    /// Every locator `1 + c_1x + … + c_dx^d` with `c_d ≠ 0` over `f`.
+    fn every_locator(f: &Field, degree: u32) -> impl Iterator<Item = Vec<u64>> {
+        let q = f.order();
+        (0..q.pow(degree - 1) * (q - 1)).map(move |mut i| {
+            let mut locator = vec![1];
+            for _ in 1..degree {
+                locator.push(i % q);
+                i /= q;
+            }
+            locator.push(i + 1);
+            locator
+        })
+    }
+
+    fn choose(n: usize, k: usize) -> usize {
+        (0..k).fold(1, |acc, i| acc * (n - i) / (i + 1))
+    }
+
     #[test]
-    fn closed_form_roots_match_the_chien_scan_exhaustively() {
-        // Every locator of degree 1 and 2 over GF(2^7) and GF(2^8): the
-        // closed forms return what the scan returns, in its order, and
-        // refuse what it refuses — irreducible quadratics (the scan finds
-        // no root) and repeated roots (it finds one where two are needed).
+    fn closed_forms_match_the_scan_oracle_at_degrees_1_and_2() {
+        // Every locator of degree 1 and 2 over GF(2^7) and GF(2^8), no scan
+        // run: irreducible quadratics (no root) and repeated roots (one
+        // where two are needed) refused.
         for m in [7u32, 8] {
-            let field = Arc::new(Field::new(m));
-            let codec = BchCodec::with_field(Arc::clone(&field), 4);
-            let f = &*field;
-            let (mut terms, mut roots, mut elements) = (Vec::new(), Vec::new(), Vec::new());
+            let codec = BchCodec::new(m, 4);
+            let candidates = scan_order(codec.field());
             let (mut split, mut irreducible, mut repeated) = (0, 0, 0);
-            for c1 in 0..f.order() {
-                for c2 in 0..f.order() {
-                    let locator = [1, c1, c2];
-                    let degree = locator.iter().rposition(|&c| c != 0).unwrap();
-                    if degree == 0 {
-                        continue;
-                    }
-                    let locator = &locator[..=degree];
-                    let scan = f.chien_search(locator, degree).unwrap();
-                    elements.clear();
-                    let closed = codec.locate(locator, &mut terms, &mut roots, &mut elements);
-                    assert!(terms.is_empty() && roots.is_empty(), "no scan ran");
-                    if scan.len() == degree {
-                        let expect: Vec<u64> = scan.iter().map(|&r| f.inv(r)).collect();
-                        assert_eq!(closed, Ok(()), "m={m} {locator:?}");
-                        assert_eq!(elements, expect, "m={m} {locator:?}");
-                        split += 1;
-                    } else {
-                        assert_eq!(closed, Err(DecodeError::LocatorNotSplitting));
-                        match scan.len() {
-                            0 => irreducible += 1,
-                            _ => repeated += 1,
-                        }
+            for degree in [1, 2] {
+                for locator in every_locator(codec.field(), degree) {
+                    match check_locate(&codec, &candidates, &locator).len() {
+                        found if found == degree as usize => split += 1,
+                        0 => irreducible += 1,
+                        _ => repeated += 1,
                     }
                 }
             }
             // n linear locators and C(n, 2) split quadratics; n squares
             // (x + r)²; the rest of the n(n + 1) quadratics are irreducible.
-            let n = f.nonzero_count() as usize;
-            assert_eq!(split, n + n * (n - 1) / 2, "m={m}");
+            let n = candidates.len();
+            assert_eq!(split, n + choose(n, 2), "m={m}");
             assert_eq!(repeated, n, "m={m}");
-            assert_eq!(irreducible, n * (n + 1) - n * (n - 1) / 2 - n, "m={m}");
+            assert_eq!(irreducible, n * (n + 1) - choose(n, 2) - n, "m={m}");
+        }
+    }
+
+    #[test]
+    fn every_cubic_locator_matches_the_scan_oracle() {
+        // GF(2^5): odd m, w³ = q has one root and the cube-root branch must
+        // refuse; GF(2^6): even m, where it splits when q is a cube.
+        for m in [5u32, 6] {
+            let codec = BchCodec::new(m, 4);
+            let candidates = scan_order(codec.field());
+            let mut by_roots = [0usize; 4];
+            for locator in every_locator(codec.field(), 3) {
+                by_roots[check_locate(&codec, &candidates, &locator).len()] += 1;
+            }
+            // An irreducible cubic; a triple root, or a root beside an
+            // irreducible quadratic; a double and a single; three roots.
+            let (n, q) = (candidates.len(), candidates.len() + 1);
+            let expect = [
+                (q * q * q - q) / 3,
+                n + n * (q * q - q) / 2,
+                n * (n - 1),
+                choose(n, 3),
+            ];
+            assert_eq!(by_roots, expect, "m={m}");
+        }
+    }
+
+    #[test]
+    fn every_quartic_locator_matches_the_scan_oracle() {
+        // The scan divides out one root and hands the closed form a cubic.
+        // When that root is a double one, the cubic has it again at the step
+        // the scan just left: refused.
+        for m in [4u32, 5] {
+            let codec = BchCodec::new(m, 4);
+            let f = codec.field();
+            let candidates = scan_order(f);
+            let (mut split, mut across_the_boundary) = (0, 0);
+            for locator in every_locator(f, 4) {
+                let roots = check_locate(&codec, &candidates, &locator);
+                // Λ' = Λ₁ + Λ₃x²: zero at a root iff the root is repeated.
+                let repeated = |r: u64| locator[1] ^ f.mul(locator[3], f.square(r)) == 0;
+                match roots.len() {
+                    4 => split += 1,
+                    3 if repeated(roots[0]) => across_the_boundary += 1,
+                    _ => {}
+                }
+            }
+            let n = candidates.len();
+            assert_eq!(split, choose(n, 4), "m={m}");
+            assert_eq!(across_the_boundary, choose(n, 3), "m={m}");
+        }
+    }
+
+    /// `count` distinct nonzero elements of `f`.
+    fn distinct(f: &Field, next: &mut impl FnMut() -> u64, count: usize) -> Vec<u64> {
+        let mut elements = Vec::new();
+        while elements.len() < count {
+            let e = next() % f.nonzero_count() + 1;
+            if !elements.contains(&e) {
+                elements.push(e);
+            }
+        }
+        elements
+    }
+
+    /// `Π (1 + Xx)` over `elements`: the locator whose roots are their
+    /// inverses.
+    fn locator_of(f: &Field, elements: &[u64]) -> Vec<u64> {
+        let product = elements.iter().fold(Poly::one(), |p, &e| {
+            p.mul(&Poly::from_coeffs(vec![1, e]), f)
+        });
+        product.coeffs().to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Locators of degree 5..=t that split, that hold a repeated root
+        /// (where the scan hands over to the closed form, or anywhere) or
+        /// an irreducible quadratic factor, or are arbitrary.
+        #[test]
+        fn deflated_locators_of_degree_5_to_t_match_the_scan_oracle(
+            m in prop_oneof![Just(7u32), Just(8), Just(11)],
+            degree in 5usize..=12,
+            shape in 0u32..5,
+            seed in any::<u64>(),
+        ) {
+            let codec = BchCodec::new(m, 12);
+            let f = codec.field();
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 16
+            };
+            let locator = match shape {
+                0 => locator_of(f, &distinct(f, &mut next, degree)),
+                1 => {
+                    // The scan divides out degree − 3 roots and stops at the
+                    // last of them; doubling that one leaves it in the cubic.
+                    let mut elements = distinct(f, &mut next, degree - 1);
+                    elements.sort_unstable_by_key(|&e| chien_step(f, e));
+                    elements.push(elements[degree - 4]);
+                    locator_of(f, &elements)
+                }
+                2 => {
+                    let mut elements = distinct(f, &mut next, degree - 1);
+                    elements.push(elements[next() as usize % (degree - 1)]);
+                    locator_of(f, &elements)
+                }
+                3 => {
+                    // 1 + x + cx² is irreducible iff Tr(c) = 1.
+                    let c = std::iter::repeat_with(&mut next)
+                        .map(|r| r % f.order())
+                        .find(|&c| f.trace(c) == 1)
+                        .unwrap();
+                    let split = locator_of(f, &distinct(f, &mut next, degree - 2));
+                    Poly::from_coeffs(split).mul(&Poly::from_coeffs(vec![1, 1, c]), f).coeffs().to_vec()
+                }
+                _ => {
+                    let mut locator = vec![1];
+                    locator.extend((1..degree).map(|_| next() % f.order()));
+                    locator.push(next() % f.nonzero_count() + 1);
+                    locator
+                }
+            };
+            prop_assert_eq!(locator.len(), degree + 1);
+            let roots = check_locate(&codec, &scan_order(f), &locator);
+            prop_assert!(shape != 0 || roots.len() == degree);
+            prop_assert!(shape == 0 || shape == 4 || roots.len() < degree);
         }
     }
 

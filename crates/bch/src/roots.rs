@@ -1,23 +1,16 @@
-//! Root finding for error-locator polynomials over GF(2^m).
+//! Root finding for error-locator polynomials over a field without log
+//! tables (`m ≥ 17`: PinSketch's GF(2^32), and a one-round PBS plan at
+//! d ≳ 300): the **Berlekamp trace algorithm**. A field with log tables never
+//! comes here — `BchCodec::locate` solves degrees 1–3 in closed form there
+//! and brings a higher degree down to a cubic with the deflating Chien scan
+//! ([`gf::Field::chien_deflate`]).
 //!
-//! Two strategies; the field decides which:
-//!
-//! * **Stepping Chien search** when the field has log tables (`m ≤ 16`).
-//!   PBS works over GF(2^m) with `n = 2^m − 1 ≤ 2047` (§5.1), so every
-//!   candidate is scanned — but not by re-running a full Horner evaluation
-//!   per candidate. The classical stepping formulation keeps one running
-//!   term per locator coefficient and advances each by a fixed
-//!   per-coefficient multiplier when moving to the next candidate; over the
-//!   table-backed fields this collapses to one exponent add and one antilog
-//!   lookup per coefficient ([`gf::Field::chien_search`]).
-//! * **Berlekamp trace algorithm** otherwise (`m ≥ 17`: PinSketch's
-//!   GF(2^32), and a one-round PBS plan at d ≳ 300). The polynomial is
-//!   recursively split with `gcd(f, Tr(βx) mod f)` for successively chosen
-//!   β. The Frobenius ladder `x^(2^i) mod f` is computed **once per factor**
-//!   and reused for the full-splitting check and for every β trial (each
-//!   trial is then only a scalar Frobenius ladder on β plus scaled
-//!   polynomial adds), instead of re-running `m` modular squarings per
-//!   trial.
+//! The polynomial is recursively split with `gcd(f, Tr(βx) mod f)` for
+//! successively chosen β. The Frobenius ladder `x^(2^i) mod f` is computed
+//! **once per factor** and reused for the full-splitting check and for every
+//! β trial (each trial is then only a scalar Frobenius ladder on β plus
+//! scaled polynomial adds), instead of re-running `m` modular squarings per
+//! trial.
 
 use gf::{Field, Poly};
 
@@ -37,27 +30,22 @@ impl std::fmt::Display for RootFindError {
 
 impl std::error::Error for RootFindError {}
 
-/// Find all roots of `poly` in GF(2^m), requiring that `poly` splits into
-/// `deg(poly)` *distinct* roots (which is exactly the property a valid
-/// error-locator polynomial has). Returns an error otherwise.
+/// Find all roots of `poly` in GF(2^m) by the trace algorithm, requiring
+/// that `poly` splits into `deg(poly)` *distinct* roots (which is exactly the
+/// property a valid error-locator polynomial has). Returns an error otherwise.
 pub(crate) fn find_roots(poly: &Poly, field: &Field) -> Result<Vec<u64>, RootFindError> {
-    let degree = match poly.degree() {
+    match poly.degree() {
         None => return Err(RootFindError), // zero polynomial
         Some(0) => return Ok(Vec::new()),
-        Some(d) => d,
-    };
+        Some(_) => {}
+    }
     // A locator polynomial never has 0 as a root (its constant term is 1),
     // but be defensive: a zero constant term means x | poly, i.e. root 0,
     // which is outside the set of valid positions.
     if poly.coeff(0) == 0 {
         return Err(RootFindError);
     }
-
-    match field.chien_search(poly.coeffs(), degree) {
-        Some(roots) if roots.len() == degree => Ok(roots),
-        Some(_) => Err(RootFindError),
-        None => trace_split(poly, field),
-    }
+    trace_split(poly, field)
 }
 
 /// The Frobenius ladder `x^(2^i) mod modulus` for `i = 0 .. m-1`.
@@ -193,33 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn chien_finds_all_roots_in_small_field() {
-        let f = Field::new(8);
-        let roots = [1u64, 42, 200, 255];
-        let p = poly_with_roots(&roots, &f);
-        let mut found = find_roots(&p, &f).unwrap();
-        found.sort_unstable();
-        let mut expect = roots.to_vec();
-        expect.sort_unstable();
-        assert_eq!(found, expect);
-    }
-
-    #[test]
-    fn stepping_chien_matches_exhaustive_eval() {
-        for m in [8u32, 11, 13] {
-            let f = Field::new(m);
-            let roots: Vec<u64> = (1..=7u64)
-                .map(|i| (i * 0x51D + 3) % (f.order() - 1) + 1)
-                .collect();
-            let p = poly_with_roots(&roots, &f);
-            let mut stepping = find_roots(&p, &f).unwrap();
-            stepping.sort_unstable();
-            let exhaustive: Vec<u64> = (1..f.order()).filter(|&x| p.eval(x, &f) == 0).collect();
-            assert_eq!(stepping, exhaustive, "stepping vs exhaustive for m={m}");
-        }
-    }
-
-    #[test]
     fn trace_algorithm_finds_roots_in_gf32() {
         let f = Field::new(32);
         let roots = [
@@ -270,21 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn non_splitting_polynomial_is_rejected_small_field() {
-        let f = Field::new(8);
-        let c = trace_one_element(&f);
-        let p = Poly::from_coeffs(vec![c, 1, 1]); // irreducible quadratic
-        assert!(find_roots(&p, &f).is_err());
-    }
-
-    #[test]
-    fn repeated_roots_are_rejected() {
-        let f = Field::new(8);
-        let p = poly_with_roots(&[7, 7, 9], &f);
-        assert!(find_roots(&p, &f).is_err());
-    }
-
-    #[test]
     fn repeated_roots_are_rejected_large_field() {
         let f = Field::new(32);
         let p = poly_with_roots(&[0xABCDu64, 0xABCD, 99], &f);
@@ -293,7 +239,7 @@ mod tests {
 
     #[test]
     fn constant_polynomial_has_no_roots() {
-        let f = Field::new(8);
+        let f = Field::new(17);
         assert_eq!(
             find_roots(&Poly::constant(5), &f).unwrap(),
             Vec::<u64>::new()
@@ -303,7 +249,7 @@ mod tests {
 
     #[test]
     fn zero_constant_term_rejected() {
-        let f = Field::new(8);
+        let f = Field::new(17);
         // x * (x + 3): has root 0, which is not a valid locator root.
         let p = Poly::from_coeffs(vec![0, 3, 1]);
         assert!(find_roots(&p, &f).is_err());

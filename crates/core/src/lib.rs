@@ -421,9 +421,10 @@ mod tests {
     /// A one-round plan — `Hello::config` accepts `target_rounds = 1` from
     /// any peer — is where `bch`'s paths without a column table run: at
     /// d = 100 a field with log tables whose `n·t` outgrows the column
-    /// table (ladder + stepping Chien), at d = 300 a field without log
-    /// tables (Barrett + ladder + trace algorithm). Both plans hold: the
-    /// exact difference in one round, no decode failure.
+    /// table (ladder + closed forms and the deflating Chien scan), at
+    /// d = 300 a field without log tables (Barrett + ladder + trace
+    /// algorithm). Both plans hold: the exact difference in one round, no
+    /// decode failure.
     #[test]
     fn one_round_plans_reconcile_over_fields_without_column_tables() {
         let cfg = PbsConfig {

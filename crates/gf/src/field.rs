@@ -8,8 +8,8 @@
 //!
 //! * **Log/antilog tables** (`m <= 16`): multiplication is two table reads
 //!   and one add; inversion is one subtraction in the exponent domain. The
-//!   tables also expose the generator powers the stepping Chien search in
-//!   the `bch` crate walks.
+//!   tables also run the deflating Chien search ([`Field::chien_deflate`])
+//!   and expose the logarithms the `bch` crate's closed-form roots need.
 //! * **Carry-less multiply + Barrett reduction** (`m > 16`): the 128-bit
 //!   polynomial product comes from PCLMULQDQ when the CPU supports it
 //!   (detected once and cached as a function pointer) or a portable
@@ -448,7 +448,7 @@ impl Field {
     }
 
     /// The generator whose powers the log/antilog tables enumerate, if this
-    /// field is table-backed. The stepping Chien search walks these powers.
+    /// field is table-backed. The Chien search walks these powers.
     pub fn generator(&self) -> Option<u64> {
         if self.generator == 0 {
             None
@@ -770,9 +770,9 @@ impl Field {
 
     /// Discrete logarithm of `a` to the base [`Field::generator`]: `Some(i)`
     /// with `g^i = a` and `i < 2^m − 1` when the field is table-backed and
-    /// `a` is nonzero, `None` otherwise. A root the stepping Chien search
-    /// reports at step `i` has logarithm `i`, so a caller that finds roots
-    /// another way can still return them in Chien order.
+    /// `a` is nonzero, `None` otherwise. A root the Chien search meets at
+    /// step `i` has logarithm `i`, so a caller that finds roots another way
+    /// can still return them in Chien order.
     pub fn log(&self, a: u64) -> Option<u32> {
         self.check(a);
         if self.backend != Backend::Tables || a == 0 {
@@ -781,71 +781,107 @@ impl Field {
         Some(self.log[a as usize])
     }
 
-    /// Stepping Chien search over a table-backed field: find up to
-    /// `max_roots` roots of the polynomial with ascending coefficients
-    /// `coeffs`, scanning candidates in generator-power order `g^0, g^1, …`.
+    /// The inverse of [`Field::log`]: `Some(g^i)` (`i` taken mod `2^m − 1`)
+    /// when the field is table-backed, `None` otherwise.
+    pub fn exp(&self, i: u32) -> Option<u64> {
+        let group = self.order - 1;
+        self.exp.get((i as u64 % group) as usize).map(|&e| e as u64)
+    }
+
+    /// Deflating stepping Chien search over a table-backed field. Scans the
+    /// candidates `g^0, g^1, …` in order for roots of the polynomial with
+    /// ascending coefficients `poly` (leading and constant coefficients
+    /// nonzero); each root it meets goes onto `roots` (cleared first) and is
+    /// divided out of `poly`, and the scan stops once `poly` is down to
+    /// degree `stop`. Returns the number of candidates scanned — a root the
+    /// quotient still has at a step below that is a repeated root of the
+    /// input — or `None` when the candidates ran out first or the field has
+    /// no tables.
     ///
     /// The classical stepping formulation keeps one running term per nonzero
     /// coefficient in the *log domain*: evaluating at the next power of `g`
     /// is one add (+ conditional wrap) and one antilog lookup per
-    /// coefficient, instead of a full Horner chain with two log lookups per
-    /// multiply. Returns `None` when the field has no tables (large fields
-    /// use the Berlekamp trace algorithm instead).
-    pub fn chien_search(&self, coeffs: &[u64], max_roots: usize) -> Option<Vec<u64>> {
-        let (mut terms, mut roots) = (Vec::new(), Vec::new());
-        self.chien_search_into(coeffs, max_roots, &mut terms, &mut roots)
-            .then_some(roots)
-    }
-
-    /// [`Field::chien_search`] out of caller-owned buffers: `terms` is the
-    /// running-term workspace, `roots` receives the roots (both are cleared
-    /// first). Returns `false`, leaving `roots` empty, when the field has no
-    /// tables.
-    pub fn chien_search_into(
+    /// coefficient. Dividing a root out (synthetic division by `x + g^i`,
+    /// O(deg) lookups) drops one term from every later candidate; the terms
+    /// are rebuilt from the quotient at step `i + 1`. `terms` is the
+    /// caller's workspace.
+    pub fn chien_deflate(
         &self,
-        coeffs: &[u64],
-        max_roots: usize,
+        poly: &mut Vec<u64>,
+        stop: usize,
         terms: &mut Vec<(u32, u32)>,
         roots: &mut Vec<u64>,
-    ) -> bool {
-        terms.clear();
+    ) -> Option<u32> {
         roots.clear();
         if self.backend != Backend::Tables {
-            return false;
+            return None;
         }
         let group = (self.order - 1) as u32;
-        // One (step, log) pair per nonzero coefficient: the term for x^j
-        // starts at log(c_j) and advances by j per candidate.
+        let mut step = 0;
+        while poly.len() > stop + 1 {
+            self.chien_terms(poly, step, terms);
+            loop {
+                if step == group {
+                    return None;
+                }
+                let value = terms
+                    .iter()
+                    .fold(0, |acc, &(_, lg)| acc ^ self.exp[lg as usize]);
+                if value == 0 {
+                    break;
+                }
+                for t in terms.iter_mut() {
+                    let next = t.1 + t.0;
+                    t.1 = if next >= group { next - group } else { next };
+                }
+                step += 1;
+            }
+            roots.push(self.exp[step as usize] as u64); // the candidate g^step
+            self.divide_root(poly, step);
+            step += 1;
+        }
+        Some(step)
+    }
+
+    /// The Chien search's running terms of `poly` at candidate `g^step`:
+    /// one `(j, log c_j + j·step)` pair per nonzero coefficient `c_j`, both
+    /// mod `2^m − 1`.
+    fn chien_terms(&self, poly: &[u64], step: u32, terms: &mut Vec<(u32, u32)>) {
+        let group = self.order - 1;
+        terms.clear();
         terms.extend(
-            coeffs
-                .iter()
+            poly.iter()
                 .enumerate()
                 .filter(|&(_, &c)| c != 0)
                 .map(|(j, &c)| {
                     self.check(c);
-                    ((j as u64 % group as u64) as u32, self.log[c as usize])
+                    let j = j as u64 % group;
+                    let lg = (self.log[c as usize] as u64 + j * step as u64) % group;
+                    (j as u32, lg as u32)
                 }),
         );
-        if terms.is_empty() || max_roots == 0 {
-            return true;
+    }
+
+    /// Divide `poly` by `x + g^step`, one of its roots, in place: from the
+    /// constant term up, `q_0 = c_0 / r` and `q_j = (c_j + q_{j−1}) / r`.
+    fn divide_root(&self, poly: &mut Vec<u64>, step: u32) {
+        let group = (self.order - 1) as u32;
+        let inverse = ((group - step) % group) as usize; // log of 1 / g^step
+        let Some((_, below_leading)) = poly.split_last_mut() else {
+            return;
+        };
+        let mut quotient = 0;
+        for c in below_leading {
+            let v = *c ^ quotient;
+            quotient = if v == 0 {
+                0
+            } else {
+                self.exp[self.log[v as usize] as usize + inverse] as u64
+            };
+            *c = quotient;
         }
-        for i in 0..group {
-            let mut acc = 0u64;
-            for &(_, lg) in terms.iter() {
-                acc ^= self.exp[lg as usize] as u64;
-            }
-            if acc == 0 {
-                roots.push(self.exp[i as usize] as u64); // the candidate g^i
-                if roots.len() == max_roots {
-                    break;
-                }
-            }
-            for t in terms.iter_mut() {
-                let next = t.1 + t.0;
-                t.1 = if next >= group { next - group } else { next };
-            }
-        }
-        true
+        debug_assert_eq!(poly.last(), Some(&quotient), "g^{step} is not a root");
+        poly.pop();
     }
 }
 
@@ -977,11 +1013,10 @@ mod tests {
     }
 
     #[test]
-    fn chien_search_finds_generator_power_roots() {
+    fn chien_deflate_divides_out_each_root_and_stops_at_the_degree_asked() {
         let f = Field::new(11);
-        // Polynomial with roots {3, 500, 1999}: (x+3)(x+500)(x+1999) built by
-        // convolution through the field itself.
-        let roots = [3u64, 500, 1999];
+        // (x+3)(x+500)(x+1999)(x+7), built by convolution through the field.
+        let roots = [3u64, 500, 1999, 7];
         let mut coeffs = vec![1u64];
         for &r in &roots {
             let mut next = vec![0u64; coeffs.len() + 1];
@@ -991,12 +1026,53 @@ mod tests {
             }
             coeffs = next;
         }
-        let mut found = f.chien_search(&coeffs, 3).unwrap();
-        found.sort_unstable();
-        assert_eq!(found, vec![3, 500, 1999]);
-        // Non-table fields report None so callers fall back.
+        let step = |r: u64| f.log(r).unwrap();
+        let mut in_scan_order = roots.to_vec();
+        in_scan_order.sort_unstable_by_key(|&r| step(r));
+        let (mut terms, mut found) = (Vec::new(), Vec::new());
+        // Down to a linear factor: the first three roots the scan meets, and
+        // the quotient is x + (the fourth), monic as the input was.
+        let mut poly = coeffs.clone();
+        let scanned = f.chien_deflate(&mut poly, 1, &mut terms, &mut found);
+        assert_eq!(found, in_scan_order[..3]);
+        assert_eq!(scanned, Some(step(in_scan_order[2]) + 1));
+        assert_eq!(poly, vec![in_scan_order[3], 1]);
+        // All the way: every root, the quotient 1.
+        let mut poly = coeffs.clone();
+        let scanned = f.chien_deflate(&mut poly, 0, &mut terms, &mut found);
+        assert_eq!(found, in_scan_order);
+        assert_eq!(scanned, Some(step(in_scan_order[3]) + 1));
+        assert_eq!(poly, vec![1]);
+        // Already at the degree asked: nothing scanned.
+        let mut poly = coeffs.clone();
+        assert_eq!(
+            f.chien_deflate(&mut poly, 4, &mut terms, &mut found),
+            Some(0)
+        );
+        assert!(found.is_empty());
+        // (x+3)²: the scan divides 3 out once and never meets it again.
+        let mut poly = vec![f.square(3), 0, 1];
+        assert_eq!(f.chien_deflate(&mut poly, 0, &mut terms, &mut found), None);
+        assert_eq!(found, vec![3]);
+        // Non-table fields report None.
         let big = Field::new(32);
-        assert!(big.chien_search(&[1, 1], 1).is_none());
+        assert_eq!(
+            big.chien_deflate(&mut vec![1, 1], 0, &mut terms, &mut found),
+            None
+        );
+    }
+
+    #[test]
+    fn exp_inverts_log_on_table_fields_only() {
+        for m in [3u32, 8, 16] {
+            let f = Field::new(m);
+            for a in 1..f.order() {
+                assert_eq!(f.exp(f.log(a).unwrap()), Some(a), "m={m} a={a}");
+            }
+            let group = f.nonzero_count() as u32;
+            assert_eq!(f.exp(group), Some(1), "taken mod 2^m - 1");
+        }
+        assert_eq!(Field::new(17).exp(1), None);
     }
 
     #[test]

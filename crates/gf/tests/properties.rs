@@ -148,7 +148,7 @@ proptest! {
 }
 
 /// Backend-equivalence properties: every fast path (table mul for
-/// `m <= 16`, Barrett mul above, batched mul/square, stepping Chien) must
+/// `m <= 16`, Barrett mul above, batched mul/square, the deflating Chien scan) must
 /// agree with `Field::mul_reference` (portable carry-less multiply +
 /// shift-loop reduction) for every supported degree, each field built the
 /// one way there is, `Field::new(m)`.
@@ -222,7 +222,7 @@ mod backend_equivalence {
         #[test]
         fn stepping_chien_matches_naive_scan(
             m in 3u32..=11,
-            roots_raw in prop::collection::hash_set(any::<u64>(), 0..6),
+            roots_raw in prop::collection::hash_set(any::<u64>(), 0..=12),
         ) {
             let f = Field::new(m);
             let roots: std::collections::HashSet<u64> =
@@ -231,11 +231,17 @@ mod backend_equivalence {
             for &r in &roots {
                 p = p.mul(&Poly::from_coeffs(vec![r, 1]), &f);
             }
-            let mut stepping = f
-                .chien_search(p.coeffs(), p.degree_or_zero())
-                .expect("small fields are table-backed");
-            stepping.sort_unstable();
-            let naive: Vec<u64> = (1..f.order()).filter(|&x| p.eval(x, &f) == 0).collect();
+            // Deflated all the way, the scan meets every root in the order
+            // the naive scan over g^0, g^1, … does, and leaves 1.
+            let (mut poly, mut terms, mut stepping) = (p.coeffs().to_vec(), Vec::new(), Vec::new());
+            let scanned = f.chien_deflate(&mut poly, 0, &mut terms, &mut stepping);
+            let g = f.generator().expect("small fields are table-backed");
+            let naive: Vec<u64> = std::iter::successors(Some(1u64), |&x| Some(f.mul(x, g)))
+                .take(f.nonzero_count() as usize)
+                .filter(|&x| p.eval(x, &f) == 0)
+                .collect();
+            prop_assert!(scanned.is_some());
+            prop_assert_eq!(poly, vec![1]);
             prop_assert_eq!(stepping, naive);
         }
     }
