@@ -1,62 +1,45 @@
 //! The non-blocking server core: one acceptor thread hands connections to
 //! N event-loop workers, each running a [`crate::poll::Poller`] readiness
-//! loop over its sessions. No worker thread ever blocks on a session
-//! socket. The protocol of a session — every decision about which frame
-//! answers which — is [`crate::server_machine::ServerMachine`]; this module
-//! is its driver. It keeps what needs a file descriptor or an `Instant`:
-//! accept, the buffered non-blocking framed stream, per-session deadlines
-//! enforced by the loop's timer pass, keepalive, write-stall eviction,
-//! store-notifier wake-ups and the latency histograms.
+//! loop over its sessions; no worker thread ever blocks on a session
+//! socket. A session is a [`ServerConn`] — the protocol machine, its
+//! clocks and its outcome, with no I/O inside — and this module is its
+//! driver: accept, the buffered non-blocking framed stream, the sleep until
+//! the earliest timer of any session (each connection fires its own, handed
+//! `Instant::now()`), store-notifier wake-ups, the set-up thread, the
+//! latency histograms and the trace events.
 //!
-//! One kind of work leaves the loop. The O(|B|) units of a full session's
-//! set-up (the store's view or a private snapshot, the Bob build — what
-//! the machine calls [`SetUp::Heavy`]) run on the worker's **set-up
-//! thread**: the loop flushes the replies that precede the unit, sends the
-//! machine down the thread's FIFO and parks the session — no frame is taken
-//! from its socket, `poll` is asked for no read-readiness on it, its
-//! deadline keeps running — until the machine and the step it took come
-//! back as a [`Notice::SetUp`]. Pushes, handshakes and delta catch-ups of
-//! the worker's other sessions are dispatched meanwhile. What the loop reads
-//! of a session that is out (its routed store, its timer class) it keeps on
-//! its own side, so a session that ends while out is reaped at once and the
-//! returning machine is dropped.
-//!
-//! This is what turns subscriptions *live*: a session that finished its
-//! delta catch-up (or its classic reconciliation, on an epoch-capable
-//! store) parks; a [`Frame::Subscribe`] makes it a subscriber, for which a
-//! [`crate::store::SetStore::register_notifier`] hook wakes the worker on
-//! every store mutation and the worker has the machine push the changes
-//! (`DeltaBatch*` → `DeltaDone` bursts) to every subscriber of that
-//! store. Slow consumers are evicted with `FullResyncRequired` instead of
-//! buffering without bound, and idle subscriptions are kept alive (and
-//! garbage-collected) with `Ping`/`Pong`.
+//! The O(|B|) units of a full session's set-up (the store's view or a
+//! private snapshot, the Bob build) run on the worker's **set-up thread**:
+//! the connection hands its machine out ([`Out::hand_off`]) after the
+//! replies that precede the unit; the loop flushes those, sends the machine
+//! down the thread's FIFO and takes no frame from that socket until it
+//! comes back as a [`Notice::SetUp`]. The worker's other sessions are served
+//! meanwhile. A session that parks after its catch-up or its ack may
+//! `Subscribe`; a [`crate::store::SetStore::register_notifier`] hook then
+//! wakes the worker on every store mutation, and the worker has each
+//! subscriber's connection push the changes.
 //!
 //! Wakeups use a loopback socket pair per worker (the portable std-only
 //! stand-in for a pipe): notifier closures and the acceptor enqueue a
 //! [`Notice`] on the worker's channel and write one byte to the wake
 //! socket, which the poll loop drains.
 
-use crate::frame::{ErrorCode, Frame, PROTOCOL_VERSION};
+use crate::conn::{Due, Out, ServerConn};
+use crate::frame::{ErrorCode, Frame};
 use crate::mux::MuxStream;
 use crate::poll::{Interest, Poller};
-use crate::server::{ServerConfig, ServerStats};
-use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, SetUp, Step, Waiting};
-use crate::store::{RegisteredStore, SetStore};
-use crate::{FrameError, NetError};
+use crate::server::ServerConfig;
+use crate::server_machine::{refuse, Crossed, Refusal, Resources, ServerMachine, Step};
+use crate::store::SetStore;
 use obs::trace::{self, Level, Value};
-use obs::{Counter, Gauge, Histogram};
+use obs::{Gauge, Histogram};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Hard cap on how long a `Closing` session may take to drain its final
-/// frames before the socket is dropped anyway.
-const CLOSING_GRACE_CAP: Duration = Duration::from_secs(5);
 
 /// State shared by every worker.
 pub(crate) struct Shared {
@@ -149,12 +132,9 @@ pub(crate) enum Notice {
     Shutdown,
 }
 
-/// A heavy set-up unit on its way to the set-up thread: the machine that
-/// owes it, and the id of the session to bring it back to.
-struct Job {
-    session: u64,
-    machine: ServerMachine,
-}
+/// A heavy set-up unit on its way to the set-up thread: the id of the
+/// session to bring it back to, and the machine that owes it.
+type Job = (u64, ServerMachine);
 
 /// The write end of a worker's wake pipe (a loopback socket pair).
 /// Cheap to clone; safe to fire from any thread and from inside store
@@ -228,10 +208,9 @@ pub(crate) fn spawn_worker(
 }
 
 /// Spawn a worker's set-up thread: one FIFO of [`Job`]s, each run to its
-/// [`Notice::SetUp`] on `link`. A unit that panics (a store's `view`, a
-/// bound asserted under the Bob build) costs its own session — the loop is
-/// told to refuse it `Internal` — and the thread serves the next. It exits
-/// once its worker has: the FIFO closes, or a notice finds nobody.
+/// [`Notice::SetUp`] on `link` ([`ServerConn::set_up`]: a unit that panics
+/// costs its own session). It exits once its worker has: the FIFO closes,
+/// or a notice finds nobody.
 fn spawn_set_up(
     index: usize,
     shared: Arc<Shared>,
@@ -241,19 +220,8 @@ fn spawn_set_up(
     let join = std::thread::Builder::new()
         .name(format!("pbs-net-setup-{index}"))
         .spawn(move || {
-            for Job {
-                session,
-                mut machine,
-            } in queue
-            {
-                // The machine is only dropped after a panic, never resumed.
-                let unit = catch_unwind(AssertUnwindSafe(|| machine.set_up(&shared.res)));
-                let step = unit.unwrap_or_else(|_| {
-                    Err(Refusal::Answer {
-                        code: ErrorCode::Internal,
-                        message: "the session's set-up failed".into(),
-                    })
-                });
+            for (session, mut machine) in queue {
+                let step = ServerConn::set_up(&mut machine, &shared.res);
                 shared.session_metrics.setups_in_flight.add(-1.0);
                 let back = Notice::SetUp {
                     session,
@@ -269,67 +237,25 @@ fn spawn_set_up(
     Ok((jobs, join))
 }
 
-// ---------------------------------------------------------------------------
-// Session: one machine, its stream, its clocks
-// ---------------------------------------------------------------------------
-
-/// What the timer pass does to a session when one of its timers is due.
-#[derive(Clone, Copy)]
-enum Due {
-    /// Evict a stalled subscriber, cut anyone else, with the outcome of the
-    /// phase.
-    WriteStall,
-    /// Refuse the session: its deadline passed before the final ack.
-    Deadline,
-    /// End the session with this outcome: out of closing grace, read-idle,
-    /// or a subscriber presumed gone.
-    Close(bool),
-    /// Send a keepalive `Ping`.
-    Ping,
-}
-
+/// One connection: its stream, its [`ServerConn`], and what the loop
+/// measures of it.
 struct Session {
     nb: MuxStream,
     fd: RawFd,
-    /// The protocol. Which of the timer pass's clocks run is its
-    /// [`Waiting`] class — until `closing` takes over. `None` while the
-    /// set-up thread has it: the session is parked, mid-reconciliation.
-    machine: Option<ServerMachine>,
-    /// The store the `Hello` routed to, kept on the loop's side so a
-    /// session's counters find their store while the machine is out.
-    entry: Option<Arc<RegisteredStore>>,
-    /// The loop's own tail state, `Some((completed, grace))`: no further
-    /// frame is taken; the queued ones drain until `grace`, then the
-    /// session closes with the recorded outcome.
-    closing: Option<(bool, Instant)>,
-    /// Server-unique session id: labels trace events, drives trace
-    /// sampling.
+    conn: ServerConn,
+    /// Server-unique: labels trace events, drives trace sampling.
     id: u64,
-    /// Whether trace events fire for this session (tracer installed, level
-    /// admits Info, and the id passed the sample rate) — decided once at
-    /// accept so a session traces all-or-nothing.
+    /// Trace events fire for this session — decided once at accept, so a
+    /// session traces all-or-nothing.
     traced: bool,
-    /// Accept instant: base of the handshake-phase and whole-session
-    /// timings.
+    /// Accept: base of the handshake-phase and whole-session timings.
     accepted: Instant,
-    /// When the current protocol phase began (reset at each recorded
-    /// phase boundary).
+    /// When the current protocol phase began.
     phase_start: Instant,
     /// The commit instant of the oldest store mutation whose push burst is
     /// still queued toward this subscriber — cleared (and recorded as
     /// push-dispatch latency) when the write buffer fully drains.
     push_started: Option<Instant>,
-    /// `Some(completed)` once the session is over; reaped by the worker.
-    done: Option<bool>,
-    /// Wall-clock budget, accept → final ack (pre-subscription phases).
-    deadline: Instant,
-    last_recv: Instant,
-    /// When this session last became *ready for* the peer's next frame —
-    /// reset after each processing pass, so the server's own processing
-    /// time never counts against the peer's inactivity window.
-    wait_since: Instant,
-    last_send_progress: Instant,
-    last_ping: Instant,
 }
 
 impl Session {
@@ -340,98 +266,15 @@ impl Session {
         Ok(Session {
             nb: MuxStream::new(stream, config.transport.max_frame),
             fd,
-            machine: Some(ServerMachine::new()),
-            entry: None,
-            closing: None,
+            conn: ServerConn::new(config, now),
             id,
             traced: trace::enabled(Level::Info) && trace::sampled(id),
             accepted: now,
             phase_start: now,
             push_started: None,
-            done: None,
-            deadline: now + config.session_deadline,
-            last_recv: now,
-            wait_since: now,
-            last_send_progress: now,
-            last_ping: now,
         })
     }
-
-    /// The machine's timer class; set-up is only ever owed mid-reconciliation.
-    fn waiting(&self) -> Waiting {
-        let here = self.machine.as_ref();
-        here.map_or(Waiting::Reconciling, ServerMachine::waiting)
-    }
-
-    /// A live subscription the loop still serves.
-    fn streaming(&self) -> bool {
-        self.closing.is_none() && self.waiting() == Waiting::Streaming
-    }
-
-    fn finish(&mut self, completed: bool) {
-        if self.done.is_none() {
-            self.done = Some(completed);
-        }
-    }
-
-    /// Every timer running on this session — when it comes due and what the
-    /// timer pass then does — in the order the pass gives them precedence.
-    /// The loop sleeps to the earliest `when`; the pass fires the first one
-    /// due. Stated once, so the loop cannot sleep past a timer the pass
-    /// would fire.
-    fn timers(&self, cfg: &ServerConfig) -> [Option<(Instant, Due)>; 3] {
-        let pending = self.nb.pending_out() > 0;
-        // Queued bytes making no progress for the write timeout.
-        let stall = cfg.transport.write_timeout.filter(|_| pending);
-        let stall = stall.map(|t| (self.last_send_progress + t, Due::WriteStall));
-        // Silence while the peer's next frame is awaited — not while the
-        // machine is out: that silence is the server's own.
-        let here = self.machine.is_some();
-        let read_idle = |completed| {
-            let t = cfg.transport.read_timeout.filter(|_| here)?;
-            Some((self.wait_since + t, Due::Close(completed)))
-        };
-        let (first, second) = match (self.closing, self.waiting()) {
-            // Drained already (`accepted` is always past), or out of grace.
-            (Some((completed, grace)), _) => {
-                let when = if pending { grace } else { self.accepted };
-                (Some((when, Due::Close(completed))), None)
-            }
-            (None, Waiting::Reconciling) => {
-                (Some((self.deadline, Due::Deadline)), read_idle(false))
-            }
-            // Logically complete: a window with no `Subscribe` is a clean end.
-            (None, Waiting::Parked) => (read_idle(true), None),
-            (None, Waiting::Streaming) => {
-                // A subscriber silent for three intervals stopped answering
-                // keepalives; one silent for an interval, with nothing queued
-                // toward it, is pinged — however much was pushed to it
-                // meanwhile: a push proves nothing about the peer, and a
-                // subscriber pushed to more often than the interval would
-                // otherwise never be asked, never answer, and be cut.
-                let dead = self.last_recv + cfg.keepalive * 3;
-                let silent_since = self.last_recv.max(self.last_ping);
-                let ping = (!pending).then_some((silent_since + cfg.keepalive, Due::Ping));
-                (Some((dead, Due::Close(true))), ping)
-            }
-        };
-        [stall, first, second]
-    }
-
-    /// The outcome an externally forced close (EOF, I/O error, shutdown)
-    /// maps to in this phase: a session past its final ack closed
-    /// cleanly; one cut mid-protocol failed.
-    fn close_outcome(&self) -> bool {
-        match self.closing {
-            Some((completed, _)) => completed,
-            None => self.waiting() != Waiting::Reconciling,
-        }
-    }
 }
-
-// ---------------------------------------------------------------------------
-// Worker
-// ---------------------------------------------------------------------------
 
 struct Worker {
     shared: Arc<Shared>,
@@ -457,12 +300,6 @@ impl Worker {
         &self.shared.res.config
     }
 
-    /// Count `n` server-wide and on the store session `i` is routed to.
-    fn bump(&self, i: usize, counter: fn(&ServerStats) -> &Counter, n: u64) {
-        let entry = self.sessions[i].entry.as_deref();
-        self.shared.res.bump(entry, counter, n);
-    }
-
     fn run(mut self) {
         // When `poll` last returned: the start of the iteration in progress.
         let mut woke: Option<Instant> = None;
@@ -475,12 +312,11 @@ impl Worker {
             if !self.dirty_stores.is_empty() {
                 let dirty = std::mem::take(&mut self.dirty_stores);
                 for i in 0..self.sessions.len() {
-                    let sess = &self.sessions[i];
-                    if sess.done.is_some() || !sess.streaming() {
+                    let conn = &self.sessions[i].conn;
+                    if conn.outcome().is_some() || !conn.streaming() {
                         continue;
                     }
-                    let at = sess.entry.as_ref().and_then(|e| dirty.get(e.name()));
-                    if let Some(&at) = at {
+                    if let Some(&at) = conn.entry().and_then(|e| dirty.get(e.name())) {
                         self.push_deltas(i, Some(at));
                     }
                 }
@@ -495,7 +331,7 @@ impl Worker {
                 vec![(self.wake_reader.as_raw_fd(), Interest::READABLE)];
             for sess in &self.sessions {
                 let interest = Interest {
-                    readable: sess.machine.is_some(),
+                    readable: sess.conn.machine().is_some(),
                     writable: sess.nb.pending_out() > 0,
                 };
                 if interest.readable || interest.writable {
@@ -507,8 +343,11 @@ impl Worker {
                 let busy = &self.shared.session_metrics.loop_busy;
                 busy.record_duration(now - woke);
             }
-            let timeout = self
-                .next_deadline()
+            let cfg = self.config();
+            let due = self.sessions.iter();
+            let due = due.filter_map(|s| s.conn.next_timer(cfg, s.nb.pending_out()));
+            let timeout = due
+                .min()
                 .map(|due| due.saturating_duration_since(now) + Duration::from_millis(1));
             let events = match self.poller.wait(&interests, timeout) {
                 Ok(events) => events,
@@ -527,15 +366,16 @@ impl Worker {
                 let Some(i) = self.sessions.iter().position(|s| s.fd == event.fd) else {
                     continue;
                 };
-                if self.sessions[i].done.is_some() {
+                if self.sessions[i].conn.outcome().is_some() {
                     continue;
                 }
                 // An error on a parked session surfaces in its flush.
-                let out = self.sessions[i].machine.is_none();
+                let out = self.sessions[i].conn.machine().is_none();
                 if event.writable || (out && event.error) {
                     self.on_writable(i);
                 }
-                if (event.readable || event.error) && self.sessions[i].done.is_none() {
+                let over = self.sessions[i].conn.outcome().is_some();
+                if (event.readable || event.error) && !over {
                     self.on_readable(i);
                 }
             }
@@ -611,79 +451,40 @@ impl Worker {
         }
     }
 
-    /// Earliest instant any session needs the loop to act without I/O.
-    fn next_deadline(&self) -> Option<Instant> {
-        let cfg = self.config();
-        let live = self.sessions.iter().filter(|s| s.done.is_none());
-        live.flat_map(|s| s.timers(cfg))
-            .flatten()
-            .map(|(when, _)| when)
-            .min()
-    }
-
-    /// Fire, for every session, the first of its [`Session::timers`] that
-    /// has come due.
+    /// Have every session fire the first of its timers that has come due.
     fn timer_pass(&mut self) {
-        let cfg = *self.config();
         let now = Instant::now();
         for i in 0..self.sessions.len() {
-            if self.sessions[i].done.is_some() {
-                continue;
-            }
-            let timers = self.sessions[i].timers(&cfg);
-            let Some((_, due)) = timers.into_iter().flatten().find(|(when, _)| now >= *when) else {
+            let sess = &mut self.sessions[i];
+            let (res, pending) = (&self.shared.res, sess.nb.pending_out());
+            let fired = sess.conn.on_timer(res, now, pending, &mut self.ping_nonce);
+            let Some((due, out)) = fired else {
                 continue;
             };
-            match due {
-                Due::WriteStall => {
-                    // A stalled subscriber is a slow consumer.
-                    if self.sessions[i].streaming() {
-                        self.bump(i, |s| &s.subscribers_evicted, 1);
-                        let reason = [("reason", Value::Str("write_stall"))];
-                        self.trace_session(i, Level::Warn, "evicted", &reason);
-                    }
-                    let outcome = self.sessions[i].close_outcome();
-                    self.sessions[i].finish(outcome);
-                }
-                Due::Deadline => self.refuse(i, ErrorCode::Internal, "session deadline exceeded"),
-                Due::Close(completed) => self.sessions[i].finish(completed),
-                Due::Ping => {
-                    self.ping_nonce = self.ping_nonce.wrapping_add(1);
-                    let nonce = self.ping_nonce;
-                    if self.sessions[i].nb.queue(&Frame::Ping { nonce }).is_ok() {
-                        self.sessions[i].last_ping = now;
-                        self.bump(i, |s| &s.keepalive_pings, 1);
-                        self.on_writable(i);
-                    }
-                }
+            if due == Due::WriteStall && sess.conn.streaming() {
+                let reason = [("reason", Value::Str("write_stall"))];
+                self.trace_session(i, Level::Warn, "evicted", &reason);
             }
+            self.carry_out(i, out);
         }
     }
 
     fn on_writable(&mut self, i: usize) {
-        match self.sessions[i].nb.flush() {
+        let sess = &mut self.sessions[i];
+        let res = &self.shared.res;
+        match sess.nb.flush() {
             Ok(progress) => {
-                if progress {
-                    self.sessions[i].last_send_progress = Instant::now();
+                let pending = sess.nb.pending_out();
+                // Push burst fully handed to the OS: the dispatch latency
+                // clock (mutation commit → drained) stops.
+                if let (Some(started), 0) = (sess.push_started, pending) {
+                    let push_dispatch = &self.shared.session_metrics.push_dispatch;
+                    push_dispatch.record_duration(started.elapsed());
+                    sess.push_started = None;
                 }
-                if self.sessions[i].nb.pending_out() == 0 {
-                    // Push burst fully handed to the OS: the dispatch
-                    // latency clock (mutation commit → drained) stops.
-                    if let Some(started) = self.sessions[i].push_started.take() {
-                        self.shared
-                            .session_metrics
-                            .push_dispatch
-                            .record_duration(started.elapsed());
-                    }
-                    if let Some((completed, _)) = self.sessions[i].closing {
-                        self.sessions[i].finish(completed);
-                    }
-                }
+                sess.conn.flushed(res, Instant::now(), progress, pending);
             }
-            Err(_) => {
-                let outcome = self.sessions[i].close_outcome();
-                self.sessions[i].finish(outcome);
-            }
+            Err(_) => sess.conn.cut(res),
         }
     }
 
@@ -691,197 +492,96 @@ impl Worker {
     /// nothing at all while the machine is out: what arrives then waits in
     /// the socket for [`Worker::machine_back`].
     fn on_readable(&mut self, i: usize) {
-        if self.sessions[i].machine.is_none() {
+        let res = &self.shared.res;
+        let sess = &mut self.sessions[i];
+        if sess.conn.machine().is_none() {
             return;
         }
-        if self.sessions[i].nb.fill().is_err() {
-            let outcome = self.sessions[i].close_outcome();
-            self.sessions[i].finish(outcome);
-            return;
+        if sess.nb.fill().is_err() {
+            return sess.conn.cut(res);
         }
         loop {
+            let sess = &mut self.sessions[i];
             // Over, or parked by the frame just handled: the frames behind
             // it stay buffered.
-            if self.sessions[i].done.is_some() || self.sessions[i].machine.is_none() {
+            if sess.conn.outcome().is_some() || sess.conn.machine().is_none() {
                 return;
             }
-            match self.sessions[i].nb.next_frame() {
-                Ok(Some(frame)) => {
-                    self.sessions[i].last_recv = Instant::now();
-                    if self.sessions[i].closing.is_none() {
-                        self.handle_frame(i, frame);
-                    }
-                    // The frame's handling (which can be expensive — a
-                    // decode pass per pipelined layer) must not count
-                    // against the peer's next-frame window.
-                    if self.sessions[i].done.is_none() {
-                        self.sessions[i].wait_since = Instant::now();
-                    }
-                }
+            let out = match sess.nb.next_frame() {
+                Ok(Some(frame)) => sess.conn.on_frame(&self.shared.res, frame, Instant::now()),
                 Ok(None) => break,
-                // The one undecodable frame that gets an answer: a peer
-                // from another protocol version is told so. (The frame
-                // stays at the head of the read buffer; met again while
-                // the refusal drains, it just ends the session below.)
-                Err(NetError::Frame(FrameError::Version(version)))
-                    if self.sessions[i].closing.is_none() =>
-                {
-                    return self.refuse(
-                        i,
-                        ErrorCode::Version,
-                        format!("protocol version {version} is not v{PROTOCOL_VERSION}"),
-                    );
-                }
-                Err(_) => {
-                    // Undecodable bytes end the session: drop the
-                    // connection, no Error frame for garbage framing.
-                    self.sessions[i].finish(false);
-                    return;
-                }
-            }
+                // A wrong-version peer is told so (the frame stays at the
+                // head of the buffer: met again while the refusal drains,
+                // it just ends the session); other garbage ends it.
+                Err(e) => sess.conn.on_bad_frame(&self.shared.res, e, Instant::now()),
+            };
+            self.carry_out(i, out);
+            self.sessions[i].conn.listen(Instant::now());
         }
-        if self.sessions[i].nb.peer_closed() {
-            let outcome = self.sessions[i].close_outcome();
-            if self.sessions[i].nb.pending_out() > 0 {
-                // The peer may have only shut its write half; drain our
-                // queued replies before closing.
-                self.close_after_drain(i, outcome);
-            } else {
-                self.sessions[i].finish(outcome);
-            }
-        } else if self.sessions[i].done.is_none() && self.sessions[i].nb.pending_out() > 0 {
+        let sess = &mut self.sessions[i];
+        let pending = sess.nb.pending_out();
+        if sess.nb.peer_closed() {
+            // The peer may have only shut its write half: what is queued
+            // drains first.
+            sess.conn.hang_up(&self.shared.res, Instant::now(), pending);
+        } else if sess.conn.outcome().is_none() && pending > 0 {
             // Opportunistic flush: most replies fit the socket buffer and
             // complete without waiting for a writability event.
             self.on_writable(i);
         }
     }
 
-    /// Take no further frame; close as `completed` once the queued frames
-    /// drain, or after the grace period (capped at [`CLOSING_GRACE_CAP`]).
-    fn close_after_drain(&mut self, i: usize, completed: bool) {
-        let grace = self
-            .config()
-            .transport
-            .write_timeout
-            .unwrap_or(CLOSING_GRACE_CAP)
-            .min(CLOSING_GRACE_CAP);
-        self.sessions[i].closing = Some((completed, Instant::now() + grace));
-    }
-
-    /// Answer with an `Error` frame and drain-close the session as failed.
-    fn refuse(&mut self, i: usize, code: ErrorCode, message: impl Into<String>) {
-        let message = message.into();
-        let fields = [
-            ("code", Value::U64(code as u64)),
-            ("message", Value::Str(&message)),
-        ];
-        self.trace_session(i, Level::Warn, "refused", &fields);
-        let _ = self.sessions[i].nb.queue(&Frame::Error { code, message });
-        self.close_after_drain(i, false);
+    /// Carry out what the connection decided: queue its frames (tracing a
+    /// refusal), stamp the boundaries it crossed, flush, and hand a heavy
+    /// unit to the set-up thread.
+    fn carry_out(&mut self, i: usize, out: Out) {
+        for frame in &out.frames {
+            if let Frame::Error { code, message } = frame {
+                let code = Value::U64(*code as u64);
+                let fields = [("code", code), ("message", Value::Str(message))];
+                self.trace_session(i, Level::Warn, "refused", &fields);
+            }
+            if self.sessions[i].nb.queue(frame).is_err() {
+                return self.sessions[i].conn.finish(&self.shared.res, false);
+            }
+        }
+        for crossed in out.crossed {
+            self.stamp(i, crossed);
+        }
         self.on_writable(i);
-    }
-
-    /// Every received frame goes to the machine. Its replies are flushed
-    /// *before* the set-up work they precede runs, so the client's own
-    /// compute overlaps it.
-    fn handle_frame(&mut self, i: usize, frame: Frame) {
-        let sess = &mut self.sessions[i];
-        let Some(machine) = sess.machine.as_mut() else {
-            return;
-        };
-        let step = machine.on_frame(&self.shared.res, frame);
-        if sess.entry.is_none() {
-            sess.entry = machine.entry().cloned();
-        }
-        self.advance(i, step);
-        self.settle(i);
-    }
-
-    /// Run the set-up the machine owes, its replies flushed: a light unit
-    /// here, a heavy one on the set-up thread — the session then parks
-    /// (`machine` is `None`) until [`Notice::SetUp`] brings it back.
-    fn settle(&mut self, i: usize) {
-        loop {
-            let sess = &mut self.sessions[i];
-            if sess.done.is_some() || sess.closing.is_some() {
-                return;
-            }
-            let Some(machine) = sess.machine.as_mut() else {
-                return;
-            };
-            match machine.owes() {
-                None => return,
-                Some(SetUp::Light) => {
-                    let step = machine.set_up(&self.shared.res);
-                    self.advance(i, step);
-                }
-                Some(SetUp::Heavy) => {
-                    let Some(machine) = sess.machine.take() else {
-                        return;
-                    };
-                    let in_flight = &self.shared.session_metrics.setups_in_flight;
-                    in_flight.add(1.0);
-                    let job = Job {
-                        session: sess.id,
-                        machine,
-                    };
-                    // A set-up thread that is gone parks nobody behind it.
-                    if let Err(mpsc::SendError(job)) = self.set_up.send(job) {
-                        in_flight.add(-1.0);
-                        sess.machine = Some(job.machine);
-                        self.refuse(i, ErrorCode::Internal, "set-up is unavailable");
-                    }
-                    return;
-                }
-            }
+        if let Some(machine) = out.hand_off {
+            self.hand_off(i, machine);
         }
     }
 
-    /// The set-up thread ran the unit session `id` handed it. The session
-    /// may have ended meanwhile — refused at its deadline, stalled, cut:
-    /// then the step is dropped, never queued behind the `Error` frame, and
-    /// the machine goes with it or with the session. Otherwise the step is
-    /// carried out on this loop's clock, the next unit dispatched, and the
+    /// Park session `i`: its machine goes to the set-up thread until
+    /// [`Notice::SetUp`] brings it back. A set-up thread that is gone
+    /// parks nobody behind it.
+    fn hand_off(&mut self, i: usize, machine: ServerMachine) {
+        let in_flight = &self.shared.session_metrics.setups_in_flight;
+        in_flight.add(1.0);
+        let session = self.sessions[i].id;
+        if let Err(mpsc::SendError((_, machine))) = self.set_up.send((session, machine)) {
+            in_flight.add(-1.0);
+            let gone = refuse(ErrorCode::Internal, "set-up is unavailable");
+            self.machine_back(session, machine, Err(gone));
+        }
+    }
+
+    /// The set-up thread ran the unit session `id` handed it. A session
+    /// reaped meanwhile drops the machine; otherwise the connection carries
+    /// the step out (or drops it, if it ended or began closing), and the
     /// frames that arrived while the session was parked are taken in order.
     fn machine_back(&mut self, id: u64, machine: ServerMachine, step: Result<Step, Refusal>) {
         let Some(i) = self.sessions.iter().position(|s| s.id == id) else {
             return;
         };
-        let sess = &mut self.sessions[i];
-        sess.machine = Some(machine);
-        if sess.done.is_some() || sess.closing.is_some() {
-            return;
-        }
-        // The time out was the server's, not the peer's.
-        sess.wait_since = Instant::now();
-        self.advance(i, step);
-        self.settle(i);
-        if self.sessions[i].done.is_none() {
+        let conn = &mut self.sessions[i].conn;
+        let out = conn.machine_back(&self.shared.res, machine, step, Instant::now());
+        self.carry_out(i, out);
+        if self.sessions[i].conn.outcome().is_none() {
             self.on_readable(i);
         }
-    }
-
-    /// Carry out what the machine decided: queue its replies, stamp the
-    /// boundary it crossed, start the drain-close it asked for (or the
-    /// refusal), flush.
-    fn advance(&mut self, i: usize, step: Result<Step, Refusal>) {
-        let step = match step {
-            Ok(step) => step,
-            Err(Refusal::Answer { code, message }) => return self.refuse(i, code, message),
-            Err(Refusal::Silent) => return self.sessions[i].finish(false),
-        };
-        for frame in &step.frames {
-            if self.sessions[i].nb.queue(frame).is_err() {
-                return self.sessions[i].finish(false);
-            }
-        }
-        if let Some(crossed) = step.crossed {
-            self.stamp(i, crossed);
-        }
-        if let Some(completed) = step.close {
-            self.close_after_drain(i, completed);
-        }
-        self.on_writable(i);
     }
 
     /// Put this loop's clock (phase histogram, trace event) on a boundary
@@ -890,7 +590,7 @@ impl Worker {
         match crossed {
             Crossed::Handshake { known_d, delta } => {
                 self.record_phase(i, |m| &m.handshake);
-                let store = self.sessions[i].entry.as_ref().map_or("", |e| e.name());
+                let store = self.sessions[i].conn.entry().map_or("", |e| e.name());
                 let fields = [
                     ("store", Value::Str(store)),
                     ("known_d", Value::U64(known_d)),
@@ -924,12 +624,10 @@ impl Worker {
                 // *before* the initial catch-up: a mutation landing in
                 // between then raises a (harmless, idempotent) extra wakeup
                 // instead of being missed.
-                if let Some(entry) = self.sessions[i].entry.clone() {
-                    self.ensure_notifier(entry.name(), entry.store());
+                if let Some(entry) = self.sessions[i].conn.entry() {
+                    let (name, store) = (entry.name().to_string(), Arc::clone(entry.store()));
+                    self.ensure_notifier(name, &store);
                 }
-                let now = Instant::now();
-                self.sessions[i].last_ping = now;
-                self.sessions[i].last_send_progress = now;
                 let fields = [("epoch", Value::U64(epoch))];
                 self.trace_session(i, Level::Info, "subscribed", &fields);
                 // Catch up on anything that mutated between the client's
@@ -947,42 +645,38 @@ impl Worker {
         }
     }
 
-    /// Have the machine push what the store changed past subscriber `i`'s
-    /// epoch, within the room its buffer cap leaves. `origin` is the commit
-    /// instant of the mutation that triggered the push (`None` for the
-    /// initial Subscribe catch-up) — it seeds the dispatch-latency clock
-    /// stopped in `on_writable` when the burst drains.
+    /// Have subscriber `i`'s connection push what the store changed past
+    /// its epoch. `origin` is the commit instant of the mutation that
+    /// triggered the push (`None` for the initial Subscribe catch-up) — it
+    /// seeds the dispatch-latency clock stopped in `on_writable` when the
+    /// burst drains.
     fn push_deltas(&mut self, i: usize, origin: Option<Instant>) {
-        let pending = self.sessions[i].nb.pending_out();
-        let room = self.config().subscriber_buffer.saturating_sub(pending) as u64;
-        let Some(machine) = self.sessions[i].machine.as_mut() else {
-            return;
-        };
-        let step = machine.push(&self.shared.res, room);
-        let burst = matches!(&step, Ok(step) if step.close.is_none() && !step.frames.is_empty());
-        if let (true, Some(origin)) = (burst, origin) {
-            let started = self.sessions[i].push_started;
-            self.sessions[i].push_started = Some(started.map_or(origin, |s| s.min(origin)));
+        let sess = &mut self.sessions[i];
+        let pending = sess.nb.pending_out();
+        let out = sess.conn.push(&self.shared.res, pending, Instant::now());
+        // A burst, not an eviction.
+        if let (false, true, Some(origin)) = (out.frames.is_empty(), sess.conn.streaming(), origin)
+        {
+            sess.push_started = Some(sess.push_started.map_or(origin, |s| s.min(origin)));
         }
-        self.advance(i, step);
+        self.carry_out(i, out);
     }
 
     /// Install this worker's wakeup notifier on `store` (once per store
     /// name): mutation → `StoreChanged` notice + wake byte. The notifier
     /// unregisters itself once the worker is gone.
-    fn ensure_notifier(&mut self, name: &str, store: &Arc<dyn SetStore>) {
-        if !self.notified_stores.insert(name.to_string()) {
+    fn ensure_notifier(&mut self, name: String, store: &Arc<dyn SetStore>) {
+        if !self.notified_stores.insert(name.clone()) {
             return;
         }
         let tx = Mutex::new(self.link.tx.clone());
         let wake = self.link.wake.clone();
-        let store_name = name.to_string();
         store.register_notifier(Box::new(move |_epoch| {
             let sent = tx
                 .lock()
                 .map(|tx| {
                     tx.send(Notice::StoreChanged {
-                        store: store_name.clone(),
+                        store: name.clone(),
                         at: Instant::now(),
                     })
                     .is_ok()
@@ -995,35 +689,23 @@ impl Worker {
         }));
     }
 
-    /// Fold a finished session's counters and drop it.
+    /// Fold a finished session's byte and frame counts and drop it. (Its
+    /// outcome was counted when the connection decided it.)
     fn reap(&mut self) {
         let mut i = 0;
         while i < self.sessions.len() {
-            let Some(completed) = self.sessions[i].done else {
+            let Some(completed) = self.sessions[i].conn.outcome() else {
                 i += 1;
                 continue;
             };
             let sess = self.sessions.remove(i);
-            let (res, entry) = (&self.shared.res, sess.entry.as_deref());
+            let (res, entry) = (&self.shared.res, sess.conn.entry());
             res.bump(entry, |s| &s.bytes_in, sess.nb.bytes_in());
             res.bump(entry, |s| &s.bytes_out, sess.nb.bytes_out());
             res.bump(entry, |s| &s.frames_in, sess.nb.frames_in());
             res.bump(entry, |s| &s.frames_out, sess.nb.frames_out());
-            // `sessions_started` was bumped globally at accept and
-            // per-store at routing; mirror that split on the outcome so
-            // started == completed + failed holds at both levels.
-            if completed {
-                res.bump(entry, |s| &s.sessions_completed, 1);
-            } else {
-                res.bump(entry, |s| &s.sessions_failed, 1);
-            }
-            if sess.waiting() == Waiting::Streaming {
-                res.live_subscribers.fetch_sub(1, Ordering::Relaxed);
-            }
-            self.shared
-                .session_metrics
-                .session
-                .record_duration(sess.accepted.elapsed());
+            let elapsed = sess.accepted.elapsed();
+            self.shared.session_metrics.session.record_duration(elapsed);
             if sess.traced {
                 trace::event(
                     Level::Info,
@@ -1034,7 +716,7 @@ impl Worker {
                         ("completed", Value::Bool(completed)),
                         ("bytes_in", Value::U64(sess.nb.bytes_in())),
                         ("bytes_out", Value::U64(sess.nb.bytes_out())),
-                        ("seconds", Value::F64(sess.accepted.elapsed().as_secs_f64())),
+                        ("seconds", Value::F64(elapsed.as_secs_f64())),
                     ],
                 );
             }
@@ -1042,18 +724,13 @@ impl Worker {
         }
     }
 
-    /// Shutdown: give every session one last flush, then close it with
-    /// its state-appropriate outcome. Streaming and parked subscribers
-    /// end cleanly; mid-protocol sessions — one whose machine is out among
-    /// them — are cut as failed.
+    /// Shutdown: give every session one last flush, then cut it. Streaming
+    /// and parked subscribers end cleanly; mid-protocol sessions — one
+    /// whose machine is out among them — fail.
     fn close_all(&mut self) {
-        for i in 0..self.sessions.len() {
-            if self.sessions[i].done.is_some() {
-                continue;
-            }
-            let _ = self.sessions[i].nb.flush();
-            let outcome = self.sessions[i].close_outcome();
-            self.sessions[i].finish(outcome);
+        for sess in &mut self.sessions {
+            let _ = sess.nb.flush();
+            sess.conn.cut(&self.shared.res);
         }
         self.reap();
     }

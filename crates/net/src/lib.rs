@@ -23,8 +23,8 @@
 //!   [`pbs_core::BobSession`] (handshake with store routing → estimator
 //!   exchange → possibly-pipelined sketch/report rounds → final element
 //!   transfer → optional live subscription; round and pipeline-depth
-//!   caps); the event loop drives it and keeps the sockets and timers:
-//!   per-session deadlines, read/write-inactivity timeouts, keepalive.
+//!   caps), wrapped in a connection that owns its timers (deadline,
+//!   read/write inactivity, keepalive); the event loop drives it.
 //!   Atomic [`server::ServerStats`] are exported server-wide and per
 //!   store.
 //! * [`admin`] — [`admin::AdminServer`]: a hand-rolled HTTP/1.0
@@ -85,6 +85,7 @@
 
 pub mod admin;
 pub mod client;
+pub(crate) mod conn;
 pub mod crc;
 pub(crate) mod event_loop;
 pub mod frame;

@@ -24,9 +24,9 @@
 //! [`Resources`] lent to the call.
 //!
 //! The registry, the limits and the counters are the server's, lent to
-//! every call as [`Resources`]. The event loop (`event_loop.rs`) keeps
-//! what needs a file descriptor or an `Instant`: buffers, deadlines,
-//! keepalive, write-stall eviction, notifier wake-ups, histograms.
+//! every call as [`Resources`]. The clocks around a machine — deadline,
+//! keepalive, idle and stall timeouts — and its outcome are
+//! `conn.rs`'s `ServerConn`, which the event loop and the simulator drive.
 
 use crate::frame::{delta_batch_frames, delta_chunk_capacity, ErrorCode, EstimatorMsg, Frame};
 use crate::server::{ServerConfig, ServerStats};
@@ -111,7 +111,7 @@ pub(crate) enum Refusal {
     Silent,
 }
 
-fn refuse(code: ErrorCode, message: impl Into<String>) -> Refusal {
+pub(crate) fn refuse(code: ErrorCode, message: impl Into<String>) -> Refusal {
     Refusal::Answer {
         code,
         message: message.into(),
@@ -776,7 +776,7 @@ mod tests {
     /// The code of the `Error` frame the session ended with, after
     /// `preface` ordinary replies.
     fn refused_with(duet: &mut Duet, preface: usize) -> ErrorCode {
-        assert_eq!(duet.closed, Some(false), "the session must have failed");
+        assert_eq!(duet.closed(), Some(false), "the session must have failed");
         assert_eq!(duet.inbox.len(), preface + 1, "{:?}", duet.inbox);
         match duet.inbox.pop_back() {
             Some(Frame::Error { code, .. }) => code,
@@ -797,12 +797,12 @@ mod tests {
 
         let mut parked = Duet::over(mutable(0..50));
         parked.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
-        assert_eq!(parked.server.waiting(), Waiting::Parked);
+        assert_eq!(parked.server().waiting(), Waiting::Parked);
 
         let mut streaming = Duet::over(mutable(0..50));
         streaming.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
         streaming.deliver(Frame::Subscribe { epoch: 0 });
-        assert_eq!(streaming.server.waiting(), Waiting::Streaming);
+        assert_eq!(streaming.server().waiting(), Waiting::Streaming);
 
         vec![
             ("expected Hello", await_hello, vec![0]),
@@ -816,13 +816,13 @@ mod tests {
     #[test]
     fn every_stage_refuses_every_wrong_frame_type_by_name() {
         for (name, mut duet, accepted) in every_awaiting_stage() {
-            let waiting = duet.server.waiting();
+            let waiting = duet.server().waiting();
             for (i, frame) in one_of_each().into_iter().enumerate() {
                 if accepted.contains(&i) {
                     continue;
                 }
                 let ty = frame.type_byte();
-                match duet.server.on_frame(&duet.res, frame) {
+                match duet.bare(frame) {
                     Err(Refusal::Answer { code, message }) => {
                         assert_eq!(code, ErrorCode::Protocol, "{name}: {message}");
                         assert!(message.contains(name), "{name}: {message}");
@@ -832,17 +832,14 @@ mod tests {
                 }
                 // A refusal changes nothing: a subscriber's slot, for one,
                 // is still the machine's to hand back.
-                assert_eq!(duet.server.waiting(), waiting);
+                assert_eq!(duet.server().waiting(), waiting);
             }
             // A peer Error frame ends the session in any stage, reply-less.
             let error = Frame::Error {
                 code: ErrorCode::Internal,
                 message: "boom".into(),
             };
-            assert_eq!(
-                duet.server.on_frame(&duet.res, error).unwrap_err(),
-                Refusal::Silent
-            );
+            assert_eq!(duet.bare(error).unwrap_err(), Refusal::Silent);
         }
     }
 
@@ -918,7 +915,7 @@ mod tests {
         let mut duet = in_rounds(defaults());
         duet.deliver(Frame::Sketches { m, batch });
         assert!(matches!(duet.inbox.pop_front(), Some(Frame::Reports(_))));
-        assert_eq!(duet.closed, None);
+        assert_eq!(duet.closed(), None);
 
         // A final transfer over the cap; one that would poison the store.
         let mut duet = in_rounds(ServerConfig {
@@ -1027,7 +1024,7 @@ mod tests {
 
     /// The view a session parked before its estimator bank holds.
     fn parked_view(duet: &Duet) -> Option<Arc<SetView>> {
-        match &duet.server.state {
+        match &duet.server().state {
             State::Open(
                 _,
                 Stage::AwaitBank {
@@ -1297,14 +1294,14 @@ mod tests {
             assert_eq!(report.epoch, None, "an ack without an epoch");
             assert_eq!(report.delta_fallback, !opening.is_empty());
             assert_eq!(*duet.sent.last().unwrap(), 5, "the final transfer");
-            assert_eq!(duet.closed, Some(true), "acked and closed, not parked");
-            assert_eq!(duet.server.waiting(), Waiting::Parked);
+            assert_eq!(duet.closed(), Some(true), "acked and closed, not parked");
+            assert_eq!(duet.server().waiting(), Waiting::Parked);
             assert_eq!(store.snapshot().len(), 205, "A ∖ B was ingested");
             let stats = duet.res.stats.snapshot();
             assert_eq!(stats.delta_fallbacks, opening.len() as u64);
             // The session takes nothing more, a `Subscribe` least of all.
             let subscribe = Frame::Subscribe { epoch: 0 };
-            match duet.server.on_frame(&duet.res, subscribe) {
+            match duet.bare(subscribe) {
                 Err(Refusal::Answer { code, message }) => {
                     assert_eq!(code, ErrorCode::Protocol, "{message}");
                     assert!(message.contains("takes none now"), "{message}");
@@ -1360,13 +1357,13 @@ mod tests {
         assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 1);
 
         // Nothing changed: nothing to say.
-        duet.push(u64::MAX);
+        duet.push(0);
         assert!(duet.inbox.is_empty());
 
         // Two mutations coalesce into one burst the client folds.
         store.apply(&[7_000_002], &[7_000_001]);
         store.apply(&[7_000_003], &[]);
-        duet.push(u64::MAX);
+        duet.push(0);
         assert_eq!(
             duet.inbox.len(),
             3,
@@ -1391,16 +1388,16 @@ mod tests {
         // A burst the subscriber has no room for evicts it — cleanly: it
         // reached Streaming, and is told to come back with a full sync.
         store.apply(&[7_000_004], &[]);
-        duet.push(8);
+        duet.push((1 << 20) - 8);
         assert_eq!(
             duet.inbox.pop_front(),
             Some(Frame::FullResyncRequired { epoch: 4 })
         );
-        assert_eq!(duet.closed, Some(true));
+        assert_eq!(duet.closed(), Some(true));
         assert!(matches!(duet.crossed.last(), Some(Crossed::Evicted { .. })));
         assert_eq!(duet.res.stats.snapshot().subscribers_evicted, 1);
         assert_eq!(
-            duet.server.waiting(),
+            duet.server().waiting(),
             Waiting::Streaming,
             "the slot is still attributable"
         );

@@ -1,31 +1,44 @@
 //! A deterministic simulation of the whole service, with no socket, thread
-//! or clock: N stores behind [`ServerMachine`]s and M [`ClientMachine`]s —
+//! or wall clock: N stores behind [`ServerConn`]s and M [`ClientMachine`]s —
 //! one-shot, `--since` and `--follow` clients, and the nodes' own mesh
-//! rounds — over in-memory byte links, every choice drawn from one `u64`
-//! seed.
+//! rounds — over in-memory byte links and a virtual clock, every choice
+//! drawn from one `u64` seed.
 //!
 //! * **Links** carry `frame::encode_frame` bytes, delivered in seeded chunk
 //!   sizes and read back with `decode_frame`, so a cut can land mid-body.
-//!   Each direction counts what was sent, delivered and discarded.
-//! * **A server connection** is a [`Duet`]'s server half, driven the way
-//!   `event_loop.rs` drives a session: `on_frame`, its replies, then
-//!   `set_up` while `owes()` names a unit. A heavy unit becomes an event of
-//!   its own that runs later, in seeded order; until then the connection
-//!   takes no frame. `Duet` on its own is the one-connection, fault-free
-//!   case: both machines in one thread, every unit inline.
+//!   Each direction counts what was sent, delivered and discarded. A link
+//!   that flows takes what the server queues at once, as a socket buffer
+//!   with room does; a stalled one takes nothing.
+//! * **A server connection** is a [`Duet`]: the [`ServerConn`] the event
+//!   loop drives, driven the same way. A heavy set-up unit it hands off
+//!   becomes an event of its own that runs later, in seeded order; until
+//!   then the connection takes no frame. `Duet` on its own is the
+//!   one-connection, fault-free case: both machines in one thread, every
+//!   unit inline.
+//! * **Time** is one `Instant` taken when the world is made plus what the
+//!   schedule let pass. It passes as an event loop sleeps: once what flows
+//!   has arrived, for a seeded while, never past the earliest timer; every
+//!   step ends with each timer due fired. The timer settings are seeded
+//!   too — a few seconds, or too long to add to an instant.
 //! * **Faults:** a partitioned and healed mesh link, a connection cut
 //!   mid-frame, a durable node crashed at each `CrashPoint` and reopened,
 //!   one WAL append refused while the process lives on, a changelog short
-//!   enough to be trimmed under a reader, a notifier that panics once, an
-//!   epoch-less store.
-//! * **Invariants, after every step:** see [`World::check`]. At the end of
+//!   enough to be trimmed under a reader, a notifier that panics once, a
+//!   store's `view` that panics on a set-up unit, a client that falls
+//!   silent, a stalled link, an epoch-less store.
+//! * **Invariants, after every step:** see [`World::check`]; and, as each
+//!   timer fires, that a peer is timed out for silence, or a write for a
+//!   stall, only where a fault made it so ([`World::fire`]). At the end of
 //!   a schedule the faults stop and mesh sweeps run until every node holds
 //!   the union of the initial sets and every write.
 //!
 //! A failing seed panics with the seed, the step, and the line to add to
-//! [`REGRESSIONS`]; `replays_the_regressions` runs that list.
+//! [`REGRESSIONS`]; `replays_the_regressions` runs that list. The default
+//! run prints how many seeds fired each timer and holds each to one seed
+//! of twenty.
 
 use crate::client::{ClientConfig, DeltaReport, Pipeline, SyncReport};
+use crate::conn::{Due, Out, ServerConn};
 use crate::frame::{
     decode_frame, encode_frame, write_frame, Decoded, ErrorCode, EstimatorMsg, Frame, Hello,
     DEFAULT_MAX_FRAME,
@@ -33,14 +46,14 @@ use crate::frame::{
 use crate::machine::{ClientMachine, Mode, Phase};
 use crate::mesh::{settle, PeerStats, RoundOutcome};
 use crate::server::{ServerConfig, ServerStats};
-use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, SetUp, Step, Waiting};
+use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, Step, Waiting};
 use crate::store::{
-    store_dir_name, DeltaAnswer, MutableStore, RegisteredStore, SetStore, StoreRegistry,
+    store_dir_name, DeltaAnswer, MutableStore, RegisteredStore, SetStore, StoreNotifier,
+    StoreRegistry, ViewAnswer,
 };
 use crate::wal::{CrashPoint, DurableOptions};
-use crate::NetError;
-use obs::Counter;
-use pbs_core::PbsConfig;
+use crate::{NetError, TransportConfig};
+use pbs_core::{PbsConfig, SetView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -48,6 +61,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A store that keeps no epochs: [`SetStore`] with its defaults, what an
 /// out-of-tree store is. The tree's own store overrides them all, so this
@@ -65,23 +79,25 @@ impl SetStore for Epochless {
     }
 }
 
-/// The server half of one connection: what the client sends goes straight
-/// into a [`ServerMachine`], what that answers — a refusal as the `Error`
-/// frame a driver would make of it — waits in `inbox`.
+/// The server half of one connection: a [`ServerConn`] whose frames go
+/// straight into `inbox` — a refusal's `Error` frame among them.
 pub(crate) struct Duet {
     pub res: Arc<Resources>,
-    pub server: ServerMachine,
+    pub conn: ServerConn,
     /// Type byte of every frame delivered to the server.
     pub sent: Vec<u8>,
     /// What the server has answered and the client has not read yet.
     pub inbox: VecDeque<Frame>,
     /// Every boundary the server crossed.
     pub crossed: Vec<Crossed>,
-    /// `Some(completed)` once the server ended the session.
-    pub closed: Option<bool>,
-    /// Leave a heavy set-up unit owed for [`Duet::set_up`], as the event
-    /// loop hands it to its set-up thread, instead of running it inline.
-    hand_off: bool,
+    /// The connection's clock.
+    pub now: Instant,
+    /// A heavy set-up unit handed off: the machine, until [`Duet::set_up`].
+    held: Option<ServerMachine>,
+    /// One of a [`World`]'s connections: a heavy unit waits for an event of
+    /// its own, and the link says when what is queued has drained. Alone,
+    /// every unit runs inline and every frame is read at once.
+    linked: bool,
 }
 
 impl Duet {
@@ -93,81 +109,91 @@ impl Duet {
             stats: Arc::new(ServerStats::default()),
             live_subscribers: AtomicUsize::new(0),
         };
-        Self::accept(&Arc::new(res), false)
+        Self::accept(&Arc::new(res), Instant::now(), false)
     }
 
     pub fn over(store: Arc<dyn SetStore>) -> Self {
         Self::new(store, ServerConfig::default())
     }
 
-    /// A fresh connection to the server `res` belongs to.
-    fn accept(res: &Arc<Resources>, hand_off: bool) -> Self {
+    /// A fresh connection to the server `res` belongs to, at `now`.
+    fn accept(res: &Arc<Resources>, now: Instant, linked: bool) -> Self {
         Duet {
             res: Arc::clone(res),
-            server: ServerMachine::new(),
+            conn: ServerConn::new(&res.config, now),
             sent: Vec::new(),
             inbox: VecDeque::new(),
             crossed: Vec::new(),
-            closed: None,
-            hand_off,
+            now,
+            held: None,
+            linked,
         }
     }
 
-    fn absorb(&mut self, step: Result<Step, Refusal>) {
-        match step {
-            Ok(step) => {
-                self.inbox.extend(step.frames);
-                self.crossed.extend(step.crossed);
-                self.closed = self.closed.or(step.close);
-            }
-            Err(refusal) => {
-                if let Refusal::Answer { code, message } = refusal {
-                    self.inbox.push_back(Frame::Error { code, message });
-                }
-                self.closed = Some(false);
-            }
+    /// `Some(completed)` once the server ended the session.
+    pub fn closed(&self) -> Option<bool> {
+        self.conn.outcome()
+    }
+
+    /// The server's machine (here: nothing is handed off).
+    pub fn server(&self) -> &ServerMachine {
+        self.conn.machine().expect("the machine is here")
+    }
+
+    /// `frame` handed to the machine alone: its answer, carried out by
+    /// nobody.
+    pub fn bare(&mut self, frame: Frame) -> Result<Step, Refusal> {
+        let machine = self.conn.machine_mut().expect("the machine is here");
+        machine.on_frame(&self.res, frame)
+    }
+
+    /// Carry out what the connection decided.
+    fn take(&mut self, out: Out) {
+        self.inbox.extend(out.frames);
+        self.crossed.extend(out.crossed);
+        self.held = self.held.take().or(out.hand_off);
+        if !self.linked {
+            self.set_up();
+            self.conn.flushed(&self.res, self.now, true, 0);
         }
     }
 
-    /// `true` while a heavy unit is owed and handed off: the connection
-    /// takes no frame until [`Duet::set_up`] has run it.
+    /// `true` while a heavy unit is handed off: the connection takes no
+    /// frame until [`Duet::set_up`] has run it.
     fn out(&self) -> bool {
-        self.hand_off && self.closed.is_none() && self.server.owes() == Some(SetUp::Heavy)
+        self.held.is_some()
     }
 
-    /// Run what set-up is owed and not handed off.
-    fn settle(&mut self) {
-        while self.closed.is_none() && self.server.owes().is_some() && !self.out() {
-            let step = self.server.set_up(&self.res);
-            self.absorb(step);
-        }
-    }
-
-    /// What an event loop does with a received frame: the machine's
-    /// replies first, then the set-up work they precede — and nothing
-    /// once the session is over (a refusal may cross the peer's next
-    /// frame on the wire).
+    /// What an event loop does with a received frame.
     pub fn deliver(&mut self, frame: Frame) {
         self.sent.push(frame.type_byte());
-        if self.closed.is_some() {
-            return;
-        }
-        let step = self.server.on_frame(&self.res, frame);
-        self.absorb(step);
-        self.settle();
+        let out = self.conn.on_frame(&self.res, frame, self.now);
+        self.take(out);
+        self.conn.listen(self.now);
     }
 
-    /// The heavy unit handed off, run now.
+    /// The heavy unit handed off, run now, as a set-up thread runs it.
     fn set_up(&mut self) {
-        let step = self.server.set_up(&self.res);
-        self.absorb(step);
-        self.settle();
+        let Some(mut machine) = self.held.take() else {
+            return;
+        };
+        let step = ServerConn::set_up(&mut machine, &self.res);
+        let out = self.conn.machine_back(&self.res, machine, step, self.now);
+        self.take(out);
     }
 
-    /// What an event loop does when the store changed.
-    pub fn push(&mut self, room: u64) {
-        let step = self.server.push(&self.res, room);
-        self.absorb(step);
+    /// What an event loop does when the store changed, with `pending`
+    /// bytes still queued toward the subscriber.
+    pub fn push(&mut self, pending: usize) {
+        let out = self.conn.push(&self.res, pending, self.now);
+        self.take(out);
+    }
+
+    /// Fire the first timer due, with `pending` bytes queued.
+    fn on_timer(&mut self, pending: usize, nonce: &mut u64) -> Option<Due> {
+        let (due, out) = self.conn.on_timer(&self.res, self.now, pending, nonce)?;
+        self.take(out);
+        Some(due)
     }
 
     /// One full sync of `set` against the server's store: every byte
@@ -260,9 +286,51 @@ const NAMES: [&str; 2] = ["", "b"];
 /// The odds that a commit to a durable store is refused, while faults are on.
 const REFUSE: f64 = 0.05;
 
-/// The payload of the notifier that panics on purpose (the panic hook keeps
-/// quiet about it).
-struct NotifierPanic;
+/// The payload of a panic the schedule plants — in a notifier, in a store's
+/// `view` — which the panic hook keeps quiet about.
+struct Planted;
+
+/// What a store with epochs shows its server: every view it hands out is
+/// kept for [`World::check`], and one `view` call can be made to panic.
+struct Watched {
+    inner: Arc<MutableStore>,
+    trap: AtomicBool,
+    views: Mutex<Vec<Arc<SetView>>>,
+}
+
+impl SetStore for Watched {
+    fn snapshot(&self) -> Vec<u64> {
+        self.inner.snapshot()
+    }
+    fn apply_missing(&self, elements: &[u64]) -> bool {
+        self.inner.apply_missing(elements)
+    }
+    fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
+        self.inner.epoch_snapshot()
+    }
+    fn delta_since(&self, epoch: u64) -> DeltaAnswer {
+        self.inner.delta_since(epoch)
+    }
+    fn session_seed(&self, proposal: u64) -> u64 {
+        self.inner.session_seed(proposal)
+    }
+    fn view(&self, seed: u64) -> ViewAnswer {
+        if self.trap.swap(false, Ordering::Relaxed) {
+            std::panic::panic_any(Planted);
+        }
+        let answer = self.inner.view(seed);
+        if let ViewAnswer::Patched(view) | ViewAnswer::Built(view) = &answer {
+            self.views.lock().unwrap().push(Arc::clone(view));
+        }
+        answer
+    }
+    fn retire_view(&self, seed: u64) {
+        self.inner.retire_view(seed)
+    }
+    fn register_notifier(&self, notifier: StoreNotifier) -> bool {
+        self.inner.register_notifier(notifier)
+    }
+}
 
 /// One direction of a connection.
 #[derive(Default)]
@@ -278,6 +346,8 @@ struct Pipe {
     read: u64,
     /// The sender is done: what is on the wire is all there will be.
     closed: bool,
+    /// Nothing sent arrives (a fault): the sender's writes stall.
+    stalled: bool,
 }
 
 impl Pipe {
@@ -320,6 +390,12 @@ impl Pipe {
         self.closed = true;
     }
 
+    /// What the sender has queued and the link not taken: a link that flows
+    /// takes every byte at once, as a socket buffer with room does.
+    fn pending(&self) -> usize {
+        self.wire.len() * self.stalled as usize
+    }
+
     fn conserved(&self) -> bool {
         self.sent == self.delivered + self.discarded + self.wire.len() as u64
             && self.delivered == self.read + self.rx.len() as u64
@@ -343,8 +419,9 @@ fn sorted(store: &dyn SetStore) -> Vec<u64> {
 /// One store of a node, and what the simulation knows of it.
 struct Slot {
     store: Arc<dyn SetStore>,
-    /// The same store, when it keeps epochs.
+    /// The same store, when it keeps epochs, and its face.
     mutable: Option<Arc<MutableStore>>,
+    watched: Option<Arc<Watched>>,
     /// The set at every epoch the store has stood at, as its changelog
     /// replays it.
     history: BTreeMap<u64, HashSet<u64>>,
@@ -373,6 +450,7 @@ impl Slot {
         Slot {
             store,
             mutable,
+            watched: None,
             history: BTreeMap::from([(epoch, set.into_iter().collect())]),
             epoch,
             acked: HashSet::new(),
@@ -380,6 +458,20 @@ impl Slot {
             proposed: HashSet::new(),
             flapped: BTreeSet::new(),
             options,
+        }
+    }
+
+    /// A store with epochs, served through its [`Watched`] face.
+    fn watched(store: Arc<MutableStore>, options: DurableOptions) -> Slot {
+        let watched = Arc::new(Watched {
+            inner: Arc::clone(&store),
+            trap: AtomicBool::new(false),
+            views: Mutex::default(),
+        });
+        let face = Arc::clone(&watched) as Arc<dyn SetStore>;
+        Slot {
+            watched: Some(watched),
+            ..Slot::new(face, Some(store), options)
         }
     }
 }
@@ -471,6 +563,10 @@ struct Conn {
     seen: usize,
     /// The seed the `Hello` reply named.
     seed: u64,
+    /// When the client connected.
+    accepted: Instant,
+    /// The client end reads and sends nothing (a fault).
+    silent: bool,
 }
 
 impl Conn {
@@ -487,6 +583,13 @@ impl Conn {
 struct World {
     rng: StdRng,
     step: usize,
+    /// The virtual clock: the instant the world was made, plus every step
+    /// time took since.
+    now: Instant,
+    /// The nonce of the last keepalive `Ping`, server-wide.
+    nonce: u64,
+    /// The timers that have fired, by name.
+    fired: BTreeSet<&'static str>,
     nodes: Vec<Node>,
     conns: Vec<Conn>,
     /// Per store name: the initial sets and every write that landed.
@@ -518,8 +621,27 @@ impl World {
         let (nodes, stores) = (rng.random_range(2..=4usize), rng.random_range(1..=2usize));
         let durable = rng.random_bool(0.5).then(|| rng.random_range(0..nodes));
         let buffer = if rng.random_bool(0.3) { 256 } else { 1 << 20 };
+        // Timers short enough to fire within a schedule, or too long to add
+        // to an instant: never due.
+        let (secs, never) = (Duration::from_secs, Duration::MAX);
+        let mut pick = |options: [Duration; 3]| options[rng.random_range(0..3usize)];
+        let (deadline, keepalive) = (
+            pick([secs(3), secs(10), never]),
+            pick([secs(1), secs(3), never]),
+        );
+        let (read, write) = (
+            pick([secs(2), secs(6), never]),
+            pick([secs(1), secs(30), never]),
+        );
         let config = ServerConfig {
             subscriber_buffer: buffer,
+            session_deadline: deadline,
+            keepalive,
+            transport: TransportConfig {
+                read_timeout: Some(read),
+                write_timeout: Some(write),
+                ..TransportConfig::default()
+            },
             ..ServerConfig::default()
         };
         // One directory a run: two tests may run the same seed at once.
@@ -559,14 +681,16 @@ impl World {
                     }
                     None => MutableStore::with_log_capacity(set, options.log_capacity),
                 };
-                let store = Arc::new(store);
-                slots.push(Slot::new(store.clone(), Some(store), options));
+                slots.push(Slot::watched(Arc::new(store), options));
             }
             built.push(Node::serve(config, slots, dir));
         }
         World {
             rng,
             step: 0,
+            now: Instant::now(),
+            nonce: 0,
+            fired: BTreeSet::new(),
             nodes: built,
             conns: Vec::new(),
             expected,
@@ -608,13 +732,15 @@ impl World {
         self.conns.push(Conn {
             node: i,
             slot: s,
-            server: Some(Duet::accept(res, true)),
+            server: Some(Duet::accept(res, self.now, true)),
             client: Some(client),
             role,
             up,
             down: Pipe::default(),
             seen: 0,
             seed: 0,
+            accepted: self.now,
+            silent: false,
         });
     }
 
@@ -636,7 +762,7 @@ impl World {
             let open = conn
                 .server
                 .as_ref()
-                .is_some_and(|d| d.closed.is_none() && !d.out());
+                .is_some_and(|d| d.closed().is_none() && !d.out());
             if !open {
                 break;
             }
@@ -666,11 +792,15 @@ impl World {
             }
             self.flush(c);
         }
-        let conn = &self.conns[c];
-        if let Some(duet) = &conn.server {
-            if duet.closed.is_some() || (conn.up.at_eof() && !duet.out()) {
-                self.end_server(c);
-            }
+        let conn = &mut self.conns[c];
+        let Some(duet) = conn.server.as_mut() else {
+            return;
+        };
+        if conn.up.at_eof() && !duet.out() {
+            duet.conn.hang_up(&duet.res, duet.now, conn.down.pending());
+        }
+        if duet.closed().is_some() {
+            self.end_server(c);
         }
     }
 
@@ -681,12 +811,15 @@ impl World {
         let Some(duet) = conn.server.as_mut() else {
             return;
         };
+        let sent = !duet.inbox.is_empty() && !conn.down.stalled;
         for frame in duet.inbox.drain(..) {
             if let Frame::Hello(reply) = &frame {
                 conn.seed = reply.seed;
             }
             conn.down.send(&frame);
         }
+        duet.conn
+            .flushed(&duet.res, duet.now, sent, conn.down.pending());
         let node = &self.nodes[conn.node];
         for crossed in &duet.crossed[conn.seen..] {
             match crossed {
@@ -702,22 +835,14 @@ impl World {
         conn.seen = duet.crossed.len();
     }
 
-    /// The server end is over, counted as the event loop's reap counts it.
+    /// The server end is over: what the link took still arrives, what it
+    /// left queued is lost.
     fn end_server(&mut self, c: usize) {
         let conn = &mut self.conns[c];
-        let Some(duet) = conn.server.take() else {
-            return;
-        };
-        conn.down.closed = true;
-        let waiting = duet.server.waiting();
-        let counter: fn(&ServerStats) -> &Counter =
-            match duet.closed.unwrap_or(waiting != Waiting::Reconciling) {
-                true => |s| &s.sessions_completed,
-                false => |s| &s.sessions_failed,
-            };
-        duet.res.bump(duet.server.entry().map(|e| &**e), counter, 1);
-        if waiting == Waiting::Streaming {
-            duet.res.live_subscribers.fetch_sub(1, Ordering::Relaxed);
+        match (conn.server.take(), conn.down.stalled) {
+            (Some(_), true) => conn.down.cut(0),
+            (Some(_), false) => conn.down.closed = true,
+            (None, _) => {}
         }
     }
 
@@ -726,7 +851,7 @@ impl World {
     fn read(&mut self, c: usize) {
         loop {
             let conn = &mut self.conns[c];
-            let Some(client) = conn.client.as_mut() else {
+            let Some(client) = conn.client.as_mut().filter(|_| !conn.silent) else {
                 return;
             };
             let Some(frame) = conn.down.next_frame() else {
@@ -885,14 +1010,13 @@ impl World {
     /// lacks, within the room its link leaves under the buffer cap.
     fn push(&mut self, i: usize) {
         self.nodes[i].dirty.store(false, Ordering::Relaxed);
-        let cap = self.nodes[i].res.config.subscriber_buffer;
         for c in 0..self.conns.len() {
             let conn = &mut self.conns[c];
             let Some(duet) = conn.server.as_mut().filter(|_| conn.node == i) else {
                 continue;
             };
-            if duet.closed.is_none() && duet.server.waiting() == Waiting::Streaming {
-                duet.push(cap.saturating_sub(conn.down.wire.len()) as u64);
+            if duet.conn.streaming() {
+                duet.push(conn.down.pending());
                 self.flush(c);
                 self.touch(c);
             }
@@ -900,12 +1024,14 @@ impl World {
     }
 
     /// One event of the network or the servers, if one is due: a chunk of
-    /// bytes arrives, a handed-off set-up unit runs, a dirty node pushes.
-    fn progress(&mut self) -> bool {
+    /// bytes arrives where the link flows, a handed-off set-up unit runs
+    /// (if `hand_offs`), a dirty node pushes.
+    fn progress(&mut self, hand_offs: bool) -> bool {
         let mut due = Vec::new();
         for (c, conn) in self.conns.iter().enumerate() {
-            let out = conn.server.as_ref().is_some_and(Duet::out);
-            let kinds = [!conn.up.wire.is_empty(), !conn.down.wire.is_empty(), out];
+            let out = hand_offs && conn.server.as_ref().is_some_and(Duet::out);
+            let down = !conn.down.wire.is_empty() && !conn.down.stalled;
+            let kinds = [!conn.up.wire.is_empty(), down, out];
             due.extend((0..3).filter(|&k| kinds[k]).map(|k| (c, k)));
         }
         for (i, node) in self.nodes.iter().enumerate() {
@@ -927,9 +1053,62 @@ impl World {
                 let len = pipe.wire.len();
                 let part = self.rng.random_range(1..=len);
                 pipe.deliver(if self.rng.random_bool(0.5) { len } else { part });
+                if let Some(duet) = conn.server.as_mut().filter(|_| k == 1) {
+                    duet.conn
+                        .flushed(&duet.res, duet.now, true, conn.down.pending());
+                }
                 self.touch(c);
             }
         }
+        true
+    }
+
+    /// Time passes, as an event loop sleeps: once what flows has arrived
+    /// and dirty nodes have pushed, for a seeded while — never past the
+    /// earliest timer. (Every step ends with the timers due firing.)
+    fn pass_time(&mut self) {
+        while self.progress(false) {}
+        let timers = self.conns.iter().filter_map(|conn| {
+            let duet = conn.server.as_ref()?;
+            duet.conn.next_timer(&duet.res.config, conn.down.pending())
+        });
+        let step = [250, 1000, 8000][self.rng.random_range(0..3usize)];
+        let until = self.now + Duration::from_millis(step);
+        self.now = timers.fold(until, Instant::min).max(self.now);
+        for conn in &mut self.conns {
+            conn.server.iter_mut().for_each(|duet| duet.now = self.now);
+        }
+    }
+
+    /// Connection `c`'s first timer due, if one is: fired, recorded, and
+    /// held to the schedule — a peer is timed out for silence, and a write
+    /// stalls, only where a fault made it so.
+    fn fire(&mut self, c: usize) -> bool {
+        let conn = &mut self.conns[c];
+        let Some(duet) = conn.server.as_mut() else {
+            return false;
+        };
+        let (out, pending) = (duet.out(), conn.down.pending());
+        let Some(due) = duet.on_timer(pending, &mut self.nonce) else {
+            return false;
+        };
+        let (faulted, stalled) = (conn.silent || conn.down.stalled, conn.down.stalled);
+        let timer = match due {
+            Due::Ping => Some("ping"),
+            Due::Dead => faulted.then_some("liveness cut"),
+            Due::ReadIdle => faulted.then_some("read-idle close"),
+            Due::Deadline if out => Some("deadline, machine out"),
+            Due::Deadline => Some("deadline, machine here"),
+            Due::WriteStall => stalled.then_some("write-stall close"),
+            Due::Drain if pending == 0 => Some("drained"),
+            Due::Drain => stalled.then_some("drain grace"),
+        };
+        let Some(timer) = timer else {
+            panic!("{due:?} fired where nothing was silent or stalled");
+        };
+        self.fired.insert(timer);
+        self.flush(c);
+        self.touch(c);
         true
     }
 
@@ -1046,7 +1225,7 @@ impl World {
         let a = self.rng.random_range(0..nodes);
         let link = (a, (a + self.rng.random_range(1..nodes)) % nodes);
         let link = (link.0.min(link.1), link.0.max(link.1));
-        match self.rng.random_range(0..8u32) {
+        match self.rng.random_range(0..12usize) {
             // A partition cuts the mesh syncs across it and refuses new ones.
             0 if self.partitioned.insert(link) => {
                 for c in 0..self.conns.len() {
@@ -1066,7 +1245,21 @@ impl World {
                     self.crash(i);
                 }
             }
-            _ => self.panic_a_notifier(),
+            6 | 7 => self.panic_a_notifier(),
+            // A client falls silent; a link stops carrying the server's bytes.
+            kind @ 8..=10 if !self.conns.is_empty() => {
+                let c = self.rng.random_range(0..self.conns.len());
+                let conn = &mut self.conns[c];
+                conn.silent |= kind == 8;
+                conn.down.stalled |= kind > 8;
+            }
+            _ => {
+                // A set-up unit that panics: the next view of a store.
+                let (i, s) = self.pick_slot();
+                if let Some(watched) = &self.nodes[i].slots[s].watched {
+                    watched.trap.store(true, Ordering::Relaxed);
+                }
+            }
         }
     }
 
@@ -1127,7 +1320,8 @@ impl World {
             assert_eq!(epoch, slot.epoch, "reopened at another epoch");
             let set: HashSet<u64> = set.into_iter().collect();
             assert!(set == slot.history[&epoch], "reopened with another set");
-            (slot.store, slot.mutable) = (reopened.clone(), Some(reopened));
+            let face = Slot::watched(reopened, slot.options);
+            (slot.store, slot.mutable, slot.watched) = (face.store, face.mutable, face.watched);
         }
         *node = Node::serve(node.res.config, slots, Some(dir));
         // Their peers read end-of-stream from a node that is up again.
@@ -1148,7 +1342,7 @@ impl World {
         let armed = AtomicBool::new(true);
         store.register_notifier(Box::new(move |_| {
             if armed.swap(false, Ordering::Relaxed) {
-                std::panic::panic_any(NotifierPanic);
+                std::panic::panic_any(Planted);
             }
             true
         }));
@@ -1200,8 +1394,12 @@ impl World {
     /// * no store's epoch goes back, and its changelog replays to its set;
     /// * every element of a `Done` the server acked is in the store, and
     ///   still is after a crash and reopen (unless a writer took it out);
+    /// * every view a store handed out is the cold build of its set at the
+    ///   view's epoch, under the view's seed;
     /// * `sessions_started == completed + failed + open`, per node and per
     ///   store, and every live subscriber holds its slot;
+    /// * no session stands past its deadline before its final ack without
+    ///   having been refused;
     /// * every link conserves its bytes, and a node's mesh byte counters
     ///   are what its links delivered.
     ///
@@ -1223,6 +1421,17 @@ impl World {
                         "the server acked {lost:?}, which it does not hold"
                     );
                 }
+                let watched = slot.watched.as_ref();
+                let views = watched.map(|w| std::mem::take(&mut *w.views.lock().unwrap()));
+                for view in views.unwrap_or_default() {
+                    let set = self.set_at(i, s, view.epoch()).into_iter().collect();
+                    let sketches = estimator::DEFAULT_SKETCH_COUNT;
+                    let cold = SetView::build(set, view.seed(), sketches, view.epoch());
+                    assert!(
+                        *view == cold,
+                        "a view handed out is not its set's cold build"
+                    );
+                }
             }
         }
         let balanced = |stats: &ServerStats, open: usize| {
@@ -1235,6 +1444,7 @@ impl World {
                 .iter()
                 .filter(|conn| conn.node == i)
                 .filter_map(|conn| conn.server.as_ref())
+                .filter(|duet| duet.closed().is_none())
                 .collect();
             assert!(
                 balanced(&node.res.stats, open.len()),
@@ -1244,7 +1454,7 @@ impl World {
                 let entry = node.entry(s);
                 let routed = open
                     .iter()
-                    .filter(|d| d.server.entry().is_some_and(|e| Arc::ptr_eq(e, &entry)));
+                    .filter(|d| d.conn.entry().is_some_and(|e| std::ptr::eq(e, &*entry)));
                 assert!(
                     balanced(entry.stats(), routed.count()),
                     "store {i}/{s}: sessions leaked"
@@ -1252,7 +1462,15 @@ impl World {
             }
             let streaming = open
                 .iter()
-                .filter(|d| d.server.waiting() == Waiting::Streaming);
+                .filter(|d| d.conn.waiting() == Waiting::Streaming);
+            for conn in self.conns.iter().filter(|conn| conn.node == i) {
+                let running =
+                    |d: &Duet| !d.conn.closing() && d.conn.waiting() == Waiting::Reconciling;
+                let deadline = conn.accepted.checked_add(node.res.config.session_deadline);
+                let over = deadline.is_some_and(|at| self.now >= at);
+                let outlived = over && conn.server.as_ref().is_some_and(running);
+                assert!(!outlived, "a session outlived its deadline");
+            }
             let slots = node.res.live_subscribers.load(Ordering::Relaxed);
             assert_eq!(slots, streaming.count(), "node {i}: subscriber slots");
             let (sent, received) = (&node.mesh.bytes_sent, &node.mesh.bytes_received);
@@ -1273,6 +1491,8 @@ impl World {
     /// invariant is checked.
     fn end_step(&mut self) {
         self.step += 1;
+        // What an event loop does before it sleeps: fire what is due.
+        while (0..self.conns.len()).filter(|&c| self.fire(c)).count() > 0 {}
         self.conns.retain(|conn| {
             let flying = !conn.up.wire.is_empty() || !conn.down.wire.is_empty();
             conn.server.is_some() || conn.client.is_some() || flying
@@ -1281,7 +1501,7 @@ impl World {
     }
 
     fn drain(&mut self) {
-        while self.progress() {
+        while self.progress(true) {
             self.end_step();
         }
     }
@@ -1316,7 +1536,8 @@ impl World {
                 self.rng.random_range(1..nodes),
             );
             match self.rng.random_range(0..100u32) {
-                0..=64 => drop(self.progress()),
+                0..=54 => drop(self.progress(true)),
+                55..=64 => self.pass_time(),
                 65..=72 => self.write(),
                 73..=79 => self.mesh_round(i, (i + hop) % nodes),
                 80..=86 => self.open_client(false),
@@ -1328,10 +1549,11 @@ impl World {
         self.faults = false;
         self.partitioned.clear();
         for c in 0..self.conns.len() {
+            (self.conns[c].silent, self.conns[c].down.stalled) = (false, false);
             if let Role::Follow { .. } = self.conns[c].role {
                 self.hang_up(c);
-                self.touch(c);
             }
+            self.touch(c);
         }
         for i in 0..self.nodes.len() {
             for s in 0..self.nodes[i].slots.len() {
@@ -1376,51 +1598,68 @@ fn scratch() -> PathBuf {
     }
 }
 
-/// Run the schedule of `seed` to its end, or say where it failed. (The
-/// notifier's deliberate panic is kept out of the test output.)
-fn run_seed(seed: u64) -> Result<(), String> {
+/// Run the schedule of `seed` to its end — the timers that fired — or say
+/// where it failed. (The panics the schedule plants are kept out of the
+/// test output.)
+fn run_seed(seed: u64) -> Result<BTreeSet<&'static str>, String> {
     static QUIET: std::sync::Once = std::sync::Once::new();
     QUIET.call_once(|| {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if !info.payload().is::<NotifierPanic>() {
+            if !info.payload().is::<Planted>() {
                 hook(info);
             }
         }));
     });
     let mut world = None;
     let run = catch_unwind(AssertUnwindSafe(|| world.insert(World::new(seed)).run()));
-    run.map_err(|panic| {
+    let mut world = world.expect("made before it runs");
+    run.map(|()| std::mem::take(&mut world.fired)).map_err(|panic| {
         let why = (panic.downcast_ref::<String>().map(String::as_str))
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("a panic");
-        let step = world.map_or(0, |world| world.step);
+        let step = world.step;
         format!("sim seed {seed} failed at step {step}: {why}\n  replay it: add `{seed},` to sim::REGRESSIONS")
     })
 }
 
+/// The default run, on two threads. It also holds the schedules to making
+/// every timer fire in one seed of twenty at least.
 #[test]
 fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     let start = std::time::Instant::now();
-    let failures: Vec<String> = std::thread::scope(|scope| {
-        let halves: Vec<_> = (0..2)
-            .map(|half| {
-                let seeds = (half..SEEDS).step_by(2);
-                scope.spawn(move || {
-                    seeds
-                        .filter_map(|seed| run_seed(seed).err())
-                        .take(1)
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        halves
-            .into_iter()
-            .flat_map(|half| half.join().expect("a runner thread"))
-            .collect()
+    let half = |half| {
+        move || {
+            (half..SEEDS)
+                .step_by(2)
+                .map(run_seed)
+                .collect::<Result<Vec<_>, _>>()
+        }
+    };
+    let halves = std::thread::scope(|scope| {
+        [scope.spawn(half(0)), scope.spawn(half(1))].map(|h| h.join().expect("a runner thread"))
     });
-    eprintln!("sim: {SEEDS} seeds in {:?}", start.elapsed());
+    let failures: Vec<&str> = halves
+        .iter()
+        .filter_map(|h| h.as_ref().err())
+        .map(|e| &**e)
+        .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let mut seeds = BTreeMap::<&str, u64>::new();
+    for fired in halves.iter().flatten().flatten() {
+        fired
+            .iter()
+            .for_each(|timer| *seeds.entry(timer).or_default() += 1);
+    }
+    seeds.remove("drained");
+    eprintln!(
+        "sim: {SEEDS} seeds in {:?}; seeds a timer fired in: {seeds:?}",
+        start.elapsed()
+    );
+    assert!(
+        seeds.len() == 7 && seeds.values().all(|&n| n >= SEEDS / 20),
+        "{seeds:?}"
+    );
 }
 
 #[test]

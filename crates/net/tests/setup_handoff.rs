@@ -6,27 +6,27 @@
 //! ([`Gated`]) holds a session's `view` call at a gate the test opens, so
 //! "while the set-up is out" is a state the test stands in, not a race it
 //! hopes to win; the servers run one worker, so "the same worker" is the
-//! only worker. Two tests are about clocks — what `session_deadline` does
-//! to a session that is out, and whose silence the time out is — and let
-//! time pass behind the gate; neither races anything. (The gate's own
-//! time-outs only turn a hang into a failure.)
+//! only worker. (The gate's own time-outs only turn a hang into a failure.)
 //!
 //! Covered here:
 //! * with one session's set-up held: a subscriber is pushed a mutation, a
 //!   second connection has its `Hello` answered and a delta catch-up served,
 //!   and the held session's next frame — sent before the gate opens — is
 //!   taken in order once it does;
-//! * the three ways a session ends while its machine is out — deadline, peer
-//!   close, `Server::shutdown` — each leave `started == completed + failed`
-//!   server-wide *and* on the store, nothing counted twice when the machine
-//!   comes back to nobody;
-//! * the time a machine is out is the server's: the peer's idle window does
-//!   not run over it and starts afresh when the machine is back;
-//! * a `view` that panics costs its own session (`Internal`), not the worker.
+//! * two ways a session ends while its machine is out — peer close,
+//!   `Server::shutdown` — each leave `started == completed + failed`
+//!   server-wide *and* on the store;
+//! * a `view` that panics on the set-up thread costs its own session
+//!   (`Internal`), not the worker.
 //!
-//! That a session served through the hand-off is byte-identical to one
-//! driven inline is pinned next to the inline driver, in
-//! `event_loop.rs`'s own tests (`Duet` is not visible from here).
+//! What the clocks do to a session that is out — refused at its deadline
+//! and counted once, the machine coming back to nobody; no read-idle
+//! window running while it is out, a fresh one once it is back — is the
+//! simulator's (`src/sim.rs`), on a virtual clock; so is a panicking unit
+//! beside every other fault. That a session served through the hand-off is
+//! byte-identical to one driven inline is pinned next to the inline
+//! driver, in `event_loop.rs`'s own tests (`Duet` is not visible from
+//! here).
 
 use pbs_net::client::SyncClient;
 use pbs_net::frame::ErrorCode;
@@ -292,78 +292,6 @@ fn a_held_set_up_holds_up_nobody_else_on_its_worker() {
     let stats = [server.shutdown(), store_stats(&registry)];
     assert_eq!(stats[0].views_declined, 1);
     assert_accounts("all three sessions", &stats, 3, 0);
-}
-
-#[test]
-fn a_session_past_its_deadline_while_out_is_refused_and_counted_once() {
-    let store = Gated::over(1..=1_000u64);
-    // The peer's silence is not what is running: an idle window shorter
-    // than the deadline must not cut the session first (silently).
-    let deadline = Duration::from_millis(400);
-    let config = ServerConfig {
-        session_deadline: deadline,
-        transport: TransportConfig {
-            read_timeout: Some(deadline / 4),
-            ..TransportConfig::default()
-        },
-        ..ServerConfig::default()
-    };
-    let (server, registry) = bind(&store, config);
-
-    let mut a = ByHand::connect(&server, (1..=990).collect());
-    a.park_at(&store);
-    match a.framed.recv() {
-        Err(NetError::Remote { code, message }) => {
-            assert_eq!(code, ErrorCode::Internal, "{message}");
-            assert!(message.contains("deadline"), "{message}");
-        }
-        other => panic!("expected the deadline's refusal, got {other:?}"),
-    }
-    assert!(a.framed.recv().is_err(), "then the connection closes");
-    // Reaped with its machine still out, on what the loop kept of it.
-    let stats = [server.stats().snapshot(), store_stats(&registry)];
-    assert_accounts("refused while out", &stats, 1, 1);
-
-    // The machine comes back to nobody: its step is dropped.
-    store.set(Gate::Open);
-    let report = SyncClient::connect(server.local_addr())
-        .expect("resolve")
-        .sync(&(1..=990).collect::<Vec<_>>())
-        .expect("the worker and its set-up thread still serve");
-    assert!(report.verified && report.recovered.len() == 10);
-    let stats = [server.shutdown(), store_stats(&registry)];
-    assert_accounts("after the machine returned", &stats, 2, 1);
-}
-
-#[test]
-fn the_time_a_machine_is_out_is_not_the_peers_silence() {
-    let store = Gated::over(1..=1_000u64);
-    let idle = Duration::from_millis(300);
-    let config = ServerConfig {
-        transport: TransportConfig {
-            read_timeout: Some(idle),
-            ..TransportConfig::default()
-        },
-        ..ServerConfig::default()
-    };
-    let (server, registry) = bind(&store, config);
-
-    // Held for two idle windows with the bank unsent: nothing cuts it.
-    let mut a = ByHand::connect(&server, (1..=990).collect());
-    a.park_at(&store);
-    std::thread::sleep(idle * 2);
-    store.set(Gate::Open);
-    // The unit is done and the machine on its way back; the peer's window
-    // opens then, not when the `Hello` was answered.
-    while metric(&server, "pbs_server_setups_in_flight") != 0.0 {
-        std::thread::yield_now();
-    }
-    std::thread::sleep(idle / 10);
-    let report = a.finish();
-    assert!(report.verified && report.recovered.len() == 10);
-    drop(a);
-    let stats = [server.shutdown(), store_stats(&registry)];
-    assert_accounts("held past its idle window", &stats, 1, 0);
 }
 
 #[test]

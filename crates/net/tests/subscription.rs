@@ -9,8 +9,10 @@
 //!   all 20 pushed mutation batches with exact byte accounting — the
 //!   worker wake path;
 //! * keepalive: an idle subscription outlives multiples of the liveness
-//!   window because the server pings and the client pongs — and so does a
-//!   busy one, pinged between its pushes;
+//!   window because the loop wakes for the timer and writes the `Ping`, and
+//!   the client pongs (the timer policy itself — a busy subscriber pinged
+//!   between pushes, the liveness cut only for a silent or stalled one — is
+//!   the simulator's, on its virtual clock);
 //! * shutdown: `Server::shutdown` wakes and drains parked subscribers —
 //!   their iterators end cleanly and no session leaks (the
 //!   `started == completed + failed` invariant holds in every test).
@@ -142,7 +144,7 @@ fn fan_out_256_subscribers_all_receive_every_batch() {
 
 #[test]
 fn idle_subscriptions_survive_on_keepalive() {
-    let keepalive = Duration::from_millis(100);
+    let keepalive = Duration::from_millis(30);
     let store = Arc::new(MutableStore::new(1..=10u64));
     let server = Server::bind(
         "127.0.0.1:0",
@@ -165,7 +167,7 @@ fn idle_subscriptions_survive_on_keepalive() {
         let report = sub.next().expect("pushed after idle").expect("push ok");
         (report, sub)
     });
-    std::thread::sleep(keepalive * 8);
+    std::thread::sleep(keepalive * 7);
     store.apply(&[777], &[]);
     let (report, sub) = reader.join().expect("reader thread");
     assert_eq!(report.added, vec![777]);
@@ -174,65 +176,11 @@ fn idle_subscriptions_survive_on_keepalive() {
     let stats = server.shutdown();
     assert!(
         stats.keepalive_pings >= 2,
-        "server pinged {} times across an 8x-keepalive idle window",
+        "server pinged {} times across a 7x-keepalive idle window",
         stats.keepalive_pings
     );
     assert_eq!(stats.subscribers_evicted, 0);
     assert_eq!(stats.sessions_failed, 0);
-    assert_eq!(
-        stats.sessions_started,
-        stats.sessions_completed + stats.sessions_failed
-    );
-}
-
-/// The other half of keepalive: a subscriber that is pushed to more often
-/// than the interval is still asked (a push says nothing about the peer),
-/// so it answers and outlives the 3× liveness cut. (It used to be cut: the
-/// ping's idle window restarted on every send.)
-#[test]
-fn busy_subscriptions_are_pinged_between_pushes() {
-    let keepalive = Duration::from_millis(100);
-    let store = Arc::new(MutableStore::new(1..=10u64));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&store) as Arc<_>,
-        ServerConfig {
-            keepalive,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-
-    let client = SyncClient::connect(server.local_addr()).expect("resolve");
-    let mut sub = client.subscribe(0).expect("subscribe");
-    sub.next().expect("catch-up").expect("catch-up ok");
-
-    // A push every quarter interval, across six intervals.
-    const BATCHES: u64 = 24;
-    let writer = {
-        let store = Arc::clone(&store);
-        std::thread::spawn(move || {
-            for i in 0..BATCHES {
-                store.apply(&[1_000 + i], &[]);
-                std::thread::sleep(keepalive / 4);
-            }
-        })
-    };
-    let mut batches = 0;
-    while batches < BATCHES {
-        let report = sub.next().expect("still live").expect("push ok");
-        batches += report.batches;
-    }
-    writer.join().expect("writer");
-    drop(sub);
-
-    let stats = server.shutdown();
-    assert!(
-        stats.keepalive_pings >= 2,
-        "{} pings",
-        stats.keepalive_pings
-    );
-    assert_eq!(stats.subscribers_evicted, 0);
     assert_eq!(
         stats.sessions_started,
         stats.sessions_completed + stats.sessions_failed
