@@ -216,7 +216,7 @@ fn main() {
     if !report.settled() {
         eprintln!(
             "pbs-loadgen: accounting violation: {} started != {} completed + {} failed + {} evicted",
-            report.started, report.completed, report.failed, report.evicted
+            report.counts.started, report.counts.completed, report.counts.failed, report.counts.evicted
         );
         std::process::exit(1);
     }

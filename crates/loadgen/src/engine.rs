@@ -20,8 +20,9 @@
 //! test pins.
 
 use crate::plan::{Arrival, Kind};
-use crate::session::{LoadSession, Outcome, PhaseNanos, SessionResult, SessionSpec};
+use crate::session::{LoadSession, Outcome, SessionResult, SessionSpec};
 use obs::Histogram;
+use pbs_net::SyncPhases;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -63,25 +64,28 @@ pub struct EngineConfig {
     pub delta_epoch: u64,
 }
 
+obs::counters! {
+    /// The run's monotone counts. Every submitted session is `started`
+    /// and reaped into exactly one of `completed`/`failed`/`evicted`.
+    pub struct Counts => CountsSnapshot {
+        /// Connect attempts included.
+        started: "Sessions submitted.",
+        completed: "Sessions that completed their workload.",
+        /// Connect, transport, protocol or deadline.
+        failed: "Sessions that failed.",
+        evicted: "Parked subscribers terminated by the server before the drain.",
+        delta_fallbacks: "Delta sessions that fell back to a full reconciliation.",
+        pushes: "Push batches received by parked subscribers.",
+        bytes_in: "Wire bytes received across all sessions.",
+        bytes_out: "Wire bytes sent across all sessions.",
+    }
+}
+
 /// Cross-thread counters and latency accumulators of one run.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Sessions submitted (connect attempts included).
-    pub started: AtomicU64,
-    /// Sessions that completed their workload.
-    pub completed: AtomicU64,
-    /// Sessions that failed (connect, transport, protocol, deadline).
-    pub failed: AtomicU64,
-    /// Parked subscribers terminated by the server before the drain.
-    pub evicted: AtomicU64,
-    /// Delta sessions that fell back to a full reconciliation.
-    pub delta_fallbacks: AtomicU64,
-    /// Push batches received by parked subscribers.
-    pub pushes: AtomicU64,
-    /// Wire bytes received across all sessions.
-    pub bytes_in: AtomicU64,
-    /// Wire bytes sent across all sessions.
-    pub bytes_out: AtomicU64,
+    /// The monotone counts.
+    pub counts: Counts,
     /// Sessions currently in flight (submitted, not yet reaped).
     pub inflight: AtomicU64,
     /// High-water mark of `inflight`.
@@ -90,62 +94,34 @@ pub struct Metrics {
     pub parked: AtomicU64,
     /// High-water mark of `parked`.
     pub peak_parked: AtomicU64,
-    /// Per-phase latency histograms, indexed like
-    /// `PhaseNanos::named`.
-    pub phases: PhaseHists,
+    /// Per-phase latency histograms of completed sessions, nanosecond
+    /// samples, indexed like [`SyncPhases::named`].
+    pub phases: [Histogram; 7],
     /// First few error strings, for diagnosis.
     pub errors: Mutex<Vec<String>>,
 }
 
-/// Seven histograms, one per [`PhaseNanos`] field, nanosecond samples.
-#[derive(Debug, Default)]
-pub struct PhaseHists {
-    hists: [Histogram; 7],
-}
-
-impl PhaseHists {
-    /// Record every phase that ran (zero marks — phases the workload kind
-    /// skipped — are not samples).
-    pub(crate) fn record(&self, phases: &PhaseNanos) {
-        for (i, (_, v)) in phases.named().iter().enumerate() {
-            if *v > 0 {
-                self.hists[i].record(*v);
-            }
-        }
-    }
-
-    /// `(name, histogram)` pairs in [`PhaseNanos::named`] order.
-    pub(crate) fn named(&self) -> [(&'static str, &Histogram); 7] {
-        let names = PhaseNanos::default().named();
-        [
-            (names[0].0, &self.hists[0]),
-            (names[1].0, &self.hists[1]),
-            (names[2].0, &self.hists[2]),
-            (names[3].0, &self.hists[3]),
-            (names[4].0, &self.hists[4]),
-            (names[5].0, &self.hists[5]),
-            (names[6].0, &self.hists[6]),
-        ]
-    }
-}
-
 impl Metrics {
     fn record(&self, result: &SessionResult) {
+        let counts = &self.counts;
         match result.outcome {
-            Outcome::Completed => self.completed.fetch_add(1, Ordering::Relaxed),
-            Outcome::Failed => self.failed.fetch_add(1, Ordering::Relaxed),
-            Outcome::Evicted => self.evicted.fetch_add(1, Ordering::Relaxed),
+            Outcome::Completed => counts.completed.inc(1),
+            Outcome::Failed => counts.failed.inc(1),
+            Outcome::Evicted => counts.evicted.inc(1),
         };
-        if result.delta_fallback {
-            self.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        self.pushes.fetch_add(result.pushes, Ordering::Relaxed);
-        self.bytes_in.fetch_add(result.bytes_in, Ordering::Relaxed);
-        self.bytes_out
-            .fetch_add(result.bytes_out, Ordering::Relaxed);
+        counts.delta_fallbacks.inc(u64::from(result.delta_fallback));
+        counts.pushes.inc(result.pushes);
+        counts.bytes_in.inc(result.bytes_in);
+        counts.bytes_out.inc(result.bytes_out);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         if matches!(result.outcome, Outcome::Completed) {
-            self.phases.record(&result.phases);
+            // Phases the workload kind skipped read zero: not samples.
+            for (hist, (_, took)) in self.phases.iter().zip(result.phases.named()) {
+                let nanos = took.as_nanos() as u64;
+                if nanos > 0 {
+                    hist.record(nanos);
+                }
+            }
         }
         if let Some(error) = &result.error {
             let mut errors = self.errors.lock().unwrap();
@@ -213,7 +189,7 @@ impl Engine {
     /// machine, hand it to a worker. Failures count as started+failed so
     /// the accounting identity holds.
     pub(crate) fn submit(&mut self, arrival: &Arrival) {
-        self.metrics.started.fetch_add(1, Ordering::SeqCst);
+        self.metrics.counts.started.inc(1);
         let inflight = self.metrics.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         self.metrics
             .peak_inflight
@@ -258,7 +234,7 @@ impl Engine {
             kind,
             outcome: Outcome::Failed,
             error: Some(error),
-            phases: PhaseNanos::default(),
+            phases: SyncPhases::default(),
             verified: false,
             delta_fallback: false,
             pushes: 0,

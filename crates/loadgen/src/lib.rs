@@ -30,4 +30,4 @@ pub mod session;
 pub use engine::{Engine, EngineConfig, Metrics};
 pub use plan::{build_plan, Arrival, Kind, Mix, PlanConfig};
 pub use report::Report;
-pub use session::{LoadSession, Outcome, PhaseNanos, SessionResult, SessionSpec};
+pub use session::{LoadSession, Outcome, SessionResult, SessionSpec};

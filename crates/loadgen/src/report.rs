@@ -4,11 +4,13 @@
 //! The JSON layer is hand-rolled (the workspace is std-only) and stable:
 //! the acceptance tests parse it back, and CI archives it next to the
 //! bench JSON. Latencies are reported in microseconds; every
-//! [`crate::session::PhaseNanos`] phase appears with `p50`/`p99`/`p999`/
-//! `count`, whether or not the workload mix exercised it.
+//! [`SyncPhases::named`] phase appears with `p50`/`p99`/`p999`/`count`,
+//! whether or not the workload mix exercised it.
 
-use crate::engine::Metrics;
+use crate::engine::{CountsSnapshot, Metrics};
 use crate::plan::PlanConfig;
+use obs::trace::json_escape;
+use pbs_net::SyncPhases;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -23,26 +25,12 @@ pub struct Report {
     pub achieved_rate: f64,
     /// Wall clock of the whole run, drain included.
     pub elapsed: Duration,
-    /// Counters, frozen.
-    pub started: u64,
-    /// See [`Metrics::completed`].
-    pub completed: u64,
-    /// See [`Metrics::failed`].
-    pub failed: u64,
-    /// See [`Metrics::evicted`].
-    pub evicted: u64,
-    /// See [`Metrics::delta_fallbacks`].
-    pub delta_fallbacks: u64,
-    /// See [`Metrics::pushes`].
-    pub pushes: u64,
+    /// The run's counts, frozen.
+    pub counts: CountsSnapshot,
     /// See [`Metrics::peak_inflight`].
     pub peak_inflight: u64,
     /// See [`Metrics::peak_parked`].
     pub peak_parked: u64,
-    /// Wire bytes received / sent across all sessions.
-    pub bytes_in: u64,
-    /// See [`Report::bytes_in`].
-    pub bytes_out: u64,
     /// Per-phase `(name, p50, p99, p999, count)`, microseconds.
     pub phases: Vec<(&'static str, u64, u64, u64, u64)>,
     /// Sampled error strings.
@@ -52,12 +40,12 @@ pub struct Report {
 impl Report {
     /// Freeze `metrics` into a report.
     pub fn build(metrics: &Metrics, plan: &PlanConfig, elapsed: Duration) -> Report {
-        let completed = metrics.completed.load(Ordering::SeqCst);
-        let phases = metrics
-            .phases
+        let counts = metrics.counts.snapshot();
+        let phases = SyncPhases::default()
             .named()
             .iter()
-            .map(|(name, hist)| {
+            .zip(&metrics.phases)
+            .map(|((name, _), hist)| {
                 (
                     *name,
                     hist.quantile(0.5) / 1_000,
@@ -70,18 +58,11 @@ impl Report {
         Report {
             seed: plan.seed,
             offered_rate: plan.rate,
-            achieved_rate: completed as f64 / elapsed.as_secs_f64().max(1e-9),
+            achieved_rate: counts.completed as f64 / elapsed.as_secs_f64().max(1e-9),
             elapsed,
-            started: metrics.started.load(Ordering::SeqCst),
-            completed,
-            failed: metrics.failed.load(Ordering::SeqCst),
-            evicted: metrics.evicted.load(Ordering::SeqCst),
-            delta_fallbacks: metrics.delta_fallbacks.load(Ordering::SeqCst),
-            pushes: metrics.pushes.load(Ordering::SeqCst),
+            counts,
             peak_inflight: metrics.peak_inflight.load(Ordering::SeqCst),
             peak_parked: metrics.peak_parked.load(Ordering::SeqCst),
-            bytes_in: metrics.bytes_in.load(Ordering::SeqCst),
-            bytes_out: metrics.bytes_out.load(Ordering::SeqCst),
             phases,
             errors: metrics.errors.lock().unwrap().clone(),
         }
@@ -89,13 +70,15 @@ impl Report {
 
     /// The accounting identity every drained run must satisfy.
     pub fn settled(&self) -> bool {
-        self.started == self.completed + self.failed + self.evicted
+        let c = &self.counts;
+        c.started == c.completed + c.failed + c.evicted
     }
 
     /// The human table.
     pub fn table(&self) -> String {
         let mut out = String::new();
         let secs = self.elapsed.as_secs_f64();
+        let c = &self.counts;
         out.push_str(&format!(
             "pbs-loadgen: seed {:#x}  offered {:.0}/s  achieved {:.0}/s  elapsed {:.2}s\n",
             self.seed, self.offered_rate, self.achieved_rate, secs
@@ -103,22 +86,17 @@ impl Report {
         out.push_str(&format!(
             "sessions: {} started = {} completed + {} failed + {} evicted  \
              (peak in-flight {}, peak parked {})\n",
-            self.started,
-            self.completed,
-            self.failed,
-            self.evicted,
-            self.peak_inflight,
-            self.peak_parked
+            c.started, c.completed, c.failed, c.evicted, self.peak_inflight, self.peak_parked
         ));
         out.push_str(&format!(
             "traffic: {} B in / {} B out ({:.0} B/s in, {:.0} B/s out), \
              {} pushes, {} delta fallbacks\n",
-            self.bytes_in,
-            self.bytes_out,
-            self.bytes_in as f64 / secs.max(1e-9),
-            self.bytes_out as f64 / secs.max(1e-9),
-            self.pushes,
-            self.delta_fallbacks
+            c.bytes_in,
+            c.bytes_out,
+            c.bytes_in as f64 / secs.max(1e-9),
+            c.bytes_out as f64 / secs.max(1e-9),
+            c.pushes,
+            c.delta_fallbacks
         ));
         out.push_str(&format!(
             "{:<10} {:>10} {:>10} {:>10} {:>8}\n",
@@ -145,18 +123,11 @@ impl Report {
             self.achieved_rate,
             self.elapsed.as_secs_f64()
         ));
-        for (key, value) in [
-            ("started", self.started),
-            ("completed", self.completed),
-            ("failed", self.failed),
-            ("evicted", self.evicted),
-            ("delta_fallbacks", self.delta_fallbacks),
-            ("pushes", self.pushes),
+        let peaks = [
             ("peak_inflight", self.peak_inflight),
             ("peak_parked", self.peak_parked),
-            ("bytes_in", self.bytes_in),
-            ("bytes_out", self.bytes_out),
-        ] {
+        ];
+        for (key, value) in self.counts.fields().into_iter().chain(peaks) {
             out.push_str(&format!("  \"{key}\": {value},\n"));
         }
         out.push_str("  \"phases_us\": {\n");
@@ -168,17 +139,12 @@ impl Report {
             ));
         }
         out.push_str("  },\n");
-        out.push_str("  \"errors\": [");
-        for (i, error) in self.errors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\"",
-                error.replace('\\', "\\\\").replace('"', "\\\"")
-            ));
-        }
-        out.push_str("]\n}\n");
+        let errors: Vec<String> = self
+            .errors
+            .iter()
+            .map(|e| format!("\"{}\"", json_escape(e)))
+            .collect();
+        out.push_str(&format!("  \"errors\": [{}]\n}}\n", errors.join(",")));
         out
     }
 }
@@ -186,15 +152,14 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Metrics;
 
     #[test]
     fn json_carries_every_phase_and_the_identity() {
         let metrics = Metrics::default();
-        metrics.started.store(5, Ordering::SeqCst);
-        metrics.completed.store(3, Ordering::SeqCst);
-        metrics.failed.store(1, Ordering::SeqCst);
-        metrics.evicted.store(1, Ordering::SeqCst);
+        metrics.counts.started.inc(5);
+        metrics.counts.completed.inc(3);
+        metrics.counts.failed.inc(1);
+        metrics.counts.evicted.inc(1);
         let report = Report::build(&metrics, &PlanConfig::default(), Duration::from_secs(2));
         assert!(report.settled());
         let json = report.json();
@@ -215,5 +180,20 @@ mod tests {
         assert!(json.contains("\"started\": 5"));
         let table = report.table();
         assert!(table.contains("5 started = 3 completed + 1 failed + 1 evicted"));
+    }
+
+    #[test]
+    fn a_peer_chosen_error_message_stays_one_json_string() {
+        let metrics = Metrics::default();
+        let error = "Full/Failed: peer error [internal]: a \"quoted\"\nline\tand tab";
+        metrics.errors.lock().unwrap().push(error.into());
+        let report = Report::build(&metrics, &PlanConfig::default(), Duration::from_secs(1));
+        let json = report.json();
+        let escaped = r#""Full/Failed: peer error [internal]: a \"quoted\"\nline\tand tab""#;
+        assert!(
+            json.contains(&format!("\"errors\": [{escaped}]\n")),
+            "{json}"
+        );
+        assert!(!json.contains('\t'), "a raw tab in a JSON string:\n{json}");
     }
 }

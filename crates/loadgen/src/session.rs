@@ -66,58 +66,6 @@ pub enum Outcome {
     Failed,
 }
 
-/// Per-phase wall-clock marks, mirroring
-/// [`pbs_net::client::SyncPhases`] field for field (plus `park` for the
-/// time a subscriber spent parked).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseNanos {
-    /// TCP connect (measured by the engine, before the machine starts).
-    pub connect: u64,
-    /// `Hello` sent → negotiated reply validated.
-    pub handshake: u64,
-    /// Estimator exchange.
-    pub estimate: u64,
-    /// The sketch/report round loop.
-    pub rounds: u64,
-    /// Final transfer and its ack.
-    pub transfer: u64,
-    /// Delta catch-up stream.
-    pub delta: u64,
-    /// Whole session, connect included (for subscribers: up to the park).
-    pub total: u64,
-}
-
-impl From<SyncPhases> for PhaseNanos {
-    fn from(p: SyncPhases) -> Self {
-        let nanos = |d: Duration| d.as_nanos() as u64;
-        PhaseNanos {
-            connect: nanos(p.connect),
-            handshake: nanos(p.handshake),
-            estimate: nanos(p.estimate),
-            rounds: nanos(p.rounds),
-            transfer: nanos(p.transfer),
-            delta: nanos(p.delta),
-            total: nanos(p.total),
-        }
-    }
-}
-
-impl PhaseNanos {
-    /// `(name, value)` pairs in presentation order — every consumer
-    /// (table, JSON, assertions) iterates this one list.
-    pub(crate) fn named(&self) -> [(&'static str, u64); 7] {
-        [
-            ("connect", self.connect),
-            ("handshake", self.handshake),
-            ("estimate", self.estimate),
-            ("rounds", self.rounds),
-            ("transfer", self.transfer),
-            ("delta", self.delta),
-            ("total", self.total),
-        ]
-    }
-}
-
 /// What one finished session reports back to the engine.
 #[derive(Debug, Clone)]
 pub struct SessionResult {
@@ -127,8 +75,9 @@ pub struct SessionResult {
     pub outcome: Outcome,
     /// The failure, for [`Outcome::Failed`]/[`Outcome::Evicted`].
     pub error: Option<String>,
-    /// Per-phase latency marks.
-    pub phases: PhaseNanos,
+    /// Per-phase latency marks (`total`, for a subscriber, up to the
+    /// park).
+    pub phases: SyncPhases,
     /// Reconciliation sessions: every group checksum verified.
     pub verified: bool,
     /// A requested delta catch-up was refused and the session fell back
@@ -202,7 +151,7 @@ impl LoadSession {
             ..ClientConfig::default()
         };
         let mut session = LoadSession {
-            mux: MuxStream::from_tcp(stream, spec.max_frame, true).map_err(NetError::Io)?,
+            mux: MuxStream::from_tcp(stream, spec.max_frame).map_err(NetError::Io)?,
             machine: ClientMachine::new(&config, set, mode)?,
             kind,
             deadline: spec.deadline,
@@ -387,7 +336,7 @@ impl LoadSession {
             verified: outcome == Outcome::Completed,
             delta_fallback: report.as_ref().is_some_and(|r| r.delta_fallback),
             error,
-            phases: self.phases.into(),
+            phases: self.phases,
             pushes: self.pushes,
             bytes_in: self.mux.bytes_in(),
             bytes_out: self.mux.bytes_out(),

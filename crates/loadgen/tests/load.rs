@@ -92,14 +92,14 @@ fn two_thousand_concurrent_sessions_settle_exactly() {
     assert!(
         report.settled(),
         "accounting violation: {} started != {} + {} + {}",
-        report.started,
-        report.completed,
-        report.failed,
-        report.evicted
+        report.counts.started,
+        report.counts.completed,
+        report.counts.failed,
+        report.counts.evicted
     );
-    assert_eq!(report.started, SESSIONS as u64);
-    assert_eq!(report.failed, 0, "errors: {:?}", report.errors);
-    assert_eq!(report.evicted, 0, "errors: {:?}", report.errors);
+    assert_eq!(report.counts.started, SESSIONS as u64);
+    assert_eq!(report.counts.failed, 0, "errors: {:?}", report.errors);
+    assert_eq!(report.counts.evicted, 0, "errors: {:?}", report.errors);
     assert!(
         report.peak_inflight >= 2_000,
         "peak in-flight {} under the 2,000 floor",
@@ -111,13 +111,13 @@ fn two_thousand_concurrent_sessions_settle_exactly() {
         report.peak_parked
     );
     assert_eq!(
-        report.delta_fallbacks, 0,
+        report.counts.delta_fallbacks, 0,
         "the baseline epoch never ages out"
     );
     assert!(
-        report.pushes >= 1_000,
+        report.counts.pushes >= 1_000,
         "only {} of ~{} parked subscribers saw the push",
-        report.pushes,
+        report.counts.pushes,
         subscribers
     );
 
@@ -146,8 +146,8 @@ fn two_thousand_concurrent_sessions_settle_exactly() {
             .map(|&(_, _, _, _, count)| count)
             .expect("phase present")
     };
-    assert_eq!(phase_count("connect"), report.completed);
-    assert_eq!(phase_count("total"), report.completed);
+    assert_eq!(phase_count("connect"), report.counts.completed);
+    assert_eq!(phase_count("total"), report.counts.completed);
     assert!(phase_count("estimate") > 0, "no full/pipelined session ran");
     assert!(phase_count("rounds") > 0);
     assert!(phase_count("transfer") > 0);

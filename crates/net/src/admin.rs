@@ -22,7 +22,6 @@
 //! The metric catalog is documented in `docs/OBSERVABILITY.md`.
 
 use crate::poll::{Interest, Poller};
-pub use crate::server::snapshot_fields;
 use crate::server::{Server, ServerStats, StatsSnapshot};
 use crate::store::StoreRegistry;
 use std::io::{self, Read, Write};
@@ -301,24 +300,12 @@ fn response(status: u16, content_type: &str, body: &str) -> Vec<u8> {
 }
 
 fn snapshot_object(s: &StatsSnapshot) -> String {
-    let fields: Vec<String> = snapshot_fields(s)
+    let fields: Vec<String> = s
+        .fields()
         .iter()
         .map(|(name, value)| format!("\"{name}\":{value}"))
         .collect();
     format!("{{{}}}", fields.join(","))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn stats_json(state: &AdminState) -> String {
@@ -336,7 +323,7 @@ fn stats_json(state: &AdminState) -> String {
         }
         first = false;
         out.push('"');
-        out.push_str(&json_escape(&name));
+        out.push_str(&obs::trace::json_escape(&name));
         out.push_str("\":");
         out.push_str(&snapshot_object(&entry.stats().snapshot()));
     }

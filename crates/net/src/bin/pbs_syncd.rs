@@ -424,11 +424,11 @@ fn main() {
             s.keepalive_pings,
         );
         if let Some(mesh) = &mesh {
-            for peer in mesh.stats().snapshot() {
+            for (addr, peer) in mesh.stats().snapshot() {
                 println!(
                     "pbs-syncd:   peer {}: syncs {}/{} ok (failed {}), \
                      bytes out/in {}/{}, elements pulled {} / pushed {}",
-                    peer.peer,
+                    addr,
                     peer.syncs_completed,
                     peer.syncs_attempted,
                     peer.syncs_failed,

@@ -151,6 +151,20 @@ pub struct SyncPhases {
 }
 
 impl SyncPhases {
+    /// Every phase by name, in presentation order — the one list a
+    /// table, a JSON document or a histogram per phase iterates.
+    pub fn named(&self) -> [(&'static str, Duration); 7] {
+        [
+            ("connect", self.connect),
+            ("handshake", self.handshake),
+            ("estimate", self.estimate),
+            ("rounds", self.rounds),
+            ("transfer", self.transfer),
+            ("delta", self.delta),
+            ("total", self.total),
+        ]
+    }
+
     /// Record `took` as the duration of the phase a
     /// [`Step`] reported as just ended.
     pub fn stamp(&mut self, phase: Phase, took: Duration) {

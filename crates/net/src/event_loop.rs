@@ -261,7 +261,7 @@ struct Session {
 impl Session {
     fn new(stream: TcpStream, config: &ServerConfig, now: Instant, id: u64) -> io::Result<Session> {
         stream.set_nonblocking(true)?;
-        stream.set_nodelay(config.transport.nodelay)?;
+        stream.set_nodelay(true)?;
         let fd = stream.as_raw_fd();
         Ok(Session {
             nb: MuxStream::new(stream, config.transport.max_frame),

@@ -224,10 +224,6 @@ pub struct TransportConfig {
     pub read_timeout: Option<Duration>,
     /// Per-frame write timeout (`None` blocks forever).
     pub write_timeout: Option<Duration>,
-    /// Disable Nagle's algorithm. The protocol is strictly request/response
-    /// with small frames, the worst case for delayed ACK interactions, so
-    /// this defaults to `true`.
-    pub nodelay: bool,
 }
 
 impl Default for TransportConfig {
@@ -236,7 +232,6 @@ impl Default for TransportConfig {
             max_frame: frame::DEFAULT_MAX_FRAME,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            nodelay: true,
         }
     }
 }
@@ -254,11 +249,13 @@ pub struct FramedStream<S> {
 
 impl FramedStream<TcpStream> {
     /// Wrap a TCP stream, applying the transport configuration's timeouts
-    /// and `TCP_NODELAY` setting.
+    /// and setting `TCP_NODELAY`: the protocol is strictly
+    /// request/response with small frames, the worst case for Nagle's
+    /// algorithm against delayed ACKs.
     pub fn from_tcp(stream: TcpStream, cfg: &TransportConfig) -> std::io::Result<Self> {
         stream.set_read_timeout(cfg.read_timeout)?;
         stream.set_write_timeout(cfg.write_timeout)?;
-        stream.set_nodelay(cfg.nodelay)?;
+        stream.set_nodelay(true)?;
         Ok(Self::new(stream, cfg.max_frame))
     }
 }

@@ -27,7 +27,7 @@
 use crate::client::{sync, ClientConfig, SyncReport};
 use crate::store::{RegisteredStore, StoreRegistry};
 use crate::NetError;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,49 +59,25 @@ impl Default for MeshConfig {
     }
 }
 
-/// Per-peer (per-link) counters, updated by every pairwise sync. All
-/// counters are cumulative; byte counters come straight from the
-/// [`crate::client::SyncReport`] wire ledgers, so on a fault-free link
-/// they equal what the peer's server counted in and out.
-#[derive(Debug, Default)]
-pub struct PeerStats {
-    /// Pairwise syncs attempted (one per store per rotation).
-    pub syncs_attempted: AtomicU64,
-    /// Pairwise syncs that completed verified.
-    pub syncs_completed: AtomicU64,
-    /// Pairwise syncs that failed (connect, transport, protocol) or came
-    /// back unverified.
-    pub syncs_failed: AtomicU64,
-    /// Wire bytes sent to this peer over completed syncs.
-    pub bytes_sent: AtomicU64,
-    /// Wire bytes received from this peer over completed syncs.
-    pub bytes_received: AtomicU64,
-    /// Elements learned from this peer and applied locally (`B \ A`).
-    pub elements_pulled: AtomicU64,
-    /// Elements pushed to this peer by the protocol's final transfer
-    /// (`A \ B`).
-    pub elements_pushed: AtomicU64,
-}
-
-/// One peer's counters, frozen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerSnapshot {
-    /// The peer address these counters are about.
-    pub peer: String,
-    /// See [`PeerStats::syncs_attempted`].
-    pub syncs_attempted: u64,
-    /// See [`PeerStats::syncs_completed`].
-    pub syncs_completed: u64,
-    /// See [`PeerStats::syncs_failed`].
-    pub syncs_failed: u64,
-    /// See [`PeerStats::bytes_sent`].
-    pub bytes_sent: u64,
-    /// See [`PeerStats::bytes_received`].
-    pub bytes_received: u64,
-    /// See [`PeerStats::elements_pulled`].
-    pub elements_pulled: u64,
-    /// See [`PeerStats::elements_pushed`].
-    pub elements_pushed: u64,
+obs::counters! {
+    /// Per-peer (per-link) counters, updated by every pairwise sync. All
+    /// counters are cumulative; byte counters come straight from the
+    /// [`crate::client::SyncReport`] wire ledgers, so on a fault-free link
+    /// they equal what the peer's server counted in and out. A running
+    /// [`MeshDriver`] registers them as `pbs_mesh_*_total{peer}`.
+    pub struct PeerStats => PeerSnapshot {
+        /// One per store per rotation.
+        syncs_attempted: "Pairwise syncs attempted.",
+        syncs_completed: "Pairwise syncs that completed verified.",
+        /// Connect, transport or protocol failures, and unverified syncs.
+        syncs_failed: "Pairwise syncs that failed or came back unverified.",
+        bytes_sent: "Wire bytes sent to the peer over verified syncs.",
+        bytes_received: "Wire bytes received from the peer over verified syncs.",
+        /// `B \ A`.
+        elements_pulled: "Elements learned from the peer and applied locally.",
+        /// `A \ B`.
+        elements_pushed: "Elements pushed to the peer by the final transfer.",
+    }
 }
 
 /// The per-peer counter set of one driver.
@@ -111,35 +87,16 @@ pub struct MeshStats {
 }
 
 impl MeshStats {
-    /// Build the counter set for `peers` (order preserved).
-    pub fn new(peers: &[String]) -> Self {
-        MeshStats {
-            peers: peers
-                .iter()
-                .map(|p| (p.clone(), Arc::new(PeerStats::default())))
-                .collect(),
-        }
-    }
-
     /// The counters for `peer`, if it is part of this mesh.
     pub(crate) fn peer(&self, peer: &str) -> Option<&Arc<PeerStats>> {
         self.peers.iter().find(|(p, _)| p == peer).map(|(_, s)| s)
     }
 
-    /// Freeze every peer's counters.
-    pub fn snapshot(&self) -> Vec<PeerSnapshot> {
+    /// Freeze every peer's counters, beside its address.
+    pub fn snapshot(&self) -> Vec<(&str, PeerSnapshot)> {
         self.peers
             .iter()
-            .map(|(peer, s)| PeerSnapshot {
-                peer: peer.clone(),
-                syncs_attempted: s.syncs_attempted.load(Ordering::Relaxed),
-                syncs_completed: s.syncs_completed.load(Ordering::Relaxed),
-                syncs_failed: s.syncs_failed.load(Ordering::Relaxed),
-                bytes_sent: s.bytes_sent.load(Ordering::Relaxed),
-                bytes_received: s.bytes_received.load(Ordering::Relaxed),
-                elements_pulled: s.elements_pulled.load(Ordering::Relaxed),
-                elements_pushed: s.elements_pushed.load(Ordering::Relaxed),
-            })
+            .map(|(peer, s)| (peer.as_str(), s.snapshot()))
             .collect()
     }
 }
@@ -177,7 +134,7 @@ pub fn anti_entropy_round(
         let mut cfg = config.clone();
         cfg.store = name.clone();
         cfg.delta_epoch = None;
-        stats.syncs_attempted.fetch_add(1, Ordering::Relaxed);
+        stats.syncs_attempted.inc(1);
         let synced = sync(peer, &snapshot, &cfg);
         if let Err(e) = settle(&entry, synced, stats, &mut outcome) {
             first_error.get_or_insert(e);
@@ -205,13 +162,9 @@ pub(crate) fn settle(
         // ingested (`A \ B`) count. The rest, `B \ A`, is ours to apply — an
         // ordinary epoch-bumping batch on a MutableStore — if it lands.
         let pushed = report.pushed.len() as u64;
-        stats
-            .bytes_sent
-            .fetch_add(report.bytes_sent, Ordering::Relaxed);
-        stats
-            .bytes_received
-            .fetch_add(report.bytes_received, Ordering::Relaxed);
-        stats.elements_pushed.fetch_add(pushed, Ordering::Relaxed);
+        stats.bytes_sent.inc(report.bytes_sent);
+        stats.bytes_received.inc(report.bytes_received);
+        stats.elements_pushed.inc(pushed);
         outcome.pushed += pushed;
         let pulled = report.pulled();
         match pulled.is_empty() || entry.store().apply_missing(&pulled) {
@@ -224,12 +177,12 @@ pub(crate) fn settle(
         }
     });
     let Ok(pulled) = pulled else {
-        stats.syncs_failed.fetch_add(1, Ordering::Relaxed);
+        stats.syncs_failed.inc(1);
         outcome.failed += 1;
         return pulled.map(drop);
     };
-    stats.syncs_completed.fetch_add(1, Ordering::Relaxed);
-    stats.elements_pulled.fetch_add(pulled, Ordering::Relaxed);
+    stats.syncs_completed.inc(1);
+    stats.elements_pulled.inc(pulled);
     outcome.synced += 1;
     outcome.pulled += pulled;
     Ok(())
@@ -249,10 +202,19 @@ impl MeshDriver {
     /// seeded order (reshuffled per rotation — xorshift over
     /// [`MeshConfig::seed`]), reconciling every store of `registry`
     /// against it, then sleeps [`MeshConfig::interval`] with ±25% seeded
-    /// jitter so a fleet of identical nodes de-synchronizes.
+    /// jitter so a fleet of identical nodes de-synchronizes. Each peer's
+    /// counters are registered in `registry`'s metrics as
+    /// `pbs_mesh_*_total{peer="…"}`.
     pub fn spawn(registry: Arc<StoreRegistry>, config: MeshConfig) -> MeshDriver {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(MeshStats::new(&config.peers));
+        let metrics = registry.metrics();
+        let peers = config.peers.iter().map(|peer| {
+            let stats = PeerStats::registered(&metrics, "pbs_mesh_", &[("peer", peer)]);
+            (peer.clone(), Arc::new(stats))
+        });
+        let stats = Arc::new(MeshStats {
+            peers: peers.collect(),
+        });
         let thread_shutdown = Arc::clone(&shutdown);
         let thread_stats = Arc::clone(&stats);
         let handle = std::thread::Builder::new()
@@ -348,8 +310,39 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b, "one pairwise round reaches A ∪ B on both sides");
         assert_eq!(a, vec![1, 2, 3, 4, 10, 20]);
-        assert_eq!(stats.syncs_completed.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.elements_pulled.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.syncs_completed.get(), 1);
+        assert_eq!(stats.elements_pulled.get(), 2);
+    }
+
+    #[test]
+    fn the_registered_byte_counter_is_the_syncs_own_ledger() {
+        let local = Arc::new(MutableStore::new([1u64, 2, 3, 10]));
+        let remote = Arc::new(MutableStore::new([2u64, 3, 4, 20]));
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::clone(&remote) as Arc<_>,
+            ServerConfig::default(),
+        )
+        .expect("bind peer");
+        let peer = server.local_addr().to_string();
+
+        let registry = StoreRegistry::single(Arc::clone(&local) as Arc<_>);
+        let metrics = registry.metrics();
+        let stats = PeerStats::registered(&metrics, "pbs_mesh_", &[("peer", &peer)]);
+        let (held, _) = local.snapshot_with_epoch();
+        let report = sync(peer.as_str(), &held, &ClientConfig::default()).expect("sync");
+        let entry = registry.get("").expect("the default store");
+        let outcome = &mut RoundOutcome::default();
+        settle(&entry, Ok(report.clone()), &stats, outcome).expect("a verified sync");
+        server.shutdown();
+
+        assert_eq!(outcome.synced, 1);
+        let line = format!(
+            "pbs_mesh_bytes_sent_total{{peer=\"{peer}\"}} {}",
+            report.bytes_sent
+        );
+        let text = metrics.render_prometheus();
+        assert!(text.lines().any(|l| l == line), "{line} not in\n{text}");
     }
 
     #[test]
@@ -379,8 +372,8 @@ mod tests {
             (0, 2),
             "the peer still took 1 and 10"
         );
-        assert_eq!(stats.elements_pulled.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.syncs_failed.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.elements_pulled.get(), 0);
+        assert_eq!(stats.syncs_failed.get(), 1);
         assert!(!local.contains(4) && remote.contains(10));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -399,6 +392,6 @@ mod tests {
         assert_eq!(outcome.synced, 0);
         assert_eq!(outcome.failed, 1);
         assert!(err.is_some());
-        assert_eq!(stats.syncs_failed.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.syncs_failed.get(), 1);
     }
 }

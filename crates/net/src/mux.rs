@@ -74,13 +74,13 @@ impl MuxStream {
         }
     }
 
-    /// Put `stream` into non-blocking mode (applying `nodelay`) and wrap
-    /// it. This is the client-side entry point: pair it with a
+    /// Put `stream` into non-blocking mode with `TCP_NODELAY` set and
+    /// wrap it. This is the client-side entry point: pair it with a
     /// `TcpStream::connect` that has already completed, or a non-blocking
     /// connect whose socket is handed over mid-establishment.
-    pub fn from_tcp(stream: TcpStream, max_frame: u32, nodelay: bool) -> io::Result<Self> {
+    pub fn from_tcp(stream: TcpStream, max_frame: u32) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(nodelay);
+        let _ = stream.set_nodelay(true);
         Ok(MuxStream::new(stream, max_frame))
     }
 
@@ -205,8 +205,8 @@ mod tests {
     #[test]
     fn frames_round_trip_through_partial_reads() {
         let (a, b) = pair();
-        let mut tx = MuxStream::from_tcp(a, 1 << 20, true).unwrap();
-        let mut rx = MuxStream::from_tcp(b, 1 << 20, true).unwrap();
+        let mut tx = MuxStream::from_tcp(a, 1 << 20).unwrap();
+        let mut rx = MuxStream::from_tcp(b, 1 << 20).unwrap();
         tx.queue(&Frame::Ping { nonce: 7 }).unwrap();
         tx.queue(&Frame::DeltaDone { epoch: 42 }).unwrap();
         while tx.pending_out() > 0 {
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn peer_close_is_an_event_not_an_error() {
         let (a, b) = pair();
-        let mut rx = MuxStream::from_tcp(a, 1 << 20, true).unwrap();
+        let mut rx = MuxStream::from_tcp(a, 1 << 20).unwrap();
         drop(b);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while !rx.peer_closed() {

@@ -32,7 +32,6 @@ use crate::event_loop::{spawn_acceptor, spawn_worker, Notice, SessionMetrics, Sh
 use crate::server_machine::Resources;
 use crate::store::StoreRegistry;
 use crate::TransportConfig;
-use obs::Counter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -109,126 +108,48 @@ impl Default for ServerConfig {
     }
 }
 
-/// Declares the server's counters once. From the one table below it
-/// stamps [`ServerStats`] (the live atomics), [`StatsSnapshot`] (their
-/// point-in-time copy), the registration under
-/// `{prefix}{field}_total` with the help string given here,
-/// [`ServerStats::snapshot`] and [`snapshot_fields`] — so a counter cannot
-/// exist in one of the five and be missing from another.
-macro_rules! server_counters {
-    ($($(#[$doc:meta])* $name:ident: $help:literal,)*) => {
-        /// Monotonic counters exported by a running server. All
-        /// loads/stores are relaxed — they are statistics, not
-        /// synchronization.
-        #[derive(Debug, Default)]
-        pub struct ServerStats {
-            $($(#[$doc])* pub $name: Counter,)*
-        }
-
-        /// A point-in-time copy of [`ServerStats`].
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct StatsSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl ServerStats {
-            /// Build a stats block whose counters live in `metrics` under
-            /// `{prefix}{field}_total` with the given label set, so the
-            /// Prometheus rendering and the [`StatsSnapshot`] compatibility
-            /// view read the same atomics. Registration is idempotent:
-            /// re-registering the same `(prefix, labels)` pair (a store
-            /// replaced at runtime) resumes the existing counters instead
-            /// of resetting them.
-            pub(crate) fn registered(
-                metrics: &obs::Registry,
-                prefix: &str,
-                labels: &[(&str, &str)],
-            ) -> ServerStats {
-                ServerStats {
-                    $($name: metrics.counter(
-                        &format!("{prefix}{}_total", stringify!($name)),
-                        $help,
-                        labels,
-                    ),)*
-                }
-            }
-
-            /// Copy every counter.
-            pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $($name: self.$name.get(),)*
-                }
-            }
-        }
-
-        /// The [`StatsSnapshot`] fields as `(name, value)` pairs, in
-        /// declaration order — what `/stats.json` renders.
-        pub fn snapshot_fields(
-            s: &StatsSnapshot,
-        ) -> [(&'static str, u64); [$(stringify!($name)),*].len()] {
-            [$((stringify!($name), s.$name),)*]
-        }
-    };
-}
-
-server_counters! {
-    /// Connections handed to a worker.
-    sessions_started: "Connections handed to a worker.",
-    /// Sessions that ran to a clean end (final ack delivered, or a live
-    /// subscription that ended after it).
-    sessions_completed: "Sessions that ran to a clean end.",
-    /// Sessions that ended in any error (including peer disconnects
-    /// mid-protocol).
-    sessions_failed: "Sessions that ended in any error.",
-    /// Protocol rounds served across all sessions (a pipelined frame
-    /// counts once per layer it carries).
-    rounds: "Protocol rounds served (pipelined layers counted individually).",
-    /// Sketch/report exchanges served — request-response round trips. At
-    /// most `rounds`; lower exactly when clients pipelined.
-    round_trips: "Sketch/report request-response round trips served.",
-    /// Wire bytes received, framing included.
-    bytes_in: "Wire bytes received, framing included.",
-    /// Wire bytes sent, framing included.
-    bytes_out: "Wire bytes sent, framing included.",
-    /// Frames received.
-    frames_in: "Frames received.",
-    /// Frames sent.
-    frames_out: "Frames sent.",
-    /// BCH decode failures across all sessions (each one split a group).
-    decode_failures: "BCH decode failures (each one split a group).",
-    /// Estimator exchanges served.
-    estimator_exchanges: "Estimator exchanges served.",
-    /// Elements ingested from clients' final transfers.
-    elements_received: "Elements ingested from clients' final transfers.",
-    /// Sessions served entirely from the changelog — the delta
-    /// short-circuit (no reconciliation ran).
-    delta_sessions: "Sessions served entirely from the changelog (delta path).",
-    /// Delta requests answered with `FullResyncRequired` (changelog
-    /// trimmed, epoch from the future, or an epoch-less store).
-    delta_fallbacks: "Delta requests answered with FullResyncRequired.",
-    /// `DeltaBatch` frames streamed in delta catch-ups.
-    delta_batches: "DeltaBatch frames streamed in delta catch-ups.",
-    /// Elements (adds plus removes) streamed in delta catch-ups.
-    delta_elements: "Elements streamed in delta catch-ups.",
-    /// Live subscriptions accepted (`Subscribe` frames honored).
-    subscriptions: "Live subscriptions accepted.",
-    /// `DeltaBatch` frames pushed to live subscribers.
-    push_batches: "DeltaBatch frames pushed to live subscribers.",
-    /// Elements (adds plus removes) pushed to live subscribers.
-    push_elements: "Elements pushed to live subscribers.",
-    /// Subscribers evicted for falling behind (buffer cap or write
-    /// stall).
-    subscribers_evicted: "Subscribers evicted for falling behind.",
-    /// Keepalive `Ping` frames sent to idle subscribers.
-    keepalive_pings: "Keepalive Ping frames sent to idle subscribers.",
-    /// Full sessions served from the store's cached view, brought forward
-    /// from the changelog (or found current).
-    views_patched: "Full sessions served from the store's cached view, patched from the changelog.",
-    /// Full sessions that built the store's view from a snapshot.
-    views_built: "Full sessions that built the store's view from a snapshot.",
-    /// Full sessions the store declined a view: each took and partitioned
-    /// a snapshot of its own.
-    views_declined: "Full sessions served from a private snapshot (no view).",
+obs::counters! {
+    /// Monotonic counters exported by a running server, server-wide as
+    /// `pbs_server_*_total` and per store as `pbs_store_*_total{store}`.
+    /// All loads/stores are relaxed — they are statistics, not
+    /// synchronization.
+    pub struct ServerStats => StatsSnapshot {
+        sessions_started: "Connections handed to a worker.",
+        /// Final ack delivered, or a live subscription that ended after it.
+        sessions_completed: "Sessions that ran to a clean end.",
+        /// Peer disconnects mid-protocol included.
+        sessions_failed: "Sessions that ended in any error.",
+        rounds: "Protocol rounds served (pipelined layers counted individually).",
+        /// At most `rounds`; lower exactly when clients pipelined.
+        round_trips: "Sketch/report request-response round trips served.",
+        bytes_in: "Wire bytes received, framing included.",
+        bytes_out: "Wire bytes sent, framing included.",
+        frames_in: "Frames received.",
+        frames_out: "Frames sent.",
+        decode_failures: "BCH decode failures (each one split a group).",
+        estimator_exchanges: "Estimator exchanges served.",
+        elements_received: "Elements ingested from clients' final transfers.",
+        /// No reconciliation ran.
+        delta_sessions: "Sessions served entirely from the changelog (delta path).",
+        /// Changelog trimmed, epoch from the future, or an epoch-less store.
+        delta_fallbacks: "Delta requests answered with FullResyncRequired.",
+        delta_batches: "DeltaBatch frames streamed in delta catch-ups.",
+        /// Adds plus removes.
+        delta_elements: "Elements streamed in delta catch-ups.",
+        /// `Subscribe` frames honored.
+        subscriptions: "Live subscriptions accepted.",
+        push_batches: "DeltaBatch frames pushed to live subscribers.",
+        /// Adds plus removes.
+        push_elements: "Elements pushed to live subscribers.",
+        /// Buffer cap or write stall.
+        subscribers_evicted: "Subscribers evicted for falling behind.",
+        keepalive_pings: "Keepalive Ping frames sent to idle subscribers.",
+        /// Or found current.
+        views_patched: "Full sessions served from the store's cached view, patched from the changelog.",
+        views_built: "Full sessions that built the store's view from a snapshot.",
+        /// Each took and partitioned a snapshot of its own.
+        views_declined: "Full sessions served from a private snapshot (no view).",
+    }
 }
 
 /// A running reconciliation server. Dropping it without calling

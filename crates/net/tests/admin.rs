@@ -17,12 +17,13 @@
 //!   down (the admin listener outlives the drain);
 //! * `/stats.json` and 404/405 routing;
 //! * the documentation lint: every metric family a fully-populated server
-//!   registers is documented in `docs/OBSERVABILITY.md`.
+//!   registers — a mesh driver's per-peer families included — is
+//!   documented in `docs/OBSERVABILITY.md`.
 
-use pbs_net::admin::{snapshot_fields, AdminServer, AdminState};
+use pbs_net::admin::{AdminServer, AdminState};
 use pbs_net::server::{Server, ServerConfig, StatsSnapshot};
 use pbs_net::wal::DurableOptions;
-use pbs_net::{StoreRegistry, SyncClient};
+use pbs_net::{MeshConfig, MeshDriver, StoreRegistry, SyncClient};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -150,7 +151,7 @@ fn metrics_reconcile_with_stats_snapshot_and_wire_ledger() {
     let metrics = parse_metrics(&body);
 
     // Every snapshot counter appears verbatim, globally and per store.
-    for (name, value) in snapshot_fields(&snap) {
+    for (name, value) in snap.fields() {
         assert_eq!(
             counter(&metrics, &format!("pbs_server_{name}_total")),
             value,
@@ -393,10 +394,29 @@ fn every_registered_metric_family_is_documented() {
         .sync(&alice)
         .expect("sync");
 
+    // A node running a mesh registers its per-peer families in the same
+    // registry; one unreachable peer is enough.
+    let unreachable = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("addr").to_string()
+    };
+    let mesh = MeshDriver::spawn(
+        Arc::clone(&registry),
+        MeshConfig {
+            peers: vec![unreachable],
+            ..MeshConfig::default()
+        },
+    );
+
     let doc_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/OBSERVABILITY.md");
     let doc = std::fs::read_to_string(&doc_path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", doc_path.display()));
     let families = server.metrics().families();
+    assert!(
+        families.iter().any(|f| f.starts_with("pbs_mesh_")),
+        "the mesh registered no family: {families:?}"
+    );
+    drop(mesh);
     assert!(!families.is_empty(), "the server registered no metrics");
     let undocumented: Vec<String> = families
         .into_iter()

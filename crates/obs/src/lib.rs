@@ -7,7 +7,8 @@
 //!   `record`/`merge`/`quantile` plus count/sum/max aggregates.
 //! * [`Registry`] — a registry of named [`Counter`]s, [`Gauge`]s and
 //!   histograms keyed by `(family, labels)`, rendered on demand in the
-//!   Prometheus text-exposition format (histograms as summaries).
+//!   Prometheus text-exposition format (histograms as summaries), and
+//!   [`counters!`], which declares a table of counters once.
 //! * [`trace`] — structured leveled session tracing: one global tracer,
 //!   `key=value` text or JSON lines, deterministic per-session sampling.
 //!

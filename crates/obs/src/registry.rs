@@ -229,6 +229,88 @@ impl Registry {
     }
 }
 
+/// Declares a table of counters once. From one `name: "help"` list it
+/// stamps the live struct of [`Counter`]s (whose `Default` is unattached:
+/// every counter at zero, in no registry), its `Copy` snapshot,
+/// `registered` — each counter in a [`Registry`] as `{prefix}{name}_total`
+/// with the given labels and its help string, which is also the field's
+/// doc — `snapshot`, and the snapshot's `fields`, its `(name, value)`
+/// pairs in declaration order. A counter cannot exist in one of these and
+/// be missing from another.
+///
+/// ```
+/// obs::counters! {
+///     /// One link's counters.
+///     pub struct LinkStats => LinkSnapshot {
+///         syncs: "Syncs attempted.",
+///         /// Framing included.
+///         bytes: "Wire bytes sent.",
+///     }
+/// }
+///
+/// let reg = obs::Registry::new();
+/// let link = LinkStats::registered(&reg, "demo_", &[("peer", "a")]);
+/// link.bytes.inc(42);
+/// assert_eq!(link.snapshot().fields(), [("syncs", 0), ("bytes", 42)]);
+/// assert!(reg.render_prometheus().contains("demo_bytes_total{peer=\"a\"} 42"));
+/// assert_eq!(LinkStats::default().snapshot(), LinkSnapshot::default());
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $stats:ident => $snapshot:ident {
+            $($(#[$doc:meta])* $name:ident: $help:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $stats {
+            $(#[doc = $help] $(#[$doc])* pub $name: $crate::Counter,)*
+        }
+
+        #[doc = concat!("A point-in-time copy of [`", stringify!($stats), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $snapshot {
+            $(#[doc = $help] $(#[$doc])* pub $name: u64,)*
+        }
+
+        impl $stats {
+            /// Every counter registered in `metrics` as
+            /// `{prefix}{name}_total` with `labels`. Registration is
+            /// idempotent: the same `(prefix, labels)` again (a store
+            /// replaced at runtime) resumes the same counters.
+            $vis fn registered(
+                metrics: &$crate::Registry,
+                prefix: &str,
+                labels: &[(&str, &str)],
+            ) -> $stats {
+                $stats {
+                    $($name: metrics.counter(
+                        &format!("{prefix}{}_total", stringify!($name)),
+                        $help,
+                        labels,
+                    ),)*
+                }
+            }
+
+            /// Copy every counter.
+            $vis fn snapshot(&self) -> $snapshot {
+                $snapshot {
+                    $($name: self.$name.get(),)*
+                }
+            }
+        }
+
+        impl $snapshot {
+            /// The fields as `(name, value)` pairs, in declaration order.
+            $vis fn fields(&self) -> [(&'static str, u64); [$(stringify!($name)),*].len()] {
+                [$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
+}
+
 fn render_family(out: &mut String, name: &str, family: &[&Entry]) {
     let kind = match family[0].metric {
         Metric::Counter(_) => "counter",

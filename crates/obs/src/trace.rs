@@ -229,8 +229,9 @@ fn format_event(
     out
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escape a string for inclusion in a JSON string literal: quote,
+/// backslash and every control character.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
