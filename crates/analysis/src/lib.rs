@@ -7,19 +7,24 @@
 //! * the transition matrix `M` computed with the Appendix E dynamic program
 //!   ([`TransitionMatrix`]),
 //! * the single-group success probability `Pr[x →r 0] = (M^r)(x, 0)`
-//!   (Formula (2)),
+//!   (Formula (2)), with a group over the BCH capacity followed through its
+//!   §3.2 three-way split,
 //! * the per-group-pair success probability
 //!   `α(n, t) = Σ_x Binom(d, 1/g)(x) · Pr[x →r 0]` and the rigorous overall
 //!   lower bound `Pr[R ≤ r] ≥ 1 − 2(1 − α^g)` (Appendix F),
 //! * the `(n, t)` optimizer that minimizes communication subject to a target
 //!   success probability (§5.1, Appendix H / Table 1),
 //! * the expected number of distinct elements reconciled per round
-//!   (§5.3 / Appendix G), and
+//!   (§5.3 / Appendix G),
+//! * [`predict`]: what a plan should measure — the round CDF, the round
+//!   shares and the mean Formula (1) bits — and [`interval`]'s Wilson and
+//!   normal intervals that hold a seeded measurement to it, and
 //! * the §2 closed-form probabilities (ideal case, type I/II exceptions)
 //!   used throughout the paper's examples.
 
 #![warn(missing_docs)]
 
+pub mod interval;
 mod markov;
 mod optimize;
 mod probability;
@@ -27,11 +32,9 @@ mod table;
 
 pub use markov::TransitionMatrix;
 pub use optimize::{
-    group_count, optimize_parameters, optimize_parameters_with_model, OptimalParams, OptimizeError,
+    group_count, optimize_parameters, sweep_parameter_grid, GridCell, OptimalParams,
 };
-pub use probability::{
-    binomial_pmf, exception_probabilities, ideal_case_probability, ExceptionProbabilities,
-};
+pub use probability::{binomial_pmf, exception_probabilities, ExceptionProbabilities};
 
 /// The δ = 5 average number of distinct elements per group the paper fixes
 /// (§3: "Since δ = 5 appears to be a nice tradeoff point, we fix the value of
@@ -58,38 +61,6 @@ pub(crate) const CANDIDATE_N: [usize; 15] = [
     63, 127, 255, 511, 1023, 2047, 4095, 8191, 16383, 32767, 65535, 131071, 262143, 524287, 1048575,
 ];
 
-/// How the per-group success probability treats groups whose number of
-/// distinct elements exceeds the BCH capacity `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SuccessModel {
-    /// Appendix F's pessimistic simplification: any group that starts with
-    /// more than `t` distinct elements is counted as a failure
-    /// (`Pr[x →r 0] = 0` for `x > t`).
-    PessimisticTruncation,
-    /// Model the §3.2 exception handling explicitly: a group with `x > t`
-    /// elements suffers a BCH decoding failure in its first round, is split
-    /// three ways, and each sub-group must then finish within the remaining
-    /// `r − 1` rounds. This tracks the implemented mechanism and is the
-    /// default; see EXPERIMENTS.md for how the two models bracket the
-    /// paper's Table 1.
-    #[default]
-    SplitAware,
-}
-
-/// Per-group success probability α(n, t) (Appendix F):
-/// `α = Σ_x Pr[X = x] · Pr[x →r 0]` where `X ~ Binomial(d, 1/g)`, with
-/// over-capacity groups (`x > t`) handled according to `model`.
-pub fn group_success_probability(
-    n: usize,
-    t: usize,
-    d: usize,
-    g: usize,
-    r: u32,
-    model: SuccessModel,
-) -> f64 {
-    table::GroupLoad::new(d, g, t).alpha(t, &table::success_vector(n, t, r, model))
-}
-
 /// The rigorous lower bound `1 − 2(1 − α^g)` on the overall success
 /// probability `Pr[R ≤ r]` across all `g` group pairs (Appendix F).
 pub fn overall_success_lower_bound(alpha: f64, g: usize) -> f64 {
@@ -102,35 +73,24 @@ pub fn overall_success_lower_bound(alpha: f64, g: usize) -> f64 {
 ///
 /// Returns a vector of length `rounds + 1`:
 /// `[share_round_1, …, share_round_r, residual]`, each in `[0, 1]`,
-/// summing to 1.
+/// summing to 1. As in Appendix G, a group over the capacity `t` counts as
+/// never reconciled.
 pub fn expected_round_shares(n: usize, t: usize, d: usize, g: usize, rounds: u32) -> Vec<f64> {
     let matrix = TransitionMatrix::build(n, t);
     let p = 1.0 / g as f64;
-    // E[reconciled within k rounds] for one group with δ1 ~ Binomial(d, 1/g):
-    //   Σ_x Pr[δ1=x] Σ_y (x − y)·Pr[x →k y]   (Equation (6))
-    let max_x = t;
-    let mut expected_within = vec![0.0f64; rounds as usize + 1];
-    for k in 1..=rounds {
-        let reach = matrix.power(k);
-        let mut total = 0.0;
-        for x in 1..=max_x.min(d) {
-            let w = binomial_pmf(d, x, p);
-            let mut inner = 0.0;
-            for y in 0..=x {
-                inner += (x - y) as f64 * reach[(x, y)];
-            }
-            total += w * inner;
-        }
-        expected_within[k as usize] = total;
-    }
-    // Expected distinct elements per group is d/g; convert to fractions of d
-    // by multiplying by g/d (both appear, so the share of round k is simply
-    // the per-group expectation divided by d/g).
+    // left[x] = E[bad balls left after k rounds | x at the start]
+    // = (M^k·y)[x] with y[j] = j; a group of x reconciles x − left[x] of
+    // them within k rounds (Equation (6)).
+    let mut left: Vec<f64> = (0..=t).map(|j| j as f64).collect();
     let per_group = d as f64 / g as f64;
     let mut shares = Vec::with_capacity(rounds as usize + 1);
     let mut prev = 0.0;
-    for &within_abs in expected_within.iter().take(rounds as usize + 1).skip(1) {
-        let within = within_abs / per_group;
+    for _ in 0..rounds {
+        left = matrix.step(&left);
+        let within = (1..=t.min(d))
+            .map(|x| binomial_pmf(d, x, p) * (x as f64 - left[x]))
+            .sum::<f64>()
+            / per_group;
         shares.push((within - prev).max(0.0));
         prev = within;
     }
@@ -138,9 +98,48 @@ pub fn expected_round_shares(n: usize, t: usize, d: usize, g: usize, rounds: u32
     shares
 }
 
+/// What the analysis predicts a plan `(n, t)` measures at a difference of
+/// `d` spread over `g` groups, round by round.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Prediction {
+    /// `P(R ≤ k)` for `k = 1..=r`: every group is done within `k` rounds,
+    /// the group loads one multinomial draw of the `d` differences
+    /// (Appendix F's `α_k^g` takes them as independent binomials).
+    pub done_within: Vec<f64>,
+    /// [`expected_round_shares`]: the share of `d` reconciled in each round
+    /// `1..=r`, then the residual (Appendix G).
+    pub round_shares: Vec<f64>,
+    /// The mean Formula (1) bits of a run that goes on until every group
+    /// verified: sketches, reported bins and checksums, a group over the
+    /// capacity split three ways after its first decode (the scheme's
+    /// two-bit flag for a failed decode, which Formula (1) does not charge,
+    /// is left out).
+    pub mean_bits: f64,
+}
+
+/// The [`Prediction`] for the plan `(n, t)` at a difference of `d` in `g`
+/// groups, over the first `r` rounds, with `universe_bits = log|U|`.
+pub fn predict(n: usize, t: usize, d: usize, g: usize, r: u32, universe_bits: u32) -> Prediction {
+    let load = table::GroupLoad::new(d, g, t);
+    let done_within = (1..=r)
+        .map(|k| load.all_groups_within(&table::success_vector(n, t, k), g))
+        .collect();
+    Prediction {
+        done_within,
+        round_shares: expected_round_shares(n, t, d, g, r),
+        mean_bits: g as f64 * load.mean(&table::bits_per_group(n, t, universe_bits)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-group success probability α(n, t) (Appendix F) of one cell,
+    /// standalone: what each cell of the planner's table must equal.
+    fn group_success_probability(n: usize, t: usize, d: usize, g: usize, r: u32) -> f64 {
+        table::GroupLoad::new(d, g, t).alpha(t, &table::success_vector(n, t, r))
+    }
 
     #[test]
     fn paper_example_round_shares() {
@@ -166,32 +165,23 @@ mod tests {
 
     #[test]
     fn alpha_increases_with_t_and_n() {
-        for model in [
-            SuccessModel::PessimisticTruncation,
-            SuccessModel::SplitAware,
-        ] {
-            let a_small = group_success_probability(63, 8, 1000, 200, 3, model);
-            let a_big_t = group_success_probability(63, 14, 1000, 200, 3, model);
-            let a_big_n = group_success_probability(511, 8, 1000, 200, 3, model);
-            assert!(a_big_t > a_small);
-            assert!(a_big_n > a_small);
-            assert!(a_small > 0.0 && a_big_t <= 1.0);
-        }
+        let a_small = group_success_probability(63, 8, 1000, 200, 3);
+        let a_big_t = group_success_probability(63, 14, 1000, 200, 3);
+        let a_big_n = group_success_probability(511, 8, 1000, 200, 3);
+        assert!(a_big_t > a_small);
+        assert!(a_big_n > a_small);
+        assert!(a_small > 0.0 && a_big_t <= 1.0);
     }
 
     #[test]
-    fn split_aware_dominates_truncation() {
+    fn following_the_split_only_adds_to_alpha() {
+        // At r = 1 a group over the capacity fails; from r = 2 on its split
+        // may finish in the rounds left.
         for t in [10usize, 13, 16] {
-            let pess = group_success_probability(
-                127,
-                t,
-                1000,
-                200,
-                3,
-                SuccessModel::PessimisticTruncation,
-            );
-            let split = group_success_probability(127, t, 1000, 200, 3, SuccessModel::SplitAware);
-            assert!(split >= pess, "split-aware must never be below truncation");
+            let chain = TransitionMatrix::build(127, t).success_probabilities(3);
+            let truncated = table::GroupLoad::new(1000, 200, t).alpha(t, &chain);
+            let split = group_success_probability(127, t, 1000, 200, 3);
+            assert!(split > truncated, "t = {t}");
         }
     }
 
@@ -206,36 +196,65 @@ mod tests {
 
     #[test]
     fn table1_qualitative_shape() {
-        // Appendix H, Table 1 (d=1000, δ=5, g=200, r=3). The two success
-        // models bracket the paper's numbers (see EXPERIMENTS.md); here we
-        // check the qualitative pattern the table exhibits under the
-        // split-aware model: the headline cell (127, 13) is feasible at
-        // p0 = 0.99, n = 63 never reaches 0.99 even for large t, and tiny t
-        // at n = 63 is vacuous (the table's 0% cell).
-        let cell = |n, t, model| {
-            let a = group_success_probability(n, t, 1000, 200, 3, model);
+        // Appendix H, Table 1 (d=1000, δ=5, g=200, r=3): the headline cell
+        // (127, 13) is feasible at p0 = 0.99, a larger n does not hurt, and
+        // n = 63 never reaches 0.99 even for large t.
+        let cell = |n, t| {
+            let a = group_success_probability(n, t, 1000, 200, 3);
             overall_success_lower_bound(a, 200)
         };
-        let headline = cell(127, 13, SuccessModel::SplitAware);
+        let headline = cell(127, 13);
         assert!(
             headline >= 0.99,
             "n=127,t=13 should be feasible, got {headline}"
         );
-        let big = cell(255, 13, SuccessModel::SplitAware);
+        let big = cell(255, 13);
         assert!(big >= headline - 1e-6, "larger n should not hurt");
-        let n63_cap = cell(63, 17, SuccessModel::SplitAware);
+        let n63_cap = cell(63, 17);
         assert!(
             n63_cap < 0.99,
             "n=63 saturates below the 0.99 target (paper: 95.8%), got {n63_cap}"
         );
-        let tiny = cell(63, 8, SuccessModel::PessimisticTruncation);
+    }
+
+    /// The round CDF is the multinomial one: at g = 1 the one group holds
+    /// all d; at g = 2 the loads are x and d − x.
+    #[test]
+    fn done_within_sums_over_the_multinomial_loads() {
+        let (n, t) = (63, 8);
+        for k in 1..=3u32 {
+            let s = table::success_vector(n, t, k);
+            let one = predict(n, t, 6, 1, k, 32).done_within[k as usize - 1];
+            assert!((one - s[6]).abs() < 1e-12, "g = 1, k = {k}");
+            let at = |x: usize| s.get(x).copied().unwrap_or(0.0);
+            let exact: f64 = (0..=10)
+                .map(|x| binomial_pmf(10, x, 0.5) * at(x) * at(10 - x))
+                .sum();
+            let two = predict(n, t, 10, 2, k, 32).done_within[k as usize - 1];
+            assert!(
+                (two - exact).abs() < 1e-12,
+                "g = 2, k = {k}: {two} vs {exact}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_prediction_is_a_cdf_beside_formula_one() {
+        let (n, t, d, g) = (127usize, 11usize, 1000usize, 200usize);
+        let p = predict(n, t, d, g, 3, 32);
+        assert!(p.done_within.windows(2).all(|w| w[0] < w[1]));
+        assert!(p.done_within[2] > 0.99 && p.done_within[2] <= 1.0);
+        // Close to Appendix F's α^g, never equal to it.
+        let alpha = group_success_probability(n, t, d, g, 3).powi(g as i32);
+        assert!((p.done_within[2] - alpha).abs() < 1e-3);
+        assert_eq!(p.round_shares, expected_round_shares(n, t, d, g, 3));
+        // Formula (1) over the first round alone: g·(t·log n + log|U|) +
+        // d·(log n + log|U|); the later rounds' sketches add a few percent.
+        let first = (g * (t * 7 + 32) + d * (7 + 32)) as f64;
         assert!(
-            tiny <= 0.0,
-            "n=63,t=8 should be vacuous (table shows 0), got {tiny}"
+            p.mean_bits > first && p.mean_bits < 1.1 * first,
+            "{}",
+            p.mean_bits
         );
-        // Pessimistic truncation at t = 13 is far below the paper's 99.1%,
-        // which is why the split-aware model is the default.
-        let pess = cell(127, 13, SuccessModel::PessimisticTruncation);
-        assert!(pess < 0.9);
     }
 }

@@ -95,30 +95,6 @@ impl TransitionMatrix {
         self.data[i * self.dim() + j]
     }
 
-    /// Compute the matrix power `M^r` (dense, `O(r · t³)`).
-    pub(crate) fn power(&self, r: u32) -> MatrixPower {
-        let dim = self.dim();
-        // Start from the identity.
-        let mut result = vec![0.0f64; dim * dim];
-        for i in 0..dim {
-            result[i * dim + i] = 1.0;
-        }
-        let mut scratch = vec![0.0f64; dim * dim];
-        for _ in 0..r {
-            for i in 0..dim {
-                for j in 0..dim {
-                    let mut acc = 0.0;
-                    for k in 0..dim {
-                        acc += result[i * dim + k] * self.data[k * dim + j];
-                    }
-                    scratch[i * dim + j] = acc;
-                }
-            }
-            std::mem::swap(&mut result, &mut scratch);
-        }
-        MatrixPower { dim, data: result }
-    }
-
     /// The single-group success probabilities `Pr[x →r 0]` for every starting
     /// state `x = 0..=t` (Formula (2)): entry `x` of the returned vector is
     /// the probability that `x` bad balls are fully reconciled within `r`
@@ -126,30 +102,20 @@ impl TransitionMatrix {
     /// (`O(r · t²)`). `M` is lower triangular, so entry `x` does not depend
     /// on the `t` the matrix was built for.
     pub fn success_probabilities(&self, r: u32) -> Vec<f64> {
-        let dim = self.dim();
-        let mut reach = vec![0.0f64; dim];
+        let mut reach = vec![0.0f64; self.dim()];
         reach[0] = 1.0;
         for _ in 0..r {
-            reach = (0..dim)
-                .map(|x| (0..=x).map(|j| self.get(x, j) * reach[j]).sum())
-                .collect();
+            reach = self.step(&reach);
         }
         reach
     }
-}
 
-/// A dense power `M^r` of a [`TransitionMatrix`], indexable by `(row, col)`.
-#[derive(Debug, Clone)]
-pub(crate) struct MatrixPower {
-    dim: usize,
-    data: Vec<f64>,
-}
-
-impl std::ops::Index<(usize, usize)> for MatrixPower {
-    type Output = f64;
-
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        &self.data[i * self.dim + j]
+    /// One round of the chain applied to a value per state: `(M·v)[x] =
+    /// E[v(state after the round) | x]`.
+    pub(crate) fn step(&self, v: &[f64]) -> Vec<f64> {
+        (0..self.dim())
+            .map(|x| (0..=x).map(|j| self.get(x, j) * v[j]).sum())
+            .collect()
     }
 }
 
@@ -239,17 +205,5 @@ mod tests {
         }
         // After 3 rounds, success from a handful of bad balls is near-certain.
         assert!(r3[5] > 0.999);
-    }
-
-    #[test]
-    fn power_of_zero_is_identity() {
-        let m = TransitionMatrix::build(63, 5);
-        let p = m.power(0);
-        for i in 0..=5 {
-            for j in 0..=5 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((p[(i, j)] - expect).abs() < 1e-12);
-            }
-        }
     }
 }

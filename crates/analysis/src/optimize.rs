@@ -1,13 +1,13 @@
 //! The §5.1 / Appendix H parameter optimization: pick `(n, t)` minimizing the
 //! per-group communication overhead subject to the overall success bound.
 
+use crate::overall_success_lower_bound;
 use crate::table::{plan_table, GroupLoad};
-use crate::{overall_success_lower_bound, SuccessModel};
 
 /// One cell of the Appendix H grid (Table 1): an `(n, t)` combination, the
 /// success-probability lower bound it achieves and the objective value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct GridCell {
+pub struct GridCell {
     /// Parity-bitmap length `n`.
     pub n: usize,
     /// BCH error-correction capacity `t`.
@@ -46,52 +46,23 @@ impl OptimalParams {
     }
 }
 
-/// Errors from [`optimize_parameters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizeError {
-    /// No `(n, t)` combination in the candidate grid satisfies the target
-    /// success probability.
-    NoFeasibleParameters,
-}
-
-impl std::fmt::Display for OptimizeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OptimizeError::NoFeasibleParameters => {
-                write!(
-                    f,
-                    "no (n, t) combination satisfies the target success probability"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for OptimizeError {}
-
 /// The number of groups PBS-for-large-d uses: `g = ⌈d / δ⌉`, at least 1.
 pub fn group_count(d: usize, delta: usize) -> usize {
     d.div_ceil(delta).max(1)
 }
 
-/// Evaluate the full `(n, t)` grid (Appendix H / Table 1) under an
-/// over-capacity success model.
+/// Evaluate the full `(n, t)` grid the planner searches (Appendix H /
+/// Table 1 is its `n ≤ 2047`, `t` in `8..=17` corner at `d = 1000`).
 ///
 /// `d` is the (estimated) difference cardinality, `delta` the per-group
 /// average δ, `r` the target number of rounds and `p0` the target overall
 /// success probability. The `t` range scanned is `δ ..= 4δ` (the paper notes
 /// the optimum always lies within `1.5δ..3.5δ`). Only the group-size
 /// distribution depends on `d`; everything else comes from the cached table
-/// of `(δ, r, model)`.
-pub(crate) fn sweep_parameter_grid_with_model(
-    d: usize,
-    delta: usize,
-    r: u32,
-    p0: f64,
-    model: SuccessModel,
-) -> Vec<GridCell> {
+/// of `(δ, r)`.
+pub fn sweep_parameter_grid(d: usize, delta: usize, r: u32, p0: f64) -> Vec<GridCell> {
     let g = group_count(d, delta);
-    let table = plan_table(delta, r, model);
+    let table = plan_table(delta, r);
     let load = GroupLoad::new(d, g, table.max_t);
     table
         .cells
@@ -121,28 +92,12 @@ fn cheapest_feasible(cells: &[GridCell]) -> Option<&GridCell> {
 }
 
 /// Find the `(n, t)` combination with the smallest objective among those that
-/// satisfy `Pr[R ≤ r] ≥ p0` (§5.1), using the default success model.
-pub fn optimize_parameters(
-    d: usize,
-    delta: usize,
-    r: u32,
-    p0: f64,
-) -> Result<OptimalParams, OptimizeError> {
-    optimize_parameters_with_model(d, delta, r, p0, SuccessModel::default())
-}
-
-/// [`optimize_parameters`] with an explicit over-capacity success model.
-pub fn optimize_parameters_with_model(
-    d: usize,
-    delta: usize,
-    r: u32,
-    p0: f64,
-    model: SuccessModel,
-) -> Result<OptimalParams, OptimizeError> {
+/// satisfy `Pr[R ≤ r] ≥ p0` (§5.1); `None` when no cell of the grid does.
+pub fn optimize_parameters(d: usize, delta: usize, r: u32, p0: f64) -> Option<OptimalParams> {
     let g = group_count(d, delta);
-    let cells = sweep_parameter_grid_with_model(d, delta, r, p0, model);
-    let best = cheapest_feasible(&cells).ok_or(OptimizeError::NoFeasibleParameters)?;
-    Ok(OptimalParams {
+    let cells = sweep_parameter_grid(d, delta, r, p0);
+    let best = cheapest_feasible(&cells)?;
+    Some(OptimalParams {
         n: best.n,
         m: (best.n + 1).ilog2(),
         t: best.t,
@@ -153,17 +108,53 @@ pub fn optimize_parameters_with_model(
 }
 
 /// The §5.1 search as it was first written — every cell rebuilt from its
-/// own transition matrix for every `d`, the split enumerated term by term.
-/// Some 0.2 s a call; kept as the oracle the planner is pinned to.
+/// own transition matrix for every `d`, each success probability read off a
+/// dense matrix power, the split enumerated term by term. Some 0.2 s a
+/// call; kept as the oracle the planner is pinned to.
 #[cfg(test)]
 mod oracle {
     use super::{group_count, GridCell};
-    use crate::{
-        binomial_pmf, overall_success_lower_bound, SuccessModel, TransitionMatrix, CANDIDATE_N,
-    };
+    use crate::{binomial_pmf, overall_success_lower_bound, TransitionMatrix, CANDIDATE_N};
+
+    /// A dense power `M^r` of a [`TransitionMatrix`], row-major.
+    struct MatrixPower {
+        dim: usize,
+        data: Vec<f64>,
+    }
+
+    impl std::ops::Index<(usize, usize)> for MatrixPower {
+        type Output = f64;
+
+        fn index(&self, (i, j): (usize, usize)) -> &f64 {
+            &self.data[i * self.dim + j]
+        }
+    }
+
+    /// `M^r` by `r` dense products (`O(r · t³)`).
+    fn power(matrix: &TransitionMatrix, r: u32) -> MatrixPower {
+        let dim = matrix.dim();
+        let mut result = vec![0.0f64; dim * dim];
+        for i in 0..dim {
+            result[i * dim + i] = 1.0;
+        }
+        let mut scratch = vec![0.0f64; dim * dim];
+        for _ in 0..r {
+            for i in 0..dim {
+                for j in 0..dim {
+                    let mut acc = 0.0;
+                    for k in 0..dim {
+                        acc += result[i * dim + k] * matrix.get(k, j);
+                    }
+                    scratch[i * dim + j] = acc;
+                }
+            }
+            std::mem::swap(&mut result, &mut scratch);
+        }
+        MatrixPower { dim, data: result }
+    }
 
     fn success_probabilities(matrix: &TransitionMatrix, r: u32) -> Vec<f64> {
-        let p = matrix.power(r);
+        let p = power(matrix, r);
         (0..matrix.dim()).map(|x| p[(x, 0)]).collect()
     }
 
@@ -173,7 +164,6 @@ mod oracle {
         d: usize,
         g: usize,
         r: u32,
-        model: SuccessModel,
     ) -> f64 {
         let success = success_probabilities(matrix, r);
         let p = 1.0 / g as f64;
@@ -183,21 +173,19 @@ mod oracle {
             let s = if x == 0 { 1.0 } else { s };
             alpha += weight * s;
         }
-        if let SuccessModel::SplitAware = model {
-            if r >= 2 {
-                // Enumerate x = t+1 .. until the binomial tail becomes negligible.
-                let success_rem = success_probabilities(matrix, r - 1);
-                let mut x = t + 1;
-                loop {
-                    let weight = binomial_pmf(d, x, p);
-                    if weight < 1e-15 && x > t + 5 {
-                        break;
-                    }
-                    alpha += weight * split_success_probability(x, t, &success_rem);
-                    x += 1;
-                    if x > d || x > t + 60 {
-                        break;
-                    }
+        if r >= 2 {
+            // Enumerate x = t+1 .. until the binomial tail becomes negligible.
+            let success_rem = success_probabilities(matrix, r - 1);
+            let mut x = t + 1;
+            loop {
+                let weight = binomial_pmf(d, x, p);
+                if weight < 1e-15 && x > t + 5 {
+                    break;
+                }
+                alpha += weight * split_success_probability(x, t, &success_rem);
+                x += 1;
+                if x > d || x > t + 60 {
+                    break;
                 }
             }
         }
@@ -236,13 +224,7 @@ mod oracle {
         total
     }
 
-    pub(super) fn sweep_parameter_grid(
-        d: usize,
-        delta: usize,
-        r: u32,
-        p0: f64,
-        model: SuccessModel,
-    ) -> Vec<GridCell> {
+    pub(super) fn sweep_parameter_grid(d: usize, delta: usize, r: u32, p0: f64) -> Vec<GridCell> {
         let g = group_count(d, delta);
         let t_lo = delta.max(2);
         let t_hi = (4 * delta).max(t_lo + 1);
@@ -251,7 +233,7 @@ mod oracle {
             let m = (n + 1).ilog2() as f64;
             for t in t_lo..=t_hi {
                 let matrix = TransitionMatrix::build(n, t);
-                let alpha = group_success_probability(&matrix, t, d, g, r, model);
+                let alpha = group_success_probability(&matrix, t, d, g, r);
                 let lower_bound = overall_success_lower_bound(alpha, g);
                 let objective_bits = (t + delta) as f64 * m;
                 cells.push(GridCell {
@@ -291,28 +273,21 @@ mod tests {
     #[test]
     fn planner_matches_the_retained_sweep() {
         let mut rng = StdRng::seed_from_u64(0x5EC7_1051);
-        let mut points: Vec<(usize, usize, u32, SuccessModel)> = vec![
-            (1, 5, 3, SuccessModel::SplitAware),
-            (1_000_000, 5, 3, SuccessModel::SplitAware),
-            (1_000, 5, 3, SuccessModel::PessimisticTruncation),
-        ];
+        let mut points: Vec<(usize, usize, u32)> =
+            vec![(1, 5, 3), (1_000_000, 5, 3), (1_000, 5, 1)];
         for &d in &[138usize, 690, 1_380, 13_800] {
-            points.push((d, 5, 3, SuccessModel::SplitAware));
+            points.push((d, 5, 3));
         }
         while points.len() < 160 {
             let delta = [3usize, 5, 5, 8][rng.random_range(0..4usize)];
             let r = [1u32, 2, 3, 3, 4][rng.random_range(0..5usize)];
-            let model = match rng.random_range(0..4u32) {
-                0 => SuccessModel::PessimisticTruncation,
-                _ => SuccessModel::SplitAware,
-            };
-            points.push((sampled_d(&mut rng), delta, r, model));
+            points.push((sampled_d(&mut rng), delta, r));
         }
-        for (d, delta, r, model) in points {
+        for (d, delta, r) in points {
             let p0 = 0.99;
-            let expect = oracle::sweep_parameter_grid(d, delta, r, p0, model);
-            let got = sweep_parameter_grid_with_model(d, delta, r, p0, model);
-            let at = format!("d={d} δ={delta} r={r} {model:?}");
+            let expect = oracle::sweep_parameter_grid(d, delta, r, p0);
+            let got = sweep_parameter_grid(d, delta, r, p0);
+            let at = format!("d={d} δ={delta} r={r}");
             assert_eq!(got.len(), expect.len(), "{at}");
             for (g, e) in got.iter().zip(&expect) {
                 assert_eq!((g.n, g.t, g.feasible), (e.n, e.t, e.feasible), "{at}");
@@ -327,7 +302,7 @@ mod tests {
                     e.lower_bound
                 );
             }
-            let chosen = optimize_parameters_with_model(d, delta, r, p0, model).ok();
+            let chosen = optimize_parameters(d, delta, r, p0);
             assert_eq!(
                 chosen.map(|c| (c.n, c.t, c.groups)),
                 cheapest_feasible(&expect).map(|c| (c.n, c.t, group_count(d, delta))),
@@ -339,11 +314,8 @@ mod tests {
     #[test]
     fn cold_and_warm_plans_are_equal() {
         // δ = 6 is used nowhere else, so the first call builds the table.
-        let cold = sweep_parameter_grid_with_model(777, 6, 3, 0.99, SuccessModel::default());
-        assert_eq!(
-            cold,
-            sweep_parameter_grid_with_model(777, 6, 3, 0.99, SuccessModel::default())
-        );
+        let cold = sweep_parameter_grid(777, 6, 3, 0.99);
+        assert_eq!(cold, sweep_parameter_grid(777, 6, 3, 0.99));
         let warm = optimize_parameters(777, 6, 3, 0.99).unwrap();
         let chosen = cheapest_feasible(&cold).unwrap();
         assert_eq!((warm.n, warm.t), (chosen.n, chosen.t));
@@ -353,10 +325,10 @@ mod tests {
     #[test]
     fn paper_running_example_chooses_n127() {
         // §5.1 / Appendix H: d = 1000, δ = 5, r = 3, p0 = 0.99 -> the paper
-        // picks (n, t) = (127, 13). Our default (split-aware) success model
-        // is slightly less pessimistic about over-capacity groups than the
-        // paper's table, so the optimal t can land a notch or two lower; the
-        // bitmap length and the overall shape must match.
+        // picks (n, t) = (127, 13). This model follows an over-capacity
+        // group through its split instead of counting it failed, so the
+        // optimal t can land a notch or two lower; the bitmap length and the
+        // overall shape must match.
         let opt = optimize_parameters(1000, 5, 3, 0.99).unwrap();
         assert_eq!(opt.n, 127, "optimal bitmap length");
         assert_eq!(opt.m, 7);
@@ -370,7 +342,7 @@ mod tests {
         // Objective (t + 5) * 7 bits.
         assert!((opt.objective_bits - ((opt.t + 5) as f64 * 7.0)).abs() < 1e-9);
         // The paper's own choice must itself be feasible under the model.
-        let grid = sweep_parameter_grid_with_model(1000, 5, 3, 0.99, SuccessModel::default());
+        let grid = sweep_parameter_grid(1000, 5, 3, 0.99);
         let paper_cell = grid.iter().find(|c| c.n == 127 && c.t == 13).unwrap();
         assert!(paper_cell.feasible);
     }
@@ -410,7 +382,7 @@ mod tests {
 
     #[test]
     fn grid_contains_infeasible_and_feasible_cells() {
-        let cells = sweep_parameter_grid_with_model(1000, 5, 3, 0.99, SuccessModel::default());
+        let cells = sweep_parameter_grid(1000, 5, 3, 0.99);
         assert!(cells.iter().any(|c| c.feasible));
         assert!(cells.iter().any(|c| !c.feasible));
         // Feasibility must be monotone-ish: the largest (n, t) cell is feasible.
@@ -422,10 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn impossible_target_reports_error() {
+    fn an_impossible_target_has_no_plan() {
         // p0 = 1.0 exactly can never be strictly guaranteed by the bound.
-        let err = optimize_parameters(1_000_000, 5, 1, 1.0).unwrap_err();
-        assert_eq!(err, OptimizeError::NoFeasibleParameters);
+        assert_eq!(optimize_parameters(1_000_000, 5, 1, 1.0), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@ const EXACT_LN_FACTORIALS: usize = 256;
 
 /// Natural log of `n!`, exact summation for small `n` and a Stirling series
 /// for large `n` (absolute error far below what any probability here needs).
-fn ln_factorial(n: usize) -> f64 {
+pub(crate) fn ln_factorial(n: usize) -> f64 {
     // The planner takes a few thousand small-`n` pmfs per table; summing
     // up to 255 logarithms for each was most of its cost.
     static EXACT: OnceLock<[f64; EXACT_LN_FACTORIALS]> = OnceLock::new();
@@ -41,18 +41,6 @@ pub fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
     }
     let ln_choose = ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k);
     (ln_choose + k as f64 * p.ln() + (n - k) as f64 * (1.0 - p).ln()).exp()
-}
-
-/// The probability of the §2.2.1 "ideal case": `d` balls thrown uniformly
-/// into `n` bins all land in distinct bins, `∏_{k=1}^{d−1} (1 − k/n)`.
-pub fn ideal_case_probability(d: usize, n: usize) -> f64 {
-    if d <= 1 {
-        return 1.0;
-    }
-    if d > n {
-        return 0.0;
-    }
-    (1..d).map(|k| 1.0 - k as f64 / n as f64).product()
 }
 
 /// The exception probabilities of §2.3 for `d` distinct elements hashed into
@@ -195,15 +183,6 @@ mod tests {
         // The exact and Stirling branches must agree near the switchover.
         let exact: f64 = (2..=300usize).map(|k| (k as f64).ln()).sum();
         assert!((ln_factorial(300) - exact).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ideal_case_matches_paper_example() {
-        // §1.3.1: d = 5, n = 255 -> probability ~0.96.
-        let p = ideal_case_probability(5, 255);
-        assert!((p - 0.9613).abs() < 0.002, "got {p}");
-        assert_eq!(ideal_case_probability(1, 10), 1.0);
-        assert_eq!(ideal_case_probability(11, 10), 0.0);
     }
 
     #[test]

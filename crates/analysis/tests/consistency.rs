@@ -1,10 +1,7 @@
 //! Consistency tests between the analytical framework and Monte-Carlo
 //! simulation of the balls-into-bins process it models.
 
-use analysis::{
-    binomial_pmf, exception_probabilities, expected_round_shares, ideal_case_probability,
-    TransitionMatrix,
-};
+use analysis::{binomial_pmf, exception_probabilities, expected_round_shares, TransitionMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,7 +122,8 @@ fn round_shares_match_simulated_rounds() {
 fn ideal_case_formula_vs_matrix_vs_simulation() {
     let mut rng = StdRng::seed_from_u64(5);
     for &(d, n) in &[(5usize, 255usize), (8, 511), (4, 63)] {
-        let closed = ideal_case_probability(d, n);
+        // §2.2.1: all d balls land alone with probability ∏_{k<d} (1 − k/n).
+        let closed: f64 = (1..d).map(|k| 1.0 - k as f64 / n as f64).product();
         let matrix = TransitionMatrix::build(n, d);
         assert!((matrix.get(d, 0) - closed).abs() < 1e-12);
         let trials = 20_000;

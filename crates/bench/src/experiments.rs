@@ -4,8 +4,8 @@
 
 use crate::{run_point, Scale, Table};
 use analysis::{
-    binomial_pmf, exception_probabilities, expected_round_shares, group_success_probability,
-    optimize_parameters, optimize_parameters_with_model, overall_success_lower_bound, SuccessModel,
+    binomial_pmf, exception_probabilities, expected_round_shares, group_count, optimize_parameters,
+    predict, sweep_parameter_grid, OptimalParams, DEFAULT_DELTA, DEFAULT_TARGET_ROUNDS,
     PAPER_CANDIDATE_N,
 };
 use ddigest::{DifferenceDigest, MinWiseEstimator, StrataEstimator};
@@ -154,58 +154,119 @@ pub(crate) fn fig5(scale: &Scale) -> Vec<Table> {
     vec![Table::new(caption, header, rows)]
 }
 
+/// Table 1's setting: d = 1000 at the paper's δ = 5, r = 3, p0 = 0.99.
+const TABLE1: (usize, f64) = (1_000, 0.99);
+
+/// The four corners of Table 1's (n, t) grid, beside its optimum.
+const TABLE1_CORNERS: [(usize, usize); 4] = [(63, 8), (63, 17), (2047, 8), (2047, 17)];
+
 pub(crate) fn table1(_: &Scale) -> Vec<Table> {
-    let (d, delta, g, r, p0) = (1_000usize, 5usize, 200usize, 3u32, 0.99);
-    let (mut grid, mut optimum) = (Rows::new(), Rows::new());
-    for model in [
-        SuccessModel::SplitAware,
-        SuccessModel::PessimisticTruncation,
-    ] {
-        for t in 8..=17usize {
-            let bound = |&n: &usize| {
-                let alpha = group_success_probability(n, t, d, g, r, model);
-                overall_success_lower_bound(alpha, g).max(0.0) * 100.0
-            };
-            let bounds = PAPER_CANDIDATE_N.iter().map(bound).collect();
-            grid.push((format!("{model:?} · {t}"), bounds));
-        }
-        let opt = optimize_parameters_with_model(d, delta, r, p0, model)
-            .expect("both models have a feasible cell at p0 = 0.99");
-        let bound = opt.lower_bound * 100.0;
-        let cells = vec![opt.n as f64, opt.t as f64, opt.objective_bits, bound];
-        optimum.push((format!("{model:?}"), cells));
-    }
+    let ((d, p0), delta, r) = (TABLE1, DEFAULT_DELTA, DEFAULT_TARGET_ROUNDS);
+    let cells = sweep_parameter_grid(d, delta, r, p0);
+    let bound = |t: usize| {
+        let at = |&n: &usize| cells.iter().find(|c| (c.n, c.t) == (n, t));
+        let percent = |n| at(n).map_or(f64::NAN, |c| c.lower_bound.max(0.0) * 100.0);
+        PAPER_CANDIDATE_N.iter().map(percent).collect()
+    };
+    let grid = (8..=17usize).map(|t| (t.to_string(), bound(t))).collect();
+    let opt = optimize_parameters(d, delta, r, p0).expect("Table 1 has a feasible cell");
+    let cells = vec![
+        opt.n as f64,
+        opt.t as f64,
+        opt.objective_bits,
+        opt.lower_bound * 100.0,
+    ];
     let ns = PAPER_CANDIDATE_N.map(|n| format!(" | n = {n}:*"));
+    let g = group_count(d, delta);
     let caption =
         format!("success lower bound, d = {d}, δ = {delta}, g = {g}, r = {r}; * marks ≥ p0 = {p0}");
-    let optimum_header = "model | optimal n | optimal t | objective (bits) | bound (%):3";
+    let optimum_header = "planner | optimal n | optimal t | objective (bits) | bound (%):3";
     vec![
-        Table::new(&caption, &format!("model · t{}", ns.concat()), grid),
-        Table::new("the cell the optimizer picks", optimum_header, optimum),
+        Table::new(&caption, &format!("t{}", ns.concat()), grid),
+        Table::new(
+            "the cell the optimizer picks",
+            optimum_header,
+            vec![("optimizer".to_string(), cells)],
+        ),
     ]
 }
 
+/// `(label, d, plan)` of every point of `table2`'s grid: the planned cell
+/// at each `d`, then Table 1's corners.
+fn table2_points(d_values: &[usize]) -> Vec<(String, usize, OptimalParams)> {
+    let planned = |&d: &usize| ("planned".to_string(), d, pbs_uncapped().plan(d));
+    let (d, p0) = TABLE1;
+    let grid = sweep_parameter_grid(d, DEFAULT_DELTA, DEFAULT_TARGET_ROUNDS, p0);
+    let corner = |&(n, t): &(usize, usize)| {
+        let cell = grid.iter().find(|c| (c.n, c.t) == (n, t));
+        let cell = cell.expect("the corners are cells of the planner's grid");
+        let params = OptimalParams {
+            n,
+            m: (n + 1).ilog2(),
+            t,
+            groups: group_count(d, DEFAULT_DELTA),
+            lower_bound: cell.lower_bound,
+            objective_bits: cell.objective_bits,
+        };
+        (format!("corner ({n}, {t})"), d, params)
+    };
+    let planned = d_values.iter().map(planned);
+    planned.chain(TABLE1_CORNERS.iter().map(corner)).collect()
+}
+
+/// Mean and sample standard deviation.
+fn mean_sd(samples: &[f64]) -> (f64, f64) {
+    let n = samples.len().max(1) as f64;
+    let mean = samples.iter().sum::<f64>() / n;
+    let square = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>();
+    (mean, (square / (n - 1.0).max(1.0)).sqrt())
+}
+
+/// Appendix J.1's rounds, held to `analysis`: at each point of the grid,
+/// `trials` seeded runs with the rounds uncapped. One run gives the round it
+/// finished in — the first r rounds do not depend on the cap — so the
+/// round CDF and success within r = 3 come from the same runs, beside
+/// `analysis::predict`'s; so do the mean Formula (1) bytes.
 pub(crate) fn table2(scale: &Scale) -> Vec<Table> {
     let pbs = pbs_uncapped();
+    let r = DEFAULT_TARGET_ROUNDS;
     let mut rows = Rows::new();
-    for &d in scale.d_values {
-        let workload = workload(scale.set_size, d);
-        // Trials that took 1, 2, 3, ≥ 4 rounds; rounds in total; successes.
-        let mut counts = [0u64; 6];
+    for (point, (label, d, params)) in table2_points(scale.d_values).into_iter().enumerate() {
+        let workload = workload(scale.set_size.max(2 * d), d);
+        let mut done_within = vec![0u64; r as usize];
+        let (mut rounds, mut bytes) = (0u64, Vec::with_capacity(scale.trials as usize));
         for trial in 0..scale.trials {
-            let pair = workload.generate(0x7AB2 + d as u64 * 31 + trial);
-            let report = pbs.reconcile_with_known_d(&pair.a, &pair.b, d.max(1), trial);
+            let pair = workload.generate(((0x7AB2 + point as u64) << 32) | trial);
+            let report = pbs.reconcile_with_plan(&pair.a, &pair.b, d, params, trial);
             let truth = symmetric_difference(&pair.a, &pair.b);
-            let r = report.outcome.rounds;
-            counts[(r.clamp(1, 4) as usize) - 1] += 1;
-            counts[4] += r as u64;
-            counts[5] += report.outcome.matches(&truth) as u64;
+            let finished = report.outcome.claimed_success && report.outcome.matches(&truth);
+            let took = report.outcome.rounds;
+            for (k, done) in done_within.iter_mut().enumerate() {
+                *done += (finished && took <= k as u32 + 1) as u64;
+            }
+            rounds += took as u64;
+            bytes.push(report.outcome.comm.total_bytes() as f64);
         }
-        let shares = counts.map(|c| c as f64 / scale.trials as f64);
-        rows.push((d.to_string(), shares.to_vec()));
+        let predicted = predict(params.n, params.t, d, params.groups, r, 32);
+        let trials = scale.trials as f64;
+        let (mean_bytes, sd_bytes) = mean_sd(&bytes);
+        let mut cells = vec![d as f64, params.n as f64, params.t as f64, trials];
+        for (k, &done) in done_within.iter().enumerate() {
+            cells.extend([done as f64 / trials, predicted.done_within[k]]);
+        }
+        cells.extend([
+            rounds as f64 / trials,
+            mean_bytes,
+            sd_bytes,
+            predicted.mean_bits / 8.0,
+        ]);
+        rows.push((label, cells));
     }
-    let header = "d | r=1:3 | r=2:3 | r=3:3 | r>=4:3 | mean r:2 | success:3";
-    vec![Table::new("rounds uncapped", header, rows)]
+    let header = "plan | d | n | t | trials | P(R ≤ 1):4 | predicted P(R ≤ 1):4 | \
+                  P(R ≤ 2):4 | predicted P(R ≤ 2):4 | P(R ≤ 3):4 | predicted P(R ≤ 3):4 | \
+                  mean r:2 | bytes:1 | sd bytes:1 | predicted bytes:1";
+    let caption = "rounds uncapped; P(R ≤ k): verified and exact within k rounds";
+    vec![Table::new(caption, header, rows)]
 }
 
 pub(crate) fn section2(_: &Scale) -> Vec<Table> {
@@ -220,32 +281,45 @@ pub(crate) fn section2(_: &Scale) -> Vec<Table> {
     vec![Table::new("balls into bins, exact", header, rows)]
 }
 
+/// §5.3's round shares: Appendix G at the paper's (127, 13), and at the
+/// plan the runs use beside the shares the runs measured (each run's share
+/// of its d, averaged), held to the prediction by a normal interval.
 pub(crate) fn section5_piecewise(scale: &Scale) -> Vec<Table> {
-    let (n, t, d, g) = (127usize, 13usize, 1_000usize, 200usize);
-    let shares = expected_round_shares(n, t, d, g, 4);
+    let ((d, _), rounds) = (TABLE1, 4u32);
+    let g = group_count(d, DEFAULT_DELTA);
+    let paper = expected_round_shares(127, 13, d, g, rounds);
+    let pbs = pbs_uncapped();
+    let plan = pbs.plan(d);
+    let planned = expected_round_shares(plan.n, plan.t, d, g, rounds);
 
     let workload = workload(scale.set_size, d);
-    let pbs = pbs_uncapped();
-    let mut per_round = [0f64; 6];
+    let mut shares = vec![Vec::with_capacity(scale.trials as usize); rounds as usize];
     for trial in 0..scale.trials {
         let pair = workload.generate(0x5EC5 + trial);
         let report = pbs.reconcile_with_known_d(&pair.a, &pair.b, d, trial);
-        for (i, &count) in report.per_round_recovered.iter().enumerate().take(6) {
-            per_round[i] += count as f64;
+        for (k, share) in shares.iter_mut().enumerate() {
+            let recovered = report.per_round_recovered.get(k).copied().unwrap_or(0);
+            share.push(recovered as f64 / d as f64);
         }
     }
-    let total: f64 = per_round.iter().sum();
-
-    let round = |i: usize| {
-        let cells = vec![shares[i], per_round[i] / total.max(1.0)];
-        ((i + 1).to_string(), cells)
+    let trials = scale.trials as f64;
+    let round = |k: usize| {
+        let (mean, sd) = mean_sd(&shares[k]);
+        let cells = vec![trials, paper[k], planned[k], mean, sd];
+        ((k + 1).to_string(), cells)
     };
-    let mut rows: Rows = (0..4).map(round).collect();
-    rows.push(("residual".to_string(), vec![shares[4], f64::NAN]));
+    let mut rows: Rows = (0..rounds as usize).map(round).collect();
+    let residual = rounds as usize;
+    let nan = f64::NAN;
+    rows.push((
+        "residual".to_string(),
+        vec![nan, paper[residual], planned[residual], nan, nan],
+    ));
+    let (n, t) = (plan.n, plan.t);
     let caption = format!(
-        "analytical at n = {n}, t = {t}, d = {d}, g = {g}; measured under the planned (n, t)"
+        "Appendix G at d = {d}, g = {g}: the paper's (127, 13), and the planned ({n}, {t}) the runs use"
     );
-    let header = "round | analytical:a | measured:a";
+    let header = "round | trials | analytical:a | planned:a | measured:a | sd:a";
     vec![Table::new(&caption, header, rows)]
 }
 
@@ -269,11 +343,15 @@ fn wire_size<E: Estimator>(name: &str, mut proto: E, a: &[u64]) -> (String, Vec<
     (name.to_string(), vec![a.len() as f64, bytes as f64])
 }
 
+/// How many elements `section6`'s sets share beyond the difference: ToW's
+/// counters cancel on `A ∩ B`, so the estimate does not depend on it.
+const SHARED: usize = 16;
+
 pub(crate) fn section6(scale: &Scale) -> Vec<Table> {
     let trials = scale.trials as f64;
     let mut accuracy = Rows::new();
     for &d in scale.d_values {
-        let workload = workload(scale.set_size, d);
+        let workload = workload(d + SHARED, d);
         let (mut sum, mut covered) = (0.0, 0u64);
         for trial in 0..scale.trials {
             let pair = workload.generate(0xE571 + d as u64 + trial * 7);
@@ -287,20 +365,23 @@ pub(crate) fn section6(scale: &Scale) -> Vec<Table> {
         }
         let mean = sum / trials;
         let (bias, coverage) = ((mean - d as f64) / d as f64, covered as f64 / trials);
-        let cells = vec![mean, bias, coverage, mean * RECOMMENDED_INFLATION];
+        let cells = vec![mean, bias, coverage, mean * RECOMMENDED_INFLATION, trials];
         accuracy.push((d.to_string(), cells));
     }
 
+    // A counter is ⌈log₂(2|A| + 1)⌉ bits wide, so the sizes are the paper's
+    // only at its |A|.
     let a = workload(scale.set_size, 100).generate(7).a;
     let sizes = vec![
         wire_size("ToW (128 sketches)", TowEstimator::paper_default(1), &a),
         wire_size("Strata (32 x 80 cells)", StrataEstimator::new(32, 1), &a),
         wire_size("Min-wise (128 hashes)", MinWiseEstimator::new(128, 1), &a),
     ];
-    let accuracy_header = "d | mean d̂:1 | rel. bias:4 | P[d ≤ 1.38·d̂]:3 | mean 1.38·d̂:1";
+    let accuracy_header = "d | mean d̂:1 | rel. bias:4 | P[d ≤ 1.38·d̂]:4 | mean 1.38·d̂:1 | trials";
+    let accuracy_caption = format!("ToW accuracy, ℓ = 128, |A ∩ B| = {SHARED}");
     let sizes_caption = "estimator sizes on the wire (Appendix B)";
     vec![
-        Table::new("ToW accuracy, ℓ = 128", accuracy_header, accuracy),
+        Table::new(&accuracy_caption, accuracy_header, accuracy),
         Table::new(sizes_caption, "estimator | set size | bytes", sizes),
     ]
 }

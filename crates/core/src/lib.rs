@@ -192,7 +192,7 @@ impl Pbs {
     pub fn plan(&self, d: usize) -> OptimalParams {
         let cfg = &self.config;
         optimize_parameters(d.max(1), cfg.delta, cfg.target_rounds, cfg.target_success)
-            .unwrap_or_else(|_| OptimalParams {
+            .unwrap_or_else(|| OptimalParams {
                 n: 2047,
                 m: 11,
                 t: 4 * cfg.delta,
@@ -211,7 +211,21 @@ impl Pbs {
         d: usize,
         seed: u64,
     ) -> PbsReport {
-        self.run(alice, bob, d.max(1), None, 0, seed)
+        self.run(alice, bob, d.max(1), self.plan(d.max(1)), None, seed)
+    }
+
+    /// [`Pbs::reconcile_with_known_d`] under the plan `params` instead of
+    /// [`Pbs::plan`]'s: a cell of the paper's Table 1 other than the one the
+    /// optimizer picks.
+    pub fn reconcile_with_plan(
+        &self,
+        alice: &[u64],
+        bob: &[u64],
+        d: usize,
+        params: OptimalParams,
+        seed: u64,
+    ) -> PbsReport {
+        self.run(alice, bob, d.max(1), params, None, seed)
     }
 
     /// Reconcile with `d` unknown: first run the ToW estimator (§6), inflate
@@ -227,20 +241,29 @@ impl Pbs {
         let d_param = estimator::inflate_estimate(d_hat);
         // Alice sends her sketches; Bob returns the estimate (one word).
         let estimator_bits = ea.wire_bits() + u64::from(cfg.universe_bits);
-        self.run(alice, bob, d_param, Some(d_hat), estimator_bits, seed)
+        let params = self.plan(d_param);
+        self.run(
+            alice,
+            bob,
+            d_param,
+            params,
+            Some((d_hat, estimator_bits)),
+            seed,
+        )
     }
 
+    /// One run under `params`; `estimate` is the raw ToW `d̂` and the bits
+    /// its exchange cost, when the estimator ran.
     fn run(
         &self,
         alice: &[u64],
         bob: &[u64],
         d_param: usize,
-        estimated_d: Option<f64>,
-        estimator_bits: u64,
+        params: OptimalParams,
+        estimate: Option<(f64, u64)>,
         seed: u64,
     ) -> PbsReport {
         let cfg = self.config;
-        let params = self.plan(d_param);
         let mut transcript = Transcript::new();
 
         // ---- Encoding phase: both parties group-partition their sets and
@@ -296,8 +319,8 @@ impl Pbs {
             },
             params,
             parameterized_d: d_param,
-            estimated_d,
-            estimator_bits,
+            estimated_d: estimate.map(|(d_hat, _)| d_hat),
+            estimator_bits: estimate.map_or(0, |(_, bits)| bits),
             groups: params.groups,
             per_round_recovered,
             decode_failures: bob_session.decode_failures(),
@@ -491,9 +514,10 @@ mod tests {
 
     #[test]
     fn plan_matches_paper_example() {
-        // The paper's running example selects n = 127; the optimal t under
-        // our (slightly less pessimistic) success model lands within a notch
-        // or two of the paper's 13 — see crates/analysis and EXPERIMENTS.md.
+        // The paper's running example selects n = 127; the optimal t lands
+        // within a notch or two of the paper's 13, because `analysis`
+        // follows a group over the capacity through its split instead of
+        // counting it failed (docs/REPRODUCTION.md, `table1/optimal-t`).
         let pbs = Pbs::paper_default();
         let p = pbs.plan(1000);
         assert_eq!(p.n, 127);

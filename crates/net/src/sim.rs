@@ -1670,3 +1670,77 @@ fn replays_the_regressions() {
         }
     }
 }
+
+/// The service is part of the reproduction: `reproduce table2`'s planned
+/// point at d = 1 000, run through [`Duet`] — under a seed the store
+/// derived, with `Pipeline::Auto`, every frame wire-v6 packed — and held to
+/// `analysis`'s prediction by the Wilson intervals `reproduce` holds the
+/// in-process scheme to: `P(R ≤ 1)` inside its interval, and `P(R ≤ k)` for
+/// k = 2..=r — verified within r layers the last of them — not below it
+/// (from round 2 on the model is a floor: it decodes no group over the
+/// capacity and counts a split part over it as lost). Each trial runs the
+/// session capped at k layers for each k on a fresh copy of the store: the
+/// layers up to the cap, and the verification after each, do not depend on
+/// the cap. The family is these r intervals at the one family-wise
+/// confidence, each from the trials actually run.
+#[test]
+fn a_duet_session_is_held_to_the_analysis() {
+    let trials: u64 = if cfg!(debug_assertions) { 40 } else { 1_000 };
+    let (d, held) = (1_000usize, 2_000usize);
+    let pbs = PbsConfig::default().unlimited_rounds();
+    let plan = pbs_core::Pbs::new(pbs).plan(d);
+    let r = pbs.target_rounds;
+    let predicted = analysis::predict(plan.n, plan.t, d, plan.groups, r, pbs.universe_bits);
+    let mut verified = vec![0u64; r as usize];
+    for trial in 0..trials {
+        let mut rng = StdRng::seed_from_u64(0xD0E7_0000 + trial);
+        let mut drawn = HashSet::new();
+        while drawn.len() < held + d {
+            drawn.insert(rng.random_range(1..1u64 << 32));
+        }
+        let mut pool: Vec<u64> = drawn.into_iter().collect();
+        pool.sort_unstable();
+        let (b, diff) = pool.split_at(held);
+        let a = pool.clone();
+        let proposal = rng.random::<u64>();
+        for (k, count) in verified.iter_mut().enumerate() {
+            // A full session of the store's own set leaves the next one
+            // due a view, under a seed of the store's making.
+            let store = Arc::new(MutableStore::new(b.iter().copied()));
+            let own = ClientConfig {
+                seed: proposal,
+                known_d: Some(1),
+                ..ClientConfig::default()
+            };
+            Duet::over(Arc::clone(&store) as Arc<dyn SetStore>).transcript(&own, b);
+            let config = ClientConfig {
+                seed: proposal,
+                known_d: Some(d as u64),
+                pipeline: Pipeline::Auto,
+                round_cap: k as u32 + 1,
+                pbs,
+                ..ClientConfig::default()
+            };
+            let mut duet = Duet::over(store);
+            let mut client = ClientMachine::new(&config, &a[..], Mode::Full).unwrap();
+            let (report, _) = duet.run(&mut client).unwrap();
+            assert_ne!(report.seed, proposal, "trial {trial}: the store's seed");
+            assert_eq!(report.round_trips.min(1), 1, "trial {trial}");
+            if report.verified {
+                assert_eq!(report.recovered, diff, "trial {trial}, cap {}", k + 1);
+            }
+            *count += report.verified as u64;
+        }
+    }
+    let z = analysis::interval::bonferroni_z(analysis::interval::FAMILY_CONFIDENCE, r as usize);
+    for (k, &count) in verified.iter().enumerate() {
+        let interval = analysis::interval::wilson(count, trials, z);
+        let (within, p) = (k + 1, predicted.done_within[k]);
+        let reading = format!("P(R ≤ {within}) = {count}/{trials}, {interval:?}, predicted {p}");
+        eprintln!("duet: {reading}");
+        match within {
+            1 => assert!(interval.contains(p), "{reading}"),
+            _ => assert!(interval.hi >= p, "{reading}"),
+        }
+    }
+}

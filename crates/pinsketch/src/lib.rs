@@ -191,7 +191,7 @@ impl PinSketchWp {
             self.target_rounds,
             self.target_success,
         )
-        .unwrap_or_else(|_| analysis::OptimalParams {
+        .unwrap_or_else(|| analysis::OptimalParams {
             n: 2047,
             m: 11,
             t: 4 * self.delta,

@@ -2,7 +2,7 @@
 //! pipeline (§6.2): PBS parameterized by the ToW estimate must still meet its
 //! success target, and the analytical plan must react to the estimate.
 
-use analysis::{optimize_parameters, SuccessModel};
+use analysis::optimize_parameters;
 use estimator::{Estimator, TowEstimator};
 use pbs_core::{Pbs, PbsConfig};
 use protocol::{symmetric_difference, Workload};
@@ -83,15 +83,7 @@ fn tow_estimate_feeds_optimizer_consistently() {
     }
     let d_param = ea.conservative_estimate(&eb);
     assert!(d_param >= 400, "γ-inflated estimate {d_param} too low");
-    for model in [
-        SuccessModel::SplitAware,
-        SuccessModel::PessimisticTruncation,
-    ] {
-        let opt = analysis::optimize_parameters_with_model(d_param, 5, 3, 0.99, model)
-            .or_else(|_| optimize_parameters(d_param, 5, 3, 0.99));
-        if let Ok(opt) = opt {
-            assert!(opt.lower_bound >= 0.99);
-            assert!(opt.t >= 5);
-        }
-    }
+    let opt = optimize_parameters(d_param, 5, 3, 0.99).expect("a feasible plan");
+    assert!(opt.lower_bound >= 0.99);
+    assert!(opt.t >= 5);
 }
