@@ -25,7 +25,7 @@
 //!   demo store, sized for the run (subscriber cap above the session
 //!   count). The loopback mode CI smoke-runs.
 //!
-//! The master seed is printed on start (like the fuzz harness): replaying
+//! The master seed is printed on start: replaying
 //! with the same `--seed` reproduces the identical arrival schedule and
 //! workload mix — the determinism `tests/determinism.rs` pins.
 

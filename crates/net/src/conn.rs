@@ -364,7 +364,8 @@ impl ServerConn {
 mod tests {
     use super::*;
     use crate::client::ClientConfig;
-    use crate::frame::Hello;
+    use crate::crc::crc32;
+    use crate::frame::{decode_frame, Hello, DEFAULT_MAX_FRAME};
     use crate::sim::Duet;
     use crate::store::MutableStore;
     use crate::TransportConfig;
@@ -420,5 +421,47 @@ mod tests {
         }
         assert!(sub.conn.on_timer(&sub.res, late, 1, &mut 0).is_none());
         assert_eq!((full.closed(), sub.closed()), (None, None));
+    }
+
+    /// A `Hello` of any other protocol version — stale or from the future,
+    /// in this version's shape or, as a v1 peer sends it, cut short after
+    /// the fields v1 had — does not decode, and the connection answers it
+    /// with the typed refusal; met again while that drains, it ends the
+    /// session.
+    #[test]
+    fn every_other_protocol_version_is_refused_by_name() {
+        for version in [0u16, 1, 3, 4, 5, 7, u16::MAX] {
+            for v1_shaped in [false, true] {
+                let mut hello = Hello::from_config(&PbsConfig::default(), 1, 1);
+                hello.version = version;
+                let mut body = Frame::Hello(hello).encode_body();
+                if v1_shaped {
+                    body.truncate(body.len() - 3); // store length, pipeline, epoch flag
+                }
+                let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+                wire.extend_from_slice(&crc32(&body).to_le_bytes());
+                wire.extend_from_slice(&body);
+                let Err(error) = decode_frame(&wire, DEFAULT_MAX_FRAME) else {
+                    panic!("a v{version} Hello decoded");
+                };
+                let mut duet = Duet::over(Arc::new(MutableStore::new(1..=100u64)));
+                let refused = NetError::Frame(error.clone());
+                let out = duet.conn.on_bad_frame(&duet.res, refused, duet.now);
+                match &out.frames[..] {
+                    [Frame::Error {
+                        code: ErrorCode::Version,
+                        message,
+                    }] => assert!(
+                        message.contains(&format!("version {version} ")),
+                        "{message}"
+                    ),
+                    other => panic!("v{version}: expected a version refusal, got {other:?}"),
+                }
+                let again = NetError::Frame(error);
+                let out = duet.conn.on_bad_frame(&duet.res, again, duet.now);
+                assert!(out.frames.is_empty());
+                assert_eq!(duet.closed(), Some(false));
+            }
+        }
     }
 }

@@ -843,11 +843,11 @@ mod tests {
         }
     }
 
-    /// Every hostile input the socket tests (`loopback::
-    /// server_rejects_protocol_violations`, `fuzz_session`) throw at a live
-    /// server, met with the same `ErrorCode` — after the same replies.
+    /// Hand-built hostile input, one shape per check, met with its
+    /// `ErrorCode` after the replies that precede it. (Seeded hostile
+    /// bytes, in both directions, are the simulator's.)
     #[test]
-    fn hostile_input_is_refused_with_the_code_the_socket_tests_see() {
+    fn hostile_input_is_refused_with_its_error_code() {
         let set = elements(0..200);
         let limits = |config: ServerConfig| Duet::new(mutable(5..205), config);
         let in_rounds = |config: ServerConfig| {
@@ -1004,6 +1004,54 @@ mod tests {
         duet.deliver(Frame::Subscribe { epoch: 0 });
         assert_eq!(refused_with(&mut duet, 2), ErrorCode::Internal);
         assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
+    }
+
+    /// Each range `Hello::config` holds a field to, at both edges: refused
+    /// `BadConfig` by the field's name before anything is planned, and the
+    /// refusal and the next honest handshake take under 100 ms together.
+    #[test]
+    fn every_hello_field_out_of_range_is_refused_by_name() {
+        type Rewrite = fn(&mut Hello);
+        // 25 and 17 are one past the largest δ and target round count.
+        let rows: [(&str, Rewrite); 12] = [
+            ("universe_bits", |h| h.universe_bits = 7),
+            ("universe_bits", |h| h.universe_bits = 65),
+            ("delta", |h| h.delta = 0),
+            ("delta", |h| h.delta = 25),
+            ("target_rounds", |h| h.target_rounds = 0),
+            ("target_rounds", |h| h.target_rounds = 17),
+            ("estimator_sketches", |h| h.estimator_sketches = 0),
+            ("estimator_sketches", |h| h.estimator_sketches = 4097),
+            ("target_success", |h| h.target_success = f64::NAN),
+            ("target_success", |h| h.target_success = 1.0),
+            ("target_success", |h| h.target_success = -0.1),
+            ("max_rounds", |h| h.max_rounds = 0),
+        ];
+        let store = mutable(0..50);
+        // The planner's table is built once, before the clock starts.
+        Duet::over(store.clone()).deliver(Frame::Hello(hello(1)));
+        for (field, rewrite) in rows {
+            let started = std::time::Instant::now();
+            let mut bad = hello(1);
+            rewrite(&mut bad);
+            let mut duet = Duet::over(store.clone());
+            duet.deliver(Frame::Hello(bad));
+            match duet.inbox.pop_back() {
+                Some(Frame::Error { code, message }) => {
+                    assert_eq!(code, ErrorCode::BadConfig, "{field}: {message}");
+                    assert!(message.starts_with(field), "{field}: {message}");
+                }
+                other => panic!("{field}: expected a refusal, got {other:?}"),
+            }
+            let mut next = Duet::over(store.clone());
+            next.deliver(Frame::Hello(hello(1)));
+            assert!(matches!(next.inbox.pop_front(), Some(Frame::Hello(_))));
+            let took = started.elapsed();
+            assert!(
+                took < std::time::Duration::from_millis(100),
+                "{field}: the refusal and the next handshake took {took:?}"
+            );
+        }
     }
 
     /// The views a server's sessions were served from: (patched, built,

@@ -25,23 +25,32 @@
 //!   one WAL append refused while the process lives on, a changelog short
 //!   enough to be trimmed under a reader, a notifier that panics once, a
 //!   store's `view` that panics on a set-up unit, a client that falls
-//!   silent, a stalled link, an epoch-less store.
+//!   silent, a stalled link, an epoch-less store — and a hostile link: one
+//!   direction of a connection that from then on rewrites frames
+//!   ([`Mutation`]), so that a server's or a client's peer lies.
 //! * **Invariants, after every step:** see [`World::check`]; and, as each
 //!   timer fires, that a peer is timed out for silence, or a write for a
-//!   stall, only where a fault made it so ([`World::fire`]). At the end of
-//!   a schedule the faults stop and mesh sweeps run until every node holds
-//!   the union of the initial sets and every write.
+//!   stall, only where a fault made it so ([`World::fire`]). On a hostile
+//!   connection neither end panics, the client ends in a report or a typed
+//!   error, any timer may fire, the report is not held to the truth (the
+//!   link can lie), what the link has a store apply joins the union as
+//!   that peer's write, and each step a reader takes from the link stays
+//!   under [`bound`]. At the end of a schedule the faults stop, hostile
+//!   connections are cut, and mesh sweeps run until every node holds the
+//!   union of the initial sets and every write.
 //!
 //! A failing seed panics with the seed, the step, and the line to add to
 //! [`REGRESSIONS`]; `replays_the_regressions` runs that list. The default
-//! run prints how many seeds fired each timer and holds each to one seed
-//! of twenty.
+//! run prints how many seeds fired each timer and, per direction and
+//! [`Mutation`], in how many a rewritten frame reached its target, and
+//! holds each count to one seed of twenty.
 
 use crate::client::{ClientConfig, DeltaReport, Pipeline, SyncReport};
 use crate::conn::{Due, Out, ServerConn};
+use crate::crc::crc32;
 use crate::frame::{
     decode_frame, encode_frame, write_frame, Decoded, ErrorCode, EstimatorMsg, Frame, Hello,
-    DEFAULT_MAX_FRAME,
+    DEFAULT_MAX_FRAME, FRAME_OVERHEAD,
 };
 use crate::machine::{ClientMachine, Mode, Phase};
 use crate::mesh::{settle, PeerStats, RoundOutcome};
@@ -52,10 +61,12 @@ use crate::store::{
     StoreRegistry, ViewAnswer,
 };
 use crate::wal::{CrashPoint, DurableOptions};
-use crate::{NetError, TransportConfig};
+use crate::{FrameError, NetError, TransportConfig};
 use pbs_core::{PbsConfig, SetView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -172,6 +183,14 @@ impl Duet {
         self.conn.listen(self.now);
     }
 
+    /// What an event loop does with bytes that do not decode as a frame.
+    fn bad_frame(&mut self, error: FrameError) {
+        let out = self
+            .conn
+            .on_bad_frame(&self.res, NetError::Frame(error), self.now);
+        self.take(out);
+    }
+
     /// The heavy unit handed off, run now, as a set-up thread runs it.
     fn set_up(&mut self) {
         let Some(mut machine) = self.held.take() else {
@@ -271,7 +290,7 @@ pub(crate) fn one_of_each() -> Vec<Frame> {
 
 /// Seeds that once failed, replayed by `replays_the_regressions`; a failing
 /// seed's panic names the line to add here.
-const REGRESSIONS: &[u64] = &[];
+const REGRESSIONS: &[u64] = &[124];
 
 /// The default run: seeds `0..SEEDS`.
 const SEEDS: u64 = 1000;
@@ -332,6 +351,90 @@ impl SetStore for Watched {
     }
 }
 
+/// How a hostile link rewrites one frame. The first three rewrite its body:
+/// sealed — the length and CRC made again to fit — the body reaches
+/// `Frame::decode_body` and the decoders behind it; unsealed, the envelope
+/// check stops it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mutation {
+    Truncate,
+    Flip,
+    Garbage,
+    /// A length prefix over the reader's cap.
+    Oversize,
+    /// The sender's previous frame again, behind this one: a frame a
+    /// later one overtook.
+    Reorder,
+    Duplicate,
+}
+
+const MUTATIONS: [Mutation; 6] = [
+    Mutation::Truncate,
+    Mutation::Flip,
+    Mutation::Garbage,
+    Mutation::Oversize,
+    Mutation::Reorder,
+    Mutation::Duplicate,
+];
+
+/// The odds that a hostile link rewrites a frame it carries.
+const HOSTILE: f64 = 0.5;
+
+/// What a hostile link needs: its own draws, and the last frame it carried.
+struct Hostile {
+    rng: StdRng,
+    last: Option<Vec<u8>>,
+}
+
+impl Hostile {
+    /// The wire bytes of a frame whose body was cut short, bit-flipped, or
+    /// replaced by garbage after its type byte; sealed, under a length and
+    /// a CRC made to fit it, else with the envelope mutated with it.
+    fn rewrite(&mut self, mut wire: Vec<u8>, kind: Mutation, sealed: bool) -> Vec<u8> {
+        let rng = &mut self.rng;
+        let mut body = wire.split_off(if sealed { FRAME_OVERHEAD as usize } else { 0 });
+        match kind {
+            Mutation::Truncate => body.truncate(rng.random_range(1..body.len())),
+            Mutation::Flip => {
+                for _ in 0..rng.random_range(1..=3) {
+                    let at = rng.random_range(0..body.len());
+                    body[at] ^= 1 << rng.random_range(0..8u32);
+                }
+            }
+            _ => {
+                body.truncate(sealed as usize);
+                let garbage = rng.random_range(1..64);
+                body.extend((0..garbage).map(|_| rng.random::<u64>() as u8));
+            }
+        }
+        if !sealed {
+            return body;
+        }
+        wire.clear();
+        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&crc32(&body).to_le_bytes());
+        wire.extend_from_slice(&body);
+        wire
+    }
+}
+
+/// What the links of one direction carried, as bits: the frame types sent
+/// and rewritten, and the mutations that reached their target.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    sent: u16,
+    mutated: u16,
+    reached: u8,
+}
+
+impl Tally {
+    fn merge(&mut self, other: Tally) {
+        self.sent |= other.sent;
+        self.mutated |= other.mutated;
+        self.reached |= other.reached;
+    }
+}
+
 /// One direction of a connection.
 #[derive(Default)]
 struct Pipe {
@@ -348,12 +451,62 @@ struct Pipe {
     closed: bool,
     /// Nothing sent arrives (a fault): the sender's writes stall.
     stalled: bool,
+    /// Rewrites frames at [`HOSTILE`] odds (a fault).
+    hostile: Option<Hostile>,
+    /// Where in the stream each frame a counted mutation put on the wire
+    /// begins.
+    marks: VecDeque<(u64, Mutation)>,
+    tally: Tally,
 }
 
 impl Pipe {
     fn send(&mut self, frame: &Frame) {
         let mut bytes = Vec::new();
-        self.sent += encode_frame(&mut bytes, frame, DEFAULT_MAX_FRAME).expect("under the cap");
+        encode_frame(&mut bytes, frame, DEFAULT_MAX_FRAME).expect("under the cap");
+        let ty = 1 << frame.type_byte();
+        self.tally.sent |= ty;
+        let Some(mut hostile) = self.hostile.take() else {
+            return self.put(&bytes, None);
+        };
+        let rng = &mut hostile.rng;
+        let kind = rng
+            .random_bool(HOSTILE)
+            .then(|| MUTATIONS[rng.random_range(0..6usize)]);
+        self.tally.mutated |= ty * kind.is_some() as u16;
+        let last = hostile.last.replace(bytes.clone());
+        match kind {
+            None => self.put(&bytes, None),
+            Some(Mutation::Reorder) => {
+                self.put(&bytes, None);
+                if let Some(last) = last {
+                    self.put(&last, kind);
+                }
+            }
+            Some(Mutation::Duplicate) => {
+                self.put(&bytes, None);
+                self.put(&bytes, kind);
+            }
+            Some(Mutation::Oversize) => {
+                let over = DEFAULT_MAX_FRAME + hostile.rng.random_range(1..1024u32);
+                bytes[..4].copy_from_slice(&over.to_le_bytes());
+                self.put(&bytes, kind);
+            }
+            Some(body) => {
+                let sealed = hostile.rng.random_bool(0.5);
+                let bytes = hostile.rewrite(bytes, body, sealed);
+                self.put(&bytes, kind.filter(|_| sealed));
+            }
+        }
+        self.hostile = Some(hostile);
+    }
+
+    /// Put `bytes` on the wire — once the sender is done, nowhere — and
+    /// mark where they begin if `mark` is to be counted.
+    fn put(&mut self, bytes: &[u8], mark: Option<Mutation>) {
+        if let (Some(kind), false) = (mark, self.closed) {
+            self.marks.push_back((self.sent, kind));
+        }
+        self.sent += bytes.len() as u64;
         match self.closed {
             true => self.discarded += bytes.len() as u64,
             false => self.wire.extend(bytes),
@@ -365,14 +518,36 @@ impl Pipe {
         self.delivered += n as u64;
     }
 
-    fn next_frame(&mut self) -> Option<Frame> {
-        match decode_frame(&self.rx, DEFAULT_MAX_FRAME).expect("links do not corrupt") {
+    /// The whole frame at the head of what arrived, if there is one. Bytes
+    /// that do not decode stay at the head. A frame a counted mutation put
+    /// there is tallied if it reached its target: `Frame::decode_body` for
+    /// a sealed body, `decode_frame`'s cap for a length prefix, the
+    /// reader's machine for a reordered or duplicated frame.
+    fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        while self.marks.front().is_some_and(|&(at, _)| at < self.read) {
+            self.marks.pop_front();
+        }
+        let decoded = decode_frame(&self.rx, DEFAULT_MAX_FRAME);
+        if let Some(&(_, kind)) = self.marks.front().filter(|&&(at, _)| at == self.read) {
+            let reached = match (&decoded, kind) {
+                (Ok(Decoded::Short(_)), _) => false,
+                (Err(FrameError::TooLarge { .. }), Mutation::Oversize) => true,
+                (Ok(Decoded::Whole(..)), Mutation::Reorder | Mutation::Duplicate) => true,
+                (Err(FrameError::BadCrc | FrameError::TooLarge { .. }), _) => false,
+                (_, body) => matches!(
+                    body,
+                    Mutation::Truncate | Mutation::Flip | Mutation::Garbage
+                ),
+            };
+            self.tally.reached |= (reached as u8) << kind as u8;
+        }
+        match decoded? {
             Decoded::Whole(frame, used) => {
                 self.rx.drain(..used);
                 self.read += used as u64;
-                Some(frame)
+                Ok(Some(frame))
             }
-            Decoded::Short(_) => None,
+            Decoded::Short(_) => Ok(None),
         }
     }
 
@@ -405,9 +580,15 @@ impl Pipe {
 /// Element `k` of a schedule, scrambled over the 32-bit universe (one
 /// element per `k`): sets of small consecutive integers would hand the
 /// additive checksum of §2.2.3 collisions no real set has, such as a bin
-/// of {1, 16, 44} decoded as the one element 61.
+/// of {1, 16, 44} decoded as the one element 61. Nor may the scramble be
+/// linear in `k`: ids in arithmetic progression would still be two pairs
+/// of one sum (seed 124 verified a difference four elements short). An odd
+/// multiply and a right xorshift are each one-to-one on 31 bits.
 fn element(k: u64) -> u64 {
-    (k.wrapping_mul(0x9E37_79B1) & 0x7FFF_FFFF) + 1
+    let mut x = k.wrapping_mul(0x9E37_79B1) & 0x7FFF_FFFF;
+    x ^= x >> 16;
+    x = x.wrapping_mul(0x045D_9F3B) & 0x7FFF_FFFF;
+    (x ^ x >> 15) + 1
 }
 
 fn sorted(store: &dyn SetStore) -> Vec<u64> {
@@ -567,6 +748,8 @@ struct Conn {
     accepted: Instant,
     /// The client end reads and sends nothing (a fault).
     silent: bool,
+    /// A link of it turned hostile (a fault): either end may be lied to.
+    hostile: bool,
 }
 
 impl Conn {
@@ -604,6 +787,12 @@ struct World {
     faults: bool,
     /// A notifier has panicked on purpose.
     panicked: bool,
+    /// What the links of the connections gone carried, client → server
+    /// and back.
+    tally: [Tally; 2],
+    /// The next connection opens over a link hostile one way (up if
+    /// `true`).
+    hostile_next: Option<(bool, Hostile)>,
 }
 
 impl Drop for World {
@@ -699,6 +888,8 @@ impl World {
             fresh: 1 << 20,
             faults: true,
             panicked: false,
+            tally: [Tally::default(); 2],
+            hostile_next: None,
         }
     }
 
@@ -727,7 +918,12 @@ impl World {
     fn connect(&mut self, i: usize, s: usize, mut client: ClientMachine<'static>, role: Role) {
         let res = &self.nodes[i].res;
         res.stats.sessions_started.inc(1);
-        let (mut up, hello) = (Pipe::default(), client.poll_send().ok().flatten());
+        let (mut up, mut down) = (Pipe::default(), Pipe::default());
+        let hostile = self.hostile_next.take().map(|(way, link)| match way {
+            true => up.hostile = Some(link),
+            false => down.hostile = Some(link),
+        });
+        let hello = client.poll_send().ok().flatten();
         up.send(&hello.expect("a client opens with a Hello"));
         self.conns.push(Conn {
             node: i,
@@ -736,11 +932,12 @@ impl World {
             client: Some(client),
             role,
             up,
-            down: Pipe::default(),
+            down,
             seen: 0,
             seed: 0,
             accepted: self.now,
             silent: false,
+            hostile: hostile.is_some(),
         });
     }
 
@@ -766,8 +963,19 @@ impl World {
             if !open {
                 break;
             }
-            let Some(frame) = conn.up.next_frame() else {
-                break;
+            let (hostile, wire) = (conn.hostile, conn.up.rx.len());
+            let frame = match metered(hostile, wire, || conn.up.next_frame()) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                // As an event loop does: a wrong-version peer is told so
+                // (the frame stays at the head; met again, it ends the
+                // session), other garbage ends the session.
+                Err(e) => {
+                    assert!(hostile, "an honest link carried bytes that do not decode");
+                    conn.server.as_mut().expect("checked above").bad_frame(e);
+                    self.flush(c);
+                    continue;
+                }
             };
             if let Frame::Hello(hello) = &frame {
                 self.nodes[i].slots[s].proposed.insert(hello.seed);
@@ -779,13 +987,17 @@ impl World {
             let refusal = transfer.as_ref().and_then(|_| self.refusal(i, s));
             let duet = self.conns[c].server.as_mut().expect("checked above");
             let before = duet.crossed.len();
-            duet.deliver(frame);
+            metered(hostile, wire, || duet.deliver(frame));
             let reconciled = |c: &Crossed| matches!(c, Crossed::Reconciled { .. });
             let acked = duet.crossed[before..].iter().any(reconciled);
             if let Some(store) = refusal {
                 store.inject_crash(None);
             }
             if let (Some(elements), true) = (transfer, acked) {
+                // What a hostile link had the store take is that peer's write.
+                if hostile {
+                    self.expected[s].extend(&elements);
+                }
                 let slot = &mut self.nodes[i].slots[s];
                 slot.acked.extend(elements);
                 slot.acked_grew = true;
@@ -854,13 +1066,21 @@ impl World {
             let Some(client) = conn.client.as_mut().filter(|_| !conn.silent) else {
                 return;
             };
-            let Some(frame) = conn.down.next_frame() else {
+            let (down, up) = (&mut conn.down, &mut conn.up);
+            // Bytes that do not decode end the session, as over a socket.
+            let step = metered(conn.hostile, down.rx.len(), || {
+                let frame = match down.next_frame() {
+                    Ok(frame) => frame?,
+                    Err(e) => return Some(Err(NetError::Frame(e))),
+                };
+                Some(client.on_frame(frame).and_then(|step| {
+                    client.poll_send()?.inspect(|frame| up.send(frame));
+                    Ok(step)
+                }))
+            });
+            let Some(step) = step else {
                 break;
             };
-            let step = client.on_frame(frame).and_then(|step| {
-                client.poll_send()?.inspect(|frame| conn.up.send(frame));
-                Ok(step)
-            });
             match step {
                 Err(e) => return self.end_client(c, Err(e)),
                 Ok(step) => {
@@ -896,21 +1116,28 @@ impl World {
     fn end_client(&mut self, c: usize, result: Result<SyncReport, NetError>) {
         self.hang_up(c);
         let conn = &mut self.conns[c];
+        let hostile = conn.hostile;
         let result = result.map(|mut report| {
-            (report.bytes_sent, report.bytes_received) = (conn.up.sent, conn.down.read);
+            let read = (conn.up.sent, conn.down.read);
+            (report.bytes_sent, report.bytes_received) = read;
             let link = (conn.up.delivered, conn.down.delivered);
-            assert_eq!((conn.up.sent, conn.down.read), link, "session bytes");
+            assert!(
+                hostile || read == link,
+                "session bytes {read:?}, delivered {link:?}"
+            );
             report
         });
         if let Err(e) = &result {
-            let given = match e {
-                NetError::Io(_) => true,
-                NetError::Remote { code, .. } => {
-                    matches!(code, ErrorCode::Internal | ErrorCode::RoundLimit)
-                }
-                NetError::Protocol(why) => why.contains("full sync") || why.contains("evicted"),
-                NetError::Frame(_) => false,
-            };
+            // On a hostile link, any typed error may be the link's doing.
+            let given = hostile
+                || match e {
+                    NetError::Io(_) => true,
+                    NetError::Remote { code, .. } => {
+                        matches!(code, ErrorCode::Internal | ErrorCode::RoundLimit)
+                    }
+                    NetError::Protocol(why) => why.contains("full sync") || why.contains("evicted"),
+                    NetError::Frame(_) => false,
+                };
             assert!(given, "a session failed for no fault of the schedule: {e}");
         }
         let (i, s) = (conn.node, conn.slot);
@@ -920,7 +1147,11 @@ impl World {
         let (held, since, mesh) = (std::mem::take(held), *since, *mesh);
         let verified = result.as_ref().ok().filter(|report| report.verified);
         let bytes = verified.map(|report| (report.bytes_sent, report.bytes_received));
-        if let Some(report) = verified {
+        // A hostile link's report is not held to the truth: an
+        // unauthenticated link can lie. What it has the node apply is that
+        // peer's write.
+        let pulled = verified.filter(|_| hostile).map(SyncReport::pulled);
+        if let Some(report) = verified.filter(|_| !hostile) {
             let from = report.delta.as_ref().map(|delta| delta.from_epoch);
             assert!(
                 from.is_none() || from == since,
@@ -938,7 +1169,9 @@ impl World {
         }
         let refusal = self.refusal(from, s);
         let (node, outcome) = (&self.nodes[from], &mut RoundOutcome::default());
-        let _ = settle(&node.entry(s), result, &node.mesh, outcome);
+        if settle(&node.entry(s), result, &node.mesh, outcome).is_ok() {
+            self.expected[s].extend(pulled.unwrap_or_default());
+        }
         if let Some(store) = refusal {
             store.inject_crash(None);
         }
@@ -962,8 +1195,11 @@ impl World {
     }
 
     /// A push starts where the last one ended, and leaves the subscriber
-    /// holding what the store held at its epoch.
+    /// holding what the store held at its epoch — over an honest link.
     fn on_push(&mut self, c: usize, push: DeltaReport) {
+        if self.conns[c].hostile {
+            return;
+        }
         let (i, s) = (self.conns[c].node, self.conns[c].slot);
         let want = self.set_at(i, s, push.to_epoch);
         let Role::Follow { held, epoch } = &mut self.conns[c].role else {
@@ -1092,7 +1328,9 @@ impl World {
         let Some(due) = duet.on_timer(pending, &mut self.nonce) else {
             return false;
         };
-        let (faulted, stalled) = (conn.silent || conn.down.stalled, conn.down.stalled);
+        // On a hostile connection any timer may come due.
+        let stalled = conn.down.stalled || conn.hostile;
+        let faulted = conn.silent || stalled;
         let timer = match due {
             Due::Ping => Some("ping"),
             Due::Dead => faulted.then_some("liveness cut"),
@@ -1225,7 +1463,7 @@ impl World {
         let a = self.rng.random_range(0..nodes);
         let link = (a, (a + self.rng.random_range(1..nodes)) % nodes);
         let link = (link.0.min(link.1), link.0.max(link.1));
-        match self.rng.random_range(0..12usize) {
+        match self.rng.random_range(0..18usize) {
             // A partition cuts the mesh syncs across it and refuses new ones.
             0 if self.partitioned.insert(link) => {
                 for c in 0..self.conns.len() {
@@ -1252,6 +1490,20 @@ impl World {
                 let conn = &mut self.conns[c];
                 conn.silent |= kind == 8;
                 conn.down.stalled |= kind > 8;
+            }
+            // A link turns hostile, one way: from here it rewrites frames
+            // (the next connection's, from its `Hello` on).
+            kind @ 12..=17 => {
+                let rng = StdRng::seed_from_u64(self.rng.random());
+                let (up, link) = (kind % 2 == 0, Hostile { rng, last: None });
+                let c = self.rng.random_range(0..=self.conns.len());
+                let Some(conn) = self.conns.get_mut(c) else {
+                    self.hostile_next = Some((up, link));
+                    return;
+                };
+                let pipe = if up { &mut conn.up } else { &mut conn.down };
+                pipe.hostile.get_or_insert(link);
+                conn.hostile = true;
             }
             _ => {
                 // A set-up unit that panics: the next view of a store.
@@ -1493,9 +1745,15 @@ impl World {
         self.step += 1;
         // What an event loop does before it sleeps: fire what is due.
         while (0..self.conns.len()).filter(|&c| self.fire(c)).count() > 0 {}
+        let tally = &mut self.tally;
         self.conns.retain(|conn| {
             let flying = !conn.up.wire.is_empty() || !conn.down.wire.is_empty();
-            conn.server.is_some() || conn.client.is_some() || flying
+            let keep = conn.server.is_some() || conn.client.is_some() || flying;
+            if !keep {
+                tally[0].merge(conn.up.tally);
+                tally[1].merge(conn.down.tally);
+            }
+            keep
         });
         self.check();
     }
@@ -1524,10 +1782,20 @@ impl World {
         Ok(())
     }
 
+    /// What every link carried, client → server and back.
+    fn carried(&self) -> [Tally; 2] {
+        let mut tally = self.tally;
+        for conn in &self.conns {
+            tally[0].merge(conn.up.tally);
+            tally[1].merge(conn.down.tally);
+        }
+        tally
+    }
+
     /// The schedule: seeded steps with faults on; then the faults stop,
-    /// subscribers hang up, every owed element goes back, and mesh sweeps
-    /// around the ring run until every node holds the union — within a
-    /// bound.
+    /// subscribers hang up, hostile connections are cut, every owed element
+    /// goes back, and mesh sweeps around the ring run until every node
+    /// holds the union — within a bound.
     fn run(&mut self) {
         for _ in 0..STEPS {
             let nodes = self.nodes.len();
@@ -1536,22 +1804,28 @@ impl World {
                 self.rng.random_range(1..nodes),
             );
             match self.rng.random_range(0..100u32) {
-                0..=54 => drop(self.progress(true)),
-                55..=64 => self.pass_time(),
-                65..=72 => self.write(),
-                73..=79 => self.mesh_round(i, (i + hop) % nodes),
-                80..=86 => self.open_client(false),
-                87..=91 => self.open_client(true),
+                0..=51 => drop(self.progress(true)),
+                52..=61 => self.pass_time(),
+                62..=69 => self.write(),
+                70..=76 => self.mesh_round(i, (i + hop) % nodes),
+                77..=83 => self.open_client(false),
+                84..=88 => self.open_client(true),
                 _ => self.fault(),
             }
             self.end_step();
         }
         self.faults = false;
         self.partitioned.clear();
+        self.hostile_next = None;
         for c in 0..self.conns.len() {
             (self.conns[c].silent, self.conns[c].down.stalled) = (false, false);
             if let Role::Follow { .. } = self.conns[c].role {
                 self.hang_up(c);
+            }
+            // A hostile link may have left bytes no end will finish
+            // reading (a length prefix cut short): it is cut.
+            if self.conns[c].hostile {
+                self.cut(c);
             }
             self.touch(c);
         }
@@ -1598,10 +1872,118 @@ fn scratch() -> PathBuf {
     }
 }
 
-/// Run the schedule of `seed` to its end — the timers that fired — or say
-/// where it failed. (The panics the schedule plants are kept out of the
-/// test output.)
-fn run_seed(seed: u64) -> Result<BTreeSet<&'static str>, String> {
+/// The lib test binary's allocator: the system's, counting on each thread
+/// the bytes it hands out, so that [`metered`] can hold a step to a bound.
+struct Counting;
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+thread_local! {
+    /// Bytes handed out on this thread so far.
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    /// During a metered step, the count past which the allocator refuses —
+    /// and the process aborts — so that a step far over its bound cannot
+    /// take the machine's memory before the check after it fails the seed.
+    static CEILING: Cell<u64> = const { Cell::new(u64::MAX) };
+}
+
+/// Count `bytes` handed out on this thread: `false` past the ceiling.
+fn hand_out(bytes: usize) -> bool {
+    let total = ALLOCATED.try_with(|n| {
+        n.set(n.get() + bytes as u64);
+        n.get()
+    });
+    total.unwrap_or(0) <= CEILING.try_with(Cell::get).unwrap_or(u64::MAX)
+}
+
+// SAFETY: each call goes to `System` with its arguments unchanged, or
+// returns null, which a `GlobalAlloc` may for an allocation that failed;
+// the count is a thread-local `Cell`, which allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        match hand_out(layout.size()) {
+            true => System.alloc(layout),
+            false => std::ptr::null_mut(),
+        }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        match hand_out(layout.size()) {
+            true => System.alloc_zeroed(layout),
+            false => std::ptr::null_mut(),
+        }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, size: usize) -> *mut u8 {
+        match hand_out(size.saturating_sub(layout.size())) {
+            true => System.realloc(ptr, layout, size),
+            false => std::ptr::null_mut(),
+        }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Bytes a reader on a hostile link may allocate per byte that arrived: a
+/// report bin one wire bit wide decodes to 16 bytes.
+const PER_WIRE_BYTE: u64 = 128;
+
+/// Bytes a session may hold per difference it is planned for: its groups
+/// and a first trip's sketches, at the deepest pipeline a server grants.
+const PER_D: u64 = 256;
+
+/// What scales with the simulation's own sets, of a few hundred elements.
+const SLACK: u64 = 4 << 20;
+
+/// The most one step of a reader on a hostile link may allocate, `wire`
+/// bytes having arrived: decoding them (a `Done`'s elements, at most
+/// `max_done_elements`, are within its bytes), and taking and answering a
+/// frame — a session planned for up to `max_d` differences, the cap both
+/// ends hold a peer's `d` to. Not metered, so not bounded here: a set-up
+/// unit handed off — a store's view, Bob's build, O(|B|) — which runs as
+/// an event of its own.
+fn bound(wire: usize) -> u64 {
+    let max_d = ClientConfig::default()
+        .max_d
+        .max(ServerConfig::default().max_d);
+    PER_WIRE_BYTE * wire as u64 + PER_D * max_d + SLACK
+}
+
+/// Run `step` — a reader's decode of what arrived over a hostile link
+/// (`wire` bytes), or its taking and answering one frame — and hold what
+/// it allocates to [`bound`].
+fn metered<T>(hostile: bool, wire: usize, step: impl FnOnce() -> T) -> T {
+    /// Lifts the ceiling however the step ends.
+    struct Lift;
+    impl Drop for Lift {
+        fn drop(&mut self) {
+            CEILING.set(u64::MAX);
+        }
+    }
+    if !hostile {
+        return step();
+    }
+    let (bound, start) = (bound(wire), ALLOCATED.get());
+    CEILING.set(start + 2 * bound);
+    let out = {
+        let _lift = Lift;
+        step()
+    };
+    let spent = ALLOCATED.get() - start;
+    assert!(
+        spent <= bound,
+        "a step on a hostile link allocated {spent} bytes, over its bound of {bound}"
+    );
+    out
+}
+
+/// Run the schedule of `seed` to its end — the timers that fired and what
+/// the links carried — or say where it failed. (The panics the schedule
+/// plants are kept out of the test output.)
+fn run_seed(seed: u64) -> Result<(BTreeSet<&'static str>, [Tally; 2]), String> {
     static QUIET: std::sync::Once = std::sync::Once::new();
     QUIET.call_once(|| {
         let hook = std::panic::take_hook();
@@ -1614,7 +1996,8 @@ fn run_seed(seed: u64) -> Result<BTreeSet<&'static str>, String> {
     let mut world = None;
     let run = catch_unwind(AssertUnwindSafe(|| world.insert(World::new(seed)).run()));
     let mut world = world.expect("made before it runs");
-    run.map(|()| std::mem::take(&mut world.fired)).map_err(|panic| {
+    let carried = world.carried();
+    run.map(|()| (std::mem::take(&mut world.fired), carried)).map_err(|panic| {
         let why = (panic.downcast_ref::<String>().map(String::as_str))
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("a panic");
@@ -1624,7 +2007,8 @@ fn run_seed(seed: u64) -> Result<BTreeSet<&'static str>, String> {
 }
 
 /// The default run, on two threads. It also holds the schedules to making
-/// every timer fire in one seed of twenty at least.
+/// every timer fire, and every mutation reach its target each way, in one
+/// seed of twenty at least, and to rewriting every frame type sent.
 #[test]
 fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     let start = std::time::Instant::now();
@@ -1646,20 +2030,48 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     let mut seeds = BTreeMap::<&str, u64>::new();
-    for fired in halves.iter().flatten().flatten() {
+    let (mut reached, mut links) = ([[0u64; 6]; 2], [Tally::default(); 2]);
+    for (fired, tally) in halves.iter().flatten().flatten() {
         fired
             .iter()
             .for_each(|timer| *seeds.entry(timer).or_default() += 1);
+        for way in 0..2 {
+            links[way].merge(tally[way]);
+            for (kind, n) in reached[way].iter_mut().enumerate() {
+                *n += (tally[way].reached >> kind & 1) as u64;
+            }
+        }
     }
     seeds.remove("drained");
     eprintln!(
         "sim: {SEEDS} seeds in {:?}; seeds a timer fired in: {seeds:?}",
         start.elapsed()
     );
+    for (way, name) in ["client → server", "server → client"]
+        .into_iter()
+        .enumerate()
+    {
+        let counts = MUTATIONS.map(|kind| format!("{kind:?} {}", reached[way][kind as usize]));
+        eprintln!(
+            "sim: seeds a rewritten {name} frame reached its target in: {}",
+            counts.join(", ")
+        );
+    }
     assert!(
         seeds.len() == 7 && seeds.values().all(|&n| n >= SEEDS / 20),
         "{seeds:?}"
     );
+    assert!(
+        reached.iter().flatten().all(|&n| n >= SEEDS / 20),
+        "{reached:?}"
+    );
+    for (way, links) in links.iter().enumerate() {
+        let never = links.sent & !links.mutated;
+        assert_eq!(
+            never, 0,
+            "way {way}: frame types sent, never rewritten: {never:#b}"
+        );
+    }
 }
 
 #[test]

@@ -5,9 +5,6 @@
 //! Kill-and-recover at every crash point, with epoch continuity for the
 //! readers and every acked transfer still held after the reopen, is the
 //! deterministic simulator's (`src/sim.rs`), over a thousand schedules.
-//!
-//! Deterministic by default; export `FUZZ_SEED` to vary the generated
-//! workload (the CI fuzz-soak leg pins it).
 
 use pbs_net::client::{sync_with_retry, ClientConfig, RetryPolicy};
 use pbs_net::store::ChangeBatch;
@@ -19,13 +16,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn seed() -> u64 {
-    std::env::var("FUZZ_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xD15C_0CAFE)
-}
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
@@ -74,7 +64,7 @@ fn retry_rides_out_a_server_restart() {
         attempts: 12,
         base_delay: Duration::from_millis(50),
         max_delay: Duration::from_millis(400),
-        jitter_seed: seed(),
+        jitter_seed: 0xD15C_0CAFE,
     };
     let (report, attempts) =
         sync_with_retry(addr, &alice, &ClientConfig::default(), &policy).expect("retry converges");
