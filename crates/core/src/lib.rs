@@ -282,13 +282,12 @@ impl Pbs {
         loop {
             rounds_executed += 1;
             for msg in &sketches {
-                transcript.send_bits(Direction::AliceToBob, "bch-sketch", msg.wire_bits(params.m));
+                transcript.send_bits(Direction::AliceToBob, msg.wire_bits(params.m));
             }
             let reports = bob_session.handle_sketches(&sketches);
             for msg in &reports {
                 transcript.send_bits(
                     Direction::BobToAlice,
-                    "bin-report",
                     msg.wire_bits(params.m, cfg.universe_bits),
                 );
             }

@@ -119,11 +119,7 @@ impl DifferenceDigest {
         let encode = encode_start.elapsed();
 
         // Bob ships his IBF to Alice.
-        transcript.send_bits(
-            Direction::BobToAlice,
-            "ibf",
-            table_b.wire_bits(cfg.universe_bits),
-        );
+        transcript.send_bits(Direction::BobToAlice, table_b.wire_bits(cfg.universe_bits));
 
         let decode_start = Instant::now();
         let mut diff = table_a;

@@ -150,13 +150,9 @@ impl Graphene {
         let encode = encode_start.elapsed();
 
         if let Some(f) = &bf {
-            transcript.send_bits(Direction::BobToAlice, "bloom-filter", f.wire_bits());
+            transcript.send_bits(Direction::BobToAlice, f.wire_bits());
         }
-        transcript.send_bits(
-            Direction::BobToAlice,
-            "iblt",
-            iblt_b.wire_bits(cfg.universe_bits),
-        );
+        transcript.send_bits(Direction::BobToAlice, iblt_b.wire_bits(cfg.universe_bits));
 
         // --- Alice's decode: filter pass + IBLT subtraction + peel. ---
         let decode_start = Instant::now();

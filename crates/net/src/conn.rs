@@ -366,6 +366,7 @@ mod tests {
     use crate::client::ClientConfig;
     use crate::crc::crc32;
     use crate::frame::{decode_frame, Hello, DEFAULT_MAX_FRAME};
+    use crate::machine::Mode;
     use crate::sim::Duet;
     use crate::store::MutableStore;
     use crate::TransportConfig;
@@ -401,7 +402,7 @@ mod tests {
         let store = Arc::new(MutableStore::new(elements(500)));
         let fresh = ServerConn::new(&config, Instant::now());
         let mut full = Duet::new(Arc::clone(&store) as Arc<_>, config);
-        let (_, _, report) = full.transcript(&ClientConfig::default(), &elements(490));
+        let (_, _, report) = full.transcript(&ClientConfig::default(), &elements(490), Mode::Full);
         assert!(report.verified && report.recovered.len() == 10);
         let mut sub = Duet::new(store, config);
         let hello = Hello::from_config(&PbsConfig::default(), 1, 0).with_delta_epoch(0);

@@ -765,26 +765,96 @@ pub(crate) fn spawn_acceptor(
 
 #[cfg(test)]
 mod tests {
+    //! Sessions over real sockets, held to the inline driver.
+    //!
+    //! * **Byte for byte:** a session served by the event loop — full ones
+    //!   at |B| = 10⁵ through the blocking `client::sync`, a delta
+    //!   catch-up, and one whose set-up is held on the set-up thread while
+    //!   its next frame arrives — puts on the wire, in each direction,
+    //!   exactly the bytes `Duet` (`src/sim.rs`) exchanges for the same
+    //!   (sets, seed), and every ledger of them (the report's, the
+    //!   server's) reads those lengths.
+    //! * **The set-up hand-off:** a full session's O(|B|) set-up runs on
+    //!   its worker's set-up thread while the loop keeps serving everyone
+    //!   else on that worker. Every interleaving is forced, none is slept
+    //!   for: the store under test ([`Gated`]) holds a session's `view`
+    //!   call at a gate the test opens, and the servers run one worker.
+    //!   With a set-up held, a subscriber is pushed to, a second connection
+    //!   is served, and the held session's next frame is taken in order
+    //!   once the gate opens; a peer close and `Server::shutdown` while the
+    //!   machine is out each leave `started == completed + failed`; a
+    //!   `view` that panics costs its own session (`Internal`), not the
+    //!   worker.
+    //!
+    //! What the clocks do to a session that is out — the deadline, the
+    //! read-idle window — is the simulator's, on a virtual clock.
     use super::*;
-    use crate::client::ClientConfig;
-    use crate::frame::{write_frame, DEFAULT_MAX_FRAME};
-    use crate::machine::{ClientMachine, Mode};
-    use crate::server::Server;
+    use crate::client::{sync, ClientConfig, SyncClient, SyncReport};
+    use crate::frame::{decode_frame, write_frame, Decoded, DEFAULT_MAX_FRAME};
+    use crate::machine::{ClientMachine, Mode, Step};
+    use crate::server::{Server, StatsSnapshot};
     use crate::sim::Duet;
-    use crate::store::{MutableStore, ViewAnswer};
-    use crate::{FramedStream, TransportConfig};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Barrier;
+    use crate::store::{DeltaAnswer, MutableStore, StoreNotifier, StoreRegistry, ViewAnswer};
+    use crate::{FramedStream, NetError, TransportConfig};
+    use std::net::{Shutdown, SocketAddr};
+    use std::sync::Condvar;
+    use std::thread::JoinHandle;
 
-    /// A store whose first `view` call meets the test at `gate` twice: once
-    /// to say it is held, once to be let go.
-    struct HeldOnce {
-        inner: MutableStore,
-        armed: AtomicBool,
-        gate: Barrier,
+    /// How long a wait on the gate may take before the test fails instead
+    /// of hanging.
+    const HANG: Duration = Duration::from_secs(60);
+
+    /// What the next `view` call meets.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Gate {
+        /// Nothing: every call goes straight through.
+        Open,
+        /// The next call is held.
+        Armed,
+        /// A call is being held.
+        Holding,
+        /// The next call panics.
+        Trapped,
     }
 
-    impl SetStore for HeldOnce {
+    /// A `MutableStore` whose `view` — the first thing every heavy set-up
+    /// unit asks of its store — can be held at a gate, or made to panic,
+    /// once.
+    struct Gated {
+        inner: MutableStore,
+        gate: Mutex<Gate>,
+        moved: Condvar,
+    }
+
+    impl Gated {
+        fn over(elements: impl IntoIterator<Item = u64>) -> Arc<Gated> {
+            Arc::new(Gated {
+                inner: MutableStore::new(elements),
+                gate: Mutex::new(Gate::Open),
+                moved: Condvar::new(),
+            })
+        }
+
+        fn set(&self, to: Gate) {
+            *self.gate.lock().unwrap() = to;
+            self.moved.notify_all();
+        }
+
+        /// Block until the gate reads `want`.
+        fn await_gate(&self, want: Gate) {
+            let gate = self.gate.lock().unwrap();
+            let (gate, timeout) = self
+                .moved
+                .wait_timeout_while(gate, HANG, |gate| *gate != want)
+                .unwrap();
+            assert!(
+                !timeout.timed_out(),
+                "the gate never read {want:?}: {gate:?}"
+            );
+        }
+    }
+
+    impl SetStore for Gated {
         fn snapshot(&self) -> Vec<u64> {
             self.inner.snapshot()
         }
@@ -794,67 +864,438 @@ mod tests {
         fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
             self.inner.epoch_snapshot()
         }
+        fn delta_since(&self, epoch: u64) -> DeltaAnswer {
+            self.inner.delta_since(epoch)
+        }
+        fn session_seed(&self, proposal: u64) -> u64 {
+            self.inner.session_seed(proposal)
+        }
         fn view(&self, seed: u64) -> ViewAnswer {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                self.gate.wait();
-                self.gate.wait();
+            let mut gate = self.gate.lock().unwrap();
+            match *gate {
+                Gate::Trapped => {
+                    *gate = Gate::Open;
+                    drop(gate);
+                    panic!("the store's view failed (a test's trap)");
+                }
+                Gate::Armed => {
+                    *gate = Gate::Holding;
+                    self.moved.notify_all();
+                    let (held, timeout) = self
+                        .moved
+                        .wait_timeout_while(gate, HANG, |gate| *gate == Gate::Holding)
+                        .unwrap();
+                    assert!(!timeout.timed_out(), "nobody opened the gate");
+                    drop(held);
+                }
+                _ => drop(gate),
             }
             self.inner.view(seed)
         }
+        fn retire_view(&self, seed: u64) {
+            self.inner.retire_view(seed)
+        }
+        fn register_notifier(&self, notifier: StoreNotifier) -> bool {
+            self.inner.register_notifier(notifier)
+        }
     }
 
-    /// The same (sets, seed) served by the loop — the snapshot unit held on
-    /// the set-up thread until the client's bank is already on the wire,
-    /// the Bob build handed off after it — and driven inline by `Duet`:
-    /// one session, byte for byte in both directions.
-    #[test]
-    fn a_session_served_through_the_hand_off_is_the_inline_session_byte_for_byte() {
-        let held: Vec<u64> = (1..=3_000u64).map(|i| i * 0x9E37 + 1).collect();
-        let ours = &held[40..];
-        let config = ClientConfig {
-            seed: 0x5EED,
-            ..ClientConfig::default()
-        };
-        let inline_store = Arc::new(MutableStore::new(held.iter().copied()));
-        let inline = Duet::over(inline_store).transcript(&config, ours);
-
-        let store = Arc::new(HeldOnce {
-            inner: MutableStore::new(held.iter().copied()),
-            armed: AtomicBool::new(true),
-            gate: Barrier::new(2),
-        });
-        let one_worker = ServerConfig {
+    /// A one-worker server over `store`: its every session shares one loop.
+    fn bind(store: &Arc<Gated>) -> (Server, Arc<StoreRegistry>) {
+        let config = ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         };
-        let server = Server::bind("127.0.0.1:0", Arc::clone(&store) as Arc<_>, one_worker).unwrap();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut framed = FramedStream::from_tcp(stream, &TransportConfig::default()).unwrap();
-        let mut client = ClientMachine::new(&config, ours, Mode::Full).unwrap();
-        let (mut up, mut down, mut sent) = (Vec::new(), Vec::new(), 0);
-        let report = loop {
-            if let Some(frame) = client.poll_send().unwrap() {
-                write_frame(&mut up, &frame, DEFAULT_MAX_FRAME).unwrap();
-                framed.send(&frame).unwrap();
-                sent += 1;
-                // After the `Hello`: its set-up is held. After the bank,
-                // which therefore arrives while the machine is out: let go.
-                if sent <= 2 {
-                    store.gate.wait();
+        let server = Server::bind("127.0.0.1:0", Arc::clone(store) as Arc<_>, config).unwrap();
+        let registry = server.registry();
+        (server, registry)
+    }
+
+    fn store_stats(registry: &StoreRegistry) -> StatsSnapshot {
+        registry.get("").unwrap().stats().snapshot()
+    }
+
+    /// `started == completed + failed`, with these counts, server-wide and
+    /// on the store.
+    fn assert_accounts(what: &str, stats: &[StatsSnapshot], started: u64, failed: u64) {
+        for (level, s) in ["server", "store"].iter().zip(stats) {
+            assert_eq!(
+                (s.sessions_started, s.sessions_completed, s.sessions_failed),
+                (started, started - failed, failed),
+                "{what}: {level} (started, completed, failed)"
+            );
+        }
+    }
+
+    /// What every session driven by hand runs under.
+    fn by_hand_config() -> ClientConfig {
+        ClientConfig {
+            seed: 0xA11CE,
+            ..ClientConfig::default()
+        }
+    }
+
+    /// A full session driven by hand, one frame at a time, keeping every
+    /// byte it sent (`up`) and received (`down`).
+    struct ByHand {
+        framed: FramedStream<TcpStream>,
+        machine: ClientMachine<'static>,
+        up: Vec<u8>,
+        down: Vec<u8>,
+    }
+
+    impl ByHand {
+        fn connect(server: &Server, set: Vec<u64>) -> ByHand {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            ByHand {
+                framed: FramedStream::from_tcp(stream, &TransportConfig::default()).unwrap(),
+                machine: ClientMachine::new(&by_hand_config(), set, Mode::Full).unwrap(),
+                up: Vec::new(),
+                down: Vec::new(),
+            }
+        }
+
+        /// Put the frame the machine owes on the wire.
+        fn send(&mut self) {
+            let frame = self.machine.poll_send().unwrap().expect("a frame");
+            self.put(frame);
+        }
+
+        fn put(&mut self, frame: Frame) {
+            write_frame(&mut self.up, &frame, DEFAULT_MAX_FRAME).unwrap();
+            self.framed.send(&frame).unwrap();
+        }
+
+        /// Feed the machine the server's next frame.
+        fn recv(&mut self) -> Step {
+            let frame = self.framed.recv().unwrap();
+            write_frame(&mut self.down, &frame, DEFAULT_MAX_FRAME).unwrap();
+            self.machine.on_frame(frame).unwrap()
+        }
+
+        /// Drive the session from where it stands to its report.
+        fn finish(&mut self) -> SyncReport {
+            loop {
+                if let Some(frame) = self.machine.poll_send().unwrap() {
+                    self.put(frame);
+                }
+                if let Some(report) = self.recv().report {
+                    return report;
                 }
             }
-            let reply = framed.recv().unwrap();
-            write_frame(&mut down, &reply, DEFAULT_MAX_FRAME).unwrap();
-            if let Some(report) = client.on_frame(reply).unwrap().report {
-                break report;
+        }
+
+        /// Send the `Hello` and stand where its set-up is held at `store`'s
+        /// gate, the negotiated `Hello` — flushed before the hand-off — read.
+        fn park_at(&mut self, store: &Gated) {
+            store.set(Gate::Armed);
+            self.send();
+            store.await_gate(Gate::Holding);
+            self.recv();
+        }
+    }
+
+    /// The value on `series`' line of the server's Prometheus rendering.
+    fn metric(server: &Server, series: &str) -> f64 {
+        let text = server.metrics().render_prometheus();
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '));
+        line.expect(series).parse().expect(series)
+    }
+
+    #[test]
+    fn a_held_set_up_holds_up_nobody_else_on_its_worker() {
+        let store = Gated::over(1..=5_000u64);
+        let (server, registry) = bind(&store);
+        let addr = server.local_addr();
+
+        // The worker's subscriber, parked before anything is held.
+        let mut sub = SyncClient::connect(addr).unwrap().subscribe(0).unwrap();
+        sub.next().expect("catch-up").expect("catch-up ok");
+
+        // A holds 1..=4 990 and ten of its own; its set-up is held.
+        let set: Vec<u64> = (1..=4_990).chain(10_001..=10_010).collect();
+        let mut a = ByHand::connect(&server, set);
+        a.park_at(&store);
+        assert_eq!(metric(&server, "pbs_server_setups_in_flight"), 1.0);
+        // A's next frame — its estimator bank — goes out now, ahead of the
+        // set-up it is an answer to.
+        a.send();
+
+        // A mutation is pushed to the subscriber past the held session…
+        store.inner.apply(&[20_001], &[]);
+        let pushed = sub.next().expect("live").expect("push ok");
+        assert_eq!((pushed.added, pushed.to_epoch), (vec![20_001], 1));
+        // …and a new connection is accepted, answered and served its delta.
+        let caught_up = SyncClient::connect(addr)
+            .unwrap()
+            .delta_epoch(0)
+            .sync(&[])
+            .expect("delta sync");
+        let delta = caught_up.delta.expect("served from the changelog");
+        assert_eq!((delta.added, caught_up.epoch), (vec![20_001], Some(1)));
+        let so_far = server.stats().snapshot();
+        // (Two catch-ups served — the subscriber's was the first — and the
+        // held session has not had its snapshot yet.)
+        assert_eq!((so_far.delta_sessions, so_far.views_declined), (2, 0));
+
+        // The gate opens: the bank that was waiting is taken next, in
+        // order, and the session runs to its end.
+        store.set(Gate::Open);
+        let report = a.finish();
+        assert!(report.verified);
+        // (The snapshot is the held unit's: it saw the mutation.)
+        let expected = (4_991..=5_000).chain(10_001..=10_010).chain([20_001]);
+        assert_eq!(report.recovered, expected.collect::<Vec<u64>>());
+        assert_eq!(report.epoch, Some(1));
+        assert!(store.inner.contains(10_010), "A ∖ B was ingested");
+        assert_eq!(metric(&server, "pbs_server_setups_in_flight"), 0.0);
+        // The estimate phase is still stamped, once, when the Bob build is
+        // back.
+        let estimates = "pbs_server_phase_seconds_count{phase=\"estimate\"}";
+        assert_eq!(metric(&server, estimates), 1.0);
+        assert!(metric(&server, "pbs_server_loop_busy_seconds_count") > 0.0);
+
+        drop((a, sub));
+        let stats = [server.shutdown(), store_stats(&registry)];
+        assert_eq!(stats[0].views_declined, 1);
+        assert_accounts("all three sessions", &stats, 3, 0);
+    }
+
+    #[test]
+    fn a_peer_that_leaves_while_out_fails_its_session_once() {
+        let store = Gated::over(1..=1_000u64);
+        let (server, registry) = bind(&store);
+
+        let mut a = ByHand::connect(&server, (1..=990).collect());
+        a.park_at(&store);
+        drop(a);
+        // Nothing is read from a parked session: the loop meets the close
+        // when the machine is back.
+        store.set(Gate::Open);
+        let stats = [server.shutdown(), store_stats(&registry)];
+        assert_accounts("peer closed while out", &stats, 1, 1);
+    }
+
+    #[test]
+    fn shutdown_cuts_a_session_that_is_out_without_waiting_for_its_machine() {
+        let store = Gated::over(1..=1_000u64);
+        let (server, registry) = bind(&store);
+
+        let mut a = ByHand::connect(&server, (1..=990).collect());
+        a.park_at(&store);
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        // The worker closes the session while the gate still holds its
+        // set-up…
+        assert!(a.framed.recv().is_err(), "cut, with nothing more said");
+        assert_eq!(*store.gate.lock().unwrap(), Gate::Holding);
+        // …and shutdown returns once the set-up thread is let go.
+        store.set(Gate::Open);
+        let stats = [shutdown.join().unwrap(), store_stats(&registry)];
+        assert_accounts("shut down while out", &stats, 1, 1);
+    }
+
+    #[test]
+    fn a_view_that_panics_fails_its_own_session_and_nothing_else() {
+        let store = Gated::over(1..=1_000u64);
+        let (server, registry) = bind(&store);
+        let client = SyncClient::connect(server.local_addr()).unwrap();
+        let mut sub = client.subscribe(0).unwrap();
+        sub.next().expect("catch-up").expect("catch-up ok");
+
+        let set: Vec<u64> = (1..=990).collect();
+        store.set(Gate::Trapped);
+        match client.sync(&set) {
+            Err(NetError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::Internal, "{message}")
             }
+            other => panic!("expected an Internal refusal, got {other:?}"),
+        }
+
+        // The same worker, the same set-up thread: the next session
+        // completes and the subscriber is still pushed to.
+        let report = client.sync(&set).expect("the next session");
+        assert!(report.verified && report.recovered.len() == 10);
+        store.inner.apply(&[20_001], &[]);
+        let pushed = sub.next().expect("live").expect("push ok");
+        assert_eq!(pushed.added, vec![20_001]);
+
+        drop(sub);
+        let stats = [server.shutdown(), store_stats(&registry)];
+        assert_accounts("one panic, one session", &stats, 3, 1);
+    }
+
+    /// A relay between one client and `server` that keeps a copy of what
+    /// it carried each way: `[client → server, server → client]`, once
+    /// both ends have closed.
+    fn tap(server: SocketAddr) -> (SocketAddr, JoinHandle<[Vec<u8>; 2]>) {
+        fn carry(mut from: TcpStream, mut to: TcpStream) -> Vec<u8> {
+            let (mut copy, mut buf) = (Vec::new(), [0u8; 1 << 16]);
+            while let Ok(n @ 1..) = from.read(&mut buf) {
+                if to.write_all(&buf[..n]).is_err() {
+                    break;
+                }
+                copy.extend_from_slice(&buf[..n]);
+            }
+            let _ = to.shutdown(Shutdown::Write);
+            copy
+        }
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let relay = std::thread::spawn(move || {
+            let (client, _) = listener.accept().unwrap();
+            let upstream = TcpStream::connect(server).unwrap();
+            for end in [&client, &upstream] {
+                end.set_nodelay(true).unwrap();
+            }
+            let (from, to) = (client.try_clone().unwrap(), upstream.try_clone().unwrap());
+            let up = std::thread::spawn(move || carry(from, to));
+            let down = carry(upstream, client);
+            [up.join().unwrap(), down]
+        });
+        (addr, relay)
+    }
+
+    /// How many whole frames `wire` holds.
+    fn frame_count(mut wire: &[u8]) -> u64 {
+        let mut count = 0;
+        while let Ok(Decoded::Whole(_, used)) = decode_frame(wire, DEFAULT_MAX_FRAME) {
+            wire = &wire[used..];
+            count += 1;
+        }
+        count
+    }
+
+    /// `sync` of `set` in `config`'s mode against a server over `store`,
+    /// through a [`tap`], held to `Duet`'s session over `inline` (a store
+    /// in the same state): the same bytes each way, the report's and the
+    /// server's ledgers of them, the same report. Returns the report.
+    fn held_to_duet(
+        case: &str,
+        store: Arc<MutableStore>,
+        inline: MutableStore,
+        set: &[u64],
+        config: &ClientConfig,
+    ) -> SyncReport {
+        let mode = match config.delta_epoch {
+            Some(since) => Mode::Delta { since },
+            None => Mode::Full,
         };
+        let (up, down, want) = Duet::over(Arc::new(inline)).transcript(config, set, mode);
+        let two_workers = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", store as Arc<_>, two_workers).unwrap();
+        let (addr, relay) = tap(server.local_addr());
+        let report = sync(addr, set, config).unwrap();
+        let [sent, received] = relay.join().unwrap();
+        assert!(sent == up, "{case}: client → server");
+        assert!(received == down, "{case}: server → client");
+        let ledger = [
+            report.bytes_sent,
+            report.bytes_received,
+            report.frames_sent,
+            report.frames_received,
+        ];
+        let wire = [up.len() as u64, down.len() as u64];
+        let frames = [frame_count(&up), frame_count(&down)];
+        assert_eq!(ledger, [wire[0], wire[1], frames[0], frames[1]], "{case}");
+        assert_eq!(report.recovered, want.recovered, "{case}");
+        assert_eq!(report.delta, want.delta, "{case}");
+        let stats = server.shutdown();
+        assert_eq!(
+            (stats.sessions_completed, stats.bytes_in, stats.bytes_out),
+            (1, wire[0], wire[1]),
+            "{case}: the server's ledger"
+        );
+        let estimated = report.estimated_d.is_some() as u64;
+        assert_eq!(
+            (
+                stats.rounds,
+                stats.estimator_exchanges,
+                stats.elements_received
+            ),
+            (report.rounds as u64, estimated, report.pushed.len() as u64),
+            "{case}: the server's session"
+        );
+        report
+    }
+
+    /// A socket session is the inline session, byte for byte in both
+    /// directions: at |B| = 10⁵ for d ∈ {10, 100, 1000} through the
+    /// blocking `sync`, a delta catch-up of 50 changes, and a session
+    /// whose snapshot unit is held on the set-up thread until the client's
+    /// bank is already on the wire (the Bob build handed off after it).
+    #[test]
+    fn a_socket_session_is_the_inline_session_byte_for_byte() {
+        let held: Vec<u64> = (1..=3_000u64).map(|i| i * 0x9E37 + 1).collect();
+        let ours = &held[40..];
+        let inline = Arc::new(MutableStore::new(held.iter().copied()));
+        let (up, down, want) = Duet::over(inline).transcript(&by_hand_config(), ours, Mode::Full);
+        let store = Gated::over(held.iter().copied());
+        let (server, _) = bind(&store);
+        let mut a = ByHand::connect(&server, ours.to_vec());
+        // After the `Hello`: its set-up is held. The bank therefore arrives
+        // while the machine is out; then it is let go.
+        a.park_at(&store);
+        a.send();
+        store.set(Gate::Open);
+        let report = a.finish();
         assert!(report.verified && report.recovered.len() == 40);
-        assert_eq!(report.recovered, inline.2.recovered);
-        assert!(up == inline.0, "client → server");
-        assert!(down == inline.1, "server → client");
+        assert_eq!(report.recovered, want.recovered);
+        assert!(a.up == up, "held: client → server");
+        assert!(a.down == down, "held: server → client");
         let stats = server.shutdown();
         assert_eq!((stats.views_declined, stats.sessions_completed), (1, 1));
+
+        // A scrambled 32-bit universe: n distinct nonzero elements.
+        let keys = |n: u64| (1..=n).map(|i| i.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF);
+        for d in [10usize, 100, 1000] {
+            // B is the first 10⁵ keys; A drops ⌊d/2⌋ of them and adds ⌈d/2⌉.
+            let pool: Vec<u64> = keys(100_000 + d.div_ceil(2) as u64).collect();
+            let (bob, alice) = (&pool[..100_000], &pool[d / 2..]);
+            let mut truth: Vec<u64> = pool[..d / 2]
+                .iter()
+                .chain(&pool[100_000..])
+                .copied()
+                .collect();
+            truth.sort_unstable();
+            let config = ClientConfig {
+                seed: 0xAB5_0000 + d as u64,
+                ..ClientConfig::default()
+            };
+            let store = Arc::new(MutableStore::new(bob.iter().copied()));
+            let case = format!("d = {d}");
+            let inline = MutableStore::new(bob.iter().copied());
+            let report = held_to_duet(&case, Arc::clone(&store), inline, alice, &config);
+            assert!(report.verified, "{case}");
+            assert_eq!(report.recovered, truth, "{case}");
+            assert_eq!(store.len(), pool.len(), "{case}: the store holds A ∪ B");
+            assert!(pool[100_000..].iter().all(|&e| store.contains(e)), "{case}");
+        }
+
+        // A delta catch-up: 25 added and 25 removed since epoch 0.
+        let pool: Vec<u64> = keys(100_025).collect();
+        let (baseline, added) = (&pool[..100_000], &pool[100_000..]);
+        let removed = &baseline[..25];
+        let mutated = || {
+            let store = MutableStore::new(baseline.iter().copied());
+            assert_eq!(store.apply(added, removed), 1);
+            store
+        };
+        let config = ClientConfig {
+            seed: 0xDE17A,
+            delta_epoch: Some(0),
+            ..ClientConfig::default()
+        };
+        let report = held_to_duet("delta", Arc::new(mutated()), mutated(), baseline, &config);
+        let delta = report.delta.expect("served from the changelog");
+        let mut want = added.to_vec();
+        want.sort_unstable();
+        assert_eq!((delta.added, delta.removed.len()), (want, 25));
+        assert_eq!((report.rounds, report.epoch), (0, Some(1)));
     }
 
     #[test]

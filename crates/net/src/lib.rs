@@ -53,10 +53,10 @@
 //! and every further mutation is pushed to the client as it happens, with
 //! keepalive pings and per-subscriber backpressure. See `docs/WIRE.md`.
 //!
-//! The loopback integration test (`tests/loopback.rs`) reconciles
-//! 100k-element sets over real sockets and checks the measured wire bytes
-//! against the in-process transcript's payload accounting
-//! ([`protocol::Transcript::wire_bytes_total`]).
+//! `event_loop.rs`'s tests reconcile 100k-element sets over real sockets
+//! and hold every byte each way, and the report's and the server's byte
+//! ledgers, to the same session run in process by the simulator's
+//! `Duet`, which drives the same two machines with no socket between.
 //!
 //! # Example
 //!

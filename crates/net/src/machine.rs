@@ -782,57 +782,74 @@ mod tests {
         frames
     }
 
-    /// Pipelining at d = 1000 over 2·10⁴ elements, each session through
-    /// `Duet::transcript` under one seed. A fixed depth 3 verifies in fewer
-    /// round trips than depth 1, and both pay for their sketch and report
-    /// frames within 15 % of what Formula (1) charges for the same
-    /// messages, plus what a trip pays outside them (two frames' framing
-    /// and batch headers, a section entry a layer). `Auto` verifies in no
-    /// more trips than depth 1 and within one of the best fixed depth in
-    /// 1..=4, for at most 1.15 × depth 1's wire bytes, speculating under a
-    /// quarter of the group-layers depth 4 does.
-    #[test]
-    fn pipelining_at_d_1000_cuts_trips_within_the_byte_envelope() {
+    /// One session of a two-sided difference of `d` over 2·10⁴ elements
+    /// through `Duet::transcript` under one seed: the report, the wire
+    /// bytes both ways, and — over the sketch and report frames — their
+    /// wire bytes and the Formula (1) bits of the same messages.
+    fn formula_one_session(d: usize, pipeline: Pipeline) -> (SyncReport, u64, u64, u64) {
         let mut pool = keys(20_000, 0xADA_971E);
         pool.sort_unstable();
-        let (alice, bob) = (&pool[500..], &pool[..pool.len() - 500]);
-        let ends = pool[..500].iter().chain(&pool[pool.len() - 500..]);
+        let (alice, bob) = (&pool[d / 2..], &pool[..pool.len() - d / 2]);
+        let ends = pool[..d / 2].iter().chain(&pool[pool.len() - d / 2..]);
         let truth = sorted(ends.copied().collect());
-        let run = |pipeline: Pipeline| {
-            let cfg = ClientConfig {
-                pipeline,
-                ..config()
-            };
-            let store = Arc::new(MutableStore::new(bob.iter().copied()));
-            let (up, down, report) = Duet::over(store).transcript(&cfg, alice);
-            assert!(report.verified, "{pipeline:?}");
-            assert_eq!(report.recovered, truth, "{pipeline:?}");
-            // Formula (1) over the sketch and report frames.
-            let (mut m, mut rounds_wire, mut bits) = (0u32, 0u64, 0u64);
-            for (frame, used) in frames(&up).into_iter().chain(frames(&down)) {
-                bits += match frame {
-                    Frame::Sketches { m: field, batch } => {
-                        m = field;
-                        batch.iter().map(|s| s.wire_bits(m)).sum::<u64>()
-                    }
-                    Frame::Reports(reports) => reports.iter().map(|r| r.wire_bits(m, 32)).sum(),
-                    _ => continue,
-                };
-                rounds_wire += used;
-            }
-            let wire = (up.len() + down.len()) as u64;
-            (report, wire, rounds_wire, bits)
+        let cfg = ClientConfig {
+            pipeline,
+            ..config()
         };
+        let store = Arc::new(MutableStore::new(bob.iter().copied()));
+        let (up, down, report) = Duet::over(store).transcript(&cfg, alice, Mode::Full);
+        assert!(report.verified, "d = {d}, {pipeline:?}");
+        assert_eq!(report.recovered, truth, "d = {d}, {pipeline:?}");
+        let (mut m, mut rounds_wire, mut bits) = (0u32, 0u64, 0u64);
+        for (frame, used) in frames(&up).into_iter().chain(frames(&down)) {
+            bits += match frame {
+                Frame::Sketches { m: field, batch } => {
+                    m = field;
+                    batch.iter().map(|s| s.wire_bits(m)).sum::<u64>()
+                }
+                Frame::Reports(reports) => reports.iter().map(|r| r.wire_bits(m, 32)).sum(),
+                _ => continue,
+            };
+            rounds_wire += used;
+        }
+        let wire = (up.len() + down.len()) as u64;
+        (report, wire, rounds_wire, bits)
+    }
+
+    /// `session`'s sketch and report frames no cheaper than what Formula
+    /// (1) charges for the same messages, and within 15 % of it plus what a
+    /// trip of `layers` pays outside them: two frames' framing and batch
+    /// headers, a section entry a layer.
+    fn assert_within_formula_one(case: &str, layers: u64, session: &(SyncReport, u64, u64, u64)) {
+        let (report, _, rounds_wire, bits) = session;
+        assert!(rounds_wire * 8 >= *bits, "{case}: below Formula (1)");
+        let headers = (2 * (FRAME_OVERHEAD + 1 + 8) + 8 * layers) * report.round_trips as u64;
+        assert!(
+            rounds_wire * 100 <= bits / 8 * 115 + headers * 100,
+            "{case}: rounds cost {rounds_wire} B, Formula (1) charges {} B \
+             (+ {headers} B of headers)",
+            bits / 8
+        );
+    }
+
+    /// Sessions through [`formula_one_session`]. At d = 10, 100 and 1000,
+    /// one layer a trip, and at d = 1000 three, the rounds stay within
+    /// [`assert_within_formula_one`]'s envelope. At d = 1000 a fixed
+    /// depth 3 verifies in fewer round trips than depth 1; `Auto` verifies
+    /// in no more trips than depth 1 and within one of the best fixed depth
+    /// in 1..=4, for at most 1.15 × depth 1's wire bytes, speculating under
+    /// a quarter of the group-layers depth 4 does.
+    #[test]
+    fn rounds_stay_within_the_byte_envelope_and_pipelining_cuts_trips() {
+        for d in [10, 100] {
+            let session = formula_one_session(d, Pipeline::Depth(1));
+            assert_within_formula_one(&format!("d = {d}"), 1, &session);
+        }
+        let run = |pipeline| formula_one_session(1000, pipeline);
         let fixed: Vec<_> = (1..=4).map(|k| run(Pipeline::Depth(k))).collect();
         for layers in [1u64, 3] {
-            let (report, _, rounds_wire, bits) = &fixed[layers as usize - 1];
-            let headers = (2 * (FRAME_OVERHEAD + 1 + 8) + 8 * layers) * report.round_trips as u64;
-            assert!(
-                rounds_wire * 100 <= bits / 8 * 115 + headers * 100,
-                "depth {layers}: rounds cost {rounds_wire} B, Formula (1) charges {} B \
-                 (+ {headers} B of headers)",
-                bits / 8
-            );
+            let case = format!("d = 1000, depth {layers}");
+            assert_within_formula_one(&case, layers, &fixed[layers as usize - 1]);
         }
         let trips: Vec<u32> = fixed
             .iter()
@@ -855,6 +872,68 @@ mod tests {
         assert_eq!(fixed[0].0.speculative_layers, 0);
         assert!(auto.speculative_layers > 0 && auto.speculative_unused <= auto.speculative_layers);
         assert!(auto.speculative_layers * 4 < fixed[3].0.speculative_layers);
+    }
+
+    /// docs/WIRE.md's worked delta example, through `Duet`: a catch-up of
+    /// 50 changes (25 added, 25 removed) to a 10⁵-element store since the
+    /// client's epoch 0 is 377 B on the wire, of which the stream — its
+    /// `DeltaBatch` frames and the `DeltaDone` — is 243 B, O(|changes|);
+    /// under 2/5 of the 971 B the full d = 50 reconciliation of the same
+    /// difference costs on the same seed. No round runs and no estimator
+    /// is exchanged.
+    #[test]
+    fn a_delta_catch_up_costs_its_changes_not_a_reconciliation() {
+        let changes = 50u64;
+        let mut pool = keys(100_025, 0xDE17A);
+        pool.sort_unstable();
+        let (baseline, added) = pool.split_at(100_000);
+        let removed = &baseline[..25];
+        let store = MutableStore::new(baseline.iter().copied());
+        assert_eq!(store.apply(added, removed), 1);
+        let store = Arc::new(store);
+        let cfg = ClientConfig {
+            seed: 0xDE17A,
+            ..ClientConfig::default()
+        };
+
+        let mut peer = Duet::over(Arc::clone(&store) as _);
+        let (up, down, report) = peer.transcript(&cfg, baseline, Mode::Delta { since: 0 });
+        let delta = report.delta.as_ref().expect("served from the changelog");
+        assert_eq!((&delta.added[..], &delta.removed[..]), (added, removed));
+        let mutated: HashSet<u64> = baseline[25..].iter().chain(added).copied().collect();
+        let mut local: HashSet<u64> = baseline.iter().copied().collect();
+        delta.apply_to(&mut local);
+        assert_eq!(local, mutated, "the catch-up leads to the store's set");
+        assert_eq!((report.rounds, report.epoch), (0, Some(1)));
+        assert!(report.verified && !report.delta_fallback);
+        let session = (up.len() + down.len()) as u64;
+        let stream: u64 = frames(&down)
+            .into_iter()
+            .filter(|(frame, _)| {
+                matches!(frame, Frame::DeltaBatch { .. } | Frame::DeltaDone { .. })
+            })
+            .map(|(_, used)| used)
+            .sum();
+        assert_eq!((session, stream), (377, 243));
+        assert!(stream <= 64 + 8 * changes, "a stream of {stream} B");
+        let stats = peer.res.stats.snapshot();
+        assert_eq!(
+            (
+                stats.delta_sessions,
+                stats.delta_fallbacks,
+                stats.delta_elements
+            ),
+            (1, 0, changes)
+        );
+        assert_eq!((stats.rounds, stats.estimator_exchanges), (0, 0));
+
+        // The same difference, reconciled: a fresh store of the same set.
+        let fresh = Arc::new(MutableStore::new(mutated));
+        let (up, down, full) = Duet::over(fresh).transcript(&cfg, baseline, Mode::Full);
+        assert!(full.verified && full.recovered.len() == changes as usize);
+        let full_bytes = (up.len() + down.len()) as u64;
+        assert_eq!(full_bytes, 971);
+        assert!(session * 5 < full_bytes * 2);
     }
 
     /// A client asking for more layers a trip than the server's cap is

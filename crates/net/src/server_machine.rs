@@ -1065,7 +1065,7 @@ mod tests {
     /// set (so nothing is transferred and the set stays as it is).
     fn serve_its_own_set(store: &Arc<MutableStore>, config: &ClientConfig) -> (u64, u64, u64) {
         let mut duet = Duet::over(Arc::clone(store) as Arc<dyn SetStore>);
-        let (_, _, report) = duet.transcript(config, &store.snapshot());
+        let (_, _, report) = duet.transcript(config, &store.snapshot(), Mode::Full);
         assert!(report.verified && report.recovered.is_empty());
         view_paths(&duet)
     }
@@ -1120,7 +1120,7 @@ mod tests {
             kept.apply(&elements(5000..5001), &[]);
             let (held, epoch) = kept.snapshot_with_epoch();
             let mut duet = Duet::over(Arc::clone(&kept) as Arc<dyn SetStore>);
-            let patched = duet.transcript(&config, &client_set);
+            let patched = duet.transcript(&config, &client_set, Mode::Full);
             assert_eq!(view_paths(&duet), (1, 0, 0), "{case}");
 
             // Built: a store holding that set at that epoch, asked once
@@ -1129,7 +1129,7 @@ mod tests {
             let store = fresh();
             assert_eq!(serve_its_own_set(&store, &config), (0, 0, 1), "{case}");
             let mut duet = Duet::over(store);
-            let built = duet.transcript(&config, &client_set);
+            let built = duet.transcript(&config, &client_set, Mode::Full);
             assert_eq!(view_paths(&duet), (0, 1, 0), "{case}");
 
             for (path, (up, down, report)) in [("patched", &patched), ("built", &built)] {
@@ -1141,7 +1141,8 @@ mod tests {
                 let mut proposing = config.clone();
                 proposing.seed = report.seed;
                 let mut duet = Duet::over(fresh());
-                let (their_up, their_down, _) = duet.transcript(&proposing, &client_set);
+                let (their_up, their_down, _) =
+                    duet.transcript(&proposing, &client_set, Mode::Full);
                 assert_eq!(view_paths(&duet), (0, 0, 1), "{case}");
                 // (The client's `Hello` names its proposal: the one frame
                 // that differs, by those eight bytes.)
@@ -1265,7 +1266,7 @@ mod tests {
         let store = mutable(0..10_000);
         let client_set = elements(150..10_150);
         let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
-        let (_, _, report) = duet.transcript(&config, &client_set);
+        let (_, _, report) = duet.transcript(&config, &client_set, Mode::Full);
         assert!(report.verified && report.rounds == 1);
         let mut recovered = report.recovered;
         recovered.sort_unstable();

@@ -215,15 +215,16 @@ impl Duet {
         Some(due)
     }
 
-    /// One full sync of `set` against the server's store: every byte
+    /// One sync of `set` in `mode` against the server's store: every byte
     /// the client put on the wire, every byte the server did, and the
     /// report.
     pub fn transcript(
         &mut self,
         config: &ClientConfig,
         set: &[u64],
+        mode: Mode,
     ) -> (Vec<u8>, Vec<u8>, SyncReport) {
-        let mut client = ClientMachine::new(config, set, Mode::Full).unwrap();
+        let mut client = ClientMachine::new(config, set, mode).unwrap();
         let (mut up, mut down) = (Vec::new(), Vec::new());
         loop {
             if let Some(frame) = client.poll_send().unwrap() {
@@ -2124,7 +2125,7 @@ fn a_duet_session_is_held_to_the_analysis() {
                 known_d: Some(1),
                 ..ClientConfig::default()
             };
-            Duet::over(Arc::clone(&store) as Arc<dyn SetStore>).transcript(&own, b);
+            Duet::over(Arc::clone(&store) as Arc<dyn SetStore>).transcript(&own, b, Mode::Full);
             let config = ClientConfig {
                 seed: proposal,
                 known_d: Some(d as u64),

@@ -200,14 +200,18 @@ fn shutdown_wakes_and_drains_streaming_sessions() {
     let client = SyncClient::connect(server.local_addr()).expect("resolve");
     let mut sub = client.subscribe(0).expect("subscribe");
     sub.next().expect("catch-up").expect("catch-up ok");
+    // One push read: the session is provably streaming, not still
+    // catching up.
+    store.apply(&[777], &[]);
+    let pushed = sub.next().expect("push").expect("push ok");
+    assert_eq!(pushed.added, vec![777]);
 
-    // Block a reader in next() with nothing to push; shutdown must cut it
+    // A reader in next() with nothing more to push; shutdown must cut it
     // loose instead of waiting out a timeout.
     let reader = std::thread::spawn(move || {
         let tail: Vec<Result<DeltaReport, NetError>> = sub.collect();
         tail.len()
     });
-    std::thread::sleep(Duration::from_millis(100));
     let stats = server.shutdown();
 
     assert_eq!(

@@ -92,11 +92,7 @@ impl PinSketch {
         let sketch_b = codec.sketch_slice(bob);
         let encode = encode_start.elapsed();
 
-        transcript.send_bits(
-            Direction::AliceToBob,
-            "pinsketch",
-            sketch_a.wire_bits(cfg.universe_bits),
-        );
+        transcript.send_bits(Direction::AliceToBob, sketch_a.wire_bits(cfg.universe_bits));
 
         let decode_start = Instant::now();
         let mut diff_sketch: Sketch = sketch_b.clone();
@@ -110,7 +106,6 @@ impl PinSketch {
         // learns A△B (unidirectional reconciliation; d·log|U| bits).
         transcript.send_bits(
             Direction::BobToAlice,
-            "difference",
             recovered.len() as u64 * cfg.universe_bits as u64,
         );
         let decode = decode_start.elapsed();
@@ -249,11 +244,7 @@ impl PinSketchWp {
             .collect();
 
         for item in &work {
-            transcript.send_bits(
-                Direction::AliceToBob,
-                "pinsketch-wp",
-                item.sa.wire_bits(cfg.universe_bits),
-            );
+            transcript.send_bits(Direction::AliceToBob, item.sa.wire_bits(cfg.universe_bits));
         }
 
         // Decode wave by wave: a failed group's three-way split feeds the
@@ -266,7 +257,6 @@ impl PinSketchWp {
                     Ok(elements) => {
                         transcript.send_bits(
                             Direction::BobToAlice,
-                            "difference",
                             elements.len() as u64 * cfg.universe_bits as u64,
                         );
                         for e in elements {
@@ -283,7 +273,8 @@ impl PinSketchWp {
                             continue;
                         }
                         rounds = rounds.max(item.depth + 2);
-                        transcript.send_bits(Direction::BobToAlice, "decode-failed", 8);
+                        // Bob's one-byte "decode failed".
+                        transcript.send_bits(Direction::BobToAlice, 8);
                         let split_hasher = PartitionHasher::new(
                             3,
                             derive_seed(seed, 0x3_5711 + item.depth as u64),
@@ -299,11 +290,8 @@ impl PinSketchWp {
                         for k in 0..3 {
                             let sa = codec.sketch_slice(&parts_a[k]);
                             let sb = codec.sketch_slice(&parts_b[k]);
-                            transcript.send_bits(
-                                Direction::AliceToBob,
-                                "pinsketch-wp",
-                                sa.wire_bits(cfg.universe_bits),
-                            );
+                            transcript
+                                .send_bits(Direction::AliceToBob, sa.wire_bits(cfg.universe_bits));
                             work.push(Item {
                                 a: std::mem::take(&mut parts_a[k]),
                                 b: std::mem::take(&mut parts_b[k]),

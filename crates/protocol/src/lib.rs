@@ -9,9 +9,9 @@
 //! * [`Reconciler`] — the trait every scheme implements: given Alice's and
 //!   Bob's sets, run the (possibly multi-round) protocol and report the
 //!   recovered difference together with [`CommStats`] and [`TimingStats`].
-//! * [`Transcript`] — a message ledger that accounts every byte sent in each
-//!   direction and every protocol round, so communication overhead is
-//!   measured rather than estimated.
+//! * [`Transcript`] — a message ledger that accounts every bit sent in each
+//!   direction, so communication overhead is measured rather than
+//!   estimated.
 //! * [`Workload`] — the §8 experiment setup: `|A| = 10^6` elements drawn
 //!   uniformly at random without replacement from a `log|U|`-bit universe and
 //!   `B ⊂ A` with `|A△B| = d` exactly.
@@ -23,11 +23,10 @@
 //! use protocol::{Direction, Transcript};
 //!
 //! let mut t = Transcript::new();
-//! t.record_round_trip();
-//! t.send_bits(Direction::AliceToBob, "bch-sketch", 13 * 11);
-//! t.send_bits(Direction::BobToAlice, "bin-report", 43);
+//! t.send_bits(Direction::AliceToBob, 13 * 11); // a sketch
+//! t.send_bits(Direction::BobToAlice, 43); // its report
 //! assert_eq!(t.stats().total_bytes(), 18 + 6); // per-direction ceil to bytes
-//! assert_eq!(t.round_trips(), 1);
+//! assert_eq!(t.stats().messages, 2);
 //! ```
 
 #![warn(missing_docs)]
