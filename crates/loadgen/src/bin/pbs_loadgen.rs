@@ -29,10 +29,10 @@
 //! with the same `--seed` reproduces the identical arrival schedule and
 //! workload mix — the determinism `tests/determinism.rs` pins.
 
-use loadgen::{build_plan, Engine, EngineConfig, Mix, PlanConfig, Report, SessionSpec};
+use loadgen::{build_plan, Engine, EngineConfig, Mix, PlanConfig, Report};
 use pbs_net::server::{Server, ServerConfig};
-use pbs_net::setio;
 use pbs_net::store::MutableStore;
+use pbs_net::{setio, ClientConfig};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -178,15 +178,15 @@ fn main() {
     );
     let plan = build_plan(&plan_config);
 
-    let spec = SessionSpec {
+    let client = ClientConfig {
         store: args.store.clone(),
-        deadline: Duration::from_secs(args.deadline.max(1)),
-        ..SessionSpec::default()
+        session_deadline: Duration::from_secs(args.deadline.max(1)),
+        ..ClientConfig::default()
     };
     let mut engine = Engine::start(EngineConfig {
         target,
         workers: args.workers.max(1),
-        spec,
+        client,
         base_set,
         drops: args.drops.max(1),
         delta_epoch,

@@ -1,44 +1,32 @@
-//! The session engine: a small worker pool multiplexing thousands of
-//! in-flight [`LoadSession`]s, mirroring the server event loop's
-//! discipline (PR 7) on the client side.
+//! The session engine: a plan-driven submitter of outbound sessions to
+//! [`pbs_net::Dialer`] — the readiness loop the server runs on, here
+//! driving client connections, a few threads holding thousands of
+//! sessions.
 //!
 //! One scheduler (the caller of [`Engine::run_plan`]) walks the arrival
 //! plan open-loop: it sleeps until each planned instant, connects, and
-//! hands the connected socket to a worker — *regardless of how many
-//! earlier sessions are still in flight*. Workers own their sessions
-//! outright and drive them from a level-triggered
-//! [`pbs_net::poll::Poller`] loop: read interest always, write interest
-//! only while a session has queued output, a wake pipe so newly submitted
-//! sessions interrupt the wait. Nothing in a worker ever blocks on one
-//! session, which is what lets a single thread hold a thousand parked
-//! subscribers while reconciliations stream through beside them.
+//! hands the session to a loop — *regardless of how many earlier sessions
+//! are still in flight*. Every protocol decision, clock and phase stamp is
+//! the client connection's, so what the harness measures is what real
+//! clients run; what lives here is the harness's own bookkeeping: outcome
+//! buckets and the parked-subscriber gauge.
 //!
 //! Accounting is exact by construction: every submitted session
-//! increments `started` and is reaped into exactly one of
+//! increments `started` and ends in exactly one of
 //! `completed`/`failed`/`evicted`, so `started == completed + failed +
 //! evicted` holds after [`Engine::drain`] — the invariant the acceptance
 //! test pins.
 
 use crate::plan::{Arrival, Kind};
-use crate::session::{LoadSession, Outcome, SessionResult, SessionSpec};
 use obs::Histogram;
-use pbs_net::SyncPhases;
+use pbs_net::{ClientConfig, Dialed, Dialer, Ended, Mode, Pipeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How a worker's poll wait is bounded: short enough for prompt deadline
-/// sweeps and drain response, long enough to stay off the CPU while a
-/// thousand subscribers idle.
-const POLL_TICK: Duration = Duration::from_millis(100);
 
 /// How many distinct error strings the metrics keep for diagnosis.
 const ERROR_SAMPLES: usize = 16;
@@ -48,10 +36,11 @@ const ERROR_SAMPLES: usize = 16;
 pub struct EngineConfig {
     /// The server under load.
     pub target: SocketAddr,
-    /// Worker threads multiplexing the sessions.
+    /// Loop threads multiplexing the sessions.
     pub workers: usize,
-    /// Protocol parameters for every session.
-    pub spec: SessionSpec,
+    /// What every session runs under; its seed and pipeline are its
+    /// arrival's.
+    pub client: ClientConfig,
     /// The server's element set as the harness knows it. Full
     /// reconciliation sessions present this set minus a few seeded drops,
     /// so the difference is exactly `drops` elements, none of them pushed
@@ -66,12 +55,12 @@ pub struct EngineConfig {
 
 obs::counters! {
     /// The run's monotone counts. Every submitted session is `started`
-    /// and reaped into exactly one of `completed`/`failed`/`evicted`.
+    /// and ends in exactly one of `completed`/`failed`/`evicted`.
     pub struct Counts => CountsSnapshot {
         /// Connect attempts included.
         started: "Sessions submitted.",
         completed: "Sessions that completed their workload.",
-        /// Connect, transport, protocol or deadline.
+        /// Connect, transport, protocol or a client timer.
         failed: "Sessions that failed.",
         evicted: "Parked subscribers terminated by the server before the drain.",
         delta_fallbacks: "Delta sessions that fell back to a full reconciliation.",
@@ -81,12 +70,74 @@ obs::counters! {
     }
 }
 
+/// Where a finished session ended up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Ran its workload to the end (for a subscriber: parked until the
+    /// harness drained it).
+    Completed,
+    /// A parked subscriber terminated before the drain — backpressure
+    /// eviction, connection loss or a silent server while parked.
+    Evicted,
+    /// Anything else: transport error, protocol violation, a client timer.
+    Failed,
+}
+
+/// What one finished session was to the harness.
+#[derive(Debug)]
+pub struct SessionResult {
+    /// The planned workload kind.
+    pub kind: Kind,
+    /// How it ended.
+    pub outcome: Outcome,
+    /// The failure, for [`Outcome::Failed`]/[`Outcome::Evicted`].
+    pub error: Option<String>,
+    /// What the client connection reported: the sync's report if it ran
+    /// to its ack — the same report the blocking client returns — its
+    /// phases (`total`, for a subscriber, up to the park), pushes and
+    /// wire bytes.
+    pub ended: Box<Ended>,
+}
+
+impl SessionResult {
+    /// What `ended` is to the harness: a parked subscriber completes once
+    /// the harness `drained` it and is evicted before; a reconciliation
+    /// that reported an unverified recovery (the real client hands it back
+    /// to its caller) failed — after the server has seen the same `Done`
+    /// and ack it sees from one.
+    fn of(kind: Kind, ended: Box<Ended>, drained: bool) -> SessionResult {
+        let error = ended.error.as_ref().map(|e| e.to_string());
+        let (outcome, error) = match (&ended.report, ended.parked) {
+            (Some(report), _) if report.verified => (Outcome::Completed, None),
+            (Some(_), _) => {
+                let error = "round cap exhausted before verification";
+                (Outcome::Failed, Some(error.into()))
+            }
+            (None, true) if drained => (Outcome::Completed, None),
+            (None, true) => {
+                let closed = || "server closed a parked subscription".into();
+                (Outcome::Evicted, Some(error.unwrap_or_else(closed)))
+            }
+            (None, false) => {
+                let closed = || "connection closed mid-session".into();
+                (Outcome::Failed, Some(error.unwrap_or_else(closed)))
+            }
+        };
+        SessionResult {
+            kind,
+            outcome,
+            error,
+            ended,
+        }
+    }
+}
+
 /// Cross-thread counters and latency accumulators of one run.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// The monotone counts.
     pub counts: Counts,
-    /// Sessions currently in flight (submitted, not yet reaped).
+    /// Sessions currently in flight (submitted, not yet ended).
     pub inflight: AtomicU64,
     /// High-water mark of `inflight`.
     pub peak_inflight: AtomicU64,
@@ -95,7 +146,7 @@ pub struct Metrics {
     /// High-water mark of `parked`.
     pub peak_parked: AtomicU64,
     /// Per-phase latency histograms of completed sessions, nanosecond
-    /// samples, indexed like [`SyncPhases::named`].
+    /// samples, indexed like [`pbs_net::SyncPhases::named`].
     pub phases: [Histogram; 7],
     /// First few error strings, for diagnosis.
     pub errors: Mutex<Vec<String>>,
@@ -103,20 +154,21 @@ pub struct Metrics {
 
 impl Metrics {
     fn record(&self, result: &SessionResult) {
-        let counts = &self.counts;
+        let (counts, ended) = (&self.counts, &result.ended);
         match result.outcome {
             Outcome::Completed => counts.completed.inc(1),
             Outcome::Failed => counts.failed.inc(1),
             Outcome::Evicted => counts.evicted.inc(1),
         };
-        counts.delta_fallbacks.inc(u64::from(result.delta_fallback));
-        counts.pushes.inc(result.pushes);
-        counts.bytes_in.inc(result.bytes_in);
-        counts.bytes_out.inc(result.bytes_out);
+        let fallback = ended.report.as_ref().is_some_and(|r| r.delta_fallback);
+        counts.delta_fallbacks.inc(u64::from(fallback));
+        counts.pushes.inc(ended.pushes);
+        counts.bytes_in.inc(ended.bytes_in);
+        counts.bytes_out.inc(ended.bytes_out);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         if matches!(result.outcome, Outcome::Completed) {
             // Phases the workload kind skipped read zero: not samples.
-            for (hist, (_, took)) in self.phases.iter().zip(result.phases.named()) {
+            for (hist, (_, took)) in self.phases.iter().zip(ended.phases.named()) {
                 let nanos = took.as_nanos() as u64;
                 if nanos > 0 {
                     hist.record(nanos);
@@ -132,50 +184,25 @@ impl Metrics {
     }
 }
 
-struct WorkerHandle {
-    tx: Option<Sender<LoadSession>>,
-    wake: UnixStream,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The running engine: a scheduler-facing handle over the worker pool.
+/// The running engine: the loops the sessions are dialed to.
 pub struct Engine {
     config: EngineConfig,
-    workers: Vec<WorkerHandle>,
+    dialer: Dialer,
     metrics: Arc<Metrics>,
-    drain: Arc<AtomicBool>,
-    next_worker: usize,
+    /// The harness has begun its drain: a parked subscriber ending now
+    /// completed its workload.
+    drained: Arc<AtomicBool>,
     run_started: Instant,
 }
 
 impl Engine {
-    /// Spawn the worker pool.
+    /// Spawn the loops.
     pub fn start(config: EngineConfig) -> io::Result<Engine> {
-        let metrics = Arc::new(Metrics::default());
-        let drain = Arc::new(AtomicBool::new(false));
-        let mut workers = Vec::new();
-        for i in 0..config.workers.max(1) {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let (wake_tx, wake_rx) = UnixStream::pair()?;
-            wake_tx.set_nonblocking(true)?;
-            wake_rx.set_nonblocking(true)?;
-            let worker_metrics = Arc::clone(&metrics);
-            let worker_drain = Arc::clone(&drain);
-            let thread = std::thread::Builder::new()
-                .name(format!("loadgen-worker-{i}"))
-                .spawn(move || worker_loop(rx, wake_rx, worker_metrics, worker_drain))?;
-            workers.push(WorkerHandle {
-                tx: Some(tx),
-                wake: wake_tx,
-                thread: Some(thread),
-            });
-        }
         Ok(Engine {
+            dialer: Dialer::start(config.workers)?,
             config,
-            workers,
-            metrics,
-            drain,
-            next_worker: 0,
+            metrics: Arc::new(Metrics::default()),
+            drained: Arc::new(AtomicBool::new(false)),
             run_started: Instant::now(),
         })
     }
@@ -185,66 +212,59 @@ impl Engine {
         &self.metrics
     }
 
-    /// Submit one arrival *now*: connect, start the session state
-    /// machine, hand it to a worker. Failures count as started+failed so
-    /// the accounting identity holds.
-    pub(crate) fn submit(&mut self, arrival: &Arrival) {
-        self.metrics.counts.started.inc(1);
-        let inflight = self.metrics.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.metrics
-            .peak_inflight
-            .fetch_max(inflight, Ordering::SeqCst);
-
-        let connect_started = Instant::now();
-        let session = TcpStream::connect(self.config.target)
-            .map_err(|e| format!("connect: {e}"))
-            .and_then(|stream| {
-                let connect = connect_started.elapsed();
-                let (set, delta_epoch) = self.session_inputs(arrival);
-                LoadSession::start(
-                    stream,
-                    arrival,
-                    set,
-                    delta_epoch,
-                    connect,
-                    connect_started,
-                    self.config.spec.clone(),
-                )
-                .map_err(|e| format!("start: {e}"))
-            });
-        match session {
-            Ok(session) => {
-                let w = self.next_worker % self.workers.len();
-                self.next_worker += 1;
-                let handle = &self.workers[w];
-                if let Some(tx) = &handle.tx {
-                    if tx.send(session).is_ok() {
-                        let _ = (&handle.wake).write(&[1]);
-                        return;
-                    }
-                }
-                self.synthetic_failure(arrival.kind, "worker gone".into());
+    /// Dial one session of `arrival`'s kind over `set` now — a delta or a
+    /// subscription from `delta_epoch` — and count it; `done` is handed
+    /// its result once it ends, after the run's metrics counted it. A
+    /// session that cannot start counts as started and failed.
+    pub fn dial(
+        &self,
+        arrival: &Arrival,
+        set: Vec<u64>,
+        delta_epoch: u64,
+        done: impl FnOnce(SessionResult) + Send + 'static,
+    ) {
+        let metrics = Arc::clone(&self.metrics);
+        metrics.counts.started.inc(1);
+        let inflight = metrics.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+        metrics.peak_inflight.fetch_max(inflight, Ordering::SeqCst);
+        let kind = arrival.kind;
+        let since = delta_epoch;
+        let mode = match kind {
+            Kind::Full | Kind::Pipelined => Mode::Full,
+            Kind::Delta => Mode::Delta { since },
+            Kind::Subscribe => Mode::Subscribe { since },
+        };
+        let config = ClientConfig {
+            seed: arrival.seed,
+            pipeline: match kind {
+                Kind::Pipelined => Pipeline::Auto,
+                _ => Pipeline::Depth(1),
+            },
+            ..self.config.client.clone()
+        };
+        let (drained, mut done) = (Arc::clone(&self.drained), Some(done));
+        let watch = move |dialed| match dialed {
+            Dialed::Parked => {
+                let parked = metrics.parked.fetch_add(1, Ordering::SeqCst) + 1;
+                metrics.peak_parked.fetch_max(parked, Ordering::SeqCst);
             }
-            Err(error) => self.synthetic_failure(arrival.kind, error),
-        }
+            Dialed::Ended(ended) => {
+                if ended.parked {
+                    metrics.parked.fetch_sub(1, Ordering::SeqCst);
+                }
+                let drained = drained.load(Ordering::SeqCst);
+                let result = SessionResult::of(kind, ended, drained);
+                metrics.record(&result);
+                if let Some(done) = done.take() {
+                    done(result);
+                }
+            }
+        };
+        self.dialer
+            .dial(self.config.target, &config, set, mode, watch);
     }
 
-    fn synthetic_failure(&self, kind: Kind, error: String) {
-        self.metrics.record(&SessionResult {
-            kind,
-            outcome: Outcome::Failed,
-            error: Some(error),
-            phases: SyncPhases::default(),
-            verified: false,
-            delta_fallback: false,
-            pushes: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            report: None,
-        });
-    }
-
-    fn session_inputs(&self, arrival: &Arrival) -> (Vec<u64>, Option<u64>) {
+    fn session_set(&self, arrival: &Arrival) -> Vec<u64> {
         match arrival.kind {
             Kind::Full | Kind::Pipelined => {
                 // Drop `drops` seeded elements from the base set: the
@@ -264,34 +284,31 @@ impl Engine {
                     .filter(|(i, _)| !dropped.contains(i))
                     .map(|(_, &e)| e)
                     .collect();
-                (set, None)
+                set
             }
-            Kind::Delta | Kind::Subscribe => (Vec::new(), Some(self.config.delta_epoch)),
+            Kind::Delta | Kind::Subscribe => Vec::new(),
         }
     }
 
     /// Walk `plan` open-loop from `start`: sleep until each arrival's
-    /// planned instant, then submit it. Late arrivals (scheduler overrun)
-    /// are submitted immediately — open-loop never skips offered load.
+    /// planned instant, then dial it. Late arrivals (scheduler overrun)
+    /// are dialed immediately — open-loop never skips offered load.
     pub fn run_plan(&mut self, plan: &[Arrival], start: Instant) {
         for arrival in plan {
             let due = start + arrival.at;
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);
             }
-            self.submit(arrival);
+            let set = self.session_set(arrival);
+            self.dial(arrival, set, self.config.delta_epoch, |_| {});
         }
     }
 
     /// Wait for every non-parked session to finish (bounded by
     /// `active_timeout`), optionally hold the parked population for
     /// `park_hold` (so pushes flow to them), then drain: parked
-    /// subscribers complete, workers exit. Returns the final metrics.
-    pub fn drain(
-        mut self,
-        active_timeout: Duration,
-        park_hold: Duration,
-    ) -> (Arc<Metrics>, Duration) {
+    /// subscribers complete, the loops exit. Returns the final metrics.
+    pub fn drain(self, active_timeout: Duration, park_hold: Duration) -> (Arc<Metrics>, Duration) {
         let deadline = Instant::now() + active_timeout;
         loop {
             let inflight = self.metrics.inflight.load(Ordering::SeqCst);
@@ -302,120 +319,8 @@ impl Engine {
             std::thread::sleep(Duration::from_millis(20));
         }
         std::thread::sleep(park_hold);
-        self.drain.store(true, Ordering::SeqCst);
-        for w in &mut self.workers {
-            w.tx.take(); // disconnect: workers observe Disconnected
-            let _ = (&w.wake).write(&[1]);
-        }
-        for w in &mut self.workers {
-            if let Some(thread) = w.thread.take() {
-                let _ = thread.join();
-            }
-        }
-        let elapsed = self.run_started.elapsed();
-        (Arc::clone(&self.metrics), elapsed)
-    }
-}
-
-fn worker_loop(
-    rx: Receiver<LoadSession>,
-    mut wake: UnixStream,
-    metrics: Arc<Metrics>,
-    drain: Arc<AtomicBool>,
-) {
-    let mut poller = pbs_net::poll::Poller::new();
-    let mut sessions: Vec<LoadSession> = Vec::new();
-    let mut was_parked: Vec<bool> = Vec::new();
-    let mut disconnected = false;
-    loop {
-        // Ingest newly submitted sessions.
-        loop {
-            match rx.try_recv() {
-                Ok(session) => {
-                    sessions.push(session);
-                    was_parked.push(false);
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        let draining = drain.load(Ordering::SeqCst);
-        if draining {
-            for s in sessions.iter_mut() {
-                s.finish_parked();
-            }
-        }
-
-        // Deadline sweep, park-gauge maintenance, reap.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < sessions.len() {
-            if sessions[i].past_deadline(now) {
-                sessions[i].fail_timeout();
-            }
-            let parked_now = sessions[i].is_parked();
-            if parked_now != was_parked[i] {
-                if parked_now {
-                    let parked = metrics.parked.fetch_add(1, Ordering::SeqCst) + 1;
-                    metrics.peak_parked.fetch_max(parked, Ordering::SeqCst);
-                } else {
-                    metrics.parked.fetch_sub(1, Ordering::SeqCst);
-                }
-                was_parked[i] = parked_now;
-            }
-            if sessions[i].is_finished() {
-                if was_parked[i] {
-                    metrics.parked.fetch_sub(1, Ordering::SeqCst);
-                }
-                let mut session = sessions.swap_remove(i);
-                was_parked.swap_remove(i);
-                if let Some(result) = session.take_result() {
-                    metrics.record(&result);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        if disconnected && draining && sessions.is_empty() {
-            return;
-        }
-
-        // Build this wait's interest set: the wake pipe plus one entry
-        // per session (write interest only while output is queued).
-        let mut interests = Vec::with_capacity(sessions.len() + 1);
-        interests.push((wake.as_raw_fd(), pbs_net::poll::Interest::READABLE));
-        let mut by_fd = HashMap::with_capacity(sessions.len());
-        for (idx, s) in sessions.iter().enumerate() {
-            let interest = if s.wants_write() {
-                pbs_net::poll::Interest::BOTH
-            } else {
-                pbs_net::poll::Interest::READABLE
-            };
-            interests.push((s.fd(), interest));
-            by_fd.insert(s.fd(), idx);
-        }
-        let events = match poller.wait(&interests, Some(POLL_TICK)) {
-            Ok(events) => events,
-            Err(_) => continue,
-        };
-        for event in events {
-            if event.fd == wake.as_raw_fd() {
-                let mut sink = [0u8; 64];
-                while matches!(wake.read(&mut sink), Ok(n) if n > 0) {}
-                continue;
-            }
-            if let Some(&idx) = by_fd.get(&event.fd) {
-                let s = &mut sessions[idx];
-                if event.writable {
-                    s.on_writable();
-                }
-                if event.readable || event.error {
-                    s.on_readable();
-                }
-            }
-        }
+        self.drained.store(true, Ordering::SeqCst);
+        self.dialer.shutdown();
+        (self.metrics, self.run_started.elapsed())
     }
 }

@@ -1,21 +1,22 @@
-//! The blocking client and the load harness's session are two drivers of
-//! one `pbs_net::ClientMachine`; these tests hold them to it.
+//! The blocking client and the load harness's sessions are two drivers of
+//! one client connection (`pbs_net`'s machine, clocks and phase stamps);
+//! these tests hold them to it.
 //!
 //! * Driver equivalence: the same set, seed, store and pipeline through
-//!   `pbs_net::sync` (blocking `FramedStream`) and through `LoadSession`
-//!   (non-blocking `MuxStream`) against one server produce the same
-//!   report, down to the byte and frame ledgers.
+//!   `pbs_net::sync` (blocking `FramedStream`) and through the engine's
+//!   `Dialer` (the readiness loop, non-blocking) against one server
+//!   produce the same report, down to the byte and frame ledgers.
 //! * An unverified session ends the way the real client's does — `Done`
 //!   sent, ack read — so the server books it completed and only the
 //!   harness calls it failed.
 
-use loadgen::{Arrival, Kind, LoadSession, Outcome, SessionResult, SessionSpec};
+use loadgen::{Arrival, Engine, EngineConfig, Kind, Outcome, SessionResult};
 use pbs_net::server::{Server, ServerConfig};
 use pbs_net::store::{MutableStore, SetStore, StoreRegistry};
 use pbs_net::{sync, ClientConfig, Pipeline, SyncReport};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// A store that ingests nothing, so every session meets the same set and
 /// the same epoch however many came before it.
@@ -39,35 +40,32 @@ fn keys(range: std::ops::Range<u64>) -> Vec<u64> {
         .collect()
 }
 
-/// Run one `LoadSession` to its result on this thread.
+/// Run one session on an engine's loop to its result.
 fn drive(
     addr: SocketAddr,
     arrival: &Arrival,
     set: Vec<u64>,
-    delta_epoch: Option<u64>,
-    spec: SessionSpec,
+    delta_epoch: u64,
+    client: ClientConfig,
 ) -> SessionResult {
-    let started = Instant::now();
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut session = LoadSession::start(
-        stream,
-        arrival,
-        set,
+    let engine = Engine::start(EngineConfig {
+        target: addr,
+        workers: 1,
+        client,
+        base_set: Arc::new(Vec::new()),
+        drops: 0,
         delta_epoch,
-        started.elapsed(),
-        started,
-        spec,
-    )
+    })
     .expect("start");
-    while !session.is_finished() {
-        assert!(started.elapsed() < Duration::from_secs(60), "session hung");
-        session.on_writable();
-        session.on_readable();
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    session
-        .take_result()
-        .expect("finished sessions have a result")
+    let (tx, rx) = mpsc::channel();
+    engine.dial(arrival, set, delta_epoch, move |result| {
+        let _ = tx.send(result);
+    });
+    let result = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("session hung");
+    engine.drain(Duration::ZERO, Duration::ZERO);
+    result
 }
 
 fn same_report(blocking: &SyncReport, mux: &SyncReport, what: &str) {
@@ -141,17 +139,20 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
         assert!(blocking.verified && blocking.pushed.len() == 30);
         assert_eq!(blocking.recovered.len(), 70);
 
-        let spec = SessionSpec {
+        let client = ClientConfig {
             store: "frozen".into(),
-            ..SessionSpec::default()
+            ..ClientConfig::default()
         };
         let arrival = Arrival { at, kind, seed };
-        let result = drive(addr, &arrival, client_set.clone(), None, spec);
+        let result = drive(addr, &arrival, client_set.clone(), 0, client);
         assert_eq!(result.outcome, Outcome::Completed, "{:?}", result.error);
-        let mux = result.report.expect("a completed sync carries its report");
+        let mux = result
+            .ended
+            .report
+            .expect("a completed sync carries its report");
         same_report(&blocking, &mux, &format!("{kind:?}"));
         assert_eq!(
-            (result.bytes_out, result.bytes_in),
+            (result.ended.bytes_out, result.ended.bytes_in),
             (mux.bytes_sent, mux.bytes_received)
         );
     }
@@ -166,14 +167,14 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
     let blocking = sync(addr, &[], &config).expect("blocking delta sync");
     let delta = blocking.delta.as_ref().expect("served from the changelog");
     assert_eq!((delta.to_epoch, delta.batches), (2, 2));
-    let spec = SessionSpec {
+    let client = ClientConfig {
         store: "live".into(),
-        ..SessionSpec::default()
+        ..ClientConfig::default()
     };
     let kind = Kind::Delta;
-    let result = drive(addr, &Arrival { at, kind, seed }, Vec::new(), Some(0), spec);
+    let result = drive(addr, &Arrival { at, kind, seed }, Vec::new(), 0, client);
     assert_eq!(result.outcome, Outcome::Completed, "{:?}", result.error);
-    same_report(&blocking, &result.report.expect("report"), "delta");
+    same_report(&blocking, &result.ended.report.expect("report"), "delta");
 
     let stats = server.shutdown();
     assert_eq!(stats.sessions_completed, 6);
@@ -195,21 +196,20 @@ fn an_unverified_session_fails_in_the_harness_and_completes_on_the_server() {
         ServerConfig::default(),
     )
     .expect("bind");
-    let spec = SessionSpec {
+    let client = ClientConfig {
         round_cap: 1,
-        ..SessionSpec::default()
+        ..ClientConfig::default()
     };
     let arrival = Arrival {
         at: Duration::ZERO,
         kind: Kind::Full,
         seed: 11,
     };
-    let result = drive(server.local_addr(), &arrival, pool.clone(), None, spec);
+    let result = drive(server.local_addr(), &arrival, pool.clone(), 0, client);
     assert_eq!(result.outcome, Outcome::Failed);
-    assert!(!result.verified);
     let error = result.error.expect("a failed session says why");
     assert!(error.contains("round cap"), "{error}");
-    let report = result.report.expect("the sync ran to its ack");
+    let report = result.ended.report.expect("the sync ran to its ack");
     assert!(!report.verified);
     assert_eq!(report.rounds, 1);
     assert!(report.epoch.is_some(), "the ack was read");

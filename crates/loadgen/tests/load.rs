@@ -9,7 +9,7 @@
 //! streams, and nobody lost — `started == completed + failed + evicted`
 //! down to the last session.
 
-use loadgen::{build_plan, Engine, EngineConfig, Kind, Mix, PlanConfig, Report, SessionSpec};
+use loadgen::{build_plan, Engine, EngineConfig, Kind, Mix, PlanConfig, Report};
 use pbs_net::server::{Server, ServerConfig};
 use pbs_net::setio;
 use pbs_net::store::MutableStore;
@@ -59,7 +59,7 @@ fn two_thousand_concurrent_sessions_settle_exactly() {
     let mut engine = Engine::start(EngineConfig {
         target: server.local_addr(),
         workers: 4,
-        spec: SessionSpec::default(),
+        client: pbs_net::ClientConfig::default(),
         base_set: Arc::new(base),
         drops: 8,
         delta_epoch: epoch,

@@ -4,7 +4,7 @@
 //! framework to lean on; this module hand-rolls exactly the sliver of
 //! HTTP/1.0 a Prometheus scraper (or `curl`) needs: parse a `GET` request
 //! line, answer with `Content-Length` + `Connection: close`, close the
-//! socket. It rides the same [`Poller`] the event
+//! socket. It rides the same `Poller` the event
 //! loop uses, on its own thread, so a stalled scraper can never block a
 //! reconciliation session.
 //!

@@ -1,9 +1,12 @@
 //! The sync client: [`SyncClient`] reconciles a set against a server and
 //! returns the reconciled difference with full transport accounting. The
 //! protocol itself — every decision about which frame comes next — is
-//! [`crate::machine::ClientMachine`]; this module is its blocking driver:
-//! it owns the socket and the clock, moves frames between the two, and
-//! stamps [`SyncPhases`] at the boundaries the machine reports.
+//! [`crate::machine::ClientMachine`], and its clocks and phase stamps are
+//! the crate's client connection around it (`conn.rs`). This module drives
+//! that connection two ways: one at a time with blocking I/O ([`sync`],
+//! [`Subscription`]), every socket call bounded by the connection's next
+//! timer; and by the thousand on the readiness loop the server runs on
+//! ([`Dialer`]).
 //!
 //! The client can address a named server-side store
 //! ([`SyncClient::store`]) and pipeline several protocol rounds into each
@@ -29,11 +32,18 @@
 //! # Ok::<(), pbs_net::NetError>(())
 //! ```
 
-use crate::machine::{ClientMachine, Mode, Phase, Step};
+use crate::conn::{ClientConn, ClientOut, Connection, Ending};
+use crate::event_loop::{nonblocking, Link, Loop, Notice, Role, Session};
+use crate::frame::Frame;
 pub use crate::machine::{DeltaFold, DeltaReport};
+use crate::machine::{Mode, Phase};
 use crate::{FramedStream, NetError, TransportConfig};
 use pbs_core::PbsConfig;
+use std::borrow::Cow;
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How many protocol rounds ride in each sketch/report round trip
@@ -63,6 +73,12 @@ pub enum Pipeline {
 }
 
 /// Client-side configuration of one sync.
+///
+/// Its clocks: [`ClientConfig::session_deadline`] from the connect to the
+/// final ack (a live subscription is exempt), and the transport's
+/// `read_timeout` of a silent server and `write_timeout` of a stalled
+/// write — a subscriber's read window too, so it must exceed the server's
+/// keepalive interval.
 ///
 /// Construct with a struct literal over [`ClientConfig::default`]. Most
 /// code never touches it directly — [`SyncClient`] carries one internally
@@ -109,6 +125,10 @@ pub struct ClientConfig {
     /// is the [`SyncReport::epoch`] of the previous sync against the same
     /// store.
     pub delta_epoch: Option<u64>,
+    /// Wall-clock budget of one sync, from the connect to the final ack;
+    /// the client twin of `ServerConfig::session_deadline`. A live
+    /// subscription is exempt once its `Subscribe` is out.
+    pub session_deadline: Duration,
 }
 
 impl Default for ClientConfig {
@@ -123,6 +143,7 @@ impl Default for ClientConfig {
             store: String::new(),
             pipeline: Pipeline::Depth(1),
             delta_epoch: None,
+            session_deadline: Duration::from_secs(120),
         }
     }
 }
@@ -166,7 +187,7 @@ impl SyncPhases {
     }
 
     /// Record `took` as the duration of the phase a
-    /// [`Step`] reported as just ended.
+    /// [`crate::Step`] reported as just ended.
     pub fn stamp(&mut self, phase: Phase, took: Duration) {
         *match phase {
             Phase::Handshake => &mut self.handshake,
@@ -249,6 +270,13 @@ impl SyncReport {
         let minimum = protocol::theoretical_minimum_bytes(self.recovered.len(), universe_bits);
         let wire = self.bytes_sent + self.bytes_received;
         (minimum > 0.0).then(|| wire as f64 / minimum)
+    }
+
+    /// Fill in the transport half: `(sent, received)` bytes and frames.
+    fn ledger(mut self, bytes: (u64, u64), frames: (u64, u64)) -> SyncReport {
+        (self.bytes_sent, self.bytes_received) = bytes;
+        (self.frames_sent, self.frames_received) = frames;
+        self
     }
 
     /// `recovered \ pushed`: what the server held and the client lacked
@@ -371,37 +399,123 @@ impl SyncClient {
     /// not silently skip epochs.
     pub fn subscribe(&self, epoch: u64) -> Result<Subscription, NetError> {
         let mode = Mode::Subscribe { since: epoch };
-        let mut machine = ClientMachine::new(&self.config, Vec::new(), mode)?;
-        let stream = TcpStream::connect(&self.addrs[..])?;
-        let mut framed = FramedStream::from_tcp(stream, &self.config.transport)?;
-        let initial = loop {
-            if let Some(catch_up) = turn(&mut framed, &mut machine)?.push {
-                break catch_up;
-            }
-        };
-        // Park before returning: from here the server pushes.
-        if let Some(subscribe) = machine.poll_send()? {
-            framed.send(&subscribe)?;
+        let (mut link, mut out) = Blocking::open(&self.addrs[..], &self.config, Vec::new(), mode)?;
+        while out.push.is_none() {
+            out = link.turn(&out.frames).map_err(unparked)?;
         }
+        // Park before returning: from here the server pushes.
+        link.send(&out.frames).map_err(unparked)?;
         Ok(Subscription {
-            framed,
-            machine,
-            initial: Some(initial),
+            link,
+            initial: out.push,
+            owed: Vec::new(),
             done: false,
         })
     }
 }
 
-/// One turn of the blocking driver: put the frame the machine owes on the
-/// wire, then feed it the peer's next frame.
-fn turn(
-    framed: &mut FramedStream<TcpStream>,
-    machine: &mut ClientMachine<'_>,
-) -> Result<Step, NetError> {
-    if let Some(frame) = machine.poll_send()? {
-        framed.send(&frame)?;
+/// How a subscription that never parked ended, as an error.
+fn unparked(ending: Ending) -> NetError {
+    match ending.into_report() {
+        Err(error) => error,
+        Ok(_) => NetError::Protocol("a subscription ended in a report".into()),
     }
-    machine.on_frame(framed.recv()?)
+}
+
+/// One connection driven with blocking I/O: every call on the socket is
+/// bounded by the connection's next timer, and a socket that waited the
+/// timer out fires it. `Err` is the session over: how it ended, a report
+/// included.
+#[derive(Debug)]
+struct Blocking<'a> {
+    framed: FramedStream<TcpStream>,
+    conn: ClientConn<'a>,
+}
+
+impl<'a> Blocking<'a> {
+    /// Validate the request, connect, and stand where the `Hello` is owed.
+    fn open(
+        addr: impl ToSocketAddrs,
+        config: &ClientConfig,
+        set: impl Into<Cow<'a, [u64]>>,
+        mode: Mode,
+    ) -> Result<(Self, ClientOut), NetError> {
+        let mut conn = ClientConn::new(config, set, mode, Instant::now())?;
+        let stream = TcpStream::connect(addr)?;
+        // The protocol is strictly request/response with small frames, the
+        // worst case for Nagle's algorithm against delayed ACKs.
+        stream.set_nodelay(true)?;
+        let out = conn.connected(Instant::now());
+        let framed = FramedStream::new(stream, config.transport.max_frame);
+        Ok((Blocking { framed, conn }, out))
+    }
+
+    /// Put `frames` on the wire.
+    fn send(&mut self, frames: &[Frame]) -> Result<(), Ending> {
+        for frame in frames {
+            self.timed(1, |framed| framed.send(frame))?;
+            self.conn.flushed(Instant::now(), true, 0);
+        }
+        self.conn.listen(Instant::now());
+        Ok(())
+    }
+
+    /// Put `frames` on the wire, then take the server's next frame: what
+    /// the connection asks next.
+    fn turn(&mut self, frames: &[Frame]) -> Result<ClientOut, Ending> {
+        self.send(frames)?;
+        let frame = self.timed(0, FramedStream::recv)?;
+        let out = self.conn.on_frame(frame, Instant::now());
+        self.conn.take_ending().map_or(Ok(out), Err)
+    }
+
+    /// Run `io` with the socket's timeout set to the connection's next
+    /// timer (`pending` bytes queued while writing). A timeout fires the
+    /// timer; an end of stream is the server hanging up.
+    fn timed<T>(
+        &mut self,
+        pending: usize,
+        io: impl FnOnce(&mut FramedStream<TcpStream>) -> Result<T, NetError>,
+    ) -> Result<T, Ending> {
+        let wait = self.conn.next_timer(pending).map(|due| {
+            let left = due.saturating_duration_since(Instant::now());
+            left.max(Duration::from_millis(1))
+        });
+        let socket = self.framed.get_ref();
+        let set = match pending {
+            0 => socket.set_read_timeout(wait),
+            _ => socket.set_write_timeout(wait),
+        };
+        let error = match set
+            .map_err(NetError::Io)
+            .and_then(|()| io(&mut self.framed))
+        {
+            Ok(value) => return Ok(value),
+            Err(error) => error,
+        };
+        let now = Instant::now();
+        let kind = match &error {
+            NetError::Io(e) => Some(e.kind()),
+            _ => None,
+        };
+        match kind {
+            Some(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                self.conn.on_timer(now, pending);
+            }
+            Some(io::ErrorKind::UnexpectedEof) => self.conn.hang_up(now, 0),
+            _ => {}
+        }
+        Err(self.conn.take_ending().unwrap_or(Ending::Failed(error)))
+    }
+
+    /// The report, its transport ledger filled in.
+    fn report(&self, report: SyncReport) -> SyncReport {
+        let f = &self.framed;
+        report.ledger(
+            (f.bytes_out(), f.bytes_in()),
+            (f.frames_out(), f.frames_in()),
+        )
+    }
 }
 
 /// A live push subscription (see [`SyncClient::subscribe`]): a blocking
@@ -410,11 +524,13 @@ fn turn(
 /// The first item is the catch-up delta between the subscribed epoch and
 /// the server's state at subscription time (possibly empty — it still
 /// carries the epoch baseline). Each subsequent item covers one or more
-/// coalesced store mutations. Keepalive `Ping`s are answered internally;
-/// the transport's read timeout bounds how long `next()` blocks without
-/// any server traffic (the server pings within its keepalive interval, so
-/// a healthy but idle subscription never times out as long as that
-/// interval is below the client's read timeout).
+/// coalesced store mutations. Keepalive `Ping`s are answered internally.
+/// What bounds `next()` is the connection's read-idle timer: the
+/// transport's `read_timeout` without a frame from the server ends the
+/// subscription in a `TimedOut` error (the server pings within its
+/// keepalive interval, so a healthy but idle subscription never times out
+/// as long as that interval is below the client's read timeout). A write
+/// — a `Pong` — is bounded by the write-stall timer, `write_timeout`.
 ///
 /// Iteration ends (`None`) when the server closes the stream — on server
 /// shutdown, for instance. A backpressure eviction
@@ -424,9 +540,10 @@ fn turn(
 /// reconcile before resubscribing.
 #[derive(Debug)]
 pub struct Subscription {
-    framed: FramedStream<TcpStream>,
-    machine: ClientMachine<'static>,
+    link: Blocking<'static>,
     initial: Option<DeltaReport>,
+    /// What the connection asked back (a `Pong`), sent with the next turn.
+    owed: Vec<Frame>,
     done: bool,
 }
 
@@ -434,13 +551,13 @@ impl Subscription {
     /// Total wire bytes received on this subscription so far (framing
     /// included; handshake and catch-up included).
     pub fn bytes_received(&self) -> u64 {
-        self.framed.bytes_in()
+        self.link.framed.bytes_in()
     }
 
     /// Frames received on this subscription so far (handshake and
     /// catch-up included).
     pub fn frames_received(&self) -> u64 {
-        self.framed.frames_in()
+        self.link.framed.frames_in()
     }
 }
 
@@ -448,34 +565,29 @@ impl Iterator for Subscription {
     type Item = Result<DeltaReport, NetError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
         if let Some(initial) = self.initial.take() {
             return Some(Ok(initial));
         }
-        loop {
-            match turn(&mut self.framed, &mut self.machine) {
-                Ok(step) => {
-                    if let Some(report) = step.push {
-                        return Some(Ok(report));
+        while !self.done {
+            let owed = std::mem::take(&mut self.owed);
+            match self.link.turn(&owed) {
+                Ok(out) => {
+                    self.owed = out.frames;
+                    if let Some(push) = out.push {
+                        return Some(Ok(push));
                     }
                 }
-                // A clean close between push bursts is the server shutting
-                // the stream down, not a failure.
-                Err(NetError::Io(e))
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof
-                        && !self.machine.mid_stream() =>
-                {
+                Err(ending) => {
                     self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
+                    // A clean close between push bursts is the server
+                    // shutting the stream down, not a failure.
+                    if let Ending::Failed(error) = ending {
+                        return Some(Err(error));
+                    }
                 }
             }
         }
+        None
     }
 }
 
@@ -504,29 +616,11 @@ pub fn sync(
         Some(since) => Mode::Delta { since },
         None => Mode::Full,
     };
-    let mut machine = ClientMachine::new(config, set, mode)?;
-
-    let clock = Instant::now();
-    let mut phases = SyncPhases::default();
-    let stream = TcpStream::connect(addr)?;
-    let mut framed = FramedStream::from_tcp(stream, &config.transport)?;
-    phases.connect = clock.elapsed();
-    let mut mark = Instant::now();
-
+    let (mut link, mut out) = Blocking::open(addr, config, set, mode)?;
     loop {
-        let step = turn(&mut framed, &mut machine)?;
-        if let Some(phase) = step.crossed {
-            phases.stamp(phase, mark.elapsed());
-            mark = Instant::now();
-        }
-        if let Some(mut report) = step.report {
-            phases.total = clock.elapsed();
-            report.bytes_sent = framed.bytes_out();
-            report.bytes_received = framed.bytes_in();
-            report.frames_sent = framed.frames_out();
-            report.frames_received = framed.frames_in();
-            report.phases = phases;
-            return Ok(report);
+        match link.turn(&out.frames) {
+            Ok(next) => out = next,
+            Err(ending) => return ending.into_report().map(|report| link.report(report)),
         }
     }
 }
@@ -638,6 +732,179 @@ pub fn sync_with_retry<A: ToSocketAddrs>(
     }
 }
 
+/// What a dialed session reports: [`Dialed::Parked`] once its
+/// subscription is live, then [`Dialed::Ended`] once.
+#[derive(Debug)]
+pub enum Dialed {
+    /// The `Subscribe` is out: the session is a live subscription.
+    Parked,
+    /// The session is over.
+    Ended(Box<Ended>),
+}
+
+/// A dialed session, over.
+#[derive(Debug, Default)]
+pub struct Ended {
+    /// The sync's report, transport ledger and phases filled in, for a
+    /// session that ran to its final ack.
+    pub report: Option<SyncReport>,
+    /// Why the session failed; `None` after a report, and for a
+    /// subscription whose stream ended between bursts (or that
+    /// [`Dialer::shutdown`] ended there).
+    pub error: Option<NetError>,
+    /// It was a live subscription when it ended.
+    pub parked: bool,
+    /// Push bursts it received while live.
+    pub pushes: u64,
+    /// The phases stamped; a subscriber's `total` runs to its park.
+    pub phases: SyncPhases,
+    /// Wire bytes received, framing included.
+    pub bytes_in: u64,
+    /// Wire bytes sent, framing included.
+    pub bytes_out: u64,
+}
+
+type Watch = Box<dyn FnMut(Dialed) + Send>;
+
+/// Outbound sessions by the thousand on a few threads: each of
+/// `workers` threads runs the readiness loop the server runs on
+/// (`event_loop.rs`), over the client connections dialed to it. [`sync`]
+/// and [`Subscription`] hold a thread per session; a load harness holds
+/// its crowd here.
+pub struct Dialer {
+    links: Vec<Link<Dial>>,
+    joins: Vec<JoinHandle<()>>,
+    next: AtomicUsize,
+}
+
+impl Dialer {
+    /// Spawn `workers` loops (at least one).
+    pub fn start(workers: usize) -> io::Result<Dialer> {
+        let (mut links, mut joins) = (Vec::new(), Vec::new());
+        for i in 0..workers.max(1) {
+            let (link, lp) = Loop::new()?;
+            joins.push(lp.spawn(format!("pbs-net-dial-{i}"), Dial)?);
+            links.push(link);
+        }
+        Ok(Dialer {
+            links,
+            joins,
+            next: AtomicUsize::new(0),
+        })
+    }
+
+    /// Connect to `addr` on this thread, then hand a session of `set` in
+    /// `mode` to a loop, round-robin; `watch` is told what becomes of it
+    /// (on the loop's thread). A request the client refuses, or a connect
+    /// that fails, ends at once.
+    pub fn dial(
+        &self,
+        addr: SocketAddr,
+        config: &ClientConfig,
+        set: Vec<u64>,
+        mode: Mode,
+        watch: impl FnMut(Dialed) + Send + 'static,
+    ) {
+        let mut watch: Watch = Box::new(watch);
+        let opened = ClientConn::new(config, set, mode, Instant::now()).and_then(|conn| {
+            let stream = TcpStream::connect(addr)?;
+            nonblocking(&stream)?;
+            Ok((conn, stream))
+        });
+        let (mut conn, stream) = match opened {
+            Ok(opened) => opened,
+            Err(error) => {
+                let error = Some(error);
+                return watch(Dialed::Ended(Box::new(Ended {
+                    error,
+                    ..Ended::default()
+                })));
+            }
+        };
+        let out = conn.connected(Instant::now());
+        let tag = Dialing {
+            watch,
+            parked: false,
+            pushes: 0,
+        };
+        let session = Session::new(stream, config.transport.max_frame, conn, tag);
+        let link = &self.links[self.next.fetch_add(1, Ordering::Relaxed) % self.links.len()];
+        link.send(Notice::Open(session, out));
+    }
+
+    /// End every session still open and join the loops: a subscription
+    /// between bursts ends cleanly, any other session fails.
+    pub fn shutdown(self) {
+        // With its last link gone, a loop ends every session and exits.
+        drop(self.links);
+        for join in self.joins {
+            let _ = join.join();
+        }
+    }
+}
+
+/// The client's half of a worker: every decision is its connection's.
+struct Dial;
+
+/// What a dialed session's loop keeps beside its connection.
+struct Dialing {
+    watch: Watch,
+    parked: bool,
+    pushes: u64,
+}
+
+/// Nothing but connections wakes a dialing loop.
+enum NoNotice {}
+
+impl Role for Dial {
+    type Conn = ClientConn<'static>;
+    type Tag = Dialing;
+    type Notice = NoNotice;
+
+    fn notice(&mut self, _lp: &mut Loop<Dial>, notice: NoNotice) {
+        match notice {}
+    }
+
+    fn carry_out(&mut self, lp: &mut Loop<Dial>, i: usize, out: ClientOut) {
+        if !lp.queue(i, &out.frames) {
+            return;
+        }
+        let sess = &mut lp.sessions[i];
+        // (The catch-up came before the park.)
+        sess.tag.pushes += (out.push.is_some() && sess.tag.parked) as u64;
+        if !sess.tag.parked && sess.conn.parked() {
+            sess.tag.parked = true;
+            (sess.tag.watch)(Dialed::Parked);
+        }
+        lp.flush(self, i);
+    }
+
+    fn reap(&mut self, mut sess: Session<Dial>) {
+        let nb = &sess.nb;
+        let (report, error) = match sess.conn.take_ending() {
+            Some(Ending::Report(report)) => {
+                let ledger = (nb.bytes_out(), nb.bytes_in());
+                (
+                    Some((*report).ledger(ledger, (nb.frames_out(), nb.frames_in()))),
+                    None,
+                )
+            }
+            Some(Ending::Failed(error)) => (None, Some(error)),
+            Some(Ending::Closed) | None => (None, None),
+        };
+        let ended = Ended {
+            report,
+            error,
+            parked: sess.tag.parked,
+            pushes: sess.tag.pushes,
+            phases: sess.conn.phases(),
+            bytes_in: nb.bytes_in(),
+            bytes_out: nb.bytes_out(),
+        };
+        (sess.tag.watch)(Dialed::Ended(Box::new(ended)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,7 +995,7 @@ mod tests {
             pipeline: Pipeline::Depth(0),
             ..ClientConfig::default()
         };
-        let mut machine = ClientMachine::new(&clamped, Vec::new(), Mode::Full).unwrap();
+        let mut machine = crate::ClientMachine::new(&clamped, Vec::new(), Mode::Full).unwrap();
         match machine.poll_send().unwrap() {
             Some(crate::Frame::Hello(hello)) => assert_eq!(hello.pipeline, 1),
             other => panic!("expected the Hello, got {other:?}"),

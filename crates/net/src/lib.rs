@@ -17,7 +17,7 @@
 //!   [`StoreRegistry`] a multi-tenant server routes the handshake's store
 //!   name through.
 //! * [`server`] — [`server::Server`]: an event-driven TCP server — one
-//!   acceptor plus a few [`poll`]-based event-loop workers, each
+//!   acceptor plus a few `poll(2)`-based event-loop workers, each
 //!   multiplexing many non-blocking connections. The server half of the
 //!   protocol is one sans-IO state machine per session around a
 //!   [`pbs_core::BobSession`] (handshake with store routing → estimator
@@ -40,9 +40,9 @@
 //! * [`client`] — [`client::SyncClient`]: the blocking driver — returns
 //!   the reconciled difference plus transport accounting;
 //!   [`client::SyncClient::subscribe`] holds the connection open as a
-//!   live push subscription.
-//! * [`mux`] — [`MuxStream`]: the non-blocking framed stream the server's
-//!   sessions and the load harness's driver of the same machine run over.
+//!   live push subscription. [`client::Dialer`] puts outbound sessions by
+//!   the thousand on the readiness loop the server runs on, the same
+//!   client connection (machine, clocks, phase stamps) inside.
 //!
 //! The **delta-subscription** path: a client carrying the
 //! epoch of its previous sync ([`ClientConfig::delta_epoch`]) is served
@@ -53,7 +53,7 @@
 //! and every further mutation is pushed to the client as it happens, with
 //! keepalive pings and per-subscriber backpressure. See `docs/WIRE.md`.
 //!
-//! `event_loop.rs`'s tests reconcile 100k-element sets over real sockets
+//! `server.rs`'s tests reconcile 100k-element sets over real sockets
 //! and hold every byte each way, and the report's and the server's byte
 //! ledgers, to the same session run in process by the simulator's
 //! `Duet`, which drives the same two machines with no socket between.
@@ -91,8 +91,8 @@ pub(crate) mod event_loop;
 pub mod frame;
 pub mod machine;
 pub mod mesh;
-pub mod mux;
-pub mod poll;
+pub(crate) mod mux;
+pub(crate) mod poll;
 pub mod server;
 pub(crate) mod server_machine;
 pub mod setio;
@@ -104,20 +104,18 @@ pub mod watch;
 
 pub use admin::{AdminServer, AdminState};
 pub use client::{
-    sync, sync_with_retry, ClientConfig, DeltaFold, DeltaReport, Pipeline, RetryPolicy,
-    Subscription, SyncClient, SyncPhases, SyncReport,
+    sync, sync_with_retry, ClientConfig, DeltaFold, DeltaReport, Dialed, Dialer, Ended, Pipeline,
+    RetryPolicy, Subscription, SyncClient, SyncPhases, SyncReport,
 };
 pub use frame::{Frame, Hello, PROTOCOL_VERSION};
 pub use machine::{ClientMachine, Mode, Phase, Step};
 pub use mesh::{MeshConfig, MeshDriver, MeshStats, PeerSnapshot, PeerStats};
-pub use mux::MuxStream;
 pub use server::{Server, ServerConfig};
 pub use store::{ChangeBatch, DeltaAnswer, MutableStore, SetStore, StoreRegistry, ViewAnswer};
 pub use wal::{DurableOptions, RecoveryReport};
 
 use pbs_core::wire::WireError;
 use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// Why a frame could not be produced or accepted at the framing layer.
@@ -220,9 +218,9 @@ impl From<FrameError> for NetError {
 pub struct TransportConfig {
     /// Maximum accepted/produced frame body size in bytes.
     pub max_frame: u32,
-    /// Per-frame read timeout (`None` blocks forever).
+    /// Read-idle: how long the peer may send nothing (`None`: forever).
     pub read_timeout: Option<Duration>,
-    /// Per-frame write timeout (`None` blocks forever).
+    /// Write stall: how long queued bytes may find no taker (`None`: forever).
     pub write_timeout: Option<Duration>,
 }
 
@@ -247,19 +245,6 @@ pub struct FramedStream<S> {
     frames_out: u64,
 }
 
-impl FramedStream<TcpStream> {
-    /// Wrap a TCP stream, applying the transport configuration's timeouts
-    /// and setting `TCP_NODELAY`: the protocol is strictly
-    /// request/response with small frames, the worst case for Nagle's
-    /// algorithm against delayed ACKs.
-    pub fn from_tcp(stream: TcpStream, cfg: &TransportConfig) -> std::io::Result<Self> {
-        stream.set_read_timeout(cfg.read_timeout)?;
-        stream.set_write_timeout(cfg.write_timeout)?;
-        stream.set_nodelay(true)?;
-        Ok(Self::new(stream, cfg.max_frame))
-    }
-}
-
 impl<S: Read + Write> FramedStream<S> {
     /// Wrap an arbitrary stream with the given frame-size cap.
     pub fn new(inner: S, max_frame: u32) -> Self {
@@ -271,6 +256,11 @@ impl<S: Read + Write> FramedStream<S> {
             frames_in: 0,
             frames_out: 0,
         }
+    }
+
+    /// The wrapped stream.
+    pub fn get_ref(&self) -> &S {
+        &self.inner
     }
 
     /// Send one frame.

@@ -20,11 +20,13 @@
 //! reports with its own clock *before* asking for the next frame, so that
 //! compute is charged to the phase it opens, not the one that just closed.
 //!
-//! Every driver is the same few lines — send what [`poll_send`] yields,
-//! feed [`on_frame`] what arrives, stamp [`Step::crossed`] — over its own
-//! transport: the blocking [`crate::client::sync`] and
-//! [`crate::client::Subscription`] over [`crate::FramedStream`], the load
-//! harness's sessions over [`crate::mux::MuxStream`].
+//! One driver runs it: the crate's client connection (`conn.rs`), which
+//! sends what [`poll_send`] yields, feeds [`on_frame`] what arrives and
+//! stamps [`Step::crossed`] on the clock it is handed, beside the client's
+//! timers. The blocking [`crate::client::sync`] and
+//! [`crate::client::Subscription`] drive that connection over
+//! [`crate::FramedStream`], and [`crate::client::Dialer`] on the
+//! readiness loop the server runs on.
 //!
 //! [`poll_send`]: ClientMachine::poll_send
 //! [`on_frame`]: ClientMachine::on_frame

@@ -1,10 +1,5 @@
-//! The non-blocking framed stream shared by every session multiplexer.
-//!
-//! PR 7's event-loop server grew this type privately; the load harness
-//! (`crates/loadgen`) needs the exact same discipline on the *client*
-//! side — one worker thread holding thousands of mostly-idle sessions,
-//! none of which may ever block the loop — so the buffered non-blocking
-//! framing lives here as a small public surface. [`MuxStream`] is a
+//! The non-blocking framed stream every connection on the readiness loop
+//! (`event_loop.rs`) runs over, whichever its role. [`MuxStream`] is a
 //! [`crate::frame::Frame`] codec over a non-blocking `TcpStream` with
 //! explicit read/write buffers and the same byte/frame accounting as the
 //! blocking [`crate::FramedStream`]:
@@ -21,9 +16,8 @@
 //!   shutting its write half is an ordinary protocol event for a
 //!   multiplexer, not an exception.
 //!
-//! Owners drive the stream from a [`crate::poll::Poller`] readiness loop:
-//! read interest always, write interest while [`MuxStream::pending_out`]
-//! is non-zero.
+//! The loop reads always while the connection's machine is here, and
+//! writes while [`MuxStream::pending_out`] is non-zero.
 
 use crate::frame::{decode_frame, encode_frame, Decoded, Frame};
 use crate::NetError;
@@ -57,8 +51,7 @@ pub struct MuxStream {
 
 impl MuxStream {
     /// Wrap an already-connected stream. The caller is responsible for
-    /// having put the socket into non-blocking mode (see
-    /// [`MuxStream::from_tcp`] for the one-call form).
+    /// having put the socket into non-blocking mode.
     pub fn new(stream: TcpStream, max_frame: u32) -> Self {
         MuxStream {
             stream,
@@ -74,16 +67,6 @@ impl MuxStream {
         }
     }
 
-    /// Put `stream` into non-blocking mode with `TCP_NODELAY` set and
-    /// wrap it. This is the client-side entry point: pair it with a
-    /// `TcpStream::connect` that has already completed, or a non-blocking
-    /// connect whose socket is handed over mid-establishment.
-    pub fn from_tcp(stream: TcpStream, max_frame: u32) -> io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(MuxStream::new(stream, max_frame))
-    }
-
     /// Bytes queued for write but not yet accepted by the socket.
     pub fn pending_out(&self) -> usize {
         self.write_buf.len() - self.write_head
@@ -92,11 +75,6 @@ impl MuxStream {
     /// `true` once the peer has closed its write half (EOF observed).
     pub fn peer_closed(&self) -> bool {
         self.peer_closed
-    }
-
-    /// The wrapped stream (e.g. for its raw fd or a shutdown).
-    pub fn get_ref(&self) -> &TcpStream {
-        &self.stream
     }
 
     /// Encode `frame` into the write buffer (framing + CRC included).
@@ -202,11 +180,16 @@ mod tests {
         (a, b)
     }
 
+    fn mux(stream: TcpStream) -> MuxStream {
+        crate::event_loop::nonblocking(&stream).unwrap();
+        MuxStream::new(stream, 1 << 20)
+    }
+
     #[test]
     fn frames_round_trip_through_partial_reads() {
         let (a, b) = pair();
-        let mut tx = MuxStream::from_tcp(a, 1 << 20).unwrap();
-        let mut rx = MuxStream::from_tcp(b, 1 << 20).unwrap();
+        let mut tx = mux(a);
+        let mut rx = mux(b);
         tx.queue(&Frame::Ping { nonce: 7 }).unwrap();
         tx.queue(&Frame::DeltaDone { epoch: 42 }).unwrap();
         while tx.pending_out() > 0 {
@@ -231,7 +214,7 @@ mod tests {
     #[test]
     fn peer_close_is_an_event_not_an_error() {
         let (a, b) = pair();
-        let mut rx = MuxStream::from_tcp(a, 1 << 20).unwrap();
+        let mut rx = mux(a);
         drop(b);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while !rx.peer_closed() {

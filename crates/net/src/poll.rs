@@ -51,12 +51,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-
-    /// Read + write interest.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness event out of [`Poller::wait`].
@@ -208,7 +202,13 @@ mod tests {
         let mut poller = Poller::new();
         let events = poller
             .wait(
-                &[(a.as_raw_fd(), Interest::BOTH)],
+                &[(
+                    a.as_raw_fd(),
+                    Interest {
+                        readable: true,
+                        writable: true,
+                    },
+                )],
                 Some(Duration::from_secs(5)),
             )
             .unwrap();

@@ -4,6 +4,13 @@
 //! and lending it to a set-up thread of its own for a full session's
 //! O(|B|) set-up.
 //!
+//! The server's half of a worker is here: what a `ServerConn`'s
+//! decisions mean beyond their frames — the phase histograms and trace
+//! events at the boundaries it crosses, a heavy set-up unit sent down the
+//! set-up thread's FIFO (the connection takes no frame until it comes
+//! back), a subscriber's catch-up and its pushes when a store it follows
+//! changes, and the byte ledger of a session reaped.
+//!
 //! Each accepted connection runs the `docs/WIRE.md` session: handshake
 //! (with store routing through the [`StoreRegistry`]) →
 //! optional estimator exchange → sketch/report rounds (possibly pipelined:
@@ -28,15 +35,21 @@
 //! against the negotiated codec before they reach the BCH codec's
 //! `Sketch::combine` capacity assertion.
 
-use crate::event_loop::{spawn_acceptor, spawn_worker, Notice, SessionMetrics, Shared, WorkerLink};
-use crate::server_machine::Resources;
+use crate::conn::{Connection, Due, Out, ServerConn};
+use crate::event_loop::{nonblocking, Link, Loop, Notice, Role, Session};
+use crate::frame::{ErrorCode, Frame};
+use crate::server_machine::{refuse, Crossed, Refusal, Resources, ServerMachine, Step};
 use crate::store::StoreRegistry;
 use crate::TransportConfig;
+use obs::trace::{self, Level, Value};
+use obs::{Gauge, Histogram};
+use std::collections::{HashMap, HashSet};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use crate::store::SetStore;
 
@@ -161,7 +174,7 @@ pub struct Server {
     registry: Arc<StoreRegistry>,
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
-    worker_links: Vec<WorkerLink>,
+    worker_links: Vec<Link<Serve>>,
     /// Each worker, then its set-up thread — which exits once its worker has.
     worker_handles: Vec<JoinHandle<()>>,
 }
@@ -195,12 +208,12 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let shared = Arc::new(Shared {
-            res: Resources {
+            res: Arc::new(Resources {
                 registry: Arc::clone(&registry),
                 config,
                 stats: Arc::clone(&stats),
                 live_subscribers: AtomicUsize::new(0),
-            },
+            }),
             session_metrics: SessionMetrics::registered(&metrics),
             next_session_id: AtomicU64::new(1),
         });
@@ -213,7 +226,8 @@ impl Server {
             worker_handles.extend(handles);
         }
 
-        let accept_handle = spawn_acceptor(listener, worker_links.clone(), Arc::clone(&shutdown))?;
+        let links = worker_links.clone();
+        let accept_handle = spawn_acceptor(listener, links, shared, Arc::clone(&shutdown))?;
 
         Ok(Server {
             local_addr,
@@ -284,12 +298,1024 @@ impl Server {
         // The acceptor is joined, so no further Conn notices can follow
         // the Shutdown notice each worker drains next.
         for link in &self.worker_links {
-            let _ = link.tx.send(Notice::Shutdown);
-            link.wake.wake();
+            link.send(Notice::Shutdown);
         }
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
         self.stats.snapshot()
+    }
+}
+
+/// State shared by every worker.
+struct Shared {
+    /// What the workers lend their sessions' machines.
+    res: Arc<Resources>,
+    /// Per-phase latency histograms.
+    session_metrics: SessionMetrics,
+    /// Session-id allocator — ids label trace events, drive the
+    /// deterministic trace sampling and bring a set-up unit back.
+    next_session_id: AtomicU64,
+}
+
+/// The server-side latency histograms and the loops' own health, one
+/// registration per server.
+struct SessionMetrics {
+    /// Accept → negotiated `Hello` queued.
+    handshake: Arc<Histogram>,
+    /// Estimator bank awaited + served.
+    estimate: Arc<Histogram>,
+    /// Sketch/report rounds through the final ack queued.
+    rounds: Arc<Histogram>,
+    /// changelog catch-up (handshake `delta_epoch` → `DeltaDone`
+    /// queued).
+    delta_catchup: Arc<Histogram>,
+    /// Store-mutation commit → push burst's `DeltaDone` drained to the OS.
+    push_dispatch: Arc<Histogram>,
+    /// Whole session, accept → reap.
+    session: Arc<Histogram>,
+    /// One sample per loop iteration of any worker: `poll` returning → the
+    /// next `poll`. Nothing on that worker is dispatched in between.
+    loop_busy: Arc<Histogram>,
+    /// Heavy set-up units handed to a set-up thread and not yet finished:
+    /// queued plus running.
+    setups_in_flight: Gauge,
+}
+
+impl SessionMetrics {
+    fn registered(metrics: &obs::Registry) -> SessionMetrics {
+        let histogram =
+            |name, help, labels: &[(&str, &str)]| metrics.histogram(name, help, labels, 1e-9);
+        let phase = |name| {
+            let help = "Per-phase session latency.";
+            histogram("pbs_server_phase_seconds", help, &[("phase", name)])
+        };
+        SessionMetrics {
+            handshake: phase("handshake"),
+            estimate: phase("estimate"),
+            rounds: phase("rounds"),
+            delta_catchup: phase("delta_catchup"),
+            push_dispatch: histogram(
+                "pbs_server_push_dispatch_seconds",
+                "Store-mutation commit to the push burst's DeltaDone drained to the socket.",
+                &[],
+            ),
+            session: histogram(
+                "pbs_server_session_seconds",
+                "Whole-session wall clock, accept to close.",
+                &[],
+            ),
+            loop_busy: histogram(
+                "pbs_server_loop_busy_seconds",
+                "One event-loop iteration, poll return to the next poll.",
+                &[],
+            ),
+            setups_in_flight: metrics.gauge(
+                "pbs_server_setups_in_flight",
+                "Heavy set-up units queued for or running on a set-up thread.",
+                &[],
+            ),
+        }
+    }
+}
+
+/// What a server's worker is woken for besides a connection.
+enum Wake {
+    /// A store mutated; push to its subscribers. `at` is the commit
+    /// instant (captured in the notifier, right after the store's element
+    /// lock released) — the push-dispatch latency clock starts here.
+    StoreChanged { store: String, at: Instant },
+    /// The set-up thread ran the unit session `session` handed it: the
+    /// machine is back, with the step it took.
+    SetUp {
+        session: u64,
+        machine: ServerMachine,
+        step: Result<Step, Refusal>,
+    },
+}
+
+/// A heavy set-up unit on its way to the set-up thread: the id of the
+/// session to bring it back to, and the machine that owes it.
+type Job = (u64, ServerMachine);
+
+/// What the worker measures of one session.
+struct Served {
+    /// Server-unique: labels trace events, drives trace sampling.
+    id: u64,
+    /// Trace events fire for this session — decided once at accept, so a
+    /// session traces all-or-nothing.
+    traced: bool,
+    /// Accept: base of the handshake-phase and whole-session timings.
+    accepted: Instant,
+    /// When the current protocol phase began.
+    phase_start: Instant,
+    /// The commit instant of the oldest store mutation whose push burst is
+    /// still queued toward this subscriber — cleared (and recorded as
+    /// push-dispatch latency) when the write buffer fully drains.
+    push_started: Option<Instant>,
+}
+
+/// The server's half of one worker.
+struct Serve {
+    shared: Arc<Shared>,
+    /// This worker's own link — cloned into store notifier closures.
+    link: Link<Serve>,
+    /// The FIFO of this worker's set-up thread.
+    set_up: mpsc::Sender<Job>,
+    /// Stores with pending pushes, mapped to the *earliest* unserved
+    /// mutation-commit instant (the push-dispatch latency baseline).
+    dirty_stores: HashMap<String, Instant>,
+    /// Stores this worker has already installed a mutation notifier on.
+    notified_stores: HashSet<String>,
+}
+
+/// Spawn one event-loop worker and its set-up thread. Returns the worker's
+/// link plus both join handles.
+fn spawn_worker(
+    index: usize,
+    shared: Arc<Shared>,
+) -> io::Result<(Link<Serve>, [JoinHandle<()>; 2])> {
+    let (link, lp) = Loop::new()?;
+    let (set_up, set_up_join) = spawn_set_up(index, Arc::clone(&shared), link.clone())?;
+    let serve = Serve {
+        shared,
+        link: link.clone(),
+        set_up,
+        dirty_stores: HashMap::new(),
+        notified_stores: HashSet::new(),
+    };
+    let join = lp.spawn(format!("pbs-net-worker-{index}"), serve)?;
+    Ok((link, [join, set_up_join]))
+}
+
+/// Spawn the acceptor thread: blocking `accept`, each connection made a
+/// session (counted started, traced) and dealt round-robin to the
+/// workers. The shutdown flag plus a loopback connect breaks it out of
+/// `accept`.
+fn spawn_acceptor(
+    listener: TcpListener,
+    links: Vec<Link<Serve>>,
+    shared: Arc<Shared>,
+    shutdown: Arc<AtomicBool>,
+) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("pbs-net-accept".into())
+        .spawn(move || {
+            for (n, conn) in listener.incoming().enumerate() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Some(session) = conn.ok().and_then(|stream| accept(&shared, stream)) else {
+                    continue;
+                };
+                if !links[n % links.len()].send(Notice::Open(session, Out::default())) {
+                    break;
+                }
+            }
+        })
+}
+
+/// A session for an accepted `stream`, counted started (and failed, if
+/// the socket cannot be made fit for a loop).
+fn accept(shared: &Shared, stream: TcpStream) -> Option<Session<Serve>> {
+    let stats = &shared.res.stats;
+    stats.sessions_started.inc(1);
+    let now = Instant::now();
+    let id = shared.next_session_id.fetch_add(1, Ordering::Relaxed);
+    let peer = stream.peer_addr().ok();
+    if nonblocking(&stream).is_err() {
+        stats.sessions_failed.inc(1);
+        return None;
+    }
+    let served = Served {
+        id,
+        traced: trace::enabled(Level::Info) && trace::sampled(id),
+        accepted: now,
+        phase_start: now,
+        push_started: None,
+    };
+    let conn = ServerConn::new(&shared.res, now);
+    let sess = Session::new(stream, shared.res.config.transport.max_frame, conn, served);
+    let peer = peer.map(|p| p.to_string()).unwrap_or_default();
+    trace_session(&sess, Level::Info, "accept", &[("peer", Value::Str(&peer))]);
+    Some(sess)
+}
+
+/// Spawn a worker's set-up thread: one FIFO of [`Job`]s, each run to its
+/// [`Wake::SetUp`] on `link` ([`ServerConn::set_up`]: a unit that panics
+/// costs its own session). It exits once its worker has: the FIFO closes,
+/// or a notice finds nobody.
+fn spawn_set_up(
+    index: usize,
+    shared: Arc<Shared>,
+    link: Link<Serve>,
+) -> io::Result<(mpsc::Sender<Job>, JoinHandle<()>)> {
+    let (jobs, queue) = mpsc::channel::<Job>();
+    let join = std::thread::Builder::new()
+        .name(format!("pbs-net-setup-{index}"))
+        .spawn(move || {
+            for (session, mut machine) in queue {
+                let step = ServerConn::set_up(&mut machine, &shared.res);
+                shared.session_metrics.setups_in_flight.add(-1.0);
+                let back = Wake::SetUp {
+                    session,
+                    machine,
+                    step,
+                };
+                if !link.send(Notice::Role(back)) {
+                    return;
+                }
+            }
+        })?;
+    Ok((jobs, join))
+}
+
+impl Role for Serve {
+    type Conn = ServerConn;
+    type Tag = Served;
+    type Notice = Wake;
+
+    fn notice(&mut self, lp: &mut Loop<Serve>, notice: Wake) {
+        match notice {
+            // Keep the *earliest* commit instant while notices coalesce, so
+            // the dispatch latency never under-reports.
+            Wake::StoreChanged { store, at } => {
+                let earliest = self.dirty_stores.entry(store).or_insert(at);
+                *earliest = (*earliest).min(at);
+            }
+            Wake::SetUp {
+                session,
+                machine,
+                step,
+            } => self.machine_back(lp, session, machine, step),
+        }
+    }
+
+    /// Push what the stores that changed hold to their subscribers, once
+    /// per store however many notices coalesced.
+    fn noticed(&mut self, lp: &mut Loop<Serve>) {
+        if self.dirty_stores.is_empty() {
+            return;
+        }
+        let dirty = std::mem::take(&mut self.dirty_stores);
+        for i in 0..lp.sessions.len() {
+            let conn = &lp.sessions[i].conn;
+            if conn.outcome().is_some() || !conn.streaming() {
+                continue;
+            }
+            if let Some(&at) = conn.entry().and_then(|e| dirty.get(e.name())) {
+                self.push_deltas(lp, i, Some(at));
+            }
+        }
+    }
+
+    /// Queue the frames (tracing a refusal), stamp the boundaries crossed,
+    /// flush, and hand a heavy unit to the set-up thread.
+    fn carry_out(&mut self, lp: &mut Loop<Serve>, i: usize, out: Out) {
+        for frame in &out.frames {
+            if let Frame::Error { code, message } = frame {
+                let code = Value::U64(*code as u64);
+                let fields = [("code", code), ("message", Value::Str(message))];
+                trace_session(&lp.sessions[i], Level::Warn, "refused", &fields);
+            }
+        }
+        if !lp.queue(i, &out.frames) {
+            return;
+        }
+        for crossed in out.crossed {
+            self.stamp(lp, i, crossed);
+        }
+        lp.flush(self, i);
+        if let Some(machine) = out.hand_off {
+            self.hand_off(lp, i, machine);
+        }
+    }
+
+    fn fired(&mut self, lp: &mut Loop<Serve>, i: usize, due: Due, out: Out) {
+        if due == Due::WriteStall && lp.sessions[i].conn.streaming() {
+            let reason = [("reason", Value::Str("write_stall"))];
+            trace_session(&lp.sessions[i], Level::Warn, "evicted", &reason);
+        }
+        self.carry_out(lp, i, out);
+    }
+
+    /// A push burst fully handed to the OS: the dispatch latency clock
+    /// (mutation commit → drained) stops.
+    fn drained(&mut self, sess: &mut Session<Serve>) {
+        if let Some(started) = sess.tag.push_started.take() {
+            let push_dispatch = &self.shared.session_metrics.push_dispatch;
+            push_dispatch.record_duration(started.elapsed());
+        }
+    }
+
+    /// Fold a finished session's byte and frame counts. (Its outcome was
+    /// counted when the connection decided it.)
+    fn reap(&mut self, sess: Session<Serve>) {
+        let (res, entry, nb) = (&self.shared.res, sess.conn.entry(), &sess.nb);
+        res.bump(entry, |s| &s.bytes_in, nb.bytes_in());
+        res.bump(entry, |s| &s.bytes_out, nb.bytes_out());
+        res.bump(entry, |s| &s.frames_in, nb.frames_in());
+        res.bump(entry, |s| &s.frames_out, nb.frames_out());
+        let elapsed = sess.tag.accepted.elapsed();
+        self.shared.session_metrics.session.record_duration(elapsed);
+        let completed = sess.conn.outcome() == Some(true);
+        let fields = [
+            ("completed", Value::Bool(completed)),
+            ("bytes_in", Value::U64(nb.bytes_in())),
+            ("bytes_out", Value::U64(nb.bytes_out())),
+            ("seconds", Value::F64(elapsed.as_secs_f64())),
+        ];
+        trace_session(&sess, Level::Info, "closed", &fields);
+    }
+
+    fn busy(&mut self, busy: Duration) {
+        self.shared.session_metrics.loop_busy.record_duration(busy);
+    }
+}
+
+/// Emit a trace event for `sess`, if it is traced.
+fn trace_session(sess: &Session<Serve>, level: Level, event: &str, fields: &[(&str, Value<'_>)]) {
+    if sess.tag.traced {
+        trace::event(level, "session", Some(sess.tag.id), event, fields);
+    }
+}
+
+impl Serve {
+    /// Record the elapsed time of the phase ending now for session `i`
+    /// into the histogram `pick` selects, and restart the phase clock.
+    fn record_phase(
+        &self,
+        sess: &mut Session<Serve>,
+        pick: fn(&SessionMetrics) -> &Arc<Histogram>,
+    ) {
+        let now = Instant::now();
+        pick(&self.shared.session_metrics).record_duration(now - sess.tag.phase_start);
+        sess.tag.phase_start = now;
+    }
+
+    /// Park session `i`: its machine goes to the set-up thread until
+    /// [`Wake::SetUp`] brings it back. A set-up thread that is gone parks
+    /// nobody behind it.
+    fn hand_off(&mut self, lp: &mut Loop<Serve>, i: usize, machine: ServerMachine) {
+        let in_flight = &self.shared.session_metrics.setups_in_flight;
+        in_flight.add(1.0);
+        let session = lp.sessions[i].tag.id;
+        if let Err(mpsc::SendError((_, machine))) = self.set_up.send((session, machine)) {
+            in_flight.add(-1.0);
+            let gone = refuse(ErrorCode::Internal, "set-up is unavailable");
+            self.machine_back(lp, session, machine, Err(gone));
+        }
+    }
+
+    /// The set-up thread ran the unit session `id` handed it. A session
+    /// reaped meanwhile drops the machine; otherwise the connection carries
+    /// the step out (or drops it, if it ended or began closing), and the
+    /// frames that arrived while the session was parked are taken in order.
+    fn machine_back(
+        &mut self,
+        lp: &mut Loop<Serve>,
+        id: u64,
+        machine: ServerMachine,
+        step: Result<Step, Refusal>,
+    ) {
+        let Some(i) = lp.sessions.iter().position(|s| s.tag.id == id) else {
+            return;
+        };
+        let out = lp.sessions[i]
+            .conn
+            .machine_back(machine, step, Instant::now());
+        self.carry_out(lp, i, out);
+        if lp.sessions[i].conn.outcome().is_none() {
+            lp.read(self, i);
+        }
+    }
+
+    /// Put this loop's clock (phase histogram, trace event) on a boundary
+    /// the machine reported.
+    fn stamp(&mut self, lp: &mut Loop<Serve>, i: usize, crossed: Crossed) {
+        let sess = &mut lp.sessions[i];
+        match crossed {
+            Crossed::Handshake { known_d, delta } => {
+                self.record_phase(sess, |m| &m.handshake);
+                let store = sess.conn.entry().map_or("", |e| e.name());
+                let fields = [
+                    ("store", Value::Str(store)),
+                    ("known_d", Value::U64(known_d)),
+                    ("delta_epoch", Value::Bool(delta)),
+                ];
+                trace_session(sess, Level::Info, "hello", &fields);
+            }
+            Crossed::DeltaCatchup { batches, epoch } => {
+                self.record_phase(sess, |m| &m.delta_catchup);
+                let fields = [
+                    ("batches", Value::U64(batches)),
+                    ("epoch", Value::U64(epoch)),
+                ];
+                trace_session(sess, Level::Info, "delta_catchup", &fields);
+            }
+            Crossed::Estimated { d_param, view } => {
+                self.record_phase(sess, |m| &m.estimate);
+                let fields = [("d_param", Value::U64(d_param)), ("view", Value::Str(view))];
+                trace_session(sess, Level::Info, "estimated", &fields);
+            }
+            Crossed::Reconciled { rounds, received } => {
+                self.record_phase(sess, |m| &m.rounds);
+                let fields = [
+                    ("rounds", Value::U64(rounds as u64)),
+                    ("received", Value::U64(received)),
+                ];
+                trace_session(sess, Level::Info, "reconciled", &fields);
+            }
+            Crossed::Subscribed { epoch } => {
+                // Install this worker's mutation notifier on the store
+                // *before* the initial catch-up: a mutation landing in
+                // between then raises a (harmless, idempotent) extra wakeup
+                // instead of being missed.
+                if let Some(entry) = sess.conn.entry() {
+                    let (name, store) = (entry.name().to_string(), Arc::clone(entry.store()));
+                    self.ensure_notifier(name, &store);
+                }
+                let fields = [("epoch", Value::U64(epoch))];
+                trace_session(sess, Level::Info, "subscribed", &fields);
+                // Catch up on anything that mutated between the client's
+                // baseline and this Subscribe. Not a push dispatch: the
+                // latency clock only runs for bursts a mutation triggered.
+                self.push_deltas(lp, i, None);
+            }
+            Crossed::Evicted { burst_bytes } => {
+                let fields = [
+                    ("reason", Value::Str("buffer_overrun")),
+                    ("burst_bytes", Value::U64(burst_bytes)),
+                ];
+                trace_session(sess, Level::Warn, "evicted", &fields);
+            }
+        }
+    }
+
+    /// Have subscriber `i`'s connection push what the store changed past
+    /// its epoch. `origin` is the commit instant of the mutation that
+    /// triggered the push (`None` for the initial Subscribe catch-up) — it
+    /// seeds the dispatch-latency clock stopped in [`Role::drained`] when
+    /// the burst drains.
+    fn push_deltas(&mut self, lp: &mut Loop<Serve>, i: usize, origin: Option<Instant>) {
+        let sess = &mut lp.sessions[i];
+        let out = sess.conn.push(sess.nb.pending_out(), Instant::now());
+        // A burst, not an eviction.
+        if let (false, true, Some(origin)) = (out.frames.is_empty(), sess.conn.streaming(), origin)
+        {
+            let started = sess.tag.push_started.map_or(origin, |s| s.min(origin));
+            sess.tag.push_started = Some(started);
+        }
+        self.carry_out(lp, i, out);
+    }
+
+    /// Install this worker's wakeup notifier on `store` (once per store
+    /// name): mutation → `StoreChanged` notice + wake byte. The notifier
+    /// unregisters itself once the worker is gone.
+    fn ensure_notifier(&mut self, name: String, store: &Arc<dyn SetStore>) {
+        if !self.notified_stores.insert(name.clone()) {
+            return;
+        }
+        let link = self.link.clone();
+        store.register_notifier(Box::new(move |_epoch| {
+            let at = Instant::now();
+            let store = name.clone();
+            link.send(Notice::Role(Wake::StoreChanged { store, at }))
+        }));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Sessions over real sockets, held to the inline driver.
+    //!
+    //! * **Byte for byte:** a session served by the event loop — full ones
+    //!   at |B| = 10⁵ through the blocking `client::sync`, a delta
+    //!   catch-up, and one whose set-up is held on the set-up thread while
+    //!   its next frame arrives — puts on the wire, in each direction,
+    //!   exactly the bytes `Duet` (`src/sim.rs`) exchanges for the same
+    //!   (sets, seed), and every ledger of them (the report's, the
+    //!   server's) reads those lengths.
+    //! * **The set-up hand-off:** a full session's O(|B|) set-up runs on
+    //!   its worker's set-up thread while the loop keeps serving everyone
+    //!   else on that worker. Every interleaving is forced, none is slept
+    //!   for: the store under test ([`Gated`]) holds a session's `view`
+    //!   call at a gate the test opens, and the servers run one worker.
+    //!   With a set-up held, a subscriber is pushed to, a second connection
+    //!   is served, and the held session's next frame is taken in order
+    //!   once the gate opens; a peer close and `Server::shutdown` while the
+    //!   machine is out each leave `started == completed + failed`; a
+    //!   `view` that panics costs its own session (`Internal`), not the
+    //!   worker.
+    //!
+    //! What the clocks do to a session that is out — the deadline, the
+    //! read-idle window — is the simulator's, on a virtual clock.
+    use super::*;
+    use crate::client::{sync, ClientConfig, SyncClient, SyncReport};
+    use crate::frame::{decode_frame, write_frame, Decoded, DEFAULT_MAX_FRAME};
+    use crate::machine::{ClientMachine, Mode, Step};
+    use crate::sim::Duet;
+    use crate::store::{DeltaAnswer, MutableStore, StoreNotifier, ViewAnswer};
+    use crate::{FramedStream, NetError};
+    use std::io::{Read, Write};
+    use std::net::{Ipv4Addr, Shutdown};
+    use std::sync::{Condvar, Mutex};
+
+    /// How long a wait on the gate may take before the test fails instead
+    /// of hanging.
+    const HANG: Duration = Duration::from_secs(60);
+
+    /// What the next `view` call meets.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Gate {
+        /// Nothing: every call goes straight through.
+        Open,
+        /// The next call is held.
+        Armed,
+        /// A call is being held.
+        Holding,
+        /// The next call panics.
+        Trapped,
+    }
+
+    /// A `MutableStore` whose `view` — the first thing every heavy set-up
+    /// unit asks of its store — can be held at a gate, or made to panic,
+    /// once.
+    struct Gated {
+        inner: MutableStore,
+        gate: Mutex<Gate>,
+        moved: Condvar,
+    }
+
+    impl Gated {
+        fn over(elements: impl IntoIterator<Item = u64>) -> Arc<Gated> {
+            Arc::new(Gated {
+                inner: MutableStore::new(elements),
+                gate: Mutex::new(Gate::Open),
+                moved: Condvar::new(),
+            })
+        }
+
+        fn set(&self, to: Gate) {
+            *self.gate.lock().unwrap() = to;
+            self.moved.notify_all();
+        }
+
+        /// Block until the gate reads `want`.
+        fn await_gate(&self, want: Gate) {
+            let gate = self.gate.lock().unwrap();
+            let (gate, timeout) = self
+                .moved
+                .wait_timeout_while(gate, HANG, |gate| *gate != want)
+                .unwrap();
+            assert!(
+                !timeout.timed_out(),
+                "the gate never read {want:?}: {gate:?}"
+            );
+        }
+    }
+
+    impl SetStore for Gated {
+        fn snapshot(&self) -> Vec<u64> {
+            self.inner.snapshot()
+        }
+        fn apply_missing(&self, elements: &[u64]) -> bool {
+            self.inner.apply_missing(elements)
+        }
+        fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
+            self.inner.epoch_snapshot()
+        }
+        fn delta_since(&self, epoch: u64) -> DeltaAnswer {
+            self.inner.delta_since(epoch)
+        }
+        fn session_seed(&self, proposal: u64) -> u64 {
+            self.inner.session_seed(proposal)
+        }
+        fn view(&self, seed: u64) -> ViewAnswer {
+            let mut gate = self.gate.lock().unwrap();
+            match *gate {
+                Gate::Trapped => {
+                    *gate = Gate::Open;
+                    drop(gate);
+                    panic!("the store's view failed (a test's trap)");
+                }
+                Gate::Armed => {
+                    *gate = Gate::Holding;
+                    self.moved.notify_all();
+                    let (held, timeout) = self
+                        .moved
+                        .wait_timeout_while(gate, HANG, |gate| *gate == Gate::Holding)
+                        .unwrap();
+                    assert!(!timeout.timed_out(), "nobody opened the gate");
+                    drop(held);
+                }
+                _ => drop(gate),
+            }
+            self.inner.view(seed)
+        }
+        fn retire_view(&self, seed: u64) {
+            self.inner.retire_view(seed)
+        }
+        fn register_notifier(&self, notifier: StoreNotifier) -> bool {
+            self.inner.register_notifier(notifier)
+        }
+    }
+
+    /// A one-worker server over `store`: its every session shares one loop.
+    fn bind(store: &Arc<Gated>) -> (Server, Arc<StoreRegistry>) {
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", Arc::clone(store) as Arc<_>, config).unwrap();
+        let registry = server.registry();
+        (server, registry)
+    }
+
+    fn store_stats(registry: &StoreRegistry) -> StatsSnapshot {
+        registry.get("").unwrap().stats().snapshot()
+    }
+
+    /// `started == completed + failed`, with these counts, server-wide and
+    /// on the store.
+    fn assert_accounts(what: &str, stats: &[StatsSnapshot], started: u64, failed: u64) {
+        for (level, s) in ["server", "store"].iter().zip(stats) {
+            assert_eq!(
+                (s.sessions_started, s.sessions_completed, s.sessions_failed),
+                (started, started - failed, failed),
+                "{what}: {level} (started, completed, failed)"
+            );
+        }
+    }
+
+    /// What every session driven by hand runs under.
+    fn by_hand_config() -> ClientConfig {
+        ClientConfig {
+            seed: 0xA11CE,
+            ..ClientConfig::default()
+        }
+    }
+
+    /// A full session driven by hand, one frame at a time, keeping every
+    /// byte it sent (`up`) and received (`down`).
+    struct ByHand {
+        framed: FramedStream<TcpStream>,
+        machine: ClientMachine<'static>,
+        up: Vec<u8>,
+        down: Vec<u8>,
+    }
+
+    impl ByHand {
+        fn connect(server: &Server, set: Vec<u64>) -> ByHand {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            ByHand {
+                framed: FramedStream::new(stream, DEFAULT_MAX_FRAME),
+                machine: ClientMachine::new(&by_hand_config(), set, Mode::Full).unwrap(),
+                up: Vec::new(),
+                down: Vec::new(),
+            }
+        }
+
+        /// Put the frame the machine owes on the wire.
+        fn send(&mut self) {
+            let frame = self.machine.poll_send().unwrap().expect("a frame");
+            self.put(frame);
+        }
+
+        fn put(&mut self, frame: Frame) {
+            write_frame(&mut self.up, &frame, DEFAULT_MAX_FRAME).unwrap();
+            self.framed.send(&frame).unwrap();
+        }
+
+        /// Feed the machine the server's next frame.
+        fn recv(&mut self) -> Step {
+            let frame = self.framed.recv().unwrap();
+            write_frame(&mut self.down, &frame, DEFAULT_MAX_FRAME).unwrap();
+            self.machine.on_frame(frame).unwrap()
+        }
+
+        /// Drive the session from where it stands to its report.
+        fn finish(&mut self) -> SyncReport {
+            loop {
+                if let Some(frame) = self.machine.poll_send().unwrap() {
+                    self.put(frame);
+                }
+                if let Some(report) = self.recv().report {
+                    return report;
+                }
+            }
+        }
+
+        /// Send the `Hello` and stand where its set-up is held at `store`'s
+        /// gate, the negotiated `Hello` — flushed before the hand-off — read.
+        fn park_at(&mut self, store: &Gated) {
+            store.set(Gate::Armed);
+            self.send();
+            store.await_gate(Gate::Holding);
+            self.recv();
+        }
+    }
+
+    /// The value on `series`' line of the server's Prometheus rendering.
+    fn metric(server: &Server, series: &str) -> f64 {
+        let text = server.metrics().render_prometheus();
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '));
+        line.expect(series).parse().expect(series)
+    }
+
+    #[test]
+    fn a_held_set_up_holds_up_nobody_else_on_its_worker() {
+        let store = Gated::over(1..=5_000u64);
+        let (server, registry) = bind(&store);
+        let addr = server.local_addr();
+
+        // The worker's subscriber, parked before anything is held.
+        let mut sub = SyncClient::connect(addr).unwrap().subscribe(0).unwrap();
+        sub.next().expect("catch-up").expect("catch-up ok");
+
+        // A holds 1..=4 990 and ten of its own; its set-up is held.
+        let set: Vec<u64> = (1..=4_990).chain(10_001..=10_010).collect();
+        let mut a = ByHand::connect(&server, set);
+        a.park_at(&store);
+        assert_eq!(metric(&server, "pbs_server_setups_in_flight"), 1.0);
+        // A's next frame — its estimator bank — goes out now, ahead of the
+        // set-up it is an answer to.
+        a.send();
+
+        // A mutation is pushed to the subscriber past the held session…
+        store.inner.apply(&[20_001], &[]);
+        let pushed = sub.next().expect("live").expect("push ok");
+        assert_eq!((pushed.added, pushed.to_epoch), (vec![20_001], 1));
+        // …and a new connection is accepted, answered and served its delta.
+        let caught_up = SyncClient::connect(addr)
+            .unwrap()
+            .delta_epoch(0)
+            .sync(&[])
+            .expect("delta sync");
+        let delta = caught_up.delta.expect("served from the changelog");
+        assert_eq!((delta.added, caught_up.epoch), (vec![20_001], Some(1)));
+        let so_far = server.stats().snapshot();
+        // (Two catch-ups served — the subscriber's was the first — and the
+        // held session has not had its snapshot yet.)
+        assert_eq!((so_far.delta_sessions, so_far.views_declined), (2, 0));
+
+        // The gate opens: the bank that was waiting is taken next, in
+        // order, and the session runs to its end.
+        store.set(Gate::Open);
+        let report = a.finish();
+        assert!(report.verified);
+        // (The snapshot is the held unit's: it saw the mutation.)
+        let expected = (4_991..=5_000).chain(10_001..=10_010).chain([20_001]);
+        assert_eq!(report.recovered, expected.collect::<Vec<u64>>());
+        assert_eq!(report.epoch, Some(1));
+        assert!(store.inner.contains(10_010), "A ∖ B was ingested");
+        assert_eq!(metric(&server, "pbs_server_setups_in_flight"), 0.0);
+        // The estimate phase is still stamped, once, when the Bob build is
+        // back.
+        let estimates = "pbs_server_phase_seconds_count{phase=\"estimate\"}";
+        assert_eq!(metric(&server, estimates), 1.0);
+        assert!(metric(&server, "pbs_server_loop_busy_seconds_count") > 0.0);
+
+        drop((a, sub));
+        let stats = [server.shutdown(), store_stats(&registry)];
+        assert_eq!(stats[0].views_declined, 1);
+        assert_accounts("all three sessions", &stats, 3, 0);
+    }
+
+    #[test]
+    fn a_peer_that_leaves_while_out_fails_its_session_once() {
+        let store = Gated::over(1..=1_000u64);
+        let (server, registry) = bind(&store);
+
+        let mut a = ByHand::connect(&server, (1..=990).collect());
+        a.park_at(&store);
+        drop(a);
+        // Nothing is read from a parked session: the loop meets the close
+        // when the machine is back.
+        store.set(Gate::Open);
+        let stats = [server.shutdown(), store_stats(&registry)];
+        assert_accounts("peer closed while out", &stats, 1, 1);
+    }
+
+    #[test]
+    fn shutdown_cuts_a_session_that_is_out_without_waiting_for_its_machine() {
+        let store = Gated::over(1..=1_000u64);
+        let (server, registry) = bind(&store);
+
+        let mut a = ByHand::connect(&server, (1..=990).collect());
+        a.park_at(&store);
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        // The worker closes the session while the gate still holds its
+        // set-up…
+        assert!(a.framed.recv().is_err(), "cut, with nothing more said");
+        assert_eq!(*store.gate.lock().unwrap(), Gate::Holding);
+        // …and shutdown returns once the set-up thread is let go.
+        store.set(Gate::Open);
+        let stats = [shutdown.join().unwrap(), store_stats(&registry)];
+        assert_accounts("shut down while out", &stats, 1, 1);
+    }
+
+    #[test]
+    fn a_view_that_panics_fails_its_own_session_and_nothing_else() {
+        let store = Gated::over(1..=1_000u64);
+        let (server, registry) = bind(&store);
+        let client = SyncClient::connect(server.local_addr()).unwrap();
+        let mut sub = client.subscribe(0).unwrap();
+        sub.next().expect("catch-up").expect("catch-up ok");
+
+        let set: Vec<u64> = (1..=990).collect();
+        store.set(Gate::Trapped);
+        match client.sync(&set) {
+            Err(NetError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::Internal, "{message}")
+            }
+            other => panic!("expected an Internal refusal, got {other:?}"),
+        }
+
+        // The same worker, the same set-up thread: the next session
+        // completes and the subscriber is still pushed to.
+        let report = client.sync(&set).expect("the next session");
+        assert!(report.verified && report.recovered.len() == 10);
+        store.inner.apply(&[20_001], &[]);
+        let pushed = sub.next().expect("live").expect("push ok");
+        assert_eq!(pushed.added, vec![20_001]);
+
+        drop(sub);
+        let stats = [server.shutdown(), store_stats(&registry)];
+        assert_accounts("one panic, one session", &stats, 3, 1);
+    }
+
+    /// A relay between one client and `server` that keeps a copy of what
+    /// it carried each way: `[client → server, server → client]`, once
+    /// both ends have closed.
+    fn tap(server: SocketAddr) -> (SocketAddr, JoinHandle<[Vec<u8>; 2]>) {
+        fn carry(mut from: TcpStream, mut to: TcpStream) -> Vec<u8> {
+            let (mut copy, mut buf) = (Vec::new(), [0u8; 1 << 16]);
+            while let Ok(n @ 1..) = from.read(&mut buf) {
+                if to.write_all(&buf[..n]).is_err() {
+                    break;
+                }
+                copy.extend_from_slice(&buf[..n]);
+            }
+            let _ = to.shutdown(Shutdown::Write);
+            copy
+        }
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let relay = std::thread::spawn(move || {
+            let (client, _) = listener.accept().unwrap();
+            let upstream = TcpStream::connect(server).unwrap();
+            for end in [&client, &upstream] {
+                end.set_nodelay(true).unwrap();
+            }
+            let (from, to) = (client.try_clone().unwrap(), upstream.try_clone().unwrap());
+            let up = std::thread::spawn(move || carry(from, to));
+            let down = carry(upstream, client);
+            [up.join().unwrap(), down]
+        });
+        (addr, relay)
+    }
+
+    /// How many whole frames `wire` holds.
+    fn frame_count(mut wire: &[u8]) -> u64 {
+        let mut count = 0;
+        while let Ok(Decoded::Whole(_, used)) = decode_frame(wire, DEFAULT_MAX_FRAME) {
+            wire = &wire[used..];
+            count += 1;
+        }
+        count
+    }
+
+    /// `sync` of `set` in `config`'s mode against a server over `store`,
+    /// through a [`tap`], held to `Duet`'s session over `inline` (a store
+    /// in the same state): the same bytes each way, the report's and the
+    /// server's ledgers of them, the same report. Returns the report.
+    fn held_to_duet(
+        case: &str,
+        store: Arc<MutableStore>,
+        inline: MutableStore,
+        set: &[u64],
+        config: &ClientConfig,
+    ) -> SyncReport {
+        let mode = match config.delta_epoch {
+            Some(since) => Mode::Delta { since },
+            None => Mode::Full,
+        };
+        let (up, down, want) = Duet::over(Arc::new(inline)).transcript(config, set, mode);
+        let two_workers = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", store as Arc<_>, two_workers).unwrap();
+        let (addr, relay) = tap(server.local_addr());
+        let report = sync(addr, set, config).unwrap();
+        let [sent, received] = relay.join().unwrap();
+        assert!(sent == up, "{case}: client → server");
+        assert!(received == down, "{case}: server → client");
+        let ledger = [
+            report.bytes_sent,
+            report.bytes_received,
+            report.frames_sent,
+            report.frames_received,
+        ];
+        let wire = [up.len() as u64, down.len() as u64];
+        let frames = [frame_count(&up), frame_count(&down)];
+        assert_eq!(ledger, [wire[0], wire[1], frames[0], frames[1]], "{case}");
+        assert_eq!(report.recovered, want.recovered, "{case}");
+        assert_eq!(report.delta, want.delta, "{case}");
+        let stats = server.shutdown();
+        assert_eq!(
+            (stats.sessions_completed, stats.bytes_in, stats.bytes_out),
+            (1, wire[0], wire[1]),
+            "{case}: the server's ledger"
+        );
+        let estimated = report.estimated_d.is_some() as u64;
+        assert_eq!(
+            (
+                stats.rounds,
+                stats.estimator_exchanges,
+                stats.elements_received
+            ),
+            (report.rounds as u64, estimated, report.pushed.len() as u64),
+            "{case}: the server's session"
+        );
+        report
+    }
+
+    /// A socket session is the inline session, byte for byte in both
+    /// directions: at |B| = 10⁵ for d ∈ {10, 100, 1000} through the
+    /// blocking `sync`, a delta catch-up of 50 changes, and a session
+    /// whose snapshot unit is held on the set-up thread until the client's
+    /// bank is already on the wire (the Bob build handed off after it).
+    #[test]
+    fn a_socket_session_is_the_inline_session_byte_for_byte() {
+        let held: Vec<u64> = (1..=3_000u64).map(|i| i * 0x9E37 + 1).collect();
+        let ours = &held[40..];
+        let inline = Arc::new(MutableStore::new(held.iter().copied()));
+        let (up, down, want) = Duet::over(inline).transcript(&by_hand_config(), ours, Mode::Full);
+        let store = Gated::over(held.iter().copied());
+        let (server, _) = bind(&store);
+        let mut a = ByHand::connect(&server, ours.to_vec());
+        // After the `Hello`: its set-up is held. The bank therefore arrives
+        // while the machine is out; then it is let go.
+        a.park_at(&store);
+        a.send();
+        store.set(Gate::Open);
+        let report = a.finish();
+        assert!(report.verified && report.recovered.len() == 40);
+        assert_eq!(report.recovered, want.recovered);
+        assert!(a.up == up, "held: client → server");
+        assert!(a.down == down, "held: server → client");
+        let stats = server.shutdown();
+        assert_eq!((stats.views_declined, stats.sessions_completed), (1, 1));
+
+        // A scrambled 32-bit universe: n distinct nonzero elements.
+        let keys = |n: u64| (1..=n).map(|i| i.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF);
+        for d in [10usize, 100, 1000] {
+            // B is the first 10⁵ keys; A drops ⌊d/2⌋ of them and adds ⌈d/2⌉.
+            let pool: Vec<u64> = keys(100_000 + d.div_ceil(2) as u64).collect();
+            let (bob, alice) = (&pool[..100_000], &pool[d / 2..]);
+            let mut truth: Vec<u64> = pool[..d / 2]
+                .iter()
+                .chain(&pool[100_000..])
+                .copied()
+                .collect();
+            truth.sort_unstable();
+            let config = ClientConfig {
+                seed: 0xAB5_0000 + d as u64,
+                ..ClientConfig::default()
+            };
+            let store = Arc::new(MutableStore::new(bob.iter().copied()));
+            let case = format!("d = {d}");
+            let inline = MutableStore::new(bob.iter().copied());
+            let report = held_to_duet(&case, Arc::clone(&store), inline, alice, &config);
+            assert!(report.verified, "{case}");
+            assert_eq!(report.recovered, truth, "{case}");
+            assert_eq!(store.len(), pool.len(), "{case}: the store holds A ∪ B");
+            assert!(pool[100_000..].iter().all(|&e| store.contains(e)), "{case}");
+        }
+
+        // A delta catch-up: 25 added and 25 removed since epoch 0.
+        let pool: Vec<u64> = keys(100_025).collect();
+        let (baseline, added) = (&pool[..100_000], &pool[100_000..]);
+        let removed = &baseline[..25];
+        let mutated = || {
+            let store = MutableStore::new(baseline.iter().copied());
+            assert_eq!(store.apply(added, removed), 1);
+            store
+        };
+        let config = ClientConfig {
+            seed: 0xDE17A,
+            delta_epoch: Some(0),
+            ..ClientConfig::default()
+        };
+        let report = held_to_duet("delta", Arc::new(mutated()), mutated(), baseline, &config);
+        let delta = report.delta.expect("served from the changelog");
+        let mut want = added.to_vec();
+        want.sort_unstable();
+        assert_eq!((delta.added, delta.removed.len()), (want, 25));
+        assert_eq!((report.rounds, report.epoch), (0, Some(1)));
     }
 }
