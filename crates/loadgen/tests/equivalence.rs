@@ -3,7 +3,7 @@
 //! these tests hold them to it.
 //!
 //! * Driver equivalence: the same set, seed, store and pipeline through
-//!   `pbs_net::sync` (blocking `FramedStream`) and through the engine's
+//!   `pbs_net::sync` (a blocking socket) and through the engine's
 //!   `Dialer` (the readiness loop, non-blocking) against one server
 //!   produce the same report, down to the byte and frame ledgers.
 //! * An unverified session ends the way the real client's does — `Done`

@@ -34,10 +34,10 @@
 
 use crate::conn::{ClientConn, ClientOut, Connection, Ending};
 use crate::event_loop::{nonblocking, Link, Loop, Notice, Role, Session};
-use crate::frame::Frame;
+use crate::frame::{read_frame, write_frame, Frame};
 pub use crate::machine::{DeltaFold, DeltaReport};
 use crate::machine::{Mode, Phase};
-use crate::{FramedStream, NetError, TransportConfig};
+use crate::{NetError, TransportConfig};
 use pbs_core::PbsConfig;
 use std::borrow::Cow;
 use std::io;
@@ -188,7 +188,7 @@ impl SyncPhases {
 
     /// Record `took` as the duration of the phase a
     /// [`crate::Step`] reported as just ended.
-    pub fn stamp(&mut self, phase: Phase, took: Duration) {
+    pub(crate) fn stamp(&mut self, phase: Phase, took: Duration) {
         *match phase {
             Phase::Handshake => &mut self.handshake,
             Phase::Delta => &mut self.delta,
@@ -428,8 +428,14 @@ fn unparked(ending: Ending) -> NetError {
 /// included.
 #[derive(Debug)]
 struct Blocking<'a> {
-    framed: FramedStream<TcpStream>,
+    stream: TcpStream,
+    max_frame: u32,
     conn: ClientConn<'a>,
+    /// The ledger: wire bytes (framing included) and frames, each way.
+    bytes_out: u64,
+    bytes_in: u64,
+    frames_out: u64,
+    frames_in: u64,
 }
 
 impl<'a> Blocking<'a> {
@@ -446,14 +452,25 @@ impl<'a> Blocking<'a> {
         // worst case for Nagle's algorithm against delayed ACKs.
         stream.set_nodelay(true)?;
         let out = conn.connected(Instant::now());
-        let framed = FramedStream::new(stream, config.transport.max_frame);
-        Ok((Blocking { framed, conn }, out))
+        let max_frame = config.transport.max_frame;
+        let link = Blocking {
+            stream,
+            max_frame,
+            conn,
+            bytes_out: 0,
+            bytes_in: 0,
+            frames_out: 0,
+            frames_in: 0,
+        };
+        Ok((link, out))
     }
 
     /// Put `frames` on the wire.
     fn send(&mut self, frames: &[Frame]) -> Result<(), Ending> {
         for frame in frames {
-            self.timed(1, |framed| framed.send(frame))?;
+            let max = self.max_frame;
+            self.bytes_out += self.timed(1, |stream| write_frame(stream, frame, max))?;
+            self.frames_out += 1;
             self.conn.flushed(Instant::now(), true, 0);
         }
         self.conn.listen(Instant::now());
@@ -464,7 +481,10 @@ impl<'a> Blocking<'a> {
     /// the connection asks next.
     fn turn(&mut self, frames: &[Frame]) -> Result<ClientOut, Ending> {
         self.send(frames)?;
-        let frame = self.timed(0, FramedStream::recv)?;
+        let max = self.max_frame;
+        let (frame, n) = self.timed(0, |stream| read_frame(stream, max))?;
+        self.bytes_in += n;
+        self.frames_in += 1;
         let out = self.conn.on_frame(frame, Instant::now());
         self.conn.take_ending().map_or(Ok(out), Err)
     }
@@ -475,20 +495,19 @@ impl<'a> Blocking<'a> {
     fn timed<T>(
         &mut self,
         pending: usize,
-        io: impl FnOnce(&mut FramedStream<TcpStream>) -> Result<T, NetError>,
+        io: impl FnOnce(&mut TcpStream) -> Result<T, NetError>,
     ) -> Result<T, Ending> {
         let wait = self.conn.next_timer(pending).map(|due| {
             let left = due.saturating_duration_since(Instant::now());
             left.max(Duration::from_millis(1))
         });
-        let socket = self.framed.get_ref();
         let set = match pending {
-            0 => socket.set_read_timeout(wait),
-            _ => socket.set_write_timeout(wait),
+            0 => self.stream.set_read_timeout(wait),
+            _ => self.stream.set_write_timeout(wait),
         };
         let error = match set
             .map_err(NetError::Io)
-            .and_then(|()| io(&mut self.framed))
+            .and_then(|()| io(&mut self.stream))
         {
             Ok(value) => return Ok(value),
             Err(error) => error,
@@ -510,11 +529,8 @@ impl<'a> Blocking<'a> {
 
     /// The report, its transport ledger filled in.
     fn report(&self, report: SyncReport) -> SyncReport {
-        let f = &self.framed;
-        report.ledger(
-            (f.bytes_out(), f.bytes_in()),
-            (f.frames_out(), f.frames_in()),
-        )
+        let bytes = (self.bytes_out, self.bytes_in);
+        report.ledger(bytes, (self.frames_out, self.frames_in))
     }
 }
 
@@ -551,13 +567,13 @@ impl Subscription {
     /// Total wire bytes received on this subscription so far (framing
     /// included; handshake and catch-up included).
     pub fn bytes_received(&self) -> u64 {
-        self.link.framed.bytes_in()
+        self.link.bytes_in
     }
 
     /// Frames received on this subscription so far (handshake and
     /// catch-up included).
     pub fn frames_received(&self) -> u64 {
-        self.link.framed.frames_in()
+        self.link.frames_in
     }
 }
 

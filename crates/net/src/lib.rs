@@ -7,8 +7,6 @@
 //! * [`frame`] — a length-prefixed, CRC-checked frame codec
 //!   ([`frame::Frame`]) layered over the payload encoders of
 //!   [`pbs_core::wire`]; the format is specified in `docs/WIRE.md`.
-//! * [`FramedStream`] — a byte-counting framed transport over any
-//!   `Read + Write` stream.
 //! * [`store`] — the element store, [`MutableStore`]: a set with an
 //!   epoch-stamped changelog (the delta feed), optionally a WAL under it,
 //!   one commit function, and one cached hash-ordered view per epoch
@@ -115,7 +113,6 @@ pub use store::{ChangeBatch, DeltaAnswer, MutableStore, SetStore, StoreRegistry,
 pub use wal::{DurableOptions, RecoveryReport};
 
 use pbs_core::wire::WireError;
-use std::io::{Read, Write};
 use std::time::Duration;
 
 /// Why a frame could not be produced or accepted at the framing layer.
@@ -231,75 +228,5 @@ impl Default for TransportConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
         }
-    }
-}
-
-/// A framed, byte-counting transport over any `Read + Write` stream.
-#[derive(Debug)]
-pub struct FramedStream<S> {
-    inner: S,
-    max_frame: u32,
-    bytes_in: u64,
-    bytes_out: u64,
-    frames_in: u64,
-    frames_out: u64,
-}
-
-impl<S: Read + Write> FramedStream<S> {
-    /// Wrap an arbitrary stream with the given frame-size cap.
-    pub fn new(inner: S, max_frame: u32) -> Self {
-        FramedStream {
-            inner,
-            max_frame,
-            bytes_in: 0,
-            bytes_out: 0,
-            frames_in: 0,
-            frames_out: 0,
-        }
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
-    /// Send one frame.
-    pub fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
-        let n = frame::write_frame(&mut self.inner, frame, self.max_frame)?;
-        self.bytes_out += n;
-        self.frames_out += 1;
-        Ok(())
-    }
-
-    /// Receive one frame. A peer [`Frame::Error`] is returned as
-    /// [`NetError::Remote`] — sessions never have to handle it positionally.
-    pub fn recv(&mut self) -> Result<Frame, NetError> {
-        let (frame, n) = frame::read_frame(&mut self.inner, self.max_frame)?;
-        self.bytes_in += n;
-        self.frames_in += 1;
-        if let Frame::Error { code, message } = frame {
-            return Err(NetError::Remote { code, message });
-        }
-        Ok(frame)
-    }
-
-    /// Total wire bytes received so far (framing included).
-    pub fn bytes_in(&self) -> u64 {
-        self.bytes_in
-    }
-
-    /// Total wire bytes sent so far (framing included).
-    pub fn bytes_out(&self) -> u64 {
-        self.bytes_out
-    }
-
-    /// Frames received so far.
-    pub(crate) fn frames_in(&self) -> u64 {
-        self.frames_in
-    }
-
-    /// Frames sent so far.
-    pub(crate) fn frames_out(&self) -> u64 {
-        self.frames_out
     }
 }

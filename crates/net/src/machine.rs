@@ -24,9 +24,9 @@
 //! sends what [`poll_send`] yields, feeds [`on_frame`] what arrives and
 //! stamps [`Step::crossed`] on the clock it is handed, beside the client's
 //! timers. The blocking [`crate::client::sync`] and
-//! [`crate::client::Subscription`] drive that connection over
-//! [`crate::FramedStream`], and [`crate::client::Dialer`] on the
-//! readiness loop the server runs on.
+//! [`crate::client::Subscription`] drive that connection over a blocking
+//! socket, and [`crate::client::Dialer`] on the readiness loop the server
+//! runs on.
 //!
 //! [`poll_send`]: ClientMachine::poll_send
 //! [`on_frame`]: ClientMachine::on_frame
@@ -486,7 +486,7 @@ impl<'a> ClientMachine<'a> {
     }
 
     /// `true` while the subscription is live (the `Subscribe` is out).
-    pub fn is_parked(&self) -> bool {
+    pub(crate) fn is_parked(&self) -> bool {
         self.state == State::Parked
     }
 
@@ -497,7 +497,7 @@ impl<'a> ClientMachine<'a> {
     }
 
     /// The current state, in words (for a driver's timeout message).
-    pub fn state_name(&self) -> &'static str {
+    pub(crate) fn state_name(&self) -> &'static str {
         self.state.name()
     }
 

@@ -1,8 +1,7 @@
 //! The non-blocking framed stream every connection on the readiness loop
 //! (`event_loop.rs`) runs over, whichever its role. [`MuxStream`] is a
 //! [`crate::frame::Frame`] codec over a non-blocking `TcpStream` with
-//! explicit read/write buffers and the same byte/frame accounting as the
-//! blocking [`crate::FramedStream`]:
+//! explicit read/write buffers and byte/frame accounting:
 //!
 //! * [`MuxStream::queue`] encodes a frame (length prefix + CRC + body)
 //!   into the write buffer; [`MuxStream::flush`] drains the buffer as far
@@ -30,8 +29,7 @@ const READ_CHUNK: usize = 16 * 1024;
 const WRITE_COMPACT: usize = 64 * 1024;
 
 /// A non-blocking framed stream: explicit read/write buffers over a
-/// non-blocking `TcpStream`, with the same byte/frame accounting as the
-/// blocking [`crate::FramedStream`]. Frames are extracted from the read
+/// non-blocking `TcpStream`, with byte/frame accounting. Frames are extracted from the read
 /// buffer only once complete, and queued frames drain front-first
 /// whenever the socket is writable. See the [module docs](self) for the
 /// readiness-loop contract.

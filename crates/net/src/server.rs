@@ -812,11 +812,12 @@ mod tests {
     //! read-idle window — is the simulator's, on a virtual clock.
     use super::*;
     use crate::client::{sync, ClientConfig, SyncClient, SyncReport};
+    use crate::frame::read_frame;
     use crate::frame::{decode_frame, write_frame, Decoded, DEFAULT_MAX_FRAME};
     use crate::machine::{ClientMachine, Mode, Step};
     use crate::sim::Duet;
     use crate::store::{DeltaAnswer, MutableStore, StoreNotifier, ViewAnswer};
-    use crate::{FramedStream, NetError};
+    use crate::NetError;
     use std::io::{Read, Write};
     use std::net::{Ipv4Addr, Shutdown};
     use std::sync::{Condvar, Mutex};
@@ -959,7 +960,7 @@ mod tests {
     /// A full session driven by hand, one frame at a time, keeping every
     /// byte it sent (`up`) and received (`down`).
     struct ByHand {
-        framed: FramedStream<TcpStream>,
+        stream: TcpStream,
         machine: ClientMachine<'static>,
         up: Vec<u8>,
         down: Vec<u8>,
@@ -969,7 +970,7 @@ mod tests {
         fn connect(server: &Server, set: Vec<u64>) -> ByHand {
             let stream = TcpStream::connect(server.local_addr()).unwrap();
             ByHand {
-                framed: FramedStream::new(stream, DEFAULT_MAX_FRAME),
+                stream,
                 machine: ClientMachine::new(&by_hand_config(), set, Mode::Full).unwrap(),
                 up: Vec::new(),
                 down: Vec::new(),
@@ -984,12 +985,12 @@ mod tests {
 
         fn put(&mut self, frame: Frame) {
             write_frame(&mut self.up, &frame, DEFAULT_MAX_FRAME).unwrap();
-            self.framed.send(&frame).unwrap();
+            write_frame(&mut self.stream, &frame, DEFAULT_MAX_FRAME).unwrap();
         }
 
         /// Feed the machine the server's next frame.
         fn recv(&mut self) -> Step {
-            let frame = self.framed.recv().unwrap();
+            let (frame, _) = read_frame(&mut self.stream, DEFAULT_MAX_FRAME).unwrap();
             write_frame(&mut self.down, &frame, DEFAULT_MAX_FRAME).unwrap();
             self.machine.on_frame(frame).unwrap()
         }
@@ -1109,7 +1110,8 @@ mod tests {
         let shutdown = std::thread::spawn(move || server.shutdown());
         // The worker closes the session while the gate still holds its
         // set-up…
-        assert!(a.framed.recv().is_err(), "cut, with nothing more said");
+        let cut = read_frame(&mut a.stream, DEFAULT_MAX_FRAME);
+        assert!(cut.is_err(), "cut, with nothing more said");
         assert_eq!(*store.gate.lock().unwrap(), Gate::Holding);
         // …and shutdown returns once the set-up thread is let go.
         store.set(Gate::Open);

@@ -207,7 +207,7 @@ proptest! {
             },
             message: String::from_utf8(msg).unwrap(),
         };
-        // `Error` arrives as `NetError::Remote` through a `FramedStream`,
+        // `Error` reaches a session as `NetError::Remote` from its machine,
         // but the raw codec round-trips it like any other frame.
         prop_assert_eq!(round_trip(&frame), frame);
     }
