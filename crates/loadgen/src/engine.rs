@@ -94,8 +94,7 @@ pub struct SessionResult {
     pub error: Option<String>,
     /// What the client connection reported: the sync's report if it ran
     /// to its ack — the same report the blocking client returns — its
-    /// phases (`total`, for a subscriber, up to the park), pushes and
-    /// wire bytes.
+    /// phases (`total`, for a subscriber, up to the park) and wire bytes.
     pub ended: Box<Ended>,
 }
 
@@ -162,7 +161,6 @@ impl Metrics {
         };
         let fallback = ended.report.as_ref().is_some_and(|r| r.delta_fallback);
         counts.delta_fallbacks.inc(u64::from(fallback));
-        counts.pushes.inc(ended.pushes);
         counts.bytes_in.inc(ended.bytes_in);
         counts.bytes_out.inc(ended.bytes_out);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -243,10 +241,14 @@ impl Engine {
             ..self.config.client.clone()
         };
         let (drained, mut done) = (Arc::clone(&self.drained), Some(done));
+        let mut parked = false;
         let watch = move |dialed| match dialed {
+            // (The catch-up comes before the park.)
+            Dialed::Push(_) => metrics.counts.pushes.inc(u64::from(parked)),
             Dialed::Parked => {
-                let parked = metrics.parked.fetch_add(1, Ordering::SeqCst) + 1;
-                metrics.peak_parked.fetch_max(parked, Ordering::SeqCst);
+                parked = true;
+                let now = metrics.parked.fetch_add(1, Ordering::SeqCst) + 1;
+                metrics.peak_parked.fetch_max(now, Ordering::SeqCst);
             }
             Dialed::Ended(ended) => {
                 if ended.parked {

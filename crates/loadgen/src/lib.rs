@@ -9,9 +9,9 @@
 //!   with deterministic jitter, workload kinds drawn from a configurable
 //!   mix. A pure function of its seed, so runs replay exactly.
 //! * [`engine`] — the plan's sessions dialed to [`pbs_net::Dialer`]: the
-//!   readiness loop the server runs on, driving the same client
-//!   connection the blocking `pbs_net::sync` runs (machine, clocks, phase
-//!   stamps), thousands of sessions per thread; with exact
+//!   readiness loop the server runs on, and a blocking `pbs_net::sync` on
+//!   its caller's thread, driving the same client connection (machine,
+//!   clocks, phase stamps), thousands of sessions per thread; with exact
 //!   `started == completed + failed + evicted` accounting.
 //! * [`report`] — p50/p99/p999 per-phase tables and machine-readable
 //!   JSON.

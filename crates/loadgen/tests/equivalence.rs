@@ -1,11 +1,13 @@
-//! The blocking client and the load harness's sessions are two drivers of
-//! one client connection (`pbs_net`'s machine, clocks and phase stamps);
-//! these tests hold them to it.
+//! A blocking call and the load harness's sessions run one client
+//! connection (`pbs_net`'s machine, clocks and phase stamps) on one
+//! readiness loop — the first on the caller's thread, the second on a
+//! `Dialer`'s; these tests hold the two to the same session.
 //!
-//! * Driver equivalence: the same set, seed, store and pipeline through
-//!   `pbs_net::sync` (a blocking socket) and through the engine's
-//!   `Dialer` (the readiness loop, non-blocking) against one server
-//!   produce the same report, down to the byte and frame ledgers.
+//! * Same session: the same set, seed, store and pipeline through
+//!   `pbs_net::sync` (a loop on the caller's thread) and through the
+//!   engine's `Dialer` (a loop thread shared with other sessions) against
+//!   one server produce the same report, down to the byte and frame
+//!   ledgers.
 //! * An unverified session ends the way the real client's does — `Done`
 //!   sent, ack read — so the server books it completed and only the
 //!   harness calls it failed.

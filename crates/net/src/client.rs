@@ -2,11 +2,12 @@
 //! returns the reconciled difference with full transport accounting. The
 //! protocol itself — every decision about which frame comes next — is
 //! [`crate::machine::ClientMachine`], and its clocks and phase stamps are
-//! the crate's client connection around it (`conn.rs`). This module drives
-//! that connection two ways: one at a time with blocking I/O ([`sync`],
-//! [`Subscription`]), every socket call bounded by the connection's next
-//! timer; and by the thousand on the readiness loop the server runs on
-//! ([`Dialer`]).
+//! the crate's client connection around it (`conn.rs`). This module is
+//! the client's half of the readiness loop the server runs on
+//! (`event_loop.rs`), which drives that connection: a blocking call
+//! ([`sync`], [`Subscription`]) runs a loop over its one connection on the
+//! caller's thread, a [`Dialer`] runs sessions by the thousand on loops of
+//! its own.
 //!
 //! The client can address a named server-side store
 //! ([`SyncClient::store`]) and pipeline several protocol rounds into each
@@ -32,17 +33,18 @@
 //! # Ok::<(), pbs_net::NetError>(())
 //! ```
 
-use crate::conn::{ClientConn, ClientOut, Connection, Ending};
+use crate::conn::{ClientConn, ClientOut, Ending};
 use crate::event_loop::{nonblocking, Link, Loop, Notice, Role, Session};
-use crate::frame::{read_frame, write_frame, Frame};
 pub use crate::machine::{DeltaFold, DeltaReport};
 use crate::machine::{Mode, Phase};
 use crate::{NetError, TransportConfig};
 use pbs_core::PbsConfig;
 use std::borrow::Cow;
 use std::io;
+use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -399,138 +401,68 @@ impl SyncClient {
     /// not silently skip epochs.
     pub fn subscribe(&self, epoch: u64) -> Result<Subscription, NetError> {
         let mode = Mode::Subscribe { since: epoch };
-        let (mut link, mut out) = Blocking::open(&self.addrs[..], &self.config, Vec::new(), mode)?;
-        while out.push.is_none() {
-            out = link.turn(&out.frames).map_err(unparked)?;
-        }
+        let mut call = Call::open(&self.addrs[..], &self.config, Vec::new(), mode);
+        let mut initial = None;
         // Park before returning: from here the server pushes.
-        link.send(&out.frames).map_err(unparked)?;
+        loop {
+            match call.next() {
+                Dialed::Push(catch_up) => initial = Some(catch_up),
+                Dialed::Parked => break,
+                Dialed::Ended(ended) => {
+                    return Err(match ended.into_report() {
+                        Err(error) => error,
+                        Ok(_) => NetError::Protocol("a subscription ended in a report".into()),
+                    })
+                }
+            }
+        }
         Ok(Subscription {
-            link,
-            initial: out.push,
-            owed: Vec::new(),
-            done: false,
+            call,
+            initial,
+            over: None,
         })
     }
 }
 
-/// How a subscription that never parked ended, as an error.
-fn unparked(ending: Ending) -> NetError {
-    match ending.into_report() {
-        Err(error) => error,
-        Ok(_) => NetError::Protocol("a subscription ended in a report".into()),
-    }
+/// One session on a loop of its own, run on the caller's thread: no
+/// thread, no wake pipe, and the connection borrows the caller's set.
+/// `poll` sleeps until the socket is ready or the connection's next timer
+/// comes due, as on a worker.
+struct Call<'a> {
+    lp: Loop<Dial<'a>>,
+    said: mpsc::Receiver<Dialed>,
 }
 
-/// One connection driven with blocking I/O: every call on the socket is
-/// bounded by the connection's next timer, and a socket that waited the
-/// timer out fires it. `Err` is the session over: how it ended, a report
-/// included.
-#[derive(Debug)]
-struct Blocking<'a> {
-    stream: TcpStream,
-    max_frame: u32,
-    conn: ClientConn<'a>,
-    /// The ledger: wire bytes (framing included) and frames, each way.
-    bytes_out: u64,
-    bytes_in: u64,
-    frames_out: u64,
-    frames_in: u64,
-}
-
-impl<'a> Blocking<'a> {
-    /// Validate the request, connect, and stand where the `Hello` is owed.
+impl<'a> Call<'a> {
     fn open(
         addr: impl ToSocketAddrs,
         config: &ClientConfig,
         set: impl Into<Cow<'a, [u64]>>,
         mode: Mode,
-    ) -> Result<(Self, ClientOut), NetError> {
-        let mut conn = ClientConn::new(config, set, mode, Instant::now())?;
-        let stream = TcpStream::connect(addr)?;
-        // The protocol is strictly request/response with small frames, the
-        // worst case for Nagle's algorithm against delayed ACKs.
-        stream.set_nodelay(true)?;
-        let out = conn.connected(Instant::now());
-        let max_frame = config.transport.max_frame;
-        let link = Blocking {
-            stream,
-            max_frame,
-            conn,
-            bytes_out: 0,
-            bytes_in: 0,
-            frames_out: 0,
-            frames_in: 0,
-        };
-        Ok((link, out))
-    }
-
-    /// Put `frames` on the wire.
-    fn send(&mut self, frames: &[Frame]) -> Result<(), Ending> {
-        for frame in frames {
-            let max = self.max_frame;
-            self.bytes_out += self.timed(1, |stream| write_frame(stream, frame, max))?;
-            self.frames_out += 1;
-            self.conn.flushed(Instant::now(), true, 0);
-        }
-        self.conn.listen(Instant::now());
-        Ok(())
-    }
-
-    /// Put `frames` on the wire, then take the server's next frame: what
-    /// the connection asks next.
-    fn turn(&mut self, frames: &[Frame]) -> Result<ClientOut, Ending> {
-        self.send(frames)?;
-        let max = self.max_frame;
-        let (frame, n) = self.timed(0, |stream| read_frame(stream, max))?;
-        self.bytes_in += n;
-        self.frames_in += 1;
-        let out = self.conn.on_frame(frame, Instant::now());
-        self.conn.take_ending().map_or(Ok(out), Err)
-    }
-
-    /// Run `io` with the socket's timeout set to the connection's next
-    /// timer (`pending` bytes queued while writing). A timeout fires the
-    /// timer; an end of stream is the server hanging up.
-    fn timed<T>(
-        &mut self,
-        pending: usize,
-        io: impl FnOnce(&mut TcpStream) -> Result<T, NetError>,
-    ) -> Result<T, Ending> {
-        let wait = self.conn.next_timer(pending).map(|due| {
-            let left = due.saturating_duration_since(Instant::now());
-            left.max(Duration::from_millis(1))
+    ) -> Self {
+        let (tx, said) = mpsc::channel();
+        let watch: Watch = Box::new(move |dialed| {
+            let _ = tx.send(dialed);
         });
-        let set = match pending {
-            0 => self.stream.set_read_timeout(wait),
-            _ => self.stream.set_write_timeout(wait),
-        };
-        let error = match set
-            .map_err(NetError::Io)
-            .and_then(|()| io(&mut self.stream))
-        {
-            Ok(value) => return Ok(value),
-            Err(error) => error,
-        };
-        let now = Instant::now();
-        let kind = match &error {
-            NetError::Io(e) => Some(e.kind()),
-            _ => None,
-        };
-        match kind {
-            Some(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                self.conn.on_timer(now, pending);
-            }
-            Some(io::ErrorKind::UnexpectedEof) => self.conn.hang_up(now, 0),
-            _ => {}
+        let mut lp = Loop::new();
+        if let Some((session, out)) = connect(addr, config, set, mode, watch) {
+            lp.open(&mut Dial(PhantomData), session, out);
         }
-        Err(self.conn.take_ending().unwrap_or(Ending::Failed(error)))
+        Call { lp, said }
     }
 
-    /// The report, its transport ledger filled in.
-    fn report(&self, report: SyncReport) -> SyncReport {
-        let bytes = (self.bytes_out, self.bytes_in);
-        report.ledger(bytes, (self.frames_out, self.frames_in))
+    /// Run the loop until the session has something to say.
+    fn next(&mut self) -> Dialed {
+        loop {
+            match self.said.try_recv() {
+                Ok(dialed) => return dialed,
+                // A session says `Ended` before its watch goes.
+                Err(mpsc::TryRecvError::Disconnected) => return Dialed::Ended(Box::default()),
+                Err(mpsc::TryRecvError::Empty) => {
+                    self.lp.turn(&mut Dial(PhantomData), None);
+                }
+            }
+        }
     }
 }
 
@@ -554,26 +486,47 @@ impl<'a> Blocking<'a> {
 /// final `Err` and then ends; after an error the client's cached state is
 /// only valid up to the last [`DeltaReport::to_epoch`] it yielded, so
 /// reconcile before resubscribing.
-#[derive(Debug)]
 pub struct Subscription {
-    link: Blocking<'static>,
+    call: Call<'static>,
     initial: Option<DeltaReport>,
-    /// What the connection asked back (a `Pong`), sent with the next turn.
-    owed: Vec<Frame>,
-    done: bool,
+    /// Bytes and frames received, once the session is over.
+    over: Option<(u64, u64)>,
+}
+
+// The benchmark moves a subscription into each subscriber thread.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Subscription>();
+};
+
+impl std::fmt::Debug for Subscription {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Subscription")
+            .field("initial", &self.initial)
+            .field("received", &self.received())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Subscription {
     /// Total wire bytes received on this subscription so far (framing
     /// included; handshake and catch-up included).
     pub fn bytes_received(&self) -> u64 {
-        self.link.bytes_in
+        self.received().0
     }
 
     /// Frames received on this subscription so far (handshake and
     /// catch-up included).
     pub fn frames_received(&self) -> u64 {
-        self.link.frames_in
+        self.received().1
+    }
+
+    /// Bytes and frames received: the stream's ledger, or what it read
+    /// when the session ended.
+    fn received(&self) -> (u64, u64) {
+        let live = self.call.lp.sessions.first();
+        let live = live.map(|s| (s.nb.bytes_in(), s.nb.frames_in()));
+        live.or(self.over).unwrap_or_default()
     }
 }
 
@@ -584,20 +537,15 @@ impl Iterator for Subscription {
         if let Some(initial) = self.initial.take() {
             return Some(Ok(initial));
         }
-        while !self.done {
-            let owed = std::mem::take(&mut self.owed);
-            match self.link.turn(&owed) {
-                Ok(out) => {
-                    self.owed = out.frames;
-                    if let Some(push) = out.push {
-                        return Some(Ok(push));
-                    }
-                }
-                Err(ending) => {
-                    self.done = true;
+        while self.over.is_none() {
+            match self.call.next() {
+                Dialed::Push(push) => return Some(Ok(push)),
+                Dialed::Parked => {}
+                Dialed::Ended(ended) => {
+                    self.over = Some((ended.bytes_in, ended.frames_in));
                     // A clean close between push bursts is the server
                     // shutting the stream down, not a failure.
-                    if let Ending::Failed(error) = ending {
+                    if let Some(error) = ended.error {
                         return Some(Err(error));
                     }
                 }
@@ -632,11 +580,10 @@ pub fn sync(
         Some(since) => Mode::Delta { since },
         None => Mode::Full,
     };
-    let (mut link, mut out) = Blocking::open(addr, config, set, mode)?;
+    let mut call = Call::open(addr, config, set, mode);
     loop {
-        match link.turn(&out.frames) {
-            Ok(next) => out = next,
-            Err(ending) => return ending.into_report().map(|report| link.report(report)),
+        if let Dialed::Ended(ended) = call.next() {
+            return ended.into_report();
         }
     }
 }
@@ -748,10 +695,13 @@ pub fn sync_with_retry<A: ToSocketAddrs>(
     }
 }
 
-/// What a dialed session reports: [`Dialed::Parked`] once its
-/// subscription is live, then [`Dialed::Ended`] once.
+/// What a dialed session says as it runs: each [`Dialed::Push`] of a
+/// subscription (the catch-up first), [`Dialed::Parked`] once it is live,
+/// then [`Dialed::Ended`] once.
 #[derive(Debug)]
 pub enum Dialed {
+    /// A delta stream: a subscription's catch-up, then each push burst.
+    Push(DeltaReport),
     /// The `Subscribe` is out: the session is a live subscription.
     Parked,
     /// The session is over.
@@ -770,25 +720,69 @@ pub struct Ended {
     pub error: Option<NetError>,
     /// It was a live subscription when it ended.
     pub parked: bool,
-    /// Push bursts it received while live.
-    pub pushes: u64,
     /// The phases stamped; a subscriber's `total` runs to its park.
     pub phases: SyncPhases,
     /// Wire bytes received, framing included.
     pub bytes_in: u64,
     /// Wire bytes sent, framing included.
     pub bytes_out: u64,
+    /// Frames received.
+    pub frames_in: u64,
 }
 
+impl Ended {
+    /// The report of a one-shot sync, or why it has none.
+    fn into_report(self) -> Result<SyncReport, NetError> {
+        let eof = || NetError::Io(io::ErrorKind::UnexpectedEof.into());
+        self.report.ok_or_else(|| self.error.unwrap_or_else(eof))
+    }
+}
+
+/// Told what becomes of a dialed session, on the thread that runs it.
 type Watch = Box<dyn FnMut(Dialed) + Send>;
+
+/// Connect to `addr`, then stand a session of `set` in `mode` where its
+/// `Hello` is owed; `watch` is told what becomes of it. A request the
+/// client refuses, or a connect that fails, ends at once.
+fn connect<'a>(
+    addr: impl ToSocketAddrs,
+    config: &ClientConfig,
+    set: impl Into<Cow<'a, [u64]>>,
+    mode: Mode,
+    mut watch: Watch,
+) -> Option<(Session<Dial<'a>>, ClientOut)> {
+    let opened = ClientConn::new(config, set, mode, Instant::now()).and_then(|conn| {
+        let stream = TcpStream::connect(addr)?;
+        nonblocking(&stream)?;
+        Ok((conn, stream))
+    });
+    let (mut conn, stream) = match opened {
+        Ok(opened) => opened,
+        Err(error) => {
+            let error = Some(error);
+            watch(Dialed::Ended(Box::new(Ended {
+                error,
+                ..Ended::default()
+            })));
+            return None;
+        }
+    };
+    let out = conn.connected(Instant::now());
+    let tag = Dialing {
+        watch,
+        parked: false,
+    };
+    let session = Session::new(stream, config.transport.max_frame, conn, tag);
+    Some((session, out))
+}
 
 /// Outbound sessions by the thousand on a few threads: each of
 /// `workers` threads runs the readiness loop the server runs on
 /// (`event_loop.rs`), over the client connections dialed to it. [`sync`]
-/// and [`Subscription`] hold a thread per session; a load harness holds
-/// its crowd here.
+/// and [`Subscription`] run the same loop over their one connection on
+/// the caller's thread; a load harness holds its crowd here.
 pub struct Dialer {
-    links: Vec<Link<Dial>>,
+    links: Vec<Link<Dial<'static>>>,
     joins: Vec<JoinHandle<()>>,
     next: AtomicUsize,
 }
@@ -798,8 +792,9 @@ impl Dialer {
     pub fn start(workers: usize) -> io::Result<Dialer> {
         let (mut links, mut joins) = (Vec::new(), Vec::new());
         for i in 0..workers.max(1) {
-            let (link, lp) = Loop::new()?;
-            joins.push(lp.spawn(format!("pbs-net-dial-{i}"), Dial)?);
+            let (link, inbox) = Link::new()?;
+            let name = format!("pbs-net-dial-{i}");
+            joins.push(Loop::spawn(inbox, name, Dial(PhantomData))?);
             links.push(link);
         }
         Ok(Dialer {
@@ -821,31 +816,10 @@ impl Dialer {
         mode: Mode,
         watch: impl FnMut(Dialed) + Send + 'static,
     ) {
-        let mut watch: Watch = Box::new(watch);
-        let opened = ClientConn::new(config, set, mode, Instant::now()).and_then(|conn| {
-            let stream = TcpStream::connect(addr)?;
-            nonblocking(&stream)?;
-            Ok((conn, stream))
-        });
-        let (mut conn, stream) = match opened {
-            Ok(opened) => opened,
-            Err(error) => {
-                let error = Some(error);
-                return watch(Dialed::Ended(Box::new(Ended {
-                    error,
-                    ..Ended::default()
-                })));
-            }
-        };
-        let out = conn.connected(Instant::now());
-        let tag = Dialing {
-            watch,
-            parked: false,
-            pushes: 0,
-        };
-        let session = Session::new(stream, config.transport.max_frame, conn, tag);
-        let link = &self.links[self.next.fetch_add(1, Ordering::Relaxed) % self.links.len()];
-        link.send(Notice::Open(session, out));
+        if let Some((session, out)) = connect(addr, config, set, mode, Box::new(watch)) {
+            let link = &self.links[self.next.fetch_add(1, Ordering::Relaxed) % self.links.len()];
+            link.send(Notice::Open(session, out));
+        }
     }
 
     /// End every session still open and join the loops: a subscription
@@ -859,35 +833,37 @@ impl Dialer {
     }
 }
 
-/// The client's half of a worker: every decision is its connection's.
-struct Dial;
+/// The client's half of a loop — a `Dialer`'s worker, or a blocking call
+/// on its caller's thread — over connections borrowing their sets for
+/// `'a`: every decision is the connection's.
+struct Dial<'a>(PhantomData<&'a [u64]>);
 
 /// What a dialed session's loop keeps beside its connection.
 struct Dialing {
     watch: Watch,
     parked: bool,
-    pushes: u64,
 }
 
 /// Nothing but connections wakes a dialing loop.
 enum NoNotice {}
 
-impl Role for Dial {
-    type Conn = ClientConn<'static>;
+impl<'a> Role for Dial<'a> {
+    type Conn = ClientConn<'a>;
     type Tag = Dialing;
     type Notice = NoNotice;
 
-    fn notice(&mut self, _lp: &mut Loop<Dial>, notice: NoNotice) {
+    fn notice(&mut self, _lp: &mut Loop<Self>, notice: NoNotice) {
         match notice {}
     }
 
-    fn carry_out(&mut self, lp: &mut Loop<Dial>, i: usize, out: ClientOut) {
+    fn carry_out(&mut self, lp: &mut Loop<Self>, i: usize, out: ClientOut) {
         if !lp.queue(i, &out.frames) {
             return;
         }
         let sess = &mut lp.sessions[i];
-        // (The catch-up came before the park.)
-        sess.tag.pushes += (out.push.is_some() && sess.tag.parked) as u64;
+        if let Some(push) = out.push {
+            (sess.tag.watch)(Dialed::Push(push));
+        }
         if !sess.tag.parked && sess.conn.parked() {
             sess.tag.parked = true;
             (sess.tag.watch)(Dialed::Parked);
@@ -895,7 +871,7 @@ impl Role for Dial {
         lp.flush(self, i);
     }
 
-    fn reap(&mut self, mut sess: Session<Dial>) {
+    fn reap(&mut self, mut sess: Session<Self>) {
         let nb = &sess.nb;
         let (report, error) = match sess.conn.take_ending() {
             Some(Ending::Report(report)) => {
@@ -912,10 +888,10 @@ impl Role for Dial {
             report,
             error,
             parked: sess.tag.parked,
-            pushes: sess.tag.pushes,
             phases: sess.conn.phases(),
             bytes_in: nb.bytes_in(),
             bytes_out: nb.bytes_out(),
+            frames_in: nb.frames_in(),
         };
         (sess.tag.watch)(Dialed::Ended(Box::new(ended)));
     }
@@ -924,6 +900,69 @@ impl Role for Dial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{Server, ServerConfig};
+    use crate::store::MutableStore;
+    use crate::TransportConfig;
+    use std::net::TcpListener;
+    use std::sync::Arc;
+
+    /// `run` on a thread of its own, waited for a bounded time: a loop
+    /// that never wakes fails the test instead of hanging it.
+    fn bounded<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(run()));
+        let waited = rx.recv_timeout(Duration::from_secs(10));
+        waited.expect("the caller's loop never woke")
+    }
+
+    /// The blocking client's clocks over a real socket: a call sleeps in
+    /// `poll` until its connection's next timer, and fires it. A sync
+    /// against a server that accepts and never writes fails at its read
+    /// window; a subscription to a server that pings less often than that
+    /// window yields its catch-up, then the timeout, then ends.
+    #[test]
+    fn a_blocking_call_times_a_silent_server_out() {
+        let read = Duration::from_millis(200);
+        let config = ClientConfig {
+            transport: TransportConfig {
+                read_timeout: Some(read),
+                ..TransportConfig::default()
+            },
+            ..ClientConfig::default()
+        };
+        let timed_out = |error: &NetError| {
+            let NetError::Io(e) = error else { return false };
+            let named = e.to_string().contains("no frame from the server in time");
+            e.kind() == io::ErrorKind::TimedOut && named
+        };
+
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = silent.local_addr().unwrap();
+        let accepted = std::thread::spawn(move || silent.accept().map(|(stream, _)| stream));
+        let client = config.clone();
+        let (result, took) = bounded(move || {
+            let start = Instant::now();
+            (sync(addr, &[1, 2, 3], &client), start.elapsed())
+        });
+        assert!(result.as_ref().is_err_and(timed_out), "{result:?}");
+        assert!(read <= took && took < Duration::from_secs(2), "{took:?}");
+        drop(accepted.join());
+
+        let store = Arc::new(MutableStore::new(1..=100u64));
+        let server = ServerConfig {
+            keepalive: Duration::from_secs(60),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", store, server).unwrap();
+        let client = SyncClient::connect(server.local_addr()).unwrap();
+        let client = client.config(config);
+        let items = bounded(move || client.subscribe(0).map(Iterator::collect::<Vec<_>>));
+        match &items.unwrap()[..] {
+            [Ok(catch_up), Err(error)] if timed_out(error) => assert_eq!(catch_up.batches, 0),
+            items => panic!("expected the catch-up, then a timeout: {items:?}"),
+        }
+        server.shutdown();
+    }
 
     #[test]
     fn transient_classification() {

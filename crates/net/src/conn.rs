@@ -1,7 +1,7 @@
 //! One connection of either role with no I/O inside: a protocol machine
 //! and the clocks around it, handed the time by their driver —
-//! `Instant::now()` on the readiness loop (`event_loop.rs`) and in the
-//! blocking client, a virtual clock in `sim.rs`.
+//! `Instant::now()` on the readiness loop (`event_loop.rs`), a virtual
+//! clock in `sim.rs`.
 //!
 //! Both roles are a [`Connection`]: frame in, frames out, flushed,
 //! hang-up or cut, next timer, on timer, outcome. That is all the loop
@@ -423,17 +423,6 @@ pub(crate) enum Ending {
     /// A live subscription's stream ended between bursts.
     Closed,
     Failed(NetError),
-}
-
-impl Ending {
-    /// The error a one-shot sync ends in, if it does not end in a report.
-    pub(crate) fn into_report(self) -> Result<SyncReport, NetError> {
-        match self {
-            Ending::Report(report) => Ok(*report),
-            Ending::Closed => Err(NetError::Io(io::ErrorKind::UnexpectedEof.into())),
-            Ending::Failed(error) => Err(error),
-        }
-    }
 }
 
 /// What a client connection asks of its driver.

@@ -1,51 +1,48 @@
-//! The readiness loop every socket of the service is served on: one
-//! thread per worker, a [`crate::poll::Poller`] over its connections, a
-//! wake pipe, and nothing that blocks on a connection's socket. It drives
-//! any [`Connection`] — a server's accepted ones (`server.rs`), a load
-//! harness's dialed ones (`client::Dialer`) — without naming either role:
-//! the interest set, the sleep until the earliest timer of any connection
-//! (each fires its own, handed `Instant::now()`), the buffered
+//! The readiness loop every socket of the service is served on: a
+//! [`crate::poll::Poller`] over its connections and nothing that blocks on
+//! a connection's socket. It runs on a worker thread ([`Loop::spawn`]) —
+//! a server's, over its accepted connections (`server.rs`), or a
+//! `client::Dialer`'s, over a load harness's dialed ones — or on the
+//! caller's thread of a blocking client call, over its one connection
+//! ([`Loop::turn`]). It drives any [`Connection`] without naming either
+//! role: the interest set, the sleep until the earliest timer of any
+//! connection (each fires its own, handed `Instant::now()`), the buffered
 //! non-blocking framed stream, the frame-reading loop and the reaping are
 //! here, once. What a connection's decisions mean beyond their frames, and
 //! what else wakes a worker, is its [`Role`]'s.
 //!
-//! Wakeups use a loopback socket pair per worker (the portable std-only
-//! stand-in for a pipe): whoever has news for a worker enqueues a
-//! [`Notice`] on its channel and writes one byte to the wake socket, which
-//! the loop drains.
+//! A spawned worker alone is woken from outside: whoever has news for it
+//! enqueues a [`Notice`] on its channel and writes one byte to its wake
+//! pipe (a Unix socket pair), which the loop drains.
 
 use crate::conn::{Connection, Due};
 use crate::frame::Frame;
 use crate::mux::MuxStream;
 use crate::poll::{Interest, Poller};
 use std::io::{self, Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One side's half of a worker: what a connection's decisions mean beyond
-/// queuing their frames, and what else the worker is woken for.
-pub(crate) trait Role: Sized + Send + 'static {
-    type Conn: Connection<Out: Send> + Send;
+/// One side's half of a loop: what a connection's decisions mean beyond
+/// queuing their frames, and what else a worker is woken for.
+pub(crate) trait Role: Sized {
+    type Conn: Connection;
     /// What the role keeps per connection beside it.
-    type Tag: Send;
+    type Tag;
     /// Anything else a worker is woken for.
-    type Notice: Send;
+    type Notice;
     fn notice(&mut self, lp: &mut Loop<Self>, notice: Self::Notice);
     /// Every notice of this wake-up has been taken.
     fn noticed(&mut self, _lp: &mut Loop<Self>) {}
     /// Carry out what connection `i` decided: queue its frames
     /// ([`Loop::queue`]) and whatever else it means, then flush.
-    fn carry_out(&mut self, lp: &mut Loop<Self>, i: usize, out: <Self::Conn as Connection>::Out);
+    fn carry_out(&mut self, lp: &mut Loop<Self>, i: usize, out: OutOf<Self>);
     /// Connection `i`'s timer `due` fired.
-    fn fired(
-        &mut self,
-        lp: &mut Loop<Self>,
-        i: usize,
-        _due: Due,
-        out: <Self::Conn as Connection>::Out,
-    ) {
+    fn fired(&mut self, lp: &mut Loop<Self>, i: usize, _due: Due, out: OutOf<Self>) {
         self.carry_out(lp, i, out)
     }
     /// A flush left nothing queued toward this connection.
@@ -56,10 +53,13 @@ pub(crate) trait Role: Sized + Send + 'static {
     fn busy(&mut self, _busy: Duration) {}
 }
 
+/// What a role's connection decides.
+pub(crate) type OutOf<R> = <<R as Role>::Conn as Connection>::Out;
+
 /// What a worker can be woken for.
 pub(crate) enum Notice<R: Role> {
     /// A connection to serve, with what it owes first.
-    Open(Session<R>, <R::Conn as Connection>::Out),
+    Open(Session<R>, OutOf<R>),
     Role(R::Notice),
     /// Close every connection and exit.
     Shutdown,
@@ -93,12 +93,12 @@ pub(crate) fn nonblocking(stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)
 }
 
-/// The handle to a worker: its notice queue and the write end of its wake
-/// pipe. Cheap to clone; safe to use from any thread and from inside store
-/// notifier callbacks.
+/// The handle to a spawned worker: its notice queue and the write end of
+/// its wake pipe. Cheap to clone; safe to use from any thread and from
+/// inside store notifier callbacks.
 pub(crate) struct Link<R: Role> {
     tx: mpsc::Sender<Notice<R>>,
-    wake: Arc<TcpStream>,
+    wake: Arc<UnixStream>,
 }
 
 impl<R: Role> Clone for Link<R> {
@@ -109,6 +109,16 @@ impl<R: Role> Clone for Link<R> {
 }
 
 impl<R: Role> Link<R> {
+    /// A worker's link, and the inbox it reaches ([`Loop::spawn`]).
+    pub(crate) fn new() -> io::Result<(Link<R>, Inbox<R>)> {
+        let (wake_reader, wake) = UnixStream::pair()?;
+        wake_reader.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
+        let (tx, rx) = mpsc::channel();
+        let wake = Arc::new(wake);
+        Ok((Link { tx, wake }, Inbox { rx, wake_reader }))
+    }
+
     /// Queue `notice` and wake the worker; `false` once it is gone. (A
     /// full pipe means a wake is already pending: `WouldBlock` is
     /// success.)
@@ -121,124 +131,128 @@ impl<R: Role> Link<R> {
     }
 }
 
-/// A connected non-blocking loopback socket pair: the std-only portable
-/// stand-in for `pipe(2)`.
-fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-    let writer = TcpStream::connect(listener.local_addr()?)?;
-    let (reader, _) = listener.accept()?;
-    reader.set_nonblocking(true)?;
-    writer.set_nonblocking(true)?;
-    let _ = writer.set_nodelay(true);
-    Ok((reader, writer))
+/// What wakes a spawned worker: its notice queue and the read end of its
+/// wake pipe.
+pub(crate) struct Inbox<R: Role> {
+    rx: mpsc::Receiver<Notice<R>>,
+    wake_reader: UnixStream,
 }
 
-/// A worker's connections and the means to wait on them.
+/// A loop's connections and the means to wait on them.
 pub(crate) struct Loop<R: Role> {
     pub sessions: Vec<Session<R>>,
-    rx: mpsc::Receiver<Notice<R>>,
-    wake_reader: TcpStream,
     poller: Poller,
+    /// When `poll` last returned: the start of the iteration in progress.
+    woke: Option<Instant>,
 }
 
 impl<R: Role> Loop<R> {
-    /// A loop with no connections yet, and the link that reaches it.
-    pub(crate) fn new() -> io::Result<(Link<R>, Loop<R>)> {
-        let (wake_reader, wake) = wake_pair()?;
-        let (tx, rx) = mpsc::channel();
-        let wake = Arc::new(wake);
-        let lp = Loop {
+    /// A loop with no connections yet.
+    pub(crate) fn new() -> Loop<R> {
+        Loop {
             sessions: Vec::new(),
-            rx,
-            wake_reader,
             poller: Poller::new(),
-        };
-        Ok((Link { tx, wake }, lp))
-    }
-
-    /// Run `role` over this loop on a thread named `name` until a
-    /// [`Notice::Shutdown`] (or the last link gone).
-    pub(crate) fn spawn(self, name: String, role: R) -> io::Result<std::thread::JoinHandle<()>> {
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(move || self.run(role))
-    }
-
-    fn run(mut self, mut role: R) {
-        // When `poll` last returned: the start of the iteration in progress.
-        let mut woke: Option<Instant> = None;
-        loop {
-            if !self.take_notices(&mut role) {
-                return self.close_all(&mut role);
-            }
-            self.reap(&mut role);
-
-            // The wake pipe plus every connection — read interest while
-            // its machine is here to take a frame, write interest while it
-            // has queued bytes. (One with neither is left out: `poll`
-            // reports a hang-up unasked.)
-            let mut interests = vec![(self.wake_reader.as_raw_fd(), Interest::READABLE)];
-            for sess in &self.sessions {
-                let interest = Interest {
-                    readable: sess.conn.here(),
-                    writable: sess.nb.pending_out() > 0,
-                };
-                if interest.readable || interest.writable {
-                    interests.push((sess.fd, interest));
-                }
-            }
-            let now = Instant::now();
-            if let Some(woke) = woke {
-                role.busy(now - woke);
-            }
-            let due = self.sessions.iter();
-            let due = due.filter_map(|s| s.conn.next_timer(s.nb.pending_out()));
-            let timeout = due
-                .min()
-                .map(|due| due.saturating_duration_since(now) + Duration::from_millis(1));
-            let events = match self.poller.wait(&interests, timeout) {
-                Ok(events) => events,
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    Vec::new()
-                }
-            };
-            woke = Some(Instant::now());
-            for event in events {
-                if event.fd == self.wake_reader.as_raw_fd() {
-                    let mut buf = [0u8; 256];
-                    while matches!((&self.wake_reader).read(&mut buf), Ok(n) if n > 0) {}
-                    continue;
-                }
-                let Some(i) = self.sessions.iter().position(|s| s.fd == event.fd) else {
-                    continue;
-                };
-                if self.sessions[i].conn.outcome().is_some() {
-                    continue;
-                }
-                // An error on a connection not reading surfaces in its flush.
-                let out = !self.sessions[i].conn.here();
-                if event.writable || (out && event.error) {
-                    self.flush(&mut role, i);
-                }
-                let over = self.sessions[i].conn.outcome().is_some();
-                if (event.readable || event.error) && !over {
-                    self.read(&mut role, i);
-                }
-            }
-            self.fire_timers(&mut role);
-            self.reap(&mut role);
+            woke: None,
         }
     }
 
+    /// Run `role` over a loop of its own on a thread named `name`, woken
+    /// through `inbox`, until a [`Notice::Shutdown`] (or the last link
+    /// gone).
+    pub(crate) fn spawn(inbox: Inbox<R>, name: String, role: R) -> io::Result<JoinHandle<()>>
+    where
+        R: Send + 'static,
+        Notice<R>: Send,
+    {
+        std::thread::Builder::new()
+            .name(name)
+            .spawn(move || Loop::new().run(inbox, role))
+    }
+
+    fn run(mut self, inbox: Inbox<R>, mut role: R) {
+        while self.take_notices(&inbox.rx, &mut role) {
+            self.turn(&mut role, Some(&inbox.wake_reader));
+        }
+        self.close_all(&mut role)
+    }
+
+    /// Serve `session`, carrying out what it owes first.
+    pub(crate) fn open(&mut self, role: &mut R, session: Session<R>, out: OutOf<R>) {
+        self.sessions.push(session);
+        role.carry_out(self, self.sessions.len() - 1, out);
+    }
+
+    /// One iteration: reap the connections that are over, wait until a
+    /// socket is ready (`wake` too, drained then) or the earliest timer
+    /// comes due, serve what is ready, and fire what came due. Without
+    /// connections or a `wake`, nothing is waited for.
+    pub(crate) fn turn(&mut self, role: &mut R, wake: Option<&UnixStream>) {
+        self.reap(role);
+        if self.sessions.is_empty() && wake.is_none() {
+            return;
+        }
+        // The wake pipe plus every connection — read interest while its
+        // machine is here to take a frame, write interest while it has
+        // queued bytes. (One with neither is left out: `poll` reports a
+        // hang-up unasked.)
+        let wake_fd = wake.map(|w| w.as_raw_fd());
+        let mut interests = Vec::from_iter(wake_fd.map(|fd| (fd, Interest::READABLE)));
+        for sess in &self.sessions {
+            let interest = Interest {
+                readable: sess.conn.here(),
+                writable: sess.nb.pending_out() > 0,
+            };
+            if interest.readable || interest.writable {
+                interests.push((sess.fd, interest));
+            }
+        }
+        let now = Instant::now();
+        if let Some(woke) = self.woke {
+            role.busy(now - woke);
+        }
+        let due = self.sessions.iter();
+        let due = due.filter_map(|s| s.conn.next_timer(s.nb.pending_out()));
+        let timeout = due
+            .min()
+            .map(|due| due.saturating_duration_since(now) + Duration::from_millis(1));
+        let events = match self.poller.wait(&interests, timeout) {
+            Ok(events) => events,
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(5));
+                Vec::new()
+            }
+        };
+        self.woke = Some(Instant::now());
+        for event in events {
+            if let Some(mut wake) = wake.filter(|_| Some(event.fd) == wake_fd) {
+                let mut buf = [0u8; 256];
+                while matches!(wake.read(&mut buf), Ok(n) if n > 0) {}
+                continue;
+            }
+            let Some(i) = self.sessions.iter().position(|s| s.fd == event.fd) else {
+                continue;
+            };
+            if self.sessions[i].conn.outcome().is_some() {
+                continue;
+            }
+            // An error on a connection not reading surfaces in its flush.
+            let out = !self.sessions[i].conn.here();
+            if event.writable || (out && event.error) {
+                self.flush(role, i);
+            }
+            let over = self.sessions[i].conn.outcome().is_some();
+            if (event.readable || event.error) && !over {
+                self.read(role, i);
+            }
+        }
+        self.fire_timers(role);
+    }
+
     /// Take every notice queued; `false` once the loop is to shut down.
-    fn take_notices(&mut self, role: &mut R) -> bool {
+    fn take_notices(&mut self, rx: &mpsc::Receiver<Notice<R>>, role: &mut R) -> bool {
         loop {
-            match self.rx.try_recv() {
-                Ok(Notice::Open(session, out)) => {
-                    self.sessions.push(session);
-                    role.carry_out(self, self.sessions.len() - 1, out);
-                }
+            match rx.try_recv() {
+                Ok(Notice::Open(session, out)) => self.open(role, session, out),
                 Ok(Notice::Role(notice)) => role.notice(self, notice),
                 // Connections are never sent after Shutdown, so anything
                 // still queued was already taken above.
@@ -369,8 +383,8 @@ mod tests {
 
     #[test]
     fn wake_pair_round_trips_a_byte_and_tolerates_flooding() {
-        let (link, lp) = Loop::<Idle>::new().unwrap();
-        let reader = lp.wake_reader;
+        let (link, inbox) = Link::<Idle>::new().unwrap();
+        let reader = inbox.wake_reader;
         // Flood far past any socket buffer: must never block or panic.
         for _ in 0..100_000 {
             link.send(Notice::Role(()));

@@ -35,12 +35,14 @@
 //!   exchange, possibly-pipelined rounds with a fixed or per-trip adaptive
 //!   depth, final transfer, live subscription). Every client in the
 //!   workspace is a driver over it.
-//! * [`client`] — [`client::SyncClient`]: the blocking driver — returns
+//! * [`client`] — [`client::SyncClient`]: a blocking call — returns
 //!   the reconciled difference plus transport accounting;
 //!   [`client::SyncClient::subscribe`] holds the connection open as a
-//!   live push subscription. [`client::Dialer`] puts outbound sessions by
-//!   the thousand on the readiness loop the server runs on, the same
-//!   client connection (machine, clocks, phase stamps) inside.
+//!   live push subscription. Each runs the readiness loop the server runs
+//!   on over its one connection, on the caller's thread;
+//!   [`client::Dialer`] puts outbound sessions by the thousand on loops
+//!   of its own. One client connection (machine, clocks, phase stamps)
+//!   and one driver serve both.
 //!
 //! The **delta-subscription** path: a client carrying the
 //! epoch of its previous sync ([`ClientConfig::delta_epoch`]) is served

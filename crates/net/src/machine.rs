@@ -23,10 +23,10 @@
 //! One driver runs it: the crate's client connection (`conn.rs`), which
 //! sends what [`poll_send`] yields, feeds [`on_frame`] what arrives and
 //! stamps [`Step::crossed`] on the clock it is handed, beside the client's
-//! timers. The blocking [`crate::client::sync`] and
-//! [`crate::client::Subscription`] drive that connection over a blocking
-//! socket, and [`crate::client::Dialer`] on the readiness loop the server
-//! runs on.
+//! timers. The readiness loop the server runs on drives that connection:
+//! on the caller's thread for the blocking [`crate::client::sync`] and
+//! [`crate::client::Subscription`], on worker threads for
+//! [`crate::client::Dialer`].
 //!
 //! [`poll_send`]: ClientMachine::poll_send
 //! [`on_frame`]: ClientMachine::on_frame
@@ -234,8 +234,8 @@ impl State {
 
 /// The client side of one connection (see the [module docs](self)).
 ///
-/// The client set is lent, not copied: the blocking driver passes the
-/// caller's `&[u64]`, a driver that must own its session passes a `Vec`.
+/// The client set is lent, not copied: a blocking call passes the
+/// caller's `&[u64]`, a `Dialer` session, which must own it, a `Vec`.
 #[derive(Debug)]
 pub struct ClientMachine<'a> {
     config: ClientConfig,

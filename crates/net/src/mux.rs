@@ -110,7 +110,9 @@ impl MuxStream {
     }
 
     /// Read whatever the socket has. `Ok(true)` when any bytes arrived;
-    /// EOF sets [`MuxStream::peer_closed`] instead of erroring.
+    /// EOF sets [`MuxStream::peer_closed`] instead of erroring. An error
+    /// behind bytes that arrived waits for the next call: a peer's last
+    /// frame before a reset is read.
     pub fn fill(&mut self) -> io::Result<bool> {
         let mut any = false;
         let mut chunk = [0u8; READ_CHUNK];
@@ -126,6 +128,7 @@ impl MuxStream {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) if any => break,
                 Err(e) => return Err(e),
             }
         }

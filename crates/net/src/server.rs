@@ -435,7 +435,7 @@ fn spawn_worker(
     index: usize,
     shared: Arc<Shared>,
 ) -> io::Result<(Link<Serve>, [JoinHandle<()>; 2])> {
-    let (link, lp) = Loop::new()?;
+    let (link, inbox) = Link::new()?;
     let (set_up, set_up_join) = spawn_set_up(index, Arc::clone(&shared), link.clone())?;
     let serve = Serve {
         shared,
@@ -444,7 +444,7 @@ fn spawn_worker(
         dirty_stores: HashMap::new(),
         notified_stores: HashSet::new(),
     };
-    let join = lp.spawn(format!("pbs-net-worker-{index}"), serve)?;
+    let join = Loop::spawn(inbox, format!("pbs-net-worker-{index}"), serve)?;
     Ok((link, [join, set_up_join]))
 }
 

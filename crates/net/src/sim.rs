@@ -255,10 +255,11 @@ impl Duet {
     ) -> (Vec<u8>, Vec<u8>, SyncReport) {
         let mut client = ClientConn::new(config, set, mode, self.now).unwrap();
         let (out, mut wire) = (client.connected(self.now), [Vec::new(), Vec::new()]);
-        let ending = self.pump(&mut client, out, &mut wire);
-        let report = ending.expect("the session ends").into_report().unwrap();
+        let Some(Ending::Report(report)) = self.pump(&mut client, out, &mut wire) else {
+            panic!("the session ends in a report");
+        };
         let [up, down] = wire;
-        (up, down, report)
+        (up, down, *report)
     }
 
     /// Drive `client` against the server to its report, collecting the
@@ -1149,7 +1150,8 @@ impl World {
         self.hang_up(c);
         let result = match ending {
             Ending::Closed => return,
-            ending => ending.into_report(),
+            Ending::Report(report) => Ok(*report),
+            Ending::Failed(error) => Err(error),
         };
         let conn = &mut self.conns[c];
         let hostile = conn.hostile;
