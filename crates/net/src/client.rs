@@ -7,7 +7,8 @@
 //! (`event_loop.rs`), which drives that connection: a blocking call
 //! ([`sync`], [`Subscription`]) runs a loop over its one connection on the
 //! caller's thread, a [`Dialer`] runs sessions by the thousand on loops of
-//! its own.
+//! its own. A [`SyncClient`] and its clones keep the connection of a
+//! session whose server parked it for the next call.
 //!
 //! The client can address a named server-side store
 //! ([`SyncClient::store`]) and pipeline several protocol rounds into each
@@ -44,7 +45,7 @@ use std::io;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -318,19 +319,31 @@ impl SyncReport {
 /// # Ok::<(), pbs_net::NetError>(())
 /// ```
 ///
-/// Every call opens its own TCP connection, so one client can be reused
-/// (and shared immutably) across any number of syncs.
+/// One client can be reused (and shared immutably) across any number of
+/// syncs, and a clone family keeps at most one idle connection: a call
+/// that ends with its server parked — a report with an
+/// [`SyncReport::epoch`] — leaves its connection to the family, and the
+/// next call of any of them (a [`SyncClient::subscribe`] too) runs its
+/// session there instead of connecting. A kept connection that fails
+/// before the server answers its `Hello` — closed meanwhile on the
+/// server's read-idle window, say — is dropped, and the session runs
+/// once more on a fresh one. Each report counts its own session's bytes.
 #[derive(Debug, Clone)]
 pub struct SyncClient {
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
+    idle: Idle,
 }
+
+/// The connection a [`SyncClient`] family keeps between calls.
+type Idle = Arc<Mutex<Option<TcpStream>>>;
 
 impl SyncClient {
     /// Resolve `addr` and build a client with the default configuration.
     ///
-    /// Name resolution happens once, here; the sockets themselves are
-    /// opened per [`SyncClient::sync`] / [`SyncClient::subscribe`] call.
+    /// Name resolution happens once, here; a socket is opened by the first
+    /// [`SyncClient::sync`] / [`SyncClient::subscribe`] call, and by any
+    /// that finds no connection kept.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         if addrs.is_empty() {
@@ -342,6 +355,7 @@ impl SyncClient {
         Ok(SyncClient {
             addrs,
             config: ClientConfig::default(),
+            idle: Idle::default(),
         })
     }
 
@@ -380,7 +394,11 @@ impl SyncClient {
 
     /// Run one sync (see the free [`sync`] for the report's semantics).
     pub fn sync(&self, set: &[u64]) -> Result<SyncReport, NetError> {
-        sync(&self.addrs[..], set, &self.config)
+        let mode = match self.config.delta_epoch {
+            Some(since) => Mode::Delta { since },
+            None => Mode::Full,
+        };
+        Call::of(self, set, mode).report()
     }
 
     /// Open a live push subscription from `epoch`.
@@ -401,7 +419,7 @@ impl SyncClient {
     /// not silently skip epochs.
     pub fn subscribe(&self, epoch: u64) -> Result<Subscription, NetError> {
         let mode = Mode::Subscribe { since: epoch };
-        let mut call = Call::open(&self.addrs[..], &self.config, Vec::new(), mode);
+        let mut call = Call::of(self, &[], mode);
         let mut initial = None;
         // Park before returning: from here the server pushes.
         loop {
@@ -431,36 +449,92 @@ impl SyncClient {
 struct Call<'a> {
     lp: Loop<Dial<'a>>,
     said: mpsc::Receiver<Dialed>,
+    /// A session on a kept connection that the server has not answered
+    /// yet: the call that runs it again on a fresh one.
+    again: Option<Again<'a>>,
+}
+
+/// What a session on a kept connection is run again with, once.
+struct Again<'a> {
+    client: SyncClient,
+    set: &'a [u64],
+    mode: Mode,
 }
 
 impl<'a> Call<'a> {
+    /// A session on `kept`, or on a connection to `addr`; a family's
+    /// `idle` slot keeps it if its server parks it.
     fn open(
         addr: impl ToSocketAddrs,
         config: &ClientConfig,
-        set: impl Into<Cow<'a, [u64]>>,
+        set: &'a [u64],
         mode: Mode,
+        kept: Option<TcpStream>,
+        idle: Option<&Idle>,
     ) -> Self {
         let (tx, said) = mpsc::channel();
         let watch: Watch = Box::new(move |dialed| {
             let _ = tx.send(dialed);
         });
         let mut lp = Loop::new();
-        if let Some((session, out)) = connect(addr, config, set, mode, watch) {
+        let dialed = connect(addr, config, set, mode, watch, kept, idle);
+        if let Some((session, out)) = dialed {
             lp.open(&mut Dial(PhantomData), session, out);
         }
-        Call { lp, said }
+        Call {
+            lp,
+            said,
+            again: None,
+        }
     }
 
-    /// Run the loop until the session has something to say.
+    /// `client`'s session, on its family's kept connection if there is one.
+    fn of(client: &SyncClient, set: &'a [u64], mode: Mode) -> Self {
+        let (addrs, config, idle) = (&client.addrs[..], &client.config, &client.idle);
+        let kept = idle.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let reused = kept.is_some();
+        let mut call = Call::open(addrs, config, set, mode, kept, Some(idle));
+        call.again = reused.then(|| Again {
+            client: client.clone(),
+            set,
+            mode,
+        });
+        call
+    }
+
+    /// Run the loop until the session has something to say. A session on
+    /// a kept connection that ends before the server answered its `Hello`
+    /// runs again on a fresh one, once.
     fn next(&mut self) -> Dialed {
         loop {
             match self.said.try_recv() {
+                Ok(Dialed::Ended(ended)) if ended.error.is_some() && self.again.is_some() => {
+                    let Some(Again { client, set, mode }) = self.again.take() else {
+                        return Dialed::Ended(ended);
+                    };
+                    let (addrs, config) = (&client.addrs[..], &client.config);
+                    *self = Call::open(addrs, config, set, mode, None, Some(&client.idle));
+                }
                 Ok(dialed) => return dialed,
                 // A session says `Ended` before its watch goes.
                 Err(mpsc::TryRecvError::Disconnected) => return Dialed::Ended(Box::default()),
                 Err(mpsc::TryRecvError::Empty) => {
                     self.lp.turn(&mut Dial(PhantomData), None);
+                    // (A session is reaped a turn after it ended: what it
+                    // was told is read here first.)
+                    if self.lp.sessions.first().is_some_and(|s| s.conn.answered()) {
+                        self.again = None;
+                    }
                 }
+            }
+        }
+    }
+
+    /// Run a one-shot session to its report.
+    fn report(mut self) -> Result<SyncReport, NetError> {
+        loop {
+            if let Dialed::Ended(ended) = self.next() {
+                return ended.into_report();
             }
         }
     }
@@ -580,12 +654,7 @@ pub fn sync(
         Some(since) => Mode::Delta { since },
         None => Mode::Full,
     };
-    let mut call = Call::open(addr, config, set, mode);
-    loop {
-        if let Dialed::Ended(ended) = call.next() {
-            return ended.into_report();
-        }
-    }
+    Call::open(addr, config, set, mode, None, None).report()
 }
 
 /// Bounded retry with exponential backoff and deterministic jitter, for
@@ -741,19 +810,29 @@ impl Ended {
 /// Told what becomes of a dialed session, on the thread that runs it.
 type Watch = Box<dyn FnMut(Dialed) + Send>;
 
-/// Connect to `addr`, then stand a session of `set` in `mode` where its
-/// `Hello` is owed; `watch` is told what becomes of it. A request the
-/// client refuses, or a connect that fails, ends at once.
+/// Stand a session of `set` in `mode` where its `Hello` is owed, on the
+/// `kept` connection or else on one to `addr`; `watch` is told what
+/// becomes of it, and a family's `idle` slot keeps the connection if the
+/// server parks it. A request the client refuses, or a connect that fails,
+/// ends at once (and leaves `kept` to close).
 fn connect<'a>(
     addr: impl ToSocketAddrs,
     config: &ClientConfig,
     set: impl Into<Cow<'a, [u64]>>,
     mode: Mode,
     mut watch: Watch,
+    kept: Option<TcpStream>,
+    idle: Option<&Idle>,
 ) -> Option<(Session<Dial<'a>>, ClientOut)> {
     let opened = ClientConn::new(config, set, mode, Instant::now()).and_then(|conn| {
-        let stream = TcpStream::connect(addr)?;
-        nonblocking(&stream)?;
+        let stream = match kept {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(addr)?;
+                nonblocking(&stream)?;
+                stream
+            }
+        };
         Ok((conn, stream))
     });
     let (mut conn, stream) = match opened {
@@ -771,6 +850,7 @@ fn connect<'a>(
     let tag = Dialing {
         watch,
         parked: false,
+        idle: idle.cloned(),
     };
     let session = Session::new(stream, config.transport.max_frame, conn, tag);
     Some((session, out))
@@ -816,7 +896,8 @@ impl Dialer {
         mode: Mode,
         watch: impl FnMut(Dialed) + Send + 'static,
     ) {
-        if let Some((session, out)) = connect(addr, config, set, mode, Box::new(watch)) {
+        let dialed = connect(addr, config, set, mode, Box::new(watch), None, None);
+        if let Some((session, out)) = dialed {
             let link = &self.links[self.next.fetch_add(1, Ordering::Relaxed) % self.links.len()];
             link.send(Notice::Open(session, out));
         }
@@ -842,6 +923,8 @@ struct Dial<'a>(PhantomData<&'a [u64]>);
 struct Dialing {
     watch: Watch,
     parked: bool,
+    /// The slot of the [`SyncClient`] family the session belongs to.
+    idle: Option<Idle>,
 }
 
 /// Nothing but connections wakes a dialing loop.
@@ -871,6 +954,8 @@ impl<'a> Role for Dial<'a> {
         lp.flush(self, i);
     }
 
+    /// Tell the watch how the session ended. A family's session whose
+    /// server parked it leaves the connection, at rest, to the family.
     fn reap(&mut self, mut sess: Session<Self>) {
         let nb = &sess.nb;
         let (report, error) = match sess.conn.take_ending() {
@@ -893,6 +978,12 @@ impl<'a> Role for Dial<'a> {
             bytes_out: nb.bytes_out(),
             frames_in: nb.frames_in(),
         };
+        let parked = ended.report.as_ref().is_some_and(|r| r.epoch.is_some());
+        if let Some(idle) = sess.tag.idle.as_ref().filter(|_| parked) {
+            if let Some(stream) = sess.nb.into_idle() {
+                *idle.lock().unwrap_or_else(PoisonError::into_inner) = Some(stream);
+            }
+        }
         (sess.tag.watch)(Dialed::Ended(Box::new(ended)));
     }
 }

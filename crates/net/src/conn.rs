@@ -9,11 +9,14 @@
 //!
 //! [`ServerConn`] turns a frame, a set-up unit's step, a push or a timer
 //! that came due into an [`Out`]: frames to queue, boundaries crossed, a
-//! machine to hand off. It decides and counts the outcome. Its timers, in
-//! precedence order ([`Due`]):
+//! machine to hand off, a session ended by the next one's `Hello`. It
+//! decides and counts the outcome of every session on the connection: a
+//! parked one that a `Hello` follows is completed, and the next one starts
+//! its clocks afresh. Its timers, in precedence order ([`Due`]):
 //! * a **write stall**: queued bytes making no progress for `write_timeout`;
-//! * before the final ack, the **session deadline** (running while the
-//!   machine is out) and **read-idle**, `read_timeout` of the peer's
+//! * before the final ack, the **session deadline** from the accept or the
+//!   session's `Hello` (running while the machine is out) and
+//!   **read-idle**, `read_timeout` of the peer's
 //!   silence — not while the machine is out, and afresh once it is back:
 //!   that time is the server's; parked, read-idle alone (a clean end);
 //! * streaming, the **liveness cut** at 3 × `keepalive` without a frame,
@@ -79,14 +82,24 @@ pub(crate) trait Connection {
     fn outcome(&self) -> Option<bool>;
 }
 
-/// What the driver carries out: queue the frames, stamp the boundaries,
-/// flush, then hand the machine to whoever runs its heavy set-up unit
+/// What the driver carries out: close the ledger of a session the next
+/// one's `Hello` ended, queue the frames, stamp the boundaries, flush, then
+/// hand the machine to whoever runs its heavy set-up unit
 /// ([`ServerConn::set_up`], then [`ServerConn::machine_back`]).
 #[derive(Default)]
 pub(crate) struct Out {
+    pub renewed: Option<Renewed>,
     pub frames: Vec<Frame>,
     pub crossed: Vec<Crossed>,
     pub hand_off: Option<ServerMachine>,
+}
+
+/// A parked session the peer's next `Hello` ended, counted completed: the
+/// store it was routed to, and the `Hello`'s wire bytes — the first the
+/// next session read.
+pub(crate) struct Renewed {
+    pub entry: Option<Arc<RegisteredStore>>,
+    pub hello: u64,
 }
 
 impl Out {
@@ -174,6 +187,19 @@ impl ServerConn {
     pub(crate) fn waiting(&self) -> Waiting {
         self.machine()
             .map_or(Waiting::Reconciling, ServerMachine::waiting)
+    }
+
+    /// The peer opened its next session with a `Hello` of `hello` wire
+    /// bytes: the parked one is counted completed, and the deadline and the
+    /// route start over.
+    fn next_session(&mut self, hello: u64, now: Instant) -> Renewed {
+        self.res.bump(self.entry(), |s| &s.sessions_completed, 1);
+        let stats = &self.res.stats;
+        stats.sessions_started.inc(1);
+        stats.sessions_reused.inc(1);
+        self.deadline = now.checked_add(self.res.config.session_deadline);
+        let entry = self.entry.take();
+        Renewed { entry, hello }
     }
 
     /// A live subscription still served.
@@ -319,16 +345,25 @@ impl Connection for ServerConn {
     }
 
     /// The machine's replies, then the set-up work they precede — a light
-    /// unit run here, a heavy one handed off.
+    /// unit run here, a heavy one handed off. A `Hello` on a parked
+    /// connection first ends the session there.
     fn on_frame(&mut self, frame: Frame, now: Instant) -> Out {
         self.last_recv = now;
         let open = self.open();
+        let next = open && self.machine.as_ref().is_some_and(|m| m.opens_next(&frame));
+        let renewed = next.then(|| self.next_session(frame.wire_len(), now));
         let Some(machine) = self.machine.as_mut().filter(|_| open) else {
             return Out::default();
         };
         let step = machine.on_frame(&self.res, frame);
         self.entry = self.entry.take().or_else(|| machine.entry().cloned());
-        self.advance(step, now)
+        if let (Some(entry), Some(_)) = (&self.entry, &renewed) {
+            entry.stats().sessions_reused.inc(1);
+        }
+        Out {
+            renewed,
+            ..self.advance(step, now)
+        }
     }
 
     /// A peer of another protocol version is told so; anything else ends
@@ -486,6 +521,11 @@ impl<'a> ClientConn<'a> {
     /// How the session ended, once — `None` while it runs.
     pub(crate) fn take_ending(&mut self) -> Option<Ending> {
         self.ending.take()
+    }
+
+    /// The server has answered the `Hello`.
+    pub(crate) fn answered(&self) -> bool {
+        self.machine.answered()
     }
 
     /// A live subscription, still running.
@@ -739,6 +779,73 @@ mod tests {
         conn.machine_back(machine, step, back);
         assert_eq!(conn.next_timer(0), Some(back + read));
         assert!(conn.on_timer(back, 0).is_none());
+    }
+
+    /// A `Hello` on a parked connection opens a fresh session: each way,
+    /// the bytes of a full sync and of the delta catch-up after it on one
+    /// connection are those of each on a connection of its own, and the
+    /// connection counts the parked session completed as the next one
+    /// starts — server-wide and on the store — so that `started ==
+    /// completed + failed` counts sessions, a refused one included.
+    #[test]
+    fn a_hello_on_a_parked_connection_is_a_fresh_session() {
+        let elements = |range: std::ops::Range<u64>| range.map(|i| i * 0x9E37 + 1);
+        let full = ClientConfig {
+            seed: 0x5EED,
+            ..ClientConfig::default()
+        };
+        let ours: Vec<u64> = elements(10..510).collect();
+        let [kept, own] = [0, 1].map(|_| Arc::new(MutableStore::new(elements(0..500))));
+        let mut duet = Duet::over(Arc::clone(&kept) as Arc<_>);
+        // The accept is the driver's to count.
+        duet.res.stats.sessions_started.inc(1);
+        let counts = |duet: &Duet| {
+            let server = duet.res.stats.snapshot();
+            let store = duet.res.registry.get("").unwrap().stats().snapshot();
+            [server, store].map(|s| {
+                let ended = (s.sessions_completed, s.sessions_failed);
+                (s.sessions_started, ended, s.sessions_reused)
+            })
+        };
+
+        let first = duet.transcript(&full, &ours, Mode::Full);
+        let alone = Duet::over(Arc::clone(&own) as Arc<_>).transcript(&full, &ours, Mode::Full);
+        assert!(
+            first.0 == alone.0 && first.1 == alone.1,
+            "the full sync's bytes"
+        );
+        assert_eq!(duet.conn.waiting(), Waiting::Parked);
+        assert_eq!(counts(&duet), [(1, (0, 0), 0); 2]);
+
+        for store in [&kept, &own] {
+            store.apply(&[7, 9], &[ours[0]]);
+        }
+        let since = first.2.epoch.expect("the store keeps epochs");
+        let delta = ClientConfig {
+            delta_epoch: Some(since),
+            ..full.clone()
+        };
+        let next = duet.transcript(&delta, &[], Mode::Delta { since });
+        let alone = Duet::over(own as Arc<_>).transcript(&delta, &[], Mode::Delta { since });
+        assert!(
+            next.0 == alone.0 && next.1 == alone.1,
+            "the catch-up's bytes"
+        );
+        assert!(next.2.delta.is_some(), "served from the changelog");
+        assert_eq!(counts(&duet), [(2, (1, 0), 1); 2]);
+
+        // A `Hello` the server refuses still ends the parked session well.
+        let lost = Hello::from_config(&PbsConfig::default(), 1, 0).with_store("nowhere");
+        duet.deliver(Frame::Hello(lost));
+        assert!(matches!(
+            duet.inbox.pop_back(),
+            Some(Frame::Error {
+                code: ErrorCode::UnknownStore,
+                ..
+            })
+        ));
+        duet.conn.cut();
+        assert_eq!(counts(&duet), [(3, (2, 1), 2), (2, (2, 0), 1)]);
     }
 
     /// A `Hello` of any other protocol version — stale or from the future,

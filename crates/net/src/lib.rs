@@ -20,8 +20,9 @@
 //!   protocol is one sans-IO state machine per session around a
 //!   [`pbs_core::BobSession`] (handshake with store routing → estimator
 //!   exchange → possibly-pipelined sketch/report rounds → final element
-//!   transfer → optional live subscription; round and pipeline-depth
-//!   caps), wrapped in a connection that owns its timers (deadline,
+//!   transfer → optional live subscription, or the client's next session
+//!   on the same connection; round and pipeline-depth caps), wrapped in a
+//!   connection that owns its timers (deadline,
 //!   read/write inactivity, keepalive); the event loop drives it.
 //!   Atomic [`server::ServerStats`] are exported server-wide and per
 //!   store.
@@ -39,7 +40,8 @@
 //!   the reconciled difference plus transport accounting;
 //!   [`client::SyncClient::subscribe`] holds the connection open as a
 //!   live push subscription. Each runs the readiness loop the server runs
-//!   on over its one connection, on the caller's thread;
+//!   on over its one connection, on the caller's thread, and a client and
+//!   its clones keep a connection the server parked for their next call;
 //!   [`client::Dialer`] puts outbound sessions by the thousand on loops
 //!   of its own. One client connection (machine, clocks, phase stamps)
 //!   and one driver serve both.

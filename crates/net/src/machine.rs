@@ -485,6 +485,11 @@ impl<'a> ClientMachine<'a> {
         }
     }
 
+    /// `true` once the server's `Hello` reply is taken.
+    pub(crate) fn answered(&self) -> bool {
+        !matches!(self.state, State::OweHello | State::AwaitHello)
+    }
+
     /// `true` while the subscription is live (the `Subscribe` is out).
     pub(crate) fn is_parked(&self) -> bool {
         self.state == State::Parked

@@ -148,6 +148,14 @@ impl MuxStream {
         Ok(Some(frame))
     }
 
+    /// The socket, if the connection is at rest — nothing queued to write,
+    /// nothing read and not yet taken, the peer still open — where a next
+    /// session can start.
+    pub fn into_idle(self) -> Option<TcpStream> {
+        let rest = self.pending_out() == 0 && self.read_buf.is_empty() && !self.peer_closed;
+        rest.then_some(self.stream)
+    }
+
     /// Total wire bytes received so far (framing included).
     pub fn bytes_in(&self) -> u64 {
         self.bytes_in

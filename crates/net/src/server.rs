@@ -35,11 +35,12 @@
 //! against the negotiated codec before they reach the BCH codec's
 //! `Sketch::combine` capacity assertion.
 
-use crate::conn::{Connection, Due, Out, ServerConn};
+use crate::conn::{Connection, Due, Out, Renewed, ServerConn};
 use crate::event_loop::{nonblocking, Link, Loop, Notice, Role, Session};
 use crate::frame::{ErrorCode, Frame};
+use crate::mux::MuxStream;
 use crate::server_machine::{refuse, Crossed, Refusal, Resources, ServerMachine, Step};
-use crate::store::StoreRegistry;
+use crate::store::{RegisteredStore, StoreRegistry};
 use crate::TransportConfig;
 use obs::trace::{self, Level, Value};
 use obs::{Gauge, Histogram};
@@ -68,11 +69,12 @@ pub struct ServerConfig {
     /// behind its thread. That cap, and the typed `Busy` refusal past it,
     /// is the half of ROADMAP direction 5 still to come.
     pub workers: usize,
-    /// Hard cap on sketch/report rounds per connection.
+    /// Hard cap on sketch/report rounds per session.
     pub round_cap: u32,
-    /// Wall-clock budget per connection, measured from accept to the
-    /// final ack. Live subscriptions are exempt — once a session reaches
-    /// its ack it may stay subscribed indefinitely.
+    /// Wall-clock budget per session, measured from its accept — or its
+    /// `Hello`, on a connection a client kept — to the final ack. Live
+    /// subscriptions are exempt — once a session reaches its ack it may
+    /// stay subscribed indefinitely.
     pub session_deadline: Duration,
     /// Largest difference cardinality the server will parameterize a
     /// session for (bounds the group count a hostile `known_d` or a wild
@@ -127,11 +129,15 @@ obs::counters! {
     /// All loads/stores are relaxed — they are statistics, not
     /// synchronization.
     pub struct ServerStats => StatsSnapshot {
-        sessions_started: "Connections handed to a worker.",
+        /// A client that keeps its connection opens its next session with
+        /// a `Hello` there.
+        sessions_started: "Sessions opened: one per accepted connection, one per Hello on a kept one.",
         /// Final ack delivered, or a live subscription that ended after it.
         sessions_completed: "Sessions that ran to a clean end.",
         /// Peer disconnects mid-protocol included.
         sessions_failed: "Sessions that ended in any error.",
+        /// At most `sessions_started`.
+        sessions_reused: "Sessions opened on a connection that had already served one.",
         rounds: "Protocol rounds served (pipelined layers counted individually).",
         /// At most `rounds`; lower exactly when clients pipelined.
         round_trips: "Sketch/report request-response round trips served.",
@@ -321,7 +327,7 @@ struct Shared {
 /// The server-side latency histograms and the loops' own health, one
 /// registration per server.
 struct SessionMetrics {
-    /// Accept → negotiated `Hello` queued.
+    /// The session's start → negotiated `Hello` queued.
     handshake: Arc<Histogram>,
     /// Estimator bank awaited + served.
     estimate: Arc<Histogram>,
@@ -332,7 +338,8 @@ struct SessionMetrics {
     delta_catchup: Arc<Histogram>,
     /// Store-mutation commit → push burst's `DeltaDone` drained to the OS.
     push_dispatch: Arc<Histogram>,
-    /// Whole session, accept → reap.
+    /// Whole session: its start — the accept, or its `Hello` on a kept
+    /// connection — to its close or the next session's `Hello`.
     session: Arc<Histogram>,
     /// One sample per loop iteration of any worker: `poll` returning → the
     /// next `poll`. Nothing on that worker is dispatched in between.
@@ -362,7 +369,7 @@ impl SessionMetrics {
             ),
             session: histogram(
                 "pbs_server_session_seconds",
-                "Whole-session wall clock, accept to close.",
+                "Whole-session wall clock, accept (or Hello on a kept connection) to close.",
                 &[],
             ),
             loop_busy: histogram(
@@ -398,21 +405,53 @@ enum Wake {
 /// session to bring it back to, and the machine that owes it.
 type Job = (u64, ServerMachine);
 
-/// What the worker measures of one session.
+/// What the worker measures of the session a connection serves.
 struct Served {
-    /// Server-unique: labels trace events, drives trace sampling.
+    /// Server-unique: labels trace events, drives trace sampling, brings a
+    /// set-up unit back.
     id: u64,
-    /// Trace events fire for this session — decided once at accept, so a
+    /// Trace events fire for this session — decided once as it opens, so a
     /// session traces all-or-nothing.
     traced: bool,
-    /// Accept: base of the handshake-phase and whole-session timings.
-    accepted: Instant,
+    /// The accept, or the session's `Hello` on a kept connection: base of
+    /// the handshake-phase and whole-session timings.
+    started: Instant,
     /// When the current protocol phase began.
     phase_start: Instant,
     /// The commit instant of the oldest store mutation whose push burst is
     /// still queued toward this subscriber — cleared (and recorded as
     /// push-dispatch latency) when the write buffer fully drains.
     push_started: Option<Instant>,
+    /// The connection's counts where the session began: its own are
+    /// counted from here.
+    base: Ledger,
+}
+
+impl Served {
+    /// A session opening at `now`, the connection's counts at `base`.
+    fn new(shared: &Shared, now: Instant, base: Ledger) -> Served {
+        let id = shared.next_session_id.fetch_add(1, Ordering::Relaxed);
+        Served {
+            id,
+            traced: trace::enabled(Level::Info) && trace::sampled(id),
+            started: now,
+            phase_start: now,
+            push_started: None,
+            base,
+        }
+    }
+}
+
+/// A connection's counts: bytes in, bytes out, frames in, frames out.
+type Ledger = [u64; 4];
+
+fn ledger(nb: &MuxStream) -> Ledger {
+    [
+        nb.bytes_in(),
+        nb.bytes_out(),
+        nb.frames_in(),
+        nb.frames_out(),
+    ]
 }
 
 /// The server's half of one worker.
@@ -476,28 +515,24 @@ fn spawn_acceptor(
 }
 
 /// A session for an accepted `stream`, counted started (and failed, if
-/// the socket cannot be made fit for a loop).
+/// the socket cannot be made fit for a loop). Only a traced one asks for
+/// its peer's address.
 fn accept(shared: &Shared, stream: TcpStream) -> Option<Session<Serve>> {
     let stats = &shared.res.stats;
     stats.sessions_started.inc(1);
-    let now = Instant::now();
-    let id = shared.next_session_id.fetch_add(1, Ordering::Relaxed);
-    let peer = stream.peer_addr().ok();
     if nonblocking(&stream).is_err() {
         stats.sessions_failed.inc(1);
         return None;
     }
-    let served = Served {
-        id,
-        traced: trace::enabled(Level::Info) && trace::sampled(id),
-        accepted: now,
-        phase_start: now,
-        push_started: None,
-    };
+    let now = Instant::now();
+    let served = Served::new(shared, now, Ledger::default());
+    let peer = served.traced.then(|| stream.peer_addr());
     let conn = ServerConn::new(&shared.res, now);
     let sess = Session::new(stream, shared.res.config.transport.max_frame, conn, served);
-    let peer = peer.map(|p| p.to_string()).unwrap_or_default();
-    trace_session(&sess, Level::Info, "accept", &[("peer", Value::Str(&peer))]);
+    if let Some(peer) = peer {
+        let peer = peer.map(|p| p.to_string()).unwrap_or_default();
+        trace_session(&sess, Level::Info, "accept", &[("peer", Value::Str(&peer))]);
+    }
     Some(sess)
 }
 
@@ -569,9 +604,13 @@ impl Role for Serve {
         }
     }
 
-    /// Queue the frames (tracing a refusal), stamp the boundaries crossed,
-    /// flush, and hand a heavy unit to the set-up thread.
+    /// Close the session a `Hello` ended, queue the frames (tracing a
+    /// refusal), stamp the boundaries crossed, flush, and hand a heavy unit
+    /// to the set-up thread.
     fn carry_out(&mut self, lp: &mut Loop<Serve>, i: usize, out: Out) {
+        if let Some(renewed) = &out.renewed {
+            self.renew(&mut lp.sessions[i], renewed);
+        }
         for frame in &out.frames {
             if let Frame::Error { code, message } = frame {
                 let code = Value::U64(*code as u64);
@@ -608,24 +647,11 @@ impl Role for Serve {
         }
     }
 
-    /// Fold a finished session's byte and frame counts. (Its outcome was
-    /// counted when the connection decided it.)
+    /// Close the connection's last session. (Its outcome was counted when
+    /// the connection decided it.)
     fn reap(&mut self, sess: Session<Serve>) {
-        let (res, entry, nb) = (&self.shared.res, sess.conn.entry(), &sess.nb);
-        res.bump(entry, |s| &s.bytes_in, nb.bytes_in());
-        res.bump(entry, |s| &s.bytes_out, nb.bytes_out());
-        res.bump(entry, |s| &s.frames_in, nb.frames_in());
-        res.bump(entry, |s| &s.frames_out, nb.frames_out());
-        let elapsed = sess.tag.accepted.elapsed();
-        self.shared.session_metrics.session.record_duration(elapsed);
         let completed = sess.conn.outcome() == Some(true);
-        let fields = [
-            ("completed", Value::Bool(completed)),
-            ("bytes_in", Value::U64(nb.bytes_in())),
-            ("bytes_out", Value::U64(nb.bytes_out())),
-            ("seconds", Value::F64(elapsed.as_secs_f64())),
-        ];
-        trace_session(&sess, Level::Info, "closed", &fields);
+        self.close(&sess, sess.conn.entry(), completed, ledger(&sess.nb));
     }
 
     fn busy(&mut self, busy: Duration) {
@@ -641,6 +667,46 @@ fn trace_session(sess: &Session<Serve>, level: Level, event: &str, fields: &[(&s
 }
 
 impl Serve {
+    /// Fold the byte and frame counts of `sess`'s session — from its base
+    /// to `upto` — into the server's counters and `entry`'s, time the
+    /// session and trace its close.
+    fn close(
+        &self,
+        sess: &Session<Serve>,
+        entry: Option<&RegisteredStore>,
+        completed: bool,
+        upto: Ledger,
+    ) {
+        let res = &self.shared.res;
+        let own: Ledger = std::array::from_fn(|k| upto[k].saturating_sub(sess.tag.base[k]));
+        res.bump(entry, |s| &s.bytes_in, own[0]);
+        res.bump(entry, |s| &s.bytes_out, own[1]);
+        res.bump(entry, |s| &s.frames_in, own[2]);
+        res.bump(entry, |s| &s.frames_out, own[3]);
+        let elapsed = sess.tag.started.elapsed();
+        self.shared.session_metrics.session.record_duration(elapsed);
+        let fields = [
+            ("completed", Value::Bool(completed)),
+            ("bytes_in", Value::U64(own[0])),
+            ("bytes_out", Value::U64(own[1])),
+            ("seconds", Value::F64(elapsed.as_secs_f64())),
+        ];
+        trace_session(sess, Level::Info, "closed", &fields);
+    }
+
+    /// The peer's `Hello` ended the parked session on `sess` and opened
+    /// the next: the parked one is closed, and the next takes a fresh id,
+    /// fresh clocks and its counts from the `Hello` on.
+    fn renew(&self, sess: &mut Session<Serve>, renewed: &Renewed) {
+        let mut next = ledger(&sess.nb);
+        next[0] = next[0].saturating_sub(renewed.hello);
+        next[2] = next[2].saturating_sub(1);
+        self.close(sess, renewed.entry.as_deref(), true, next);
+        let after = Value::U64(sess.tag.id);
+        sess.tag = Served::new(&self.shared, Instant::now(), next);
+        trace_session(sess, Level::Info, "reused", &[("after", after)]);
+    }
+
     /// Record the elapsed time of the phase ending now for session `i`
     /// into the histogram `pick` selects, and restart the phase clock.
     fn record_phase(
@@ -1190,6 +1256,20 @@ mod tests {
         count
     }
 
+    /// The report's ledger reads the lengths of `up` and `down`, in bytes
+    /// and in frames.
+    fn assert_ledger(case: &str, report: &SyncReport, up: &[u8], down: &[u8]) {
+        let ledger = [
+            report.bytes_sent,
+            report.bytes_received,
+            report.frames_sent,
+            report.frames_received,
+        ];
+        let wire = [up.len() as u64, down.len() as u64];
+        let frames = [frame_count(up), frame_count(down)];
+        assert_eq!(ledger, [wire[0], wire[1], frames[0], frames[1]], "{case}");
+    }
+
     /// `sync` of `set` in `config`'s mode against a server over `store`,
     /// through a [`tap`], held to `Duet`'s session over `inline` (a store
     /// in the same state): the same bytes each way, the report's and the
@@ -1216,15 +1296,8 @@ mod tests {
         let [sent, received] = relay.join().unwrap();
         assert!(sent == up, "{case}: client → server");
         assert!(received == down, "{case}: server → client");
-        let ledger = [
-            report.bytes_sent,
-            report.bytes_received,
-            report.frames_sent,
-            report.frames_received,
-        ];
+        assert_ledger(case, &report, &up, &down);
         let wire = [up.len() as u64, down.len() as u64];
-        let frames = [frame_count(&up), frame_count(&down)];
-        assert_eq!(ledger, [wire[0], wire[1], frames[0], frames[1]], "{case}");
         assert_eq!(report.recovered, want.recovered, "{case}");
         assert_eq!(report.delta, want.delta, "{case}");
         let stats = server.shutdown();
@@ -1248,9 +1321,11 @@ mod tests {
 
     /// A socket session is the inline session, byte for byte in both
     /// directions: at |B| = 10⁵ for d ∈ {10, 100, 1000} through the
-    /// blocking `sync`, a delta catch-up of 50 changes, and a session
-    /// whose snapshot unit is held on the set-up thread until the client's
-    /// bank is already on the wire (the Bob build handed off after it).
+    /// blocking `sync`, a delta catch-up of 50 changes, a session whose
+    /// snapshot unit is held on the set-up thread until the client's bank
+    /// is already on the wire (the Bob build handed off after it), and two
+    /// calls of one `SyncClient` — a full sync, then the catch-up of a
+    /// write after it — on the one connection it keeps.
     #[test]
     fn a_socket_session_is_the_inline_session_byte_for_byte() {
         let held: Vec<u64> = (1..=3_000u64).map(|i| i * 0x9E37 + 1).collect();
@@ -1319,5 +1394,61 @@ mod tests {
         want.sort_unstable();
         assert_eq!((delta.added, delta.removed.len()), (want, 25));
         assert_eq!((report.rounds, report.epoch), (0, Some(1)));
+
+        // Two calls of one client: d = 50 at |B| = 10⁴, a write, its
+        // catch-up. One connection carries both sessions, and `Duet`'s one
+        // connection both of its own.
+        let pool: Vec<u64> = keys(10_050).collect();
+        let (bob, alice) = (&pool[..10_000], &pool[25..10_025]);
+        let (added, removed) = (&pool[10_025..], &bob[100..101]);
+        let full = ClientConfig {
+            seed: 0x2E05E,
+            ..ClientConfig::default()
+        };
+        let inline = Arc::new(MutableStore::new(bob.iter().copied()));
+        let mut duet = Duet::over(Arc::clone(&inline) as Arc<_>);
+        let (up, down, want) = duet.transcript(&full, alice, Mode::Full);
+        inline.apply(added, removed);
+        let since = want.epoch.expect("the store keeps epochs");
+        let delta = ClientConfig {
+            delta_epoch: Some(since),
+            ..full.clone()
+        };
+        let (up2, down2, _) = duet.transcript(&delta, &[], Mode::Delta { since });
+
+        let store = Arc::new(MutableStore::new(bob.iter().copied()));
+        let two_workers = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&store) as Arc<_>, two_workers);
+        let server = server.unwrap();
+        let (addr, relay) = tap(server.local_addr());
+        let client = SyncClient::connect(addr).unwrap().config(full);
+        let first = client.sync(alice).unwrap();
+        assert_eq!(first.recovered, want.recovered, "kept: the full sync");
+        store.apply(added, removed);
+        let next = client.clone().delta_epoch(since).sync(&[]).unwrap();
+        assert!(next.delta.is_some(), "kept: served from the changelog");
+        drop(client);
+        let [sent, received] = relay.join().unwrap();
+        assert!(sent == [&up[..], &up2].concat(), "kept: client → server");
+        assert!(
+            received == [&down[..], &down2].concat(),
+            "kept: server → client"
+        );
+        assert_ledger("kept: the full sync", &first, &up, &down);
+        assert_ledger("kept: the catch-up", &next, &up2, &down2);
+        let stats = server.shutdown();
+        let sessions = (stats.sessions_started, stats.sessions_reused);
+        let ended = (stats.sessions_completed, stats.sessions_failed);
+        assert_eq!((sessions, ended), ((2, 1), (2, 0)), "kept: one accept");
+        let wire = (up.len() + up2.len(), down.len() + down2.len());
+        let wire = (wire.0 as u64, wire.1 as u64);
+        assert_eq!(
+            (stats.bytes_in, stats.bytes_out),
+            wire,
+            "kept: the server's ledger"
+        );
     }
 }

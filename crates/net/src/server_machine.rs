@@ -4,8 +4,9 @@
 //! the `Hello` (answering with the seed of the store's view, when it keeps
 //! one), serve the changelog or take the store's view of the set,
 //! answer the estimator bank, decode sketches into reports, ingest the
-//! final transfer, then push to a live subscriber — as a state machine that
-//! holds no socket and no clock. The sibling of
+//! final transfer, then push to a live subscriber or take the peer's next
+//! `Hello` as a fresh session — as a state machine that holds no socket
+//! and no clock. The sibling of
 //! [`crate::machine::ClientMachine`]: frame in, reply frames out, plus the
 //! boundary just crossed ([`Step`]). A frame it cannot accept is an
 //! `Err(`[`Refusal`]`)` the driver turns into the `Error` frame.
@@ -123,8 +124,8 @@ pub(crate) fn refuse(code: ErrorCode, message: impl Into<String>) -> Refusal {
 pub(crate) enum Waiting {
     /// Before the final ack: the session deadline runs, silence fails it.
     Reconciling,
-    /// Complete; a `Subscribe` may still turn it live, silence ends it
-    /// cleanly.
+    /// Complete; a `Subscribe` may still turn it live, a `Hello` open the
+    /// next session on the connection, silence ends it cleanly.
     Parked,
     /// A live subscription: keepalive instead of a deadline.
     Streaming,
@@ -246,6 +247,7 @@ enum Stage {
         /// cap, not one that verified.
         split: bool,
     },
+    /// Complete, the connection kept: a `Subscribe` or the next `Hello`.
     Parked,
     /// Terminal: a subscription's close is signalled through
     /// [`Step::close`], so the slot in `live_subscribers` stays attributable.
@@ -288,6 +290,14 @@ impl ServerMachine {
         }
     }
 
+    /// `frame` opens the peer's next session on this connection: a `Hello`
+    /// where the last one parked. (Taken, it is served as a fresh
+    /// connection's first frame.)
+    pub(crate) fn opens_next(&self, frame: &Frame) -> bool {
+        let parked = matches!(&self.state, State::Open(_, Stage::Parked));
+        parked && matches!(frame, Frame::Hello(_))
+    }
+
     /// The unit of set-up work the replies just handed back precede, if
     /// any: flush them, then call [`ServerMachine::set_up`].
     pub(crate) fn owes(&self) -> Option<SetUp> {
@@ -303,6 +313,9 @@ impl ServerMachine {
     pub(crate) fn on_frame(&mut self, res: &Resources, frame: Frame) -> Result<Step, Refusal> {
         if matches!(frame, Frame::Error { .. }) {
             return Err(Refusal::Silent);
+        }
+        if self.opens_next(&frame) {
+            self.state = State::AwaitHello;
         }
         let State::Open(routed, stage) = &mut self.state else {
             return self.hello(res, frame);
@@ -511,7 +524,9 @@ impl ServerMachine {
                     Stage::Rounds { .. } => {
                         format!("unexpected frame type {ty} during the round loop")
                     }
-                    Stage::Parked => format!("unexpected frame type {ty} while awaiting Subscribe"),
+                    Stage::Parked => {
+                        format!("unexpected frame type {ty} while awaiting Subscribe or a Hello")
+                    }
                     Stage::Streaming { .. } => {
                         format!("unexpected frame type {ty} on a live subscription")
                     }
@@ -808,7 +823,7 @@ mod tests {
             ("expected Hello", await_hello, vec![0]),
             ("expected estimator bank", await_bank, vec![1]),
             ("during the round loop", rounds, vec![3, 5]),
-            ("while awaiting Subscribe", parked, vec![9]),
+            ("while awaiting Subscribe", parked, vec![0, 9]),
             ("on a live subscription", streaming, vec![10, 11]),
         ]
     }

@@ -24,6 +24,13 @@
 //!   and write stall, drawn longer than the server's, and half the clients
 //!   run with none; a subscriber's read window is drawn above the server's
 //!   keepalive, or never.
+//! * **Kept connections:** a one-shot client whose server parked the
+//!   connection keeps it at seeded odds, as a `SyncClient` does, and a
+//!   later client of that node may open its session there — where every
+//!   fault below can reach it, and where the server may have closed it for
+//!   its silence meanwhile: a session that fails there before the `Hello`
+//!   reply runs again on a fresh connection. Each session's bytes are
+//!   counted from where it began on its links.
 //! * **Faults:** a partitioned and healed mesh link, a connection cut
 //!   mid-frame, a durable node crashed at each `CrashPoint` and reopened,
 //!   one WAL append refused while the process lives on, a changelog short
@@ -34,7 +41,9 @@
 //!   ([`Mutation`]), so that a server's or a client's peer lies.
 //! * **Invariants, after every step:** see [`World::check`]; and, as each
 //!   timer fires, that a peer is timed out for silence, or a write for a
-//!   stall, only where a fault made it so ([`World::fire`]): a client's
+//!   stall, only where a fault made it so — or, for a server's read-idle,
+//!   the client kept the connection with no session on it
+//!   ([`World::fire`]): a client's
 //!   read-idle only where a link of it stalled or its server was silent,
 //!   its set-up unit withheld; its write stall only where its link to the
 //!   server stalled. (A deadline, either end's, is a budget the schedule's
@@ -111,6 +120,9 @@ pub(crate) struct Duet {
     pub crossed: Vec<Crossed>,
     /// The connection's clock.
     pub now: Instant,
+    /// When the session under way opened: the accept, or its `Hello` on a
+    /// parked connection.
+    opened: Instant,
     /// A heavy set-up unit handed off: the machine, until [`Duet::set_up`].
     held: Option<ServerMachine>,
     /// One of a [`World`]'s connections: a heavy unit waits for an event of
@@ -144,6 +156,7 @@ impl Duet {
             inbox: VecDeque::new(),
             crossed: Vec::new(),
             now,
+            opened: now,
             held: None,
             linked,
         }
@@ -168,6 +181,9 @@ impl Duet {
 
     /// Carry out what the connection decided.
     fn take(&mut self, out: Out) {
+        if out.renewed.is_some() {
+            self.opened = self.now;
+        }
         self.inbox.extend(out.frames);
         self.crossed.extend(out.crossed);
         self.held = self.held.take().or(out.hand_off);
@@ -328,6 +344,15 @@ const NAMES: [&str; 2] = ["", "b"];
 
 /// The odds that a commit to a durable store is refused, while faults are on.
 const REFUSE: f64 = 0.05;
+
+/// The odds that a one-shot client keeps a connection its server parked,
+/// and that a client of a node with kept connections opens its session on
+/// one of them.
+const KEEP: f64 = 0.5;
+const REUSE: f64 = 0.5;
+
+/// What a client asks: its configuration, set and mode.
+type Request = (ClientConfig, Vec<u64>, Mode);
 
 /// The payload of a panic the schedule plants — in a notifier, in a store's
 /// `view` — which the panic hook keeps quiet about.
@@ -768,8 +793,16 @@ struct Conn {
     seen: usize,
     /// The seed the `Hello` reply named.
     seed: u64,
-    /// When the client connected.
-    accepted: Instant,
+    /// The client keeps the connection, with no session on it.
+    idle: bool,
+    /// The server closed it on read-idle while it was kept.
+    stale: bool,
+    /// Where the client's session began, as its links count: sent up,
+    /// read down, delivered up, delivered down.
+    base: [u64; 4],
+    /// A session on a kept connection the server has not answered yet: its
+    /// request, to run again on a fresh connection should this one fail.
+    again: Option<Request>,
     /// The client end reads and sends nothing (a fault).
     silent: bool,
     /// A link of it turned hostile (a fault): either end may be lied to.
@@ -818,6 +851,11 @@ struct World {
     /// The next connection opens over a link hostile one way (up if
     /// `true`).
     hostile_next: Option<(bool, Hostile)>,
+    /// What became of kept connections: "reused" once a session opened on
+    /// one, "retried" once one failed before the `Hello` reply and its
+    /// session ran again on a fresh connection — and "retried off a
+    /// read-idle close" where the server had closed it for its silence.
+    reuse: BTreeSet<&'static str>,
 }
 
 impl Drop for World {
@@ -924,6 +962,7 @@ impl World {
             panicked: false,
             tally: [Tally::default(); 2],
             hostile_next: None,
+            reuse: BTreeSet::new(),
         }
     }
 
@@ -973,7 +1012,10 @@ impl World {
             down,
             seen: 0,
             seed: 0,
-            accepted: self.now,
+            idle: false,
+            stale: false,
+            base: [0; 4],
+            again: None,
             silent: false,
             hostile: hostile.is_some(),
         });
@@ -1145,20 +1187,34 @@ impl World {
 
     /// A client ended: a subscriber whose stream ended between bursts, or
     /// a one-shot or mesh client with its report, or failed — for a reason
-    /// the schedule gave it, and with the bytes its link delivered.
+    /// the schedule gave it, and with the bytes its link delivered. A
+    /// one-shot client whose server parked the connection may keep it,
+    /// with nothing in flight its way; one whose session on a kept
+    /// connection failed before the `Hello` reply runs it again on a fresh
+    /// one.
     fn end_client(&mut self, c: usize, ending: Ending) {
-        self.hang_up(c);
-        let result = match ending {
-            Ending::Closed => return,
-            Ending::Report(report) => Ok(*report),
-            Ending::Failed(error) => Err(error),
+        let conn = &mut self.conns[c];
+        let answered = conn.client.as_ref().is_some_and(ClientConn::answered);
+        let parked = matches!(&ending, Ending::Report(report) if report.epoch.is_some());
+        let at_rest = conn.up.pending() == 0 && conn.down.rx.is_empty() && !conn.down.at_eof();
+        let one_shot = matches!(conn.role, Role::Sync { mesh: None, .. });
+        if parked && at_rest && one_shot && self.rng.random_bool(KEEP) {
+            (conn.client, conn.idle) = (None, true);
+        } else {
+            self.hang_up(c);
+        }
+        let result = match (ending, self.conns[c].again.take()) {
+            (Ending::Failed(_), Some(again)) if !answered => return self.redial(c, again),
+            (Ending::Closed, _) => return,
+            (Ending::Report(report), _) => Ok(*report),
+            (Ending::Failed(error), _) => Err(error),
         };
         let conn = &mut self.conns[c];
-        let hostile = conn.hostile;
+        let (hostile, base) = (conn.hostile, conn.base);
         let result = result.map(|mut report| {
-            let read = (conn.up.sent, conn.down.read);
+            let read = (conn.up.sent - base[0], conn.down.read - base[1]);
             (report.bytes_sent, report.bytes_received) = read;
-            let link = (conn.up.delivered, conn.down.delivered);
+            let link = (conn.up.delivered - base[2], conn.down.delivered - base[3]);
             assert!(
                 hostile || read == link,
                 "session bytes {read:?}, delivered {link:?}"
@@ -1378,9 +1434,11 @@ impl World {
         let Some(due) = duet.on_timer(pending) else {
             return false;
         };
-        // On a hostile connection any timer may come due.
+        // On a hostile connection any timer may come due; a kept
+        // connection is silent by the client's choice.
         let stalled = conn.down.stalled || conn.hostile;
-        let faulted = conn.silent || conn.up.stalled || stalled;
+        let faulted = conn.silent || conn.idle || conn.up.stalled || stalled;
+        conn.stale |= conn.idle && due == Due::ReadIdle;
         let timer = match due {
             Due::Ping => Some("ping"),
             Due::Dead => faulted.then_some("liveness cut"),
@@ -1539,24 +1597,63 @@ impl World {
                 (Mode::Full, None, held)
             }
         };
-        let now = self.now;
-        let (client, role) = match (follow, since) {
+        let (request, role) = match (follow, since) {
             (true, Some(since)) => {
                 let subscribe = Mode::Subscribe { since };
-                let client = ClientConn::new(&config, Vec::new(), subscribe, now);
-                (client, Role::Follow { held, epoch: since })
+                let role = Role::Follow { held, epoch: since };
+                ((config, Vec::new(), subscribe), role)
             }
             _ => {
                 let mut set: Vec<u64> = held.iter().copied().collect();
                 set.sort_unstable();
                 let mesh = None;
-                (
-                    ClientConn::new(&config, set, mode, now),
-                    Role::Sync { held, since, mesh },
-                )
+                ((config, set, mode), Role::Sync { held, since, mesh })
             }
         };
-        self.connect(i, s, client.expect("a valid request"), role);
+        self.dial((i, s), request, role);
+    }
+
+    /// A client's session of `set` in `mode` on store `s` of node `i`: at
+    /// [`REUSE`] odds on a connection to that node an earlier client kept,
+    /// if there is one — where it may meet a server that has closed it —
+    /// else on a fresh one.
+    fn dial(&mut self, (i, s): (usize, usize), request: Request, role: Role) {
+        let (config, set, mode) = request;
+        let client = ClientConn::new(&config, set.clone(), mode, self.now);
+        let mut client = client.expect("a valid request");
+        let kept: Vec<usize> = (0..self.conns.len())
+            .filter(|&c| self.conns[c].idle && self.conns[c].node == i)
+            .collect();
+        if kept.is_empty() || !self.rng.random_bool(REUSE) {
+            return self.connect(i, s, client, role);
+        }
+        let c = kept[self.rng.random_range(0..kept.len())];
+        self.reuse.insert("reused");
+        let conn = &mut self.conns[c];
+        let (up, down) = (&mut conn.up, &mut conn.down);
+        conn.base = [up.sent, down.read, up.delivered, down.delivered];
+        up.send(&client.connected(self.now).frames[0]);
+        (conn.slot, conn.idle, conn.role) = (s, false, role);
+        (conn.client, conn.again) = (Some(client), Some((config, set, mode)));
+        self.touch(c);
+    }
+
+    /// Connection `c`'s session failed on a kept connection before the
+    /// `Hello` reply: it runs again on a fresh one.
+    fn redial(&mut self, c: usize, (config, set, mode): Request) {
+        let conn = &mut self.conns[c];
+        let (i, s) = (conn.node, conn.slot);
+        let gone = Role::Follow {
+            held: HashSet::new(),
+            epoch: 0,
+        };
+        let role = std::mem::replace(&mut conn.role, gone);
+        let client = ClientConn::new(&config, set, mode, self.now).expect("a valid request");
+        self.reuse.insert("retried");
+        if conn.stale {
+            self.reuse.insert("retried off a read-idle close");
+        }
+        self.connect(i, s, client, role);
     }
 
     fn mesh_round(&mut self, i: usize, peer: usize) {
@@ -1828,9 +1925,12 @@ impl World {
             for conn in self.conns.iter().filter(|conn| conn.node == i) {
                 let running =
                     |d: &Duet| !d.conn.closing() && d.conn.waiting() == Waiting::Reconciling;
-                let deadline = conn.accepted.checked_add(node.res.config.session_deadline);
+                let Some(duet) = &conn.server else {
+                    continue;
+                };
+                let deadline = duet.opened.checked_add(node.res.config.session_deadline);
                 let over = deadline.is_some_and(|at| self.now >= at);
-                let outlived = over && conn.server.as_ref().is_some_and(running);
+                let outlived = over && running(duet);
                 assert!(!outlived, "a session outlived its deadline");
             }
             let slots = node.res.live_subscribers.load(Ordering::Relaxed);
@@ -1858,7 +1958,7 @@ impl World {
         let tally = &mut self.tally;
         self.conns.retain(|conn| {
             let flying = !conn.up.wire.is_empty() || !conn.down.wire.is_empty();
-            let keep = conn.server.is_some() || conn.client.is_some() || flying;
+            let keep = conn.server.is_some() || conn.client.is_some() || flying || conn.idle;
             if !keep {
                 tally[0].merge(conn.up.tally);
                 tally[1].merge(conn.down.tally);
@@ -1930,7 +2030,11 @@ impl World {
         for c in 0..self.conns.len() {
             let conn = &mut self.conns[c];
             (conn.silent, conn.up.stalled, conn.down.stalled) = (false, false, false);
-            if let Role::Follow { .. } = self.conns[c].role {
+            if let Role::Follow { .. } = conn.role {
+                self.hang_up(c);
+            }
+            // A kept connection is let go.
+            if std::mem::take(&mut self.conns[c].idle) {
                 self.hang_up(c);
             }
             // A hostile link may have left bytes no end will finish
@@ -2093,10 +2197,13 @@ fn metered<T>(hostile: bool, wire: usize, step: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Run the schedule of `seed` to its end — the timers that fired and what
-/// the links carried — or say where it failed. (The panics the schedule
-/// plants are kept out of the test output.)
-fn run_seed(seed: u64) -> Result<(BTreeSet<&'static str>, [Tally; 2]), String> {
+/// What a schedule that held showed: the timers that fired, what became
+/// of kept connections, and what the links carried.
+type Shown = (BTreeSet<&'static str>, BTreeSet<&'static str>, [Tally; 2]);
+
+/// Run the schedule of `seed` to its end, or say where it failed. (The
+/// panics the schedule plants are kept out of the test output.)
+fn run_seed(seed: u64) -> Result<Shown, String> {
     static QUIET: std::sync::Once = std::sync::Once::new();
     QUIET.call_once(|| {
         let hook = std::panic::take_hook();
@@ -2110,7 +2217,8 @@ fn run_seed(seed: u64) -> Result<(BTreeSet<&'static str>, [Tally; 2]), String> {
     let run = catch_unwind(AssertUnwindSafe(|| world.insert(World::new(seed)).run()));
     let mut world = world.expect("made before it runs");
     let carried = world.carried();
-    run.map(|()| (std::mem::take(&mut world.fired), carried)).map_err(|panic| {
+    let reuse = std::mem::take(&mut world.reuse);
+    run.map(|()| (std::mem::take(&mut world.fired), reuse, carried)).map_err(|panic| {
         let why = (panic.downcast_ref::<String>().map(String::as_str))
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("a panic");
@@ -2120,7 +2228,8 @@ fn run_seed(seed: u64) -> Result<(BTreeSet<&'static str>, [Tally; 2]), String> {
 }
 
 /// The default run, on two threads. It also holds the schedules to making
-/// every timer fire, and every mutation reach its target each way, in one
+/// every timer fire, every mutation reach its target each way, a session
+/// open on a kept connection and one run again off a closed one, in one
 /// seed of twenty at least, and to rewriting every frame type sent.
 #[test]
 fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
@@ -2143,11 +2252,16 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     let mut seeds = BTreeMap::<&str, u64>::new();
+    let reuse = ["reused", "retried", "retried off a read-idle close"];
+    let mut kept = BTreeMap::from(reuse.map(|what| (what, 0u64)));
     let (mut reached, mut links) = ([[0u64; 6]; 2], [Tally::default(); 2]);
-    for (fired, tally) in halves.iter().flatten().flatten() {
+    for (fired, reuse, tally) in halves.iter().flatten().flatten() {
         fired
             .iter()
             .for_each(|timer| *seeds.entry(timer).or_default() += 1);
+        reuse
+            .iter()
+            .for_each(|what| *kept.entry(what).or_default() += 1);
         for way in 0..2 {
             links[way].merge(tally[way]);
             for (kind, n) in reached[way].iter_mut().enumerate() {
@@ -2160,6 +2274,7 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         "sim: {SEEDS} seeds in {:?}; seeds a timer fired in: {seeds:?}",
         start.elapsed()
     );
+    eprintln!("sim: seeds a kept connection was: {kept:?}");
     for (way, name) in ["client → server", "server → client"]
         .into_iter()
         .enumerate()
@@ -2178,6 +2293,7 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         reached.iter().flatten().all(|&n| n >= SEEDS / 20),
         "{reached:?}"
     );
+    assert!(kept.values().all(|&n| n >= SEEDS / 20), "{kept:?}");
     for (way, links) in links.iter().enumerate() {
         let never = links.sent & !links.mutated;
         assert_eq!(

@@ -140,7 +140,11 @@ fn metrics_reconcile_with_stats_snapshot_and_wire_ledger() {
         ledger_sent += report.bytes_sent;
         ledger_received += report.bytes_received;
     }
+    // The three rode the one connection the client keeps; dropping the
+    // client closes it, which ends the last.
+    drop(client);
     let snap = settle(&server, 3);
+    assert_eq!(snap.sessions_reused, 2);
     let (status, body) = http_get(admin.local_addr(), "/metrics");
     assert_eq!(status, 200);
     assert_eq!(
@@ -199,6 +203,7 @@ fn metrics_reconcile_with_stats_snapshot_and_wire_ledger() {
     );
 
     // ---- Phase B: a subscription push, scraped again ----
+    let client = SyncClient::connect(server.local_addr()).expect("resolve");
     let mut sub = client.subscribe(store.epoch()).expect("subscribe");
     sub.next().expect("catch-up").expect("catch-up ok");
     // The first mutation may race the server's Subscribe processing and be
