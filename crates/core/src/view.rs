@@ -23,9 +23,10 @@ use xhash::{derive_seed, xxhash64_u64, PartitionHasher};
 ///
 /// A `SetView` is that layout, immutable: a holder of a changing set
 /// (`pbs_net`'s store) keeps one behind an `Arc` per version of the set,
-/// derives the next from it with [`SetView::patched`] in time proportional
-/// to the change, and hands it to as many sessions as run against that
-/// version ([`crate::BobSession::from_view`]). The layout depends on the
+/// derives the next from it by handing [`SetView::patched`] its changelog
+/// since — folded and merged in time proportional to the change — and
+/// hands it to as many sessions as run against that version
+/// ([`crate::BobSession::from_view`]). The layout depends on the
 /// session seed, so sessions that share a view share its seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetView {
@@ -41,9 +42,9 @@ pub struct SetView {
 /// accepts a prefix — `partition_point`, probing at 1, 2, 4, … from the
 /// front first, so finding a nearby point costs the logarithm of its
 /// distance rather than of the run's length, and stays in the cache lines
-/// the copy is about to read. Measured where it is used (docs/PERF.md): a
-/// 25 000-change patch of 10⁶ elements takes 4.5 ms with it and 11.4 ms
-/// with `old[at..].partition_point(..)`, a `full_1m_d1k` sync 67 ms and 77.
+/// the copy is about to read: with 25 000 changes spread over 10⁶
+/// elements, a patch takes under half the time it takes with
+/// `old[at..].partition_point(..)` (docs/PERF.md).
 fn gallop(run: &[u64], mut before: impl FnMut(u64) -> bool) -> usize {
     let (mut lo, mut step) = (0usize, 1usize);
     while lo + step <= run.len() && before(run[lo + step - 1]) {
@@ -79,32 +80,49 @@ impl SetView {
         }
     }
 
-    /// The view of this set with `removed` taken out and `added` put in,
-    /// stamped `epoch` — equal to [`SetView::build`] over the resulting set,
-    /// at the cost of sorting the change, one look-up per changed element
-    /// and a copy of the runs in between. Removing an element the set does
-    /// not hold or adding one it holds changes nothing; an element in both
-    /// lists ends up held.
-    pub fn patched(&self, added: &[u64], removed: &[u64], epoch: u64) -> Self {
+    /// The view of this set brought forward through a changelog — each
+    /// batch's `(added, removed)`, in the order the batches were made —
+    /// and stamped `epoch`: equal to [`SetView::build`] over the set the
+    /// stream leaves. Each element ends up as its *last* change left it
+    /// (within a batch, the removals come first, as a `DeltaFold` applies
+    /// them), whatever came before; an element the stream does not touch
+    /// keeps its place. Removing what the set does not hold or adding what
+    /// it holds changes nothing. The cost is one sort of the stream in view
+    /// order, one look-up per changed element and a copy of the runs in
+    /// between.
+    pub fn patched<'a, I>(&self, batches: I, epoch: u64) -> Self
+    where
+        I: IntoIterator<Item = (&'a [u64], &'a [u64])>,
+        I::IntoIter: Clone,
+    {
         let hash_seed = group_seed(self.seed);
-        let key = |e: u64| (xxhash64_u64(e, hash_seed), e);
-        // The change in view order; at equal keys a removal sorts first.
-        let mut changes: Vec<((u64, u64), bool)> = removed
-            .iter()
-            .map(|&e| (key(e), false))
-            .chain(added.iter().map(|&e| (key(e), true)))
-            .collect();
+        let hash = |e: u64| xxhash64_u64(e, hash_seed);
+        let batches = batches.into_iter();
+        let (entries, adds) = batches
+            .clone()
+            .fold((0, 0), |(all, adds), (added, removed)| {
+                (all + added.len() + removed.len(), adds + added.len())
+            });
+        // The stream in view order, each element's changes in stream order:
+        // `(key, element, batch, added)`, a batch's removal before its add.
+        let mut changes: Vec<(u64, u64, usize, bool)> = Vec::with_capacity(entries);
+        for (batch, (added, removed)) in batches.enumerate() {
+            changes.extend(removed.iter().map(|&e| (hash(e), e, batch, false)));
+            changes.extend(added.iter().map(|&e| (hash(e), e, batch, true)));
+        }
         changes.sort_unstable();
-        changes.dedup();
 
         let old = &self.elements;
-        let mut elements = Vec::with_capacity(old.len() + added.len());
+        let mut elements = Vec::with_capacity(old.len() + adds);
         let (mut came, mut went) = (Vec::new(), Vec::new());
         // `old[..at]` is dealt with: copied, or removed.
         let mut at = 0usize;
-        for (at_key, add) in changes {
-            let element = at_key.1;
-            let stop = at + gallop(&old[at..], |e| key(e) < at_key);
+        for run in changes.chunk_by(|a, b| a.1 == b.1) {
+            // The element's last change is the one that stands.
+            let Some(&(key, element, _, add)) = run.last() else {
+                continue;
+            };
+            let stop = at + gallop(&old[at..], |e| (hash(e), e) < (key, element));
             elements.extend_from_slice(&old[at..stop]);
             at = stop;
             let held = old.get(at) == Some(&element);
@@ -193,6 +211,13 @@ mod tests {
         v
     }
 
+    /// Batches as the changelog stream [`SetView::patched`] takes.
+    fn stream(batches: &[(Vec<u64>, Vec<u64>)]) -> impl Iterator<Item = (&[u64], &[u64])> + Clone {
+        batches
+            .iter()
+            .map(|(added, removed)| (&added[..], &removed[..]))
+    }
+
     #[test]
     fn gallop_is_partition_point() {
         let run: Vec<u64> = (0..100).collect();
@@ -206,12 +231,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// The one oracle of the view: through a random sequence of change
-        /// batches — repeats inside a batch, an element removed and re-added
-        /// (across batches and within one), removals of what is not held,
-        /// the empty set, `0` and `u64::MAX` — every patched view equals the
-        /// view built cold from the resulting set; and for group counts
-        /// from 1 to past the set's length its ranges hold what
+        /// The one oracle of the view: a random stream of change batches —
+        /// repeats inside a batch, an element removed and re-added (across
+        /// batches and within one), removals of what is not held, the empty
+        /// set, `0` and `u64::MAX` — patched in whole in one call, and in
+        /// two calls split at a random batch, gives the view built cold from
+        /// the set the stream leaves; and for group counts from 1 to past
+        /// the set's length its ranges hold what
         /// `PartitionHasher::partition` puts in each part, its bank is
         /// `insert_slice` over the set at either sketch count.
         #[test]
@@ -227,23 +253,37 @@ mod tests {
                 ),
                 0usize..8,
             ),
+            split in 0usize..9,
             seed in any::<u64>(),
             groups in 1usize..200,
         ) {
             let sketches = 40;
             let mut model: BTreeSet<u64> = initial.iter().copied().collect();
-            let mut view = SetView::build(initial, seed, sketches, 0);
+            let start = SetView::build(initial, seed, sketches, 0);
+            let (first, second) = batches.split_at(split.min(batches.len()));
+            let mut at_split = model.clone();
             for (i, (added, removed)) in batches.iter().enumerate() {
-                let epoch = i as u64 + 1;
                 for e in removed {
                     model.remove(e);
                 }
                 model.extend(added.iter().copied());
-                view = view.patched(added, removed, epoch);
-                let held: Vec<u64> = model.iter().copied().collect();
-                prop_assert_eq!(&view, &SetView::build(held, seed, sketches, epoch));
+                if i + 1 == first.len() {
+                    at_split = model.clone();
+                }
             }
             let held: Vec<u64> = model.iter().copied().collect();
+            let epoch = batches.len() as u64;
+            let view = start.patched(stream(&batches), epoch);
+            prop_assert_eq!(&view, &SetView::build(held.clone(), seed, sketches, epoch));
+
+            let halfway = start.patched(stream(first), first.len() as u64);
+            let at_split: Vec<u64> = at_split.into_iter().collect();
+            prop_assert_eq!(
+                &halfway,
+                &SetView::build(at_split, seed, sketches, first.len() as u64)
+            );
+            prop_assert_eq!(&halfway.patched(stream(second), epoch), &view);
+
             prop_assert_eq!(sorted(view.elements().to_vec()), held.clone());
 
             let hasher = PartitionHasher::new(groups as u64, group_seed(seed));

@@ -138,9 +138,10 @@ impl DeltaReport {
 /// was ahead of it (a client acked at its snapshot's epoch already holds
 /// the transfer the next batch adds). Cancelling an add against a later
 /// remove instead would lose a removal: out, in and out again of a held
-/// element is *out*. This is *the* collapse rule: the client's, and the
-/// store's own when it brings its cached view forward
-/// ([`crate::SetStore::view`]).
+/// element is *out*. This is *the* collapse rule: the client's here, and
+/// the store's when it brings its cached view forward
+/// ([`crate::SetStore::view`]), where [`pbs_core::SetView::patched`] folds
+/// the changelog by the same rule in one sort.
 #[derive(Debug, Default)]
 pub struct DeltaFold {
     added: HashSet<u64>,

@@ -22,7 +22,6 @@
 //! **Lock poisoning** has one policy here (the private `recover`): take
 //! the guard anyway — see there for why that is sound.
 
-use crate::machine::DeltaFold;
 use crate::server::ServerStats;
 use crate::wal::{self, DurableOptions, RecoveryReport, Wal};
 use obs::{Gauge, Histogram};
@@ -678,11 +677,11 @@ impl MutableStore {
         ViewAnswer::Built(Arc::new(SetView::build(elements, seed, sketches, epoch)))
     }
 
-    /// `view` brought up to the current epoch with what the changelog holds
-    /// past its own, folded to each element's last change (an add of what
-    /// the view holds, a remove of what it lacks: [`SetView::patched`]
-    /// ignores them), however much that is. The element lock is held for the
-    /// changelog read only; folding, sorting and merging run outside it.
+    /// `view` brought up to the current epoch through every batch the
+    /// changelog holds past its own, however many: [`SetView::patched`]
+    /// folds them, each element to its last change. The element lock is
+    /// held for the changelog read only; the fold and the merge run outside
+    /// it.
     fn bring_forward(&self, view: &Arc<SetView>) -> ViewAnswer {
         let DeltaAnswer::Changes { batches, current } = self.delta_since(view.epoch()) else {
             // Trimmed since the caller looked.
@@ -691,13 +690,10 @@ impl MutableStore {
         if batches.is_empty() {
             return ViewAnswer::Patched(Arc::clone(view));
         }
-        let mut fold = DeltaFold::new();
-        for batch in batches {
-            fold.fold(batch.added, batch.removed);
-        }
-        let net = fold.into_report(view.epoch(), current);
-        let patched = view.patched(&net.added, &net.removed, current);
-        ViewAnswer::Patched(Arc::new(patched))
+        let changes = batches
+            .iter()
+            .map(|batch| (&batch.added[..], &batch.removed[..]));
+        ViewAnswer::Patched(Arc::new(view.patched(changes, current)))
     }
 }
 
@@ -1067,6 +1063,8 @@ impl StoreRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::DeltaFold;
+    use std::collections::BTreeSet;
 
     /// Whether `store` writes through to a WAL.
     fn is_durable(store: &MutableStore) -> bool {
@@ -1514,6 +1512,40 @@ mod tests {
             // (The closing look finds the one before it, unless a trimmed
             // log came between.)
             proptest::prop_assert!(looks > 0 || log_capacity < 12);
+        }
+
+        /// One meaning of "last change wins": over a random change stream —
+        /// repeats inside a batch, an element in both lists of one batch,
+        /// out and in again across batches, changes of what is not held —
+        /// the view brought forward holds exactly the old view's set plus
+        /// what the client's `DeltaFold` reports added, minus what it
+        /// reports removed.
+        #[test]
+        fn a_view_brought_forward_is_the_old_view_under_the_clients_fold(
+            initial in proptest::collection::vec(0u64..24, 0usize..24),
+            batches in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u64..24, 0usize..6),
+                    proptest::collection::vec(0u64..24, 0usize..6),
+                ),
+                0usize..12,
+            ),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let view = cold_view(initial.clone(), seed, 0);
+            let mut fold = DeltaFold::new();
+            for (added, removed) in &batches {
+                fold.fold(added.iter().copied(), removed.iter().copied());
+            }
+            let net = fold.into_report(0, 1);
+            let changes = batches.iter().map(|(added, removed)| (&added[..], &removed[..]));
+            let brought: BTreeSet<u64> = view.patched(changes, 1).elements().iter().copied().collect();
+            let mut expected: BTreeSet<u64> = initial.into_iter().collect();
+            for e in &net.removed {
+                expected.remove(e);
+            }
+            expected.extend(net.added);
+            proptest::prop_assert_eq!(brought, expected);
         }
     }
 
