@@ -32,10 +32,15 @@
 //! `GroupScratch` a session, zeroed bin by bin as it is used, not
 //! allocated per group or per trip. A session computes on the thread that
 //! calls it; parallelism is across sessions.
+//! Each party reads every element once per sketch and nowhere else: the
+//! pass that hashes an element into its bin also adds it to the group
+//! checksum `c(·)`, and Alice's pass keeps each element's bin as one byte,
+//! so that applying the layer's report re-hashes only the elements whose
+//! byte names a reported bin.
 //! Alice edits her working sets in place: a recovered candidate must hash
 //! to the bin it was reported in (Procedure 3), so whether she holds it is
-//! decided among that bin's few residents, found by the same pass that
-//! sums the bin. The only lookup structure is her O(d) ledger of toggled
+//! decided among that bin's few residents, found by the pass that sums the
+//! reported bins. The only lookup structure is her O(d) ledger of toggled
 //! elements, which also remembers which of them were hers — `A \ B`, what
 //! a transport ships back so Bob converges
 //! ([`AliceSession::into_recovered_and_mine`]). Everything a session emits
@@ -70,7 +75,7 @@ use bch::{BchCodec, DecodeScratch, Sketch};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
-use xhash::{derive_seed, PartitionHasher, SetChecksum};
+use xhash::{derive_seed, PartitionHasher};
 
 /// Salt labels for seed derivation, so the group partition, each round's bin
 /// partition and each split partition use mutually independent hash functions.
@@ -112,10 +117,18 @@ pub(crate) fn group_seed(base: u64) -> u64 {
     derive_seed(base, GROUP_SALT)
 }
 
+/// The universe's elements, as a mask: the group checksum `c(S)` (§2.2.3)
+/// is the sum of `S` modulo `2^universe_bits`, which is the wrapping sum,
+/// in any order, masked once.
+fn universe_mask(universe_bits: u32) -> u64 {
+    u64::MAX >> (64 - universe_bits)
+}
+
 /// A session's working storage of the per-group pass — Alice's encode and
 /// apply, Bob's re-sketch and decode — allocated once, at construction.
 /// Every routine leaves the dense arrays all-zero behind it, at a cost
-/// bounded by the bins it touched.
+/// bounded by the bins it touched. (What a pass keeps per element, Alice's
+/// bin bytes, lives with her group, whose length it has.)
 #[derive(Debug, Default)]
 struct GroupScratch {
     /// The parity bitmap, one bit per bin `0..=n`.
@@ -193,6 +206,8 @@ struct Membership {
 // Alice
 // ---------------------------------------------------------------------------
 
+/// One of Alice's groups (or sub-groups) and what its pending sketch
+/// layers left for applying their reports.
 #[derive(Debug)]
 struct AliceGroup {
     id: SessionId,
@@ -200,8 +215,10 @@ struct AliceGroup {
     /// initially `A_i`, with the estimated differences of previous rounds
     /// applied (§2.4).
     elements: Vec<u64>,
-    /// Incrementally maintained checksum of `elements`.
-    checksum: SetChecksum,
+    /// The wrapping sum of `elements`: taken by the sketch passes of each
+    /// batch, kept by every edit since. Masked to the universe it is
+    /// `c(A_i)`.
+    checksum: u64,
     /// `c(B_i)`, once Bob has sent it.
     bob_checksum: Option<u64>,
     /// Group / sub-group membership constraints (generalized Procedure 3).
@@ -213,28 +230,26 @@ struct AliceGroup {
     /// Bob reports every layer in the order he received it, so the j-th
     /// report for a session answers the j-th pending layer.
     reports_consumed: usize,
+    /// Per pending layer, the low byte of each element's bin position
+    /// under that layer's hash, aligned with `elements`: recorded by the
+    /// layer's sketch pass, and kept aligned through the edits of the
+    /// layers answered before it. At `n ≤ 255` the byte is the bin. The
+    /// buffers are kept across batches, cleared, not dropped.
+    bin_bytes: Vec<Vec<u8>>,
     verified: bool,
 }
 
 impl AliceGroup {
-    fn new(
-        id: SessionId,
-        elements: Vec<u64>,
-        membership: Vec<Membership>,
-        universe_bits: u32,
-    ) -> Self {
-        let mut checksum = SetChecksum::new(universe_bits);
-        for &e in &elements {
-            checksum.add(e);
-        }
+    fn new(id: SessionId, elements: Vec<u64>, membership: Vec<Membership>) -> Self {
         AliceGroup {
             id,
             elements,
-            checksum,
+            checksum: 0,
             bob_checksum: None,
             membership,
             pending_bin_seeds: Vec::new(),
             reports_consumed: 0,
+            bin_bytes: Vec::new(),
             verified: false,
         }
     }
@@ -344,7 +359,6 @@ impl AliceSession {
                         hasher: group_hasher,
                         expected: i as u64,
                     }],
-                    cfg.universe_bits,
                 )
             })
             .collect();
@@ -457,7 +471,9 @@ impl AliceSession {
     /// `r+1`'s, and so on — the order Bob's reports must be applied in.
     ///
     /// Every sketch comes out of the session's one scratch, on the calling
-    /// thread.
+    /// thread. The pass that hashes a group's elements for a layer's sketch
+    /// also records their bin bytes for [`Self::apply_reports`] and takes
+    /// the group's checksum.
     pub fn start_rounds(&mut self, layers: u32) -> Vec<GroupSketch> {
         assert!(layers >= 1, "a sketch batch needs at least one layer");
         let base = self.round;
@@ -468,6 +484,15 @@ impl AliceSession {
                 .map(|layer| bin_seed(self.base_seed, group.id, base + layer))
                 .collect();
             group.reports_consumed = 0;
+            if let Some(more) = (layers as usize).checked_sub(group.bin_bytes.len()) {
+                // Exactly: a first batch gives each of thousands of groups
+                // its list, where an amortized one would hold four.
+                group.bin_bytes.reserve_exact(more);
+                group.bin_bytes.resize_with(layers as usize, Vec::new);
+            }
+            for bytes in &mut group.bin_bytes {
+                bytes.clear();
+            }
         }
         let active = self.active_sessions();
         self.last_speculative_layers = (layers - 1) * active as u32;
@@ -478,19 +503,31 @@ impl AliceSession {
         } = &mut self.scratch;
         let mut batch = Vec::with_capacity(layers as usize * active);
         for layer in 0..layers as usize {
-            for group in self.groups.iter().filter(|g| !g.verified) {
+            for group in self.groups.iter_mut().filter(|g| !g.verified) {
                 let hasher = PartitionHasher::new(n, group.pending_bin_seeds[layer]);
+                let bytes = &mut group.bin_bytes[layer];
+                bytes.resize(group.elements.len(), 0);
+                let mut slots = bytes.iter_mut();
+                // Every layer of the batch sums the same working set.
+                let mut group_sum = 0u64;
+                let sketch = parity_sketch(
+                    &self.codec,
+                    &hasher,
+                    &group.elements,
+                    parity,
+                    positions,
+                    |p, e| {
+                        if let Some(slot) = slots.next() {
+                            *slot = p as u8;
+                        }
+                        group_sum = group_sum.wrapping_add(e);
+                    },
+                );
+                group.checksum = group_sum;
                 batch.push(GroupSketch {
                     session: group.id,
                     round: base + 1 + layer as u32,
-                    sketch: parity_sketch(
-                        &self.codec,
-                        &hasher,
-                        &group.elements,
-                        parity,
-                        positions,
-                        |_, _| {},
-                    ),
+                    sketch,
                     // Repeated on every layer while c(B_i) is unknown: the
                     // first layer's report may be a decode failure, and the
                     // checksum must not be lost with it. (Bob answers once.)
@@ -512,6 +549,17 @@ impl AliceSession {
     /// when every one of its reports in the batch is a decoding failure
     /// (with unpipelined batches that is the classic §3.2 rule).
     pub fn apply_reports(&mut self, reports: &[GroupReport]) -> RoundStatus {
+        self.apply_reports_with(reports, |_| {})
+    }
+
+    /// [`Self::apply_reports`], calling `after(group)` each time a decoded
+    /// report has been applied to its group: the state between two layers
+    /// of a batch, which the tests hold to their oracles.
+    fn apply_reports_with(
+        &mut self,
+        reports: &[GroupReport],
+        mut after: impl FnMut(&AliceGroup),
+    ) -> RoundStatus {
         let mut recovered_this_round = 0usize;
         let (mut layers_decoded, mut layers_failed) = (0u32, 0u32);
         let unused_before = self.speculative_unused;
@@ -543,6 +591,7 @@ impl AliceSession {
                     layers_decoded += 1;
                     any_decoded.insert(report.session, true);
                     recovered_this_round += self.apply_decoded(gi, bins, *checksum);
+                    after(&self.groups[gi]);
                 }
             }
         }
@@ -615,15 +664,12 @@ impl AliceSession {
     /// Handle a successfully decoded report for group index `gi`. Returns the
     /// number of elements applied.
     fn apply_decoded(&mut self, gi: usize, bins: &[BinInfo], checksum: Option<u64>) -> usize {
-        let universe_mask = if self.cfg.universe_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.cfg.universe_bits) - 1
-        };
+        let universe_mask = universe_mask(self.cfg.universe_bits);
         let group = &mut self.groups[gi];
         // This report answers the oldest unanswered layer of the last sketch
         // batch; a report beyond the layers actually sent is ignored.
-        let Some(&layer_seed) = group.pending_bin_seeds.get(group.reports_consumed) else {
+        let layer = group.reports_consumed;
+        let Some(&layer_seed) = group.pending_bin_seeds.get(layer) else {
             return 0;
         };
         group.reports_consumed += 1;
@@ -640,24 +686,35 @@ impl AliceSession {
 
         // One pass over the group's working set: the XOR sum of every
         // reported bin, and each element of a reported bin with its index
-        // (`residents`). For the bitmap lengths PBS uses, the scratch's
-        // dense per-bin XOR accumulator plus its reported-bin bitset cost
-        // one partition hash and two array probes per element, and reading
-        // the sums back is O(bins). Bins outside `1..=n` (impossible from
-        // an honest decode, reachable through the wire format) accumulate
-        // nothing.
+        // (`residents`). The layer's sketch pass left each element's bin
+        // byte, so the pass reads one byte per element against the reported
+        // bins' low bytes and re-hashes only the hits; the exact bin then
+        // meets the scratch's reported-bin bitset and dense per-bin XOR
+        // accumulator, and reading the sums back is O(bins). (At `n ≤ 255`
+        // the byte is the bin, and every hit is a resident.) Bins outside
+        // `1..=n` (impossible from an honest decode, reachable through the
+        // wire format) accumulate nothing.
         let n = self.params.n as u64;
         let hasher = PartitionHasher::new(n, layer_seed);
         let mut residents: Vec<(u64, usize)> = Vec::new();
         let GroupScratch {
             wanted, xor_by_bin, ..
         } = &mut self.scratch;
+        let mut wanted_low = [0u64; 4];
         for b in bins {
             if b.position <= n {
                 wanted[b.position as usize / 64] |= 1u64 << (b.position % 64);
+                let low = b.position as u8;
+                wanted_low[low as usize / 64] |= 1u64 << (low % 64);
             }
         }
-        for (index, &e) in group.elements.iter().enumerate() {
+        let bytes = &group.bin_bytes[layer];
+        debug_assert_eq!(bytes.len(), group.elements.len());
+        for (index, &low) in bytes.iter().enumerate() {
+            if wanted_low[low as usize / 64] >> (low % 64) & 1 == 0 {
+                continue;
+            }
+            let e = group.elements[index];
             let p = hasher.position(e) as usize;
             if wanted[p / 64] >> (p % 64) & 1 == 1 {
                 xor_by_bin[p] ^= e;
@@ -722,20 +779,26 @@ impl AliceSession {
                 if let Ok(at) = resident {
                     evicted.push(residents[at].1);
                 }
-                group.checksum.remove(s);
+                group.checksum = group.checksum.wrapping_sub(s);
             } else {
                 admitted.push(s);
-                group.checksum.add(s);
+                group.checksum = group.checksum.wrapping_add(s);
             }
             entry.odd = !entry.odd;
             applied += 1;
         }
         // Vacate from the back, so a `swap_remove` never moves an element
-        // that is itself still to be vacated.
+        // that is itself still to be vacated. Every edit of the working set
+        // is mirrored onto the bin bytes of the layers still to be
+        // answered, so that they stay aligned with it.
+        let later = layer + 1..group.pending_bin_seeds.len();
         evicted.sort_unstable();
         evicted.dedup();
         for &index in evicted.iter().rev() {
             group.elements.swap_remove(index);
+            for bytes in &mut group.bin_bytes[later.clone()] {
+                bytes.swap_remove(index);
+            }
         }
         // Hand the scratch back all-zero: only reported bins were touched.
         for b in bins {
@@ -747,13 +810,17 @@ impl AliceSession {
         admitted.sort_unstable();
         admitted.dedup();
         let toggled = &self.toggled;
-        group
-            .elements
-            .extend(admitted.into_iter().filter(|s| toggled[s].held()));
+        for s in admitted.into_iter().filter(|s| toggled[s].held()) {
+            group.elements.push(s);
+            let seeds = &group.pending_bin_seeds[later.clone()];
+            for (bytes, &seed) in group.bin_bytes[later.clone()].iter_mut().zip(seeds) {
+                bytes.push(PartitionHasher::new(n, seed).position(s) as u8);
+            }
+        }
 
         // Checksum verification (Line 5 of Procedure 2).
         if let Some(expect) = group.bob_checksum {
-            if group.checksum.value() == expect {
+            if group.checksum & universe_mask == expect {
                 group.verified = true;
             }
         }
@@ -772,12 +839,8 @@ impl AliceSession {
                 hasher,
                 expected: k as u64,
             });
-            self.groups.push(AliceGroup::new(
-                children[k],
-                part,
-                membership,
-                self.cfg.universe_bits,
-            ));
+            self.groups
+                .push(AliceGroup::new(children[k], part, membership));
         }
     }
 }
@@ -805,19 +868,6 @@ impl Members {
     }
 }
 
-#[derive(Debug)]
-struct BobGroup {
-    elements: Members,
-    checksum: u64,
-}
-
-impl BobGroup {
-    fn new(universe_bits: u32, elements: Members) -> Self {
-        let checksum = xhash::element_checksum(universe_bits, elements.as_slice().iter().copied());
-        BobGroup { elements, checksum }
-    }
-}
-
 /// Bob's side of the protocol: he answers Alice's sketches.
 #[derive(Debug)]
 pub struct BobSession {
@@ -825,13 +875,15 @@ pub struct BobSession {
     params: OptimalParams,
     codec: BchCodec,
     base_seed: u64,
-    groups: HashMap<SessionId, BobGroup>,
+    groups: HashMap<SessionId, Members>,
     decode_failures: u32,
     scratch: GroupScratch,
 }
 
 impl BobSession {
-    /// Create Bob's session state from his set.
+    /// Create Bob's session state from his set: its partition into
+    /// groups, and nothing else — a group's checksum is summed by the
+    /// sketch pass that answers it.
     ///
     /// Duplicate input elements are dropped (first occurrence wins) by the
     /// same [`PartitionHasher::partition`] call [`AliceSession::new`]
@@ -846,10 +898,11 @@ impl BobSession {
 
     /// Create Bob's session state over a shared [`SetView`] of his set,
     /// under the view's seed. Equivalent to [`BobSession::new`] over the
-    /// same set and seed — every report is the same — but nothing is
-    /// hashed, scattered or copied: group `i` is the `i`-th of
-    /// `SetView::group_ranges`, read in place for as long as it is not
-    /// split (the children of a §3.2 split are the session's own copies).
+    /// same set and seed — every report is the same — but no element is
+    /// read before the first sketch arrives, let alone hashed, scattered
+    /// or copied: group `i` is the `i`-th of `SetView::group_ranges`, read
+    /// in place for as long as it is not split (the children of a §3.2
+    /// split are the session's own copies).
     pub fn from_view(cfg: PbsConfig, params: OptimalParams, view: Arc<SetView>) -> Self {
         let ranges = view.group_ranges(params.groups);
         let members = ranges
@@ -858,7 +911,9 @@ impl BobSession {
         Self::over(cfg, params, view.seed(), members)
     }
 
-    /// The session over its initial groups, in group order.
+    /// The session over its initial groups, in group order. A group is
+    /// its members: the pass that answers a sketch sums them for
+    /// `c(B_i)`.
     fn over(
         cfg: PbsConfig,
         params: OptimalParams,
@@ -872,10 +927,7 @@ impl BobSession {
             base_seed: seed,
             groups: groups
                 .enumerate()
-                .map(|(i, members)| {
-                    let group = BobGroup::new(cfg.universe_bits, members);
-                    ((i + 1) as SessionId, group)
-                })
+                .map(|(i, members)| ((i + 1) as SessionId, members))
                 .collect(),
             decode_failures: 0,
             scratch: GroupScratch::new(params.n as u64),
@@ -953,14 +1005,14 @@ impl BobSession {
     /// BCH-decoded, all out of `scratch`. The same pass keeps
     /// the scratch's dense XOR accumulator per bin, so the XOR sums of the
     /// differing bins are read back in O(bins), and zeroes it again
-    /// afterwards.
+    /// afterwards; it also sums the group, for `c(B_i)`.
     fn compute_report(&self, msg: &GroupSketch, scratch: &mut GroupScratch) -> GroupReport {
         // Unknown session: treat as empty (can only happen if Alice has a
         // group Bob's partition left empty — the decode still works).
-        let (elements, checksum) = match self.groups.get(&msg.session) {
-            Some(group) => (group.elements.as_slice(), group.checksum),
-            None => (&[][..], 0),
-        };
+        let elements = self
+            .groups
+            .get(&msg.session)
+            .map_or(&[][..], Members::as_slice);
         let n = self.params.n as u64;
         let hasher = PartitionHasher::new(n, bin_seed(self.base_seed, msg.session, msg.round));
         let GroupScratch {
@@ -971,9 +1023,11 @@ impl BobSession {
             ..
         } = scratch;
 
+        let mut sum = 0u64;
         let mut sketch =
             parity_sketch(&self.codec, &hasher, elements, parity, positions, |p, e| {
                 xor_by_bin[p] ^= e;
+                sum = sum.wrapping_add(e);
             });
         // Combine with Alice's sketch: the result is the sketch of the
         // positions where the two parity bitmaps differ.
@@ -988,7 +1042,9 @@ impl BobSession {
                         xor_sum: xor_by_bin.get(position as usize).copied().unwrap_or(0),
                     })
                     .collect(),
-                checksum: msg.needs_checksum.then_some(checksum),
+                checksum: msg
+                    .needs_checksum
+                    .then_some(sum & universe_mask(self.cfg.universe_bits)),
             },
         };
         // Leave the accumulators all-zero in O(min(n, |group|)): a sweep for
@@ -1020,10 +1076,12 @@ impl BobSession {
     fn handle_sketches_reference(&mut self, sketches: &[GroupSketch]) -> Vec<GroupReport> {
         let mut out: Vec<GroupReport> = Vec::with_capacity(sketches.len());
         for msg in sketches {
-            let (elements, checksum) = match self.groups.get(&msg.session) {
-                Some(group) => (group.elements.as_slice().to_vec(), group.checksum),
-                None => (Vec::new(), 0),
-            };
+            let elements = self
+                .groups
+                .get(&msg.session)
+                .map_or_else(Vec::new, |group| group.as_slice().to_vec());
+            let checksum =
+                xhash::element_checksum(self.cfg.universe_bits, elements.iter().copied());
             let n = self.params.n as u64;
             let hasher = PartitionHasher::new(n, bin_seed(self.base_seed, msg.session, msg.round));
             let mut sketch = self.codec.empty_sketch();
@@ -1087,10 +1145,9 @@ impl BobSession {
         };
         let children = child_sessions(session);
         let hasher = PartitionHasher::new(SPLIT_WAYS, split_seed(self.base_seed, session));
-        let parts = hasher.partition(parent.elements.as_slice());
+        let parts = hasher.partition(parent.as_slice());
         for (k, part) in parts.into_iter().enumerate() {
-            let child = BobGroup::new(self.cfg.universe_bits, Members::Owned(part));
-            self.groups.insert(children[k], child);
+            self.groups.insert(children[k], Members::Owned(part));
         }
     }
 }
@@ -1121,12 +1178,24 @@ mod tests {
     }
 
     /// [`AliceSession::start_rounds`], with every sketch of the batch held
-    /// to the per-element oracle.
+    /// to the per-element oracle, and what the sketch passes recorded —
+    /// each group's checksum and bin bytes — to a recount of its working
+    /// set.
     fn start_checked(a: &mut AliceSession, layers: u32) -> Vec<GroupSketch> {
         let batch = a.start_rounds(layers);
         let n = a.params.n as u64;
         let active: Vec<&AliceGroup> = a.groups.iter().filter(|g| !g.verified).collect();
         assert_eq!(batch.len(), active.len() * layers as usize);
+        let bits = a.cfg.universe_bits;
+        for group in &active {
+            assert_eq!(
+                group.checksum & universe_mask(bits),
+                xhash::element_checksum(bits, group.elements.iter().copied()),
+                "session {}",
+                group.id
+            );
+            pending_bytes_hold(group, n);
+        }
         for (i, msg) in batch.iter().enumerate() {
             let (layer, group) = (i / active.len(), active[i % active.len()]);
             assert_eq!(msg.session, group.id);
@@ -1139,6 +1208,53 @@ mod tests {
             );
         }
         batch
+    }
+
+    /// Every still-pending layer's bin bytes are the low bytes of the
+    /// current working set's bin positions under that layer's hash.
+    fn pending_bytes_hold(group: &AliceGroup, n: u64) {
+        let pending = group.reports_consumed..group.pending_bin_seeds.len();
+        for layer in pending {
+            let hasher = PartitionHasher::new(n, group.pending_bin_seeds[layer]);
+            let expect: Vec<u8> = group
+                .elements
+                .iter()
+                .map(|&e| hasher.position(e) as u8)
+                .collect();
+            assert_eq!(
+                group.bin_bytes[layer], expect,
+                "session {} layer {layer}",
+                group.id
+            );
+        }
+    }
+
+    /// [`AliceSession::apply_reports`], with [`pending_bytes_hold`] checked
+    /// after every report. Also returns how many layers were applied to a
+    /// group that an earlier layer of the batch had edited and left
+    /// unverified: the reads of bytes mirrored through an edit.
+    fn apply_checked(a: &mut AliceSession, reports: &[GroupReport]) -> (RoundStatus, u64) {
+        let n = a.params.n as u64;
+        // Per unverified group: its working set before the batch, whether
+        // it has been edited since, whether it has verified.
+        let mut state: HashMap<SessionId, (Vec<u64>, bool, bool)> = a
+            .groups
+            .iter()
+            .filter(|g| !g.verified)
+            .map(|g| (g.id, (sorted(g.elements.clone()), false, false)))
+            .collect();
+        let mut mirrored = 0;
+        let status = a.apply_reports_with(reports, |group| {
+            pending_bytes_hold(group, n);
+            if let Some((before, edited, verified)) = state.get_mut(&group.id) {
+                if *edited && !*verified {
+                    mirrored += 1;
+                }
+                *edited |= sorted(group.elements.clone()) != *before;
+                *verified = group.verified;
+            }
+        });
+        (status, mirrored)
     }
 
     #[test]
@@ -1212,6 +1328,33 @@ mod tests {
         }
     }
 
+    /// The transcript cases: (|A|, d_planned, d_actual, seed, layers).
+    /// Bob's set is Alice's without its first `d_actual` elements.
+    const TRANSCRIPT_CASES: [(usize, usize, usize, u64, u32); 15] = [
+        (1000, 5, 300, 21, 1),
+        (50, 1, 0, 0x01, 1),
+        (64, 11, 1, 0xD1CE, 1),
+        (97, 3, 40, 0xFEED_FACE, 1),
+        (130, 7, 7, 0x1234_5678_9ABC_DEF0, 1),
+        (180, 1, 79, u64::MAX, 1),
+        (222, 12, 60, 0x0BAD_5EED, 1),
+        (260, 2, 25, 42, 1),
+        (301, 9, 3, 0x7777, 1),
+        (350, 4, 70, 0xA5A5_A5A5, 1),
+        (399, 6, 12, 7, 1),
+        (399, 1, 50, 8, 1),
+        (1000, 5, 300, 21, 3),
+        (2000, 60, 60, 0x51, 2),
+        (350, 4, 70, 0xA5A5_A5A5, 4),
+    ];
+
+    /// Alice's set of a transcript case.
+    fn transcript_set(size: usize) -> Vec<u64> {
+        (1..=size as u64)
+            .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 | 1)
+            .collect()
+    }
+
     #[test]
     fn batched_decode_matches_reference_transcripts() {
         // Drive three Bobs — the batched path over his own
@@ -1223,31 +1366,11 @@ mod tests {
         // and forced decode failures with §3.2 splits (`d_actual` ≫
         // `d_planned`); more than one layer a trip brings in the batch
         // rules — `c(B_i)` once per session, on its first decoded layer.
-        // (|A|, d_planned, d_actual, seed, layers)
-        let cases: [(usize, usize, usize, u64, u32); 15] = [
-            (1000, 5, 300, 21, 1),
-            (50, 1, 0, 0x01, 1),
-            (64, 11, 1, 0xD1CE, 1),
-            (97, 3, 40, 0xFEED_FACE, 1),
-            (130, 7, 7, 0x1234_5678_9ABC_DEF0, 1),
-            (180, 1, 79, u64::MAX, 1),
-            (222, 12, 60, 0x0BAD_5EED, 1),
-            (260, 2, 25, 42, 1),
-            (301, 9, 3, 0x7777, 1),
-            (350, 4, 70, 0xA5A5_A5A5, 1),
-            (399, 6, 12, 7, 1),
-            (399, 1, 50, 8, 1),
-            (1000, 5, 300, 21, 3),
-            (2000, 60, 60, 0x51, 2),
-            (350, 4, 70, 0xA5A5_A5A5, 4),
-        ];
-        let mut repeats_stripped = 0;
-        for (size, d_planned, d_actual, seed, layers) in cases {
+        let (mut repeats_stripped, mut mirrored) = (0, 0);
+        for (size, d_planned, d_actual, seed, layers) in TRANSCRIPT_CASES {
             let case = format!("case ({size}, {d_planned}, {d_actual}, {seed:#x}, {layers})");
             let (cfg, params) = params_for(d_planned);
-            let alice: Vec<u64> = (1..=size as u64)
-                .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 | 1)
-                .collect();
+            let alice = transcript_set(size);
             let bob = &alice[d_actual..];
             let mut a_fast = AliceSession::new(cfg, params, &alice, seed);
             let mut a_ref = AliceSession::new(cfg, params, &alice, seed);
@@ -1294,7 +1417,8 @@ mod tests {
                     .collect();
                 answers.sort_unstable();
                 assert!(answers.windows(2).all(|w| w[0] != w[1]), "{case}: r{round}");
-                let status = a_fast.apply_reports(&reports_fast);
+                let (status, reads) = apply_checked(&mut a_fast, &reports_fast);
+                mirrored += reads;
                 a_ref.apply_reports(&reports_ref);
                 if status.all_verified {
                     break;
@@ -1306,6 +1430,8 @@ mod tests {
             assert_eq!(fast, a_ref.into_recovered(), "{case}");
         }
         assert!(repeats_stripped > 100, "only {repeats_stripped} repeats");
+        println!("{mirrored} layers read bin bytes mirrored through an edit");
+        assert!(mirrored > 0);
     }
 
     fn sorted(mut v: Vec<u64>) -> Vec<u64> {
@@ -1313,8 +1439,84 @@ mod tests {
         v
     }
 
+    /// Drive a pair to completion, `layers` a trip, folding every sketch
+    /// batch, every report batch and the recovered set into `digest`. The
+    /// passes are held to their oracles on the way; they read, never
+    /// write, what is folded.
+    fn digest_run(
+        digest: &mut u64,
+        (cfg, params): (PbsConfig, OptimalParams),
+        alice: &[u64],
+        bob: &[u64],
+        seed: u64,
+        layers: u32,
+    ) -> Vec<u64> {
+        let mut fold = |bytes: &[u8]| *digest = xhash::xxhash64(bytes, *digest);
+        let mut a = AliceSession::new(cfg, params, alice, seed);
+        let mut b = BobSession::new(cfg, params, bob, seed);
+        for _ in 0..24 {
+            let sketches = start_checked(&mut a, layers);
+            fold(&crate::wire::encode_sketches(&sketches, params.m));
+            let reports = b.handle_sketches(&sketches);
+            fold(&crate::wire::encode_reports(&reports));
+            if apply_checked(&mut a, &reports).0.all_verified {
+                break;
+            }
+        }
+        assert!(a.all_verified(), "did not converge");
+        let recovered = a.into_recovered();
+        let bytes: Vec<u8> = recovered.iter().flat_map(|e| e.to_le_bytes()).collect();
+        fold(&bytes);
+        recovered
+    }
+
+    #[test]
+    fn transcripts_digest_to_their_pinned_value() {
+        // No byte moves: what a session emits is a pure function of the
+        // two sets and the seed, so the transcripts of a fixed grid fold
+        // to one value. The grid: the transcript cases above, and the
+        // plans `Pbs::reconcile` picks at d = 10, 10³, 10⁴ (two-sided
+        // differences over 2·10⁴ elements), each driven at one and at
+        // three layers a trip. A change that moves a byte moves the
+        // digest.
+        let mut digest = 0u64;
+        for (size, d_planned, d_actual, seed, layers) in TRANSCRIPT_CASES {
+            let alice = transcript_set(size);
+            let recovered = digest_run(
+                &mut digest,
+                params_for(d_planned),
+                &alice,
+                &alice[d_actual..],
+                seed,
+                layers,
+            );
+            assert_eq!(recovered, sorted(alice[..d_actual].to_vec()));
+        }
+        let all = transcript_set(30_000);
+        for (d, seed) in [(10, 0xD10), (1_000, 0xD1000), (10_000, 0xD10000)] {
+            let (alice, bob) = (&all[..20_000], &all[d / 2..20_000 + d / 2]);
+            let cfg = PbsConfig::default();
+            let report = Pbs::new(cfg).reconcile(alice, bob, seed);
+            let bytes: Vec<u8> = report
+                .outcome
+                .recovered
+                .iter()
+                .flat_map(|e| e.to_le_bytes())
+                .collect();
+            digest = xhash::xxhash64(&bytes, digest);
+            for layers in [1, 3] {
+                let recovered =
+                    digest_run(&mut digest, (cfg, report.params), alice, bob, seed, layers);
+                assert_eq!(recovered.len(), d, "d = {d}, {layers} layers");
+            }
+        }
+        assert_eq!(digest, 0x8982_ca74_7371_3d08, "{digest:#018x}");
+    }
+
     /// Drive a pair of sessions to completion with `layers` pipelined
     /// rounds per trip; returns (recovered, round_trips, protocol_rounds).
+    /// With more than one layer a trip, some layer must have read bin
+    /// bytes mirrored through an earlier layer's edit.
     fn run_pipelined(
         cfg: PbsConfig,
         params: OptimalParams,
@@ -1325,14 +1527,16 @@ mod tests {
     ) -> (Vec<u64>, u32, u32) {
         let mut a = AliceSession::new(cfg, params, alice, seed);
         let mut b = BobSession::new(cfg, params, bob, seed);
-        let mut trips = 0;
+        let (mut trips, mut mirrored) = (0, 0);
         while !a.all_verified() && trips < 40 {
             let sketches = start_checked(&mut a, layers);
             let reports = b.handle_sketches(&sketches);
-            a.apply_reports(&reports);
+            mirrored += apply_checked(&mut a, &reports).1;
             trips += 1;
         }
         assert!(a.all_verified(), "pipelined run did not converge");
+        println!("{layers} layers a trip: {mirrored} layers read mirrored bin bytes");
+        assert!(layers == 1 || mirrored > 0);
         assert_eq!(a.round_trips(), trips);
         let rounds = a.round();
         (a.into_recovered(), trips, rounds)
@@ -1615,7 +1819,7 @@ mod tests {
         after.push(shared);
         assert_eq!(sorted(group.elements.to_vec()), sorted(after.clone()));
         assert_eq!(
-            group.checksum.value(),
+            group.checksum & universe_mask(cfg.universe_bits),
             xhash::element_checksum(cfg.universe_bits, after)
         );
         let (recovered, hers) = a.into_recovered_and_mine();
@@ -1628,12 +1832,22 @@ mod tests {
         // One scratch a session, alive across trips: a pipelined first
         // trip, then one layer a trip to the end. Groups lost in their
         // bitmap (cleared bin by bin) and groups that fill it (cleared by a
-        // sweep), decodes that succeed and — the last case — groups that
-        // fail and split on the first two trips, so a later trip runs on
-        // what a failed decode left behind. The oracle builds its state
-        // fresh per group.
+        // sweep), decodes that succeed — at d = 34 one that leaves a group
+        // unverified, so the trip's later layers read bin bytes mirrored
+        // through its edits — and, the last case, groups that fail and
+        // split on the first two trips, so a later trip runs on what a
+        // failed decode left behind. The oracle builds its state fresh per
+        // group.
         // (|A|, d planned, d actual)
-        for (size, d_planned, d_actual) in [(6u64, 1, 2), (40, 2, 3), (900, 5, 4), (900, 2, 80)] {
+        let mut mirrored = 0;
+        let cases = [
+            (6u64, 1, 2),
+            (40, 2, 3),
+            (900, 5, 4),
+            (3000, 30, 34),
+            (900, 2, 80),
+        ];
+        for (size, d_planned, d_actual) in cases {
             let (cfg, params) = params_for(d_planned);
             let alice: Vec<u64> = (1..=size).map(|x| x * 7919).collect();
             let bob = &alice[d_actual..];
@@ -1660,7 +1874,7 @@ mod tests {
                     "{case}"
                 );
                 splits_by_trip.push((b.session_count() - sessions) / 2);
-                a.apply_reports(&reports);
+                mirrored += apply_checked(&mut a, &reports).1;
                 assert!(clean(&a.scratch), "Alice's apply, {case}");
             }
             assert_eq!(
@@ -1677,6 +1891,8 @@ mod tests {
                 assert!(splits_by_trip.iter().all(|&splits| splits == 0));
             }
         }
+        println!("{mirrored} layers read bin bytes mirrored through an edit");
+        assert!(mirrored > 0);
     }
 
     #[test]

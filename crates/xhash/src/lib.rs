@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use xhash::{derive_seed, xxhash64, PartitionHasher, SetChecksum};
+//! use xhash::{derive_seed, element_checksum, xxhash64, PartitionHasher};
 //!
 //! // Deterministic, label-separated seed derivation.
 //! assert_eq!(xxhash64(b"pbs", 1), xxhash64(b"pbs", 1));
@@ -30,12 +30,8 @@
 //! let hasher = PartitionHasher::new(127, 42);
 //! assert!((1..=127).contains(&hasher.position(1234)));
 //!
-//! // Incrementally maintained additive set checksum.
-//! let mut c = SetChecksum::new(32);
-//! c.add(5);
-//! c.add(9);
-//! c.remove(5);
-//! assert_eq!(c.value(), xhash::element_checksum(32, [9]));
+//! // The additive set checksum, modulo the universe.
+//! assert_eq!(element_checksum(32, [0xFFFF_FFFF, 9]), 8);
 //! ```
 
 #![warn(missing_docs)]
@@ -48,59 +44,18 @@ pub use partition::PartitionHasher;
 pub use sign::SignHasher;
 pub use xx::{xxhash64, xxhash64_u64};
 
-/// The set checksum `c(S)` of §2.2.3: the sum of all elements viewed as
-/// integers, modulo `2^universe_bits` (i.e. modulo `|U|`).
-///
-/// The checksum of a set is `log|U|` bits long — the same length as one
-/// element — and can be updated incrementally as elements are added or
-/// removed (`add` to insert, `remove` to delete).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SetChecksum {
-    value: u64,
-    mask: u64,
-}
-
-impl SetChecksum {
-    /// Create a zero checksum for a universe of `universe_bits`-bit elements.
-    pub fn new(universe_bits: u32) -> Self {
-        assert!(
-            (1..=64).contains(&universe_bits),
-            "universe_bits must be in 1..=64"
-        );
-        let mask = if universe_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << universe_bits) - 1
-        };
-        SetChecksum { value: 0, mask }
-    }
-
-    /// Add an element to the checksummed set.
-    #[inline]
-    pub fn add(&mut self, element: u64) {
-        self.value = self.value.wrapping_add(element) & self.mask;
-    }
-
-    /// Remove an element from the checksummed set.
-    #[inline]
-    pub fn remove(&mut self, element: u64) {
-        self.value = self.value.wrapping_sub(element) & self.mask;
-    }
-
-    /// Current checksum value.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
-
-/// Compute the checksum of a full set in one pass.
+/// The set checksum `c(S)` of §2.2.3 in one pass: the sum of all elements
+/// viewed as integers, modulo `2^universe_bits` (i.e. modulo `|U|`) — a
+/// `log|U|`-bit value, the length of one element.
 pub fn element_checksum(universe_bits: u32, elements: impl IntoIterator<Item = u64>) -> u64 {
-    let mut c = SetChecksum::new(universe_bits);
-    for e in elements {
-        c.add(e);
-    }
-    c.value()
+    assert!(
+        (1..=64).contains(&universe_bits),
+        "universe_bits must be in 1..=64"
+    );
+    let mask = u64::MAX >> (64 - universe_bits);
+    elements
+        .into_iter()
+        .fold(0, |sum, e| sum.wrapping_add(e) & mask)
 }
 
 /// Derive a fresh 64-bit seed from a base seed and a label. Used to obtain
@@ -114,19 +69,6 @@ pub fn derive_seed(base: u64, label: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checksum_add_remove_round_trip() {
-        let mut c = SetChecksum::new(32);
-        c.add(10);
-        c.add(0xFFFF_FFFF);
-        c.add(7);
-        let v = c.value();
-        c.add(99);
-        c.remove(99);
-        assert_eq!(c.value(), v);
-        assert!(c.value() < 1u64 << 32);
-    }
 
     #[test]
     fn checksum_equals_sum_mod_universe() {
@@ -144,10 +86,7 @@ mod tests {
 
     #[test]
     fn checksum_64_bit_universe() {
-        let mut c = SetChecksum::new(64);
-        c.add(u64::MAX);
-        c.add(1);
-        assert_eq!(c.value(), 0);
+        assert_eq!(element_checksum(64, [u64::MAX, 1]), 0);
     }
 
     #[test]
@@ -163,6 +102,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "universe_bits must be in 1..=64")]
     fn checksum_rejects_zero_bits() {
-        SetChecksum::new(0);
+        element_checksum(0, [1]);
     }
 }
