@@ -440,8 +440,9 @@ mod tests {
         assert!(report.outcome.matches(&symmetric_difference(&a, &b)));
     }
 
-    /// A one-round plan — `Hello::config` accepts `target_rounds = 1` from
-    /// any peer — is where `bch`'s paths without a column table run: at
+    /// A one-round plan — the in-process scheme's to make; the service
+    /// plans the paper's r = 3, at m ≤ 10 — is where `bch`'s paths without
+    /// a column table run: at
     /// d = 100 a field with log tables whose `n·t` outgrows the column
     /// table (ladder + closed forms and the deflating Chien scan), at
     /// d = 300 a field without log tables (Barrett + ladder + trace

@@ -4,7 +4,6 @@
 use crate::session::group_seed;
 use crate::ESTIMATOR_SEED_SALT;
 use estimator::{Estimator, TowEstimator};
-use std::borrow::Cow;
 use std::ops::Range;
 use xhash::{derive_seed, xxhash64_u64, PartitionHasher};
 
@@ -172,16 +171,10 @@ impl SetView {
         &self.elements
     }
 
-    /// The set's ToW bank of `sketches` sketches under this view's seed:
-    /// the one kept with the view when it has that many — O(1) — and one
-    /// computed from the elements otherwise.
-    pub fn bank(&self, sketches: usize) -> Cow<'_, TowEstimator> {
-        if self.bank.sketch_count() == sketches {
-            return Cow::Borrowed(&self.bank);
-        }
-        let mut bank = TowEstimator::new(sketches, self.bank.seed());
-        bank.insert_slice(&self.elements);
-        Cow::Owned(bank)
+    /// The set's ToW bank under this view's seed, kept with the view: the
+    /// one bank every session that reads the view estimates against.
+    pub fn bank(&self) -> &TowEstimator {
+        &self.bank
     }
 
     /// The `groups` parts of the §3 group partition, as index ranges into
@@ -239,7 +232,7 @@ mod tests {
         /// the set the stream leaves; and for group counts from 1 to past
         /// the set's length its ranges hold what
         /// `PartitionHasher::partition` puts in each part, its bank is
-        /// `insert_slice` over the set at either sketch count.
+        /// `insert_slice` over the set.
         #[test]
         fn a_patched_view_is_the_cold_built_view(
             initial in prop::collection::vec(
@@ -298,12 +291,9 @@ mod tests {
             }
             prop_assert_eq!(next, view.len());
 
-            for count in [sketches, 7] {
-                let mut bank =
-                    TowEstimator::new(count, derive_seed(seed, ESTIMATOR_SEED_SALT));
-                bank.insert_slice(&held);
-                prop_assert_eq!(&*view.bank(count), &bank);
-            }
+            let mut bank = TowEstimator::new(sketches, derive_seed(seed, ESTIMATOR_SEED_SALT));
+            bank.insert_slice(&held);
+            prop_assert_eq!(view.bank(), &bank);
         }
     }
 }

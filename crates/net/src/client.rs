@@ -90,7 +90,11 @@ pub enum Pipeline {
 pub struct ClientConfig {
     /// Socket/framing knobs.
     pub transport: TransportConfig,
-    /// The PBS configuration proposed in the handshake.
+    /// The session's plan. The `Hello` carries only its `universe_bits`;
+    /// the server plans every session with the service plan of that
+    /// universe (δ = 5, r = 3, p₀ = 0.99, 128 ToW sketches, the rounds
+    /// uncapped), and [`ClientMachine::new`](crate::ClientMachine::new)
+    /// refuses a plan whose other fields differ from it.
     pub pbs: PbsConfig,
     /// Difference cardinality known a priori; `None` runs the ToW
     /// estimator exchange.
@@ -138,7 +142,7 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             transport: TransportConfig::default(),
-            pbs: PbsConfig::default().unlimited_rounds(),
+            pbs: crate::frame::service_plan(32),
             known_d: None,
             seed: 0x9E37_79B9,
             round_cap: 32,

@@ -855,7 +855,7 @@ mod tests {
     /// session.
     #[test]
     fn every_other_protocol_version_is_refused_by_name() {
-        for version in [0u16, 1, 3, 4, 5, 7, u16::MAX] {
+        for version in [0u16, 1, 3, 4, 5, 6, 8, u16::MAX] {
             for v1_shaped in [false, true] {
                 let mut hello = Hello::from_config(&PbsConfig::default(), 1, 1);
                 hello.version = version;

@@ -25,19 +25,11 @@ use std::io::{Read, Write};
 /// ([`FrameError::Version`], answered with [`ErrorCode::Version`]) before
 /// any later field is read.
 ///
-/// Version 6 keeps every byte of version 5 where it was; what changed is
-/// who decides the seed. The `seed` field of the `Hello` *reply* is
-/// authoritative — a server whose store keeps a view of its set laid out
-/// under a seed answers with that one — and a v5 client, which ran under
-/// its own proposal whatever the reply said, must be turned away here
-/// rather than at its estimator bank.
-pub const PROTOCOL_VERSION: u16 = 6;
-
-/// Largest δ a `Hello` may ask for ([`Hello::config`]).
-const MAX_HELLO_DELTA: u32 = 24;
-
-/// Largest target round count a `Hello` may ask for.
-const MAX_HELLO_TARGET_ROUNDS: u32 = 16;
+/// Version 7 drops the five plan fields a v6 `Hello` carried (δ, target
+/// and maximum rounds, p₀, the ToW sketch count): every session runs the
+/// service plan of its universe ([`Hello::config`]), so a peer has no plan
+/// to propose. The seed stays the reply's to name, as in v6.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Largest store name (in bytes) a `Hello` may carry or a server accepts.
 pub(crate) const MAX_STORE_NAME: usize = 64;
@@ -210,12 +202,13 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// The handshake frame both parties open with. The client proposes the
-/// full reconciliation configuration; the server echoes it with the store
-/// it routed to, the pipeline depth it grants and the seed the session
-/// runs under (or answers with [`Frame::Error`]). Carrying the whole
-/// [`PbsConfig`] plus the seed means the two state machines derive every
-/// hash function identically without any further agreement.
+/// The handshake frame both parties open with. The client names the
+/// universe, proposes a seed and addresses a store; the server echoes it
+/// with the store it routed to, the pipeline depth it grants and the seed
+/// the session runs under (or answers with [`Frame::Error`]). The plan is
+/// no field: both state machines run the service plan of the universe
+/// ([`Hello::config`]), so with the seed they derive every hash function
+/// identically without any further agreement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
     /// Always [`PROTOCOL_VERSION`] in a `Hello` that decoded; the encoder
@@ -223,16 +216,6 @@ pub struct Hello {
     pub version: u16,
     /// `log|U|`, the element signature width.
     pub universe_bits: u8,
-    /// δ, average distinct elements per group.
-    pub delta: u32,
-    /// Target round count for the parameter optimizer.
-    pub target_rounds: u32,
-    /// Hard cap on executed rounds the client intends to respect.
-    pub max_rounds: u32,
-    /// Target overall success probability `p0`.
-    pub target_success: f64,
-    /// Number of ToW sketches used when `d` must be estimated.
-    pub estimator_sketches: u32,
     /// Base seed every hash function on both sides derives from. The
     /// client proposes one; the reply's is authoritative — the seed of the
     /// store's view where it keeps one ([`crate::SetStore::session_seed`]),
@@ -260,17 +243,13 @@ pub struct Hello {
 }
 
 impl Hello {
-    /// Build the client's opening `Hello` from a [`PbsConfig`], addressing
-    /// the default store with unpipelined rounds.
+    /// Build the client's opening `Hello` for `cfg`'s universe (the one
+    /// field of a [`PbsConfig`] the wire carries), addressing the default
+    /// store with unpipelined rounds.
     pub fn from_config(cfg: &PbsConfig, seed: u64, known_d: u64) -> Self {
         Hello {
             version: PROTOCOL_VERSION,
             universe_bits: cfg.universe_bits as u8,
-            delta: cfg.delta as u32,
-            target_rounds: cfg.target_rounds,
-            max_rounds: cfg.max_rounds,
-            target_success: cfg.target_success,
-            estimator_sketches: cfg.estimator_sketches as u32,
             seed,
             known_d,
             store: String::new(),
@@ -298,19 +277,11 @@ impl Hello {
         self
     }
 
-    /// `true` when `other` carries the same six [`PbsConfig`] fields — what
-    /// a reply must leave as the client sent them.
-    pub(crate) fn same_parameters(&self, other: &Hello) -> bool {
-        let parameters = |h: &Hello| {
-            let rounds = (h.target_rounds, h.max_rounds, h.target_success.to_bits());
-            (h.universe_bits, h.delta, rounds, h.estimator_sketches)
-        };
-        parameters(self) == parameters(other)
-    }
-
-    /// Reconstruct the [`PbsConfig`] both parties must instantiate.
-    /// Rejects values outside the ranges [`PbsConfig`]'s setters enforce,
-    /// so a hostile handshake cannot reach the panicking constructors.
+    /// The [`PbsConfig`] both parties run the session under: the service
+    /// plan of the `Hello`'s universe — the paper's δ = 5, r = 3,
+    /// p₀ = 0.99 and 128 ToW sketches, the rounds uncapped. Rejects a
+    /// universe outside 8..=64, so a hostile handshake cannot reach the
+    /// panicking constructors.
     pub fn config(&self) -> Result<PbsConfig, String> {
         if !(8..=64).contains(&(self.universe_bits as u32)) {
             return Err(format!(
@@ -318,50 +289,18 @@ impl Hello {
                 self.universe_bits
             ));
         }
-        // δ and the target round count size the parameter search both
-        // ends run inline (`Pbs::plan`): its table has 15·(3δ + 1) cells of
-        // O(δ²) work each, over matrices of O(δ³), iterated r times. At
-        // these limits a first plan costs ~20 ms (docs/WIRE.md); the paper
-        // fixes δ = 5 and finds nothing to gain beyond r = 4.
-        if !(1..=MAX_HELLO_DELTA).contains(&self.delta) {
-            return Err(format!(
-                "delta {} outside 1..={MAX_HELLO_DELTA}",
-                self.delta
-            ));
-        }
-        if !(1..=MAX_HELLO_TARGET_ROUNDS).contains(&self.target_rounds) {
-            return Err(format!(
-                "target_rounds {} outside 1..={MAX_HELLO_TARGET_ROUNDS}",
-                self.target_rounds
-            ));
-        }
-        // The estimator exchange costs O(|B| · sketches) hashing on the
-        // server, inside one request — an unbounded count would let a
-        // single cheap connection pin a worker for minutes. The paper uses
-        // 128 sketches; 4096 is far beyond any useful accuracy.
-        if !(1..=4096).contains(&self.estimator_sketches) {
-            return Err(format!(
-                "estimator_sketches {} outside 1..=4096",
-                self.estimator_sketches
-            ));
-        }
-        if !(self.target_success.is_finite() && (0.0..1.0).contains(&self.target_success)) {
-            return Err(format!(
-                "target_success {} not in [0, 1)",
-                self.target_success
-            ));
-        }
-        if self.max_rounds == 0 {
-            return Err("max_rounds must be at least 1".into());
-        }
-        Ok(PbsConfig {
-            universe_bits: self.universe_bits as u32,
-            delta: self.delta as usize,
-            target_rounds: self.target_rounds,
-            target_success: self.target_success,
-            max_rounds: self.max_rounds,
-            estimator_sketches: self.estimator_sketches as usize,
-        })
+        Ok(service_plan(self.universe_bits as u32))
+    }
+}
+
+/// The one plan of the service: the paper's δ = 5, r = 3, p₀ = 0.99 and
+/// 128 ToW sketches (§5–§6) over the session's universe, every group let
+/// run to completion. Both machines plan with it; a client configured
+/// with any other plan is refused before it sends anything.
+pub(crate) fn service_plan(universe_bits: u32) -> PbsConfig {
+    PbsConfig {
+        universe_bits,
+        ..PbsConfig::default().unlimited_rounds()
     }
 }
 
@@ -548,11 +487,6 @@ impl Frame {
                 out.extend_from_slice(&HELLO_MAGIC.to_le_bytes());
                 out.extend_from_slice(&h.version.to_le_bytes());
                 out.push(h.universe_bits);
-                out.extend_from_slice(&h.delta.to_le_bytes());
-                out.extend_from_slice(&h.target_rounds.to_le_bytes());
-                out.extend_from_slice(&h.max_rounds.to_le_bytes());
-                out.extend_from_slice(&h.target_success.to_bits().to_le_bytes());
-                out.extend_from_slice(&h.estimator_sketches.to_le_bytes());
                 out.extend_from_slice(&h.seed.to_le_bytes());
                 out.extend_from_slice(&h.known_d.to_le_bytes());
                 let name = &h.store.as_bytes()[..h.store.len().min(MAX_STORE_NAME)];
@@ -640,11 +574,6 @@ impl Frame {
                 let mut hello = Hello {
                     version,
                     universe_bits: take_u8(&mut buf)?,
-                    delta: take_u32(&mut buf)?,
-                    target_rounds: take_u32(&mut buf)?,
-                    max_rounds: take_u32(&mut buf)?,
-                    target_success: f64::from_bits(take_u64(&mut buf)?),
-                    estimator_sketches: take_u32(&mut buf)?,
                     seed: take_u64(&mut buf)?,
                     known_d: take_u64(&mut buf)?,
                     store: String::new(),
@@ -869,7 +798,7 @@ mod tests {
         let Frame::Hello(h) = back else {
             unreachable!()
         };
-        assert_eq!(h.config().unwrap(), PbsConfig::default());
+        assert_eq!(h.config().unwrap(), service_plan(32));
         assert_eq!(h.store, "blocks");
         assert_eq!(h.pipeline, 3);
         assert_eq!(h.delta_epoch, Some(77));
@@ -877,7 +806,7 @@ mod tests {
 
     #[test]
     fn wrong_version_hellos_are_refused_before_any_later_field() {
-        for version in [0, 1, 2, 3, 4, 5, 7, u16::MAX] {
+        for version in [0, 1, 2, 3, 4, 5, 6, 8, u16::MAX] {
             let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0);
             hello.version = version;
             let body = Frame::Hello(hello).encode_body();
@@ -965,33 +894,60 @@ mod tests {
     }
 
     #[test]
-    fn hello_config_validation_rejects_hostile_values() {
-        let mut h = Hello::from_config(&PbsConfig::default(), 1, 0);
-        h.delta = 0;
-        assert!(h.config().is_err());
-        let mut h2 = Hello::from_config(&PbsConfig::default(), 1, 0);
-        h2.universe_bits = 70;
-        assert!(h2.config().is_err());
-        let mut h3 = Hello::from_config(&PbsConfig::default(), 1, 0);
-        h3.target_success = f64::NAN;
-        assert!(h3.config().is_err());
-        // The planner's inputs are bounded on both sides, and the refusal
-        // names the field.
-        for (delta, target_rounds, field) in [
-            (MAX_HELLO_DELTA + 1, 3, "delta"),
-            (u32::MAX, 3, "delta"),
-            (5, 0, "target_rounds"),
-            (5, MAX_HELLO_TARGET_ROUNDS + 1, "target_rounds"),
-            (5, u32::MAX, "target_rounds"),
-        ] {
+    fn hello_config_validation_rejects_hostile_universes() {
+        for (bits, admitted) in [(0, false), (7, false), (8, true), (64, true), (65, false)] {
             let mut h = Hello::from_config(&PbsConfig::default(), 1, 0);
-            (h.delta, h.target_rounds) = (delta, target_rounds);
-            let refusal = h.config().unwrap_err();
-            assert!(refusal.starts_with(field), "{refusal}");
+            h.universe_bits = bits;
+            match h.config() {
+                Ok(plan) => assert!(admitted && plan == service_plan(bits as u32), "{bits}"),
+                Err(refusal) => assert!(!admitted && refusal.starts_with("universe_bits")),
+            }
         }
-        let mut limit = Hello::from_config(&PbsConfig::default(), 1, 0);
-        (limit.delta, limit.target_rounds) = (MAX_HELLO_DELTA, MAX_HELLO_TARGET_ROUNDS);
-        assert!(limit.config().is_ok());
+    }
+
+    /// Every `d` a server admits plans a field with log tables (m ≤ 16):
+    /// on a 1/64-octave grid up to `ServerConfig::default().max_d`, the
+    /// service never reaches Barrett reduction or trace root finding,
+    /// which only `pbs_core`'s own plans and PinSketch run.
+    #[test]
+    fn the_service_plan_stays_on_table_backed_fields() {
+        let max_d = crate::ServerConfig::default().max_d;
+        let pbs = pbs_core::Pbs::new(service_plan(32));
+        let steps = (64.0 * (max_d as f64).log2()).ceil() as i32;
+        let mut grid: Vec<u64> = (0..=steps)
+            .map(|k| (2f64.powf(k as f64 / 64.0).round() as u64).min(max_d))
+            .collect();
+        grid.dedup();
+        assert_eq!(grid.last(), Some(&max_d));
+        for d in grid {
+            let m = pbs.plan(d as usize).m;
+            assert!(m <= 16, "d = {d} plans m = {m}");
+        }
+    }
+
+    /// A v7 `Hello` is the v6 one less its five plan fields — δ, target
+    /// and maximum rounds, the sketch count (four bytes each) and p₀
+    /// (eight): 24 bytes shorter, each field of the rest where v6 kept it.
+    #[test]
+    fn a_v7_hello_is_24_bytes_shorter_than_a_v6_one() {
+        // The opening `Hello` of a default client in v6, length prefix
+        // and CRC included (no store name, no epoch).
+        const V6: &str = "33000000bcf0018d01504253310600200500000003000000ffffffffae47e17a14aeef3f\
+                          80000000efcdab89674523010000000000000000000100";
+        let v6 = (0..V6.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V6[i..i + 2], 16).unwrap())
+            .collect::<Vec<u8>>();
+        let hello = Hello::from_config(&PbsConfig::default(), 0x0123_4567_89AB_CDEF, 0);
+        let mut v7 = Vec::new();
+        write_frame(&mut v7, &Frame::Hello(hello), DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(v6.len() - v7.len(), 24);
+        // Type and magic, then the version (6 → 7) and the universe; the
+        // plan's 24 bytes out, the seed onward as before.
+        assert_eq!(v7[8..13], v6[8..13]);
+        assert_eq!((v6[13], v7[13]), (6, 7));
+        assert_eq!(v7[15], v6[15]);
+        assert_eq!(v7[16..], v6[16 + 24..]);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! [`on_frame`]: ClientMachine::on_frame
 
 use crate::client::{ClientConfig, Pipeline, SyncReport};
-use crate::frame::{delta_element_width, EstimatorMsg, Frame, Hello, DONE_HEADER, MAX_STORE_NAME};
+use crate::frame::{
+    delta_element_width, service_plan, EstimatorMsg, Frame, Hello, DONE_HEADER, MAX_STORE_NAME,
+};
 use crate::NetError;
 use estimator::{Estimator, TowEstimator};
 use pbs_core::{AliceSession, Pbs, ESTIMATOR_SEED_SALT};
@@ -284,6 +286,26 @@ impl<'a> ClientMachine<'a> {
             )));
         }
 
+        // The server plans every session with the service plan of the
+        // universe the `Hello` names; a client that planned with another
+        // would sketch at a shape the server refuses, or verify nothing.
+        let (pbs, plan) = (&config.pbs, service_plan(config.pbs.universe_bits));
+        let fields = [
+            ("delta", pbs.delta == plan.delta),
+            ("target_rounds", pbs.target_rounds == plan.target_rounds),
+            ("target_success", pbs.target_success == plan.target_success),
+            ("max_rounds", pbs.max_rounds == plan.max_rounds),
+            (
+                "estimator_sketches",
+                pbs.estimator_sketches == plan.estimator_sketches,
+            ),
+        ];
+        if let Some((field, _)) = fields.iter().find(|(_, same)| !same) {
+            return Err(NetError::Protocol(format!(
+                "pbs.{field} differs from the service plan the server runs"
+            )));
+        }
+
         let mut config = config.clone();
         // `known_d == 0` means "estimate" on the wire, so a caller's
         // `Some(0)` must not desynchronize the two state machines:
@@ -363,12 +385,13 @@ impl<'a> ClientMachine<'a> {
             (State::AwaitHello, Frame::Hello(reply)) => {
                 // The reply is obeyed from here on, so it is held to what
                 // was asked: the server may route, grant a depth and name
-                // the seed — the reconciliation parameters are the ones
-                // this side proposed, or the two would plan apart.
-                if !reply.same_parameters(&Hello::from_config(&self.config.pbs, 0, 0)) {
-                    return Err(NetError::Protocol(
-                        "the Hello reply changed the reconciliation parameters it was sent".into(),
-                    ));
+                // the seed — the universe is the one this side sent, or the
+                // two would plan apart.
+                if reply.universe_bits as u32 != self.config.pbs.universe_bits {
+                    return Err(NetError::Protocol(format!(
+                        "the Hello reply changed the universe it was sent ({} bits)",
+                        self.config.pbs.universe_bits
+                    )));
                 }
                 // The seed is the store's to decide: a server that keeps a
                 // view of its set laid out under one names it here. Every
@@ -884,9 +907,9 @@ mod tests {
 
     /// docs/WIRE.md's worked delta example, through `Duet`: a catch-up of
     /// 50 changes (25 added, 25 removed) to a 10⁵-element store since the
-    /// client's epoch 0 is 377 B on the wire, of which the stream — its
+    /// client's epoch 0 is 329 B on the wire, of which the stream — its
     /// `DeltaBatch` frames and the `DeltaDone` — is 243 B, O(|changes|);
-    /// under 2/5 of the 971 B the full d = 50 reconciliation of the same
+    /// under 2/5 of the 923 B the full d = 50 reconciliation of the same
     /// difference costs on the same seed. No round runs and no estimator
     /// is exchanged.
     #[test]
@@ -922,7 +945,7 @@ mod tests {
             })
             .map(|(_, used)| used)
             .sum();
-        assert_eq!((session, stream), (377, 243));
+        assert_eq!((session, stream), (329, 243));
         assert!(stream <= 64 + 8 * changes, "a stream of {stream} B");
         let stats = peer.res.stats.snapshot();
         assert_eq!(
@@ -940,7 +963,7 @@ mod tests {
         let (up, down, full) = Duet::over(fresh).transcript(&cfg, baseline, Mode::Full);
         assert!(full.verified && full.recovered.len() == changes as usize);
         let full_bytes = (up.len() + down.len()) as u64;
-        assert_eq!(full_bytes, 971);
+        assert_eq!(full_bytes, 923);
         assert!(session * 5 < full_bytes * 2);
     }
 
@@ -1238,6 +1261,10 @@ mod tests {
             Mode::Full,
             "client cap",
         );
+        // A plan of its own: the server would plan apart.
+        let mut own_plan = config();
+        own_plan.pbs.delta = 8;
+        refused(own_plan, vec![1], Mode::Full, "delta");
         let long = "s".repeat(MAX_STORE_NAME + 1);
         for mode in [Mode::Full, Mode::Subscribe { since: 0 }] {
             refused(
@@ -1255,25 +1282,17 @@ mod tests {
     #[test]
     fn hostile_replies_are_refused() {
         // A Hello reply that rewrites what it was sent. The reply's seed is
-        // obeyed, so the rest of it is checked: each reconciliation
-        // parameter changed is a typed refusal, before anything is hashed.
-        type Rewrite = fn(&mut Hello);
-        let rewrites: [Rewrite; 6] = [
-            |h| h.universe_bits = 64,
-            |h| h.delta += 1,
-            |h| h.target_rounds += 1,
-            |h| h.max_rounds -= 1,
-            |h| h.target_success = 0.5,
-            |h| h.estimator_sketches = 4096,
-        ];
-        for rewrite in rewrites {
+        // obeyed, so the rest of it is checked: a changed universe — the
+        // one input of the plan — is a typed refusal, before anything is
+        // hashed.
+        for universe_bits in [31, 64] {
             let mut machine = ClientMachine::new(&config(), keys(50, 1), Mode::Full).unwrap();
             let Some(Frame::Hello(mut reply)) = machine.poll_send().unwrap() else {
                 panic!("opens with a Hello")
             };
-            rewrite(&mut reply);
+            reply.universe_bits = universe_bits;
             match machine.on_frame(Frame::Hello(reply)) {
-                Err(NetError::Protocol(msg)) => assert!(msg.contains("parameters"), "{msg}"),
+                Err(NetError::Protocol(msg)) => assert!(msg.contains("universe"), "{msg}"),
                 other => panic!("expected a refusal, got {other:?}"),
             }
         }
@@ -1352,9 +1371,9 @@ mod tests {
     }
 
     /// The opening `Hello` of each mode, pinned byte for byte (length prefix
-    /// and CRC included). These are the v3 captures with the version field
-    /// — the only byte of a `Hello` that v4, v5 or v6 changed — and the CRC
-    /// over it re-taken: every later field stays where it was.
+    /// and CRC included). These are the v6 captures less the 24 bytes of
+    /// plan after the universe, with the version field and the length and
+    /// CRC over them re-taken: every other field stays as it was.
     #[test]
     fn the_hello_is_pinned_bit_for_bit() {
         let hello = |cfg: ClientConfig, mode| {
@@ -1364,8 +1383,8 @@ mod tests {
         // No store name, no epoch, estimator exchange to follow.
         assert_eq!(
             hello(config(), Mode::Full),
-            "33000000bcf0018d01504253310600200500000003000000ffffffffae47e17a14aeef3f\
-             80000000efcdab89674523010000000000000000000100"
+            "1b0000001ce01eb20150425331070020efcdab8967452301\
+             0000000000000000000100"
         );
         // Named store, fixed depth, d known, epoch cache.
         let cfg = ClientConfig {
@@ -1381,8 +1400,8 @@ mod tests {
                     since: 0x1122_3344_5566_7788
                 }
             ),
-            "440000008a57bdb101504253310600200500000003000000ffffffffae47e17a14aeef3f\
-             80000000efcdab89674523012a0000000000000009696e76656e746f727903018877665544332211"
+            "2c000000963c1d2e0150425331070020efcdab8967452301\
+             2a0000000000000009696e76656e746f727903018877665544332211"
         );
         // Adaptive depth asks for the largest representable grant.
         let cfg = ClientConfig {
@@ -1393,8 +1412,8 @@ mod tests {
         };
         assert_eq!(
             hello(cfg, Mode::Full),
-            "370000006f0478b101504253310600200500000003000000ffffffffae47e17a14aeef3f\
-             8000000007000000000000000000000000000000046c697665ff00"
+            "1f000000b99d099b015042533107002007000000000000000000000000000000\
+             046c697665ff00"
         );
         // A subscriber asks for no rounds whatever its config says.
         let cfg = ClientConfig {
@@ -1405,8 +1424,8 @@ mod tests {
         };
         assert_eq!(
             hello(cfg, Mode::Subscribe { since: 9 }),
-            "3f000000ffee731401504253310600200500000003000000ffffffffae47e17a14aeef3f\
-             80000000b979379e000000000000000000000000046c69766501010900000000000000"
+            "270000004a4b5ee50150425331070020b979379e000000000000000000000000\
+             046c69766501010900000000000000"
         );
     }
 }

@@ -25,7 +25,7 @@
 //! (`FullResyncRequired` + close), or stops answering keepalive pings.
 //! Outside the delta/push paths the server is the *responder* throughout —
 //! it never sends a frame except in reply. Hostile input is bounded at
-//! every layer: frame sizes by the transport cap, handshake values by
+//! every layer: frame sizes by the transport cap, the universe by
 //! [`crate::frame::Hello::config`], the parameterized difference by
 //! [`ServerConfig::max_d`], rounds by [`ServerConfig::round_cap`],
 //! pipelining by [`ServerConfig::max_pipeline_depth`], wall clock by

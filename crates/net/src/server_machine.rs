@@ -201,12 +201,12 @@ impl Snapshot {
     }
 
     /// The set's ToW bank: copied off the view in O(ℓ), or hashed from the
-    /// private copy in O(|B|).
-    fn bank(&self, sketches: usize, est_seed: u64) -> TowEstimator {
+    /// private copy in O(|B|) at the count the store keeps with a view.
+    fn bank(&self, est_seed: u64) -> TowEstimator {
         match self {
-            Snapshot::Shared { view, .. } => view.bank(sketches).into_owned(),
+            Snapshot::Shared { view, .. } => view.bank().clone(),
             Snapshot::Copied { elements, .. } => {
-                let mut own = TowEstimator::new(sketches, est_seed);
+                let mut own = TowEstimator::new(estimator::DEFAULT_SKETCH_COUNT, est_seed);
                 own.insert_slice(elements);
                 own
             }
@@ -328,11 +328,10 @@ impl ServerMachine {
             ) => {
                 let theirs = TowEstimator::from_bytes(&theirs)
                     .ok_or_else(|| refuse(ErrorCode::Decode, "malformed estimator bank"))?;
-                let sketches = routed.cfg.estimator_sketches;
-                if theirs.seed() != routed.estimator_seed() || theirs.sketch_count() != sketches {
+                if theirs.seed() != bank.seed() || theirs.sketch_count() != bank.sketch_count() {
                     return Err(refuse(
                         ErrorCode::BadConfig,
-                        "estimator bank does not match the handshake parameters",
+                        "estimator bank does not match the session's seed and sketch count",
                     ));
                 }
                 let d_hat = theirs.estimate(bank);
@@ -634,8 +633,7 @@ impl ServerMachine {
                 let snapshot = Snapshot::of(res, routed);
                 *stage = match d {
                     0 => {
-                        let sketches = routed.cfg.estimator_sketches;
-                        let bank = snapshot.bank(sketches, routed.estimator_seed());
+                        let bank = snapshot.bank(routed.estimator_seed());
                         Stage::AwaitBank { snapshot, bank }
                     }
                     _ => routed.rounds(res.config.max_d, snapshot, d)?,
@@ -760,7 +758,6 @@ mod tests {
     use crate::store::{MutableStore, SetStore};
     use crate::NetError;
     use pbs_core::AliceSession;
-    use std::borrow::Cow;
     use std::sync::Mutex;
 
     const SEED: u64 = 0x5EED;
@@ -998,7 +995,7 @@ mod tests {
         // Handshake values out of range; a store nobody registered.
         let mut duet = limits(defaults());
         let mut bad = hello(1);
-        bad.delta = 0;
+        bad.universe_bits = 7;
         duet.deliver(Frame::Hello(bad));
         assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
         let mut duet = limits(defaults());
@@ -1021,26 +1018,16 @@ mod tests {
         assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
     }
 
-    /// Each range `Hello::config` holds a field to, at both edges: refused
-    /// `BadConfig` by the field's name before anything is planned, and the
-    /// refusal and the next honest handshake take under 100 ms together.
+    /// The one range `Hello::config` holds a field to — the universe — at
+    /// both edges: refused `BadConfig` by the field's name before anything
+    /// is planned, and the refusal and the next honest handshake take
+    /// under 100 ms together.
     #[test]
     fn every_hello_field_out_of_range_is_refused_by_name() {
         type Rewrite = fn(&mut Hello);
-        // 25 and 17 are one past the largest δ and target round count.
-        let rows: [(&str, Rewrite); 12] = [
+        let rows: [(&str, Rewrite); 2] = [
             ("universe_bits", |h| h.universe_bits = 7),
             ("universe_bits", |h| h.universe_bits = 65),
-            ("delta", |h| h.delta = 0),
-            ("delta", |h| h.delta = 25),
-            ("target_rounds", |h| h.target_rounds = 0),
-            ("target_rounds", |h| h.target_rounds = 17),
-            ("estimator_sketches", |h| h.estimator_sketches = 0),
-            ("estimator_sketches", |h| h.estimator_sketches = 4097),
-            ("target_success", |h| h.target_success = f64::NAN),
-            ("target_success", |h| h.target_success = 1.0),
-            ("target_success", |h| h.target_success = -0.1),
-            ("max_rounds", |h| h.max_rounds = 0),
         ];
         let store = mutable(0..50);
         // The planner's table is built once, before the clock starts.
@@ -1175,19 +1162,15 @@ mod tests {
 
     /// What a cached view does to the sessions that did not make it: a
     /// second client proposing another seed is answered with the view's
-    /// and runs under it; one asking for another sketch count gets its
-    /// estimate from a bank recomputed over the view's elements — and
-    /// both read the one shared view, which stays as it was, its own bank
-    /// at the default count even when the session it was built for asked
-    /// for another.
+    /// and runs under it, estimating against the bank kept with the one
+    /// shared view.
     #[test]
-    fn a_cached_view_names_the_seed_and_serves_any_sketch_count() {
+    fn a_cached_view_names_the_seed_to_every_session() {
         let store = mutable(40..3040);
-        let mut other = ClientConfig {
+        let other = ClientConfig {
             seed: SEED ^ 0xFFFF,
             ..ClientConfig::default()
         };
-        other.pbs.estimator_sketches = 64;
         assert_eq!(serve_its_own_set(&store, &other), (0, 0, 1));
         assert_eq!(serve_its_own_set(&store, &other), (0, 1, 0));
         let seed = store.session_seed(SEED);
@@ -1199,12 +1182,19 @@ mod tests {
         let Some(Frame::Hello(reply)) = duet.inbox.pop_front() else {
             panic!("the Hello is answered")
         };
-        assert_eq!((reply.seed, reply.estimator_sketches), (seed, 64));
+        assert_eq!(reply.seed, seed);
         client.on_frame(Frame::Hello(reply)).unwrap();
-        let held = parked_view(&duet).expect("parked on the shared view");
-        let default = estimator::DEFAULT_SKETCH_COUNT;
-        assert!(matches!(held.bank(default), Cow::Borrowed(_)));
-        assert!(matches!(held.bank(64), Cow::Owned(_)));
+        let State::Open(
+            _,
+            Stage::AwaitBank {
+                snapshot: Snapshot::Shared { view, .. },
+                bank,
+            },
+        ) = &duet.server().state
+        else {
+            panic!("parked on the shared view")
+        };
+        assert_eq!(bank, view.bank());
         let (report, _) = duet.run(&mut client).unwrap();
         assert!(report.verified && report.seed == seed);
         assert_eq!(report.recovered.len(), 80);
@@ -1264,33 +1254,35 @@ mod tests {
         }
     }
 
-    /// A peer may ask for a one-round plan: at d = 300 it runs over
-    /// GF(2¹⁸), a field without log tables (Barrett + ladder + trace
-    /// algorithm), on both machines — and still recovers the exact
-    /// difference and lands it in the store.
+    /// The server takes the universe from the `Hello`: a session over a
+    /// 64-bit universe, with a difference above 2³² both ways, recovers it
+    /// exactly and lands the client's half in the store.
     #[test]
-    fn a_one_round_plan_reconciles_over_a_field_without_log_tables() {
+    fn a_64_bit_universe_session_verifies() {
+        let wide = |range: std::ops::Range<u64>| -> Vec<u64> {
+            range
+                .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect()
+        };
         let mut config = ClientConfig {
             seed: SEED,
-            known_d: Some(300),
             ..ClientConfig::default()
         };
-        config.pbs.target_rounds = 1;
-        config.pbs = config.pbs.unlimited_rounds();
-        assert_eq!(Pbs::new(config.pbs).plan(300).m, 18);
-        let store = mutable(0..10_000);
-        let client_set = elements(150..10_150);
+        config.pbs.universe_bits = 64;
+        let store = Arc::new(MutableStore::new(wide(0..2_000)));
+        let client_set = wide(40..2_040);
         let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
         let (_, _, report) = duet.transcript(&config, &client_set, Mode::Full);
-        assert!(report.verified && report.rounds == 1);
+        assert!(report.verified);
         let mut recovered = report.recovered;
         recovered.sort_unstable();
-        let mut expected = [elements(0..150), elements(10_000..10_150)].concat();
+        let mut expected = [wide(0..40), wide(2_000..2_040)].concat();
         expected.sort_unstable();
         assert_eq!(recovered, expected);
+        assert!(report.pushed.iter().all(|&e| e > u32::MAX as u64));
         let mut held = store.snapshot();
         held.sort_unstable();
-        let mut union = elements(0..10_150);
+        let mut union = wide(0..2_040);
         union.sort_unstable();
         assert_eq!(held, union, "the final transfer landed");
     }

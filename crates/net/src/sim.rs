@@ -2314,7 +2314,7 @@ fn replays_the_regressions() {
 
 /// The service is part of the reproduction: `reproduce table2`'s planned
 /// point at d = 1 000, run through [`Duet`] — under a seed the store
-/// derived, with `Pipeline::Auto`, every frame wire-v6 packed — and held to
+/// derived, with `Pipeline::Auto`, every frame wire-v7 packed — and held to
 /// `analysis`'s prediction by the Wilson intervals `reproduce` holds the
 /// in-process scheme to: `P(R ≤ 1)` inside its interval, and `P(R ≤ k)` for
 /// k = 2..=r — verified within r layers the last of them — not below it
@@ -2328,7 +2328,7 @@ fn replays_the_regressions() {
 fn a_duet_session_is_held_to_the_analysis() {
     let trials: u64 = if cfg!(debug_assertions) { 40 } else { 1_000 };
     let (d, held) = (1_000usize, 2_000usize);
-    let pbs = PbsConfig::default().unlimited_rounds();
+    let pbs = crate::frame::service_plan(32);
     let plan = pbs_core::Pbs::new(pbs).plan(d);
     let r = pbs.target_rounds;
     let predicted = analysis::predict(plan.n, plan.t, d, plan.groups, r, pbs.universe_bits);

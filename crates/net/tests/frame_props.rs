@@ -74,10 +74,8 @@ proptest! {
     fn hello_frames_round_trip(
         version in any::<u16>(),
         universe_bits in 8u8..=64,
-        delta in 1u32..1000,
         seed in any::<u64>(),
         known_d in any::<u64>(),
-        success_millionths in 0u64..1_000_000,
         store in prop::collection::vec(32u8..127, 0..64),
         pipeline in 1u8..=255,
         has_epoch in any::<bool>(),
@@ -87,11 +85,6 @@ proptest! {
         let hello = Hello {
             version,
             universe_bits,
-            delta,
-            target_rounds: delta % 7 + 1,
-            max_rounds: delta % 11 + 1,
-            target_success: success_millionths as f64 / 1e6,
-            estimator_sketches: delta % 256 + 1,
             seed,
             known_d,
             store: String::from_utf8(store).unwrap(),
@@ -409,9 +402,10 @@ fn an_unknown_error_code_is_named_and_a_v5_hello_is_refused() {
             Err(FrameError::Payload(wire::WireError::BadTag(byte)))
         );
     }
-    // A v5 client would run under its own seed whatever the reply named:
-    // it is turned away at the door, like every older one.
-    for version in [4, 5] {
+    // A v5 client would run under its own seed whatever the reply named,
+    // a v6 one under the plan it proposed: each is turned away at the
+    // door, like every older one.
+    for version in [4, 5, 6] {
         let mut hello = Hello::from_config(&pbs_core::PbsConfig::default(), 1, 0);
         hello.version = version;
         assert_eq!(
