@@ -72,7 +72,6 @@ use crate::messages::{
 use crate::{PbsConfig, SetView};
 use analysis::OptimalParams;
 use bch::{BchCodec, DecodeScratch, Sketch};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use xhash::{derive_seed, PartitionHasher};
@@ -337,7 +336,7 @@ pub struct AliceSession {
     /// Every element whose membership Alice has toggled so far — once every
     /// group verifies, the `odd` ones are exactly `A△B`. O(d), and the only
     /// lookup structure of the session.
-    toggled: HashMap<u64, Toggled>,
+    toggled: xhash::Map<Toggled>,
     fakes_rejected: u64,
     scratch: GroupScratch,
 }
@@ -375,7 +374,7 @@ impl AliceSession {
             last_speculative_layers: 0,
             speculative_unused: 0,
             groups,
-            toggled: HashMap::new(),
+            toggled: xhash::Map::default(),
             fakes_rejected: 0,
             scratch: GroupScratch::new(params.n as u64),
         }
@@ -565,12 +564,14 @@ impl AliceSession {
         let unused_before = self.speculative_unused;
         // `false` until a session shows at least one successfully decoded
         // layer; sessions still `false` at the end of the batch are split.
-        let mut any_decoded: HashMap<SessionId, bool> = HashMap::new();
+        let mut any_decoded: xhash::Map<bool> = xhash::Map::default();
 
-        let mut index: HashMap<SessionId, usize> = HashMap::with_capacity(self.groups.len());
-        for (i, g) in self.groups.iter().enumerate() {
-            index.insert(g.id, i);
-        }
+        let index: xhash::Map<usize> = self
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (g.id, i))
+            .collect();
 
         for report in reports {
             let Some(&gi) = index.get(&report.session) else {
@@ -875,7 +876,7 @@ pub struct BobSession {
     params: OptimalParams,
     codec: BchCodec,
     base_seed: u64,
-    groups: HashMap<SessionId, Members>,
+    groups: xhash::Map<Members>,
     decode_failures: u32,
     scratch: GroupScratch,
 }
@@ -973,7 +974,7 @@ impl BobSession {
         self.scratch = scratch;
         // Per session of the batch: has every layer so far failed, and has
         // `c(B_i)` gone out.
-        let mut seen: HashMap<SessionId, (bool, bool)> = HashMap::new();
+        let mut seen: xhash::Map<(bool, bool)> = xhash::Map::default();
         for report in &mut reports {
             let (all_failed, checksum_sent) = seen.entry(report.session).or_insert((true, false));
             match &mut report.body {
@@ -1085,7 +1086,7 @@ impl BobSession {
             let n = self.params.n as u64;
             let hasher = PartitionHasher::new(n, bin_seed(self.base_seed, msg.session, msg.round));
             let mut sketch = self.codec.empty_sketch();
-            let mut xor_by_bin: HashMap<u64, u64> = HashMap::new();
+            let mut xor_by_bin: xhash::Map<u64> = xhash::Map::default();
             for &e in &elements {
                 let p = hasher.position(e);
                 sketch.add(p, self.codec.field());
@@ -1156,6 +1157,7 @@ impl BobSession {
 mod tests {
     use super::*;
     use crate::Pbs;
+    use std::collections::HashMap;
 
     /// The seed's encoder, and [`parity_sketch`]'s oracle: one scalar
     /// [`Sketch::add`] syndrome ladder per element.

@@ -39,7 +39,7 @@ use crate::NetError;
 use estimator::{Estimator, TowEstimator};
 use pbs_core::{AliceSession, Pbs, ESTIMATOR_SEED_SALT};
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::hash::BuildHasher;
 
 /// What one connection is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,8 +122,9 @@ pub struct DeltaReport {
 }
 
 impl DeltaReport {
-    /// Apply the net changes to a local element set (removes, then adds).
-    pub fn apply_to(&self, set: &mut HashSet<u64>) {
+    /// Apply the net changes to a local element set (removes, then adds),
+    /// whatever the set's hasher.
+    pub fn apply_to<S: BuildHasher>(&self, set: &mut std::collections::HashSet<u64, S>) {
         for e in &self.removed {
             set.remove(e);
         }
@@ -146,8 +147,8 @@ impl DeltaReport {
 /// the changelog by the same rule in one sort.
 #[derive(Debug, Default)]
 pub struct DeltaFold {
-    added: HashSet<u64>,
-    removed: HashSet<u64>,
+    added: xhash::Set,
+    removed: xhash::Set,
     batches: u64,
 }
 
@@ -656,6 +657,7 @@ mod tests {
     use crate::sim::{one_of_each, Duet};
     use crate::store::MutableStore;
     use crate::TransportConfig;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     const SEED: u64 = 0x0123_4567_89AB_CDEF;

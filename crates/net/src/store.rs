@@ -26,7 +26,7 @@ use crate::server::ServerStats;
 use crate::wal::{self, DurableOptions, RecoveryReport, Wal};
 use obs::{Gauge, Histogram};
 use pbs_core::SetView;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
@@ -169,15 +169,16 @@ pub struct ChangeBatch {
     /// The epoch this batch produced (epochs start at 0 and increase by 1
     /// per effective batch).
     pub epoch: u64,
-    /// Elements the batch inserted (that were not present before).
+    /// Elements the batch inserted (that were not present before),
+    /// ascending.
     pub added: Vec<u64>,
-    /// Elements the batch removed (that were present before).
+    /// Elements the batch removed (that were present before), ascending.
     pub removed: Vec<u64>,
 }
 
 #[derive(Debug)]
 struct MutableInner {
-    elements: HashSet<u64>,
+    elements: xhash::Set,
     epoch: u64,
     /// Recent change batches, oldest first; every batch's `epoch` is
     /// `base_epoch + its 1-based position`.
@@ -519,8 +520,8 @@ impl MutableStore {
     /// produced. `None` when the store already held exactly `target`. (A
     /// writer racing the call can only make part of the batch ineffective.)
     pub fn converge_to(&self, target: impl IntoIterator<Item = u64>) -> Option<ChangeBatch> {
-        let target: HashSet<u64> = target.into_iter().collect();
-        let (added, removed): (Vec<u64>, Vec<u64>) = {
+        let target: xhash::Set = target.into_iter().collect();
+        let (mut added, mut removed): (Vec<u64>, Vec<u64>) = {
             let inner = recover(self.inner.read());
             let added = target.difference(&inner.elements).copied().collect();
             (added, inner.elements.difference(&target).copied().collect())
@@ -528,6 +529,8 @@ impl MutableStore {
         if added.is_empty() && removed.is_empty() {
             return None;
         }
+        added.sort_unstable();
+        removed.sort_unstable();
         let epoch = self.apply(&added, &removed);
         Some(ChangeBatch {
             epoch,
@@ -547,26 +550,23 @@ impl MutableStore {
     fn commit(&self, added: &[u64], removed: &[u64]) -> Commit {
         let metrics = self.metrics.get();
         let start = metrics.map(|_| Instant::now());
+        // Sorted, repeat-free copies, made before the lock is taken: the
+        // logged lists come out ascending, an element on both lists is
+        // found by binary search (adds win) rather than through a scratch
+        // set, and each distinct element probes the set once.
+        let [mut added, mut removed] = [added, removed].map(|list| {
+            let mut list = list.to_vec();
+            list.sort_unstable();
+            list.dedup();
+            list
+        });
+        removed.retain(|e| added.binary_search(e).is_err());
         let mut guard = recover(self.inner.write());
         let inner = &mut *guard;
-        // Hash the add list first: a linear `added.contains` per removed
-        // element would make a full-file replacement O(|added|·|removed|)
-        // inside the write lock, stalling every session on the store.
         // Effective changes are computed against the *unmutated* set so the
         // WAL append strictly precedes the state change.
-        let add_set: HashSet<u64> = added.iter().copied().collect();
-        let mut seen = HashSet::new();
-        let removed: Vec<u64> = removed
-            .iter()
-            .copied()
-            .filter(|e| !add_set.contains(e) && inner.elements.contains(e) && seen.insert(*e))
-            .collect();
-        seen.clear();
-        let added: Vec<u64> = added
-            .iter()
-            .copied()
-            .filter(|&e| !inner.elements.contains(&e) && seen.insert(e))
-            .collect();
+        removed.retain(|e| inner.elements.contains(e));
+        added.retain(|e| !inner.elements.contains(e));
         if added.is_empty() && removed.is_empty() {
             return Commit::landed(inner.epoch, None);
         }
@@ -897,7 +897,7 @@ impl std::fmt::Debug for RegisteredStore {
 /// handshake.
 #[derive(Debug, Default)]
 pub struct StoreRegistry {
-    stores: RwLock<HashMap<String, Arc<RegisteredStore>>>,
+    stores: RwLock<BTreeMap<String, Arc<RegisteredStore>>>,
     /// When set, [`StoreRegistry::open_store`] opens its stores durably,
     /// each rooted in a directory of its own under here.
     persistence_root: RwLock<Option<PathBuf>>,
@@ -1044,9 +1044,7 @@ impl StoreRegistry {
     /// All registered names, sorted (the default store sorts first as the
     /// empty string).
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = recover(self.stores.read()).keys().cloned().collect();
-        names.sort();
-        names
+        recover(self.stores.read()).keys().cloned().collect()
     }
 
     /// Number of registered stores.
@@ -1064,7 +1062,7 @@ impl StoreRegistry {
 mod tests {
     use super::*;
     use crate::machine::DeltaFold;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashSet};
 
     /// Whether `store` writes through to a WAL.
     fn is_durable(store: &MutableStore) -> bool {
@@ -1547,6 +1545,98 @@ mod tests {
             expected.extend(net.added);
             proptest::prop_assert_eq!(brought, expected);
         }
+
+        /// `commit` against the `HashSet` model it replaced, on a durable
+        /// store: over a few elements with 0 and `u64::MAX` among them —
+        /// repeats within and across the two lists, an element on both,
+        /// removals of what is absent, adds of what is present — each
+        /// batch logs exactly the model's effective lists, ascending, under
+        /// the next epoch (or nothing, when they are empty), and what the
+        /// WAL replays afterwards is the model's set and the same
+        /// changelog.
+        #[test]
+        fn commit_matches_the_hash_set_model(
+            batches in proptest::collection::vec(
+                (
+                    proptest::collection::vec(model_element(), 0usize..10),
+                    proptest::collection::vec(model_element(), 0usize..10),
+                ),
+                1usize..12,
+            ),
+            snapshot_every in 1usize..6,
+        ) {
+            static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("pbs_store_model_{}_{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let options = DurableOptions {
+                snapshot_every,
+                sync_writes: false,
+                ..DurableOptions::default()
+            };
+            let store = MutableStore::open_durable(&dir, options).unwrap();
+            let mut model: HashSet<u64> = HashSet::new();
+            for (added, removed) in &batches {
+                let (want_added, want_removed) = commit_model(&model, added, removed);
+                let before = store.epoch();
+                let epoch = store.apply(added, removed);
+                let logged = store.changes_since(before).unwrap();
+                if want_added.is_empty() && want_removed.is_empty() {
+                    proptest::prop_assert_eq!(epoch, before);
+                    proptest::prop_assert!(logged.is_empty());
+                } else {
+                    proptest::prop_assert_eq!(epoch, before + 1);
+                    proptest::prop_assert_eq!(logged.len(), 1);
+                    let batch = &logged[0];
+                    proptest::prop_assert_eq!(batch.epoch, epoch);
+                    proptest::prop_assert!(batch.added.windows(2).all(|w| w[0] < w[1]));
+                    proptest::prop_assert!(batch.removed.windows(2).all(|w| w[0] < w[1]));
+                    proptest::prop_assert_eq!(&batch.added, &sorted(want_added.clone()));
+                    proptest::prop_assert_eq!(&batch.removed, &sorted(want_removed.clone()));
+                }
+                for e in &want_removed {
+                    model.remove(e);
+                }
+                model.extend(want_added);
+                let held: HashSet<u64> = store.snapshot().into_iter().collect();
+                proptest::prop_assert_eq!(&held, &model);
+            }
+            let log = store.changes_since(0).unwrap();
+            drop(store);
+            let recovered = wal::recover(&dir, options.log_capacity).unwrap();
+            let replayed: HashSet<u64> = recovered.elements.iter().copied().collect();
+            proptest::prop_assert_eq!(&replayed, &model);
+            proptest::prop_assert_eq!(&recovered.log, &log);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Few enough values that lists repeat and overlap, and the two ends
+    /// of `u64`.
+    fn model_element() -> impl proptest::Strategy<Value = u64> {
+        proptest::prop_oneof![0u64..12, proptest::Just(0u64), proptest::Just(u64::MAX)]
+    }
+
+    /// The `HashSet` model of one commit's effective lists, as the store
+    /// computed them before it sorted: a removal counts when the element is
+    /// held and not also added (adds win), an add when it is not held;
+    /// each distinct element once, in first-occurrence order.
+    fn commit_model(held: &HashSet<u64>, added: &[u64], removed: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let add_set: HashSet<u64> = added.iter().copied().collect();
+        let mut seen = HashSet::new();
+        let removed = removed
+            .iter()
+            .copied()
+            .filter(|e| !add_set.contains(e) && held.contains(e) && seen.insert(*e))
+            .collect();
+        seen.clear();
+        let added = added
+            .iter()
+            .copied()
+            .filter(|&e| !held.contains(&e) && seen.insert(e))
+            .collect();
+        (added, removed)
     }
 
     #[test]
@@ -1621,7 +1711,7 @@ mod tests {
         assert_eq!(store.converge_to([3, 2, 1, 1]), None, "already there");
         let batch = store.converge_to([2, 3, 4, 5]).expect("a diff");
         assert_eq!(batch.epoch, 1);
-        assert_eq!((sorted(batch.added), batch.removed), (vec![4, 5], vec![1]));
+        assert_eq!((batch.added, batch.removed), (vec![4, 5], vec![1]));
         assert_eq!(store.changes_since(0).unwrap().len(), 1);
         let emptied = store.converge_to([]).expect("remove-all");
         assert_eq!((emptied.epoch, emptied.removed.len()), (2, 4));

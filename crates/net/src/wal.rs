@@ -47,7 +47,6 @@
 use crate::frame::{self, delta_batch_frames, delta_chunk_capacity, Frame, DEFAULT_MAX_FRAME};
 use crate::store::ChangeBatch;
 use obs::Histogram;
-use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -118,7 +117,7 @@ pub struct RecoveryReport {
 #[derive(Debug, Default)]
 pub struct Recovered {
     /// The element set at `epoch`.
-    pub elements: HashSet<u64>,
+    pub elements: xhash::Set,
     /// The epoch the recovered state corresponds to.
     pub epoch: u64,
     /// The retained changelog, oldest first — every batch's epoch is
@@ -277,7 +276,7 @@ fn encode_snapshot(elements: &[u64], epoch: u64, log: &[ChangeBatch]) -> Vec<u8>
 
 /// Decode and validate a snapshot blob. `None` on any torn or corrupt
 /// shape — a snapshot is trusted in full or not at all.
-fn decode_snapshot(bytes: &[u8]) -> Option<(HashSet<u64>, u64, Vec<ChangeBatch>)> {
+fn decode_snapshot(bytes: &[u8]) -> Option<(xhash::Set, u64, Vec<ChangeBatch>)> {
     let (body, crc) = bytes.split_last_chunk::<4>()?;
     if crate::crc::crc32(body) != u32::from_le_bytes(*crc) {
         return None;
@@ -290,7 +289,7 @@ fn decode_snapshot(bytes: &[u8]) -> Option<(HashSet<u64>, u64, Vec<ChangeBatch>)
         return None;
     }
     let epoch = u64::from_le_bytes(take_array(&mut buf)?);
-    let elements: HashSet<u64> = take_packed(&mut buf)?.into_iter().collect();
+    let elements: xhash::Set = take_packed(&mut buf)?.into_iter().collect();
     let batch_count = u32::from_le_bytes(take_array(&mut buf)?);
     let mut log = Vec::with_capacity((batch_count as usize).min(1 << 16));
     for _ in 0..batch_count {

@@ -85,11 +85,23 @@ fn parse_metrics(body: &str) -> HashMap<String, f64> {
 
 /// Block until the server has reaped every started session (counters are
 /// folded at reap time, so only a quiescent server reconciles exactly).
+///
+/// A session can be counted completed before it is reaped: a subscription
+/// is, at its catch-up's `DeltaDone`, while the bytes of its pushes are
+/// folded only when its connection closes. The close also records the
+/// session's wall clock, so a settled server has one
+/// `pbs_server_session_seconds` sample per session started.
 fn settle(server: &Server, started: u64) -> StatsSnapshot {
     let deadline = Instant::now() + Duration::from_secs(10);
+    let closed = server
+        .metrics()
+        .histogram("pbs_server_session_seconds", "", &[], 1e-9);
     loop {
         let s = server.stats().snapshot();
-        if s.sessions_started == started && s.sessions_completed + s.sessions_failed == started {
+        if s.sessions_started == started
+            && s.sessions_completed + s.sessions_failed == started
+            && closed.count() == started
+        {
             return s;
         }
         assert!(

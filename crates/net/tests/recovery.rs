@@ -81,10 +81,10 @@ fn retry_rides_out_a_server_restart() {
 
 /// Deterministic replay of a batch sequence: the expected (set, epoch)
 /// ladder a recovery may land on.
-fn build_states(batches: &[ChangeBatch]) -> Vec<HashSet<u64>> {
-    let mut states = vec![HashSet::new()];
+fn build_states(batches: &[ChangeBatch]) -> Vec<xhash::Set> {
+    let mut states = vec![xhash::Set::default()];
     for batch in batches {
-        let mut next: HashSet<u64> = states.last().unwrap().clone();
+        let mut next = states.last().unwrap().clone();
         for e in &batch.removed {
             next.remove(e);
         }

@@ -15,6 +15,10 @@
 //!   prime `2^61 - 1`, as required by the Tug-of-War estimator (§6, Fact 1);
 //!   one polynomial evaluation yields 32 sign functions.
 //! * [`element_checksum`] — the plain-summation set checksum of §2.2.3.
+//! * [`Set`] / [`Map`] — std tables over `u64` keys hashed by
+//!   [`xxhash64_u64`] under a per-table key of the process's choosing
+//!   ([`KeyedState`]), for the element and session-id tables a peer's
+//!   input reaches.
 
 //!
 //! # Example
@@ -36,10 +40,12 @@
 
 #![warn(missing_docs)]
 
+mod keyed;
 mod partition;
 mod sign;
 mod xx;
 
+pub use keyed::{KeyedHasher, KeyedState, Map, Set};
 pub use partition::PartitionHasher;
 pub use sign::SignHasher;
 pub use xx::{xxhash64, xxhash64_u64};

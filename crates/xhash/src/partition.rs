@@ -15,7 +15,7 @@
 //! whose parts a session keeps — as duplicate-free `Vec`s.
 
 use crate::xx::xxhash64_u64;
-use std::collections::hash_map::RandomState;
+use crate::KeyedState;
 use std::hash::BuildHasher;
 
 /// Maps elements of the universe to bins `0..n` under a fixed seed.
@@ -109,10 +109,10 @@ const MAX_PART: usize = 1 << 30;
 ///
 /// A slot holds `1 +` the index of a kept element (0 = empty) rather than
 /// the element, so no `u64` has to be reserved as the empty marker. Slots
-/// are picked by a hash keyed per table from the process's `RandomState`:
-/// elements arrive from peers, and a fixed slot hash would let a crafted
-/// set chain every probe. The key cannot show in the result, which is the
-/// input order with repeats removed whatever the slots were.
+/// are picked by the crate's one keyed table hash, [`KeyedState`]: elements
+/// arrive from peers, and a fixed slot hash would let a crafted set chain
+/// every probe. The key cannot show in the result, which is the input order
+/// with repeats removed whatever the slots were.
 ///
 /// Two things keep the probe loop's branches predictable. The table is at
 /// most a quarter full — `4 · len` slots rounded up to a power of two, 16 MB
@@ -121,7 +121,7 @@ const MAX_PART: usize = 1 << 30;
 /// ahead of the loop that probes them, so a mispredicted probe does not
 /// hold up the next element's hash.
 struct Seen {
-    key: u64,
+    hash: KeyedState,
     slots: Vec<u32>,
     homes: [u32; HOMES],
 }
@@ -129,7 +129,7 @@ struct Seen {
 impl Seen {
     fn new() -> Self {
         Seen {
-            key: RandomState::new().hash_one(0u64),
+            hash: KeyedState::default(),
             slots: Vec::new(),
             homes: [0; HOMES],
         }
@@ -151,7 +151,7 @@ impl Seen {
         for start in (0..part.len()).step_by(HOMES) {
             let end = part.len().min(start + HOMES);
             for (home, &e) in self.homes.iter_mut().zip(&part[start..end]) {
-                *home = (xxhash64_u64(e, self.key) as usize & (size - 1)) as u32;
+                *home = (self.hash.hash_one(e) as usize & (size - 1)) as u32;
             }
             for (i, &home) in (start..end).zip(&self.homes) {
                 let e = part[i];
