@@ -279,6 +279,7 @@ impl Drop for MeshDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{Name, Op, RecordingDisk};
     use crate::server::{Server, ServerConfig};
     use crate::store::MutableStore;
 
@@ -347,9 +348,9 @@ mod tests {
 
     #[test]
     fn elements_the_local_store_refused_are_not_counted_as_pulled() {
-        let dir = std::env::temp_dir().join(format!("pbs_mesh_refused_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let local = Arc::new(MutableStore::open_durable(&dir, Default::default()).unwrap());
+        let disk = RecordingDisk::default();
+        let (local, _) = MutableStore::open_on(Box::new(disk.clone()), Default::default()).unwrap();
+        let local = Arc::new(local);
         local.apply(&[1, 2, 3, 10], &[]);
         let remote = Arc::new(MutableStore::new([2u64, 3, 4, 20]));
         let server = Server::bind(
@@ -360,7 +361,7 @@ mod tests {
         .expect("bind peer");
         let peer = server.local_addr().to_string();
 
-        local.inject_crash(Some(crate::wal::CrashPoint::MidWalAppend));
+        disk.fail(0, |op| matches!(op, Op::Write(Name::Wal, _)));
         let registry = StoreRegistry::single(Arc::clone(&local) as Arc<_>);
         let stats = PeerStats::default();
         let (outcome, err) = anti_entropy_round(&registry, &peer, &ClientConfig::default(), &stats);
@@ -375,7 +376,6 @@ mod tests {
         assert_eq!(stats.elements_pulled.get(), 0);
         assert_eq!(stats.syncs_failed.get(), 1);
         assert!(!local.contains(4) && remote.contains(10));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //!   reply runs again on a fresh connection. Each session's bytes are
 //!   counted from where it began on its links.
 //! * **Faults:** a partitioned and healed mesh link, a connection cut
-//!   mid-frame, a durable node crashed at each `CrashPoint` and reopened,
-//!   one WAL append refused while the process lives on, a changelog short
+//!   mid-frame, a durable node crashed after any op of a store's call, in
+//!   any crash state that op allows, and reopened (its stores keep their
+//!   files on a recording disk), one WAL append refused while the process
+//!   lives on, a changelog short
 //!   enough to be trimmed under a reader, a notifier that panics once, a
 //!   store's `view` that panics on a set-up unit, a client that falls
 //!   silent, a link stalled either way, an epoch-less store — and a hostile link: one
@@ -65,6 +67,7 @@
 use crate::client::{ClientConfig, DeltaReport, Pipeline, SyncReport};
 use crate::conn::{ClientConn, ClientOut, Connection, Due, Ending, Out, ServerConn};
 use crate::crc::crc32;
+use crate::disk::{Crash, Name, Op, RecordingDisk};
 use crate::frame::{
     decode_frame, encode_frame, write_frame, Decoded, ErrorCode, EstimatorMsg, Frame, Hello,
     DEFAULT_MAX_FRAME, FRAME_OVERHEAD,
@@ -74,10 +77,9 @@ use crate::mesh::{settle, PeerStats, RoundOutcome};
 use crate::server::{ServerConfig, ServerStats};
 use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, Step, Waiting};
 use crate::store::{
-    store_dir_name, DeltaAnswer, MutableStore, RegisteredStore, SetStore, StoreNotifier,
-    StoreRegistry, ViewAnswer,
+    DeltaAnswer, MutableStore, RegisteredStore, SetStore, StoreNotifier, StoreRegistry, ViewAnswer,
 };
-use crate::wal::{CrashPoint, DurableOptions};
+use crate::wal::DurableOptions;
 use crate::{FrameError, NetError, TransportConfig};
 use pbs_core::{PbsConfig, SetView};
 use rand::rngs::StdRng;
@@ -86,7 +88,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -666,6 +667,8 @@ struct Slot {
     /// Elements a writer took out and owes back.
     flapped: BTreeSet<u64>,
     options: DurableOptions,
+    /// The disk of a durable store.
+    disk: Option<RecordingDisk>,
 }
 
 impl Slot {
@@ -688,6 +691,15 @@ impl Slot {
             proposed: HashSet::new(),
             flapped: BTreeSet::new(),
             options,
+            disk: None,
+        }
+    }
+
+    /// A durable store on `disk`, served through its [`Watched`] face.
+    fn durable(store: MutableStore, disk: RecordingDisk, options: DurableOptions) -> Slot {
+        Slot {
+            disk: Some(disk),
+            ..Slot::watched(Arc::new(store), options)
         }
     }
 
@@ -711,8 +723,8 @@ struct Node {
     slots: Vec<Slot>,
     /// Set by every store's notifier: the node owes its subscribers a push.
     dirty: Arc<AtomicBool>,
-    /// Persistence root of a durable node.
-    dir: Option<PathBuf>,
+    /// The node's stores are durable.
+    durable: bool,
     mesh: PeerStats,
     /// Wire bytes of the node's verified mesh syncs, as its links carried
     /// them: (sent, received).
@@ -726,7 +738,7 @@ struct Node {
 impl Node {
     /// A node's server over `slots`' stores, each with the notifier that
     /// marks the node dirty.
-    fn serve(config: ServerConfig, slots: Vec<Slot>, dir: Option<PathBuf>) -> Node {
+    fn serve(config: ServerConfig, slots: Vec<Slot>, durable: bool) -> Node {
         let registry = StoreRegistry::new();
         let dirty = Arc::new(AtomicBool::new(false));
         for (slot, name) in slots.iter().zip(NAMES) {
@@ -749,7 +761,7 @@ impl Node {
             res,
             slots,
             dirty,
-            dir,
+            durable,
             mesh,
             mesh_bytes,
             round,
@@ -837,14 +849,14 @@ struct World {
     expected: Vec<BTreeSet<u64>>,
     /// Mesh links cut off, as (lower, higher) node index.
     partitioned: BTreeSet<(usize, usize)>,
-    /// Where durable nodes keep their WALs; removed with the world.
-    root: PathBuf,
     /// The id of the last element a writer introduced ([`element`]); the
     /// initial sets' ids sit below.
     fresh: u64,
     faults: bool,
     /// A notifier has panicked on purpose.
     panicked: bool,
+    /// Crash states a reopen was held to.
+    crash_states: u64,
     /// What the links of the connections gone carried, client → server
     /// and back.
     tally: [Tally; 2],
@@ -856,15 +868,6 @@ struct World {
     /// session ran again on a fresh connection — and "retried off a
     /// read-idle close" where the server had closed it for its silence.
     reuse: BTreeSet<&'static str>,
-}
-
-impl Drop for World {
-    fn drop(&mut self) {
-        // Every WAL is closed before its directory goes.
-        self.conns.clear();
-        self.nodes.clear();
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
 }
 
 impl World {
@@ -905,16 +908,11 @@ impl World {
             },
             ..ServerConfig::default()
         };
-        // One directory a run: two tests may run the same seed at once.
-        static RUNS: AtomicUsize = AtomicUsize::new(0);
-        let run = RUNS.fetch_add(1, Ordering::Relaxed);
-        let root = scratch().join(format!("pbs_sim_{}_{run}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
         let base = (1..=rng.random_range(20..60u64)).map(element);
         let mut expected = vec![base.clone().collect::<BTreeSet<u64>>(); stores];
         let mut built = Vec::new();
         for i in 0..nodes {
-            let dir = (durable == Some(i)).then(|| root.join(i.to_string()));
+            let durable = durable == Some(i);
             let mut slots = Vec::new();
             for (s, expected) in expected.iter_mut().enumerate() {
                 let wedge = 10_000 * (i as u64 + 1) + 1000 * s as u64;
@@ -926,25 +924,28 @@ impl World {
                 let options = DurableOptions {
                     log_capacity: [2, 4, 1024][rng.random_range(0..3usize)],
                     snapshot_every: 8,
-                    sync_writes: false,
+                    sync_writes: durable && rng.random_bool(0.5),
                 };
-                let store = match &dir {
-                    None if rng.random_bool(0.1) => {
-                        let store = Arc::new(Epochless(Mutex::new(set)));
-                        slots.push(Slot::new(store, None, options));
-                        continue;
-                    }
-                    Some(dir) => {
-                        let dir = dir.join(store_dir_name(NAMES[s]));
-                        let store = MutableStore::open_durable(&dir, options).expect("opens");
+                if !durable && rng.random_bool(0.1) {
+                    let store = Arc::new(Epochless(Mutex::new(set)));
+                    slots.push(Slot::new(store, None, options));
+                    continue;
+                }
+                let slot = match durable {
+                    true => {
+                        let disk = RecordingDisk::default();
+                        let store = open(&disk, options);
                         store.apply(&set, &[]);
-                        store
+                        Slot::durable(store, disk, options)
                     }
-                    None => MutableStore::with_log_capacity(set, options.log_capacity),
+                    false => {
+                        let store = MutableStore::with_log_capacity(set, options.log_capacity);
+                        Slot::watched(Arc::new(store), options)
+                    }
                 };
-                slots.push(Slot::watched(Arc::new(store), options));
+                slots.push(slot);
             }
-            built.push(Node::serve(config, slots, dir));
+            built.push(Node::serve(config, slots, durable));
         }
         World {
             rng,
@@ -956,10 +957,10 @@ impl World {
             conns: Vec::new(),
             expected,
             partitioned: BTreeSet::new(),
-            root,
             fresh: 1 << 20,
             faults: true,
             panicked: false,
+            crash_states: 0,
             tally: [Tally::default(); 2],
             hostile_next: None,
             reuse: BTreeSet::new(),
@@ -979,11 +980,11 @@ impl World {
     /// Before a commit to a durable store: at [`REFUSE`] odds, have its WAL
     /// append fail while the process lives on. The caller disarms what this
     /// returns once the commit is made.
-    fn refusal(&mut self, i: usize, s: usize) -> Option<Arc<MutableStore>> {
-        let armed = self.faults && self.nodes[i].dir.is_some() && self.rng.random_bool(REFUSE);
-        let store = self.nodes[i].slots[s].mutable.clone().filter(|_| armed)?;
-        store.inject_crash(Some(CrashPoint::FailedWalAppend));
-        Some(store)
+    fn refusal(&mut self, i: usize, s: usize) -> Option<RecordingDisk> {
+        let armed = self.faults && self.nodes[i].durable && self.rng.random_bool(REFUSE);
+        let disk = self.nodes[i].slots[s].disk.clone().filter(|_| armed)?;
+        disk.fail(0, |op| matches!(op, Op::Write(Name::Wal, _)));
+        Some(disk)
     }
 
     /// A client connects to store `s` of node `i` and puts its `Hello` on
@@ -1070,8 +1071,8 @@ impl World {
             metered(hostile, wire, || duet.deliver(frame));
             let reconciled = |c: &Crossed| matches!(c, Crossed::Reconciled { .. });
             let acked = duet.crossed[before..].iter().any(reconciled);
-            if let Some(store) = refusal {
-                store.inject_crash(None);
+            if let Some(disk) = refusal {
+                disk.disarm();
             }
             if let (Some(elements), true) = (transfer, acked) {
                 // What a hostile link had the store take is that peer's write.
@@ -1266,8 +1267,8 @@ impl World {
         if settle(&node.entry(s), result, &node.mesh, outcome).is_ok() {
             self.expected[s].extend(pulled.unwrap_or_default());
         }
-        if let Some(store) = refusal {
-            store.inject_crash(None);
+        if let Some(disk) = refusal {
+            disk.disarm();
         }
         self.advance_round(from);
     }
@@ -1522,8 +1523,8 @@ impl World {
         }
         let held = slot.store.snapshot();
         self.expected[s].extend(held.into_iter().filter(|e| fresh.contains(e)));
-        if let Some(store) = refusal {
-            store.inject_crash(None);
+        if let Some(disk) = refusal {
+            disk.disarm();
         }
     }
 
@@ -1684,7 +1685,7 @@ impl World {
                 self.cut(c);
             }
             5 => {
-                if let Some(i) = self.nodes.iter().position(|node| node.dir.is_some()) {
+                if let Some(i) = self.nodes.iter().position(|node| node.durable) {
                     self.crash(i);
                 }
             }
@@ -1732,31 +1733,35 @@ impl World {
         self.touch(c);
     }
 
-    /// Kill durable node `i` at a crash point, then reopen it from its
-    /// directory: its connections drop, uncounted, and every reopened store
-    /// must stand at the epoch it died at, holding what it held.
+    /// Kill durable node `i` during one store's last call — a commit or a
+    /// compaction — then reopen it: its connections drop, uncounted, and
+    /// every reopened store must stand at the epoch it died at, holding
+    /// what it held, or, where the crash kept the batch it was writing
+    /// whole, at the next epoch with that batch landed. Every crash state
+    /// after every op of the call is recovered and held to that; the node
+    /// goes on from one of them. (A power loss may take back an unsynced
+    /// append the store acknowledged, so on a store that does not sync its
+    /// writes only the process's crash states are held to it.)
     fn crash(&mut self, i: usize) {
-        use CrashPoint::*;
-        let points = [
-            MidWalAppend,
-            FailedWalAppend,
-            MidSnapshotWrite,
-            MidCompaction,
-            TornSnapshot,
-        ];
-        let point = points[self.rng.random_range(0..points.len())];
         let s = self.rng.random_range(0..self.nodes[i].slots.len());
         let doomed = self.fresh();
-        let store = self.nodes[i].slots[s].mutable.clone();
+        let slot = &self.nodes[i].slots[s];
+        let (store, disk) = (slot.mutable.clone(), slot.disk.clone());
         let store = store.expect("a durable store keeps epochs");
-        store.inject_crash(Some(point));
-        if let MidWalAppend | FailedWalAppend = point {
-            let refused = store.try_apply(&[doomed], &[]).is_err() && !store.contains(doomed);
-            assert!(refused, "an armed {point:?} refuses");
-        } else {
-            // (A compaction with nothing new to write has nothing to tear.)
-            let _ = store.compact_now();
+        let disk = disk.expect("a durable store records its disk");
+        let start = disk.ops();
+        match self.rng.random_bool(0.5) {
+            true => drop(store.try_apply(&[doomed], &[])),
+            false => drop(store.compact_now()),
         }
+        let mut states = Vec::new();
+        for k in start..=disk.ops() {
+            states.extend(disk.crash_states(k, &mut self.rng));
+        }
+        if !self.nodes[i].slots[s].options.sync_writes {
+            states.retain(|(crash, _)| *crash == Crash::Process);
+        }
+        let drawn = self.rng.random_range(0..states.len());
         let mut dropped = Vec::new();
         for (c, conn) in self.conns.iter_mut().enumerate() {
             let (served, dialed) = (conn.node == i, conn.mesh_of() == Some(i));
@@ -1768,21 +1773,45 @@ impl World {
                 dropped.push(c);
             }
         }
-        let node = &mut self.nodes[i];
-        let dir = node.dir.clone().expect("durable");
-        let mut slots = std::mem::take(&mut node.slots);
-        for (slot, name) in slots.iter_mut().zip(NAMES) {
-            let dir = dir.join(store_dir_name(name));
-            let reopened =
-                Arc::new(MutableStore::open_durable(&dir, slot.options).expect("reopens"));
-            let (set, epoch) = reopened.snapshot_with_epoch();
-            assert_eq!(epoch, slot.epoch, "reopened at another epoch");
-            let set: HashSet<u64> = set.into_iter().collect();
-            assert!(set == slot.history[&epoch], "reopened with another set");
-            let face = Slot::watched(reopened, slot.options);
-            (slot.store, slot.mutable, slot.watched) = (face.store, face.mutable, face.watched);
+        let mut slots = std::mem::take(&mut self.nodes[i].slots);
+        for (t, slot) in slots.iter_mut().enumerate() {
+            // The other stores had no call under way: they stand as they were.
+            let (disk, options) = (slot.disk.as_ref().expect("durable"), slot.options);
+            let states = match t == s {
+                true => std::mem::take(&mut states),
+                false => vec![(Crash::Process, disk.files())],
+            };
+            let mut reopened = None;
+            for (n, (_, files)) in states.into_iter().enumerate() {
+                let disk = RecordingDisk::new(files);
+                let store = open(&disk, options);
+                let (set, epoch) = store.snapshot_with_epoch();
+                let mut want = slot.history[&slot.epoch].clone();
+                if t == s && epoch == slot.epoch + 1 {
+                    want.insert(doomed);
+                } else {
+                    assert_eq!(epoch, slot.epoch, "reopened at another epoch");
+                }
+                let set: HashSet<u64> = set.into_iter().collect();
+                assert!(set == want, "reopened with another set");
+                self.crash_states += 1;
+                if t != s || n == drawn {
+                    reopened = Some((store, disk, epoch, set));
+                }
+            }
+            let (store, disk, epoch, set) = reopened.expect("one state drawn");
+            if epoch > slot.epoch {
+                // The batch the crash kept is a write like any other.
+                self.expected[s].insert(doomed);
+                slot.history.insert(epoch, set);
+                slot.epoch = epoch;
+            }
+            let face = Slot::durable(store, disk, options);
+            (slot.store, slot.mutable, slot.watched, slot.disk) =
+                (face.store, face.mutable, face.watched, face.disk);
         }
-        *node = Node::serve(node.res.config, slots, Some(dir));
+        let config = self.nodes[i].res.config;
+        self.nodes[i] = Node::serve(config, slots, true);
         // Their peers read end-of-stream from a node that is up again.
         for c in dropped {
             self.touch(c);
@@ -2077,16 +2106,10 @@ impl World {
     }
 }
 
-/// Where durable nodes keep their WALs: a RAM-backed directory where the
-/// system has one. A schedule syncs and deletes its files within
-/// milliseconds, and a disk that discards blocks on delete charges tens of
-/// milliseconds for each file that reached it.
-fn scratch() -> PathBuf {
-    let shm = std::path::Path::new("/dev/shm");
-    match shm.is_dir() {
-        true => shm.to_path_buf(),
-        false => std::env::temp_dir(),
-    }
+/// The durable store on the directory `disk` holds.
+fn open(disk: &RecordingDisk, options: DurableOptions) -> MutableStore {
+    let (store, _) = MutableStore::open_on(Box::new(disk.clone()), options).expect("opens");
+    store
 }
 
 /// The lib test binary's allocator: the system's, counting on each thread
@@ -2198,8 +2221,14 @@ fn metered<T>(hostile: bool, wire: usize, step: impl FnOnce() -> T) -> T {
 }
 
 /// What a schedule that held showed: the timers that fired, what became
-/// of kept connections, and what the links carried.
-type Shown = (BTreeSet<&'static str>, BTreeSet<&'static str>, [Tally; 2]);
+/// of kept connections, what the links carried, and how many crash states
+/// a reopen was held to.
+type Shown = (
+    BTreeSet<&'static str>,
+    BTreeSet<&'static str>,
+    [Tally; 2],
+    u64,
+);
 
 /// Run the schedule of `seed` to its end, or say where it failed. (The
 /// panics the schedule plants are kept out of the test output.)
@@ -2218,7 +2247,8 @@ fn run_seed(seed: u64) -> Result<Shown, String> {
     let mut world = world.expect("made before it runs");
     let carried = world.carried();
     let reuse = std::mem::take(&mut world.reuse);
-    run.map(|()| (std::mem::take(&mut world.fired), reuse, carried)).map_err(|panic| {
+    let crashes = world.crash_states;
+    run.map(|()| (std::mem::take(&mut world.fired), reuse, carried, crashes)).map_err(|panic| {
         let why = (panic.downcast_ref::<String>().map(String::as_str))
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("a panic");
@@ -2230,7 +2260,8 @@ fn run_seed(seed: u64) -> Result<Shown, String> {
 /// The default run, on two threads. It also holds the schedules to making
 /// every timer fire, every mutation reach its target each way, a session
 /// open on a kept connection and one run again off a closed one, in one
-/// seed of twenty at least, and to rewriting every frame type sent.
+/// seed of twenty at least, to rewriting every frame type sent, and to
+/// holding reopens to two crash states a seed.
 #[test]
 fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     let start = std::time::Instant::now();
@@ -2254,8 +2285,9 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     let mut seeds = BTreeMap::<&str, u64>::new();
     let reuse = ["reused", "retried", "retried off a read-idle close"];
     let mut kept = BTreeMap::from(reuse.map(|what| (what, 0u64)));
-    let (mut reached, mut links) = ([[0u64; 6]; 2], [Tally::default(); 2]);
-    for (fired, reuse, tally) in halves.iter().flatten().flatten() {
+    let (mut reached, mut links, mut crashes) = ([[0u64; 6]; 2], [Tally::default(); 2], 0);
+    for (fired, reuse, tally, crash_states) in halves.iter().flatten().flatten() {
+        crashes += crash_states;
         fired
             .iter()
             .for_each(|timer| *seeds.entry(timer).or_default() += 1);
@@ -2275,6 +2307,7 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         start.elapsed()
     );
     eprintln!("sim: seeds a kept connection was: {kept:?}");
+    eprintln!("sim: crash states a reopen was held to: {crashes}");
     for (way, name) in ["client → server", "server → client"]
         .into_iter()
         .enumerate()
@@ -2294,6 +2327,7 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         "{reached:?}"
     );
     assert!(kept.values().all(|&n| n >= SEEDS / 20), "{kept:?}");
+    assert!(crashes >= 2 * SEEDS, "{crashes} crash states");
     for (way, links) in links.iter().enumerate() {
         let never = links.sent & !links.mutated;
         assert_eq!(

@@ -22,8 +22,9 @@
 //! **Lock poisoning** has one policy here (the private `recover`): take
 //! the guard anyway — see there for why that is sound.
 
+use crate::disk::{Disk, Fs};
 use crate::server::ServerStats;
-use crate::wal::{self, DurableOptions, RecoveryReport, Wal};
+use crate::wal::{DurableOptions, RecoveryReport, Wal};
 use obs::{Gauge, Histogram};
 use pbs_core::SetView;
 use std::collections::{BTreeMap, VecDeque};
@@ -332,7 +333,7 @@ pub struct MutableStore {
     /// ([`SetStore::attach_metrics`]); `None` until then, so unregistered
     /// stores pay nothing.
     metrics: OnceLock<MutableMetrics>,
-    /// How long [`wal::recover`] took, for stores opened durably — published
+    /// How long [`crate::wal::recover`] took, for stores opened durably — published
     /// as a gauge when metrics attach.
     recovery_time: Option<Duration>,
     /// The cached per-epoch view. [`MutableStore::commit`] does not know it
@@ -401,7 +402,7 @@ impl MutableStore {
 
     /// Open a durable store backed by the directory `dir`: recover the
     /// persisted state (newest valid snapshot + WAL tail, truncating any
-    /// torn final record — see [`wal::recover`]) and attach the WAL so
+    /// torn final record — see [`crate::wal::recover`]) and attach the WAL so
     /// every further effective batch is written through before memory is
     /// mutated. A missing or empty directory opens as the empty store at
     /// epoch 0. Epochs continue exactly where the persisted store left
@@ -416,11 +417,19 @@ impl MutableStore {
         dir: &Path,
         options: DurableOptions,
     ) -> io::Result<(MutableStore, RecoveryReport)> {
+        Self::open_on(Box::new(Fs::new(dir)?), options)
+    }
+
+    /// [`MutableStore::open_durable_report`] on the store directory `disk`
+    /// drives.
+    pub(crate) fn open_on(
+        disk: Box<dyn Disk>,
+        options: DurableOptions,
+    ) -> io::Result<(MutableStore, RecoveryReport)> {
         let recovery_start = Instant::now();
-        let recovered = wal::recover(dir, options.log_capacity)?;
+        let (wal, recovered) = Wal::recover(disk, options)?;
         let recovery_time = recovery_start.elapsed();
         let report = recovered.report();
-        let wal = Wal::open(dir, options)?;
         let base_epoch = recovered
             .log
             .first()
@@ -448,17 +457,6 @@ impl MutableStore {
     /// restart recovers them from one snapshot instead of a WAL replay.
     pub fn compact_now(&self) -> io::Result<()> {
         recover(self.inner.write()).compact()
-    }
-
-    /// Fault-injection hook for the crash-recovery tests: arm a
-    /// [`wal::CrashPoint`] so the next matching persistence operation does
-    /// its partial work and fails like a killed process. No-op on
-    /// non-durable stores.
-    #[cfg(test)]
-    pub(crate) fn inject_crash(&self, point: Option<wal::CrashPoint>) {
-        if let Some(wal) = recover(self.inner.write()).wal.as_mut() {
-            wal.inject_crash(point);
-        }
     }
 
     /// The store's current epoch. Epoch 0 is the construction state; every
@@ -1061,6 +1059,7 @@ impl StoreRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{Matching, Name, Op, RecordingDisk};
     use crate::machine::DeltaFold;
     use std::collections::{BTreeSet, HashSet};
 
@@ -1604,7 +1603,7 @@ mod tests {
             }
             let log = store.changes_since(0).unwrap();
             drop(store);
-            let recovered = wal::recover(&dir, options.log_capacity).unwrap();
+            let recovered = crate::wal::recover(&dir, options.log_capacity).unwrap();
             let replayed: HashSet<u64> = recovered.elements.iter().copied().collect();
             proptest::prop_assert_eq!(&replayed, &model);
             proptest::prop_assert_eq!(&recovered.log, &log);
@@ -1784,13 +1783,12 @@ mod tests {
 
     #[test]
     fn every_commit_outcome_reads_the_same_through_all_three_wrappers() {
-        let dir = std::env::temp_dir().join(format!("pbs_store_commit_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let options = DurableOptions {
             snapshot_every: 1, // every append is followed by a compaction
             ..DurableOptions::default()
         };
-        let store = MutableStore::open_durable(&dir, options).unwrap();
+        let disk = RecordingDisk::default();
+        let (store, _) = MutableStore::open_on(Box::new(disk.clone()), options).unwrap();
         let notified = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&notified);
         store.register_notifier(Box::new(move |epoch| {
@@ -1798,26 +1796,35 @@ mod tests {
             true
         }));
         assert_eq!(store.apply(&[1, 2], &[]), 1);
-        use wal::CrashPoint::{FailedWalAppend, MidSnapshotWrite, MidWalAppend};
-        // (the fault armed, the batch's one element — new to the store,
-        //  per wrapper, from 10 up; what must follow: the batch is in the
-        //  set, `try_apply` is `Ok`, the epoch moved)
+        fn wal_write(op: &Op) -> bool {
+            matches!(op, Op::Write(Name::Wal, _))
+        }
+        fn snapshot_write(op: &Op) -> bool {
+            matches!(op, Op::Write(Name::Tmp, _))
+        }
+        fn dir_sync(op: &Op) -> bool {
+            *op == Op::SyncDir
+        }
+        let faults: [(&str, Matching); 3] = [
+            ("WAL write", wal_write),
+            ("snapshot write", snapshot_write),
+            ("directory sync", dir_sync),
+        ];
+        // (the op failed, the process living on; the batch's one element —
+        //  new to the store, per wrapper, from 10 up; what must follow: the
+        //  batch is in the set, `try_apply` is `Ok`, the epoch moved)
         let rows = [
             (None, 10, true, true, true),
-            // The append fails half-way and the process lives on: refused
-            // like any other — and cut out of the file, or the batch of the
-            // next row, acknowledged, would sit behind a torn record where
-            // no recovery finds it (that row's compaction dies before it
-            // can tidy the log, so the reopen below reads the WAL as these
-            // two left it).
-            (Some(FailedWalAppend), 40, false, false, false),
-            // The compaction after the append dies: the batch is in memory
+            // The append fails half-way: refused like any other — and cut
+            // out of the file, or the batch of the next row, acknowledged,
+            // would sit behind a torn record where no recovery finds it.
+            (Some(0), 40, false, false, false),
+            // The compaction after the append fails: the batch is in memory
             // and in the WAL all the same — it landed, and the error shows.
-            (Some(MidSnapshotWrite), 30, true, false, true),
-            // The write-ahead append is refused: nothing anywhere changes.
-            // (It leaves a torn record behind, as a killed process would;
-            // the next compaction, or the reopen below, cuts it.)
-            (Some(MidWalAppend), 20, false, false, false),
+            (Some(1), 30, true, false, true),
+            // So does one whose rename may not be durable: the WAL is left
+            // whole for it.
+            (Some(2), 20, true, false, true),
             // Nothing effective to write: no refusal, no epoch, no notifier.
             (None, 1, true, true, false),
         ];
@@ -1830,11 +1837,17 @@ mod tests {
                 } else {
                     element + wrapper
                 };
-                let case = format!("wrapper {wrapper}, {fault:?}, element {element}");
+                let fault = fault.map(|f: usize| faults[f]);
+                let case = format!(
+                    "wrapper {wrapper}, {:?}, element {element}",
+                    fault.map(|f| f.0)
+                );
                 let (epoch, log) = (store.epoch(), store.changes_since(0).unwrap());
                 let calls = notified.lock().unwrap().len();
                 let after = epoch + moved as u64;
-                store.inject_crash(fault);
+                if let Some((_, which)) = fault {
+                    disk.fail(0, which);
+                }
                 match wrapper {
                     0 => assert_eq!(store.apply(&[element], &[]), after, "{case}"),
                     1 => assert_eq!(store.apply_missing(&[element]), landed, "{case}"),
@@ -1843,7 +1856,7 @@ mod tests {
                         Err(e) => assert!(!ok, "{case}: {e}"),
                     },
                 }
-                store.inject_crash(None);
+                disk.disarm();
                 assert_eq!(store.contains(element), landed, "{case}");
                 assert_eq!(store.epoch(), after, "{case}");
                 let grown = store.changes_since(0).unwrap();
@@ -1856,14 +1869,14 @@ mod tests {
         let (held, epoch) = (sorted(store.snapshot()), store.epoch());
         drop(store);
         // What landed is what a restart recovers; what was refused is not.
-        let reopened = MutableStore::open_durable(&dir, options).unwrap();
+        let files = RecordingDisk::new(disk.files());
+        let (reopened, _) = MutableStore::open_on(Box::new(files), options).unwrap();
         assert_eq!(
             (sorted(reopened.snapshot()), reopened.epoch()),
             (held, epoch)
         );
-        assert!(!reopened.contains(20) && reopened.contains(30));
-        assert!(!reopened.contains(42) && reopened.contains(32));
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(!reopened.contains(40) && reopened.contains(30) && reopened.contains(20));
+        assert!(!reopened.contains(42) && reopened.contains(32) && reopened.contains(22));
     }
 
     #[test]

@@ -39,60 +39,24 @@
 //! append never poisons the log. Everything after the cut is at most one
 //! unacknowledged batch.
 //!
-//! Fault injection for the crash-safety tests is built in:
-//! `Wal::inject_crash` arms a `CrashPoint` that makes the next matching
-//! operation perform its *partial* work (a torn record, an unrenamed temp
-//! snapshot, an untruncated log) and then fail as a crash would.
+//! **Every effect on the directory is an `Op`** that the `Disk` the WAL
+//! holds performs (`disk.rs`); the tests run this code on a recording disk
+//! and recover every state a crash after any op of a trace could leave.
 
+use crate::disk::{Disk, Fs, Name, Op};
 use crate::frame::{self, delta_batch_frames, delta_chunk_capacity, Frame, DEFAULT_MAX_FRAME};
 use crate::store::ChangeBatch;
 use obs::Histogram;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// File name of the write-ahead log inside a store directory.
-pub(crate) const WAL_FILE: &str = "changes.wal";
 
 /// Magic number opening every snapshot file (`"PBSS"` little-endian).
 pub(crate) const SNAPSHOT_MAGIC: u32 = 0x5353_4250;
 
 /// Snapshot format version.
 pub(crate) const SNAPSHOT_VERSION: u16 = 1;
-
-/// Injectable crash points for the kill-and-recover tests. Arming one via
-/// `Wal::inject_crash` makes the next matching operation do its partial,
-/// torn work and then fail with an [`io::ErrorKind::Other`] error — the
-/// on-disk state is exactly what a process killed at that instant would
-/// leave behind ([`CrashPoint::FailedWalAppend`] excepted: there the
-/// process survives the error, and what it then does to the file is under
-/// test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CrashPoint {
-    /// Die halfway through a WAL append: only a prefix of the record's
-    /// bytes reaches the file.
-    MidWalAppend,
-    /// Not a crash: a WAL append that fails part-way *with the process
-    /// living on* — a full disk. Half the record's bytes reach the file,
-    /// the write then errors, and [`Wal::append`]'s own error path runs.
-    FailedWalAppend,
-    /// Die mid-snapshot: a partial temp file exists, the rename never
-    /// happened, the previous snapshot and the WAL are untouched.
-    MidSnapshotWrite,
-    /// Die mid-compaction: the new snapshot is fully in place but the WAL
-    /// was not truncated and older snapshots were not removed.
-    MidCompaction,
-    /// Simulate a non-atomic rename (or a torn disk): a corrupt snapshot
-    /// sits under the *live* snapshot name. Recovery must reject it by CRC
-    /// and fall back.
-    TornSnapshot,
-}
-
-fn injected() -> io::Error {
-    io::Error::other("injected crash")
-}
 
 /// Size-free summary of a recovery, for logging and assertions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -183,17 +147,15 @@ pub const DEFAULT_SNAPSHOT_EVERY: usize = 256;
 /// holds it inside its write lock, so WAL order always equals epoch order).
 #[derive(Debug)]
 pub struct Wal {
-    dir: PathBuf,
-    file: File,
+    disk: Box<dyn Disk>,
     /// Byte length of the valid prefix (everything we have appended or
-    /// recovered; a crash point may leave garbage beyond it).
+    /// recovered; a failed append may leave garbage beyond it).
     len: u64,
     /// A failed append left bytes beyond `len` that could not be cut off
     /// yet; nothing is appended until they are.
     torn: bool,
     records_since_snapshot: usize,
     options: DurableOptions,
-    crash: Option<CrashPoint>,
     /// Append / fsync / compaction latency histograms, installed by
     /// [`Wal::set_timers`] when the owning store attaches to a metric
     /// registry. `None` costs nothing.
@@ -205,18 +167,6 @@ struct WalTimers {
     append: Arc<Histogram>,
     fsync: Arc<Histogram>,
     compaction: Arc<Histogram>,
-}
-
-fn snapshot_name(epoch: u64) -> String {
-    // Zero-padded so lexicographic order equals epoch order.
-    format!("snapshot-{epoch:020}.snap")
-}
-
-fn parse_snapshot_name(name: &str) -> Option<u64> {
-    name.strip_prefix("snapshot-")?
-        .strip_suffix(".snap")?
-        .parse()
-        .ok()
 }
 
 fn push_packed(out: &mut Vec<u8>, elements: &[u64]) {
@@ -293,30 +243,17 @@ fn decode_snapshot(bytes: &[u8]) -> Option<(xhash::Set, u64, Vec<ChangeBatch>)> 
     let batch_count = u32::from_le_bytes(take_array(&mut buf)?);
     let mut log = Vec::with_capacity((batch_count as usize).min(1 << 16));
     for _ in 0..batch_count {
-        let batch_epoch = u64::from_le_bytes(take_array(&mut buf)?);
-        let added = take_packed(&mut buf)?;
-        let removed = take_packed(&mut buf)?;
         log.push(ChangeBatch {
-            epoch: batch_epoch,
-            added,
-            removed,
+            epoch: u64::from_le_bytes(take_array(&mut buf)?),
+            added: take_packed(&mut buf)?,
+            removed: take_packed(&mut buf)?,
         });
     }
-    if !buf.is_empty() {
-        return None;
-    }
-    // The changelog must be contiguous and end exactly at the set's epoch.
-    for (i, batch) in log.iter().enumerate() {
-        if i > 0 && batch.epoch != log[i - 1].epoch + 1 {
-            return None;
-        }
-    }
-    if let Some(last) = log.last() {
-        if last.epoch != epoch {
-            return None;
-        }
-    }
-    Some((elements, epoch, log))
+    // Nothing may follow, and the changelog must be contiguous and end
+    // exactly at the set's epoch.
+    let gap = log.windows(2).any(|w| w[1].epoch != w[0].epoch + 1);
+    let ends = log.last().is_none_or(|last| last.epoch == epoch);
+    (buf.is_empty() && !gap && ends).then_some((elements, epoch, log))
 }
 
 /// Recover a store directory: newest valid snapshot + WAL tail replay,
@@ -324,20 +261,20 @@ fn decode_snapshot(bytes: &[u8]) -> Option<(xhash::Set, u64, Vec<ChangeBatch>)> 
 /// missing or empty directory recovers to the empty state at epoch 0.
 /// Never panics on corrupt input; only real I/O failures error.
 pub fn recover(dir: &Path, log_capacity: usize) -> io::Result<Recovered> {
-    std::fs::create_dir_all(dir)?;
+    Ok(recover_on(&mut Fs::new(dir)?, log_capacity)?.0)
+}
+
+/// [`recover`] through `disk`, with the length of the WAL's valid prefix
+/// (`None` when there is no WAL).
+fn recover_on(disk: &mut dyn Disk, log_capacity: usize) -> io::Result<(Recovered, Option<u64>)> {
     let mut out = Recovered::default();
 
     // ---- Newest valid snapshot ----
-    let mut snapshots: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)?
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name();
-            parse_snapshot_name(name.to_str()?).map(|epoch| (epoch, e.path()))
-        })
-        .collect();
-    snapshots.sort_unstable_by_key(|(epoch, _)| std::cmp::Reverse(*epoch));
-    for (_, path) in &snapshots {
-        match std::fs::read(path).ok().and_then(|b| decode_snapshot(&b)) {
+    let mut snapshots = disk.snapshots()?;
+    snapshots.sort_unstable_by_key(|&epoch| std::cmp::Reverse(epoch));
+    for epoch in snapshots {
+        let read = disk.read(Name::Snapshot(epoch)).ok().flatten();
+        match read.and_then(|b| decode_snapshot(&b)) {
             Some((elements, epoch, log)) => {
                 out.elements = elements;
                 out.epoch = epoch;
@@ -350,31 +287,21 @@ pub fn recover(dir: &Path, log_capacity: usize) -> io::Result<Recovered> {
     }
 
     // ---- WAL tail replay ----
-    let wal_path = dir.join(WAL_FILE);
-    let bytes = match std::fs::read(&wal_path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let mut cursor = bytes.as_slice();
+    let wal = disk.read(Name::Wal)?;
+    let bytes = wal.as_deref().unwrap_or_default();
+    let mut cursor = bytes;
     let mut valid_end = 0u64;
-    loop {
-        let record = match frame::read_frame(&mut cursor, DEFAULT_MAX_FRAME) {
-            Ok((
-                Frame::DeltaBatch {
-                    epoch,
-                    added,
-                    removed,
-                },
-                consumed,
-            )) => Some((epoch, added, removed, consumed)),
-            // Any other well-framed type, or any framing/CRC/decode error,
-            // marks the end of the trustworthy prefix.
-            _ => None,
-        };
-        let Some((epoch, added, removed, consumed)) = record else {
-            break;
-        };
+    // Any other well-framed type, or any framing/CRC/decode error, marks
+    // the end of the trustworthy prefix.
+    while let Ok((
+        Frame::DeltaBatch {
+            epoch,
+            added,
+            removed,
+        },
+        consumed,
+    )) = frame::read_frame(&mut cursor, DEFAULT_MAX_FRAME)
+    {
         // Sequencing: a record either continues the current batch (same
         // epoch — a chunk), starts the next one (epoch + 1), or — when at
         // or below the snapshot epoch — is a pre-compaction leftover that
@@ -411,38 +338,43 @@ pub fn recover(dir: &Path, log_capacity: usize) -> io::Result<Recovered> {
     }
     if valid_end < bytes.len() as u64 {
         out.truncated_bytes = bytes.len() as u64 - valid_end;
-        let file = OpenOptions::new().write(true).open(&wal_path)?;
-        file.set_len(valid_end)?;
-        file.sync_all()?;
+        disk.perform(Op::Truncate(Name::Wal, valid_end))?;
+        disk.perform(Op::Sync(Name::Wal))?;
     }
-    while out.log.len() > log_capacity {
-        out.log.remove(0);
-    }
-    if log_capacity == 0 {
-        out.log.clear();
-    }
-    Ok(out)
+    let excess = out.log.len().saturating_sub(log_capacity);
+    out.log.drain(..excess);
+    Ok((out, wal.map(|_| valid_end)))
 }
 
 impl Wal {
-    /// Open (creating if needed) the WAL of `dir` for appending. Call
-    /// [`recover`] first — the WAL must already be truncated to its valid
-    /// prefix.
+    /// Open the WAL of `dir` for appending, recovering the directory first
+    /// (see [`recover`]): the log is cut to its valid prefix before
+    /// anything is appended to it.
     pub fn open(dir: &Path, options: DurableOptions) -> io::Result<Wal> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(WAL_FILE);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let len = file.metadata()?.len();
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            file,
-            len,
+        Ok(Wal::recover(Box::new(Fs::new(dir)?), options)?.0)
+    }
+
+    /// Recover the directory behind `disk` and open its WAL for appending.
+    pub(crate) fn recover(
+        mut disk: Box<dyn Disk>,
+        options: DurableOptions,
+    ) -> io::Result<(Wal, Recovered)> {
+        let (recovered, len) = recover_on(&mut *disk, options.log_capacity)?;
+        if len.is_none() {
+            // A synced append is durable only once the file that holds it
+            // is: the new WAL's directory entry is synced first.
+            disk.perform(Op::Truncate(Name::Wal, 0))?;
+            disk.perform(Op::SyncDir)?;
+        }
+        let wal = Wal {
+            disk,
+            len: len.unwrap_or(0),
             torn: false,
             records_since_snapshot: 0,
             options,
-            crash: None,
             timers: None,
-        })
+        };
+        Ok((wal, recovered))
     }
 
     /// Install append / fsync / compaction latency histograms. Called once
@@ -460,21 +392,14 @@ impl Wal {
         });
     }
 
-    /// Arm (or disarm) a crash point: the next matching operation performs
-    /// its partial work and fails. Fault injection for the recovery tests.
-    #[cfg(test)]
-    pub(crate) fn inject_crash(&mut self, point: Option<CrashPoint>) {
-        self.crash = point;
-    }
-
     /// Append one effective change batch, chunked under the frame cap like
-    /// the delta stream. On success the batch is on disk (flushed to the
+    /// the delta stream. On success the batch is on disk (handed to the
     /// OS; fsynced when [`DurableOptions::sync_writes`]) *before* the
     /// caller mutates memory — the write-ahead contract.
     ///
-    /// On an error from the write, the flush or the sync the file is cut
-    /// back to its last good length: the caller holds none of the batch, so
-    /// the log must not either — a torn record would hide every later,
+    /// On an error from the write or the sync the file is cut back to its
+    /// last good length: the caller holds none of the batch, so the log
+    /// must not either — a torn record would hide every later,
     /// acknowledged append from recovery (which stops at the first tear),
     /// and a whole one would leave the refused batch's epoch on disk for
     /// the next batch to reuse.
@@ -488,18 +413,12 @@ impl Wal {
             frame::encode_frame(&mut record, &chunk, DEFAULT_MAX_FRAME)
                 .map_err(|e| io::Error::other(format!("wal encode: {e}")))?;
         }
-        if self.crash == Some(CrashPoint::MidWalAppend) {
-            // A torn append: exactly half the record's bytes land, and no
-            // line of this process runs after it.
-            self.file.write_all(&record[..record.len() / 2])?;
-            self.file.flush()?;
-            return Err(injected());
-        }
         if self.torn {
             self.cut_back()?;
         }
+        let len = record.len() as u64;
         let start = self.timers.as_ref().map(|_| Instant::now());
-        let written = match self.write_record(&record, start) {
+        let written = match self.write_record(record, start) {
             Ok(written) => written,
             Err(e) => {
                 self.torn = true;
@@ -516,7 +435,7 @@ impl Wal {
                     .record_duration(start.elapsed().saturating_sub(written));
             }
         }
-        self.len += record.len() as u64;
+        self.len += len;
         self.records_since_snapshot += 1;
         Ok(self.options.snapshot_every > 0
             && self.records_since_snapshot >= self.options.snapshot_every)
@@ -526,34 +445,34 @@ impl Wal {
     /// timed store's clock — and synced where the store asks for it.
     fn write_record(
         &mut self,
-        record: &[u8],
+        record: Vec<u8>,
         start: Option<Instant>,
     ) -> io::Result<Option<(Instant, std::time::Duration)>> {
-        if self.crash == Some(CrashPoint::FailedWalAppend) {
-            self.file.write_all(&record[..record.len() / 2])?;
-            return Err(injected());
-        }
-        self.file.write_all(record)?;
-        self.file.flush()?;
+        self.disk.perform(Op::Write(Name::Wal, record))?;
         let written = start.map(|s| (s, s.elapsed()));
         if self.options.sync_writes {
-            self.file.sync_data()?;
+            self.disk.perform(Op::Sync(Name::Wal))?;
         }
         Ok(written)
     }
 
-    /// Drop whatever a failed append left beyond the last good record.
+    /// Drop whatever a failed append left beyond the last good record —
+    /// durably, where appends are synced: a record whose sync failed may
+    /// have reached the disk whole, and a power loss must not bring back
+    /// the batch its caller was told was refused.
     fn cut_back(&mut self) -> io::Result<()> {
-        self.file.set_len(self.len)?;
-        self.file.seek(SeekFrom::Start(self.len))?;
+        self.disk.perform(Op::Truncate(Name::Wal, self.len))?;
+        if self.options.sync_writes {
+            self.disk.perform(Op::Sync(Name::Wal))?;
+        }
         self.torn = false;
         Ok(())
     }
 
     /// Write a snapshot of the full state and compact: temp file → fsync →
-    /// atomic rename → truncate the WAL → remove older snapshots. Crashing
-    /// between any two steps leaves a recoverable directory (the ordering
-    /// is the whole point; see the module docs).
+    /// atomic rename → directory fsync → truncate the WAL → remove older
+    /// snapshots. Crashing between any two steps leaves a recoverable
+    /// directory (the ordering is the whole point; see the module docs).
     pub(crate) fn compact(
         &mut self,
         elements: &[u64],
@@ -574,86 +493,70 @@ impl Wal {
         epoch: u64,
         log: &[ChangeBatch],
     ) -> io::Result<()> {
-        let final_path = self.dir.join(snapshot_name(epoch));
+        let snapshot = Name::Snapshot(epoch);
+        let snapshots = self.disk.snapshots()?;
         // Nothing appended since this epoch's snapshot, the only copy of
         // the state: rewriting it could tear it with nothing to fall back on.
-        if self.len == 0 && final_path.exists() {
+        if self.len == 0 && snapshots.contains(&epoch) {
             return Ok(());
         }
         let blob = encode_snapshot(elements, epoch, log);
-        if self.crash == Some(CrashPoint::TornSnapshot) {
-            // A non-atomic rename / torn disk: half a snapshot under the
-            // live name. The trailing CRC is what catches this.
-            std::fs::write(&final_path, &blob[..blob.len() / 2])?;
-            return Err(injected());
-        }
-        let tmp_path = self.dir.join("snapshot.tmp");
-        if self.crash == Some(CrashPoint::MidSnapshotWrite) {
-            std::fs::write(&tmp_path, &blob[..blob.len() / 2])?;
-            return Err(injected());
-        }
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(&blob)?;
-            tmp.sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
-        // Make the rename itself durable before truncating the WAL.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        if self.crash == Some(CrashPoint::MidCompaction) {
-            return Err(injected());
-        }
-        self.truncate_wal()?;
-        for entry in std::fs::read_dir(&self.dir)?.flatten() {
-            let name = entry.file_name();
-            if let Some(e) = name.to_str().and_then(parse_snapshot_name) {
-                if e < epoch {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
+        self.disk.perform(Op::Truncate(Name::Tmp, 0))?;
+        self.disk.perform(Op::Write(Name::Tmp, blob))?;
+        self.disk.perform(Op::Sync(Name::Tmp))?;
+        self.disk.perform(Op::Rename(Name::Tmp, snapshot))?;
+        // The rename is made durable before the WAL is cut. Should that
+        // fail, the WAL keeps its records, and recovery skips those at or
+        // below the snapshot's epoch.
+        self.disk.perform(Op::SyncDir)?;
+        self.disk.perform(Op::Truncate(Name::Wal, 0))?;
+        self.disk.perform(Op::Sync(Name::Wal))?;
+        (self.len, self.torn, self.records_since_snapshot) = (0, false, 0);
+        for older in snapshots.into_iter().filter(|&e| e < epoch) {
+            let _ = self.disk.perform(Op::Remove(Name::Snapshot(older)));
         }
         Ok(())
     }
-
-    fn truncate_wal(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_all()?;
-        self.len = 0;
-        self.torn = false;
-        self.records_since_snapshot = 0;
-        Ok(())
-    }
-}
-
-/// Read the raw WAL bytes of a store directory (empty when absent) — for
-/// tests and tooling that want to corrupt or inspect the log.
-pub fn read_wal_bytes(dir: &Path) -> io::Result<Vec<u8>> {
-    match std::fs::read(dir.join(WAL_FILE)) {
-        Ok(bytes) => Ok(bytes),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Overwrite the raw WAL bytes of a store directory — the tests' way of
-/// planting torn, bit-flipped, or duplicated tails.
-pub fn write_wal_bytes(dir: &Path, bytes: &[u8]) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(WAL_FILE), bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{Crash, RecordingDisk};
+    use crate::store::MutableStore;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+    use std::ops::Range;
+    use std::path::PathBuf;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pbs_wal_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn is_wal_write(op: &Op) -> bool {
+        matches!(op, Op::Write(Name::Wal, _))
+    }
+
+    /// A WAL on a fresh recording disk.
+    fn recorded(options: DurableOptions) -> (RecordingDisk, Wal) {
+        let disk = RecordingDisk::default();
+        let (wal, _) = Wal::recover(Box::new(disk.clone()), options).unwrap();
+        (disk, wal)
+    }
+
+    /// What a process crash now would leave: the directory as it stands.
+    fn reopen(disk: &RecordingDisk, options: DurableOptions) -> (RecordingDisk, Recovered) {
+        let disk = RecordingDisk::new(disk.files());
+        let (_, recovered) = Wal::recover(Box::new(disk.clone()), options).unwrap();
+        (disk, recovered)
     }
 
     #[test]
@@ -697,6 +600,49 @@ mod tests {
     }
 
     #[test]
+    fn the_on_disk_format_is_pinned() {
+        // One batch over two WAL records, and one snapshot, byte for byte
+        // as the format has always written them.
+        let (disk, mut wal) = recorded(DurableOptions::default());
+        let added: Vec<u64> = (1..=65_540u64).map(|e| e * 3).collect();
+        wal.append(7, &added, &[5, 1 << 33]).unwrap();
+        let bytes = &disk.files()[&Name::Wal];
+        let first = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize + 8;
+        assert_eq!(
+            (bytes.len(), crate::crc::crc32(bytes), first),
+            (196_690, 0xe561_cff2, 196_634)
+        );
+        assert_eq!(
+            hex(&bytes[..40]),
+            "12000300ba72ecaf0707000000000000000300000100000000000300000600000900000c00000f00"
+        );
+        assert_eq!(
+            hex(&bytes[first..]),
+            "30000000e05788830707000000000000000504000000020000000300030000060003000009000300\
+             000c0003000005000000000000000002"
+        );
+        let log = [
+            ChangeBatch {
+                epoch: 4,
+                added: vec![10, 300],
+                removed: vec![],
+            },
+            ChangeBatch {
+                epoch: 5,
+                added: vec![],
+                removed: vec![10, 1 << 40],
+            },
+        ];
+        assert_eq!(
+            hex(&encode_snapshot(&[1, 2, 300, 1 << 40], 5, &log)),
+            "50425353010005000000000000000604000000000000000100000000000200000000002c01000000\
+             000000000000010200000004000000000000000202000000000000000a002c010100000000000000\
+             0005000000000000000100000000000000000602000000000000000a0000000000000000000001ba\
+             38b445"
+        );
+    }
+
+    #[test]
     fn wal_append_recover_round_trip() {
         let dir = tempdir("round_trip");
         let mut wal = Wal::open(&dir, DurableOptions::default()).unwrap();
@@ -721,8 +667,9 @@ mod tests {
         wal.append(1, &[1], &[]).unwrap();
         wal.append(2, &[2], &[]).unwrap();
         // Tear the last record.
-        let bytes = read_wal_bytes(&dir).unwrap();
-        write_wal_bytes(&dir, &bytes[..bytes.len() - 3]).unwrap();
+        let path = dir.join("changes.wal");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let rec = recover(&dir, 16).unwrap();
         assert_eq!(rec.epoch, 1, "the torn batch must be rolled back");
         assert!(rec.truncated_bytes > 0);
@@ -741,31 +688,27 @@ mod tests {
         // A write that fails half-way leaves a torn record. It is gone
         // before the next append: recovery finds the acknowledged batches,
         // all of them, and nothing else.
-        let fault = CrashPoint::FailedWalAppend;
         for sync_writes in [false, true] {
-            let dir = tempdir("failed_append");
             let opts = DurableOptions {
                 snapshot_every: 0,
                 sync_writes,
                 ..DurableOptions::default()
             };
-            let mut wal = Wal::open(&dir, opts).unwrap();
+            let (disk, mut wal) = recorded(opts);
             wal.append(1, &[1], &[]).unwrap();
-            let good = read_wal_bytes(&dir).unwrap();
-            wal.inject_crash(Some(fault));
+            let good = disk.files();
+            disk.fail(0, is_wal_write);
             assert!(wal.append(2, &[66, 67, 68], &[]).is_err());
-            wal.inject_crash(None);
-            assert_eq!(read_wal_bytes(&dir).unwrap(), good, "cut back");
+            assert_eq!(disk.files(), good, "cut back");
             // The refused batch's epoch is free again, and what takes it
             // sits right behind the last good record.
             wal.append(2, &[2], &[]).unwrap();
             wal.append(3, &[3], &[1]).unwrap();
-            let rec = recover(&dir, 16).unwrap();
+            let (_, rec) = reopen(&disk, opts);
             assert_eq!((rec.epoch, rec.wal_records, rec.truncated_bytes), (3, 3, 0));
             let mut got: Vec<u64> = rec.elements.iter().copied().collect();
             got.sort_unstable();
             assert_eq!(got, vec![2, 3]);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -793,7 +736,11 @@ mod tests {
             },
         ];
         wal.compact(&[1, 2], 2, &log).unwrap();
-        assert_eq!(read_wal_bytes(&dir).unwrap().len(), 0, "WAL truncated");
+        assert_eq!(
+            std::fs::read(dir.join("changes.wal")).unwrap().len(),
+            0,
+            "WAL truncated"
+        );
         let rec = recover(&dir, 2).unwrap();
         assert_eq!((rec.epoch, rec.snapshot_epoch, rec.wal_records), (2, 2, 0));
         assert_eq!(rec.log, log, "changelog survives through the snapshot");
@@ -815,12 +762,11 @@ mod tests {
         // A second compaction at the snapshot's epoch, nothing appended in
         // between: were it to rewrite the file and tear it, neither an older
         // snapshot nor the (truncated) WAL would be left to recover from.
-        let dir = tempdir("same_epoch");
         let opts = DurableOptions {
             snapshot_every: 0,
             ..DurableOptions::default()
         };
-        let mut wal = Wal::open(&dir, opts).unwrap();
+        let (disk, mut wal) = recorded(opts);
         wal.append(1, &[1], &[]).unwrap();
         let log = vec![ChangeBatch {
             epoch: 1,
@@ -828,13 +774,12 @@ mod tests {
             removed: vec![],
         }];
         wal.compact(&[1], 1, &log).unwrap();
-        let mut wal = Wal::open(&dir, opts).unwrap();
-        wal.inject_crash(Some(CrashPoint::TornSnapshot));
+        let (disk, rec) = reopen(&disk, opts);
+        assert_eq!((rec.epoch, rec.snapshot_epoch), (1, 1));
+        let (mut wal, _) = Wal::recover(Box::new(disk.clone()), opts).unwrap();
+        let ops = disk.ops();
         wal.compact(&[1], 1, &log).unwrap();
-        let rec = recover(&dir, 8).unwrap();
-        assert_eq!((rec.epoch, rec.snapshots_rejected), (1, 0));
-        assert!(rec.elements.contains(&1));
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(disk.ops(), ops, "not one op");
     }
 
     #[test]
@@ -859,34 +804,234 @@ mod tests {
 
     #[test]
     fn recovery_skips_pre_snapshot_leftovers() {
-        // A crash between snapshot rename and WAL truncation leaves records
-        // the snapshot already covers; they must be skipped, and records
-        // beyond the snapshot applied.
-        let dir = tempdir("leftovers");
+        // A compaction whose WAL truncation fails leaves records the
+        // snapshot already covers; they must be skipped, and records beyond
+        // the snapshot applied.
         let opts = DurableOptions {
             snapshot_every: 0,
             ..DurableOptions::default()
         };
-        let mut wal = Wal::open(&dir, opts).unwrap();
+        let (disk, mut wal) = recorded(opts);
         wal.append(1, &[1], &[]).unwrap();
         wal.append(2, &[2], &[]).unwrap();
-        wal.inject_crash(Some(CrashPoint::MidCompaction));
+        disk.fail(0, |op| matches!(op, Op::Truncate(Name::Wal, _)));
         let log = vec![ChangeBatch {
             epoch: 2,
             added: vec![2],
             removed: vec![],
         }];
         assert!(wal.compact(&[1, 2], 2, &log).is_err());
-        // The WAL still holds epochs 1–2; append epoch 3 with a fresh handle
-        // (the crashed process is gone).
-        let mut wal = Wal::open(&dir, opts).unwrap();
+        // The WAL still holds epochs 1–2; epoch 3 lands behind them.
         wal.append(3, &[3], &[]).unwrap();
-        let rec = recover(&dir, 8).unwrap();
+        let (_, rec) = reopen(&disk, opts);
         assert_eq!((rec.epoch, rec.snapshot_epoch), (3, 2));
         assert_eq!(rec.wal_records, 1, "only the post-snapshot record replays");
         let mut got: Vec<u64> = rec.elements.iter().copied().collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_directory_sync_leaves_the_wal_whole() {
+        // The snapshot's rename may not be durable: the WAL keeps every
+        // record, and a reopen stands where the store stood.
+        let opts = DurableOptions {
+            snapshot_every: 0,
+            ..DurableOptions::default()
+        };
+        let (disk, mut wal) = recorded(opts);
+        wal.append(1, &[1], &[]).unwrap();
+        wal.append(2, &[2], &[1]).unwrap();
+        let before = disk.files()[&Name::Wal].clone();
+        disk.fail(0, |op| *op == Op::SyncDir);
+        assert!(wal.compact(&[2], 2, &[]).is_err());
+        assert_eq!(disk.files()[&Name::Wal], before, "the WAL is untruncated");
+        let (_, rec) = reopen(&disk, opts);
+        assert_eq!((rec.epoch, rec.elements.len()), (2, 1));
+        assert!(rec.elements.contains(&2));
+    }
+
+    /// One call on a recorded store: where its ops sit in the trace, and
+    /// what it left.
+    #[derive(Debug)]
+    struct Call {
+        ops: Range<usize>,
+        /// The store's epoch once the call returned.
+        landed: u64,
+        /// The newest epoch a power loss may not take back: that of the
+        /// last synced append or completed compaction.
+        promised: u64,
+        /// A commit's batch, landed or not, and the set it leads to.
+        batch: Option<(ChangeBatch, BTreeSet<u64>)>,
+    }
+
+    /// A store's seeded run on a recording disk, one op of it failed.
+    struct Run {
+        seed: u64,
+        fail: Option<usize>,
+        disk: RecordingDisk,
+        options: DurableOptions,
+        calls: Vec<Call>,
+        /// The set at every epoch the store stood at, and the batch that
+        /// led to each.
+        sets: Vec<BTreeSet<u64>>,
+        batches: Vec<ChangeBatch>,
+    }
+
+    /// Run a seeded mix of commits and compactions on a durable store,
+    /// failing op `fail` of the trace (the process living on).
+    fn record(seed: u64, fail: Option<usize>) -> Run {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let options = DurableOptions {
+            log_capacity: [2, 64][rng.random_range(0..2usize)],
+            snapshot_every: rng.random_range(2..=3usize),
+            sync_writes: seed % 2 == 1,
+        };
+        let disk = RecordingDisk::default();
+        if let Some(fail) = fail {
+            disk.fail(fail, |_| true);
+        }
+        let mut run = Run {
+            seed,
+            fail,
+            disk: disk.clone(),
+            options,
+            calls: Vec::new(),
+            sets: vec![BTreeSet::new()],
+            batches: Vec::new(),
+        };
+        let Ok((store, _)) = MutableStore::open_on(Box::new(disk.clone()), options) else {
+            return run;
+        };
+        let mut fresh = 0u64;
+        for _ in 0..10 {
+            let (start, before) = (disk.ops(), store.epoch());
+            let held = run.sets[before as usize].clone();
+            let (result, batch) = if rng.random_bool(0.2) {
+                (store.compact_now(), None)
+            } else {
+                let added: BTreeSet<u64> = (0..rng.random_range(1..=3))
+                    .map(|_| {
+                        fresh += 1;
+                        fresh << [0, 40][rng.random_range(0..2usize)]
+                    })
+                    .collect();
+                let removed: BTreeSet<u64> = held
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.random_bool(0.3))
+                    .collect();
+                let batch = ChangeBatch {
+                    epoch: before + 1,
+                    added: added.iter().copied().collect(),
+                    removed: removed.iter().copied().collect(),
+                };
+                let set = held.difference(&removed).chain(&added).copied().collect();
+                let result = store.try_apply(&batch.added, &batch.removed);
+                (result.map(drop), Some((batch, set)))
+            };
+            let ops = start..disk.ops();
+            let (set, landed) = store.snapshot_with_epoch();
+            if landed > before {
+                let (batch, set) = batch.clone().expect("only a commit lands");
+                run.sets.push(set);
+                run.batches.push(batch);
+            }
+            let set: BTreeSet<u64> = set.into_iter().collect();
+            assert_eq!(set, run.sets[landed as usize], "seed {seed}, fail {fail:?}");
+            let compacted =
+                result.is_ok() && ops.clone().any(|k| matches!(disk.op(k), Op::Rename(..)));
+            let synced = options.sync_writes && landed > before;
+            let promised = match compacted || synced {
+                true => landed,
+                false => run.calls.last().map_or(0, |c| c.promised),
+            };
+            run.calls.push(Call {
+                ops,
+                landed,
+                promised,
+                batch,
+            });
+        }
+        run
+    }
+
+    /// Recover every crash state of `run`'s trace and hold it to the store.
+    /// Returns the states checked: (process, power loss).
+    fn check(run: &Run, rng: &mut StdRng) -> (usize, usize) {
+        let mut counts = (0, 0);
+        for k in 0..=run.disk.ops() {
+            let done = run.calls.iter().rev().find(|c| c.ops.end <= k);
+            let (landed, promised) = done.map_or((0, 0), |c| (c.landed, c.promised));
+            let in_flight = run.calls.iter().find(|c| c.ops.contains(&k));
+            let writing = in_flight.and_then(|c| c.batch.as_ref());
+            for (crash, files) in run.disk.crash_states(k, rng) {
+                let (seed, fail, calls) = (run.seed, run.fail, &run.calls);
+                let case =
+                    || format!("seed {seed}, fail {fail:?}: {crash:?} after op {k} of {calls:?}");
+                let disk = RecordingDisk::new(files);
+                let recovered = Wal::recover(Box::new(disk.clone()), run.options);
+                let (mut wal, got) = recovered.unwrap_or_else(|e| panic!("{e}: {}", case()));
+                let e = got.epoch;
+                // Where the store stood, or the batch it was writing.
+                let (set, written) = match writing {
+                    Some((batch, set)) if e == batch.epoch && e > landed => (set, Some(batch)),
+                    _ => {
+                        let floor = match crash {
+                            Crash::Process => landed,
+                            Crash::PowerLoss => promised,
+                        };
+                        assert!((floor..=landed).contains(&e), "epoch {e}: {}", case());
+                        (&run.sets[e as usize], None)
+                    }
+                };
+                let elements: BTreeSet<u64> = got.elements.iter().copied().collect();
+                assert_eq!(&elements, set, "epoch {e}: {}", case());
+                // The changelog runs contiguously up to `e`, each batch the
+                // one the store wrote at its epoch.
+                assert!(got.log.len() <= run.options.log_capacity, "{}", case());
+                for (back, logged) in got.log.iter().rev().enumerate() {
+                    let want = match written {
+                        Some(batch) if batch.epoch == logged.epoch => batch,
+                        _ => &run.batches[logged.epoch as usize - 1],
+                    };
+                    let at = e - back as u64;
+                    assert_eq!((logged.epoch, logged), (at, want), "{}", case());
+                }
+                // And the directory takes the next batch where it stands.
+                let appended = wal.append(e + 1, &[u64::MAX], &[]);
+                appended.unwrap_or_else(|e| panic!("{e}: {}", case()));
+                let (_, again) = reopen(&disk, run.options);
+                assert_eq!(again.epoch, e + 1, "{}", case());
+                match crash {
+                    Crash::Process => counts.0 += 1,
+                    Crash::PowerLoss => counts.1 += 1,
+                }
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn every_crash_state_of_a_recorded_trace_recovers() {
+        // Every prefix of each seed's trace, with each of its ops failed in
+        // turn: the process's crash states must recover the epoch the store
+        // stood at (or the batch it was writing), a power loss's no earlier
+        // than the last promise, and never panic.
+        let mut rng = StdRng::seed_from_u64(0x0041_11CE);
+        let (mut process, mut power, mut traces) = (0, 0, 0);
+        for seed in 0..4 {
+            let ops = record(seed, None).disk.ops();
+            for fail in std::iter::once(None).chain((0..ops).map(Some)) {
+                let (p, q) = check(&record(seed, fail), &mut rng);
+                (process, power, traces) = (process + p, power + q, traces + 1);
+            }
+        }
+        let states = process + power;
+        println!(
+            "crash states checked: {states} ({process} process, {power} power loss) \
+             over {traces} traces"
+        );
+        assert!(states >= 10_000, "only {states} crash states");
     }
 }

@@ -415,3 +415,52 @@ fn an_unknown_error_code_is_named_and_a_v5_hello_is_refused() {
     }
     assert_eq!(ErrorCode::Version.to_string(), "version-unsupported");
 }
+
+/// Documentation lint, on the model of `tests/admin.rs`'s metric
+/// catalogue: every place `docs/WIRE.md` states the protocol version it
+/// documents states [`PROTOCOL_VERSION`]. (Older versions it names by `vN`
+/// are history, and left alone.)
+#[test]
+fn wire_md_states_the_protocol_version_it_documents() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/WIRE.md");
+    let doc = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let doc = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+    let version = PROTOCOL_VERSION;
+    // (the words before the number, the number); the hex dumps spell the
+    // little-endian `version u16` as two bytes.
+    let statements = [
+        ("There is **one protocol version**, ", version.to_string()),
+        ("a value other than ", version.to_string()),
+        ("the protocol version (", version.to_string()),
+        ("a `Hello` whose `version` is not ", version.to_string()),
+        ("a retired 1–", (version - 1).to_string()),
+        (
+            "| version ",
+            format!("{:02x} {:02x}", version & 0xff, version >> 8),
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (before, want) in &statements {
+        let stated: Vec<&str> = doc
+            .match_indices(before)
+            .map(|(at, _)| &doc[at + before.len()..])
+            .collect();
+        assert!(
+            !stated.is_empty(),
+            "docs/WIRE.md no longer says {before:?}…"
+        );
+        for rest in stated {
+            // The number is `want`, not a longer one that begins with it.
+            let after = rest.strip_prefix(want.as_str());
+            if after.is_none_or(|after| after.starts_with(|c: char| c.is_ascii_digit())) {
+                let said: String = rest.chars().take(want.len() + 1).collect();
+                wrong.push(format!("{before}{said}"));
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "docs/WIRE.md states a protocol version other than {version}: {wrong:?}"
+    );
+}

@@ -2,9 +2,11 @@
 //! rides out a server restart, and the WAL tail recovers to a batch prefix
 //! however it was torn, bit-flipped or duplicated.
 //!
-//! Kill-and-recover at every crash point, with epoch continuity for the
-//! readers and every acked transfer still held after the reopen, is the
-//! deterministic simulator's (`src/sim.rs`), over a thousand schedules.
+//! Every crash state a recorded op trace allows — a process's or a power
+//! loss's, after every op — is recovered by `src/wal.rs`'s enumerator
+//! test; kill-and-reopen with epoch continuity for the readers and every
+//! acked transfer still held is the deterministic simulator's
+//! (`src/sim.rs`), over a thousand schedules.
 
 use pbs_net::client::{sync_with_retry, ClientConfig, RetryPolicy};
 use pbs_net::store::ChangeBatch;
@@ -12,12 +14,18 @@ use pbs_net::wal::{self, DurableOptions};
 use pbs_net::{MutableStore, Server, ServerConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
+
+/// The WAL of a store directory, by its documented name (docs/WIRE.md,
+/// "Persistence format").
+fn wal_path(dir: &Path) -> PathBuf {
+    dir.join("changes.wal")
+}
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -148,9 +156,9 @@ proptest! {
         let batches = generate_batches(n, salt | 1);
         let states = build_states(&batches);
         write_wal(&dir, &batches);
-        let bytes = wal::read_wal_bytes(&dir).unwrap();
+        let bytes = std::fs::read(wal_path(&dir)).unwrap();
         let cut = cut_pos % (bytes.len() + 1);
-        wal::write_wal_bytes(&dir, &bytes[..cut]).unwrap();
+        std::fs::write(wal_path(&dir), &bytes[..cut]).unwrap();
 
         let rec = wal::recover(&dir, 1024).unwrap();
         let k = rec.epoch as usize;
@@ -181,10 +189,10 @@ proptest! {
         let batches = generate_batches(n, salt | 1);
         let states = build_states(&batches);
         write_wal(&dir, &batches);
-        let mut bytes = wal::read_wal_bytes(&dir).unwrap();
+        let mut bytes = std::fs::read(wal_path(&dir)).unwrap();
         let pos = flip_pos % bytes.len();
         bytes[pos] ^= 1 << flip_bit;
-        wal::write_wal_bytes(&dir, &bytes).unwrap();
+        std::fs::write(wal_path(&dir), &bytes).unwrap();
 
         let rec = wal::recover(&dir, 1024).unwrap();
         let k = rec.epoch as usize;
@@ -210,16 +218,16 @@ proptest! {
         let batches = generate_batches(n, salt | 1);
         let states = build_states(&batches);
         write_wal(&dir, &batches);
-        let bytes = wal::read_wal_bytes(&dir).unwrap();
+        let bytes = std::fs::read(wal_path(&dir)).unwrap();
         // Duplicate the last record verbatim (re-encode it alone to find
         // its byte length).
         let solo = tempdir("prop_dup_solo");
         write_wal(&solo, std::slice::from_ref(&batches[n - 1]));
-        let record = wal::read_wal_bytes(&solo).unwrap();
+        let record = std::fs::read(wal_path(&solo)).unwrap();
         std::fs::remove_dir_all(&solo).unwrap();
         let mut doubled = bytes.clone();
         doubled.extend_from_slice(&record);
-        wal::write_wal_bytes(&dir, &doubled).unwrap();
+        std::fs::write(wal_path(&dir), &doubled).unwrap();
 
         let rec = wal::recover(&dir, 1024).unwrap();
         prop_assert_eq!(rec.epoch, n as u64, "the duplicate must not advance the epoch");

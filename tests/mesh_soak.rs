@@ -17,8 +17,8 @@
 //!   after `shutdown()`, so that nothing is counted late.
 //!
 //! Thousands of seeded fault schedules over the same rounds — partitions,
-//! connections cut mid-frame, crashes at every WAL crash point — are the
-//! deterministic simulator's (`crates/net/src/sim.rs`).
+//! connections cut mid-frame, a durable node crashed after any op of its
+//! WAL — are the deterministic simulator's (`crates/net/src/sim.rs`).
 
 use pbs_net::client::{sync, ClientConfig};
 use pbs_net::mesh::{anti_entropy_round, PeerStats};
