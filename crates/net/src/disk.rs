@@ -23,7 +23,7 @@ pub(crate) enum Name {
 pub(crate) enum Op {
     /// Append the bytes to the file, creating it if absent.
     Write(Name, Vec<u8>),
-    /// Make the file's bytes durable (`fsync`).
+    /// Make the file's bytes and length durable (`fdatasync`).
     Sync(Name),
     /// Move the first file over the second, atomically.
     Rename(Name, Name),
@@ -90,7 +90,7 @@ impl Disk for Fs {
         }
         match op {
             Op::Write(name, bytes) => self.file(name)?.write_all(&bytes),
-            Op::Sync(name) => self.file(name)?.sync_all(),
+            Op::Sync(name) => self.file(name)?.sync_data(),
             Op::Truncate(name, len) => self.file(name)?.set_len(len),
             Op::Rename(from, to) => std::fs::rename(path(&self.dir, from), path(&self.dir, to)),
             Op::Remove(name) => std::fs::remove_file(path(&self.dir, name)),
@@ -117,7 +117,7 @@ impl Disk for Fs {
 }
 
 #[cfg(test)]
-pub(crate) use recording::{Crash, Matching, RecordingDisk};
+pub(crate) use recording::{Crash, Files, Matching, RecordingDisk};
 
 #[cfg(test)]
 mod recording {

@@ -243,17 +243,30 @@ fn decode_snapshot(bytes: &[u8]) -> Option<(xhash::Set, u64, Vec<ChangeBatch>)> 
     let batch_count = u32::from_le_bytes(take_array(&mut buf)?);
     let mut log = Vec::with_capacity((batch_count as usize).min(1 << 16));
     for _ in 0..batch_count {
+        let batch_epoch = u64::from_le_bytes(take_array(&mut buf)?);
+        let added = take_packed(&mut buf)?;
+        let removed = take_packed(&mut buf)?;
         log.push(ChangeBatch {
-            epoch: u64::from_le_bytes(take_array(&mut buf)?),
-            added: take_packed(&mut buf)?,
-            removed: take_packed(&mut buf)?,
+            epoch: batch_epoch,
+            added,
+            removed,
         });
     }
-    // Nothing may follow, and the changelog must be contiguous and end
-    // exactly at the set's epoch.
-    let gap = log.windows(2).any(|w| w[1].epoch != w[0].epoch + 1);
-    let ends = log.last().is_none_or(|last| last.epoch == epoch);
-    (buf.is_empty() && !gap && ends).then_some((elements, epoch, log))
+    if !buf.is_empty() {
+        return None;
+    }
+    // The changelog must be contiguous and end exactly at the set's epoch.
+    for (i, batch) in log.iter().enumerate() {
+        if i > 0 && batch.epoch != log[i - 1].epoch + 1 {
+            return None;
+        }
+    }
+    if let Some(last) = log.last() {
+        if last.epoch != epoch {
+            return None;
+        }
+    }
+    Some((elements, epoch, log))
 }
 
 /// Recover a store directory: newest valid snapshot + WAL tail replay,
@@ -291,17 +304,23 @@ fn recover_on(disk: &mut dyn Disk, log_capacity: usize) -> io::Result<(Recovered
     let bytes = wal.as_deref().unwrap_or_default();
     let mut cursor = bytes;
     let mut valid_end = 0u64;
-    // Any other well-framed type, or any framing/CRC/decode error, marks
-    // the end of the trustworthy prefix.
-    while let Ok((
-        Frame::DeltaBatch {
-            epoch,
-            added,
-            removed,
-        },
-        consumed,
-    )) = frame::read_frame(&mut cursor, DEFAULT_MAX_FRAME)
-    {
+    loop {
+        let record = match frame::read_frame(&mut cursor, DEFAULT_MAX_FRAME) {
+            Ok((
+                Frame::DeltaBatch {
+                    epoch,
+                    added,
+                    removed,
+                },
+                consumed,
+            )) => Some((epoch, added, removed, consumed)),
+            // Any other well-framed type, or any framing/CRC/decode error,
+            // marks the end of the trustworthy prefix.
+            _ => None,
+        };
+        let Some((epoch, added, removed, consumed)) = record else {
+            break;
+        };
         // Sequencing: a record either continues the current batch (same
         // epoch — a chunk), starts the next one (epoch + 1), or — when at
         // or below the snapshot epoch — is a pre-compaction leftover that
@@ -341,29 +360,33 @@ fn recover_on(disk: &mut dyn Disk, log_capacity: usize) -> io::Result<(Recovered
         disk.perform(Op::Truncate(Name::Wal, valid_end))?;
         disk.perform(Op::Sync(Name::Wal))?;
     }
-    let excess = out.log.len().saturating_sub(log_capacity);
-    out.log.drain(..excess);
+    while out.log.len() > log_capacity {
+        out.log.remove(0);
+    }
+    if log_capacity == 0 {
+        out.log.clear();
+    }
     Ok((out, wal.map(|_| valid_end)))
 }
 
 impl Wal {
-    /// Open the WAL of `dir` for appending, recovering the directory first
-    /// (see [`recover`]): the log is cut to its valid prefix before
+    /// Recover the directory behind `disk` (see [`recover`]) and open its
+    /// WAL for appending: the log is cut to its valid prefix before
     /// anything is appended to it.
-    pub fn open(dir: &Path, options: DurableOptions) -> io::Result<Wal> {
-        Ok(Wal::recover(Box::new(Fs::new(dir)?), options)?.0)
-    }
-
-    /// Recover the directory behind `disk` and open its WAL for appending.
     pub(crate) fn recover(
         mut disk: Box<dyn Disk>,
         options: DurableOptions,
     ) -> io::Result<(Wal, Recovered)> {
         let (recovered, len) = recover_on(&mut *disk, options.log_capacity)?;
         if len.is_none() {
-            // A synced append is durable only once the file that holds it
-            // is: the new WAL's directory entry is synced first.
             disk.perform(Op::Truncate(Name::Wal, 0))?;
+        }
+        // A synced append is durable only once the file that holds it is.
+        // A store that syncs its appends syncs the directory on every open,
+        // not just the one that made the WAL: that open may have died
+        // before its sync. (Unsynced appends promise nothing against power
+        // loss, and a compaction syncs the directory before it promises.)
+        if options.sync_writes {
             disk.perform(Op::SyncDir)?;
         }
         let wal = Wal {
@@ -522,7 +545,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::{Crash, RecordingDisk};
+    use crate::disk::{Crash, Files, RecordingDisk};
     use crate::store::MutableStore;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -535,6 +558,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The WAL of `dir`, on the file system.
+    fn open(dir: &Path, options: DurableOptions) -> Wal {
+        let (wal, _) = Wal::recover(Box::new(Fs::new(dir).unwrap()), options).unwrap();
+        wal
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -645,7 +674,7 @@ mod tests {
     #[test]
     fn wal_append_recover_round_trip() {
         let dir = tempdir("round_trip");
-        let mut wal = Wal::open(&dir, DurableOptions::default()).unwrap();
+        let mut wal = open(&dir, DurableOptions::default());
         wal.append(1, &[1, 2, 3], &[]).unwrap();
         wal.append(2, &[4], &[1]).unwrap();
         let rec = recover(&dir, 16).unwrap();
@@ -663,7 +692,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_appendable() {
         let dir = tempdir("torn_tail");
-        let mut wal = Wal::open(&dir, DurableOptions::default()).unwrap();
+        let mut wal = open(&dir, DurableOptions::default());
         wal.append(1, &[1], &[]).unwrap();
         wal.append(2, &[2], &[]).unwrap();
         // Tear the last record.
@@ -675,7 +704,7 @@ mod tests {
         assert!(rec.truncated_bytes > 0);
         // The file was physically truncated to the valid prefix and stays
         // appendable at the next epoch.
-        let mut wal = Wal::open(&dir, DurableOptions::default()).unwrap();
+        let mut wal = open(&dir, DurableOptions::default());
         wal.append(2, &[7], &[]).unwrap();
         let rec = recover(&dir, 16).unwrap();
         assert_eq!(rec.epoch, 2);
@@ -720,7 +749,7 @@ mod tests {
             snapshot_every: 2,
             sync_writes: false,
         };
-        let mut wal = Wal::open(&dir, opts).unwrap();
+        let mut wal = open(&dir, opts);
         assert!(!wal.append(1, &[1], &[]).unwrap());
         assert!(wal.append(2, &[2], &[]).unwrap(), "second append is due");
         let log = vec![
@@ -745,7 +774,7 @@ mod tests {
         assert_eq!((rec.epoch, rec.snapshot_epoch, rec.wal_records), (2, 2, 0));
         assert_eq!(rec.log, log, "changelog survives through the snapshot");
         // A second compaction prunes the first snapshot file.
-        let mut wal = Wal::open(&dir, opts).unwrap();
+        let mut wal = open(&dir, opts);
         wal.append(3, &[3], &[]).unwrap();
         wal.compact(&[1, 2, 3], 3, &log[1..]).unwrap();
         let snaps: Vec<_> = std::fs::read_dir(&dir)
@@ -785,7 +814,7 @@ mod tests {
     #[test]
     fn big_batches_chunk_and_merge_back() {
         let dir = tempdir("chunking");
-        let mut wal = Wal::open(&dir, DurableOptions::default()).unwrap();
+        let mut wal = open(&dir, DurableOptions::default());
         // Above the 2^16-element chunk clamp, so the batch spans records.
         let big: Vec<u64> = (1..=70_000u64).collect();
         wal.append(1, &big, &[]).unwrap();
@@ -851,6 +880,66 @@ mod tests {
         assert!(rec.elements.contains(&2));
     }
 
+    #[test]
+    fn a_torn_newest_snapshot_falls_back_to_the_older_one() {
+        // A compaction at epoch 3 stops before it cuts the WAL: snapshot-2,
+        // snapshot-3 and a WAL holding epoch 3 remain. With snapshot-3 torn
+        // or bit-flipped, recovery passes over it to snapshot-2 and the WAL.
+        let opts = DurableOptions {
+            snapshot_every: 0,
+            ..DurableOptions::default()
+        };
+        let (disk, mut wal) = recorded(opts);
+        let batch = |epoch, added: &[u64], removed: &[u64]| ChangeBatch {
+            epoch,
+            added: added.to_vec(),
+            removed: removed.to_vec(),
+        };
+        wal.append(1, &[1], &[]).unwrap();
+        wal.append(2, &[2], &[]).unwrap();
+        let log = [batch(1, &[1], &[]), batch(2, &[2], &[])];
+        wal.compact(&[1, 2], 2, &log).unwrap();
+        wal.append(3, &[3], &[1]).unwrap();
+        disk.fail(0, |op| matches!(op, Op::Truncate(Name::Wal, _)));
+        let log = [log[0].clone(), log[1].clone(), batch(3, &[3], &[1])];
+        assert!(wal.compact(&[2, 3], 3, &log).is_err());
+        let files = disk.files();
+        let whole = files[&Name::Snapshot(3)].clone();
+        let mut flipped = whole.clone();
+        flipped[whole.len() / 3] ^= 0x10;
+        for bad in [whole[..whole.len() / 2].to_vec(), flipped] {
+            let mut files = files.clone();
+            files.insert(Name::Snapshot(3), bad);
+            let (_, rec) = reopen(&RecordingDisk::new(files), opts);
+            let report = (rec.epoch, rec.snapshot_epoch, rec.snapshots_rejected);
+            assert_eq!((report, rec.wal_records), ((3, 2, 1), 1));
+            let mut got: Vec<u64> = rec.elements.iter().copied().collect();
+            got.sort_unstable();
+            assert_eq!((got, rec.log.as_slice()), (vec![2, 3], &log[..]));
+        }
+    }
+
+    #[test]
+    fn a_synced_append_outlives_an_open_that_failed_to_sync_the_directory() {
+        // The open that made the WAL failed its directory sync; the retry
+        // must make the file durable, or a power loss takes it, and the
+        // synced append in it, away.
+        let opts = DurableOptions {
+            sync_writes: true,
+            ..DurableOptions::default()
+        };
+        let disk = RecordingDisk::default();
+        disk.fail(0, |op| *op == Op::SyncDir);
+        assert!(Wal::recover(Box::new(disk.clone()), opts).is_err());
+        let (mut wal, _) = Wal::recover(Box::new(disk.clone()), opts).unwrap();
+        wal.append(1, &[1], &[]).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        for (crash, files) in disk.crash_states(disk.ops(), &mut rng) {
+            let (_, rec) = reopen(&RecordingDisk::new(files), opts);
+            assert_eq!(rec.epoch, 1, "{crash:?}");
+        }
+    }
+
     /// One call on a recorded store: where its ops sit in the trace, and
     /// what it left.
     #[derive(Debug)]
@@ -900,7 +989,10 @@ mod tests {
             sets: vec![BTreeSet::new()],
             batches: Vec::new(),
         };
-        let Ok((store, _)) = MutableStore::open_on(Box::new(disk.clone()), options) else {
+        // An open that fails is retried on the directory it left, as an
+        // operator would.
+        let open = || MutableStore::open_on(Box::new(disk.clone()), options);
+        let Ok((store, _)) = open().or_else(|_| open()) else {
             return run;
         };
         let mut fresh = 0u64;
@@ -956,10 +1048,31 @@ mod tests {
         run
     }
 
-    /// Recover every crash state of `run`'s trace and hold it to the store.
-    /// Returns the states checked: (process, power loss).
-    fn check(run: &Run, rng: &mut StdRng) -> (usize, usize) {
-        let mut counts = (0, 0);
+    /// What [`check`] went through.
+    #[derive(Debug, Default)]
+    struct Checked {
+        process: usize,
+        power: usize,
+        /// States whose newest snapshot, torn, was passed over for an older
+        /// one and the WAL, to the epoch the whole snapshot gave.
+        fallbacks: usize,
+    }
+
+    /// The newest snapshot of `files` torn in half, and gone.
+    fn tear_newest_snapshot(files: &Files) -> Option<(Files, Files)> {
+        let newest = files.keys().rfind(|n| matches!(n, Name::Snapshot(_)))?;
+        let mut absent = files.clone();
+        let bytes = absent.remove(newest)?;
+        let mut torn = absent.clone();
+        torn.insert(*newest, bytes[..bytes.len() / 2].to_vec());
+        Some((torn, absent))
+    }
+
+    /// Recover every crash state of `run`'s trace and hold it to the store;
+    /// each one that holds a snapshot, also with its newest snapshot torn
+    /// (a file system that renames before it writes, a copy of a dying
+    /// disk), which recovery must pass over as if it were absent.
+    fn check(run: &Run, rng: &mut StdRng, counts: &mut Checked) {
         for k in 0..=run.disk.ops() {
             let done = run.calls.iter().rev().find(|c| c.ops.end <= k);
             let (landed, promised) = done.map_or((0, 0), |c| (c.landed, c.promised));
@@ -969,9 +1082,27 @@ mod tests {
                 let (seed, fail, calls) = (run.seed, run.fail, &run.calls);
                 let case =
                     || format!("seed {seed}, fail {fail:?}: {crash:?} after op {k} of {calls:?}");
+                let open = |disk: &RecordingDisk| {
+                    let recovered = Wal::recover(Box::new(disk.clone()), run.options);
+                    recovered.unwrap_or_else(|e| panic!("{e}: {}", case()))
+                };
+                let torn = tear_newest_snapshot(&files);
                 let disk = RecordingDisk::new(files);
-                let recovered = Wal::recover(Box::new(disk.clone()), run.options);
-                let (mut wal, got) = recovered.unwrap_or_else(|e| panic!("{e}: {}", case()));
+                let (mut wal, got) = open(&disk);
+                if let Some((torn, absent)) = torn {
+                    let (_, torn) = open(&RecordingDisk::new(torn));
+                    let (_, absent) = open(&RecordingDisk::new(absent));
+                    let rejected = (torn.snapshots_rejected, absent.snapshots_rejected + 1);
+                    assert_eq!(rejected.0, rejected.1, "torn newest snapshot: {}", case());
+                    assert_eq!(
+                        (torn.epoch, &torn.elements, &torn.log),
+                        (absent.epoch, &absent.elements, &absent.log),
+                        "torn newest snapshot: {}",
+                        case()
+                    );
+                    let older = (1..got.snapshot_epoch).contains(&torn.snapshot_epoch);
+                    counts.fallbacks += usize::from(older && torn.epoch == got.epoch);
+                }
                 let e = got.epoch;
                 // Where the store stood, or the batch it was writing.
                 let (set, written) = match writing {
@@ -1004,12 +1135,11 @@ mod tests {
                 let (_, again) = reopen(&disk, run.options);
                 assert_eq!(again.epoch, e + 1, "{}", case());
                 match crash {
-                    Crash::Process => counts.0 += 1,
-                    Crash::PowerLoss => counts.1 += 1,
+                    Crash::Process => counts.process += 1,
+                    Crash::PowerLoss => counts.power += 1,
                 }
             }
         }
-        counts
     }
 
     #[test]
@@ -1019,19 +1149,25 @@ mod tests {
         // stood at (or the batch it was writing), a power loss's no earlier
         // than the last promise, and never panic.
         let mut rng = StdRng::seed_from_u64(0x0041_11CE);
-        let (mut process, mut power, mut traces) = (0, 0, 0);
+        let (mut counts, mut traces) = (Checked::default(), 0);
         for seed in 0..4 {
             let ops = record(seed, None).disk.ops();
             for fail in std::iter::once(None).chain((0..ops).map(Some)) {
-                let (p, q) = check(&record(seed, fail), &mut rng);
-                (process, power, traces) = (process + p, power + q, traces + 1);
+                check(&record(seed, fail), &mut rng, &mut counts);
+                traces += 1;
             }
         }
+        let Checked {
+            process,
+            power,
+            fallbacks,
+        } = counts;
         let states = process + power;
         println!(
             "crash states checked: {states} ({process} process, {power} power loss) \
-             over {traces} traces"
+             over {traces} traces; {fallbacks} recovered past a torn newest snapshot"
         );
         assert!(states >= 10_000, "only {states} crash states");
+        assert!(fallbacks > 0, "no state fell back past a torn snapshot");
     }
 }

@@ -126,18 +126,16 @@ fn generate_batches(n: usize, salt: u64) -> Vec<ChangeBatch> {
     batches
 }
 
-/// Write `batches` as a fresh WAL in `dir`.
+/// Commit `batches` to a fresh durable store in `dir`, which never
+/// compacts: its WAL holds every one of them.
 fn write_wal(dir: &std::path::Path, batches: &[ChangeBatch]) {
-    let mut w = wal::Wal::open(
-        dir,
-        DurableOptions {
-            snapshot_every: 0,
-            ..DurableOptions::default()
-        },
-    )
-    .unwrap();
+    let options = DurableOptions {
+        snapshot_every: 0,
+        ..DurableOptions::default()
+    };
+    let store = MutableStore::open_durable(dir, options).unwrap();
     for b in batches {
-        w.append(b.epoch, &b.added, &b.removed).unwrap();
+        assert_eq!(store.try_apply(&b.added, &b.removed).unwrap(), b.epoch);
     }
 }
 
@@ -219,12 +217,13 @@ proptest! {
         let states = build_states(&batches);
         write_wal(&dir, &batches);
         let bytes = std::fs::read(wal_path(&dir)).unwrap();
-        // Duplicate the last record verbatim (re-encode it alone to find
-        // its byte length).
-        let solo = tempdir("prop_dup_solo");
-        write_wal(&solo, std::slice::from_ref(&batches[n - 1]));
-        let record = std::fs::read(wal_path(&solo)).unwrap();
-        std::fs::remove_dir_all(&solo).unwrap();
+        // Duplicate the last record verbatim (the log of the batches before
+        // it gives its byte offset).
+        let prefix = tempdir("prop_dup_prefix");
+        write_wal(&prefix, &batches[..n - 1]);
+        let start = std::fs::read(wal_path(&prefix)).unwrap().len();
+        std::fs::remove_dir_all(&prefix).unwrap();
+        let record = bytes[start..].to_vec();
         let mut doubled = bytes.clone();
         doubled.extend_from_slice(&record);
         std::fs::write(wal_path(&dir), &doubled).unwrap();
