@@ -145,10 +145,15 @@ impl DeltaReport {
 /// the store's when it brings its cached view forward
 /// ([`crate::SetStore::view`]), where [`pbs_core::SetView::patched`] folds
 /// the changelog by the same rule in one sort.
+///
+/// The fold keeps the stream's changes as they came and sorts them once,
+/// in [`DeltaFold::into_report`]: a burst costs one sort of what it
+/// delivered, and no table per stream.
 #[derive(Debug, Default)]
 pub struct DeltaFold {
-    added: xhash::Set,
-    removed: xhash::Set,
+    /// Every change delivered, `(element, added)`, in stream order: within
+    /// a batch, its removals before its adds.
+    changes: Vec<(u64, bool)>,
     batches: u64,
 }
 
@@ -165,32 +170,42 @@ impl DeltaFold {
         removed: impl IntoIterator<Item = u64>,
     ) {
         self.batches += 1;
-        for e in removed {
-            self.added.remove(&e);
-            self.removed.insert(e);
-        }
-        for e in added {
-            self.removed.remove(&e);
-            self.added.insert(e);
-        }
+        let removed = removed.into_iter().map(|e| (e, false));
+        let added = added.into_iter().map(|e| (e, true));
+        self.changes.extend(removed.chain(added));
     }
 
-    /// Distinct elements the stream has touched so far.
+    /// Distinct elements the stream has touched so far (a sort of a copy
+    /// of the stream: for a caller that reports it, not on a hot path).
     pub fn len(&self) -> usize {
-        self.added.len() + self.removed.len()
+        let mut touched: Vec<u64> = self.changes.iter().map(|&(e, _)| e).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        touched.len()
     }
 
     /// `true` when the folded stream has touched no element.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.changes.is_empty()
     }
 
     /// Finish into a sorted [`DeltaReport`] spanning the given epochs.
     pub fn into_report(self, from_epoch: u64, to_epoch: u64) -> DeltaReport {
-        let mut added: Vec<u64> = self.added.into_iter().collect();
-        let mut removed: Vec<u64> = self.removed.into_iter().collect();
-        added.sort_unstable();
-        removed.sort_unstable();
+        let mut changes = self.changes;
+        // Stable: each element's changes stay in stream order.
+        changes.sort_by_key(|&(e, _)| e);
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        for run in changes.chunk_by(|a, b| a.0 == b.0) {
+            // The element's last change is the one that stands.
+            let Some(&(e, add)) = run.last() else {
+                continue;
+            };
+            if add {
+                added.push(e);
+            } else {
+                removed.push(e);
+            }
+        }
         DeltaReport {
             from_epoch,
             to_epoch,
@@ -694,6 +709,49 @@ mod tests {
         let alice = pool[d / 2..].to_vec();
         let bob = pool[..pool.len() - d.div_ceil(2)].to_vec();
         (alice, bob)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(500))]
+
+        /// The fold against a `HashSet` model, over the streams only a
+        /// hostile server sends: up to 20 batches over a dozen elements,
+        /// with repeats inside a list, an element on both lists of one
+        /// batch, and empty batches. The report is the model's
+        /// last-change-wins state — two ascending, repeat-free, disjoint
+        /// lists — and `len` counts the distinct elements touched.
+        #[test]
+        fn a_hostile_stream_folds_to_each_elements_last_change(
+            batches in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u64..12, 0usize..8),
+                    proptest::collection::vec(0u64..12, 0usize..8),
+                ),
+                0usize..=20,
+            ),
+        ) {
+            let mut fold = DeltaFold::new();
+            let (mut added, mut removed) = (HashSet::new(), HashSet::new());
+            for (batch_added, batch_removed) in &batches {
+                fold.fold(batch_added.iter().copied(), batch_removed.iter().copied());
+                for &e in batch_removed {
+                    added.remove(&e);
+                    removed.insert(e);
+                }
+                for &e in batch_added {
+                    removed.remove(&e);
+                    added.insert(e);
+                }
+            }
+            proptest::prop_assert_eq!(fold.len(), added.len() + removed.len());
+            let delivered = batches.iter().any(|(a, r)| !a.is_empty() || !r.is_empty());
+            proptest::prop_assert_eq!(fold.is_empty(), !delivered);
+            let report = fold.into_report(4, 7);
+            proptest::prop_assert_eq!(report.added, sorted(added.into_iter().collect()));
+            proptest::prop_assert_eq!(report.removed, sorted(removed.into_iter().collect()));
+            proptest::prop_assert_eq!(report.batches, batches.len() as u64);
+            proptest::prop_assert_eq!((report.from_epoch, report.to_epoch), (4, 7));
+        }
     }
 
     /// Every way one element can go out of and into a store in up to five

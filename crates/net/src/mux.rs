@@ -23,7 +23,8 @@ use crate::NetError;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-/// Read chunk size per `read(2)` call.
+/// The read buffer's first size, and what it grows by when a read finds
+/// it full of bytes no frame has taken yet.
 const READ_CHUNK: usize = 16 * 1024;
 /// Compact the write buffer once this many drained bytes accumulate.
 const WRITE_COMPACT: usize = 64 * 1024;
@@ -37,7 +38,12 @@ const WRITE_COMPACT: usize = 64 * 1024;
 pub struct MuxStream {
     stream: TcpStream,
     max_frame: u32,
+    /// Bytes read and not yet taken are `read_buf[read_head..read_end]`;
+    /// what lies past `read_end` is spare room, initialized once when the
+    /// buffer grew and read into in place.
     read_buf: Vec<u8>,
+    read_head: usize,
+    read_end: usize,
     write_buf: Vec<u8>,
     write_head: usize,
     bytes_in: u64,
@@ -55,6 +61,8 @@ impl MuxStream {
             stream,
             max_frame,
             read_buf: Vec::new(),
+            read_head: 0,
+            read_end: 0,
             write_buf: Vec::new(),
             write_head: 0,
             bytes_in: 0,
@@ -115,15 +123,15 @@ impl MuxStream {
     /// frame before a reset is read.
     pub fn fill(&mut self) -> io::Result<bool> {
         let mut any = false;
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match self.stream.read(&mut chunk) {
+            self.make_room();
+            match self.stream.read(&mut self.read_buf[self.read_end..]) {
                 Ok(0) => {
                     self.peer_closed = true;
                     break;
                 }
                 Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
+                    self.read_end += n;
                     any = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -135,14 +143,37 @@ impl MuxStream {
         Ok(any)
     }
 
+    /// Leave spare room past `read_end` for the next read: rewind when
+    /// everything read has been taken; when the buffer is full, move what
+    /// is left to its front, or, when no frame has been taken from it,
+    /// grow it by a chunk. Only the new chunk is initialized (the
+    /// allocation still doubles), so memory follows the bytes read.
+    fn make_room(&mut self) {
+        if self.read_head == self.read_end {
+            self.read_head = 0;
+            self.read_end = 0;
+        }
+        if self.read_end < self.read_buf.len() {
+            return;
+        }
+        if self.read_head > 0 {
+            self.read_buf.copy_within(self.read_head..self.read_end, 0);
+            self.read_end -= self.read_head;
+            self.read_head = 0;
+        } else {
+            self.read_buf.resize(self.read_end + READ_CHUNK, 0);
+        }
+    }
+
     /// Extract the next complete frame from the read buffer, if one is
     /// fully buffered. `Ok(None)` means "not yet" — call again after the
     /// next [`MuxStream::fill`].
     pub fn next_frame(&mut self) -> Result<Option<Frame>, NetError> {
-        let Decoded::Whole(frame, total) = decode_frame(&self.read_buf, self.max_frame)? else {
+        let unread = &self.read_buf[self.read_head..self.read_end];
+        let Decoded::Whole(frame, total) = decode_frame(unread, self.max_frame)? else {
             return Ok(None);
         };
-        self.read_buf.drain(..total);
+        self.read_head += total;
         self.bytes_in += total as u64;
         self.frames_in += 1;
         Ok(Some(frame))
@@ -152,7 +183,7 @@ impl MuxStream {
     /// nothing read and not yet taken, the peer still open — where a next
     /// session can start.
     pub fn into_idle(self) -> Option<TcpStream> {
-        let rest = self.pending_out() == 0 && self.read_buf.is_empty() && !self.peer_closed;
+        let rest = self.pending_out() == 0 && self.read_head == self.read_end && !self.peer_closed;
         rest.then_some(self.stream)
     }
 
@@ -218,6 +249,150 @@ mod tests {
         assert_eq!(rx.frames_in(), 2);
         assert_eq!(tx.frames_out(), 2);
         assert_eq!(rx.bytes_in(), tx.bytes_out());
+    }
+
+    /// The wire bytes of `frames`, as a `MuxStream` queues them.
+    fn wire(frames: &[Frame]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for frame in frames {
+            encode_frame(&mut out, frame, 1 << 20).unwrap();
+        }
+        out
+    }
+
+    /// Fill `rx` until a read brings bytes.
+    fn fill_some(rx: &mut MuxStream) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !rx.fill().unwrap() {
+            assert!(std::time::Instant::now() < deadline, "bytes never arrived");
+        }
+    }
+
+    /// Drain `tx` to the socket, filling `rx` meanwhile (the socket
+    /// buffers may not hold the whole of it), and take every frame.
+    fn ship(tx: &mut MuxStream, rx: &mut MuxStream, frames: usize) -> Vec<Frame> {
+        let mut got = Vec::new();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while got.len() < frames {
+            assert!(std::time::Instant::now() < deadline, "frames never arrived");
+            tx.flush().unwrap();
+            let _ = rx.fill().unwrap();
+            while got.len() < frames {
+                let Some(frame) = rx.next_frame().unwrap() else {
+                    break;
+                };
+                got.push(frame);
+            }
+        }
+        got
+    }
+
+    /// Three frames, one byte per read: each is taken with its last byte,
+    /// not before it, and none is taken twice.
+    #[test]
+    fn frames_delivered_a_byte_at_a_time_are_taken_whole() {
+        let (mut a, b) = pair();
+        a.set_nodelay(true).unwrap();
+        let mut rx = mux(b);
+        let frames = [
+            Frame::Ping { nonce: 1 },
+            Frame::DeltaBatch {
+                epoch: 9,
+                added: vec![3, 1 << 40],
+                removed: vec![7],
+            },
+            Frame::DeltaDone { epoch: 9 },
+        ];
+        let bytes = wire(&frames);
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |end, frame| {
+                *end += wire(std::slice::from_ref(frame)).len();
+                Some(*end)
+            })
+            .collect();
+        let mut got = Vec::new();
+        for (at, byte) in bytes.iter().enumerate() {
+            a.write_all(std::slice::from_ref(byte)).unwrap();
+            fill_some(&mut rx);
+            while let Some(frame) = rx.next_frame().unwrap() {
+                assert!(ends.contains(&(at + 1)), "a frame taken at byte {at}");
+                got.push(frame);
+                assert!(got.len() <= frames.len(), "a frame taken twice");
+            }
+        }
+        assert_eq!(got, frames);
+        assert_eq!(rx.bytes_in(), bytes.len() as u64);
+        assert!(rx.into_idle().is_some());
+    }
+
+    /// A frame several times the first buffer: the buffer grows to hold
+    /// it, and the frame comes out intact.
+    #[test]
+    fn a_frame_larger_than_the_buffer_spans_many_reads() {
+        let (a, b) = pair();
+        let mut tx = mux(a);
+        let mut rx = mux(b);
+        // 12 500 elements at 8 bytes each: 100 KB of body.
+        let added: Vec<u64> = (0..12_500u64).map(|i| i << 40 | i).collect();
+        let frame = Frame::DeltaBatch {
+            epoch: 3,
+            added,
+            removed: vec![u64::MAX],
+        };
+        tx.queue(&frame).unwrap();
+        tx.queue(&Frame::DeltaDone { epoch: 3 }).unwrap();
+        let got = ship(&mut tx, &mut rx, 2);
+        assert_eq!(got, [frame, Frame::DeltaDone { epoch: 3 }]);
+        assert!(rx.read_buf.len() > 100_000, "{}", rx.read_buf.len());
+        assert_eq!(rx.bytes_in(), tx.bytes_out());
+        assert!(rx.into_idle().is_some());
+    }
+
+    /// Ten thousand frames in one buffer are all taken, in order.
+    #[test]
+    fn every_frame_of_a_full_buffer_is_taken_in_order() {
+        let (a, b) = pair();
+        let mut tx = mux(a);
+        let mut rx = mux(b);
+        for nonce in 0..10_000 {
+            tx.queue(&Frame::Ping { nonce }).unwrap();
+        }
+        let got = ship(&mut tx, &mut rx, 10_000);
+        for (nonce, frame) in (0..).zip(&got) {
+            assert_eq!(*frame, Frame::Ping { nonce });
+        }
+        assert_eq!(rx.frames_in(), 10_000);
+        assert_eq!(rx.bytes_in(), tx.bytes_out());
+        assert!(rx.next_frame().unwrap().is_none());
+    }
+
+    /// A connection that holds part of a frame is not at rest: the next
+    /// session's bytes would follow a stranger's.
+    #[test]
+    fn into_idle_refuses_a_connection_holding_part_of_a_frame() {
+        let (mut a, b) = pair();
+        let mut rx = mux(b);
+        let bytes = wire(&[Frame::Ping { nonce: 5 }]);
+        let (first, rest) = bytes.split_at(bytes.len() - 1);
+        a.write_all(first).unwrap();
+        let mut held = 0;
+        while held < first.len() {
+            fill_some(&mut rx);
+            assert!(rx.next_frame().unwrap().is_none());
+            held = rx.read_end - rx.read_head;
+        }
+        assert!(rx.into_idle().is_none());
+
+        let (mut a, b) = pair();
+        let mut rx = mux(b);
+        a.write_all(first).unwrap();
+        a.write_all(rest).unwrap();
+        while rx.frames_in() == 0 {
+            fill_some(&mut rx);
+            let _ = rx.next_frame().unwrap();
+        }
+        assert!(rx.into_idle().is_some());
     }
 
     #[test]

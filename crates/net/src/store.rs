@@ -841,13 +841,10 @@ impl SetStore for MutableStore {
                 current: inner.epoch,
             };
         }
+        // The log is in epoch order: the reader's batches are its tail.
+        let first = inner.log.partition_point(|b| b.epoch <= epoch);
         DeltaAnswer::Changes {
-            batches: inner
-                .log
-                .iter()
-                .filter(|b| b.epoch > epoch)
-                .cloned()
-                .collect(),
+            batches: inner.log.range(first..).cloned().collect(),
             current: inner.epoch,
         }
     }
