@@ -155,6 +155,11 @@ impl GroupScratch {
     }
 }
 
+/// Elements [`parity_sketch`] hashes to their bins at a time
+/// ([`PartitionHasher::bin_slice`]: eight lanes wide where the CPU has
+/// AVX-512) before it walks them.
+const BIN_CHUNK: usize = 512;
+
 /// The BCH sketch of `elements`' parity bitmap under `hasher` — the one
 /// encoder of both parties — calling `each(position, element)` on the way.
 ///
@@ -176,10 +181,15 @@ fn parity_sketch(
     mut each: impl FnMut(usize, u64),
 ) -> Sketch {
     positions.clear();
-    for &e in elements {
-        let p = hasher.position(e) as usize;
-        each(p, e);
-        parity[p / 64] ^= 1u64 << (p % 64);
+    let mut bins = [0u32; BIN_CHUNK];
+    for chunk in elements.chunks(BIN_CHUNK) {
+        let bins = &mut bins[..chunk.len()];
+        hasher.bin_slice(chunk, bins);
+        for (&bin, &e) in bins.iter().zip(chunk) {
+            let p = bin as usize + 1;
+            each(p, e);
+            parity[p / 64] ^= 1u64 << (p % 64);
+        }
     }
     for (w, word) in parity.iter_mut().enumerate() {
         let mut bits = std::mem::take(word);

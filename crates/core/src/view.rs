@@ -5,7 +5,7 @@ use crate::session::group_seed;
 use crate::ESTIMATOR_SEED_SALT;
 use estimator::{Estimator, TowEstimator};
 use std::ops::Range;
-use xhash::{derive_seed, xxhash64_u64, PartitionHasher};
+use xhash::{derive_seed, xxhash64_u64, xxhash64_u64_slice, PartitionHasher};
 
 /// One version of a set, in the order of the seeded group hash, with its
 /// ToW bank.
@@ -61,10 +61,13 @@ impl SetView {
     /// |S|): what [`SetView::patched`] exists to avoid doing again.
     pub fn build(mut elements: Vec<u64>, seed: u64, sketches: usize, epoch: u64) -> Self {
         let hash_seed = group_seed(seed);
-        let mut keyed: Vec<(u64, u64)> = elements
-            .iter()
-            .map(|&e| (xxhash64_u64(e, hash_seed), e))
-            .collect();
+        let mut keyed: Vec<(u64, u64)> = Vec::with_capacity(elements.len());
+        let mut hashes = [0u64; 1024];
+        for chunk in elements.chunks(hashes.len()) {
+            let hashes = &mut hashes[..chunk.len()];
+            xxhash64_u64_slice(chunk, hash_seed, hashes);
+            keyed.extend(hashes.iter().copied().zip(chunk.iter().copied()));
+        }
         keyed.sort_unstable();
         keyed.dedup();
         elements.clear();

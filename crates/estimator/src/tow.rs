@@ -10,7 +10,10 @@
 //! The ℓ sign functions come 32 to a polynomial: sketch `i` uses lane
 //! `i mod 32` of polynomial `⌊i / 32⌋` ([`SignHasher`]), polynomial `j`
 //! drawn from `derive_seed(bank seed, j)`. Inserting an element therefore
-//! costs `⌈ℓ / 32⌉` polynomial evaluations, not ℓ.
+//! costs `⌈ℓ / 32⌉` polynomial evaluations, not ℓ. A batch
+//! ([`Estimator::insert_slice`]) has them evaluated eight elements at a
+//! time ([`SignHasher::sign_words`]: eight lanes wide on a CPU with
+//! AVX-512), and counts the signs in bit planes.
 
 use crate::Estimator;
 use xhash::{derive_seed, SignHasher};
@@ -42,7 +45,8 @@ const PLANES: usize = 11;
 
 /// Elements per [`Estimator::insert_slice`] block: the most (in whole groups
 /// of eight) a [`PLANES`]-bit counter can hold, and few enough that the
-/// block's powers (24 bytes an element, 48 KB) stay in L2.
+/// block's powers (24 bytes an element, 48 KB, where the sign words are
+/// computed one element at a time) stay in L2.
 const BLOCK: usize = ((1 << PLANES) - 1) / 8 * 8;
 
 /// Carry-save adder: the bitwise sum of three words as `(carry, sum)`, the
@@ -180,57 +184,48 @@ impl Estimator for TowEstimator {
         self.items += 1;
     }
 
-    /// Batched insert, in blocks of at most 2 040 elements: the powers
-    /// `x, x², x³` of a block are computed once, then the 32-bit sign words
-    /// of polynomials `2j` and `2j + 1` are packed into one `u64` and added
-    /// into eleven *bit planes* — plane `k` holds bit `k` of 64 per-lane
-    /// counters of −1 signs. Eight elements' words go through a carry-save
-    /// adder tree at a time (a Harley–Seal counter over sign words): the
-    /// ones, twos and fours planes carry over from group to group, and only
-    /// the tree's one weight-8 carry ripples into the planes above. The
-    /// planes are folded into the `i64` sketches once per block. Summary
-    /// identical to per-element [`Estimator::insert`].
+    /// Batched insert, in blocks of at most 2 040 elements: the 32-bit
+    /// sign words of polynomials `2j` and `2j + 1`, packed into one `u64`
+    /// an element ([`SignHasher::sign_words`]: eight lanes wide in 32-bit
+    /// limbs on a CPU with AVX-512, in `u128` elsewhere, the same words
+    /// either way), are added into eleven *bit planes* per pair — plane `k`
+    /// holds bit `k` of 64 per-lane counters of −1 signs. Eight elements'
+    /// words go through a carry-save adder tree at a time (a Harley–Seal
+    /// counter over sign words): the ones, twos and fours planes carry
+    /// over from group to group, and only the tree's one weight-8 carry
+    /// ripples into the planes above. The planes are folded into the `i64`
+    /// sketches once per block. Summary identical to per-element
+    /// [`Estimator::insert`].
     fn insert_slice(&mut self, elements: &[u64]) {
-        let mut powers = vec![[0u64; 3]; BLOCK.min(elements.len())];
+        let mut planes = vec![[0u64; PLANES]; self.hashers.len().div_ceil(2)];
         for block in elements.chunks(BLOCK) {
-            let powers = &mut powers[..block.len()];
-            for (p, &e) in powers.iter_mut().zip(block) {
-                *p = SignHasher::powers(e);
-            }
-            for (lanes, pair) in self
+            // A short block's last group ends in zero words: no −1 signs.
+            SignHasher::sign_words(&self.hashers, block, |pair, w| {
+                let planes = &mut planes[pair];
+                let (twos_a, ones) = csa(planes[0], w[0], w[1]);
+                let (twos_b, ones) = csa(ones, w[2], w[3]);
+                let (fours_a, twos) = csa(planes[1], twos_a, twos_b);
+                let (twos_a, ones) = csa(ones, w[4], w[5]);
+                let (twos_b, ones) = csa(ones, w[6], w[7]);
+                let (fours_b, twos) = csa(twos, twos_a, twos_b);
+                let (mut carry, fours) = csa(planes[2], fours_a, fours_b);
+                planes[..3].copy_from_slice(&[ones, twos, fours]);
+                for plane in &mut planes[3..] {
+                    (*plane, carry) = (*plane ^ carry, *plane & carry);
+                }
+            });
+            for (lanes, planes) in self
                 .sketches
                 .chunks_mut(2 * SignHasher::LANES)
-                .zip(self.hashers.chunks(2))
+                .zip(&mut planes)
             {
-                let word = |p: &[u64; 3]| match pair {
-                    [lo, hi] => u64::from(lo.sign_bits_at(p)) | u64::from(hi.sign_bits_at(p)) << 32,
-                    _ => u64::from(pair[0].sign_bits_at(p)),
-                };
-                let mut planes = [0u64; PLANES];
-                for group in powers.chunks(8) {
-                    // A short last group adds zero words: no −1 signs.
-                    let mut w = [0u64; 8];
-                    for (w, p) in w.iter_mut().zip(group) {
-                        *w = word(p);
-                    }
-                    let (twos_a, ones) = csa(planes[0], w[0], w[1]);
-                    let (twos_b, ones) = csa(ones, w[2], w[3]);
-                    let (fours_a, twos) = csa(planes[1], twos_a, twos_b);
-                    let (twos_a, ones) = csa(ones, w[4], w[5]);
-                    let (twos_b, ones) = csa(ones, w[6], w[7]);
-                    let (fours_b, twos) = csa(twos, twos_a, twos_b);
-                    let (mut carry, fours) = csa(planes[2], fours_a, fours_b);
-                    planes[..3].copy_from_slice(&[ones, twos, fours]);
-                    for plane in &mut planes[3..] {
-                        (*plane, carry) = (*plane ^ carry, *plane & carry);
-                    }
-                }
                 for (i, sk) in lanes.iter_mut().enumerate() {
                     let minus: i64 = (0..PLANES)
                         .map(|k| ((planes[k] >> i & 1) << k) as i64)
                         .sum();
                     *sk += block.len() as i64 - 2 * minus;
                 }
+                *planes = [0; PLANES];
             }
         }
         self.items += elements.len() as u64;

@@ -2128,6 +2128,12 @@ thread_local! {
     static CEILING: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
+/// Bytes handed out on this thread so far, for a test that holds a call
+/// to what it allocates.
+pub(crate) fn allocated() -> u64 {
+    ALLOCATED.get()
+}
+
 /// Count `bytes` handed out on this thread: `false` past the ceiling.
 fn hand_out(bytes: usize) -> bool {
     let total = ALLOCATED.try_with(|n| {

@@ -496,9 +496,12 @@ impl Wal {
     /// atomic rename → directory fsync → truncate the WAL → remove older
     /// snapshots. Crashing between any two steps leaves a recoverable
     /// directory (the ordering is the whole point; see the module docs).
-    pub(crate) fn compact(
+    /// `elements` is called for the set only once the compaction is known
+    /// to write: a repeat at the epoch of the standing snapshot copies
+    /// nothing and performs no op.
+    pub(crate) fn compact<E: AsRef<[u64]>>(
         &mut self,
-        elements: &[u64],
+        elements: impl FnOnce() -> E,
         epoch: u64,
         log: &[ChangeBatch],
     ) -> io::Result<()> {
@@ -510,9 +513,9 @@ impl Wal {
         result
     }
 
-    fn compact_untimed(
+    fn compact_untimed<E: AsRef<[u64]>>(
         &mut self,
-        elements: &[u64],
+        elements: impl FnOnce() -> E,
         epoch: u64,
         log: &[ChangeBatch],
     ) -> io::Result<()> {
@@ -523,7 +526,7 @@ impl Wal {
         if self.len == 0 && snapshots.contains(&epoch) {
             return Ok(());
         }
-        let blob = encode_snapshot(elements, epoch, log);
+        let blob = encode_snapshot(elements().as_ref(), epoch, log);
         self.disk.perform(Op::Truncate(Name::Tmp, 0))?;
         self.disk.perform(Op::Write(Name::Tmp, blob))?;
         self.disk.perform(Op::Sync(Name::Tmp))?;
@@ -764,7 +767,7 @@ mod tests {
                 removed: vec![],
             },
         ];
-        wal.compact(&[1, 2], 2, &log).unwrap();
+        wal.compact(|| [1, 2], 2, &log).unwrap();
         assert_eq!(
             std::fs::read(dir.join("changes.wal")).unwrap().len(),
             0,
@@ -776,7 +779,7 @@ mod tests {
         // A second compaction prunes the first snapshot file.
         let mut wal = open(&dir, opts);
         wal.append(3, &[3], &[]).unwrap();
-        wal.compact(&[1, 2, 3], 3, &log[1..]).unwrap();
+        wal.compact(|| [1, 2, 3], 3, &log[1..]).unwrap();
         let snaps: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .flatten()
@@ -802,12 +805,12 @@ mod tests {
             added: vec![1],
             removed: vec![],
         }];
-        wal.compact(&[1], 1, &log).unwrap();
+        wal.compact(|| [1], 1, &log).unwrap();
         let (disk, rec) = reopen(&disk, opts);
         assert_eq!((rec.epoch, rec.snapshot_epoch), (1, 1));
         let (mut wal, _) = Wal::recover(Box::new(disk.clone()), opts).unwrap();
         let ops = disk.ops();
-        wal.compact(&[1], 1, &log).unwrap();
+        wal.compact(|| [1], 1, &log).unwrap();
         assert_eq!(disk.ops(), ops, "not one op");
     }
 
@@ -849,7 +852,7 @@ mod tests {
             added: vec![2],
             removed: vec![],
         }];
-        assert!(wal.compact(&[1, 2], 2, &log).is_err());
+        assert!(wal.compact(|| [1, 2], 2, &log).is_err());
         // The WAL still holds epochs 1–2; epoch 3 lands behind them.
         wal.append(3, &[3], &[]).unwrap();
         let (_, rec) = reopen(&disk, opts);
@@ -873,7 +876,7 @@ mod tests {
         wal.append(2, &[2], &[1]).unwrap();
         let before = disk.files()[&Name::Wal].clone();
         disk.fail(0, |op| *op == Op::SyncDir);
-        assert!(wal.compact(&[2], 2, &[]).is_err());
+        assert!(wal.compact(|| [2], 2, &[]).is_err());
         assert_eq!(disk.files()[&Name::Wal], before, "the WAL is untruncated");
         let (_, rec) = reopen(&disk, opts);
         assert_eq!((rec.epoch, rec.elements.len()), (2, 1));
@@ -898,11 +901,11 @@ mod tests {
         wal.append(1, &[1], &[]).unwrap();
         wal.append(2, &[2], &[]).unwrap();
         let log = [batch(1, &[1], &[]), batch(2, &[2], &[])];
-        wal.compact(&[1, 2], 2, &log).unwrap();
+        wal.compact(|| [1, 2], 2, &log).unwrap();
         wal.append(3, &[3], &[1]).unwrap();
         disk.fail(0, |op| matches!(op, Op::Truncate(Name::Wal, _)));
         let log = [log[0].clone(), log[1].clone(), batch(3, &[3], &[1])];
-        assert!(wal.compact(&[2, 3], 3, &log).is_err());
+        assert!(wal.compact(|| [2, 3], 3, &log).is_err());
         let files = disk.files();
         let whole = files[&Name::Snapshot(3)].clone();
         let mut flipped = whole.clone();

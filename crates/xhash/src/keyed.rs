@@ -37,6 +37,14 @@ impl Default for KeyedState {
     }
 }
 
+impl KeyedState {
+    /// What [`BuildHasher::hash_one`] gives each `u64` key, into `out`,
+    /// eight keys at a time.
+    pub(crate) fn hash_slice(&self, keys: &[u64], out: &mut [u64]) {
+        crate::xx::xxhash64_u64_slice(keys, self.key, out);
+    }
+}
+
 impl BuildHasher for KeyedState {
     type Hasher = KeyedHasher;
 
@@ -85,8 +93,12 @@ mod tests {
     #[test]
     fn a_u64_is_one_keyed_xxhash() {
         let state = KeyedState::default();
-        for e in [0u64, 1, 0xFFFF_FFFF, u64::MAX] {
+        let keys = [0u64, 1, 0xFFFF_FFFF, u64::MAX, 7, 8, 9, 10, 11];
+        let mut hashes = [0u64; 9];
+        state.hash_slice(&keys, &mut hashes);
+        for (&e, &h) in keys.iter().zip(&hashes) {
             assert_eq!(state.hash_one(e), xxhash64_u64(e, state.key));
+            assert_eq!(h, state.hash_one(e));
         }
     }
 }

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod keyed;
+mod lanes;
 mod partition;
 mod sign;
 mod xx;
@@ -48,7 +49,7 @@ mod xx;
 pub use keyed::{KeyedHasher, KeyedState, Map, Set};
 pub use partition::PartitionHasher;
 pub use sign::SignHasher;
-pub use xx::{xxhash64, xxhash64_u64};
+pub use xx::{xxhash64, xxhash64_u64, xxhash64_u64_slice};
 
 /// The set checksum `c(S)` of §2.2.3 in one pass: the sum of all elements
 /// viewed as integers, modulo `2^universe_bits` (i.e. modulo `|U|`) — a

@@ -14,9 +14,9 @@
 //! [`PartitionHasher::partition`] materializes partitions 1 and 3 — the ones
 //! whose parts a session keeps — as duplicate-free `Vec`s.
 
+use crate::lanes::{hash_block, Range};
 use crate::xx::xxhash64_u64;
 use crate::KeyedState;
-use std::hash::BuildHasher;
 
 /// Maps elements of the universe to bins `0..n` under a fixed seed.
 ///
@@ -45,6 +45,22 @@ impl PartitionHasher {
         (((h as u128) * (self.bins as u128)) >> 64) as u64
     }
 
+    /// [`PartitionHasher::bin`] of every element, into `bins`: eight
+    /// elements at a time, on a CPU with AVX-512 eight lanes wide. The
+    /// lanes take `(h·g) >> 64` as `(hi·g + (lo·g >> 32)) >> 32` over the
+    /// 32-bit halves of the hash, which is the same bin for every `g`
+    /// below `2³²`.
+    ///
+    /// # Panics
+    /// Panics if the hasher has more than `u32::MAX` bins, or `bins` is not
+    /// as long as `elements`.
+    pub fn bin_slice(&self, elements: &[u64], bins: &mut [u32]) {
+        let Ok(g) = u32::try_from(self.bins) else {
+            panic!("cannot hash to {} bins in 32 bits", self.bins);
+        };
+        hash_block(elements, self.seed, Range(g), bins);
+    }
+
     /// Bin index as 1-based position `1..=bins`, the convention the paper
     /// uses for parity-bitmap bit positions (bit positions 1..n map to
     /// nonzero field elements in the BCH sketch).
@@ -59,7 +75,8 @@ impl PartitionHasher {
     ///
     /// This is the set-up step of all three PBS partitions that materialize
     /// their parts (groups, and the sub-groups of a split): one pass that
-    /// hashes each element and counts its bin, a counting-sort scatter into
+    /// hashes the elements ([`PartitionHasher::bin_slice`], 1 024 at a
+    /// time) and counts each chunk's bins, a counting-sort scatter into
     /// exactly-sized `Vec`s, then an in-place de-duplication of each part
     /// through one scratch table (at most a quarter full: 16–32 bytes per
     /// element of the largest part, freed on return). Dropping duplicates
@@ -76,14 +93,13 @@ impl PartitionHasher {
             self.bins
         );
         let mut sizes = vec![0usize; self.bins as usize];
-        let bin_of: Vec<u32> = elements
-            .iter()
-            .map(|&e| {
-                let bin = self.bin(e) as u32;
+        let mut bin_of = vec![0u32; elements.len()];
+        for (chunk, bins) in elements.chunks(HOMES).zip(bin_of.chunks_mut(HOMES)) {
+            self.bin_slice(chunk, bins);
+            for &bin in &*bins {
                 sizes[bin as usize] += 1;
-                bin
-            })
-            .collect();
+            }
+        }
         let mut parts: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for (&e, &b) in elements.iter().zip(&bin_of) {
             parts[b as usize].push(e);
@@ -97,7 +113,8 @@ impl PartitionHasher {
     }
 }
 
-/// Elements whose home slots [`Seen::dedup`] hashes ahead of probing them.
+/// Elements whose home slots [`Seen::dedup`] hashes ahead of probing them,
+/// and whose bins [`PartitionHasher::partition`] counts per chunk.
 const HOMES: usize = 1024;
 
 /// The longest part [`Seen::dedup`] takes: with it the table has `2^32`
@@ -117,13 +134,14 @@ const MAX_PART: usize = 1 << 30;
 /// Two things keep the probe loop's branches predictable. The table is at
 /// most a quarter full — `4 · len` slots rounded up to a power of two, 16 MB
 /// for one part of 10⁶ elements — so nearly every probe ends on the first
-/// slot it reads. And home slots are hashed [`HOMES`] elements at a time,
-/// ahead of the loop that probes them, so a mispredicted probe does not
-/// hold up the next element's hash.
+/// slot it reads. And home slots are hashed [`HOMES`] elements at a time
+/// (eight lanes wide where the CPU has AVX-512), ahead of the loop that
+/// probes them, so a mispredicted probe does not hold up the next
+/// element's hash.
 struct Seen {
     hash: KeyedState,
     slots: Vec<u32>,
-    homes: [u32; HOMES],
+    homes: [u64; HOMES],
 }
 
 impl Seen {
@@ -150,12 +168,11 @@ impl Seen {
         let mut kept = 0usize;
         for start in (0..part.len()).step_by(HOMES) {
             let end = part.len().min(start + HOMES);
-            for (home, &e) in self.homes.iter_mut().zip(&part[start..end]) {
-                *home = (self.hash.hash_one(e) as usize & (size - 1)) as u32;
-            }
+            self.hash
+                .hash_slice(&part[start..end], &mut self.homes[..end - start]);
             for (i, &home) in (start..end).zip(&self.homes) {
                 let e = part[i];
-                let mut slot = home as usize;
+                let mut slot = home as usize & (size - 1);
                 let repeat = loop {
                     match slots[slot] {
                         0 => break false,

@@ -19,6 +19,14 @@
 //! estimates are averaged — any two lanes of one polynomial are independent
 //! of each other over any four distinct elements, exactly as two
 //! independently drawn polynomials would be.
+//!
+//! Two evaluations give the same canonical residue, so the same signs:
+//! [`SignHasher::sign_bits_at`] one element at a time in `u128` (each of
+//! the three products below `2^122`, the sum reduced once), and
+//! [`SignHasher::sign_words`], the bank's block kernel, which on a CPU with
+//! AVX-512 evaluates eight elements at once in 32-bit limbs — four
+//! `u32 × u32 → u64` products a multiplication, `2^64 ≡ 8`, then folds —
+//! and elsewhere runs the `u128` code.
 
 /// The Mersenne prime 2^61 - 1 used as the modulus of the hash family.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
@@ -27,7 +35,7 @@ pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignHasher {
     /// Polynomial coefficients a0 + a1 x + a2 x^2 + a3 x^3 over GF(p).
-    coeffs: [u64; 4],
+    pub(crate) coeffs: [u64; 4],
 }
 
 /// Canonical residue in `[0, p)` of any `x < 2^124`.
@@ -95,10 +103,30 @@ impl SignHasher {
             + a3 as u128 * powers[2] as u128;
         mod_p(sum) as u32
     }
+
+    /// The sign words of `elements` under `hashers`, the way a bank adds
+    /// them up: `each(j, words)` once for every pair `j` of polynomials
+    /// (`2j` and `2j + 1`) and every group of eight elements, a pair's
+    /// groups in order, with one word per element — the low half
+    /// [`SignHasher::sign_bits_at`] under polynomial `2j`, the high half
+    /// under `2j + 1` (zero if `hashers` ends there). A last group of fewer
+    /// than eight elements is padded with zero words.
+    ///
+    /// On a CPU with AVX-512 the polynomials are evaluated eight lanes wide
+    /// in 32-bit limbs, elsewhere one element at a time in `u128`, as
+    /// [`SignHasher::sign_bits_at`] does; both reduce to the canonical
+    /// residue, so the words are the same.
+    pub fn sign_words(
+        hashers: &[SignHasher],
+        elements: &[u64],
+        each: impl FnMut(usize, &[u64; 8]),
+    ) {
+        crate::lanes::sign_words(hashers, elements, each);
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The 32 sign bits of `element`, the way a bank evaluates them.
@@ -111,8 +139,9 @@ mod tests {
         1 - 2 * i64::from(sign_bits(h, element) >> lane & 1)
     }
 
-    /// The family as `docs/WIRE.md` states it, in plain `u128` arithmetic.
-    fn reference_sign(h: &SignHasher, lane: usize, element: u64) -> i64 {
+    /// The family as `docs/WIRE.md` states it, in plain `u128` arithmetic:
+    /// the oracle of every evaluation, the block kernels' included.
+    pub(crate) fn reference_sign(h: &SignHasher, lane: usize, element: u64) -> i64 {
         let p = MERSENNE_P as u128;
         let x = element as u128 % p;
         let mut v = 0u128;
