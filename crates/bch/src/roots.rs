@@ -1,9 +1,9 @@
-//! Root finding for error-locator polynomials over a field without log
-//! tables (`m ≥ 17`: PinSketch's GF(2^32), and a one-round PBS plan at
-//! d ≳ 300): the **Berlekamp trace algorithm**. A field with log tables never
-//! comes here — `BchCodec::locate` solves degrees 1–3 in closed form there
-//! and brings a higher degree down to a cubic with the deflating Chien scan
-//! ([`gf::Field::chien_deflate`]).
+//! Root finding for error-locator polynomials of a codec without syndrome
+//! columns (PinSketch's GF(2^32), a one-round PBS plan whose `n·t` outgrows
+//! the column bound): the **Berlekamp trace algorithm**, over a field with
+//! or without log tables. A codec with columns never comes here —
+//! `BchCodec::locate` evaluates its locator at every candidate at once
+//! ([`gf::Field::roots_in_planes`]).
 //!
 //! The polynomial is recursively split with `gcd(f, Tr(βx) mod f)` for
 //! successively chosen β. The Frobenius ladder `x^(2^i) mod f` is computed

@@ -442,12 +442,11 @@ mod tests {
 
     /// A one-round plan — the in-process scheme's to make; the service
     /// plans the paper's r = 3, at m ≤ 10 — is where `bch`'s paths without
-    /// a column table run: at
-    /// d = 100 a field with log tables whose `n·t` outgrows the column
-    /// table (ladder + closed forms and the deflating Chien scan), at
-    /// d = 300 a field without log tables (Barrett + ladder + trace
-    /// algorithm). Both plans hold: the exact difference in one round, no
-    /// decode failure.
+    /// a column table run, sketching by ladder and finding roots by the
+    /// trace algorithm: at d = 100 over a field with log tables whose
+    /// `n·t` outgrows the column table, at d = 300 over a field without
+    /// log tables (Barrett). Both plans hold: the exact difference in one
+    /// round, no decode failure.
     #[test]
     fn one_round_plans_reconcile_over_fields_without_column_tables() {
         let cfg = PbsConfig {

@@ -8,8 +8,8 @@
 //!
 //! * **Log/antilog tables** (`m <= 16`): multiplication is two table reads
 //!   and one add; inversion is one subtraction in the exponent domain. The
-//!   tables also run the deflating Chien search ([`Field::chien_deflate`])
-//!   and expose the logarithms the `bch` crate's closed-form roots need.
+//!   antilog table also lays out the bit-sliced powers the root kernel
+//!   reads ([`Field::power_planes`], below).
 //! * **Carry-less multiply + Barrett reduction** (`m > 16`): the 128-bit
 //!   polynomial product comes from PCLMULQDQ when the CPU supports it
 //!   (detected once and cached as a function pointer) or a portable
@@ -27,6 +27,16 @@
 //! `Field::scalar_mul_slice`) hoist the backend dispatch out of the loop so
 //! callers such as the BCH syndrome accumulator amortize it across a whole
 //! slice.
+//!
+//! [`Field::roots_in_planes`] finds a polynomial's roots among all
+//! `2^m − 1` candidates `g^s` of a table-backed field in one pass over
+//! [`PowerPlanes`]: the Chien (1964) search turned inside out and bit-sliced
+//! (Biham, FSE 1997). This file is the crate's one CPU dispatch: PCLMULQDQ
+//! for Barrett, and AVX-512 (`avx512f`, `avx512vl`) for the root kernel,
+//! whose `#[inline(always)]` body has a `#[target_feature]` entry, where
+//! its lane loops become 256- and 512-bit ternary-logic instructions, and
+//! a plain one. Each is detected once, when a field or its planes are
+//! built.
 
 /// Maximum supported extension degree.
 pub const MAX_M: u32 = 32;
@@ -92,6 +102,17 @@ fn detect_clmul() -> (ClmulFn, bool) {
         }
     }
     (clmul_portable, false)
+}
+
+/// Whether this CPU runs the root kernel's AVX-512 entry.
+fn detect_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Safe front for the PCLMULQDQ path. Only ever installed as a [`Field`]'s
@@ -448,7 +469,8 @@ impl Field {
     }
 
     /// The generator whose powers the log/antilog tables enumerate, if this
-    /// field is table-backed. The Chien search walks these powers.
+    /// field is table-backed. Its powers are the candidates of
+    /// [`Field::roots_in_planes`].
     pub fn generator(&self) -> Option<u64> {
         if self.generator == 0 {
             None
@@ -768,121 +790,217 @@ impl Field {
         acc
     }
 
-    /// Discrete logarithm of `a` to the base [`Field::generator`]: `Some(i)`
-    /// with `g^i = a` and `i < 2^m − 1` when the field is table-backed and
-    /// `a` is nonzero, `None` otherwise. A root the Chien search meets at
-    /// step `i` has logarithm `i`, so a caller that finds roots another way
-    /// can still return them in Chien order.
-    pub fn log(&self, a: u64) -> Option<u32> {
-        self.check(a);
-        if self.backend != Backend::Tables || a == 0 {
-            return None;
-        }
-        Some(self.log[a as usize])
-    }
-
-    /// The inverse of [`Field::log`]: `Some(g^i)` (`i` taken mod `2^m − 1`)
-    /// when the field is table-backed, `None` otherwise.
-    pub fn exp(&self, i: u32) -> Option<u64> {
-        let group = self.order - 1;
-        self.exp.get((i as u64 % group) as usize).map(|&e| e as u64)
-    }
-
-    /// Deflating stepping Chien search over a table-backed field. Scans the
-    /// candidates `g^0, g^1, …` in order for roots of the polynomial with
-    /// ascending coefficients `poly` (leading and constant coefficients
-    /// nonzero); each root it meets goes onto `roots` (cleared first) and is
-    /// divided out of `poly`, and the scan stops once `poly` is down to
-    /// degree `stop`. Returns the number of candidates scanned — a root the
-    /// quotient still has at a step below that is a repeated root of the
-    /// input — or `None` when the candidates ran out first or the field has
-    /// no tables.
-    ///
-    /// The classical stepping formulation keeps one running term per nonzero
-    /// coefficient in the *log domain*: evaluating at the next power of `g`
-    /// is one add (+ conditional wrap) and one antilog lookup per
-    /// coefficient. Dividing a root out (synthetic division by `x + g^i`,
-    /// O(deg) lookups) drops one term from every later candidate; the terms
-    /// are rebuilt from the quotient at step `i + 1`. `terms` is the
-    /// caller's workspace.
-    pub fn chien_deflate(
-        &self,
-        poly: &mut Vec<u64>,
-        stop: usize,
-        terms: &mut Vec<(u32, u32)>,
-        roots: &mut Vec<u64>,
-    ) -> Option<u32> {
-        roots.clear();
+    /// The bit-sliced powers `g^(js)`, `j = 1..=t`, of every candidate
+    /// `g^s` of this field ([`PowerPlanes`]), which
+    /// [`Field::roots_in_planes`] evaluates polynomials of degree up to `t`
+    /// over: `t·m·⌈(2^m − 1)/64⌉` words, built from the antilog table.
+    /// `None` when the field has no log tables.
+    pub fn power_planes(&self, t: usize) -> Option<PowerPlanes> {
         if self.backend != Backend::Tables {
             return None;
         }
-        let group = (self.order - 1) as u32;
-        let mut step = 0;
-        while poly.len() > stop + 1 {
-            self.chien_terms(poly, step, terms);
-            loop {
-                if step == group {
-                    return None;
+        let (m, n) = (self.m as usize, self.nonzero_count() as usize);
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; t * m * words];
+        for (j, planes) in (1..=t).zip(bits.chunks_exact_mut(m * words)) {
+            // Lane s holds g^(js); past the last candidate the cycle goes on.
+            let step = j % n;
+            let mut exponent = 0;
+            for w in 0..words {
+                let mut word = [0u64; TABLE_M_LIMIT as usize];
+                for lane in 0..64 {
+                    let power = self.exp[exponent] as u64;
+                    for (b, bits) in word[..m].iter_mut().enumerate() {
+                        *bits |= (power >> b & 1) << lane;
+                    }
+                    exponent += step;
+                    if exponent >= n {
+                        exponent -= n;
+                    }
                 }
-                let value = terms
-                    .iter()
-                    .fold(0, |acc, &(_, lg)| acc ^ self.exp[lg as usize]);
-                if value == 0 {
-                    break;
+                for (plane, &bits) in planes.chunks_exact_mut(words).zip(&word) {
+                    plane[w] = bits;
                 }
-                for t in terms.iter_mut() {
-                    let next = t.1 + t.0;
-                    t.1 = if next >= group { next - group } else { next };
-                }
-                step += 1;
             }
-            roots.push(self.exp[step as usize] as u64); // the candidate g^step
-            self.divide_root(poly, step);
-            step += 1;
         }
-        Some(step)
+        Some(PowerPlanes {
+            m: self.m,
+            t,
+            words,
+            bits,
+            kernel: plane_kernel(self.m, detect_avx512()),
+        })
     }
 
-    /// The Chien search's running terms of `poly` at candidate `g^step`:
-    /// one `(j, log c_j + j·step)` pair per nonzero coefficient `c_j`, both
-    /// mod `2^m − 1`.
-    fn chien_terms(&self, poly: &[u64], step: u32, terms: &mut Vec<(u32, u32)>) {
-        let group = self.order - 1;
-        terms.clear();
-        terms.extend(
-            poly.iter()
-                .enumerate()
-                .filter(|&(_, &c)| c != 0)
-                .map(|(j, &c)| {
-                    self.check(c);
-                    let j = j as u64 % group;
-                    let lg = (self.log[c as usize] as u64 + j * step as u64) % group;
-                    (j as u32, lg as u32)
-                }),
-        );
+    /// The roots of the polynomial with ascending coefficients `poly` among
+    /// the nonzero elements, pushed onto `roots` in the order a Chien
+    /// search meets them — `g^0, g^1, …`, ascending in their logarithm:
+    /// one evaluation at every candidate at once ([`PowerPlanes`]). A
+    /// repeated root is pushed once.
+    ///
+    /// # Panics
+    /// Panics if `poly` is empty, has more than `t + 1` coefficients for
+    /// the `t` the planes were built for, or `planes` belong to a field of
+    /// another degree.
+    pub fn roots_in_planes(&self, planes: &PowerPlanes, poly: &[u64], roots: &mut Vec<u64>) {
+        let fits = planes.m == self.m && !poly.is_empty() && poly.len() <= planes.t + 1;
+        assert!(fits, "the planes do not cover the polynomial");
+        (planes.kernel)(self, planes, poly, roots);
     }
+}
 
-    /// Divide `poly` by `x + g^step`, one of its roots, in place: from the
-    /// constant term up, `q_0 = c_0 / r` and `q_j = (c_j + q_{j−1}) / r`.
-    fn divide_root(&self, poly: &mut Vec<u64>, step: u32) {
-        let group = (self.order - 1) as u32;
-        let inverse = ((group - step) % group) as usize; // log of 1 / g^step
-        let Some((_, below_leading)) = poly.split_last_mut() else {
-            return;
+/// An entry of the root kernel: see [`Field::roots_in_planes`].
+type PlaneKernel = fn(&Field, &PowerPlanes, &[u64], &mut Vec<u64>);
+
+/// The bit-sliced powers of a table-backed field's generator `g` that
+/// [`Field::roots_in_planes`] reads, built by [`Field::power_planes`]: for
+/// each power `j = 1..=t` and bit `b < m`, one plane of `words` words whose
+/// lane `s` — bit `s % 64` of word `s / 64` — is bit `b` of `g^(js)`.
+///
+/// A polynomial `Σ c_j x^j` is evaluated at every candidate at once:
+/// multiplying by `c_j` is GF(2)-linear, the `m × m` bit matrix of the basis
+/// products `c_j·x^b`, so each plane `(j, b)` is XORed into the accumulated
+/// bit `k` of the value where bit `k` of `c_j·x^b` is set; the candidates
+/// where all `m` accumulated bits read zero are the roots. The planes also
+/// hold the kernel entry this CPU runs: an AVX-512 one where the CPU has
+/// `avx512f` and `avx512vl`, a plain one otherwise, the same roots either
+/// way.
+#[derive(Debug, Clone)]
+pub struct PowerPlanes {
+    m: u32,
+    t: usize,
+    words: usize,
+    /// Plane `(j, b)` is the `words` words from `((j − 1)·m + b)·words`.
+    bits: Vec<u64>,
+    kernel: PlaneKernel,
+}
+
+impl PowerPlanes {
+    /// These planes once for each entry of the root kernel this CPU runs,
+    /// by name: `"plain"` everywhere, and `"avx512"` where the CPU has
+    /// `avx512f` and `avx512vl`. For tests that hold every entry to an
+    /// oracle.
+    #[doc(hidden)]
+    pub fn entries(&self) -> Vec<(&'static str, PowerPlanes)> {
+        let on = |avx512| PowerPlanes {
+            kernel: plane_kernel(self.m, avx512),
+            ..self.clone()
         };
-        let mut quotient = 0;
-        for c in below_leading {
-            let v = *c ^ quotient;
-            quotient = if v == 0 {
-                0
-            } else {
-                self.exp[self.log[v as usize] as usize + inverse] as u64
-            };
-            *c = quotient;
+        let mut all = vec![("plain", on(false))];
+        if detect_avx512() {
+            all.push(("avx512", on(true)));
         }
-        debug_assert_eq!(poly.last(), Some(&quotient), "g^{step} is not a root");
-        poly.pop();
+        all
     }
+}
+
+/// The root kernel's entry for GF(2^m) on this CPU: its body instantiated
+/// for the degree `M = m` and `L` words (`64·L` candidates) a step, four
+/// once the planes are that long (with eight, the accumulators of
+/// m ≥ 9 outgrow the registers).
+fn plane_kernel(m: u32, avx512: bool) -> PlaneKernel {
+    fn entry<const M: usize, const L: usize>(avx512: bool) -> PlaneKernel {
+        match avx512 {
+            #[cfg(target_arch = "x86_64")]
+            true => roots_avx512_dispatched::<M, L>,
+            _ => roots_body::<M, L>,
+        }
+    }
+    match m {
+        3 => entry::<3, 1>(avx512),
+        4 => entry::<4, 1>(avx512),
+        5 => entry::<5, 1>(avx512),
+        6 => entry::<6, 1>(avx512),
+        7 => entry::<7, 2>(avx512),
+        8 => entry::<8, 4>(avx512),
+        9 => entry::<9, 4>(avx512),
+        10 => entry::<10, 4>(avx512),
+        11 => entry::<11, 4>(avx512),
+        12 => entry::<12, 4>(avx512),
+        13 => entry::<13, 4>(avx512),
+        14 => entry::<14, 4>(avx512),
+        15 => entry::<15, 4>(avx512),
+        _ => entry::<16, 4>(avx512),
+    }
+}
+
+/// The body of both root-kernel entries over GF(2^M), `L` plane words at a
+/// time: the `M` accumulated planes of `poly`'s value start as the
+/// constant coefficient's bits, and each further coefficient `c_j` adds
+/// plane `(j, b)` into accumulator `k` where bit `k` of `c_j·x^b` is set.
+/// A candidate is a root where every accumulator reads zero. Each word
+/// keeps its `M` accumulators side by side, so that one plane word meets
+/// all `M` masks of a basis product at once.
+#[inline(always)]
+fn roots_body<const M: usize, const L: usize>(
+    f: &Field,
+    planes: &PowerPlanes,
+    poly: &[u64],
+    roots: &mut Vec<u64>,
+) {
+    let words = planes.words;
+    let n = f.nonzero_count() as usize;
+    // A basis product spread over M lanes: lane k is all ones iff bit k is.
+    let spread = |v: u64| -> [u64; M] {
+        std::array::from_fn(|k| if v & 1 << k != 0 { u64::MAX } else { 0 })
+    };
+    for chunk in (0..words).step_by(L) {
+        let mut acc = [spread(poly[0]); L];
+        for (j, &c) in poly.iter().enumerate().skip(1) {
+            if c == 0 {
+                continue;
+            }
+            let mut basis = c; // c·x^b
+            for b in 0..M {
+                let plane = &planes.bits[((j - 1) * M + b) * words + chunk..][..L];
+                let mask = spread(basis);
+                for (a, &p) in acc.iter_mut().zip(plane) {
+                    for (a, &mask) in a.iter_mut().zip(&mask) {
+                        *a ^= p & mask;
+                    }
+                }
+                basis <<= 1;
+                if basis >> M != 0 {
+                    basis ^= f.poly;
+                }
+            }
+        }
+        for (l, a) in acc.iter().enumerate() {
+            let first = (chunk + l) * 64;
+            // The lanes past the last candidate repeat earlier ones.
+            let lanes = u64::MAX >> (64 - (n - first).min(64));
+            let mut zeros = !a.iter().fold(0, |any, &a| any | a) & lanes;
+            while zeros != 0 {
+                roots.push(f.exp[first + zeros.trailing_zeros() as usize] as u64);
+                zeros &= zeros - 1;
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn roots_avx512<const M: usize, const L: usize>(
+    f: &Field,
+    planes: &PowerPlanes,
+    poly: &[u64],
+    roots: &mut Vec<u64>,
+) {
+    roots_body::<M, L>(f, planes, poly, roots)
+}
+
+/// Safe front for [`roots_avx512`]. Only ever installed as a
+/// [`PowerPlanes`] kernel after [`detect_avx512`] found its features, so
+/// they hold whenever it is called.
+#[cfg(target_arch = "x86_64")]
+fn roots_avx512_dispatched<const M: usize, const L: usize>(
+    f: &Field,
+    planes: &PowerPlanes,
+    poly: &[u64],
+    roots: &mut Vec<u64>,
+) {
+    // SAFETY: installed only after runtime detection of avx512f and avx512vl.
+    unsafe { roots_avx512::<M, L>(f, planes, poly, roots) }
 }
 
 #[cfg(test)]
@@ -1012,67 +1130,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chien_deflate_divides_out_each_root_and_stops_at_the_degree_asked() {
-        let f = Field::new(11);
-        // (x+3)(x+500)(x+1999)(x+7), built by convolution through the field.
-        let roots = [3u64, 500, 1999, 7];
-        let mut coeffs = vec![1u64];
-        for &r in &roots {
-            let mut next = vec![0u64; coeffs.len() + 1];
-            for (i, &c) in coeffs.iter().enumerate() {
-                next[i + 1] ^= c;
-                next[i] ^= f.mul(c, r);
-            }
-            coeffs = next;
-        }
-        let step = |r: u64| f.log(r).unwrap();
-        let mut in_scan_order = roots.to_vec();
-        in_scan_order.sort_unstable_by_key(|&r| step(r));
-        let (mut terms, mut found) = (Vec::new(), Vec::new());
-        // Down to a linear factor: the first three roots the scan meets, and
-        // the quotient is x + (the fourth), monic as the input was.
-        let mut poly = coeffs.clone();
-        let scanned = f.chien_deflate(&mut poly, 1, &mut terms, &mut found);
-        assert_eq!(found, in_scan_order[..3]);
-        assert_eq!(scanned, Some(step(in_scan_order[2]) + 1));
-        assert_eq!(poly, vec![in_scan_order[3], 1]);
-        // All the way: every root, the quotient 1.
-        let mut poly = coeffs.clone();
-        let scanned = f.chien_deflate(&mut poly, 0, &mut terms, &mut found);
-        assert_eq!(found, in_scan_order);
-        assert_eq!(scanned, Some(step(in_scan_order[3]) + 1));
-        assert_eq!(poly, vec![1]);
-        // Already at the degree asked: nothing scanned.
-        let mut poly = coeffs.clone();
-        assert_eq!(
-            f.chien_deflate(&mut poly, 4, &mut terms, &mut found),
-            Some(0)
-        );
-        assert!(found.is_empty());
-        // (x+3)²: the scan divides 3 out once and never meets it again.
-        let mut poly = vec![f.square(3), 0, 1];
-        assert_eq!(f.chien_deflate(&mut poly, 0, &mut terms, &mut found), None);
-        assert_eq!(found, vec![3]);
-        // Non-table fields report None.
-        let big = Field::new(32);
-        assert_eq!(
-            big.chien_deflate(&mut vec![1, 1], 0, &mut terms, &mut found),
-            None
-        );
+    /// Every root of `poly` among the nonzero elements, ascending in their
+    /// logarithm, by evaluation at each candidate through the reference
+    /// multiplication: the oracle of the root kernel.
+    fn naive_roots(f: &Field, poly: &[u64]) -> Vec<u64> {
+        let g = f.generator().expect("a table-backed field");
+        std::iter::successors(Some(1u64), |&x| Some(f.mul_reference(x, g)))
+            .take(f.nonzero_count() as usize)
+            .filter(|&x| {
+                poly.iter()
+                    .rev()
+                    .fold(0, |acc, &c| f.mul_reference(acc, x) ^ c)
+                    == 0
+            })
+            .collect()
     }
 
     #[test]
-    fn exp_inverts_log_on_table_fields_only() {
-        for m in [3u32, 8, 16] {
+    fn every_plane_entry_finds_the_naive_roots_at_every_tabled_m() {
+        // Each table-backed m; per m, polynomials with the root 1 (the
+        // candidate the lanes past the last one repeat), a zero constant
+        // term, the full degree bound, and none at all.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        for m in MIN_M..=TABLE_M_LIMIT {
             let f = Field::new(m);
-            for a in 1..f.order() {
-                assert_eq!(f.exp(f.log(a).unwrap()), Some(a), "m={m} a={a}");
+            let t = if m <= 11 { 12 } else { 3 };
+            let planes = f.power_planes(t).expect("a table-backed field");
+            let mut polys = vec![vec![1, 1], vec![0, 1], vec![1], vec![0; t + 1]];
+            for degree in 1..=t {
+                let mut poly: Vec<u64> = (0..=degree).map(|_| next() % f.order()).collect();
+                polys.push(poly.clone());
+                // Force the root 1: the constant is the sum of the others.
+                poly[0] = poly[1..].iter().fold(0, |acc, &c| acc ^ c);
+                polys.push(poly);
             }
-            let group = f.nonzero_count() as u32;
-            assert_eq!(f.exp(group), Some(1), "taken mod 2^m - 1");
+            let entries = planes.entries();
+            if m == MIN_M {
+                let names: Vec<_> = entries.iter().map(|e| e.0).collect();
+                println!("plane entries checked: {names:?}");
+            }
+            for (name, planes) in entries {
+                for poly in &polys {
+                    let mut roots = Vec::new();
+                    f.roots_in_planes(&planes, poly, &mut roots);
+                    assert_eq!(roots, naive_roots(&f, poly), "{name} m={m} {poly:?}");
+                }
+            }
         }
-        assert_eq!(Field::new(17).exp(1), None);
+        assert!(Field::new(17).power_planes(4).is_none());
     }
 
     #[test]
@@ -1081,7 +1192,6 @@ mod tests {
             let f = Field::new(m);
             let tabled = m <= 16;
             assert_eq!(f.generator().is_some(), tabled, "m={m}");
-            assert_eq!(f.log(1).is_some(), tabled, "m={m}");
             if tabled {
                 assert_eq!(f.backend_name(), "tables");
             } else {

@@ -37,5 +37,5 @@
 mod field;
 mod poly;
 
-pub use field::Field;
+pub use field::{Field, PowerPlanes};
 pub use poly::Poly;

@@ -148,7 +148,7 @@ proptest! {
 }
 
 /// Backend-equivalence properties: every fast path (table mul for
-/// `m <= 16`, Barrett mul above, batched mul/square, the deflating Chien scan) must
+/// `m <= 16`, Barrett mul above, batched mul/square, the root kernel) must
 /// agree with `Field::mul_reference` (portable carry-less multiply +
 /// shift-loop reduction) for every supported degree, each field built the
 /// one way there is, `Field::new(m)`.
@@ -219,30 +219,43 @@ mod backend_equivalence {
             }
         }
 
+        /// The root kernel, through every entry this CPU runs, against
+        /// naive evaluation at `g^0, g^1, …`: products of distinct linear
+        /// factors (each root once, in that order), with a factor repeated,
+        /// and arbitrary polynomials — a zero constant term (no root among
+        /// the candidates) included.
         #[test]
-        fn stepping_chien_matches_naive_scan(
-            m in 3u32..=11,
+        fn the_plane_kernel_matches_naive_evaluation(
+            m in 3u32..=16,
             roots_raw in prop::collection::hash_set(any::<u64>(), 0..=12),
+            arbitrary in prop::collection::vec(any::<u64>(), 1..=13),
+            repeat in any::<bool>(),
         ) {
             let f = Field::new(m);
-            let roots: std::collections::HashSet<u64> =
-                roots_raw.into_iter().map(|r| (r % (f.order() - 1)) + 1).collect();
+            let t = if m <= 11 { 12 } else { 2 };
             let mut p = Poly::one();
-            for &r in &roots {
-                p = p.mul(&Poly::from_coeffs(vec![r, 1]), &f);
+            for r in roots_raw.iter().map(|r| (r % (f.order() - 1)) + 1) {
+                for _ in 0..1 + repeat as usize {
+                    if p.degree_or_zero() < t {
+                        p = p.mul(&Poly::from_coeffs(vec![r, 1]), &f);
+                    }
+                }
             }
-            // Deflated all the way, the scan meets every root in the order
-            // the naive scan over g^0, g^1, … does, and leaves 1.
-            let (mut poly, mut terms, mut stepping) = (p.coeffs().to_vec(), Vec::new(), Vec::new());
-            let scanned = f.chien_deflate(&mut poly, 0, &mut terms, &mut stepping);
+            let arbitrary: Vec<u64> = arbitrary.iter().take(t + 1).map(|c| c % f.order()).collect();
             let g = f.generator().expect("small fields are table-backed");
-            let naive: Vec<u64> = std::iter::successors(Some(1u64), |&x| Some(f.mul(x, g)))
+            let candidates: Vec<u64> = std::iter::successors(Some(1u64), |&x| Some(f.mul(x, g)))
                 .take(f.nonzero_count() as usize)
-                .filter(|&x| p.eval(x, &f) == 0)
                 .collect();
-            prop_assert!(scanned.is_some());
-            prop_assert_eq!(poly, vec![1]);
-            prop_assert_eq!(stepping, naive);
+            let planes = f.power_planes(t).expect("small fields are table-backed");
+            for poly in [p.coeffs().to_vec(), arbitrary] {
+                let q = Poly::from_coeffs(poly.clone());
+                let naive: Vec<u64> = candidates.iter().copied().filter(|&x| q.eval(x, &f) == 0).collect();
+                for (name, planes) in planes.entries() {
+                    let mut roots = Vec::new();
+                    f.roots_in_planes(&planes, &poly, &mut roots);
+                    prop_assert_eq!(&roots, &naive, "{} m={}", name, m);
+                }
+            }
         }
     }
 
