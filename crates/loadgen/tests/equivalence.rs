@@ -3,7 +3,7 @@
 //! readiness loop — the first on the caller's thread, the second on a
 //! `Dialer`'s; these tests hold the two to the same session.
 //!
-//! * Same session: the same set, seed, store and pipeline through
+//! * Same session: the same set, seed, store set and pipeline through
 //!   `pbs_net::sync` (a loop on the caller's thread) and through the
 //!   engine's `Dialer` (a loop thread shared with other sessions) against
 //!   one server produce the same report, down to the byte and frame
@@ -14,27 +14,11 @@
 
 use loadgen::{Arrival, Engine, EngineConfig, Kind, Outcome, SessionResult};
 use pbs_net::server::{Server, ServerConfig};
-use pbs_net::store::{MutableStore, SetStore, StoreRegistry};
+use pbs_net::store::{MutableStore, StoreRegistry};
 use pbs_net::{sync, ClientConfig, Pipeline, SyncReport};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
-
-/// A store that ingests nothing, so every session meets the same set and
-/// the same epoch however many came before it.
-struct Frozen(Vec<u64>);
-
-impl SetStore for Frozen {
-    fn snapshot(&self) -> Vec<u64> {
-        self.0.clone()
-    }
-    fn apply_missing(&self, _elements: &[u64]) -> bool {
-        true
-    }
-    fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
-        (self.snapshot(), Some(5))
-    }
-}
 
 fn keys(range: std::ops::Range<u64>) -> Vec<u64> {
     range
@@ -119,7 +103,12 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
     live.apply(&pool[..10], &pool[4_990..]);
     live.apply(&pool[4_990..4_995], &pool[..5]);
     let registry = Arc::new(StoreRegistry::new());
-    registry.register("frozen", Arc::new(Frozen(server_set)));
+    // A session pushes into its store: each of the two drivers meets a
+    // store of its own, the same set at the same epoch, per session kind.
+    for name in ["full-a", "full-b", "pipe-a", "pipe-b"] {
+        let store = MutableStore::new(server_set.iter().copied());
+        registry.register(name, Arc::new(store) as Arc<_>);
+    }
     registry.register("live", Arc::clone(&live) as Arc<_>);
     let server =
         Server::bind_registry("127.0.0.1:0", registry, ServerConfig::default()).expect("bind");
@@ -127,12 +116,12 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
     let seed = 0xE9_0001;
     let at = Duration::ZERO;
 
-    for (kind, pipeline) in [
-        (Kind::Full, Pipeline::Depth(1)),
-        (Kind::Pipelined, Pipeline::Auto),
+    for (kind, pipeline, [blocking_store, dialer_store]) in [
+        (Kind::Full, Pipeline::Depth(1), ["full-a", "full-b"]),
+        (Kind::Pipelined, Pipeline::Auto, ["pipe-a", "pipe-b"]),
     ] {
         let config = ClientConfig {
-            store: "frozen".into(),
+            store: blocking_store.into(),
             seed,
             pipeline,
             ..ClientConfig::default()
@@ -142,7 +131,7 @@ fn blocking_and_mux_drivers_produce_the_same_report() {
         assert_eq!(blocking.recovered.len(), 70);
 
         let client = ClientConfig {
-            store: "frozen".into(),
+            store: dialer_store.into(),
             ..ClientConfig::default()
         };
         let arrival = Arrival { at, kind, seed };

@@ -171,13 +171,10 @@ fn follow(args: &Args, set: &[u64], config: &ClientConfig, policy: &RetryPolicy)
                     eprintln!("pbs-sync: {e}");
                     std::process::exit(1);
                 });
-            let Some(epoch) = report.epoch else {
-                eprintln!("pbs-sync: server keeps no epochs for this store; cannot --follow");
-                std::process::exit(1);
-            };
-            // The baseline is durable state: persist it before announcing
-            // it, so a crash right here resumes as a delta, not a full
-            // resync.
+            // Always `Some`. The baseline is durable state: persist it
+            // before announcing it, so a crash right here resumes as a
+            // delta, not a full resync.
+            let epoch = report.epoch.unwrap_or_default();
             write_epoch_cache(args, epoch);
             println!(
                 "pbs-sync: baseline sync: |A△B| = {}, epoch {epoch}",
@@ -277,10 +274,10 @@ fn main() {
         );
     }
 
-    // Persist the new epoch baseline for the next run's delta subscription.
-    if let Some(epoch) = report.epoch {
-        write_epoch_cache(&args, epoch);
-    }
+    // Persist the new epoch baseline for the next run's delta subscription
+    // (always `Some`: every ack carries the epoch of its snapshot).
+    let epoch = report.epoch.unwrap_or_default();
+    write_epoch_cache(&args, epoch);
 
     if let Some(delta) = &report.delta {
         println!(
@@ -345,9 +342,7 @@ fn main() {
         "pbs-sync: rounds: {} layers in {} trips; {} group-layers speculated, {} of them unused",
         report.rounds, report.round_trips, report.speculative_layers, report.speculative_unused,
     );
-    if let Some(epoch) = report.epoch {
-        println!("pbs-sync: epoch baseline {epoch} established");
-    }
+    println!("pbs-sync: epoch baseline {epoch} established");
     let universe_bits = config.pbs.universe_bits;
     println!(
         "pbs-sync: wire: {} B sent / {} B received over {}+{} frames{}",

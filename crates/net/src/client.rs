@@ -240,18 +240,18 @@ pub struct SyncReport {
     pub d_param: u64,
     /// The raw ToW estimate, when the estimator exchange ran.
     pub estimated_d: Option<f64>,
-    /// The epoch baseline this sync established, when the server's store
-    /// keeps epochs: after a delta sync, the epoch the stream ended
-    /// at; after a full reconciliation, the epoch of the snapshot it ran
-    /// against. Feed it back as [`ClientConfig::delta_epoch`] next time.
+    /// The epoch baseline this sync established, always `Some`: after a
+    /// delta sync, the epoch the stream ended at; after a full
+    /// reconciliation, the epoch of the snapshot it ran against. Feed it
+    /// back as [`ClientConfig::delta_epoch`] next time.
     pub epoch: Option<u64>,
     /// The delta stream this sync was served from, when the requested
     /// [`ClientConfig::delta_epoch`] was granted. `None` on full
     /// reconciliations.
     pub delta: Option<DeltaReport>,
     /// `true` when a requested delta subscription could not be served
-    /// (changelog trimmed, epoch-less store) and the sync fell back to a
-    /// full reconciliation.
+    /// (the changelog no longer reaches the epoch) and the sync fell back
+    /// to a full reconciliation.
     pub delta_fallback: bool,
     /// Wire bytes sent, framing included.
     pub bytes_sent: u64,
@@ -325,13 +325,13 @@ impl SyncReport {
 ///
 /// One client can be reused (and shared immutably) across any number of
 /// syncs, and a clone family keeps at most one idle connection: a call
-/// that ends with its server parked — a report with an
-/// [`SyncReport::epoch`] — leaves its connection to the family, and the
-/// next call of any of them (a [`SyncClient::subscribe`] too) runs its
-/// session there instead of connecting. A kept connection that fails
-/// before the server answers its `Hello` — closed meanwhile on the
-/// server's read-idle window, say — is dropped, and the session runs
-/// once more on a fresh one. Each report counts its own session's bytes.
+/// that ends in a report — the server parks every session it acks —
+/// leaves its connection to the family, and the next call of any of them
+/// (a [`SyncClient::subscribe`] too) runs its session there instead of
+/// connecting. A kept connection that fails before the server answers its
+/// `Hello` — closed meanwhile on the server's read-idle window, say — is
+/// dropped, and the session runs once more on a fresh one. Each report
+/// counts its own session's bytes.
 #[derive(Debug, Clone)]
 pub struct SyncClient {
     addrs: Vec<SocketAddr>,
@@ -417,7 +417,7 @@ impl SyncClient {
     /// epoch that sync returned).
     ///
     /// Fails with [`NetError::Remote`]/[`NetError::Protocol`] when the
-    /// server cannot serve the epoch (changelog trimmed, epoch-less store)
+    /// server cannot serve the epoch (the changelog no longer reaches it)
     /// — run a full [`SyncClient::sync`] and subscribe from its epoch
     /// instead. Retry policies do not apply: a dropped subscription must
     /// not silently skip epochs.
@@ -982,8 +982,8 @@ impl<'a> Role for Dial<'a> {
             bytes_out: nb.bytes_out(),
             frames_in: nb.frames_in(),
         };
-        let parked = ended.report.as_ref().is_some_and(|r| r.epoch.is_some());
-        if let Some(idle) = sess.tag.idle.as_ref().filter(|_| parked) {
+        // The server parks every session it acks.
+        if let Some(idle) = sess.tag.idle.as_ref().filter(|_| ended.report.is_some()) {
             if let Some(stream) = sess.nb.into_idle() {
                 *idle.lock().unwrap_or_else(PoisonError::into_inner) = Some(stream);
             }

@@ -50,7 +50,7 @@ const fn build_tables() -> [[u32; 256]; 16] {
 
 /// CRC-32 of `bytes` (initial value `!0`, final complement — the standard
 /// "CRC-32/ISO-HDLC" parameterization, matching zlib's `crc32()`).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &TABLES;
     let (steps, tail) = bytes.as_chunks::<16>();
     let mut crc = !0u32;

@@ -25,11 +25,11 @@ use std::io::{Read, Write};
 /// ([`FrameError::Version`], answered with [`ErrorCode::Version`]) before
 /// any later field is read.
 ///
-/// Version 7 drops the five plan fields a v6 `Hello` carried (δ, target
-/// and maximum rounds, p₀, the ToW sketch count): every session runs the
-/// service plan of its universe ([`Hello::config`]), so a peer has no plan
-/// to propose. The seed stays the reply's to name, as in v6.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// Version 8 takes the server's empty `Done` ack off the wire (every final
+/// transfer is acked with a `DeltaDone`); its bytes are v7's but for the
+/// version field. v7 dropped the plan from the `Hello`: every session runs
+/// the service plan of its universe (`Hello::config`).
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Largest store name (in bytes) a `Hello` may carry or a server accepts.
 pub(crate) const MAX_STORE_NAME: usize = 64;
@@ -44,7 +44,7 @@ pub(crate) const HELLO_MAGIC: u32 = 0x3153_4250;
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 24;
 
 /// Bytes of framing added around every frame body: length prefix + CRC.
-pub const FRAME_OVERHEAD: u64 = 8;
+pub(crate) const FRAME_OVERHEAD: u64 = 8;
 
 /// Fixed bytes of a [`Frame::DeltaBatch`] body before the element words:
 /// type byte + epoch + element width + the two element counts.
@@ -207,7 +207,7 @@ impl std::fmt::Display for ErrorCode {
 /// with the store it routed to, the pipeline depth it grants and the seed
 /// the session runs under (or answers with [`Frame::Error`]). The plan is
 /// no field: both state machines run the service plan of the universe
-/// ([`Hello::config`]), so with the seed they derive every hash function
+/// (`Hello::config`), so with the seed they derive every hash function
 /// identically without any further agreement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
@@ -282,7 +282,7 @@ impl Hello {
     /// p₀ = 0.99 and 128 ToW sketches, the rounds uncapped. Rejects a
     /// universe outside 8..=64, so a hostile handshake cannot reach the
     /// panicking constructors.
-    pub fn config(&self) -> Result<PbsConfig, String> {
+    pub(crate) fn config(&self) -> Result<PbsConfig, String> {
         if !(8..=64).contains(&(self.universe_bits as u32)) {
             return Err(format!(
                 "universe_bits {} outside 8..=64",
@@ -338,8 +338,8 @@ pub enum Frame {
     },
     /// Bob → Alice: the round's reports.
     Reports(Vec<GroupReport>),
-    /// Final transfer / acknowledgement. From the client: the elements the
-    /// server's set is missing (`A \ B`). From the server: an empty ack.
+    /// Client → server: the final transfer — the elements the server's set
+    /// is missing (`A \ B`).
     Done(Vec<u64>),
     /// Fatal error; the sender closes the connection after this frame.
     Error {
@@ -362,23 +362,23 @@ pub enum Frame {
         /// Elements the batch removed.
         removed: Vec<u64>,
     },
-    /// Server → client: end of a delta stream, or — on an
-    /// epoch-capable store — the final transfer ack, in either case
-    /// carrying the epoch baseline the client now stands at.
+    /// Server → client: end of a delta stream, or the final transfer's
+    /// ack, in either case carrying the epoch baseline the client now
+    /// stands at (for the ack, the epoch of the session's snapshot).
     DeltaDone {
         /// The client's new epoch baseline.
         epoch: u64,
     },
     /// Server → client: the requested [`Hello::delta_epoch`] cannot be
-    /// served incrementally (changelog trimmed past it, epoch from this
-    /// store's future, or a store without a changelog). Not an error: the
+    /// served incrementally (changelog trimmed past it, or an epoch from
+    /// this store's future). Not an error: the
     /// session continues with the classic reconciliation, which
     /// re-establishes an epoch baseline. Sent to a live subscriber it means
     /// the changelog can no longer cover the subscriber's epoch (slow
     /// consumer evicted, or the log was trimmed under it); the server
     /// closes the connection after this frame.
     FullResyncRequired {
-        /// The store's current epoch (0 when the store keeps no epochs).
+        /// The store's current epoch.
         epoch: u64,
     },
     /// Client → server: after a `DeltaDone`, hold the connection open
@@ -806,7 +806,7 @@ mod tests {
 
     #[test]
     fn wrong_version_hellos_are_refused_before_any_later_field() {
-        for version in [0, 1, 2, 3, 4, 5, 6, 8, u16::MAX] {
+        for version in [0, 1, 2, 3, 4, 5, 6, 7, u16::MAX] {
             let mut hello = Hello::from_config(&PbsConfig::default(), 7, 0);
             hello.version = version;
             let body = Frame::Hello(hello).encode_body();
@@ -925,11 +925,12 @@ mod tests {
         }
     }
 
-    /// A v7 `Hello` is the v6 one less its five plan fields — δ, target
+    /// A v8 `Hello` is the v6 one less its five plan fields — δ, target
     /// and maximum rounds, the sketch count (four bytes each) and p₀
-    /// (eight): 24 bytes shorter, each field of the rest where v6 kept it.
+    /// (eight), which v7 dropped: 24 bytes shorter, each field of the rest
+    /// where v6 kept it. (v8 changed no `Hello` byte but the version.)
     #[test]
-    fn a_v7_hello_is_24_bytes_shorter_than_a_v6_one() {
+    fn a_v8_hello_is_24_bytes_shorter_than_a_v6_one() {
         // The opening `Hello` of a default client in v6, length prefix
         // and CRC included (no store name, no epoch).
         const V6: &str = "33000000bcf0018d01504253310600200500000003000000ffffffffae47e17a14aeef3f\
@@ -939,15 +940,15 @@ mod tests {
             .map(|i| u8::from_str_radix(&V6[i..i + 2], 16).unwrap())
             .collect::<Vec<u8>>();
         let hello = Hello::from_config(&PbsConfig::default(), 0x0123_4567_89AB_CDEF, 0);
-        let mut v7 = Vec::new();
-        write_frame(&mut v7, &Frame::Hello(hello), DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(v6.len() - v7.len(), 24);
-        // Type and magic, then the version (6 → 7) and the universe; the
+        let mut v8 = Vec::new();
+        write_frame(&mut v8, &Frame::Hello(hello), DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(v6.len() - v8.len(), 24);
+        // Type and magic, then the version (6 → 8) and the universe; the
         // plan's 24 bytes out, the seed onward as before.
-        assert_eq!(v7[8..13], v6[8..13]);
-        assert_eq!((v6[13], v7[13]), (6, 7));
-        assert_eq!(v7[15], v6[15]);
-        assert_eq!(v7[16..], v6[16 + 24..]);
+        assert_eq!(v8[8..13], v6[8..13]);
+        assert_eq!((v6[13], v8[13]), (6, 8));
+        assert_eq!(v8[15], v6[15]);
+        assert_eq!(v8[16..], v6[16 + 24..]);
     }
 
     #[test]

@@ -88,7 +88,7 @@
 pub mod admin;
 pub mod client;
 pub(crate) mod conn;
-pub mod crc;
+pub(crate) mod crc;
 pub(crate) mod disk;
 pub(crate) mod event_loop;
 pub mod frame;

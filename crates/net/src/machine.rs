@@ -448,7 +448,7 @@ impl<'a> ClientMachine<'a> {
                     // no reconciliation ran.
                     self.report.verified = true;
                     self.report.delta = Some(delta);
-                    step.report = Some(self.finish(Some(epoch)));
+                    step.report = Some(self.finish(epoch));
                 }
                 Ok(step)
             }
@@ -501,11 +501,10 @@ impl<'a> ClientMachine<'a> {
                 self.state = State::OweDone;
                 Ok(Step::end_of(Phase::Rounds))
             }
-            // Against an epoch-capable store the ack is a `DeltaDone`
-            // carrying the epoch of the snapshot this reconciliation ran
-            // against — what the next sync passes as `delta_epoch`.
-            (State::AwaitAck, Frame::Done(_)) => Ok(self.acked(None)),
-            (State::AwaitAck, Frame::DeltaDone { epoch }) => Ok(self.acked(Some(epoch))),
+            // The ack is a `DeltaDone` carrying the epoch of the snapshot
+            // this reconciliation ran against — what the next sync passes
+            // as `delta_epoch`.
+            (State::AwaitAck, Frame::DeltaDone { epoch }) => Ok(self.acked(epoch)),
             (State::Parked, Frame::DeltaDone { epoch }) => Ok(Step {
                 push: Some(self.end_of_stream(epoch)),
                 ..Step::default()
@@ -641,16 +640,16 @@ impl<'a> ClientMachine<'a> {
         Ok(Frame::Done(pushed))
     }
 
-    fn acked(&mut self, epoch: Option<u64>) -> Step {
+    fn acked(&mut self, epoch: u64) -> Step {
         Step {
             report: Some(self.finish(epoch)),
             ..Step::end_of(Phase::Transfer)
         }
     }
 
-    fn finish(&mut self, epoch: Option<u64>) -> SyncReport {
+    fn finish(&mut self, epoch: u64) -> SyncReport {
         self.state = State::Finished;
-        self.report.epoch = epoch;
+        self.report.epoch = Some(epoch);
         std::mem::take(&mut self.report)
     }
 
@@ -1431,9 +1430,9 @@ mod tests {
     }
 
     /// The opening `Hello` of each mode, pinned byte for byte (length prefix
-    /// and CRC included). These are the v6 captures less the 24 bytes of
-    /// plan after the universe, with the version field and the length and
-    /// CRC over them re-taken: every other field stays as it was.
+    /// and CRC included). These are the v7 captures with the version field
+    /// and the CRC over it re-taken (v7's were v6's less the 24 bytes of
+    /// plan after the universe): every other field stays as it was.
     #[test]
     fn the_hello_is_pinned_bit_for_bit() {
         let hello = |cfg: ClientConfig, mode| {
@@ -1443,7 +1442,7 @@ mod tests {
         // No store name, no epoch, estimator exchange to follow.
         assert_eq!(
             hello(config(), Mode::Full),
-            "1b0000001ce01eb20150425331070020efcdab8967452301\
+            "1b0000005cf8846e0150425331080020efcdab8967452301\
              0000000000000000000100"
         );
         // Named store, fixed depth, d known, epoch cache.
@@ -1460,7 +1459,7 @@ mod tests {
                     since: 0x1122_3344_5566_7788
                 }
             ),
-            "2c000000963c1d2e0150425331070020efcdab8967452301\
+            "2c000000035f08050150425331080020efcdab8967452301\
              2a0000000000000009696e76656e746f727903018877665544332211"
         );
         // Adaptive depth asks for the largest representable grant.
@@ -1472,7 +1471,7 @@ mod tests {
         };
         assert_eq!(
             hello(cfg, Mode::Full),
-            "1f000000b99d099b015042533107002007000000000000000000000000000000\
+            "1f00000023cbe316015042533108002007000000000000000000000000000000\
              046c697665ff00"
         );
         // A subscriber asks for no rounds whatever its config says.
@@ -1484,7 +1483,7 @@ mod tests {
         };
         assert_eq!(
             hello(cfg, Mode::Subscribe { since: 9 }),
-            "270000004a4b5ee50150425331070020b979379e000000000000000000000000\
+            "270000003973b2e50150425331080020b979379e000000000000000000000000\
              046c69766501010900000000000000"
         );
     }

@@ -130,7 +130,7 @@ pub fn anti_entropy_round(
         let Some(entry) = registry.get(&name) else {
             continue;
         };
-        let (snapshot, _epoch) = entry.store().epoch_snapshot();
+        let snapshot = entry.store().snapshot();
         let mut cfg = config.clone();
         cfg.store = name.clone();
         cfg.delta_epoch = None;

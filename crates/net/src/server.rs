@@ -26,9 +26,10 @@
 //! Outside the delta/push paths the server is the *responder* throughout —
 //! it never sends a frame except in reply. Hostile input is bounded at
 //! every layer: frame sizes by the transport cap, the universe by
-//! [`crate::frame::Hello::config`], the parameterized difference by
-//! [`ServerConfig::max_d`], rounds by [`ServerConfig::round_cap`],
-//! pipelining by [`ServerConfig::max_pipeline_depth`], wall clock by
+//! `Hello::config` and by the store's widest element, the parameterized
+//! difference by [`ServerConfig::max_d`], rounds by
+//! [`ServerConfig::round_cap`], pipelining by
+//! [`ServerConfig::max_pipeline_depth`], wall clock by
 //! [`ServerConfig::session_deadline`], concurrent subscriptions by
 //! [`ServerConfig::max_subscribers`], per-subscriber memory by
 //! [`ServerConfig::subscriber_buffer`], and sketch shapes are validated
@@ -150,7 +151,7 @@ obs::counters! {
         elements_received: "Elements ingested from clients' final transfers.",
         /// No reconciliation ran.
         delta_sessions: "Sessions served entirely from the changelog (delta path).",
-        /// Changelog trimmed, epoch from the future, or an epoch-less store.
+        /// Changelog trimmed, or an epoch from the future.
         delta_fallbacks: "Delta requests answered with FullResyncRequired.",
         delta_batches: "DeltaBatch frames streamed in delta catch-ups.",
         /// Adds plus removes.
@@ -258,7 +259,7 @@ impl Server {
     }
 
     /// The store registry this server routes sessions into.
-    pub fn registry(&self) -> Arc<StoreRegistry> {
+    pub(crate) fn registry(&self) -> Arc<StoreRegistry> {
         Arc::clone(&self.registry)
     }
 
@@ -943,14 +944,17 @@ mod tests {
     }
 
     impl SetStore for Gated {
-        fn snapshot(&self) -> Vec<u64> {
-            self.inner.snapshot()
+        fn snapshot_with_epoch(&self) -> (Vec<u64>, u64) {
+            self.inner.snapshot_with_epoch()
         }
         fn apply_missing(&self, elements: &[u64]) -> bool {
             self.inner.apply_missing(elements)
         }
-        fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
-            self.inner.epoch_snapshot()
+        fn element_count(&self) -> usize {
+            self.inner.element_count()
+        }
+        fn universe_bits(&self) -> u32 {
+            self.inner.universe_bits()
         }
         fn delta_since(&self, epoch: u64) -> DeltaAnswer {
             self.inner.delta_since(epoch)
@@ -983,7 +987,7 @@ mod tests {
         fn retire_view(&self, seed: u64) {
             self.inner.retire_view(seed)
         }
-        fn register_notifier(&self, notifier: StoreNotifier) -> bool {
+        fn register_notifier(&self, notifier: StoreNotifier) {
             self.inner.register_notifier(notifier)
         }
     }

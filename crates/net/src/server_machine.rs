@@ -72,8 +72,8 @@ pub(crate) struct Step {
     pub frames: Vec<Frame>,
     /// The boundary this call crossed; the driver stamps it with its clock.
     pub crossed: Option<Crossed>,
-    /// `Some(completed)`: the session is over — drain `frames`, then close.
-    pub close: Option<bool>,
+    /// The session is over, not failed — drain `frames`, then close.
+    pub close: bool,
 }
 
 impl Step {
@@ -155,17 +155,14 @@ enum Snapshot {
     /// (`built` for this one, or patched).
     Shared { view: Arc<SetView>, built: bool },
     /// A copy of the session's own: the store declined a view.
-    Copied {
-        elements: Vec<u64>,
-        epoch: Option<u64>,
-    },
+    Copied { elements: Vec<u64>, epoch: u64 },
 }
 
 impl Default for Snapshot {
     fn default() -> Self {
         Snapshot::Copied {
             elements: Vec::new(),
-            epoch: None,
+            epoch: 0,
         }
     }
 }
@@ -185,7 +182,7 @@ impl Snapshot {
             }
             ViewAnswer::Declined => {
                 res.bump(entry, |s| &s.views_declined, 1);
-                let (elements, epoch) = store.epoch_snapshot();
+                let (elements, epoch) = store.snapshot_with_epoch();
                 Snapshot::Copied { elements, epoch }
             }
         }
@@ -217,10 +214,7 @@ impl Snapshot {
 enum Stage {
     /// The negotiated `Hello` is out. Owed: the delta catch-up (`since`),
     /// else the snapshot — and Bob too, when `d` came with the `Hello`.
-    OweSetup {
-        since: Option<u64>,
-        known_d: u64,
-    },
+    OweSetup { since: Option<u64>, known_d: u64 },
     /// The snapshot is taken and its ToW bank read off (or, for a private
     /// copy, hashed — O(|B|), so inside the set-up unit, not when the
     /// peer's bank arrives).
@@ -229,17 +223,14 @@ enum Stage {
         bank: TowEstimator,
     },
     /// The `Estimate` is out; Bob is owed.
-    OweBob {
-        snapshot: Snapshot,
-        d_param: u64,
-    },
+    OweBob { snapshot: Snapshot, d_param: u64 },
     Rounds {
         bob: Box<BobSession>,
         /// The negotiated sketch shape.
         m: u32,
         t: usize,
         /// The snapshot's epoch: what the ack carries.
-        epoch: Option<u64>,
+        epoch: u64,
         /// Layers served so far, against the round cap.
         rounds: u32,
         /// The last trip ended in a §3.2 split — a group is still open on
@@ -251,10 +242,7 @@ enum Stage {
     Parked,
     /// Terminal: a subscription's close is signalled through
     /// [`Step::close`], so the slot in `live_subscribers` stays attributable.
-    Streaming {
-        epoch: u64,
-    },
-    Finished,
+    Streaming { epoch: u64 },
 }
 
 enum State {
@@ -284,7 +272,7 @@ impl ServerMachine {
 
     pub(crate) fn waiting(&self) -> Waiting {
         match &self.state {
-            State::Open(_, Stage::Parked | Stage::Finished) => Waiting::Parked,
+            State::Open(_, Stage::Parked) => Waiting::Parked,
             State::Open(_, Stage::Streaming { .. }) => Waiting::Streaming,
             _ => Waiting::Reconciling,
         }
@@ -477,20 +465,15 @@ impl ServerMachine {
                     rounds: *rounds,
                     received,
                 };
-                // Against an epoch-capable store the ack carries the
-                // *snapshot* epoch — the client's new delta baseline
-                // (changes landing after the snapshot were invisible to
-                // this session; the next delta sync replays them
-                // idempotently) — and the session may yet subscribe.
-                let (ack, next, close) = match *epoch {
-                    Some(epoch) => (Frame::DeltaDone { epoch }, Stage::Parked, None),
-                    None => (Frame::Done(Vec::new()), Stage::Finished, Some(true)),
-                };
-                *stage = next;
+                // The ack carries the *snapshot* epoch — the client's new
+                // delta baseline (changes landing after the snapshot were
+                // invisible to this session; the next delta sync replays
+                // them idempotently) — and the session may yet subscribe.
+                let ack = Frame::DeltaDone { epoch: *epoch };
+                *stage = Stage::Parked;
                 Ok(Step {
-                    frames: vec![ack],
                     crossed: Some(crossed),
-                    close,
+                    ..Step::reply(ack)
                 })
             }
             (Stage::Parked, Frame::Subscribe { epoch }) => {
@@ -555,6 +538,18 @@ impl ServerMachine {
                 format!("no store named {:?}", hello.store),
             )
         })?;
+        // A session sums and sketches elements masked to its universe: one
+        // too narrow for an element the store holds would be blind to it.
+        let held = entry.store().universe_bits();
+        if held > cfg.universe_bits {
+            return Err(refuse(
+                ErrorCode::BadConfig,
+                format!(
+                    "the store holds {held}-bit elements, outside the {}-bit universe",
+                    cfg.universe_bits
+                ),
+            ));
+        }
         entry.stats().sessions_started.inc(1);
         let crossed = Crossed::Handshake {
             known_d: hello.known_d,
@@ -568,7 +563,7 @@ impl ServerMachine {
         negotiated.store = entry.name().to_string();
         // The store's view is laid out under a seed: the session that is
         // to read it — or to build it — runs under that one. Where the
-        // store keeps none the client's proposal stands.
+        // store has none cached or due, the client's proposal stands.
         negotiated.seed = entry.store().session_seed(negotiated.seed);
         negotiated.pipeline = negotiated
             .pipeline
@@ -619,7 +614,6 @@ impl ServerMachine {
                     return Ok(step);
                 }
                 DeltaAnswer::Trimmed { current } => current,
-                DeltaAnswer::Unsupported => 0,
             };
             // The classic session follows; its snapshot is still owed.
             res.bump(entry, |s| &s.delta_fallbacks, 1);
@@ -662,7 +656,7 @@ impl ServerMachine {
         let evict = |current, crossed| Step {
             frames: vec![Frame::FullResyncRequired { epoch: current }],
             crossed,
-            close: Some(true),
+            close: true,
         };
         match routed.entry.store().delta_since(*epoch) {
             DeltaAnswer::Changes { batches, current } => {
@@ -687,7 +681,6 @@ impl ServerMachine {
             // The changelog no longer covers this subscriber (trimmed
             // under it while it idled, or the epoch space exhausted).
             DeltaAnswer::Trimmed { current } => Ok(evict(current, None)),
-            DeltaAnswer::Unsupported => Err(Refusal::Silent),
         }
     }
 }
@@ -710,7 +703,7 @@ impl Routed {
         let params = Pbs::new(self.cfg).plan(d as usize);
         let (bob, epoch) = match snapshot {
             Snapshot::Shared { view, .. } => {
-                let epoch = Some(view.epoch());
+                let epoch = view.epoch();
                 (BobSession::from_view(self.cfg, params, view), epoch)
             }
             Snapshot::Copied { elements, epoch } => {
@@ -754,11 +747,10 @@ mod tests {
     use crate::client::{ClientConfig, Pipeline};
     use crate::frame::Hello;
     use crate::machine::{ClientMachine, Mode};
-    use crate::sim::{one_of_each, Duet, Epochless};
+    use crate::sim::{one_of_each, Duet};
     use crate::store::{MutableStore, SetStore};
     use crate::NetError;
     use pbs_core::AliceSession;
-    use std::sync::Mutex;
 
     const SEED: u64 = 0x5EED;
 
@@ -1319,55 +1311,6 @@ mod tests {
         assert_eq!(Arc::strong_count(&first), 64 + 1 + 1);
     }
 
-    /// Both machines against a store without epochs: the classic session
-    /// is acked with an empty `Done` and closed at once, a cached epoch is
-    /// answered `FullResyncRequired{0}` and falls back, and nobody ever
-    /// parks — so nobody subscribes.
-    #[test]
-    fn a_store_without_epochs_is_served_the_classic_session_only() {
-        let set = elements(0..200);
-        let config = ClientConfig {
-            seed: SEED,
-            ..ClientConfig::default()
-        };
-        for (mode, opening) in [
-            (Mode::Full, vec![]),
-            (
-                Mode::Delta { since: 3 },
-                vec![Frame::FullResyncRequired { epoch: 0 }],
-            ),
-        ] {
-            let store = Arc::new(Epochless(Mutex::new(elements(5..205))));
-            assert!(!store.register_notifier(Box::new(|_| true)));
-            let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
-            let mut client = ClientMachine::new(&config, &set[..], mode).unwrap();
-            // Handshake by hand, to see what the server opens with.
-            duet.deliver(client.poll_send().unwrap().expect("the Hello"));
-            client.on_frame(duet.inbox.pop_front().unwrap()).unwrap();
-            assert_eq!(Vec::from(duet.inbox.clone()), opening);
-            let (report, _) = duet.run(&mut client).unwrap();
-            assert!(report.verified && report.recovered.len() == 10);
-            assert_eq!(report.epoch, None, "an ack without an epoch");
-            assert_eq!(report.delta_fallback, !opening.is_empty());
-            assert_eq!(*duet.sent.last().unwrap(), 5, "the final transfer");
-            assert_eq!(duet.closed(), Some(true), "acked and closed, not parked");
-            assert_eq!(duet.server().waiting(), Waiting::Parked);
-            assert_eq!(store.snapshot().len(), 205, "A ∖ B was ingested");
-            let stats = duet.res.stats.snapshot();
-            assert_eq!(stats.delta_fallbacks, opening.len() as u64);
-            // The session takes nothing more, a `Subscribe` least of all.
-            let subscribe = Frame::Subscribe { epoch: 0 };
-            match duet.bare(subscribe) {
-                Err(Refusal::Answer { code, message }) => {
-                    assert_eq!(code, ErrorCode::Protocol, "{message}");
-                    assert!(message.contains("takes none now"), "{message}");
-                }
-                other => panic!("a finished session subscribed: {other:?}"),
-            }
-            assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
-        }
-    }
-
     #[test]
     fn a_subscriber_is_pushed_every_change_until_it_falls_behind() {
         let store = mutable(0..50);
@@ -1457,5 +1400,48 @@ mod tests {
             Waiting::Streaming,
             "the slot is still attributable"
         );
+    }
+
+    /// A 64-bit session's final transfer lands an element past 2³² in the
+    /// store. A 32-bit session sums and sketches elements masked to 32 bits,
+    /// so it would be blind to that one: served, it reports `verified` with
+    /// the element missing from `A △ B`. It is refused at its `Hello`
+    /// instead, whatever its mode, and so it is by a store built again from
+    /// that set; a session of the store's own width runs.
+    #[test]
+    fn a_universe_too_narrow_for_the_store_is_refused() {
+        let store = mutable(0..200);
+        let wide = (1u64 << 40) | 5;
+        let config = |bits| ClientConfig {
+            seed: SEED,
+            pbs: ClientConfig::default().pbs.with_universe_bits(bits),
+            ..ClientConfig::default()
+        };
+        let mut set = elements(0..200);
+        set.push(wide);
+        let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+        let (_, _, report) = duet.transcript(&config(64), &set, Mode::Full);
+        assert!(report.verified && report.pushed == [wide]);
+        assert_eq!(store.universe_bits(), 41);
+
+        let rebuilt = Arc::new(MutableStore::new(store.snapshot()));
+        for store in [store, rebuilt] {
+            for mode in [Mode::Full, Mode::Delta { since: 0 }] {
+                let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+                let mut client = ClientMachine::new(&config(32), &set[..200], mode).unwrap();
+                match duet.run(&mut client) {
+                    Err(NetError::Remote { code, message }) => {
+                        assert_eq!(code, ErrorCode::BadConfig, "{message}");
+                        assert!(message.contains("32-bit universe"), "{message}");
+                        assert!(message.contains("41-bit elements"), "{message}");
+                    }
+                    other => panic!("a 32-bit session on 41-bit elements: {other:?}"),
+                }
+            }
+            // Wide enough, it runs.
+            let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+            let (_, _, report) = duet.transcript(&config(41), &set[..200], Mode::Full);
+            assert!(report.verified && report.recovered == [wide]);
+        }
     }
 }

@@ -38,7 +38,7 @@
 //!   lives on, a changelog short
 //!   enough to be trimmed under a reader, a notifier that panics once, a
 //!   store's `view` that panics on a set-up unit, a client that falls
-//!   silent, a link stalled either way, an epoch-less store — and a hostile link: one
+//!   silent, a link stalled either way — and a hostile link: one
 //!   direction of a connection that from then on rewrites frames
 //!   ([`Mutation`]), so that a server's or a client's peer lies.
 //! * **Invariants, after every step:** see [`World::check`]; and, as each
@@ -91,22 +91,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// A store that keeps no epochs: [`SetStore`] with its defaults, what an
-/// out-of-tree store is. The tree's own store overrides them all, so this
-/// is what keeps the epoch-less branch of both machines run.
-pub(crate) struct Epochless(pub Mutex<Vec<u64>>);
-
-impl SetStore for Epochless {
-    fn snapshot(&self) -> Vec<u64> {
-        self.0.lock().unwrap().clone()
-    }
-
-    fn apply_missing(&self, elements: &[u64]) -> bool {
-        self.0.lock().unwrap().extend_from_slice(elements);
-        true
-    }
-}
 
 /// The server half of one connection: a [`ServerConn`] whose frames go
 /// straight into `inbox` — a refusal's `Error` frame among them.
@@ -359,8 +343,8 @@ type Request = (ClientConfig, Vec<u64>, Mode);
 /// `view` — which the panic hook keeps quiet about.
 struct Planted;
 
-/// What a store with epochs shows its server: every view it hands out is
-/// kept for [`World::check`], and one `view` call can be made to panic.
+/// What a store shows its server: every view it hands out is kept for
+/// [`World::check`], and one `view` call can be made to panic.
 struct Watched {
     inner: Arc<MutableStore>,
     trap: AtomicBool,
@@ -368,14 +352,17 @@ struct Watched {
 }
 
 impl SetStore for Watched {
-    fn snapshot(&self) -> Vec<u64> {
-        self.inner.snapshot()
+    fn snapshot_with_epoch(&self) -> (Vec<u64>, u64) {
+        self.inner.snapshot_with_epoch()
     }
     fn apply_missing(&self, elements: &[u64]) -> bool {
         self.inner.apply_missing(elements)
     }
-    fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
-        self.inner.epoch_snapshot()
+    fn element_count(&self) -> usize {
+        self.inner.element_count()
+    }
+    fn universe_bits(&self) -> u32 {
+        self.inner.universe_bits()
     }
     fn delta_since(&self, epoch: u64) -> DeltaAnswer {
         self.inner.delta_since(epoch)
@@ -396,7 +383,7 @@ impl SetStore for Watched {
     fn retire_view(&self, seed: u64) {
         self.inner.retire_view(seed)
     }
-    fn register_notifier(&self, notifier: StoreNotifier) -> bool {
+    fn register_notifier(&self, notifier: StoreNotifier) {
         self.inner.register_notifier(notifier)
     }
 }
@@ -641,7 +628,7 @@ fn element(k: u64) -> u64 {
     (x ^ x >> 15) + 1
 }
 
-fn sorted(store: &dyn SetStore) -> Vec<u64> {
+fn sorted(store: &MutableStore) -> Vec<u64> {
     let mut set = store.snapshot();
     set.sort_unstable();
     set
@@ -649,10 +636,8 @@ fn sorted(store: &dyn SetStore) -> Vec<u64> {
 
 /// One store of a node, and what the simulation knows of it.
 struct Slot {
-    store: Arc<dyn SetStore>,
-    /// The same store, when it keeps epochs, and its face.
-    mutable: Option<Arc<MutableStore>>,
-    watched: Option<Arc<Watched>>,
+    /// The store, behind the face its server is given.
+    watched: Arc<Watched>,
     /// The set at every epoch the store has stood at, as its changelog
     /// replays it.
     history: BTreeMap<u64, HashSet<u64>>,
@@ -672,18 +657,15 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(
-        store: Arc<dyn SetStore>,
-        mutable: Option<Arc<MutableStore>>,
-        options: DurableOptions,
-    ) -> Slot {
-        let (set, epoch) = mutable
-            .as_ref()
-            .map_or((vec![], 0), |m| m.snapshot_with_epoch());
+    /// A store served through its [`Watched`] face.
+    fn watched(store: Arc<MutableStore>, options: DurableOptions) -> Slot {
+        let (set, epoch) = store.snapshot_with_epoch();
         Slot {
-            store,
-            mutable,
-            watched: None,
+            watched: Arc::new(Watched {
+                inner: store,
+                trap: AtomicBool::new(false),
+                views: Mutex::default(),
+            }),
             history: BTreeMap::from([(epoch, set.into_iter().collect())]),
             epoch,
             acked: HashSet::new(),
@@ -695,7 +677,7 @@ impl Slot {
         }
     }
 
-    /// A durable store on `disk`, served through its [`Watched`] face.
+    /// A durable store on `disk`.
     fn durable(store: MutableStore, disk: RecordingDisk, options: DurableOptions) -> Slot {
         Slot {
             disk: Some(disk),
@@ -703,18 +685,8 @@ impl Slot {
         }
     }
 
-    /// A store with epochs, served through its [`Watched`] face.
-    fn watched(store: Arc<MutableStore>, options: DurableOptions) -> Slot {
-        let watched = Arc::new(Watched {
-            inner: Arc::clone(&store),
-            trap: AtomicBool::new(false),
-            views: Mutex::default(),
-        });
-        let face = Arc::clone(&watched) as Arc<dyn SetStore>;
-        Slot {
-            watched: Some(watched),
-            ..Slot::new(face, Some(store), options)
-        }
+    fn store(&self) -> &Arc<MutableStore> {
+        &self.watched.inner
     }
 }
 
@@ -736,6 +708,22 @@ struct Node {
 }
 
 impl Node {
+    /// The classic fallbacks of this server's sessions: a delta `Hello`
+    /// answered `FullResyncRequired` by a store whose changelog holds 2 or
+    /// 4 batches, and a snapshot copied where the store declined a view.
+    fn classic(&self) -> [u64; 2] {
+        let stores = self.slots.iter().zip(NAMES);
+        stores.fold([0, 0], |[trimmed, declined], (slot, name)| {
+            let entry = self.res.registry.get(name).expect("registered");
+            let stats = entry.stats().snapshot();
+            let short = (slot.options.log_capacity <= 4) as u64;
+            [
+                trimmed + short * stats.delta_fallbacks,
+                declined + stats.views_declined,
+            ]
+        })
+    }
+
     /// A node's server over `slots`' stores, each with the notifier that
     /// marks the node dirty.
     fn serve(config: ServerConfig, slots: Vec<Slot>, durable: bool) -> Node {
@@ -743,11 +731,11 @@ impl Node {
         let dirty = Arc::new(AtomicBool::new(false));
         for (slot, name) in slots.iter().zip(NAMES) {
             let flag = Arc::clone(&dirty);
-            slot.store.register_notifier(Box::new(move |_| {
+            slot.store().register_notifier(Box::new(move |_| {
                 flag.store(true, Ordering::Relaxed);
                 true
             }));
-            registry.register(name, Arc::clone(&slot.store));
+            registry.register(name, Arc::clone(&slot.watched) as Arc<dyn SetStore>);
         }
         let res = Resources {
             registry: Arc::new(registry),
@@ -857,6 +845,8 @@ struct World {
     panicked: bool,
     /// Crash states a reopen was held to.
     crash_states: u64,
+    /// [`Node::classic`] of the servers a crash replaced.
+    classic: [u64; 2],
     /// What the links of the connections gone carried, client → server
     /// and back.
     tally: [Tally; 2],
@@ -926,11 +916,6 @@ impl World {
                     snapshot_every: 8,
                     sync_writes: durable && rng.random_bool(0.5),
                 };
-                if !durable && rng.random_bool(0.1) {
-                    let store = Arc::new(Epochless(Mutex::new(set)));
-                    slots.push(Slot::new(store, None, options));
-                    continue;
-                }
                 let slot = match durable {
                     true => {
                         let disk = RecordingDisk::default();
@@ -939,7 +924,7 @@ impl World {
                         Slot::durable(store, disk, options)
                     }
                     false => {
-                        let store = MutableStore::with_log_capacity(set, options.log_capacity);
+                        let store = MutableStore::with_epoch_origin(set, 0, options.log_capacity);
                         Slot::watched(Arc::new(store), options)
                     }
                 };
@@ -961,6 +946,7 @@ impl World {
             faults: true,
             panicked: false,
             crash_states: 0,
+            classic: [0; 2],
             tally: [Tally::default(); 2],
             hostile_next: None,
             reuse: BTreeSet::new(),
@@ -1325,7 +1311,7 @@ impl World {
                 let _ = settle(&node.entry(s), Err(refused), &node.mesh, outcome);
                 continue;
             }
-            let held = sorted(&*node.slots[s].store);
+            let held = sorted(node.slots[s].store());
             let config = ClientConfig {
                 store: NAMES[s].into(),
                 ..self.client_defaults()
@@ -1491,8 +1477,8 @@ impl World {
         true
     }
 
-    /// A local write: fresh elements in; or, on a store with epochs, one
-    /// element out (owed back) or one owed element back in.
+    /// A local write: fresh elements in, one element out (owed back) or
+    /// one owed element back in.
     fn write(&mut self) {
         let (i, s) = self.pick_slot();
         let refusal = self.refusal(i, s);
@@ -1500,9 +1486,10 @@ impl World {
         let many = self.rng.random_range(1..=3);
         let fresh: Vec<u64> = (0..many).map(|_| self.fresh()).collect();
         let slot = &mut self.nodes[i].slots[s];
-        match slot.mutable.clone() {
-            Some(store) if kind == 0 => {
-                let set = sorted(&*store);
+        let store = Arc::clone(slot.store());
+        match kind {
+            0 => {
+                let set = sorted(&store);
                 let x = set[self.rng.random_range(0..set.len())];
                 let _ = store.try_apply(&[], &[x]);
                 if !store.contains(x) {
@@ -1510,7 +1497,7 @@ impl World {
                     slot.acked.remove(&x);
                 }
             }
-            Some(store) if kind == 1 && !slot.flapped.is_empty() => {
+            1 if !slot.flapped.is_empty() => {
                 let nth = self.rng.random_range(0..slot.flapped.len());
                 let y = *slot.flapped.iter().nth(nth).expect("in range");
                 let _ = store.try_apply(&[y], &[]);
@@ -1518,10 +1505,9 @@ impl World {
                     slot.flapped.remove(&y);
                 }
             }
-            Some(store) => drop(store.try_apply(&fresh, &[])),
-            None => drop(slot.store.apply_missing(&fresh)),
+            _ => drop(store.try_apply(&fresh, &[])),
         }
-        let held = slot.store.snapshot();
+        let held = store.snapshot();
         self.expected[s].extend(held.into_iter().filter(|e| fresh.contains(e)));
         if let Some(disk) = refusal {
             disk.disarm();
@@ -1716,9 +1702,8 @@ impl World {
             _ => {
                 // A set-up unit that panics: the next view of a store.
                 let (i, s) = self.pick_slot();
-                if let Some(watched) = &self.nodes[i].slots[s].watched {
-                    watched.trap.store(true, Ordering::Relaxed);
-                }
+                let watched = &self.nodes[i].slots[s].watched;
+                watched.trap.store(true, Ordering::Relaxed);
             }
         }
     }
@@ -1746,8 +1731,7 @@ impl World {
         let s = self.rng.random_range(0..self.nodes[i].slots.len());
         let doomed = self.fresh();
         let slot = &self.nodes[i].slots[s];
-        let (store, disk) = (slot.mutable.clone(), slot.disk.clone());
-        let store = store.expect("a durable store keeps epochs");
+        let (store, disk) = (Arc::clone(slot.store()), slot.disk.clone());
         let disk = disk.expect("a durable store records its disk");
         let start = disk.ops();
         match self.rng.random_bool(0.5) {
@@ -1807,10 +1791,10 @@ impl World {
                 slot.epoch = epoch;
             }
             let face = Slot::durable(store, disk, options);
-            (slot.store, slot.mutable, slot.watched, slot.disk) =
-                (face.store, face.mutable, face.watched, face.disk);
+            (slot.watched, slot.disk) = (face.watched, face.disk);
         }
-        let config = self.nodes[i].res.config;
+        let (config, classic) = (self.nodes[i].res.config, self.nodes[i].classic());
+        self.classic = [0, 1].map(|k| self.classic[k] + classic[k]);
         self.nodes[i] = Node::serve(config, slots, true);
         // Their peers read end-of-stream from a node that is up again.
         for c in dropped {
@@ -1822,10 +1806,10 @@ impl World {
     /// calls it lands all the same, and every later commit goes on.
     fn panic_a_notifier(&mut self) {
         let (i, s) = self.pick_slot();
-        let store = self.nodes[i].slots[s].mutable.clone();
-        let Some(store) = store.filter(|_| !self.panicked) else {
+        if self.panicked {
             return;
-        };
+        }
+        let store = Arc::clone(self.nodes[i].slots[s].store());
         self.panicked = true;
         let armed = AtomicBool::new(true);
         store.register_notifier(Box::new(move |_| {
@@ -1845,9 +1829,7 @@ impl World {
     /// hold the epoch to never going back.
     fn record(&mut self, i: usize, s: usize) {
         let slot = &mut self.nodes[i].slots[s];
-        let Some(store) = &slot.mutable else {
-            return;
-        };
+        let store = Arc::clone(slot.store());
         let epoch = store.epoch();
         assert!(epoch >= slot.epoch, "an epoch went back");
         if epoch == slot.epoch {
@@ -1902,16 +1884,15 @@ impl World {
                 self.record(i, s);
                 let slot = &mut self.nodes[i].slots[s];
                 if std::mem::take(&mut slot.acked_grew) {
-                    let held: HashSet<u64> = slot.store.snapshot().into_iter().collect();
+                    let held: HashSet<u64> = slot.store().snapshot().into_iter().collect();
                     let lost = slot.acked.difference(&held).next();
                     assert!(
                         lost.is_none(),
                         "the server acked {lost:?}, which it does not hold"
                     );
                 }
-                let watched = slot.watched.as_ref();
-                let views = watched.map(|w| std::mem::take(&mut *w.views.lock().unwrap()));
-                for view in views.unwrap_or_default() {
+                let views = std::mem::take(&mut *slot.watched.views.lock().unwrap());
+                for view in views {
                     let set = self.set_at(i, s, view.epoch()).into_iter().collect();
                     let sketches = estimator::DEFAULT_SKETCH_COUNT;
                     let cold = SetView::build(set, view.seed(), sketches, view.epoch());
@@ -2008,7 +1989,7 @@ impl World {
     fn converged(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
             for (s, slot) in node.slots.iter().enumerate() {
-                let held: BTreeSet<u64> = sorted(&*slot.store).into_iter().collect();
+                let held: BTreeSet<u64> = sorted(slot.store()).into_iter().collect();
                 let lacks = self.expected[s].difference(&held).count();
                 let extra = held.difference(&self.expected[s]).count();
                 if lacks + extra > 0 {
@@ -2022,6 +2003,14 @@ impl World {
     }
 
     /// What every link carried, client → server and back.
+    /// [`Node::classic`] of every server the schedule ran.
+    fn classic(&self) -> [u64; 2] {
+        self.nodes.iter().fold(self.classic, |sum, node| {
+            let more = node.classic();
+            [sum[0] + more[0], sum[1] + more[1]]
+        })
+    }
+
     fn carried(&self) -> [Tally; 2] {
         let mut tally = self.tally;
         for conn in &self.conns {
@@ -2076,12 +2065,9 @@ impl World {
         for i in 0..self.nodes.len() {
             for s in 0..self.nodes[i].slots.len() {
                 let slot = &mut self.nodes[i].slots[s];
-                let (owed, store) = (std::mem::take(&mut slot.flapped), slot.mutable.clone());
+                let (owed, store) = (std::mem::take(&mut slot.flapped), Arc::clone(slot.store()));
                 for y in owed {
-                    store
-                        .as_ref()
-                        .expect("only a store with epochs owes")
-                        .apply(&[y], &[]);
+                    store.apply(&[y], &[]);
                     self.record(i, s);
                 }
             }
@@ -2227,13 +2213,14 @@ fn metered<T>(hostile: bool, wire: usize, step: impl FnOnce() -> T) -> T {
 }
 
 /// What a schedule that held showed: the timers that fired, what became
-/// of kept connections, what the links carried, and how many crash states
-/// a reopen was held to.
+/// of kept connections, what the links carried, how many crash states a
+/// reopen was held to, and its classic fallbacks ([`World::classic`]).
 type Shown = (
     BTreeSet<&'static str>,
     BTreeSet<&'static str>,
     [Tally; 2],
     u64,
+    [u64; 2],
 );
 
 /// Run the schedule of `seed` to its end, or say where it failed. (The
@@ -2253,8 +2240,17 @@ fn run_seed(seed: u64) -> Result<Shown, String> {
     let mut world = world.expect("made before it runs");
     let carried = world.carried();
     let reuse = std::mem::take(&mut world.reuse);
-    let crashes = world.crash_states;
-    run.map(|()| (std::mem::take(&mut world.fired), reuse, carried, crashes)).map_err(|panic| {
+    let (crashes, classic) = (world.crash_states, world.classic());
+    let shown = |()| {
+        (
+            std::mem::take(&mut world.fired),
+            reuse,
+            carried,
+            crashes,
+            classic,
+        )
+    };
+    run.map(shown).map_err(|panic| {
         let why = (panic.downcast_ref::<String>().map(String::as_str))
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("a panic");
@@ -2292,8 +2288,12 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     let reuse = ["reused", "retried", "retried off a read-idle close"];
     let mut kept = BTreeMap::from(reuse.map(|what| (what, 0u64)));
     let (mut reached, mut links, mut crashes) = ([[0u64; 6]; 2], [Tally::default(); 2], 0);
-    for (fired, reuse, tally, crash_states) in halves.iter().flatten().flatten() {
+    let mut classic = [0u64; 2];
+    for (fired, reuse, tally, crash_states, fallbacks) in halves.iter().flatten().flatten() {
         crashes += crash_states;
+        for (sum, n) in classic.iter_mut().zip(fallbacks) {
+            *sum += (*n > 0) as u64;
+        }
         fired
             .iter()
             .for_each(|timer| *seeds.entry(timer).or_default() += 1);
@@ -2314,6 +2314,11 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     );
     eprintln!("sim: seeds a kept connection was: {kept:?}");
     eprintln!("sim: crash states a reopen was held to: {crashes}");
+    let [trimmed, declined] = classic;
+    eprintln!(
+        "sim: seeds a classic session followed a delta Hello off a changelog of 2 or 4 batches \
+         in: {trimmed}; seeds a session copied a declined snapshot in: {declined}"
+    );
     for (way, name) in ["client → server", "server → client"]
         .into_iter()
         .enumerate()
@@ -2334,6 +2339,7 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     );
     assert!(kept.values().all(|&n| n >= SEEDS / 20), "{kept:?}");
     assert!(crashes >= 2 * SEEDS, "{crashes} crash states");
+    assert!(trimmed > 0 && declined > 0, "{classic:?}");
     for (way, links) in links.iter().enumerate() {
         let never = links.sent & !links.mutated;
         assert_eq!(

@@ -1,6 +1,7 @@
 //! Element stores and the multi-tenant store registry.
 //!
-//! A server reconciles clients against one or more named [`SetStore`]s:
+//! A server reconciles clients against one or more named [`SetStore`]s.
+//! Every store keeps epochs, and the server serves one kind:
 //!
 //! * [`MutableStore`] — the store: a set that clients' final transfers and
 //!   server-side feeds mutate between sessions ([`MutableStore::apply`]),
@@ -14,9 +15,9 @@
 //! Mutation safety is snapshot-based: a session takes one look at the set
 //! before its estimator exchange — the store's shared per-epoch view
 //! ([`SetStore::view`]) or, where the store declines one, a private
-//! [`SetStore::epoch_snapshot`] — and never looks at the store again until
-//! the final transfer, so writers may mutate a [`MutableStore`] *between*
-//! (but not observably *during*) the sessions' snapshot points —
+//! [`SetStore::snapshot_with_epoch`] — and never looks at the store again
+//! until the final transfer, so writers may mutate a [`MutableStore`]
+//! *between* (but not observably *during*) the sessions' snapshot points —
 //! concurrent sessions simply reconcile against the epoch they read.
 //!
 //! **Lock poisoning** has one policy here (the private `recover`): take
@@ -57,9 +58,6 @@ pub type StoreNotifier = Box<dyn Fn(u64) -> bool + Send + Sync>;
 /// since an epoch ([`SetStore::delta_since`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaAnswer {
-    /// The store keeps no epochs/changelog at all — every subscriber must
-    /// run a full reconciliation.
-    Unsupported,
     /// The changelog no longer reaches back to the requested epoch (it was
     /// trimmed past it, the epoch lies in this store's future — e.g. the
     /// server restarted with a fresh store — or the epoch space is
@@ -91,72 +89,61 @@ pub enum ViewAnswer {
     /// A view built from a snapshot for this session, and cached for the
     /// next one to patch.
     Built(Arc<SetView>),
-    /// No view: the session takes its own [`SetStore::epoch_snapshot`] and
-    /// partitions it itself.
+    /// No view: the session takes its own
+    /// [`SetStore::snapshot_with_epoch`] and partitions it itself.
     Declined,
 }
 
-/// The element store a server reconciles against.
+/// The element store a server reconciles against. Every store keeps
+/// epochs: a set stamped with the epoch of its last change batch, and a
+/// changelog of those batches for delta catch-ups, pushes and the view.
+/// The server serves [`MutableStore`]; a test's wrapper around one
+/// delegates through this trait.
 ///
-/// A session reads the set once — estimator and `BobSession` must see the
-/// same one — through `view` or, when that declines, `epoch_snapshot`;
-/// `apply_missing` receives the client's final `Done` transfer — the
-/// elements the client holds and this store lacks — so the two sides
-/// converge on the union.
-///
-/// The epoch and view methods ([`SetStore::epoch_snapshot`],
-/// [`SetStore::delta_since`], [`SetStore::session_seed`], [`SetStore::view`])
-/// have defaults describing a store without a changelog; [`MutableStore`]
-/// overrides them to serve the wire protocol's delta-subscription path and
-/// O(change) full sessions.
+/// A session reads the set once (estimator and `BobSession` must see the
+/// same one) through `view` or, when that declines, `snapshot_with_epoch`;
+/// `apply_missing` takes the client's final transfer, `A ∖ B`.
 pub trait SetStore: Send + Sync + 'static {
+    /// The current element set and the epoch it corresponds to, read
+    /// atomically.
+    fn snapshot_with_epoch(&self) -> (Vec<u64>, u64);
     /// The current element set.
-    fn snapshot(&self) -> Vec<u64>;
+    fn snapshot(&self) -> Vec<u64> {
+        self.snapshot_with_epoch().0
+    }
+    /// [`SetStore::snapshot_with_epoch`] with the epoch in an `Option` that
+    /// is always `Some` — the shape the benchmark's replay reads; it goes
+    /// when that call does.
+    fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
+        let (elements, epoch) = self.snapshot_with_epoch();
+        (elements, Some(epoch))
+    }
     /// Ingest elements learned from a client. `false` when the store
     /// refused the batch (a durable store whose write-ahead append failed)
     /// and holds none of it — the caller must not report it as stored.
     fn apply_missing(&self, elements: &[u64]) -> bool;
-    /// Number of elements currently held. The default materializes a
-    /// snapshot; implementors with a cheap count should override it.
-    fn element_count(&self) -> usize {
-        self.snapshot().len()
-    }
-    /// The current element set together with the epoch it corresponds to
-    /// (`None` when the store keeps no epochs). Epoch-capable stores must
-    /// read the two atomically.
-    fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
-        (self.snapshot(), None)
-    }
-    /// The changes since `epoch`, for delta subscribers. The default
-    /// answers [`DeltaAnswer::Unsupported`].
-    fn delta_since(&self, _epoch: u64) -> DeltaAnswer {
-        DeltaAnswer::Unsupported
-    }
+    /// Number of elements currently held.
+    fn element_count(&self) -> usize;
+    /// The bit length of the widest element held (0 when empty): the
+    /// narrowest universe a session on this store can run in.
+    fn universe_bits(&self) -> u32;
+    /// The changes since `epoch`, for delta subscribers.
+    fn delta_since(&self, epoch: u64) -> DeltaAnswer;
     /// The seed the session a `Hello` opens is to run under — what the
     /// reply names — given the client's `proposal`: the proposal itself
-    /// (the default) unless the store has a view cached, or is about to
-    /// build one, under a seed of its own. Must not wait behind a
-    /// [`SetStore::view`] call in progress.
-    fn session_seed(&self, proposal: u64) -> u64 {
-        proposal
-    }
+    /// unless the store has a view cached, or is about to build one, under
+    /// a seed of its own. Must not wait behind a [`SetStore::view`] call in
+    /// progress.
+    fn session_seed(&self, proposal: u64) -> u64;
     /// One shared, hash-ordered view of the current set under `seed` — or
-    /// [`ViewAnswer::Declined`], the default. A view handed out has exactly
-    /// this seed.
-    fn view(&self, _seed: u64) -> ViewAnswer {
-        ViewAnswer::Declined
-    }
+    /// [`ViewAnswer::Declined`]. A view handed out has exactly this seed.
+    fn view(&self, seed: u64) -> ViewAnswer;
     /// A session under `seed` was seen to give up short of a verified
     /// recovery: a store that holds later sessions to that seed lets go of
-    /// it, so that a retry is answered with another. The default does
-    /// nothing.
-    fn retire_view(&self, _seed: u64) {}
+    /// it, so that a retry is answered with another.
+    fn retire_view(&self, seed: u64);
     /// Register a mutation notifier (the live-subscription wakeup hook).
-    /// Returns `false` when the store cannot notify (no epochs/changelog —
-    /// the default), in which case the notifier is dropped unused.
-    fn register_notifier(&self, _notifier: StoreNotifier) -> bool {
-        false
-    }
+    fn register_notifier(&self, notifier: StoreNotifier);
     /// Hook called once when the store is registered with a
     /// [`StoreRegistry`]: stores with internal timings publish them into
     /// `metrics` under the given `store` label. The default publishes
@@ -180,6 +167,9 @@ pub struct ChangeBatch {
 #[derive(Debug)]
 struct MutableInner {
     elements: xhash::Set,
+    /// How many of `elements` have each bit length ([`count_widths`]):
+    /// kept by `commit`, counted again from the set on every open.
+    widths: [u64; 65],
     epoch: u64,
     /// Recent change batches, oldest first; every batch's `epoch` is
     /// `base_epoch + its 1-based position`.
@@ -212,6 +202,15 @@ impl MutableInner {
         };
         let copy = || self.elements.iter().copied().collect::<Vec<u64>>();
         wal.compact(copy, self.epoch, self.log.make_contiguous())
+    }
+}
+
+/// Add `by` (1, or −1 as it wraps) to `widths`' count of each element's bit
+/// length (index: 64 − leading zeros).
+fn count_widths<'a>(widths: &mut [u64; 65], elements: impl IntoIterator<Item = &'a u64>, by: u64) {
+    for e in elements {
+        let n = &mut widths[64 - e.leading_zeros() as usize];
+        *n = n.wrapping_add(by);
     }
 }
 
@@ -363,32 +362,37 @@ impl MutableStore {
     /// Create a store holding the given elements at epoch 0, retaining
     /// [`DEFAULT_CHANGELOG_CAPACITY`] change batches.
     pub fn new(elements: impl IntoIterator<Item = u64>) -> Self {
-        Self::with_log_capacity(elements, DEFAULT_CHANGELOG_CAPACITY)
-    }
-
-    /// Create a store with an explicit changelog capacity (0 disables the
-    /// delta feed: every [`MutableStore::changes_since`] call from an older
-    /// epoch reports truncation).
-    pub(crate) fn with_log_capacity(
-        elements: impl IntoIterator<Item = u64>,
-        log_capacity: usize,
-    ) -> Self {
-        Self::with_epoch_origin(elements, 0, log_capacity)
+        Self::with_epoch_origin(elements, 0, DEFAULT_CHANGELOG_CAPACITY)
     }
 
     /// Create a store whose epoch counter starts at `origin` instead of 0 —
     /// e.g. to resume a persisted store at the epoch it was saved at, so
-    /// subscribers holding cached epochs keep working across a restart.
-    /// `origin == u64::MAX` constructs the store with its epoch space
-    /// already exhausted (see [`MutableStore::apply`]).
+    /// subscribers holding cached epochs keep working across a restart —
+    /// retaining `log_capacity` change batches (0 disables the delta feed:
+    /// every [`MutableStore::changes_since`] call from an older epoch
+    /// reports truncation). `origin == u64::MAX` constructs the store with
+    /// its epoch space already exhausted (see [`MutableStore::apply`]).
     pub(crate) fn with_epoch_origin(
         elements: impl IntoIterator<Item = u64>,
         origin: u64,
         log_capacity: usize,
     ) -> Self {
+        // Counted over the input, read in order, not over the table (a pass
+        // over several times the memory); again from the set if the input
+        // repeats an element.
+        let elements: Vec<u64> = elements.into_iter().collect();
+        let mut widths = [0; 65];
+        count_widths(&mut widths, &elements, 1);
+        let given = elements.len();
+        let set: xhash::Set = elements.into_iter().collect();
+        if set.len() < given {
+            widths = [0; 65];
+            count_widths(&mut widths, &set, 1);
+        }
         MutableStore {
             inner: RwLock::new(MutableInner {
-                elements: elements.into_iter().collect(),
+                elements: set,
+                widths,
                 epoch: origin,
                 log: VecDeque::new(),
                 base_epoch: origin,
@@ -432,6 +436,8 @@ impl MutableStore {
         let (wal, recovered) = Wal::recover(disk, options)?;
         let recovery_time = recovery_start.elapsed();
         let report = recovered.report();
+        let mut widths = [0; 65];
+        count_widths(&mut widths, &recovered.elements, 1);
         let base_epoch = recovered
             .log
             .first()
@@ -439,6 +445,7 @@ impl MutableStore {
             .unwrap_or(recovered.epoch);
         let store = MutableStore {
             inner: RwLock::new(MutableInner {
+                widths,
                 elements: recovered.elements,
                 epoch: recovered.epoch,
                 log: recovered.log.into(),
@@ -592,6 +599,8 @@ impl MutableStore {
             inner.elements.remove(e);
         }
         inner.elements.extend(added.iter().copied());
+        count_widths(&mut inner.widths, &removed, u64::MAX);
+        count_widths(&mut inner.widths, &added, 1);
         if let Some(next) = next {
             inner.epoch = next;
             inner.log.push_back(ChangeBatch {
@@ -698,8 +707,10 @@ impl MutableStore {
 }
 
 impl SetStore for MutableStore {
-    fn snapshot(&self) -> Vec<u64> {
-        self.snapshot_with_epoch().0
+    /// The inherent [`MutableStore::snapshot_with_epoch`], which callers
+    /// without the trait in scope reach.
+    fn snapshot_with_epoch(&self) -> (Vec<u64>, u64) {
+        MutableStore::snapshot_with_epoch(self)
     }
 
     fn apply_missing(&self, elements: &[u64]) -> bool {
@@ -710,9 +721,9 @@ impl SetStore for MutableStore {
         self.len()
     }
 
-    fn epoch_snapshot(&self) -> (Vec<u64>, Option<u64>) {
-        let (elements, epoch) = self.snapshot_with_epoch();
-        (elements, Some(epoch))
+    fn universe_bits(&self) -> u32 {
+        let widths = recover(self.inner.read()).widths;
+        widths.iter().rposition(|&n| n > 0).unwrap_or(0) as u32
     }
 
     /// The cached view's seed while the changelog can still bring that
@@ -778,9 +789,8 @@ impl SetStore for MutableStore {
         }
     }
 
-    fn register_notifier(&self, notifier: StoreNotifier) -> bool {
+    fn register_notifier(&self, notifier: StoreNotifier) {
         recover(self.notifiers.0.lock()).push(notifier);
-        true
     }
 
     fn attach_metrics(&self, metrics: &obs::Registry, label: &str) {
@@ -1017,7 +1027,7 @@ impl StoreRegistry {
         let (store, report) = match self.store_dir(name) {
             Some(dir) => MutableStore::open_durable_report(&dir, options)?,
             None => {
-                let store = MutableStore::with_log_capacity([], options.log_capacity);
+                let store = MutableStore::with_epoch_origin([], 0, options.log_capacity);
                 (store, RecoveryReport::default())
             }
         };
@@ -1107,7 +1117,7 @@ mod tests {
 
     #[test]
     fn mutable_store_log_truncation_demands_resnapshot() {
-        let store = MutableStore::with_log_capacity([1u64], 2);
+        let store = MutableStore::with_epoch_origin([1u64], 0, 2);
         for i in 0..5u64 {
             store.apply(&[100 + i], &[]);
         }
@@ -1118,7 +1128,7 @@ mod tests {
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].epoch, 4);
         // Capacity 0: any past epoch is immediately stale.
-        let no_log = MutableStore::with_log_capacity([], 0);
+        let no_log = MutableStore::with_epoch_origin([], 0, 0);
         no_log.apply(&[7], &[]);
         assert!(no_log.changes_since(0).is_none());
         assert_eq!(no_log.changes_since(1).unwrap(), vec![]);
@@ -1432,7 +1442,7 @@ mod tests {
         // session with it: the view binds nobody any more, the next session
         // is declined under its own seed; the one after finds that one's
         // epoch in the log and builds, under a seed of the store's.
-        let store = MutableStore::with_log_capacity(1..=400u64, 2);
+        let store = MutableStore::with_epoch_origin(1..=400u64, 0, 2);
         look(&store, 7);
         assert_eq!(path(&look(&store, 7)), "built");
         for e in 1000..1003 {
@@ -1454,7 +1464,7 @@ mod tests {
         assert_eq!(path(&look(&store, 9)), "built");
 
         // No changelog: a view lives exactly until the next write.
-        let store = MutableStore::with_log_capacity(1..=400u64, 0);
+        let store = MutableStore::with_epoch_origin(1..=400u64, 0, 0);
         assert_eq!(path(&look(&store, 7)), "declined");
         assert_eq!(path(&look(&store, 7)), "built");
         assert_eq!(path(&look(&store, 7)), "patched");
@@ -1493,10 +1503,13 @@ mod tests {
             ),
             log_capacity in 0usize..12,
         ) {
-            let store = MutableStore::with_log_capacity(initial, log_capacity);
+            let store = MutableStore::with_epoch_origin(initial, 0, log_capacity);
             let mut looks = 0;
             for (added, removed, looks_now) in steps.iter().chain([&(vec![], vec![], true)]) {
                 store.apply(added, removed);
+                // (The initial set may repeat an element: counted once.)
+                let widest = store.snapshot().iter().map(|e| 64 - e.leading_zeros()).max();
+                proptest::prop_assert_eq!(store.universe_bits(), widest.unwrap_or(0));
                 if !looks_now {
                     continue;
                 }
@@ -1551,7 +1564,8 @@ mod tests {
         /// batch logs exactly the model's effective lists, ascending, under
         /// the next epoch (or nothing, when they are empty), and what the
         /// WAL replays afterwards is the model's set and the same
-        /// changelog.
+        /// changelog. The store's universe is the model's widest element,
+        /// after every batch and once the store is opened again.
         #[test]
         fn commit_matches_the_hash_set_model(
             batches in proptest::collection::vec(
@@ -1575,6 +1589,7 @@ mod tests {
             };
             let store = MutableStore::open_durable(&dir, options).unwrap();
             let mut model: HashSet<u64> = HashSet::new();
+            let widest = |set: &HashSet<u64>| set.iter().map(|e| 64 - e.leading_zeros()).max();
             for (added, removed) in &batches {
                 let (want_added, want_removed) = commit_model(&model, added, removed);
                 let before = store.epoch();
@@ -1599,6 +1614,7 @@ mod tests {
                 model.extend(want_added);
                 let held: HashSet<u64> = store.snapshot().into_iter().collect();
                 proptest::prop_assert_eq!(&held, &model);
+                proptest::prop_assert_eq!(store.universe_bits(), widest(&model).unwrap_or(0));
             }
             let log = store.changes_since(0).unwrap();
             drop(store);
@@ -1606,6 +1622,9 @@ mod tests {
             let replayed: HashSet<u64> = recovered.elements.iter().copied().collect();
             proptest::prop_assert_eq!(&replayed, &model);
             proptest::prop_assert_eq!(&recovered.log, &log);
+            let reopened = MutableStore::open_durable(&dir, options).unwrap();
+            proptest::prop_assert_eq!(reopened.universe_bits(), widest(&model).unwrap_or(0));
+            drop(reopened);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1642,13 +1661,13 @@ mod tests {
         let store = MutableStore::new([1u64, 2]);
         let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        assert!(SetStore::register_notifier(
+        SetStore::register_notifier(
             &store,
             Box::new(move |epoch| {
                 sink.lock().unwrap().push(epoch);
                 epoch < 3 // unregister after epoch 3
-            })
-        ));
+            }),
+        );
         // A notifier that reads back into the store must not deadlock: it
         // runs after the element lock is released.
         {
@@ -1699,7 +1718,7 @@ mod tests {
         assert_eq!(store.apply(&[3], &[]), 2);
         assert!(SetStore::apply_missing(&*store, &[4]));
         assert_eq!(*calls.lock().unwrap(), [1, 2, 3], "and it is still fed");
-        assert!(store.register_notifier(Box::new(|_| true)));
+        store.register_notifier(Box::new(|_| true));
         assert!(format!("{store:?}").contains("Notifiers(2)"));
     }
 

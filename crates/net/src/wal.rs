@@ -99,7 +99,7 @@ pub struct Recovered {
 
 impl Recovered {
     /// The size-free summary of this recovery.
-    pub fn report(&self) -> RecoveryReport {
+    pub(crate) fn report(&self) -> RecoveryReport {
         RecoveryReport {
             epoch: self.epoch,
             snapshot_epoch: self.snapshot_epoch,
@@ -146,7 +146,7 @@ pub const DEFAULT_SNAPSHOT_EVERY: usize = 256;
 /// bookkeeping. All methods assume the caller serializes access (the store
 /// holds it inside its write lock, so WAL order always equals epoch order).
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     disk: Box<dyn Disk>,
     /// Byte length of the valid prefix (everything we have appended or
     /// recovered; a failed append may leave garbage beyond it).

@@ -403,9 +403,10 @@ fn an_unknown_error_code_is_named_and_a_v5_hello_is_refused() {
         );
     }
     // A v5 client would run under its own seed whatever the reply named,
-    // a v6 one under the plan it proposed: each is turned away at the
-    // door, like every older one.
-    for version in [4, 5, 6] {
+    // a v6 one under the plan it proposed, a v7 one would wait for an
+    // empty `Done` ack no server sends: each is turned away at the door,
+    // like every older one.
+    for version in [4, 5, 6, 7] {
         let mut hello = Hello::from_config(&pbs_core::PbsConfig::default(), 1, 0);
         hello.version = version;
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Live push subscriptions over real sockets: what needs the event loop's
 //! worker and clock. (What a push carries — every changelog batch, in
-//! epoch order, coalesced or not, an eviction past the buffer cap, an
-//! epoch-less store's refusal — is the deterministic simulator's, in
+//! epoch order, coalesced or not, an eviction past the buffer cap — is
+//! the deterministic simulator's, in
 //! `src/sim.rs`: a subscriber must hold the store's set at every epoch it
 //! is pushed.)
 //!
