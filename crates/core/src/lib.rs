@@ -58,7 +58,7 @@ pub mod wire;
 
 pub use messages::RoundStatus;
 pub use session::{AliceSession, BobSession};
-pub use view::SetView;
+pub use view::{count_widths, SetView};
 
 use analysis::{optimize_parameters, OptimalParams, DEFAULT_DELTA, DEFAULT_TARGET_ROUNDS};
 use estimator::{Estimator, TowEstimator};

@@ -35,6 +35,22 @@ pub struct SetView {
     elements: Vec<u64>,
     /// The bank of `elements` under `derive_seed(seed, ESTIMATOR_SEED_SALT)`.
     bank: TowEstimator,
+    /// How many of `elements` have each bit length ([`count_widths`]).
+    widths: [u64; 65],
+}
+
+/// Add `by` (1, or −1 as it wraps) to `widths`' count of each element's bit
+/// length (index: 64 − leading zeros): a view's counts, and the width
+/// ledger of the store that holds the set.
+pub fn count_widths<'a>(
+    widths: &mut [u64; 65],
+    elements: impl IntoIterator<Item = &'a u64>,
+    by: u64,
+) {
+    for e in elements {
+        let n = &mut widths[64 - e.leading_zeros() as usize];
+        *n = n.wrapping_add(by);
+    }
 }
 
 /// Index of the first element of `run` that `before` rejects, given that it
@@ -74,11 +90,14 @@ impl SetView {
         elements.extend(keyed.iter().map(|&(_, e)| e));
         let mut bank = TowEstimator::new(sketches, derive_seed(seed, ESTIMATOR_SEED_SALT));
         bank.insert_slice(&elements);
+        let mut widths = [0; 65];
+        count_widths(&mut widths, &elements, 1);
         SetView {
             seed,
             epoch,
             elements,
             bank,
+            widths,
         }
     }
 
@@ -141,11 +160,15 @@ impl SetView {
         let mut bank = self.bank.clone();
         bank.insert_slice(&came);
         bank.remove_slice(&went);
+        let mut widths = self.widths;
+        count_widths(&mut widths, &came, 1);
+        count_widths(&mut widths, &went, u64::MAX);
         SetView {
             seed: self.seed,
             epoch,
             elements,
             bank,
+            widths,
         }
     }
 
@@ -157,6 +180,12 @@ impl SetView {
     /// The holder's stamp of this version of the set.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The bit length of the widest element (0 for the empty set): the
+    /// narrowest universe a session on this version can run in.
+    pub fn universe_bits(&self) -> u32 {
+        self.widths.iter().rposition(|&n| n > 0).unwrap_or(0) as u32
     }
 
     /// Number of elements.

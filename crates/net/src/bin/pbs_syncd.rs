@@ -58,9 +58,9 @@
 //! normal epoch-advancing change batches, so local subscribers see
 //! remotely-originated elements pushed live, and the stores of a connected
 //! mesh converge to the union without any coordinator.
-//! `--anti-entropy-every SECS` paces the rotation (default 5, with ±25%
-//! seeded jitter), `--anti-entropy-seed N` pins the rotation/jitter
-//! schedule for reproducible soaks.
+//! `--anti-entropy-every SECS` paces the rotation (default 5, ±25 % seeded
+//! jitter), `--anti-entropy-seed N` pins it for reproducible soaks; the
+//! main thread runs the rounds, between its stats lines.
 //!
 //! **Observability**: `--admin ADDR` binds an HTTP endpoint serving
 //! `GET /metrics` (Prometheus text format), `GET /healthz` (`503` once
@@ -75,8 +75,7 @@
 
 use obs::trace::{Level, TraceConfig, TraceFormat};
 use pbs_net::admin::{AdminServer, AdminState};
-use pbs_net::client::ClientConfig;
-use pbs_net::mesh::{MeshConfig, MeshDriver};
+use pbs_net::mesh::{anti_entropy_round, MeshConfig, MeshSchedule, MeshStats};
 use pbs_net::server::{Server, ServerConfig};
 use pbs_net::setio;
 use pbs_net::store::StoreRegistry;
@@ -338,10 +337,9 @@ fn main() {
         registry.len()
     );
 
-    // Anti-entropy client role: a background driver reconciling every
-    // local store against each peer on a seeded, jittered rotation. The
-    // handle must stay alive for the life of the process.
-    let mesh = (!args.anti_entropy.is_empty()).then(|| {
+    // Anti-entropy client role: every local store reconciled against each
+    // peer on a seeded, jittered rotation, run by the loop below.
+    let mut mesh = (!args.anti_entropy.is_empty()).then(|| {
         println!(
             "pbs-syncd: anti-entropy mesh with {} peer(s) every ~{}s (seed {:#x}): {}",
             args.anti_entropy.len(),
@@ -349,15 +347,14 @@ fn main() {
             args.anti_entropy_seed,
             args.anti_entropy.join(", ")
         );
-        MeshDriver::spawn(
-            Arc::clone(&registry),
-            MeshConfig {
-                peers: args.anti_entropy.clone(),
-                interval: Duration::from_secs(args.anti_entropy_every.max(1)),
-                seed: args.anti_entropy_seed,
-                client: ClientConfig::default(),
-            },
-        )
+        let config = MeshConfig {
+            peers: args.anti_entropy.clone(),
+            interval: Duration::from_secs(args.anti_entropy_every.max(1)),
+            seed: args.anti_entropy_seed,
+            ..MeshConfig::default()
+        };
+        let stats = MeshStats::registered(&registry.metrics(), &config.peers);
+        (MeshSchedule::new(&config, Instant::now()), stats, config)
     });
 
     // Keep the admin endpoint alive for the life of the process: dropping
@@ -375,26 +372,28 @@ fn main() {
     });
 
     let stats = server.stats();
-    // --stats-every 0 disables the periodic stats line entirely; the admin
-    // endpoint (if bound) is then the way to observe the process.
-    if args.stats_every == 0 {
-        loop {
-            std::thread::park();
-        }
-    }
-    // Ticks are anchored to an absolute schedule so the time spent walking
-    // stores and printing does not drift the cadence (a sleep *after* the
-    // walk would stretch every interval by the walk's duration).
+    // Sleep until a stats line (none with --stats-every 0: scrape --admin)
+    // or a mesh round is due. Ticks are anchored to an absolute schedule,
+    // so rounds, store walks and printing do not drift the cadence.
     let period = Duration::from_secs(args.stats_every);
-    let mut next_tick = Instant::now() + period;
+    let mut next_tick = (args.stats_every > 0).then(|| Instant::now() + period);
     loop {
-        if let Some(wait) = next_tick.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
+        let round = mesh.as_ref().and_then(|(schedule, ..)| schedule.due());
+        match next_tick.into_iter().chain(round).min() {
+            Some(wake) => std::thread::sleep(wake.saturating_duration_since(Instant::now())),
+            None => std::thread::park(),
         }
-        next_tick += period;
+        if let Some((schedule, peers, config)) = &mut mesh {
+            while let Some(p) = schedule.next(Instant::now()) {
+                anti_entropy_round(&registry, &config.peers[p], &config.client, peers.peer(p));
+            }
+        }
+        let Some(tick) = next_tick.as_mut().filter(|tick| **tick <= Instant::now()) else {
+            continue;
+        };
         // A walk slower than the period skips ticks instead of bursting.
-        while next_tick <= Instant::now() {
-            next_tick += period;
+        while *tick <= Instant::now() {
+            *tick += period;
         }
         let s = stats.snapshot();
         println!(
@@ -423,8 +422,8 @@ fn main() {
             s.subscribers_evicted,
             s.keepalive_pings,
         );
-        if let Some(mesh) = &mesh {
-            for (addr, peer) in mesh.stats().snapshot() {
+        if let Some((_, mesh, _)) = &mesh {
+            for (addr, peer) in mesh.snapshot() {
                 println!(
                     "pbs-syncd:   peer {}: syncs {}/{} ok (failed {}), \
                      bytes out/in {}/{}, elements pulled {} / pushed {}",

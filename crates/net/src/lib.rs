@@ -112,7 +112,7 @@ pub use client::{
 };
 pub use frame::{Frame, Hello, PROTOCOL_VERSION};
 pub use machine::{ClientMachine, Mode, Phase, Step};
-pub use mesh::{MeshConfig, MeshDriver, MeshStats, PeerSnapshot, PeerStats};
+pub use mesh::{MeshConfig, MeshSchedule, MeshStats, PeerSnapshot, PeerStats};
 pub use server::{Server, ServerConfig};
 pub use store::{ChangeBatch, DeltaAnswer, MutableStore, SetStore, StoreRegistry, ViewAnswer};
 pub use wal::{DurableOptions, RecoveryReport};

@@ -2,8 +2,8 @@
 //!
 //! A `pbs-syncd` node normally only answers sessions. In a mesh
 //! deployment (`pbs-syncd --anti-entropy PEER[,PEER…]`) it also
-//! periodically originates them: every tick, each of the node's stores is
-//! reconciled pairwise against a peer with the ordinary PBS session
+//! periodically originates them: each round reconciles every one of the
+//! node's stores pairwise against one peer with the ordinary PBS session
 //! ([`crate::client::sync`]), and the recovered difference is applied
 //! locally through [`crate::store::SetStore::apply_missing`] — on a
 //! [`crate::store::MutableStore`] that lands as a normal `apply` batch,
@@ -12,26 +12,23 @@
 //!
 //! Convergence is gossip-style union convergence: one pairwise sync moves
 //! both endpoints to `A ∪ B` (the protocol pushes `A \ B` to the peer
-//! and this driver applies `B \ A` locally), so any connected mesh
+//! and the round applies `B \ A` locally), so any connected mesh
 //! converges after enough pairwise rounds regardless of topology, and
 //! partitioned halves converge among themselves and re-converge globally
-//! once the partition heals. The peer rotation and tick jitter are seeded
-//! ([`MeshConfig::seed`]), so a run replays the same schedule.
+//! once the partition heals.
 //!
-//! [`anti_entropy_round`] is the synchronous single-(peer × stores) pass —
-//! the unit tests and the socket mesh test (`tests/mesh_soak.rs`) drive it
-//! directly; [`MeshDriver::spawn`] wraps it in the background thread
-//! `pbs-syncd` runs; the simulator's mesh rounds (`sim.rs`) share its
-//! handling of one store's result, `settle`.
+//! A round is [`anti_entropy_round`]: one peer, every store, over sockets.
+//! When rounds run, and against whom, is a [`MeshSchedule`], which holds no
+//! thread and reads no clock: `pbs-syncd`'s main thread drives one, and the
+//! simulator (`sim.rs`) one per node on its virtual clock, its legs settled
+//! through `settle` as a round settles them.
 
 use crate::client::{sync, ClientConfig, SyncReport};
 use crate::store::{RegisteredStore, StoreRegistry};
 use crate::NetError;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of a node's anti-entropy driver.
+/// Configuration of a node's anti-entropy mesh.
 #[derive(Debug, Clone)]
 pub struct MeshConfig {
     /// Peer addresses (`host:port`) this node reconciles against.
@@ -63,8 +60,8 @@ obs::counters! {
     /// Per-peer (per-link) counters, updated by every pairwise sync. All
     /// counters are cumulative; byte counters come straight from the
     /// [`crate::client::SyncReport`] wire ledgers, so on a fault-free link
-    /// they equal what the peer's server counted in and out. A running
-    /// [`MeshDriver`] registers them as `pbs_mesh_*_total{peer}`.
+    /// they equal what the peer's server counted in and out.
+    /// [`MeshStats::registered`] registers them as `pbs_mesh_*_total{peer}`.
     pub struct PeerStats => PeerSnapshot {
         /// One per store per rotation.
         syncs_attempted: "Pairwise syncs attempted.",
@@ -80,16 +77,29 @@ obs::counters! {
     }
 }
 
-/// The per-peer counter set of one driver.
+/// The per-peer counters of one node's mesh, in [`MeshConfig::peers`]
+/// order.
 #[derive(Debug)]
 pub struct MeshStats {
-    peers: Vec<(String, Arc<PeerStats>)>,
+    peers: Vec<(String, PeerStats)>,
 }
 
 impl MeshStats {
-    /// The counters for `peer`, if it is part of this mesh.
-    pub(crate) fn peer(&self, peer: &str) -> Option<&Arc<PeerStats>> {
-        self.peers.iter().find(|(p, _)| p == peer).map(|(_, s)| s)
+    /// Each peer's counters, registered in `metrics` as
+    /// `pbs_mesh_*_total{peer="…"}`.
+    pub fn registered(metrics: &obs::Registry, peers: &[String]) -> MeshStats {
+        let peers = peers.iter().map(|peer| {
+            let stats = PeerStats::registered(metrics, "pbs_mesh_", &[("peer", peer)]);
+            (peer.clone(), stats)
+        });
+        MeshStats {
+            peers: peers.collect(),
+        }
+    }
+
+    /// The counters of peer `p`: its index in [`MeshConfig::peers`].
+    pub fn peer(&self, p: usize) -> &PeerStats {
+        &self.peers[p].1
     }
 
     /// Freeze every peer's counters, beside its address.
@@ -188,91 +198,78 @@ pub(crate) fn settle(
     Ok(())
 }
 
-/// The background anti-entropy loop of one node: seeded peer rotation,
-/// jittered ticks, graceful shutdown. `pbs-syncd --anti-entropy` owns one.
-#[derive(Debug)]
-pub struct MeshDriver {
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<MeshStats>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// When a node's rounds run, and against which peer. Each rotation visits
+/// every peer once, back to back, in the last rotation's order reshuffled
+/// (Fisher–Yates over xorshift from [`MeshConfig::seed`], so a run
+/// replays); the pause after it, counted from the first call once its last
+/// round is out, is [`MeshConfig::interval`] ±25 % by a seeded jitter, so a
+/// fleet of identical nodes de-synchronizes. The first rotation is due at
+/// once. A driver sleeps until [`MeshSchedule::due`], then runs a round for
+/// each peer [`MeshSchedule::next`] names until it names none.
+#[derive(Debug, Clone)]
+pub struct MeshSchedule {
+    interval: Duration,
+    rng: u64,
+    /// The rotation under way, as indices into [`MeshConfig::peers`].
+    order: Vec<usize>,
+    /// Rounds of the rotation under way handed out.
+    ran: usize,
+    /// `None`: never — no peers, or a pause past what an `Instant` holds.
+    due: Option<Instant>,
 }
 
-impl MeshDriver {
-    /// Spawn the driver thread. Each rotation visits every peer once in a
-    /// seeded order (reshuffled per rotation — xorshift over
-    /// [`MeshConfig::seed`]), reconciling every store of `registry`
-    /// against it, then sleeps [`MeshConfig::interval`] with ±25% seeded
-    /// jitter so a fleet of identical nodes de-synchronizes. Each peer's
-    /// counters are registered in `registry`'s metrics as
-    /// `pbs_mesh_*_total{peer="…"}`.
-    pub fn spawn(registry: Arc<StoreRegistry>, config: MeshConfig) -> MeshDriver {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = registry.metrics();
-        let peers = config.peers.iter().map(|peer| {
-            let stats = PeerStats::registered(&metrics, "pbs_mesh_", &[("peer", peer)]);
-            (peer.clone(), Arc::new(stats))
-        });
-        let stats = Arc::new(MeshStats {
-            peers: peers.collect(),
-        });
-        let thread_shutdown = Arc::clone(&shutdown);
-        let thread_stats = Arc::clone(&stats);
-        let handle = std::thread::Builder::new()
-            .name("pbs-mesh".into())
-            .spawn(move || {
-                let mut rng = config.seed | 1;
-                let step = move |rng: &mut u64| {
-                    *rng ^= *rng << 13;
-                    *rng ^= *rng >> 7;
-                    *rng ^= *rng << 17;
-                    *rng
-                };
-                let mut order: Vec<usize> = (0..config.peers.len()).collect();
-                while !thread_shutdown.load(Ordering::SeqCst) {
-                    // Seeded Fisher–Yates reshuffle per rotation.
-                    for i in (1..order.len()).rev() {
-                        let j = (step(&mut rng) % (i as u64 + 1)) as usize;
-                        order.swap(i, j);
-                    }
-                    for &p in &order {
-                        if thread_shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let peer = &config.peers[p];
-                        if let Some(peer_stats) = thread_stats.peer(peer) {
-                            let (_, _err) =
-                                anti_entropy_round(&registry, peer, &config.client, peer_stats);
-                        }
-                    }
-                    // Jittered sleep in short slices so shutdown is prompt.
-                    let jitter = step(&mut rng) % 501; // 0..=500 → 75%..125%
-                    let tick = config.interval.mul_f64(0.75 + jitter as f64 / 2000.0);
-                    let until = Instant::now() + tick;
-                    while Instant::now() < until && !thread_shutdown.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(20).min(tick));
-                    }
-                }
-            })
-            .expect("spawn mesh driver thread");
-        MeshDriver {
-            shutdown,
-            stats,
-            handle: Some(handle),
-        }
+impl MeshSchedule {
+    /// The schedule of `config`, its first rotation due at `now`.
+    pub fn new(config: &MeshConfig, now: Instant) -> Self {
+        let peers = config.peers.len();
+        let mut schedule = MeshSchedule {
+            interval: config.interval,
+            rng: config.seed | 1,
+            order: (0..peers).collect(),
+            ran: 0,
+            due: (peers > 0).then_some(now),
+        };
+        schedule.reshuffle();
+        schedule
     }
 
-    /// The live per-peer counters.
-    pub fn stats(&self) -> &MeshStats {
-        &self.stats
+    /// When the next round is due; `None` if never.
+    pub fn due(&self) -> Option<Instant> {
+        self.due
     }
-}
 
-impl Drop for MeshDriver {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+    /// The peer (its index in [`MeshConfig::peers`]) whose round runs at
+    /// `now`, if one is due. Once a rotation's last round is handed out,
+    /// the next call starts the pause and names none.
+    pub fn next(&mut self, now: Instant) -> Option<usize> {
+        if self.due.is_none_or(|due| now < due) {
+            return None;
         }
+        if self.ran == self.order.len() {
+            let jitter = self.draw() % 501; // 0..=500 → 75 %..125 %
+            let pause = self.interval.checked_mul(750 + jitter as u32);
+            self.due = pause.and_then(|pause| now.checked_add(pause / 1000));
+            self.reshuffle();
+            return None;
+        }
+        self.ran += 1;
+        Some(self.order[self.ran - 1])
+    }
+
+    /// The next rotation's order: the last one, shuffled.
+    fn reshuffle(&mut self) {
+        for i in (1..self.order.len()).rev() {
+            let j = (self.draw() % (i as u64 + 1)) as usize;
+            self.order.swap(i, j);
+        }
+        self.ran = 0;
+    }
+
+    fn draw(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
     }
 }
 
@@ -282,6 +279,49 @@ mod tests {
     use crate::disk::{Name, Op, RecordingDisk};
     use crate::server::{Server, ServerConfig};
     use crate::store::MutableStore;
+    use std::sync::Arc;
+
+    /// The rotations and pauses of the default seed over four peers, at
+    /// the default 5 s interval: pinned, since every seeded soak replays
+    /// from them. The pauses are 5 s × (0.75 + j/1000) for the jitter
+    /// draws j = 129, 317 and 357 — ±25 % around the interval.
+    #[test]
+    fn the_default_seed_replays_its_rotations_and_pauses() {
+        let config = MeshConfig {
+            peers: (0..4).map(|p| p.to_string()).collect(),
+            ..MeshConfig::default()
+        };
+        let mut now = Instant::now();
+        let mut schedule = MeshSchedule::new(&config, now);
+        let (mut orders, mut pauses) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            assert_eq!(schedule.due(), Some(now));
+            // Back to back; the call after the last round starts the pause.
+            orders.push(std::iter::from_fn(|| schedule.next(now)).collect::<Vec<_>>());
+            let due = schedule.due().expect("a pause");
+            assert_eq!(schedule.next(due - Duration::from_nanos(1)), None);
+            pauses.push(due - now);
+            now = due;
+        }
+        assert_eq!(orders, [[0, 2, 3, 1], [2, 0, 1, 3], [1, 2, 3, 0]]);
+        assert_eq!(pauses, [4395, 5335, 5535].map(Duration::from_millis));
+    }
+
+    #[test]
+    fn no_peers_or_an_endless_pause_is_never_due() {
+        let now = Instant::now();
+        let mut idle = MeshSchedule::new(&MeshConfig::default(), now);
+        assert_eq!((idle.due(), idle.next(now)), (None, None));
+        let endless = MeshConfig {
+            peers: vec!["a".into()],
+            interval: Duration::MAX,
+            ..MeshConfig::default()
+        };
+        let mut schedule = MeshSchedule::new(&endless, now);
+        assert_eq!(schedule.next(now), Some(0));
+        assert_eq!(schedule.next(now), None);
+        assert_eq!(schedule.due(), None);
+    }
 
     #[test]
     fn one_round_converges_a_pair_of_stores() {

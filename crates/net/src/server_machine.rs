@@ -188,6 +188,17 @@ impl Snapshot {
         }
     }
 
+    /// The bit length of the widest element: counted with the view, one OR
+    /// over a private copy.
+    fn universe_bits(&self) -> u32 {
+        match self {
+            Snapshot::Shared { view, .. } => view.universe_bits(),
+            Snapshot::Copied { elements, .. } => {
+                64 - elements.iter().fold(0, |or, e| or | e).leading_zeros()
+            }
+        }
+    }
+
     /// Which path the session took, as the `estimated` trace event says it.
     fn path(&self) -> &'static str {
         match self {
@@ -238,8 +249,9 @@ enum Stage {
         /// cap, not one that verified.
         split: bool,
     },
-    /// Complete, the connection kept: a `Subscribe` or the next `Hello`.
-    Parked,
+    /// Complete at `epoch` — the ack's, or the catch-up's — the connection
+    /// kept: a `Subscribe` from that epoch, or the next `Hello`.
+    Parked { epoch: u64 },
     /// Terminal: a subscription's close is signalled through
     /// [`Step::close`], so the slot in `live_subscribers` stays attributable.
     Streaming { epoch: u64 },
@@ -272,7 +284,7 @@ impl ServerMachine {
 
     pub(crate) fn waiting(&self) -> Waiting {
         match &self.state {
-            State::Open(_, Stage::Parked) => Waiting::Parked,
+            State::Open(_, Stage::Parked { .. }) => Waiting::Parked,
             State::Open(_, Stage::Streaming { .. }) => Waiting::Streaming,
             _ => Waiting::Reconciling,
         }
@@ -282,7 +294,7 @@ impl ServerMachine {
     /// where the last one parked. (Taken, it is served as a fresh
     /// connection's first frame.)
     pub(crate) fn opens_next(&self, frame: &Frame) -> bool {
-        let parked = matches!(&self.state, State::Open(_, Stage::Parked));
+        let parked = matches!(&self.state, State::Open(_, Stage::Parked { .. }));
         parked && matches!(frame, Frame::Hello(_))
     }
 
@@ -470,13 +482,21 @@ impl ServerMachine {
                 // invisible to this session; the next delta sync replays
                 // them idempotently) — and the session may yet subscribe.
                 let ack = Frame::DeltaDone { epoch: *epoch };
-                *stage = Stage::Parked;
+                *stage = Stage::Parked { epoch: *epoch };
                 Ok(Step {
                     crossed: Some(crossed),
                     ..Step::reply(ack)
                 })
             }
-            (Stage::Parked, Frame::Subscribe { epoch }) => {
+            // Streamed from any other epoch than the one the session
+            // proved, the subscriber would miss batches, or get them twice.
+            (Stage::Parked { epoch: proved }, Frame::Subscribe { epoch }) => {
+                if epoch != *proved {
+                    return Err(refuse(
+                        ErrorCode::Protocol,
+                        format!("Subscribe from epoch {epoch}; the session ended at {proved}"),
+                    ));
+                }
                 let max = res.config.max_subscribers;
                 if res.live_subscribers.load(Ordering::Relaxed) >= max {
                     return Err(refuse(
@@ -506,7 +526,7 @@ impl ServerMachine {
                     Stage::Rounds { .. } => {
                         format!("unexpected frame type {ty} during the round loop")
                     }
-                    Stage::Parked => {
+                    Stage::Parked { .. } => {
                         format!("unexpected frame type {ty} while awaiting Subscribe or a Hello")
                     }
                     Stage::Streaming { .. } => {
@@ -538,18 +558,7 @@ impl ServerMachine {
                 format!("no store named {:?}", hello.store),
             )
         })?;
-        // A session sums and sketches elements masked to its universe: one
-        // too narrow for an element the store holds would be blind to it.
-        let held = entry.store().universe_bits();
-        if held > cfg.universe_bits {
-            return Err(refuse(
-                ErrorCode::BadConfig,
-                format!(
-                    "the store holds {held}-bit elements, outside the {}-bit universe",
-                    cfg.universe_bits
-                ),
-            ));
-        }
+        wide_enough(&cfg, entry.store().universe_bits())?;
         entry.stats().sessions_started.inc(1);
         let crossed = Crossed::Handshake {
             known_d: hello.known_d,
@@ -605,7 +614,7 @@ impl ServerMachine {
                     res.bump(entry, |s| &s.delta_sessions, 1);
                     res.bump(entry, |s| &s.delta_elements, elements);
                     res.bump(entry, |s| &s.delta_batches, frames.len() as u64 - 1);
-                    *stage = Stage::Parked;
+                    *stage = Stage::Parked { epoch: current };
                     step.frames = frames;
                     step.crossed = Some(Crossed::DeltaCatchup {
                         batches: batches.len() as u64,
@@ -625,6 +634,9 @@ impl ServerMachine {
             Stage::OweSetup { known_d, .. } => {
                 let d = *known_d;
                 let snapshot = Snapshot::of(res, routed);
+                // The set held now, not the store at the `Hello`: a wider
+                // element may have landed in between.
+                wide_enough(&routed.cfg, snapshot.universe_bits())?;
                 *stage = match d {
                     0 => {
                         let bank = snapshot.bank(routed.estimator_seed());
@@ -719,6 +731,22 @@ impl Routed {
             rounds: 0,
             split: false,
         })
+    }
+}
+
+/// A session sums and sketches elements masked to its universe: one too
+/// narrow for an element of the store's set (`held` bits) would be blind
+/// to it.
+fn wide_enough(cfg: &PbsConfig, held: u32) -> Result<(), Refusal> {
+    match held > cfg.universe_bits {
+        true => Err(refuse(
+            ErrorCode::BadConfig,
+            format!(
+                "the store holds {held}-bit elements, outside the {}-bit universe",
+                cfg.universe_bits
+            ),
+        )),
+        false => Ok(()),
     }
 }
 
@@ -1400,6 +1428,60 @@ mod tests {
             Waiting::Streaming,
             "the slot is still attributable"
         );
+    }
+
+    /// A parked session subscribes from the epoch it proved — the one its
+    /// catch-up or its ack ended on — or not at all: streamed from a later
+    /// epoch, it would miss the batches between; from an earlier one, be
+    /// pushed again what it holds. Either is refused `Protocol`.
+    #[test]
+    fn a_subscribe_names_the_epoch_its_session_proved() {
+        let store = mutable(0..50);
+        store.apply(&[7_000_001], &[]);
+        let parked = || {
+            let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+            duet.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
+            assert_eq!(duet.inbox.pop_back(), Some(Frame::DeltaDone { epoch: 1 }));
+            duet.inbox.clear();
+            duet
+        };
+        let pushed = |duet: &Duet| -> Vec<u64> {
+            let batches = duet.inbox.iter().filter_map(|frame| match frame {
+                Frame::DeltaBatch { epoch, .. } => Some(*epoch),
+                _ => None,
+            });
+            batches.collect()
+        };
+        let mut sessions = [parked(), parked(), parked()];
+        store.apply(&[7_000_002], &[]);
+        store.apply(&[7_000_003], &[]);
+        for (duet, named) in sessions.iter_mut().zip([2, 0, 1]) {
+            duet.deliver(Frame::Subscribe { epoch: named });
+            duet.push(0);
+            if named != 1 {
+                let batches = pushed(duet);
+                assert!(
+                    batches.is_empty(),
+                    "subscribed at {named}, proved 1: pushed batches {batches:?}"
+                );
+                assert_eq!(refused_with(duet, 0), ErrorCode::Protocol);
+            }
+        }
+        assert_eq!(pushed(&sessions[2]), [2, 3]);
+
+        // A classic session's ack proves its snapshot's epoch.
+        let mut classic = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
+        let config = ClientConfig {
+            seed: SEED,
+            ..ClientConfig::default()
+        };
+        let (_, _, report) = classic.transcript(&config, &elements(0..40), Mode::Full);
+        classic.deliver(Frame::Subscribe { epoch: 3 });
+        assert_eq!(report.epoch, Some(3));
+        assert_eq!(classic.server().waiting(), Waiting::Streaming);
+        store.apply(&[7_000_004], &[]);
+        classic.push(0);
+        assert_eq!(pushed(&classic), [4]);
     }
 
     /// A 64-bit session's final transfer lands an element past 2³² in the

@@ -55,14 +55,20 @@
 //!   link can lie), what the link has a store apply joins the union as
 //!   that peer's write, and each step a reader takes from the link stays
 //!   under [`bound`]. At the end of a schedule the faults stop, hostile
-//!   connections are cut, and mesh sweeps run until every node holds the
-//!   union of the initial sets and every write.
+//!   connections are cut, and time passes until every node holds the
+//!   union of the initial sets and every write, within [`CONVERGE`].
+//! * **The mesh** is the daemon's: each node drives its own
+//!   [`MeshSchedule`] on the virtual clock, and a round due starts as the
+//!   step ends — against the peer the schedule names, every store in the
+//!   registry's order, each leg settled through `mesh::settle`. The
+//!   simulation chooses no mesh peer of its own.
 //!
 //! A failing seed panics with the seed, the step, and the line to add to
 //! [`REGRESSIONS`]; `replays_the_regressions` runs that list. The default
-//! run prints how many seeds fired each timer and, per direction and
-//! [`Mutation`], in how many a rewritten frame reached its target, and
-//! holds each count to one seed of twenty.
+//! run prints how many seeds fired each timer, started a mesh round on a
+//! node's tick and had a rewritten frame reach a mesh leg and, per
+//! direction and [`Mutation`], in how many a rewritten frame reached its
+//! target, and holds each count to one seed of twenty.
 
 use crate::client::{ClientConfig, DeltaReport, Pipeline, SyncReport};
 use crate::conn::{ClientConn, ClientOut, Connection, Due, Ending, Out, ServerConn};
@@ -73,7 +79,7 @@ use crate::frame::{
     DEFAULT_MAX_FRAME, FRAME_OVERHEAD,
 };
 use crate::machine::{ClientMachine, Mode, Phase};
-use crate::mesh::{settle, PeerStats, RoundOutcome};
+use crate::mesh::{settle, MeshConfig, MeshSchedule, PeerStats, RoundOutcome};
 use crate::server::{ServerConfig, ServerStats};
 use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, Step, Waiting};
 use crate::store::{
@@ -322,6 +328,13 @@ const SEEDS: u64 = 1000;
 
 /// Steps of a schedule while faults are on.
 const STEPS: usize = 160;
+
+/// Once the faults stop, every node holds the union within this many mesh
+/// intervals of virtual time: a rotation under way ends at once, the
+/// pause before the next is at most 1.25 intervals, and two full
+/// rotations of every node, each reaching the node whose rotation ended
+/// first, spread the union; one more covers a leg a set-up trap failed.
+const CONVERGE: u32 = 4;
 
 /// Every node holds stores of these names; a mesh round syncs each with its
 /// namesake on the peer.
@@ -701,6 +714,9 @@ struct Node {
     /// Wire bytes of the node's verified mesh syncs, as its links carried
     /// them: (sent, received).
     mesh_bytes: (u64, u64),
+    /// The node's mesh: its peers are the other nodes, by index.
+    mesh_config: MeshConfig,
+    schedule: MeshSchedule,
     /// The mesh round under way: the peer, and the stores still to sync.
     round: Option<(usize, Vec<usize>)>,
     /// One store of the round is on a connection.
@@ -725,8 +741,14 @@ impl Node {
     }
 
     /// A node's server over `slots`' stores, each with the notifier that
-    /// marks the node dirty.
-    fn serve(config: ServerConfig, slots: Vec<Slot>, durable: bool) -> Node {
+    /// marks the node dirty, and its mesh, as it starts at `now`.
+    fn serve(
+        config: ServerConfig,
+        slots: Vec<Slot>,
+        durable: bool,
+        mesh_config: MeshConfig,
+        now: Instant,
+    ) -> Node {
         let registry = StoreRegistry::new();
         let dirty = Arc::new(AtomicBool::new(false));
         for (slot, name) in slots.iter().zip(NAMES) {
@@ -744,6 +766,7 @@ impl Node {
             live_subscribers: AtomicUsize::new(0),
         };
         let (mesh, mesh_bytes, round, leg) = (PeerStats::default(), (0, 0), None, false);
+        let schedule = MeshSchedule::new(&mesh_config, now);
         let res = Arc::new(res);
         Node {
             res,
@@ -752,6 +775,8 @@ impl Node {
             durable,
             mesh,
             mesh_bytes,
+            mesh_config,
+            schedule,
             round,
             leg,
         }
@@ -845,6 +870,12 @@ struct World {
     panicked: bool,
     /// Crash states a reopen was held to.
     crash_states: u64,
+    /// While faults were on: "tick" once a node's mesh schedule started a
+    /// round after time had passed, "hostile leg" once a rewritten frame
+    /// reached an end of a mesh leg.
+    meshed: BTreeSet<&'static str>,
+    /// The instant the world was made.
+    began: Instant,
     /// [`Node::classic`] of the servers a crash replaced.
     classic: [u64; 2],
     /// What the links of the connections gone carried, client → server
@@ -866,6 +897,7 @@ impl World {
         let (nodes, stores) = (rng.random_range(2..=4usize), rng.random_range(1..=2usize));
         let durable = rng.random_bool(0.5).then(|| rng.random_range(0..nodes));
         let buffer = if rng.random_bool(0.3) { 256 } else { 1 << 20 };
+        let now = Instant::now();
         // Timers short enough to fire within a schedule, or too long to add
         // to an instant: never due.
         let (secs, never) = (Duration::from_secs, Duration::MAX);
@@ -898,6 +930,7 @@ impl World {
             },
             ..ServerConfig::default()
         };
+        let interval = pick([secs(1), secs(4), secs(12)]);
         let base = (1..=rng.random_range(20..60u64)).map(element);
         let mut expected = vec![base.clone().collect::<BTreeSet<u64>>(); stores];
         let mut built = Vec::new();
@@ -930,12 +963,22 @@ impl World {
                 };
                 slots.push(slot);
             }
-            built.push(Node::serve(config, slots, durable));
+            let mesh = MeshConfig {
+                peers: (0..nodes)
+                    .filter(|&j| j != i)
+                    .map(|j| j.to_string())
+                    .collect(),
+                interval,
+                seed: rng.random(),
+                ..MeshConfig::default()
+            };
+            built.push(Node::serve(config, slots, durable, mesh, now));
         }
         World {
             rng,
             step: 0,
-            now: Instant::now(),
+            now,
+            began: now,
             client_timers,
             fired: BTreeSet::new(),
             nodes: built,
@@ -946,6 +989,7 @@ impl World {
             faults: true,
             panicked: false,
             crash_states: 0,
+            meshed: BTreeSet::new(),
             classic: [0; 2],
             tally: [Tally::default(); 2],
             hostile_next: None,
@@ -1243,6 +1287,10 @@ impl World {
         let Some(from) = mesh else {
             return;
         };
+        let (up, down) = (&self.conns[c].up.tally, &self.conns[c].down.tally);
+        if self.faults && up.reached | down.reached != 0 {
+            self.meshed.insert("hostile leg");
+        }
         let node = &mut self.nodes[from];
         node.leg = false;
         if let Some((sent, received)) = bytes {
@@ -1387,7 +1435,8 @@ impl World {
 
     /// Time passes, as an event loop sleeps: once what flows has arrived
     /// and dirty nodes have pushed, for a seeded while — never past the
-    /// earliest timer. (Every step ends with the timers due firing.)
+    /// earliest timer, a node's next mesh round among them. (Every step
+    /// ends with the timers due firing and the rounds due starting.)
     fn pass_time(&mut self) {
         while self.progress(false) {}
         let timers = self.conns.iter().flat_map(|conn| {
@@ -1396,7 +1445,10 @@ impl World {
             let client = conn.client.as_ref().filter(|_| !conn.silent);
             [server, client.and_then(|c| c.next_timer(conn.up.pending()))]
         });
-        let timers = timers.flatten();
+        let idle = self.nodes.iter().filter(|node| node.round.is_none());
+        let timers = timers
+            .flatten()
+            .chain(idle.filter_map(|node| node.schedule.due()));
         let step = [250, 1000, 8000][self.rng.random_range(0..3usize)];
         let until = self.now + Duration::from_millis(step);
         self.now = timers.fold(until, Instant::min).max(self.now);
@@ -1643,9 +1695,22 @@ impl World {
         self.connect(i, s, client, role);
     }
 
-    fn mesh_round(&mut self, i: usize, peer: usize) {
-        if self.nodes[i].round.is_none() {
-            self.nodes[i].round = Some((peer, (0..self.nodes[i].slots.len()).rev().collect()));
+    /// Node `i`'s mesh schedule at the virtual clock, as `pbs-syncd` runs
+    /// its own: with no round under way, each round due starts — against
+    /// the peer it names, every store in the registry's order.
+    fn tick(&mut self, i: usize) {
+        while self.nodes[i].round.is_none() {
+            let node = &mut self.nodes[i];
+            let Some(p) = node.schedule.next(self.now) else {
+                return;
+            };
+            let peer = node.mesh_config.peers[p].parse().expect("a node index");
+            let names = node.res.registry.names().into_iter().rev();
+            let slots = names.map(|name| NAMES.iter().position(|n| *n == name));
+            node.round = Some((peer, slots.map(|s| s.expect("a store")).collect()));
+            if self.faults && self.now > self.began {
+                self.meshed.insert("tick");
+            }
             self.advance_round(i);
         }
     }
@@ -1795,7 +1860,9 @@ impl World {
         }
         let (config, classic) = (self.nodes[i].res.config, self.nodes[i].classic());
         self.classic = [0, 1].map(|k| self.classic[k] + classic[k]);
-        self.nodes[i] = Node::serve(config, slots, true);
+        // Restarted, the node's mesh starts its schedule over.
+        let mesh = self.nodes[i].mesh_config.clone();
+        self.nodes[i] = Node::serve(config, slots, true, mesh, self.now);
         // Their peers read end-of-stream from a node that is up again.
         for c in dropped {
             self.touch(c);
@@ -1965,6 +2032,9 @@ impl World {
         self.step += 1;
         // What an event loop does before it sleeps: fire what is due.
         while (0..self.conns.len()).filter(|&c| self.fire(c)).count() > 0 {}
+        for i in 0..self.nodes.len() {
+            self.tick(i);
+        }
         let tally = &mut self.tally;
         self.conns.retain(|conn| {
             let flying = !conn.up.wire.is_empty() || !conn.down.wire.is_empty();
@@ -2022,22 +2092,17 @@ impl World {
 
     /// The schedule: seeded steps with faults on; then the faults stop,
     /// subscribers hang up, hostile connections are cut, every owed element
-    /// goes back, and mesh sweeps around the ring run until every node
-    /// holds the union — within a bound.
+    /// goes back, and time passes — the nodes' mesh schedules running on —
+    /// until every node holds the union, within [`CONVERGE`] of the mesh
+    /// interval.
     fn run(&mut self) {
         for _ in 0..STEPS {
-            let nodes = self.nodes.len();
-            let (i, hop) = (
-                self.rng.random_range(0..nodes),
-                self.rng.random_range(1..nodes),
-            );
-            match self.rng.random_range(0..100u32) {
+            match self.rng.random_range(0..93u32) {
                 0..=51 => drop(self.progress(true)),
                 52..=61 => self.pass_time(),
                 62..=69 => self.write(),
-                70..=76 => self.mesh_round(i, (i + hop) % nodes),
-                77..=83 => self.open_client(false),
-                84..=88 => self.open_client(true),
+                70..=76 => self.open_client(false),
+                77..=81 => self.open_client(true),
                 _ => self.fault(),
             }
             self.end_step();
@@ -2076,18 +2141,15 @@ impl World {
         while self.progress(false) {}
         self.end_step();
         self.drain();
-        let nodes = self.nodes.len();
-        for _ in 0..2 * nodes + 2 {
-            if self.converged().is_ok() {
-                return;
-            }
-            for i in 0..nodes {
-                self.mesh_round(i, (i + 1) % nodes);
-                self.drain();
-            }
+        let interval = self.nodes[0].mesh_config.interval;
+        let bound = self.now + interval * CONVERGE;
+        while self.converged().is_err() && self.now < bound {
+            self.pass_time();
+            self.end_step();
+            self.drain();
         }
         if let Err(off) = self.converged() {
-            panic!("the mesh did not converge once the faults stopped: {off}");
+            panic!("the mesh did not converge within {CONVERGE} intervals: {off}");
         }
     }
 }
@@ -2214,13 +2276,15 @@ fn metered<T>(hostile: bool, wire: usize, step: impl FnOnce() -> T) -> T {
 
 /// What a schedule that held showed: the timers that fired, what became
 /// of kept connections, what the links carried, how many crash states a
-/// reopen was held to, and its classic fallbacks ([`World::classic`]).
+/// reopen was held to, its classic fallbacks ([`World::classic`]), and
+/// what its mesh met ([`World::meshed`]).
 type Shown = (
     BTreeSet<&'static str>,
     BTreeSet<&'static str>,
     [Tally; 2],
     u64,
     [u64; 2],
+    BTreeSet<&'static str>,
 );
 
 /// Run the schedule of `seed` to its end, or say where it failed. (The
@@ -2239,7 +2303,10 @@ fn run_seed(seed: u64) -> Result<Shown, String> {
     let run = catch_unwind(AssertUnwindSafe(|| world.insert(World::new(seed)).run()));
     let mut world = world.expect("made before it runs");
     let carried = world.carried();
-    let reuse = std::mem::take(&mut world.reuse);
+    let (reuse, meshed) = (
+        std::mem::take(&mut world.reuse),
+        std::mem::take(&mut world.meshed),
+    );
     let (crashes, classic) = (world.crash_states, world.classic());
     let shown = |()| {
         (
@@ -2248,6 +2315,7 @@ fn run_seed(seed: u64) -> Result<Shown, String> {
             carried,
             crashes,
             classic,
+            meshed,
         )
     };
     run.map(shown).map_err(|panic| {
@@ -2261,8 +2329,9 @@ fn run_seed(seed: u64) -> Result<Shown, String> {
 
 /// The default run, on two threads. It also holds the schedules to making
 /// every timer fire, every mutation reach its target each way, a session
-/// open on a kept connection and one run again off a closed one, in one
-/// seed of twenty at least, to rewriting every frame type sent, and to
+/// open on a kept connection and one run again off a closed one, a mesh
+/// round start on a node's tick and a rewritten frame reach a mesh leg, in
+/// one seed of twenty at least, to rewriting every frame type sent, and to
 /// holding reopens to two crash states a seed.
 #[test]
 fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
@@ -2287,9 +2356,11 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
     let mut seeds = BTreeMap::<&str, u64>::new();
     let reuse = ["reused", "retried", "retried off a read-idle close"];
     let mut kept = BTreeMap::from(reuse.map(|what| (what, 0u64)));
+    let mut mesh = BTreeMap::from(["tick", "hostile leg"].map(|what| (what, 0u64)));
     let (mut reached, mut links, mut crashes) = ([[0u64; 6]; 2], [Tally::default(); 2], 0);
     let mut classic = [0u64; 2];
-    for (fired, reuse, tally, crash_states, fallbacks) in halves.iter().flatten().flatten() {
+    for (fired, reuse, tally, crash_states, fallbacks, meshed) in halves.iter().flatten().flatten()
+    {
         crashes += crash_states;
         for (sum, n) in classic.iter_mut().zip(fallbacks) {
             *sum += (*n > 0) as u64;
@@ -2300,6 +2371,9 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         reuse
             .iter()
             .for_each(|what| *kept.entry(what).or_default() += 1);
+        meshed
+            .iter()
+            .for_each(|what| *mesh.entry(what).or_default() += 1);
         for way in 0..2 {
             links[way].merge(tally[way]);
             for (kind, n) in reached[way].iter_mut().enumerate() {
@@ -2313,6 +2387,7 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         start.elapsed()
     );
     eprintln!("sim: seeds a kept connection was: {kept:?}");
+    eprintln!("sim: seeds a mesh round started on a node's tick, a rewritten frame reached a mesh leg: {mesh:?}");
     eprintln!("sim: crash states a reopen was held to: {crashes}");
     let [trimmed, declined] = classic;
     eprintln!(
@@ -2338,6 +2413,7 @@ fn a_thousand_seeded_fault_schedules_hold_every_invariant() {
         "{reached:?}"
     );
     assert!(kept.values().all(|&n| n >= SEEDS / 20), "{kept:?}");
+    assert!(mesh.values().all(|&n| n >= SEEDS / 20), "{mesh:?}");
     assert!(crashes >= 2 * SEEDS, "{crashes} crash states");
     assert!(trimmed > 0 && declined > 0, "{classic:?}");
     for (way, links) in links.iter().enumerate() {

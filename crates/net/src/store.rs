@@ -27,7 +27,7 @@ use crate::disk::{Disk, Fs};
 use crate::server::ServerStats;
 use crate::wal::{DurableOptions, RecoveryReport, Wal};
 use obs::{Gauge, Histogram};
-use pbs_core::SetView;
+use pbs_core::{count_widths, SetView};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -202,15 +202,6 @@ impl MutableInner {
         };
         let copy = || self.elements.iter().copied().collect::<Vec<u64>>();
         wal.compact(copy, self.epoch, self.log.make_contiguous())
-    }
-}
-
-/// Add `by` (1, or −1 as it wraps) to `widths`' count of each element's bit
-/// length (index: 64 − leading zeros).
-fn count_widths<'a>(widths: &mut [u64; 65], elements: impl IntoIterator<Item = &'a u64>, by: u64) {
-    for e in elements {
-        let n = &mut widths[64 - e.leading_zeros() as usize];
-        *n = n.wrapping_add(by);
     }
 }
 
