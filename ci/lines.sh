@@ -5,8 +5,8 @@
 #   ci/lines.sh [BASE]        BASE defaults to HEAD~1
 #
 # A Rust file is production up to its first top-level `#[cfg(test)]` line
-# and test from there on; every line of `sim.rs` and of a file under a
-# `tests/` directory is test. A file belongs to the crate of the nearest
+# and test from there on; every line of `sim.rs`, of `explore.rs` and of
+# a file under a `tests/` directory is test. A file belongs to the crate of the nearest
 # Cargo.toml above it. Doc comments count as the lines they are.
 set -euo pipefail
 base=${1:-HEAD~1}
@@ -35,7 +35,7 @@ crate_of() {
     git ls-files --others --exclude-standard -- '*.rs'
 } | sort -u | while read -r file; do
     case "$file" in
-        */tests/* | tests/* | */sim.rs) all_test=1 ;;
+        */tests/* | tests/* | */sim.rs | */explore.rs) all_test=1 ;;
         *) all_test=0 ;;
     esac
     read -r old_prod old_test < <(git show "$base:$file" 2>/dev/null | count "$all_test")

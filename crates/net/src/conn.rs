@@ -687,12 +687,15 @@ mod tests {
     use pbs_core::PbsConfig;
 
     impl ServerConn {
-        pub(crate) fn machine_mut(&mut self) -> Option<&mut ServerMachine> {
-            self.machine.as_mut()
-        }
-
         pub(crate) fn closing(&self) -> bool {
             self.closing.is_some()
+        }
+    }
+
+    impl ClientConn<'_> {
+        /// The machine's state, in the words its refusals use.
+        pub(crate) fn state_name(&self) -> &'static str {
+            self.machine.state_name()
         }
     }
 

@@ -105,6 +105,9 @@ pub mod store;
 pub mod wal;
 pub mod watch;
 
+#[cfg(test)]
+mod explore;
+
 pub use admin::{AdminServer, AdminState};
 pub use client::{
     sync, sync_with_retry, ClientConfig, DeltaFold, DeltaReport, Dialed, Dialer, Ended, Pipeline,

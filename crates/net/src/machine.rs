@@ -664,11 +664,9 @@ impl<'a> ClientMachine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{
-        decode_frame, write_frame, Decoded, ErrorCode, DEFAULT_MAX_FRAME, FRAME_OVERHEAD,
-    };
+    use crate::frame::{decode_frame, write_frame, Decoded, DEFAULT_MAX_FRAME, FRAME_OVERHEAD};
     use crate::server::ServerConfig;
-    use crate::sim::{one_of_each, Duet};
+    use crate::sim::Duet;
     use crate::store::MutableStore;
     use crate::TransportConfig;
     use std::collections::HashSet;
@@ -1120,105 +1118,6 @@ mod tests {
         assert_eq!(crossed.last(), Some(&Phase::Transfer));
     }
 
-    /// A machine scripted into each awaiting state, with the state's name
-    /// and the frames it accepts there (as indices into `one_of_each`).
-    fn every_awaiting_state() -> Vec<(&'static str, ClientMachine<'static>, Vec<usize>)> {
-        let set = || keys(50, 0x77);
-        let echo = |m: &mut ClientMachine<'_>| {
-            let hello = m.poll_send().unwrap().expect("opens with a Hello");
-            m.on_frame(hello).unwrap();
-        };
-        let full = |cfg: ClientConfig| ClientMachine::new(&cfg, set(), Mode::Full).unwrap();
-
-        let mut await_hello = full(config());
-        await_hello.poll_send().unwrap();
-
-        let delta = Mode::Delta { since: 0 };
-        let mut await_delta = ClientMachine::new(&config(), set(), delta).unwrap();
-        echo(&mut await_delta);
-
-        let mut await_estimate = full(config());
-        echo(&mut await_estimate);
-        await_estimate.poll_send().unwrap();
-
-        let mut await_reports = full(ClientConfig {
-            known_d: Some(5),
-            round_cap: 1,
-            ..config()
-        });
-        echo(&mut await_reports);
-        await_reports.poll_send().unwrap();
-
-        let mut await_ack = full(ClientConfig {
-            known_d: Some(5),
-            round_cap: 1,
-            ..config()
-        });
-        echo(&mut await_ack);
-        await_ack.poll_send().unwrap();
-        await_ack.on_frame(Frame::Reports(Vec::new())).unwrap();
-        await_ack.poll_send().unwrap();
-
-        let subscribe = Mode::Subscribe { since: 0 };
-        let mut parked = ClientMachine::new(&config(), Vec::new(), subscribe).unwrap();
-        echo(&mut parked);
-        parked.on_frame(Frame::DeltaDone { epoch: 1 }).unwrap();
-        parked.poll_send().unwrap();
-        assert!(parked.is_parked());
-
-        vec![
-            ("awaiting the Hello reply", await_hello, vec![0]),
-            ("awaiting the delta stream", await_delta, vec![6, 7, 8]),
-            ("awaiting the estimate reply", await_estimate, vec![2]),
-            ("awaiting Reports", await_reports, vec![4]),
-            ("awaiting the Done ack", await_ack, vec![5, 7]),
-            (
-                "parked on the subscription stream",
-                parked,
-                vec![6, 7, 8, 10],
-            ),
-        ]
-    }
-
-    #[test]
-    fn every_state_refuses_every_wrong_frame_type_by_name() {
-        for (name, mut machine, accepted) in every_awaiting_state() {
-            assert_eq!(machine.state_name(), name);
-            for (i, frame) in one_of_each().into_iter().enumerate() {
-                if accepted.contains(&i) {
-                    continue;
-                }
-                let ty = frame.type_byte();
-                match machine.on_frame(frame) {
-                    Err(NetError::Protocol(msg)) => {
-                        assert!(msg.contains(name), "{name}: {msg}");
-                        assert!(msg.contains(&format!("type {ty} ")), "{name}: {msg}");
-                    }
-                    other => panic!("{name} accepted frame type {ty}: {other:?}"),
-                }
-                // A refusal changes nothing: the state still stands.
-                assert_eq!(machine.state_name(), name);
-            }
-        }
-    }
-
-    #[test]
-    fn a_peer_error_frame_is_a_remote_error_in_every_state() {
-        for (name, mut machine, _) in every_awaiting_state() {
-            let frame = Frame::Error {
-                code: ErrorCode::UnknownStore,
-                message: "no such store".into(),
-            };
-            match machine.on_frame(frame) {
-                Err(NetError::Remote { code, message }) => {
-                    assert_eq!(code, ErrorCode::UnknownStore, "{name}");
-                    assert_eq!(message, "no such store");
-                }
-                other => panic!("{name}: expected Remote, got {other:?}"),
-            }
-        }
-    }
-
     fn parked_at(epoch: u64) -> ClientMachine<'static> {
         let mode = Mode::Subscribe { since: 2 };
         let mut machine = ClientMachine::new(&config(), Vec::new(), mode).unwrap();
@@ -1268,18 +1167,6 @@ mod tests {
         assert_eq!((push.added, push.removed), (vec![3], vec![4]));
         assert_eq!(machine.epoch, 7);
         assert!(!machine.mid_stream());
-    }
-
-    #[test]
-    fn a_push_whose_epoch_goes_backwards_is_refused() {
-        let mut machine = parked_at(6);
-        // Standing still is legal (a coalesced no-op burst)…
-        assert!(machine.on_frame(Frame::DeltaDone { epoch: 6 }).is_ok());
-        // …going back is not.
-        match machine.on_frame(Frame::DeltaDone { epoch: 5 }) {
-            Err(NetError::Protocol(msg)) => assert!(msg.contains("backwards"), "{msg}"),
-            other => panic!("expected a refusal, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1338,73 +1225,14 @@ mod tests {
         }
     }
 
+    /// What the explorer's client (`explore.rs`), a few elements in one
+    /// frame, never meets: a final transfer that cannot fit one frame is an
+    /// actionable error, not a bare size failure from the transport. (A
+    /// reply that rewrites the universe, names another seed or an estimate
+    /// past the client's cap, and a catch-up that ends before its epoch are
+    /// the explorer's letters.)
     #[test]
     fn hostile_replies_are_refused() {
-        // A Hello reply that rewrites what it was sent. The reply's seed is
-        // obeyed, so the rest of it is checked: a changed universe — the
-        // one input of the plan — is a typed refusal, before anything is
-        // hashed.
-        for universe_bits in [31, 64] {
-            let mut machine = ClientMachine::new(&config(), keys(50, 1), Mode::Full).unwrap();
-            let Some(Frame::Hello(mut reply)) = machine.poll_send().unwrap() else {
-                panic!("opens with a Hello")
-            };
-            reply.universe_bits = universe_bits;
-            match machine.on_frame(Frame::Hello(reply)) {
-                Err(NetError::Protocol(msg)) => assert!(msg.contains("universe"), "{msg}"),
-                other => panic!("expected a refusal, got {other:?}"),
-            }
-        }
-        // What the server may decide — store, depth, seed — it may; the
-        // session then runs under the seed it named.
-        let mut machine = ClientMachine::new(&config(), keys(50, 1), Mode::Full).unwrap();
-        let Some(Frame::Hello(mut reply)) = machine.poll_send().unwrap() else {
-            panic!("opens with a Hello")
-        };
-        (reply.seed, reply.pipeline) = (SEED + 1, 1);
-        machine.on_frame(Frame::Hello(reply)).unwrap();
-        let Some(Frame::EstimatorExchange(EstimatorMsg::TowBank(bank))) =
-            machine.poll_send().unwrap()
-        else {
-            panic!("the bank follows")
-        };
-        let bank = TowEstimator::from_bytes(&bank).unwrap();
-        assert_eq!(
-            bank.seed(),
-            xhash::derive_seed(SEED + 1, ESTIMATOR_SEED_SALT)
-        );
-
-        // An estimate above the client's cap.
-        let cfg = ClientConfig {
-            max_d: 100,
-            ..config()
-        };
-        let mut machine = ClientMachine::new(&cfg, keys(50, 1), Mode::Full).unwrap();
-        let hello = machine.poll_send().unwrap().unwrap();
-        machine.on_frame(hello).unwrap();
-        machine.poll_send().unwrap();
-        let estimate = Frame::EstimatorExchange(EstimatorMsg::Estimate {
-            d_param: 101,
-            d_hat: 90.0,
-        });
-        match machine.on_frame(estimate) {
-            Err(NetError::Protocol(msg)) => assert!(msg.contains("client cap"), "{msg}"),
-            other => panic!("expected a refusal, got {other:?}"),
-        }
-
-        // A catch-up that ends before the epoch it was asked from (an
-        // honest server answers that epoch `FullResyncRequired`).
-        let since = Mode::Delta { since: 5 };
-        let mut machine = ClientMachine::new(&config(), Vec::new(), since).unwrap();
-        let hello = machine.poll_send().unwrap().unwrap();
-        machine.on_frame(hello).unwrap();
-        match machine.on_frame(Frame::DeltaDone { epoch: 4 }) {
-            Err(NetError::Protocol(msg)) => assert!(msg.contains("backwards"), "{msg}"),
-            other => panic!("expected a refusal, got {other:?}"),
-        }
-
-        // A final transfer that cannot fit one frame: an actionable error,
-        // not a bare size failure from the transport.
         let alice = keys(500, 0xCA9);
         let transport = TransportConfig {
             max_frame: 64,

@@ -1103,53 +1103,6 @@ mod tests {
         line.expect(series).parse().expect(series)
     }
 
-    /// A 32-bit session passes its `Hello`'s universe check on a store of
-    /// narrow elements, and a 41-bit element lands before its set-up reads
-    /// the set. Served, the session would run blind to that element — its
-    /// checksums masked to 32 bits, the element a fake when decoded — and
-    /// end without it. The set-up reads the width of the set it holds — a
-    /// private copy, a view built, a view patched — and refuses it
-    /// `BadConfig`.
-    #[test]
-    fn a_wide_element_landing_before_the_set_up_is_refused() {
-        let (wide, held): (u64, Vec<u64>) = ((1 << 40) | 5, (1..=990).collect());
-        for (path, warm) in [
-            ("a private copy", 0),
-            ("a view built", 1),
-            ("a view patched", 2),
-        ] {
-            let store = Gated::over(1..=1000u64);
-            let (server, registry) = bind(&store);
-            // A full session leaves the next one due a view; that one
-            // leaves it cached for the next to patch.
-            for _ in 0..warm {
-                sync(server.local_addr(), &held, &by_hand_config()).unwrap();
-            }
-            let mut hand = ByHand::connect(&server, held.clone());
-            hand.park_at(&store);
-            store.inner.apply(&[wide], &[]);
-            store.set(Gate::Open);
-            match hand.outcome() {
-                Err(NetError::Remote { code, message }) => {
-                    assert_eq!(code, ErrorCode::BadConfig, "{path}: {message}");
-                    assert!(message.contains("41-bit elements"), "{path}: {message}");
-                    assert!(message.contains("32-bit universe"), "{path}: {message}");
-                }
-                Ok(report) => panic!(
-                    "{path}: verified {} with {} recovered, {wide} among them: {}",
-                    report.verified,
-                    report.recovered.len(),
-                    report.recovered.contains(&wide)
-                ),
-                Err(e) => panic!("{path}: {e}"),
-            }
-            let s = store_stats(&registry);
-            let taken = [s.views_declined, s.views_built, s.views_patched];
-            assert_eq!(taken, [0, 1, 2].map(|k| (k <= warm) as u64), "{path}");
-            server.shutdown();
-        }
-    }
-
     #[test]
     fn a_held_set_up_holds_up_nobody_else_on_its_worker() {
         let store = Gated::over(1..=5_000u64);

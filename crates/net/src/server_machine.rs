@@ -775,12 +775,25 @@ mod tests {
     use crate::client::{ClientConfig, Pipeline};
     use crate::frame::Hello;
     use crate::machine::{ClientMachine, Mode};
-    use crate::sim::{one_of_each, Duet};
+    use crate::sim::Duet;
     use crate::store::{MutableStore, SetStore};
     use crate::NetError;
-    use pbs_core::AliceSession;
 
     const SEED: u64 = 0x5EED;
+
+    impl ServerMachine {
+        /// The stage, in the words its refusals use.
+        pub(crate) fn stage_name(&self) -> &'static str {
+            match &self.state {
+                State::AwaitHello => "expected Hello",
+                State::Open(_, Stage::AwaitBank { .. }) => "expected estimator bank",
+                State::Open(_, Stage::Rounds { .. }) => "during the round loop",
+                State::Open(_, Stage::Parked { .. }) => "while awaiting Subscribe or a Hello",
+                State::Open(_, Stage::Streaming { .. }) => "on a live subscription",
+                State::Open(..) => "the session takes none now",
+            }
+        }
+    }
 
     fn hello(known_d: u64) -> Hello {
         Hello::from_config(&PbsConfig::default(), SEED, known_d)
@@ -794,17 +807,6 @@ mod tests {
         Arc::new(MutableStore::new(elements(range)))
     }
 
-    /// A `Sketches` frame of `layers` pipelined rounds, shaped for `d`.
-    fn sketches(set: &[u64], d: u64, layers: u32) -> Frame {
-        let cfg = PbsConfig::default();
-        let params = Pbs::new(cfg).plan(d as usize);
-        let mut alice = AliceSession::new(cfg, params, set, SEED);
-        Frame::Sketches {
-            m: params.m,
-            batch: alice.start_rounds(layers),
-        }
-    }
-
     /// The code of the `Error` frame the session ended with, after
     /// `preface` ordinary replies.
     fn refused_with(duet: &mut Duet, preface: usize) -> ErrorCode {
@@ -816,220 +818,16 @@ mod tests {
         }
     }
 
-    /// A server scripted into each stage that awaits a frame, with the
-    /// frames accepted there (as indices into `one_of_each`).
-    fn every_awaiting_stage() -> Vec<(&'static str, Duet, Vec<usize>)> {
-        let await_hello = Duet::over(mutable(0..50));
-
-        let mut await_bank = Duet::over(mutable(0..50));
-        await_bank.deliver(Frame::Hello(hello(0)));
-
-        let mut rounds = Duet::over(mutable(0..50));
-        rounds.deliver(Frame::Hello(hello(5)));
-
-        let mut parked = Duet::over(mutable(0..50));
-        parked.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
-        assert_eq!(parked.server().waiting(), Waiting::Parked);
-
-        let mut streaming = Duet::over(mutable(0..50));
-        streaming.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
-        streaming.deliver(Frame::Subscribe { epoch: 0 });
-        assert_eq!(streaming.server().waiting(), Waiting::Streaming);
-
-        vec![
-            ("expected Hello", await_hello, vec![0]),
-            ("expected estimator bank", await_bank, vec![1]),
-            ("during the round loop", rounds, vec![3, 5]),
-            ("while awaiting Subscribe", parked, vec![0, 9]),
-            ("on a live subscription", streaming, vec![10, 11]),
-        ]
-    }
-
-    #[test]
-    fn every_stage_refuses_every_wrong_frame_type_by_name() {
-        for (name, mut duet, accepted) in every_awaiting_stage() {
-            let waiting = duet.server().waiting();
-            for (i, frame) in one_of_each().into_iter().enumerate() {
-                if accepted.contains(&i) {
-                    continue;
-                }
-                let ty = frame.type_byte();
-                match duet.bare(frame) {
-                    Err(Refusal::Answer { code, message }) => {
-                        assert_eq!(code, ErrorCode::Protocol, "{name}: {message}");
-                        assert!(message.contains(name), "{name}: {message}");
-                        assert!(message.contains(&format!("type {ty}")), "{name}: {message}");
-                    }
-                    other => panic!("{name} accepted frame type {ty}: {other:?}"),
-                }
-                // A refusal changes nothing: a subscriber's slot, for one,
-                // is still the machine's to hand back.
-                assert_eq!(duet.server().waiting(), waiting);
-            }
-            // A peer Error frame ends the session in any stage, reply-less.
-            let error = Frame::Error {
-                code: ErrorCode::Internal,
-                message: "boom".into(),
-            };
-            assert_eq!(duet.bare(error).unwrap_err(), Refusal::Silent);
-        }
-    }
-
-    /// Hand-built hostile input, one shape per check, met with its
-    /// `ErrorCode` after the replies that precede it. (Seeded hostile
-    /// bytes, in both directions, are the simulator's.)
+    /// What no schedule of the explorer (`explore.rs`) reaches: its
+    /// server admits subscribers. One too many is refused `Internal`, and
+    /// its slot is not taken.
     #[test]
     fn hostile_input_is_refused_with_its_error_code() {
-        let set = elements(0..200);
-        let limits = |config: ServerConfig| Duet::new(mutable(5..205), config);
-        let in_rounds = |config: ServerConfig| {
-            let mut duet = limits(config);
-            duet.deliver(Frame::Hello(hello(10)));
-            assert!(matches!(duet.inbox.pop_front(), Some(Frame::Hello(_))));
-            duet
-        };
-        let defaults = ServerConfig::default;
-
-        // Round cap, metered in layers.
-        let mut duet = in_rounds(ServerConfig {
-            round_cap: 1,
-            ..defaults()
-        });
-        duet.deliver(sketches(&set, 10, 2));
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::RoundLimit);
-
-        // More layers in one frame than the server grants.
-        let mut duet = in_rounds(defaults());
-        duet.deliver(sketches(&set, 10, defaults().max_pipeline_depth + 1));
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-
-        // An empty batch; a batch shaped for another (m, t).
-        let Frame::Sketches { m, batch } = sketches(&set, 10, 1) else {
-            unreachable!()
-        };
-        let mut duet = in_rounds(defaults());
-        duet.deliver(Frame::Sketches { m, batch: vec![] });
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-        let mut duet = in_rounds(defaults());
-        duet.deliver(Frame::Sketches { m: m + 1, batch });
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-        let mut duet = in_rounds(defaults());
-        duet.deliver(sketches(&set, 4_000, 1));
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-
-        // One (session, round) sketched twice — a "one-layer" frame that
-        // would buy a second decode of the group; more sketches than the
-        // layers it names have sessions, by cycling rounds over one id.
-        // Both refused before anything is decoded.
-        let Frame::Sketches { m, batch } = sketches(&set, 10, 2) else {
-            unreachable!()
-        };
-        let per_layer = batch.len() / 2;
-        let mut duet = in_rounds(defaults());
-        let mut twice = batch[..per_layer].to_vec();
-        twice.push(batch[0].clone());
-        duet.deliver(Frame::Sketches { m, batch: twice });
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-        let mut duet = in_rounds(defaults());
-        let sessions = per_layer as u64;
-        let padded = (0..2 * sessions + 1).map(|i| pbs_core::messages::GroupSketch {
-            session: 1 + i / 2,
-            round: 1 + (i % 2) as u32,
-            ..batch[0].clone()
-        });
-        let mut padded: Vec<_> = padded.collect();
-        padded[2 * per_layer].session = u64::MAX; // an id Bob does not hold
-        duet.deliver(Frame::Sketches { m, batch: padded });
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-        let stats = duet.res.stats.snapshot();
-        assert_eq!((stats.rounds, stats.round_trips), (0, 0), "nothing ran");
-        // The honest two-layer frame they were cut from is served.
-        let mut duet = in_rounds(defaults());
-        duet.deliver(Frame::Sketches { m, batch });
-        assert!(matches!(duet.inbox.pop_front(), Some(Frame::Reports(_))));
-        assert_eq!(duet.closed(), None);
-
-        // A final transfer over the cap; one that would poison the store.
-        let mut duet = in_rounds(ServerConfig {
-            max_done_elements: 2,
-            ..defaults()
-        });
-        duet.deliver(Frame::Done(vec![1, 2, 3]));
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-        let mut duet = in_rounds(defaults());
-        duet.deliver(Frame::Done(vec![0x7777, 0, 1u64 << 40]));
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-        let held = duet.res.registry.get("").unwrap().store().snapshot();
-        assert!(!held.contains(&0x7777), "the whole batch is refused");
-        assert_eq!(duet.res.stats.snapshot().elements_received, 0);
-
-        // An estimator bank that does not decode, or is not the one the
-        // handshake parameterized.
-        for (bank, code) in [
-            (vec![1, 2, 3], ErrorCode::Decode),
-            (
-                TowEstimator::new(128, 0xBAD).to_bytes(),
-                ErrorCode::BadConfig,
-            ),
-            (
-                TowEstimator::new(64, xhash::derive_seed(SEED, ESTIMATOR_SEED_SALT)).to_bytes(),
-                ErrorCode::BadConfig,
-            ),
-        ] {
-            let mut duet = limits(defaults());
-            duet.deliver(Frame::Hello(hello(0)));
-            duet.deliver(Frame::EstimatorExchange(EstimatorMsg::TowBank(bank)));
-            assert_eq!(refused_with(&mut duet, 1), code);
-        }
-
-        // d above the server's cap: named in the Hello, or estimated. The
-        // reply each refusal follows is on the wire first.
-        let capped = ServerConfig {
-            max_d: 8,
-            ..defaults()
-        };
-        let mut duet = limits(capped);
-        duet.deliver(Frame::Hello(hello(9)));
-        assert_eq!(refused_with(&mut duet, 1), ErrorCode::BadConfig);
-        assert!(matches!(duet.inbox[0], Frame::Hello(_)));
-        let mut duet = limits(capped);
-        let mut client = ClientMachine::new(
-            &ClientConfig {
-                seed: SEED,
-                ..ClientConfig::default()
-            },
-            &set[..100],
-            Mode::Full,
-        )
-        .unwrap();
-        match duet.run(&mut client) {
-            Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadConfig),
-            other => panic!("expected the estimate to be refused, got {other:?}"),
-        }
-        assert_eq!(
-            duet.sent,
-            [1, 2, 3],
-            "the Estimate came first: sketches crossed the refusal"
-        );
-
-        // Handshake values out of range; a store nobody registered.
-        let mut duet = limits(defaults());
-        let mut bad = hello(1);
-        bad.universe_bits = 7;
-        duet.deliver(Frame::Hello(bad));
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
-        let mut duet = limits(defaults());
-        duet.deliver(Frame::Hello(hello(1).with_store("nope")));
-        assert_eq!(refused_with(&mut duet, 0), ErrorCode::UnknownStore);
-        let stats = duet.res.stats.snapshot();
-        assert_eq!(stats.sessions_started, 0, "accept is the driver's to count");
-
-        // One subscriber too many.
         let mut duet = Duet::new(
             mutable(0..50),
             ServerConfig {
                 max_subscribers: 0,
-                ..defaults()
+                ..ServerConfig::default()
             },
         );
         duet.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
@@ -1038,40 +836,29 @@ mod tests {
         assert_eq!(duet.res.live_subscribers.load(Ordering::Relaxed), 0);
     }
 
-    /// The one range `Hello::config` holds a field to — the universe — at
-    /// both edges: refused `BadConfig` by the field's name before anything
-    /// is planned, and the refusal and the next honest handshake take
-    /// under 100 ms together.
+    /// A `Hello` whose universe is out of range is refused before anything
+    /// is planned (the explorer holds the refusal to its code and the
+    /// field's name): the refusal and the next honest handshake take under
+    /// 100 ms together.
     #[test]
     fn every_hello_field_out_of_range_is_refused_by_name() {
-        type Rewrite = fn(&mut Hello);
-        let rows: [(&str, Rewrite); 2] = [
-            ("universe_bits", |h| h.universe_bits = 7),
-            ("universe_bits", |h| h.universe_bits = 65),
-        ];
         let store = mutable(0..50);
         // The planner's table is built once, before the clock starts.
         Duet::over(store.clone()).deliver(Frame::Hello(hello(1)));
-        for (field, rewrite) in rows {
+        for bits in [7, 65] {
             let started = std::time::Instant::now();
             let mut bad = hello(1);
-            rewrite(&mut bad);
+            bad.universe_bits = bits;
             let mut duet = Duet::over(store.clone());
             duet.deliver(Frame::Hello(bad));
-            match duet.inbox.pop_back() {
-                Some(Frame::Error { code, message }) => {
-                    assert_eq!(code, ErrorCode::BadConfig, "{field}: {message}");
-                    assert!(message.starts_with(field), "{field}: {message}");
-                }
-                other => panic!("{field}: expected a refusal, got {other:?}"),
-            }
+            assert_eq!(refused_with(&mut duet, 0), ErrorCode::BadConfig);
             let mut next = Duet::over(store.clone());
             next.deliver(Frame::Hello(hello(1)));
             assert!(matches!(next.inbox.pop_front(), Some(Frame::Hello(_))));
             let took = started.elapsed();
             assert!(
                 took < std::time::Duration::from_millis(100),
-                "{field}: the refusal and the next handshake took {took:?}"
+                "{bits} bits: the refusal and the next handshake took {took:?}"
             );
         }
     }
@@ -1428,60 +1215,6 @@ mod tests {
             Waiting::Streaming,
             "the slot is still attributable"
         );
-    }
-
-    /// A parked session subscribes from the epoch it proved — the one its
-    /// catch-up or its ack ended on — or not at all: streamed from a later
-    /// epoch, it would miss the batches between; from an earlier one, be
-    /// pushed again what it holds. Either is refused `Protocol`.
-    #[test]
-    fn a_subscribe_names_the_epoch_its_session_proved() {
-        let store = mutable(0..50);
-        store.apply(&[7_000_001], &[]);
-        let parked = || {
-            let mut duet = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
-            duet.deliver(Frame::Hello(hello(0).with_delta_epoch(0)));
-            assert_eq!(duet.inbox.pop_back(), Some(Frame::DeltaDone { epoch: 1 }));
-            duet.inbox.clear();
-            duet
-        };
-        let pushed = |duet: &Duet| -> Vec<u64> {
-            let batches = duet.inbox.iter().filter_map(|frame| match frame {
-                Frame::DeltaBatch { epoch, .. } => Some(*epoch),
-                _ => None,
-            });
-            batches.collect()
-        };
-        let mut sessions = [parked(), parked(), parked()];
-        store.apply(&[7_000_002], &[]);
-        store.apply(&[7_000_003], &[]);
-        for (duet, named) in sessions.iter_mut().zip([2, 0, 1]) {
-            duet.deliver(Frame::Subscribe { epoch: named });
-            duet.push(0);
-            if named != 1 {
-                let batches = pushed(duet);
-                assert!(
-                    batches.is_empty(),
-                    "subscribed at {named}, proved 1: pushed batches {batches:?}"
-                );
-                assert_eq!(refused_with(duet, 0), ErrorCode::Protocol);
-            }
-        }
-        assert_eq!(pushed(&sessions[2]), [2, 3]);
-
-        // A classic session's ack proves its snapshot's epoch.
-        let mut classic = Duet::over(Arc::clone(&store) as Arc<dyn SetStore>);
-        let config = ClientConfig {
-            seed: SEED,
-            ..ClientConfig::default()
-        };
-        let (_, _, report) = classic.transcript(&config, &elements(0..40), Mode::Full);
-        classic.deliver(Frame::Subscribe { epoch: 3 });
-        assert_eq!(report.epoch, Some(3));
-        assert_eq!(classic.server().waiting(), Waiting::Streaming);
-        store.apply(&[7_000_004], &[]);
-        classic.push(0);
-        assert_eq!(pushed(&classic), [4]);
     }
 
     /// A 64-bit session's final transfer lands an element past 2³² in the

@@ -14,7 +14,8 @@
 //!   becomes an event of its own that runs later, in seeded order; until
 //!   then the connection takes no frame. `Duet` on its own is the
 //!   one-connection, fault-free case: both machines in one thread, every
-//!   unit inline.
+//!   unit inline; [`Duet::linked`] is one connection whose heavy units
+//!   wait, as the explorer (`explore.rs`) drives it.
 //! * **Time** is one `Instant` taken when the world is made plus what the
 //!   schedule let pass. It passes as an event loop sleeps: once what flows
 //!   has arrived, for a seeded while, never past the earliest timer of
@@ -69,6 +70,13 @@
 //! node's tick and had a rewritten frame reach a mesh leg and, per
 //! direction and [`Mutation`], in how many a rewritten frame reached its
 //! target, and holds each count to one seed of twenty.
+//!
+//! The simulator samples long schedules of many nodes: it owns time,
+//! timers, disks and crashes, the mesh, and bytes mangled in flight. The
+//! orderings of one session — which frame, write, set-up unit or close
+//! comes first, and a peer's lie at any one of them — are the explorer's
+//! (`explore.rs`), which runs every schedule of one connection to a small
+//! depth instead.
 
 use crate::client::{ClientConfig, DeltaReport, Pipeline, SyncReport};
 use crate::conn::{ClientConn, ClientOut, Connection, Due, Ending, Out, ServerConn};
@@ -81,7 +89,7 @@ use crate::frame::{
 use crate::machine::{ClientMachine, Mode, Phase};
 use crate::mesh::{settle, MeshConfig, MeshSchedule, PeerStats, RoundOutcome};
 use crate::server::{ServerConfig, ServerStats};
-use crate::server_machine::{Crossed, Refusal, Resources, ServerMachine, Step, Waiting};
+use crate::server_machine::{Crossed, Resources, ServerMachine, Waiting};
 use crate::store::{
     DeltaAnswer, MutableStore, RegisteredStore, SetStore, StoreNotifier, StoreRegistry, ViewAnswer,
 };
@@ -125,13 +133,23 @@ pub(crate) struct Duet {
 impl Duet {
     /// A server with `config` whose default store is `store`.
     pub fn new(store: Arc<dyn SetStore>, config: ServerConfig) -> Self {
-        let res = Resources {
+        Self::accept(&Self::resources(store, config), Instant::now(), false)
+    }
+
+    /// [`Duet::new`] as a [`World`] links it: a heavy set-up unit waits
+    /// for [`Duet::set_up`], and what the server answers stays in `inbox`
+    /// until its driver flushes it.
+    pub fn linked(store: Arc<dyn SetStore>, config: ServerConfig) -> Self {
+        Self::accept(&Self::resources(store, config), Instant::now(), true)
+    }
+
+    fn resources(store: Arc<dyn SetStore>, config: ServerConfig) -> Arc<Resources> {
+        Arc::new(Resources {
             registry: Arc::new(StoreRegistry::single(store)),
             config,
             stats: Arc::new(ServerStats::default()),
             live_subscribers: AtomicUsize::new(0),
-        };
-        Self::accept(&Arc::new(res), Instant::now(), false)
+        })
     }
 
     pub fn over(store: Arc<dyn SetStore>) -> Self {
@@ -163,13 +181,6 @@ impl Duet {
         self.conn.machine().expect("the machine is here")
     }
 
-    /// `frame` handed to the machine alone: its answer, carried out by
-    /// nobody.
-    pub fn bare(&mut self, frame: Frame) -> Result<Step, Refusal> {
-        let machine = self.conn.machine_mut().expect("the machine is here");
-        machine.on_frame(&self.res, frame)
-    }
-
     /// Carry out what the connection decided.
     fn take(&mut self, out: Out) {
         if out.renewed.is_some() {
@@ -186,7 +197,7 @@ impl Duet {
 
     /// `true` while a heavy unit is handed off: the connection takes no
     /// frame until [`Duet::set_up`] has run it.
-    fn out(&self) -> bool {
+    pub fn out(&self) -> bool {
         self.held.is_some()
     }
 
@@ -205,7 +216,7 @@ impl Duet {
     }
 
     /// The heavy unit handed off, run now, as a set-up thread runs it.
-    fn set_up(&mut self) {
+    pub fn set_up(&mut self) {
         let Some(mut machine) = self.held.take() else {
             return;
         };

@@ -17,6 +17,7 @@ use pbs_net::frame::{
 };
 use pbs_net::{FrameError, NetError};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A `Sketches` frame of `words.len()` syndromes a sketch, a new round (so
 /// a new section of the batch) at every sketch.
@@ -464,4 +465,107 @@ fn wire_md_states_the_protocol_version_it_documents() {
         wrong.is_empty(),
         "docs/WIRE.md states a protocol version other than {version}: {wrong:?}"
     );
+}
+
+/// The rows of the Markdown table under `header` in `doc`, as their cells.
+fn table(doc: &str, header: &str) -> Vec<Vec<String>> {
+    let lines = doc.lines().skip_while(|line| !line.starts_with(header));
+    let rows = lines.skip(2).take_while(|line| line.starts_with('|'));
+    let cell = |cell: &str| cell.trim().trim_matches('`').to_string();
+    rows.map(|row| row.split('|').skip(1).map(cell).collect())
+        .collect()
+}
+
+/// Documentation lint: docs/WIRE.md's frame-type table and its error-code
+/// table, each held to the code both ways — a row for every value the
+/// decoder knows, a value the decoder knows for every row — the frame
+/// table's under the `Frame` variant's name and its sender, the error
+/// table's under the `ErrorCode`'s name.
+#[test]
+fn wire_md_tables_name_every_frame_type_and_error_code() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/WIRE.md");
+    let doc = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let numbered = |rows: Vec<Vec<String>>| -> BTreeMap<u8, Vec<String>> {
+        let row = |cells: Vec<String>| (cells[0].parse().expect("a number"), cells[1..].to_vec());
+        rows.into_iter().map(row).collect()
+    };
+
+    // Frame types: one frame of each, and who sends it.
+    let bank = TowEstimator::new(8, 1).to_bytes();
+    let every_frame = [
+        (
+            Frame::Hello(Hello::from_config(&pbs_core::PbsConfig::default(), 1, 0)),
+            "both",
+        ),
+        (
+            Frame::EstimatorExchange(EstimatorMsg::TowBank(bank)),
+            "both",
+        ),
+        (sketches_frame(8, &[1], &[1 << 60]), "client → server"),
+        (reports_frame(&[(1, 2)], false), "server → client"),
+        (Frame::Done(vec![1]), "client → server"),
+        (
+            Frame::Error {
+                code: ErrorCode::Internal,
+                message: String::new(),
+            },
+            "both",
+        ),
+        (
+            Frame::DeltaBatch {
+                epoch: 1,
+                added: vec![1],
+                removed: vec![],
+            },
+            "server → client",
+        ),
+        (Frame::DeltaDone { epoch: 1 }, "server → client"),
+        (Frame::FullResyncRequired { epoch: 1 }, "server → client"),
+        (Frame::Subscribe { epoch: 1 }, "client → server"),
+        (Frame::Ping { nonce: 1 }, "both"),
+        (Frame::Pong { nonce: 1 }, "both"),
+    ];
+    let code: BTreeMap<u8, Vec<String>> = every_frame
+        .iter()
+        .map(|(frame, sender)| {
+            let name = format!("{frame:?}");
+            let name = name
+                .split(|c: char| !c.is_alphanumeric())
+                .next()
+                .unwrap_or("");
+            (
+                frame.encode_body()[0],
+                vec![name.to_string(), sender.to_string()],
+            )
+        })
+        .collect();
+    let known: Vec<u8> = (0..=u8::MAX)
+        .filter(|&ty| Frame::decode_body(&[ty]) != Err(FrameError::BadType(ty)))
+        .collect();
+    assert_eq!(
+        code.keys().copied().collect::<Vec<_>>(),
+        known,
+        "a frame of each type"
+    );
+    let rows = numbered(table(&doc, "| type | frame"));
+    let rows: BTreeMap<u8, Vec<String>> = rows
+        .into_iter()
+        .map(|(ty, cells)| (ty, cells[..2].to_vec()))
+        .collect();
+    assert_eq!(rows, code, "docs/WIRE.md's frame types, against the code's");
+
+    // Error codes: every byte an `Error` frame decodes with.
+    let code: BTreeMap<u8, Vec<String>> = (0..=u8::MAX)
+        .filter_map(|byte| match Frame::decode_body(&[6, byte, 0, 0]) {
+            Ok(Frame::Error { code, .. }) => Some((byte, vec![code.to_string()])),
+            _ => None,
+        })
+        .collect();
+    let rows = numbered(table(&doc, "| code | meaning | typical"));
+    let rows: BTreeMap<u8, Vec<String>> = rows
+        .into_iter()
+        .map(|(byte, cells)| (byte, cells[..1].to_vec()))
+        .collect();
+    assert_eq!(rows, code, "docs/WIRE.md's error codes, against the code's");
 }
