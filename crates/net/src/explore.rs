@@ -68,7 +68,7 @@ use std::sync::Arc;
 
 /// Moves a schedule runs to: every schedule of this many (fewer where
 /// both ends are done sooner). An unoptimised build goes three shallower.
-const DEPTH: usize = if cfg!(debug_assertions) { 3 } else { 8 };
+const DEPTH: usize = if cfg!(debug_assertions) { 3 } else { 6 };
 
 /// Schedules the run must reach.
 const AT_LEAST: u64 = if cfg!(debug_assertions) {
@@ -98,6 +98,11 @@ const SETS: [(&[u64], &[u64]); 2] = [
 const WRITES: usize = 3;
 const NARROW: u64 = 130;
 const WIDE: u64 = 0x100;
+
+/// What a session of [`BITS`] is refused once a [`WIDE`] element landed:
+/// both widths, named.
+const TOO_NARROW: &str = "the store holds 9-bit elements, outside the 8-bit universe";
+const NARROWED: Draw = Draw::Refused(ErrorCode::BadConfig, TOO_NARROW);
 
 /// What the server is configured with: limits a letter can reach in a
 /// tiny world.
@@ -209,14 +214,18 @@ enum Move {
 }
 
 impl Move {
-    /// The end whose state the move reads and changes: a move of one end
-    /// commutes with any move of the other.
-    fn side(self, alphabet: &[Letter]) -> Side {
-        match self {
-            Move::Down | Move::CloseClient => Side::Client,
-            Move::Lie(i) => alphabet[i].to,
-            _ => Side::Server,
-        }
+    /// Two moves of different ends commute: each reads only its own end
+    /// and its own queue's head, and appends to the other's tail. A letter
+    /// commutes with nothing: it takes the head of a queue the other end
+    /// appends to, is built from both ends' state, and a client that ends
+    /// or closes bars the letters toward the server.
+    fn commutes(self, other: Move) -> bool {
+        let side = |mv| match mv {
+            Move::Lie(_) => None,
+            Move::Down | Move::CloseClient => Some(Side::Client),
+            _ => Some(Side::Server),
+        };
+        matches!((side(self), side(other)), (Some(a), Some(b)) if a != b)
     }
 
     /// Its column in the tally.
@@ -247,10 +256,12 @@ const KINDS: [&str; 6] = [
 enum Draw {
     /// No refusal.
     Taken,
-    /// Refused with this code (the client's refusals are all `Protocol`),
-    /// the message naming the second field — now, or at the set-up unit
-    /// the server owes.
+    /// Refused now with this code (the client's refusals are all
+    /// `Protocol`), the message naming the second field.
     Refused(ErrorCode, &'static str),
+    /// The reply of the letter's own type sent, no refusal yet, and the
+    /// set-up unit the reply announced owed: that unit draws the refusal.
+    Owed(ErrorCode, &'static str),
     /// A peer's `Error`: the session ends without a word.
     Ends,
     /// A type this stage does not take: refused `Protocol`, naming the
@@ -364,7 +375,7 @@ fn stream(stage: &str) -> bool {
 /// element.
 fn narrow(or: Draw) -> Rule {
     Box::new(move |c, _| match c.wide {
-        true => Draw::Refused(ErrorCode::BadConfig, "-bit universe"),
+        true => NARROWED,
         false => or,
     })
 }
@@ -499,7 +510,7 @@ fn alphabet() -> Vec<Letter> {
         ),
         server(
             "Hello, d over the cap",
-            narrow(Refused(BadConfig, "exceeds the server cap")),
+            narrow(Owed(BadConfig, "exceeds the server cap")),
             just(Frame::Hello(hello(7, over))),
         ),
     ]);
@@ -519,7 +530,7 @@ fn alphabet() -> Vec<Letter> {
         ),
         server(
             "bank of a large set",
-            is(Refused(BadConfig, "exceeds the server cap")),
+            is(Owed(BadConfig, "exceeds the server cap")),
             Box::new(move |c| {
                 let seed = xhash::derive_seed(c.seed, ESTIMATOR_SEED_SALT);
                 bank(estimator::DEFAULT_SKETCH_COUNT, seed, 1..=4 * over)
@@ -888,10 +899,9 @@ impl<'a> Run<'a> {
                 // (A unit that takes a set holding a wide write refuses
                 // that first.)
                 let wide = self.store.universe_bits() > BITS;
-                let narrow = Draw::Refused(ErrorCode::BadConfig, "-bit universe");
                 match self.owed.take() {
                     Some((draw, takes_set)) => {
-                        let draw = if wide && takes_set { narrow } else { draw };
+                        let draw = if wide && takes_set { NARROWED } else { draw };
                         judge_server(draw, "", 0, refusal.as_ref(), false)?
                     }
                     None => self.honest(refusal)?,
@@ -985,9 +995,9 @@ impl<'a> Run<'a> {
                 self.last[0] = Some(frame.clone());
                 let waiting = self.duet.conn.waiting();
                 let before = self.ledger(stage);
+                let replies = self.down.len();
                 self.duet.deliver(frame);
                 let refusal = self.drain()?;
-                let defer = self.duet.out() && self.server_open();
                 if refusal.is_some() || draw == Draw::Ends {
                     // A refusal changes nothing: no element lands, no round
                     // runs; a stray frame leaves the stage (a subscriber's
@@ -1003,8 +1013,19 @@ impl<'a> Run<'a> {
                         return Err(format!("a refused {} moved the stage", letter.name));
                     }
                 }
-                match (draw, refusal.is_none() && defer) {
-                    (Draw::Refused(..), true) => self.owed = Some((draw, ty == 1)),
+                match draw {
+                    // The reply goes out before the work it announces, and
+                    // the refusal with that work.
+                    Draw::Owed(code, why) => {
+                        let replied = self.down.range(replies..).any(|f| f.type_byte() == ty);
+                        if refusal.is_some() || !replied || !self.duet.out() {
+                            return Err(format!(
+                                "{} drew {refusal:?} where its reply is due, and {draw:?}",
+                                letter.name
+                            ));
+                        }
+                        self.owed = Some((Draw::Refused(code, why), ty == 1));
+                    }
                     _ => judge_server(draw, stage, ty, refusal.as_ref(), self.server_open())?,
                 }
             }
@@ -1036,6 +1057,41 @@ impl<'a> Run<'a> {
         let started = (stage == "expected Hello") as u64 * stats.sessions_started;
         let moved = [stats.rounds, stats.round_trips, stats.elements_received];
         [self.store.epoch(), moved[0], moved[1], moved[2], started]
+    }
+
+    /// What the run stands at, in words: the link, both ends, the store
+    /// and the counters.
+    fn state(&self) -> String {
+        let client = self.client.as_ref().map(|c| (c.state_name(), c.parked()));
+        let stage = self.duet.conn.machine().map(|m| m.stage_name());
+        let server = (self.duet.closed(), self.duet.out(), stage);
+        let store = (
+            self.store.epoch(),
+            BTreeSet::from_iter(self.store.snapshot()),
+        );
+        let stats = self.duet.res.stats.snapshot();
+        let live = self.duet.res.live_subscribers.load(Ordering::Relaxed);
+        let link = (&self.up, &self.down, self.up_closed, self.down_closed);
+        let held = (
+            self.proved,
+            self.streaming,
+            self.client_epoch,
+            self.seed,
+            self.d,
+        );
+        let seen = (self.client_seed, self.left);
+        let flags = (
+            self.lied,
+            self.closed,
+            self.writes,
+            self.wide,
+            self.viewed,
+            self.owed,
+        );
+        format!(
+            "{link:?} {client:?} {:?} {server:?} {store:?} {stats:?} {live} {held:?} {seen:?} {flags:?} {:?}",
+            self.ending, self.last
+        )
     }
 
     /// The views the server's sessions took: declined, built, patched.
@@ -1149,7 +1205,7 @@ impl<'a> Run<'a> {
     fn honest(&self, refusal: Option<(ErrorCode, String)>) -> Result<(), String> {
         match refusal {
             Some((code, message)) if !self.lied => {
-                let narrow = code == ErrorCode::BadConfig && message.contains("-bit universe");
+                let narrow = code == ErrorCode::BadConfig && message.contains(TOO_NARROW);
                 match narrow && self.wide {
                     true => Ok(()),
                     false => Err(format!("an honest link refused {code:?}: {message}")),
@@ -1262,7 +1318,7 @@ impl<'a> Run<'a> {
         }
         // A subscriber holds its slot while it streams, and only then.
         let live = self.duet.res.live_subscribers.load(Ordering::Relaxed);
-        if live != (self.server_open() && self.duet.conn.streaming()) as usize {
+        if live != self.duet.conn.streaming() as usize {
             return Err(format!("{live} subscriber slots taken"));
         }
         if self.lied {
@@ -1304,9 +1360,7 @@ impl<'a> Run<'a> {
                 }
             }
             Some(Ending::Failed(NetError::Remote { code, message }))
-                if *code == ErrorCode::BadConfig
-                    && self.wide
-                    && message.contains("-bit universe") =>
+                if *code == ErrorCode::BadConfig && self.wide && message.contains(TOO_NARROW) =>
             {
                 Ok(())
             }
@@ -1426,64 +1480,86 @@ fn replay<'a>(world: World, alphabet: &'a [Letter], path: &[Move]) -> Result<Run
     Ok(run)
 }
 
-/// Every schedule extending `path`, but those a sleeping move makes a
-/// reordering of one already run.
-fn search(
+/// The search of one world to a depth.
+struct Search<'a> {
     world: World,
-    alphabet: &[Letter],
+    alphabet: &'a [Letter],
     depth: usize,
-    path: &mut Vec<Move>,
-    asleep: &[Move],
-    tally: &mut Tally,
-) -> Result<(), String> {
-    let mut run = replay(world, alphabet, path)?;
-    let moves = run.moves();
-    let awake: Vec<Move> = moves.into_iter().filter(|m| !asleep.contains(m)).collect();
-    // Every move asleep: each schedule on is a reordering of one run.
-    if path.len() < depth && awake.is_empty() && !asleep.is_empty() {
-        return Ok(());
-    }
-    if path.len() == depth || awake.is_empty() {
-        run.finish()?;
-        tally.schedules += 1;
-        let mut kinds: Vec<usize> = path.iter().map(|m| m.kind()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        kinds.into_iter().for_each(|k| tally.took[k] += 1);
-        tally.met.extend(run.met);
-        return Ok(());
-    }
-    drop(run);
-    let mut done: Vec<Move> = Vec::new();
-    for mv in awake {
-        let side = mv.side(alphabet);
-        let sleep: Vec<Move> = asleep
-            .iter()
-            .chain(&done)
-            .filter(|s| s.side(alphabet) != side)
-            .copied()
-            .collect();
-        path.push(mv);
-        search(world, alphabet, depth, path, &sleep, tally)?;
-        path.pop();
-        done.push(mv);
-    }
-    Ok(())
+    /// Run two orders of commuting moves once (a sleep set); off, every
+    /// order runs.
+    reduce: bool,
+    tally: Tally,
+    /// Every state reached, with the first schedule that reached it,
+    /// where a test compares them.
+    states: Option<BTreeMap<String, String>>,
 }
 
-/// Explore `world` to `depth`: the schedule that broke an invariant or
-/// panicked, and why.
-fn explore(world: World, alphabet: &[Letter], depth: usize, tally: &mut Tally) -> Option<String> {
-    let mut path = Vec::new();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        search(world, alphabet, depth, &mut path, &[], tally)
-    }));
-    let why = match outcome {
-        Ok(Ok(())) => return None,
-        Ok(Err(why)) => why,
-        Err(_) => "panicked".to_string(),
-    };
-    Some(format!("{world:?}: {}: {why}", spell(&path, alphabet)))
+impl<'a> Search<'a> {
+    fn new(world: World, alphabet: &'a [Letter], depth: usize) -> Self {
+        Search {
+            world,
+            alphabet,
+            depth,
+            reduce: true,
+            tally: Tally::default(),
+            states: None,
+        }
+    }
+
+    /// Every schedule extending `path`, but those a sleeping move makes
+    /// a reordering of one already run.
+    fn from(&mut self, path: &mut Vec<Move>, asleep: &[Move]) -> Result<(), String> {
+        let mut run = replay(self.world, self.alphabet, path)?;
+        if let Some(states) = &mut self.states {
+            let path = spell(path, self.alphabet);
+            states.entry(run.state()).or_insert(path);
+        }
+        let moves = run.moves();
+        let awake: Vec<Move> = moves.into_iter().filter(|m| !asleep.contains(m)).collect();
+        // Every move asleep: each schedule on is a reordering of one run.
+        if path.len() < self.depth && awake.is_empty() && !asleep.is_empty() {
+            return Ok(());
+        }
+        if path.len() == self.depth || awake.is_empty() {
+            run.finish()?;
+            let tally = &mut self.tally;
+            tally.schedules += 1;
+            let mut kinds: Vec<usize> = path.iter().map(|m| m.kind()).collect();
+            kinds.sort_unstable();
+            kinds.dedup();
+            kinds.into_iter().for_each(|k| tally.took[k] += 1);
+            tally.met.extend(run.met);
+            return Ok(());
+        }
+        drop(run);
+        let mut done: Vec<Move> = Vec::new();
+        for mv in awake {
+            let sleep: Vec<Move> = asleep
+                .iter()
+                .chain(&done)
+                .filter(|s| self.reduce && s.commutes(mv))
+                .copied()
+                .collect();
+            path.push(mv);
+            self.from(path, &sleep)?;
+            path.pop();
+            done.push(mv);
+        }
+        Ok(())
+    }
+
+    /// The schedule that broke an invariant or panicked, and why.
+    fn run(&mut self) -> Option<String> {
+        let mut path = Vec::new();
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.from(&mut path, &[])));
+        let why = match outcome {
+            Ok(Ok(())) => return None,
+            Ok(Err(why)) => why,
+            Err(_) => "panicked".to_string(),
+        };
+        let world = self.world;
+        Some(format!("{world:?}: {}: {why}", spell(&path, self.alphabet)))
+    }
 }
 
 /// Explore every world of `worlds`, failing with the shortest schedule
@@ -1492,11 +1568,12 @@ fn explore_all(worlds: &[World]) -> Tally {
     let alphabet = alphabet();
     let mut tally = Tally::default();
     for &world in worlds {
-        if explore(world, &alphabet, DEPTH, &mut tally).is_some() {
-            let failed = (0..=DEPTH)
-                .find_map(|depth| explore(world, &alphabet, depth, &mut Tally::default()));
+        let mut search = Search::new(world, &alphabet, DEPTH);
+        if search.run().is_some() {
+            let failed = (0..=DEPTH).find_map(|depth| Search::new(world, &alphabet, depth).run());
             panic!("explore: {}", failed.expect("it failed at DEPTH"));
         }
+        tally = tally.merge(search.tally);
     }
     tally
 }
@@ -1534,4 +1611,39 @@ fn every_short_schedule_holds_every_invariant() {
         .collect();
     assert!(DEPTH < 6 || missed.is_empty(), "no letter met {missed:?}");
     assert!(tally.took.iter().all(|&n| n > 0));
+}
+
+/// The sleep set loses no state: each state some order of the moves
+/// reaches, the reduced search reaches too.
+#[test]
+fn the_sleep_set_reaches_every_state() {
+    let alphabet = alphabet();
+    let depth = if cfg!(debug_assertions) { 2 } else { 3 };
+    for world in worlds() {
+        let search = |reduce| {
+            let mut search = Search {
+                reduce,
+                states: Some(BTreeMap::new()),
+                ..Search::new(world, &alphabet, depth)
+            };
+            assert_eq!(search.run(), None);
+            (search.states.expect("kept"), search.tally.schedules)
+        };
+        let (every, all) = search(false);
+        let (reached, run) = search(true);
+        let lost: Vec<&String> = every
+            .iter()
+            .filter(|(state, _)| !reached.contains_key(*state))
+            .map(|(_, path)| path)
+            .collect();
+        assert!(
+            lost.is_empty(),
+            "{world:?}: lost {} states: {lost:?}",
+            lost.len()
+        );
+        println!(
+            "{world:?}: {} states, {run} schedules of {all}",
+            every.len()
+        );
+    }
 }
