@@ -204,7 +204,7 @@ impl ServerConn {
 
     /// A live subscription still served.
     pub(crate) fn streaming(&self) -> bool {
-        self.closing.is_none() && self.waiting() == Waiting::Streaming
+        self.open() && self.waiting() == Waiting::Streaming
     }
 
     /// The heavy unit ran: carry its step out, unless the session ended or

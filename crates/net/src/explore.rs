@@ -33,7 +33,9 @@
 //!   write) — never unverified;
 //! * a subscription streams exactly the batches after the epoch its
 //!   session proved;
-//! * every refusal is the one its letter draws, and changes nothing;
+//! * every refusal is the one its letter draws, and changes nothing; a
+//!   refusal of a session's size comes from its set-up unit, after the
+//!   reply that announced the unit;
 //! * no epoch a stream reports goes back;
 //! * the client hashes its bank under the seed of the reply it took, and
 //!   the first set-up to take the store's set takes it by the path the
@@ -42,12 +44,22 @@
 //!   its store, and a subscriber holds its slot exactly while it streams;
 //! * nothing panics.
 //!
-//! Moves of the two ends commute (each reads only its own queue's head and
-//! appends to the other's tail), so two orders of the same moves are run
-//! once: the search keeps a sleep set (Godefroid, 1996), and every state a
-//! schedule of at most [`DEPTH`] moves reaches is still reached. A world
-//! that fails is searched again, shallowest first, and panics with its
-//! shortest failing schedule.
+//! Moves of the two ends commute (each reads only its own end and its own
+//! queue's head, and appends to the other's tail), so two orders of such
+//! moves are run once: the search keeps a sleep set (Godefroid, 1996). A
+//! letter commutes with no move — it takes the head of a queue the other
+//! end appends to, and is built from both ends' state — so it neither
+//! sleeps nor puts a move to sleep. `the_sleep_set_reaches_every_state`
+//! holds the reduced search, at a smaller depth, to every state that every
+//! order of the moves reaches.
+//!
+//! `cargo test --release -p pbs_net --lib explore -- --nocapture` prints
+//! the depth, the schedules run (asserted ≥ [`AT_LEAST`]: 100 000
+//! optimised) and how many took each kind of move, and asserts that every
+//! stage each end awaits a frame in met every frame type. A world that
+//! fails is searched again, shallowest first, and panics with its
+//! shortest failing schedule. A refusal a machine grows is a letter with
+//! its draw; a stage, a row of [`SERVER_TAKES`] or [`CLIENT_TAKES`].
 
 use crate::client::{ClientConfig, DeltaReport};
 use crate::conn::{ClientConn, Connection, Ending};
@@ -68,6 +80,7 @@ use std::sync::Arc;
 
 /// Moves a schedule runs to: every schedule of this many (fewer where
 /// both ends are done sooner). An unoptimised build goes three shallower.
+/// Each move deeper costs about half as much time again.
 const DEPTH: usize = if cfg!(debug_assertions) { 3 } else { 6 };
 
 /// Schedules the run must reach.
